@@ -19,7 +19,25 @@ is reassociation-free:
 * variable-extent child reductions become a serial loop over the
   compile-time ``max_children`` accumulating ``(k < extent) ? body : 0``
   in the same slot order as the masked NumPy loop;
-* constant-extent reductions become serial first-assign/fold loops.
+* constant-extent reductions become serial first-assign/fold loops;
+* the contraction among them — ``out[rows.., j] = sum_r W[j, r] *
+  x[rows.., r]`` with ``W`` a never-written weight and ``x`` a per-node
+  row, possibly gathered through ``child[...]`` — gets a schedule instead
+  of a fold: the rows (node axis times the other output axes, flattened)
+  go two at a time and the columns ``j`` sixteen at a time, held in
+  2 x 4 four-lane float32 vector accumulators; each loaded weight
+  vector feeds both rows, each row element is splat across the lanes,
+  and ``r`` walks
+  its extent in ascending order starting from the first product,
+  multiply then add.  A lane is one output element, so every output sees
+  exactly the fold's operation sequence and the result is bitwise the
+  fold's.  The schedule needs ``j`` contiguous in the weight: the kernel
+  takes ``W``'s C-contiguous transpose through an extra pointer
+  (``<W>_T``; :attr:`KernelSignature.packed`) that the launcher packs
+  once per weight array.  Columns past the full tiles take one narrower
+  vector tile, then scalar columns.  Everything the matcher refuses
+  (min/max, non-constant extents, both operands node-indexed, guarded
+  nests, dtypes other than float32) keeps the fold.
 
 Where the Python target reassociates floating point — BLAS einsum
 contractions and NumPy's SIMD transcendentals — results are only
@@ -30,6 +48,7 @@ Kernel entry points use one uniform ABI so the host-side launcher stays
 trivial::
 
     void k_<name>(<buf ptrs...>, <const int32_t* uf arrays...>,
+                  <const packed weight ptrs...>,
                   const int64_t* S, int64_t begin, int64_t length);
 
 ``S`` packs the scalar parameters the kernel mentions (a
@@ -46,9 +65,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...errors import CodegenError
+from ...errors import CodegenError, NativeError
 from ...ir import (BinOp, Call, Cast, Const, Expr, Reduce, Select, TensorRead,
-                   UFCall, UnaryOp, Var, expr_to_str, is_zero, walk)
+                   UFCall, UnaryOp, Var, expr_to_str, free_vars, is_zero, walk)
 from ..buffer import ILBuffer
 from ..module import ILModule, Kernel
 from ..nests import AxisSpec, OpNest
@@ -277,6 +296,21 @@ static inline int64_t repro_isleaf(int64_t leaf_start,
                                    const int32_t* num_children, int64_t n) {
   return leaf_start >= 0 ? (n >= leaf_start) : (num_children[n] == 0);
 }
+
+/* 16-byte float vectors (GCC/Clang vector extension; SSE2/NEON without
+ * any -march flag).  Contraction tiles put one output element in each
+ * lane, so a lane sees exactly the scalar loop's multiply-then-add
+ * sequence. */
+typedef float repro_vf __attribute__((vector_size(16)));
+static inline repro_vf repro_vf_load(const float* p) {
+  repro_vf v; __builtin_memcpy(&v, p, sizeof v); return v;
+}
+static inline void repro_vf_store(float* p, repro_vf v) {
+  __builtin_memcpy(p, &v, sizeof v);
+}
+static inline repro_vf repro_vf_splat(float x) {
+  return (repro_vf){x, x, x, x};
+}
 '''
 
 _C_EPILOGUE = '''\
@@ -294,25 +328,37 @@ class KernelSignature:
     ``arrays`` lists the pointer parameters in declaration order as
     ``(name, numpy dtype name, writable)`` — workspace buffers first
     (module declaration order), then the int32 UF index arrays
-    (alphabetical).  ``scalars`` lists, in :data:`NATIVE_SCALARS` order,
-    the entries of the ``S`` int64 vector.
+    (alphabetical).  ``packed`` lists, after them, ``(weight name, numpy
+    dtype name)`` for every const pointer that must receive the weight's
+    C-contiguous *transpose* (the layout contraction tiles read; the
+    launcher packs it).  ``scalars`` lists, in :data:`NATIVE_SCALARS`
+    order, the entries of the ``S`` int64 vector.
     """
 
     name: str
     kind: str
     arrays: Tuple[Tuple[str, str, bool], ...]
+    packed: Tuple[Tuple[str, str], ...]
     scalars: Tuple[str, ...]
 
     def to_json(self) -> dict:
         return {"name": self.name, "kind": self.kind,
                 "arrays": [list(a) for a in self.arrays],
+                "packed": [list(p) for p in self.packed],
                 "scalars": list(self.scalars)}
 
     @classmethod
     def from_json(cls, data: dict) -> "KernelSignature":
+        if "packed" not in data:
+            # a record written before packed weights existed cannot say
+            # whether its library expects them: never guess an ABI
+            raise NativeError(
+                f"kernel {data['name']}: launch signature predates the "
+                f"packed-weight ABI (no 'packed' entry)")
         return cls(name=data["name"], kind=data["kind"],
                    arrays=tuple((a[0], a[1], bool(a[2]))
                                 for a in data["arrays"]),
+                   packed=tuple((p[0], p[1]) for p in data["packed"]),
                    scalars=tuple(data["scalars"]))
 
     @property
@@ -329,11 +375,43 @@ def signatures_from_json(data: Sequence[dict]) -> Dict[str, KernelSignature]:
     return {s.name: s for s in sigs}
 
 
+#: lanes of the contraction tiles' vector type ``repro_vf`` (float32;
+#: other dtypes keep the scalar fold)
+_LANES = 4
+
+#: contraction register tile: rows x vectors of output columns.  2 x 4
+#: accumulators, 4 weight vectors and 2 row splats fill 14 of the 16
+#: vector registers of baseline x86-64.
+_TILE_ROWS = 2
+_TILE_VECS = 4
+
+
+def _packed_name(weight: str) -> str:
+    """C parameter receiving ``weight``'s C-contiguous transpose."""
+    return f"{weight}_T"
+
+
+@dataclass(frozen=True)
+class _Contraction:
+    """A nest matched as ``out[rows.., j] = sum_r W[j, r] * x[rows.., r]``."""
+
+    weight: ILBuffer
+    row: TensorRead
+    col: AxisSpec
+    n_cols: int
+    n_red: int
+
+
+def _is_const_axis(ax: AxisSpec) -> bool:
+    return isinstance(ax.extent, Const) and is_zero(ax.begin)
+
+
 class _KernelABI:
     """Collects the arrays and scalars one kernel touches."""
 
     def __init__(self) -> None:
         self.buffers: Dict[str, Tuple[str, bool]] = {}  # name -> (dtype, rw)
+        self.packed: Dict[str, str] = {}  # weight name -> dtype
         self.ufs: set = set()
         self.scalars: set = set()
 
@@ -356,9 +434,12 @@ class _KernelABI:
                 ordered.append((name, dt, bool(rw)))
         for uf in sorted(self.ufs):
             ordered.append((uf, "int32", False))
+        packed = tuple((name, self.packed[name]) for name in module.buffers
+                       if name in self.packed)
         scalars = tuple(s for s in NATIVE_SCALARS if s in self.scalars)
         return KernelSignature(name=kernel.name, kind=kernel.kind,
-                               arrays=tuple(ordered), scalars=scalars)
+                               arrays=tuple(ordered), packed=packed,
+                               scalars=scalars)
 
 
 class _CTx:
@@ -551,6 +632,9 @@ class NativeCodegen:
             ct = NATIVE_CTYPES[dtype_name]
             const = "" if writable else "const "
             params.append(f"{const}{ct}* {name}")
+        for name, dtype_name in sig.packed:
+            params.append(f"const {NATIVE_CTYPES[dtype_name]}* "
+                          f"{_packed_name(name)}")
         params += ["const int64_t* S", "int64_t begin", "int64_t length"]
         head.append(f"void {sig.symbol}(")
         head.append("    " + ",\n    ".join(params) + ") {")
@@ -605,6 +689,11 @@ class NativeCodegen:
             raise CodegenError(
                 f"native codegen: nest {nest.name} binds a let without a "
                 f"node axis")
+        contraction = self._match_contraction(nest)
+        if contraction is not None:
+            self._emit_contraction(nest, contraction, out, indent,
+                                   begin_src, length_src)
+            return
         pad = "  " * indent
         out.append(f"{pad}// {nest.name} [{nest.tag}]")
         env: Dict[str, str] = {}
@@ -658,6 +747,192 @@ class NativeCodegen:
         buf = nest.out
         self.abi.buffer(buf.name, buf.dtype.name, True)
         return f"{buf.name}[{self._flat_index(buf.shape, nest.out_indices, tx)}]"
+
+    # -- contractions --------------------------------------------------------
+    def _match_contraction(self, nest: OpNest) -> Optional[_Contraction]:
+        """The nest as a weight contraction, or ``None`` (scalar path).
+
+        Matches a single constant-extent float32 ``sum`` of ``W * x``
+        where ``W`` is a never-written buffer indexed ``[j, r]`` — the
+        innermost output axis and the reduce axis — and ``x`` is a row
+        whose last index is ``r`` (its other indices — node ids, child
+        gathers, the remaining output axes — select the row).
+        """
+        red = nest.body
+        if not (isinstance(red, Reduce) and red.op == "sum"
+                and is_zero(red.init) and len(red.axes) == 1
+                and nest.predicate is None):
+            return None
+        body, r = red.body, red.axes[0]
+        col = nest.out_indices[-1]
+        if not (isinstance(body, BinOp) and body.op == "mul"
+                and isinstance(body.a, TensorRead)
+                and isinstance(body.b, TensorRead)
+                and isinstance(r.extent, Const) and r.extent.value >= 1
+                and isinstance(col, Var)):
+            return None
+        j = next((a for a in nest.axes if a.var.name == col.name), None)
+        rows = [a for a in nest.axes if a is not j]
+        # rows flatten to one index: the node axis, if any, outermost and
+        # constant extents inside it
+        if j is None or not _is_const_axis(j) or not all(
+                _is_const_axis(a) or (i == 0 and a.kind == "node")
+                for i, a in enumerate(rows)):
+            return None
+        jr = (col.name, r.var.name)
+        for w, x in ((body.a, body.b), (body.b, body.a)):
+            row_vars = {name for i in list(x.indices[:-1])
+                        + list(nest.out_indices[:-1]) for name in free_vars(i)}
+            if (tuple(i.name if isinstance(i, Var) else None
+                      for i in w.indices) == jr
+                    and w.buffer.name not in self._written
+                    and _packed_name(w.buffer.name) not in self.module.buffers
+                    and isinstance(x.indices[-1], Var)
+                    and x.indices[-1].name == r.var.name
+                    and not row_vars & set(jr)
+                    and x.buffer.name != nest.out.name
+                    and {w.buffer.dtype.name, x.buffer.dtype.name,
+                         nest.out.dtype.name} == {"float32"}):
+                return _Contraction(weight=w.buffer, row=x, col=j,
+                                    n_cols=int(j.extent.value),
+                                    n_red=int(r.extent.value))
+        return None
+
+    def _emit_contraction(self, nest: OpNest, m: _Contraction,
+                          out: List[str], indent: int,
+                          begin_src: Optional[str],
+                          length_src: Optional[str]) -> None:
+        """Register-tiled, vectorized contraction schedule.
+
+        Vector lanes are distinct output columns and rows go
+        ``_TILE_ROWS`` at a time, so a loaded weight vector feeds one
+        accumulator per row.  Every output starts from its first product
+        and adds the rest in ascending reduce order, multiply then add —
+        the operation sequence of :meth:`_emit_loop_reduce`, hence the
+        same bits.
+        """
+        pad = "  " * indent
+        self.abi.packed[m.weight.name] = m.weight.dtype.name
+        w_src = _packed_name(m.weight.name)
+        row_axes = [a for a in nest.axes if a is not m.col]
+        rows_src = str(math.prod(int(a.extent.value) for a in row_axes
+                                 if a.kind != "node"))
+        if nest.node_axis is not None:
+            if length_src is None:
+                self.abi.scalars.add("num_nodes")
+                length_src = "num_nodes"
+            rows_src = f"({length_src}) * {rows_src}"
+        out.append(f"{pad}// {nest.name} [{nest.tag}] contraction: "
+                   f"{_TILE_ROWS}x{_TILE_VECS * _LANES} register tiles over "
+                   f"{w_src}[{m.n_red}][{m.n_cols}]")
+        rows, q = self._fresh("rows"), self._fresh("q")
+        out.append(f"{pad}const int64_t {rows} = {rows_src};")
+        out.append(f"{pad}int64_t {q} = 0;")
+        r_name = m.row.indices[-1].name
+        for nrows in range(_TILE_ROWS, 0, -1):
+            out.append(f"{pad}for (; {q} + {nrows} <= {rows}; "
+                       f"{q} += {nrows}) {{")
+            xs: List[str] = []
+            os_: List[str] = []
+            for s in range(nrows):
+                env = self._bind_row(nest, row_axes,
+                                     f"{q} + {s}" if s else q, begin_src,
+                                     out, pad + "  ")
+                tx = _CTx(self, {**env, m.col.var.name: "0", r_name: "0"})
+                xs.append(self._fresh("x"))
+                os_.append(self._fresh("o"))
+                out.append(f"{pad}  const float* {xs[-1]} = "
+                           f"&{self.read_src(m.row, tx)};")
+                out.append(f"{pad}  float* {os_[-1]} = "
+                           f"&{self._store_target(nest, tx)};")
+            self._emit_tiles(m, w_src, xs, os_, out, pad + "  ")
+            out.append(f"{pad}}}")
+
+    def _bind_row(self, nest: OpNest, row_axes: Sequence[AxisSpec],
+                  row_src: str, begin_src: Optional[str], out: List[str],
+                  pad: str) -> Dict[str, str]:
+        """Decode a flattened row index into the nest's row-axis variables."""
+        env: Dict[str, str] = {}
+        stride = 1
+        for ax in reversed(row_axes):
+            src = row_src if stride == 1 else f"({row_src}) / {stride}"
+            if ax.kind != "node":
+                ext = int(ax.extent.value)
+                src = f"({src}) % {ext}"
+                stride *= ext
+            ident = self._fresh(ax.var.name + "_")
+            out.append(f"{pad}const int64_t {ident} = {src};")
+            env[ax.var.name] = ident
+            if ax.kind == "node" and nest.lets:
+                node_var = nest.lets[0][0].name
+                node = self._fresh(node_var + "_")
+                out.append(f"{pad}const int64_t {node} = "
+                           f"({begin_src or '0'}) + {ident};")
+                env[node_var] = node
+        return env
+
+    def _emit_tiles(self, m: _Contraction, w_src: str, xs: Sequence[str],
+                    os_: Sequence[str], out: List[str], pad: str) -> None:
+        """Cover the output columns of ``len(xs)`` rows: full tiles, one
+        narrower vector tile, then scalar columns."""
+        full = _TILE_VECS * _LANES
+        done = m.n_cols - m.n_cols % full
+        if done:
+            jv = self._fresh("j")
+            out.append(f"{pad}for (int64_t {jv} = 0; {jv} < {done}; "
+                       f"{jv} += {full}) {{")
+            self._emit_tile(m, w_src, xs, os_, jv, _TILE_VECS, out,
+                            pad + "  ")
+            out.append(f"{pad}}}")
+        rem_vecs = (m.n_cols - done) // _LANES
+        if rem_vecs:
+            out.append(f"{pad}{{")
+            self._emit_tile(m, w_src, xs, os_, str(done), rem_vecs, out,
+                            pad + "  ")
+            out.append(f"{pad}}}")
+            done += rem_vecs * _LANES
+        if done < m.n_cols:
+            jv = self._fresh("j")
+            out.append(f"{pad}for (int64_t {jv} = {done}; {jv} < {m.n_cols}; "
+                       f"++{jv}) {{")
+            for s, (x, o) in enumerate(zip(xs, os_)):
+                acc = f"_ac{s}"
+                out.append(f"{pad}  float {acc} = {w_src}[{jv}] * {x}[0];")
+                out.append(f"{pad}  for (int64_t _kr = 1; _kr < {m.n_red}; "
+                           f"++_kr) {acc} = {acc} + {w_src}[_kr * {m.n_cols} "
+                           f"+ {jv}] * {x}[_kr];")
+                out.append(f"{pad}  {o}[{jv}] = {acc};")
+            out.append(f"{pad}}}")
+
+    def _emit_tile(self, m: _Contraction, w_src: str, xs: Sequence[str],
+                   os_: Sequence[str], col_src: str, nvec: int,
+                   out: List[str], pad: str) -> None:
+        """One ``len(xs)`` x ``nvec``-vector accumulator tile at ``col_src``."""
+        cells = [(s, v) for s in range(len(xs)) for v in range(nvec)]
+
+        def step(first: bool, p: str) -> None:
+            decl = "repro_vf " if first else ""
+            at = "0" if first else "_kr"
+            for s, x in enumerate(xs):
+                out.append(f"{p}{decl}_sx{s} = repro_vf_splat({x}[{at}]);")
+            for v in range(nvec):
+                out.append(f"{p}{decl}_wv{v} = "
+                           f"repro_vf_load(_wp + {v * _LANES});")
+            for s, v in cells:
+                acc = f"_ac{s}_{v}"
+                out.append(f"{p}{decl}{acc} = " + (
+                    f"_wv{v} * _sx{s};" if first
+                    else f"{acc} + _wv{v} * _sx{s};"))
+
+        out.append(f"{pad}const float* _wp = {w_src} + {col_src};")
+        step(True, pad)
+        out.append(f"{pad}for (int64_t _kr = 1; _kr < {m.n_red}; ++_kr) {{")
+        out.append(f"{pad}  _wp += {m.n_cols};")
+        step(False, pad + "  ")
+        out.append(f"{pad}}}")
+        for s, v in cells:
+            out.append(f"{pad}repro_vf_store({os_[s]} + {col_src} + "
+                       f"{v * _LANES}, _ac{s}_{v});")
 
     # -- reductions ----------------------------------------------------------
     def _emit_reduce(self, red: Reduce, tx: _CTx, out: List[str],

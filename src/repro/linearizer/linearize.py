@@ -130,7 +130,8 @@ class Linearizer:
 
     def __init__(self, kind: StructureKind, max_children: int, *,
                  dynamic_batch: bool = True, specialize_leaves: bool = True,
-                 validate_inputs: bool = True, check: bool = True):
+                 validate_inputs: bool = True, check: bool = True,
+                 word_limit: Optional[int] = None):
         if max_children < 1:
             raise LinearizationError("max_children must be >= 1")
         self.kind = kind
@@ -138,6 +139,11 @@ class Linearizer:
         self.dynamic_batch = dynamic_batch
         self.specialize_leaves = specialize_leaves
         self.validate_inputs = validate_inputs
+        #: declared rows of the smallest table the model gathers through
+        #: ``words`` (None: it gathers none).  Input validation rejects
+        #: payloads at or past it — the Python kernels would raise a bare
+        #: IndexError and the native ones read out of bounds.
+        self.word_limit = word_limit
         #: re-verify the Appendix-B numbering invariants on every call.  The
         #: plan-based fast path turns this off after the first call: the
         #: invariants are properties of assign_ids, not of the input.
@@ -154,7 +160,8 @@ class Linearizer:
         return Linearizer(self.kind, self.max_children,
                           dynamic_batch=self.dynamic_batch,
                           specialize_leaves=self.specialize_leaves,
-                          validate_inputs=False, check=False)
+                          validate_inputs=False, check=False,
+                          word_limit=self.word_limit)
 
     def reference_clone(self) -> "Linearizer":
         """A linearizer reproducing the seed implementation exactly.
@@ -167,7 +174,8 @@ class Linearizer:
         out = Linearizer(self.kind, self.max_children,
                          dynamic_batch=self.dynamic_batch,
                          specialize_leaves=self.specialize_leaves,
-                         validate_inputs=True, check=True)
+                         validate_inputs=True, check=True,
+                         word_limit=self.word_limit)
         out._build_arrays = out._build_arrays_reference  # type: ignore
         return out
 
@@ -217,10 +225,20 @@ class Linearizer:
         if self.check:
             check_numbering(plan, ids)
         out = self._build_arrays(roots, plan, ids)
+        if self.validate_inputs and self.word_limit is not None:
+            self._check_words(out.words)
         out.wall_time_s = time.perf_counter() - t0
         return out
 
     # -- internals -------------------------------------------------------------
+    def _check_words(self, words: np.ndarray) -> None:
+        """Reject payloads outside ``[-1, word_limit)`` (-1 marks absent)."""
+        lo, hi = int(words.min()), int(words.max())
+        if lo < -1 or hi >= self.word_limit:
+            raise LinearizationError(
+                f"word index {hi if hi >= self.word_limit else lo} is "
+                f"outside the model's {self.word_limit}-row embedding table")
+
     def _build_arrays(self, roots: Sequence[Node], plan: BatchPlan,
                       ids: Dict[int, int]) -> Linearized:
         """Array construction over the batch plan (vectorized).

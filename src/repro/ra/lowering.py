@@ -124,8 +124,20 @@ def lower(prog: Program, schedule: Optional[CortexSchedule] = None,
 
     linearizer = Linearizer(prog.kind, prog.max_children,
                             dynamic_batch=sched.dynamic_batch,
-                            specialize_leaves=sched.specialize)
+                            specialize_leaves=sched.specialize,
+                            word_limit=_word_limit(ctx.all_nests()))
     return Lowered(module=module, linearizer=linearizer, bounds=bounds)
+
+
+def _word_limit(nests) -> Optional[int]:
+    """Declared rows of the smallest table gathered through ``words``."""
+    limits = [int(read.buffer.shape[d].value)
+              for nest in nests for read in reads_of(nest.body)
+              for d, idx in enumerate(read.indices)
+              if isinstance(read.buffer.shape[d], Const)
+              and any(isinstance(x, UFCall) and x.fn.name == "words"
+                      for x in walk(idx))]
+    return min(limits, default=None)
 
 
 class _LoweringContext:

@@ -15,7 +15,8 @@ from ..ilir.passes.nonlinear_approx import sigmoid_rational, tanh_rational
 
 __all__ = ["tanh", "sigmoid", "sigmoid_fast", "exp", "log", "sqrt", "relu",
            "erf", "tanh_rational", "sigmoid_rational", "einsum2",
-           "einsum2_into", "einsum_ref", "clear_contig_cache"]
+           "einsum2_into", "einsum_ref", "clear_contig_cache",
+           "contiguous_transpose"]
 
 tanh = np.tanh
 exp = np.exp
@@ -161,6 +162,15 @@ def _contig_2d(base: np.ndarray, newaxes: Optional[Tuple[int, ...]],
         weakref.ref(base, lambda _, k=key: _CONTIG_CACHE.pop(k, None)),
         cont)
     return cont
+
+
+def contiguous_transpose(base: np.ndarray) -> np.ndarray:
+    """A 2-D ``base``'s transpose, C-contiguous, packed once per ``base``.
+
+    The native launcher's weight packing; shares :data:`_CONTIG_CACHE`
+    (and so :func:`clear_contig_cache`) with the GEMM operands above.
+    """
+    return _contig_2d(base, (1, 0), base.T)
 
 
 def _plan_operands_2d(plan: Tuple, a, b) -> Tuple[np.ndarray, np.ndarray]:

@@ -9,12 +9,21 @@ with the Python kernels' exact calling convention — so
 :func:`repro.runtime.plan.execute_plan` dispatches native launches
 through the unchanged arena/profiler/fault-hook path.
 
-Marshalling is zero-copy: NumPy buffers pass as raw data pointers
-(``ndarray.ctypes.data_as``).  That makes launch-time validation
-non-negotiable — a wrong-dtype or non-contiguous array would be silently
-reinterpreted as dense memory of another shape — so every launch checks
-both and raises :class:`~repro.errors.NativeError` instead of corrupting
-memory.
+Marshalling is zero-copy: NumPy buffers pass as raw data addresses
+(``ndarray.ctypes.data`` into ``c_void_p`` parameters).  That makes
+launch-time validation non-negotiable — a wrong-dtype or non-contiguous
+array would be silently reinterpreted as dense memory of another shape —
+so every launch checks both and raises
+:class:`~repro.errors.NativeError` instead of corrupting memory.
+
+The one array a launch does not pass as is: a weight that a contraction
+tile reads with the output axis contiguous (``KernelSignature.packed``)
+goes in as its C-contiguous transpose, packed once per weight array by
+:func:`repro.runtime.kernels.contiguous_transpose` — the cache the Python
+target's GEMM operands already live in, so the same
+``bump_params_version()`` / ``clear_contig_cache()`` call retires both
+after an in-place weight edit, and replicas sharing ``params`` share the
+packed copies read-only.
 
 No compiler on the host (or ``REPRO_NO_CC=1``) is not an error:
 :func:`attach_native` warns with
@@ -30,6 +39,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import warnings
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -37,6 +47,7 @@ import numpy as np
 
 from ..errors import CodegenError, NativeError, NativeFallbackWarning
 from ..ilir.codegen.c_codegen import (KernelSignature, generate_c_module)
+from .kernels import contiguous_transpose
 
 #: flags the JIT always compiles with.  ``-ffp-contract=off`` matters for
 #: parity: without it the compiler may fuse ``a*b + c`` into an FMA, which
@@ -143,6 +154,23 @@ def build_shared_library(source: str, *, cc: str,
     return so_path
 
 
+def _launch_refusal(kernel: str, name: str, arr, dt: np.dtype) -> NativeError:
+    """Why ``arr`` cannot back pointer parameter ``name`` of ``kernel``."""
+    if arr is None:
+        return NativeError(
+            f"kernel {kernel}: workspace is missing buffer "
+            f"{name!r} required by the native launch ABI")
+    if arr.dtype != dt:
+        return NativeError(
+            f"kernel {kernel}: buffer {name!r} has dtype "
+            f"{arr.dtype}, compiled ABI expects {dt}; zero-copy "
+            f"launch refuses to reinterpret memory")
+    return NativeError(
+        f"kernel {kernel}: buffer {name!r} is not "
+        f"C-contiguous; a zero-copy launch would read the "
+        f"strided view as dense memory")
+
+
 class NativeKernelLauncher:
     """One compiled kernel as a Python callable.
 
@@ -156,48 +184,44 @@ class NativeKernelLauncher:
 
     is_native = True
 
-    __slots__ = ("name", "kind", "signature", "_cfunc", "_arrays", "_scalars")
+    __slots__ = ("name", "kind", "signature", "_cfunc", "_arrays", "_packed",
+                 "_scalars", "_svec_type")
 
     def __init__(self, cfunc, signature: KernelSignature):
         self.name = signature.name
         self.kind = signature.kind
         self.signature = signature
-        arrays = []
-        argtypes = []
-        for arr_name, dtype_name, _writable in signature.arrays:
-            dt = np.dtype(dtype_name)
-            ptype = ctypes.POINTER(ctype_for(dt))
-            arrays.append((arr_name, dt, ptype))
-            argtypes.append(ptype)
-        argtypes += [ctypes.POINTER(ctypes.c_int64),
-                     ctypes.c_int64, ctypes.c_int64]
-        cfunc.argtypes = argtypes
+        self._arrays = tuple((name, np.dtype(dt))
+                             for name, dt, _writable in signature.arrays)
+        self._packed = tuple((name, np.dtype(dt))
+                             for name, dt in signature.packed)
+        for _name, dt in self._arrays + self._packed:
+            ctype_for(dt)  # typed refusal of dtypes the C ABI cannot carry
+        self._scalars = signature.scalars
+        self._svec_type = ctypes.c_int64 * len(signature.scalars)
+        # pointers travel as plain addresses: no per-launch POINTER cast
+        cfunc.argtypes = (
+            [ctypes.c_void_p] * (len(self._arrays) + len(self._packed))
+            + [ctypes.POINTER(ctypes.c_int64), ctypes.c_int64,
+               ctypes.c_int64])
         cfunc.restype = None
         self._cfunc = cfunc
-        self._arrays = tuple(arrays)
-        self._scalars = signature.scalars
 
     def __call__(self, ws, c, begin: int = 0, length: int = 0) -> None:
         args = []
-        for name, dt, ptype in self._arrays:
+        for name, dt in self._arrays:
             arr = ws.get(name)
-            if arr is None:
-                raise NativeError(
-                    f"kernel {self.name}: workspace is missing buffer "
-                    f"{name!r} required by the native launch ABI")
-            if arr.dtype != dt:
-                raise NativeError(
-                    f"kernel {self.name}: buffer {name!r} has dtype "
-                    f"{arr.dtype}, compiled ABI expects {dt}; zero-copy "
-                    f"launch refuses to reinterpret memory")
-            if not arr.flags.c_contiguous:
-                raise NativeError(
-                    f"kernel {self.name}: buffer {name!r} is not "
-                    f"C-contiguous; a zero-copy launch would read the "
-                    f"strided view as dense memory")
-            args.append(arr.ctypes.data_as(ptype))
-        svec = (ctypes.c_int64 * len(self._scalars))(
-            *(int(c[s]) for s in self._scalars))
+            if arr is None or arr.dtype != dt or not arr.flags.c_contiguous:
+                raise _launch_refusal(self.name, name, arr, dt)
+            args.append(arr.ctypes.data)
+        packed = []  # keeps the transposes alive across the call
+        for name, dt in self._packed:
+            arr = ws.get(name)
+            if arr is None or arr.dtype != dt:
+                raise _launch_refusal(self.name, name, arr, dt)
+            packed.append(contiguous_transpose(arr))
+            args.append(packed[-1].ctypes.data)
+        svec = self._svec_type(*[int(c[s]) for s in self._scalars])
         self._cfunc(*args, svec, int(begin), int(length))
 
 
@@ -254,6 +278,13 @@ class NativeModule:
         return cls(source, signatures, **kwargs)
 
 
+def warn_native_fallback(reason: object) -> None:
+    """Emit the one :class:`NativeFallbackWarning` (to the caller's caller)."""
+    warnings.warn(
+        f"native backend unavailable ({reason}); falling back to the "
+        f"fast Python target", NativeFallbackWarning, stacklevel=3)
+
+
 def attach_native(compiled, *, source: Optional[str] = None,
                   signatures: Optional[Dict[str, KernelSignature]] = None,
                   so_path: Optional[os.PathLike] = None,
@@ -267,8 +298,6 @@ def attach_native(compiled, *, source: Optional[str] = None,
     built (no compiler, unsupported construct, toolchain failure) — the
     model then executes through the fast Python target unchanged.
     """
-    import warnings
-
     try:
         if source is not None and signatures is not None:
             native = NativeModule(source, signatures, so_path=so_path,
@@ -278,9 +307,7 @@ def attach_native(compiled, *, source: Optional[str] = None,
                                                 cache_dir=cache_dir)
     except (CodegenError, NativeError) as e:
         if warn:
-            warnings.warn(
-                f"native backend unavailable ({e}); falling back to the "
-                f"fast Python target", NativeFallbackWarning, stacklevel=2)
+            warn_native_fallback(e)
         return None
     compiled.native = native
     return native

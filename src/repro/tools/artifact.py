@@ -22,7 +22,9 @@ compiler, flags, kernel launch signatures).  ``load_model`` reuses the
 prebuilt ``.so`` when ``module.c`` still hashes to the source it was
 compiled from, recompiles it otherwise, and falls back to the Python
 kernels (with a :class:`~repro.errors.NativeFallbackWarning`) when no
-compiler is available.
+compiler is available — or when ``native.json`` predates the
+packed-weight entries of the launch signatures and so cannot vouch for
+the library's ABI.
 
 Deployed artifacts execute numerics only; simulated-latency estimation
 needs the full compiler session (operator nests are not serialized).
@@ -39,7 +41,7 @@ from typing import Dict, Optional, Sequence, Union
 import numpy as np
 
 from ..api import CortexModel, RunnableModel
-from ..errors import CortexError, ExecutionError
+from ..errors import CortexError, ExecutionError, NativeError
 from ..ilir.buffer import ILBuffer
 from ..ilir.codegen.c_codegen import (KernelSignature, signatures_from_json,
                                       signatures_to_json)
@@ -50,7 +52,8 @@ from ..linearizer import Linearizer, StructureKind
 from ..options import CompileOptions
 from ..ra.lowering import Lowered
 from ..runtime.memory import WorkspaceArena
-from ..runtime.native import attach_native, source_hash
+from ..runtime.native import (attach_native, source_hash,
+                              warn_native_fallback)
 from ..runtime.plan import get_host_plan
 
 MANIFEST = "manifest.json"
@@ -104,6 +107,7 @@ def save_model(model: CortexModel, path: Union[str, Path]) -> Path:
             "max_children": lin.max_children,
             "dynamic_batch": lin.dynamic_batch,
             "specialize_leaves": lin.specialize_leaves,
+            "word_limit": lin.word_limit,
         },
         # the compile configuration travels in its own file; the manifest
         # records the pointer and the stable content hash for cache lookups
@@ -224,7 +228,8 @@ def load_model(path: Union[str, Path]) -> DeployedModel:
     linearizer = Linearizer(StructureKind(lcfg["kind"]),
                             lcfg["max_children"],
                             dynamic_batch=lcfg["dynamic_batch"],
-                            specialize_leaves=lcfg["specialize_leaves"])
+                            specialize_leaves=lcfg["specialize_leaves"],
+                            word_limit=lcfg.get("word_limit"))
     params = dict(np.load(path / PARAMS))
 
     options: Optional[CompileOptions] = None
@@ -245,9 +250,14 @@ def load_model(path: Union[str, Path]) -> DeployedModel:
         # it was compiled from; otherwise recompile from the source text
         so = (prebuilt if prebuilt.exists()
               and source_hash(c_text) == meta["source_hash"] else None)
-        native_kw = dict(
-            native_source=c_text,
-            native_signatures=signatures_from_json(meta["signatures"]),
-            native_so=so)
+        try:
+            native_kw = dict(
+                native_source=c_text,
+                native_signatures=signatures_from_json(meta["signatures"]),
+                native_so=so)
+        except NativeError as e:
+            # signatures that cannot describe the library's ABI (written
+            # before packed weights): serve through the Python kernels
+            warn_native_fallback(e)
     return DeployedModel(module, linearizer, params, options=options,
                          **native_kw)

@@ -73,12 +73,26 @@ static inline int64_t repro_isleaf(int64_t leaf_start,
   return leaf_start >= 0 ? (n >= leaf_start) : (num_children[n] == 0);
 }
 
+/* 16-byte float vectors (GCC/Clang vector extension; SSE2/NEON without
+ * any -march flag).  Contraction tiles put one output element in each
+ * lane, so a lane sees exactly the scalar loop's multiply-then-add
+ * sequence. */
+typedef float repro_vf __attribute__((vector_size(16)));
+static inline repro_vf repro_vf_load(const float* p) {
+  repro_vf v; __builtin_memcpy(&v, p, sizeof v); return v;
+}
+static inline void repro_vf_store(float* p, repro_vf v) {
+  __builtin_memcpy(p, &v, sizeof v);
+}
+static inline repro_vf repro_vf_splat(float x) {
+  return (repro_vf){x, x, x, x};
+}
+
 // kernel fused (kind=fused)
 // persistent kernel: 1 global barrier(s) per level
 void k_fused(
     float* rnn,
     const float* Feat,
-    const float* U,
     const float* b,
     float* h_sum,
     float* mu,
@@ -87,6 +101,7 @@ void k_fused(
     const int32_t* child,
     const int32_t* num_children,
     const int32_t* words,
+    const float* U_T,
     const int64_t* S,
     int64_t begin,
     int64_t length) {
@@ -123,17 +138,67 @@ void k_fused(
         h_sum[((n_idx_1) * (8) + (i_1))] = _acc1;
       }
     }
-    // mu [matvec]
-    for (int64_t n_idx_2 = 0; n_idx_2 < _length; ++n_idx_2) {
-      const int64_t n_2 = (_begin) + n_idx_2;
-      for (int64_t i_2 = 0; i_2 < (0) + (8); ++i_2) {
-        float _acc3 = 0.0f;
-        int _first4 = 1;
-        for (int64_t _r5 = 0; _r5 < (int64_t)(8); ++_r5) {
-          float _v6 = (U[((i_2) * (8) + (_r5))] * h_sum[((n_idx_2) * (8) + (_r5))]);
-          if (_first4) { _acc3 = _v6; _first4 = 0; } else { _acc3 = _acc3 + _v6; }
+    // mu [matvec] contraction: 2x16 register tiles over U_T[8][8]
+    const int64_t _rows3 = (_length) * 1;
+    int64_t _q4 = 0;
+    for (; _q4 + 2 <= _rows3; _q4 += 2) {
+      const int64_t _n_idx_2_5 = _q4;
+      const int64_t _n_2_6 = (_begin) + _n_idx_2_5;
+      const float* _x7 = &h_sum[((_n_idx_2_5) * (8) + (0))];
+      float* _o8 = &mu[((_n_idx_2_5) * (8) + (0))];
+      const int64_t _n_idx_2_9 = _q4 + 1;
+      const int64_t _n_2_10 = (_begin) + _n_idx_2_9;
+      const float* _x11 = &h_sum[((_n_idx_2_9) * (8) + (0))];
+      float* _o12 = &mu[((_n_idx_2_9) * (8) + (0))];
+      {
+        const float* _wp = U_T + 0;
+        repro_vf _sx0 = repro_vf_splat(_x7[0]);
+        repro_vf _sx1 = repro_vf_splat(_x11[0]);
+        repro_vf _wv0 = repro_vf_load(_wp + 0);
+        repro_vf _wv1 = repro_vf_load(_wp + 4);
+        repro_vf _ac0_0 = _wv0 * _sx0;
+        repro_vf _ac0_1 = _wv1 * _sx0;
+        repro_vf _ac1_0 = _wv0 * _sx1;
+        repro_vf _ac1_1 = _wv1 * _sx1;
+        for (int64_t _kr = 1; _kr < 8; ++_kr) {
+          _wp += 8;
+          _sx0 = repro_vf_splat(_x7[_kr]);
+          _sx1 = repro_vf_splat(_x11[_kr]);
+          _wv0 = repro_vf_load(_wp + 0);
+          _wv1 = repro_vf_load(_wp + 4);
+          _ac0_0 = _ac0_0 + _wv0 * _sx0;
+          _ac0_1 = _ac0_1 + _wv1 * _sx0;
+          _ac1_0 = _ac1_0 + _wv0 * _sx1;
+          _ac1_1 = _ac1_1 + _wv1 * _sx1;
         }
-        mu[((n_idx_2) * (8) + (i_2))] = _acc3;
+        repro_vf_store(_o8 + 0 + 0, _ac0_0);
+        repro_vf_store(_o8 + 0 + 4, _ac0_1);
+        repro_vf_store(_o12 + 0 + 0, _ac1_0);
+        repro_vf_store(_o12 + 0 + 4, _ac1_1);
+      }
+    }
+    for (; _q4 + 1 <= _rows3; _q4 += 1) {
+      const int64_t _n_idx_2_13 = _q4;
+      const int64_t _n_2_14 = (_begin) + _n_idx_2_13;
+      const float* _x15 = &h_sum[((_n_idx_2_13) * (8) + (0))];
+      float* _o16 = &mu[((_n_idx_2_13) * (8) + (0))];
+      {
+        const float* _wp = U_T + 0;
+        repro_vf _sx0 = repro_vf_splat(_x15[0]);
+        repro_vf _wv0 = repro_vf_load(_wp + 0);
+        repro_vf _wv1 = repro_vf_load(_wp + 4);
+        repro_vf _ac0_0 = _wv0 * _sx0;
+        repro_vf _ac0_1 = _wv1 * _sx0;
+        for (int64_t _kr = 1; _kr < 8; ++_kr) {
+          _wp += 8;
+          _sx0 = repro_vf_splat(_x15[_kr]);
+          _wv0 = repro_vf_load(_wp + 0);
+          _wv1 = repro_vf_load(_wp + 4);
+          _ac0_0 = _ac0_0 + _wv0 * _sx0;
+          _ac0_1 = _ac0_1 + _wv1 * _sx0;
+        }
+        repro_vf_store(_o16 + 0 + 0, _ac0_0);
+        repro_vf_store(_o16 + 0 + 4, _ac0_1);
       }
     }
     // rec_h [gather]

@@ -83,14 +83,26 @@ static inline int64_t repro_isleaf(int64_t leaf_start,
   return leaf_start >= 0 ? (n >= leaf_start) : (num_children[n] == 0);
 }
 
+/* 16-byte float vectors (GCC/Clang vector extension; SSE2/NEON without
+ * any -march flag).  Contraction tiles put one output element in each
+ * lane, so a lane sees exactly the scalar loop's multiply-then-add
+ * sequence. */
+typedef float repro_vf __attribute__((vector_size(16)));
+static inline repro_vf repro_vf_load(const float* p) {
+  repro_vf v; __builtin_memcpy(&v, p, sizeof v); return v;
+}
+static inline void repro_vf_store(float* p, repro_vf v) {
+  __builtin_memcpy(p, &v, sizeof v);
+}
+static inline repro_vf repro_vf_splat(float x) {
+  return (repro_vf){x, x, x, x};
+}
+
 // kernel fused (kind=fused)
 // persistent kernel: 2 global barrier(s) per level
 void k_fused(
     float* rnn,
     const float* Emb,
-    const float* Uz,
-    const float* Ur,
-    const float* Uh,
     const float* bz,
     const float* br,
     const float* bh,
@@ -107,6 +119,9 @@ void k_fused(
     const int32_t* child,
     const int32_t* num_children,
     const int32_t* words,
+    const float* Uz_T,
+    const float* Ur_T,
+    const float* Uh_T,
     const int64_t* S,
     int64_t begin,
     int64_t length) {
@@ -143,30 +158,130 @@ void k_fused(
         h_sum[((n_idx_1) * (8) + (i_1))] = _acc1;
       }
     }
-    // mz [matvec]
-    for (int64_t n_idx_2 = 0; n_idx_2 < _length; ++n_idx_2) {
-      const int64_t n_2 = (_begin) + n_idx_2;
-      for (int64_t i_2 = 0; i_2 < (0) + (8); ++i_2) {
-        float _acc3 = 0.0f;
-        int _first4 = 1;
-        for (int64_t _r5 = 0; _r5 < (int64_t)(8); ++_r5) {
-          float _v6 = (Uz[((i_2) * (8) + (_r5))] * h_sum[((n_idx_2) * (8) + (_r5))]);
-          if (_first4) { _acc3 = _v6; _first4 = 0; } else { _acc3 = _acc3 + _v6; }
+    // mz [matvec] contraction: 2x16 register tiles over Uz_T[8][8]
+    const int64_t _rows3 = (_length) * 1;
+    int64_t _q4 = 0;
+    for (; _q4 + 2 <= _rows3; _q4 += 2) {
+      const int64_t _n_idx_2_5 = _q4;
+      const int64_t _n_2_6 = (_begin) + _n_idx_2_5;
+      const float* _x7 = &h_sum[((_n_idx_2_5) * (8) + (0))];
+      float* _o8 = &mz[((_n_idx_2_5) * (8) + (0))];
+      const int64_t _n_idx_2_9 = _q4 + 1;
+      const int64_t _n_2_10 = (_begin) + _n_idx_2_9;
+      const float* _x11 = &h_sum[((_n_idx_2_9) * (8) + (0))];
+      float* _o12 = &mz[((_n_idx_2_9) * (8) + (0))];
+      {
+        const float* _wp = Uz_T + 0;
+        repro_vf _sx0 = repro_vf_splat(_x7[0]);
+        repro_vf _sx1 = repro_vf_splat(_x11[0]);
+        repro_vf _wv0 = repro_vf_load(_wp + 0);
+        repro_vf _wv1 = repro_vf_load(_wp + 4);
+        repro_vf _ac0_0 = _wv0 * _sx0;
+        repro_vf _ac0_1 = _wv1 * _sx0;
+        repro_vf _ac1_0 = _wv0 * _sx1;
+        repro_vf _ac1_1 = _wv1 * _sx1;
+        for (int64_t _kr = 1; _kr < 8; ++_kr) {
+          _wp += 8;
+          _sx0 = repro_vf_splat(_x7[_kr]);
+          _sx1 = repro_vf_splat(_x11[_kr]);
+          _wv0 = repro_vf_load(_wp + 0);
+          _wv1 = repro_vf_load(_wp + 4);
+          _ac0_0 = _ac0_0 + _wv0 * _sx0;
+          _ac0_1 = _ac0_1 + _wv1 * _sx0;
+          _ac1_0 = _ac1_0 + _wv0 * _sx1;
+          _ac1_1 = _ac1_1 + _wv1 * _sx1;
         }
-        mz[((n_idx_2) * (8) + (i_2))] = _acc3;
+        repro_vf_store(_o8 + 0 + 0, _ac0_0);
+        repro_vf_store(_o8 + 0 + 4, _ac0_1);
+        repro_vf_store(_o12 + 0 + 0, _ac1_0);
+        repro_vf_store(_o12 + 0 + 4, _ac1_1);
       }
     }
-    // mr [matvec]
-    for (int64_t n_idx_3 = 0; n_idx_3 < _length; ++n_idx_3) {
-      const int64_t n_3 = (_begin) + n_idx_3;
-      for (int64_t i_3 = 0; i_3 < (0) + (8); ++i_3) {
-        float _acc7 = 0.0f;
-        int _first8 = 1;
-        for (int64_t _r9 = 0; _r9 < (int64_t)(8); ++_r9) {
-          float _v10 = (Ur[((i_3) * (8) + (_r9))] * h_sum[((n_idx_3) * (8) + (_r9))]);
-          if (_first8) { _acc7 = _v10; _first8 = 0; } else { _acc7 = _acc7 + _v10; }
+    for (; _q4 + 1 <= _rows3; _q4 += 1) {
+      const int64_t _n_idx_2_13 = _q4;
+      const int64_t _n_2_14 = (_begin) + _n_idx_2_13;
+      const float* _x15 = &h_sum[((_n_idx_2_13) * (8) + (0))];
+      float* _o16 = &mz[((_n_idx_2_13) * (8) + (0))];
+      {
+        const float* _wp = Uz_T + 0;
+        repro_vf _sx0 = repro_vf_splat(_x15[0]);
+        repro_vf _wv0 = repro_vf_load(_wp + 0);
+        repro_vf _wv1 = repro_vf_load(_wp + 4);
+        repro_vf _ac0_0 = _wv0 * _sx0;
+        repro_vf _ac0_1 = _wv1 * _sx0;
+        for (int64_t _kr = 1; _kr < 8; ++_kr) {
+          _wp += 8;
+          _sx0 = repro_vf_splat(_x15[_kr]);
+          _wv0 = repro_vf_load(_wp + 0);
+          _wv1 = repro_vf_load(_wp + 4);
+          _ac0_0 = _ac0_0 + _wv0 * _sx0;
+          _ac0_1 = _ac0_1 + _wv1 * _sx0;
         }
-        mr[((n_idx_3) * (8) + (i_3))] = _acc7;
+        repro_vf_store(_o16 + 0 + 0, _ac0_0);
+        repro_vf_store(_o16 + 0 + 4, _ac0_1);
+      }
+    }
+    // mr [matvec] contraction: 2x16 register tiles over Ur_T[8][8]
+    const int64_t _rows17 = (_length) * 1;
+    int64_t _q18 = 0;
+    for (; _q18 + 2 <= _rows17; _q18 += 2) {
+      const int64_t _n_idx_3_19 = _q18;
+      const int64_t _n_3_20 = (_begin) + _n_idx_3_19;
+      const float* _x21 = &h_sum[((_n_idx_3_19) * (8) + (0))];
+      float* _o22 = &mr[((_n_idx_3_19) * (8) + (0))];
+      const int64_t _n_idx_3_23 = _q18 + 1;
+      const int64_t _n_3_24 = (_begin) + _n_idx_3_23;
+      const float* _x25 = &h_sum[((_n_idx_3_23) * (8) + (0))];
+      float* _o26 = &mr[((_n_idx_3_23) * (8) + (0))];
+      {
+        const float* _wp = Ur_T + 0;
+        repro_vf _sx0 = repro_vf_splat(_x21[0]);
+        repro_vf _sx1 = repro_vf_splat(_x25[0]);
+        repro_vf _wv0 = repro_vf_load(_wp + 0);
+        repro_vf _wv1 = repro_vf_load(_wp + 4);
+        repro_vf _ac0_0 = _wv0 * _sx0;
+        repro_vf _ac0_1 = _wv1 * _sx0;
+        repro_vf _ac1_0 = _wv0 * _sx1;
+        repro_vf _ac1_1 = _wv1 * _sx1;
+        for (int64_t _kr = 1; _kr < 8; ++_kr) {
+          _wp += 8;
+          _sx0 = repro_vf_splat(_x21[_kr]);
+          _sx1 = repro_vf_splat(_x25[_kr]);
+          _wv0 = repro_vf_load(_wp + 0);
+          _wv1 = repro_vf_load(_wp + 4);
+          _ac0_0 = _ac0_0 + _wv0 * _sx0;
+          _ac0_1 = _ac0_1 + _wv1 * _sx0;
+          _ac1_0 = _ac1_0 + _wv0 * _sx1;
+          _ac1_1 = _ac1_1 + _wv1 * _sx1;
+        }
+        repro_vf_store(_o22 + 0 + 0, _ac0_0);
+        repro_vf_store(_o22 + 0 + 4, _ac0_1);
+        repro_vf_store(_o26 + 0 + 0, _ac1_0);
+        repro_vf_store(_o26 + 0 + 4, _ac1_1);
+      }
+    }
+    for (; _q18 + 1 <= _rows17; _q18 += 1) {
+      const int64_t _n_idx_3_27 = _q18;
+      const int64_t _n_3_28 = (_begin) + _n_idx_3_27;
+      const float* _x29 = &h_sum[((_n_idx_3_27) * (8) + (0))];
+      float* _o30 = &mr[((_n_idx_3_27) * (8) + (0))];
+      {
+        const float* _wp = Ur_T + 0;
+        repro_vf _sx0 = repro_vf_splat(_x29[0]);
+        repro_vf _wv0 = repro_vf_load(_wp + 0);
+        repro_vf _wv1 = repro_vf_load(_wp + 4);
+        repro_vf _ac0_0 = _wv0 * _sx0;
+        repro_vf _ac0_1 = _wv1 * _sx0;
+        for (int64_t _kr = 1; _kr < 8; ++_kr) {
+          _wp += 8;
+          _sx0 = repro_vf_splat(_x29[_kr]);
+          _wv0 = repro_vf_load(_wp + 0);
+          _wv1 = repro_vf_load(_wp + 4);
+          _ac0_0 = _ac0_0 + _wv0 * _sx0;
+          _ac0_1 = _ac0_1 + _wv1 * _sx0;
+        }
+        repro_vf_store(_o30 + 0 + 0, _ac0_0);
+        repro_vf_store(_o30 + 0 + 4, _ac0_1);
       }
     }
     // z [elementwise]
@@ -190,17 +305,67 @@ void k_fused(
         rh_in[((n_idx_6) * (8) + (i_6))] = (r[((n_idx_6) * (8) + (i_6))] * h_sum[((n_idx_6) * (8) + (i_6))]);
       }
     }
-    // mh [matvec]
-    for (int64_t n_idx_7 = 0; n_idx_7 < _length; ++n_idx_7) {
-      const int64_t n_7 = (_begin) + n_idx_7;
-      for (int64_t i_7 = 0; i_7 < (0) + (8); ++i_7) {
-        float _acc11 = 0.0f;
-        int _first12 = 1;
-        for (int64_t _r13 = 0; _r13 < (int64_t)(8); ++_r13) {
-          float _v14 = (Uh[((i_7) * (8) + (_r13))] * rh_in[((n_idx_7) * (8) + (_r13))]);
-          if (_first12) { _acc11 = _v14; _first12 = 0; } else { _acc11 = _acc11 + _v14; }
+    // mh [matvec] contraction: 2x16 register tiles over Uh_T[8][8]
+    const int64_t _rows31 = (_length) * 1;
+    int64_t _q32 = 0;
+    for (; _q32 + 2 <= _rows31; _q32 += 2) {
+      const int64_t _n_idx_7_33 = _q32;
+      const int64_t _n_7_34 = (_begin) + _n_idx_7_33;
+      const float* _x35 = &rh_in[((_n_idx_7_33) * (8) + (0))];
+      float* _o36 = &mh[((_n_idx_7_33) * (8) + (0))];
+      const int64_t _n_idx_7_37 = _q32 + 1;
+      const int64_t _n_7_38 = (_begin) + _n_idx_7_37;
+      const float* _x39 = &rh_in[((_n_idx_7_37) * (8) + (0))];
+      float* _o40 = &mh[((_n_idx_7_37) * (8) + (0))];
+      {
+        const float* _wp = Uh_T + 0;
+        repro_vf _sx0 = repro_vf_splat(_x35[0]);
+        repro_vf _sx1 = repro_vf_splat(_x39[0]);
+        repro_vf _wv0 = repro_vf_load(_wp + 0);
+        repro_vf _wv1 = repro_vf_load(_wp + 4);
+        repro_vf _ac0_0 = _wv0 * _sx0;
+        repro_vf _ac0_1 = _wv1 * _sx0;
+        repro_vf _ac1_0 = _wv0 * _sx1;
+        repro_vf _ac1_1 = _wv1 * _sx1;
+        for (int64_t _kr = 1; _kr < 8; ++_kr) {
+          _wp += 8;
+          _sx0 = repro_vf_splat(_x35[_kr]);
+          _sx1 = repro_vf_splat(_x39[_kr]);
+          _wv0 = repro_vf_load(_wp + 0);
+          _wv1 = repro_vf_load(_wp + 4);
+          _ac0_0 = _ac0_0 + _wv0 * _sx0;
+          _ac0_1 = _ac0_1 + _wv1 * _sx0;
+          _ac1_0 = _ac1_0 + _wv0 * _sx1;
+          _ac1_1 = _ac1_1 + _wv1 * _sx1;
         }
-        mh[((n_idx_7) * (8) + (i_7))] = _acc11;
+        repro_vf_store(_o36 + 0 + 0, _ac0_0);
+        repro_vf_store(_o36 + 0 + 4, _ac0_1);
+        repro_vf_store(_o40 + 0 + 0, _ac1_0);
+        repro_vf_store(_o40 + 0 + 4, _ac1_1);
+      }
+    }
+    for (; _q32 + 1 <= _rows31; _q32 += 1) {
+      const int64_t _n_idx_7_41 = _q32;
+      const int64_t _n_7_42 = (_begin) + _n_idx_7_41;
+      const float* _x43 = &rh_in[((_n_idx_7_41) * (8) + (0))];
+      float* _o44 = &mh[((_n_idx_7_41) * (8) + (0))];
+      {
+        const float* _wp = Uh_T + 0;
+        repro_vf _sx0 = repro_vf_splat(_x43[0]);
+        repro_vf _wv0 = repro_vf_load(_wp + 0);
+        repro_vf _wv1 = repro_vf_load(_wp + 4);
+        repro_vf _ac0_0 = _wv0 * _sx0;
+        repro_vf _ac0_1 = _wv1 * _sx0;
+        for (int64_t _kr = 1; _kr < 8; ++_kr) {
+          _wp += 8;
+          _sx0 = repro_vf_splat(_x43[_kr]);
+          _wv0 = repro_vf_load(_wp + 0);
+          _wv1 = repro_vf_load(_wp + 4);
+          _ac0_0 = _ac0_0 + _wv0 * _sx0;
+          _ac0_1 = _ac0_1 + _wv1 * _sx0;
+        }
+        repro_vf_store(_o44 + 0 + 0, _ac0_0);
+        repro_vf_store(_o44 + 0 + 4, _ac0_1);
       }
     }
     // hprime [elementwise]

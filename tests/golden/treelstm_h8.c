@@ -88,16 +88,27 @@ static inline int64_t repro_isleaf(int64_t leaf_start,
   return leaf_start >= 0 ? (n >= leaf_start) : (num_children[n] == 0);
 }
 
+/* 16-byte float vectors (GCC/Clang vector extension; SSE2/NEON without
+ * any -march flag).  Contraction tiles put one output element in each
+ * lane, so a lane sees exactly the scalar loop's multiply-then-add
+ * sequence. */
+typedef float repro_vf __attribute__((vector_size(16)));
+static inline repro_vf repro_vf_load(const float* p) {
+  repro_vf v; __builtin_memcpy(&v, p, sizeof v); return v;
+}
+static inline void repro_vf_store(float* p, repro_vf v) {
+  __builtin_memcpy(p, &v, sizeof v);
+}
+static inline repro_vf repro_vf_splat(float x) {
+  return (repro_vf){x, x, x, x};
+}
+
 // kernel fused (kind=fused)
 // persistent kernel: 1 global barrier(s) per level
 void k_fused(
     float* rnn_h_ph,
     float* rnn_c_ph,
     const float* Emb,
-    const float* Ui,
-    const float* Uo,
-    const float* Uu,
-    const float* Uf,
     const float* bi,
     const float* bo,
     const float* bu,
@@ -117,6 +128,10 @@ void k_fused(
     const int32_t* child,
     const int32_t* num_children,
     const int32_t* words,
+    const float* Ui_T,
+    const float* Uo_T,
+    const float* Uu_T,
+    const float* Uf_T,
     const int64_t* S,
     int64_t begin,
     int64_t length) {
@@ -153,43 +168,193 @@ void k_fused(
         h_tilde[((n_idx_2) * (8) + (i_2))] = _acc1;
       }
     }
-    // mi [matvec]
-    for (int64_t n_idx_3 = 0; n_idx_3 < _length; ++n_idx_3) {
-      const int64_t n_3 = (_begin) + n_idx_3;
-      for (int64_t i_3 = 0; i_3 < (0) + (8); ++i_3) {
-        float _acc3 = 0.0f;
-        int _first4 = 1;
-        for (int64_t _r5 = 0; _r5 < (int64_t)(8); ++_r5) {
-          float _v6 = (Ui[((i_3) * (8) + (_r5))] * h_tilde[((n_idx_3) * (8) + (_r5))]);
-          if (_first4) { _acc3 = _v6; _first4 = 0; } else { _acc3 = _acc3 + _v6; }
+    // mi [matvec] contraction: 2x16 register tiles over Ui_T[8][8]
+    const int64_t _rows3 = (_length) * 1;
+    int64_t _q4 = 0;
+    for (; _q4 + 2 <= _rows3; _q4 += 2) {
+      const int64_t _n_idx_3_5 = _q4;
+      const int64_t _n_3_6 = (_begin) + _n_idx_3_5;
+      const float* _x7 = &h_tilde[((_n_idx_3_5) * (8) + (0))];
+      float* _o8 = &mi[((_n_idx_3_5) * (8) + (0))];
+      const int64_t _n_idx_3_9 = _q4 + 1;
+      const int64_t _n_3_10 = (_begin) + _n_idx_3_9;
+      const float* _x11 = &h_tilde[((_n_idx_3_9) * (8) + (0))];
+      float* _o12 = &mi[((_n_idx_3_9) * (8) + (0))];
+      {
+        const float* _wp = Ui_T + 0;
+        repro_vf _sx0 = repro_vf_splat(_x7[0]);
+        repro_vf _sx1 = repro_vf_splat(_x11[0]);
+        repro_vf _wv0 = repro_vf_load(_wp + 0);
+        repro_vf _wv1 = repro_vf_load(_wp + 4);
+        repro_vf _ac0_0 = _wv0 * _sx0;
+        repro_vf _ac0_1 = _wv1 * _sx0;
+        repro_vf _ac1_0 = _wv0 * _sx1;
+        repro_vf _ac1_1 = _wv1 * _sx1;
+        for (int64_t _kr = 1; _kr < 8; ++_kr) {
+          _wp += 8;
+          _sx0 = repro_vf_splat(_x7[_kr]);
+          _sx1 = repro_vf_splat(_x11[_kr]);
+          _wv0 = repro_vf_load(_wp + 0);
+          _wv1 = repro_vf_load(_wp + 4);
+          _ac0_0 = _ac0_0 + _wv0 * _sx0;
+          _ac0_1 = _ac0_1 + _wv1 * _sx0;
+          _ac1_0 = _ac1_0 + _wv0 * _sx1;
+          _ac1_1 = _ac1_1 + _wv1 * _sx1;
         }
-        mi[((n_idx_3) * (8) + (i_3))] = _acc3;
+        repro_vf_store(_o8 + 0 + 0, _ac0_0);
+        repro_vf_store(_o8 + 0 + 4, _ac0_1);
+        repro_vf_store(_o12 + 0 + 0, _ac1_0);
+        repro_vf_store(_o12 + 0 + 4, _ac1_1);
       }
     }
-    // mo [matvec]
-    for (int64_t n_idx_4 = 0; n_idx_4 < _length; ++n_idx_4) {
-      const int64_t n_4 = (_begin) + n_idx_4;
-      for (int64_t i_4 = 0; i_4 < (0) + (8); ++i_4) {
-        float _acc7 = 0.0f;
-        int _first8 = 1;
-        for (int64_t _r9 = 0; _r9 < (int64_t)(8); ++_r9) {
-          float _v10 = (Uo[((i_4) * (8) + (_r9))] * h_tilde[((n_idx_4) * (8) + (_r9))]);
-          if (_first8) { _acc7 = _v10; _first8 = 0; } else { _acc7 = _acc7 + _v10; }
+    for (; _q4 + 1 <= _rows3; _q4 += 1) {
+      const int64_t _n_idx_3_13 = _q4;
+      const int64_t _n_3_14 = (_begin) + _n_idx_3_13;
+      const float* _x15 = &h_tilde[((_n_idx_3_13) * (8) + (0))];
+      float* _o16 = &mi[((_n_idx_3_13) * (8) + (0))];
+      {
+        const float* _wp = Ui_T + 0;
+        repro_vf _sx0 = repro_vf_splat(_x15[0]);
+        repro_vf _wv0 = repro_vf_load(_wp + 0);
+        repro_vf _wv1 = repro_vf_load(_wp + 4);
+        repro_vf _ac0_0 = _wv0 * _sx0;
+        repro_vf _ac0_1 = _wv1 * _sx0;
+        for (int64_t _kr = 1; _kr < 8; ++_kr) {
+          _wp += 8;
+          _sx0 = repro_vf_splat(_x15[_kr]);
+          _wv0 = repro_vf_load(_wp + 0);
+          _wv1 = repro_vf_load(_wp + 4);
+          _ac0_0 = _ac0_0 + _wv0 * _sx0;
+          _ac0_1 = _ac0_1 + _wv1 * _sx0;
         }
-        mo[((n_idx_4) * (8) + (i_4))] = _acc7;
+        repro_vf_store(_o16 + 0 + 0, _ac0_0);
+        repro_vf_store(_o16 + 0 + 4, _ac0_1);
       }
     }
-    // mu [matvec]
-    for (int64_t n_idx_5 = 0; n_idx_5 < _length; ++n_idx_5) {
-      const int64_t n_5 = (_begin) + n_idx_5;
-      for (int64_t i_5 = 0; i_5 < (0) + (8); ++i_5) {
-        float _acc11 = 0.0f;
-        int _first12 = 1;
-        for (int64_t _r13 = 0; _r13 < (int64_t)(8); ++_r13) {
-          float _v14 = (Uu[((i_5) * (8) + (_r13))] * h_tilde[((n_idx_5) * (8) + (_r13))]);
-          if (_first12) { _acc11 = _v14; _first12 = 0; } else { _acc11 = _acc11 + _v14; }
+    // mo [matvec] contraction: 2x16 register tiles over Uo_T[8][8]
+    const int64_t _rows17 = (_length) * 1;
+    int64_t _q18 = 0;
+    for (; _q18 + 2 <= _rows17; _q18 += 2) {
+      const int64_t _n_idx_4_19 = _q18;
+      const int64_t _n_4_20 = (_begin) + _n_idx_4_19;
+      const float* _x21 = &h_tilde[((_n_idx_4_19) * (8) + (0))];
+      float* _o22 = &mo[((_n_idx_4_19) * (8) + (0))];
+      const int64_t _n_idx_4_23 = _q18 + 1;
+      const int64_t _n_4_24 = (_begin) + _n_idx_4_23;
+      const float* _x25 = &h_tilde[((_n_idx_4_23) * (8) + (0))];
+      float* _o26 = &mo[((_n_idx_4_23) * (8) + (0))];
+      {
+        const float* _wp = Uo_T + 0;
+        repro_vf _sx0 = repro_vf_splat(_x21[0]);
+        repro_vf _sx1 = repro_vf_splat(_x25[0]);
+        repro_vf _wv0 = repro_vf_load(_wp + 0);
+        repro_vf _wv1 = repro_vf_load(_wp + 4);
+        repro_vf _ac0_0 = _wv0 * _sx0;
+        repro_vf _ac0_1 = _wv1 * _sx0;
+        repro_vf _ac1_0 = _wv0 * _sx1;
+        repro_vf _ac1_1 = _wv1 * _sx1;
+        for (int64_t _kr = 1; _kr < 8; ++_kr) {
+          _wp += 8;
+          _sx0 = repro_vf_splat(_x21[_kr]);
+          _sx1 = repro_vf_splat(_x25[_kr]);
+          _wv0 = repro_vf_load(_wp + 0);
+          _wv1 = repro_vf_load(_wp + 4);
+          _ac0_0 = _ac0_0 + _wv0 * _sx0;
+          _ac0_1 = _ac0_1 + _wv1 * _sx0;
+          _ac1_0 = _ac1_0 + _wv0 * _sx1;
+          _ac1_1 = _ac1_1 + _wv1 * _sx1;
         }
-        mu[((n_idx_5) * (8) + (i_5))] = _acc11;
+        repro_vf_store(_o22 + 0 + 0, _ac0_0);
+        repro_vf_store(_o22 + 0 + 4, _ac0_1);
+        repro_vf_store(_o26 + 0 + 0, _ac1_0);
+        repro_vf_store(_o26 + 0 + 4, _ac1_1);
+      }
+    }
+    for (; _q18 + 1 <= _rows17; _q18 += 1) {
+      const int64_t _n_idx_4_27 = _q18;
+      const int64_t _n_4_28 = (_begin) + _n_idx_4_27;
+      const float* _x29 = &h_tilde[((_n_idx_4_27) * (8) + (0))];
+      float* _o30 = &mo[((_n_idx_4_27) * (8) + (0))];
+      {
+        const float* _wp = Uo_T + 0;
+        repro_vf _sx0 = repro_vf_splat(_x29[0]);
+        repro_vf _wv0 = repro_vf_load(_wp + 0);
+        repro_vf _wv1 = repro_vf_load(_wp + 4);
+        repro_vf _ac0_0 = _wv0 * _sx0;
+        repro_vf _ac0_1 = _wv1 * _sx0;
+        for (int64_t _kr = 1; _kr < 8; ++_kr) {
+          _wp += 8;
+          _sx0 = repro_vf_splat(_x29[_kr]);
+          _wv0 = repro_vf_load(_wp + 0);
+          _wv1 = repro_vf_load(_wp + 4);
+          _ac0_0 = _ac0_0 + _wv0 * _sx0;
+          _ac0_1 = _ac0_1 + _wv1 * _sx0;
+        }
+        repro_vf_store(_o30 + 0 + 0, _ac0_0);
+        repro_vf_store(_o30 + 0 + 4, _ac0_1);
+      }
+    }
+    // mu [matvec] contraction: 2x16 register tiles over Uu_T[8][8]
+    const int64_t _rows31 = (_length) * 1;
+    int64_t _q32 = 0;
+    for (; _q32 + 2 <= _rows31; _q32 += 2) {
+      const int64_t _n_idx_5_33 = _q32;
+      const int64_t _n_5_34 = (_begin) + _n_idx_5_33;
+      const float* _x35 = &h_tilde[((_n_idx_5_33) * (8) + (0))];
+      float* _o36 = &mu[((_n_idx_5_33) * (8) + (0))];
+      const int64_t _n_idx_5_37 = _q32 + 1;
+      const int64_t _n_5_38 = (_begin) + _n_idx_5_37;
+      const float* _x39 = &h_tilde[((_n_idx_5_37) * (8) + (0))];
+      float* _o40 = &mu[((_n_idx_5_37) * (8) + (0))];
+      {
+        const float* _wp = Uu_T + 0;
+        repro_vf _sx0 = repro_vf_splat(_x35[0]);
+        repro_vf _sx1 = repro_vf_splat(_x39[0]);
+        repro_vf _wv0 = repro_vf_load(_wp + 0);
+        repro_vf _wv1 = repro_vf_load(_wp + 4);
+        repro_vf _ac0_0 = _wv0 * _sx0;
+        repro_vf _ac0_1 = _wv1 * _sx0;
+        repro_vf _ac1_0 = _wv0 * _sx1;
+        repro_vf _ac1_1 = _wv1 * _sx1;
+        for (int64_t _kr = 1; _kr < 8; ++_kr) {
+          _wp += 8;
+          _sx0 = repro_vf_splat(_x35[_kr]);
+          _sx1 = repro_vf_splat(_x39[_kr]);
+          _wv0 = repro_vf_load(_wp + 0);
+          _wv1 = repro_vf_load(_wp + 4);
+          _ac0_0 = _ac0_0 + _wv0 * _sx0;
+          _ac0_1 = _ac0_1 + _wv1 * _sx0;
+          _ac1_0 = _ac1_0 + _wv0 * _sx1;
+          _ac1_1 = _ac1_1 + _wv1 * _sx1;
+        }
+        repro_vf_store(_o36 + 0 + 0, _ac0_0);
+        repro_vf_store(_o36 + 0 + 4, _ac0_1);
+        repro_vf_store(_o40 + 0 + 0, _ac1_0);
+        repro_vf_store(_o40 + 0 + 4, _ac1_1);
+      }
+    }
+    for (; _q32 + 1 <= _rows31; _q32 += 1) {
+      const int64_t _n_idx_5_41 = _q32;
+      const int64_t _n_5_42 = (_begin) + _n_idx_5_41;
+      const float* _x43 = &h_tilde[((_n_idx_5_41) * (8) + (0))];
+      float* _o44 = &mu[((_n_idx_5_41) * (8) + (0))];
+      {
+        const float* _wp = Uu_T + 0;
+        repro_vf _sx0 = repro_vf_splat(_x43[0]);
+        repro_vf _wv0 = repro_vf_load(_wp + 0);
+        repro_vf _wv1 = repro_vf_load(_wp + 4);
+        repro_vf _ac0_0 = _wv0 * _sx0;
+        repro_vf _ac0_1 = _wv1 * _sx0;
+        for (int64_t _kr = 1; _kr < 8; ++_kr) {
+          _wp += 8;
+          _sx0 = repro_vf_splat(_x43[_kr]);
+          _wv0 = repro_vf_load(_wp + 0);
+          _wv1 = repro_vf_load(_wp + 4);
+          _ac0_0 = _ac0_0 + _wv0 * _sx0;
+          _ac0_1 = _ac0_1 + _wv1 * _sx0;
+        }
+        repro_vf_store(_o44 + 0 + 0, _ac0_0);
+        repro_vf_store(_o44 + 0 + 4, _ac0_1);
       }
     }
     // gi [elementwise]
@@ -213,19 +378,70 @@ void k_fused(
         gu[((n_idx_8) * (8) + (i_8))] = tanhf((mu[((n_idx_8) * (8) + (i_8))] + bu[(i_8)]));
       }
     }
-    // mf [matvec]
-    for (int64_t n_idx_9 = 0; n_idx_9 < _length; ++n_idx_9) {
-      const int64_t n_9 = (_begin) + n_idx_9;
-      for (int64_t i_9 = 0; i_9 < (0) + (2); ++i_9) {
-        for (int64_t i_10 = 0; i_10 < (0) + (8); ++i_10) {
-          float _acc15 = 0.0f;
-          int _first16 = 1;
-          for (int64_t _r17 = 0; _r17 < (int64_t)(8); ++_r17) {
-            float _v18 = (Uf[((i_10) * (8) + (_r17))] * rnn_h_ph[((child[((i_9) * num_nodes + (n_9))]) * (8) + (_r17))]);
-            if (_first16) { _acc15 = _v18; _first16 = 0; } else { _acc15 = _acc15 + _v18; }
-          }
-          mf[(((n_idx_9) * (2) + (i_9)) * (8) + (i_10))] = _acc15;
+    // mf [matvec] contraction: 2x16 register tiles over Uf_T[8][8]
+    const int64_t _rows45 = (_length) * 2;
+    int64_t _q46 = 0;
+    for (; _q46 + 2 <= _rows45; _q46 += 2) {
+      const int64_t _i_9_47 = (_q46) % 2;
+      const int64_t _n_idx_9_48 = (_q46) / 2;
+      const int64_t _n_9_49 = (_begin) + _n_idx_9_48;
+      const float* _x50 = &rnn_h_ph[((child[((_i_9_47) * num_nodes + (_n_9_49))]) * (8) + (0))];
+      float* _o51 = &mf[(((_n_idx_9_48) * (2) + (_i_9_47)) * (8) + (0))];
+      const int64_t _i_9_52 = (_q46 + 1) % 2;
+      const int64_t _n_idx_9_53 = (_q46 + 1) / 2;
+      const int64_t _n_9_54 = (_begin) + _n_idx_9_53;
+      const float* _x55 = &rnn_h_ph[((child[((_i_9_52) * num_nodes + (_n_9_54))]) * (8) + (0))];
+      float* _o56 = &mf[(((_n_idx_9_53) * (2) + (_i_9_52)) * (8) + (0))];
+      {
+        const float* _wp = Uf_T + 0;
+        repro_vf _sx0 = repro_vf_splat(_x50[0]);
+        repro_vf _sx1 = repro_vf_splat(_x55[0]);
+        repro_vf _wv0 = repro_vf_load(_wp + 0);
+        repro_vf _wv1 = repro_vf_load(_wp + 4);
+        repro_vf _ac0_0 = _wv0 * _sx0;
+        repro_vf _ac0_1 = _wv1 * _sx0;
+        repro_vf _ac1_0 = _wv0 * _sx1;
+        repro_vf _ac1_1 = _wv1 * _sx1;
+        for (int64_t _kr = 1; _kr < 8; ++_kr) {
+          _wp += 8;
+          _sx0 = repro_vf_splat(_x50[_kr]);
+          _sx1 = repro_vf_splat(_x55[_kr]);
+          _wv0 = repro_vf_load(_wp + 0);
+          _wv1 = repro_vf_load(_wp + 4);
+          _ac0_0 = _ac0_0 + _wv0 * _sx0;
+          _ac0_1 = _ac0_1 + _wv1 * _sx0;
+          _ac1_0 = _ac1_0 + _wv0 * _sx1;
+          _ac1_1 = _ac1_1 + _wv1 * _sx1;
         }
+        repro_vf_store(_o51 + 0 + 0, _ac0_0);
+        repro_vf_store(_o51 + 0 + 4, _ac0_1);
+        repro_vf_store(_o56 + 0 + 0, _ac1_0);
+        repro_vf_store(_o56 + 0 + 4, _ac1_1);
+      }
+    }
+    for (; _q46 + 1 <= _rows45; _q46 += 1) {
+      const int64_t _i_9_57 = (_q46) % 2;
+      const int64_t _n_idx_9_58 = (_q46) / 2;
+      const int64_t _n_9_59 = (_begin) + _n_idx_9_58;
+      const float* _x60 = &rnn_h_ph[((child[((_i_9_57) * num_nodes + (_n_9_59))]) * (8) + (0))];
+      float* _o61 = &mf[(((_n_idx_9_58) * (2) + (_i_9_57)) * (8) + (0))];
+      {
+        const float* _wp = Uf_T + 0;
+        repro_vf _sx0 = repro_vf_splat(_x60[0]);
+        repro_vf _wv0 = repro_vf_load(_wp + 0);
+        repro_vf _wv1 = repro_vf_load(_wp + 4);
+        repro_vf _ac0_0 = _wv0 * _sx0;
+        repro_vf _ac0_1 = _wv1 * _sx0;
+        for (int64_t _kr = 1; _kr < 8; ++_kr) {
+          _wp += 8;
+          _sx0 = repro_vf_splat(_x60[_kr]);
+          _wv0 = repro_vf_load(_wp + 0);
+          _wv1 = repro_vf_load(_wp + 4);
+          _ac0_0 = _ac0_0 + _wv0 * _sx0;
+          _ac0_1 = _ac0_1 + _wv1 * _sx0;
+        }
+        repro_vf_store(_o61 + 0 + 0, _ac0_0);
+        repro_vf_store(_o61 + 0 + 4, _ac0_1);
       }
     }
     // gf [elementwise]
@@ -241,11 +457,11 @@ void k_fused(
     for (int64_t n_idx_11 = 0; n_idx_11 < _length; ++n_idx_11) {
       const int64_t n_11 = (_begin) + n_idx_11;
       for (int64_t i_13 = 0; i_13 < (0) + (8); ++i_13) {
-        float _acc19 = 0.0f;
-        for (int64_t _k20 = 0; _k20 < max_children; ++_k20) {
-          _acc19 = _acc19 + ((_k20 < (num_children[n_11])) ? ((gf[(((n_idx_11) * (2) + (_k20)) * (8) + (i_13))] * rnn_c_ph[((child[((_k20) * num_nodes + (n_11))]) * (8) + (i_13))])) : 0.0f);
+        float _acc62 = 0.0f;
+        for (int64_t _k63 = 0; _k63 < max_children; ++_k63) {
+          _acc62 = _acc62 + ((_k63 < (num_children[n_11])) ? ((gf[(((n_idx_11) * (2) + (_k63)) * (8) + (i_13))] * rnn_c_ph[((child[((_k63) * num_nodes + (n_11))]) * (8) + (i_13))])) : 0.0f);
         }
-        fc_sum[((n_idx_11) * (8) + (i_13))] = _acc19;
+        fc_sum[((n_idx_11) * (8) + (i_13))] = _acc62;
       }
     }
     // rec_c [elementwise]

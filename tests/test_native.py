@@ -7,7 +7,9 @@ zero-copy validation (wrong dtype / non-contiguous views raise
 stage, model- and kernel-level parity against the Python kernels
 (bitwise where :func:`parity_classification` promises it, tolerance
 where libm/BLAS reassociation differs), the no-compiler fallback,
-profiler labeling, artifact round-trips and serving.
+profiler labeling, artifact round-trips and serving — and the
+register-tiled contraction schedule: bitwise against the scalar fold it
+replaces, its packed-weight cache, ABI records and a UBSan build.
 
 Golden snapshots of the generated C source live in ``tests/golden/``;
 regenerate with ``REPRO_REGEN_GOLDEN=1``.
@@ -21,17 +23,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.data import grid_dag_batch, synthetic_treebank
-from repro.errors import NativeError, NativeFallbackWarning, ScheduleError
-from repro.ilir.codegen.c_codegen import (c_float_literal, generate_c_module,
+from repro.data import (grid_dag, grid_dag_batch, random_dag,
+                        synthetic_treebank)
+from repro.errors import (LinearizationError, NativeError,
+                          NativeFallbackWarning, ScheduleError)
+from repro.ilir.codegen.c_codegen import (NativeCodegen, c_float_literal,
+                                          generate_c_module,
                                           parity_classification,
                                           signatures_from_json,
                                           signatures_to_json)
-from repro.options import CompileOptions
+from repro.linearizer import sequence
+from repro.options import CompileOptions, Validate
 from repro.pipeline import STAGES, CompilerPipeline
-from repro.runtime.native import (DTYPE_TO_CTYPE, build_shared_library,
-                                  ctype_for, find_compiler, native_available)
-from repro.runtime.plan import execute_plan
+from repro.runtime.native import (DEFAULT_CFLAGS, DTYPE_TO_CTYPE, NativeModule,
+                                  build_shared_library, ctype_for,
+                                  find_compiler, native_available)
+from repro.runtime.plan import build_host_plan, execute_plan
 from repro.runtime.profiler import KernelProfiler
 
 VOCAB = 50
@@ -51,10 +58,11 @@ PRESETS = {
 }
 
 
-def _compile(name, target, hidden=HIDDEN, **knobs):
+def _compile(name, target, hidden=HIDDEN, params=None, build=None, **knobs):
     opts = CompileOptions(target=target, **knobs)
     return CompilerPipeline().compile(name, opts, hidden=hidden, vocab=VOCAB,
-                                      rng=np.random.default_rng(0))
+                                      rng=np.random.default_rng(0),
+                                      params=params, **(build or {}))
 
 
 def _inputs(name, n=3, seed=7):
@@ -183,21 +191,37 @@ def test_wrong_dtype_and_noncontiguous_launches_refused():
     # first float32 buffer of the kernel's ABI
     buf = next(n for n, dt, _w in fn.signature.arrays if dt == "float32")
 
+    def refusal(bad_ws):
+        with pytest.raises(NativeError) as err:
+            _launch(fn, fn.kind, bad_ws, c, [], [])
+        return str(err.value)
+
     bad = dict(ws)
     bad[buf] = ws[buf].astype(np.float64)
-    with pytest.raises(NativeError, match="dtype"):
-        _launch(fn, fn.kind, bad, c, [], [])
+    assert refusal(bad) == (
+        f"kernel {fn.name}: buffer {buf!r} has dtype float64, compiled ABI "
+        f"expects float32; zero-copy launch refuses to reinterpret memory")
 
     arr = ws[buf]
     wide = np.zeros(arr.shape[:-1] + (arr.shape[-1] * 2,), arr.dtype)
     bad[buf] = wide[..., ::2]  # same shape/dtype, strided view
     assert not bad[buf].flags.c_contiguous
-    with pytest.raises(NativeError, match="contiguous"):
-        _launch(fn, fn.kind, bad, c, [], [])
+    assert refusal(bad) == (
+        f"kernel {fn.name}: buffer {buf!r} is not C-contiguous; a zero-copy "
+        f"launch would read the strided view as dense memory")
 
     del bad[buf]
-    with pytest.raises(NativeError, match="missing buffer"):
-        _launch(fn, fn.kind, bad, c, [], [])
+    assert refusal(bad) == (
+        f"kernel {fn.name}: workspace is missing buffer {buf!r} required by "
+        f"the native launch ABI")
+
+    # a weight that travels packed is held to the same refusals
+    weight = fn.signature.packed[0][0]
+    bad = dict(ws)
+    bad[weight] = ws[weight].astype(np.float64)
+    assert "has dtype float64" in refusal(bad)
+    del bad[weight]
+    assert f"missing buffer {weight!r}" in refusal(bad)
 
 
 # -- parity: model level -------------------------------------------------------
@@ -312,10 +336,16 @@ def test_profiler_labels_native_kernels():
 # -- signatures ----------------------------------------------------------------
 
 def test_signature_json_roundtrip():
-    model = _compile("treernn", "python")
+    model = _compile("treelstm", "python")
     _source, sigs = generate_c_module(model.lowered.module)
+    assert sigs["fused"].packed == tuple(
+        (w, "float32") for w in ("Ui", "Uo", "Uu", "Uf"))
     data = json.loads(json.dumps(signatures_to_json(sigs)))
     assert signatures_from_json(data) == sigs
+    # a record without packed entries cannot vouch for any library's ABI
+    del data[0]["packed"]
+    with pytest.raises(NativeError, match="predates the packed-weight ABI"):
+        signatures_from_json(data)
 
 
 # -- artifacts -----------------------------------------------------------------
@@ -332,6 +362,8 @@ def test_artifact_bakes_and_reloads_native(tmp_path, monkeypatch):
     assert (out / NATIVE_SO).exists() and (out / NATIVE_META).exists()
     meta = json.loads((out / NATIVE_META).read_text())
     assert set(meta) == {"source_hash", "cc", "flags", "signatures"}
+    assert [sig["packed"] for sig in meta["signatures"]] == [
+        [[w, "float32"] for w in ("Ui", "Uo", "Uu", "Uf")]]
 
     # 1) prebuilt load: native serving with NO compiler on the host
     monkeypatch.setenv("REPRO_NO_CC", "1")
@@ -360,6 +392,29 @@ def test_artifact_bakes_and_reloads_native(tmp_path, monkeypatch):
             np.testing.assert_array_equal(a[n], b[n])
 
 
+@needs_cc
+def test_artifact_without_packed_entries_falls_back(tmp_path):
+    """A ``native.json`` written before signatures recorded packed
+    weights must never be launched against: Python kernels, with the
+    typed warning."""
+    from repro.tools.artifact import NATIVE_META, load_model, save_model
+
+    model = _compile("treelstm", "c")
+    out = save_model(model, tmp_path / "art")
+    meta = json.loads((out / NATIVE_META).read_text())
+    for sig in meta["signatures"]:
+        del sig["packed"]
+    (out / NATIVE_META).write_text(json.dumps(meta))
+    with pytest.warns(NativeFallbackWarning, match="packed-weight ABI"):
+        dm = load_model(out)
+    assert getattr(dm.compiled, "native", None) is None
+    py = _compile("treelstm", "python")
+    for tree in _inputs("treelstm"):
+        for name in py.outputs:
+            np.testing.assert_array_equal(dm.run(tree).root_output(name),
+                                          py.run(tree).root_output(name))
+
+
 def test_artifact_python_target_bakes_no_native(tmp_path):
     from repro.tools.artifact import NATIVE_META, NATIVE_SO, save_model
 
@@ -367,6 +422,156 @@ def test_artifact_python_target_bakes_no_native(tmp_path):
     out = save_model(model, tmp_path / "art")
     assert not (out / NATIVE_SO).exists()
     assert not (out / NATIVE_META).exists()
+
+
+# -- contraction tiles ---------------------------------------------------------
+
+#: the zoo models with contractions (treernn has none), covering plain
+#: rows, child-gathered rows with a second row axis (treelstm ``mf``),
+#: dense DAG rows, and word-gathered rows with a reduce extent unlike the
+#: output's (seq_lstm)
+CONTRACTION_ZOO = ("treelstm", "treegru", "dagrnn", "seq_lstm")
+
+
+def _batches(name, rng):
+    """Input batches whose levels hold one, an even and an odd row count."""
+    if name == "dagrnn":
+        return [grid_dag_batch(1, 3, 3), grid_dag_batch(2, 4, 5),
+                grid_dag_batch(3, 5, 5)]
+    if name.startswith("seq_"):
+        def seqs(lengths):
+            return [sequence(rng.integers(0, VOCAB, size=n).tolist())
+                    for n in lengths]
+        return [seqs([1]), seqs([4, 6]), seqs([2, 5, 7])]
+    trees = synthetic_treebank(6, vocab_size=VOCAB, rng=rng)
+    return [trees[:1], trees[1:3], trees[3:]]
+
+
+def _assert_same_workspaces(a, b, batches):
+    for roots in batches:
+        ra, rb = a.run(roots), b.run(roots)
+        assert set(ra.workspace) == set(rb.workspace)
+        for buf, arr in ra.workspace.items():
+            assert np.array_equal(arr, rb.workspace[buf]), buf
+
+
+def _refuse_contractions(monkeypatch):
+    """Make the contraction matcher refuse everything, so every
+    reduction compiled from here on takes the scalar fold the tiles
+    replaced (test-only: the product has no such switch)."""
+    monkeypatch.setattr(NativeCodegen, "_match_contraction",
+                        lambda self, nest: None)
+
+
+@needs_cc
+@pytest.mark.parametrize("hidden", (8, 10, 16, 40, 256))
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("name", CONTRACTION_ZOO)
+def test_tiled_contraction_bitwise_equals_scalar_fold(
+        name, preset, hidden, monkeypatch):
+    """40 leaves a narrower column tile after the full ones, 10 scalar
+    columns after the vectors; every workspace buffer must agree."""
+    tiled = _compile(name, "c", hidden=hidden, **PRESETS[preset])
+    assert any(sig.packed for sig in tiled.compiled.native.signatures.values())
+    _refuse_contractions(monkeypatch)
+    scalar = _compile(name, "c", hidden=hidden, **PRESETS[preset])
+    assert not any(sig.packed
+                   for sig in scalar.compiled.native.signatures.values())
+    _assert_same_workspaces(tiled, scalar,
+                            _batches(name, np.random.default_rng(5)))
+
+
+@needs_cc
+@pytest.mark.parametrize("max_children,make_root", [
+    (4, lambda: random_dag(20, max_children=4,
+                           rng=np.random.default_rng(11))),
+    (3, lambda: grid_dag(5, 5, diagonal=True)),
+], ids=["random_dag", "diagonal_grid"])
+def test_tiled_contraction_wide_arity(max_children, make_root, monkeypatch):
+    build = dict(num_cells=200, max_children=max_children)
+    tiled = _compile("dagrnn", "c", hidden=12, build=build)
+    _refuse_contractions(monkeypatch)
+    scalar = _compile("dagrnn", "c", hidden=12, build=build)
+    _assert_same_workspaces(tiled, scalar, [[make_root()]])
+
+
+@needs_cc
+def test_inplace_weight_edit_repacks_on_version_bump():
+    model = _compile("treelstm", "c")
+    trees = _inputs("treelstm")
+    model.run(trees)  # packs the original weights
+    model.params["Ui"] *= np.float32(-1.5)
+    model.params["Uf"][3, :] = 0.25
+    model.bump_params_version()
+    fresh = _compile("treelstm", "c",
+                     params={k: v.copy() for k, v in model.params.items()})
+    _assert_same_workspaces(model, fresh, [trees])
+
+
+@needs_cc
+def test_pool_replicas_bitwise_equal_single_replica():
+    from repro.serve import MaxPendingRequests, WorkerPool
+
+    model = _compile("treelstm", "c")
+    trees = _inputs("treelstm", n=12, seed=3)
+
+    def serve(replicas):
+        with WorkerPool(model, replicas=replicas, balancer="round_robin",
+                        policy=MaxPendingRequests(3)) as pool:
+            handles = [pool.submit([t]) for t in trees]
+            return [{n: h.result(60.0).root_output(n) for n in model.outputs}
+                    for h in handles]
+
+    for one, two in zip(serve(1), serve(2)):
+        for n in one:
+            assert np.array_equal(one[n], two[n])
+
+
+@needs_cc
+@pytest.mark.parametrize("name", CONTRACTION_ZOO)
+def test_zoo_runs_clean_under_ubsan(name):
+    """The module built with UBSan in trap-on-first-report mode runs the
+    zoo at a hidden size that exercises every tile shape."""
+    model = _compile(name, "python", hidden=40)
+    flags = DEFAULT_CFLAGS + ("-fsanitize=undefined",
+                              "-fno-sanitize-recover=all")
+    try:
+        model.compiled.native = NativeModule.from_ilmodule(
+            model.lowered.module, flags=flags)
+    except NativeError as e:
+        pytest.skip(f"no UBSan runtime on this host: {e}")
+    plan = build_host_plan(model.lowered, model.compiled)
+    ref = _compile(name, "c", hidden=40)
+    for roots in _batches(name, np.random.default_rng(5)):
+        lin = model._linearize(roots, True)
+        got = execute_plan(plan, lin, model.params)
+        want = ref.run(roots)
+        for buf in ref.outputs:
+            assert np.array_equal(got.workspace[buf], want.workspace[buf])
+
+
+# -- input boundary ------------------------------------------------------------
+
+@pytest.mark.parametrize("target", ("python", "c"))
+def test_out_of_range_words_refused_on_both_targets(target, tmp_path):
+    from repro.tools.artifact import load_model, save_model
+
+    if target == "c" and not native_available():
+        pytest.skip("no C compiler on the host")
+    model = _compile("treelstm", target)
+    assert model.lowered.linearizer.word_limit == VOCAB
+    hostile = synthetic_treebank(2, vocab_size=10_000,
+                                 rng=np.random.default_rng(1))
+    with pytest.raises(LinearizationError, match="50-row embedding table"):
+        model.run(hostile)
+    with pytest.raises(LinearizationError, match="50-row embedding table"):
+        model.run_many([hostile], validate=Validate.FIRST)
+    # the declared rows travel with the artifact
+    deployed = load_model(save_model(model, tmp_path / "art"))
+    with pytest.raises(LinearizationError, match="50-row embedding table"):
+        deployed.run(hostile)
+    # in-range inputs are untouched
+    model.run(_inputs("treelstm"))
 
 
 # -- serving -------------------------------------------------------------------
