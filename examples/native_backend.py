@@ -14,7 +14,7 @@ tolerance-bounded where libm/BLAS reassociation differs — see
 the regime where NumPy's per-op dispatch overhead dominates.
 
 No C compiler on the host is not an error: the compile falls back to the
-fast Python target with a ``NativeFallbackWarning``, which this example
+Python target with a ``NativeFallbackWarning``, which this example
 demonstrates by forcing ``REPRO_NO_CC=1`` at the end.
 
 Run:  python examples/native_backend.py
@@ -66,7 +66,7 @@ def main() -> None:
     if nm is not None:
         print(f"native module: {nm.cc} -> {nm.so_path}")
     else:
-        print("no C compiler found; running on the fast Python target")
+        print("no C compiler found; running on the Python target")
 
     print("\n=== parity: python vs c ===")
     r_py = py.run(trees[0])

@@ -9,8 +9,9 @@ testbeds, and the baseline execution models it is evaluated against.
 The compile front door is ``repro.compile(spec, CompileOptions(...))`` —
 an explicit, validated configuration driving the staged
 :class:`~repro.pipeline.CompilerPipeline`; ``compile_model`` remains as
-the legacy keyword shim.  See DESIGN.md for the system inventory and
-EXPERIMENTS.md for the paper-vs-measured record of every table and figure.
+the legacy keyword shim.  See DESIGN.md for what is simulated vs measured,
+the oracles, and the one execution path; ``benchmarks/results/`` holds the
+simulated reproduction of every paper table and figure.
 """
 
 from . import (api, authoring, data, ilir, ir, linearizer, memo, models, obs,

@@ -23,7 +23,10 @@ Every runnable model — the in-process :class:`CortexModel` and the
 artifact-deployed :class:`~repro.tools.artifact.DeployedModel` — exposes
 the same :class:`ModelHandle` surface: ``run`` / ``run_many`` /
 ``server`` / ``default_outputs`` / ``release``.  Code written against
-the protocol serves equally from a fresh compile or a reloaded artifact.
+the protocol serves equally from a fresh compile or a reloaded artifact:
+both run the one generated source through the one executor
+(:func:`~repro.runtime.plan.execute_plan`) under a host plan built by the
+same rule (see DESIGN.md §3).
 
 For repeated inference over a stream of input batches, use the amortized
 entry points: ``model.run(roots, reuse=True)`` recycles workspace buffers
@@ -52,9 +55,9 @@ from .options import CompileOptions, Validate
 from .ra.lowering import Lowered
 from .ra.ops import Program
 from .runtime.device import Device
-from .runtime.executor import ExecutionResult
 from .runtime.memory import WorkspaceArena
-from .runtime.plan import HostPlan, execute_plan, get_host_plan
+from .runtime.plan import (ExecutionResult, HostPlan, execute_plan,
+                           get_host_plan)
 
 #: accepted spellings for runtime validation knobs (see options.Validate)
 ValidateArg = Union[bool, str, Validate]
@@ -313,7 +316,9 @@ class RunnableModel:
 
     @property
     def fast_python_source(self) -> str:
-        return self.lowered.module.fast_python_source or ""
+        # read-only alias of python_source, kept only because the frozen
+        # benchmarks/e2e/child.py reads it; remove in the next benchmark PR
+        return self.python_source
 
     @property
     def c_source(self) -> str:

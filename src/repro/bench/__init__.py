@@ -1,9 +1,7 @@
 """Benchmark harness shared by all table/figure reproductions."""
 
 from .harness import (BENCH_VOCAB, baseline_latency_ms, cortex_latency_ms,
-                      cortex_model, cortex_percall_wall_s, format_table,
-                      paper_inputs, record_bench_json, speedup)
+                      cortex_model, format_table, paper_inputs, speedup)
 
 __all__ = ["BENCH_VOCAB", "baseline_latency_ms", "cortex_latency_ms",
-           "cortex_model", "cortex_percall_wall_s", "format_table",
-           "paper_inputs", "record_bench_json", "speedup"]
+           "cortex_model", "format_table", "paper_inputs", "speedup"]

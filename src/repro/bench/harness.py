@@ -8,11 +8,7 @@ per configuration — compilation cost is not part of any experiment.
 
 from __future__ import annotations
 
-import json
-import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +17,6 @@ from ..baselines import cavs_like, dynet_like, pytorch_like
 from ..baselines.pytorch_like import BaselineResult
 from ..data import (grid_dag_batch, perfect_binary_tree, synthetic_treebank)
 from ..linearizer import Node
-from ..models import get_model
 from ..models.sequential import make_sequence
 from ..options import CompileOptions
 from ..pipeline import Session
@@ -91,83 +86,6 @@ def cortex_latency_ms(model_name: str, hidden: int, batch_size: int,
     roots = paper_inputs(model_name, batch_size)
     res = model.run(roots, device=device)
     return res.simulated_time_s * 1e3, res.cost
-
-
-def cortex_percall_wall_s(model_name: str, hidden: int, batch_size: int, *,
-                          mode: str = "fast", repeats: int = 100,
-                          warmup: int = 10, inner: int = 10,
-                          **schedule) -> Dict[str, float]:
-    """Measured (not simulated) per-call wall time for repeated inference.
-
-    ``mode`` selects the execution path:
-
-    * ``"seed"``     — the original slow path: fresh workspace, full input
-      validation, per-call host derivation (``execute_reference``);
-    * ``"fast"``     — the plan+arena path (``run(reuse=True,
-      validate=False)``);
-    * ``"native"``   — the same plan+arena path with ``target="c"``: the
-      JIT-compiled ``.so`` kernels launched zero-copy through ctypes
-      (requires a C compiler; see :mod:`repro.runtime.native`);
-    * ``"run_many"`` — the streaming API, amortizing over ``inner`` batches
-      per timed call.
-
-    Returns ``{"percall_s", "best_s", "calls_per_s"}`` where ``percall_s``
-    is the median over ``repeats`` timed blocks of ``inner`` calls.
-    """
-    from ..runtime.executor import execute_reference
-
-    if mode == "native":
-        schedule = {**schedule, "target": "c"}
-    model = cortex_model(model_name, hidden, **schedule)
-    roots = paper_inputs(model_name, batch_size)
-
-    if mode == "seed":
-        # Faithful seed-path baseline: the original per-node linearizer
-        # loop with full validation, plus per-call host derivation.
-        seed_lin = model.lowered.linearizer.reference_clone()
-
-        def call():
-            lin = seed_lin(roots)
-            execute_reference(model.lowered, model.compiled, lin,
-                              model.params)
-        def block():
-            for _ in range(inner):
-                call()
-    elif mode in ("fast", "native"):
-        def block():
-            for _ in range(inner):
-                model.run(roots, reuse=True, validate=False)
-    elif mode == "run_many":
-        stream = [roots] * inner
-        def block():
-            model.run_many(stream, validate="never")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    for _ in range(warmup):
-        block()
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        block()
-        samples.append((time.perf_counter() - t0) / inner)
-    samples.sort()
-    median = samples[len(samples) // 2]
-    return {"percall_s": median, "best_s": samples[0],
-            "calls_per_s": 1.0 / median if median else float("inf")}
-
-
-def record_bench_json(path: Union[str, Path], payload: dict) -> Path:
-    """Persist one benchmark's machine-readable results (perf trajectory).
-
-    ``payload`` is augmented with the numpy version so cross-PR comparisons
-    know when the substrate changed.
-    """
-    path = Path(path)
-    out = dict(payload)
-    out.setdefault("numpy_version", np.__version__)
-    path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 BASELINES = {

@@ -70,7 +70,7 @@ class NativeError(CodegenError):
 
 
 class NativeFallbackWarning(UserWarning):
-    """``target="c"`` fell back to the fast Python target.
+    """``target="c"`` fell back to the Python target.
 
     Emitted (never raised) when native-backend construction cannot
     proceed — typically no C compiler on the host, or ``REPRO_NO_CC=1``.

@@ -2,62 +2,36 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from ...errors import CodegenError
 from ..module import ILModule
 
 
 class CompiledModule:
-    """Holds exec-compiled kernel functions for an ILModule.
+    """Holds the exec-compiled kernel functions of an ILModule.
 
-    Two flavors of each kernel are kept:
-
-    * ``fns`` — compiled from ``module.python_source`` (the reference
-      semantics; ``compiled[name]`` returns these, as it always has);
-    * ``fast_fns`` — compiled from ``module.fast_python_source`` when the
-      module carries one (or can regenerate it from its nests).  These are
-      bit-identical but move per-call-derivable work (einsum contraction
-      planning, index-frame construction) to compile time; the host
-      execution plan launches them via :meth:`launch_fns`.
-
-    The generated sources are also available as ``module.python_source`` /
-    ``module.fast_python_source`` (and a C-like rendering as
-    ``module.c_source``) for inspection.
+    ``fns`` (also ``compiled[name]``) is the one kernel table, compiled
+    from ``module.python_source``; the host plan launches it, overlaying
+    native launchers where a native module is attached.  The generated
+    source stays available as ``module.python_source`` (and the C
+    rendering as ``module.c_source``) for inspection.
     """
 
     def __init__(self, module: ILModule):
         if module.python_source is None:
             raise CodegenError("module has no generated python source")
         self.module = module
-        self.fns: Dict[str, Callable] = self._compile(
-            module.python_source, f"<generated:{module.name}>")
-        fast_src = module.fast_python_source
-        if fast_src is None and module.kernels and all(
-                k.nests for k in module.kernels):
-            from .python_codegen import generate_python_fast
-
-            fast_src = generate_python_fast(module)
-        self.fast_fns: Optional[Dict[str, Callable]] = (
-            self._compile(fast_src, f"<generated-fast:{module.name}>")
-            if fast_src is not None else None)
-
-    def _compile(self, source: str, filename: str) -> Dict[str, Callable]:
         namespace: Dict[str, object] = {}
-        code = compile(source, filename, "exec")
+        code = compile(module.python_source, f"<generated:{module.name}>",
+                       "exec")
         exec(code, namespace)  # noqa: S102 - compiling our own codegen output
-        fns: Dict[str, Callable] = {}
-        for kernel in self.module.kernels:
+        self.fns: Dict[str, Callable] = {}
+        for kernel in module.kernels:
             fn = namespace.get(f"k_{kernel.name}")
             if fn is None:
                 raise CodegenError(f"generated source lacks k_{kernel.name}")
-            fns[kernel.name] = fn  # type: ignore[assignment]
-        return fns
-
-    @property
-    def launch_fns(self) -> Dict[str, Callable]:
-        """Kernel table the host plan launches: fast flavor when available."""
-        return self.fast_fns if self.fast_fns is not None else self.fns
+            self.fns[kernel.name] = fn  # type: ignore[assignment]
 
     def __getitem__(self, kernel_name: str) -> Callable:
         return self.fns[kernel_name]

@@ -9,13 +9,19 @@ nest shapes the lowering produces:
   expression;
 * **einsum** — constant-extent reductions whose body is a product of two
   tensor reads (matrix-vector products, per-node matrix products) map to
-  ``np.einsum`` with gather operands for indirect node accesses;
+  :func:`~repro.runtime.kernels.einsum2` (einsum semantics, contraction
+  plan cached per spec) with gather operands for indirect node accesses;
 * **masked child reduction** — reductions whose extent is an uninterpreted
-  function of the node (child-sum models) become a short Python loop over
-  the declared ``max_children`` with a validity mask (invalid child slots
-  are ``-1`` in the backing arrays and are masked out before use).
+  function of the node (child-sum models) become a masked accumulation
+  over the declared ``max_children`` — unrolled when it is a small
+  literal, a short Python loop otherwise (invalid child slots are ``-1``
+  in the backing arrays and are masked out before use).
 
-Kernel calling conventions (the executor is the "host"):
+There is one flavor: ``module.python_source`` is what in-process models,
+reloaded artifacts and the Python fallback of the native target all run.
+
+Kernel calling conventions (:func:`~repro.runtime.plan.execute_plan` is
+the "host"):
 
 * ``pre`` / ``hoisted`` / ``post``: ``fn(ws, c)`` — one launch, full domain;
 * ``leaf`` / ``level``: ``fn(ws, c, begin, length)`` — one launch per batch;
@@ -51,20 +57,9 @@ _CALLS = {"tanh": "_tanh", "sigmoid": "_sigmoid", "exp": "_exp",
           "tanh_rational": "_tanh_rational",
           "sigmoid_rational": "_sigmoid_rational"}
 
+# Branchless sigmoid and plan-cached einsum (see repro.runtime.kernels).
 PRELUDE = '''\
 """Generated by repro.ilir.codegen.python_codegen — do not edit."""
-import numpy as np
-from repro.runtime.kernels import (tanh as _tanh, sigmoid as _sigmoid,
-    exp as _exp, log as _log, sqrt as _sqrt, relu as _relu, erf as _erf,
-    tanh_rational as _tanh_rational, sigmoid_rational as _sigmoid_rational,
-    einsum_ref as _es)
-
-'''
-
-# Fast-path flavor: branchless sigmoid and plan-cached einsum.  Everything
-# else about the calling convention is identical to the reference prelude.
-PRELUDE_FAST = '''\
-"""Generated (fast path) by repro.ilir.codegen.python_codegen — do not edit."""
 import numpy as np
 from repro.runtime.kernels import (tanh as _tanh, sigmoid_fast as _sigmoid,
     exp as _exp, log as _log, sqrt as _sqrt, relu as _relu, erf as _erf,
@@ -88,9 +83,11 @@ class _VecTx:
     maps variable names to Python-scalar sources (reduce loop counters).
     Unknown variables resolve through the scalar dict ``c``.
 
-    In fast mode, ``cse`` memoizes loads from arrays the kernels never write
+    ``cse`` (when given) memoizes loads from arrays the kernels never write
     (UF index arrays, parameters) into local bindings, and ``readonly``
-    tells reads of which buffers are safe to treat that way.
+    tells reads of which buffers are safe to treat that way.  Translators
+    for runtime-loop bodies are built without it: a load depending on the
+    loop counter must not be hoisted out of the loop.
     """
 
     def __init__(self, arrays: Dict[str, str], scalars: Dict[str, str],
@@ -183,9 +180,8 @@ class _Frame:
 class PythonCodegen:
     """Generates one Python module of kernel functions for an ILModule.
 
-    With ``fast=True`` the emitted source is semantically bit-identical but
-    moves per-call-derivable work to compile time (the host-plan philosophy
-    of §4/§7.5 applied inside the kernels):
+    Per-call-derivable work is moved to compile time (the host-plan
+    philosophy of §4/§7.5 applied inside the kernels):
 
     * einsum contractions call :func:`repro.runtime.kernels.einsum2`, whose
       contraction plan is parsed once per spec instead of per launch;
@@ -195,19 +191,19 @@ class PythonCodegen:
     * loads from arrays the kernels never write (linearizer UF arrays,
       parameters) are CSE'd into locals with the same scoping rules;
     * variable-extent child reductions are unrolled over the compile-time
-      ``max_children`` (§3.1 unrolling, applied at codegen level);
+      ``max_children`` when it is a small literal (§3.1 unrolling, applied
+      at codegen level), and loop over ``c['max_children']`` otherwise;
     * ``sigmoid`` binds to the branchless :func:`sigmoid_fast`.
     """
 
-    def __init__(self, module: ILModule, fast: bool = False):
+    def __init__(self, module: ILModule):
         self.module = module
-        self.fast = fast
         self.lines: List[str] = []
         self._tmp = 0
-        # fast-mode memoization state (per kernel)
+        # memoization state (per kernel / per batch-loop body)
         self._kernel_memo: Dict[str, str] = {}
         self._kernel_hoist: List[str] = []
-        self._loop_memo: Optional[Dict[str, str]] = None
+        self._loop_memo: Dict[str, str] = {}
         self._loop_vars: set[str] = set()
         #: buffers some nest writes; reads of anything else are pure
         self._written: frozenset = frozenset(
@@ -217,15 +213,11 @@ class PythonCodegen:
 
     # -- public ------------------------------------------------------------------
     def generate(self) -> str:
-        prelude = PRELUDE_FAST if self.fast else PRELUDE
-        self.lines = [prelude + ISLEAF_HELPER]
+        self.lines = [PRELUDE + ISLEAF_HELPER]
         for kernel in self.module.kernels:
             self._emit_kernel(kernel)
         src = "\n".join(self.lines)
-        if self.fast:
-            self.module.fast_python_source = src
-        else:
-            self.module.python_source = src
+        self.module.python_source = src
         return src
 
     # -- low-level helpers ---------------------------------------------------
@@ -239,7 +231,7 @@ class PythonCodegen:
     def _scalar_tx(self) -> _VecTx:
         return _VecTx({}, {})
 
-    # -- fast-mode memoized declarations --------------------------------------
+    # -- memoized declarations ------------------------------------------------
     def _loop_dependent(self, src: str) -> bool:
         """Does ``src`` mention a per-batch-iteration identifier?"""
         for ident in _IDENT.findall(src):
@@ -248,7 +240,7 @@ class PythonCodegen:
         return False
 
     def _declare(self, hint: str, src: str, indent: int) -> str:
-        """Bind ``src`` to a memoized local (fast mode).
+        """Bind ``src`` to a memoized local.
 
         Batch-invariant expressions are hoisted into the kernel preamble and
         computed once per launch; batch-dependent ones are memoized within
@@ -261,18 +253,12 @@ class PythonCodegen:
                 self._kernel_memo[src] = var
                 self._kernel_hoist.append(f"{var} = {src}")
             return var
-        memo = self._loop_memo
-        if memo is not None:
-            var = memo.get(src)
-            if var is None:
-                var = self._fresh(hint)
-                memo[src] = var
-                self._loop_vars.add(var)
-                self._emit(f"{var} = {src}", indent)
-            return var
-        var = self._fresh(hint)
-        self._loop_vars.add(var)
-        self._emit(f"{var} = {src}", indent)
+        var = self._loop_memo.get(src)
+        if var is None:
+            var = self._fresh(hint)
+            self._loop_memo[src] = var
+            self._loop_vars.add(var)
+            self._emit(f"{var} = {src}", indent)
         return var
 
     def _make_cse(self, indent: int) -> Callable[[str, str], str]:
@@ -283,7 +269,7 @@ class PythonCodegen:
         name = f"k_{kernel.name}"
         self._kernel_memo = {}
         self._kernel_hoist = []
-        self._loop_memo = {} if self.fast else None
+        self._loop_memo = {}
         self._loop_vars = set()
         if kernel.kind == "fused":
             self._emit(f"def {name}(ws, c):")
@@ -318,31 +304,21 @@ class PythonCodegen:
     def _emit_fused_body(self, kernel: Kernel, indent: int) -> None:
         leaf_nests = [n for n in kernel.nests if n.phase == "leaf"]
         level_nests = [n for n in kernel.nests if n.phase == "level"]
-        if self.fast:
-            # bind the batch tables as Python-int lists once per launch
-            bbl = self._declare("bb", "ws['batch_begin'].tolist()", indent)
-            bll = self._declare("bl", "ws['batch_length'].tolist()", indent)
+        # bind the batch tables as Python-int lists once per launch
+        bbl = self._declare("bb", "ws['batch_begin'].tolist()", indent)
+        bll = self._declare("bl", "ws['batch_length'].tolist()", indent)
         if leaf_nests:
             self._emit("# leaf phase (specialized leaf batches)", indent)
             self._emit("for _lb in range(c['leaf_batch_count']):", indent)
-            if self.fast:
-                self._loop_memo = {}
-                self._emit(f"begin = {bbl}[_lb]; length = {bll}[_lb]",
-                           indent + 1)
-            else:
-                self._emit("begin = int(ws['batch_begin'][_lb]); "
-                           "length = int(ws['batch_length'][_lb])", indent + 1)
+            self._loop_memo = {}
+            self._emit(f"begin = {bbl}[_lb]; length = {bll}[_lb]", indent + 1)
             for n in leaf_nests:
                 self._emit_nest(n, indent + 1, "begin", "length")
         self._emit("# internal batches: the dependence-carrying loop; one "
                    "global barrier per iteration (App. A.4)", indent)
         self._emit("for _b in range(c['level_start'], c['num_batches']):", indent)
-        if self.fast:
-            self._loop_memo = {}
-            self._emit(f"begin = {bbl}[_b]; length = {bll}[_b]", indent + 1)
-        else:
-            self._emit("begin = int(ws['batch_begin'][_b]); "
-                       "length = int(ws['batch_length'][_b])", indent + 1)
+        self._loop_memo = {}
+        self._emit(f"begin = {bbl}[_b]; length = {bll}[_b]", indent + 1)
         if level_nests:
             for n in level_nests:
                 self._emit_nest(n, indent + 1, "begin", "length")
@@ -352,11 +328,11 @@ class PythonCodegen:
     # -- frames -------------------------------------------------------------------
     def _build_frame(self, axes: Sequence[AxisSpec], node_let: Optional[str],
                      begin_src: Optional[str], length_src: Optional[str],
-                     indent: int, *, declare: bool) -> _Frame:
+                     indent: int) -> _Frame:
         """Declare broadcast ``arange`` arrays for a set of axes.
 
-        With ``declare=False`` the arange expressions are inlined (used for
-        compact einsum frames which appear once).
+        Declarations are memoized: identical frames are shared across nests
+        and batch-invariant ones are hoisted out of the level loop.
         """
         m = len(axes)
         scalar = self._scalar_tx()
@@ -377,16 +353,7 @@ class PythonCodegen:
             if m > 1:
                 shape = ", ".join("-1" if i == j else "1" for i in range(m))
                 base = f"{base}.reshape({shape})"
-            if self.fast:
-                # memoized: identical frames are shared across nests and
-                # batch-invariant ones are hoisted out of the level loop
-                arrays[ax.var.name] = self._declare("ax", base, indent)
-            elif declare:
-                arr = self._fresh("ax")
-                self._emit(f"{arr} = {base}", indent)
-                arrays[ax.var.name] = arr
-            else:
-                arrays[ax.var.name] = base
+            arrays[ax.var.name] = self._declare("ax", base, indent)
         # Bind the node-id let: node = batch_begin + n_idx.  Batches are
         # contiguous under the Appendix-B numbering, so this is affine.
         if node_let is not None:
@@ -395,14 +362,7 @@ class PythonCodegen:
                 b = begin_src if begin_src is not None else "0"
                 idx_arr = arrays[node_ax.var.name]
                 node_src = idx_arr if b.strip() == "0" else f"(({b}) + {idx_arr})"
-                if self.fast:
-                    arrays[node_let] = self._declare("nd", node_src, indent)
-                elif declare:
-                    nd = self._fresh("nd")
-                    self._emit(f"{nd} = {node_src}", indent)
-                    arrays[node_let] = nd
-                else:
-                    arrays[node_let] = node_src
+                arrays[node_let] = self._declare("nd", node_src, indent)
                 begins[node_let] = b
                 extents[node_let] = extents[node_ax.var.name]
         return _Frame(list(axes), arrays, begins, extents)
@@ -414,12 +374,9 @@ class PythonCodegen:
         node_let = nest.lets[0][0].name if nest.lets else None
         # Node axis iterates node *ids* directly: arange(begin, begin+length).
         frame = self._build_frame(nest.axes, node_let, begin_src, length_src,
-                                  indent, declare=True)
-        if self.fast:
-            tx = _VecTx(frame.arrays, {}, cse=self._make_cse(indent),
-                        readonly=self._readonly)
-        else:
-            tx = _VecTx(frame.arrays, {})
+                                  indent)
+        tx = _VecTx(frame.arrays, {}, cse=self._make_cse(indent),
+                    readonly=self._readonly)
 
         body = nest.body
         if isinstance(body, Reduce):
@@ -432,7 +389,7 @@ class PythonCodegen:
         if nest.predicate is not None:
             pred_src = tx.tx(nest.predicate)
             val_src = f"np.where({pred_src}, {val_src}, {target})"
-        elif (self.fast and target_is_view and val_src.startswith("_e2(")
+        elif (target_is_view and val_src.startswith("_e2(")
                 and val_src.endswith(")")):
             # unpredicated einsum into a slice view: BLAS writes in place
             self._emit(f"_e2i({val_src[4:-1]}, {target})", indent)
@@ -485,7 +442,7 @@ class PythonCodegen:
                 "variable-extent reductions must be single-axis sums")
         k = red.axes[0]
         acc = self._fresh("acc")
-        mc = self.module.meta.get("max_children") if self.fast else None
+        mc = self.module.meta.get("max_children")
         if isinstance(mc, int) and 1 <= mc <= 8:
             # Unroll over the declared arity (§3.1): the accumulation order
             # and per-slot ops match the runtime loop exactly, but the child
@@ -571,14 +528,12 @@ class PythonCodegen:
             subs.append(sub)
         out_sub = "".join(letters[a.var.name] for a in nest.axes)
         spec = f"{subs[0]},{subs[1]}->{out_sub}"
-        if self.fast:
-            # einsum2 caches the contraction plan per spec (same bits as
-            # einsum_ref below, minus the per-call search)
-            return f"_e2({spec!r}, {operands[0]}, {operands[1]})"
-        # einsum_ref = np.einsum(..., optimize=True) except at 1-extent
-        # GEMM edges, which both flavors compute batch-extent-invariantly
-        # (the serving coalescer's bit-identity guarantee)
-        return f"_es({spec!r}, {operands[0]}, {operands[1]})"
+        # einsum2 caches the contraction plan per spec; it equals
+        # np.einsum(..., optimize=True) except for the canonicalized operand
+        # order and 1-extent GEMM edges, which it computes
+        # batch-extent-invariantly (the serving coalescer's bit-identity
+        # guarantee)
+        return f"_e2({spec!r}, {operands[0]}, {operands[1]})"
 
     def _einsum_operand(self, read: TensorRead, letters: Dict[str, str],
                         nest: OpNest, node_let: Optional[str],
@@ -617,7 +572,7 @@ class PythonCodegen:
         if not frame_axes:
             return None, ""
         compact = self._build_frame(frame_axes, node_let, begin_src,
-                                    length_src, indent, declare=False)
+                                    length_src, indent)
         ctx = _VecTx(compact.arrays, {})
         g_src = ctx.tx(gexpr)
         sub = ("".join(letters[a.var.name] for a in frame_axes)
@@ -634,14 +589,3 @@ def _node_axis_of(axes: Sequence[AxisSpec]) -> Optional[AxisSpec]:
 
 def generate_python(module: ILModule) -> str:
     return PythonCodegen(module).generate()
-
-
-def generate_python_fast(module: ILModule) -> str:
-    """Emit the overhead-optimized source (``module.fast_python_source``).
-
-    Requires operator nests (modules reloaded from serialized artifacts lack
-    them; they execute through the reference source instead).
-    """
-    if not all(k.nests for k in module.kernels):
-        raise CodegenError("fast codegen requires operator nests")
-    return PythonCodegen(module, fast=True).generate()

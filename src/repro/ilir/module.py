@@ -111,10 +111,6 @@ class ILModule:
     meta: Dict[str, object] = field(default_factory=dict)
     #: generated python source (attached by the code generator).
     python_source: Optional[str] = None
-    #: overhead-optimized python source (cached einsum plans, hoisted index
-    #: frames, unrolled child reductions); bit-identical semantics to
-    #: ``python_source``, used by the plan-based fast execution path.
-    fast_python_source: Optional[str] = None
     #: generated C-like source (attached by the C code generator).
     c_source: Optional[str] = None
 

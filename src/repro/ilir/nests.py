@@ -91,6 +91,14 @@ class OpNest:
     def has_reduction(self) -> bool:
         return isinstance(self.body, Reduce)
 
+    def exprs(self) -> List[Expr]:
+        """Every expression of the nest: body, store indices, guard, lets."""
+        out = [self.body] + list(self.out_indices)
+        if self.predicate is not None:
+            out.append(self.predicate)
+        out.extend(e for _, e in self.lets)
+        return out
+
     def iteration_extents(self) -> List[Expr]:
         exts = [a.extent for a in self.axes]
         if isinstance(self.body, Reduce):

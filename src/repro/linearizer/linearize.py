@@ -63,7 +63,7 @@ class Linearized:
 
     @property
     def max_batch_len(self) -> int:
-        # Hit by execute()/cost-model code on every call; cache the max scan.
+        # Hit by the host plan / cost model on every call; cache the scan.
         if self._max_batch_len is None:
             self._max_batch_len = int(self.batch_length.max())
         return self._max_batch_len
@@ -162,22 +162,6 @@ class Linearizer:
                           specialize_leaves=self.specialize_leaves,
                           validate_inputs=False, check=False,
                           word_limit=self.word_limit)
-
-    def reference_clone(self) -> "Linearizer":
-        """A linearizer reproducing the seed implementation exactly.
-
-        Full validation, numbering re-verification, and the original
-        per-node array construction loop.  Kept as the baseline the
-        vectorized builder is tested against and the overhead benchmarks
-        compare to; outputs are bit-identical to this linearizer's.
-        """
-        out = Linearizer(self.kind, self.max_children,
-                         dynamic_batch=self.dynamic_batch,
-                         specialize_leaves=self.specialize_leaves,
-                         validate_inputs=True, check=True,
-                         word_limit=self.word_limit)
-        out._build_arrays = out._build_arrays_reference  # type: ignore
-        return out
 
     def coalesce(self, root_sets: Sequence[Sequence[Node] | Node]
                  ) -> Tuple[Linearized, List[np.ndarray]]:
@@ -297,57 +281,6 @@ class Linearizer:
             roots=np.sort(np.fromiter((ids[id(r)] for r in roots),
                                       dtype=np.int32, count=len(roots))),
             order=order,
-            leaf_start=leaf_start,
-        )
-
-    def _build_arrays_reference(self, roots: Sequence[Node], plan: BatchPlan,
-                                ids: Dict[int, int]) -> Linearized:
-        """The seed per-node construction loop (see :meth:`reference_clone`)."""
-        from .structures import iter_nodes
-
-        n = plan.num_nodes
-        child = np.full((self.max_children, n), -1, dtype=np.int32)
-        num_children = np.zeros(n, dtype=np.int32)
-        words = np.full(n, -1, dtype=np.int32)
-        order: List[Optional[Node]] = [None] * n
-        num_leaves = 0
-
-        for node in iter_nodes(roots):
-            nid = ids[id(node)]
-            order[nid] = node
-            words[nid] = node.word
-            num_children[nid] = len(node.children)
-            if node.is_leaf:
-                num_leaves += 1
-            for k, c in enumerate(node.children):
-                child[k, nid] = ids[id(c)]
-
-        begins, lengths = [], []
-        for batch in plan.batches:
-            lo = min(ids[id(x)] for x in batch)
-            begins.append(lo)
-            lengths.append(len(batch))
-
-        leaf_ids = np.flatnonzero(num_children == 0)
-        leaf_start: Optional[int] = None
-        if (num_leaves and leaf_ids[0] == n - num_leaves
-                and len(leaf_ids) == num_leaves):
-            leaf_start = int(n - num_leaves)
-
-        return Linearized(
-            kind=self.kind,
-            max_children=self.max_children,
-            num_nodes=n,
-            num_leaves=num_leaves,
-            child=child,
-            num_children=num_children,
-            words=words,
-            batch_begin=np.asarray(begins, dtype=np.int32),
-            batch_length=np.asarray(lengths, dtype=np.int32),
-            leaf_batch_count=plan.leaf_batch_count,
-            roots=np.asarray(sorted(ids[id(r)] for r in roots),
-                             dtype=np.int32),
-            order=order,  # type: ignore[arg-type]
             leaf_start=leaf_start,
         )
 

@@ -21,8 +21,8 @@ every parent computes bitwise-identically.  The splicer *proves* the
 preconditions per model at construction and raises
 :class:`~repro.errors.SpliceRefusedError` otherwise:
 
-* the host plan must carry operator nests (artifact reloads rebuild a
-  conservative plan with none — nothing to analyze);
+* the module must carry operator nests (artifact reloads have none —
+  nothing to analyze);
 * the model must use dynamic (height) batching;
 * no kernel may read through *composed* uninterpreted functions
   (``word(child(k, n))``, ``child(j, child(k, n))`` — unrolled/refactored
@@ -153,14 +153,6 @@ def _memo_buffers(module) -> List[str]:
                               + list(module.state_buffers)))
 
 
-def _nest_exprs(nest) -> list:
-    exprs = [nest.body] + list(nest.out_indices)
-    if nest.predicate is not None:
-        exprs.append(nest.predicate)
-    exprs.extend(e for _, e in nest.lets)
-    return exprs
-
-
 def _is_child_uf(name: str) -> bool:
     """Is this uninterpreted function a child accessor (maps a node id to
     another node's id)?  ``child(k, n)``, the ``left``/``right`` aliases,
@@ -178,7 +170,7 @@ def _has_composed_child_uf(nest) -> bool:
     (unroll, recursive refactoring) refuse splicing outright.  Benign
     single-UF indexing (``Emb[word(n)]``) is not composition.
     """
-    for e in _nest_exprs(nest):
+    for e in nest.exprs():
         for node in walk(e):
             if isinstance(node, UFCall):
                 for arg in node.args:
@@ -213,7 +205,7 @@ def _child_indexed_reads(nest) -> List[str]:
     so those reads never touch a stub row.
     """
     out: List[str] = []
-    for e in _nest_exprs(nest):
+    for e in nest.exprs():
         for node in walk(e):
             if isinstance(node, TensorRead):
                 for idx in node.indices:
@@ -231,10 +223,9 @@ def splice_refusal(model) -> Optional[str]:
     if plan is None:
         return "model has no precompiled host plan"
     module = plan.module
-    if plan.conservative:
-        return ("host plan carries no operator nests (conservative "
-                "rebuild, e.g. an artifact reload) — splice safety "
-                "cannot be analyzed")
+    if not (module.kernels and all(k.nests for k in module.kernels)):
+        return ("module carries no operator nests (e.g. an artifact "
+                "reload) — splice safety cannot be analyzed")
     lz = model.lowered.linearizer
     if not lz.dynamic_batch:
         return "model was compiled without dynamic batching"

@@ -137,7 +137,7 @@ class CompileOptions:
     memo: str = "off"
     #: execution target: "python" (vectorized NumPy kernels) or "c"
     #: (JIT-compiled native shared library launched via ctypes; falls
-    #: back to the fast Python target with a NativeFallbackWarning when
+    #: back to the Python target with a NativeFallbackWarning when
     #: no C compiler is available — see :mod:`repro.runtime.native`)
     target: str = "python"
 

@@ -4,7 +4,7 @@
 used to do monolithically: **build** the RA program from a model spec,
 **schedule** it (imprint :class:`~repro.options.CompileOptions` through
 the §3.1 primitives and validate), **lower** recursion to loops, run
-**codegen** (both Python kernel flavors + the C rendering), and derive
+**codegen** (the Python kernels + the C rendering), and derive
 the host launch **plan**.  Each stage is timed into a
 :class:`StageRecord`; ``on_stage`` hooks observe stages as they finish —
 the introspection autotuners, servers and CI want from a compiler front
@@ -176,7 +176,7 @@ class CompilerPipeline:
                 # native stage: JIT the C source into a cached .so and
                 # attach the launchers; on fallback (no compiler) the
                 # stage still records — with nothing attached, the plan
-                # dispatches the fast Python kernels unchanged
+                # dispatches the Python kernels unchanged
                 t0 = time.perf_counter()
                 attach_native(compiled)
                 finish("native", t0)

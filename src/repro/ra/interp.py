@@ -8,8 +8,11 @@ one cell evaluation per node — and evaluates the RA operator DAG
 non-node axes.  Nothing is lowered, linearized, scheduled or generated:
 the only inputs are the :class:`~repro.ra.ops.Program` the user wrote and
 the parameter arrays, so the interpreter's output defines what every
-compiled execution (kernel flavors, fused/persistent schedules, coalesced
-serving mega-batches) must reproduce.
+compiled execution (Python and native kernels, fused/persistent
+schedules, coalesced serving mega-batches, reloaded artifacts) must
+reproduce.  It is the repo's one semantic oracle (see DESIGN.md): it
+shares no lowering, nests, codegen, linearizer or host plan with the
+product — only the NumPy intrinsics of :mod:`repro.runtime.kernels`.
 
 It replaces the hand-written recursive NumPy ``reference()`` functions the
 model zoo used to carry: the authoring layer
@@ -21,16 +24,19 @@ Numerically the interpreter is deliberately *bit-faithful* to the
 generated kernels, not merely close:
 
 * constant-extent product reductions (matvecs, per-node matrix products)
-  route through :func:`repro.runtime.kernels.einsum_ref` with the same
+  route through :func:`repro.runtime.kernels.einsum2` with the same
   subscript specs codegen emits, so they execute the identical
   canonicalized GEMM plans — and the serving subsystem's batch-extent
   invariance (padded 1-extent edges, M-side batch axis) makes the
   interpreter's per-node rows equal the compiled batched rows *bitwise*;
 * variable-extent child reductions accumulate in the same slot order with
   the same masked ``+ 0.0`` terms as the generated masked child loops;
-* elementwise bodies evaluate with the same NumPy intrinsic bindings
-  (:func:`~repro.runtime.kernels.sigmoid`, ...) and ``np.float32``
-  constants as the reference kernel flavor.
+* elementwise bodies evaluate with ``np.float32`` constants and the
+  intrinsics of :mod:`repro.runtime.kernels` by IR name — in particular
+  the two-branch :func:`~repro.runtime.kernels.sigmoid`, not the
+  branchless ``sigmoid_fast`` the generated kernels bind, so the
+  zero-tolerance parity tests keep ``sigmoid_fast == sigmoid`` a tested
+  fact rather than an identity.
 
 Because of this the parity suite can assert ``interpret == compiled``
 with zero tolerance for the ported zoo models, while the legacy NumPy
@@ -518,9 +524,9 @@ class _ExprEval:
             subs.append(sub)
         out_sub = "".join(letters[ax.name] for ax in self.op.axes)
         spec = f"{subs[0]},{subs[1]}->{out_sub}"
-        from ..runtime.kernels import einsum_ref
+        from ..runtime.kernels import einsum2
 
-        return einsum_ref(spec, operands[0], operands[1])
+        return einsum2(spec, operands[0], operands[1])
 
     def _einsum_operand(self, read: TensorRead, letters: Dict[str, str]):
         """Array + subscripts for one contraction operand, codegen-style.

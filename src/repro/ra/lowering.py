@@ -41,6 +41,7 @@ from ..ilir.layout import densify_intermediates
 from ..ilir.module import HostStep, ILModule, Kernel
 from ..ilir.nests import AxisSpec, OpNest
 from ..ilir.passes.nonlinear_approx import apply_rational_approximations
+from ..ilir.zero_fill import zero_required
 from ..ir import (Const, DimRegistry, Expr, Interval, Reduce, TensorRead,
                   UFCall, Var, as_expr, free_vars, is_zero, reads_of,
                   simplify, structural_equal, substitute, substitute_buffers,
@@ -71,18 +72,16 @@ class Lowered:
 
 
 def run_codegen(module: ILModule) -> ILModule:
-    """Generate the module's kernel sources (both Python flavors + C).
+    """Generate the module's kernel sources (Python + C).
 
     Split out of :func:`lower` so the staged pipeline can time and hook
     code generation as its own stage; ``lower(..., codegen=False)``
     followed by ``run_codegen`` is exactly ``lower(...)``.
     """
     from ..ilir.codegen.c_codegen import module_to_c
-    from ..ilir.codegen.python_codegen import (generate_python,
-                                               generate_python_fast)
+    from ..ilir.codegen.python_codegen import generate_python
 
     generate_python(module)
-    generate_python_fast(module)
     module.c_source = module_to_c(module)
     return module
 
@@ -113,6 +112,10 @@ def lower(prog: Program, schedule: Optional[CortexSchedule] = None,
     if rational_approx:
         apply_rational_approximations(ctx.all_nests())
     module = ctx.form_kernels()
+    # the one place nests and kernel order are both known: record which
+    # buffers a recycled workspace must re-zero (host plans and artifact
+    # manifests read this list; neither re-analyzes)
+    module.meta["needs_zero"] = sorted(zero_required(module))
     bounds = ctx.verify_bounds(strict=strict_bounds)
 
     from ..ilir.verify import assert_well_formed

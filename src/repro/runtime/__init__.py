@@ -1,20 +1,18 @@
-"""Runtime: simulated devices, cost model, executor, plans, memory."""
+"""Runtime: simulated devices, cost model, host plan + executor, memory."""
 
 from .costmodel import CostReport, NestTraffic, estimate_cost, nest_traffic
 from .device import ARM, DEVICES, INTEL, V100, Device, get_device
-from .executor import (ExecutionResult, allocate_workspace, build_scalars,
-                       execute, execute_reference, run_model)
 from .memory import (ArenaStats, MemoryReport, WorkspaceArena,
                      measure_memory, size_bucket)
-from .plan import HostPlan, build_host_plan, execute_plan, get_host_plan
+from .plan import (ExecutionResult, HostPlan, build_host_plan, execute_plan,
+                   get_host_plan)
 from .profiler import ActivityBreakdown, KernelProfiler, breakdown_from_cost
 
 __all__ = [
     "CostReport", "NestTraffic", "estimate_cost", "nest_traffic", "ARM",
     "DEVICES", "INTEL", "V100", "Device", "get_device", "ExecutionResult",
-    "allocate_workspace", "build_scalars", "execute", "execute_reference",
-    "run_model", "HostPlan", "build_host_plan", "execute_plan",
-    "get_host_plan", "ArenaStats", "MemoryReport", "WorkspaceArena",
+    "HostPlan", "build_host_plan", "execute_plan", "get_host_plan",
+    "ArenaStats", "MemoryReport", "WorkspaceArena",
     "measure_memory", "size_bucket", "ActivityBreakdown",
     "KernelProfiler", "breakdown_from_cost",
 ]

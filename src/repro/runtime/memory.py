@@ -6,7 +6,7 @@ Two concerns live here:
   plan-based execution path.  Repeated inference calls with same-sized
   inputs reuse workspace arrays instead of allocating fresh zero-filled
   ones; only buffers whose plan marks ``needs_zero`` (see
-  :func:`repro.runtime.plan._zero_required`) are re-zeroed on reuse.  Pools
+  :func:`repro.ilir.zero_fill.zero_required`) are re-zeroed on reuse.  Pools
   are grouped into ``(num_nodes, max_batch_len)`` size buckets with LRU
   eviction so a long-running server with varied input sizes keeps a bounded
   working set.

@@ -28,7 +28,7 @@ packed copies read-only.
 No compiler on the host (or ``REPRO_NO_CC=1``) is not an error:
 :func:`attach_native` warns with
 :class:`~repro.errors.NativeFallbackWarning` and the model runs on the
-fast Python target.
+Python target.
 """
 
 from __future__ import annotations
@@ -282,7 +282,7 @@ def warn_native_fallback(reason: object) -> None:
     """Emit the one :class:`NativeFallbackWarning` (to the caller's caller)."""
     warnings.warn(
         f"native backend unavailable ({reason}); falling back to the "
-        f"fast Python target", NativeFallbackWarning, stacklevel=3)
+        f"Python target", NativeFallbackWarning, stacklevel=3)
 
 
 def attach_native(compiled, *, source: Optional[str] = None,
@@ -296,7 +296,7 @@ def attach_native(compiled, *, source: Optional[str] = None,
     Returns the attached module, or ``None`` after emitting
     :class:`NativeFallbackWarning` when the native target cannot be
     built (no compiler, unsupported construct, toolchain failure) — the
-    model then executes through the fast Python target unchanged.
+    model then executes through the Python target unchanged.
     """
     try:
         if source is not None and signatures is not None:

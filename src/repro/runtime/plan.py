@@ -1,28 +1,33 @@
-"""Compiled host launch plans: per-call work moved to compile time (§7.5).
+"""The host executor: compiled launch plans + the one execution loop (§7.5).
 
-``execute()`` originally re-derived host-side structure on every inference
-call: it re-classified kernels by scanning ``module.steps``, re-parsed
-symbolic buffer shapes through the expression evaluator, and rebuilt the
-scalar-binding dict from module metadata.  Those are all functions of the
-*compiled module*, not of the input — exactly the per-invocation host costs
-TVM-style compilers eliminate by precompiling the host program.
+The "host" of Fig. 2 binds the linearizer's arrays to the module's
+uninterpreted functions, allocates workspace buffers and launches the
+compiled kernels per the host schedule.  Which kernels launch in which
+order, how buffers are shaped and which scalars are bound are all functions
+of the *compiled module*, not of the input — exactly the per-invocation
+host costs TVM-style compilers eliminate by precompiling the host program.
 
 :class:`HostPlan` is that precompiled host program.  It is derived once per
-``(lowered, compiled)`` pair and holds:
+``(lowered, compiled)`` pair — the same way for an in-process model and for
+a reloaded artifact — and holds:
 
 * the kernel launch schedule, pre-partitioned by kind and resolved to
-  concrete callables (the fast kernel flavor when the module carries one);
+  concrete callables (the generated Python kernels, overlaid with native
+  launchers when a native module is attached);
 * a buffer-allocation plan with symbolic shapes pre-parsed into
-  ``(static dims, which runtime scalars)`` recipes, plus a per-buffer
-  ``needs_zero`` verdict from a read-before-write analysis, so a workspace
-  arena can recycle buffers without re-zeroing ones every call overwrites;
+  ``(static dims, which runtime scalars)`` recipes, plus the per-buffer
+  ``needs_zero`` verdict lowering recorded in ``module.meta`` (see
+  :mod:`repro.ilir.zero_fill`), so a workspace arena can recycle buffers
+  without re-zeroing ones every call overwrites;
 * the scalar-binding template (which metadata overrides apply).
 
-:func:`execute_plan` is then a tight loop over prebuilt launch records with
-zero per-call ``module.steps`` scans or symbolic shape evaluation.  Its
-outputs are bit-identical to the reference path
-(:func:`repro.runtime.executor.execute_reference`); the equivalence tests
-assert this across the model zoo.
+:func:`execute_plan` is the one executor: a tight loop over prebuilt launch
+records with zero per-call ``module.steps`` scans or symbolic shape
+evaluation.  When given a device, every launch/barrier/byte is charged to
+the cost model, producing the *simulated* latency the paper-figure
+benchmarks report (see DESIGN.md's substitution table).  Its outputs are
+held bitwise equal to the semantic oracle (:mod:`repro.ra.interp`) by the
+zero-tolerance tests across the model zoo and schedule variants.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import numpy as np
 from ..errors import ExecutionError
 from ..ilir.codegen.compiled import CompiledModule
 from ..ilir.module import ILModule
-from ..ir import Const, TensorRead, UFCall, Var, evaluate, walk
+from ..ir import Const, Var, evaluate
 from ..linearizer import Linearized
 from ..ra.lowering import Lowered
 
@@ -47,7 +52,7 @@ _MAX_BATCH = "max_batch_len"
 
 @dataclass(frozen=True)
 class BufferStep:
-    """One entry of the buffer-allocation plan (order matches seed path)."""
+    """One entry of the buffer-allocation plan (in module buffer order)."""
 
     name: str
     np_dtype: np.dtype
@@ -77,14 +82,11 @@ class HostPlan:
     #: scalar-binding template (precomputed metadata overrides)
     max_children_override: Optional[int]
     specialize: bool
-    #: True when built without operator nests (artifact reloads): every
-    #: buffer conservatively zeroes and the reference kernels are used
-    conservative: bool = False
     state_buffers: List[str] = field(default_factory=list)
 
     # -- scalar bindings ---------------------------------------------------
     def bind_scalars(self, lin: Linearized) -> Dict[str, int]:
-        """Equivalent of :func:`executor.build_scalars`, template-driven."""
+        """The scalar dict ``c`` the kernels read, template-driven."""
         c = lin.scalar_params()
         c["max_children"] = (self.max_children_override
                              if self.max_children_override is not None
@@ -123,108 +125,62 @@ class HostPlan:
                        params: Mapping[str, np.ndarray],
                        arena=None) -> Tuple[Dict[str, np.ndarray],
                                             List[np.ndarray]]:
-        """Build the workspace; returns it plus arena-leased arrays."""
+        """Build the workspace; returns it plus arena-leased arrays.
+
+        UF arrays + model parameters + zero-initialized (or arena-leased)
+        buffers.  A typed failure part-way — a missing or mis-shaped
+        parameter after some buffers were already leased — returns those
+        leases to the arena before it propagates.
+        """
         ws = lin.uf_arrays()
         leased: List[np.ndarray] = []
         if arena is not None:
             arena.note_linearized(lin)
-        for step in self.buffers:
-            name = step.name
-            supplied = params.get(name)
-            if supplied is not None:
-                arr = np.asarray(supplied)
-                expect = self._resolve_shape(step, lin)
-                if expect is not None and tuple(arr.shape) != expect:
-                    raise ExecutionError(
-                        f"parameter {name}: shape {arr.shape} != "
-                        f"declared {expect}")
+        try:
+            for step in self.buffers:
+                name = step.name
+                supplied = params.get(name)
+                if supplied is not None:
+                    arr = np.asarray(supplied)
+                    expect = self._resolve_shape(step, lin)
+                    if expect is not None and tuple(arr.shape) != expect:
+                        raise ExecutionError(
+                            f"parameter {name}: shape {arr.shape} != "
+                            f"declared {expect}")
+                    ws[name] = arr
+                    continue
+                if step.required_param:
+                    # model parameters must be supplied; zero-filling them
+                    # would silently produce wrong results
+                    raise ExecutionError(f"missing model parameter {name!r}")
+                shape = self._resolve_shape(step, lin)
+                if shape is None:
+                    raise ExecutionError(f"cannot size buffer {name}")
+                if arena is not None:
+                    arr = arena.acquire(shape, step.np_dtype,
+                                        zero=step.needs_zero)
+                    leased.append(arr)
+                else:
+                    arr = np.zeros(shape, dtype=step.np_dtype)
                 ws[name] = arr
-                continue
-            if step.required_param:
-                # model parameters must be supplied; zero-filling them would
-                # silently produce wrong results
-                raise ExecutionError(f"missing model parameter {name!r}")
-            shape = self._resolve_shape(step, lin)
-            if shape is None:
-                raise ExecutionError(f"cannot size buffer {name}")
-            if arena is not None:
-                arr = arena.acquire(shape, step.np_dtype,
-                                    zero=step.needs_zero)
-                leased.append(arr)
-            else:
-                arr = np.zeros(shape, dtype=step.np_dtype)
-            ws[name] = arr
+        except BaseException:
+            if leased:
+                arena.release_many(leased)
+            raise
         return ws, leased
 
 
-def _indirectly_read(nest) -> List[str]:
-    """Buffers read through UF-indexed (cross-node) loads in this nest."""
-    exprs = [nest.body] + list(nest.out_indices)
-    if nest.predicate is not None:
-        exprs.append(nest.predicate)
-    exprs.extend(e for _, e in nest.lets)
-    out = []
-    for e in exprs:
-        for node in walk(e):
-            if isinstance(node, TensorRead):
-                for idx in node.indices:
-                    if any(isinstance(y, UFCall) for y in walk(idx)):
-                        out.append(node.buffer.name)
-                        break
-    return out
-
-
-def _nest_reads(nest) -> List[str]:
-    names = [b.name for b in nest.reads]
-    exprs = [nest.body] + list(nest.out_indices)
-    if nest.predicate is not None:
-        exprs.append(nest.predicate)
-    exprs.extend(e for _, e in nest.lets)
-    for e in exprs:
-        for node in walk(e):
-            if isinstance(node, TensorRead):
-                names.append(node.buffer.name)
-    return names
-
-
-def _zero_required(module: ILModule) -> set:
-    """Which buffers may observe their initial contents (must be zeroed)?
-
-    A buffer can skip re-zeroing on arena reuse only when every read of it
-    is preceded, in host program order, by a write.  Conservatively, state
-    buffers and anything read through an indirect (UF / child) index are
-    always zeroed — cross-node reads may touch rows the current call never
-    wrote (e.g. zero-folded leaf states, §4.3).
-    """
-    needs = set(module.state_buffers)
-    kernels = module.kernels
-    order = ([k for k in kernels if k.kind in ("pre", "hoisted")]
-             + [k for k in kernels if k.kind == "leaf"]
-             + [k for k in kernels if k.kind == "level"]
-             + [k for k in kernels if k.kind == "fused"]
-             + [k for k in kernels if k.kind == "post"])
-    written: set = set()
-    for kernel in order:
-        nests = kernel.nests
-        if kernel.kind == "fused":
-            # leaf-phase nests launch before the level loop
-            nests = ([n for n in nests if n.phase == "leaf"]
-                     + [n for n in nests if n.phase != "leaf"])
-        for nest in nests:
-            for name in _nest_reads(nest):
-                if name not in written:
-                    needs.add(name)
-            needs.update(_indirectly_read(nest))
-            written.add(nest.out.name)
-    return needs
-
-
 def build_host_plan(lowered: Lowered, compiled: CompiledModule) -> HostPlan:
-    """Derive the host plan from a lowered module at compile time."""
+    """Derive the host plan from a lowered (or reloaded) module."""
     module = lowered.module
-    conservative = not (module.kernels
-                        and all(k.nests for k in module.kernels))
-    fns = dict(compiled.fns if conservative else compiled.launch_fns)
+    if "needs_zero" not in module.meta:
+        # never guess "zero everything": lowering records the verdicts and
+        # artifacts carry them, so their absence is a malformed module
+        raise ExecutionError(
+            f"module {module.name!r} records no zero-fill verdicts "
+            f"(meta['needs_zero']); build it with repro.ra.lowering.lower")
+    zero_set = set(module.meta["needs_zero"])
+    fns = dict(compiled.fns)
     native = getattr(compiled, "native", None)
     if native is not None:
         # native target: same launch records, compiled-C callables; any
@@ -237,8 +193,6 @@ def build_host_plan(lowered: Lowered, compiled: CompiledModule) -> HostPlan:
         kind = "pre" if k.kind == "hoisted" else k.kind
         groups[kind].append((k.name, fns[k.name]))
 
-    zero_set = (set(module.buffers) if conservative
-                else _zero_required(module))
     buffers: List[BufferStep] = []
     for name, buf in module.buffers.items():
         dims: List[object] = []
@@ -275,7 +229,6 @@ def build_host_plan(lowered: Lowered, compiled: CompiledModule) -> HostPlan:
             int(module.meta["max_children"])
             if "max_children" in module.meta else None),
         specialize=bool(module.meta.get("specialize")),
-        conservative=conservative,
         state_buffers=list(module.state_buffers),
     )
 
@@ -289,22 +242,46 @@ def get_host_plan(lowered: Lowered, compiled: CompiledModule) -> HostPlan:
     return plan
 
 
+@dataclass
+class ExecutionResult:
+    """Outputs plus measured/simulated timing for one inference call."""
+
+    workspace: Dict[str, np.ndarray]
+    lin: Linearized
+    state_buffers: list[str]
+    wall_time_s: float = 0.0
+    simulated_time_s: Optional[float] = None
+    cost: Optional[object] = None  # CostReport when a device was supplied
+    #: arrays leased from a WorkspaceArena; recycled by the caller that owns
+    #: the arena (after which this result's workspace must not be read)
+    arena_buffers: list = field(default_factory=list, repr=False)
+
+    def output(self, name: str) -> np.ndarray:
+        """Full per-node output array for a state buffer."""
+        return self.workspace[name]
+
+    def root_output(self, name: str) -> np.ndarray:
+        """Rows of a state buffer at the root nodes (the model results)."""
+        return self.workspace[name][self.lin.roots]
+
+
 def execute_plan(plan: HostPlan, lin: Linearized,
                  params: Mapping[str, np.ndarray], *,
                  device=None, arena=None, faults=None, profiler=None,
-                 seeds=None):
+                 seeds=None) -> ExecutionResult:
     """Run the precompiled host program over one linearized input batch.
 
-    The launch sequence replays the reference host loop exactly — pre and
-    hoisted kernels in step order, leaf kernels over the leaf batches, level
-    kernels over the internal batches, then fused and post kernels — so
-    outputs are bit-identical to :func:`executor.execute_reference`.
+    The launch sequence is the host schedule of Fig. 2 — pre and hoisted
+    kernels in step order, leaf kernels over the leaf batches, level
+    kernels over the internal batches, then fused and post kernels.
 
     ``faults`` is an optional :class:`~repro.serve.faults.FaultInjector`;
     its hooks fire at execution start (slow flush), before workspace
     allocation (arena failure) and inside the launch phase (kernel
-    exception).  When an exception escapes mid-execution — injected or
-    genuine — every arena-leased buffer is released back to the pool
+    exception).  When an exception escapes at any point after the first
+    arena lease — a missing or mis-shaped parameter part-way through
+    workspace construction, a bad seed row, an injected or genuine kernel
+    failure — every arena-leased buffer is released back to the pool
     before it propagates, so a failed call never shrinks the arena.
 
     ``profiler`` is an optional :class:`~repro.runtime.profiler
@@ -319,29 +296,28 @@ def execute_plan(plan: HostPlan, lin: Linearized,
     arrays built by the splicer never iterate a seeded id, so kernels
     only ever *read* these rows through child indirection.
     """
-    from .executor import ExecutionResult
-
     if faults is not None:
         faults.on_execution()
         faults.check_arena()
     t_ws = time.perf_counter() if profiler is not None else 0.0
     c = plan.bind_scalars(lin)
+    # (make_workspace returns its own leases to the arena when it raises)
     ws, leased = plan.make_workspace(lin, params, arena)
-    if seeds:
-        for name, (rows_idx, rows) in seeds.items():
-            ws[name][rows_idx] = rows
-    if profiler is not None:
-        pre = profiler.wrap(plan.pre)
-        leaf = profiler.wrap(plan.leaf)
-        level = profiler.wrap(plan.level)
-        fused = profiler.wrap(plan.fused)
-        post = profiler.wrap(plan.post)
-    else:
-        pre, leaf, level = plan.pre, plan.leaf, plan.level
-        fused, post = plan.fused, plan.post
-
-    t0 = time.perf_counter()
     try:
+        if seeds:
+            for name, (rows_idx, rows) in seeds.items():
+                ws[name][rows_idx] = rows
+        if profiler is not None:
+            pre = profiler.wrap(plan.pre)
+            leaf = profiler.wrap(plan.leaf)
+            level = profiler.wrap(plan.level)
+            fused = profiler.wrap(plan.fused)
+            post = profiler.wrap(plan.post)
+        else:
+            pre, leaf, level = plan.pre, plan.leaf, plan.level
+            fused, post = plan.fused, plan.post
+
+        t0 = time.perf_counter()
         if faults is not None:
             faults.check_kernel()
         for _, fn in pre:

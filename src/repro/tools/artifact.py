@@ -1,12 +1,18 @@
 """Compiled-model artifacts: save and reload without the compiler.
 
 ``save_model`` writes everything a serving process needs to *execute* a
-compiled model — the generated Python kernels, the parameters, a JSON
-manifest describing buffers, kernel launch order and linearizer
-configuration, and ``options.json`` recording the exact
+compiled model — the generated Python kernels (``module.py``, the one
+source the model itself runs), the parameters, a JSON manifest describing
+buffers, kernel launch order, linearizer configuration and the schedule
+``meta`` (including ``needs_zero``, lowering's per-buffer zero-fill
+verdicts), and ``options.json`` recording the exact
 :class:`~repro.options.CompileOptions` the model was compiled under
 (plus their stable ``cache_key``).  ``load_model`` reconstructs a
-runnable model from that directory without invoking the compiler.
+runnable model from that directory without invoking the compiler; its
+host plan is built by the same rule as the in-process one, so a reloaded
+artifact launches the same kernels with the same workspace zeroing as
+the model it was saved from.  Artifacts written before ``needs_zero``
+was recorded are refused with a typed error asking for a re-save.
 
 The reloaded :class:`DeployedModel` implements the same
 :class:`~repro.api.ModelHandle` surface as an in-process
@@ -206,6 +212,14 @@ def load_model(path: Union[str, Path]) -> DeployedModel:
     """
     path = Path(path)
     manifest = json.loads((path / MANIFEST).read_text())
+    if "needs_zero" not in manifest["meta"]:
+        # pre-"one kernel flavor" artifact: its module.py imports kernels
+        # that no longer exist and it carries no zero-fill verdicts; refuse
+        # rather than exec it or guess "zero everything"
+        raise CortexError(
+            f"artifact {str(path)!r}: manifest field meta.needs_zero is "
+            f"missing (written by an older version); re-save the model "
+            f"with save_model")
 
     buffers = {}
     for spec in manifest["buffers"]:

@@ -230,7 +230,7 @@ def cmd_compile(args) -> int:
             print(f"  native: {native.cc} [{' '.join(native.flags)}]")
             print(f"  native .so cache: {native.so_path}")
         else:
-            print("  native: unavailable — fell back to the fast Python "
+            print("  native: unavailable — fell back to the Python "
                   "target (see NativeFallbackWarning)")
     print(f"  kernels: {[(k.name, k.kind) for k in mod.kernels]}")
     print(f"  barriers/level: {mod.meta['barriers_per_level']}")

@@ -7,6 +7,8 @@ from repro import compile_model
 from repro.errors import CodegenError
 from repro.ilir.codegen.c_codegen import expr_to_c, kernel_to_c, stmt_to_c
 from repro.ilir.codegen.compiled import CompiledModule
+from repro.ilir.codegen.python_codegen import generate_python
+from repro.runtime.plan import build_host_plan, execute_plan
 from repro.ilir import Barrier, For, ILBuffer, Let, Store
 from repro.ir import Const, Select, TensorRead, Var, float32, int32, tanh, uf
 
@@ -27,16 +29,33 @@ def test_generated_source_has_one_function_per_kernel():
 
 def test_matvec_generates_einsum():
     mod = _module()
-    # reference flavor routes einsum through kernels.einsum_ref (imported
-    # as _es), which is np.einsum except at batch-extent-degenerate edges
-    assert "_es(" in mod.python_source
+    # contractions route through kernels.einsum2 (imported as _e2 / its
+    # in-place form _e2i): np.einsum's BLAS lowering with the plan cached
+    # per spec, batch-extent-invariant at degenerate edges
+    assert "_e2(" in mod.python_source or "_e2i(" in mod.python_source
+    assert "np.einsum" not in mod.python_source
 
 
 def test_childsum_generates_masked_loop():
-    mod = _module("treelstm")
+    model = compile_model("treelstm", hidden=8, vocab=VOCAB)
+    mod = model.lowered.module
     src = mod.python_source
-    assert "range(c['max_children'])" in src
-    assert "np.where" in src
+    # declared arity 2: the masked accumulation is unrolled over the slots
+    assert "np.where((0 < " in src and "np.where((1 < " in src
+    assert "range(c['max_children'])" not in src
+    # no small literal arity recorded: the same accumulation as a runtime
+    # loop over c['max_children'] — same slot order, same bits
+    from repro.data import synthetic_treebank
+
+    lin = model.lowered.linearizer(synthetic_treebank(
+        3, vocab_size=VOCAB, rng=np.random.default_rng(1)))
+    unrolled = execute_plan(model.plan, lin, model.params)
+    del mod.meta["max_children"]
+    assert "range(c['max_children'])" in generate_python(mod)
+    looped = execute_plan(build_host_plan(model.lowered, CompiledModule(mod)),
+                          lin, model.params)
+    for name in mod.state_buffers:
+        assert np.array_equal(unrolled.output(name), looped.output(name))
 
 
 def test_contiguous_stores_become_slices():

@@ -17,8 +17,7 @@ from repro.ir import Expr, maximum, minimum, relu, sigmoid, tanh
 from repro.linearizer import StructureKind
 from repro.ra import NUM_NODES, Program, isleaf, lower
 from repro.ra.lowering import Lowered
-from repro.runtime.executor import (allocate_workspace, build_scalars,
-                                    execute)
+from repro.runtime.plan import build_host_plan, execute_plan
 from repro.data import random_binary_tree
 
 VOCAB = 23
@@ -94,11 +93,11 @@ def test_random_models_codegen_matches_interpreter(body_fn, specialize,
                       ).astype(np.float32)}
 
     lin = lowered.linearizer([tree])
-    compiled = CompiledModule(lowered.module)
-    res = execute(lowered, compiled, lin, params)
+    plan = build_host_plan(lowered, CompiledModule(lowered.module))
+    res = execute_plan(plan, lin, params)
 
-    ws = allocate_workspace(lowered.module, lin, params)
-    c = build_scalars(lowered.module, lin)
+    ws, _ = plan.make_workspace(lin, params)
+    c = plan.bind_scalars(lin)
     run_module(lowered.module, ws, c)
 
     # random bodies can compound to values in the 1e3 range, where float32

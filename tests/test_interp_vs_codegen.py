@@ -12,7 +12,6 @@ import pytest
 from repro import compile_model
 from repro.data import grid_dag_batch, synthetic_treebank
 from repro.ilir.interp import run_module
-from repro.runtime.executor import allocate_workspace, build_scalars
 
 VOCAB = 60
 HIDDEN = 6
@@ -27,12 +26,10 @@ def _interp_vs_codegen(name, roots, **schedule):
         model = compile_model(name, hidden=HIDDEN, vocab=VOCAB, **schedule)
     module = model.lowered.module
     lin = model.lowered.linearizer(roots)
-    c = build_scalars(module, lin)
-
-    ws_gen = allocate_workspace(module, lin, model.params)
     res = model.run(roots)
 
-    ws_int = allocate_workspace(module, lin, model.params)
+    c = model.plan.bind_scalars(lin)
+    ws_int, _ = model.plan.make_workspace(lin, model.params)
     run_module(module, ws_int, c)
 
     for state in module.state_buffers:
@@ -65,8 +62,8 @@ def test_interpreter_counts_fused_barriers():
     model = compile_model("treegru", hidden=HIDDEN, vocab=VOCAB)
     module = model.lowered.module
     lin = model.lowered.linearizer(TREES)
-    c = build_scalars(module, lin)
-    ws = allocate_workspace(module, lin, model.params)
+    c = model.plan.bind_scalars(lin)
+    ws, _ = model.plan.make_workspace(lin, model.params)
     it = run_module(module, ws, c)
     levels = c["num_batches"] - c["level_start"]
     assert it.barriers_executed == levels * module.meta["barriers_per_level"]

@@ -262,7 +262,7 @@ def test_kernel_level_parity(name, preset):
     begins = lin.batch_begin.tolist()
     lengths = lin.batch_length.tolist()
     classes = parity_classification(model.lowered.module)
-    py_fns = dict(model.compiled.launch_fns)
+    py_fns = dict(model.compiled.fns)
     checked_bitwise = 0
     for k in model.lowered.module.kernels:
         ws_nat = {n: a.copy() for n, a in ws.items()}

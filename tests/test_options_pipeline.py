@@ -180,7 +180,6 @@ def test_compile_and_legacy_shim_bit_identical(name, kw):
                             **kw)
     # identical generated artifacts...
     assert legacy.python_source == unified.python_source
-    assert legacy.fast_python_source == unified.fast_python_source
     assert legacy.c_source == unified.c_source
     # ...identical host plans...
     for a, b in zip(legacy.plan.buffers, unified.plan.buffers):

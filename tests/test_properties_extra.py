@@ -13,7 +13,7 @@ from repro.linearizer import (BatchPlan, TreeLinearizer, assign_ids,
                               check_numbering, plan_batches)
 from repro.ra.printer import op_to_str, program_to_str
 from repro.runtime import V100
-from repro.runtime.executor import run_model
+from repro.runtime.plan import execute_plan
 
 VOCAB = 60
 
@@ -126,7 +126,7 @@ def test_missing_parameter_raises():
     rng = np.random.default_rng(0)
     trees = synthetic_treebank(1, vocab_size=VOCAB, rng=rng)
     with pytest.raises(ExecutionError, match="missing model parameter"):
-        run_model(m.lowered, trees, params)
+        execute_plan(m.plan, m.lowered.linearizer(trees), params)
 
 
 def test_word_id_out_of_vocab_is_runtime_error():

@@ -184,7 +184,7 @@ def test_parameter_shape_mismatch_rejected():
     m = compile_model("treefc", hidden=16, vocab=VOCAB)
     bad = dict(m.params)
     bad["Wl"] = np.zeros((3, 3), np.float32)
-    from repro.runtime import run_model
+    from repro.runtime import execute_plan
 
     with pytest.raises(ExecutionError, match="shape"):
-        run_model(m.lowered, TREES, bad)
+        execute_plan(m.plan, m.lowered.linearizer(TREES), bad)
