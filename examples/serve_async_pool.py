@@ -1,13 +1,11 @@
 """Serving: a replica pool driven by asyncio callers.
 
-The third driving mode.  Compiles a TreeLSTM once, replicates the server
-4 ways in a WorkerPool (each replica owns a private workspace arena but
-shares the compiled plan), turns on continuous batching
-(``pipeline="double"``: a former thread coalesces flush k+1 while an
-executor thread runs flush k through double-buffered arenas), and serves
-two asyncio "tenants" concurrently with ``await pool.asubmit(...)``.
+Compiles a TreeLSTM once, replicates the threaded server 4 ways in a
+WorkerPool (each replica owns a private workspace arena but shares the
+compiled plan), and serves two asyncio "tenants" concurrently with
+``await pool.asubmit(...)``.
 
-Whatever the replica count, balancer or pipeline mode, every request's
+Whatever the replica count or balancer, every request's
 outputs are bitwise identical to running it alone on a plain
 ``model.run(roots)`` — routing decides *when and where* a request
 executes, never what it computes.
@@ -48,11 +46,9 @@ async def main() -> None:
     #    private arena so flushes never contend
     model = compile_model("treelstm", hidden=HIDDEN, vocab=1000)
 
-    # 2. 4 replicas, least-loaded routing, per-replica circuit breakers,
-    #    continuous batching inside each replica
+    # 2. 4 replicas, least-loaded routing, per-replica circuit breakers
     pool = WorkerPool(model, replicas=REPLICAS, balancer="least_loaded",
-                      policy=MaxPendingRequests(16) | Deadline(5.0),
-                      pipeline="double")
+                      policy=MaxPendingRequests(16) | Deadline(5.0))
     pool.start()
     try:
         # 3. two tenants share the pool; fair-share accounting is per

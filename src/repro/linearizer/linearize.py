@@ -140,9 +140,10 @@ class Linearizer:
         self.specialize_leaves = specialize_leaves
         self.validate_inputs = validate_inputs
         #: declared rows of the smallest table the model gathers through
-        #: ``words`` (None: it gathers none).  Input validation rejects
-        #: payloads at or past it — the Python kernels would raise a bare
-        #: IndexError and the native ones read out of bounds.
+        #: ``words`` (None: it gathers none).  Every call rejects payloads
+        #: at or past it, ``validate_inputs`` or not — the Python kernels
+        #: would raise a bare IndexError and the native ones read out of
+        #: bounds.
         self.word_limit = word_limit
         #: re-verify the Appendix-B numbering invariants on every call.  The
         #: plan-based fast path turns this off after the first call: the
@@ -152,10 +153,13 @@ class Linearizer:
     def fast_clone(self) -> "Linearizer":
         """A linearizer with identical layout but runtime checks disabled.
 
-        Produces bit-identical ``Linearized`` outputs; only input validation
-        and numbering re-verification are skipped (§3: structure claims "can
-        be easily verified at runtime" — the fast path amortizes that check
-        over a stream of calls instead of paying it per call).
+        Produces bit-identical ``Linearized`` outputs; only structure
+        validation and numbering re-verification are skipped (§3: structure
+        claims "can be easily verified at runtime" — the fast path amortizes
+        that check over a stream of calls instead of paying it per call).
+        The ``word_limit`` range check is not a structure claim but a bounds
+        check on outside input guarding the kernels' gathers, so the clone
+        keeps it.
         """
         return Linearizer(self.kind, self.max_children,
                           dynamic_batch=self.dynamic_batch,
@@ -209,20 +213,25 @@ class Linearizer:
         if self.check:
             check_numbering(plan, ids)
         out = self._build_arrays(roots, plan, ids)
-        if self.validate_inputs and self.word_limit is not None:
-            self._check_words(out.words)
+        self.check_words(out.words)
         out.wall_time_s = time.perf_counter() - t0
         return out
 
-    # -- internals -------------------------------------------------------------
-    def _check_words(self, words: np.ndarray) -> None:
-        """Reject payloads outside ``[-1, word_limit)`` (-1 marks absent)."""
+    def check_words(self, words: np.ndarray) -> None:
+        """Reject payloads outside ``[-1, word_limit)`` (-1 marks absent).
+
+        Runs on every linearization (the memo splicer calls it on the
+        arrays it builds itself): two reductions over an int32 array.
+        """
+        if self.word_limit is None:
+            return
         lo, hi = int(words.min()), int(words.max())
         if lo < -1 or hi >= self.word_limit:
             raise LinearizationError(
                 f"word index {hi if hi >= self.word_limit else lo} is "
                 f"outside the model's {self.word_limit}-row embedding table")
 
+    # -- internals -------------------------------------------------------------
     def _build_arrays(self, roots: Sequence[Node], plan: BatchPlan,
                       ids: Dict[int, int]) -> Linearized:
         """Array construction over the batch plan (vectorized).

@@ -431,6 +431,9 @@ class MemoSplicer:
 
         words = np.fromiter((nd.word for nd in order), dtype=np.int32,
                             count=n)
+        # the pruned forest never passes through Linearizer.__call__, so
+        # its bounds check on outside words runs here (stubs carry -1)
+        self.model.lowered.linearizer.check_words(words)
         num_children = np.fromiter((len(nd.children) for nd in order),
                                    dtype=np.int32, count=n)
         child = np.full((self._max_children, n), -1, dtype=np.int32)

@@ -66,6 +66,10 @@ class Validate(enum.Enum):
     ``FIRST`` structure-checks the first call of a stream and trusts the
     rest; ``ALWAYS`` checks every call; ``NEVER`` skips the §3 structure
     checks entirely (layouts and outputs are unchanged either way).  The
+    word-range check against the model's embedding table is not one of
+    them: it is a bounds check on outside input guarding the kernels'
+    gathers, so it runs on every call under every setting and refuses
+    with :class:`~repro.errors.LinearizationError`.  The
     old per-API spellings — ``True``/``False`` for single calls,
     ``"first"``/``"always"``/``"never"`` for streams — are still accepted
     everywhere and coerced through :meth:`coerce`.

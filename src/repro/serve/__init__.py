@@ -7,19 +7,16 @@ and workspace arena — bit-identical to running each request alone, but
 paying the per-call host overhead once per flush instead of once per
 caller.
 
-Three driving modes, smallest to largest:
+One flush loop per server, two ways to drive it, and a pool on top:
 
 * **sync** — build a :class:`ModelServer`, ``submit()`` requests, and
   the policy auto-flushes on the caller's thread (``flush()`` /
   ``drain()`` force it).  No threads, deterministic, ideal for tests
   and batch jobs.
-* **threaded** — ``with server:`` runs a worker thread that owns every
-  flush while any number of producer threads submit.  The full request
-  lifecycle rides along: deadlines, cancellation, bounded retry,
-  bisection fault isolation, priority shedding.  ``pipeline="double"``
-  upgrades the worker to *continuous batching*: a former thread
-  coalesces flush k+1 while an executor thread runs flush k through
-  double-buffered arenas.
+* **threaded** — ``with server:`` runs the one worker thread that owns
+  every flush while any number of producer threads submit.  The full
+  request lifecycle rides along: deadlines, cancellation, bounded retry,
+  bisection fault isolation, priority shedding.
 * **pooled-async** — a :class:`~repro.serve.pool.WorkerPool` replicates
   the server N times (private arenas, shared compilation) behind
   pluggable load balancing with per-replica circuit breakers, and
@@ -27,8 +24,8 @@ Three driving modes, smallest to largest:
   asyncio callers through the same scheduler as the thread API.
 
 Whatever the mode, outputs are bitwise identical to single-replica,
-single-buffer, per-request execution — routing, batching and pipelining
-decide *when and where* a request executes, never what it computes.
+per-request execution — routing and batching decide *when and where* a
+request executes, never what it computes.
 
 Pieces:
 
@@ -38,7 +35,7 @@ Pieces:
 * :mod:`~repro.serve.scheduler` — flush policies, admission control,
   priority-aware load shedding, per-tenant fair-share interleaving;
 * :mod:`~repro.serve.server` — the :class:`ModelServer` front-end with
-  bounded retry, bisection fault isolation and continuous batching;
+  bounded retry and bisection fault isolation;
 * :mod:`~repro.serve.aio` — the asyncio bridge (awaitable handles);
 * :mod:`~repro.serve.pool` — replica worker pools, load balancers,
   replica replacement, aggregated metrics;
@@ -60,7 +57,7 @@ from .router import BreakerState, CircuitBreaker, Router
 from .scheduler import (Admission, AnyOf, Deadline, FlushPolicy,
                         MaxPendingRequests, MaxTotalNodes, QueueSnapshot,
                         Scheduler, default_policy)
-from .server import NO_RETRY, ModelServer, PreparedFlush, RetryPolicy
+from .server import NO_RETRY, ModelServer, RetryPolicy
 
 __all__ = [
     "CoalescedBatch", "coalesce", "scatter", "FaultInjector",
@@ -68,7 +65,7 @@ __all__ = [
     "BreakerState", "CircuitBreaker", "Router", "Admission", "AnyOf",
     "Deadline", "FlushPolicy", "MaxPendingRequests", "MaxTotalNodes",
     "QueueSnapshot", "Scheduler", "default_policy", "NO_RETRY",
-    "ModelServer", "RetryPolicy", "PreparedFlush", "AsyncRequestHandle",
+    "ModelServer", "RetryPolicy", "AsyncRequestHandle",
     "WorkerPool", "Replica", "LoadBalancer", "RoundRobin", "LeastLoaded",
     "SloAware",
 ]

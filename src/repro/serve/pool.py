@@ -1,7 +1,7 @@
 """Replica worker pools: N servers, one model, one front door.
 
-One :class:`~repro.serve.ModelServer` is one thread (or one pipelined
-thread pair), one arena, one queue.  :class:`WorkerPool` replicates that
+One :class:`~repro.serve.ModelServer` is one worker thread, one arena,
+one queue.  :class:`WorkerPool` replicates that
 unit N times over a single compiled model — each replica is an
 in-process worker owning a *private-arena view* of the model (see
 :func:`~repro.serve.router._private_arena_view`: compilation state —
@@ -17,7 +17,7 @@ running its requests alone, and therefore the *pool's* outputs are
 bitwise identical to a single-replica synchronous server given the same
 requests — routing decides only *where* a request executes, never what
 its result is.  The chaos suite drives a seeded request stream through
-a 4-replica continuously-batching pool and asserts exactly that.
+a 4-replica pool and asserts exactly that.
 
 Load balancers order the replicas a submit may try; the pool walks the
 order, skipping replicas whose breaker is OPEN and failing over on
@@ -159,8 +159,8 @@ class WorkerPool:
             replica, or a one-arg callable ``faults(i)`` building one
             per replica (independent chaos schedules).
         server_kw: every other :class:`~repro.serve.ModelServer` keyword
-            (``policy``, ``pipeline="double"``, ``fair_share``,
-            ``retry``, ``memo`` ...) — applied to each replica alike.
+            (``policy``, ``fair_share``, ``retry``, ``memo`` ...) —
+            applied to each replica alike.
     """
 
     def __init__(self, model: "ModelHandle", replicas: int = 2, *,

@@ -343,7 +343,7 @@ class Router:
 
         ``pool`` is either a ready pool or a model handle, in which case
         a pool named ``name`` is built over it with ``pool_kw``
-        (``replicas=4``, ``balancer=...``, ``pipeline="double"``, ...).
+        (``replicas=4``, ``balancer=...``, ``policy=...``, ...).
         Pools dispatch through the same :meth:`submit` / :meth:`flush` /
         lifecycle surface as single servers; per-replica circuit
         breaking lives *inside* the pool, so the router adds no breaker

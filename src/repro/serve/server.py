@@ -8,24 +8,21 @@ the model's precompiled :class:`~repro.runtime.plan.HostPlan` and workspace
 arena — so the per-call host work PR 1 hoisted to compile time is now also
 amortized *across callers*, not just across a single caller's stream.
 
-Three driving modes:
+One flush loop (``Scheduler.take`` -> claim -> ``coalesce`` ->
+``execute_plan`` on the model's one arena -> ``scatter`` -> resolve), two
+ways to drive it:
 
 * **synchronous** — ``submit()`` auto-flushes whenever the policy fires
   (and ``flush()`` / ``drain()`` force it), all on the caller's thread;
-* **threaded** — ``start()`` (or ``with server:``) runs a worker thread
-  that owns every flush, so many producer threads can submit concurrently
-  while execution stays single-threaded (the arena is not thread-safe);
-  ``pipeline="double"`` upgrades the worker to *continuous batching*: a
-  batch-former thread coalesces flush *k+1* while an executor thread runs
-  flush *k* through double-buffered arenas;
-* **pooled / async** — :class:`~repro.serve.pool.WorkerPool` replicates
-  the server N times behind a load balancer, and ``await
-  server.asubmit(...)`` (on a server or a pool) gives asyncio callers
-  awaitable handles with the exact lifecycle of the thread API.
+* **threaded** — ``start()`` (or ``with server:``) runs the one worker
+  thread that owns every flush, so many producer threads can submit
+  concurrently while execution stays single-threaded (the arena is not
+  thread-safe).
 
-Batch composition never changes results: every flush is bit-identical to
-running each of its requests alone, whichever thread formed the batch and
-whichever arena executed it.
+On top of the threaded mode, :class:`~repro.serve.pool.WorkerPool`
+replicates the server N times behind a load balancer, and ``await
+server.asubmit(...)`` (on a server or a pool) gives asyncio callers
+awaitable handles with the exact lifecycle of the thread API.
 
 Every flush is bit-identical to running each of its requests alone — the
 equivalence tests assert this across the model zoo and all flush policies.
@@ -57,11 +54,10 @@ handle is ever left unresolved.
 
 from __future__ import annotations
 
-import queue as queue_mod
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Iterable, List, Optional,
                     Sequence, Union)
 
@@ -77,7 +73,7 @@ from ..obs import (STATUS_CANCELLED, STATUS_DEADLINE, STATUS_ERROR,
 from ..options import Validate
 from ..runtime.plan import execute_plan
 from ..runtime.profiler import KernelProfiler
-from .coalescer import CoalescedBatch, coalesce, scatter
+from .coalescer import coalesce, scatter
 from .faults import FaultInjector
 from .metrics import ServerMetrics
 from .request import Request, RequestHandle, RequestResult
@@ -135,30 +131,6 @@ class RetryPolicy:
 
 #: no-retry policy for callers that want failures surfaced immediately
 NO_RETRY = RetryPolicy(max_attempts=1)
-
-
-@dataclass
-class PreparedFlush:
-    """One flush formed ahead of execution (continuous batching).
-
-    The batch former takes requests off the scheduler and *optimistically*
-    coalesces them — without claiming their handles, so cancellation and
-    deadline expiry keep their exact thread-mode semantics.  The executor
-    claims at execution time and uses ``batch`` only when the claimed
-    live set is exactly the set the former prepared; any divergence (a
-    cancel or expiry won the race in between) discards the prepared
-    linearization and re-coalesces, counted as a pipeline fallback.
-    """
-
-    #: everything taken off the queue (the executor owes each of these a
-    #: resolution, prepared or not)
-    taken: List[Request]
-    #: the optimistic coalesce over the then-live subset; ``None`` when
-    #: the former could not prepare (all dead, or validation still owns
-    #: the first flush)
-    batch: Optional[CoalescedBatch] = field(repr=False, default=None)
-    #: was the validating linearizer used to build ``batch``?
-    check: bool = False
 
 
 class ModelServer:
@@ -226,17 +198,6 @@ class ModelServer:
         name: optional replica/server name; rides every request's root
             span (``replica`` attribute) and the pool's labeled metrics,
             so multi-replica traces and scrapes stay attributable.
-        pipeline: ``"double"`` turns threaded mode into *continuous
-            batching*: ``start()`` spawns a batch-former thread (take +
-            coalesce for flush k+1) and an executor thread (execute +
-            scatter + resolve for flush k) connected by a depth-1
-            handoff, with the two flushes running on different arenas
-            from a two-arena rotation.  Outputs stay bitwise identical
-            to single-buffer execution; lifecycle arbitration (cancel /
-            deadline / retry) still happens at claim time on the
-            executor.  ``"off"`` (default) keeps the single worker.
-            Incompatible with ``memo="on"`` (the splicer's commit
-            protocol assumes one arena).
         fair_share: interleave flush batches round-robin across tenants
             (see :meth:`submit`'s ``tenant``) instead of global FIFO, so
             a capped flush serves every waiting tenant.
@@ -258,13 +219,11 @@ class ModelServer:
                  tracer: Optional[Tracer] = None,
                  profiler: Optional[KernelProfiler] = None,
                  clock: Optional[Clock] = None,
-                 metrics_window: int = 4096,
                  wake_interval_s: float = 0.001,
                  memo: Union[str, bool] = "off",
                  memo_cache=None,
                  memo_policy=None,
                  name: Optional[str] = None,
-                 pipeline: Union[str, bool] = "off",
                  fair_share: bool = False,
                  request_id_base: int = 0):
         try:
@@ -290,24 +249,11 @@ class ModelServer:
             check_device(device)
         self.model = model
         self.name = name
-        if pipeline in ("double", True):
-            self._pipeline = "double"
-        elif pipeline in ("off", False, None):
-            self._pipeline = "off"
-        else:
-            raise ServingError(
-                f"pipeline must be 'off' or 'double', got {pipeline!r}")
-        if self._pipeline == "double" and memo in ("on", True):
-            raise ServingError(
-                "pipeline='double' is incompatible with memo='on': the "
-                "splicer's verify/commit protocol assumes one arena per "
-                "server; run memoized servers single-buffered")
         self._clock: Clock = clock if clock is not None else time.perf_counter
         self.scheduler = Scheduler(policy, max_queue=max_queue,
                                    clock=self._clock,
                                    fair_share=fair_share)
-        self.metrics = ServerMetrics(window=metrics_window,
-                                     clock=self._clock)
+        self.metrics = ServerMetrics(clock=self._clock)
         self.tracer = tracer
         self.profiler = profiler
         self.retry = retry if retry is not None else RetryPolicy()
@@ -350,6 +296,12 @@ class ModelServer:
         self._validated = False
         self._outputs = (list(outputs) if outputs is not None
                          else model.default_outputs())
+        unknown = [n for n in self._outputs
+                   if n not in model.lowered.module.buffers]
+        if unknown:
+            raise ServingError(
+                f"outputs names no buffer of this model: {unknown}; "
+                f"choose from {sorted(model.lowered.module.buffers)}")
         self._wake_interval_s = wake_interval_s
         # pools give each replica a disjoint id block so request ids —
         # and the trace/span attributes carrying them — stay globally
@@ -367,22 +319,6 @@ class ModelServer:
         #: set by ``close()`` (and by a pool tearing its replicas down):
         #: submits are refused permanently, unlike a restartable stop()
         self._closed = False
-        # continuous batching (pipeline="double"): a second arena joins
-        # the model's own in a rotation, a depth-1 handoff queue carries
-        # PreparedFlush from the former to the executor, and the three
-        # counters make the pipeline's behaviour observable in tests
-        self._exec_thread: Optional[threading.Thread] = None
-        self._handoff: Optional["queue_mod.Queue"] = None
-        self._arena_rotation: Optional["queue_mod.Queue"] = None
-        if self._pipeline == "double":
-            from ..runtime.memory import WorkspaceArena
-
-            self._spare_arena = WorkspaceArena()
-        else:
-            self._spare_arena = None
-        self._pipeline_prepared = 0      # flushes the former coalesced
-        self._pipeline_prepared_used = 0  # prepared batches executed as-is
-        self._pipeline_fallbacks = 0     # prepared batches discarded
 
     # -- health observers --------------------------------------------------
     def add_observer(self, fn: Observer) -> None:
@@ -526,10 +462,10 @@ class ModelServer:
         .AsyncRequestHandle`; ``await handle`` yields the
         :class:`RequestResult` or raises the same typed lifecycle errors
         the threaded handle would.  The event loop is never blocked: the
-        flush happens on the server's worker threads and completion is
+        flush happens on the server's worker thread and completion is
         posted back via ``call_soon_threadsafe``.
 
-        Requires a *running* server (threaded or pipelined) — in
+        Requires a *running* (threaded) server — in
         synchronous mode nothing would ever flush the queue under a
         suspended coroutine.
         """
@@ -640,11 +576,9 @@ class ModelServer:
             live.append(req)
         return live
 
-    def _execute_flush(self, taken: List[Request], *,
-                       prepared: Optional[PreparedFlush] = None,
-                       arena=None) -> None:
+    def _execute_flush(self, taken: List[Request]) -> None:
         try:
-            self._run_batch(taken, prepared=prepared, arena=arena)
+            self._run_batch(taken)
         except BaseException:
             # KeyboardInterrupt / SystemExit: fail the handles so no
             # caller blocks forever, but let the interrupt propagate
@@ -654,42 +588,22 @@ class ModelServer:
                     self._end_request_span(req, STATUS_ERROR, "interrupted")
             raise
 
-    def _run_batch(self, reqs: List[Request], *,
-                   prepared: Optional[PreparedFlush] = None,
-                   arena=None) -> None:
+    def _run_batch(self, reqs: List[Request]) -> None:
         """Execute one (sub-)batch to final resolution of every handle.
 
         The loop: claim live requests, attempt the coalesced execution,
         retry transient failures under the bounded policy with backoff,
         and bisect persistent multi-request failures so a single culprit
         fails alone — O(log n) re-executions instead of the seed's O(n)
-        serial isolation.
-
-        ``prepared`` (continuous batching) is an optimistic coalesce the
-        batch former built ahead of time; it is honoured only when the
-        set claimed *here* is exactly the set it covers — claim time is
-        still the single arbitration point for cancel/deadline races, so
-        pipelining changes scheduling, never lifecycle semantics.
-        ``arena`` overrides the model's own workspace arena (the
-        pipeline's two-arena rotation; ``None`` = the model's).
+        serial isolation.  Claim time is the single arbitration point
+        for cancel/deadline races.
         """
         while True:
             reqs = self._claim_live(reqs)
             if not reqs:
                 return
-            batch = None
-            if prepared is not None and prepared.batch is not None:
-                if ([r.request_id for r in reqs]
-                        == [r.request_id
-                            for r in prepared.batch.requests]):
-                    batch = prepared
-                else:
-                    # a cancel/expiry won between forming and claiming:
-                    # the prepared linearization covers the wrong forest
-                    self._pipeline_fallbacks += 1
-                    prepared = None
             try:
-                self._attempt(reqs, prepared=batch, arena=arena)
+                self._attempt(reqs)
                 return
             except Exception as exc:
                 if (is_retryable(exc)
@@ -718,15 +632,13 @@ class ModelServer:
                             if r.span is not None:
                                 r.span.add_event("isolated",
                                                  batch=len(reqs))
-                    self._run_batch(reqs[:mid], arena=arena)
-                    self._run_batch(reqs[mid:], arena=arena)
+                    self._run_batch(reqs[:mid])
+                    self._run_batch(reqs[mid:])
                     return
                 self._fail_request(reqs[0], exc)
                 return
 
-    def _attempt(self, reqs: List[Request], *,
-                 prepared: Optional[PreparedFlush] = None,
-                 arena=None) -> None:
+    def _attempt(self, reqs: List[Request]) -> None:
         """One coalesced execution attempt; resolves handles on success.
 
         With a tracer, each attempt records one ``flush`` trace —
@@ -738,8 +650,7 @@ class ModelServer:
         reads per flush, nothing per request.
         """
         model = self.model
-        if arena is None:
-            arena = model.arena
+        arena = model.arena
         tracer = self.tracer
         flush_t = self._clock()
         flush_span = (tracer.start_span(
@@ -752,54 +663,45 @@ class ModelServer:
             model.release()
             for req in reqs:
                 req.attempts += 1
-            if prepared is not None:
-                # continuous batching: the former already linearized this
-                # exact live set; skip coalesce (that's the overlap)
-                self._pipeline_prepared_used += 1
-                batch = prepared.batch
-                seeds = None
-                check = prepared.check
-                if flush_span is not None:
-                    flush_span.set_attribute("prepared", True)
-            else:
-                check = self._validate is Validate.ALWAYS or (
-                    self._validate is Validate.FIRST
-                    and not self._validated)
-                linearizer = (model.lowered.linearizer if check
-                              else model.fast_linearizer())
+            check = self._validate is Validate.ALWAYS or (
+                self._validate is Validate.FIRST and not self._validated)
             t_coalesce = self._clock()
-            if prepared is not None:
-                pass
-            elif self.memo is not None:
+            if self.memo is not None:
                 batch = self.memo.coalesce([r.roots for r in reqs],
                                            check=check)
                 seeds = batch.seeds
             else:
-                batch = coalesce(reqs, linearizer)
+                batch = coalesce(reqs, model.lowered.linearizer if check
+                                 else model.fast_linearizer())
                 seeds = None
             t_exec = self._clock()
             res = execute_plan(model.plan, batch.lin, model.params,
                                device=self.device, arena=arena,
                                faults=self.faults, profiler=self.profiler,
                                seeds=seeds)
-            t_scatter = self._clock()
-            per_request = scatter(batch, res.workspace, self._outputs)
-            if self.memo is not None:
-                # verify (optional) then commit — both only after the
-                # whole flush executed, so an injected fault can never
-                # leave partial rows in the cache; commit copies rows
-                # before the arena reclaims the workspace below
-                if self.memo.policy.verify:
-                    self.memo.verify([r.roots for r in reqs], batch,
-                                     self._outputs, per_request)
-                self.memo.commit(batch, res.workspace)
-                if tracer is not None:
-                    tracer.instant(
-                        "memo_splice", hits=batch.hits,
-                        spliced_nodes=batch.spliced_nodes,
-                        executed_nodes=batch.executed_nodes,
-                        full_hit_requests=batch.full_hit_requests)
-            arena.release_many(res.arena_buffers)
+            try:
+                t_scatter = self._clock()
+                per_request = scatter(batch, res.workspace, self._outputs)
+                if self.memo is not None:
+                    # verify (optional) then commit — both only after the
+                    # whole flush executed, so an injected fault can never
+                    # leave partial rows in the cache; commit copies rows
+                    # before the arena reclaims the workspace below
+                    if self.memo.policy.verify:
+                        self.memo.verify([r.roots for r in reqs], batch,
+                                         self._outputs, per_request)
+                    self.memo.commit(batch, res.workspace)
+                    if tracer is not None:
+                        tracer.instant(
+                            "memo_splice", hits=batch.hits,
+                            spliced_nodes=batch.spliced_nodes,
+                            executed_nodes=batch.executed_nodes,
+                            full_hit_requests=batch.full_hit_requests)
+            finally:
+                # the leases go back on every exit once execute_plan has
+                # succeeded: a scatter / verify failure must not drop the
+                # flush's workspace from the pool
+                arena.release_many(res.arena_buffers)
         except Exception as exc:
             if flush_span is not None:
                 flush_span.set_attribute("exception", type(exc).__name__)
@@ -909,13 +811,7 @@ class ModelServer:
         return self._thread is not None
 
     def start(self) -> "ModelServer":
-        """Spawn the worker thread that owns flushing (async mode).
-
-        With ``pipeline="double"`` two threads start: the batch former
-        (take + coalesce) and the executor (claim + execute + scatter +
-        resolve), connected by a depth-1 handoff — flush *k+1* is being
-        formed while flush *k* executes.
-        """
+        """Spawn the worker thread that owns flushing (threaded mode)."""
         with self._lifecycle_lock:
             if self._closed:
                 raise ServingError("server is closed; build a new one")
@@ -939,33 +835,18 @@ class ModelServer:
                         "which builds private-arena views")
                 ModelServer._arena_owners[key] = weakref.ref(self)
             self._stop = False
-            if self._pipeline == "double":
-                self._handoff = queue_mod.Queue(maxsize=1)
-                self._arena_rotation = queue_mod.Queue()
-                self._arena_rotation.put(self.model.arena)
-                self._arena_rotation.put(self._spare_arena)
-                self._exec_thread = threading.Thread(
-                    target=self._exec_worker, name="cortex-serve-exec",
-                    daemon=True)
-                self._exec_thread.start()
-                target = self._former_worker
-            else:
-                target = self._worker
-            self._thread = threading.Thread(target=target,
+            self._thread = threading.Thread(target=self._worker,
                                             name="cortex-serve",
                                             daemon=True)
             self._thread.start()
             return self
 
     def stop(self) -> None:
-        """Stop the worker(s); pending requests drain before they exit.
+        """Stop the worker; pending requests drain before it exits.
 
         Idempotent and safe to race: concurrent and repeated ``stop()``
         calls serialize on the lifecycle lock, and every call returns
-        only after the queue is drained.  Ordering under the pipeline:
-        the former stops taking, pushes what it already formed, the
-        executor finishes every in-flight flush, and only then does the
-        final straggler drain run — so each taken request resolves
+        only after the queue is drained — so each taken request resolves
         exactly once and every root span closes.
         """
         with self._lifecycle_lock:
@@ -980,13 +861,6 @@ class ModelServer:
                 self._stop = True
                 self._cond.notify_all()
             thread.join()
-            if self._exec_thread is not None:
-                # the former's last act was the None sentinel; the
-                # executor drains every already-formed flush first
-                self._exec_thread.join()
-                self._exec_thread = None
-                self._handoff = None
-                self._arena_rotation = None
             self._thread = None
             # a submit() racing with shutdown may have enqueued after the
             # worker's final drain; serve those here so no handle hangs
@@ -1032,65 +906,6 @@ class ModelServer:
                                         if len(self.scheduler) else None)
         self.drain()
 
-    # -- continuous batching (pipeline="double") ---------------------------
-    def _prepare(self, taken: List[Request]) -> PreparedFlush:
-        """Optimistically coalesce a taken batch ahead of execution.
-
-        Runs on the former thread, off the flush lock — this is the work
-        that overlaps the executor's current flush.  Handles are *not*
-        claimed: the executor re-arbitrates liveness at execution time,
-        and a prepared batch that no longer matches is simply discarded.
-        """
-        check = self._validate is Validate.ALWAYS or (
-            self._validate is Validate.FIRST and not self._validated)
-        now = self._clock()
-        live = [r for r in taken
-                if not r.handle.done() and not r.expired(now)]
-        batch = None
-        if live:
-            try:
-                linearizer = (self.model.lowered.linearizer if check
-                              else self.model.fast_linearizer())
-                batch = coalesce(live, linearizer)
-                self._pipeline_prepared += 1
-            except Exception:
-                # a handle resolved mid-coalesce (cancel racing the
-                # former); the executor falls back to a fresh coalesce
-                batch = None
-        return PreparedFlush(taken=taken, batch=batch, check=check)
-
-    def _former_worker(self) -> None:
-        """Pipeline stage 1: expire, take, coalesce, hand off."""
-        handoff = self._handoff
-        while not self._stop:
-            self._expire_queued()
-            if self.scheduler.should_flush():
-                taken = self.scheduler.take()
-                if taken:
-                    # blocks while the executor still holds flush k-1:
-                    # the depth-1 handoff is the double buffer
-                    handoff.put(self._prepare(taken))
-                    continue
-            with self._cond:
-                if not self._stop and not self.scheduler.should_flush():
-                    self._cond.wait(self._wake_interval_s
-                                    if len(self.scheduler) else None)
-        handoff.put(None)  # sentinel: executor drains, then exits
-
-    def _exec_worker(self) -> None:
-        """Pipeline stage 2: claim, execute, scatter, resolve."""
-        while True:
-            pf = self._handoff.get()
-            if pf is None:
-                return
-            arena = self._arena_rotation.get()
-            try:
-                with self._flush_lock:
-                    self._execute_flush(pf.taken, prepared=pf,
-                                        arena=arena)
-            finally:
-                self._arena_rotation.put(arena)
-
     def __enter__(self) -> "ModelServer":
         return self.start()
 
@@ -1111,12 +926,6 @@ class ModelServer:
         tenants = self.metrics.tenants()
         if tenants:
             snap["tenants"] = tenants
-        if self._pipeline == "double":
-            snap["pipeline"] = {
-                "prepared": self._pipeline_prepared,
-                "prepared_used": self._pipeline_prepared_used,
-                "fallbacks": self._pipeline_fallbacks,
-            }
         if self.faults is not None:
             snap["faults"] = self.faults.snapshot()
         if self.profiler is not None:

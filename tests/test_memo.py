@@ -534,14 +534,8 @@ def test_faulted_flush_commits_nothing():
         assert np.array_equal(got[out], _solo_rows(m, tree, out))
 
 
-def test_verify_mode_catches_a_poisoned_entry():
-    """Corrupt a cached row by hand: verify must refuse to serve it."""
-    m = _small_model("treernn")
-    cache = MemoCache()
-    sess = MemoSession(m, cache=cache)
-    tree = _balanced(3, np.random.default_rng(CHAOS_SEED))
-    sess.run(tree)
-
+def _poison_entry(m, cache, tree):
+    """Corrupt the cached rows of ``tree``'s root subtree by hand."""
     key = cache_key(m.memo_model_key(), m.params_version,
                     subtree_digest(tree))
     entry = cache.peek(key)
@@ -550,6 +544,17 @@ def test_verify_mode_catches_a_poisoned_entry():
                 for name, row in entry.rows.items()}
     assert cache.put(key, MemoEntry.from_rows(poisoned, entry.nodes))
 
+
+def test_verify_mode_catches_a_poisoned_entry():
+    """Corrupt a cached row by hand: verify must refuse to serve it."""
+    m = _small_model("treernn")
+    cache = MemoCache()
+    sess = MemoSession(m, cache=cache)
+    tree = _balanced(3, np.random.default_rng(CHAOS_SEED))
+    sess.run(tree)
+
+    _poison_entry(m, cache, tree)
+
     checked = MemoSession(m, splicer=MemoSplicer(
         m, cache=cache, policy=MemoPolicy(verify=True)))
     with pytest.raises(MemoVerifyError):
@@ -557,6 +562,28 @@ def test_verify_mode_catches_a_poisoned_entry():
     # without verify the poison would have been served silently — the
     # point of the check
     assert MemoVerifyError.__mro__.index(CortexError) > 0
+
+
+def test_failed_verify_returns_the_flush_workspace_to_the_arena():
+    """A flush that executed but failed verification still hands its
+    leased buffers back: the pool must not shrink across the failure."""
+    m = _small_model("treernn")
+    cache = MemoCache()
+    srv = ModelServer(m, policy=MaxPendingRequests(1), memo="on",
+                      memo_cache=cache, memo_policy=MemoPolicy(verify=True))
+    tree = lambda: _balanced(3, np.random.default_rng(CHAOS_SEED))
+    # the second flush is a full hit, so the third (same pruned shapes)
+    # leases exactly the buffers the second one returned
+    for _ in range(2):
+        srv.submit(tree()).result()
+    before = m.arena.snapshot()["pooled_arrays"]
+    assert before > 0
+
+    _poison_entry(m, cache, tree())
+
+    h = srv.submit(tree())
+    assert isinstance(h.exception(), MemoVerifyError)
+    assert m.arena.snapshot()["pooled_arrays"] >= before
 
 
 # ---------------------------------------------------------------------------

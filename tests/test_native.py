@@ -574,6 +574,41 @@ def test_out_of_range_words_refused_on_both_targets(target, tmp_path):
     model.run(_inputs("treelstm"))
 
 
+@pytest.mark.parametrize("target", ("python", "c"))
+def test_out_of_range_word_after_first_flush_fails_alone(target):
+    """The word-range check outlives ``Validate.FIRST``'s switch to the
+    unvalidated linearizer (and ``Validate.NEVER``): the hostile request
+    fails typed, its co-batched neighbours match solo runs bitwise, and
+    the native launch never sees the out-of-bounds index."""
+    from repro.serve import MaxPendingRequests
+
+    if target == "c" and not native_available():
+        pytest.skip("no C compiler on the host")
+    model = _compile("treelstm", target)
+    server = model.server(policy=MaxPendingRequests(4))
+    first = server.submit(_inputs("treelstm", n=1))
+    server.drain()  # the one structure-validated flush
+    first.result()
+    for word in (VOCAB, 10**6, -3):
+        trees = _inputs("treelstm", n=4, seed=word % 97)
+        hostile = trees[1]
+        while hostile.children:
+            hostile = hostile.children[0]
+        hostile.word = word
+        with pytest.raises(LinearizationError, match="50-row embedding"):
+            model.run(trees[1], validate=Validate.NEVER)
+        handles = [server.submit([t]) for t in trees]
+        assert all(h.done() for h in handles)
+        for i, (t, h) in enumerate(zip(trees, handles)):
+            if i == 1:
+                assert isinstance(h.exception(), LinearizationError)
+                continue
+            solo = model.run(t)
+            for out in model.outputs:
+                assert np.array_equal(h.result().root_output(out),
+                                      solo.root_output(out))
+
+
 # -- serving -------------------------------------------------------------------
 
 @needs_cc

@@ -351,6 +351,36 @@ def test_outputs_subset():
     assert list(res.outputs) == ["rnn_h_ph"]
 
 
+def test_unknown_output_name_refused_at_construction():
+    m = _small_model("treelstm")
+    with pytest.raises(ServingError, match="nope"):
+        ModelServer(m, outputs=["rnn_h_ph", "nope"])
+
+
+def test_server_keyword_surface_is_pinned():
+    """The constructor's options, written out: a keyword added or removed
+    shows up here, and a misspelt one fails where the server is built —
+    through ``model.server`` and through a pool alike — not at first
+    flush."""
+    import inspect
+
+    from repro.serve import WorkerPool
+
+    kwonly = {n for n, p in inspect.signature(ModelServer).parameters.items()
+              if p.kind is p.KEYWORD_ONLY}
+    assert kwonly == {
+        "policy", "max_queue", "validate", "admission",
+        "max_request_nodes", "retry", "faults", "outputs", "device",
+        "tracer", "profiler", "clock", "wake_interval_s", "memo",
+        "memo_cache", "memo_policy", "name", "fair_share",
+        "request_id_base"}
+    m = _small_model("treernn")
+    with pytest.raises(TypeError, match="no_such_option"):
+        m.server(no_such_option=1)
+    with pytest.raises(TypeError, match="no_such_option"):
+        WorkerPool(m, replicas=2, no_such_option=1)
+
+
 # ---------------------------------------------------------------------------
 # threaded mode
 

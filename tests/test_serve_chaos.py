@@ -543,8 +543,8 @@ def test_threaded_stop_during_injected_failures_leaves_no_handle_pending():
     assert not srv.running
 
 # ---------------------------------------------------------------------------
-# pool + async chaos lane: replica pools and continuous batching under
-# the same seeded fault streams as the single-server lanes above
+# pool + async chaos lane: replica pools under the same seeded fault
+# streams as the single-server lanes above
 
 
 def test_acceptance_pooled_continuous_batching_bitwise_vs_sync_solo():
@@ -552,7 +552,7 @@ def test_acceptance_pooled_continuous_batching_bitwise_vs_sync_solo():
 
     A seeded 200-request chaos stream (mixed batch sizes, priorities and
     tenants, slow-flush faults on every replica) through a 4-replica
-    pool with continuous batching must produce outputs bitwise identical
+    pool must produce outputs bitwise identical
     to a single-replica synchronous server fed the same stream, resolve
     every handle exactly once, and close exactly one root span per
     request.
@@ -572,7 +572,7 @@ def test_acceptance_pooled_continuous_batching_bitwise_vs_sync_solo():
                        int(rng.integers(0, 3)),       # priority
                        f"t{int(rng.integers(0, 4))}"))  # tenant
 
-    # baseline: single replica, single buffer, synchronous driving
+    # baseline: single replica, synchronous driving
     baseline = ModelServer(_private_arena_view(m),
                            policy=MaxPendingRequests(4))
     base_handles = [baseline.submit(roots, priority=p, tenant=t)
@@ -587,7 +587,7 @@ def test_acceptance_pooled_continuous_batching_bitwise_vs_sync_solo():
         faults=lambda i: FaultInjector(seed=CHAOS_SEED + i,
                                        slow_flush_rate=0.25,
                                        slow_flush_s=0.0002),
-        policy=MaxPendingRequests(4), pipeline="double", fair_share=True)
+        policy=MaxPendingRequests(4), fair_share=True)
     resolutions = []
     with pool:
         handles = [pool.submit(roots, priority=p, tenant=t)
@@ -613,13 +613,9 @@ def test_acceptance_pooled_continuous_batching_bitwise_vs_sync_solo():
     assert sorted(resolutions) == sorted(h.request_id for h in handles)
     assert all(h.done() for h in handles)
 
-    # chaos actually happened, and continuous batching actually engaged
+    # chaos actually happened
     total_slow = sum(r.server.faults.slow_flushes for r in pool.replicas)
     assert total_slow > 0
-    prepared_used = sum(
-        r.server.metrics_snapshot()["pipeline"]["prepared_used"]
-        for r in pool.replicas)
-    assert prepared_used > 0
 
     # one closed root span per request, none dangling
     assert pool.dangling_root_spans() == []
@@ -629,7 +625,7 @@ def test_acceptance_pooled_continuous_batching_bitwise_vs_sync_solo():
 
 
 def test_pool_chaos_kernel_faults_bitwise_or_typed_across_replicas():
-    """The tentpole chaos invariant holds through a pipelined pool: with
+    """The tentpole chaos invariant holds through a pool: with
     per-replica injectors firing transient kernel faults, every request
     either heals to bitwise-identical outputs or fails typed."""
     from repro.serve import WorkerPool
@@ -639,14 +635,14 @@ def test_pool_chaos_kernel_faults_bitwise_or_typed_across_replicas():
         m, replicas=2, balancer="least_loaded",
         faults=lambda i: FaultInjector(seed=CHAOS_SEED + i,
                                        kernel_failure_rate=0.12),
-        policy=MaxPendingRequests(4), pipeline="double",
+        policy=MaxPendingRequests(4),
         retry=RetryPolicy(max_attempts=3, base_delay_s=0.0))
     rng = np.random.default_rng(CHAOS_SEED)
     requests = [_request("treelstm", rng) for _ in range(60)]
     with pool:
         handles = [pool.submit(r) for r in requests]
-        # force out sub-policy stragglers; in-flight prepared flushes
-        # and retries then resolve on the executor threads
+        # force out sub-policy stragglers; in-flight flushes and
+        # retries then resolve on the worker threads
         pool.drain()
         for h in handles:
             h.exception(30)
@@ -665,7 +661,7 @@ def test_pool_chaos_kernel_faults_bitwise_or_typed_across_replicas():
 
 
 def test_pool_async_chaos_mixed_lifecycle_under_faults():
-    """asubmit through a faulted pipelined pool: deadlines expire typed,
+    """asubmit through a faulted pool: deadlines expire typed,
     cancels win or lose cleanly, survivors retry to bitwise outputs."""
     import asyncio
 
@@ -680,7 +676,7 @@ def test_pool_async_chaos_mixed_lifecycle_under_faults():
             m, replicas=2,
             faults=lambda i: FaultInjector(seed=CHAOS_SEED + i,
                                            kernel_failure_rate=0.15),
-            policy=MaxPendingRequests(4), pipeline="double",
+            policy=MaxPendingRequests(4),
             retry=RetryPolicy(max_attempts=3, base_delay_s=0.0))
         pool.start()
         try:

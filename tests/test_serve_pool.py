@@ -1,4 +1,4 @@
-"""Replica pools, the asyncio bridge, and continuous batching.
+"""Replica pools, the asyncio bridge, and the threaded flush loop.
 
 Three layers of the scale-out serving PR under one suite:
 
@@ -8,13 +8,12 @@ Three layers of the scale-out serving PR under one suite:
   single-server snapshot keys;
 * :class:`~repro.serve.aio.AsyncRequestHandle` — lifecycle parity
   (deadline, cancel, retry) between ``await`` and the thread API;
-* ``pipeline="double"`` — the former/executor thread pair with
-  double-buffered arenas, prepared-batch fallbacks, and the invariant
-  that pipelining never changes outputs.
+* the one worker thread — stop/start/close ordering, and claim time as
+  the single arbitration point for a cancel racing a taken batch.
 
 The cross-cutting invariant everywhere: whatever the replica count,
-balancer, pipeline mode or fault schedule, every completed request's
-outputs are bitwise identical to a single-replica synchronous server.
+balancer or fault schedule, every completed request's outputs are
+bitwise identical to a single-replica synchronous server.
 """
 
 import asyncio
@@ -32,8 +31,8 @@ from repro.errors import (CircuitOpenError, DeadlineExceededError,
 from repro.obs import Tracer
 from repro.serve import (AsyncRequestHandle, Deadline, FaultInjector,
                          LeastLoaded, MaxPendingRequests, ModelServer,
-                         PreparedFlush, RoundRobin, Router, Scheduler,
-                         SloAware, WorkerPool, coalesce)
+                         RoundRobin, Router, Scheduler, SloAware,
+                         WorkerPool)
 from repro.serve.request import Request, RequestHandle
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -376,81 +375,36 @@ def test_router_add_pool_dispatch_and_lifecycle(model):
 
 
 # ---------------------------------------------------------------------------
-# continuous batching (pipeline="double")
-
-
-def test_pipeline_refuses_memo(model):
-    with pytest.raises(ServingError, match="memo"):
-        ModelServer(model, pipeline="double", memo="on")
-    with pytest.raises(ServingError, match="pipeline"):
-        ModelServer(model, pipeline="triple")
-
-
-def test_pipeline_outputs_bitwise_match_and_use_prepared(model):
-    rng = np.random.default_rng(CHAOS_SEED)
-    reqs = _requests(16, rng)
-    expect = [_solo_rows(model, r) for r in reqs]
-    srv = ModelServer(model, pipeline="double",
-                      policy=MaxPendingRequests(4) | Deadline(1.0))
-    with srv:
-        handles = [srv.submit(r) for r in reqs]
-        got = [h.result(30).root_output(OUT) for h in handles]
-    for e, g in zip(expect, got):
-        assert np.array_equal(e, g)
-    pstats = srv.metrics_snapshot()["pipeline"]
-    assert pstats["prepared"] >= 1
-    assert pstats["prepared_used"] >= 1
-    assert pstats["fallbacks"] == 0
-
-
-def test_pipeline_rotates_both_arenas(model):
-    from repro.serve.router import _private_arena_view
-
-    view = _private_arena_view(model)
-    srv = ModelServer(view, pipeline="double",
-                      policy=MaxPendingRequests(1))
-    rng = np.random.default_rng(CHAOS_SEED)
-    with srv:
-        handles = [srv.submit(r) for r in _requests(8, rng)]
-        for h in handles:
-            h.result(30)
-    # both arenas saw traffic: the model's own and the spare
-    own = view.arena.stats.hits + view.arena.stats.misses
-    spare = (srv._spare_arena.stats.hits
-             + srv._spare_arena.stats.misses)
-    assert own > 0 and spare > 0
+# the threaded flush loop: claim-time arbitration, stop/start/close
 
 
 def test_pipeline_fallback_on_stale_prepared_batch(model):
-    """A prepared batch that no longer matches the claimed live set is
-    discarded — cancellation keeps exact thread-API semantics."""
+    """A cancel landing between ``scheduler.take()`` and the claim fails
+    typed; both co-taken neighbours still match their solo rows."""
     from repro.serve.router import _private_arena_view
 
-    view = _private_arena_view(model)
-    srv = ModelServer(view, pipeline="double")
+    srv = ModelServer(_private_arena_view(model))
     rng = np.random.default_rng(CHAOS_SEED)
     reqs = _requests(3, rng)
     expect = [_solo_rows(model, r) for r in reqs]
     handles = [srv.submit(r) for r in reqs]
     taken = srv.scheduler.take()
-    prepared = srv._prepare(taken)
-    assert prepared.batch is not None and len(
-        prepared.batch.requests) == 3
-    # a cancel lands between forming and claiming
+    assert len(taken) == 3
     assert handles[1].cancel()
-    srv._run_batch(taken, prepared=prepared)
-    assert srv._pipeline_fallbacks == 1
+    srv._run_batch(taken)
     assert np.array_equal(handles[0].result(0).root_output(OUT),
                           expect[0])
     with pytest.raises(RequestCancelledError):
         handles[1].result(0)
     assert np.array_equal(handles[2].result(0).root_output(OUT),
                           expect[2])
+    assert srv.metrics_snapshot()["cancelled"] == 1
 
 
 def test_pipeline_stop_drains_everything(model):
-    srv = ModelServer(model, pipeline="double",
-                      policy=MaxPendingRequests(4))
+    """submit -> take -> execute -> resolve survives stop(): everything
+    queued drains, start() works again, close() is final."""
+    srv = ModelServer(model, policy=MaxPendingRequests(4))
     srv.start()
     rng = np.random.default_rng(CHAOS_SEED)
     handles = [srv.submit(r) for r in _requests(21, rng)]
