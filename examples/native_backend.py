@@ -9,7 +9,7 @@ per-element Python dispatch.
 
 This example compiles TreeLSTM under both targets, checks the outputs
 agree (bitwise where the C and NumPy arithmetic match exactly,
-tolerance-bounded where libm/BLAS reassociation differs — see
+tolerance-bounded where the C polynomials or BLAS reassociation differ — see
 ``parity_classification``), and times them head to head at batch size 1,
 the regime where NumPy's per-op dispatch overhead dominates.
 
@@ -65,6 +65,7 @@ def main() -> None:
     nm = getattr(native.compiled, "native", None)
     if nm is not None:
         print(f"native module: {nm.cc} -> {nm.so_path}")
+        print(f"this host's CPU picked the {nm.variant!r} kernel variant")
     else:
         print("no C compiler found; running on the Python target")
 
@@ -78,7 +79,7 @@ def main() -> None:
         print(f"  {name}: max |python - c| = {diff:.2e}")
         np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
     # which kernels are *expected* to match bitwise, and which only to
-    # tolerance (libm transcendentals, BLAS-reassociated matmuls)?
+    # tolerance (polynomial transcendentals, BLAS-reassociated matmuls)?
     for kname, cls in parity_classification(native.lowered.module).items():
         tag = "bitwise" if cls["bitwise"] else \
             f"tolerance ({', '.join(cls['reasons'])})"

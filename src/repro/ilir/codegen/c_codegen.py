@@ -14,42 +14,69 @@ The native generator mirrors ``python_codegen.PythonCodegen`` construct
 for construct so the two targets agree bitwise wherever the arithmetic
 is reassociation-free:
 
-* elementwise nests translate to scalar loop nests over the same
-  iteration domain, with flat row-major buffer indexing;
+* elementwise nests translate to loop nests over the same iteration
+  domain, with flat row-major buffer indexing;
 * variable-extent child reductions become a serial loop over the
   compile-time ``max_children`` accumulating ``(k < extent) ? body : 0``
   in the same slot order as the masked NumPy loop;
-* constant-extent reductions become serial first-assign/fold loops;
-* the contraction among them — ``out[rows.., j] = sum_r W[j, r] *
-  x[rows.., r]`` with ``W`` a never-written weight and ``x`` a per-node
-  row, possibly gathered through ``child[...]`` — gets a schedule instead
-  of a fold: the rows (node axis times the other output axes, flattened)
-  go two at a time and the columns ``j`` sixteen at a time, held in
-  2 x 4 four-lane float32 vector accumulators; each loaded weight
-  vector feeds both rows, each row element is splat across the lanes,
-  and ``r`` walks
-  its extent in ascending order starting from the first product,
-  multiply then add.  A lane is one output element, so every output sees
-  exactly the fold's operation sequence and the result is bitwise the
-  fold's.  The schedule needs ``j`` contiguous in the weight: the kernel
-  takes ``W``'s C-contiguous transpose through an extra pointer
-  (``<W>_T``; :attr:`KernelSignature.packed`) that the launcher packs
-  once per weight array.  Columns past the full tiles take one narrower
-  vector tile, then scalar columns.  Everything the matcher refuses
-  (min/max, non-constant extents, both operands node-indexed, guarded
-  nests, dtypes other than float32) keeps the fold.
+* constant-extent reductions become serial first-assign/fold loops.
 
-Where the Python target reassociates floating point — BLAS einsum
-contractions and NumPy's SIMD transcendentals — results are only
+On top of that it makes three schedule choices, none visible in the IR:
+
+* **Contractions** — ``out[rows.., j] = sum_r W[j, r] * x[rows.., r]``
+  with ``W`` a never-written weight and ``x`` a per-node row, possibly
+  gathered through ``child[...]`` — get a schedule instead of a fold.
+  The rows (node axis times the other output axes, flattened) go two at
+  a time through one outlined microkernel per ``(n_red, n_cols, rows)``
+  shape, shared by every nest of that shape; inside, the columns ``j``
+  go a *panel* (four vectors) at a time, held in 2 x 4 float32 vector
+  accumulators: each loaded weight vector feeds both rows, each row
+  element is splat across the lanes, and ``r`` walks its extent in
+  ascending order starting from the first product, multiply then add.
+  A lane is one output element, so every output sees exactly the fold's
+  operation sequence and the result is bitwise the fold's.  The kernel
+  takes ``W`` packed as column panels through an extra pointer
+  (``<W>_P``; :attr:`KernelSignature.packed`,
+  :func:`repro.runtime.kernels.panel_packed`) so that a tile streams its
+  ``[n_red][panel]`` block front to back; the launcher packs once per
+  weight array.  Columns past the full panels take one narrower vector
+  tile, then scalar columns.  Everything the matcher refuses (min/max,
+  non-constant extents, both operands node-indexed, guarded nests,
+  dtypes other than float32) keeps the fold.
+* **Two ISA variants** (:data:`VARIANTS`).  Every kernel body and
+  microkernel is emitted at 4 lanes (``k_<name>_base``, portable 16-byte
+  vectors) and, under ``REPRO_AVX2`` (x86-64, GCC/Clang), again at 8
+  lanes inside ``__attribute__((target("avx2")))`` functions
+  (``k_<name>_avx2``).  A constructor asks
+  ``__builtin_cpu_supports("avx2")`` once; the exported ``k_<name>``
+  forwards to the variant it allows and ``repro_lanes()`` reports it, so
+  the launcher packs panels of that width.  No ``-march`` flag: the
+  ``.so`` runs wherever it is loaded.  Lanes stay distinct outputs and
+  products are rounded before they are added (no FMA), so both variants
+  produce the fold's bits.  (32-byte vectors compiled *without* AVX run
+  several times slower than 16-byte ones, hence two bodies, not one.)
+* **Lane loops** (:class:`_VTx`).  An elementwise nest whose innermost
+  axis is a constant extent stored at unit stride, whose reads are
+  unit-stride or invariant in it, runs that axis ``lanes`` iterations per
+  step — masked child-sums included, their slot mask being the same for
+  every lane — and the extent's tail as one partial vector through the
+  same operations.  float32 ``exp`` / ``sigmoid`` / ``tanh`` lower to the
+  prelude's own polynomials (``repro_vexpf<lanes>`` ...; the scalar
+  ``repro_expf`` ... are their lane 0), so C-target bits do not depend
+  on the host's libm.
+
+Where the two targets run different code — BLAS einsum contractions,
+which reassociate, and the transcendentals (the prelude's polynomials,
+libm ``log`` / ``erf``, vs NumPy's) — results are only
 tolerance-comparable; :func:`parity_classification` reports, per kernel,
 whether bitwise parity is expected and why not when it is not.
 
 Kernel entry points use one uniform ABI so the host-side launcher stays
 trivial::
 
-    void k_<name>(<buf ptrs...>, <const int32_t* uf arrays...>,
-                  <const packed weight ptrs...>,
-                  const int64_t* S, int64_t begin, int64_t length);
+    void k_<name>[_<variant>](<buf ptrs...>, <const int32_t* uf arrays...>,
+                              <const packed weight ptrs...>,
+                              const int64_t* S, int64_t begin, int64_t length);
 
 ``S`` packs the scalar parameters the kernel mentions (a
 :class:`KernelSignature` records which, in order); ``begin``/``length``
@@ -211,9 +238,11 @@ NATIVE_SCALARS = ("num_nodes", "num_leaves", "num_batches", "leaf_start",
 NATIVE_CTYPES = {"float32": "float", "float64": "double",
                  "int32": "int32_t", "int64": "int64_t", "bool": "uint8_t"}
 
-#: libm / helper spelling per intrinsic, by float width.
+#: C spelling per intrinsic, by float width.  float32 ``tanh`` /
+#: ``sigmoid`` / ``exp`` are the prelude's own polynomials (lane 0 of the
+#: vector functions elementwise nests call); the rest is libm.
 _NATIVE_CALLS = {
-    "float32": {"tanh": "tanhf", "exp": "expf", "log": "logf",
+    "float32": {"tanh": "repro_tanhf", "exp": "repro_expf", "log": "logf",
                 "sqrt": "sqrtf", "erf": "erff",
                 "sigmoid": "repro_sigmoidf", "relu": "repro_reluf",
                 "tanh_rational": "repro_tanh_rationalf",
@@ -225,10 +254,15 @@ _NATIVE_CALLS = {
                 "sigmoid_rational": "repro_sigmoid_rational"},
 }
 
-#: intrinsics whose libm implementation is not guaranteed bit-identical to
-#: NumPy's SIMD vector math (the rational approximations and relu are pure
-#: rational arithmetic and *are* exact).
-_TRANSCENDENTALS = frozenset({"tanh", "sigmoid", "exp", "log", "sqrt", "erf"})
+#: float32 intrinsics with a vector form in the prelude (the lanes of an
+#: elementwise nest call ``repro_v<name><lanes>``)
+_VECTOR_CALLS = {"tanh": "tanhf", "sigmoid": "sigmoidf", "exp": "expf",
+                 "relu": "reluf"}
+
+#: intrinsics whose C and NumPy implementations are different code, so
+#: results agree to tolerance only.  (``sqrt`` is correctly rounded by
+#: both; relu and the rational approximations are plain arithmetic.)
+_TRANSCENDENTALS = frozenset({"tanh", "sigmoid", "exp", "log", "erf"})
 
 _C_PRELUDE = '''\
 #include <math.h>
@@ -258,13 +292,8 @@ static inline int64_t repro_imod(int64_t a, int64_t b) {
 static inline float repro_reluf(float x) { return x > 0.0f ? x : 0.0f; }
 static inline double repro_relu(double x) { return x > 0.0 ? x : 0.0; }
 
-/* Branchless-form stable sigmoid: the same formula as the fast Python
- * target's sigmoid_fast (exp of a non-positive argument, one divide). */
-static inline float repro_sigmoidf(float x) {
-  float z = expf(-fabsf(x));
-  float t = 1.0f + z;
-  return x >= 0.0f ? 1.0f / t : z / t;
-}
+/* Branchless-form stable sigmoid: the same formula as the Python target's
+ * sigmoid_fast (exp of a non-positive argument, one divide). */
 static inline double repro_sigmoid(double x) {
   double z = exp(-fabs(x));
   double t = 1.0 + z;
@@ -297,19 +326,143 @@ static inline int64_t repro_isleaf(int64_t leaf_start,
   return leaf_start >= 0 ? (n >= leaf_start) : (num_children[n] == 0);
 }
 
-/* 16-byte float vectors (GCC/Clang vector extension; SSE2/NEON without
- * any -march flag).  Contraction tiles put one output element in each
- * lane, so a lane sees exactly the scalar loop's multiply-then-add
- * sequence. */
-typedef float repro_vf __attribute__((vector_size(16)));
-static inline repro_vf repro_vf_load(const float* p) {
-  repro_vf v; __builtin_memcpy(&v, p, sizeof v); return v;
+'''
+
+#: float32 vector helpers, instantiated once per ISA variant (``@L@``
+#: lanes, ``@B@`` bytes, ``@T@`` the variant's function attribute).  A
+#: 32-byte vector must never cross a function boundary compiled without
+#: AVX, so the small ones are ``always_inline``; the three polynomials
+#: stay out of line (one copy per variant, or ``cc`` time grows by half)
+#: and carry the variant's target attribute like their callers.
+_C_VECTOR_PRELUDE = '''\
+/* ---- @L@-lane float32 vectors (@B@ bytes; GCC/Clang vector extension).
+ * One output element per lane, so a lane sees exactly the scalar loop's
+ * operation sequence. */
+typedef float repro_vf@L@ __attribute__((vector_size(@B@)));
+typedef int32_t repro_vi@L@ __attribute__((vector_size(@B@)));
+#define REPRO_V@L@ @T@static inline __attribute__((always_inline))
+#define REPRO_VMATH@L@ @T@static __attribute__((noinline, unused))
+REPRO_V@L@ repro_vf@L@ repro_vload@L@(const float* p) {
+  repro_vf@L@ v; __builtin_memcpy(&v, p, sizeof v); return v;
 }
-static inline void repro_vf_store(float* p, repro_vf v) {
+REPRO_V@L@ void repro_vstore@L@(float* p, repro_vf@L@ v) {
   __builtin_memcpy(p, &v, sizeof v);
 }
-static inline repro_vf repro_vf_splat(float x) {
-  return (repro_vf){x, x, x, x};
+/* the first n lanes only (an extent's tail): no byte past them is touched */
+REPRO_V@L@ repro_vf@L@ repro_vloadn@L@(const float* p, int n) {
+  repro_vf@L@ v = {0.0f}; __builtin_memcpy(&v, p, n * sizeof(float)); return v;
+}
+REPRO_V@L@ void repro_vstoren@L@(float* p, repro_vf@L@ v, int n) {
+  __builtin_memcpy(p, &v, n * sizeof(float));
+}
+/* a shuffle, not a {x, x, ..} literal: GCC lowers the literal to one
+ * insert per lane inside target("avx2") functions */
+REPRO_V@L@ repro_vf@L@ repro_vsplat@L@(float x) {
+  repro_vf@L@ v = {x};
+#if defined(__clang__)
+  return __builtin_shufflevector(v, v, @ZEROS@);
+#else
+  return __builtin_shuffle(v, (repro_vi@L@){0});
+#endif
+}
+REPRO_V@L@ repro_vf@L@ repro_vselect@L@(repro_vi@L@ m, repro_vf@L@ a,
+                                      repro_vf@L@ b) {
+  return (repro_vf@L@)(((repro_vi@L@)a & m) | ((repro_vi@L@)b & ~m));
+}
+REPRO_V@L@ repro_vf@L@ repro_vreluf@L@(repro_vf@L@ x) {
+  return (repro_vf@L@)((repro_vi@L@)x & (x > repro_vsplat@L@(0.0f)));
+}
+/* exp: clamp to the float range, n = round(x / ln 2) by the 1.5 * 2^23
+ * trick, two-constant ln 2 reduction, Cephes' degree-5 polynomial, then
+ * 2^n through the exponent bits in two halves so that results down to
+ * the smallest subnormal and up to FLT_MAX come out rounded once. */
+REPRO_VMATH@L@ repro_vf@L@ repro_vexpf@L@(repro_vf@L@ x) {
+  const repro_vf@L@ magic = repro_vsplat@L@(12582912.0f);
+  const repro_vf@L@ hi = repro_vsplat@L@(89.0f), lo = repro_vsplat@L@(-104.0f);
+  x = repro_vselect@L@(x > hi, hi, x);
+  x = repro_vselect@L@(x < lo, lo, x);
+  repro_vf@L@ t = x * repro_vsplat@L@(1.44269504088896341f) + magic;
+  repro_vf@L@ n = t - magic;
+  repro_vi@L@ ni = (repro_vi@L@)t - (repro_vi@L@)magic;
+  repro_vf@L@ r = x - n * repro_vsplat@L@(0.693359375f);
+  r = r - n * repro_vsplat@L@(-2.12194440e-4f);
+  repro_vf@L@ p = repro_vsplat@L@(1.9875691500e-4f);
+  p = p * r + repro_vsplat@L@(1.3981999507e-3f);
+  p = p * r + repro_vsplat@L@(8.3334519073e-3f);
+  p = p * r + repro_vsplat@L@(4.1665795894e-2f);
+  p = p * r + repro_vsplat@L@(1.6666665459e-1f);
+  p = p * r + repro_vsplat@L@(5.0000001201e-1f);
+  p = p * (r * r) + r;
+  p = p + repro_vsplat@L@(1.0f);
+  repro_vi@L@ h = ni >> 1;
+  return p * (repro_vf@L@)((h + 127) << 23)
+           * (repro_vf@L@)((ni - h + 127) << 23);
+}
+/* the stable logistic: z = exp(-|x|), then 1 / (1 + z) or z / (1 + z) */
+REPRO_VMATH@L@ repro_vf@L@ repro_vsigmoidf@L@(repro_vf@L@ x) {
+  repro_vi@L@ sign = (repro_vi@L@)x & (repro_vi@L@)repro_vsplat@L@(-0.0f);
+  repro_vf@L@ z = repro_vexpf@L@(-(repro_vf@L@)((repro_vi@L@)x ^ sign));
+  return repro_vselect@L@(x >= repro_vsplat@L@(0.0f), repro_vsplat@L@(1.0f), z)
+         / (repro_vsplat@L@(1.0f) + z);
+}
+/* tanh on |x|, sign re-attached: Cephes' odd polynomial below 0.625,
+ * 1 - 2 / (exp(2|x|) + 1) from there on */
+REPRO_VMATH@L@ repro_vf@L@ repro_vtanhf@L@(repro_vf@L@ x) {
+  repro_vi@L@ sign = (repro_vi@L@)x & (repro_vi@L@)repro_vsplat@L@(-0.0f);
+  repro_vf@L@ a = (repro_vf@L@)((repro_vi@L@)x ^ sign);
+  repro_vf@L@ z = a * a;
+  repro_vf@L@ p = repro_vsplat@L@(-5.70498872745e-3f);
+  p = p * z + repro_vsplat@L@(2.06390887954e-2f);
+  p = p * z + repro_vsplat@L@(-5.37397155531e-2f);
+  p = p * z + repro_vsplat@L@(1.33314422036e-1f);
+  p = p * z + repro_vsplat@L@(-3.33332819422e-1f);
+  p = p * z * a + a;
+  repro_vf@L@ q = repro_vsplat@L@(1.0f) - repro_vsplat@L@(2.0f)
+      / (repro_vexpf@L@(a + a) + repro_vsplat@L@(1.0f));
+  return (repro_vf@L@)((repro_vi@L@)repro_vselect@L@(
+      a < repro_vsplat@L@(0.625f), p, q) | sign);
+}
+'''
+
+#: float32 ``exp`` / ``sigmoid`` / ``tanh`` outside a lane loop: lane 0
+#: of the base variant's vector function, hence the same bits as a lane
+_C_SCALAR_POLYNOMIALS = '''\
+static inline float repro_expf(float x) {
+  return repro_vexpf4(repro_vsplat4(x))[0];
+}
+static inline float repro_sigmoidf(float x) {
+  return repro_vsigmoidf4(repro_vsplat4(x))[0];
+}
+static inline float repro_tanhf(float x) {
+  return repro_vtanhf4(repro_vsplat4(x))[0];
+}
+'''
+
+#: the avx2 variant is compiled in when the compiler can target AVX2 per
+#: function (``REPRO_AVX2``); a constructor picks the variant once, at
+#: load time
+_AVX2_GUARD = '''\
+#if defined(__x86_64__) && defined(__GNUC__)
+#define REPRO_AVX2 1
+#endif
+'''
+
+_C_DISPATCH = '''\
+#ifdef REPRO_AVX2
+static int repro_use_avx2 = 0;
+__attribute__((constructor)) static void repro_pick_variant(void) {
+  __builtin_cpu_init();
+  repro_use_avx2 = __builtin_cpu_supports("avx2") != 0;
+}
+#endif
+
+/* float32 lanes of the variant the exported kernels dispatch to: the
+ * launcher packs weight panels for that width */
+int repro_lanes(void) {
+#ifdef REPRO_AVX2
+  if (repro_use_avx2) return 8;
+#endif
+  return 4;
 }
 '''
 
@@ -321,6 +474,12 @@ _C_EPILOGUE = '''\
 '''
 
 
+#: how a launcher must lay out ``KernelSignature.packed`` weights; part
+#: of every serialized signature so that a library built for another
+#: layout is never launched
+PACKED_LAYOUT = "panel"
+
+
 @dataclass(frozen=True)
 class KernelSignature:
     """The native launch ABI of one kernel.
@@ -329,10 +488,11 @@ class KernelSignature:
     ``(name, numpy dtype name, writable)`` — workspace buffers first
     (module declaration order), then the int32 UF index arrays
     (alphabetical).  ``packed`` lists, after them, ``(weight name, numpy
-    dtype name)`` for every const pointer that must receive the weight's
-    C-contiguous *transpose* (the layout contraction tiles read; the
-    launcher packs it).  ``scalars`` lists, in :data:`NATIVE_SCALARS`
-    order, the entries of the ``S`` int64 vector.
+    dtype name)`` for every const pointer that must receive the weight
+    packed as column panels (:func:`repro.runtime.kernels.panel_packed`,
+    at the width of the variant the library dispatches to).  ``scalars``
+    lists, in :data:`NATIVE_SCALARS` order, the entries of the ``S``
+    int64 vector.
     """
 
     name: str
@@ -345,6 +505,7 @@ class KernelSignature:
         return {"name": self.name, "kind": self.kind,
                 "arrays": [list(a) for a in self.arrays],
                 "packed": [list(p) for p in self.packed],
+                "packed_layout": PACKED_LAYOUT,
                 "scalars": list(self.scalars)}
 
     @classmethod
@@ -355,6 +516,12 @@ class KernelSignature:
             raise NativeError(
                 f"kernel {data['name']}: launch signature predates the "
                 f"packed-weight ABI (no 'packed' entry)")
+        if data.get("packed_layout") != PACKED_LAYOUT:
+            # e.g. no entry at all: the library reads transposed weights
+            raise NativeError(
+                f"kernel {data['name']}: launch signature was written for "
+                f"packed layout {data.get('packed_layout', 'transpose')!r}, "
+                f"this launcher packs {PACKED_LAYOUT!r}")
         return cls(name=data["name"], kind=data["kind"],
                    arrays=tuple((a[0], a[1], bool(a[2]))
                                 for a in data["arrays"]),
@@ -375,20 +542,55 @@ def signatures_from_json(data: Sequence[dict]) -> Dict[str, KernelSignature]:
     return {s.name: s for s in sigs}
 
 
-#: lanes of the contraction tiles' vector type ``repro_vf`` (float32;
-#: other dtypes keep the scalar fold)
-_LANES = 4
+#: ISA variants every kernel body is emitted at, as ``name -> float32
+#: lanes``.  ``base`` is portable 16-byte vector code; ``avx2`` is the same
+#: generator at 32 bytes inside ``target("avx2")`` functions, compiled in
+#: on x86-64 and chosen at load time.  ``k_<kernel>_<variant>`` is exported
+#: for each; ``k_<kernel>`` dispatches.
+VARIANTS = {"base": 4, "avx2": 8}
 
 #: contraction register tile: rows x vectors of output columns.  2 x 4
 #: accumulators, 4 weight vectors and 2 row splats fill 14 of the 16
-#: vector registers of baseline x86-64.
+#: vector registers of x86-64 (xmm or ymm alike).
 _TILE_ROWS = 2
 _TILE_VECS = 4
 
 
+def panel_width(lanes: int) -> int:
+    """Columns of one packed weight panel at ``lanes``: a tile's width."""
+    return _TILE_VECS * lanes
+
+
 def _packed_name(weight: str) -> str:
-    """C parameter receiving ``weight``'s C-contiguous transpose."""
-    return f"{weight}_T"
+    """C parameter receiving ``weight`` packed as column panels."""
+    return f"{weight}_P"
+
+
+def _variant_target(variant: str) -> str:
+    """Function attribute that compiles a definition for ``variant``."""
+    if variant == "base":
+        return ""
+    return f'__attribute__((target("{variant}"))) '
+
+
+def native_prelude() -> str:
+    """What every generated module opens with: the scalar helpers, then
+    per ISA variant the vector type and its helpers (the avx2 ones behind
+    ``REPRO_AVX2``)."""
+    def vectors(variant: str) -> str:
+        lanes = VARIANTS[variant]
+        return (_C_VECTOR_PRELUDE.replace("@L@", str(lanes))
+                .replace("@B@", str(4 * lanes))
+                .replace("@T@", _variant_target(variant))
+                .replace("@ZEROS@", ", ".join("0" * lanes)))
+
+    return "\n".join([_C_PRELUDE, vectors("base"), _C_SCALAR_POLYNOMIALS,
+                      _AVX2_GUARD, "#ifdef REPRO_AVX2", vectors("avx2"),
+                      "#endif", ""])
+
+
+class _NotVectorizable(Exception):
+    """An elementwise nest the lane loop does not cover (scalar loops)."""
 
 
 @dataclass(frozen=True)
@@ -451,12 +653,17 @@ class _CTx:
     error rather than a silently-wrong launch.
     """
 
-    def __init__(self, gen: "NativeCodegen", env: Dict[str, str]):
+    def __init__(self, gen: "NativeCodegen", env: Dict[str, str],
+                 clamp: bool = False):
         self.gen = gen
         self.env = env
+        #: floor gathered (UF-valued) tensor indices at 0.  For reads whose
+        #: value is masked downstream but whose gather is not: a child
+        #: slot past a node's arity holds ``-1``
+        self.clamp = clamp
 
     def child(self, extra: Dict[str, str]) -> "_CTx":
-        return _CTx(self.gen, {**self.env, **extra})
+        return _CTx(self.gen, {**self.env, **extra}, self.clamp)
 
     def tx(self, e: Expr) -> str:
         if isinstance(e, Const):
@@ -527,6 +734,67 @@ class _CTx:
         return "repro_imin" if op == "min" else "repro_imax"
 
 
+class _VTx:
+    """Expression -> float32 vector C source inside a lane loop.
+
+    The lane loop replaces a nest's innermost axis ``lane``: each lane is
+    one iteration, ``n`` lanes are live (``None``: all of them).  A
+    sub-expression that does not mention the axis is evaluated once by
+    the scalar translator and splat; one that does must be built from
+    unit-stride reads, arithmetic, lane-uniform selects and the
+    intrinsics of :data:`_VECTOR_CALLS` — anything else raises
+    :class:`_NotVectorizable` and the nest keeps its scalar loops.
+    """
+
+    def __init__(self, tx: _CTx, lane: str, n: Optional[int]):
+        self.tx = tx
+        self.lane = lane
+        self.n = n
+        self.lanes = tx.gen.lanes
+
+    def child(self, extra: Dict[str, str]) -> "_VTx":
+        return _VTx(self.tx.child(extra), self.lane, self.n)
+
+    def load(self, addr: str) -> str:
+        if self.n is None:
+            return f"repro_vload{self.lanes}({addr})"
+        return f"repro_vloadn{self.lanes}({addr}, {self.n})"
+
+    def store(self, addr: str, value: str) -> str:
+        if self.n is None:
+            return f"repro_vstore{self.lanes}({addr}, {value})"
+        return f"repro_vstoren{self.lanes}({addr}, {value}, {self.n})"
+
+    def splat(self, scalar: str) -> str:
+        return f"repro_vsplat{self.lanes}({scalar})"
+
+    def uniform(self, e: Expr) -> bool:
+        return self.lane not in free_vars(e)
+
+    def vec(self, e: Expr) -> str:
+        if e.dtype.name != "float32":
+            raise _NotVectorizable
+        if self.uniform(e):
+            return self.splat(self.tx.tx(e))
+        if isinstance(e, TensorRead):
+            last = e.indices[-1]
+            if not (isinstance(last, Var) and last.name == self.lane
+                    and all(self.uniform(i) for i in e.indices[:-1])):
+                raise _NotVectorizable
+            return self.load(f"&{self.tx.gen.read_src(e, self.tx)}")
+        if isinstance(e, BinOp) and e.op in ("add", "sub", "mul", "div"):
+            return f"({self.vec(e.a)} {_INFIX[e.op]} {self.vec(e.b)})"
+        if isinstance(e, UnaryOp) and e.op == "neg":
+            return f"(-{self.vec(e.a)})"
+        if isinstance(e, Call) and e.func in _VECTOR_CALLS:
+            return (f"repro_v{_VECTOR_CALLS[e.func]}{self.lanes}"
+                    f"({self.vec(e.args[0])})")
+        if isinstance(e, Select) and self.uniform(e.cond):
+            return (f"({self.tx.tx(e.cond)} ? {self.vec(e.then_)} : "
+                    f"{self.vec(e.else_)})")
+        raise _NotVectorizable
+
+
 class NativeCodegen:
     """Generates the self-contained C module and per-kernel signatures."""
 
@@ -536,18 +804,31 @@ class NativeCodegen:
         self._tmp = 0
         self._written: frozenset = frozenset(
             n.out.name for k in module.kernels for n in k.nests)
+        # rebound per ISA variant
+        self.variant, self.lanes, self.target = "base", VARIANTS["base"], ""
+        self._microkernels: Dict[str, str] = {}
 
     # -- public ------------------------------------------------------------
     def generate(self) -> Tuple[str, Dict[str, KernelSignature]]:
         if not self.module.kernels or not all(
                 k.nests for k in self.module.kernels):
             raise CodegenError("native codegen requires operator nests")
-        parts = [self._header(), _C_PRELUDE]
+        parts = [self._header(), native_prelude()]
         signatures: Dict[str, KernelSignature] = {}
-        for kernel in self.module.kernels:
-            src, sig = self._emit_kernel(kernel)
-            parts.append(src)
-            signatures[kernel.name] = sig
+        for variant, lanes in VARIANTS.items():
+            self.variant, self.lanes = variant, lanes
+            self.target = _variant_target(variant)
+            self._tmp, self._microkernels = 0, {}
+            kernels = []
+            for kernel in self.module.kernels:
+                src, signatures[kernel.name] = self._emit_kernel(kernel)
+                kernels.append(src)
+            section = list(self._microkernels.values()) + kernels
+            parts += (section if variant == "base"
+                      else ["#ifdef REPRO_AVX2", *section, "#endif"])
+        parts.append(_C_DISPATCH)
+        parts += [self._dispatcher(signatures[k.name])
+                  for k in self.module.kernels]
         parts.append(_C_EPILOGUE)
         return "\n".join(parts), signatures
 
@@ -560,6 +841,29 @@ class NativeCodegen:
                 f"// buffer {buf.name}: {shape} {buf.dtype} @{buf.scope}")
         lines.append("")
         return "\n".join(lines)
+
+    @staticmethod
+    def _params(sig: KernelSignature) -> List[Tuple[str, str]]:
+        """``(C type, name)`` of every parameter of ``sig``'s entry points."""
+        params = [(("" if writable else "const ")
+                   + f"{NATIVE_CTYPES[dtype_name]}*", name)
+                  for name, dtype_name, writable in sig.arrays]
+        params += [(f"const {NATIVE_CTYPES[dtype_name]}*", _packed_name(name))
+                   for name, dtype_name in sig.packed]
+        return params + [("const int64_t*", "S"), ("int64_t", "begin"),
+                         ("int64_t", "length")]
+
+    def _dispatcher(self, sig: KernelSignature) -> str:
+        """The exported ``k_<name>``: the variant picked at load time."""
+        params = self._params(sig)
+        decl = ",\n    ".join(f"{ct} {name}" for ct, name in params)
+        args = ", ".join(name for _, name in params)
+        return "\n".join([
+            f"void {sig.symbol}(", f"    {decl}) {{",
+            "#ifdef REPRO_AVX2",
+            f"  if (repro_use_avx2) {{ {sig.symbol}_avx2({args}); return; }}",
+            "#endif",
+            f"  {sig.symbol}_base({args});", "}", ""])
 
     # -- shared helpers ------------------------------------------------------
     def _fresh(self, hint: str) -> str:
@@ -580,11 +884,17 @@ class NativeCodegen:
 
     def _flat_index(self, shape: Sequence[Expr], indices: Sequence[Expr],
                     tx: _CTx) -> str:
+        def index(i: Expr) -> str:
+            src = tx.tx(i)
+            if tx.clamp and any(isinstance(x, UFCall) for x in walk(i)):
+                return f"repro_imax({src}, 0)"
+            return src
+
         # row-major Horner form: ((i0*e1 + i1)*e2 + i2)...
-        src = f"({tx.tx(indices[0])})"
+        src = f"({index(indices[0])})"
         for dim in range(1, len(indices)):
             ext = self._extent_src(shape[dim], tx)
-            src = f"({src} * ({ext}) + ({tx.tx(indices[dim])}))"
+            src = f"({src} * ({ext}) + ({index(indices[dim])}))"
         return src
 
     def uf_src(self, e: UFCall, tx: _CTx) -> str:
@@ -623,21 +933,14 @@ class NativeCodegen:
                     self._emit_nest(n, body, 1, None, None)
 
         sig = self.abi.signature(kernel, self.module)
-        head = [f"// kernel {kernel.name} (kind={kernel.kind})"]
+        head = [f"// kernel {kernel.name} (kind={kernel.kind}), "
+                f"{self.variant} variant"]
         if kernel.kind == "fused":
             head.append(f"// persistent kernel: {kernel.barriers_per_level} "
                         f"global barrier(s) per level")
-        params = []
-        for name, dtype_name, writable in sig.arrays:
-            ct = NATIVE_CTYPES[dtype_name]
-            const = "" if writable else "const "
-            params.append(f"{const}{ct}* {name}")
-        for name, dtype_name in sig.packed:
-            params.append(f"const {NATIVE_CTYPES[dtype_name]}* "
-                          f"{_packed_name(name)}")
-        params += ["const int64_t* S", "int64_t begin", "int64_t length"]
-        head.append(f"void {sig.symbol}(")
-        head.append("    " + ",\n    ".join(params) + ") {")
+        head.append(f"{self.target}void {sig.symbol}_{self.variant}(")
+        head.append("    " + ",\n    ".join(
+            f"{ct} {name}" for ct, name in self._params(sig)) + ") {")
         for i, s in enumerate(sig.scalars):
             head.append(f"  const int64_t {s} = S[{i}];")
         if not sig.scalars:
@@ -694,12 +997,49 @@ class NativeCodegen:
             self._emit_contraction(nest, contraction, out, indent,
                                    begin_src, length_src)
             return
-        pad = "  " * indent
-        out.append(f"{pad}// {nest.name} [{nest.tag}]")
+        out.append(f"{'  ' * indent}// {nest.name} [{nest.tag}]")
+        mark = self._tmp
+        try:
+            lines: List[str] = []
+            self._emit_loops(nest, lines, indent, begin_src, length_src,
+                             self._lane_axis(nest))
+        except _NotVectorizable:
+            self._tmp, lines = mark, []
+            self._emit_loops(nest, lines, indent, begin_src, length_src, None)
+        out.extend(lines)
+
+    def _lane_axis(self, nest: OpNest) -> AxisSpec:
+        """The innermost axis, when its iterations may run as vector lanes.
+
+        It must be a constant extent that the store walks at unit stride,
+        and a lane may read the output buffer only in its own column
+        (other columns of the row are written by the other lanes).
+        """
+        lane = nest.axes[-1] if nest.axes else None
+        col = nest.out_indices[-1] if nest.out_indices else None
+        if (lane is None or lane.kind == "node" or not _is_const_axis(lane)
+                or nest.out.dtype.name != "float32"
+                or not (isinstance(col, Var) and col.name == lane.var.name)
+                or any(lane.var.name in free_vars(i)
+                       for i in nest.out_indices[:-1])
+                or any(isinstance(x, TensorRead)
+                       and x.buffer.name == nest.out.name
+                       and x.indices[-1].key() != col.key()
+                       for x in walk(nest.body))):
+            raise _NotVectorizable
+        return lane
+
+    def _emit_loops(self, nest: OpNest, out: List[str], indent: int,
+                    begin_src: Optional[str], length_src: Optional[str],
+                    lane: Optional[AxisSpec]) -> None:
+        """The nest's loops, guard and store; ``lane``, its innermost
+        axis, runs as vector lanes instead of a loop."""
         env: Dict[str, str] = {}
         tx = _CTx(self, env)
         depth = 0
         for ax in nest.axes:
+            if ax is lane:
+                continue
             p = "  " * (indent + depth)
             v = ax.var.name
             if ax.kind == "node":
@@ -711,11 +1051,7 @@ class NativeCodegen:
                 env[v] = v
                 depth += 1
                 if nest.lets:
-                    node_var, _ = nest.lets[0]
-                    b = begin_src if begin_src is not None else "0"
-                    out.append(f"{p}  const int64_t {node_var.name} = "
-                               f"({b}) + {v};")
-                    env[node_var.name] = node_var.name
+                    self._bind_node(nest, v, begin_src, env, out, p + "  ")
             else:
                 b = tx.tx(ax.begin)
                 e = tx.tx(ax.extent)
@@ -726,27 +1062,100 @@ class NativeCodegen:
         p = "  " * (indent + depth)
         close_pred = False
         if nest.predicate is not None:
+            if lane is not None and lane.var.name in free_vars(nest.predicate):
+                raise _NotVectorizable
             out.append(f"{p}if ({tx.tx(nest.predicate)}) {{")
             p += "  "
             close_pred = True
 
-        body = nest.body
-        if isinstance(body, Reduce):
-            val_src = self._emit_reduce(body, tx, out, p)
+        if lane is not None:
+            self._emit_lanes(nest, lane, tx, out, p)
         else:
-            val_src = tx.tx(body)
-        target = self._store_target(nest, tx)
-        out.append(f"{p}{target} = {val_src};")
+            body = nest.body
+            if isinstance(body, Reduce):
+                val_src = self._emit_reduce(body, tx, out, p)
+            else:
+                val_src = tx.tx(body)
+            out.append(f"{p}{self._store_target(nest, tx)} = {val_src};")
 
         if close_pred:
             out.append("  " * (indent + depth) + "}")
         for d in range(depth - 1, -1, -1):
             out.append("  " * (indent + d) + "}")
 
+    def _bind_node(self, nest: OpNest, idx_src: str, begin_src: Optional[str],
+                   env: Dict[str, str], out: List[str], pad: str,
+                   ident: Optional[str] = None) -> None:
+        """Bind the nest's node-id let, if anything the nest computes
+        mentions it (an unused binding is a compiler warning)."""
+        node_var = nest.lets[0][0].name
+        exprs = [nest.body, *nest.out_indices]
+        if nest.predicate is not None:
+            exprs.append(nest.predicate)
+        if any(node_var in free_vars(e) for e in exprs):
+            ident = ident or node_var
+            out.append(f"{pad}const int64_t {ident} = "
+                       f"({begin_src or '0'}) + {idx_src};")
+            env[node_var] = ident
+
     def _store_target(self, nest: OpNest, tx: _CTx) -> str:
         buf = nest.out
         self.abi.buffer(buf.name, buf.dtype.name, True)
         return f"{buf.name}[{self._flat_index(buf.shape, nest.out_indices, tx)}]"
+
+    # -- lane loops ----------------------------------------------------------
+    def _emit_lanes(self, nest: OpNest, lane: AxisSpec, tx: _CTx,
+                    out: List[str], pad: str) -> None:
+        """``lane``'s extent, ``self.lanes`` iterations per step, then the
+        tail as one partial vector (same operations, fewer live lanes)."""
+        v, extent = lane.var.name, int(lane.extent.value)
+        full = extent - extent % self.lanes
+        if full:
+            out.append(f"{pad}for (int64_t {v} = 0; {v} < {full}; "
+                       f"{v} += {self.lanes}) {{")
+            self._emit_lane_step(nest, _VTx(tx.child({v: v}), v, None), out,
+                                 pad + "  ")
+            out.append(f"{pad}}}")
+        if extent > full:
+            out.append(f"{pad}{{")
+            self._emit_lane_step(
+                nest, _VTx(tx.child({v: str(full)}), v, extent - full), out,
+                pad + "  ")
+            out.append(f"{pad}}}")
+
+    def _emit_lane_step(self, nest: OpNest, vtx: _VTx, out: List[str],
+                        pad: str) -> None:
+        body = nest.body
+        if isinstance(body, Reduce):
+            val_src = self._emit_lane_child_reduce(body, vtx, out, pad)
+        else:
+            val_src = vtx.vec(body)
+        target = self._store_target(nest, vtx.tx)
+        out.append(f"{pad}{vtx.store('&' + target, val_src)};")
+
+    def _emit_lane_child_reduce(self, red: Reduce, vtx: _VTx, out: List[str],
+                                pad: str) -> str:
+        """:meth:`_emit_masked_child_reduce` over vectors: the slot mask
+        is the same for every lane, so it stays a scalar ternary."""
+        k = red.axes[0]
+        if not (len(red.axes) == 1 and red.op == "sum" and vtx.uniform(k.extent)
+                and any(isinstance(x, UFCall) for x in walk(k.extent))):
+            raise _NotVectorizable
+        acc = self._fresh("acc")
+        kv = self._fresh("k")
+        inner = vtx.child({k.var.name: kv})
+        zero = vtx.splat("0.0f")
+        self.abi.scalars.add("max_children")
+        out.append(f"{pad}repro_vf{self.lanes} {acc} = {zero};")
+        out.append(f"{pad}for (int64_t {kv} = 0; {kv} < max_children; "
+                   f"++{kv}) {{")
+        out.append(f"{pad}  {acc} = {acc} + (({kv} < "
+                   f"({inner.tx.tx(k.extent)})) ? ({inner.vec(red.body)}) : "
+                   f"{zero});")
+        out.append(f"{pad}}}")
+        if not is_zero(red.init):
+            return f"({acc} + {vtx.vec(red.init)})"
+        return acc
 
     # -- contractions --------------------------------------------------------
     def _match_contraction(self, nest: OpNest) -> Optional[_Contraction]:
@@ -802,14 +1211,11 @@ class NativeCodegen:
                           out: List[str], indent: int,
                           begin_src: Optional[str],
                           length_src: Optional[str]) -> None:
-        """Register-tiled, vectorized contraction schedule.
+        """Rows ``_TILE_ROWS`` at a time through the shape's microkernel.
 
-        Vector lanes are distinct output columns and rows go
-        ``_TILE_ROWS`` at a time, so a loaded weight vector feeds one
-        accumulator per row.  Every output starts from its first product
-        and adds the rest in ascending reduce order, multiply then add —
-        the operation sequence of :meth:`_emit_loop_reduce`, hence the
-        same bits.
+        A gathered row index is floored at 0: the slot past a node's
+        arity holds ``-1``, and whatever that row contracts to is masked
+        by every reader downstream, so any in-bounds row will do.
         """
         pad = "  " * indent
         self.abi.packed[m.weight.name] = m.weight.dtype.name
@@ -822,9 +1228,8 @@ class NativeCodegen:
                 self.abi.scalars.add("num_nodes")
                 length_src = "num_nodes"
             rows_src = f"({length_src}) * {rows_src}"
-        out.append(f"{pad}// {nest.name} [{nest.tag}] contraction: "
-                   f"{_TILE_ROWS}x{_TILE_VECS * _LANES} register tiles over "
-                   f"{w_src}[{m.n_red}][{m.n_cols}]")
+        out.append(f"{pad}// {nest.name} [{nest.tag}] contraction over "
+                   f"panel-packed {w_src}[{m.n_red}][{m.n_cols}]")
         rows, q = self._fresh("rows"), self._fresh("q")
         out.append(f"{pad}const int64_t {rows} = {rows_src};")
         out.append(f"{pad}int64_t {q} = 0;")
@@ -838,14 +1243,12 @@ class NativeCodegen:
                 env = self._bind_row(nest, row_axes,
                                      f"{q} + {s}" if s else q, begin_src,
                                      out, pad + "  ")
-                tx = _CTx(self, {**env, m.col.var.name: "0", r_name: "0"})
-                xs.append(self._fresh("x"))
-                os_.append(self._fresh("o"))
-                out.append(f"{pad}  const float* {xs[-1]} = "
-                           f"&{self.read_src(m.row, tx)};")
-                out.append(f"{pad}  float* {os_[-1]} = "
-                           f"&{self._store_target(nest, tx)};")
-            self._emit_tiles(m, w_src, xs, os_, out, pad + "  ")
+                tx = _CTx(self, {**env, m.col.var.name: "0", r_name: "0"},
+                          clamp=True)
+                xs.append(f"&{self.read_src(m.row, tx)}")
+                os_.append(f"&{self._store_target(nest, tx)}")
+            out.append(f"{pad}  {self._microkernel(m, nrows)}({w_src}, "
+                       f"{', '.join(xs + os_)});")
             out.append(f"{pad}}}")
 
     def _bind_row(self, nest: OpNest, row_axes: Sequence[AxisSpec],
@@ -864,75 +1267,104 @@ class NativeCodegen:
             out.append(f"{pad}const int64_t {ident} = {src};")
             env[ax.var.name] = ident
             if ax.kind == "node" and nest.lets:
-                node_var = nest.lets[0][0].name
-                node = self._fresh(node_var + "_")
-                out.append(f"{pad}const int64_t {node} = "
-                           f"({begin_src or '0'}) + {ident};")
-                env[node_var] = node
+                self._bind_node(
+                    nest, ident, begin_src, env, out, pad,
+                    self._fresh(nest.lets[0][0].name + "_"))
         return env
 
-    def _emit_tiles(self, m: _Contraction, w_src: str, xs: Sequence[str],
+    def _microkernel(self, m: _Contraction, nrows: int) -> str:
+        """Name of the outlined ``nrows``-row microkernel of ``m``'s shape
+        (emitted once per variant, shared by every nest of that shape):
+        ``(P, x0.., o0..)`` contracts rows ``x*`` with the panels ``P``
+        into output rows ``o*``."""
+        name = f"repro_mk{m.n_red}x{m.n_cols}r{nrows}_{self.variant}"
+        if name not in self._microkernels:
+            xs = [f"x{s}" for s in range(nrows)]
+            os_ = [f"o{s}" for s in range(nrows)]
+            params = (["const float* P"] + [f"const float* {x}" for x in xs]
+                      + [f"float* {o}" for o in os_])
+            lines = [f"static __attribute__((noinline)) {self.target}void "
+                     f"{name}(", f"    {', '.join(params)}) {{"]
+            self._emit_tiles(m, xs, os_, lines, "  ")
+            self._microkernels[name] = "\n".join(lines + ["}", ""])
+        return name
+
+    def _emit_tiles(self, m: _Contraction, xs: Sequence[str],
                     os_: Sequence[str], out: List[str], pad: str) -> None:
-        """Cover the output columns of ``len(xs)`` rows: full tiles, one
-        narrower vector tile, then scalar columns."""
-        full = _TILE_VECS * _LANES
-        done = m.n_cols - m.n_cols % full
+        """Cover the output columns of ``len(xs)`` rows: full panels, the
+        vectors of the partial panel, then its scalar columns.
+
+        ``P`` holds ``n_cols // panel`` blocks of ``[n_red][panel]``, then
+        the remaining columns as one ``[n_red][tail]`` block
+        (:func:`repro.runtime.kernels.panel_packed`), so a tile's reduce
+        loop streams its block front to back.
+        """
+        panel = panel_width(self.lanes)
+        done = m.n_cols - m.n_cols % panel
+        tail = m.n_cols - done
         if done:
-            jv = self._fresh("j")
-            out.append(f"{pad}for (int64_t {jv} = 0; {jv} < {done}; "
-                       f"{jv} += {full}) {{")
-            self._emit_tile(m, w_src, xs, os_, jv, _TILE_VECS, out,
-                            pad + "  ")
+            out.append(f"{pad}for (int64_t _j = 0; _j < {done}; "
+                       f"_j += {panel}) {{")
+            self._emit_tile(m, f"P + _j * {m.n_red}", panel, xs, os_, "_j",
+                            _TILE_VECS, out, pad + "  ")
             out.append(f"{pad}}}")
-        rem_vecs = (m.n_cols - done) // _LANES
+        tail_src = f"P + {done * m.n_red}"
+        rem_vecs = tail // self.lanes
         if rem_vecs:
             out.append(f"{pad}{{")
-            self._emit_tile(m, w_src, xs, os_, str(done), rem_vecs, out,
-                            pad + "  ")
+            self._emit_tile(m, tail_src, tail, xs, os_, str(done), rem_vecs,
+                            out, pad + "  ")
             out.append(f"{pad}}}")
-            done += rem_vecs * _LANES
-        if done < m.n_cols:
-            jv = self._fresh("j")
-            out.append(f"{pad}for (int64_t {jv} = {done}; {jv} < {m.n_cols}; "
-                       f"++{jv}) {{")
+        first = done + rem_vecs * self.lanes
+        if first < m.n_cols:
+            out.append(f"{pad}for (int64_t _j = {first}; _j < {m.n_cols}; "
+                       f"++_j) {{")
+            out.append(f"{pad}  const float* _wp = {tail_src} + (_j - {done});")
             for s, (x, o) in enumerate(zip(xs, os_)):
                 acc = f"_ac{s}"
-                out.append(f"{pad}  float {acc} = {w_src}[{jv}] * {x}[0];")
+                out.append(f"{pad}  float {acc} = _wp[0] * {x}[0];")
                 out.append(f"{pad}  for (int64_t _kr = 1; _kr < {m.n_red}; "
-                           f"++_kr) {acc} = {acc} + {w_src}[_kr * {m.n_cols} "
-                           f"+ {jv}] * {x}[_kr];")
-                out.append(f"{pad}  {o}[{jv}] = {acc};")
+                           f"++_kr) {acc} = {acc} + _wp[_kr * {tail}] * "
+                           f"{x}[_kr];")
+                out.append(f"{pad}  {o}[_j] = {acc};")
             out.append(f"{pad}}}")
 
-    def _emit_tile(self, m: _Contraction, w_src: str, xs: Sequence[str],
-                   os_: Sequence[str], col_src: str, nvec: int,
-                   out: List[str], pad: str) -> None:
-        """One ``len(xs)`` x ``nvec``-vector accumulator tile at ``col_src``."""
+    def _emit_tile(self, m: _Contraction, w_src: str, stride: int,
+                   xs: Sequence[str], os_: Sequence[str], col_src: str,
+                   nvec: int, out: List[str], pad: str) -> None:
+        """One ``len(xs)`` x ``nvec``-vector accumulator tile at column
+        ``col_src``, over the ``[n_red][stride]`` block at ``w_src``.
+
+        Every output starts from its first product and adds the rest in
+        ascending reduce order, multiply then add — the operation
+        sequence of :meth:`_emit_loop_reduce`, hence the same bits.
+        """
+        lanes = self.lanes
         cells = [(s, v) for s in range(len(xs)) for v in range(nvec)]
 
         def step(first: bool, p: str) -> None:
-            decl = "repro_vf " if first else ""
+            decl = f"repro_vf{lanes} " if first else ""
             at = "0" if first else "_kr"
             for s, x in enumerate(xs):
-                out.append(f"{p}{decl}_sx{s} = repro_vf_splat({x}[{at}]);")
+                out.append(f"{p}{decl}_sx{s} = repro_vsplat{lanes}({x}[{at}]);")
             for v in range(nvec):
                 out.append(f"{p}{decl}_wv{v} = "
-                           f"repro_vf_load(_wp + {v * _LANES});")
+                           f"repro_vload{lanes}(_wp + {v * lanes});")
             for s, v in cells:
                 acc = f"_ac{s}_{v}"
                 out.append(f"{p}{decl}{acc} = " + (
                     f"_wv{v} * _sx{s};" if first
                     else f"{acc} + _wv{v} * _sx{s};"))
 
-        out.append(f"{pad}const float* _wp = {w_src} + {col_src};")
+        out.append(f"{pad}const float* _wp = {w_src};")
         step(True, pad)
         out.append(f"{pad}for (int64_t _kr = 1; _kr < {m.n_red}; ++_kr) {{")
-        out.append(f"{pad}  _wp += {m.n_cols};")
+        out.append(f"{pad}  _wp += {stride};")
         step(False, pad + "  ")
         out.append(f"{pad}}}")
         for s, v in cells:
-            out.append(f"{pad}repro_vf_store({os_[s]} + {col_src} + "
-                       f"{v * _LANES}, _ac{s}_{v});")
+            out.append(f"{pad}repro_vstore{lanes}({os_[s]} + {col_src} + "
+                       f"{v * lanes}, _ac{s}_{v});")
 
     # -- reductions ----------------------------------------------------------
     def _emit_reduce(self, red: Reduce, tx: _CTx, out: List[str],
@@ -974,7 +1406,8 @@ class NativeCodegen:
         The Python target may instead route matching ``sum(read * read)``
         bodies through BLAS einsum, whose accumulation order differs;
         those kernels are tolerance-gated (see
-        :func:`parity_classification`).
+        :func:`parity_classification`).  Gathered indices are floored at
+        0 as in :meth:`_emit_contraction`: nothing guards these reads.
         """
         ct = NATIVE_CTYPES[red.body.dtype.name]
         acc = self._fresh("acc")
@@ -990,7 +1423,7 @@ class NativeCodegen:
                        f"(int64_t)({tx.tx(ax.extent)}); ++{lv}) {{")
             env_extra[ax.var.name] = lv
             depth += 1
-        inner = tx.child(env_extra)
+        inner = _CTx(self, {**tx.env, **env_extra}, clamp=True)
         p = pad + "  " * depth
         v = self._fresh("v")
         out.append(f"{p}{ct} {v} = {inner.tx(red.body)};")
@@ -1023,13 +1456,15 @@ def parity_classification(module: ILModule) -> Dict[str, Dict]:
     """Per-kernel parity expectation of native vs. Python execution.
 
     ``{"bitwise": bool, "reasons": [...]}`` per kernel name.  A kernel is
-    bitwise-exact unless it contains (a) a transcendental intrinsic
-    (libm scalar code vs. NumPy's SIMD vector math may differ in the last
-    ulp) or (b) a constant-extent ``sum(read * read)`` reduction that the
-    Python target may route through BLAS einsum, which reassociates the
-    accumulation.  Classification is conservative: a matching einsum
-    pattern counts as tolerance even if the Python generator's operand
-    matcher bails to the (bitwise) serial loop.
+    bitwise-exact unless it contains (a) a transcendental intrinsic —
+    float32 ``exp`` / ``tanh`` / ``sigmoid`` are the C prelude's own
+    polynomials (1-3 ulp, the same bits on every host) where the Python
+    target calls NumPy's; ``log`` / ``erf`` and everything float64 are the
+    host's libm — or (b) a constant-extent ``sum(read * read)`` reduction
+    that the Python target may route through BLAS einsum, which
+    reassociates the accumulation.  Classification is conservative: a
+    matching einsum pattern counts as tolerance even if the Python
+    generator's operand matcher bails to the (bitwise) serial loop.
     """
     report: Dict[str, Dict] = {}
     for kernel in module.kernels:
@@ -1041,8 +1476,11 @@ def parity_classification(module: ILModule) -> Dict[str, Dict]:
             for e in exprs:
                 for x in walk(e):
                     if isinstance(x, Call) and x.func in _TRANSCENDENTALS:
-                        r = (f"{nest.name}: transcendental {x.func!r} "
-                             f"(libm vs NumPy SIMD)")
+                        own = (x.func in _VECTOR_CALLS
+                               and x.dtype.name == "float32")
+                        r = (f"{nest.name}: transcendental {x.func!r} ("
+                             + ("prelude polynomial" if own else "libm")
+                             + " vs NumPy)")
                         if r not in reasons:
                             reasons.append(r)
             body = nest.body

@@ -18,7 +18,7 @@ from ..ilir.passes.nonlinear_approx import sigmoid_rational, tanh_rational
 
 __all__ = ["tanh", "sigmoid", "sigmoid_fast", "exp", "log", "sqrt", "relu",
            "erf", "tanh_rational", "sigmoid_rational", "einsum2",
-           "einsum2_into", "clear_contig_cache", "contiguous_transpose"]
+           "einsum2_into", "clear_contig_cache", "panel_packed"]
 
 tanh = np.tanh
 exp = np.exp
@@ -130,7 +130,8 @@ def _einsum2_plan(spec: str) -> Optional[Tuple]:
     return plan
 
 
-#: (id(base), transpose axes) -> (weakref(base), C-contiguous transpose).
+#: (id(base), layout) -> (weakref(base), the re-laid-out copy), where the
+#: layout is a GEMM operand's transpose axes or ``("panel", width)``.
 #: Model weights are the only non-contiguous GEMM operands the generated
 #: kernels produce (a square weight's transpose survives ``reshape`` as an
 #: F-ordered view), and the same parameter arrays recur on every call —
@@ -139,12 +140,21 @@ def _einsum2_plan(spec: str) -> Optional[Tuple]:
 #: assumes operands are not mutated *in place* between calls (replacing a
 #: params entry with a new array is always safe); call
 #: :func:`clear_contig_cache` after any in-place weight update.
-_CONTIG_CACHE: Dict[Tuple[int, Tuple[int, ...]], Tuple] = {}
+_CONTIG_CACHE: Dict[Tuple[int, Optional[Tuple]], Tuple] = {}
 
 
 def clear_contig_cache() -> None:
-    """Drop cached contiguous operand transposes (after in-place edits)."""
+    """Drop cached operand copies (after in-place weight edits)."""
     _CONTIG_CACHE.clear()
+
+
+def _cache_copy(key: Tuple[int, Optional[Tuple]], base: np.ndarray,
+                copy: np.ndarray) -> np.ndarray:
+    """Keep ``copy`` under ``key`` for as long as ``base`` lives."""
+    _CONTIG_CACHE[key] = (
+        weakref.ref(base, lambda _, k=key: _CONTIG_CACHE.pop(k, None)),
+        copy)
+    return copy
 
 
 def _contig_2d(base: np.ndarray, newaxes: Optional[Tuple[int, ...]],
@@ -157,20 +167,29 @@ def _contig_2d(base: np.ndarray, newaxes: Optional[Tuple[int, ...]],
     hit = _CONTIG_CACHE.get(key)
     if hit is not None and hit[0]() is base:
         return hit[1]
-    cont = np.ascontiguousarray(view)
-    _CONTIG_CACHE[key] = (
-        weakref.ref(base, lambda _, k=key: _CONTIG_CACHE.pop(k, None)),
-        cont)
-    return cont
+    return _cache_copy(key, base, np.ascontiguousarray(view))
 
 
-def contiguous_transpose(base: np.ndarray) -> np.ndarray:
-    """A 2-D ``base``'s transpose, C-contiguous, packed once per ``base``.
+def panel_packed(base: np.ndarray, panel: int) -> np.ndarray:
+    """A 2-D weight ``base[j, r]`` as column panels, packed once per ``base``.
 
-    The native launcher's weight packing; shares :data:`_CONTIG_CACHE`
-    (and so :func:`clear_contig_cache`) with the GEMM operands above.
+    The native launcher's weight layout (BLIS-style): ``j // panel``
+    blocks ``[r][panel]`` — block ``p`` holds columns ``p * panel ..`` of
+    ``base.T`` — then the columns left over as one ``[r][tail]`` block,
+    flat, so a contraction tile streams its block front to back.  Shares
+    :data:`_CONTIG_CACHE` (and so :func:`clear_contig_cache`) with the
+    GEMM operands above.
     """
-    return _contig_2d(base, (1, 0), base.T)
+    key = (id(base), ("panel", panel))
+    hit = _CONTIG_CACHE.get(key)
+    if hit is not None and hit[0]() is base:
+        return hit[1]
+    n_cols, n_red = base.shape
+    full = n_cols - n_cols % panel
+    wt = base.T
+    return _cache_copy(key, base, np.concatenate((
+        wt[:, :full].reshape(n_red, -1, panel).transpose(1, 0, 2).ravel(),
+        wt[:, full:].ravel())))
 
 
 def _plan_operands_2d(plan: Tuple, a, b) -> Tuple[np.ndarray, np.ndarray]:

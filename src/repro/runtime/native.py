@@ -17,13 +17,15 @@ so every launch checks both and raises
 :class:`~repro.errors.NativeError` instead of corrupting memory.
 
 The one array a launch does not pass as is: a weight that a contraction
-tile reads with the output axis contiguous (``KernelSignature.packed``)
-goes in as its C-contiguous transpose, packed once per weight array by
-:func:`repro.runtime.kernels.contiguous_transpose` — the cache the Python
-target's GEMM operands already live in, so the same
+tile reads (``KernelSignature.packed``) goes in as column panels, packed
+once per weight array by :func:`repro.runtime.kernels.panel_packed` — in
+the cache the Python target's GEMM operands already live in, so the same
 ``bump_params_version()`` / ``clear_contig_cache()`` call retires both
 after an in-place weight edit, and replicas sharing ``params`` share the
-packed copies read-only.
+panels read-only.  The panel width follows the ISA variant the library
+picked for this host when it was loaded (``repro_lanes()``;
+:attr:`NativeModule.variant`): the build itself carries no ``-march``
+flag and every variant the compiler could emit.
 
 No compiler on the host (or ``REPRO_NO_CC=1``) is not an error:
 :func:`attach_native` warns with
@@ -46,8 +48,9 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import CodegenError, NativeError, NativeFallbackWarning
-from ..ilir.codegen.c_codegen import (KernelSignature, generate_c_module)
-from .kernels import contiguous_transpose
+from ..ilir.codegen.c_codegen import (VARIANTS, KernelSignature,
+                                      generate_c_module, panel_width)
+from .kernels import panel_packed
 
 #: flags the JIT always compiles with.  ``-ffp-contract=off`` matters for
 #: parity: without it the compiler may fuse ``a*b + c`` into an FMA, which
@@ -185,9 +188,11 @@ class NativeKernelLauncher:
     is_native = True
 
     __slots__ = ("name", "kind", "signature", "_cfunc", "_arrays", "_packed",
-                 "_scalars", "_svec_type")
+                 "_panel", "_scalars", "_svec_type")
 
-    def __init__(self, cfunc, signature: KernelSignature):
+    def __init__(self, cfunc, signature: KernelSignature, lanes: int):
+        """``lanes``: the float32 vector width of the variant ``cfunc``
+        is (or dispatches to) — it fixes the packed weights' panels."""
         self.name = signature.name
         self.kind = signature.kind
         self.signature = signature
@@ -197,6 +202,7 @@ class NativeKernelLauncher:
                              for name, dt in signature.packed)
         for _name, dt in self._arrays + self._packed:
             ctype_for(dt)  # typed refusal of dtypes the C ABI cannot carry
+        self._panel = panel_width(lanes)
         self._scalars = signature.scalars
         self._svec_type = ctypes.c_int64 * len(signature.scalars)
         # pointers travel as plain addresses: no per-launch POINTER cast
@@ -214,12 +220,12 @@ class NativeKernelLauncher:
             if arr is None or arr.dtype != dt or not arr.flags.c_contiguous:
                 raise _launch_refusal(self.name, name, arr, dt)
             args.append(arr.ctypes.data)
-        packed = []  # keeps the transposes alive across the call
+        packed = []  # keeps the panels alive across the call
         for name, dt in self._packed:
             arr = ws.get(name)
             if arr is None or arr.dtype != dt:
                 raise _launch_refusal(self.name, name, arr, dt)
-            packed.append(contiguous_transpose(arr))
+            packed.append(panel_packed(arr, self._panel))
             args.append(packed[-1].ctypes.data)
         svec = self._svec_type(*[int(c[s]) for s in self._scalars])
         self._cfunc(*args, svec, int(begin), int(length))
@@ -261,15 +267,32 @@ class NativeModule:
         except OSError as e:
             raise NativeError(
                 f"failed to load native library {self.so_path}: {e}") from e
-        self.fns: Dict[str, NativeKernelLauncher] = {}
-        for name, sig in self.signatures.items():
-            try:
-                cfunc = getattr(self._lib, sig.symbol)
-            except AttributeError:
-                raise NativeError(
-                    f"native library {self.so_path} exports no symbol "
-                    f"{sig.symbol!r}") from None
-            self.fns[name] = NativeKernelLauncher(cfunc, sig)
+        lanes_fn = self._symbol("repro_lanes")
+        lanes_fn.argtypes, lanes_fn.restype = [], ctypes.c_int
+        lanes = lanes_fn()
+        #: the ISA variant the exported kernels dispatch to on this host
+        self.variant = next(v for v, n in VARIANTS.items() if n == lanes)
+        self.fns: Dict[str, NativeKernelLauncher] = {
+            name: NativeKernelLauncher(self._symbol(sig.symbol), sig, lanes)
+            for name, sig in self.signatures.items()}
+
+    def _symbol(self, name: str):
+        try:
+            return getattr(self._lib, name)
+        except AttributeError:
+            raise NativeError(
+                f"native library {self.so_path} exports no symbol "
+                f"{name!r}") from None
+
+    def variant_fns(self, variant: str) -> Dict[str, NativeKernelLauncher]:
+        """Launchers on one ISA variant's own entry points
+        (``k_<kernel>_<variant>``), bypassing the load-time dispatch:
+        how a test runs the variant its host would not pick.  The caller
+        checks that the CPU can execute it."""
+        return {name: NativeKernelLauncher(
+                    self._symbol(f"{sig.symbol}_{variant}"), sig,
+                    VARIANTS[variant])
+                for name, sig in self.signatures.items()}
 
     @classmethod
     def from_ilmodule(cls, module, **kwargs) -> "NativeModule":

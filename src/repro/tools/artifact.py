@@ -29,8 +29,10 @@ prebuilt ``.so`` when ``module.c`` still hashes to the source it was
 compiled from, recompiles it otherwise, and falls back to the Python
 kernels (with a :class:`~repro.errors.NativeFallbackWarning`) when no
 compiler is available — or when ``native.json`` predates the
-packed-weight entries of the launch signatures and so cannot vouch for
-the library's ABI.
+packed-weight entries of the launch signatures, or records another
+packed layout than this launcher's, and so cannot vouch for the
+library's ABI.  The library holds every ISA variant of its kernels and
+picks one where it is loaded.
 
 Deployed artifacts execute numerics only; simulated-latency estimation
 needs the full compiler session (operator nests are not serialized).

@@ -44,13 +44,8 @@ static inline int64_t repro_imod(int64_t a, int64_t b) {
 static inline float repro_reluf(float x) { return x > 0.0f ? x : 0.0f; }
 static inline double repro_relu(double x) { return x > 0.0 ? x : 0.0; }
 
-/* Branchless-form stable sigmoid: the same formula as the fast Python
- * target's sigmoid_fast (exp of a non-positive argument, one divide). */
-static inline float repro_sigmoidf(float x) {
-  float z = expf(-fabsf(x));
-  float t = 1.0f + z;
-  return x >= 0.0f ? 1.0f / t : z / t;
-}
+/* Branchless-form stable sigmoid: the same formula as the Python target's
+ * sigmoid_fast (exp of a non-positive argument, one divide). */
 static inline double repro_sigmoid(double x) {
   double z = exp(-fabs(x));
   double t = 1.0 + z;
@@ -83,23 +78,570 @@ static inline int64_t repro_isleaf(int64_t leaf_start,
   return leaf_start >= 0 ? (n >= leaf_start) : (num_children[n] == 0);
 }
 
-/* 16-byte float vectors (GCC/Clang vector extension; SSE2/NEON without
- * any -march flag).  Contraction tiles put one output element in each
- * lane, so a lane sees exactly the scalar loop's multiply-then-add
- * sequence. */
-typedef float repro_vf __attribute__((vector_size(16)));
-static inline repro_vf repro_vf_load(const float* p) {
-  repro_vf v; __builtin_memcpy(&v, p, sizeof v); return v;
+
+/* ---- 4-lane float32 vectors (16 bytes; GCC/Clang vector extension).
+ * One output element per lane, so a lane sees exactly the scalar loop's
+ * operation sequence. */
+typedef float repro_vf4 __attribute__((vector_size(16)));
+typedef int32_t repro_vi4 __attribute__((vector_size(16)));
+#define REPRO_V4 static inline __attribute__((always_inline))
+#define REPRO_VMATH4 static __attribute__((noinline, unused))
+REPRO_V4 repro_vf4 repro_vload4(const float* p) {
+  repro_vf4 v; __builtin_memcpy(&v, p, sizeof v); return v;
 }
-static inline void repro_vf_store(float* p, repro_vf v) {
+REPRO_V4 void repro_vstore4(float* p, repro_vf4 v) {
   __builtin_memcpy(p, &v, sizeof v);
 }
-static inline repro_vf repro_vf_splat(float x) {
-  return (repro_vf){x, x, x, x};
+/* the first n lanes only (an extent's tail): no byte past them is touched */
+REPRO_V4 repro_vf4 repro_vloadn4(const float* p, int n) {
+  repro_vf4 v = {0.0f}; __builtin_memcpy(&v, p, n * sizeof(float)); return v;
+}
+REPRO_V4 void repro_vstoren4(float* p, repro_vf4 v, int n) {
+  __builtin_memcpy(p, &v, n * sizeof(float));
+}
+/* a shuffle, not a {x, x, ..} literal: GCC lowers the literal to one
+ * insert per lane inside target("avx2") functions */
+REPRO_V4 repro_vf4 repro_vsplat4(float x) {
+  repro_vf4 v = {x};
+#if defined(__clang__)
+  return __builtin_shufflevector(v, v, 0, 0, 0, 0);
+#else
+  return __builtin_shuffle(v, (repro_vi4){0});
+#endif
+}
+REPRO_V4 repro_vf4 repro_vselect4(repro_vi4 m, repro_vf4 a,
+                                      repro_vf4 b) {
+  return (repro_vf4)(((repro_vi4)a & m) | ((repro_vi4)b & ~m));
+}
+REPRO_V4 repro_vf4 repro_vreluf4(repro_vf4 x) {
+  return (repro_vf4)((repro_vi4)x & (x > repro_vsplat4(0.0f)));
+}
+/* exp: clamp to the float range, n = round(x / ln 2) by the 1.5 * 2^23
+ * trick, two-constant ln 2 reduction, Cephes' degree-5 polynomial, then
+ * 2^n through the exponent bits in two halves so that results down to
+ * the smallest subnormal and up to FLT_MAX come out rounded once. */
+REPRO_VMATH4 repro_vf4 repro_vexpf4(repro_vf4 x) {
+  const repro_vf4 magic = repro_vsplat4(12582912.0f);
+  const repro_vf4 hi = repro_vsplat4(89.0f), lo = repro_vsplat4(-104.0f);
+  x = repro_vselect4(x > hi, hi, x);
+  x = repro_vselect4(x < lo, lo, x);
+  repro_vf4 t = x * repro_vsplat4(1.44269504088896341f) + magic;
+  repro_vf4 n = t - magic;
+  repro_vi4 ni = (repro_vi4)t - (repro_vi4)magic;
+  repro_vf4 r = x - n * repro_vsplat4(0.693359375f);
+  r = r - n * repro_vsplat4(-2.12194440e-4f);
+  repro_vf4 p = repro_vsplat4(1.9875691500e-4f);
+  p = p * r + repro_vsplat4(1.3981999507e-3f);
+  p = p * r + repro_vsplat4(8.3334519073e-3f);
+  p = p * r + repro_vsplat4(4.1665795894e-2f);
+  p = p * r + repro_vsplat4(1.6666665459e-1f);
+  p = p * r + repro_vsplat4(5.0000001201e-1f);
+  p = p * (r * r) + r;
+  p = p + repro_vsplat4(1.0f);
+  repro_vi4 h = ni >> 1;
+  return p * (repro_vf4)((h + 127) << 23)
+           * (repro_vf4)((ni - h + 127) << 23);
+}
+/* the stable logistic: z = exp(-|x|), then 1 / (1 + z) or z / (1 + z) */
+REPRO_VMATH4 repro_vf4 repro_vsigmoidf4(repro_vf4 x) {
+  repro_vi4 sign = (repro_vi4)x & (repro_vi4)repro_vsplat4(-0.0f);
+  repro_vf4 z = repro_vexpf4(-(repro_vf4)((repro_vi4)x ^ sign));
+  return repro_vselect4(x >= repro_vsplat4(0.0f), repro_vsplat4(1.0f), z)
+         / (repro_vsplat4(1.0f) + z);
+}
+/* tanh on |x|, sign re-attached: Cephes' odd polynomial below 0.625,
+ * 1 - 2 / (exp(2|x|) + 1) from there on */
+REPRO_VMATH4 repro_vf4 repro_vtanhf4(repro_vf4 x) {
+  repro_vi4 sign = (repro_vi4)x & (repro_vi4)repro_vsplat4(-0.0f);
+  repro_vf4 a = (repro_vf4)((repro_vi4)x ^ sign);
+  repro_vf4 z = a * a;
+  repro_vf4 p = repro_vsplat4(-5.70498872745e-3f);
+  p = p * z + repro_vsplat4(2.06390887954e-2f);
+  p = p * z + repro_vsplat4(-5.37397155531e-2f);
+  p = p * z + repro_vsplat4(1.33314422036e-1f);
+  p = p * z + repro_vsplat4(-3.33332819422e-1f);
+  p = p * z * a + a;
+  repro_vf4 q = repro_vsplat4(1.0f) - repro_vsplat4(2.0f)
+      / (repro_vexpf4(a + a) + repro_vsplat4(1.0f));
+  return (repro_vf4)((repro_vi4)repro_vselect4(
+      a < repro_vsplat4(0.625f), p, q) | sign);
 }
 
-// kernel fused (kind=fused)
+static inline float repro_expf(float x) {
+  return repro_vexpf4(repro_vsplat4(x))[0];
+}
+static inline float repro_sigmoidf(float x) {
+  return repro_vsigmoidf4(repro_vsplat4(x))[0];
+}
+static inline float repro_tanhf(float x) {
+  return repro_vtanhf4(repro_vsplat4(x))[0];
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define REPRO_AVX2 1
+#endif
+
+#ifdef REPRO_AVX2
+/* ---- 8-lane float32 vectors (32 bytes; GCC/Clang vector extension).
+ * One output element per lane, so a lane sees exactly the scalar loop's
+ * operation sequence. */
+typedef float repro_vf8 __attribute__((vector_size(32)));
+typedef int32_t repro_vi8 __attribute__((vector_size(32)));
+#define REPRO_V8 __attribute__((target("avx2"))) static inline __attribute__((always_inline))
+#define REPRO_VMATH8 __attribute__((target("avx2"))) static __attribute__((noinline, unused))
+REPRO_V8 repro_vf8 repro_vload8(const float* p) {
+  repro_vf8 v; __builtin_memcpy(&v, p, sizeof v); return v;
+}
+REPRO_V8 void repro_vstore8(float* p, repro_vf8 v) {
+  __builtin_memcpy(p, &v, sizeof v);
+}
+/* the first n lanes only (an extent's tail): no byte past them is touched */
+REPRO_V8 repro_vf8 repro_vloadn8(const float* p, int n) {
+  repro_vf8 v = {0.0f}; __builtin_memcpy(&v, p, n * sizeof(float)); return v;
+}
+REPRO_V8 void repro_vstoren8(float* p, repro_vf8 v, int n) {
+  __builtin_memcpy(p, &v, n * sizeof(float));
+}
+/* a shuffle, not a {x, x, ..} literal: GCC lowers the literal to one
+ * insert per lane inside target("avx2") functions */
+REPRO_V8 repro_vf8 repro_vsplat8(float x) {
+  repro_vf8 v = {x};
+#if defined(__clang__)
+  return __builtin_shufflevector(v, v, 0, 0, 0, 0, 0, 0, 0, 0);
+#else
+  return __builtin_shuffle(v, (repro_vi8){0});
+#endif
+}
+REPRO_V8 repro_vf8 repro_vselect8(repro_vi8 m, repro_vf8 a,
+                                      repro_vf8 b) {
+  return (repro_vf8)(((repro_vi8)a & m) | ((repro_vi8)b & ~m));
+}
+REPRO_V8 repro_vf8 repro_vreluf8(repro_vf8 x) {
+  return (repro_vf8)((repro_vi8)x & (x > repro_vsplat8(0.0f)));
+}
+/* exp: clamp to the float range, n = round(x / ln 2) by the 1.5 * 2^23
+ * trick, two-constant ln 2 reduction, Cephes' degree-5 polynomial, then
+ * 2^n through the exponent bits in two halves so that results down to
+ * the smallest subnormal and up to FLT_MAX come out rounded once. */
+REPRO_VMATH8 repro_vf8 repro_vexpf8(repro_vf8 x) {
+  const repro_vf8 magic = repro_vsplat8(12582912.0f);
+  const repro_vf8 hi = repro_vsplat8(89.0f), lo = repro_vsplat8(-104.0f);
+  x = repro_vselect8(x > hi, hi, x);
+  x = repro_vselect8(x < lo, lo, x);
+  repro_vf8 t = x * repro_vsplat8(1.44269504088896341f) + magic;
+  repro_vf8 n = t - magic;
+  repro_vi8 ni = (repro_vi8)t - (repro_vi8)magic;
+  repro_vf8 r = x - n * repro_vsplat8(0.693359375f);
+  r = r - n * repro_vsplat8(-2.12194440e-4f);
+  repro_vf8 p = repro_vsplat8(1.9875691500e-4f);
+  p = p * r + repro_vsplat8(1.3981999507e-3f);
+  p = p * r + repro_vsplat8(8.3334519073e-3f);
+  p = p * r + repro_vsplat8(4.1665795894e-2f);
+  p = p * r + repro_vsplat8(1.6666665459e-1f);
+  p = p * r + repro_vsplat8(5.0000001201e-1f);
+  p = p * (r * r) + r;
+  p = p + repro_vsplat8(1.0f);
+  repro_vi8 h = ni >> 1;
+  return p * (repro_vf8)((h + 127) << 23)
+           * (repro_vf8)((ni - h + 127) << 23);
+}
+/* the stable logistic: z = exp(-|x|), then 1 / (1 + z) or z / (1 + z) */
+REPRO_VMATH8 repro_vf8 repro_vsigmoidf8(repro_vf8 x) {
+  repro_vi8 sign = (repro_vi8)x & (repro_vi8)repro_vsplat8(-0.0f);
+  repro_vf8 z = repro_vexpf8(-(repro_vf8)((repro_vi8)x ^ sign));
+  return repro_vselect8(x >= repro_vsplat8(0.0f), repro_vsplat8(1.0f), z)
+         / (repro_vsplat8(1.0f) + z);
+}
+/* tanh on |x|, sign re-attached: Cephes' odd polynomial below 0.625,
+ * 1 - 2 / (exp(2|x|) + 1) from there on */
+REPRO_VMATH8 repro_vf8 repro_vtanhf8(repro_vf8 x) {
+  repro_vi8 sign = (repro_vi8)x & (repro_vi8)repro_vsplat8(-0.0f);
+  repro_vf8 a = (repro_vf8)((repro_vi8)x ^ sign);
+  repro_vf8 z = a * a;
+  repro_vf8 p = repro_vsplat8(-5.70498872745e-3f);
+  p = p * z + repro_vsplat8(2.06390887954e-2f);
+  p = p * z + repro_vsplat8(-5.37397155531e-2f);
+  p = p * z + repro_vsplat8(1.33314422036e-1f);
+  p = p * z + repro_vsplat8(-3.33332819422e-1f);
+  p = p * z * a + a;
+  repro_vf8 q = repro_vsplat8(1.0f) - repro_vsplat8(2.0f)
+      / (repro_vexpf8(a + a) + repro_vsplat8(1.0f));
+  return (repro_vf8)((repro_vi8)repro_vselect8(
+      a < repro_vsplat8(0.625f), p, q) | sign);
+}
+
+#endif
+
+static __attribute__((noinline)) void repro_mk8x8r2_base(
+    const float* P, const float* x0, const float* x1, float* o0, float* o1) {
+  {
+    const float* _wp = P + 0;
+    repro_vf4 _sx0 = repro_vsplat4(x0[0]);
+    repro_vf4 _sx1 = repro_vsplat4(x1[0]);
+    repro_vf4 _wv0 = repro_vload4(_wp + 0);
+    repro_vf4 _wv1 = repro_vload4(_wp + 4);
+    repro_vf4 _ac0_0 = _wv0 * _sx0;
+    repro_vf4 _ac0_1 = _wv1 * _sx0;
+    repro_vf4 _ac1_0 = _wv0 * _sx1;
+    repro_vf4 _ac1_1 = _wv1 * _sx1;
+    for (int64_t _kr = 1; _kr < 8; ++_kr) {
+      _wp += 8;
+      _sx0 = repro_vsplat4(x0[_kr]);
+      _sx1 = repro_vsplat4(x1[_kr]);
+      _wv0 = repro_vload4(_wp + 0);
+      _wv1 = repro_vload4(_wp + 4);
+      _ac0_0 = _ac0_0 + _wv0 * _sx0;
+      _ac0_1 = _ac0_1 + _wv1 * _sx0;
+      _ac1_0 = _ac1_0 + _wv0 * _sx1;
+      _ac1_1 = _ac1_1 + _wv1 * _sx1;
+    }
+    repro_vstore4(o0 + 0 + 0, _ac0_0);
+    repro_vstore4(o0 + 0 + 4, _ac0_1);
+    repro_vstore4(o1 + 0 + 0, _ac1_0);
+    repro_vstore4(o1 + 0 + 4, _ac1_1);
+  }
+}
+
+static __attribute__((noinline)) void repro_mk8x8r1_base(
+    const float* P, const float* x0, float* o0) {
+  {
+    const float* _wp = P + 0;
+    repro_vf4 _sx0 = repro_vsplat4(x0[0]);
+    repro_vf4 _wv0 = repro_vload4(_wp + 0);
+    repro_vf4 _wv1 = repro_vload4(_wp + 4);
+    repro_vf4 _ac0_0 = _wv0 * _sx0;
+    repro_vf4 _ac0_1 = _wv1 * _sx0;
+    for (int64_t _kr = 1; _kr < 8; ++_kr) {
+      _wp += 8;
+      _sx0 = repro_vsplat4(x0[_kr]);
+      _wv0 = repro_vload4(_wp + 0);
+      _wv1 = repro_vload4(_wp + 4);
+      _ac0_0 = _ac0_0 + _wv0 * _sx0;
+      _ac0_1 = _ac0_1 + _wv1 * _sx0;
+    }
+    repro_vstore4(o0 + 0 + 0, _ac0_0);
+    repro_vstore4(o0 + 0 + 4, _ac0_1);
+  }
+}
+
+// kernel fused (kind=fused), base variant
 // persistent kernel: 2 global barrier(s) per level
+void k_fused_base(
+    float* rnn,
+    const float* Emb,
+    const float* bz,
+    const float* br,
+    const float* bh,
+    float* h_sum,
+    float* mz,
+    float* mr,
+    float* z,
+    float* r,
+    float* rh_in,
+    float* mh,
+    float* hprime,
+    const int32_t* batch_begin,
+    const int32_t* batch_length,
+    const int32_t* child,
+    const int32_t* num_children,
+    const int32_t* words,
+    const float* Uz_P,
+    const float* Ur_P,
+    const float* Uh_P,
+    const int64_t* S,
+    int64_t begin,
+    int64_t length) {
+  const int64_t num_nodes = S[0];
+  const int64_t num_batches = S[1];
+  const int64_t leaf_batch_count = S[2];
+  const int64_t max_children = S[3];
+  const int64_t level_start = S[4];
+  (void)begin; (void)length;
+  // leaf phase (specialized leaf batches)
+  for (int64_t _lb = 0; _lb < leaf_batch_count; ++_lb) {
+    const int64_t _begin = (int64_t)batch_begin[_lb];
+    const int64_t _length = (int64_t)batch_length[_lb];
+    // leaf_h [gather]
+    for (int64_t n_idx = 0; n_idx < _length; ++n_idx) {
+      const int64_t n = (_begin) + n_idx;
+      for (int64_t i = 0; i < 8; i += 4) {
+        repro_vstore4(&rnn[((n) * (8) + (i))], repro_vload4(&Emb[((words[n]) * (8) + (i))]));
+      }
+    }
+  }
+  // internal batches: the dependence-carrying loop; one global barrier per iteration (App. A.4)
+  for (int64_t _b = level_start; _b < num_batches; ++_b) {
+    const int64_t _begin = (int64_t)batch_begin[_b];
+    const int64_t _length = (int64_t)batch_length[_b];
+    // h_sum [childsum]
+    for (int64_t n_idx_1 = 0; n_idx_1 < _length; ++n_idx_1) {
+      const int64_t n_1 = (_begin) + n_idx_1;
+      for (int64_t i_1 = 0; i_1 < 8; i_1 += 4) {
+        repro_vf4 _acc1 = repro_vsplat4(0.0f);
+        for (int64_t _k2 = 0; _k2 < max_children; ++_k2) {
+          _acc1 = _acc1 + ((_k2 < (num_children[n_1])) ? (repro_vload4(&rnn[((child[((_k2) * num_nodes + (n_1))]) * (8) + (i_1))])) : repro_vsplat4(0.0f));
+        }
+        repro_vstore4(&h_sum[((n_idx_1) * (8) + (i_1))], _acc1);
+      }
+    }
+    // mz [matvec] contraction over panel-packed Uz_P[8][8]
+    const int64_t _rows3 = (_length) * 1;
+    int64_t _q4 = 0;
+    for (; _q4 + 2 <= _rows3; _q4 += 2) {
+      const int64_t _n_idx_2_5 = _q4;
+      const int64_t _n_idx_2_7 = _q4 + 1;
+      repro_mk8x8r2_base(Uz_P, &h_sum[((_n_idx_2_5) * (8) + (0))], &h_sum[((_n_idx_2_7) * (8) + (0))], &mz[((_n_idx_2_5) * (8) + (0))], &mz[((_n_idx_2_7) * (8) + (0))]);
+    }
+    for (; _q4 + 1 <= _rows3; _q4 += 1) {
+      const int64_t _n_idx_2_9 = _q4;
+      repro_mk8x8r1_base(Uz_P, &h_sum[((_n_idx_2_9) * (8) + (0))], &mz[((_n_idx_2_9) * (8) + (0))]);
+    }
+    // mr [matvec] contraction over panel-packed Ur_P[8][8]
+    const int64_t _rows11 = (_length) * 1;
+    int64_t _q12 = 0;
+    for (; _q12 + 2 <= _rows11; _q12 += 2) {
+      const int64_t _n_idx_3_13 = _q12;
+      const int64_t _n_idx_3_15 = _q12 + 1;
+      repro_mk8x8r2_base(Ur_P, &h_sum[((_n_idx_3_13) * (8) + (0))], &h_sum[((_n_idx_3_15) * (8) + (0))], &mr[((_n_idx_3_13) * (8) + (0))], &mr[((_n_idx_3_15) * (8) + (0))]);
+    }
+    for (; _q12 + 1 <= _rows11; _q12 += 1) {
+      const int64_t _n_idx_3_17 = _q12;
+      repro_mk8x8r1_base(Ur_P, &h_sum[((_n_idx_3_17) * (8) + (0))], &mr[((_n_idx_3_17) * (8) + (0))]);
+    }
+    // z [elementwise]
+    for (int64_t n_idx_4 = 0; n_idx_4 < _length; ++n_idx_4) {
+      for (int64_t i_4 = 0; i_4 < 8; i_4 += 4) {
+        repro_vstore4(&z[((n_idx_4) * (8) + (i_4))], repro_vsigmoidf4((repro_vload4(&mz[((n_idx_4) * (8) + (i_4))]) + repro_vload4(&bz[(i_4)]))));
+      }
+    }
+    // r [elementwise]
+    for (int64_t n_idx_5 = 0; n_idx_5 < _length; ++n_idx_5) {
+      for (int64_t i_5 = 0; i_5 < 8; i_5 += 4) {
+        repro_vstore4(&r[((n_idx_5) * (8) + (i_5))], repro_vsigmoidf4((repro_vload4(&mr[((n_idx_5) * (8) + (i_5))]) + repro_vload4(&br[(i_5)]))));
+      }
+    }
+    // rh_in [elementwise]
+    for (int64_t n_idx_6 = 0; n_idx_6 < _length; ++n_idx_6) {
+      for (int64_t i_6 = 0; i_6 < 8; i_6 += 4) {
+        repro_vstore4(&rh_in[((n_idx_6) * (8) + (i_6))], (repro_vload4(&r[((n_idx_6) * (8) + (i_6))]) * repro_vload4(&h_sum[((n_idx_6) * (8) + (i_6))])));
+      }
+    }
+    // mh [matvec] contraction over panel-packed Uh_P[8][8]
+    const int64_t _rows19 = (_length) * 1;
+    int64_t _q20 = 0;
+    for (; _q20 + 2 <= _rows19; _q20 += 2) {
+      const int64_t _n_idx_7_21 = _q20;
+      const int64_t _n_idx_7_23 = _q20 + 1;
+      repro_mk8x8r2_base(Uh_P, &rh_in[((_n_idx_7_21) * (8) + (0))], &rh_in[((_n_idx_7_23) * (8) + (0))], &mh[((_n_idx_7_21) * (8) + (0))], &mh[((_n_idx_7_23) * (8) + (0))]);
+    }
+    for (; _q20 + 1 <= _rows19; _q20 += 1) {
+      const int64_t _n_idx_7_25 = _q20;
+      repro_mk8x8r1_base(Uh_P, &rh_in[((_n_idx_7_25) * (8) + (0))], &mh[((_n_idx_7_25) * (8) + (0))]);
+    }
+    // hprime [elementwise]
+    for (int64_t n_idx_8 = 0; n_idx_8 < _length; ++n_idx_8) {
+      for (int64_t i_8 = 0; i_8 < 8; i_8 += 4) {
+        repro_vstore4(&hprime[((n_idx_8) * (8) + (i_8))], repro_vtanhf4((repro_vload4(&mh[((n_idx_8) * (8) + (i_8))]) + repro_vload4(&bh[(i_8)]))));
+      }
+    }
+    // rec_h [elementwise]
+    for (int64_t n_idx_9 = 0; n_idx_9 < _length; ++n_idx_9) {
+      const int64_t n_9 = (_begin) + n_idx_9;
+      for (int64_t i_9 = 0; i_9 < 8; i_9 += 4) {
+        repro_vstore4(&rnn[((n_9) * (8) + (i_9))], ((repro_vload4(&z[((n_idx_9) * (8) + (i_9))]) * repro_vload4(&h_sum[((n_idx_9) * (8) + (i_9))])) + ((repro_vsplat4(1.0f) - repro_vload4(&z[((n_idx_9) * (8) + (i_9))])) * repro_vload4(&hprime[((n_idx_9) * (8) + (i_9))]))));
+      }
+    }
+  }
+}
+
+#ifdef REPRO_AVX2
+static __attribute__((noinline)) __attribute__((target("avx2"))) void repro_mk8x8r2_avx2(
+    const float* P, const float* x0, const float* x1, float* o0, float* o1) {
+  {
+    const float* _wp = P + 0;
+    repro_vf8 _sx0 = repro_vsplat8(x0[0]);
+    repro_vf8 _sx1 = repro_vsplat8(x1[0]);
+    repro_vf8 _wv0 = repro_vload8(_wp + 0);
+    repro_vf8 _ac0_0 = _wv0 * _sx0;
+    repro_vf8 _ac1_0 = _wv0 * _sx1;
+    for (int64_t _kr = 1; _kr < 8; ++_kr) {
+      _wp += 8;
+      _sx0 = repro_vsplat8(x0[_kr]);
+      _sx1 = repro_vsplat8(x1[_kr]);
+      _wv0 = repro_vload8(_wp + 0);
+      _ac0_0 = _ac0_0 + _wv0 * _sx0;
+      _ac1_0 = _ac1_0 + _wv0 * _sx1;
+    }
+    repro_vstore8(o0 + 0 + 0, _ac0_0);
+    repro_vstore8(o1 + 0 + 0, _ac1_0);
+  }
+}
+
+static __attribute__((noinline)) __attribute__((target("avx2"))) void repro_mk8x8r1_avx2(
+    const float* P, const float* x0, float* o0) {
+  {
+    const float* _wp = P + 0;
+    repro_vf8 _sx0 = repro_vsplat8(x0[0]);
+    repro_vf8 _wv0 = repro_vload8(_wp + 0);
+    repro_vf8 _ac0_0 = _wv0 * _sx0;
+    for (int64_t _kr = 1; _kr < 8; ++_kr) {
+      _wp += 8;
+      _sx0 = repro_vsplat8(x0[_kr]);
+      _wv0 = repro_vload8(_wp + 0);
+      _ac0_0 = _ac0_0 + _wv0 * _sx0;
+    }
+    repro_vstore8(o0 + 0 + 0, _ac0_0);
+  }
+}
+
+// kernel fused (kind=fused), avx2 variant
+// persistent kernel: 2 global barrier(s) per level
+__attribute__((target("avx2"))) void k_fused_avx2(
+    float* rnn,
+    const float* Emb,
+    const float* bz,
+    const float* br,
+    const float* bh,
+    float* h_sum,
+    float* mz,
+    float* mr,
+    float* z,
+    float* r,
+    float* rh_in,
+    float* mh,
+    float* hprime,
+    const int32_t* batch_begin,
+    const int32_t* batch_length,
+    const int32_t* child,
+    const int32_t* num_children,
+    const int32_t* words,
+    const float* Uz_P,
+    const float* Ur_P,
+    const float* Uh_P,
+    const int64_t* S,
+    int64_t begin,
+    int64_t length) {
+  const int64_t num_nodes = S[0];
+  const int64_t num_batches = S[1];
+  const int64_t leaf_batch_count = S[2];
+  const int64_t max_children = S[3];
+  const int64_t level_start = S[4];
+  (void)begin; (void)length;
+  // leaf phase (specialized leaf batches)
+  for (int64_t _lb = 0; _lb < leaf_batch_count; ++_lb) {
+    const int64_t _begin = (int64_t)batch_begin[_lb];
+    const int64_t _length = (int64_t)batch_length[_lb];
+    // leaf_h [gather]
+    for (int64_t n_idx = 0; n_idx < _length; ++n_idx) {
+      const int64_t n = (_begin) + n_idx;
+      for (int64_t i = 0; i < 8; i += 8) {
+        repro_vstore8(&rnn[((n) * (8) + (i))], repro_vload8(&Emb[((words[n]) * (8) + (i))]));
+      }
+    }
+  }
+  // internal batches: the dependence-carrying loop; one global barrier per iteration (App. A.4)
+  for (int64_t _b = level_start; _b < num_batches; ++_b) {
+    const int64_t _begin = (int64_t)batch_begin[_b];
+    const int64_t _length = (int64_t)batch_length[_b];
+    // h_sum [childsum]
+    for (int64_t n_idx_1 = 0; n_idx_1 < _length; ++n_idx_1) {
+      const int64_t n_1 = (_begin) + n_idx_1;
+      for (int64_t i_1 = 0; i_1 < 8; i_1 += 8) {
+        repro_vf8 _acc1 = repro_vsplat8(0.0f);
+        for (int64_t _k2 = 0; _k2 < max_children; ++_k2) {
+          _acc1 = _acc1 + ((_k2 < (num_children[n_1])) ? (repro_vload8(&rnn[((child[((_k2) * num_nodes + (n_1))]) * (8) + (i_1))])) : repro_vsplat8(0.0f));
+        }
+        repro_vstore8(&h_sum[((n_idx_1) * (8) + (i_1))], _acc1);
+      }
+    }
+    // mz [matvec] contraction over panel-packed Uz_P[8][8]
+    const int64_t _rows3 = (_length) * 1;
+    int64_t _q4 = 0;
+    for (; _q4 + 2 <= _rows3; _q4 += 2) {
+      const int64_t _n_idx_2_5 = _q4;
+      const int64_t _n_idx_2_7 = _q4 + 1;
+      repro_mk8x8r2_avx2(Uz_P, &h_sum[((_n_idx_2_5) * (8) + (0))], &h_sum[((_n_idx_2_7) * (8) + (0))], &mz[((_n_idx_2_5) * (8) + (0))], &mz[((_n_idx_2_7) * (8) + (0))]);
+    }
+    for (; _q4 + 1 <= _rows3; _q4 += 1) {
+      const int64_t _n_idx_2_9 = _q4;
+      repro_mk8x8r1_avx2(Uz_P, &h_sum[((_n_idx_2_9) * (8) + (0))], &mz[((_n_idx_2_9) * (8) + (0))]);
+    }
+    // mr [matvec] contraction over panel-packed Ur_P[8][8]
+    const int64_t _rows11 = (_length) * 1;
+    int64_t _q12 = 0;
+    for (; _q12 + 2 <= _rows11; _q12 += 2) {
+      const int64_t _n_idx_3_13 = _q12;
+      const int64_t _n_idx_3_15 = _q12 + 1;
+      repro_mk8x8r2_avx2(Ur_P, &h_sum[((_n_idx_3_13) * (8) + (0))], &h_sum[((_n_idx_3_15) * (8) + (0))], &mr[((_n_idx_3_13) * (8) + (0))], &mr[((_n_idx_3_15) * (8) + (0))]);
+    }
+    for (; _q12 + 1 <= _rows11; _q12 += 1) {
+      const int64_t _n_idx_3_17 = _q12;
+      repro_mk8x8r1_avx2(Ur_P, &h_sum[((_n_idx_3_17) * (8) + (0))], &mr[((_n_idx_3_17) * (8) + (0))]);
+    }
+    // z [elementwise]
+    for (int64_t n_idx_4 = 0; n_idx_4 < _length; ++n_idx_4) {
+      for (int64_t i_4 = 0; i_4 < 8; i_4 += 8) {
+        repro_vstore8(&z[((n_idx_4) * (8) + (i_4))], repro_vsigmoidf8((repro_vload8(&mz[((n_idx_4) * (8) + (i_4))]) + repro_vload8(&bz[(i_4)]))));
+      }
+    }
+    // r [elementwise]
+    for (int64_t n_idx_5 = 0; n_idx_5 < _length; ++n_idx_5) {
+      for (int64_t i_5 = 0; i_5 < 8; i_5 += 8) {
+        repro_vstore8(&r[((n_idx_5) * (8) + (i_5))], repro_vsigmoidf8((repro_vload8(&mr[((n_idx_5) * (8) + (i_5))]) + repro_vload8(&br[(i_5)]))));
+      }
+    }
+    // rh_in [elementwise]
+    for (int64_t n_idx_6 = 0; n_idx_6 < _length; ++n_idx_6) {
+      for (int64_t i_6 = 0; i_6 < 8; i_6 += 8) {
+        repro_vstore8(&rh_in[((n_idx_6) * (8) + (i_6))], (repro_vload8(&r[((n_idx_6) * (8) + (i_6))]) * repro_vload8(&h_sum[((n_idx_6) * (8) + (i_6))])));
+      }
+    }
+    // mh [matvec] contraction over panel-packed Uh_P[8][8]
+    const int64_t _rows19 = (_length) * 1;
+    int64_t _q20 = 0;
+    for (; _q20 + 2 <= _rows19; _q20 += 2) {
+      const int64_t _n_idx_7_21 = _q20;
+      const int64_t _n_idx_7_23 = _q20 + 1;
+      repro_mk8x8r2_avx2(Uh_P, &rh_in[((_n_idx_7_21) * (8) + (0))], &rh_in[((_n_idx_7_23) * (8) + (0))], &mh[((_n_idx_7_21) * (8) + (0))], &mh[((_n_idx_7_23) * (8) + (0))]);
+    }
+    for (; _q20 + 1 <= _rows19; _q20 += 1) {
+      const int64_t _n_idx_7_25 = _q20;
+      repro_mk8x8r1_avx2(Uh_P, &rh_in[((_n_idx_7_25) * (8) + (0))], &mh[((_n_idx_7_25) * (8) + (0))]);
+    }
+    // hprime [elementwise]
+    for (int64_t n_idx_8 = 0; n_idx_8 < _length; ++n_idx_8) {
+      for (int64_t i_8 = 0; i_8 < 8; i_8 += 8) {
+        repro_vstore8(&hprime[((n_idx_8) * (8) + (i_8))], repro_vtanhf8((repro_vload8(&mh[((n_idx_8) * (8) + (i_8))]) + repro_vload8(&bh[(i_8)]))));
+      }
+    }
+    // rec_h [elementwise]
+    for (int64_t n_idx_9 = 0; n_idx_9 < _length; ++n_idx_9) {
+      const int64_t n_9 = (_begin) + n_idx_9;
+      for (int64_t i_9 = 0; i_9 < 8; i_9 += 8) {
+        repro_vstore8(&rnn[((n_9) * (8) + (i_9))], ((repro_vload8(&z[((n_idx_9) * (8) + (i_9))]) * repro_vload8(&h_sum[((n_idx_9) * (8) + (i_9))])) + ((repro_vsplat8(1.0f) - repro_vload8(&z[((n_idx_9) * (8) + (i_9))])) * repro_vload8(&hprime[((n_idx_9) * (8) + (i_9))]))));
+      }
+    }
+  }
+}
+
+#endif
+#ifdef REPRO_AVX2
+static int repro_use_avx2 = 0;
+__attribute__((constructor)) static void repro_pick_variant(void) {
+  __builtin_cpu_init();
+  repro_use_avx2 = __builtin_cpu_supports("avx2") != 0;
+}
+#endif
+
+/* float32 lanes of the variant the exported kernels dispatch to: the
+ * launcher packs weight panels for that width */
+int repro_lanes(void) {
+#ifdef REPRO_AVX2
+  if (repro_use_avx2) return 8;
+#endif
+  return 4;
+}
+
 void k_fused(
     float* rnn,
     const float* Emb,
@@ -119,270 +661,16 @@ void k_fused(
     const int32_t* child,
     const int32_t* num_children,
     const int32_t* words,
-    const float* Uz_T,
-    const float* Ur_T,
-    const float* Uh_T,
+    const float* Uz_P,
+    const float* Ur_P,
+    const float* Uh_P,
     const int64_t* S,
     int64_t begin,
     int64_t length) {
-  const int64_t num_nodes = S[0];
-  const int64_t num_batches = S[1];
-  const int64_t leaf_batch_count = S[2];
-  const int64_t max_children = S[3];
-  const int64_t level_start = S[4];
-  (void)begin; (void)length;
-  // leaf phase (specialized leaf batches)
-  for (int64_t _lb = 0; _lb < leaf_batch_count; ++_lb) {
-    const int64_t _begin = (int64_t)batch_begin[_lb];
-    const int64_t _length = (int64_t)batch_length[_lb];
-    // leaf_h [gather]
-    for (int64_t n_idx = 0; n_idx < _length; ++n_idx) {
-      const int64_t n = (_begin) + n_idx;
-      for (int64_t i = 0; i < (0) + (8); ++i) {
-        rnn[((n) * (8) + (i))] = Emb[((words[n]) * (8) + (i))];
-      }
-    }
-  }
-  // internal batches: the dependence-carrying loop; one global barrier per iteration (App. A.4)
-  for (int64_t _b = level_start; _b < num_batches; ++_b) {
-    const int64_t _begin = (int64_t)batch_begin[_b];
-    const int64_t _length = (int64_t)batch_length[_b];
-    // h_sum [childsum]
-    for (int64_t n_idx_1 = 0; n_idx_1 < _length; ++n_idx_1) {
-      const int64_t n_1 = (_begin) + n_idx_1;
-      for (int64_t i_1 = 0; i_1 < (0) + (8); ++i_1) {
-        float _acc1 = 0.0f;
-        for (int64_t _k2 = 0; _k2 < max_children; ++_k2) {
-          _acc1 = _acc1 + ((_k2 < (num_children[n_1])) ? (rnn[((child[((_k2) * num_nodes + (n_1))]) * (8) + (i_1))]) : 0.0f);
-        }
-        h_sum[((n_idx_1) * (8) + (i_1))] = _acc1;
-      }
-    }
-    // mz [matvec] contraction: 2x16 register tiles over Uz_T[8][8]
-    const int64_t _rows3 = (_length) * 1;
-    int64_t _q4 = 0;
-    for (; _q4 + 2 <= _rows3; _q4 += 2) {
-      const int64_t _n_idx_2_5 = _q4;
-      const int64_t _n_2_6 = (_begin) + _n_idx_2_5;
-      const float* _x7 = &h_sum[((_n_idx_2_5) * (8) + (0))];
-      float* _o8 = &mz[((_n_idx_2_5) * (8) + (0))];
-      const int64_t _n_idx_2_9 = _q4 + 1;
-      const int64_t _n_2_10 = (_begin) + _n_idx_2_9;
-      const float* _x11 = &h_sum[((_n_idx_2_9) * (8) + (0))];
-      float* _o12 = &mz[((_n_idx_2_9) * (8) + (0))];
-      {
-        const float* _wp = Uz_T + 0;
-        repro_vf _sx0 = repro_vf_splat(_x7[0]);
-        repro_vf _sx1 = repro_vf_splat(_x11[0]);
-        repro_vf _wv0 = repro_vf_load(_wp + 0);
-        repro_vf _wv1 = repro_vf_load(_wp + 4);
-        repro_vf _ac0_0 = _wv0 * _sx0;
-        repro_vf _ac0_1 = _wv1 * _sx0;
-        repro_vf _ac1_0 = _wv0 * _sx1;
-        repro_vf _ac1_1 = _wv1 * _sx1;
-        for (int64_t _kr = 1; _kr < 8; ++_kr) {
-          _wp += 8;
-          _sx0 = repro_vf_splat(_x7[_kr]);
-          _sx1 = repro_vf_splat(_x11[_kr]);
-          _wv0 = repro_vf_load(_wp + 0);
-          _wv1 = repro_vf_load(_wp + 4);
-          _ac0_0 = _ac0_0 + _wv0 * _sx0;
-          _ac0_1 = _ac0_1 + _wv1 * _sx0;
-          _ac1_0 = _ac1_0 + _wv0 * _sx1;
-          _ac1_1 = _ac1_1 + _wv1 * _sx1;
-        }
-        repro_vf_store(_o8 + 0 + 0, _ac0_0);
-        repro_vf_store(_o8 + 0 + 4, _ac0_1);
-        repro_vf_store(_o12 + 0 + 0, _ac1_0);
-        repro_vf_store(_o12 + 0 + 4, _ac1_1);
-      }
-    }
-    for (; _q4 + 1 <= _rows3; _q4 += 1) {
-      const int64_t _n_idx_2_13 = _q4;
-      const int64_t _n_2_14 = (_begin) + _n_idx_2_13;
-      const float* _x15 = &h_sum[((_n_idx_2_13) * (8) + (0))];
-      float* _o16 = &mz[((_n_idx_2_13) * (8) + (0))];
-      {
-        const float* _wp = Uz_T + 0;
-        repro_vf _sx0 = repro_vf_splat(_x15[0]);
-        repro_vf _wv0 = repro_vf_load(_wp + 0);
-        repro_vf _wv1 = repro_vf_load(_wp + 4);
-        repro_vf _ac0_0 = _wv0 * _sx0;
-        repro_vf _ac0_1 = _wv1 * _sx0;
-        for (int64_t _kr = 1; _kr < 8; ++_kr) {
-          _wp += 8;
-          _sx0 = repro_vf_splat(_x15[_kr]);
-          _wv0 = repro_vf_load(_wp + 0);
-          _wv1 = repro_vf_load(_wp + 4);
-          _ac0_0 = _ac0_0 + _wv0 * _sx0;
-          _ac0_1 = _ac0_1 + _wv1 * _sx0;
-        }
-        repro_vf_store(_o16 + 0 + 0, _ac0_0);
-        repro_vf_store(_o16 + 0 + 4, _ac0_1);
-      }
-    }
-    // mr [matvec] contraction: 2x16 register tiles over Ur_T[8][8]
-    const int64_t _rows17 = (_length) * 1;
-    int64_t _q18 = 0;
-    for (; _q18 + 2 <= _rows17; _q18 += 2) {
-      const int64_t _n_idx_3_19 = _q18;
-      const int64_t _n_3_20 = (_begin) + _n_idx_3_19;
-      const float* _x21 = &h_sum[((_n_idx_3_19) * (8) + (0))];
-      float* _o22 = &mr[((_n_idx_3_19) * (8) + (0))];
-      const int64_t _n_idx_3_23 = _q18 + 1;
-      const int64_t _n_3_24 = (_begin) + _n_idx_3_23;
-      const float* _x25 = &h_sum[((_n_idx_3_23) * (8) + (0))];
-      float* _o26 = &mr[((_n_idx_3_23) * (8) + (0))];
-      {
-        const float* _wp = Ur_T + 0;
-        repro_vf _sx0 = repro_vf_splat(_x21[0]);
-        repro_vf _sx1 = repro_vf_splat(_x25[0]);
-        repro_vf _wv0 = repro_vf_load(_wp + 0);
-        repro_vf _wv1 = repro_vf_load(_wp + 4);
-        repro_vf _ac0_0 = _wv0 * _sx0;
-        repro_vf _ac0_1 = _wv1 * _sx0;
-        repro_vf _ac1_0 = _wv0 * _sx1;
-        repro_vf _ac1_1 = _wv1 * _sx1;
-        for (int64_t _kr = 1; _kr < 8; ++_kr) {
-          _wp += 8;
-          _sx0 = repro_vf_splat(_x21[_kr]);
-          _sx1 = repro_vf_splat(_x25[_kr]);
-          _wv0 = repro_vf_load(_wp + 0);
-          _wv1 = repro_vf_load(_wp + 4);
-          _ac0_0 = _ac0_0 + _wv0 * _sx0;
-          _ac0_1 = _ac0_1 + _wv1 * _sx0;
-          _ac1_0 = _ac1_0 + _wv0 * _sx1;
-          _ac1_1 = _ac1_1 + _wv1 * _sx1;
-        }
-        repro_vf_store(_o22 + 0 + 0, _ac0_0);
-        repro_vf_store(_o22 + 0 + 4, _ac0_1);
-        repro_vf_store(_o26 + 0 + 0, _ac1_0);
-        repro_vf_store(_o26 + 0 + 4, _ac1_1);
-      }
-    }
-    for (; _q18 + 1 <= _rows17; _q18 += 1) {
-      const int64_t _n_idx_3_27 = _q18;
-      const int64_t _n_3_28 = (_begin) + _n_idx_3_27;
-      const float* _x29 = &h_sum[((_n_idx_3_27) * (8) + (0))];
-      float* _o30 = &mr[((_n_idx_3_27) * (8) + (0))];
-      {
-        const float* _wp = Ur_T + 0;
-        repro_vf _sx0 = repro_vf_splat(_x29[0]);
-        repro_vf _wv0 = repro_vf_load(_wp + 0);
-        repro_vf _wv1 = repro_vf_load(_wp + 4);
-        repro_vf _ac0_0 = _wv0 * _sx0;
-        repro_vf _ac0_1 = _wv1 * _sx0;
-        for (int64_t _kr = 1; _kr < 8; ++_kr) {
-          _wp += 8;
-          _sx0 = repro_vf_splat(_x29[_kr]);
-          _wv0 = repro_vf_load(_wp + 0);
-          _wv1 = repro_vf_load(_wp + 4);
-          _ac0_0 = _ac0_0 + _wv0 * _sx0;
-          _ac0_1 = _ac0_1 + _wv1 * _sx0;
-        }
-        repro_vf_store(_o30 + 0 + 0, _ac0_0);
-        repro_vf_store(_o30 + 0 + 4, _ac0_1);
-      }
-    }
-    // z [elementwise]
-    for (int64_t n_idx_4 = 0; n_idx_4 < _length; ++n_idx_4) {
-      const int64_t n_4 = (_begin) + n_idx_4;
-      for (int64_t i_4 = 0; i_4 < (0) + (8); ++i_4) {
-        z[((n_idx_4) * (8) + (i_4))] = repro_sigmoidf((mz[((n_idx_4) * (8) + (i_4))] + bz[(i_4)]));
-      }
-    }
-    // r [elementwise]
-    for (int64_t n_idx_5 = 0; n_idx_5 < _length; ++n_idx_5) {
-      const int64_t n_5 = (_begin) + n_idx_5;
-      for (int64_t i_5 = 0; i_5 < (0) + (8); ++i_5) {
-        r[((n_idx_5) * (8) + (i_5))] = repro_sigmoidf((mr[((n_idx_5) * (8) + (i_5))] + br[(i_5)]));
-      }
-    }
-    // rh_in [elementwise]
-    for (int64_t n_idx_6 = 0; n_idx_6 < _length; ++n_idx_6) {
-      const int64_t n_6 = (_begin) + n_idx_6;
-      for (int64_t i_6 = 0; i_6 < (0) + (8); ++i_6) {
-        rh_in[((n_idx_6) * (8) + (i_6))] = (r[((n_idx_6) * (8) + (i_6))] * h_sum[((n_idx_6) * (8) + (i_6))]);
-      }
-    }
-    // mh [matvec] contraction: 2x16 register tiles over Uh_T[8][8]
-    const int64_t _rows31 = (_length) * 1;
-    int64_t _q32 = 0;
-    for (; _q32 + 2 <= _rows31; _q32 += 2) {
-      const int64_t _n_idx_7_33 = _q32;
-      const int64_t _n_7_34 = (_begin) + _n_idx_7_33;
-      const float* _x35 = &rh_in[((_n_idx_7_33) * (8) + (0))];
-      float* _o36 = &mh[((_n_idx_7_33) * (8) + (0))];
-      const int64_t _n_idx_7_37 = _q32 + 1;
-      const int64_t _n_7_38 = (_begin) + _n_idx_7_37;
-      const float* _x39 = &rh_in[((_n_idx_7_37) * (8) + (0))];
-      float* _o40 = &mh[((_n_idx_7_37) * (8) + (0))];
-      {
-        const float* _wp = Uh_T + 0;
-        repro_vf _sx0 = repro_vf_splat(_x35[0]);
-        repro_vf _sx1 = repro_vf_splat(_x39[0]);
-        repro_vf _wv0 = repro_vf_load(_wp + 0);
-        repro_vf _wv1 = repro_vf_load(_wp + 4);
-        repro_vf _ac0_0 = _wv0 * _sx0;
-        repro_vf _ac0_1 = _wv1 * _sx0;
-        repro_vf _ac1_0 = _wv0 * _sx1;
-        repro_vf _ac1_1 = _wv1 * _sx1;
-        for (int64_t _kr = 1; _kr < 8; ++_kr) {
-          _wp += 8;
-          _sx0 = repro_vf_splat(_x35[_kr]);
-          _sx1 = repro_vf_splat(_x39[_kr]);
-          _wv0 = repro_vf_load(_wp + 0);
-          _wv1 = repro_vf_load(_wp + 4);
-          _ac0_0 = _ac0_0 + _wv0 * _sx0;
-          _ac0_1 = _ac0_1 + _wv1 * _sx0;
-          _ac1_0 = _ac1_0 + _wv0 * _sx1;
-          _ac1_1 = _ac1_1 + _wv1 * _sx1;
-        }
-        repro_vf_store(_o36 + 0 + 0, _ac0_0);
-        repro_vf_store(_o36 + 0 + 4, _ac0_1);
-        repro_vf_store(_o40 + 0 + 0, _ac1_0);
-        repro_vf_store(_o40 + 0 + 4, _ac1_1);
-      }
-    }
-    for (; _q32 + 1 <= _rows31; _q32 += 1) {
-      const int64_t _n_idx_7_41 = _q32;
-      const int64_t _n_7_42 = (_begin) + _n_idx_7_41;
-      const float* _x43 = &rh_in[((_n_idx_7_41) * (8) + (0))];
-      float* _o44 = &mh[((_n_idx_7_41) * (8) + (0))];
-      {
-        const float* _wp = Uh_T + 0;
-        repro_vf _sx0 = repro_vf_splat(_x43[0]);
-        repro_vf _wv0 = repro_vf_load(_wp + 0);
-        repro_vf _wv1 = repro_vf_load(_wp + 4);
-        repro_vf _ac0_0 = _wv0 * _sx0;
-        repro_vf _ac0_1 = _wv1 * _sx0;
-        for (int64_t _kr = 1; _kr < 8; ++_kr) {
-          _wp += 8;
-          _sx0 = repro_vf_splat(_x43[_kr]);
-          _wv0 = repro_vf_load(_wp + 0);
-          _wv1 = repro_vf_load(_wp + 4);
-          _ac0_0 = _ac0_0 + _wv0 * _sx0;
-          _ac0_1 = _ac0_1 + _wv1 * _sx0;
-        }
-        repro_vf_store(_o44 + 0 + 0, _ac0_0);
-        repro_vf_store(_o44 + 0 + 4, _ac0_1);
-      }
-    }
-    // hprime [elementwise]
-    for (int64_t n_idx_8 = 0; n_idx_8 < _length; ++n_idx_8) {
-      const int64_t n_8 = (_begin) + n_idx_8;
-      for (int64_t i_8 = 0; i_8 < (0) + (8); ++i_8) {
-        hprime[((n_idx_8) * (8) + (i_8))] = tanhf((mh[((n_idx_8) * (8) + (i_8))] + bh[(i_8)]));
-      }
-    }
-    // rec_h [elementwise]
-    for (int64_t n_idx_9 = 0; n_idx_9 < _length; ++n_idx_9) {
-      const int64_t n_9 = (_begin) + n_idx_9;
-      for (int64_t i_9 = 0; i_9 < (0) + (8); ++i_9) {
-        rnn[((n_9) * (8) + (i_9))] = ((z[((n_idx_9) * (8) + (i_9))] * h_sum[((n_idx_9) * (8) + (i_9))]) + ((1.0f - z[((n_idx_9) * (8) + (i_9))]) * hprime[((n_idx_9) * (8) + (i_9))]));
-      }
-    }
-  }
+#ifdef REPRO_AVX2
+  if (repro_use_avx2) { k_fused_avx2(rnn, Emb, bz, br, bh, h_sum, mz, mr, z, r, rh_in, mh, hprime, batch_begin, batch_length, child, num_children, words, Uz_P, Ur_P, Uh_P, S, begin, length); return; }
+#endif
+  k_fused_base(rnn, Emb, bz, br, bh, h_sum, mz, mr, z, r, rh_in, mh, hprime, batch_begin, batch_length, child, num_children, words, Uz_P, Ur_P, Uh_P, S, begin, length);
 }
 
 

@@ -49,13 +49,8 @@ static inline int64_t repro_imod(int64_t a, int64_t b) {
 static inline float repro_reluf(float x) { return x > 0.0f ? x : 0.0f; }
 static inline double repro_relu(double x) { return x > 0.0 ? x : 0.0; }
 
-/* Branchless-form stable sigmoid: the same formula as the fast Python
- * target's sigmoid_fast (exp of a non-positive argument, one divide). */
-static inline float repro_sigmoidf(float x) {
-  float z = expf(-fabsf(x));
-  float t = 1.0f + z;
-  return x >= 0.0f ? 1.0f / t : z / t;
-}
+/* Branchless-form stable sigmoid: the same formula as the Python target's
+ * sigmoid_fast (exp of a non-positive argument, one divide). */
 static inline double repro_sigmoid(double x) {
   double z = exp(-fabs(x));
   double t = 1.0 + z;
@@ -88,23 +83,656 @@ static inline int64_t repro_isleaf(int64_t leaf_start,
   return leaf_start >= 0 ? (n >= leaf_start) : (num_children[n] == 0);
 }
 
-/* 16-byte float vectors (GCC/Clang vector extension; SSE2/NEON without
- * any -march flag).  Contraction tiles put one output element in each
- * lane, so a lane sees exactly the scalar loop's multiply-then-add
- * sequence. */
-typedef float repro_vf __attribute__((vector_size(16)));
-static inline repro_vf repro_vf_load(const float* p) {
-  repro_vf v; __builtin_memcpy(&v, p, sizeof v); return v;
+
+/* ---- 4-lane float32 vectors (16 bytes; GCC/Clang vector extension).
+ * One output element per lane, so a lane sees exactly the scalar loop's
+ * operation sequence. */
+typedef float repro_vf4 __attribute__((vector_size(16)));
+typedef int32_t repro_vi4 __attribute__((vector_size(16)));
+#define REPRO_V4 static inline __attribute__((always_inline))
+#define REPRO_VMATH4 static __attribute__((noinline, unused))
+REPRO_V4 repro_vf4 repro_vload4(const float* p) {
+  repro_vf4 v; __builtin_memcpy(&v, p, sizeof v); return v;
 }
-static inline void repro_vf_store(float* p, repro_vf v) {
+REPRO_V4 void repro_vstore4(float* p, repro_vf4 v) {
   __builtin_memcpy(p, &v, sizeof v);
 }
-static inline repro_vf repro_vf_splat(float x) {
-  return (repro_vf){x, x, x, x};
+/* the first n lanes only (an extent's tail): no byte past them is touched */
+REPRO_V4 repro_vf4 repro_vloadn4(const float* p, int n) {
+  repro_vf4 v = {0.0f}; __builtin_memcpy(&v, p, n * sizeof(float)); return v;
+}
+REPRO_V4 void repro_vstoren4(float* p, repro_vf4 v, int n) {
+  __builtin_memcpy(p, &v, n * sizeof(float));
+}
+/* a shuffle, not a {x, x, ..} literal: GCC lowers the literal to one
+ * insert per lane inside target("avx2") functions */
+REPRO_V4 repro_vf4 repro_vsplat4(float x) {
+  repro_vf4 v = {x};
+#if defined(__clang__)
+  return __builtin_shufflevector(v, v, 0, 0, 0, 0);
+#else
+  return __builtin_shuffle(v, (repro_vi4){0});
+#endif
+}
+REPRO_V4 repro_vf4 repro_vselect4(repro_vi4 m, repro_vf4 a,
+                                      repro_vf4 b) {
+  return (repro_vf4)(((repro_vi4)a & m) | ((repro_vi4)b & ~m));
+}
+REPRO_V4 repro_vf4 repro_vreluf4(repro_vf4 x) {
+  return (repro_vf4)((repro_vi4)x & (x > repro_vsplat4(0.0f)));
+}
+/* exp: clamp to the float range, n = round(x / ln 2) by the 1.5 * 2^23
+ * trick, two-constant ln 2 reduction, Cephes' degree-5 polynomial, then
+ * 2^n through the exponent bits in two halves so that results down to
+ * the smallest subnormal and up to FLT_MAX come out rounded once. */
+REPRO_VMATH4 repro_vf4 repro_vexpf4(repro_vf4 x) {
+  const repro_vf4 magic = repro_vsplat4(12582912.0f);
+  const repro_vf4 hi = repro_vsplat4(89.0f), lo = repro_vsplat4(-104.0f);
+  x = repro_vselect4(x > hi, hi, x);
+  x = repro_vselect4(x < lo, lo, x);
+  repro_vf4 t = x * repro_vsplat4(1.44269504088896341f) + magic;
+  repro_vf4 n = t - magic;
+  repro_vi4 ni = (repro_vi4)t - (repro_vi4)magic;
+  repro_vf4 r = x - n * repro_vsplat4(0.693359375f);
+  r = r - n * repro_vsplat4(-2.12194440e-4f);
+  repro_vf4 p = repro_vsplat4(1.9875691500e-4f);
+  p = p * r + repro_vsplat4(1.3981999507e-3f);
+  p = p * r + repro_vsplat4(8.3334519073e-3f);
+  p = p * r + repro_vsplat4(4.1665795894e-2f);
+  p = p * r + repro_vsplat4(1.6666665459e-1f);
+  p = p * r + repro_vsplat4(5.0000001201e-1f);
+  p = p * (r * r) + r;
+  p = p + repro_vsplat4(1.0f);
+  repro_vi4 h = ni >> 1;
+  return p * (repro_vf4)((h + 127) << 23)
+           * (repro_vf4)((ni - h + 127) << 23);
+}
+/* the stable logistic: z = exp(-|x|), then 1 / (1 + z) or z / (1 + z) */
+REPRO_VMATH4 repro_vf4 repro_vsigmoidf4(repro_vf4 x) {
+  repro_vi4 sign = (repro_vi4)x & (repro_vi4)repro_vsplat4(-0.0f);
+  repro_vf4 z = repro_vexpf4(-(repro_vf4)((repro_vi4)x ^ sign));
+  return repro_vselect4(x >= repro_vsplat4(0.0f), repro_vsplat4(1.0f), z)
+         / (repro_vsplat4(1.0f) + z);
+}
+/* tanh on |x|, sign re-attached: Cephes' odd polynomial below 0.625,
+ * 1 - 2 / (exp(2|x|) + 1) from there on */
+REPRO_VMATH4 repro_vf4 repro_vtanhf4(repro_vf4 x) {
+  repro_vi4 sign = (repro_vi4)x & (repro_vi4)repro_vsplat4(-0.0f);
+  repro_vf4 a = (repro_vf4)((repro_vi4)x ^ sign);
+  repro_vf4 z = a * a;
+  repro_vf4 p = repro_vsplat4(-5.70498872745e-3f);
+  p = p * z + repro_vsplat4(2.06390887954e-2f);
+  p = p * z + repro_vsplat4(-5.37397155531e-2f);
+  p = p * z + repro_vsplat4(1.33314422036e-1f);
+  p = p * z + repro_vsplat4(-3.33332819422e-1f);
+  p = p * z * a + a;
+  repro_vf4 q = repro_vsplat4(1.0f) - repro_vsplat4(2.0f)
+      / (repro_vexpf4(a + a) + repro_vsplat4(1.0f));
+  return (repro_vf4)((repro_vi4)repro_vselect4(
+      a < repro_vsplat4(0.625f), p, q) | sign);
 }
 
-// kernel fused (kind=fused)
+static inline float repro_expf(float x) {
+  return repro_vexpf4(repro_vsplat4(x))[0];
+}
+static inline float repro_sigmoidf(float x) {
+  return repro_vsigmoidf4(repro_vsplat4(x))[0];
+}
+static inline float repro_tanhf(float x) {
+  return repro_vtanhf4(repro_vsplat4(x))[0];
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define REPRO_AVX2 1
+#endif
+
+#ifdef REPRO_AVX2
+/* ---- 8-lane float32 vectors (32 bytes; GCC/Clang vector extension).
+ * One output element per lane, so a lane sees exactly the scalar loop's
+ * operation sequence. */
+typedef float repro_vf8 __attribute__((vector_size(32)));
+typedef int32_t repro_vi8 __attribute__((vector_size(32)));
+#define REPRO_V8 __attribute__((target("avx2"))) static inline __attribute__((always_inline))
+#define REPRO_VMATH8 __attribute__((target("avx2"))) static __attribute__((noinline, unused))
+REPRO_V8 repro_vf8 repro_vload8(const float* p) {
+  repro_vf8 v; __builtin_memcpy(&v, p, sizeof v); return v;
+}
+REPRO_V8 void repro_vstore8(float* p, repro_vf8 v) {
+  __builtin_memcpy(p, &v, sizeof v);
+}
+/* the first n lanes only (an extent's tail): no byte past them is touched */
+REPRO_V8 repro_vf8 repro_vloadn8(const float* p, int n) {
+  repro_vf8 v = {0.0f}; __builtin_memcpy(&v, p, n * sizeof(float)); return v;
+}
+REPRO_V8 void repro_vstoren8(float* p, repro_vf8 v, int n) {
+  __builtin_memcpy(p, &v, n * sizeof(float));
+}
+/* a shuffle, not a {x, x, ..} literal: GCC lowers the literal to one
+ * insert per lane inside target("avx2") functions */
+REPRO_V8 repro_vf8 repro_vsplat8(float x) {
+  repro_vf8 v = {x};
+#if defined(__clang__)
+  return __builtin_shufflevector(v, v, 0, 0, 0, 0, 0, 0, 0, 0);
+#else
+  return __builtin_shuffle(v, (repro_vi8){0});
+#endif
+}
+REPRO_V8 repro_vf8 repro_vselect8(repro_vi8 m, repro_vf8 a,
+                                      repro_vf8 b) {
+  return (repro_vf8)(((repro_vi8)a & m) | ((repro_vi8)b & ~m));
+}
+REPRO_V8 repro_vf8 repro_vreluf8(repro_vf8 x) {
+  return (repro_vf8)((repro_vi8)x & (x > repro_vsplat8(0.0f)));
+}
+/* exp: clamp to the float range, n = round(x / ln 2) by the 1.5 * 2^23
+ * trick, two-constant ln 2 reduction, Cephes' degree-5 polynomial, then
+ * 2^n through the exponent bits in two halves so that results down to
+ * the smallest subnormal and up to FLT_MAX come out rounded once. */
+REPRO_VMATH8 repro_vf8 repro_vexpf8(repro_vf8 x) {
+  const repro_vf8 magic = repro_vsplat8(12582912.0f);
+  const repro_vf8 hi = repro_vsplat8(89.0f), lo = repro_vsplat8(-104.0f);
+  x = repro_vselect8(x > hi, hi, x);
+  x = repro_vselect8(x < lo, lo, x);
+  repro_vf8 t = x * repro_vsplat8(1.44269504088896341f) + magic;
+  repro_vf8 n = t - magic;
+  repro_vi8 ni = (repro_vi8)t - (repro_vi8)magic;
+  repro_vf8 r = x - n * repro_vsplat8(0.693359375f);
+  r = r - n * repro_vsplat8(-2.12194440e-4f);
+  repro_vf8 p = repro_vsplat8(1.9875691500e-4f);
+  p = p * r + repro_vsplat8(1.3981999507e-3f);
+  p = p * r + repro_vsplat8(8.3334519073e-3f);
+  p = p * r + repro_vsplat8(4.1665795894e-2f);
+  p = p * r + repro_vsplat8(1.6666665459e-1f);
+  p = p * r + repro_vsplat8(5.0000001201e-1f);
+  p = p * (r * r) + r;
+  p = p + repro_vsplat8(1.0f);
+  repro_vi8 h = ni >> 1;
+  return p * (repro_vf8)((h + 127) << 23)
+           * (repro_vf8)((ni - h + 127) << 23);
+}
+/* the stable logistic: z = exp(-|x|), then 1 / (1 + z) or z / (1 + z) */
+REPRO_VMATH8 repro_vf8 repro_vsigmoidf8(repro_vf8 x) {
+  repro_vi8 sign = (repro_vi8)x & (repro_vi8)repro_vsplat8(-0.0f);
+  repro_vf8 z = repro_vexpf8(-(repro_vf8)((repro_vi8)x ^ sign));
+  return repro_vselect8(x >= repro_vsplat8(0.0f), repro_vsplat8(1.0f), z)
+         / (repro_vsplat8(1.0f) + z);
+}
+/* tanh on |x|, sign re-attached: Cephes' odd polynomial below 0.625,
+ * 1 - 2 / (exp(2|x|) + 1) from there on */
+REPRO_VMATH8 repro_vf8 repro_vtanhf8(repro_vf8 x) {
+  repro_vi8 sign = (repro_vi8)x & (repro_vi8)repro_vsplat8(-0.0f);
+  repro_vf8 a = (repro_vf8)((repro_vi8)x ^ sign);
+  repro_vf8 z = a * a;
+  repro_vf8 p = repro_vsplat8(-5.70498872745e-3f);
+  p = p * z + repro_vsplat8(2.06390887954e-2f);
+  p = p * z + repro_vsplat8(-5.37397155531e-2f);
+  p = p * z + repro_vsplat8(1.33314422036e-1f);
+  p = p * z + repro_vsplat8(-3.33332819422e-1f);
+  p = p * z * a + a;
+  repro_vf8 q = repro_vsplat8(1.0f) - repro_vsplat8(2.0f)
+      / (repro_vexpf8(a + a) + repro_vsplat8(1.0f));
+  return (repro_vf8)((repro_vi8)repro_vselect8(
+      a < repro_vsplat8(0.625f), p, q) | sign);
+}
+
+#endif
+
+static __attribute__((noinline)) void repro_mk8x8r2_base(
+    const float* P, const float* x0, const float* x1, float* o0, float* o1) {
+  {
+    const float* _wp = P + 0;
+    repro_vf4 _sx0 = repro_vsplat4(x0[0]);
+    repro_vf4 _sx1 = repro_vsplat4(x1[0]);
+    repro_vf4 _wv0 = repro_vload4(_wp + 0);
+    repro_vf4 _wv1 = repro_vload4(_wp + 4);
+    repro_vf4 _ac0_0 = _wv0 * _sx0;
+    repro_vf4 _ac0_1 = _wv1 * _sx0;
+    repro_vf4 _ac1_0 = _wv0 * _sx1;
+    repro_vf4 _ac1_1 = _wv1 * _sx1;
+    for (int64_t _kr = 1; _kr < 8; ++_kr) {
+      _wp += 8;
+      _sx0 = repro_vsplat4(x0[_kr]);
+      _sx1 = repro_vsplat4(x1[_kr]);
+      _wv0 = repro_vload4(_wp + 0);
+      _wv1 = repro_vload4(_wp + 4);
+      _ac0_0 = _ac0_0 + _wv0 * _sx0;
+      _ac0_1 = _ac0_1 + _wv1 * _sx0;
+      _ac1_0 = _ac1_0 + _wv0 * _sx1;
+      _ac1_1 = _ac1_1 + _wv1 * _sx1;
+    }
+    repro_vstore4(o0 + 0 + 0, _ac0_0);
+    repro_vstore4(o0 + 0 + 4, _ac0_1);
+    repro_vstore4(o1 + 0 + 0, _ac1_0);
+    repro_vstore4(o1 + 0 + 4, _ac1_1);
+  }
+}
+
+static __attribute__((noinline)) void repro_mk8x8r1_base(
+    const float* P, const float* x0, float* o0) {
+  {
+    const float* _wp = P + 0;
+    repro_vf4 _sx0 = repro_vsplat4(x0[0]);
+    repro_vf4 _wv0 = repro_vload4(_wp + 0);
+    repro_vf4 _wv1 = repro_vload4(_wp + 4);
+    repro_vf4 _ac0_0 = _wv0 * _sx0;
+    repro_vf4 _ac0_1 = _wv1 * _sx0;
+    for (int64_t _kr = 1; _kr < 8; ++_kr) {
+      _wp += 8;
+      _sx0 = repro_vsplat4(x0[_kr]);
+      _wv0 = repro_vload4(_wp + 0);
+      _wv1 = repro_vload4(_wp + 4);
+      _ac0_0 = _ac0_0 + _wv0 * _sx0;
+      _ac0_1 = _ac0_1 + _wv1 * _sx0;
+    }
+    repro_vstore4(o0 + 0 + 0, _ac0_0);
+    repro_vstore4(o0 + 0 + 4, _ac0_1);
+  }
+}
+
+// kernel fused (kind=fused), base variant
 // persistent kernel: 1 global barrier(s) per level
+void k_fused_base(
+    float* rnn_h_ph,
+    float* rnn_c_ph,
+    const float* Emb,
+    const float* bi,
+    const float* bo,
+    const float* bu,
+    const float* bf,
+    float* h_tilde,
+    float* mi,
+    float* mo,
+    float* mu,
+    float* gi,
+    float* go,
+    float* gu,
+    float* mf,
+    float* gf,
+    float* fc_sum,
+    const int32_t* batch_begin,
+    const int32_t* batch_length,
+    const int32_t* child,
+    const int32_t* num_children,
+    const int32_t* words,
+    const float* Ui_P,
+    const float* Uo_P,
+    const float* Uu_P,
+    const float* Uf_P,
+    const int64_t* S,
+    int64_t begin,
+    int64_t length) {
+  const int64_t num_nodes = S[0];
+  const int64_t num_batches = S[1];
+  const int64_t leaf_batch_count = S[2];
+  const int64_t max_children = S[3];
+  const int64_t level_start = S[4];
+  (void)begin; (void)length;
+  // leaf phase (specialized leaf batches)
+  for (int64_t _lb = 0; _lb < leaf_batch_count; ++_lb) {
+    const int64_t _begin = (int64_t)batch_begin[_lb];
+    const int64_t _length = (int64_t)batch_length[_lb];
+    // leaf_h [gather]
+    for (int64_t n_idx = 0; n_idx < _length; ++n_idx) {
+      const int64_t n = (_begin) + n_idx;
+      for (int64_t i = 0; i < 8; i += 4) {
+        repro_vstore4(&rnn_h_ph[((n) * (8) + (i))], repro_vload4(&Emb[((words[n]) * (8) + (i))]));
+      }
+    }
+  }
+  // internal batches: the dependence-carrying loop; one global barrier per iteration (App. A.4)
+  for (int64_t _b = level_start; _b < num_batches; ++_b) {
+    const int64_t _begin = (int64_t)batch_begin[_b];
+    const int64_t _length = (int64_t)batch_length[_b];
+    // h_tilde [childsum]
+    for (int64_t n_idx_2 = 0; n_idx_2 < _length; ++n_idx_2) {
+      const int64_t n_2 = (_begin) + n_idx_2;
+      for (int64_t i_2 = 0; i_2 < 8; i_2 += 4) {
+        repro_vf4 _acc1 = repro_vsplat4(0.0f);
+        for (int64_t _k2 = 0; _k2 < max_children; ++_k2) {
+          _acc1 = _acc1 + ((_k2 < (num_children[n_2])) ? (repro_vload4(&rnn_h_ph[((child[((_k2) * num_nodes + (n_2))]) * (8) + (i_2))])) : repro_vsplat4(0.0f));
+        }
+        repro_vstore4(&h_tilde[((n_idx_2) * (8) + (i_2))], _acc1);
+      }
+    }
+    // mi [matvec] contraction over panel-packed Ui_P[8][8]
+    const int64_t _rows3 = (_length) * 1;
+    int64_t _q4 = 0;
+    for (; _q4 + 2 <= _rows3; _q4 += 2) {
+      const int64_t _n_idx_3_5 = _q4;
+      const int64_t _n_idx_3_7 = _q4 + 1;
+      repro_mk8x8r2_base(Ui_P, &h_tilde[((_n_idx_3_5) * (8) + (0))], &h_tilde[((_n_idx_3_7) * (8) + (0))], &mi[((_n_idx_3_5) * (8) + (0))], &mi[((_n_idx_3_7) * (8) + (0))]);
+    }
+    for (; _q4 + 1 <= _rows3; _q4 += 1) {
+      const int64_t _n_idx_3_9 = _q4;
+      repro_mk8x8r1_base(Ui_P, &h_tilde[((_n_idx_3_9) * (8) + (0))], &mi[((_n_idx_3_9) * (8) + (0))]);
+    }
+    // mo [matvec] contraction over panel-packed Uo_P[8][8]
+    const int64_t _rows11 = (_length) * 1;
+    int64_t _q12 = 0;
+    for (; _q12 + 2 <= _rows11; _q12 += 2) {
+      const int64_t _n_idx_4_13 = _q12;
+      const int64_t _n_idx_4_15 = _q12 + 1;
+      repro_mk8x8r2_base(Uo_P, &h_tilde[((_n_idx_4_13) * (8) + (0))], &h_tilde[((_n_idx_4_15) * (8) + (0))], &mo[((_n_idx_4_13) * (8) + (0))], &mo[((_n_idx_4_15) * (8) + (0))]);
+    }
+    for (; _q12 + 1 <= _rows11; _q12 += 1) {
+      const int64_t _n_idx_4_17 = _q12;
+      repro_mk8x8r1_base(Uo_P, &h_tilde[((_n_idx_4_17) * (8) + (0))], &mo[((_n_idx_4_17) * (8) + (0))]);
+    }
+    // mu [matvec] contraction over panel-packed Uu_P[8][8]
+    const int64_t _rows19 = (_length) * 1;
+    int64_t _q20 = 0;
+    for (; _q20 + 2 <= _rows19; _q20 += 2) {
+      const int64_t _n_idx_5_21 = _q20;
+      const int64_t _n_idx_5_23 = _q20 + 1;
+      repro_mk8x8r2_base(Uu_P, &h_tilde[((_n_idx_5_21) * (8) + (0))], &h_tilde[((_n_idx_5_23) * (8) + (0))], &mu[((_n_idx_5_21) * (8) + (0))], &mu[((_n_idx_5_23) * (8) + (0))]);
+    }
+    for (; _q20 + 1 <= _rows19; _q20 += 1) {
+      const int64_t _n_idx_5_25 = _q20;
+      repro_mk8x8r1_base(Uu_P, &h_tilde[((_n_idx_5_25) * (8) + (0))], &mu[((_n_idx_5_25) * (8) + (0))]);
+    }
+    // gi [elementwise]
+    for (int64_t n_idx_6 = 0; n_idx_6 < _length; ++n_idx_6) {
+      for (int64_t i_6 = 0; i_6 < 8; i_6 += 4) {
+        repro_vstore4(&gi[((n_idx_6) * (8) + (i_6))], repro_vsigmoidf4((repro_vload4(&mi[((n_idx_6) * (8) + (i_6))]) + repro_vload4(&bi[(i_6)]))));
+      }
+    }
+    // go [elementwise]
+    for (int64_t n_idx_7 = 0; n_idx_7 < _length; ++n_idx_7) {
+      for (int64_t i_7 = 0; i_7 < 8; i_7 += 4) {
+        repro_vstore4(&go[((n_idx_7) * (8) + (i_7))], repro_vsigmoidf4((repro_vload4(&mo[((n_idx_7) * (8) + (i_7))]) + repro_vload4(&bo[(i_7)]))));
+      }
+    }
+    // gu [elementwise]
+    for (int64_t n_idx_8 = 0; n_idx_8 < _length; ++n_idx_8) {
+      for (int64_t i_8 = 0; i_8 < 8; i_8 += 4) {
+        repro_vstore4(&gu[((n_idx_8) * (8) + (i_8))], repro_vtanhf4((repro_vload4(&mu[((n_idx_8) * (8) + (i_8))]) + repro_vload4(&bu[(i_8)]))));
+      }
+    }
+    // mf [matvec] contraction over panel-packed Uf_P[8][8]
+    const int64_t _rows27 = (_length) * 2;
+    int64_t _q28 = 0;
+    for (; _q28 + 2 <= _rows27; _q28 += 2) {
+      const int64_t _i_9_29 = (_q28) % 2;
+      const int64_t _n_idx_9_30 = (_q28) / 2;
+      const int64_t _n_9_31 = (_begin) + _n_idx_9_30;
+      const int64_t _i_9_32 = (_q28 + 1) % 2;
+      const int64_t _n_idx_9_33 = (_q28 + 1) / 2;
+      const int64_t _n_9_34 = (_begin) + _n_idx_9_33;
+      repro_mk8x8r2_base(Uf_P, &rnn_h_ph[((repro_imax(child[((_i_9_29) * num_nodes + (_n_9_31))], 0)) * (8) + (0))], &rnn_h_ph[((repro_imax(child[((_i_9_32) * num_nodes + (_n_9_34))], 0)) * (8) + (0))], &mf[(((_n_idx_9_30) * (2) + (_i_9_29)) * (8) + (0))], &mf[(((_n_idx_9_33) * (2) + (_i_9_32)) * (8) + (0))]);
+    }
+    for (; _q28 + 1 <= _rows27; _q28 += 1) {
+      const int64_t _i_9_35 = (_q28) % 2;
+      const int64_t _n_idx_9_36 = (_q28) / 2;
+      const int64_t _n_9_37 = (_begin) + _n_idx_9_36;
+      repro_mk8x8r1_base(Uf_P, &rnn_h_ph[((repro_imax(child[((_i_9_35) * num_nodes + (_n_9_37))], 0)) * (8) + (0))], &mf[(((_n_idx_9_36) * (2) + (_i_9_35)) * (8) + (0))]);
+    }
+    // gf [elementwise]
+    for (int64_t n_idx_10 = 0; n_idx_10 < _length; ++n_idx_10) {
+      for (int64_t i_11 = 0; i_11 < (0) + (2); ++i_11) {
+        for (int64_t i_12 = 0; i_12 < 8; i_12 += 4) {
+          repro_vstore4(&gf[(((n_idx_10) * (2) + (i_11)) * (8) + (i_12))], repro_vsigmoidf4((repro_vload4(&mf[(((n_idx_10) * (2) + (i_11)) * (8) + (i_12))]) + repro_vload4(&bf[(i_12)]))));
+        }
+      }
+    }
+    // fc_sum [childsum]
+    for (int64_t n_idx_11 = 0; n_idx_11 < _length; ++n_idx_11) {
+      const int64_t n_11 = (_begin) + n_idx_11;
+      for (int64_t i_13 = 0; i_13 < 8; i_13 += 4) {
+        repro_vf4 _acc38 = repro_vsplat4(0.0f);
+        for (int64_t _k39 = 0; _k39 < max_children; ++_k39) {
+          _acc38 = _acc38 + ((_k39 < (num_children[n_11])) ? ((repro_vload4(&gf[(((n_idx_11) * (2) + (_k39)) * (8) + (i_13))]) * repro_vload4(&rnn_c_ph[((child[((_k39) * num_nodes + (n_11))]) * (8) + (i_13))]))) : repro_vsplat4(0.0f));
+        }
+        repro_vstore4(&fc_sum[((n_idx_11) * (8) + (i_13))], _acc38);
+      }
+    }
+    // rec_c [elementwise]
+    for (int64_t n_idx_12 = 0; n_idx_12 < _length; ++n_idx_12) {
+      const int64_t n_12 = (_begin) + n_idx_12;
+      for (int64_t i_14 = 0; i_14 < 8; i_14 += 4) {
+        repro_vstore4(&rnn_c_ph[((n_12) * (8) + (i_14))], ((repro_vload4(&gi[((n_idx_12) * (8) + (i_14))]) * repro_vload4(&gu[((n_idx_12) * (8) + (i_14))])) + repro_vload4(&fc_sum[((n_idx_12) * (8) + (i_14))])));
+      }
+    }
+    // rec_h [elementwise]
+    for (int64_t n_idx_13 = 0; n_idx_13 < _length; ++n_idx_13) {
+      const int64_t n_14 = (_begin) + n_idx_13;
+      for (int64_t i_16 = 0; i_16 < 8; i_16 += 4) {
+        repro_vstore4(&rnn_h_ph[((n_14) * (8) + (i_16))], (repro_vload4(&go[((n_idx_13) * (8) + (i_16))]) * repro_vtanhf4(repro_vload4(&rnn_c_ph[((n_14) * (8) + (i_16))]))));
+      }
+    }
+  }
+}
+
+#ifdef REPRO_AVX2
+static __attribute__((noinline)) __attribute__((target("avx2"))) void repro_mk8x8r2_avx2(
+    const float* P, const float* x0, const float* x1, float* o0, float* o1) {
+  {
+    const float* _wp = P + 0;
+    repro_vf8 _sx0 = repro_vsplat8(x0[0]);
+    repro_vf8 _sx1 = repro_vsplat8(x1[0]);
+    repro_vf8 _wv0 = repro_vload8(_wp + 0);
+    repro_vf8 _ac0_0 = _wv0 * _sx0;
+    repro_vf8 _ac1_0 = _wv0 * _sx1;
+    for (int64_t _kr = 1; _kr < 8; ++_kr) {
+      _wp += 8;
+      _sx0 = repro_vsplat8(x0[_kr]);
+      _sx1 = repro_vsplat8(x1[_kr]);
+      _wv0 = repro_vload8(_wp + 0);
+      _ac0_0 = _ac0_0 + _wv0 * _sx0;
+      _ac1_0 = _ac1_0 + _wv0 * _sx1;
+    }
+    repro_vstore8(o0 + 0 + 0, _ac0_0);
+    repro_vstore8(o1 + 0 + 0, _ac1_0);
+  }
+}
+
+static __attribute__((noinline)) __attribute__((target("avx2"))) void repro_mk8x8r1_avx2(
+    const float* P, const float* x0, float* o0) {
+  {
+    const float* _wp = P + 0;
+    repro_vf8 _sx0 = repro_vsplat8(x0[0]);
+    repro_vf8 _wv0 = repro_vload8(_wp + 0);
+    repro_vf8 _ac0_0 = _wv0 * _sx0;
+    for (int64_t _kr = 1; _kr < 8; ++_kr) {
+      _wp += 8;
+      _sx0 = repro_vsplat8(x0[_kr]);
+      _wv0 = repro_vload8(_wp + 0);
+      _ac0_0 = _ac0_0 + _wv0 * _sx0;
+    }
+    repro_vstore8(o0 + 0 + 0, _ac0_0);
+  }
+}
+
+// kernel fused (kind=fused), avx2 variant
+// persistent kernel: 1 global barrier(s) per level
+__attribute__((target("avx2"))) void k_fused_avx2(
+    float* rnn_h_ph,
+    float* rnn_c_ph,
+    const float* Emb,
+    const float* bi,
+    const float* bo,
+    const float* bu,
+    const float* bf,
+    float* h_tilde,
+    float* mi,
+    float* mo,
+    float* mu,
+    float* gi,
+    float* go,
+    float* gu,
+    float* mf,
+    float* gf,
+    float* fc_sum,
+    const int32_t* batch_begin,
+    const int32_t* batch_length,
+    const int32_t* child,
+    const int32_t* num_children,
+    const int32_t* words,
+    const float* Ui_P,
+    const float* Uo_P,
+    const float* Uu_P,
+    const float* Uf_P,
+    const int64_t* S,
+    int64_t begin,
+    int64_t length) {
+  const int64_t num_nodes = S[0];
+  const int64_t num_batches = S[1];
+  const int64_t leaf_batch_count = S[2];
+  const int64_t max_children = S[3];
+  const int64_t level_start = S[4];
+  (void)begin; (void)length;
+  // leaf phase (specialized leaf batches)
+  for (int64_t _lb = 0; _lb < leaf_batch_count; ++_lb) {
+    const int64_t _begin = (int64_t)batch_begin[_lb];
+    const int64_t _length = (int64_t)batch_length[_lb];
+    // leaf_h [gather]
+    for (int64_t n_idx = 0; n_idx < _length; ++n_idx) {
+      const int64_t n = (_begin) + n_idx;
+      for (int64_t i = 0; i < 8; i += 8) {
+        repro_vstore8(&rnn_h_ph[((n) * (8) + (i))], repro_vload8(&Emb[((words[n]) * (8) + (i))]));
+      }
+    }
+  }
+  // internal batches: the dependence-carrying loop; one global barrier per iteration (App. A.4)
+  for (int64_t _b = level_start; _b < num_batches; ++_b) {
+    const int64_t _begin = (int64_t)batch_begin[_b];
+    const int64_t _length = (int64_t)batch_length[_b];
+    // h_tilde [childsum]
+    for (int64_t n_idx_2 = 0; n_idx_2 < _length; ++n_idx_2) {
+      const int64_t n_2 = (_begin) + n_idx_2;
+      for (int64_t i_2 = 0; i_2 < 8; i_2 += 8) {
+        repro_vf8 _acc1 = repro_vsplat8(0.0f);
+        for (int64_t _k2 = 0; _k2 < max_children; ++_k2) {
+          _acc1 = _acc1 + ((_k2 < (num_children[n_2])) ? (repro_vload8(&rnn_h_ph[((child[((_k2) * num_nodes + (n_2))]) * (8) + (i_2))])) : repro_vsplat8(0.0f));
+        }
+        repro_vstore8(&h_tilde[((n_idx_2) * (8) + (i_2))], _acc1);
+      }
+    }
+    // mi [matvec] contraction over panel-packed Ui_P[8][8]
+    const int64_t _rows3 = (_length) * 1;
+    int64_t _q4 = 0;
+    for (; _q4 + 2 <= _rows3; _q4 += 2) {
+      const int64_t _n_idx_3_5 = _q4;
+      const int64_t _n_idx_3_7 = _q4 + 1;
+      repro_mk8x8r2_avx2(Ui_P, &h_tilde[((_n_idx_3_5) * (8) + (0))], &h_tilde[((_n_idx_3_7) * (8) + (0))], &mi[((_n_idx_3_5) * (8) + (0))], &mi[((_n_idx_3_7) * (8) + (0))]);
+    }
+    for (; _q4 + 1 <= _rows3; _q4 += 1) {
+      const int64_t _n_idx_3_9 = _q4;
+      repro_mk8x8r1_avx2(Ui_P, &h_tilde[((_n_idx_3_9) * (8) + (0))], &mi[((_n_idx_3_9) * (8) + (0))]);
+    }
+    // mo [matvec] contraction over panel-packed Uo_P[8][8]
+    const int64_t _rows11 = (_length) * 1;
+    int64_t _q12 = 0;
+    for (; _q12 + 2 <= _rows11; _q12 += 2) {
+      const int64_t _n_idx_4_13 = _q12;
+      const int64_t _n_idx_4_15 = _q12 + 1;
+      repro_mk8x8r2_avx2(Uo_P, &h_tilde[((_n_idx_4_13) * (8) + (0))], &h_tilde[((_n_idx_4_15) * (8) + (0))], &mo[((_n_idx_4_13) * (8) + (0))], &mo[((_n_idx_4_15) * (8) + (0))]);
+    }
+    for (; _q12 + 1 <= _rows11; _q12 += 1) {
+      const int64_t _n_idx_4_17 = _q12;
+      repro_mk8x8r1_avx2(Uo_P, &h_tilde[((_n_idx_4_17) * (8) + (0))], &mo[((_n_idx_4_17) * (8) + (0))]);
+    }
+    // mu [matvec] contraction over panel-packed Uu_P[8][8]
+    const int64_t _rows19 = (_length) * 1;
+    int64_t _q20 = 0;
+    for (; _q20 + 2 <= _rows19; _q20 += 2) {
+      const int64_t _n_idx_5_21 = _q20;
+      const int64_t _n_idx_5_23 = _q20 + 1;
+      repro_mk8x8r2_avx2(Uu_P, &h_tilde[((_n_idx_5_21) * (8) + (0))], &h_tilde[((_n_idx_5_23) * (8) + (0))], &mu[((_n_idx_5_21) * (8) + (0))], &mu[((_n_idx_5_23) * (8) + (0))]);
+    }
+    for (; _q20 + 1 <= _rows19; _q20 += 1) {
+      const int64_t _n_idx_5_25 = _q20;
+      repro_mk8x8r1_avx2(Uu_P, &h_tilde[((_n_idx_5_25) * (8) + (0))], &mu[((_n_idx_5_25) * (8) + (0))]);
+    }
+    // gi [elementwise]
+    for (int64_t n_idx_6 = 0; n_idx_6 < _length; ++n_idx_6) {
+      for (int64_t i_6 = 0; i_6 < 8; i_6 += 8) {
+        repro_vstore8(&gi[((n_idx_6) * (8) + (i_6))], repro_vsigmoidf8((repro_vload8(&mi[((n_idx_6) * (8) + (i_6))]) + repro_vload8(&bi[(i_6)]))));
+      }
+    }
+    // go [elementwise]
+    for (int64_t n_idx_7 = 0; n_idx_7 < _length; ++n_idx_7) {
+      for (int64_t i_7 = 0; i_7 < 8; i_7 += 8) {
+        repro_vstore8(&go[((n_idx_7) * (8) + (i_7))], repro_vsigmoidf8((repro_vload8(&mo[((n_idx_7) * (8) + (i_7))]) + repro_vload8(&bo[(i_7)]))));
+      }
+    }
+    // gu [elementwise]
+    for (int64_t n_idx_8 = 0; n_idx_8 < _length; ++n_idx_8) {
+      for (int64_t i_8 = 0; i_8 < 8; i_8 += 8) {
+        repro_vstore8(&gu[((n_idx_8) * (8) + (i_8))], repro_vtanhf8((repro_vload8(&mu[((n_idx_8) * (8) + (i_8))]) + repro_vload8(&bu[(i_8)]))));
+      }
+    }
+    // mf [matvec] contraction over panel-packed Uf_P[8][8]
+    const int64_t _rows27 = (_length) * 2;
+    int64_t _q28 = 0;
+    for (; _q28 + 2 <= _rows27; _q28 += 2) {
+      const int64_t _i_9_29 = (_q28) % 2;
+      const int64_t _n_idx_9_30 = (_q28) / 2;
+      const int64_t _n_9_31 = (_begin) + _n_idx_9_30;
+      const int64_t _i_9_32 = (_q28 + 1) % 2;
+      const int64_t _n_idx_9_33 = (_q28 + 1) / 2;
+      const int64_t _n_9_34 = (_begin) + _n_idx_9_33;
+      repro_mk8x8r2_avx2(Uf_P, &rnn_h_ph[((repro_imax(child[((_i_9_29) * num_nodes + (_n_9_31))], 0)) * (8) + (0))], &rnn_h_ph[((repro_imax(child[((_i_9_32) * num_nodes + (_n_9_34))], 0)) * (8) + (0))], &mf[(((_n_idx_9_30) * (2) + (_i_9_29)) * (8) + (0))], &mf[(((_n_idx_9_33) * (2) + (_i_9_32)) * (8) + (0))]);
+    }
+    for (; _q28 + 1 <= _rows27; _q28 += 1) {
+      const int64_t _i_9_35 = (_q28) % 2;
+      const int64_t _n_idx_9_36 = (_q28) / 2;
+      const int64_t _n_9_37 = (_begin) + _n_idx_9_36;
+      repro_mk8x8r1_avx2(Uf_P, &rnn_h_ph[((repro_imax(child[((_i_9_35) * num_nodes + (_n_9_37))], 0)) * (8) + (0))], &mf[(((_n_idx_9_36) * (2) + (_i_9_35)) * (8) + (0))]);
+    }
+    // gf [elementwise]
+    for (int64_t n_idx_10 = 0; n_idx_10 < _length; ++n_idx_10) {
+      for (int64_t i_11 = 0; i_11 < (0) + (2); ++i_11) {
+        for (int64_t i_12 = 0; i_12 < 8; i_12 += 8) {
+          repro_vstore8(&gf[(((n_idx_10) * (2) + (i_11)) * (8) + (i_12))], repro_vsigmoidf8((repro_vload8(&mf[(((n_idx_10) * (2) + (i_11)) * (8) + (i_12))]) + repro_vload8(&bf[(i_12)]))));
+        }
+      }
+    }
+    // fc_sum [childsum]
+    for (int64_t n_idx_11 = 0; n_idx_11 < _length; ++n_idx_11) {
+      const int64_t n_11 = (_begin) + n_idx_11;
+      for (int64_t i_13 = 0; i_13 < 8; i_13 += 8) {
+        repro_vf8 _acc38 = repro_vsplat8(0.0f);
+        for (int64_t _k39 = 0; _k39 < max_children; ++_k39) {
+          _acc38 = _acc38 + ((_k39 < (num_children[n_11])) ? ((repro_vload8(&gf[(((n_idx_11) * (2) + (_k39)) * (8) + (i_13))]) * repro_vload8(&rnn_c_ph[((child[((_k39) * num_nodes + (n_11))]) * (8) + (i_13))]))) : repro_vsplat8(0.0f));
+        }
+        repro_vstore8(&fc_sum[((n_idx_11) * (8) + (i_13))], _acc38);
+      }
+    }
+    // rec_c [elementwise]
+    for (int64_t n_idx_12 = 0; n_idx_12 < _length; ++n_idx_12) {
+      const int64_t n_12 = (_begin) + n_idx_12;
+      for (int64_t i_14 = 0; i_14 < 8; i_14 += 8) {
+        repro_vstore8(&rnn_c_ph[((n_12) * (8) + (i_14))], ((repro_vload8(&gi[((n_idx_12) * (8) + (i_14))]) * repro_vload8(&gu[((n_idx_12) * (8) + (i_14))])) + repro_vload8(&fc_sum[((n_idx_12) * (8) + (i_14))])));
+      }
+    }
+    // rec_h [elementwise]
+    for (int64_t n_idx_13 = 0; n_idx_13 < _length; ++n_idx_13) {
+      const int64_t n_14 = (_begin) + n_idx_13;
+      for (int64_t i_16 = 0; i_16 < 8; i_16 += 8) {
+        repro_vstore8(&rnn_h_ph[((n_14) * (8) + (i_16))], (repro_vload8(&go[((n_idx_13) * (8) + (i_16))]) * repro_vtanhf8(repro_vload8(&rnn_c_ph[((n_14) * (8) + (i_16))]))));
+      }
+    }
+  }
+}
+
+#endif
+#ifdef REPRO_AVX2
+static int repro_use_avx2 = 0;
+__attribute__((constructor)) static void repro_pick_variant(void) {
+  __builtin_cpu_init();
+  repro_use_avx2 = __builtin_cpu_supports("avx2") != 0;
+}
+#endif
+
+/* float32 lanes of the variant the exported kernels dispatch to: the
+ * launcher packs weight panels for that width */
+int repro_lanes(void) {
+#ifdef REPRO_AVX2
+  if (repro_use_avx2) return 8;
+#endif
+  return 4;
+}
+
 void k_fused(
     float* rnn_h_ph,
     float* rnn_c_ph,
@@ -128,357 +756,17 @@ void k_fused(
     const int32_t* child,
     const int32_t* num_children,
     const int32_t* words,
-    const float* Ui_T,
-    const float* Uo_T,
-    const float* Uu_T,
-    const float* Uf_T,
+    const float* Ui_P,
+    const float* Uo_P,
+    const float* Uu_P,
+    const float* Uf_P,
     const int64_t* S,
     int64_t begin,
     int64_t length) {
-  const int64_t num_nodes = S[0];
-  const int64_t num_batches = S[1];
-  const int64_t leaf_batch_count = S[2];
-  const int64_t max_children = S[3];
-  const int64_t level_start = S[4];
-  (void)begin; (void)length;
-  // leaf phase (specialized leaf batches)
-  for (int64_t _lb = 0; _lb < leaf_batch_count; ++_lb) {
-    const int64_t _begin = (int64_t)batch_begin[_lb];
-    const int64_t _length = (int64_t)batch_length[_lb];
-    // leaf_h [gather]
-    for (int64_t n_idx = 0; n_idx < _length; ++n_idx) {
-      const int64_t n = (_begin) + n_idx;
-      for (int64_t i = 0; i < (0) + (8); ++i) {
-        rnn_h_ph[((n) * (8) + (i))] = Emb[((words[n]) * (8) + (i))];
-      }
-    }
-  }
-  // internal batches: the dependence-carrying loop; one global barrier per iteration (App. A.4)
-  for (int64_t _b = level_start; _b < num_batches; ++_b) {
-    const int64_t _begin = (int64_t)batch_begin[_b];
-    const int64_t _length = (int64_t)batch_length[_b];
-    // h_tilde [childsum]
-    for (int64_t n_idx_2 = 0; n_idx_2 < _length; ++n_idx_2) {
-      const int64_t n_2 = (_begin) + n_idx_2;
-      for (int64_t i_2 = 0; i_2 < (0) + (8); ++i_2) {
-        float _acc1 = 0.0f;
-        for (int64_t _k2 = 0; _k2 < max_children; ++_k2) {
-          _acc1 = _acc1 + ((_k2 < (num_children[n_2])) ? (rnn_h_ph[((child[((_k2) * num_nodes + (n_2))]) * (8) + (i_2))]) : 0.0f);
-        }
-        h_tilde[((n_idx_2) * (8) + (i_2))] = _acc1;
-      }
-    }
-    // mi [matvec] contraction: 2x16 register tiles over Ui_T[8][8]
-    const int64_t _rows3 = (_length) * 1;
-    int64_t _q4 = 0;
-    for (; _q4 + 2 <= _rows3; _q4 += 2) {
-      const int64_t _n_idx_3_5 = _q4;
-      const int64_t _n_3_6 = (_begin) + _n_idx_3_5;
-      const float* _x7 = &h_tilde[((_n_idx_3_5) * (8) + (0))];
-      float* _o8 = &mi[((_n_idx_3_5) * (8) + (0))];
-      const int64_t _n_idx_3_9 = _q4 + 1;
-      const int64_t _n_3_10 = (_begin) + _n_idx_3_9;
-      const float* _x11 = &h_tilde[((_n_idx_3_9) * (8) + (0))];
-      float* _o12 = &mi[((_n_idx_3_9) * (8) + (0))];
-      {
-        const float* _wp = Ui_T + 0;
-        repro_vf _sx0 = repro_vf_splat(_x7[0]);
-        repro_vf _sx1 = repro_vf_splat(_x11[0]);
-        repro_vf _wv0 = repro_vf_load(_wp + 0);
-        repro_vf _wv1 = repro_vf_load(_wp + 4);
-        repro_vf _ac0_0 = _wv0 * _sx0;
-        repro_vf _ac0_1 = _wv1 * _sx0;
-        repro_vf _ac1_0 = _wv0 * _sx1;
-        repro_vf _ac1_1 = _wv1 * _sx1;
-        for (int64_t _kr = 1; _kr < 8; ++_kr) {
-          _wp += 8;
-          _sx0 = repro_vf_splat(_x7[_kr]);
-          _sx1 = repro_vf_splat(_x11[_kr]);
-          _wv0 = repro_vf_load(_wp + 0);
-          _wv1 = repro_vf_load(_wp + 4);
-          _ac0_0 = _ac0_0 + _wv0 * _sx0;
-          _ac0_1 = _ac0_1 + _wv1 * _sx0;
-          _ac1_0 = _ac1_0 + _wv0 * _sx1;
-          _ac1_1 = _ac1_1 + _wv1 * _sx1;
-        }
-        repro_vf_store(_o8 + 0 + 0, _ac0_0);
-        repro_vf_store(_o8 + 0 + 4, _ac0_1);
-        repro_vf_store(_o12 + 0 + 0, _ac1_0);
-        repro_vf_store(_o12 + 0 + 4, _ac1_1);
-      }
-    }
-    for (; _q4 + 1 <= _rows3; _q4 += 1) {
-      const int64_t _n_idx_3_13 = _q4;
-      const int64_t _n_3_14 = (_begin) + _n_idx_3_13;
-      const float* _x15 = &h_tilde[((_n_idx_3_13) * (8) + (0))];
-      float* _o16 = &mi[((_n_idx_3_13) * (8) + (0))];
-      {
-        const float* _wp = Ui_T + 0;
-        repro_vf _sx0 = repro_vf_splat(_x15[0]);
-        repro_vf _wv0 = repro_vf_load(_wp + 0);
-        repro_vf _wv1 = repro_vf_load(_wp + 4);
-        repro_vf _ac0_0 = _wv0 * _sx0;
-        repro_vf _ac0_1 = _wv1 * _sx0;
-        for (int64_t _kr = 1; _kr < 8; ++_kr) {
-          _wp += 8;
-          _sx0 = repro_vf_splat(_x15[_kr]);
-          _wv0 = repro_vf_load(_wp + 0);
-          _wv1 = repro_vf_load(_wp + 4);
-          _ac0_0 = _ac0_0 + _wv0 * _sx0;
-          _ac0_1 = _ac0_1 + _wv1 * _sx0;
-        }
-        repro_vf_store(_o16 + 0 + 0, _ac0_0);
-        repro_vf_store(_o16 + 0 + 4, _ac0_1);
-      }
-    }
-    // mo [matvec] contraction: 2x16 register tiles over Uo_T[8][8]
-    const int64_t _rows17 = (_length) * 1;
-    int64_t _q18 = 0;
-    for (; _q18 + 2 <= _rows17; _q18 += 2) {
-      const int64_t _n_idx_4_19 = _q18;
-      const int64_t _n_4_20 = (_begin) + _n_idx_4_19;
-      const float* _x21 = &h_tilde[((_n_idx_4_19) * (8) + (0))];
-      float* _o22 = &mo[((_n_idx_4_19) * (8) + (0))];
-      const int64_t _n_idx_4_23 = _q18 + 1;
-      const int64_t _n_4_24 = (_begin) + _n_idx_4_23;
-      const float* _x25 = &h_tilde[((_n_idx_4_23) * (8) + (0))];
-      float* _o26 = &mo[((_n_idx_4_23) * (8) + (0))];
-      {
-        const float* _wp = Uo_T + 0;
-        repro_vf _sx0 = repro_vf_splat(_x21[0]);
-        repro_vf _sx1 = repro_vf_splat(_x25[0]);
-        repro_vf _wv0 = repro_vf_load(_wp + 0);
-        repro_vf _wv1 = repro_vf_load(_wp + 4);
-        repro_vf _ac0_0 = _wv0 * _sx0;
-        repro_vf _ac0_1 = _wv1 * _sx0;
-        repro_vf _ac1_0 = _wv0 * _sx1;
-        repro_vf _ac1_1 = _wv1 * _sx1;
-        for (int64_t _kr = 1; _kr < 8; ++_kr) {
-          _wp += 8;
-          _sx0 = repro_vf_splat(_x21[_kr]);
-          _sx1 = repro_vf_splat(_x25[_kr]);
-          _wv0 = repro_vf_load(_wp + 0);
-          _wv1 = repro_vf_load(_wp + 4);
-          _ac0_0 = _ac0_0 + _wv0 * _sx0;
-          _ac0_1 = _ac0_1 + _wv1 * _sx0;
-          _ac1_0 = _ac1_0 + _wv0 * _sx1;
-          _ac1_1 = _ac1_1 + _wv1 * _sx1;
-        }
-        repro_vf_store(_o22 + 0 + 0, _ac0_0);
-        repro_vf_store(_o22 + 0 + 4, _ac0_1);
-        repro_vf_store(_o26 + 0 + 0, _ac1_0);
-        repro_vf_store(_o26 + 0 + 4, _ac1_1);
-      }
-    }
-    for (; _q18 + 1 <= _rows17; _q18 += 1) {
-      const int64_t _n_idx_4_27 = _q18;
-      const int64_t _n_4_28 = (_begin) + _n_idx_4_27;
-      const float* _x29 = &h_tilde[((_n_idx_4_27) * (8) + (0))];
-      float* _o30 = &mo[((_n_idx_4_27) * (8) + (0))];
-      {
-        const float* _wp = Uo_T + 0;
-        repro_vf _sx0 = repro_vf_splat(_x29[0]);
-        repro_vf _wv0 = repro_vf_load(_wp + 0);
-        repro_vf _wv1 = repro_vf_load(_wp + 4);
-        repro_vf _ac0_0 = _wv0 * _sx0;
-        repro_vf _ac0_1 = _wv1 * _sx0;
-        for (int64_t _kr = 1; _kr < 8; ++_kr) {
-          _wp += 8;
-          _sx0 = repro_vf_splat(_x29[_kr]);
-          _wv0 = repro_vf_load(_wp + 0);
-          _wv1 = repro_vf_load(_wp + 4);
-          _ac0_0 = _ac0_0 + _wv0 * _sx0;
-          _ac0_1 = _ac0_1 + _wv1 * _sx0;
-        }
-        repro_vf_store(_o30 + 0 + 0, _ac0_0);
-        repro_vf_store(_o30 + 0 + 4, _ac0_1);
-      }
-    }
-    // mu [matvec] contraction: 2x16 register tiles over Uu_T[8][8]
-    const int64_t _rows31 = (_length) * 1;
-    int64_t _q32 = 0;
-    for (; _q32 + 2 <= _rows31; _q32 += 2) {
-      const int64_t _n_idx_5_33 = _q32;
-      const int64_t _n_5_34 = (_begin) + _n_idx_5_33;
-      const float* _x35 = &h_tilde[((_n_idx_5_33) * (8) + (0))];
-      float* _o36 = &mu[((_n_idx_5_33) * (8) + (0))];
-      const int64_t _n_idx_5_37 = _q32 + 1;
-      const int64_t _n_5_38 = (_begin) + _n_idx_5_37;
-      const float* _x39 = &h_tilde[((_n_idx_5_37) * (8) + (0))];
-      float* _o40 = &mu[((_n_idx_5_37) * (8) + (0))];
-      {
-        const float* _wp = Uu_T + 0;
-        repro_vf _sx0 = repro_vf_splat(_x35[0]);
-        repro_vf _sx1 = repro_vf_splat(_x39[0]);
-        repro_vf _wv0 = repro_vf_load(_wp + 0);
-        repro_vf _wv1 = repro_vf_load(_wp + 4);
-        repro_vf _ac0_0 = _wv0 * _sx0;
-        repro_vf _ac0_1 = _wv1 * _sx0;
-        repro_vf _ac1_0 = _wv0 * _sx1;
-        repro_vf _ac1_1 = _wv1 * _sx1;
-        for (int64_t _kr = 1; _kr < 8; ++_kr) {
-          _wp += 8;
-          _sx0 = repro_vf_splat(_x35[_kr]);
-          _sx1 = repro_vf_splat(_x39[_kr]);
-          _wv0 = repro_vf_load(_wp + 0);
-          _wv1 = repro_vf_load(_wp + 4);
-          _ac0_0 = _ac0_0 + _wv0 * _sx0;
-          _ac0_1 = _ac0_1 + _wv1 * _sx0;
-          _ac1_0 = _ac1_0 + _wv0 * _sx1;
-          _ac1_1 = _ac1_1 + _wv1 * _sx1;
-        }
-        repro_vf_store(_o36 + 0 + 0, _ac0_0);
-        repro_vf_store(_o36 + 0 + 4, _ac0_1);
-        repro_vf_store(_o40 + 0 + 0, _ac1_0);
-        repro_vf_store(_o40 + 0 + 4, _ac1_1);
-      }
-    }
-    for (; _q32 + 1 <= _rows31; _q32 += 1) {
-      const int64_t _n_idx_5_41 = _q32;
-      const int64_t _n_5_42 = (_begin) + _n_idx_5_41;
-      const float* _x43 = &h_tilde[((_n_idx_5_41) * (8) + (0))];
-      float* _o44 = &mu[((_n_idx_5_41) * (8) + (0))];
-      {
-        const float* _wp = Uu_T + 0;
-        repro_vf _sx0 = repro_vf_splat(_x43[0]);
-        repro_vf _wv0 = repro_vf_load(_wp + 0);
-        repro_vf _wv1 = repro_vf_load(_wp + 4);
-        repro_vf _ac0_0 = _wv0 * _sx0;
-        repro_vf _ac0_1 = _wv1 * _sx0;
-        for (int64_t _kr = 1; _kr < 8; ++_kr) {
-          _wp += 8;
-          _sx0 = repro_vf_splat(_x43[_kr]);
-          _wv0 = repro_vf_load(_wp + 0);
-          _wv1 = repro_vf_load(_wp + 4);
-          _ac0_0 = _ac0_0 + _wv0 * _sx0;
-          _ac0_1 = _ac0_1 + _wv1 * _sx0;
-        }
-        repro_vf_store(_o44 + 0 + 0, _ac0_0);
-        repro_vf_store(_o44 + 0 + 4, _ac0_1);
-      }
-    }
-    // gi [elementwise]
-    for (int64_t n_idx_6 = 0; n_idx_6 < _length; ++n_idx_6) {
-      const int64_t n_6 = (_begin) + n_idx_6;
-      for (int64_t i_6 = 0; i_6 < (0) + (8); ++i_6) {
-        gi[((n_idx_6) * (8) + (i_6))] = repro_sigmoidf((mi[((n_idx_6) * (8) + (i_6))] + bi[(i_6)]));
-      }
-    }
-    // go [elementwise]
-    for (int64_t n_idx_7 = 0; n_idx_7 < _length; ++n_idx_7) {
-      const int64_t n_7 = (_begin) + n_idx_7;
-      for (int64_t i_7 = 0; i_7 < (0) + (8); ++i_7) {
-        go[((n_idx_7) * (8) + (i_7))] = repro_sigmoidf((mo[((n_idx_7) * (8) + (i_7))] + bo[(i_7)]));
-      }
-    }
-    // gu [elementwise]
-    for (int64_t n_idx_8 = 0; n_idx_8 < _length; ++n_idx_8) {
-      const int64_t n_8 = (_begin) + n_idx_8;
-      for (int64_t i_8 = 0; i_8 < (0) + (8); ++i_8) {
-        gu[((n_idx_8) * (8) + (i_8))] = tanhf((mu[((n_idx_8) * (8) + (i_8))] + bu[(i_8)]));
-      }
-    }
-    // mf [matvec] contraction: 2x16 register tiles over Uf_T[8][8]
-    const int64_t _rows45 = (_length) * 2;
-    int64_t _q46 = 0;
-    for (; _q46 + 2 <= _rows45; _q46 += 2) {
-      const int64_t _i_9_47 = (_q46) % 2;
-      const int64_t _n_idx_9_48 = (_q46) / 2;
-      const int64_t _n_9_49 = (_begin) + _n_idx_9_48;
-      const float* _x50 = &rnn_h_ph[((child[((_i_9_47) * num_nodes + (_n_9_49))]) * (8) + (0))];
-      float* _o51 = &mf[(((_n_idx_9_48) * (2) + (_i_9_47)) * (8) + (0))];
-      const int64_t _i_9_52 = (_q46 + 1) % 2;
-      const int64_t _n_idx_9_53 = (_q46 + 1) / 2;
-      const int64_t _n_9_54 = (_begin) + _n_idx_9_53;
-      const float* _x55 = &rnn_h_ph[((child[((_i_9_52) * num_nodes + (_n_9_54))]) * (8) + (0))];
-      float* _o56 = &mf[(((_n_idx_9_53) * (2) + (_i_9_52)) * (8) + (0))];
-      {
-        const float* _wp = Uf_T + 0;
-        repro_vf _sx0 = repro_vf_splat(_x50[0]);
-        repro_vf _sx1 = repro_vf_splat(_x55[0]);
-        repro_vf _wv0 = repro_vf_load(_wp + 0);
-        repro_vf _wv1 = repro_vf_load(_wp + 4);
-        repro_vf _ac0_0 = _wv0 * _sx0;
-        repro_vf _ac0_1 = _wv1 * _sx0;
-        repro_vf _ac1_0 = _wv0 * _sx1;
-        repro_vf _ac1_1 = _wv1 * _sx1;
-        for (int64_t _kr = 1; _kr < 8; ++_kr) {
-          _wp += 8;
-          _sx0 = repro_vf_splat(_x50[_kr]);
-          _sx1 = repro_vf_splat(_x55[_kr]);
-          _wv0 = repro_vf_load(_wp + 0);
-          _wv1 = repro_vf_load(_wp + 4);
-          _ac0_0 = _ac0_0 + _wv0 * _sx0;
-          _ac0_1 = _ac0_1 + _wv1 * _sx0;
-          _ac1_0 = _ac1_0 + _wv0 * _sx1;
-          _ac1_1 = _ac1_1 + _wv1 * _sx1;
-        }
-        repro_vf_store(_o51 + 0 + 0, _ac0_0);
-        repro_vf_store(_o51 + 0 + 4, _ac0_1);
-        repro_vf_store(_o56 + 0 + 0, _ac1_0);
-        repro_vf_store(_o56 + 0 + 4, _ac1_1);
-      }
-    }
-    for (; _q46 + 1 <= _rows45; _q46 += 1) {
-      const int64_t _i_9_57 = (_q46) % 2;
-      const int64_t _n_idx_9_58 = (_q46) / 2;
-      const int64_t _n_9_59 = (_begin) + _n_idx_9_58;
-      const float* _x60 = &rnn_h_ph[((child[((_i_9_57) * num_nodes + (_n_9_59))]) * (8) + (0))];
-      float* _o61 = &mf[(((_n_idx_9_58) * (2) + (_i_9_57)) * (8) + (0))];
-      {
-        const float* _wp = Uf_T + 0;
-        repro_vf _sx0 = repro_vf_splat(_x60[0]);
-        repro_vf _wv0 = repro_vf_load(_wp + 0);
-        repro_vf _wv1 = repro_vf_load(_wp + 4);
-        repro_vf _ac0_0 = _wv0 * _sx0;
-        repro_vf _ac0_1 = _wv1 * _sx0;
-        for (int64_t _kr = 1; _kr < 8; ++_kr) {
-          _wp += 8;
-          _sx0 = repro_vf_splat(_x60[_kr]);
-          _wv0 = repro_vf_load(_wp + 0);
-          _wv1 = repro_vf_load(_wp + 4);
-          _ac0_0 = _ac0_0 + _wv0 * _sx0;
-          _ac0_1 = _ac0_1 + _wv1 * _sx0;
-        }
-        repro_vf_store(_o61 + 0 + 0, _ac0_0);
-        repro_vf_store(_o61 + 0 + 4, _ac0_1);
-      }
-    }
-    // gf [elementwise]
-    for (int64_t n_idx_10 = 0; n_idx_10 < _length; ++n_idx_10) {
-      const int64_t n_10 = (_begin) + n_idx_10;
-      for (int64_t i_11 = 0; i_11 < (0) + (2); ++i_11) {
-        for (int64_t i_12 = 0; i_12 < (0) + (8); ++i_12) {
-          gf[(((n_idx_10) * (2) + (i_11)) * (8) + (i_12))] = repro_sigmoidf((mf[(((n_idx_10) * (2) + (i_11)) * (8) + (i_12))] + bf[(i_12)]));
-        }
-      }
-    }
-    // fc_sum [childsum]
-    for (int64_t n_idx_11 = 0; n_idx_11 < _length; ++n_idx_11) {
-      const int64_t n_11 = (_begin) + n_idx_11;
-      for (int64_t i_13 = 0; i_13 < (0) + (8); ++i_13) {
-        float _acc62 = 0.0f;
-        for (int64_t _k63 = 0; _k63 < max_children; ++_k63) {
-          _acc62 = _acc62 + ((_k63 < (num_children[n_11])) ? ((gf[(((n_idx_11) * (2) + (_k63)) * (8) + (i_13))] * rnn_c_ph[((child[((_k63) * num_nodes + (n_11))]) * (8) + (i_13))])) : 0.0f);
-        }
-        fc_sum[((n_idx_11) * (8) + (i_13))] = _acc62;
-      }
-    }
-    // rec_c [elementwise]
-    for (int64_t n_idx_12 = 0; n_idx_12 < _length; ++n_idx_12) {
-      const int64_t n_12 = (_begin) + n_idx_12;
-      for (int64_t i_14 = 0; i_14 < (0) + (8); ++i_14) {
-        rnn_c_ph[((n_12) * (8) + (i_14))] = ((gi[((n_idx_12) * (8) + (i_14))] * gu[((n_idx_12) * (8) + (i_14))]) + fc_sum[((n_idx_12) * (8) + (i_14))]);
-      }
-    }
-    // rec_h [elementwise]
-    for (int64_t n_idx_13 = 0; n_idx_13 < _length; ++n_idx_13) {
-      const int64_t n_14 = (_begin) + n_idx_13;
-      for (int64_t i_16 = 0; i_16 < (0) + (8); ++i_16) {
-        rnn_h_ph[((n_14) * (8) + (i_16))] = (go[((n_idx_13) * (8) + (i_16))] * tanhf(rnn_c_ph[((n_14) * (8) + (i_16))]));
-      }
-    }
-  }
+#ifdef REPRO_AVX2
+  if (repro_use_avx2) { k_fused_avx2(rnn_h_ph, rnn_c_ph, Emb, bi, bo, bu, bf, h_tilde, mi, mo, mu, gi, go, gu, mf, gf, fc_sum, batch_begin, batch_length, child, num_children, words, Ui_P, Uo_P, Uu_P, Uf_P, S, begin, length); return; }
+#endif
+  k_fused_base(rnn_h_ph, rnn_c_ph, Emb, bi, bo, bu, bf, h_tilde, mi, mo, mu, gi, go, gu, mf, gf, fc_sum, batch_begin, batch_length, child, num_children, words, Ui_P, Uo_P, Uu_P, Uf_P, S, begin, length);
 }
 
 

@@ -6,18 +6,26 @@ zero-copy validation (wrong dtype / non-contiguous views raise
 ``NativeError``), the ``.so`` build cache, the ``target="c"`` pipeline
 stage, model- and kernel-level parity against the Python kernels
 (bitwise where :func:`parity_classification` promises it, tolerance
-where libm/BLAS reassociation differs), the no-compiler fallback,
-profiler labeling, artifact round-trips and serving — and the
-register-tiled contraction schedule: bitwise against the scalar fold it
-replaces, its packed-weight cache, ABI records and a UBSan build.
+where the prelude polynomials / BLAS reassociation differ), the
+no-compiler fallback, profiler labeling, artifact round-trips and
+serving — and the schedules of the native generator: register-tiled
+contractions over panel-packed weights (bitwise against the scalar fold, the packing
+cache, ABI records), the two ISA variants (bitwise against each other),
+the lane loops and the prelude's own exp / tanh / sigmoid (bitwise
+against an op-for-op NumPy reference, ulp-bounded against float64), and
+UBSan / ASan / warning-clean builds.
 
 Golden snapshots of the generated C source live in ``tests/golden/``;
 regenerate with ``REPRO_REGEN_GOLDEN=1``.
 """
 
+import copy
 import ctypes
 import json
 import os
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +35,7 @@ from repro.data import (grid_dag, grid_dag_batch, random_dag,
                         synthetic_treebank)
 from repro.errors import (LinearizationError, NativeError,
                           NativeFallbackWarning, ScheduleError)
+from repro.ilir.codegen import c_codegen
 from repro.ilir.codegen.c_codegen import (NativeCodegen, c_float_literal,
                                           generate_c_module,
                                           parity_classification,
@@ -342,6 +351,10 @@ def test_signature_json_roundtrip():
         (w, "float32") for w in ("Ui", "Uo", "Uu", "Uf"))
     data = json.loads(json.dumps(signatures_to_json(sigs)))
     assert signatures_from_json(data) == sigs
+    # a record written when packed weights were transposes, not panels
+    assert data[0].pop("packed_layout") == "panel"
+    with pytest.raises(NativeError, match="packed layout 'transpose'"):
+        signatures_from_json(data)
     # a record without packed entries cannot vouch for any library's ABI
     del data[0]["packed"]
     with pytest.raises(NativeError, match="predates the packed-weight ABI"):
@@ -364,6 +377,7 @@ def test_artifact_bakes_and_reloads_native(tmp_path, monkeypatch):
     assert set(meta) == {"source_hash", "cc", "flags", "signatures"}
     assert [sig["packed"] for sig in meta["signatures"]] == [
         [[w, "float32"] for w in ("Ui", "Uo", "Uu", "Uf")]]
+    assert [sig["packed_layout"] for sig in meta["signatures"]] == ["panel"]
 
     # 1) prebuilt load: native serving with NO compiler on the host
     monkeypatch.setenv("REPRO_NO_CC", "1")
@@ -392,20 +406,18 @@ def test_artifact_bakes_and_reloads_native(tmp_path, monkeypatch):
             np.testing.assert_array_equal(a[n], b[n])
 
 
-@needs_cc
-def test_artifact_without_packed_entries_falls_back(tmp_path):
-    """A ``native.json`` written before signatures recorded packed
-    weights must never be launched against: Python kernels, with the
-    typed warning."""
+def _assert_stale_abi_falls_back(tmp_path, entry, match):
+    """An artifact whose ``native.json`` signatures lack ``entry`` loads
+    with the typed warning and runs the Python kernels."""
     from repro.tools.artifact import NATIVE_META, load_model, save_model
 
     model = _compile("treelstm", "c")
     out = save_model(model, tmp_path / "art")
     meta = json.loads((out / NATIVE_META).read_text())
     for sig in meta["signatures"]:
-        del sig["packed"]
+        del sig[entry]
     (out / NATIVE_META).write_text(json.dumps(meta))
-    with pytest.warns(NativeFallbackWarning, match="packed-weight ABI"):
+    with pytest.warns(NativeFallbackWarning, match=match):
         dm = load_model(out)
     assert getattr(dm.compiled, "native", None) is None
     py = _compile("treelstm", "python")
@@ -413,6 +425,42 @@ def test_artifact_without_packed_entries_falls_back(tmp_path):
         for name in py.outputs:
             np.testing.assert_array_equal(dm.run(tree).root_output(name),
                                           py.run(tree).root_output(name))
+
+
+@needs_cc
+def test_artifact_without_packed_entries_falls_back(tmp_path):
+    """A ``native.json`` written before signatures recorded packed
+    weights must never be launched against: Python kernels, with the
+    typed warning."""
+    _assert_stale_abi_falls_back(tmp_path, "packed", "packed-weight ABI")
+
+
+@needs_cc
+def test_artifact_with_transposed_weights_abi_falls_back(tmp_path):
+    """Nor one written when packed weights were transposes: its library
+    would read the panels this launcher packs as ``W.T``."""
+    _assert_stale_abi_falls_back(tmp_path, "packed_layout",
+                                 "packed layout 'transpose'")
+
+
+@needs_cc
+def test_artifact_runs_on_the_base_variant(tmp_path, monkeypatch):
+    """The shipped ``.so`` holds both variants, so an artifact built
+    here serves a host without AVX2: its base entry points, launched
+    directly, give the bits the dispatching kernels give."""
+    from repro.tools.artifact import load_model, save_model
+
+    model = _compile("treelstm", "c", hidden=40)
+    out = save_model(model, tmp_path / "art")
+    monkeypatch.setenv("REPRO_NO_CC", "1")
+    dm = load_model(out)
+    assert dm.compiled.native.cc == "(prebuilt)"
+    plan = _variant_plan(dm, "base")
+    for roots in _batches("treelstm", np.random.default_rng(5)):
+        got = execute_plan(plan, dm._linearize(roots, True), dm.params)
+        want = model.run(roots)
+        for buf in model.outputs:
+            assert np.array_equal(got.workspace[buf], want.workspace[buf])
 
 
 def test_artifact_python_target_bakes_no_native(tmp_path):
@@ -495,6 +543,26 @@ def test_tiled_contraction_wide_arity(max_children, make_root, monkeypatch):
     _assert_same_workspaces(tiled, scalar, [[make_root()]])
 
 
+def test_panel_packed_layout_and_cache_contract():
+    from repro.runtime import kernels
+
+    w = np.arange(7 * 3, dtype=np.float32).reshape(7, 3)  # [j, r]
+    packed = kernels.panel_packed(w, 4)
+    # one full panel P[0][r][0:4], then the 3 left-over columns [r][3]
+    assert packed.shape == (21,) and packed.flags.c_contiguous
+    assert np.array_equal(packed[:12].reshape(3, 4), w[:4].T)
+    assert np.array_equal(packed[12:].reshape(3, 3), w[4:].T)
+    assert kernels.panel_packed(w, 4) is packed  # packed once per array
+    assert kernels.panel_packed(w, 8) is not packed  # per width
+    # shares the GEMM operands' cache without touching their entries
+    gemm = kernels._contig_2d(w, (1, 0), w.T)
+    assert kernels._contig_2d(w, (1, 0), w.T) is gemm
+    assert kernels.panel_packed(w, 4) is packed
+    kernels.clear_contig_cache()
+    assert kernels.panel_packed(w, 4) is not packed
+    assert kernels._contig_2d(w, (1, 0), w.T) is not gemm
+
+
 @needs_cc
 def test_inplace_weight_edit_repacks_on_version_bump():
     model = _compile("treelstm", "c")
@@ -550,7 +618,275 @@ def test_zoo_runs_clean_under_ubsan(name):
             assert np.array_equal(got.workspace[buf], want.workspace[buf])
 
 
+@needs_cc
+def test_generated_c_compiles_without_warnings():
+    """Every schedule the zoo exercises (full / partial panels, scalar
+    columns, lane-loop tails, both presets), ``-Wall -Wextra`` as errors:
+    ``-Wpsabi`` is how a 32-byte vector crossing a non-AVX function
+    boundary shows up."""
+    flags = DEFAULT_CFLAGS + ("-Wall", "-Wextra", "-Werror")
+    for name in ZOO + ("seq_lstm", "mvrnn", "treelstm_nary"):
+        for preset in PRESETS.values():
+            for hidden in (6, 40):
+                model = _compile(name, "python", hidden=hidden, **preset)
+                NativeModule.from_ilmodule(model.lowered.module, flags=flags)
+
+
+# -- ISA variants -------------------------------------------------------------
+
+def _variant_plan(model, variant):
+    """The model's host plan over one ISA variant's own entry points."""
+    compiled = copy.copy(model.compiled)
+    compiled.native = types.SimpleNamespace(
+        fns=model.compiled.native.variant_fns(variant))
+    return build_host_plan(model.lowered, compiled)
+
+
+@needs_cc
+@pytest.mark.parametrize("hidden", (1, 6, 40, 256))
+@pytest.mark.parametrize("name", CONTRACTION_ZOO)
+def test_isa_variants_agree_bitwise(name, hidden):
+    """base (4 lanes) and avx2 (8 lanes) on every workspace buffer —
+    contractions, lane loops and the polynomials alike — at hidden sizes
+    with full panels (256), a partial panel (40), scalar columns and
+    partial vectors (6) and one column (1)."""
+    model = _compile(name, "c", hidden=hidden)
+    if model.compiled.native.variant != "avx2":
+        pytest.skip("this host's CPU runs the base variant only")
+    base, avx2 = _variant_plan(model, "base"), _variant_plan(model, "avx2")
+    for roots in _batches(name, np.random.default_rng(5)):
+        lin = model._linearize(roots, True)
+        a = execute_plan(base, lin, model.params).workspace
+        b = execute_plan(avx2, lin, model.params).workspace
+        assert set(a) == set(b)
+        for buf in a:
+            assert np.array_equal(a[buf], b[buf]), buf
+
+
+# -- the prelude's own exp / tanh / sigmoid ------------------------------------
+
+_F = np.float32
+
+
+def _ref_expf(x):
+    """``repro_vexpf``, operation for operation, in NumPy float32."""
+    magic = _F(12582912.0)
+    x = np.where(x > _F(89.0), _F(89.0), x)
+    x = np.where(x < _F(-104.0), _F(-104.0), x)
+    t = x * _F(1.44269504088896341) + magic
+    n = t - magic
+    ni = t.view(np.int32) - magic.view(np.int32)
+    r = x - n * _F(0.693359375)
+    r = r - n * _F(-2.12194440e-4)
+    p = np.full_like(x, _F(1.9875691500e-4))
+    for c in (1.3981999507e-3, 8.3334519073e-3, 4.1665795894e-2,
+              1.6666665459e-1, 5.0000001201e-1):
+        p = p * r + _F(c)
+    p = p * (r * r) + r
+    p = p + _F(1.0)
+    h = ni >> 1
+    return (p * ((h + 127) << 23).view(np.float32)
+            * ((ni - h + 127) << 23).view(np.float32))
+
+
+def _ref_sigmoidf(x):
+    z = _ref_expf(-np.abs(x))
+    return np.where(x >= 0, _F(1.0), z) / (_F(1.0) + z)
+
+
+def _ref_tanhf(x):
+    sign = x.view(np.int32) & np.int32(-2 ** 31)
+    a = np.abs(x)
+    z = a * a
+    p = np.full_like(x, _F(-5.70498872745e-3))
+    for c in (2.06390887954e-2, -5.37397155531e-2, 1.33314422036e-1,
+              -3.33332819422e-1):
+        p = p * z + _F(c)
+    p = p * z * a + a
+    q = _F(1.0) - _F(2.0) / (_ref_expf(a + a) + _F(1.0))
+    return (np.where(a < _F(0.625), p, q).view(np.int32) | sign).view(
+        np.float32)
+
+
+#: name -> (NumPy float32 mirror, float64 truth, ulp bound against it)
+_PRELUDE_MATH = {
+    "expf": (_ref_expf, np.exp, 1.0),
+    "tanhf": (_ref_tanhf, np.tanh, 2.0),
+    "sigmoidf": (_ref_sigmoidf, lambda v: 1.0 / (1.0 + np.exp(-v)), 3.0),
+}
+
+
+@pytest.fixture(scope="module")
+def prelude_math(tmp_path_factory):
+    """``(fn, form) -> callable(x) -> y`` over a library that is the
+    prelude plus one array loop per function and form: the scalar
+    wrapper, the base vector and — compiled in and runnable here — the
+    avx2 vector."""
+    if not native_available():
+        pytest.skip("no C compiler on the host")
+    loops = []
+    for fn in _PRELUDE_MATH:
+        loops.append(
+            f"void t_{fn}_scalar(const float* x, float* y, int64_t n) {{\n"
+            f"  for (int64_t i = 0; i < n; ++i) y[i] = repro_{fn}(x[i]);\n}}")
+        for variant, lanes in c_codegen.VARIANTS.items():
+            loops.append(
+                ("#ifdef REPRO_AVX2\n" if variant == "avx2" else "")
+                + f"{c_codegen._variant_target(variant)}void "
+                f"t_{fn}_{variant}(const float* x, float* y, int64_t n) {{\n"
+                f"  for (int64_t i = 0; i < n; i += {lanes})\n"
+                f"    repro_vstore{lanes}(y + i, repro_v{fn}{lanes}("
+                f"repro_vload{lanes}(x + i)));\n}}"
+                + ("\n#endif" if variant == "avx2" else ""))
+    source = "\n".join([c_codegen.native_prelude(), *loops,
+                        c_codegen._C_DISPATCH, c_codegen._C_EPILOGUE])
+    lib = ctypes.CDLL(str(build_shared_library(
+        source, cc=find_compiler(),
+        flags=DEFAULT_CFLAGS + ("-Wall", "-Wextra", "-Werror"),
+        cache_dir=tmp_path_factory.mktemp("prelude"))))
+    lib.repro_lanes.restype = ctypes.c_int
+    forms = ["scalar", "base"] + ["avx2"] * (lib.repro_lanes() == 8)
+
+    def call(fn, form, x):
+        assert x.dtype == np.float32 and x.size % 8 == 0
+        y = np.empty_like(x)
+        cfn = getattr(lib, f"t_{fn}_{form}")
+        cfn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
+        cfn.restype = None
+        cfn(x.ctypes.data, y.ctypes.data, x.size)
+        return y
+
+    return forms, call
+
+
+@pytest.mark.parametrize("fn", sorted(_PRELUDE_MATH))
+def test_prelude_math_equals_numpy_mirror_and_bounds_ulp(fn, prelude_math):
+    forms, call = prelude_math
+    mirror, truth, bound = _PRELUDE_MATH[fn]
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.uniform(-20, 20, 1 << 19),
+                        rng.normal(0, 2, 1 << 19)]).astype(np.float32)
+    with np.errstate(all="ignore"):
+        want = mirror(x)
+    for form in forms:
+        assert np.array_equal(call(fn, form, x), want), form
+    exact = truth(x.astype(np.float64))
+    ulp = np.spacing(np.abs(exact.astype(np.float32))).astype(np.float64)
+    assert (np.abs(want.astype(np.float64) - exact) / ulp).max() <= bound
+
+
+def test_prelude_math_edge_table(prelude_math):
+    forms, call = prelude_math
+    inf, nan = np.inf, np.nan
+    table = {
+        # NaN propagates; infinities, overflow and underflow saturate as
+        # libm's do; the subnormal range is rounded once, not flushed
+        "expf": [(nan, nan), (inf, inf), (-inf, 0.0), (0.0, 1.0), (-0.0, 1.0),
+                 (88.73, inf), (1e30, inf), (-104.0, 0.0), (-1e30, 0.0),
+                 (88.7, float(np.exp(np.float64(_F(88.7))).astype(_F))),
+                 (-100.0, float(np.exp(np.float64(-100.0)).astype(_F)))],
+        "tanhf": [(nan, nan), (inf, 1.0), (-inf, -1.0), (0.0, 0.0),
+                  (-0.0, -0.0), (100.0, 1.0), (-100.0, -1.0),
+                  (1e-30, 1e-30), (-1e-45, -1e-45)],
+        "sigmoidf": [(nan, nan), (inf, 1.0), (-inf, 0.0), (0.0, 0.5),
+                     (-0.0, 0.5), (100.0, 1.0), (-200.0, 0.0)],
+    }
+    for fn, rows in table.items():
+        x = np.zeros(-(-len(rows) // 8) * 8, np.float32)
+        x[:len(rows)] = [r[0] for r in rows]
+        want = np.array([r[1] for r in rows], np.float32)
+        for form in forms:
+            got = call(fn, form, x)[:len(rows)]
+            # bit patterns: tells -0.0 from 0.0, and NaN == NaN
+            assert np.array_equal(
+                np.where(np.isnan(got), _F(nan), got).view(np.int32),
+                want.view(np.int32)), (fn, form, got, want)
+
+
+# -- exactly-rounded intrinsics stay in the bitwise class ----------------------
+
+@needs_cc
+def test_sqrt_kernels_are_bitwise_across_targets():
+    """``sqrtf`` and ``np.sqrt`` are both correctly rounded: a model
+    whose only intrinsic is ``sqrt`` is bitwise-classified, and is."""
+    from repro.authoring import define_model
+    from repro.ir import sqrt
+    from repro.models import unregister
+    from repro.ra.node_ref import isleaf
+    from repro.ra.tensor import NUM_NODES
+
+    def cell(p, hidden, vocab):
+        Emb = p.input_tensor((vocab, hidden), "Emb")
+        ph = p.placeholder((NUM_NODES, hidden), "h_ph")
+        leaf_h = p.compute((NUM_NODES, hidden),
+                           lambda n, i: Emb[n.word, i], "leaf_h")
+        rec = p.compute(
+            (NUM_NODES, hidden),
+            lambda n, i: sqrt(ph[n.left, i] * ph[n.left, i]
+                              + ph[n.right, i] * ph[n.right, i] + 0.1),
+            "rec")
+        body = p.if_then_else((NUM_NODES, hidden),
+                              lambda n, i: (isleaf(n), leaf_h, rec), "body")
+        p.recursion_op(ph, body, "rnn")
+
+    define_model("sqrt_norm_toy", cell).register()
+    try:
+        py = _compile("sqrt_norm_toy", "python")
+        nat = _compile("sqrt_norm_toy", "c")
+    finally:
+        unregister("sqrt_norm_toy")
+    classes = parity_classification(py.lowered.module)
+    assert all(c["bitwise"] for c in classes.values()), classes
+    _assert_same_workspaces(py, nat, [_inputs("treelstm", n=4)])
+
+
 # -- input boundary ------------------------------------------------------------
+
+_UNARY_UNDER_ASAN = """
+import numpy as np
+from repro.linearizer import branch, leaf
+from repro.options import CompileOptions
+from repro.pipeline import CompilerPipeline
+from repro.runtime.native import DEFAULT_CFLAGS, NativeModule
+from repro.runtime.plan import build_host_plan, execute_plan
+
+model = CompilerPipeline().compile(
+    "treelstm", CompileOptions(target="python"), hidden=16, vocab=50,
+    rng=np.random.default_rng(0))
+model.compiled.native = NativeModule.from_ilmodule(
+    model.lowered.module, flags=DEFAULT_CFLAGS + ("-fsanitize=address",))
+plan = build_host_plan(model.lowered, model.compiled)
+tree = branch(branch(leaf(3)), branch(leaf(4), leaf(5)))
+got = execute_plan(plan, model._linearize([tree], True), model.params)
+want = model.run([tree])
+for name in model.outputs:
+    assert np.allclose(got.workspace[name], want.workspace[name],
+                       rtol=1e-5, atol=1e-6), name
+print("unary tree ran clean")
+"""
+
+
+@needs_cc
+def test_unary_node_gathers_stay_in_bounds_under_asan(tmp_path):
+    """treelstm's ``mf`` contraction gathers its row through
+    ``child[k, n]``, which is ``-1`` for the slots past a node's arity:
+    the read used to land one row before ``rnn_h_ph``.  ASan sees the
+    interpreter's allocations only when preloaded, hence the subprocess."""
+    libasan = subprocess.run(
+        [find_compiler(), "-print-file-name=libasan.so"],
+        capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(libasan):  # not found: the bare name comes back
+        pytest.skip("no ASan runtime on this host")
+    env = dict(os.environ, LD_PRELOAD=libasan,
+               ASAN_OPTIONS="detect_leaks=0",
+               REPRO_NATIVE_CACHE_DIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _UNARY_UNDER_ASAN],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0 and "ran clean" in proc.stdout, \
+        proc.stderr[-3000:]
+
 
 @pytest.mark.parametrize("target", ("python", "c"))
 def test_out_of_range_words_refused_on_both_targets(target, tmp_path):
