@@ -1,8 +1,8 @@
-"""Code generation backends: executable Python/NumPy and C-like text."""
+"""Code generation backends: executable Python/NumPy and native C."""
 
-from .c_codegen import kernel_to_c, module_to_c
+from .c_codegen import generate_c_module
 from .compiled import CompiledModule
 from .python_codegen import PythonCodegen, generate_python
 
-__all__ = ["kernel_to_c", "module_to_c", "CompiledModule", "PythonCodegen",
+__all__ = ["generate_c_module", "CompiledModule", "PythonCodegen",
            "generate_python"]

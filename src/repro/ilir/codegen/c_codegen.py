@@ -1,16 +1,12 @@
 """C target code generation.
 
-Two layers live here:
+One generator lives here, :func:`generate_c_module`: complete, portable,
+self-contained C99 that ``runtime/native.py`` compiles with the system
+compiler into a ``.so`` and launches through ``ctypes``.  It needs the
+module's operator nests; an artifact reload has none and reads the source
+its compile wrote to disk.
 
-* the legacy CUDA-flavoured *sketch* renderer (:func:`expr_to_c`,
-  :func:`stmt_to_c`, :func:`kernel_to_c`) — readable pseudo-C for
-  documentation and snapshot tests, kept for modules that lack operator
-  nests (artifact reloads);
-* the **native** generator (:func:`generate_c_module`) — complete,
-  portable, self-contained C99 that ``runtime/native.py`` compiles with
-  the system compiler into a ``.so`` and launches through ``ctypes``.
-
-The native generator mirrors ``python_codegen.PythonCodegen`` construct
+The generator mirrors ``python_codegen.PythonCodegen`` construct
 for construct so the two targets agree bitwise wherever the arithmetic
 is reassociation-free:
 
@@ -98,10 +94,6 @@ from ...ir import (BinOp, Call, Cast, Const, Expr, Reduce, Select, TensorRead,
 from ..buffer import ILBuffer
 from ..module import ILModule, Kernel
 from ..nests import AxisSpec, OpNest
-from ..stmt import (Alloc, Barrier, Block, For, IfThenElse, Let, Stmt, Store)
-
-_CTYPES = {"float32": "float", "float64": "double", "int32": "int",
-           "int64": "long long", "bool": "bool"}
 
 _INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/", "mod": "%",
           "lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==",
@@ -125,102 +117,6 @@ def c_float_literal(value: float, dtype_name: str = "float32") -> str:
     if dtype_name == "float32":
         return f"{float(np.float32(v))!r}f"
     return f"{v!r}"
-
-
-def expr_to_c(e: Expr) -> str:
-    if isinstance(e, Const):
-        if e.dtype.is_bool:
-            return "true" if e.value else "false"
-        if e.dtype.is_float:
-            return c_float_literal(e.value, e.dtype.name)
-        return str(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, BinOp):
-        if e.op == "floordiv":
-            return f"({expr_to_c(e.a)} / {expr_to_c(e.b)})"
-        if e.op in ("min", "max"):
-            return f"{e.op}({expr_to_c(e.a)}, {expr_to_c(e.b)})"
-        return f"({expr_to_c(e.a)} {_INFIX[e.op]} {expr_to_c(e.b)})"
-    if isinstance(e, UnaryOp):
-        return {"neg": f"(-{expr_to_c(e.a)})", "not": f"(!{expr_to_c(e.a)})",
-                "abs": f"abs({expr_to_c(e.a)})"}[e.op]
-    if isinstance(e, Cast):
-        return f"(({_CTYPES[e.dtype.name]}){expr_to_c(e.a)})"
-    if isinstance(e, Call):
-        args = ", ".join(expr_to_c(a) for a in e.args)
-        return f"{e.func}f({args})"
-    if isinstance(e, Select):
-        return (f"({expr_to_c(e.cond)} ? {expr_to_c(e.then_)} : "
-                f"{expr_to_c(e.else_)})")
-    if isinstance(e, TensorRead):
-        idx = "][".join(expr_to_c(i) for i in e.indices)
-        return f"{e.buffer.name}[{idx}]"
-    if isinstance(e, UFCall):
-        if e.fn.name == "isleaf":
-            return f"({expr_to_c(e.args[0])} >= leaf_start)"
-        idx = "][".join(expr_to_c(a) for a in e.args)
-        return f"{e.fn.name}[{idx}]"
-    if isinstance(e, Reduce):
-        raise CodegenError("Reduce must be lowered before C printing")
-    raise CodegenError(f"cannot print {type(e).__name__} as C")
-
-
-def stmt_to_c(s: Stmt, indent: int = 0) -> List[str]:
-    pad = "  " * indent
-    if isinstance(s, Block):
-        out: List[str] = []
-        for c in s.stmts:
-            out.extend(stmt_to_c(c, indent))
-        return out
-    if isinstance(s, For):
-        v = s.var.name
-        begin, extent = expr_to_c(s.begin), expr_to_c(s.extent)
-        note = "" if s.kind == "serial" else f"  // {s.kind}"
-        head = (f"{pad}for (int {v} = {begin}; {v} < {begin} + {extent}; "
-                f"++{v}) {{{note}")
-        return [head] + stmt_to_c(s.body, indent + 1) + [f"{pad}}}"]
-    if isinstance(s, Let):
-        head = f"{pad}int {s.var.name} = {expr_to_c(s.value)};"
-        return [head] + stmt_to_c(s.body, indent)
-    if isinstance(s, Store):
-        idx = "][".join(expr_to_c(i) for i in s.indices)
-        op = {"sum": "+=", "max": None, "min": None, None: "="}[s.reduce_op]
-        if op is None:
-            fn = s.reduce_op
-            return [f"{pad}{s.buffer.name}[{idx}] = {fn}("
-                    f"{s.buffer.name}[{idx}], {expr_to_c(s.value)});"]
-        return [f"{pad}{s.buffer.name}[{idx}] {op} {expr_to_c(s.value)};"]
-    if isinstance(s, IfThenElse):
-        out = [f"{pad}if ({expr_to_c(s.cond)}) {{"]
-        out += stmt_to_c(s.then_body, indent + 1)
-        if s.else_body is not None:
-            out += [f"{pad}}} else {{"] + stmt_to_c(s.else_body, indent + 1)
-        out.append(f"{pad}}}")
-        return out
-    if isinstance(s, Barrier):
-        fn = "global_barrier()" if s.scope == "global" else "__syncthreads()"
-        return [f"{pad}{fn};"]
-    if isinstance(s, Alloc):
-        shape = "][".join(expr_to_c(d) for d in s.buffer.shape)
-        qual = {"shared": "__shared__ ", "register": "/*reg*/ "}.get(
-            s.buffer.scope, "")
-        head = f"{pad}{qual}{_CTYPES[s.buffer.dtype.name]} {s.buffer.name}[{shape}];"
-        return [head] + stmt_to_c(s.body, indent)
-    raise CodegenError(f"cannot print {type(s).__name__} as C")
-
-
-def kernel_to_c(kernel: Kernel) -> str:
-    lines = [f"// kernel {kernel.name} (kind={kernel.kind})"]
-    if kernel.kind == "fused":
-        lines.append(f"// persistent kernel: {kernel.barriers_per_level} "
-                     f"global barrier(s) per level")
-    lines.append(f"__global__ void {kernel.name}(/* buffers, scalars */) {{")
-    for nest in kernel.nests:
-        lines.append(f"  // -- {nest.name} (stage {nest.stage}, {nest.tag})")
-        lines.extend(stmt_to_c(nest.to_stmt(), 1))
-    lines.append("}")
-    return "\n".join(lines)
 
 
 # ===========================================================================
@@ -1496,26 +1392,3 @@ def parity_classification(module: ILModule) -> Dict[str, Dict]:
                                f"contraction")
         report[kernel.name] = {"bitwise": not reasons, "reasons": reasons}
     return report
-
-
-def module_to_c(mod: ILModule) -> str:
-    """Render the module's C source.
-
-    Modules with operator nests get the complete native source (what the
-    JIT compiles); nest-less modules (artifact reloads) keep the legacy
-    CUDA-flavoured sketch.
-    """
-    if mod.kernels and all(k.nests for k in mod.kernels):
-        try:
-            src, _ = generate_c_module(mod)
-            return src
-        except CodegenError:
-            pass  # sketch fallback below
-    parts = [f"// ===== module {mod.name} ====="]
-    for buf in mod.buffers.values():
-        shape = "x".join(expr_to_str(s) for s in buf.shape)
-        parts.append(f"// buffer {buf.name}: {shape} {buf.dtype} @{buf.scope}")
-    for k in mod.kernels:
-        parts.append("")
-        parts.append(kernel_to_c(k))
-    return "\n".join(parts)

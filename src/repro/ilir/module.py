@@ -14,13 +14,16 @@ them.  The kernel granularity *is* the fusion decision:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..errors import IRError
 from ..ir import DimRegistry, Expr
 from .buffer import ILBuffer
 from .nests import OpNest
 from .stmt import Barrier, Block, For, Stmt
+
+if TYPE_CHECKING:  # codegen imports this module
+    from .codegen.c_codegen import KernelSignature
 
 KERNEL_KINDS = ("pre", "leaf", "level", "fused", "hoisted", "post")
 
@@ -111,8 +114,11 @@ class ILModule:
     meta: Dict[str, object] = field(default_factory=dict)
     #: generated python source (attached by the code generator).
     python_source: Optional[str] = None
-    #: generated C-like source (attached by the C code generator).
+    #: generated native C source and its per-kernel launch signatures:
+    #: attached together by code generation, or read back from an
+    #: artifact (the signatures only if it was saved with a native build).
     c_source: Optional[str] = None
+    c_signatures: Optional[Dict[str, KernelSignature]] = None
 
     @property
     def kernels(self) -> List[Kernel]:

@@ -4,8 +4,8 @@ One :class:`OpNest` is one operator's loop nest inside a kernel (cf. the
 separate nests for ``lh``, ``rh`` and ``rnn`` in Listing 2).  The structured
 form keeps enough metadata for bounds inference, the layout transform, the
 cost model and both code generators; :meth:`OpNest.to_stmt` derives the
-plain statement tree for the interpreter and the C-like printer, so the two
-views can never diverge.
+plain statement tree for the ``Stmt`` interpreter, so the two views can
+never diverge.
 """
 
 from __future__ import annotations

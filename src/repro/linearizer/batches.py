@@ -11,13 +11,20 @@ Without dynamic batching the plan degenerates to the recursion order: one
 node per batch, children before parents (post-order), optionally with all
 leaves hoisted into a single leading batch when the leaf check is
 specialized.
+
+A caller may name some leaves of the forest as *stubs*: nodes that get an
+id and a row in every buffer but sit in no batch, because their rows
+arrive already computed (the memo splicer seeds them from its cache).
+Stubs need height batching — the recursion-order plans have no level to
+keep them out of.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Sequence
 
+from ..errors import LinearizationError
 from .structures import Node, iter_nodes, node_heights
 
 
@@ -28,15 +35,19 @@ class BatchPlan:
     Attributes:
         batches: node groups in execution order (batch 0 runs first).
         leaf_batch_count: number of leading batches that contain only
-            leaves (0 when leaves are interleaved with internal nodes).
+            leaves (0 when leaves are interleaved with internal nodes, or
+            when every leaf is a stub).
+        stubs: nodes numbered but executed by no batch, in the caller's
+            order (see :mod:`repro.linearizer.numbering` for their ids).
     """
 
     batches: List[List[Node]]
     leaf_batch_count: int
+    stubs: List[Node] = field(default_factory=list)
 
     @property
     def num_nodes(self) -> int:
-        return sum(len(b) for b in self.batches)
+        return sum(len(b) for b in self.batches) + len(self.stubs)
 
     @property
     def max_batch_len(self) -> int:
@@ -44,14 +55,19 @@ class BatchPlan:
 
 
 def plan_batches(roots: Sequence[Node], *, dynamic_batch: bool,
-                 specialize_leaves: bool) -> BatchPlan:
+                 specialize_leaves: bool,
+                 stubs: Sequence[Node] = ()) -> BatchPlan:
     """Compute the execution batches for an input forest/DAG batch."""
     if dynamic_batch:
-        return _plan_by_height(roots)
+        return _plan_by_height(roots, list(stubs))
+    if stubs:
+        raise LinearizationError(
+            "stubs need dynamic (height) batching: a recursion-order plan "
+            "has no leaf level to keep them out of")
     return _plan_recursion_order(roots, specialize_leaves)
 
 
-def _plan_by_height(roots: Sequence[Node]) -> BatchPlan:
+def _plan_by_height(roots: Sequence[Node], stubs: List[Node]) -> BatchPlan:
     # Single traversal: heights and level membership in one post-order pass
     # (children precede parents, so child heights are always available).
     # Within each level, nodes keep the deterministic post-order.
@@ -66,7 +82,17 @@ def _plan_by_height(roots: Sequence[Node]) -> BatchPlan:
         levels[h].append(node)
     # Height 0 == all leaves: the leaf batch exists whether or not the leaf
     # check is specialized; specialization only changes the generated code.
-    return BatchPlan(batches=levels, leaf_batch_count=1)
+    if not stubs:
+        return BatchPlan(batches=levels, leaf_batch_count=1)
+    stub_ids = {id(s) for s in stubs}
+    leaves = levels[0] if levels else []
+    live = [n for n in leaves if id(n) not in stub_ids]
+    if not len(leaves) - len(live) == len(stub_ids) == len(stubs):
+        raise LinearizationError(
+            "every stub must be a distinct leaf of the forest")
+    if live:
+        return BatchPlan([live] + levels[1:], 1, stubs)
+    return BatchPlan(levels[1:], 0, stubs)
 
 
 def _plan_recursion_order(roots: Sequence[Node], specialize_leaves: bool) -> BatchPlan:

@@ -49,6 +49,8 @@ class Linearized:
     wall_time_s: float = 0.0
     # Derived caches.  ``order``/``batch_length``/``child`` are fixed at
     # construction; anyone who mutates them must call invalidate_caches().
+    # ``_rev`` (``id(node) -> node id``) starts as the map the builder
+    # numbered the nodes with, so per-flush root lookups rebuild nothing.
     _rev: Optional[Dict[int, int]] = field(default=None, repr=False,
                                            compare=False)
     _max_batch_len: Optional[int] = field(default=None, repr=False,
@@ -64,8 +66,10 @@ class Linearized:
     @property
     def max_batch_len(self) -> int:
         # Hit by the host plan / cost model on every call; cache the scan.
+        # A plan with no batch (every node a stub) executes nothing, but
+        # buffer sizing still asks: answer 1.
         if self._max_batch_len is None:
-            self._max_batch_len = int(self.batch_length.max())
+            self._max_batch_len = int(self.batch_length.max(initial=1))
         return self._max_batch_len
 
     def invalidate_caches(self) -> None:
@@ -75,7 +79,8 @@ class Linearized:
         self._uf_arrays = None
 
     def node_id(self, node: Node) -> int:
-        # order is id -> node; build the reverse lazily only when asked.
+        # order is id -> node; the reverse is rebuilt only after
+        # invalidate_caches() dropped the builder's map.
         rev = self._rev
         if rev is None:
             rev = self._rev = {id(n): i for i, n in enumerate(self.order)}
@@ -117,6 +122,21 @@ class Linearized:
             "max_batch_len": self.max_batch_len,
             "leaf_batch_count": self.leaf_batch_count,
         }
+
+
+def merge_root_sets(root_sets: Sequence[Sequence[Node] | Node]
+                    ) -> Tuple[List[List[Node]], List[Node]]:
+    """The forest merge behind every coalesce, plain or memoized.
+
+    Returns the root sets as lists plus their concatenation with each
+    root kept once: a root shared between requests enters the forest
+    once, like any node shared within a DAG batch.
+    """
+    if not root_sets:
+        raise LinearizationError("coalesce needs at least one root set")
+    sets = [[rs] if isinstance(rs, Node) else list(rs) for rs in root_sets]
+    merged = list({id(r): r for rs in sets for r in rs}.values())
+    return sets, merged
 
 
 class Linearizer:
@@ -184,52 +204,57 @@ class Linearizer:
         Nodes shared between root sets are visited once, as within a single
         DAG batch.
         """
-        if not root_sets:
-            raise LinearizationError("coalesce needs at least one root set")
-        sets: List[Sequence[Node]] = [
-            [rs] if isinstance(rs, Node) else list(rs) for rs in root_sets]
-        merged: List[Node] = []
-        seen: set = set()
-        for rs in sets:
-            for r in rs:
-                if id(r) not in seen:   # a root shared between requests
-                    seen.add(id(r))     # enters the forest once
-                    merged.append(r)
+        sets, merged = merge_root_sets(root_sets)
         lin = self(merged)
         id_sets = [np.fromiter((lin.node_id(r) for r in rs),
                                dtype=np.int64, count=len(rs))
                    for rs in sets]
         return lin, id_sets
 
-    def __call__(self, roots: Sequence[Node] | Node) -> Linearized:
+    def __call__(self, roots: Sequence[Node] | Node, *,
+                 stubs: Sequence[Node] = ()) -> Linearized:
+        """Linearize ``roots``; ``stubs`` names leaves of the forest that
+        get an id and buffer rows but sit in no batch (their rows are
+        seeded by the caller; see :mod:`repro.linearizer.numbering`)."""
         if isinstance(roots, Node):
             roots = [roots]
         t0 = time.perf_counter()
         if self.validate_inputs:
             validate(roots, self.kind, self.max_children)
         plan = plan_batches(roots, dynamic_batch=self.dynamic_batch,
-                            specialize_leaves=self.specialize_leaves)
+                            specialize_leaves=self.specialize_leaves,
+                            stubs=stubs)
         ids = assign_ids(plan)
         if self.check:
             check_numbering(plan, ids)
         out = self._build_arrays(roots, plan, ids)
-        self.check_words(out.words)
+        self._check_words(out)
         out.wall_time_s = time.perf_counter() - t0
         return out
 
-    def check_words(self, words: np.ndarray) -> None:
-        """Reject payloads outside ``[-1, word_limit)`` (-1 marks absent).
+    def _check_words(self, lin: Linearized) -> None:
+        """Reject payloads the kernels' ``words`` gathers cannot index.
 
-        Runs on every linearization (the memo splicer calls it on the
-        arrays it builds itself): two reductions over an int32 array.
+        Every word must lie in ``[-1, word_limit)``; ``-1`` is the
+        "absent" marker of interior nodes and stubs, so a live leaf —
+        whose row *is* gathered — must also be ``>= 0``: ``Emb[-1]`` is
+        the last row on the Python target and an out-of-bounds read on
+        the native one.  Runs on every linearization, whatever the
+        validation setting: three reductions over int32 arrays.
         """
-        if self.word_limit is None:
+        limit = self.word_limit
+        if limit is None:
             return
+        words = lin.words
         lo, hi = int(words.min()), int(words.max())
-        if lo < -1 or hi >= self.word_limit:
+        # stubs sit below leaf_start, so the slice is live leaves only
+        leaves = (words[lin.leaf_start:] if lin.leaf_start is not None
+                  else words[lin.num_children == 0])
+        if lo < -1 or hi >= limit or (leaves.size
+                                      and int(leaves.min()) < 0):
             raise LinearizationError(
-                f"word index {hi if hi >= self.word_limit else lo} is "
-                f"outside the model's {self.word_limit}-row embedding table")
+                f"word index {hi if hi >= limit else lo} is outside the "
+                f"model's {limit}-row embedding table")
 
     # -- internals -------------------------------------------------------------
     def _build_arrays(self, roots: Sequence[Node], plan: BatchPlan,
@@ -241,9 +266,12 @@ class Linearizer:
         stores, the child arrays are one fancy-indexed scatter from
         pre-collected id triples, and batch begins fall out of the numbering
         invariant (``begin[i] = total - cumsum(lengths)[i]``) with no
-        per-batch ``min()`` scan.
+        per-batch ``min()`` scan.  Stubs take the id block under the leaf
+        batches, so they shift every other batch down and are arity-zero
+        rows that do not count as leaves.
         """
         n = plan.num_nodes
+        num_stubs = len(plan.stubs)
         order = execution_order(plan)
 
         words = np.fromiter((nd.word for nd in order), dtype=np.int32,
@@ -264,16 +292,20 @@ class Linearizer:
                   np.asarray(cols, dtype=np.intp)] = np.asarray(
                       vals, dtype=np.int32)
 
-        num_leaves = int(np.count_nonzero(num_children == 0))
+        num_leaves = int(np.count_nonzero(num_children == 0)) - num_stubs
 
         lengths = np.fromiter((len(b) for b in plan.batches), dtype=np.int32,
                               count=len(plan.batches))
         begins = (n - np.cumsum(lengths, dtype=np.int64)).astype(np.int32)
+        if num_stubs:
+            begins[plan.leaf_batch_count:] -= num_stubs
 
         # Leaves occupy the top id block exactly when the trailing
-        # ``num_leaves`` ids all have arity zero (height batching).
+        # ``num_leaves`` ids all have arity zero (height batching).  With
+        # every leaf a stub the block is empty and no id passes the check.
         leaf_start: Optional[int] = None
-        if num_leaves and not num_children[n - num_leaves:].any():
+        if (num_leaves or num_stubs) and not num_children[
+                n - num_leaves:].any():
             leaf_start = int(n - num_leaves)
 
         return Linearized(
@@ -291,6 +323,7 @@ class Linearizer:
                                       dtype=np.int32, count=len(roots))),
             order=order,
             leaf_start=leaf_start,
+            _rev=ids,
         )
 
 

@@ -11,7 +11,8 @@ the linearizer verifies the claim at runtime.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import (Callable, Container, Iterable, Iterator, Optional,
+                    Sequence)
 
 from ..errors import LinearizationError
 
@@ -97,24 +98,31 @@ def sequence(words: Sequence[int]) -> Node:
 # Traversal / validation
 
 
-def iter_nodes(roots: Sequence[Node]) -> Iterator[Node]:
-    """Every distinct node reachable from ``roots`` (post-order, dedup'd)."""
+def iter_nodes(roots: Sequence[Node],
+               stop: Container[int] = frozenset()) -> Iterator[Node]:
+    """Every distinct node reachable from ``roots`` (post-order, dedup'd).
+
+    A node whose ``id()`` is in ``stop`` is a boundary: yielded, but not
+    descended into (the memo splicer stops at cached subtrees).
+    """
     seen: set[int] = set()
     # Iterative post-order so deep sequences don't hit the recursion limit.
     for root in roots:
         stack: list[tuple[Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
-            if id(node) in seen:
+            nid = id(node)
+            if nid in seen:
                 continue
             if expanded:
-                seen.add(id(node))
+                seen.add(nid)
                 yield node
             else:
                 stack.append((node, True))
-                for c in reversed(node.children):
-                    if id(c) not in seen:
-                        stack.append((c, False))
+                if nid not in stop:
+                    for c in reversed(node.children):
+                        if id(c) not in seen:
+                            stack.append((c, False))
 
 
 def count_nodes(roots: Sequence[Node]) -> int:

@@ -94,7 +94,8 @@ class MemoSession:
         res = execute_plan(model.plan, result.lin, model.params,
                            arena=model.arena, seeds=result.seeds)
         try:
-            per_request = scatter(result, res.workspace, self._outputs)
+            per_request = scatter(result.root_ids, res.workspace,
+                                  self._outputs)
             if self.splicer.policy.verify:
                 self.splicer.verify(root_sets, result, self._outputs,
                                     per_request)

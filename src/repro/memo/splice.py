@@ -5,9 +5,9 @@ The integration point between the memo cache and the execution stack:
 plain serving path, but before building the batch arrays it consults the
 cache top-down and *prunes every fully-cached subtree out of the plan*.
 Each pruned subtree is replaced by a single **stub node** whose workspace
-rows are pre-seeded from the cache; only cache-miss nodes are planned,
-numbered and executed, and after a successful flush the newly computed
-interior rows are scattered back into the cache.
+rows are pre-seeded from the cache; only cache-miss nodes are executed,
+and after a successful flush the newly computed interior rows are
+scattered back into the cache.
 
 Why splicing is bitwise-safe here (and when it is refused)
 ----------------------------------------------------------
@@ -32,30 +32,16 @@ preconditions per model at construction and raises
 * pre/hoisted/post kernels — which iterate every node id, stub rows
   included — must not write any cached buffer.
 
-Stub placement
---------------
-
-Appendix B numbering puts leaves in the top id block (``id >= leaf_start``
-is the leaf check).  A stub stands in for an *interior* subtree root, so
-stubs get the id block **between** live interior nodes and live leaves::
-
-    [0 .. n_int)                live interior nodes (level batches)
-    [n_int .. n_int + S)        stubs — in no batch, rows seeded
-    [n_int + S .. n_total)      live leaves (leaf batches)
-
-Every batch covers only live ids, so no kernel ever iterates a stub row;
-``leaf_start = n_int + S`` keeps the single-comparison leaf check exact
-(stubs classify as interior, which they are); and parents reach seeded
-stub rows through the ordinary ``child`` arrays.  Pre/hoisted kernels do
-range over stub ids — they write garbage input transforms from
-``word = -1`` there, which is harmless because the safety check above
-proves those buffers are never read across nodes.
+The pruned forest goes through the model's one linearizer like any other
+input — ``Linearizer.__call__(roots, stubs=...)`` numbers the stubs into
+their own id block and keeps them out of every batch; the layout and why
+it keeps the leaf check exact are in :mod:`repro.linearizer.numbering`
+("Stub placement").
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
@@ -64,7 +50,8 @@ import numpy as np
 from ..errors import MemoVerifyError, SpliceRefusedError
 from ..ir import TensorRead, UFCall, walk
 from ..linearizer import Linearized, Node
-from ..linearizer.batches import plan_batches
+from ..linearizer.linearize import merge_root_sets
+from ..linearizer.structures import iter_nodes
 from ..linearizer.structures import validate as validate_structure
 from ..runtime.plan import execute_plan
 from . import hashing
@@ -113,9 +100,8 @@ class _Insert:
 class SpliceResult:
     """One memoized flush's plan: what to execute, seed, scatter, insert.
 
-    Duck-types the parts of :class:`~repro.serve.coalescer.CoalescedBatch`
-    the scatter path uses (``lin`` / ``root_ids``), so
-    :func:`repro.serve.coalescer.scatter` works on it unchanged.
+    The serving path carries it as
+    :attr:`repro.serve.coalescer.CoalescedBatch.splice`.
     """
 
     lin: Linearized
@@ -133,14 +119,6 @@ class SpliceResult:
     @property
     def spliced_nodes(self) -> int:
         return self.total_nodes - self.executed_nodes
-
-    @property
-    def num_nodes(self) -> int:
-        return self.lin.num_nodes
-
-    @property
-    def num_requests(self) -> int:
-        return len(self.root_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +272,6 @@ class MemoSplicer:
         key_fn = getattr(model, "memo_model_key", None)
         self.model_key = (key_fn() if callable(key_fn)
                           else hashing.model_memo_key(model))
-        lz = model.lowered.linearizer
-        self._kind = lz.kind
-        self._max_children = lz.max_children
-        self._specialize_leaves = lz.specialize_leaves
         self._lock = threading.Lock()
         self.flushes = 0
         self.requests = 0
@@ -326,7 +300,6 @@ class MemoSplicer:
         """
         policy = self.policy
         hits: Dict[int, MemoEntry] = {}
-        hit_digest: Dict[int, bytes] = {}
         misses: List[Node] = []
         lookups = 0
         seen: set = set()
@@ -342,35 +315,14 @@ class MemoSplicer:
                 entry = self.cache.get(self._key(digest, version))
                 if entry is not None:
                     hits[id(node)] = entry
-                    hit_digest[id(node)] = digest
                     continue
                 misses.append(node)
             stack.extend(node.children)
-        return hits, hit_digest, misses, lookups
+        return hits, misses, lookups
 
     # -- phase 2: prune + rebuild ------------------------------------------
     @staticmethod
-    def _iter_live(roots: List[Node], hits: Dict[int, MemoEntry]):
-        """Post-order over the live region; hit nodes are boundaries."""
-        seen: set = set()
-        for root in roots:
-            stack: List[Tuple[Node, bool]] = [(root, False)]
-            while stack:
-                node, expanded = stack.pop()
-                if id(node) in seen:
-                    continue
-                if expanded:
-                    seen.add(id(node))
-                    yield node
-                else:
-                    stack.append((node, True))
-                    if id(node) not in hits:
-                        for c in reversed(node.children):
-                            if id(c) not in seen:
-                                stack.append((c, False))
-
-    def _prune(self, merged: List[Node], hits: Dict[int, MemoEntry],
-               hit_digest: Dict[int, bytes]):
+    def _prune(merged: List[Node], hits: Dict[int, MemoEntry]):
         """Replace every hit subtree with a (digest-shared) stub node.
 
         Live nodes whose subtree contains no stub are reused as-is —
@@ -380,9 +332,9 @@ class MemoSplicer:
         stub_for: Dict[bytes, Node] = {}
         stub_entry: Dict[bytes, MemoEntry] = {}
         repl: Dict[int, Node] = {}
-        for node in self._iter_live(merged, hits):
+        for node in iter_nodes(merged, stop=hits):   # live region only
             if id(node) in hits:
-                d = hit_digest[id(node)]
+                d = node._memo[0]
                 stub = stub_for.get(d)
                 if stub is None:
                     stub = Node((), -1)
@@ -397,89 +349,6 @@ class MemoSplicer:
                     repl[id(node)] = Node(kids, node.word)
         return repl, stub_for, stub_entry
 
-    # -- phase 3: linearize with stubs out of every batch ------------------
-    def _linearize_pruned(self, new_roots: List[Node],
-                          stubs: List[Node]) -> Tuple[Linearized, Dict[int,
-                                                                       int]]:
-        """Build the batch arrays over the pruned forest (see module doc).
-
-        Mirrors ``Linearizer._build_arrays`` with one change: stubs are
-        excluded from every batch and numbered into the mid block, so
-        batch arrays cover live nodes only while buffers (sized
-        ``num_nodes``) still have rows to seed at stub ids.
-        """
-        plan = plan_batches(new_roots, dynamic_batch=True,
-                            specialize_leaves=self._specialize_leaves)
-        stub_ids = {id(s) for s in stubs}
-        lbc = plan.leaf_batch_count
-        kept: List[List[Node]] = []
-        new_lbc = 0
-        for i, batch in enumerate(plan.batches):
-            live = ([n for n in batch if id(n) not in stub_ids]
-                    if i < lbc else batch)
-            if live:
-                kept.append(live)
-                if i < lbc:
-                    new_lbc += 1
-        exec_order = [n for b in reversed(kept) for n in b]
-        n_live = len(exec_order)
-        num_leaves = sum(len(b) for b in kept[:new_lbc])
-        cut = n_live - num_leaves
-        order = exec_order[:cut] + stubs + exec_order[cut:]
-        n = len(order)
-        ids = {id(nd): i for i, nd in enumerate(order)}
-
-        words = np.fromiter((nd.word for nd in order), dtype=np.int32,
-                            count=n)
-        # the pruned forest never passes through Linearizer.__call__, so
-        # its bounds check on outside words runs here (stubs carry -1)
-        self.model.lowered.linearizer.check_words(words)
-        num_children = np.fromiter((len(nd.children) for nd in order),
-                                   dtype=np.int32, count=n)
-        child = np.full((self._max_children, n), -1, dtype=np.int32)
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[int] = []
-        for nid, nd in enumerate(order):
-            for k, c in enumerate(nd.children):
-                rows.append(k)
-                cols.append(nid)
-                vals.append(ids[id(c)])
-        if rows:
-            child[np.asarray(rows, dtype=np.intp),
-                  np.asarray(cols, dtype=np.intp)] = np.asarray(
-                      vals, dtype=np.int32)
-
-        begins = np.fromiter((ids[id(b[0])] for b in kept), dtype=np.int32,
-                             count=len(kept))
-        lengths = np.fromiter((len(b) for b in kept), dtype=np.int32,
-                              count=len(kept))
-        roots_arr = np.asarray(
-            sorted({ids[id(r)] for r in new_roots}), dtype=np.int32)
-
-        lin = Linearized(
-            kind=self._kind,
-            max_children=self._max_children,
-            num_nodes=n,
-            num_leaves=num_leaves,
-            child=child,
-            num_children=num_children,
-            words=words,
-            batch_begin=begins,
-            batch_length=lengths,
-            leaf_batch_count=new_lbc,
-            roots=roots_arr,
-            order=order,
-            # the trailing block [leaf_start, n) is exactly the live
-            # leaves; with none, no id passes the leaf check
-            leaf_start=n - num_leaves,
-        )
-        if not len(kept):
-            # every node spliced: nothing executes, but buffer sizing
-            # still asks for max_batch_len
-            lin._max_batch_len = 1
-        return lin, ids
-
     # -- the coalesce entry point ------------------------------------------
     def coalesce(self, root_sets: Sequence[Union[Sequence[Node], Node]], *,
                  check: bool = False) -> SpliceResult:
@@ -487,62 +356,47 @@ class MemoSplicer:
 
         The memoized counterpart of
         :meth:`repro.linearizer.Linearizer.coalesce`: same forest merge,
-        same per-request root-id scatter maps, but the returned plan
-        executes only cache-miss nodes and carries the seed rows +
-        post-flush insertion records.  ``check`` runs the §3 structure
-        validation (the serving path forwards its ``Validate`` decision
-        here because the pruned forest never passes through the plain
-        linearizer).
+        same linearizer, same per-request root-id scatter maps, but the
+        returned plan executes only cache-miss nodes and carries the seed
+        rows + post-flush insertion records.  ``check`` runs the §3
+        structure validation on the caller's forest, here because hashing
+        recurses on it first and because the pruned forest is not the
+        caller's: stubs are shared by digest, so a pruned tree may be a
+        DAG.  The pruned forest therefore takes the check-free linearizer,
+        whose word-range check still runs.
         """
-        t0 = time.perf_counter()
-        sets: List[List[Node]] = [
-            [rs] if isinstance(rs, Node) else list(rs) for rs in root_sets]
-        merged: List[Node] = []
-        seen: set = set()
-        for rs in sets:
-            for r in rs:
-                if id(r) not in seen:
-                    seen.add(id(r))
-                    merged.append(r)
+        sets, merged = merge_root_sets(root_sets)
         if check:
-            validate_structure(merged, self._kind, self._max_children)
+            lz = self.model.lowered.linearizer
+            validate_structure(merged, lz.kind, lz.max_children)
         total_nodes = hashing.annotate(merged)
         version = self._params_version()
 
-        hits, hit_digest, misses, lookups = self._detect(merged, version)
+        hits, misses, lookups = self._detect(merged, version)
 
         if hits:
-            repl, stub_for, stub_entry = self._prune(merged, hits,
-                                                     hit_digest)
-            new_roots: List[Node] = []
-            root_seen: set = set()
-            for r in merged:
-                nr = repl[id(r)]
-                if id(nr) not in root_seen:
-                    root_seen.add(id(nr))
-                    new_roots.append(nr)
-            stubs = list(stub_for.values())
+            repl, stub_for, stub_entry = self._prune(merged, hits)
+            _, new_roots = merge_root_sets([[repl[id(r)] for r in merged]])
         else:
-            repl = {}
-            stub_for, stub_entry = {}, {}
+            repl, stub_for, stub_entry = {}, {}, {}
             new_roots = merged
-            stubs = []
+        stubs = list(stub_for.values())
 
-        lin, ids = self._linearize_pruned(new_roots, stubs)
+        lin = self.model.fast_linearizer()(new_roots, stubs=stubs)
+        node_id = lin.node_id
 
         root_ids = [np.fromiter(
-            (ids[id(repl.get(id(r), r))] for r in rs),
+            (node_id(repl.get(id(r), r)) for r in rs),
             dtype=np.int64, count=len(rs)) for rs in sets]
+        stub_ids = {id(s) for s in stubs}
         full_hits = sum(
             1 for rs in sets
-            if rs and all(id(repl.get(id(r), r)) in
-                          {id(s) for s in stubs} for r in rs)) \
-            if stubs else 0
+            if rs and all(id(repl.get(id(r), r)) in stub_ids for r in rs))
 
         seeds: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         if stubs:
             digests = list(stub_for)
-            idx = np.fromiter((ids[id(stub_for[d])] for d in digests),
+            idx = np.fromiter((node_id(stub_for[d]) for d in digests),
                               dtype=np.intp, count=len(digests))
             for name in self.buffers:
                 stacked = np.stack([stub_entry[d].rows[name]
@@ -559,10 +413,9 @@ class MemoSplicer:
                 done.add(digest)
                 live = repl.get(id(node), node)
                 inserts.append(_Insert(key=self._key(digest, version),
-                                       row=ids[id(live)], nodes=size))
+                                       row=node_id(live), nodes=size))
 
         executed = lin.num_nodes - len(stubs)
-        lin.wall_time_s = time.perf_counter() - t0
         result = SpliceResult(
             lin=lin, root_ids=root_ids, seeds=seeds, inserts=inserts,
             lookups=lookups, hits=len(hits), total_nodes=total_nodes,

@@ -69,7 +69,9 @@ class Validate(enum.Enum):
     word-range check against the model's embedding table is not one of
     them: it is a bounds check on outside input guarding the kernels'
     gathers, so it runs on every call under every setting and refuses
-    with :class:`~repro.errors.LinearizationError`.  The
+    with :class:`~repro.errors.LinearizationError`: words must lie in
+    ``[-1, rows)``, and a leaf's — always gathered — in ``[0, rows)``
+    (``-1`` marks "absent" on interior nodes only).  The
     old per-API spellings — ``True``/``False`` for single calls,
     ``"first"``/``"always"``/``"never"`` for streams — are still accepted
     everywhere and coerced through :meth:`coerce`.

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..errors import LoweringError, ScheduleError
+from ..errors import CodegenError, LoweringError, ScheduleError
 from ..ilir.bounds import (BoundsReport, Facts, default_linearizer_facts,
                            verify_nest)
 from ..ilir.buffer import ILBuffer
@@ -78,11 +78,16 @@ def run_codegen(module: ILModule) -> ILModule:
     code generation as its own stage; ``lower(..., codegen=False)``
     followed by ``run_codegen`` is exactly ``lower(...)``.
     """
-    from ..ilir.codegen.c_codegen import module_to_c
+    from ..ilir.codegen.c_codegen import generate_c_module
     from ..ilir.codegen.python_codegen import generate_python
 
     generate_python(module)
-    module.c_source = module_to_c(module)
+    try:
+        module.c_source, module.c_signatures = generate_c_module(module)
+    except CodegenError:
+        # a construct the native generator refuses: no C source, and
+        # target="c" falls back to the Python kernels with a warning
+        module.c_source = module.c_signatures = None
     return module
 
 

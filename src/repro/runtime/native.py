@@ -296,9 +296,12 @@ class NativeModule:
 
     @classmethod
     def from_ilmodule(cls, module, **kwargs) -> "NativeModule":
-        """JIT an ILIR module (requires operator nests)."""
-        source, signatures = generate_c_module(module)
-        return cls(source, signatures, **kwargs)
+        """JIT an ILIR module: the source code generation attached to
+        it, or a fresh rendering (requires operator nests) when it
+        carries none."""
+        if module.c_source is None or module.c_signatures is None:
+            return cls(*generate_c_module(module), **kwargs)
+        return cls(module.c_source, module.c_signatures, **kwargs)
 
 
 def warn_native_fallback(reason: object) -> None:
@@ -308,13 +311,13 @@ def warn_native_fallback(reason: object) -> None:
         f"Python target", NativeFallbackWarning, stacklevel=3)
 
 
-def attach_native(compiled, *, source: Optional[str] = None,
-                  signatures: Optional[Dict[str, KernelSignature]] = None,
-                  so_path: Optional[os.PathLike] = None,
+def attach_native(compiled, *, so_path: Optional[os.PathLike] = None,
                   cc: Optional[str] = None,
                   cache_dir: Optional[os.PathLike] = None,
                   warn: bool = True) -> Optional["NativeModule"]:
-    """Build and attach a :class:`NativeModule` to a ``CompiledModule``.
+    """Build and attach a :class:`NativeModule` to a ``CompiledModule``
+    from the C source and signatures its module carries (an artifact
+    reload passes the prebuilt ``so_path`` when its hash checked out).
 
     Returns the attached module, or ``None`` after emitting
     :class:`NativeFallbackWarning` when the native target cannot be
@@ -322,12 +325,8 @@ def attach_native(compiled, *, source: Optional[str] = None,
     model then executes through the Python target unchanged.
     """
     try:
-        if source is not None and signatures is not None:
-            native = NativeModule(source, signatures, so_path=so_path,
-                                  cc=cc, cache_dir=cache_dir)
-        else:
-            native = NativeModule.from_ilmodule(compiled.module, cc=cc,
-                                                cache_dir=cache_dir)
+        native = NativeModule.from_ilmodule(compiled.module, so_path=so_path,
+                                            cc=cc, cache_dir=cache_dir)
     except (CodegenError, NativeError) as e:
         if warn:
             warn_native_fallback(e)

@@ -666,37 +666,33 @@ class ModelServer:
             check = self._validate is Validate.ALWAYS or (
                 self._validate is Validate.FIRST and not self._validated)
             t_coalesce = self._clock()
-            if self.memo is not None:
-                batch = self.memo.coalesce([r.roots for r in reqs],
-                                           check=check)
-                seeds = batch.seeds
-            else:
-                batch = coalesce(reqs, model.lowered.linearizer if check
-                                 else model.fast_linearizer())
-                seeds = None
+            batch = coalesce(reqs, model.lowered.linearizer if check
+                             else model.fast_linearizer(), self.memo)
             t_exec = self._clock()
             res = execute_plan(model.plan, batch.lin, model.params,
                                device=self.device, arena=arena,
                                faults=self.faults, profiler=self.profiler,
-                               seeds=seeds)
+                               seeds=batch.seeds)
             try:
                 t_scatter = self._clock()
-                per_request = scatter(batch, res.workspace, self._outputs)
-                if self.memo is not None:
+                per_request = scatter(batch.root_ids, res.workspace,
+                                      self._outputs)
+                splice = batch.splice
+                if splice is not None:
                     # verify (optional) then commit — both only after the
                     # whole flush executed, so an injected fault can never
                     # leave partial rows in the cache; commit copies rows
                     # before the arena reclaims the workspace below
                     if self.memo.policy.verify:
-                        self.memo.verify([r.roots for r in reqs], batch,
+                        self.memo.verify([r.roots for r in reqs], splice,
                                          self._outputs, per_request)
-                    self.memo.commit(batch, res.workspace)
+                    self.memo.commit(splice, res.workspace)
                     if tracer is not None:
                         tracer.instant(
-                            "memo_splice", hits=batch.hits,
-                            spliced_nodes=batch.spliced_nodes,
-                            executed_nodes=batch.executed_nodes,
-                            full_hit_requests=batch.full_hit_requests)
+                            "memo_splice", hits=splice.hits,
+                            spliced_nodes=splice.spliced_nodes,
+                            executed_nodes=splice.executed_nodes,
+                            full_hit_requests=splice.full_hit_requests)
             finally:
                 # the leases go back on every exit once execute_plan has
                 # succeeded: a scatter / verify failure must not drop the

@@ -51,8 +51,7 @@ import numpy as np
 from ..api import CortexModel, RunnableModel
 from ..errors import CortexError, ExecutionError, NativeError
 from ..ilir.buffer import ILBuffer
-from ..ilir.codegen.c_codegen import (KernelSignature, signatures_from_json,
-                                      signatures_to_json)
+from ..ilir.codegen.c_codegen import signatures_from_json, signatures_to_json
 from ..ilir.codegen.compiled import CompiledModule
 from ..ilir.module import HostStep, ILModule, Kernel
 from ..ir import Const, DimRegistry, Var, dtype_of
@@ -169,9 +168,6 @@ class DeployedModel(RunnableModel):
     def __init__(self, module: ILModule, linearizer: Linearizer,
                  params: Dict[str, np.ndarray],
                  options: Optional[CompileOptions] = None, *,
-                 native_source: Optional[str] = None,
-                 native_signatures: Optional[
-                     Dict[str, KernelSignature]] = None,
                  native_so: Optional[Path] = None):
         self.module = module
         self.linearizer = linearizer
@@ -181,14 +177,13 @@ class DeployedModel(RunnableModel):
         self.options = options
         self.compiled = CompiledModule(module)
         self.lowered = Lowered(module=module, linearizer=linearizer)
-        if native_source is not None and native_signatures is not None:
+        if module.c_signatures is not None:
             # reloaded modules carry no operator nests, so the launchers
             # are rebuilt from the serialized signatures: the prebuilt
             # .so when its source hash matched, a recompile of module.c
             # otherwise, and a NativeFallbackWarning + Python kernels
             # when no compiler is available
-            attach_native(self.compiled, source=native_source,
-                          signatures=native_signatures, so_path=native_so)
+            attach_native(self.compiled, so_path=native_so)
         self.plan = get_host_plan(self.lowered, self.compiled)
         self.arena = WorkspaceArena()
         self._init_runtime()
@@ -257,23 +252,20 @@ def load_model(path: Union[str, Path]) -> DeployedModel:
         payload = json.loads((path / options_name).read_text())
         options = CompileOptions.from_dict(payload["options"])
 
-    native_kw: Dict[str, object] = {}
+    native_so: Optional[Path] = None
     if (path / NATIVE_META).exists():
         meta = json.loads((path / NATIVE_META).read_text())
-        c_text = module.c_source or ""
         prebuilt = path / NATIVE_SO
         # trust the baked .so only if module.c still hashes to the source
         # it was compiled from; otherwise recompile from the source text
-        so = (prebuilt if prebuilt.exists()
-              and source_hash(c_text) == meta["source_hash"] else None)
+        if (prebuilt.exists()
+                and source_hash(module.c_source) == meta["source_hash"]):
+            native_so = prebuilt
         try:
-            native_kw = dict(
-                native_source=c_text,
-                native_signatures=signatures_from_json(meta["signatures"]),
-                native_so=so)
+            module.c_signatures = signatures_from_json(meta["signatures"])
         except NativeError as e:
             # signatures that cannot describe the library's ABI (written
             # before packed weights): serve through the Python kernels
             warn_native_fallback(e)
     return DeployedModel(module, linearizer, params, options=options,
-                         **native_kw)
+                         native_so=native_so)

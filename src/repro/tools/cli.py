@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="compile a model and inspect it")
     _add_common(p)
     p.add_argument("--show-c", action="store_true",
-                   help="print the C-like rendering of the kernels")
+                   help="print the generated C source")
     p.add_argument("--show-python", action="store_true",
                    help="print the generated Python source")
     p.add_argument("--report", action="store_true",

@@ -5,12 +5,9 @@ import pytest
 
 from repro import compile_model
 from repro.errors import CodegenError
-from repro.ilir.codegen.c_codegen import expr_to_c, kernel_to_c, stmt_to_c
 from repro.ilir.codegen.compiled import CompiledModule
 from repro.ilir.codegen.python_codegen import generate_python
 from repro.runtime.plan import build_host_plan, execute_plan
-from repro.ilir import Barrier, For, ILBuffer, Let, Store
-from repro.ir import Const, Select, TensorRead, Var, float32, int32, tanh, uf
 
 VOCAB = 50
 
@@ -101,56 +98,10 @@ def test_rational_approx_appears_when_requested():
         "tanh_rational as _tanh_rational", "")
 
 
-# -- C-like codegen ------------------------------------------------------------
-
-def test_expr_to_c_operators():
-    x = Var("x")
-    assert expr_to_c(x + 1) == "(x + 1)"
-    assert expr_to_c(x // 2) == "(x / 2)"
-    assert expr_to_c(Select(x < 3, x, 3)) == "((x < 3) ? x : 3)"
-    assert expr_to_c(tanh(Var("h", float32))) == "tanhf(h)"
-
-
-def test_expr_to_c_uf_and_isleaf():
-    left = uf("left", 1)
-    n = Var("n")
-    assert expr_to_c(left(n)) == "left[n]"
-    from repro.ra.node_ref import StructureAccess
-
-    acc = StructureAccess()
-    assert expr_to_c(acc.isleaf(n)) == "(n >= leaf_start)"
-
-
-def test_stmt_to_c_loop_and_store():
-    buf = ILBuffer("t", (4,), int32)
-    i = Var("i")
-    lines = stmt_to_c(For(i, 0, 4, Store(buf, [i], i * 2)))
-    assert lines[0].startswith("for (int i = 0;")
-    assert any("t[(i * 2)]" in l or "t[i] = (i * 2);" in l for l in lines)
-
-
-def test_stmt_to_c_barrier_scopes():
-    assert stmt_to_c(Barrier("global")) == ["global_barrier();"]
-    assert stmt_to_c(Barrier("block")) == ["__syncthreads();"]
-
-
-def test_stmt_to_c_reduce_store():
-    buf = ILBuffer("acc", (1,), float32)
-    s = Store(buf, [0], Const(1.0, float32), reduce_op="sum")
-    assert stmt_to_c(s) == ["acc[0] += 1.0f;"]
-    smax = Store(buf, [0], Const(1.0, float32), reduce_op="max")
-    assert "max(" in stmt_to_c(smax)[0]
-
+# -- C codegen -----------------------------------------------------------------
 
 def test_c_module_lists_buffers_and_scopes():
     mod = _module()
     assert "// buffer Wl:" in mod.c_source
     assert "@register" in mod.c_source  # persisted weights
     assert "@shared" in mod.c_source    # densified intermediates
-
-
-def test_let_renders_as_int_binding():
-    buf = ILBuffer("t", (4,), int32)
-    i, n = Var("i"), Var("n")
-    lines = stmt_to_c(Let(n, i + 1, Store(buf, [n], n)))
-    assert lines[0] == "int n = (i + 1);"

@@ -27,9 +27,11 @@ import pytest
 from repro import api
 from repro.data import (synthetic_treebank, zipf_dag_stream,
                         zipf_sequence_stream, zipf_tree_stream)
-from repro.errors import (CortexError, MemoError, MemoVerifyError,
-                          ScheduleError, ServingError, SpliceRefusedError)
-from repro.linearizer import Node, branch, leaf
+from repro.errors import (CortexError, LinearizationError, MemoError,
+                          MemoVerifyError, ScheduleError, ServingError,
+                          SpliceRefusedError)
+from repro.ilir.codegen.c_codegen import parity_classification
+from repro.linearizer import Node, branch, iter_nodes, leaf, tree_from_nested
 from repro.memo import (MemoCache, MemoEntry, MemoPolicy, MemoSession,
                         MemoSplicer, cache_key, graft, model_memo_key,
                         splice_refusal, subtree_digest, subtree_size)
@@ -37,8 +39,12 @@ from repro.memo.hashing import annotate, params_fingerprint
 from repro.models.registry import MODELS
 from repro.models.sequential import make_sequence
 from repro.obs import Tracer, validate_chrome_trace
-from repro.options import DEBUG, CompileOptions
+from repro.options import DEBUG, CompileOptions, Validate
+from repro.ra.interp import interpret_reference
+from repro.runtime.native import native_available
 from repro.serve import FaultInjector, MaxPendingRequests, ModelServer
+from repro.serve.coalescer import coalesce
+from repro.serve.request import Request
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
@@ -325,6 +331,50 @@ def test_memo_serving_is_bitwise_identical_to_plain(name):
     assert snap["executed_nodes"] < snap["total_nodes"], name
 
 
+@pytest.mark.skipif(not native_available(),
+                    reason="no C compiler on the host")
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_memo_on_the_native_target_matches_plain_and_the_oracle(name):
+    """Seeded rows feed the native kernels exactly like computed ones.
+
+    Memo-on against memo-off on ``target="c"`` is bitwise (a row's bits
+    do not depend on its position or on its batch's extent there either);
+    against ``interpret_reference`` it holds to the model's parity class.
+    ``seq_lstm`` / ``seq_gru`` are the hard case: their ``pre`` kernel
+    ranges over every id, stub rows with ``word = -1`` included.
+    """
+    m = _small_model(name, target="c")
+    assert m.compiled.native is not None
+    stream = _stream(name, 24, CHAOS_SEED)
+    if name == "dagrnn":
+        # the stream's join nodes carry word -1 and dagrnn reads every
+        # node's word: the last feature row in NumPy, row 0 natively (an
+        # open ROADMAP item) — give them a row the targets agree on
+        for node in iter_nodes(stream):
+            node.word = max(node.word, 0)
+    plain = m.server(policy=MaxPendingRequests(4))
+    memo = m.server(policy=MaxPendingRequests(4), memo="on")
+    plain_handles = plain.serve_forever(stream)
+    memo_handles = memo.serve_forever(stream)
+    assert memo.metrics_snapshot()["memo"]["spliced_nodes"] > 0, name
+    bitwise = all(c["bitwise"] for c in
+                  parity_classification(m.lowered.module).values())
+    for roots, hp, hm in zip(stream, plain_handles, memo_handles):
+        rs = [roots] if isinstance(roots, Node) else list(roots)
+        oracle = interpret_reference(m.program, rs, m.params)
+        for i, out in enumerate(m.spec.outputs):
+            got = hm.result().root_output(out)
+            assert np.array_equal(got, hp.result().root_output(out)), \
+                (name, out)
+            want = np.stack([oracle[id(r)][i] if m.spec.multi_state
+                             else oracle[id(r)] for r in rs])
+            if bitwise:
+                assert np.array_equal(got, want), (name, out)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6,
+                                           err_msg=f"{name}/{out}")
+
+
 def test_zipf_treelstm_stream_meets_the_hit_rate_gate():
     """The acceptance workload: 200 Zipf(1.1) requests, hit rate >= 30%."""
     m = _small_model("treelstm")
@@ -375,6 +425,123 @@ def test_shared_cache_across_models_never_aliases():
     per_model = len(cache) // 2
     assert per_model > 0 and sa.last.executed_nodes == 0
     assert sb.last.executed_nodes == 0
+
+
+# ---------------------------------------------------------------------------
+# the pruned forest goes through the model's one linearizer
+
+
+def test_pruned_forest_layout_is_frozen():
+    """The spliced layout, recorded at the commit before the splicer's
+    own array builder was folded into ``Linearizer.__call__(stubs=)``:
+    every array the kernels index, the per-request root ids, the seed
+    rows' ids and the insert rows, byte for byte."""
+    m = _small_model("treelstm")
+    sess = MemoSession(m)
+    t1 = tree_from_nested(((1, 2), (3, (4, 5))))
+    sess.run(t1)
+    a = tree_from_nested((((1, 2), 6), (3, (4, 5))))   # two cached subtrees
+    b = tree_from_nested(((1, 2), 7))      # its (1, 2) shares a's stub
+    res = sess.splicer.coalesce([[a], [b, t1]])         # t1: a full hit
+    lin = res.lin
+
+    def same(arr, dtype, values):
+        return arr.dtype == dtype and arr.tolist() == values
+
+    assert same(lin.child, np.int32, [[1, 3, 3, -1, -1, -1, -1, -1],
+                                      [4, 6, 7, -1, -1, -1, -1, -1]])
+    assert same(lin.words, np.int32, [-1, -1, -1, -1, -1, -1, 6, 7])
+    assert same(lin.num_children, np.int32, [2, 2, 2, 0, 0, 0, 0, 0])
+    assert same(lin.batch_begin, np.int32, [6, 1, 0])
+    assert same(lin.batch_length, np.int32, [2, 2, 1])
+    assert same(lin.roots, np.int32, [0, 2, 5])
+    assert (lin.num_nodes, lin.num_leaves, lin.leaf_batch_count,
+            lin.leaf_start, lin.max_batch_len) == (8, 2, 1, 6, 2)
+    assert [r.dtype for r in res.root_ids] == [np.int64, np.int64]
+    assert [r.tolist() for r in res.root_ids] == [[0], [2, 5]]
+    assert sorted(res.seeds) == sorted(sess.splicer.buffers)
+    for idx, rows in res.seeds.values():
+        assert same(idx, np.intp, [3, 4, 5]) and rows.shape == (3, 8)
+    assert [(i.row, i.nodes) for i in res.inserts] == [(2, 5), (0, 11),
+                                                       (1, 5)]
+    assert (res.lookups, res.hits, res.total_nodes, res.executed_nodes,
+            res.full_hit_requests) == (7, 4, 25, 5, 0)
+
+    # everything spliced: two stubs, no batch, nothing to execute
+    lin = sess.splicer.coalesce([[t1], [t1.left]]).lin
+    assert same(lin.child, np.int32, [[-1, -1], [-1, -1]])
+    assert same(lin.words, np.int32, [-1, -1])
+    assert same(lin.batch_begin, np.int32, [])
+    assert same(lin.batch_length, np.int32, [])
+    assert same(lin.roots, np.int32, [0, 1])
+    assert (lin.num_nodes, lin.num_leaves, lin.leaf_batch_count,
+            lin.leaf_start, lin.max_batch_len) == (2, 0, 0, 2, 1)
+
+
+def test_memo_coalesce_is_the_plain_coalesce_plus_a_splice():
+    """One ``coalesce`` for both paths: the same dead-handle guard, the
+    same batch type, with the splice bookkeeping attached."""
+    m = _small_model("treernn")
+    memo = MemoSplicer(m)
+    trees = synthetic_treebank(3, vocab_size=VOCAB,
+                               rng=np.random.default_rng(CHAOS_SEED))
+    reqs = [Request(request_id=i, roots=[t], num_nodes=0, submit_t=0.0)
+            for i, t in enumerate(trees)]
+    plain = coalesce(reqs, m.fast_linearizer())
+    assert plain.splice is None and plain.seeds is None
+    batch = coalesce(reqs, m.fast_linearizer(), memo)
+    assert batch.splice.lin is batch.lin and batch.seeds == {}   # cold
+    assert batch.num_requests == 3 and batch.num_nodes == plain.num_nodes
+    assert all(np.array_equal(x, y)
+               for x, y in zip(batch.root_ids, plain.root_ids))
+    flushes = memo.flushes
+    reqs[1].handle.cancel()
+    with pytest.raises(ServingError, match="already resolved"):
+        coalesce(reqs, m.fast_linearizer(), memo)
+    assert memo.flushes == flushes      # refused before the splicer ran
+    # the validating linearizer makes the splicer check the structure
+    shared = leaf(1)
+    dag = [Request(request_id=9, roots=[branch(shared, shared)],
+                   num_nodes=0, submit_t=0.0)]
+    coalesce(dag, m.fast_linearizer(), memo)
+    with pytest.raises(LinearizationError, match="compiled for a tree"):
+        coalesce(dag, m.lowered.linearizer, memo)
+
+
+@pytest.mark.parametrize("target", ("python", "c"))
+def test_minus_one_leaf_word_fails_alone_on_memo_flushes(target):
+    """A live leaf's word is gathered from the embedding table, so ``-1``
+    (row ``-1`` in NumPy, 64 bytes before the table natively) is refused
+    like any out-of-vocabulary word — on memo flushes too, which run the
+    same linearizer, after the first flush and under ``Validate.NEVER``.
+    """
+    if target == "c" and not native_available():
+        pytest.skip("no C compiler on the host")
+    m = _small_model("treelstm", target=target)
+    server = m.server(policy=MaxPendingRequests(4), memo="on",
+                      validate=Validate.NEVER)
+    warm = synthetic_treebank(4, vocab_size=VOCAB,
+                              rng=np.random.default_rng(CHAOS_SEED))
+    for h in [server.submit([t]) for t in warm]:
+        h.result(timeout=60.0)
+    trees = synthetic_treebank(4, vocab_size=VOCAB,
+                               rng=np.random.default_rng(CHAOS_SEED))
+    hostile = trees[1]
+    while hostile.children:
+        hostile = hostile.children[0]
+    hostile.word = -1
+    handles = [server.submit([t]) for t in trees]
+    assert all(h.done() for h in handles)
+    for i, (t, h) in enumerate(zip(trees, handles)):
+        if i == 1:
+            with pytest.raises(LinearizationError,
+                               match="word index -1 is outside"):
+                h.result()
+        else:
+            _assert_bitwise_solo(m, t, h.result())
+    assert server.metrics_snapshot()["memo"]["hits"] > 0
+    with pytest.raises(LinearizationError, match="word index -1"):
+        MemoSession(m).run(trees[1])
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def _launch(fn, kind, ws, c, begins, lengths):
         fn(ws, c)
 
 
-# -- float constant rendering (the expr_to_c suffix fix) -----------------------
+# -- float constant rendering -------------------------------------------------
 
 def test_c_float_literal_suffix_by_dtype():
     assert c_float_literal(1.0) == "1.0f"
@@ -162,6 +162,34 @@ def test_pipeline_records_native_stage():
         ["build", "schedule", "lower", "codegen", "native", "plan"]
     py_model = _compile("treernn", "python")
     assert [r.stage for r in py_model.report.stages] == list(STAGES)
+
+
+@needs_cc
+def test_c_source_is_generated_once_per_compile(monkeypatch):
+    """The codegen stage renders the C source and its launch signatures;
+    the native stage compiles that pair instead of rendering again, and a
+    module the generator refuses carries no source and falls back."""
+    calls = []
+    generate = NativeCodegen.generate
+    monkeypatch.setattr(NativeCodegen, "generate",
+                        lambda self: calls.append(1) or generate(self))
+    model = _compile("treernn", "c")
+    assert len(calls) == 1
+    module, native = model.lowered.module, model.compiled.native
+    assert native.source == module.c_source
+    assert native.signatures == module.c_signatures
+    NativeModule.from_ilmodule(module)
+    assert len(calls) == 1
+
+    def refuse(self):
+        raise c_codegen.CodegenError("construct without a C lowering")
+
+    monkeypatch.setattr(NativeCodegen, "generate", refuse)
+    with pytest.warns(NativeFallbackWarning, match="without a C lowering"):
+        model = _compile("treernn", "c")
+    assert model.c_source == "" and model.lowered.module.c_source is None
+    assert getattr(model.compiled, "native", None) is None
+    model.run(_inputs("treernn"))
 
 
 # -- the build cache -----------------------------------------------------------
@@ -866,12 +894,47 @@ print("unary tree ran clean")
 """
 
 
-@needs_cc
-def test_unary_node_gathers_stay_in_bounds_under_asan(tmp_path):
-    """treelstm's ``mf`` contraction gathers its row through
-    ``child[k, n]``, which is ``-1`` for the slots past a node's arity:
-    the read used to land one row before ``rnn_h_ph``.  ASan sees the
-    interpreter's allocations only when preloaded, hence the subprocess."""
+_STUB_ROWS_UNDER_ASAN = """
+import numpy as np
+from repro.linearizer import Node, sequence
+from repro.memo import MemoSplicer
+from repro.options import CompileOptions
+from repro.pipeline import CompilerPipeline
+from repro.runtime.native import DEFAULT_CFLAGS, NativeModule
+from repro.runtime.plan import build_host_plan, execute_plan
+
+model = CompilerPipeline().compile(
+    "seq_lstm", CompileOptions(target="python"), hidden=16, vocab=50,
+    rng=np.random.default_rng(0))
+model.compiled.native = NativeModule.from_ilmodule(
+    model.lowered.module, flags=DEFAULT_CFLAGS + ("-fsanitize=address",))
+plan = build_host_plan(model.lowered, model.compiled)
+assert [k.kind for k in model.lowered.module.kernels][0] == "pre"
+splicer = MemoSplicer(model)
+
+def run(seq):
+    res = splicer.coalesce([seq])
+    got = execute_plan(plan, res.lin, model.params, seeds=res.seeds)
+    splicer.commit(res, got.workspace)
+    return res, got.workspace
+
+base = sequence(list(range(1, 13)))
+run(base)
+longer = Node((base,), 7)
+res, ws = run(longer)
+# one live node over one stub: the pre kernel ranged over both ids
+assert res.executed_nodes == 1 and res.lin.words.tolist() == [7, -1]
+want = model.run([longer])
+for name in model.outputs:
+    assert np.allclose(ws[name][res.root_ids[0]], want.root_output(name),
+                       rtol=1e-5, atol=1e-6), name
+print("stub rows ran clean")
+"""
+
+
+def _run_under_asan(script, tmp_path):
+    """ASan sees the interpreter's allocations only when preloaded,
+    hence the subprocess."""
     libasan = subprocess.run(
         [find_compiler(), "-print-file-name=libasan.so"],
         capture_output=True, text=True).stdout.strip()
@@ -881,11 +944,28 @@ def test_unary_node_gathers_stay_in_bounds_under_asan(tmp_path):
                ASAN_OPTIONS="detect_leaks=0",
                REPRO_NATIVE_CACHE_DIR=str(tmp_path),
                PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-c", _UNARY_UNDER_ASAN],
+    proc = subprocess.run([sys.executable, "-c", script],
                           env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0 and "ran clean" in proc.stdout, \
         proc.stderr[-3000:]
+
+
+@needs_cc
+def test_unary_node_gathers_stay_in_bounds_under_asan(tmp_path):
+    """treelstm's ``mf`` contraction gathers its row through
+    ``child[k, n]``, which is ``-1`` for the slots past a node's arity:
+    the read used to land one row before ``rnn_h_ph``."""
+    _run_under_asan(_UNARY_UNDER_ASAN, tmp_path)
+
+
+@needs_cc
+def test_memo_stub_rows_stay_in_bounds_under_asan(tmp_path):
+    """``seq_lstm``'s ``pre`` kernel gathers ``Emb[words[n]]`` for every
+    id, and a memo stub's word is ``-1``: the floor on gathered indices
+    keeps that read inside the table (the row it computes is never
+    read)."""
+    _run_under_asan(_STUB_ROWS_UNDER_ASAN, tmp_path)
 
 
 @pytest.mark.parametrize("target", ("python", "c"))
@@ -915,7 +995,9 @@ def test_out_of_range_word_after_first_flush_fails_alone(target):
     """The word-range check outlives ``Validate.FIRST``'s switch to the
     unvalidated linearizer (and ``Validate.NEVER``): the hostile request
     fails typed, its co-batched neighbours match solo runs bitwise, and
-    the native launch never sees the out-of-bounds index."""
+    the native launch never sees the out-of-bounds index.  ``-1`` passes
+    as "absent" on an interior node but not on a leaf, whose word is
+    gathered (``tests/test_memo.py`` has the ``memo="on"`` variant)."""
     from repro.serve import MaxPendingRequests
 
     if target == "c" and not native_available():
@@ -925,7 +1007,7 @@ def test_out_of_range_word_after_first_flush_fails_alone(target):
     first = server.submit(_inputs("treelstm", n=1))
     server.drain()  # the one structure-validated flush
     first.result()
-    for word in (VOCAB, 10**6, -3):
+    for word in (VOCAB, 10**6, -3, -1):
         trees = _inputs("treelstm", n=4, seed=word % 97)
         hostile = trees[1]
         while hostile.children:

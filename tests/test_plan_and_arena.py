@@ -472,13 +472,16 @@ def test_linearized_rev_is_a_dataclass_field():
     names = {f.name for f in dataclasses.fields(Linearized)}
     assert "_rev" in names and "_max_batch_len" in names
     lin = TreeLinearizer()([tree_from_nested((0, 1))])
-    assert lin._rev is None
+    # node_id answers from the map the builder numbered the nodes with
+    built = lin._rev
+    assert built == {id(n): i for i, n in enumerate(lin.order)}
     root = lin.order[0]
     assert lin.node_id(root) == 0
-    assert lin._rev is not None
+    assert lin._rev is built
     lin.invalidate_caches()
     assert lin._rev is None and lin._max_batch_len is None
     assert lin.node_id(root) == 0  # rebuilt safely
+    assert lin._rev == built and lin._rev is not built
 
 
 def test_linearized_max_batch_len_cached():
