@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence
 
 from ..errors import LinearizationError
-from .structures import Node, iter_nodes, node_heights
+from .structures import Node, iter_nodes
 
 
 @dataclass

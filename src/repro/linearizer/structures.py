@@ -11,8 +11,7 @@ the linearizer verifies the claim at runtime.
 from __future__ import annotations
 
 import enum
-from typing import (Callable, Container, Iterable, Iterator, Optional,
-                    Sequence)
+from typing import Container, Iterator, Optional, Sequence
 
 from ..errors import LinearizationError
 
@@ -140,6 +139,56 @@ def node_heights(roots: Sequence[Node]) -> dict[int, int]:
     return heights
 
 
+_KIND_RANK = {StructureKind.SEQUENCE: 0, StructureKind.TREE: 1,
+              StructureKind.DAG: 2}
+
+
+def _walk(roots: Sequence[Node]) -> tuple[int, StructureKind, int]:
+    """The one traversal behind :func:`validate` and :func:`detect_kind`:
+    ``(distinct nodes, kind, maximum arity)``, or a raise on a cycle.
+
+    An iterative DFS (deep sequences must not hit the recursion limit)
+    colouring nodes gray on entry and black on exit.  An edge into a gray
+    node closes a cycle; a second parent edge into a node makes the
+    structure a DAG.  Being listed in ``roots`` is not an edge — a root
+    stays ``ROOT`` (black, no parent yet) until some edge reaches it.
+    """
+    GRAY, BLACK, ROOT = 0, 1, 2
+    state: dict[int, int] = {}
+    shared = False
+    max_arity = 0
+    for root in roots:
+        stack = [] if id(root) in state else [root]
+        while stack:
+            node = stack.pop()
+            st = state.get(id(node))
+            if st is None and node.children:
+                state[id(node)] = GRAY
+                if len(node.children) > max_arity:
+                    max_arity = len(node.children)
+                stack.append(node)      # popped again, gray: the exit
+                for c in node.children:
+                    cst = state.get(id(c))
+                    if cst is None:
+                        stack.append(c)
+                    elif cst == GRAY:
+                        raise LinearizationError(
+                            "input structure contains a cycle")
+                    elif cst == ROOT:
+                        state[id(c)] = BLACK
+                    else:
+                        shared = True
+            elif st is None or st == GRAY:
+                # a leaf, or an exit; only the walk's root empties the stack
+                state[id(node)] = BLACK if stack else ROOT
+            else:
+                shared = True   # pushed under two edges before either ran
+    kind = (StructureKind.DAG if shared
+            else StructureKind.SEQUENCE if max_arity <= 1
+            else StructureKind.TREE)
+    return len(state), kind, max_arity
+
+
 def detect_kind(roots: Sequence[Node]) -> StructureKind:
     """Classify an input structure by inspection.
 
@@ -148,61 +197,26 @@ def detect_kind(roots: Sequence[Node]) -> StructureKind:
     DAG: some node is shared between parents.
     Cycles are rejected.
     """
-    _check_acyclic(roots)
-    parents: dict[int, int] = {}
-    max_arity = 0
-    for node in iter_nodes(roots):
-        max_arity = max(max_arity, len(node.children))
-        for c in node.children:
-            parents[id(c)] = parents.get(id(c), 0) + 1
-    if any(v > 1 for v in parents.values()):
-        return StructureKind.DAG
-    if max_arity <= 1:
-        return StructureKind.SEQUENCE
-    return StructureKind.TREE
+    return _walk(roots)[1]
 
 
-def _check_acyclic(roots: Sequence[Node]) -> None:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
-    for root in roots:
-        stack: list[tuple[Node, int]] = [(root, 0)]
-        while stack:
-            node, ci = stack[-1]
-            if ci == 0:
-                if color.get(id(node), WHITE) == GRAY:
-                    raise LinearizationError("input structure contains a cycle")
-                if color.get(id(node), WHITE) == BLACK:
-                    stack.pop()
-                    continue
-                color[id(node)] = GRAY
-            if ci < len(node.children):
-                stack[-1] = (node, ci + 1)
-                child = node.children[ci]
-                if color.get(id(child), WHITE) == GRAY:
-                    raise LinearizationError("input structure contains a cycle")
-                if color.get(id(child), WHITE) == WHITE:
-                    stack.append((child, 0))
-            else:
-                color[id(node)] = BLACK
-                stack.pop()
-
-
-def validate(roots: Sequence[Node], kind: StructureKind, max_children: int) -> None:
+def validate(roots: Sequence[Node], kind: StructureKind,
+             max_children: int) -> int:
     """Check a runtime input against the compile-time structure declaration.
 
     This is the runtime verification the paper mentions for the user-supplied
-    structure info ("can be easily verified at runtime", §3).
+    structure info ("can be easily verified at runtime", §3): one walk,
+    refusing a cycle, then a kind beyond the declared one, then an arity
+    beyond ``max_children``.  Returns the number of distinct nodes.
     """
     if not roots:
         raise LinearizationError("empty input batch")
-    actual = detect_kind(roots)
-    order = {StructureKind.SEQUENCE: 0, StructureKind.TREE: 1, StructureKind.DAG: 2}
-    if order[actual] > order[kind]:
+    count, actual, max_arity = _walk(roots)
+    if _KIND_RANK[actual] > _KIND_RANK[kind]:
         raise LinearizationError(
             f"input is a {actual.value} but the model was compiled for a {kind.value}")
-    for node in iter_nodes(roots):
-        if len(node.children) > max_children:
-            raise LinearizationError(
-                f"node with {len(node.children)} children exceeds declared "
-                f"max_children={max_children}")
+    if max_arity > max_children:
+        raise LinearizationError(
+            f"node with {max_arity} children exceeds declared "
+            f"max_children={max_children}")
+    return count

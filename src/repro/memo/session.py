@@ -25,7 +25,8 @@ import numpy as np
 
 from ..errors import MemoError
 from ..linearizer import Node
-from ..linearizer.structures import iter_nodes
+from ..linearizer.linearize import merge_root_sets
+from ..linearizer.structures import iter_nodes, validate
 from ..runtime.plan import execute_plan
 from ..serve.coalescer import scatter
 from .cache import MemoCache
@@ -86,11 +87,17 @@ class MemoSession:
     def cache(self) -> MemoCache:
         return self.splicer.cache
 
-    def run_many(self, root_sets: Sequence[Union[Sequence[Node], Node]],
-                 *, check: bool = False) -> List[Dict[str, np.ndarray]]:
-        """Memoized batch evaluation: one output dict per root set."""
-        result = self.splicer.coalesce(root_sets, check=check)
+    def run_many(self, root_sets: Sequence[Union[Sequence[Node], Node]]
+                 ) -> List[Dict[str, np.ndarray]]:
+        """Memoized batch evaluation: one output dict per root set.
+
+        The root sets of one call are one input: the §3 structure check
+        walks their merged forest before anything is hashed.
+        """
         model = self.model
+        lz = model.lowered.linearizer
+        validate(merge_root_sets(root_sets)[1], lz.kind, lz.max_children)
+        result = self.splicer.coalesce(root_sets)
         res = execute_plan(model.plan, result.lin, model.params,
                            arena=model.arena, seeds=result.seeds)
         try:
@@ -106,10 +113,10 @@ class MemoSession:
         self.last = result
         return per_request
 
-    def run(self, roots: Union[Sequence[Node], Node], *,
-            check: bool = False) -> Dict[str, np.ndarray]:
+    def run(self, roots: Union[Sequence[Node], Node]
+            ) -> Dict[str, np.ndarray]:
         """Memoized single evaluation (one structure, one output dict)."""
-        return self.run_many([roots], check=check)[0]
+        return self.run_many([roots])[0]
 
     def stats(self) -> Dict[str, object]:
         """Cumulative splice + cache accounting for this session."""

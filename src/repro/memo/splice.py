@@ -52,7 +52,6 @@ from ..ir import TensorRead, UFCall, walk
 from ..linearizer import Linearized, Node
 from ..linearizer.linearize import merge_root_sets
 from ..linearizer.structures import iter_nodes
-from ..linearizer.structures import validate as validate_structure
 from ..runtime.plan import execute_plan
 from . import hashing
 from .cache import (DEFAULT_MAX_BYTES, DEFAULT_MAX_ENTRIES, MemoCache,
@@ -350,25 +349,22 @@ class MemoSplicer:
         return repl, stub_for, stub_entry
 
     # -- the coalesce entry point ------------------------------------------
-    def coalesce(self, root_sets: Sequence[Union[Sequence[Node], Node]], *,
-                 check: bool = False) -> SpliceResult:
+    def coalesce(self, root_sets: Sequence[Union[Sequence[Node], Node]]
+                 ) -> SpliceResult:
         """Merge root sets, splice cached subtrees, plan the remainder.
 
         The memoized counterpart of
         :meth:`repro.linearizer.Linearizer.coalesce`: same forest merge,
         same linearizer, same per-request root-id scatter maps, but the
         returned plan executes only cache-miss nodes and carries the seed
-        rows + post-flush insertion records.  ``check`` runs the §3
-        structure validation on the caller's forest, here because hashing
-        recurses on it first and because the pruned forest is not the
-        caller's: stubs are shared by digest, so a pruned tree may be a
-        DAG.  The pruned forest therefore takes the check-free linearizer,
-        whose word-range check still runs.
+        rows + post-flush insertion records.  Callers run the §3 structure
+        check before they get here (``ModelServer.submit``,
+        ``MemoSession.run_many``): hashing recurses on the caller's forest,
+        and the pruned forest is not the caller's — stubs are shared by
+        digest, so a pruned tree may be a DAG.  It therefore takes the
+        check-free linearizer, whose word-range check still runs.
         """
         sets, merged = merge_root_sets(root_sets)
-        if check:
-            lz = self.model.lowered.linearizer
-            validate_structure(merged, lz.kind, lz.max_children)
         total_nodes = hashing.annotate(merged)
         version = self._params_version()
 

@@ -33,7 +33,7 @@ Derive variants with :meth:`CompileOptions.with_`::
 
 This module also hosts the shared :class:`Validate` enum unifying the
 runtime input-validation conventions (``run(validate=...)``,
-``run_many(validate=...)``, ``ModelServer(validate=...)``).
+``run_many(validate=...)``); servers always check, at ``submit``.
 """
 
 from __future__ import annotations

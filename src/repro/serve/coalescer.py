@@ -62,8 +62,8 @@ def coalesce(requests: Sequence[Request], linearizer: Linearizer,
     deadline-expired request must never ride a mega-batch (the server
     filters these before coalescing; this guard keeps the invariant for
     hand-rolled callers too).  With ``memo``, the splicer prunes cached
-    subtrees before the forest is linearized; whether ``linearizer`` is
-    the validating one decides if it checks the structure first.
+    subtrees before the forest is linearized.  Structure was checked per
+    request at ``submit``; nothing here re-checks it.
     """
     if not requests:
         raise ServingError("cannot coalesce an empty request batch")
@@ -76,7 +76,7 @@ def coalesce(requests: Sequence[Request], linearizer: Linearizer,
     if memo is None:
         lin, root_ids = linearizer.coalesce(root_sets)
         return CoalescedBatch(list(requests), lin, root_ids)
-    splice = memo.coalesce(root_sets, check=linearizer.validate_inputs)
+    splice = memo.coalesce(root_sets)
     return CoalescedBatch(list(requests), splice.lin, splice.root_ids,
                           splice)
 

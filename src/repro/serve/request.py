@@ -199,8 +199,7 @@ class Request:
 
     request_id: int
     roots: List[Node]
-    #: distinct nodes reachable from ``roots``; 0 when neither the
-    #: scheduler's policy nor admission control consults node counts
+    #: distinct nodes reachable from ``roots`` (the admission walk's count)
     num_nodes: int
     #: ``time.perf_counter()`` at admission (deadline / latency accounting)
     submit_t: float

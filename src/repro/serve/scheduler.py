@@ -62,11 +62,6 @@ class Admission:
 class FlushPolicy:
     """When to flush the queue, and how much of its FIFO prefix to take."""
 
-    #: does this policy consult per-request node counts?  When False the
-    #: server skips the O(nodes) structure traversal on every submit and
-    #: queue snapshots report ``num_nodes`` as 0.
-    uses_node_counts: bool = False
-
     def should_flush(self, snap: QueueSnapshot) -> bool:
         raise NotImplementedError
 
@@ -106,8 +101,6 @@ class MaxTotalNodes(FlushPolicy):
     A flush takes the longest FIFO prefix within the node budget — but at
     least one request, so an oversized single request still gets served.
     """
-
-    uses_node_counts = True
 
     def __init__(self, limit: int):
         if limit < 1:
@@ -155,7 +148,6 @@ class AnyOf(FlushPolicy):
         if not policies:
             raise ServingError("AnyOf needs at least one policy")
         self.policies = tuple(policies)
-        self.uses_node_counts = any(p.uses_node_counts for p in policies)
 
     def should_flush(self, snap: QueueSnapshot) -> bool:
         return any(p.should_flush(snap) for p in self.policies)
@@ -212,7 +204,7 @@ class Scheduler:
 
     @property
     def pending_nodes(self) -> int:
-        """Queued structure nodes; 0 unless the policy tracks node counts."""
+        """Structure nodes across the queued requests."""
         return self._nodes
 
     # -- tenant accounting -------------------------------------------------

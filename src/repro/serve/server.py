@@ -29,11 +29,14 @@ equivalence tests assert this across the model zoo and all flush policies.
 
 Resilience (the request lifecycle, end to end):
 
-* **admission** — structural validation at ``submit()`` (declared
-  structure kind, arity bound, acyclicity, optional node-count cap), so
-  a malformed request is rejected on the caller's thread instead of
-  poisoning a coalesced flush; priority-aware load shedding under
-  overload (see :class:`~repro.serve.scheduler.Scheduler`).
+* **admission** — every ``submit()`` runs the one structure walk
+  (:func:`~repro.linearizer.structures.validate`: acyclicity, declared
+  structure kind, arity bound; its node count feeds the optional cap and
+  the scheduler), so a malformed request is rejected on the caller's
+  thread and flushes never re-check structure — only the word-range
+  check of :class:`~repro.linearizer.Linearizer` still runs there;
+  priority-aware load shedding under overload (see
+  :class:`~repro.serve.scheduler.Scheduler`).
 * **deadlines** — ``submit(roots, timeout_s=...)``; overdue requests are
   expired *in the queue* and are never co-batched or executed.
 * **cancellation** — ``handle.cancel()`` wins any time before the server
@@ -66,11 +69,10 @@ import numpy as np
 from ..errors import (DeadlineExceededError, InvalidRequestError,
                       LoadShedError, QueueFullError, ServingError,
                       is_retryable)
-from ..linearizer import Node, count_nodes
+from ..linearizer import Node
 from ..linearizer import validate as validate_structure
 from ..obs import (STATUS_CANCELLED, STATUS_DEADLINE, STATUS_ERROR,
                    STATUS_OK, STATUS_SHED, Clock, Tracer, to_prometheus)
-from ..options import Validate
 from ..runtime.plan import execute_plan
 from ..runtime.profiler import KernelProfiler
 from .coalescer import coalesce, scatter
@@ -144,15 +146,6 @@ class ModelServer:
             :class:`~repro.errors.QueueFullError` (backpressure) unless
             the arrival outranks a queued request, which is then shed
             with :class:`~repro.errors.LoadShedError`.
-        validate: the shared :class:`~repro.options.Validate` convention
-            (``Validate.FIRST`` structure-checks the first flush and
-            trusts the rest); the legacy ``"first"`` / ``"always"`` /
-            ``"never"`` literals are still accepted, as in ``run_many``.
-        admission: ``"structural"`` (default) validates every submitted
-            structure against the model's compile-time declaration —
-            kind, arity bound, acyclicity — on the caller's thread, so
-            malformed requests raise at ``submit()`` instead of failing
-            mid-flush; ``"none"`` defers everything to flush time.
         max_request_nodes: admission cap on one request's structure size
             (``None`` = uncapped); violations raise
             :class:`~repro.errors.InvalidRequestError`.
@@ -209,8 +202,6 @@ class ModelServer:
     def __init__(self, model: "ModelHandle", *,
                  policy: Optional[FlushPolicy] = None,
                  max_queue: int = 1024,
-                 validate: Union[str, bool, Validate] = Validate.FIRST,
-                 admission: Union[str, bool] = "structural",
                  max_request_nodes: Optional[int] = None,
                  retry: Optional[RetryPolicy] = None,
                  faults: Optional[FaultInjector] = None,
@@ -226,18 +217,6 @@ class ModelServer:
                  name: Optional[str] = None,
                  fair_share: bool = False,
                  request_id_base: int = 0):
-        try:
-            self._validate = Validate.coerce(validate)
-        except ValueError as exc:
-            raise ServingError(str(exc)) from None
-        if admission in ("structural", True):
-            self._admission = "structural"
-        elif admission in ("none", False, None):
-            self._admission = "none"
-        else:
-            raise ServingError(
-                f"admission must be 'structural' or 'none', got "
-                f"{admission!r}")
         if max_request_nodes is not None and max_request_nodes < 1:
             raise ServingError("max_request_nodes must be >= 1")
         # deployment forms without a cost model (artifact reloads) veto
@@ -293,7 +272,6 @@ class ModelServer:
                 f"memo must be 'on' or 'off', got {memo!r}")
         self._max_request_nodes = max_request_nodes
         self._retry_rng = np.random.default_rng(self.retry.seed)
-        self._validated = False
         self._outputs = (list(outputs) if outputs is not None
                          else model.default_outputs())
         unknown = [n for n in self._outputs
@@ -340,30 +318,6 @@ class ModelServer:
                 pass  # a broken observer must not take down the flush loop
 
     # -- submission --------------------------------------------------------
-    def _admit_check(self, root_list: List[Node]) -> int:
-        """Structural validation + node counting at admission time.
-
-        Returns the node count when it was computed (the policy or the
-        cap needs it), else 0.  Raises
-        :class:`~repro.errors.LinearizationError` for structures that
-        violate the model's compile-time declaration and
-        :class:`~repro.errors.InvalidRequestError` for oversized ones.
-        """
-        lz = self.model.lowered.linearizer
-        if self._admission == "structural":
-            validate_structure(root_list, lz.kind, lz.max_children)
-        nodes = 0
-        if (self.scheduler.policy.uses_node_counts
-                or self._max_request_nodes is not None):
-            nodes = count_nodes(root_list)
-            if (self._max_request_nodes is not None
-                    and nodes > self._max_request_nodes):
-                raise InvalidRequestError(
-                    f"request has {nodes} nodes, exceeding the "
-                    f"max_request_nodes={self._max_request_nodes} "
-                    f"admission cap")
-        return nodes
-
     def submit(self, roots: Union[Node, Sequence[Node]], *,
                timeout_s: Optional[float] = None,
                priority: int = 0,
@@ -385,7 +339,11 @@ class ModelServer:
         so earlier callers' handles may complete during a later
         ``submit``.  Raises :class:`~repro.errors.QueueFullError` when
         admission control refuses — callers should back off and retry
-        (or drop).
+        (or drop) — :class:`~repro.errors.LinearizationError` for a
+        structure that breaks the model's compile-time declaration
+        (cyclic, wrong kind, over the arity bound) and
+        :class:`~repro.errors.InvalidRequestError` for one over
+        ``max_request_nodes``; a refused request is never queued.
         """
         if self._closed:
             raise ServingError(
@@ -396,7 +354,15 @@ class ModelServer:
         root_list = [roots] if isinstance(roots, Node) else list(roots)
         if not root_list:
             raise ServingError("request needs at least one root")
-        nodes = self._admit_check(root_list)
+        # the one structure walk, at the door: nothing below re-checks it
+        lz = self.model.lowered.linearizer
+        nodes = validate_structure(root_list, lz.kind, lz.max_children)
+        if (self._max_request_nodes is not None
+                and nodes > self._max_request_nodes):
+            raise InvalidRequestError(
+                f"request has {nodes} nodes, exceeding the "
+                f"max_request_nodes={self._max_request_nodes} "
+                f"admission cap")
         with self._counter_lock:
             self._req_counter += 1
             rid = self._req_counter
@@ -663,11 +629,8 @@ class ModelServer:
             model.release()
             for req in reqs:
                 req.attempts += 1
-            check = self._validate is Validate.ALWAYS or (
-                self._validate is Validate.FIRST and not self._validated)
             t_coalesce = self._clock()
-            batch = coalesce(reqs, model.lowered.linearizer if check
-                             else model.fast_linearizer(), self.memo)
+            batch = coalesce(reqs, model.fast_linearizer(), self.memo)
             t_exec = self._clock()
             res = execute_plan(model.plan, batch.lin, model.params,
                                device=self.device, arena=arena,
@@ -706,8 +669,6 @@ class ModelServer:
                     attempt=max(r.attempts for r in reqs))
                 flush_span.end(STATUS_ERROR)
             raise
-        if check:
-            self._validated = True
         done_t = self._clock()
         exec_s = done_t - flush_t
         if self.profiler is not None:

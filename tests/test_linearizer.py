@@ -62,6 +62,110 @@ def test_validate_rejects_excess_arity():
         validate([wide], StructureKind.TREE, 2)
 
 
+def test_validate_is_one_iterative_walk_on_deep_sequences():
+    deep = sequence(list(range(5000)))         # 5x the recursion limit
+    assert validate([deep], StructureKind.SEQUENCE, 1) == 5000
+    assert detect_kind([deep]) is StructureKind.SEQUENCE
+
+
+def _random_structure(rng, n, chain, extra_edges, twice, root_child,
+                      back_edge):
+    """Roots of a random pointer structure over ``n`` nodes: a spanning
+    tree (a chain when ``chain``), plus optional sharing edges, a child
+    listed twice, a root that is another root's child, and a back edge."""
+    nodes = [Node((), int(w)) for w in rng.integers(0, 50, n)]
+    parent = [None] + [i - 1 if chain else int(rng.integers(0, i))
+                       for i in range(1, n)]
+    kids = [[] for _ in range(n)]
+    for i in range(1, n):
+        kids[parent[i]].append(i)
+    for _ in range(extra_edges if n > 1 else 0):
+        i = int(rng.integers(0, n - 1))
+        kids[i].append(int(rng.integers(i + 1, n)))   # forward: acyclic
+    if twice and n > 1:
+        kids[0].append(kids[0][0])
+    if back_edge:
+        j = anc = int(rng.integers(0, n))
+        for _ in range(int(rng.integers(0, n))):      # some ancestor, or j
+            anc = parent[anc] if parent[anc] is not None else anc
+        kids[j].append(anc)
+    for node, ks in zip(nodes, kids):
+        node.children = tuple(nodes[k] for k in ks)
+    roots = [nodes[0]]
+    if root_child and n > 1:
+        roots.insert(int(rng.integers(0, 2)), nodes[int(rng.integers(1, n))])
+    return roots
+
+
+def _structure_oracle(roots):
+    """(has cycle, shared, max arity, distinct nodes) — three textbook
+    definitions, each with its own pass over the reachable set."""
+    reach = {}
+    todo = list(roots)
+    while todo:
+        node = todo.pop()
+        if id(node) not in reach:
+            reach[id(node)] = node
+            todo.extend(node.children)
+    on_path, done = set(), set()
+
+    def cyclic(node):                          # recursive DFS; n is small
+        if id(node) in on_path:
+            return True
+        if id(node) in done:
+            return False
+        on_path.add(id(node))
+        found = any(cyclic(c) for c in node.children)
+        on_path.discard(id(node))
+        done.add(id(node))
+        return found
+
+    edges = {}
+    for node in reach.values():
+        for c in node.children:
+            edges[id(c)] = edges.get(id(c), 0) + 1
+    return (any(cyclic(r) for r in roots),
+            any(v > 1 for v in edges.values()),
+            max(len(node.children) for node in reach.values()),
+            len(reach))
+
+
+@given(n=st.integers(1, 24), seed=st.integers(0, 10_000),
+       chain=st.booleans(), extra_edges=st.integers(0, 3),
+       twice=st.booleans(), root_child=st.booleans(),
+       back_edge=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_one_walk_agrees_with_three_definition_oracle(
+        n, seed, chain, extra_edges, twice, root_child, back_edge):
+    roots = _random_structure(np.random.default_rng(seed), n, chain,
+                              extra_edges, twice, root_child, back_edge)
+    has_cycle, shared, arity, count = _structure_oracle(roots)
+    if has_cycle:
+        with pytest.raises(LinearizationError, match="contains a cycle"):
+            detect_kind(roots)
+    else:
+        kind = (StructureKind.DAG if shared
+                else StructureKind.SEQUENCE if arity <= 1
+                else StructureKind.TREE)
+        assert detect_kind(roots) is kind
+        assert count == count_nodes(roots)
+    ranks = list(StructureKind)                # declared narrow -> wide
+    for declared in ranks:
+        for max_children in (1, 2, arity):
+            # precedence: cycle, then kind, then arity
+            if has_cycle:
+                refusal = "contains a cycle"
+            elif ranks.index(kind) > ranks.index(declared):
+                refusal = f"input is a {kind.value} but"
+            elif arity > max_children:
+                refusal = f"node with {arity} children exceeds declared"
+            else:
+                assert validate(roots, declared, max_children) == count
+                continue
+            with pytest.raises(LinearizationError, match=refusal):
+                validate(roots, declared, max_children)
+
+
 def test_node_heights():
     t = small_tree()
     h = node_heights([t])

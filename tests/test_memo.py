@@ -39,7 +39,7 @@ from repro.memo.hashing import annotate, params_fingerprint
 from repro.models.registry import MODELS
 from repro.models.sequential import make_sequence
 from repro.obs import Tracer, validate_chrome_trace
-from repro.options import DEBUG, CompileOptions, Validate
+from repro.options import DEBUG, CompileOptions
 from repro.ra.interp import interpret_reference
 from repro.runtime.native import native_available
 from repro.serve import FaultInjector, MaxPendingRequests, ModelServer
@@ -499,13 +499,17 @@ def test_memo_coalesce_is_the_plain_coalesce_plus_a_splice():
     with pytest.raises(ServingError, match="already resolved"):
         coalesce(reqs, m.fast_linearizer(), memo)
     assert memo.flushes == flushes      # refused before the splicer ran
-    # the validating linearizer makes the splicer check the structure
+    # coalesce checks no structure, whichever linearizer it is handed:
+    # the doors do, before anything is queued or hashed
     shared = leaf(1)
-    dag = [Request(request_id=9, roots=[branch(shared, shared)],
-                   num_nodes=0, submit_t=0.0)]
-    coalesce(dag, m.fast_linearizer(), memo)
+    dag = [branch(shared, shared)]
+    for lz in (m.fast_linearizer(), m.lowered.linearizer):
+        coalesce([Request(request_id=9, roots=dag, num_nodes=2,
+                          submit_t=0.0)], lz, memo)
     with pytest.raises(LinearizationError, match="compiled for a tree"):
-        coalesce(dag, m.lowered.linearizer, memo)
+        m.server(memo="on").submit(dag)
+    with pytest.raises(LinearizationError, match="compiled for a tree"):
+        MemoSession(m).run(dag)
 
 
 @pytest.mark.parametrize("target", ("python", "c"))
@@ -513,13 +517,12 @@ def test_minus_one_leaf_word_fails_alone_on_memo_flushes(target):
     """A live leaf's word is gathered from the embedding table, so ``-1``
     (row ``-1`` in NumPy, 64 bytes before the table natively) is refused
     like any out-of-vocabulary word — on memo flushes too, which run the
-    same linearizer, after the first flush and under ``Validate.NEVER``.
+    same linearizer, on every flush (no flush checks structure).
     """
     if target == "c" and not native_available():
         pytest.skip("no C compiler on the host")
     m = _small_model("treelstm", target=target)
-    server = m.server(policy=MaxPendingRequests(4), memo="on",
-                      validate=Validate.NEVER)
+    server = m.server(policy=MaxPendingRequests(4), memo="on")
     warm = synthetic_treebank(4, vocab_size=VOCAB,
                               rng=np.random.default_rng(CHAOS_SEED))
     for h in [server.submit([t]) for t in warm]:
@@ -567,6 +570,40 @@ def test_warm_session_executes_zero_nodes():
     for out in m.lowered.module.output_buffers:
         assert np.array_equal(cold[out], warm[out])
         assert np.array_equal(warm[out], _solo_rows(m, tree, out))
+
+
+def test_session_checks_structure_before_hashing():
+    """A session is a door like ``submit``: the one structure walk runs on
+    every call, before the hashing pass — which does not terminate on a
+    cycle (the alarm is what lets this fail rather than hang)."""
+    import signal
+
+    m = _small_model("treernn")
+    sess = MemoSession(m)
+    a = branch(leaf(1), leaf(2))
+    cyclic = branch(a, leaf(3))
+    a.children = (cyclic, leaf(2))
+    shared = leaf(1)
+
+    def _hung(signum, frame):
+        raise AssertionError("MemoSession.run did not return on a cycle")
+
+    old = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(LinearizationError, match="contains a cycle"):
+            sess.run(cyclic)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    with pytest.raises(LinearizationError, match="compiled for a tree"):
+        sess.run(branch(shared, shared))
+    with pytest.raises(LinearizationError, match="max_children=2"):
+        sess.run_many([leaf(1), branch(leaf(1), leaf(2), leaf(3))])
+    assert sess.stats()["flushes"] == 0        # refused before the splicer
+    tree = branch(leaf(1), branch(leaf(2), leaf(3)))
+    for out in m.lowered.module.output_buffers:
+        assert np.array_equal(sess.run(tree)[out], _solo_rows(m, tree, out))
 
 
 def test_graft_reexecutes_only_the_dirty_spine():

@@ -333,16 +333,6 @@ def test_run_and_run_many_accept_validate_enum():
                               ref[m.lowered.linearizer(TREES).roots])
 
 
-def test_server_accepts_validate_enum():
-    from repro.serve import MaxPendingRequests
-
-    m = compile_model("treernn", hidden=8, vocab=VOCAB)
-    srv = m.server(policy=MaxPendingRequests(1), validate=Validate.ALWAYS)
-    h = srv.submit(TREES)
-    srv.drain()
-    assert h.result().root_output("rnn").shape == (3, 8)
-
-
 # -- _prog_of: owning-program resolution --------------------------------------
 
 def test_schedule_primitives_work_outside_program_block():

@@ -19,9 +19,10 @@ import pytest
 from repro import api
 from repro.data import grid_dag_batch, synthetic_treebank
 from repro.errors import LinearizationError, QueueFullError, ServingError
-from repro.linearizer import TreeLinearizer, branch, leaf
+from repro.linearizer import TreeLinearizer, branch, count_nodes, leaf
 from repro.models.registry import MODELS
 from repro.models.sequential import make_sequence
+from repro.obs import FakeClock, Tracer
 from repro.serve import (AnyOf, Deadline, MaxPendingRequests, MaxTotalNodes,
                          ModelServer, Request, Router, Scheduler,
                          default_policy)
@@ -170,6 +171,30 @@ def test_mixed_request_sizes_one_flush():
         _assert_request_matches_solo(m, roots, h.result())
 
 
+@pytest.mark.parametrize("memo", ("off", "on"))
+def test_requests_sharing_a_subtree_ride_one_execution(memo):
+    """Sharing *across* requests is legal: each request is a tree on its
+    own, the merged forest is the DAG-shaped batch the linearizer already
+    visits once per node — in a server's first flush like in any other
+    (a flush-time structure check used to refuse it there as "a dag" and
+    bisect: 1 isolation, 2 extra executions)."""
+    m = _small_model("treelstm")
+    phrase = branch(leaf(3), branch(leaf(5), leaf(7)))
+    requests = [[branch(phrase, leaf(1))], [branch(leaf(2), phrase)]]
+    srv = m.server(policy=MaxPendingRequests(64), memo=memo)
+    executed = []
+    srv.add_observer(lambda req, exc: executed.append(exc))
+    handles = [srv.submit(r) for r in requests]
+    assert srv.flush() == 2                   # the fresh server's first
+    snap = srv.metrics_snapshot()
+    assert snap["flushes"] == 1 and snap["completed"] == 2
+    assert snap["isolations"] == 0 and snap["isolation_execs"] == 0
+    assert executed == [None, None]
+    for roots, h in zip(requests, handles):
+        assert h.result().batch_requests == 2
+        _assert_request_matches_solo(m, roots, h.result())
+
+
 # ---------------------------------------------------------------------------
 # scheduler / policy mechanics
 
@@ -260,13 +285,12 @@ def test_submit_empty_request_rejected():
 
 def test_validation_failure_delivered_via_handle():
     m = _small_model("treernn")
-    # admission="none" defers structural checks to flush time — this test
-    # covers the mid-flush failure-delivery path (the default admission
-    # mode would reject the DAG at submit(); see test_serve_chaos.py)
-    srv = m.server(policy=MaxPendingRequests(100), admission="none")
-    shared = leaf(3)
-    dag = branch(branch(shared, leaf(1)), shared)   # DAG fed to a tree model
-    h = srv.submit([dag])
+    # structure is checked at submit() (see test_serve_chaos.py); the
+    # poison that still reaches a flush is an out-of-vocabulary leaf word,
+    # refused by the linearizer's word-range check — this test covers the
+    # mid-flush failure-delivery path
+    srv = m.server(policy=MaxPendingRequests(100))
+    h = srv.submit([branch(branch(leaf(3), leaf(1)), leaf(VOCAB + 5))])
     assert srv.flush() == 1
     assert isinstance(h.exception(), LinearizationError)
     with pytest.raises(LinearizationError):
@@ -283,12 +307,10 @@ def test_validation_failure_delivered_via_handle():
 def test_flush_failure_isolated_to_culprit_request():
     """One malformed request must not fail the requests it rode with."""
     m = _small_model("treernn")
-    srv = m.server(policy=MaxPendingRequests(100), validate="always",
-                   admission="none")
+    srv = m.server(policy=MaxPendingRequests(100))
     rng = np.random.default_rng(41)
     good = [_request("treernn", rng) for _ in range(3)]
-    shared = leaf(3)
-    bad = [branch(branch(shared, leaf(1)), shared)]  # DAG in a tree model
+    bad = [branch(branch(leaf(3), leaf(1)), leaf(VOCAB + 5))]  # no such row
     handles = [srv.submit(g) for g in good[:2]]
     bad_h = srv.submit(bad)
     handles.append(srv.submit(good[2]))
@@ -300,20 +322,27 @@ def test_flush_failure_isolated_to_culprit_request():
     assert snap["failed"] == 1 and snap["completed"] == 3
 
 
-def test_node_counts_skipped_unless_policy_needs_them():
-    assert MaxTotalNodes(10).uses_node_counts
-    assert not MaxPendingRequests(4).uses_node_counts
-    assert not Deadline(1.0).uses_node_counts
-    assert (MaxPendingRequests(4) | MaxTotalNodes(10)).uses_node_counts
-    assert not (MaxPendingRequests(4) | Deadline(1.0)).uses_node_counts
+def test_node_counts_are_real_under_every_policy():
+    """The admission walk returns the node count, so nothing reads 0 under
+    the default policy: ``Request.num_nodes``, ``pending_nodes``, the
+    ``serve_queue_nodes`` gauge and the root span's ``nodes`` attribute."""
     rng = np.random.default_rng(43)
     m = _small_model("treefc")
-    srv = m.server(policy=MaxPendingRequests(100))
-    srv.submit(_request("treefc", rng))
-    assert srv.scheduler.pending_nodes == 0    # traversal skipped
-    srv2 = m.server(policy=MaxTotalNodes(1000))
-    srv2.submit(_request("treefc", rng))
-    assert srv2.scheduler.pending_nodes > 0    # tracked when consulted
+    for policy in (None, MaxPendingRequests(100), MaxTotalNodes(10_000)):
+        clock = FakeClock()                    # the default's 2 ms never pass
+        tracer = Tracer(clock=clock)
+        srv = m.server(policy=policy, tracer=tracer, clock=clock)
+        reqs = [_request("treefc", rng, batch=b) for b in (1, 2, 1)]
+        for r in reqs:
+            srv.submit(r)
+        sizes = [count_nodes(r) for r in reqs]
+        assert [q.num_nodes for q in srv.scheduler._q] == sizes
+        assert srv.scheduler.pending_nodes == sum(sizes) > 0
+        assert srv.metrics_snapshot()["queue_nodes"] == sum(sizes)
+        assert f"serve_queue_nodes {sum(sizes)}" in srv.metrics_prometheus()
+        assert [sp.attributes["nodes"] for sp in tracer.open_spans()
+                if sp.name == "request"] == sizes
+        assert srv.drain() == 3 and srv.scheduler.pending_nodes == 0
 
 
 def test_submit_after_stop_served_synchronously():
@@ -331,16 +360,6 @@ def test_self_check_probes_bit_identity():
     m = _small_model("treelstm")
     srv = m.server()
     assert srv.self_check([_request("treelstm", rng) for _ in range(4)])
-
-
-def test_validate_never_and_bad_mode():
-    m = _small_model("treernn")
-    roots = _request("treernn", np.random.default_rng(3))
-    srv = ModelServer(m, validate="never", policy=MaxPendingRequests(1))
-    h = srv.submit(roots)
-    _assert_request_matches_solo(m, roots, h.result())
-    with pytest.raises(ServingError):
-        ModelServer(m, validate="sometimes")
 
 
 def test_outputs_subset():
@@ -369,11 +388,11 @@ def test_server_keyword_surface_is_pinned():
     kwonly = {n for n, p in inspect.signature(ModelServer).parameters.items()
               if p.kind is p.KEYWORD_ONLY}
     assert kwonly == {
-        "policy", "max_queue", "validate", "admission",
-        "max_request_nodes", "retry", "faults", "outputs", "device",
-        "tracer", "profiler", "clock", "wake_interval_s", "memo",
-        "memo_cache", "memo_policy", "name", "fair_share",
-        "request_id_base"}
+        "policy", "max_queue", "max_request_nodes", "retry", "faults",
+        "outputs", "device", "tracer", "profiler", "clock",
+        "wake_interval_s", "memo", "memo_cache", "memo_policy", "name",
+        "fair_share", "request_id_base"}
+    assert len(kwonly) == 17
     m = _small_model("treernn")
     with pytest.raises(TypeError, match="no_such_option"):
         m.server(no_such_option=1)

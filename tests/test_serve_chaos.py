@@ -23,9 +23,11 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.data import grid_dag_batch, synthetic_treebank
+from repro.data import (grid_dag_batch, perfect_binary_tree,
+                        synthetic_treebank)
 from repro.errors import (CircuitOpenError, CortexError,
-                          DeadlineExceededError, LinearizationError,
+                          DeadlineExceededError, InvalidRequestError,
+                          LinearizationError,
                           LoadShedError, QueueFullError,
                           RequestCancelledError, RequestTimeoutError,
                           ServingError, TransientExecutionError,
@@ -318,13 +320,13 @@ def test_retry_exhaustion_fails_with_the_transient_error():
 
 def test_bisection_isolates_single_culprit_in_log_executions():
     m = _small_model("treernn")
-    srv = m.server(policy=MaxPendingRequests(100), validate="always",
-                   admission="none")
+    srv = m.server(policy=MaxPendingRequests(100))
     executed = _watch_executions(srv)
     rng = np.random.default_rng(CHAOS_SEED)
     good = [_request("treernn", rng) for _ in range(7)]
-    shared = leaf(3)
-    bad = [branch(branch(shared, leaf(1)), shared)]   # DAG in a tree model
+    # structure is refused at submit(); the poison that still reaches a
+    # flush is a leaf word past the embedding table (word-range check)
+    bad = [branch(branch(leaf(3), leaf(1)), leaf(VOCAB + 5))]
     handles = [srv.submit(g) for g in good[:5]]
     bad_h = srv.submit(bad)
     handles += [srv.submit(g) for g in good[5:]]
@@ -340,6 +342,66 @@ def test_bisection_isolates_single_culprit_in_log_executions():
     assert snap["failed"] == 1 and snap["completed"] == 7
     failures = [rid for rid, exc in executed if exc is not None]
     assert failures == [bad_h.request_id]
+
+
+# ---------------------------------------------------------------------------
+# the door: hostile structures never get past submit()
+
+
+def _hostile_structures():
+    """(roots, error type, message) per way a structure can break the
+    model's declaration; every one is a valid *word* payload."""
+    a = branch(leaf(1), leaf(2))
+    cyclic = branch(a, leaf(3))
+    a.children = (cyclic, leaf(2))
+    shared = leaf(3)
+    return {
+        "cyclic": ([cyclic], LinearizationError, "contains a cycle"),
+        "dag": ([branch(branch(shared, leaf(1)), shared)],
+                LinearizationError, "compiled for a tree"),
+        "over-arity": ([branch(leaf(1), leaf(2), leaf(4))],
+                       LinearizationError, "exceeds declared max_children"),
+        "oversized": ([perfect_binary_tree(3, vocab_size=VOCAB)],
+                      InvalidRequestError, "max_request_nodes=8"),
+    }
+
+
+@pytest.mark.parametrize("door", ("sync", "threaded", "pool", "router"))
+def test_hostile_structures_refused_at_every_door(door):
+    """Cyclic, wrong-kind, over-arity and oversized requests raise typed
+    errors on the caller's thread, before anything is queued, hashed or
+    linearized — memo on, so a structure that got through would reach
+    the hashing pass, which does not terminate on a cycle."""
+    from repro.serve import WorkerPool
+
+    m = _small_model("treernn")
+    kw = dict(policy=MaxPendingRequests(4), max_request_nodes=8, memo="on")
+    if door == "pool":
+        front = WorkerPool(m, replicas=2, **kw)
+        submit, snapshot = front.submit, front.metrics_snapshot
+    elif door == "router":
+        front = Router()
+        front.add_model("m", m, **kw)
+        submit = lambda roots: front.submit("m", roots)       # noqa: E731
+        snapshot = lambda: front.metrics_snapshot()["m"]      # noqa: E731
+    else:
+        front = m.server(**kw)
+        submit, snapshot = front.submit, front.metrics_snapshot
+    if door != "sync":
+        front.start()
+    try:
+        for roots, exc_type, message in _hostile_structures().values():
+            with pytest.raises(exc_type, match=message):
+                submit(roots)
+        snap = snapshot()
+        assert snap["submitted"] == 0 and snap["queue_depth"] == 0
+        good = [branch(leaf(1), branch(leaf(2), leaf(4)))]
+        h = submit(good)
+        front.drain()
+        _assert_request_matches_solo(m, good, h.result(60))
+        assert snapshot()["submitted"] == 1
+    finally:
+        front.stop()
 
 
 # ---------------------------------------------------------------------------
