@@ -37,6 +37,7 @@ copying for you, returning per-batch root outputs.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
                     Protocol, Sequence, Union, runtime_checkable)
@@ -135,7 +136,7 @@ class RunnableModel:
 
     def _init_runtime(self) -> None:
         self._fast_linearizer: Optional[Linearizer] = None
-        self._leased: List[np.ndarray] = []
+        self._leased: List[np.ndarray] = []  # the last reuse call's slab
         self._params_version = 0
         self._memo_key: Optional[str] = None
 
@@ -214,21 +215,18 @@ class RunnableModel:
             return self.lowered.linearizer(roots)
         return self.fast_linearizer()(roots)
 
-    def _recycle(self) -> None:
-        if self._leased:
-            self.arena.release_many(self._leased)
-            self._leased = []
-
     def release(self) -> None:
         """Return the last ``run(reuse=True)`` call's workspace to the arena.
 
-        Without this, leased buffers sit out of the pool until the *next*
-        reuse call reclaims them.  Calling it makes the arena drain
+        Without this, the leased slab sits out of the arena until the
+        *next* reuse call reclaims it.  Calling it makes the arena drain
         deterministic — the serving loop invokes it between flushes — and
         it is a no-op when nothing is leased.  The previous reuse result's
         workspace must not be read afterwards.
         """
-        self._recycle()
+        if self._leased:
+            self.arena.release_many(self._leased)
+            self._leased = []
 
     # -- execution -------------------------------------------------------------
     def run(self, roots: Union[Node, Sequence[Node]], *,
@@ -251,10 +249,10 @@ class RunnableModel:
         lin = self._linearize(roots, check)
         if not reuse:
             return execute_plan(self.plan, lin, self.params, device=device)
-        self._recycle()
+        self.release()
         res = execute_plan(self.plan, lin, self.params, device=device,
                            arena=self.arena)
-        self._leased = list(res.arena_buffers)
+        self._leased = res.arena_buffers
         return res
 
     def run_many(self, batches: Iterable[Union[Node, Sequence[Node]]], *,
@@ -416,7 +414,16 @@ def compile_model(name: Union[str, ModelSpec], hidden: Optional[int] = None,
     constructor does.  New code should call ``compile(spec,
     CompileOptions(...))``.
     """
-    opts = CompileOptions.from_legacy(
+    if persistence is None:
+        persistence = fusion == "max"  # persistence follows fusion unless given
+    elif persistence and fusion != "max":
+        warnings.warn(
+            "compile_model(persistence=True, fusion=...) silently disables "
+            "persistence; this coercion is deprecated — use compile(spec, "
+            "CompileOptions(...)), which rejects the combination eagerly",
+            DeprecationWarning, stacklevel=2)
+        persistence = False
+    opts = CompileOptions(
         fusion=fusion, specialize=specialize, dynamic_batch=dynamic_batch,
         persistence=persistence, unroll=unroll, refactor=refactor,
         per_block=per_block, rational_approx=rational_approx,

@@ -66,12 +66,12 @@ def paper_inputs(model_name: str, batch_size: int, *,
 def cortex_model(model_name: str, hidden: int, **schedule) -> CortexModel:
     """Compile (or fetch from the session cache) one model configuration.
 
-    ``schedule`` uses the legacy keyword conventions (``persistence``
-    auto-follows ``fusion`` when unspecified) and is normalized into a
-    :class:`~repro.options.CompileOptions`, whose stable ``cache_key``
-    keys the shared :class:`~repro.pipeline.Session`.
+    ``schedule`` holds :class:`~repro.options.CompileOptions` fields, except
+    that ``persistence`` follows ``fusion`` unless given; the options' stable
+    ``cache_key`` keys the shared :class:`~repro.pipeline.Session`.
     """
-    options = CompileOptions.from_legacy(warn=False, **schedule)
+    schedule.setdefault("persistence", schedule.get("fusion", "max") == "max")
+    options = CompileOptions(**schedule)
     if model_name == "dagrnn":
         return _SESSION.compile(model_name, options, hidden=hidden,
                                 num_cells=100 * 64)

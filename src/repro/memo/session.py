@@ -108,8 +108,7 @@ class MemoSession:
                                     per_request)
             self.splicer.commit(result, res.workspace)
         finally:
-            if model.arena is not None:
-                model.arena.release_many(res.arena_buffers)
+            model.arena.release_many(res.arena_buffers)
         self.last = result
         return per_request
 

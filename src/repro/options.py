@@ -42,7 +42,6 @@ import dataclasses
 import enum
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Union
 
@@ -188,31 +187,6 @@ class CompileOptions:
     def with_(self, **updates) -> "CompileOptions":
         """A copy with fields replaced; the result is re-validated."""
         return dataclasses.replace(self, **updates)
-
-    @classmethod
-    def from_legacy(cls, *, persistence: Optional[bool] = None,
-                    warn: bool = True, **knobs) -> "CompileOptions":
-        """Map ``compile_model``-era keyword conventions onto options.
-
-        The legacy signature treated ``persistence=True`` as "persist if
-        possible" and silently demoted it under ``fusion='none'``.  Here
-        ``persistence=None`` means that auto behavior; an *explicit*
-        ``True`` that must be demoted triggers a ``DeprecationWarning``
-        (unless ``warn=False``) instead of raising like the constructor.
-        """
-        fusion = knobs.get("fusion", "max")
-        if persistence is None:
-            persistence = fusion == "max"
-        elif persistence and fusion != "max":
-            if warn:
-                warnings.warn(
-                    "compile_model(persistence=True, fusion=...) silently "
-                    "disables persistence; this coercion is deprecated — "
-                    "use compile(spec, CompileOptions(...)), which rejects "
-                    "the combination eagerly", DeprecationWarning,
-                    stacklevel=3)
-            persistence = False
-        return cls(persistence=persistence, **knobs)
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> Dict[str, object]:

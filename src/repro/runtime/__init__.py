@@ -3,7 +3,7 @@
 from .costmodel import CostReport, NestTraffic, estimate_cost, nest_traffic
 from .device import ARM, DEVICES, INTEL, V100, Device, get_device
 from .memory import (ArenaStats, MemoryReport, WorkspaceArena,
-                     measure_memory, size_bucket)
+                     measure_memory)
 from .plan import (ExecutionResult, HostPlan, build_host_plan, execute_plan,
                    get_host_plan)
 from .profiler import ActivityBreakdown, KernelProfiler, breakdown_from_cost
@@ -13,6 +13,6 @@ __all__ = [
     "DEVICES", "INTEL", "V100", "Device", "get_device", "ExecutionResult",
     "HostPlan", "build_host_plan", "execute_plan", "get_host_plan",
     "ArenaStats", "MemoryReport", "WorkspaceArena",
-    "measure_memory", "size_bucket", "ActivityBreakdown",
+    "measure_memory", "ActivityBreakdown",
     "KernelProfiler", "breakdown_from_cost",
 ]

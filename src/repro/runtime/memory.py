@@ -2,14 +2,9 @@
 
 Two concerns live here:
 
-* :class:`WorkspaceArena` — shape/dtype-keyed buffer pooling for the
-  plan-based execution path.  Repeated inference calls with same-sized
-  inputs reuse workspace arrays instead of allocating fresh zero-filled
-  ones; only buffers whose plan marks ``needs_zero`` (see
-  :func:`repro.ilir.zero_fill.zero_required`) are re-zeroed on reuse.  Pools
-  are grouped into ``(num_nodes, max_batch_len)`` size buckets with LRU
-  eviction so a long-running server with varied input sizes keeps a bounded
-  working set.
+* :class:`WorkspaceArena` — recycles the one slab the host plan lays each
+  call's scratch buffers out in (:meth:`repro.runtime.plan.HostPlan.layout`),
+  by size class and under a byte bound it states itself.
 
 * :func:`measure_memory` — peak device memory accounting (Fig. 12).
   Cortex's inference-oriented design shows up in memory as well as time:
@@ -20,12 +15,12 @@ Two concerns live here:
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 
+from ..errors import ExecutionError
 from ..ilir.module import ILModule
 from ..linearizer import Linearized
 from .costmodel import _buffer_elems
@@ -34,171 +29,98 @@ from .costmodel import _buffer_elems
 # ---------------------------------------------------------------------------
 # workspace arena
 
-
-def size_bucket(num_nodes: int, max_batch_len: int) -> Tuple[int, int]:
-    """Bucket key for one linearized input: dims rounded up to powers of 2.
-
-    Inputs in the same bucket have similar workspace footprints; the arena
-    tracks bucket recency so pools for input sizes no longer being served
-    are evicted first.
-    """
-    def up(x: int) -> int:
-        return 1 << max(0, int(x - 1).bit_length())
-
-    return (up(int(num_nodes)), up(int(max_batch_len)))
+#: slab addresses and planned buffer offsets are multiples of one cache line
+ALIGN = 64
+#: free slabs kept per power-of-two size class
+SLABS_PER_CLASS = 2
 
 
 @dataclass
 class ArenaStats:
-    """Counters exposed for tests and benchmark reporting."""
+    """Lease counters: a hit recycled a parked slab, a miss allocated one."""
 
     hits: int = 0
     misses: int = 0
-    zero_fills: int = 0
-    evicted_arrays: int = 0
-    evicted_buckets: int = 0
 
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def snapshot(self) -> Dict[str, float]:
-        """The counters as one flat dict (metrics / monitoring surface)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "zero_fills": self.zero_fills,
-            "evicted_arrays": self.evicted_arrays,
-            "evicted_buckets": self.evicted_buckets,
-        }
-
 
 class WorkspaceArena:
-    """Pool of workspace arrays keyed by exact ``(shape, dtype)``.
+    """Recycles whole-call workspace slabs; knows bytes, not buffers.
 
-    ``acquire`` returns a pooled array when one matches (zero-filled only if
-    the caller says the buffer semantically requires it) and falls back to
-    a fresh ``np.zeros`` otherwise, so first-use behavior is identical to
-    the non-pooled path.  ``release`` returns arrays for reuse; the caller
-    must no longer read them afterwards (the streaming API copies outputs
-    out first).
-
-    Not thread-safe; use one arena per serving thread.
+    ``lease`` hands out a 1-D ``uint8`` slab of the smallest power-of-two
+    size class that fits — a parked one if the class has one, else fresh
+    zeros — and ``release`` parks it again (it must not be read afterwards),
+    at most :data:`SLABS_PER_CLASS` per class: the arena never holds more
+    than :attr:`max_pooled_bytes`, a fixed multiple of the largest lease it
+    has served.  Not thread-safe; use one arena per serving thread.
     """
 
-    def __init__(self, max_arrays_per_key: int = 8, max_buckets: int = 16):
-        self.max_arrays_per_key = max_arrays_per_key
-        self.max_buckets = max_buckets
-        self._pools: Dict[Tuple[Tuple[int, ...], str], List[np.ndarray]] = {}
-        #: bucket -> pool keys last associated with it, in LRU order
-        self._buckets: "OrderedDict[Tuple[int, int], set]" = OrderedDict()
-        self._current_bucket: Optional[Tuple[int, int]] = None
+    def __init__(self):
+        self._free: Dict[int, List[np.ndarray]] = {}  # class size -> parked
+        self._out: set = set()  # id() of every slab currently leased out
+        self.pooled_bytes = 0
         self.stats = ArenaStats()
 
-    # -- bucket bookkeeping ------------------------------------------------
-    def note_bucket(self, bucket: Tuple[int, int]) -> None:
-        """Mark the size bucket the next acquires belong to (LRU touch)."""
-        if bucket in self._buckets:
-            self._buckets.move_to_end(bucket)
-        else:
-            self._buckets[bucket] = set()
-            while len(self._buckets) > self.max_buckets:
-                _, keys = self._buckets.popitem(last=False)
-                self.stats.evicted_buckets += 1
-                for key in keys:
-                    dropped = self._pools.pop(key, None)
-                    if dropped:
-                        self.stats.evicted_arrays += len(dropped)
-        self._current_bucket = bucket
-
-    def note_linearized(self, lin: Linearized) -> None:
-        self.note_bucket(size_bucket(lin.num_nodes, lin.max_batch_len))
-
-    # -- acquire / release -------------------------------------------------
-    def acquire(self, shape: Tuple[int, ...], dtype,
-                *, zero: bool = True) -> np.ndarray:
-        key = (tuple(shape), np.dtype(dtype).str)
-        pool = self._pools.get(key)
-        if pool:
-            arr = pool.pop()
+    def lease(self, nbytes: int, zero: int = 0) -> np.ndarray:
+        """One slab of at least ``nbytes``; its first ``zero`` bytes read 0."""
+        size = 1 << (int(nbytes) - 1).bit_length()
+        parked = self._free.setdefault(size, [])
+        if parked:
+            slab = parked.pop()
+            slab[:zero] = 0
+            self.pooled_bytes -= size
             self.stats.hits += 1
-            if zero:
-                arr.fill(0)
-                self.stats.zero_fills += 1
-            return arr
-        self.stats.misses += 1
-        if self._current_bucket is not None:
-            self._buckets[self._current_bucket].add(key)
-        return np.zeros(shape, dtype=dtype)
-
-    def release(self, arr: np.ndarray) -> None:
-        key = (tuple(arr.shape), arr.dtype.str)
-        pool = self._pools.setdefault(key, [])
-        if len(pool) < self.max_arrays_per_key:
-            pool.append(arr)
-            if self._current_bucket is not None:
-                self._buckets[self._current_bucket].add(key)
         else:
-            self.stats.evicted_arrays += 1
+            raw = np.zeros(size + ALIGN, dtype=np.uint8)  # fresh: all zero
+            start = -raw.ctypes.data % ALIGN
+            slab = raw[start:start + size]
+            self.stats.misses += 1
+        self._out.add(id(slab))
+        return slab
 
-    def release_many(self, arrays) -> None:
-        for arr in arrays:
-            self.release(arr)
+    def release(self, slab: np.ndarray) -> None:
+        """Park a leased slab; anything else would let two leases alias."""
+        if id(slab) not in self._out:
+            raise ExecutionError(
+                "released an array this arena has not leased out (released "
+                "twice, or never leased here)")
+        self._out.remove(id(slab))
+        parked = self._free[slab.nbytes]
+        if len(parked) < SLABS_PER_CLASS:
+            parked.append(slab)
+            self.pooled_bytes += slab.nbytes
 
-    def clear(self) -> None:
-        self._pools.clear()
-        self._buckets.clear()
-        self._current_bucket = None
+    def release_many(self, slabs) -> None:
+        for slab in slabs:
+            self.release(slab)
 
     @property
-    def pooled_bytes(self) -> int:
-        return sum(a.nbytes for pool in self._pools.values() for a in pool)
-
-    def bind_metrics(self, registry) -> "WorkspaceArena":
-        """Report pool health into an :class:`~repro.obs.MetricsRegistry`.
-
-        Registers callback gauges that read the arena live at scrape
-        time — including through a wholesale ``arena.stats``
-        replacement, since the callbacks dereference ``self.stats``
-        fresh on every read.  The registered names are per-registry
-        singletons; bind one arena per registry (the model server binds
-        its own arena into its own registry).
-        """
-        registry.gauge("arena_hits", "pooled-buffer reuse hits",
-                       fn=lambda: self.stats.hits)
-        registry.gauge("arena_misses", "pool misses (fresh allocations)",
-                       fn=lambda: self.stats.misses)
-        registry.gauge("arena_hit_rate", "hits / (hits + misses)",
-                       fn=lambda: self.stats.hit_rate)
-        registry.gauge("arena_zero_fills",
-                       "reused buffers re-zeroed (needs_zero analysis)",
-                       fn=lambda: self.stats.zero_fills)
-        registry.gauge("arena_evicted_arrays", "arrays dropped from pools",
-                       fn=lambda: self.stats.evicted_arrays)
-        registry.gauge("arena_evicted_buckets",
-                       "LRU size buckets evicted whole",
-                       fn=lambda: self.stats.evicted_buckets)
-        registry.gauge("arena_pooled_bytes", "bytes parked in the pools",
-                       fn=lambda: self.pooled_bytes)
-        registry.gauge("arena_pooled_arrays", "arrays parked in the pools",
-                       fn=lambda: sum(len(p) for p in self._pools.values()))
-        registry.gauge("arena_buckets", "live size buckets",
-                       fn=lambda: len(self._buckets))
-        return self
+    def max_pooled_bytes(self) -> int:
+        """Every class up to the largest one leased, full (the classes below
+        the largest sum to less than it)."""
+        return 2 * SLABS_PER_CLASS * max(self._free, default=0)
 
     def snapshot(self) -> Dict[str, float]:
-        """Stats counters plus the current pool footprint, as one dict.
+        """Counters and footprint as one dict (the metrics ``arena`` section)."""
+        return {"hits": self.stats.hits, "misses": self.stats.misses,
+                "hit_rate": self.stats.hit_rate,
+                "pooled_bytes": self.pooled_bytes,
+                "max_pooled_bytes": self.max_pooled_bytes,
+                "leased": len(self._out)}
 
-        This is what the serving metrics report as the ``arena`` section;
-        it is cheap enough to call per metrics scrape.
-        """
-        out = self.stats.snapshot()
-        out["pooled_bytes"] = self.pooled_bytes
-        out["pooled_arrays"] = sum(len(p) for p in self._pools.values())
-        out["buckets"] = len(self._buckets)
-        return out
+    def bind_metrics(self, registry) -> "WorkspaceArena":
+        """Live callback gauges; bind one arena per registry (names collide)."""
+        for key, text in (("hits", "leases served by a parked slab"),
+                          ("misses", "leases that allocated a fresh slab"),
+                          ("hit_rate", "hits / (hits + misses)"),
+                          ("pooled_bytes", "bytes parked in the arena")):
+            registry.gauge("arena_" + key, text,
+                           fn=lambda key=key: self.snapshot()[key])
+        return self
 
 
 # ---------------------------------------------------------------------------

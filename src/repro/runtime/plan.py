@@ -17,8 +17,9 @@ a reloaded artifact — and holds:
 * a buffer-allocation plan with symbolic shapes pre-parsed into
   ``(static dims, which runtime scalars)`` recipes, plus the per-buffer
   ``needs_zero`` verdict lowering recorded in ``module.meta`` (see
-  :mod:`repro.ilir.zero_fill`), so a workspace arena can recycle buffers
-  without re-zeroing ones every call overwrites;
+  :mod:`repro.ilir.zero_fill`): a call's scratch buffers are views into
+  one slab, ``needs_zero`` ones first, so a recycled slab is re-zeroed
+  with one slice assignment over that prefix and nothing else;
 * the scalar-binding template (which metadata overrides apply).
 
 :func:`execute_plan` is the one executor: a tight loop over prebuilt launch
@@ -32,6 +33,7 @@ zero-tolerance tests across the model zoo and schedule variants.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -44,6 +46,7 @@ from ..ilir.module import ILModule
 from ..ir import Const, Var, evaluate
 from ..linearizer import Linearized
 from ..ra.lowering import Lowered
+from .memory import ALIGN, WorkspaceArena
 
 #: sentinel dim tags for the two runtime-bound shape symbols
 _NUM_NODES = "num_nodes"
@@ -62,8 +65,8 @@ class BufferStep:
     static_shape: Optional[Tuple[int, ...]]
     #: model parameters must be supplied by the caller
     required_param: bool
-    #: must the buffer be zeroed when recycled from the arena?  False only
-    #: when the analysis proves every read is preceded by a write.
+    #: must the buffer read zero at the start of a call?  False only when
+    #: the analysis proves every read is preceded by a write.
     needs_zero: bool
 
 
@@ -83,6 +86,15 @@ class HostPlan:
     max_children_override: Optional[int]
     specialize: bool
     state_buffers: List[str] = field(default_factory=list)
+    #: the buffers a call allocates (all but the model parameters), in slab
+    #: order: the first ``num_zeroed`` are the ``needs_zero`` ones
+    scratch: List[BufferStep] = field(init=False)
+    num_zeroed: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        scratch = [b for b in self.buffers if not b.required_param]
+        self.scratch = sorted(scratch, key=lambda b: not b.needs_zero)
+        self.num_zeroed = sum(b.needs_zero for b in scratch)
 
     # -- scalar bindings ---------------------------------------------------
     def bind_scalars(self, lin: Linearized) -> Dict[str, int]:
@@ -99,75 +111,80 @@ class HostPlan:
         return c
 
     # -- workspace ---------------------------------------------------------
-    def _resolve_shape(self, step: BufferStep,
-                       lin: Linearized) -> Optional[Tuple[int, ...]]:
+    @staticmethod
+    def _resolve_shape(step: BufferStep,
+                       sizes: Dict[str, int]) -> Optional[Tuple[int, ...]]:
+        """``step``'s shape under ``sizes`` (the two runtime shape scalars)."""
         if step.static_shape is not None:
             return step.static_shape
-        out: List[int] = []
-        for d in step.dims:
-            if d.__class__ is int:
-                out.append(d)
-            elif d == _NUM_NODES:
-                out.append(lin.num_nodes)
-            elif d == _MAX_BATCH:
-                out.append(lin.max_batch_len)
-            else:
-                try:
-                    out.append(int(evaluate(d, {
-                        "num_nodes": lin.num_nodes,
-                        "max_batch_len": lin.max_batch_len,
-                    })))
-                except Exception:
-                    return None
-        return tuple(out)
+        try:
+            return tuple([d if d.__class__ is int
+                          else sizes[d] if d.__class__ is str
+                          else int(evaluate(d, sizes)) for d in step.dims])
+        except Exception:
+            return None
+
+    def layout(self, num_nodes: int, max_batch_len: int):
+        """Where each scratch buffer of one call lives in its slab.
+
+        Returns ``(entries, zero_bytes, total_bytes)``: one ``(name, dtype,
+        shape, offset)`` per :attr:`scratch` buffer in that order — the
+        ``needs_zero`` ones first, so they are exactly the slab's first
+        ``zero_bytes`` — each offset the 64-byte-aligned running sum of
+        the sizes before it.
+        """
+        sizes = {_NUM_NODES: num_nodes, _MAX_BATCH: max_batch_len}
+        entries = []
+        offset = 0
+        for step in self.scratch:
+            shape = self._resolve_shape(step, sizes)
+            if shape is None:
+                raise ExecutionError(f"cannot size buffer {step.name}")
+            entries.append((step.name, step.np_dtype, shape, offset))
+            nbytes = step.np_dtype.itemsize * math.prod(shape)
+            offset = (offset + nbytes + ALIGN - 1) & -ALIGN
+        k = self.num_zeroed
+        return entries, (entries[k][3] if k < len(entries) else offset), offset
 
     def make_workspace(self, lin: Linearized,
                        params: Mapping[str, np.ndarray],
                        arena=None) -> Tuple[Dict[str, np.ndarray],
                                             List[np.ndarray]]:
-        """Build the workspace; returns it plus arena-leased arrays.
+        """Build the workspace; returns it plus the arena lease, if any.
 
-        UF arrays + model parameters + zero-initialized (or arena-leased)
-        buffers.  A typed failure part-way — a missing or mis-shaped
-        parameter after some buffers were already leased — returns those
-        leases to the arena before it propagates.
+        UF arrays, then one slab — leased from ``arena``, or fresh zeros —
+        cut into the scratch buffers per :meth:`layout`, then the model
+        parameters and any buffer the caller supplies, checked and used in
+        place.  Everything that can be refused is checked before the lease.
         """
-        ws = lin.uf_arrays()
-        leased: List[np.ndarray] = []
-        if arena is not None:
-            arena.note_linearized(lin)
-        try:
-            for step in self.buffers:
-                name = step.name
-                supplied = params.get(name)
-                if supplied is not None:
-                    arr = np.asarray(supplied)
-                    expect = self._resolve_shape(step, lin)
-                    if expect is not None and tuple(arr.shape) != expect:
-                        raise ExecutionError(
-                            f"parameter {name}: shape {arr.shape} != "
-                            f"declared {expect}")
-                    ws[name] = arr
-                    continue
+        sizes = {_NUM_NODES: lin.num_nodes, _MAX_BATCH: lin.max_batch_len}
+        given: Dict[str, np.ndarray] = {}
+        for step in self.buffers:
+            name = step.name
+            supplied = params.get(name)
+            if supplied is None:
                 if step.required_param:
                     # model parameters must be supplied; zero-filling them
                     # would silently produce wrong results
                     raise ExecutionError(f"missing model parameter {name!r}")
-                shape = self._resolve_shape(step, lin)
-                if shape is None:
-                    raise ExecutionError(f"cannot size buffer {name}")
-                if arena is not None:
-                    arr = arena.acquire(shape, step.np_dtype,
-                                        zero=step.needs_zero)
-                    leased.append(arr)
-                else:
-                    arr = np.zeros(shape, dtype=step.np_dtype)
-                ws[name] = arr
-        except BaseException:
-            if leased:
-                arena.release_many(leased)
-            raise
-        return ws, leased
+                continue
+            arr = np.asarray(supplied)
+            expect = self._resolve_shape(step, sizes)
+            if expect is not None and arr.shape != expect:
+                raise ExecutionError(
+                    f"parameter {name}: shape {arr.shape} != "
+                    f"declared {expect}")
+            given[name] = arr
+        entries, zero_bytes, total = self.layout(lin.num_nodes,
+                                                 lin.max_batch_len)
+        # without an arena, a throwaway one: fresh zeros, nothing parked
+        slab = (WorkspaceArena() if arena is None
+                else arena).lease(total, zero_bytes)
+        ws = lin.uf_arrays()
+        for name, dtype, shape, offset in entries:
+            ws[name] = np.ndarray(shape, dtype, slab, offset)
+        ws.update(given)
+        return ws, ([] if arena is None else [slab])
 
 
 def build_host_plan(lowered: Lowered, compiled: CompiledModule) -> HostPlan:
@@ -252,8 +269,9 @@ class ExecutionResult:
     wall_time_s: float = 0.0
     simulated_time_s: Optional[float] = None
     cost: Optional[object] = None  # CostReport when a device was supplied
-    #: arrays leased from a WorkspaceArena; recycled by the caller that owns
-    #: the arena (after which this result's workspace must not be read)
+    #: the one slab leased from a WorkspaceArena (empty without an arena);
+    #: released by the caller that owns the arena, after which this result's
+    #: workspace must not be read
     arena_buffers: list = field(default_factory=list, repr=False)
 
     def output(self, name: str) -> np.ndarray:
@@ -278,11 +296,11 @@ def execute_plan(plan: HostPlan, lin: Linearized,
     ``faults`` is an optional :class:`~repro.serve.faults.FaultInjector`;
     its hooks fire at execution start (slow flush), before workspace
     allocation (arena failure) and inside the launch phase (kernel
-    exception).  When an exception escapes at any point after the first
-    arena lease — a missing or mis-shaped parameter part-way through
-    workspace construction, a bad seed row, an injected or genuine kernel
-    failure — every arena-leased buffer is released back to the pool
-    before it propagates, so a failed call never shrinks the arena.
+    exception).  When an exception escapes after the arena lease — a bad
+    seed row, an injected or genuine kernel failure — the slab is released
+    back to the arena before it propagates (a missing or mis-shaped
+    parameter is refused before the lease), so a failed call never shrinks
+    the arena.
 
     ``profiler`` is an optional :class:`~repro.runtime.profiler
     .KernelProfiler`: every launch record is wrapped in a per-call timing
@@ -301,7 +319,6 @@ def execute_plan(plan: HostPlan, lin: Linearized,
         faults.check_arena()
     t_ws = time.perf_counter() if profiler is not None else 0.0
     c = plan.bind_scalars(lin)
-    # (make_workspace returns its own leases to the arena when it raises)
     ws, leased = plan.make_workspace(lin, params, arena)
     try:
         if seeds:
@@ -345,11 +362,11 @@ def execute_plan(plan: HostPlan, lin: Linearized,
         for _, fn in post:
             fn(ws, c)
     except BaseException:
-        # a failed execution must not leak its workspace: the leased
-        # buffers go back to the pool (their partial contents are safe —
-        # reuse re-zeroes per the needs_zero analysis, and the rest are
-        # proven write-before-read)
-        if arena is not None and leased:
+        # a failed execution must not leak its workspace: the slab goes
+        # back to the arena (its partial contents are safe — the next lease
+        # re-zeroes the needs_zero prefix, and the rest is proven
+        # write-before-read)
+        if leased:
             arena.release_many(leased)
         raise
 

@@ -117,8 +117,8 @@ class ServerMetrics:
     def note_reject(self) -> None:
         self._rejected.inc()
 
-    def note_retry(self, num_requests: int = 1) -> None:
-        """One transient-failure retry attempt covering ``num_requests``."""
+    def note_retry(self) -> None:
+        """One transient-failure retry attempt (of a whole flush)."""
         self._retries.inc()
 
     def note_isolation(self, extra_execs: int) -> None:
@@ -190,70 +190,21 @@ class ServerMetrics:
         return {"requests": self._occ_requests.window_values(),
                 "nodes": self._occ_nodes.window_values()}
 
-    # -- counter views (legacy attribute access) ----------------------------
-    @property
-    def submitted(self) -> int:
-        return int(self._submitted.value)
-
-    @property
-    def rejected(self) -> int:
-        return int(self._rejected.value)
-
-    @property
-    def completed(self) -> int:
-        return int(self._completed.value)
-
-    @property
-    def failed(self) -> int:
-        return int(self._failed.value)
-
-    @property
-    def flushes(self) -> int:
-        return int(self._flushes.value)
-
-    @property
-    def nodes_processed(self) -> int:
-        return int(self._nodes.value)
-
-    @property
-    def retries(self) -> int:
-        return int(self._retries.value)
-
-    @property
-    def isolations(self) -> int:
-        return int(self._isolations.value)
-
-    @property
-    def isolation_execs(self) -> int:
-        return int(self._isolation_execs.value)
-
-    @property
-    def expired(self) -> int:
-        return int(self._expired.value)
-
-    @property
-    def cancelled(self) -> int:
-        return int(self._cancelled.value)
-
-    @property
-    def shed(self) -> int:
-        return int(self._shed.value)
-
     # -- reporting ---------------------------------------------------------
     def snapshot(self, arena: Optional[WorkspaceArena] = None
                  ) -> Dict[str, object]:
         """Everything as one dict; percentiles over the sliding window."""
         elapsed = max(self._clock() - self._t0, 1e-12)
-        completed = self.completed
-        failed = self.failed
-        nodes = self.nodes_processed
+        completed = int(self._completed.value)
+        failed = int(self._failed.value)
+        nodes = int(self._nodes.value)
         out: Dict[str, object] = {
             "uptime_s": elapsed,
-            "submitted": self.submitted,
-            "rejected": self.rejected,
+            "submitted": int(self._submitted.value),
+            "rejected": int(self._rejected.value),
             "completed": completed,
             "failed": failed,
-            "flushes": self.flushes,
+            "flushes": int(self._flushes.value),
             "nodes_processed": nodes,
             "throughput_rps": completed / elapsed,
             "throughput_nodes_ps": nodes / elapsed,
@@ -262,12 +213,12 @@ class ServerMetrics:
             "latency_mean_ms": self._latency.window_mean() * 1e3,
             "batch_occupancy_requests": self._occ_requests.window_mean(),
             "batch_occupancy_nodes": self._occ_nodes.window_mean(),
-            "retries": self.retries,
-            "isolations": self.isolations,
-            "isolation_execs": self.isolation_execs,
-            "expired": self.expired,
-            "cancelled": self.cancelled,
-            "shed": self.shed,
+            "retries": int(self._retries.value),
+            "isolations": int(self._isolations.value),
+            "isolation_execs": int(self._isolation_execs.value),
+            "expired": int(self._expired.value),
+            "cancelled": int(self._cancelled.value),
+            "shed": int(self._shed.value),
             "error_rate": failed / max(1, completed + failed),
         }
         if arena is not None:

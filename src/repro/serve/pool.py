@@ -253,9 +253,11 @@ class WorkerPool:
             lambda s=server: float(s.scheduler.pending_nodes),
             replica=rname)
         self._g_submitted.callback(
-            lambda s=server: float(s.metrics.submitted), replica=rname)
+            lambda s=server: float(s.metrics.snapshot()["submitted"]),
+            replica=rname)
         self._g_completed.callback(
-            lambda s=server: float(s.metrics.completed), replica=rname)
+            lambda s=server: float(s.metrics.snapshot()["completed"]),
+            replica=rname)
         return Replica(index=index, name=rname, server=server,
                        breaker=breaker)
 

@@ -242,9 +242,7 @@ class ModelServer:
         # injector and the queue report into the same registry the
         # ServerMetrics counters live in (breakers bind via Router)
         reg = self.metrics.registry
-        bind_arena = getattr(model.arena, "bind_metrics", None)
-        if bind_arena is not None:
-            bind_arena(reg)
+        model.arena.bind_metrics(reg)
         if faults is not None:
             faults.bind_metrics(reg)
         reg.gauge("serve_queue_depth", "requests waiting in the queue",
@@ -575,7 +573,7 @@ class ModelServer:
                 if (is_retryable(exc)
                         and max(r.attempts for r in reqs)
                         < self.retry.max_attempts):
-                    self.metrics.note_retry(len(reqs))
+                    self.metrics.note_retry()
                     if self.tracer is not None:
                         for r in reqs:
                             if r.span is not None:
@@ -623,9 +621,8 @@ class ModelServer:
             "flush", attributes={"requests": len(reqs)})
             if tracer is not None else None)
         try:
-            # satellite: drain any buffers a prior run(reuse=True) left
-            # leased, so the arena's contents are deterministic between
-            # flushes
+            # return the slab a prior run(reuse=True) left leased, so the
+            # arena's contents are deterministic between flushes
             model.release()
             for req in reqs:
                 req.attempts += 1
@@ -657,9 +654,9 @@ class ModelServer:
                             executed_nodes=splice.executed_nodes,
                             full_hit_requests=splice.full_hit_requests)
             finally:
-                # the leases go back on every exit once execute_plan has
+                # the slab goes back on every exit once execute_plan has
                 # succeeded: a scatter / verify failure must not drop the
-                # flush's workspace from the pool
+                # flush's workspace from the arena
                 arena.release_many(res.arena_buffers)
         except Exception as exc:
             if flush_span is not None:

@@ -770,24 +770,27 @@ def test_verify_mode_catches_a_poisoned_entry():
 
 def test_failed_verify_returns_the_flush_workspace_to_the_arena():
     """A flush that executed but failed verification still hands its
-    leased buffers back: the pool must not shrink across the failure."""
+    slab back to its class: the arena must not shrink across the failure."""
     m = _small_model("treernn")
     cache = MemoCache()
     srv = ModelServer(m, policy=MaxPendingRequests(1), memo="on",
                       memo_cache=cache, memo_policy=MemoPolicy(verify=True))
     tree = lambda: _balanced(3, np.random.default_rng(CHAOS_SEED))
     # the second flush is a full hit, so the third (same pruned shapes)
-    # leases exactly the buffers the second one returned
+    # leases exactly the slab the second one returned
     for _ in range(2):
         srv.submit(tree()).result()
-    before = m.arena.snapshot()["pooled_arrays"]
-    assert before > 0
+    before = m.arena.snapshot()
+    assert before["pooled_bytes"] > 0 and before["leased"] == 0
 
     _poison_entry(m, cache, tree())
 
     h = srv.submit(tree())
     assert isinstance(h.exception(), MemoVerifyError)
-    assert m.arena.snapshot()["pooled_arrays"] >= before
+    after = m.arena.snapshot()
+    assert after["hits"] == before["hits"] + 1  # it ran in the parked slab
+    assert after["pooled_bytes"] == before["pooled_bytes"]
+    assert after["leased"] == 0
 
 
 # ---------------------------------------------------------------------------

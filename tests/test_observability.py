@@ -332,8 +332,7 @@ def test_server_metrics_snapshot_keys_pinned():
     assert set(snap) == PINNED_SNAPSHOT_KEYS
     assert snap["completed"] == 2 and snap["nodes_processed"] == 10
     assert snap["latency_p50_ms"] == pytest.approx(25.0)
-    # legacy int attribute access still works
-    assert m.submitted == 1 and m.completed == 2 and m.flushes == 1
+    assert snap["submitted"] == 1 and snap["flushes"] == 1
     # and the same numbers are scrapeable through the registry
     text = to_prometheus(m.registry)
     assert "serve_requests_completed_total 2" in text
@@ -385,8 +384,8 @@ def test_pool_snapshot_aggregates_preserve_pinned_keys():
 def test_server_metrics_failed_flush_counts_no_completions():
     m = ServerMetrics()
     m.note_flush(3, 12, 0.01, [], failed=True)
-    assert m.flushes == 1 and m.failed == 3 and m.completed == 0
     snap = m.snapshot()
+    assert (snap["flushes"], snap["failed"], snap["completed"]) == (1, 3, 0)
     assert snap["error_rate"] == pytest.approx(1.0)
 
 

@@ -9,12 +9,18 @@ analysis, nothing leaked on failure); and the vectorized linearizer must
 lay out exactly what the ``Node`` objects say.
 """
 
+import functools
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import api
 from repro.data import synthetic_treebank
 from repro.errors import ExecutionError
+from repro.ir import evaluate
 from repro.linearizer import (DagLinearizer, SequenceLinearizer,
                               TreeLinearizer, branch, leaf, sequence,
                               tree_from_nested)
@@ -23,7 +29,7 @@ from repro.linearizer.numbering import assign_ids
 from repro.linearizer.structures import iter_nodes
 from repro.models.registry import MODELS
 from repro.ra.interp import interpret_reference
-from repro.runtime import V100, WorkspaceArena, size_bucket
+from repro.runtime import V100, WorkspaceArena
 from repro.runtime.kernels import einsum2, einsum2_into
 from repro.runtime.native import native_available
 from repro.runtime.plan import execute_plan, get_host_plan
@@ -175,28 +181,43 @@ def test_run_reuse_does_not_leak_state_between_inputs():
     m = _small_model("treelstm")
     a = _inputs("treelstm", rng, batch=2)
     b = _inputs("treelstm", rng, batch=2)  # different trees, similar sizes
-    m.run(a, reuse=True)
-    got = m.run(b, reuse=True)
-    _assert_ws_identical(_fresh_run(m, b), got, "reuse A->B")
-    assert m.arena.stats.hits + m.arena.stats.misses > 0
+    for i, roots in enumerate((a, b, a, b)):
+        got = m.run(roots, reuse=True)
+        ref = _fresh_run(m, roots)
+        for name in _defined(m):
+            assert np.array_equal(ref.workspace[name],
+                                  got.workspace[name]), (i, name)
+    # the second round ran in the slabs the first round dirtied
+    assert m.arena.stats.hits >= 2
+
+
+def _poison(arena):
+    """Fill every parked slab with bytes that read as NaN / negative ids."""
+    slabs = [slab for parked in arena._free.values() for slab in parked]
+    for slab in slabs:
+        slab.fill(0xFF)
+    return slabs
+
+
+def _defined(m):
+    """Buffers whose whole contents a call defines: the outputs, the state
+    and everything the plan re-zeroes (rows of a write-before-read buffer
+    that no batch wrote are unspecified by design — they can only matter
+    through the others)."""
+    return sorted(set(m.default_outputs()) | {
+        b.name for b in m.plan.buffers if b.needs_zero})
 
 
 def _assert_poison_proof(m, roots, context):
-    """Poison every pooled array, rerun through the arena, and require
-    every buffer with defined contents to equal a fresh-workspace run of
-    the plan: the outputs, the state, and everything the plan re-zeroes
-    (rows of a write-before-read buffer that no batch wrote are
-    unspecified by design — they can only matter through the others)."""
+    """Poison the whole parked slab, rerun through the arena, and require
+    every defined buffer to equal a fresh-workspace run of the plan."""
     m.run(roots, reuse=True)
-    m.release()  # return every leased buffer to the pool
-    for pool in m.arena._pools.values():
-        for arr in pool:
-            arr.fill(np.nan if arr.dtype.kind == "f" else -7)
+    m.release()  # return the leased slab to the arena
+    assert _poison(m.arena)
     got = m.run(roots, reuse=True)
+    assert m.arena.stats.hits > 0  # the poisoned slab was the one reused
     ref = _fresh_run(m, roots)
-    defined = set(m.default_outputs()) | {
-        b.name for b in m.plan.buffers if b.needs_zero}
-    for name in sorted(defined):
+    for name in _defined(m):
         assert np.array_equal(ref.workspace[name], got.workspace[name]), \
             (context, name)
 
@@ -204,8 +225,8 @@ def _assert_poison_proof(m, roots, context):
 def test_arena_poisoned_buffers_do_not_change_outputs():
     """Re-acquired buffers may hold garbage; outputs must be unaffected.
 
-    This is the empirical check of the needs_zero analysis: poison every
-    pooled array with NaN, rerun, and require bit-identical buffers.
+    This is the empirical check of the needs_zero analysis: poison the
+    parked slab with NaN, rerun, and require bit-identical buffers.
     """
     rng = np.random.default_rng(31)
     for name in ("treelstm", "treegru", "dagrnn"):
@@ -230,28 +251,89 @@ def test_arena_poisoned_buffers_do_not_change_outputs_reloaded(
     _assert_poison_proof(dep, roots, (name, target))
 
 
+@pytest.mark.parametrize("target", ["python", "c"])
+@pytest.mark.parametrize("name", list(MODELS))
+def test_zoo_bitwise_through_every_path_with_poisoned_slabs(
+        name, target, tmp_path):
+    """Every way into ``execute_plan`` — ``run``, ``run(reuse=True)``,
+    ``run_many``, the server with memo off and on, ``MemoSession`` and a
+    reloaded artifact — returns the oracle's root rows (Python target) /
+    a fresh-workspace run's (C target), bit for bit, with every parked
+    slab poisoned before each call."""
+    from repro.memo import MemoSession, splice_refusal
+
+    if target == "c" and not native_available():
+        pytest.skip("no C compiler")
+    m = _small_model(name, target=target)
+    roots = _inputs(name, np.random.default_rng(41))
+    ref = _fresh_run(m, roots)
+    if target == "python":
+        _assert_matches_oracle(m, roots, ref, name)
+    names = m.default_outputs()
+    want = {n: ref.workspace[n][[ref.lin.node_id(r) for r in roots]]
+            for n in names}
+
+    def same(outputs, context):
+        for n in names:
+            assert np.array_equal(outputs[n], want[n]), (name, context, n)
+
+    def by_root(res):
+        return {n: res.workspace[n][[res.lin.node_id(r) for r in roots]]
+                for n in names}
+
+    same(by_root(m.run(roots)), "run")
+    dep = load_model(save_model(m, tmp_path / "artifact"))
+    for model, label in ((m, "in-process"), (dep, "reloaded")):
+        for i in range(3):  # the first call parks the slab the next poison
+            same(by_root(model.run(roots, reuse=True)), (label, "reuse", i))
+            model.release()
+            assert _poison(model.arena)
+        # run_many orders root rows by node id, like root_output
+        many = model.run_many([roots, roots])[1]
+        order = np.argsort([ref.lin.node_id(r) for r in roots])
+        same({n: many.outputs[n][np.argsort(order)] for n in names},
+             (label, "run_many"))
+        _poison(model.arena)
+        memos = ["off"] + (["on"] if splice_refusal(model) is None else [])
+        for memo in memos:
+            srv = model.server(memo=memo)
+            for i in range(3):
+                handle = srv.submit(roots)
+                srv.flush()
+                same(handle.result().outputs, (label, "server", memo, i))
+                _poison(model.arena)
+            srv.stop()
+        if "on" in memos:
+            sess = MemoSession(model)
+            for i in range(3):
+                same(sess.run(roots), (label, "session", i))
+                _poison(model.arena)
+        assert model.arena.stats.hits >= 6
+        assert model.arena.snapshot()["leased"] == 0
+
+
 def test_failed_workspace_build_returns_leases_to_arena():
-    """A typed failure part-way through workspace construction (missing
-    parameter after some buffers were leased) or on a bad seed row must
-    hand every leased array back: a failed call never shrinks the arena."""
+    """A typed refusal while building the workspace (a missing parameter)
+    happens before the lease, and a failure after it (a bad seed row) hands
+    the slab back to its class: a failed call never shrinks the arena."""
     m = _small_model("treelstm")
     roots = _inputs("treelstm", np.random.default_rng(2), batch=2)
     m.run(roots, reuse=True)
     m.release()
-    pooled = lambda: (sum(len(p) for p in m.arena._pools.values()),
-                      m.arena.pooled_bytes)
-    before = pooled()
-    assert before[0] > 0
+    parked = lambda: (m.arena.pooled_bytes, m.arena.snapshot()["leased"])
+    before = parked()
+    assert before[0] > 0 and before[1] == 0
     kept = m.params.pop("bf")
     with pytest.raises(ExecutionError, match="missing model parameter 'bf'"):
         m.run(roots, reuse=True)
-    assert pooled() == before
+    assert m.arena.stats.hits == 0 and parked() == before  # no lease yet
     m.params["bf"] = kept
     lin = m.lowered.linearizer(roots)
     with pytest.raises(IndexError):
         execute_plan(m.plan, lin, m.params, arena=m.arena, seeds={
             "rnn_h_ph": (np.array([lin.num_nodes]), np.zeros((1, 8)))})
-    assert pooled() == before
+    # the one slab is back in its class, nothing is still out on lease
+    assert m.arena.stats.hits == 1 and parked() == before
 
 
 def test_run_reuse_recycles_previous_workspace():
@@ -259,11 +341,10 @@ def test_run_reuse_recycles_previous_workspace():
     m = _small_model("treernn")
     roots = _inputs("treernn", rng, batch=2)
     r1 = m.run(roots, reuse=True)
-    assert r1.arena_buffers
-    r2 = m.run(roots, reuse=True)  # same sizes: r1's buffers are reused
-    reused = {id(a) for a in r2.arena_buffers}
-    assert reused & {id(a) for a in r1.arena_buffers}
-    assert m.arena.stats.hits > 0
+    (slab,) = r1.arena_buffers  # a call's lease is one slab
+    r2 = m.run(roots, reuse=True)  # same size class: r1's slab is reused
+    assert r2.arena_buffers[0] is slab
+    assert m.arena.stats.hits == 1 and m.arena.stats.misses == 1
 
 
 def test_run_with_device_attaches_cost():
@@ -297,38 +378,144 @@ def test_run_many_validate_modes():
 
 def test_arena_pool_hit_and_zero_fill():
     arena = WorkspaceArena()
-    arena.note_bucket(size_bucket(10, 4))
-    a = arena.acquire((4, 8), np.float32, zero=True)
-    a[:] = 5.0
+    a = arena.lease(5000, zero=64)
+    assert a.dtype == np.uint8 and a.ndim == 1 and a.nbytes == 8192
+    assert a.ctypes.data % 64 == 0 and not a.any()
+    a[:] = 5
     arena.release(a)
-    b = arena.acquire((4, 8), np.float32, zero=True)
-    assert b is a and not b.any()
-    arena.release(b)
-    c = arena.acquire((4, 8), np.float32, zero=False)
-    assert c is a  # garbage allowed when the plan proved it safe
-    assert arena.stats.hits == 2 and arena.stats.misses == 1
-    assert arena.stats.zero_fills == 1
-
-
-def test_arena_bucket_eviction():
-    arena = WorkspaceArena(max_buckets=2)
-    for nodes in (8, 64, 512):
-        arena.note_bucket(size_bucket(nodes, nodes // 2))
-        arr = arena.acquire((nodes, 4), np.float32)
-        arena.release(arr)
-    assert arena.stats.evicted_buckets == 1
-    # the oldest bucket's pool is gone: acquiring its shape misses
-    arena.acquire((8, 4), np.float32)
-    assert arena.stats.misses == 4
-    arena.clear()
+    assert arena.pooled_bytes == 8192
+    b = arena.lease(8192, zero=64)  # same class: the parked slab, re-zeroed
+    assert b is a and not b[:64].any()
+    assert b[64:].all()  # garbage allowed past what the plan asked zeroed
     assert arena.pooled_bytes == 0
+    c = arena.lease(8193)  # next class up: a fresh slab
+    assert c is not a and c.nbytes == 16384
+    assert arena.stats.hits == 1 and arena.stats.misses == 2
+    assert arena.stats.hit_rate == pytest.approx(1 / 3)
 
 
-def test_size_bucket_pow2():
-    assert size_bucket(1, 1) == (1, 1)
-    assert size_bucket(5, 3) == (8, 4)
-    assert size_bucket(64, 64) == (64, 64)
-    assert size_bucket(65, 2) == (128, 2)
+def test_arena_parks_a_bounded_number_of_slabs_per_class():
+    from repro.runtime.memory import SLABS_PER_CLASS
+
+    arena = WorkspaceArena()
+    assert arena.max_pooled_bytes == 0
+    for size in (4096, 1 << 16, 1 << 20):
+        slabs = [arena.lease(size) for _ in range(SLABS_PER_CLASS + 3)]
+        arena.release_many(slabs)
+        assert len(arena._free[size]) == SLABS_PER_CLASS
+        assert arena.pooled_bytes <= arena.max_pooled_bytes
+    assert arena.max_pooled_bytes == 2 * SLABS_PER_CLASS * (1 << 20)
+    assert arena.pooled_bytes == SLABS_PER_CLASS * (4096 + (1 << 16)
+                                                    + (1 << 20))
+
+
+def test_arena_refuses_double_and_foreign_release():
+    """Parking one slab twice would hand it to two later leases at once."""
+    arena = WorkspaceArena()
+    slab = arena.lease(100)
+    arena.release(slab)
+    with pytest.raises(ExecutionError, match="not leased out"):
+        arena.release(slab)
+    with pytest.raises(ExecutionError, match="not leased out"):
+        arena.release(np.zeros(128, dtype=np.uint8))
+    with pytest.raises(ExecutionError, match="not leased out"):
+        WorkspaceArena().release(arena.lease(100))  # another arena's lease
+    assert arena.pooled_bytes == 0  # the parked slab went back out
+    a, b = arena.lease(100), arena.lease(100)
+    assert a is not b
+
+
+# ---------------------------------------------------------------------------
+# the workspace layout: one slab per call, cut by the plan
+
+
+@functools.lru_cache(maxsize=None)
+def _zoo_model(name):
+    return _small_model(name)
+
+
+def _sized(num_nodes, max_batch_len):
+    """All of a ``Linearized`` that ``make_workspace`` reads."""
+    return types.SimpleNamespace(num_nodes=num_nodes,
+                                 max_batch_len=max_batch_len,
+                                 uf_arrays=dict)
+
+
+_SIZES = st.lists(
+    st.tuples(st.integers(1, 400), st.integers(1, 64)).map(
+        lambda nb: (nb[0], min(nb))),
+    min_size=1, max_size=6)
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+@settings(max_examples=20, deadline=None)
+@given(sizes=_SIZES)
+def test_workspace_layout_over_the_zoo(name, sizes):
+    """Every scratch buffer of a call is a view of the one leased slab:
+    exactly the declared shape and dtype, C-contiguous, starting on a
+    64-byte boundary, inside the slab and disjoint from every other; the
+    ``needs_zero`` ones are the slab's prefix and read zero even when the
+    slab comes back poisoned; parameters are the caller's own arrays."""
+    m = _zoo_model(name)
+    plan, module, arena = m.plan, m.lowered.module, WorkspaceArena()
+    for num_nodes, max_batch_len in sizes + sizes[:1]:  # ends on a re-lease
+        ws, (slab,) = plan.make_workspace(_sized(num_nodes, max_batch_len),
+                                          m.params, arena)
+        bindings = {"num_nodes": num_nodes, "max_batch_len": max_batch_len}
+        _, zero_bytes, total = plan.layout(num_nodes, max_batch_len)
+        assert total <= slab.nbytes
+        lo = slab.ctypes.data
+        spans = []
+        for step in plan.buffers:
+            view, buf = ws[step.name], module.buffers[step.name]
+            if step.required_param:
+                assert view is m.params[step.name]
+                continue
+            assert view.shape == tuple(int(evaluate(d, bindings))
+                                       for d in buf.shape), step.name
+            assert view.dtype == np.dtype(buf.dtype.to_numpy())
+            assert view.flags.c_contiguous and view.flags.writeable
+            start = view.ctypes.data
+            assert start % 64 == 0 and start >= lo
+            assert start + view.nbytes <= lo + total
+            if step.needs_zero:
+                assert start + view.nbytes <= lo + zero_bytes
+                assert not view.any(), step.name
+            else:
+                assert start >= lo + zero_bytes
+            spans.append((start, start + view.nbytes))
+        assert len(spans) == len(plan.scratch)
+        spans.sort()
+        assert all(a_end <= b_start
+                   for (_, a_end), (b_start, _) in zip(spans, spans[1:]))
+        slab.fill(0xFF)  # poison all of it before it is parked
+        arena.release(slab)
+        assert arena.snapshot()["leased"] == 0
+        assert arena.pooled_bytes <= arena.max_pooled_bytes
+    assert arena.stats.hits >= 1
+
+
+def test_workspace_without_arena_is_the_same_layout_over_fresh_zeros():
+    m = _zoo_model("treelstm")
+    lin = m.lowered.linearizer(_inputs("treelstm", np.random.default_rng(1)))
+    fresh, none = m.plan.make_workspace(lin, m.params)
+    leased, (slab,) = m.plan.make_workspace(lin, m.params, WorkspaceArena())
+    assert none == [] and list(fresh) == list(leased)
+    base = fresh[m.plan.scratch[0].name].ctypes.data
+    for step in m.plan.scratch:
+        a, b = fresh[step.name], leased[step.name]
+        assert (a.shape, a.dtype) == (b.shape, b.dtype) and not a.any()
+        assert a.ctypes.data - base == b.ctypes.data - slab.ctypes.data
+
+
+def test_caller_supplied_scratch_buffer_is_used_in_place():
+    m = _zoo_model("treelstm")
+    lin = m.lowered.linearizer(_inputs("treelstm", np.random.default_rng(1)))
+    mine = np.zeros((lin.num_nodes, 8), dtype=np.float32)
+    ws, _ = m.plan.make_workspace(lin, {**m.params, "rnn_h_ph": mine})
+    assert ws["rnn_h_ph"] is mine
+    with pytest.raises(ExecutionError, match="parameter rnn_h_ph: shape"):
+        m.plan.make_workspace(lin, {**m.params, "rnn_h_ph": mine[1:]})
 
 
 # ---------------------------------------------------------------------------

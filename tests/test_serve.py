@@ -11,6 +11,7 @@ the multi-model router, and the PR's API satellites (``CortexModel
 """
 
 import dataclasses
+import re
 import time
 
 import numpy as np
@@ -451,24 +452,83 @@ def test_metrics_snapshot_contents():
     assert snap["nodes_processed"] > 0
     # arena section comes from WorkspaceArena.snapshot()
     arena = snap["arena"]
-    assert set(arena) >= {"hits", "misses", "hit_rate", "pooled_bytes",
-                          "pooled_arrays", "buckets"}
-    # repeated same-shaped flushes recycle workspace through the arena
-    assert arena["hits"] + arena["misses"] > 0
+    assert set(arena) == {"hits", "misses", "hit_rate", "pooled_bytes",
+                          "max_pooled_bytes", "leased"}
+    # one lease per flush, parked again afterwards; none left out
+    assert arena["hits"] + arena["misses"] == snap["flushes"]
+    assert arena["leased"] == 0
+    # and the registry scrape carries the same four arena gauges, live
+    scrape = srv.metrics_prometheus()
+    assert set(re.findall(r"^(arena_\w+) ", scrape, re.M)) == {
+        "arena_hits", "arena_misses", "arena_hit_rate", "arena_pooled_bytes"}
+    assert f"arena_pooled_bytes {arena['pooled_bytes']}" in scrape
+    assert 0 < arena["pooled_bytes"] <= arena["max_pooled_bytes"]
 
 
 def test_arena_snapshot_standalone():
-    from repro.runtime import WorkspaceArena, size_bucket
+    from repro.runtime import WorkspaceArena
 
     arena = WorkspaceArena()
-    arena.note_bucket(size_bucket(8, 4))
-    a = arena.acquire((4, 4), np.float32)
-    arena.release(a)
-    arena.acquire((4, 4), np.float32)
+    arena.release(arena.lease(1000))
+    held = arena.lease(1000)
     snap = arena.snapshot()
     assert snap["hits"] == 1 and snap["misses"] == 1
     assert snap["hit_rate"] == 0.5
-    assert snap["pooled_arrays"] == 0 and snap["buckets"] == 1
+    assert snap["pooled_bytes"] == 0 and snap["leased"] == 1
+    arena.release(held)
+    snap = arena.snapshot()
+    assert snap["pooled_bytes"] == held.nbytes and snap["leased"] == 0
+    assert snap["max_pooled_bytes"] >= snap["pooled_bytes"]
+
+
+def _serve_unique_forests(hidden, flushes, memo):
+    """Serve ``flushes`` forests nobody has seen before, 1 to 16 trees each,
+    checking after every flush that what the arena parks stays under the
+    arena's own bound, and that bound under a fixed multiple of the largest
+    workspace served.  Returns the final arena snapshot.  (CI's ``pool``
+    lane calls this at a larger size.)"""
+    from repro.runtime.memory import ALIGN, SLABS_PER_CLASS
+
+    m = api.compile_model("treelstm", hidden=hidden, vocab=VOCAB)
+    arena = m.arena
+    srv = m.server(memo=memo)
+    rng = np.random.default_rng(5)
+    # bytes of scratch per node: every buffer has one row-count dimension,
+    # and max_batch_len <= num_nodes
+    row_bytes = sum(
+        b.np_dtype.itemsize * int(np.prod([d for d in b.dims
+                                           if isinstance(d, int)]))
+        for b in m.plan.buffers if not b.required_param)
+    largest = 0
+    warm = flushes // 3
+    for i in range(flushes):
+        if i == warm:
+            hits, misses = arena.stats.hits, arena.stats.misses
+        forest = synthetic_treebank(int(rng.integers(1, 17)),
+                                    vocab_size=VOCAB, rng=rng)
+        handles = [srv.submit(t) for t in forest]
+        srv.flush()
+        assert all(h.done() and h.exception() is None for h in handles)
+        largest = max(largest, count_nodes(forest))
+        workspace = largest * row_bytes + ALIGN * len(m.plan.buffers)
+        ceiling = 4 * SLABS_PER_CLASS * workspace
+        assert arena.pooled_bytes <= ceiling, (
+            f"flush {i}: arena parks {arena.pooled_bytes} bytes, more than "
+            f"{4 * SLABS_PER_CLASS}x the largest workspace ({workspace})")
+        assert arena.pooled_bytes <= arena.max_pooled_bytes <= ceiling, i
+    steady_hits = arena.stats.hits - hits
+    steady = steady_hits + arena.stats.misses - misses
+    assert steady_hits / steady >= 0.95, arena.snapshot()
+    assert arena.snapshot()["leased"] == 0
+    return arena.snapshot()
+
+
+@pytest.mark.parametrize("memo", ["off", "on"])
+def test_pooled_bytes_stay_bounded_under_unique_forests(memo):
+    """A long-running server over ever-new input sizes parks a bounded
+    number of bytes (the exact-shape pool grew without limit here) and
+    still serves nearly every flush from a parked slab."""
+    _serve_unique_forests(hidden=16, flushes=300, memo=memo)
 
 
 def test_request_result_timing_fields():
@@ -543,11 +603,11 @@ def test_release_drains_leased_buffers():
     m = _small_model("treernn")
     roots = _request("treernn", np.random.default_rng(31))
     m.run(roots, reuse=True)
-    assert m._leased                          # buffers still out on lease
-    before = sum(len(p) for p in m.arena._pools.values())
+    (slab,) = m._leased                       # one slab still out on lease
+    assert m.arena.pooled_bytes == 0
     m.release()
     assert not m._leased
-    assert sum(len(p) for p in m.arena._pools.values()) > before
+    assert m.arena.pooled_bytes == slab.nbytes
     m.release()                               # idempotent no-op
 
 

@@ -126,9 +126,10 @@ def test_chaos_transient_kernel_faults_bitwise_or_typed():
 def test_chaos_arena_faults_healed_without_leaking_the_pool():
     """Arena allocation faults retry to success; the pool stays bounded.
 
-    A mid-execution failure used to leak its leased buffers out of the
-    arena forever; now two identical faulted phases must leave the pool
-    at the same size (steady state, no monotonic growth or shrink).
+    A mid-execution failure used to leak its lease out of the arena
+    forever; now every failed flush puts its slab back in its class, so
+    two identical faulted phases leave the same bytes parked and nothing
+    out on lease (steady state, no monotonic growth or shrink).
     """
     m = _small_model("treelstm")
     faults = FaultInjector(seed=CHAOS_SEED, kernel_failure_rate=0.15,
@@ -147,11 +148,15 @@ def test_chaos_arena_faults_healed_without_leaking_the_pool():
         return handles
 
     phase()
-    pooled_after_first = m.arena.snapshot()["pooled_arrays"]
+    after_first = m.arena.snapshot()
+    assert after_first["pooled_bytes"] > 0 and after_first["leased"] == 0
     phase()
-    assert m.arena.snapshot()["pooled_arrays"] == pooled_after_first
+    after_second = m.arena.snapshot()
+    assert after_second["pooled_bytes"] == after_first["pooled_bytes"]
+    assert after_second["leased"] == 0
+    assert after_second["misses"] == after_first["misses"]  # all reuse
     assert faults.kernel_failures + faults.arena_failures > 0
-    assert srv.metrics.retries > 0
+    assert srv.metrics_snapshot()["retries"] > 0
 
 
 def test_chaos_slow_flushes_only_delay_never_corrupt():
