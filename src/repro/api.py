@@ -199,6 +199,10 @@ class RunnableModel:
         """
         if self._fast_linearizer is None:
             self._fast_linearizer = self.lowered.linearizer.fast_clone()
+            native = getattr(self.compiled, "native", None)
+            if native is not None:
+                # target="c": the walk is the one the module's .so carries
+                self._fast_linearizer.use_native(native.walker)
         return self._fast_linearizer
 
     def default_outputs(self) -> List[str]:

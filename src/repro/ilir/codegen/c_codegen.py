@@ -362,6 +362,282 @@ int repro_lanes(void) {
 }
 '''
 
+#: CPython entry points the linearizer section calls, in the order
+#: ``repro_lin_bind`` receives their addresses (from ``ctypes.pythonapi``)
+LINEARIZER_PY_API = ("PyObject_GetAttr", "PyTuple_Size", "PyTuple_GetItem",
+                     "PyLong_AsLong", "Py_IncRef", "Py_DecRef",
+                     "PyErr_Occurred", "PyList_Size", "PyList_GetItem",
+                     "PyList_SetItem")
+
+#: The data structure linearizer (§4.2), generated with the kernels: one
+#: fixed, model-independent section, emitted once per module.  It is the
+#: second walker of the one layout — ``Linearizer._build_arrays`` is the
+#: other, and its oracle.  Whatever it cannot take (a cycle, over-arity,
+#: a non-tuple ``children``, a non-int / out-of-range ``word``, a failed
+#: allocation) it refuses — a zero return, possibly with a pending Python
+#: error the caller discards — and the Python builder re-runs on the same
+#: roots, so every error message has one source.  Compiled unoptimised:
+#: it is bound by the attribute loads, and ``cc`` time is ``setup_s``.
+_C_LINEARIZER = '''\
+/* ---- linearizer: pointer structure -> the int32 block
+ *   child[mc][n] | num_children[n] | words[n] | batch_begin[L] |
+ *   batch_length[L] | roots[r]
+ * No Python.h, no libpython: CPython is reached through the pointers
+ * repro_lin_bind() was handed, and callers hold the GIL (ctypes.PyDLL). */
+#include <stdlib.h>
+#include <string.h>
+#if defined(__clang__)
+#pragma clang optimize off
+#elif defined(__GNUC__)
+#pragma GCC push_options
+#pragma GCC optimize ("O0")
+#endif
+
+static struct {
+  void* (*getattr)(void*, void*);
+  intptr_t (*tuple_size)(void*);
+  void* (*tuple_item)(void*, intptr_t);
+  long (*as_long)(void*);
+  void (*incref)(void*);
+  void (*decref)(void*);
+  void* (*err_occurred)(void);
+  intptr_t (*list_size)(void*);
+  void* (*list_item)(void*, intptr_t);
+  int (*list_set)(void*, intptr_t, void*);
+} repro_py;
+static void* repro_py_children;  /* the str objects "children", "word" */
+static void* repro_py_word;
+
+void repro_lin_bind(void* const* fns, void* children, void* word) {
+  memcpy(&repro_py, fns, sizeof repro_py);
+  repro_py.incref(children);
+  repro_py.incref(word);
+  repro_py_children = children;
+  repro_py_word = word;
+}
+
+/* a finished node, by post-order index; `level` is its height until
+ * repro_lin_fill() overwrites it with the node's Appendix-B id */
+typedef struct { void* obj; int32_t level, word, first, arity; } repro_lin_node;
+/* an entered (gray) node: `kids` is an owned reference to its children */
+typedef struct { void* obj; void* kids; int32_t arity, next, word; } repro_lin_frame;
+typedef struct {
+  repro_lin_node* nodes;   int64_t n, cap_n;
+  int32_t* edges;          int64_t ne, cap_e;   /* children, post-order indices */
+  repro_lin_frame* stack;  int64_t ns, cap_s;
+  int32_t* vals;           int64_t nv, cap_v;   /* finished children awaiting their parent */
+  void** keys; int32_t* slots; int64_t nt, cap_t;  /* Node* -> index, -1 while gray */
+  int32_t* rootp;          int64_t nr;
+  int64_t levels, max_children, word_limit;
+} repro_lin;
+
+static void repro_lin_free(repro_lin* c) {
+  for (int64_t i = 0; i < c->ns; ++i) repro_py.decref(c->stack[i].kids);
+  free(c->nodes); free(c->edges); free(c->stack); free(c->vals);
+  free(c->keys); free(c->slots); free(c->rootp); free(c);
+}
+
+/* make room for `need` elements behind the pointer `slot` points at */
+static int repro_lin_grow(void* slot, int64_t* cap, size_t elem, int64_t need) {
+  if (need <= *cap) return 1;
+  int64_t cap2 = *cap ? *cap : 64;
+  while (cap2 < need) cap2 *= 2;
+  void* p;
+  memcpy(&p, slot, sizeof p);
+  p = realloc(p, (size_t)cap2 * elem);
+  if (!p) return 0;
+  memcpy(slot, &p, sizeof p);
+  *cap = cap2;
+  return 1;
+}
+
+/* the slot `key` sits in, or the empty one it would take */
+static int64_t repro_lin_slot(const repro_lin* c, void* key) {
+  uint64_t h = (uint64_t)(uintptr_t)key * 0x9E3779B97F4A7C15ull;
+  int64_t i = (int64_t)((h >> 20) & (uint64_t)(c->cap_t - 1));
+  while (c->keys[i] && c->keys[i] != key) i = (i + 1) & (c->cap_t - 1);
+  return i;
+}
+
+static int repro_lin_insert(repro_lin* c, void* key, int32_t value) {
+  if (2 * (c->nt + 1) > c->cap_t) {  /* regrow at half full */
+    int64_t old = c->cap_t, cap2 = old ? 2 * old : 128;
+    void** keys = c->keys; int32_t* slots = c->slots;
+    void** k2 = (void**)calloc((size_t)cap2, sizeof *k2);
+    int32_t* s2 = (int32_t*)malloc((size_t)cap2 * sizeof *s2);
+    if (!k2 || !s2) { free(k2); free(s2); return 0; }
+    c->keys = k2; c->slots = s2; c->cap_t = cap2;
+    for (int64_t i = 0; i < old; ++i) if (keys[i]) {
+      int64_t j = repro_lin_slot(c, keys[i]);
+      k2[j] = keys[i]; s2[j] = slots[i];
+    }
+    free(keys); free(slots);
+  }
+  int64_t i = repro_lin_slot(c, key);
+  c->keys[i] = key; c->slots[i] = value; c->nt++;
+  return 1;
+}
+
+/* `obj` has every child on `vals`: number it, leave its index there */
+static int repro_lin_finish(repro_lin* c, void* obj, int32_t arity, int32_t word) {
+  if (!repro_lin_grow(&c->nodes, &c->cap_n, sizeof *c->nodes, c->n + 1)
+      || !repro_lin_grow(&c->edges, &c->cap_e, sizeof *c->edges, c->ne + arity)
+      || !repro_lin_grow(&c->vals, &c->cap_v, sizeof *c->vals, c->nv + 1)
+      || c->n + 1 >= INT32_MAX || c->ne + arity >= INT32_MAX)  /* ids are int32 */
+    return 0;
+  int32_t level = 0;
+  c->nv -= arity;
+  for (int32_t k = 0; k < arity; ++k) {
+    int32_t kid = c->vals[c->nv + k];
+    c->edges[c->ne + k] = kid;
+    if (c->nodes[kid].level >= level) level = c->nodes[kid].level + 1;
+  }
+  repro_lin_node nd = { obj, level, word, (int32_t)c->ne, arity };
+  c->ne += arity;
+  if (level >= c->levels) c->levels = level + 1;
+  c->vals[c->nv++] = (int32_t)c->n;
+  c->nodes[c->n++] = nd;
+  return 1;
+}
+
+/* follow an edge (or a root listing) to `obj`: a finished node's index
+ * goes on `vals`, a new leaf is finished on the spot, a new interior
+ * node is entered; a gray one closes a cycle */
+static int repro_lin_enter(repro_lin* c, void* obj) {
+  if (c->cap_t) {
+    int64_t i = repro_lin_slot(c, obj);
+    if (c->keys[i]) {
+      if (c->slots[i] < 0) return 0;
+      if (!repro_lin_grow(&c->vals, &c->cap_v, sizeof *c->vals, c->nv + 1))
+        return 0;
+      c->vals[c->nv++] = c->slots[i];
+      return 1;
+    }
+  }
+  void* w = repro_py.getattr(obj, repro_py_word);
+  if (!w) return 0;
+  long word = repro_py.as_long(w);
+  repro_py.decref(w);
+  if ((word == -1 && repro_py.err_occurred()) || word < INT32_MIN || word > INT32_MAX)
+    return 0;
+  void* kids = repro_py.getattr(obj, repro_py_children);
+  if (!kids) return 0;
+  intptr_t arity = repro_py.tuple_size(kids);  /* -1, error set: not a tuple */
+  int ok = arity >= 0 && arity <= c->max_children;
+  if (ok && c->word_limit >= 0)
+    ok = word >= (arity ? -1 : 0) && word < c->word_limit;
+  if (ok && arity == 0)
+    ok = repro_lin_insert(c, obj, (int32_t)c->n)
+         && repro_lin_finish(c, obj, 0, (int32_t)word);
+  else if (ok)
+    ok = repro_lin_insert(c, obj, -1)
+         && repro_lin_grow(&c->stack, &c->cap_s, sizeof *c->stack, c->ns + 1);
+  if (!ok || arity == 0) {
+    repro_py.decref(kids);
+    return ok;
+  }
+  repro_lin_frame f = { obj, kids, (int32_t)arity, 0, (int32_t)word };
+  c->stack[c->ns++] = f;
+  return 1;
+}
+
+/* Walk `roots` (a list of Node).  Returns the context for
+ * repro_lin_fill() and dims = {nodes, levels, widest level}, or NULL. */
+void* repro_lin_walk(void* roots, int64_t max_children, int64_t word_limit,
+                     int64_t* dims) {
+  intptr_t nr = repro_py.list_size(roots);
+  repro_lin* c = nr > 0 ? (repro_lin*)calloc(1, sizeof *c) : NULL;
+  if (!c) return NULL;
+  c->max_children = max_children;
+  c->word_limit = word_limit;
+  c->rootp = (int32_t*)malloc((size_t)nr * sizeof *c->rootp);
+  int ok = c->rootp != NULL;
+  for (intptr_t r = 0; ok && r < nr; ++r) {
+    void* root = repro_py.list_item(roots, r);
+    ok = root && repro_lin_enter(c, root);
+    while (ok && c->ns) {
+      repro_lin_frame* f = &c->stack[c->ns - 1];
+      if (f->next < f->arity) {
+        void* kid = repro_py.tuple_item(f->kids, f->next++);
+        ok = kid && repro_lin_enter(c, kid);
+      } else {
+        repro_lin_frame done = *f;
+        c->ns--;
+        ok = repro_lin_finish(c, done.obj, done.arity, done.word);
+        if (ok) c->slots[repro_lin_slot(c, done.obj)] = (int32_t)(c->n - 1);
+        repro_py.decref(done.kids);
+      }
+    }
+    if (ok) c->rootp[c->nr++] = c->vals[--c->nv];
+  }
+  if (!ok) { repro_lin_free(c); return NULL; }
+  /* level populations, kept in `vals` for repro_lin_fill() */
+  c->nv = 0;
+  if (!repro_lin_grow(&c->vals, &c->cap_v, sizeof *c->vals, c->levels)) {
+    repro_lin_free(c);
+    return NULL;
+  }
+  memset(c->vals, 0, (size_t)c->levels * sizeof *c->vals);
+  for (int64_t p = 0; p < c->n; ++p) c->vals[c->nodes[p].level]++;
+  dims[0] = c->n; dims[1] = c->levels; dims[2] = 0;
+  for (int64_t h = 0; h < c->levels; ++h)
+    if (c->vals[h] > dims[2]) dims[2] = c->vals[h];
+  return c;
+}
+
+static int repro_lin_cmp(const void* a, const void* b) {
+  int32_t x = *(const int32_t*)a, y = *(const int32_t*)b;
+  return (x > y) - (x < y);
+}
+
+/* Fill `block` (laid out as above for this walk's dims) and `order`
+ * (a list of `nodes` entries: id -> Node), then free the context; a
+ * NULL `block` only frees it.  Returns 0 when done, -1 on refusal. */
+int repro_lin_fill(void* ctx, int32_t* block, void* order) {
+  repro_lin* c = (repro_lin*)ctx;
+  int64_t n = c->n, mc = c->max_children, levels = c->levels;
+  int ok = block != NULL && repro_py.list_size(order) == n;
+  if (ok) {
+    int32_t* child = block;
+    int32_t* num_children = child + mc * n;
+    int32_t* words = num_children + n;
+    int32_t* begin = words + n;
+    int32_t* length = begin + levels;
+    int32_t* roots = length + levels;
+    /* batches run leaves first and are numbered last to first */
+    int64_t seen = 0;
+    for (int64_t h = 0; h < levels; ++h) {
+      length[h] = c->vals[h];
+      seen += length[h];
+      begin[h] = (int32_t)(n - seen);
+    }
+    for (int64_t p = 0; ok && p < n; ++p) {  /* post-order within a level */
+      repro_lin_node* nd = &c->nodes[p];
+      int32_t id = begin[nd->level]++;
+      nd->level = id;
+      num_children[id] = nd->arity;
+      words[id] = nd->word;
+      for (int64_t k = 0; k < mc; ++k)
+        child[k * n + id] = k < nd->arity
+            ? c->nodes[c->edges[nd->first + k]].level : -1;
+      repro_py.incref(nd->obj);  /* list_set steals it, even when it fails */
+      ok = repro_py.list_set(order, id, nd->obj) == 0;
+    }
+    for (int64_t h = 0; h < levels; ++h) begin[h] -= length[h];
+    for (int64_t r = 0; r < c->nr; ++r) roots[r] = c->nodes[c->rootp[r]].level;
+    qsort(roots, (size_t)c->nr, sizeof *roots, repro_lin_cmp);
+  }
+  repro_lin_free(c);
+  return ok ? 0 : -1;
+}
+
+#if defined(__clang__)
+#pragma clang optimize on
+#elif defined(__GNUC__)
+#pragma GCC pop_options
+#endif
+'''
+
 _C_EPILOGUE = '''\
 
 #ifdef __cplusplus
@@ -725,7 +1001,7 @@ class NativeCodegen:
         parts.append(_C_DISPATCH)
         parts += [self._dispatcher(signatures[k.name])
                   for k in self.module.kernels]
-        parts.append(_C_EPILOGUE)
+        parts += [_C_LINEARIZER, _C_EPILOGUE]
         return "\n".join(parts), signatures
 
     def _header(self) -> str:

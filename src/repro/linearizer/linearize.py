@@ -13,6 +13,12 @@ indexes through uninterpreted functions:
 
 Linearization wall time is recorded on every call — §7.5 of the paper
 reports it as a fraction of total inference latency.
+
+The arrays are views of one int32 block (:func:`_carve`).  Two walkers
+fill it: :meth:`Linearizer._build_arrays` here, and — on ``target="c"``,
+for the unchecked clone's stub-free height-batched calls — the one the
+module's ``.so`` carries (:func:`repro.runtime.native.load_walker`), held
+byte-identical to this one by test and deferring to it on any refusal.
 """
 
 from __future__ import annotations
@@ -27,6 +33,34 @@ from ..errors import LinearizationError
 from .batches import BatchPlan, plan_batches
 from .numbering import assign_ids, check_numbering, execution_order
 from .structures import Node, StructureKind, validate
+
+
+class Workspace(dict):
+    """Buffer name -> array, as the kernels take it.  ``addr`` maps the
+    names whose data address the host already knows — views of the
+    linearizer's block, of the call's slab — to ``(array, address)``; a
+    native launch uses an entry only for the very array it names."""
+
+    __slots__ = ("addr",)
+
+
+#: the arrays of a :class:`Linearized`, in the order its block holds them
+_BLOCK_FIELDS = ("child", "num_children", "words", "batch_begin",
+                 "batch_length", "roots")
+
+
+def _carve(mc: int, n: int, levels: int, num_roots: int) -> List[np.ndarray]:
+    """One uninitialised int32 block ``child[mc][n] | num_children[n] |
+    words[n] | batch_begin[L] | batch_length[L] | roots[r]``: the block,
+    then its six views — the one layout both walkers fill."""
+    cuts = [mc * n, n, n, levels, levels, num_roots]
+    block = np.empty(sum(cuts), dtype=np.int32)
+    out, at = [block], 0
+    for size in cuts:
+        out.append(block[at:at + size])
+        at += size
+    out[1] = out[1].reshape(mc, n)
+    return out
 
 
 @dataclass
@@ -55,9 +89,10 @@ class Linearized:
                                            compare=False)
     _max_batch_len: Optional[int] = field(default=None, repr=False,
                                           compare=False)
-    _uf_arrays: Optional[Dict[str, np.ndarray]] = field(default=None,
-                                                        repr=False,
-                                                        compare=False)
+    #: what :func:`_carve` returned: the int32 block, then the six views
+    #: of it the array fields above started as
+    _carved: Optional[List[np.ndarray]] = field(default=None, repr=False,
+                                                compare=False)
 
     @property
     def num_batches(self) -> int:
@@ -76,7 +111,6 @@ class Linearized:
         """Drop derived caches after in-place edits to the backing arrays."""
         self._rev = None
         self._max_batch_len = None
-        self._uf_arrays = None
 
     def node_id(self, node: Node) -> int:
         # order is id -> node; the reverse is rebuilt only after
@@ -86,31 +120,37 @@ class Linearized:
             rev = self._rev = {id(n): i for i, n in enumerate(self.order)}
         return rev[id(node)]
 
-    def uf_arrays(self) -> Dict[str, np.ndarray]:
-        """Arrays backing the uninterpreted functions of the generated code.
+    def uf_arrays(self, addresses: bool = False) -> Workspace:
+        """Arrays backing the uninterpreted functions of the generated code
+        (a fresh mapping per call; the arrays themselves are shared).
 
-        The mapping is cached; a shallow copy is returned so callers may add
-        their own entries without corrupting the cache (the arrays themselves
-        are shared, as before).
+        With ``addresses``, ``.addr`` pairs each carved view with its data
+        address: the block's one address plus the bytes before the view.
         """
-        if self._uf_arrays is None:
-            out: Dict[str, np.ndarray] = {
-                "num_children": self.num_children,
-                "words": self.words,
-                "batch_begin": self.batch_begin,
-                "batch_length": self.batch_length,
-                "roots": self.roots,
-            }
-            names = ("left", "right", "child2", "child3")
-            for k in range(self.max_children):
-                row = self.child[k]
+        out = Workspace(num_children=self.num_children, words=self.words,
+                        batch_begin=self.batch_begin,
+                        batch_length=self.batch_length, roots=self.roots,
+                        child=self.child)  # child(k, n), the 2-D form
+        addr = out.addr = {}
+        row_at = None  # where child's rows start, when that is known
+        if addresses and self._carved is not None:
+            block, *views = self._carved
+            at = block.ctypes.data
+            if self.child is views[0]:
+                row_at = at
+            for name, view in zip(_BLOCK_FIELDS, views):
+                addr[name] = (view, at)
+                at += view.nbytes
+        names = ("left", "right", "child2", "child3")
+        for k, row in enumerate(self.child):
+            if k < len(names):
+                out[names[k]] = row
+            out[f"child{k}"] = row
+            if row_at is not None:
+                addr[f"child{k}"] = (row, row_at + k * row.nbytes)
                 if k < len(names):
-                    out[names[k]] = row
-                out[f"child{k}"] = row
-            # 2-D form backing the two-argument uninterpreted fn child(k, n)
-            out["child"] = self.child
-            self._uf_arrays = out
-        return dict(self._uf_arrays)
+                    addr[names[k]] = addr[f"child{k}"]
+        return out
 
     def scalar_params(self) -> Dict[str, int]:
         """Scalar bindings consumed by generated kernels."""
@@ -169,6 +209,18 @@ class Linearizer:
         #: plan-based fast path turns this off after the first call: the
         #: invariants are properties of assign_ids, not of the input.
         self.check = check
+        #: the walker a loaded native module carries (``(linearizer,
+        #: roots) -> Linearized``, or ``None`` for "ask the Python
+        #: builder"); see :meth:`use_native`
+        self.native = None
+
+    def use_native(self, walker) -> None:
+        """Let ``walker`` (:attr:`repro.runtime.native.NativeModule.walker`)
+        linearize stub-free calls — only for what it reproduces byte for
+        byte: height batching with the per-call checks off."""
+        if (self.dynamic_batch and not self.check
+                and not self.validate_inputs):
+            self.native = walker
 
     def fast_clone(self) -> "Linearizer":
         """A linearizer with identical layout but runtime checks disabled.
@@ -219,16 +271,23 @@ class Linearizer:
         if isinstance(roots, Node):
             roots = [roots]
         t0 = time.perf_counter()
-        if self.validate_inputs:
-            validate(roots, self.kind, self.max_children)
-        plan = plan_batches(roots, dynamic_batch=self.dynamic_batch,
-                            specialize_leaves=self.specialize_leaves,
-                            stubs=stubs)
-        ids = assign_ids(plan)
-        if self.check:
-            check_numbering(plan, ids)
-        out = self._build_arrays(roots, plan, ids)
-        self._check_words(out)
+        if not len(roots):
+            raise LinearizationError("empty input batch")
+        walked = self.native is not None and not stubs
+        out = self.native(self, roots) if walked else None
+        if out is None:
+            # a walker's refusal is re-run checked: what it balked at (a
+            # cycle, over-arity) gets its name here, not an endless walk
+            if self.validate_inputs or walked:
+                validate(roots, self.kind, self.max_children)
+            plan = plan_batches(roots, dynamic_batch=self.dynamic_batch,
+                                specialize_leaves=self.specialize_leaves,
+                                stubs=stubs)
+            ids = assign_ids(plan)
+            if self.check:
+                check_numbering(plan, ids)
+            out = self._build_arrays(roots, plan, ids)
+            self._check_words(out)
         out.wall_time_s = time.perf_counter() - t0
         return out
 
@@ -273,12 +332,17 @@ class Linearizer:
         n = plan.num_nodes
         num_stubs = len(plan.stubs)
         order = execution_order(plan)
+        carved = _carve(self.max_children, n, len(plan.batches), len(roots))
+        _, child, num_children, words, begins, lengths, root_ids = carved
 
-        words = np.fromiter((nd.word for nd in order), dtype=np.int32,
-                            count=n)
-        num_children = np.fromiter((len(nd.children) for nd in order),
-                                   dtype=np.int32, count=n)
-        child = np.full((self.max_children, n), -1, dtype=np.int32)
+        try:
+            words[:] = np.fromiter((nd.word for nd in order), np.int32, n)
+        except (OverflowError, TypeError, ValueError) as e:
+            raise LinearizationError(
+                f"a node's word is not an int32 index: {e}") from None
+        num_children[:] = np.fromiter((len(nd.children) for nd in order),
+                                      np.int32, n)
+        child.fill(-1)
         rows: List[int] = []
         cols: List[int] = []
         vals: List[int] = []
@@ -294,9 +358,9 @@ class Linearizer:
 
         num_leaves = int(np.count_nonzero(num_children == 0)) - num_stubs
 
-        lengths = np.fromiter((len(b) for b in plan.batches), dtype=np.int32,
-                              count=len(plan.batches))
-        begins = (n - np.cumsum(lengths, dtype=np.int64)).astype(np.int32)
+        lengths[:] = np.fromiter((len(b) for b in plan.batches), np.int32,
+                                 len(plan.batches))
+        begins[:] = n - np.cumsum(lengths, dtype=np.int64)
         if num_stubs:
             begins[plan.leaf_batch_count:] -= num_stubs
 
@@ -308,6 +372,9 @@ class Linearizer:
                 n - num_leaves:].any():
             leaf_start = int(n - num_leaves)
 
+        root_ids[:] = np.fromiter((ids[id(r)] for r in roots), np.int32,
+                                  len(roots))
+        root_ids.sort()
         return Linearized(
             kind=self.kind,
             max_children=self.max_children,
@@ -319,11 +386,11 @@ class Linearizer:
             batch_begin=begins,
             batch_length=lengths,
             leaf_batch_count=plan.leaf_batch_count,
-            roots=np.sort(np.fromiter((ids[id(r)] for r in roots),
-                                      dtype=np.int32, count=len(roots))),
+            roots=root_ids,
             order=order,
             leaf_start=leaf_start,
             _rev=ids,
+            _carved=carved,
         )
 
 

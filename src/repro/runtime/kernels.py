@@ -18,7 +18,8 @@ from ..ilir.passes.nonlinear_approx import sigmoid_rational, tanh_rational
 
 __all__ = ["tanh", "sigmoid", "sigmoid_fast", "exp", "log", "sqrt", "relu",
            "erf", "tanh_rational", "sigmoid_rational", "einsum2",
-           "einsum2_into", "clear_contig_cache", "panel_packed"]
+           "einsum2_into", "clear_contig_cache", "panel_packed",
+           "data_address"]
 
 tanh = np.tanh
 exp = np.exp
@@ -190,6 +191,18 @@ def panel_packed(base: np.ndarray, panel: int) -> np.ndarray:
     return _cache_copy(key, base, np.concatenate((
         wt[:, :full].reshape(n_red, -1, panel).transpose(1, 0, 2).ravel(),
         wt[:, full:].ravel())))
+
+
+def data_address(base: np.ndarray) -> int:
+    """``base.ctypes.data``, cached per array object: for the arrays that
+    recur on every call (parameters, their panels) a native launch looks
+    the address up instead of building a ``ctypes`` proxy each time.
+    Retired with the copies above by :func:`clear_contig_cache`."""
+    key = (id(base), "address")
+    hit = _CONTIG_CACHE.get(key)
+    if hit is not None and hit[0]() is base:
+        return hit[1]
+    return _cache_copy(key, base, base.ctypes.data)
 
 
 def _plan_operands_2d(plan: Tuple, a, b) -> Tuple[np.ndarray, np.ndarray]:

@@ -33,6 +33,9 @@ from .costmodel import _buffer_elems
 ALIGN = 64
 #: free slabs kept per power-of-two size class
 SLABS_PER_CLASS = 2
+#: the largest workspace one call may lease: a forest that needs more is
+#: refused, typed, before anything is allocated
+MAX_LEASE_BYTES = 1 << 30
 
 
 @dataclass
@@ -67,6 +70,10 @@ class WorkspaceArena:
 
     def lease(self, nbytes: int, zero: int = 0) -> np.ndarray:
         """One slab of at least ``nbytes``; its first ``zero`` bytes read 0."""
+        if nbytes > MAX_LEASE_BYTES:
+            raise ExecutionError(
+                f"workspace of {nbytes} bytes exceeds the {MAX_LEASE_BYTES}-"
+                f"byte lease ceiling; split the input batch")
         size = 1 << (int(nbytes) - 1).bit_length()
         parked = self._free.setdefault(size, [])
         if parked:

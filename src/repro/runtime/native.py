@@ -9,12 +9,19 @@ with the Python kernels' exact calling convention — so
 :func:`repro.runtime.plan.execute_plan` dispatches native launches
 through the unchanged arena/profiler/fault-hook path.
 
-Marshalling is zero-copy: NumPy buffers pass as raw data addresses
-(``ndarray.ctypes.data`` into ``c_void_p`` parameters).  That makes
-launch-time validation non-negotiable — a wrong-dtype or non-contiguous
-array would be silently reinterpreted as dense memory of another shape —
-so every launch checks both and raises
-:class:`~repro.errors.NativeError` instead of corrupting memory.
+Marshalling is zero-copy: NumPy buffers pass as raw data addresses into
+``c_void_p`` parameters — the address the host plan worked out for the
+array (``ws.addr``: its offset in the slab or the linearizer's block; a
+parameter's, cached per array object), else ``ndarray.ctypes.data``.
+That makes launch-time validation non-negotiable — a wrong-dtype or
+non-contiguous array would be silently reinterpreted as dense memory of
+another shape — so every launch checks both on every array, planned or
+supplied, and raises :class:`~repro.errors.NativeError` instead of
+corrupting memory.
+
+The library also carries the model's linearizer (:func:`load_walker`):
+the §4.2 structure walk, generated with the kernels, which
+``RunnableModel.fast_linearizer()`` takes in place of the Python walk.
 
 The one array a launch does not pass as is: a weight that a contraction
 tile reads (``KernelSignature.packed``) goes in as column panels, packed
@@ -40,6 +47,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -48,9 +56,11 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import CodegenError, NativeError, NativeFallbackWarning
-from ..ilir.codegen.c_codegen import (VARIANTS, KernelSignature,
-                                      generate_c_module, panel_width)
-from .kernels import panel_packed
+from ..ilir.codegen.c_codegen import (LINEARIZER_PY_API, VARIANTS,
+                                      KernelSignature, generate_c_module,
+                                      panel_width)
+from ..linearizer.linearize import Linearized, _carve
+from .kernels import data_address, panel_packed
 
 #: flags the JIT always compiles with.  ``-ffp-contract=off`` matters for
 #: parity: without it the compiler may fuse ``a*b + c`` into an FMA, which
@@ -215,20 +225,88 @@ class NativeKernelLauncher:
 
     def __call__(self, ws, c, begin: int = 0, length: int = 0) -> None:
         args = []
+        # the addresses the plan worked out, each good for one array only
+        known = getattr(ws, "addr", None) or {}
         for name, dt in self._arrays:
             arr = ws.get(name)
             if arr is None or arr.dtype != dt or not arr.flags.c_contiguous:
                 raise _launch_refusal(self.name, name, arr, dt)
-            args.append(arr.ctypes.data)
+            at = known.get(name)
+            args.append(at[1] if at is not None and at[0] is arr
+                        else arr.ctypes.data)
         packed = []  # keeps the panels alive across the call
         for name, dt in self._packed:
             arr = ws.get(name)
             if arr is None or arr.dtype != dt:
                 raise _launch_refusal(self.name, name, arr, dt)
             packed.append(panel_packed(arr, self._panel))
-            args.append(packed[-1].ctypes.data)
+            args.append(data_address(packed[-1]))
         svec = self._svec_type(*[int(c[s]) for s in self._scalars])
         self._cfunc(*args, svec, int(begin), int(length))
+
+
+def load_walker(so_path: os.PathLike):
+    """The linearizer ``so_path`` carries (the section ``generate_c_module``
+    closes every unit with), bound to this interpreter: a ``(linearizer,
+    roots) -> Linearized`` callable that answers ``None`` for anything it
+    refuses, so that the Python builder decides and words the error.
+
+    ``None`` when there is nothing to bind: a library built before the
+    section existed, an interpreter that is not CPython, no
+    ``ctypes.pythonapi``.  The walk runs through a ``PyDLL`` handle — it
+    calls into CPython, so it keeps the GIL the kernels' ``CDLL`` drops.
+    """
+    if sys.implementation.name != "cpython":
+        return None
+    try:
+        lib = ctypes.PyDLL(str(so_path))
+        walk, fill = lib.repro_lin_walk, lib.repro_lin_fill
+        api = (ctypes.c_void_p * len(LINEARIZER_PY_API))(*[
+            ctypes.cast(getattr(ctypes.pythonapi, name), ctypes.c_void_p)
+            for name in LINEARIZER_PY_API])
+        lib.repro_lin_bind.argtypes = [ctypes.c_void_p, ctypes.py_object,
+                                       ctypes.py_object]
+        lib.repro_lin_bind.restype = None
+        lib.repro_lin_bind(api, "children", "word")
+    except (OSError, AttributeError, TypeError):
+        return None
+    dims_type = ctypes.c_int64 * 3
+    walk.argtypes = [ctypes.py_object, ctypes.c_int64, ctypes.c_int64,
+                     dims_type]
+    walk.restype = ctypes.c_void_p
+    fill.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.py_object]
+    fill.restype = ctypes.c_int
+
+    def native_walk(lz, roots) -> Optional[Linearized]:
+        if roots.__class__ is not list:
+            roots = list(roots)
+        dims = dims_type()
+        limit = -1 if lz.word_limit is None else lz.word_limit
+        try:
+            ctx = walk(roots, lz.max_children, limit, dims)
+            if not ctx:
+                return None
+            n, levels, widest = dims
+            try:
+                carved = _carve(lz.max_children, n, levels, len(roots))
+                order = [None] * n
+            except BaseException:
+                fill(ctx, None, None)  # frees the context
+                raise
+            if fill(ctx, carved[0].ctypes.data, order):
+                return None
+        except Exception:  # the error a refusal left pending
+            return None
+        _, child, num_children, words, begins, lengths, root_ids = carved
+        return Linearized(
+            kind=lz.kind, max_children=lz.max_children, num_nodes=n,
+            num_leaves=int(lengths[0]), child=child,
+            num_children=num_children, words=words, batch_begin=begins,
+            batch_length=lengths, leaf_batch_count=1, roots=root_ids,
+            order=order, leaf_start=n - int(lengths[0]),
+            _max_batch_len=widest, _carved=carved)
+
+    return native_walk
 
 
 class NativeModule:
@@ -275,6 +353,8 @@ class NativeModule:
         self.fns: Dict[str, NativeKernelLauncher] = {
             name: NativeKernelLauncher(self._symbol(sig.symbol), sig, lanes)
             for name, sig in self.signatures.items()}
+        #: the library's own linearizer (see :func:`load_walker`), if any
+        self.walker = load_walker(self.so_path)
 
     def _symbol(self, name: str):
         try:

@@ -46,6 +46,7 @@ from ..ilir.module import ILModule
 from ..ir import Const, Var, evaluate
 from ..linearizer import Linearized
 from ..ra.lowering import Lowered
+from .kernels import data_address
 from .memory import ALIGN, WorkspaceArena
 
 #: sentinel dim tags for the two runtime-bound shape symbols
@@ -90,11 +91,27 @@ class HostPlan:
     #: order: the first ``num_zeroed`` are the ``needs_zero`` ones
     scratch: List[BufferStep] = field(init=False)
     num_zeroed: int = field(init=False)
+    #: does any launch take data addresses (a native launcher)?  Only
+    #: then does :meth:`make_workspace` work them out.
+    addressed: bool = field(init=False)
 
     def __post_init__(self) -> None:
         scratch = [b for b in self.buffers if not b.required_param]
         self.scratch = sorted(scratch, key=lambda b: not b.needs_zero)
         self.num_zeroed = sum(b.needs_zero for b in scratch)
+        self.addressed = any(
+            getattr(fn, "is_native", False) for _, fn in
+            self.pre + self.leaf + self.level + self.fused + self.post)
+        # per scratch buffer ``(lead, rest of the shape, bytes per lead
+        # index)``, lead an int or one of the two runtime tags; None for
+        # the rare shape that is not "rows of a static cell"
+        self._recipes = [
+            (b.dims[0], b.dims[1:],
+             b.np_dtype.itemsize * math.prod(b.dims[1:]))
+            if b.dims and all(d.__class__ is int or (i == 0 and
+                                                     d.__class__ is str)
+                              for i, d in enumerate(b.dims)) else None
+            for b in self.scratch]
 
     # -- scalar bindings ---------------------------------------------------
     def bind_scalars(self, lin: Linearized) -> Dict[str, int]:
@@ -136,12 +153,19 @@ class HostPlan:
         sizes = {_NUM_NODES: num_nodes, _MAX_BATCH: max_batch_len}
         entries = []
         offset = 0
-        for step in self.scratch:
-            shape = self._resolve_shape(step, sizes)
-            if shape is None:
-                raise ExecutionError(f"cannot size buffer {step.name}")
+        for step, recipe in zip(self.scratch, self._recipes):
+            if recipe is not None:
+                lead, rest, row_bytes = recipe
+                if lead.__class__ is str:
+                    lead = sizes[lead]
+                shape = (lead,) + rest
+                nbytes = lead * row_bytes
+            else:
+                shape = self._resolve_shape(step, sizes)
+                if shape is None:
+                    raise ExecutionError(f"cannot size buffer {step.name}")
+                nbytes = step.np_dtype.itemsize * math.prod(shape)
             entries.append((step.name, step.np_dtype, shape, offset))
-            nbytes = step.np_dtype.itemsize * math.prod(shape)
             offset = (offset + nbytes + ALIGN - 1) & -ALIGN
         k = self.num_zeroed
         return entries, (entries[k][3] if k < len(entries) else offset), offset
@@ -168,8 +192,9 @@ class HostPlan:
                     # would silently produce wrong results
                     raise ExecutionError(f"missing model parameter {name!r}")
                 continue
-            arr = np.asarray(supplied)
-            expect = self._resolve_shape(step, sizes)
+            arr = (supplied if supplied.__class__ is np.ndarray
+                   else np.asarray(supplied))
+            expect = step.static_shape or self._resolve_shape(step, sizes)
             if expect is not None and arr.shape != expect:
                 raise ExecutionError(
                     f"parameter {name}: shape {arr.shape} != "
@@ -180,9 +205,20 @@ class HostPlan:
         # without an arena, a throwaway one: fresh zeros, nothing parked
         slab = (WorkspaceArena() if arena is None
                 else arena).lease(total, zero_bytes)
-        ws = lin.uf_arrays()
-        for name, dtype, shape, offset in entries:
-            ws[name] = np.ndarray(shape, dtype, slab, offset)
+        if not self.addressed:
+            ws = lin.uf_arrays()
+            for name, dtype, shape, offset in entries:
+                ws[name] = np.ndarray(shape, dtype, slab, offset)
+        else:
+            # the launch's addresses: a scratch buffer sits at its planned
+            # offset in the slab, a parameter where it sat last call
+            ws = lin.uf_arrays(True)
+            base, addr = data_address(slab), ws.addr
+            for name, dtype, shape, offset in entries:
+                view = ws[name] = np.ndarray(shape, dtype, slab, offset)
+                addr[name] = (view, base + offset)
+            for name, arr in given.items():
+                addr[name] = (arr, data_address(arr))
         ws.update(given)
         return ws, ([] if arena is None else [slab])
 

@@ -34,7 +34,7 @@ import pytest
 from repro.data import (grid_dag, grid_dag_batch, random_dag,
                         synthetic_treebank)
 from repro.errors import (LinearizationError, NativeError,
-                          NativeFallbackWarning, ScheduleError)
+                          NativeFallbackWarning, ScheduleError, ServingError)
 from repro.ilir.codegen import c_codegen
 from repro.ilir.codegen.c_codegen import (NativeCodegen, c_float_literal,
                                           generate_c_module,
@@ -1027,6 +1027,65 @@ def test_out_of_range_word_after_first_flush_fails_alone(target):
                                       solo.root_output(out))
 
 
+@pytest.mark.parametrize("target", ("python", "c"))
+def test_empty_input_is_refused_typed_at_every_door(target):
+    """``run([], validate=NEVER)`` used to escape as a bare ``ValueError``
+    from the word check's ``min()`` of nothing."""
+    if target == "c" and not native_available():
+        pytest.skip("no C compiler on the host")
+    model = _compile("treelstm", target)
+    for validate in (Validate.NEVER, Validate.ALWAYS):
+        with pytest.raises(LinearizationError, match="empty input batch"):
+            model.run([], validate=validate)
+        with pytest.raises(LinearizationError, match="empty input batch"):
+            model.run_many([[]], validate=validate)
+    for lz in (model.lowered.linearizer, model.fast_linearizer()):
+        with pytest.raises(LinearizationError, match="empty input batch"):
+            lz([])
+        with pytest.raises(LinearizationError, match="empty input batch"):
+            lz(())
+        with pytest.raises(LinearizationError, match="empty input batch"):
+            lz.coalesce([[]])
+        with pytest.raises(LinearizationError, match="empty input batch"):
+            lz.coalesce([[], []])
+    with pytest.raises(ServingError, match="at least one root"):
+        model.server().submit([])      # the server's own door, already typed
+
+
+@pytest.mark.parametrize("target", ("python", "c"))
+def test_word_past_int32_is_refused_typed_and_fails_alone(target):
+    """``leaf(2**40)`` used to escape as ``OverflowError`` from
+    ``np.fromiter``, whatever the validation setting."""
+    from repro.serve import MaxPendingRequests
+
+    if target == "c" and not native_available():
+        pytest.skip("no C compiler on the host")
+    model = _compile("treelstm", target)
+    trees = _inputs("treelstm", n=4, seed=11)
+    hostile = trees[2]
+    while hostile.children:
+        hostile = hostile.children[1]
+    hostile.word = 2**40
+    text = "not an int32 index: Python integer 1099511627776"
+    for validate in (Validate.NEVER, Validate.ALWAYS):
+        with pytest.raises(LinearizationError, match=text):
+            model.run(trees[2], validate=validate)
+        with pytest.raises(LinearizationError, match=text):
+            model.run_many([trees[:2], trees], validate=validate)
+    server = model.server(policy=MaxPendingRequests(4))
+    handles = [server.submit([t]) for t in trees]
+    assert all(h.done() for h in handles)
+    for i, (t, h) in enumerate(zip(trees, handles)):
+        if i == 2:
+            assert isinstance(h.exception(), LinearizationError)
+            assert text in str(h.exception())
+            continue
+        solo = model.run(t)
+        for out in model.outputs:
+            assert np.array_equal(h.result().root_output(out),
+                                  solo.root_output(out))
+
+
 # -- serving -------------------------------------------------------------------
 
 @needs_cc
@@ -1045,6 +1104,397 @@ def test_server_over_native_target():
             np.testing.assert_allclose(res.root_output(out),
                                        ref.root_output(out),
                                        rtol=1e-5, atol=1e-6)
+
+
+# -- the module's own linearizer -----------------------------------------------
+#
+# The ``.so`` carries a second walker of the one layout; the Python builder
+# is its oracle.  Everything below holds the two byte-identical, and every
+# refusal of the native one to the checked Python path's error.
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.data import random_binary_tree
+from repro.linearizer import (DagLinearizer, Linearizer, Node, StructureKind,
+                              branch, leaf, tree_from_nested)
+from repro.linearizer.linearize import _BLOCK_FIELDS
+
+
+@pytest.fixture(scope="module")
+def walker():
+    if not native_available():
+        pytest.skip("no C compiler on the host")
+    found = _compile("treelstm", "c", hidden=8).compiled.native.walker
+    assert found is not None
+    return found
+
+
+def _pair(walker, max_children, word_limit=VOCAB):
+    """(native-walking, Python-only) fast linearizers of one configuration."""
+    py = Linearizer(StructureKind.DAG, max_children, validate_inputs=False,
+                    check=False, word_limit=word_limit)
+    nat = py.fast_clone()
+    nat.use_native(walker)
+    assert nat.native is walker and py.native is None
+    return nat, py
+
+
+def _assert_same_layout(got, want):
+    for name in _BLOCK_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.int32 and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    for name in ("kind", "max_children", "num_nodes", "num_leaves",
+                 "leaf_start", "leaf_batch_count", "max_batch_len"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert len(got.order) == len(want.order)
+    assert all(a is b for a, b in zip(got.order, want.order))
+    assert [got.node_id(n) for n in want.order] == list(range(want.num_nodes))
+
+
+def _both(walker, roots, max_children, word_limit=VOCAB):
+    nat, py = _pair(walker, max_children, word_limit)
+    # through the walker itself, so a silent fallback cannot pass
+    got = walker(nat, list(roots))
+    assert got is not None, "the native walker refused a valid input"
+    _assert_same_layout(got, py(roots))
+    _assert_same_layout(nat(roots), py(roots))
+    return got
+
+
+def test_native_walker_matches_python_on_fixed_structures(walker):
+    nested = [((1, 2), (3, (4, 5))), (((1, 2), 6), (3, (4, 5))),
+              ((1, 2), 7), 3, ((0, 1), 2)]
+    for spec in nested:                       # the PR 19 layout fixtures
+        _both(walker, [tree_from_nested(spec)], 2)
+    _both(walker, [tree_from_nested(s) for s in nested], 2)
+    bank = synthetic_treebank(40, vocab_size=VOCAB,
+                              rng=np.random.default_rng(3))
+    for tree in bank[:8]:
+        _both(walker, [tree], 2)
+    _both(walker, bank[:32], 2)               # one 32-tree forest
+    # duplicate roots, and roots that are other roots' subtrees
+    a, b = bank[32], bank[33]
+    _both(walker, [a, b, a, a.children[0], b.children[1], b], 2)
+    shared = branch(a, a)
+    _both(walker, [shared, a, branch(shared, b)], 2)
+    _both(walker, [grid_dag(10, 10)], 2, word_limit=None)
+    _both(walker, grid_dag_batch(3, 4, 6), 2, word_limit=None)
+    wide = branch(*(leaf(i % VOCAB) for i in range(300)))
+    _both(walker, [branch(wide, leaf(1), wide)], 300)
+    # tuples and single nodes as the root container
+    nat, py = _pair(walker, 2)
+    _assert_same_layout(nat(tuple(bank[:3])), py(tuple(bank[:3])))
+    _assert_same_layout(nat(a), py(a))
+
+
+def test_native_walker_takes_a_long_sequence_without_recursing(walker):
+    root = sequence([i % VOCAB for i in range(100_000)])
+    got = _both(walker, [root], 1)
+    assert got.num_batches == 100_000 and got.max_batch_len == 1
+
+
+@st.composite
+def _forests(draw):
+    """Random trees / DAGs: each node draws its children — repeats and
+    shared ones included — from the nodes made before it."""
+    arity = draw(st.integers(1, 5))
+    nodes = []
+    for _ in range(draw(st.integers(1, 40))):
+        k = draw(st.integers(0, arity)) if nodes else 0
+        kids = [nodes[draw(st.integers(0, len(nodes) - 1))]
+                for _ in range(k)]
+        nodes.append(Node(kids, draw(st.integers(-1 if kids else 0,
+                                                 VOCAB - 1))))
+    roots = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=5))
+    return arity, roots
+
+
+@given(_forests())
+@settings(max_examples=200, deadline=None)
+def test_native_walker_matches_python_on_random_structures(walker, forest):
+    arity, roots = forest
+    _both(walker, roots, arity)
+
+
+def _cycle():
+    a = branch(leaf(1), leaf(2))
+    b = branch(a, leaf(3))
+    a.children = (b, leaf(4))
+    return [b]
+
+
+def _with_word(word):
+    tree = tree_from_nested(((1, 2), 3))
+    tree.children[1].word = word
+    return [tree]
+
+
+def _list_children():
+    tree = tree_from_nested(((1, 2), 3))
+    tree.children = list(tree.children)
+    return [tree]
+
+
+_REFUSED = {
+    "cycle": (_cycle, "contains a cycle"),
+    "over_arity": (lambda: [branch(leaf(1), leaf(2), leaf(3))],
+                   "3 children exceeds declared max_children=2"),
+    "out_of_vocab": (lambda: _with_word(VOCAB), "50-row embedding table"),
+    "live_leaf_minus_one": (lambda: _with_word(-1),
+                            "word index -1 is outside"),
+    "past_int32": (lambda: _with_word(2**40),
+                   "not an int32 index: Python integer 1099511627776"),
+    "non_int": (lambda: _with_word("seven"), "not an int32 index"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_native_refusals_are_the_checked_python_errors(walker, case):
+    make, text = _REFUSED[case]
+    nat, _ = _pair(walker, 2)
+    checked = Linearizer(StructureKind.DAG, 2, word_limit=VOCAB)
+    roots = make()
+    nodes = [roots[0], *roots[0].children]
+    before = [sys.getrefcount(n) for n in nodes]
+    assert walker(nat, roots) is None          # refused, nothing pending
+    assert [sys.getrefcount(n) for n in nodes] == before
+    with pytest.raises(LinearizationError, match=text) as got:
+        nat(roots)
+    with pytest.raises(LinearizationError, match=text) as want:
+        checked(roots)
+    assert str(got.value) == str(want.value)
+
+
+def test_native_walker_defers_where_python_accepts(walker):
+    """A list-valued ``children`` and a float ``word`` are not what the
+    walker reads natively; the Python builder takes both, so the call
+    succeeds with its layout."""
+    nat, py = _pair(walker, 2)
+    for make in (_list_children, lambda: _with_word(2.0)):
+        roots = make()
+        assert walker(nat, roots) is None
+        _assert_same_layout(nat(roots), py(roots))
+    good = [tree_from_nested(((1, 2), 3))]
+    assert walker(nat, good) is not None       # and it is not wedged
+
+
+def test_native_walker_holds_no_references(walker):
+    nat, _ = _pair(walker, 2)
+    roots = [random_binary_tree(20, VOCAB, rng=np.random.default_rng(5))]
+    nodes = list(nat(roots).order)
+    before = [sys.getrefcount(n) for n in nodes]
+    for _ in range(3):
+        lin = nat(roots)
+    assert [sys.getrefcount(n) - 1 for n in nodes] == before  # lin.order
+    del lin
+    assert [sys.getrefcount(n) for n in nodes] == before
+
+
+@needs_cc
+def test_fast_linearizer_walks_natively_only_where_it_is_exact():
+    nat = _compile("treelstm", "c")
+    walker = nat.compiled.native.walker
+    assert nat.fast_linearizer().native is walker
+    assert nat.lowered.linearizer.native is None        # checked: Python
+    assert _compile("treelstm", "python").fast_linearizer().native is None
+    # recursion-order plans are the Python builder's
+    unbatched = _compile("treelstm", "c", dynamic_batch=False)
+    assert unbatched.compiled.native.walker is not None
+    assert unbatched.fast_linearizer().native is None
+    trees = _inputs("treelstm", n=4)
+    fast = nat.run(trees, validate=Validate.NEVER)
+    checked = nat.run(trees, validate=Validate.ALWAYS)
+    # the Python builder hands over its id map, the walker has none
+    assert fast.lin._rev is None and checked.lin._rev is not None
+    _assert_same_layout(fast.lin, checked.lin)
+    for out in nat.outputs:
+        assert np.array_equal(fast.workspace[out], checked.workspace[out])
+    # a memo flush with stubs stays on the Python builder
+    pruned = branch(leaf(-1), leaf(1))
+    stubbed = nat.fast_linearizer()([pruned], stubs=[pruned.children[0]])
+    assert stubbed._rev is not None and stubbed.num_leaves == 1
+
+
+@needs_cc
+def test_pythonapi_masked_serves_through_the_python_builder(monkeypatch):
+    from repro.runtime import native as native_mod
+
+    monkeypatch.setattr(ctypes, "pythonapi", types.SimpleNamespace())
+    model = _compile("treelstm", "c")
+    assert model.compiled.native is not None
+    assert model.compiled.native.walker is None
+    assert model.fast_linearizer().native is None
+    trees = _inputs("treelstm", n=3)
+    got = model.run(trees, validate=Validate.NEVER)
+    monkeypatch.undo()
+    assert native_mod.load_walker(model.compiled.native.so_path) is not None
+    want = _compile("treelstm", "c").run(trees, validate=Validate.NEVER)
+    for out in model.outputs:
+        assert np.array_equal(got.workspace[out], want.workspace[out])
+
+
+@needs_cc
+def test_artifacts_linearize_from_their_own_library(tmp_path, monkeypatch):
+    """A reloaded ``target="c"`` artifact walks natively from the ``.so``
+    it carries; one built before the section existed (no
+    ``repro_lin_walk`` export) loads without a warning and linearizes
+    through Python."""
+    import shutil
+    import warnings
+
+    from repro.runtime.native import source_hash
+    from repro.tools.artifact import (NATIVE_META, NATIVE_SO, load_model,
+                                      save_model)
+
+    model = _compile("treelstm", "c")
+    trees = _inputs("treelstm", n=4)
+    want = model.run(trees, validate=Validate.NEVER)
+    out = save_model(model, tmp_path / "art")
+    monkeypatch.setenv("REPRO_NO_CC", "1")          # prebuilt or nothing
+    fresh = load_model(out)
+    assert fresh.compiled.native.cc == "(prebuilt)"
+    assert fresh.fast_linearizer().native is fresh.compiled.native.walker
+    assert fresh.compiled.native.walker is not None
+    monkeypatch.delenv("REPRO_NO_CC")
+
+    old_source = model.c_source.replace(c_codegen._C_LINEARIZER, "")
+    assert "repro_lin_walk" not in old_source
+    old = NativeModule(old_source, model.compiled.native.signatures,
+                       cache_dir=tmp_path / "cache")
+    assert old.walker is None
+    out = save_model(model, tmp_path / "aged")   # a loaded .so stays as is
+    shutil.copyfile(old.so_path, out / NATIVE_SO)
+    (out / "module.c").write_text(old_source)
+    meta = json.loads((out / NATIVE_META).read_text())
+    meta["source_hash"] = source_hash(old_source)
+    (out / NATIVE_META).write_text(json.dumps(meta))
+    monkeypatch.setenv("REPRO_NO_CC", "1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        aged = load_model(out)
+        assert aged.compiled.native.cc == "(prebuilt)"
+        assert aged.compiled.native.walker is None
+        assert aged.fast_linearizer().native is None
+        results = [m.run(trees, validate=Validate.NEVER)
+                   for m in (fresh, aged)]
+    for got in results:
+        _assert_same_layout(got.lin, want.lin)
+        for name in model.outputs:
+            assert np.array_equal(got.workspace[name], want.workspace[name])
+
+
+@needs_cc
+@pytest.mark.parametrize("name", ZOO)
+def test_planned_addresses_are_the_arrays_own(name):
+    """Every address the plan hands a native launch is that array's
+    ``ctypes.data``; an entry is used only for the very array it names,
+    and the parameter / panel addresses retire with the panels."""
+    from repro.runtime.kernels import (_CONTIG_CACHE, clear_contig_cache,
+                                       data_address)
+
+    model = _compile(name, "c")
+    assert model.plan.addressed and not _compile(name, "python").plan.addressed
+    roots = _inputs(name)
+    for lin in (model._linearize(roots, True), model._linearize(roots, False)):
+        ws, _ = model.plan.make_workspace(lin, model.params)
+        for sig in model.compiled.native.signatures.values():
+            assert {n for n, _, _ in sig.arrays} <= set(ws.addr)
+        for key, (arr, address) in ws.addr.items():
+            assert ws[key] is arr and address == arr.ctypes.data, key
+        want = execute_plan(model.plan, lin, model.params)
+        # a caller swaps an array in after the plan addressed the old one
+        ws["words"] = ws["words"].copy()
+        plan = model.plan
+        assert not (plan.leaf or plan.level)   # the fused headline schedule
+        for _, fn in plan.pre + plan.fused + plan.post:
+            fn(ws, plan.bind_scalars(lin))
+        for out in model.outputs:
+            assert np.array_equal(ws[out], want.workspace[out])
+    weight = next(iter(model.params.values()))
+    assert data_address(weight) == weight.ctypes.data
+    assert (id(weight), "address") in _CONTIG_CACHE
+    clear_contig_cache()
+    assert not _CONTIG_CACHE
+    model.run(roots)                       # and they come back
+
+
+_WALKER_UNDER_ASAN = """
+import numpy as np
+from repro.data import grid_dag, random_binary_tree
+from repro.errors import LinearizationError
+from repro.linearizer import (Linearizer, Node, StructureKind, branch, leaf,
+                              sequence, tree_from_nested)
+from repro.linearizer.linearize import _BLOCK_FIELDS
+from repro.options import CompileOptions
+from repro.pipeline import CompilerPipeline
+from repro.runtime.native import DEFAULT_CFLAGS, NativeModule
+
+model = CompilerPipeline().compile(
+    "treelstm", CompileOptions(target="python"), hidden=8, vocab=50,
+    rng=np.random.default_rng(0))
+walker = NativeModule.from_ilmodule(
+    model.lowered.module,
+    flags=DEFAULT_CFLAGS + ("-fsanitize=address,undefined",
+                            "-fno-sanitize-recover=all")).walker
+assert walker is not None
+
+def pair(max_children, limit=50):
+    py = Linearizer(StructureKind.DAG, max_children, validate_inputs=False,
+                    check=False, word_limit=limit)
+    nat = py.fast_clone()
+    nat.use_native(walker)
+    return nat, py
+
+def same(roots, max_children):
+    nat, py = pair(max_children)
+    got, want = walker(nat, roots), py(roots)
+    assert got is not None
+    for name in _BLOCK_FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert all(a is b for a, b in zip(got.order, want.order))
+    return got
+
+# hostile inputs: every one refused, none pending, the walker still sound
+a = branch(leaf(1), leaf(2)); b = branch(a, leaf(3)); a.children = (b, leaf(4))
+def worded(word):
+    t = tree_from_nested(((1, 2), 3)); t.children[1].word = word; return [t]
+listed = tree_from_nested(((1, 2), 3)); listed.children = list(listed.children)
+deep_cycle = sequence(list(range(40)) * 50)
+tail = deep_cycle
+while tail.children:
+    tail = tail.children[0]
+tail.children = (deep_cycle,)
+nat, _ = pair(2)
+for roots in ([b], [deep_cycle], [branch(leaf(1), leaf(2), leaf(3))],
+              worded(50), worded(-1), worded(-7), worded(2**40),
+              worded(-2**31 - 1), worded("x"), worded(None), worded(2.5),
+              [listed], [leaf(1), 7], [object()]):
+    assert walker(nat, roots) is None
+    same([tree_from_nested(((1, 2), (3, 4)))], 2)
+tail.children = ()   # break the cycles so the collector is not needed
+a.children = ()
+
+# a 200k-node forest: node, edge, stack, value and table storage all regrow
+# (a right-leaning comb keeps one finished sibling pending per level)
+rng = np.random.default_rng(1)
+forest = [random_binary_tree(50, 50, rng=rng) for _ in range(2000)]
+comb = leaf(0)
+for i in range(3000):
+    comb = branch(leaf(i % 50), comb)
+forest += [sequence([i % 50 for i in range(5000)]), comb, forest[7]]
+lin = same(forest, 2)
+assert lin.num_nodes > 200_000, lin.num_nodes
+wide = branch(*(leaf(i % 50) for i in range(400)))
+same([branch(wide, leaf(1), wide), wide], 400)
+print("walker ran clean")
+"""
+
+
+@needs_cc
+def test_native_walker_under_asan_and_ubsan(tmp_path):
+    _run_under_asan(_WALKER_UNDER_ASAN, tmp_path)
 
 
 # -- golden snapshots of the generated C ---------------------------------------

@@ -409,6 +409,27 @@ def test_arena_parks_a_bounded_number_of_slabs_per_class():
                                                     + (1 << 20))
 
 
+def test_arena_refuses_a_lease_above_the_ceiling(monkeypatch):
+    """One fixed ceiling, refused typed before anything is allocated."""
+    from repro.runtime import memory
+
+    arena = WorkspaceArena()
+    with pytest.raises(ExecutionError, match="lease ceiling"):
+        arena.lease(memory.MAX_LEASE_BYTES + 1)      # no 2 GiB allocation
+    assert arena.snapshot()["leased"] == 0 and not arena.stats.misses
+    assert arena.lease(4096).nbytes == 4096
+    # through a call: a forest whose workspace is over the ceiling
+    model = _small_model("treelstm")
+    trees = synthetic_treebank(8, vocab_size=VOCAB)
+    lin = model._linearize(trees, False)
+    need = model.plan.layout(lin.num_nodes, lin.max_batch_len)[2]
+    monkeypatch.setattr(memory, "MAX_LEASE_BYTES", need - 1)
+    with pytest.raises(ExecutionError, match="split the input batch"):
+        model.run(trees, reuse=True)
+    assert model.arena.snapshot()["leased"] == 0
+    model.run(trees[:1], reuse=True)                 # a smaller one is fine
+
+
 def test_arena_refuses_double_and_foreign_release():
     """Parking one slab twice would hand it to two later leases at once."""
     arena = WorkspaceArena()
