@@ -13,7 +13,8 @@ import os
 
 import numpy as np
 
-from repro import compile_model
+import repro
+from repro import CompileOptions
 from repro.analysis import compilation_report
 from repro.data import synthetic_treebank
 from repro.runtime import V100
@@ -39,8 +40,8 @@ def main() -> None:
 
     # compile the winner and explain it
     cfg = {k: v for k, v in best.config.items()}
-    model = compile_model("simple_treegru", hidden=HIDDEN, vocab=VOCAB,
-                          **cfg)
+    model = repro.compile("simple_treegru", CompileOptions(**cfg),
+                          hidden=HIDDEN, vocab=VOCAB)
     print("\n=== why the winner wins ===")
     print(compilation_report(model.lowered.module))
 

@@ -30,7 +30,7 @@ from repro import compile as compile_api
 from repro.data import synthetic_treebank
 from repro.errors import NativeFallbackWarning
 from repro.ilir.codegen.c_codegen import parity_classification
-from repro.options import CompileOptions
+from repro.options import CompileOptions, Validate
 from repro.runtime.native import native_available
 
 VOCAB = 1000
@@ -39,11 +39,11 @@ HIDDEN = int(os.environ.get("REPRO_EXAMPLE_HIDDEN", "64"))
 
 def percall_us(model, roots, repeats: int = 30) -> float:
     for _ in range(5):
-        model.run(roots, reuse=True, validate=False)
+        model.run(roots, reuse=True, validate=Validate.NEVER)
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        model.run(roots, reuse=True, validate=False)
+        model.run(roots, reuse=True, validate=Validate.NEVER)
         samples.append(time.perf_counter() - t0)
     samples.sort()
     return samples[len(samples) // 2] * 1e6

@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from repro import compile_model
+import repro
 from repro.data import synthetic_treebank
 from repro.runtime import V100
 
@@ -22,7 +22,7 @@ HIDDEN = int(os.environ.get("REPRO_EXAMPLE_HIDDEN", "256"))
 def main() -> None:
     # 1. compile: model zoo name + hidden size; the default schedule is the
     #    paper's full optimization stack
-    model = compile_model("treelstm", hidden=HIDDEN, vocab=1000)
+    model = repro.compile("treelstm", hidden=HIDDEN, vocab=1000)
 
     # 2. inputs: ten random parse trees with SST-like shape statistics
     trees = synthetic_treebank(10, vocab_size=1000,

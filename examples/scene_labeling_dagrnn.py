@@ -14,7 +14,8 @@ import os
 
 import numpy as np
 
-from repro import compile_model
+import repro
+from repro import CompileOptions
 from repro.data import grid_dag_batch
 from repro.errors import ScheduleError
 from repro.linearizer import iter_nodes
@@ -28,7 +29,7 @@ LABELS = 8  # terrain classes
 
 def main() -> None:
     rng = np.random.default_rng(3)
-    model = compile_model("dagrnn", hidden=HIDDEN, num_cells=GRID * GRID * 4,
+    model = repro.compile("dagrnn", hidden=HIDDEN, num_cells=GRID * GRID * 4,
                           rng=rng)
 
     images = grid_dag_batch(4, GRID, GRID)
@@ -61,8 +62,9 @@ def main() -> None:
         print(f"\nunroll(dagrnn) correctly rejected: {e}")
 
     # specialization is legal but useless here: one leaf per grid
-    spec = compile_model("dagrnn", hidden=HIDDEN, num_cells=GRID * GRID * 4,
-                         rng=np.random.default_rng(3), specialize=False)
+    spec = repro.compile("dagrnn", CompileOptions(specialize=False),
+                         hidden=HIDDEN, num_cells=GRID * GRID * 4,
+                         rng=np.random.default_rng(3))
     res2 = spec.run(images, device=V100)
     delta = abs(res2.simulated_time_s - res.simulated_time_s)
     print(f"specialization effect: {delta / res.simulated_time_s * 100:.1f}% "

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from repro import compile_model
+import repro
 from repro.baselines import pytorch_like
 from repro.data import synthetic_treebank
 from repro.models import get_model
@@ -32,7 +32,7 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 def main() -> None:
     rng = np.random.default_rng(42)
-    model = compile_model("treelstm", hidden=HIDDEN, vocab=VOCAB, rng=rng)
+    model = repro.compile("treelstm", hidden=HIDDEN, vocab=VOCAB, rng=rng)
     head_W = rng.standard_normal((CLASSES, HIDDEN)).astype(np.float32) * 0.1
     head_b = rng.standard_normal(CLASSES).astype(np.float32) * 0.1
 

@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from repro import compile_model
+import repro
 from repro.data import synthetic_treebank
 from repro.serve import Deadline, MaxPendingRequests, WorkerPool
 
@@ -44,7 +44,7 @@ async def tenant(pool: WorkerPool, name: str, seed: int):
 async def main() -> None:
     # 1. compile once; every replica reuses the compilation, each with a
     #    private arena so flushes never contend
-    model = compile_model("treelstm", hidden=HIDDEN, vocab=1000)
+    model = repro.compile("treelstm", hidden=HIDDEN, vocab=1000)
 
     # 2. 4 replicas, least-loaded routing, per-replica circuit breakers
     pool = WorkerPool(model, replicas=REPLICAS, balancer="least_loaded",

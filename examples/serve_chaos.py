@@ -17,7 +17,7 @@ import os
 
 import numpy as np
 
-from repro import compile_model
+import repro
 from repro.data import synthetic_treebank
 from repro.errors import CortexError
 from repro.serve import FaultInjector, MaxPendingRequests
@@ -42,7 +42,7 @@ def serve_stream(model, requests, faults=None):
 def main() -> None:
     # 1. one compiled model serves both passes (results depend only on
     #    the coalesced batch, so the passes are directly comparable)
-    model = compile_model("treelstm", hidden=HIDDEN, vocab=1000)
+    model = repro.compile("treelstm", hidden=HIDDEN, vocab=1000)
     rng = np.random.default_rng(SEED)
     requests = [synthetic_treebank(1, vocab_size=1000, rng=rng)
                 for _ in range(NUM_REQUESTS)]

@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from repro import compile_model
+import repro
 from repro.data import zipf_tree_stream
 from repro.linearizer import leaf
 from repro.memo import MemoSession, graft
@@ -46,7 +46,7 @@ def serve(model, stream, memo):
 
 
 def main() -> None:
-    model = compile_model("treelstm", hidden=HIDDEN, vocab=VOCAB)
+    model = repro.compile("treelstm", hidden=HIDDEN, vocab=VOCAB)
 
     # --- act 1: the Zipf stream, cache off vs cache on -------------------
     print("=== serving a 200-request Zipf(1.1) stream, TreeLSTM ===")

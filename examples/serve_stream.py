@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from repro import compile_model
+import repro
 from repro.data import synthetic_treebank
 from repro.serve import Deadline, MaxPendingRequests
 
@@ -26,7 +26,7 @@ HIDDEN = int(os.environ.get("REPRO_EXAMPLE_HIDDEN", "128"))
 def main() -> None:
     # 1. compile once; the server reuses the model's host plan and
     #    workspace arena across every flush
-    model = compile_model("treelstm", hidden=HIDDEN, vocab=1000)
+    model = repro.compile("treelstm", hidden=HIDDEN, vocab=1000)
 
     # 2. a synthetic request stream: each element is one caller's root set
     rng = np.random.default_rng(0)

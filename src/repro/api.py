@@ -1,11 +1,10 @@
-"""High-level API: one compile front door, one model surface.
+"""High-level API: one compile front door, one model class.
 
 Compilation is ``compile(spec, options)``: a model-zoo name (or
 :class:`~repro.models.registry.ModelSpec`) plus a frozen, validated
 :class:`~repro.options.CompileOptions` run through the staged
 :class:`~repro.pipeline.CompilerPipeline` (build -> schedule -> lower ->
-codegen -> plan).  ``compile_model(**legacy_kwargs)`` survives as a thin
-back-compat shim over the same pipeline.
+codegen -> plan).
 
 Example (the README quickstart)::
 
@@ -19,14 +18,14 @@ Example (the README quickstart)::
     print(result.root_output("rnn_h_ph").shape)   # (10, 256)
     print(result.simulated_time_s)                # simulated latency
 
-Every runnable model — the in-process :class:`CortexModel` and the
-artifact-deployed :class:`~repro.tools.artifact.DeployedModel` — exposes
-the same :class:`ModelHandle` surface: ``run`` / ``run_many`` /
-``server`` / ``default_outputs`` / ``release``.  Code written against
-the protocol serves equally from a fresh compile or a reloaded artifact:
-both run the one generated source through the one executor
+Every runnable model is a :class:`CortexModel` — compiled in process, or
+reloaded from disk by :func:`~repro.tools.artifact.load_model` — and runs
+the one generated source through the one executor
 (:func:`~repro.runtime.plan.execute_plan`) under a host plan built by the
-same rule (see DESIGN.md §3).
+same rule (see DESIGN.md §3).  What a reloaded model lacks (the spec, the
+RA program, the operator nests) is decided once, from its module: the
+executor refuses a simulated ``device`` without nests, and memoization
+reads the splice verdict lowering recorded in the module's ``meta``.
 
 For repeated inference over a stream of input batches, use the amortized
 entry points: ``model.run(roots, reuse=True)`` recycles workspace buffers
@@ -37,10 +36,9 @@ copying for you, returning per-batch root outputs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
-                    Protocol, Sequence, Union, runtime_checkable)
+                    Sequence, Union)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .authoring import ModelDef as ModelDefLike
@@ -59,9 +57,6 @@ from .runtime.device import Device
 from .runtime.memory import WorkspaceArena
 from .runtime.plan import (ExecutionResult, HostPlan, execute_plan,
                            get_host_plan)
-
-#: accepted spellings for runtime validation knobs (see options.Validate)
-ValidateArg = Union[bool, str, Validate]
 
 
 @dataclass
@@ -84,69 +79,47 @@ class BatchResult:
         return self.outputs[name]
 
 
-@runtime_checkable
-class ModelHandle(Protocol):
-    """The runnable-model surface shared across deployment forms.
+def _validate_mode(validate: Validate) -> Validate:
+    if not isinstance(validate, Validate):
+        raise TypeError(
+            f"validate must be a repro.Validate member (Validate.FIRST, "
+            f"Validate.ALWAYS or Validate.NEVER), not {validate!r}")
+    return validate
 
-    Implemented by the in-process :class:`CortexModel` and the
-    artifact-deployed :class:`~repro.tools.artifact.DeployedModel`;
-    anything accepting a ``ModelHandle`` (routers, benchmark drivers)
-    works with both.
 
-    Note that :class:`~repro.serve.ModelServer` needs more than these
-    five methods — its flush loop reaches into the execution internals
-    (``lowered``, ``plan``, ``params``, ``arena``,
-    ``fast_linearizer()``).  Third-party handles should therefore derive
-    from :class:`RunnableModel`, which supplies the whole surface over
-    five attributes; the protocol exists for callers, not implementers.
+@dataclass
+class CortexModel:
+    """A compiled model: generated code + host plan + parameters.
+
+    ``compile()`` fills every field; a model reloaded by
+    :func:`~repro.tools.artifact.load_model` has no ``spec``, ``program``
+    or ``report`` (and its module no operator nests), and runs, streams,
+    serves and memoizes through the same methods.
     """
 
-    def run(self, roots: Union[Node, Sequence[Node]], *,
-            device: Optional[Device] = None, reuse: bool = False,
-            validate: ValidateArg = True) -> ExecutionResult: ...
-
-    def run_many(self, batches: Iterable[Union[Node, Sequence[Node]]], *,
-                 device: Optional[Device] = None,
-                 outputs: Optional[Sequence[str]] = None,
-                 validate: ValidateArg = Validate.FIRST
-                 ) -> List[BatchResult]: ...
-
-    def server(self, **kw) -> "ModelServer": ...
-
-    def default_outputs(self) -> List[str]: ...
-
-    def release(self) -> None: ...
-
-
-class RunnableModel:
-    """Shared implementation of the :class:`ModelHandle` surface.
-
-    Subclasses provide the attributes ``lowered`` (module + linearizer),
-    ``compiled``, ``params``, ``plan`` and ``arena``, plus a call to
-    :meth:`_init_runtime` from their constructor; everything else —
-    execution, streaming, serving, workspace recycling — lives here once,
-    so the in-process and artifact-deployed models cannot drift apart.
-    """
-
+    spec: Optional[ModelSpec]
+    program: Optional[Program]
     lowered: Lowered
     compiled: CompiledModule
     params: Dict[str, np.ndarray]
-    plan: Optional[HostPlan]
-    arena: WorkspaceArena
+    #: precompiled host launch plan (kernel partition, buffer recipes);
+    #: derived from the compiled module in ``__post_init__`` when omitted
+    plan: Optional[HostPlan] = None
+    #: workspace pool for ``reuse=True`` / ``run_many`` calls
+    arena: WorkspaceArena = field(default_factory=WorkspaceArena)
+    #: the validated configuration this model was compiled under (None for
+    #: hand-assembled models and artifacts saved without options)
+    options: Optional[CompileOptions] = None
+    #: per-stage wall-time record of the compilation (None when reloaded)
+    report: Optional["CompileReport"] = None
 
-    def _init_runtime(self) -> None:
+    def __post_init__(self) -> None:
+        if self.plan is None:
+            self.plan = get_host_plan(self.lowered, self.compiled)
         self._fast_linearizer: Optional[Linearizer] = None
         self._leased: List[np.ndarray] = []  # the last reuse call's slab
         self._params_version = 0
         self._memo_key: Optional[str] = None
-
-    def _check_device(self, device: Optional[Device]) -> None:
-        """Subclasses that cannot simulate latency raise here.
-
-        Called by every entry point that accepts ``device`` (``run``,
-        ``run_many``, ``server``), so a deployment form without a cost
-        model fails loudly instead of reporting wrong latencies.
-        """
 
     # -- parameter versioning / memoization ----------------------------------
     @property
@@ -194,8 +167,9 @@ class RunnableModel:
         """The model's check-free linearizer (built lazily, then shared).
 
         Bit-identical layouts to ``lowered.linearizer``; input validation
-        and numbering re-verification are skipped.  Used by ``run(validate
-        =False)``, ``run_many`` and the serving flush loop.
+        and numbering re-verification are skipped.  Used by
+        ``run(validate=Validate.NEVER)``, ``run_many`` and the serving
+        flush loop.
         """
         if self._fast_linearizer is None:
             self._fast_linearizer = self.lowered.linearizer.fast_clone()
@@ -235,21 +209,19 @@ class RunnableModel:
     # -- execution -------------------------------------------------------------
     def run(self, roots: Union[Node, Sequence[Node]], *,
             device: Optional[Device] = None, reuse: bool = False,
-            validate: ValidateArg = True) -> ExecutionResult:
+            validate: Validate = Validate.ALWAYS) -> ExecutionResult:
         """Run one inference call through the precompiled host plan.
 
         With ``reuse=True`` workspace buffers come from the model's arena:
         the *previous* ``reuse`` call's buffers are reclaimed first, so a
         prior result's workspace must not be read after this returns (copy
         what you need, or use :meth:`run_many`, which copies for you).
-        ``validate`` takes the shared :class:`~repro.options.Validate`
-        convention (legacy booleans still accepted): anything but
-        ``Validate.NEVER`` / ``False`` structure-checks this call's input;
-        skipping only amortizes away the §3 checks — layout and outputs
-        are unchanged.
+        ``validate`` is a :class:`~repro.options.Validate` member: anything
+        but ``Validate.NEVER`` structure-checks this call's input; skipping
+        only amortizes away the §3 checks — layout and outputs are
+        unchanged.
         """
-        self._check_device(device)
-        check = Validate.coerce(validate).checks_single_call
+        check = _validate_mode(validate) is not Validate.NEVER
         lin = self._linearize(roots, check)
         if not reuse:
             return execute_plan(self.plan, lin, self.params, device=device)
@@ -262,18 +234,16 @@ class RunnableModel:
     def run_many(self, batches: Iterable[Union[Node, Sequence[Node]]], *,
                  device: Optional[Device] = None,
                  outputs: Optional[Sequence[str]] = None,
-                 validate: ValidateArg = Validate.FIRST) -> List[BatchResult]:
+                 validate: Validate = Validate.FIRST) -> List[BatchResult]:
         """Amortized streaming inference over a sequence of input batches.
 
         Plan setup, scalar templates and workspace buffers are shared across
         the whole stream; each step's root outputs are copied out before its
-        workspace is recycled, so results stay valid.  ``validate`` follows
-        the shared :class:`~repro.options.Validate` convention — the
-        ``"first"`` / ``"always"`` / ``"never"`` literals (and bools) are
-        still accepted.
+        workspace is recycled, so results stay valid.  ``validate`` is a
+        :class:`~repro.options.Validate` member (default: check the first
+        batch only).
         """
-        self._check_device(device)
-        mode = Validate.coerce(validate)
+        mode = _validate_mode(validate)
         names = (list(outputs) if outputs is not None
                  else self.default_outputs())
         results: List[BatchResult] = []
@@ -299,15 +269,13 @@ class RunnableModel:
         The server coalesces many independent requests into single
         linearized mega-batches through this model's host plan and arena;
         keyword arguments (``policy``, ``max_queue``, ...) are forwarded to
-        the :class:`~repro.serve.ModelServer` constructor.  Works for any
-        :class:`ModelHandle` — a freshly compiled model or a reloaded
-        artifact serve identically.
+        the :class:`~repro.serve.ModelServer` constructor.  A model
+        compiled with ``CompileOptions(memo="on")`` serves memoized unless
+        ``memo=`` says otherwise — reloaded or not.
         """
-        self._check_device(kw.get("device"))
         from .serve import ModelServer
 
-        options = getattr(self, "options", None)
-        if options is not None and getattr(options, "memo", "off") == "on":
+        if self.options is not None and self.options.memo == "on":
             kw.setdefault("memo", "on")
         return ModelServer(self, **kw)
 
@@ -329,32 +297,6 @@ class RunnableModel:
     @property
     def outputs(self) -> Sequence[str]:
         return self.lowered.module.output_buffers
-
-
-@dataclass
-class CortexModel(RunnableModel):
-    """A compiled model: program + generated code + host plan + parameters."""
-
-    spec: Optional[ModelSpec]
-    program: Program
-    lowered: Lowered
-    compiled: CompiledModule
-    params: Dict[str, np.ndarray]
-    #: precompiled host launch plan (kernel partition, buffer recipes);
-    #: derived from the compiled module in ``__post_init__`` when omitted
-    plan: Optional[HostPlan] = None
-    #: workspace pool for ``reuse=True`` / ``run_many`` calls
-    arena: WorkspaceArena = field(default_factory=WorkspaceArena)
-    #: the validated configuration this model was compiled under (None for
-    #: hand-assembled models)
-    options: Optional[CompileOptions] = None
-    #: per-stage wall-time record of the compilation
-    report: Optional["CompileReport"] = None
-
-    def __post_init__(self) -> None:
-        if self.plan is None:
-            self.plan = get_host_plan(self.lowered, self.compiled)
-        self._init_runtime()
 
 
 def compile(model: Union[str, ModelSpec, "ModelDefLike"],
@@ -394,43 +336,3 @@ def compile(model: Union[str, ModelSpec, "ModelDefLike"],
     return CompilerPipeline().compile(model, options, hidden=hidden,
                                       vocab=vocab, params=params, rng=rng,
                                       on_stage=on_stage, **build_kw)
-
-
-def compile_model(name: Union[str, ModelSpec], hidden: Optional[int] = None,
-                  vocab: int = 1000, *,
-                  fusion: str = "max", specialize: bool = True,
-                  dynamic_batch: bool = True,
-                  persistence: Optional[bool] = None,
-                  unroll: bool = False, refactor: bool = False,
-                  per_block: bool = False, rational_approx: bool = False,
-                  dense_intermediates: bool = True,
-                  target: str = "python",
-                  rng: Optional[np.random.Generator] = None,
-                  params: Optional[Mapping[str, np.ndarray]] = None,
-                  **build_kw) -> CortexModel:
-    """Legacy keyword front door; thin shim over :func:`compile`.
-
-    The keywords map one-to-one onto :class:`~repro.options
-    .CompileOptions`, with one historical quirk kept for compatibility:
-    ``persistence`` defaults to "persist when fusion allows it", and an
-    *explicit* ``persistence=True`` under ``fusion="none"`` is demoted
-    with a ``DeprecationWarning`` instead of raising the way the options
-    constructor does.  New code should call ``compile(spec,
-    CompileOptions(...))``.
-    """
-    if persistence is None:
-        persistence = fusion == "max"  # persistence follows fusion unless given
-    elif persistence and fusion != "max":
-        warnings.warn(
-            "compile_model(persistence=True, fusion=...) silently disables "
-            "persistence; this coercion is deprecated — use compile(spec, "
-            "CompileOptions(...)), which rejects the combination eagerly",
-            DeprecationWarning, stacklevel=2)
-        persistence = False
-    opts = CompileOptions(
-        fusion=fusion, specialize=specialize, dynamic_batch=dynamic_batch,
-        persistence=persistence, unroll=unroll, refactor=refactor,
-        per_block=per_block, rational_approx=rational_approx,
-        dense_intermediates=dense_intermediates, target=target)
-    return compile(name, opts, hidden=hidden, vocab=vocab, rng=rng,
-                   params=params, **build_kw)

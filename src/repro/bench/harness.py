@@ -66,11 +66,10 @@ def paper_inputs(model_name: str, batch_size: int, *,
 def cortex_model(model_name: str, hidden: int, **schedule) -> CortexModel:
     """Compile (or fetch from the session cache) one model configuration.
 
-    ``schedule`` holds :class:`~repro.options.CompileOptions` fields, except
-    that ``persistence`` follows ``fusion`` unless given; the options' stable
-    ``cache_key`` keys the shared :class:`~repro.pipeline.Session`.
+    ``schedule`` holds :class:`~repro.options.CompileOptions` fields; the
+    options' stable ``cache_key`` keys the shared
+    :class:`~repro.pipeline.Session`.
     """
-    schedule.setdefault("persistence", schedule.get("fusion", "max") == "max")
     options = CompileOptions(**schedule)
     if model_name == "dagrnn":
         return _SESSION.compile(model_name, options, hidden=hidden,

@@ -151,10 +151,10 @@ class SpliceRefusedError(MemoError):
     """This model/configuration cannot safely splice cached rows.
 
     Raised eagerly — at :class:`~repro.memo.MemoSplicer` construction —
-    when the safety analysis cannot prove that seeding cached state rows
-    reproduces unmemoized execution bitwise (e.g. kernels that inspect
-    descendants beyond direct child state, schedules without dynamic
-    batching, artifact reloads without operator nests).  The memoization
+    when the safety verdict lowering recorded says seeding cached state
+    rows may not reproduce unmemoized execution bitwise (e.g. kernels that
+    inspect descendants beyond direct child state, schedules without
+    dynamic batching), or when an older artifact carries no verdict.  The memoization
     invariant is absolute: refuse rather than risk a non-identical splice.
     """
 

@@ -23,7 +23,7 @@ What the digest deliberately does **not** include:
   work, not results);
 * *model parameters* — weights enter the cache key at lookup time, as
   ``(model key, params_version, digest)``, so an in-place weight edit
-  (via :meth:`~repro.api.RunnableModel.bump_params_version`) invalidates
+  (via :meth:`~repro.api.CortexModel.bump_params_version`) invalidates
   every entry without touching per-node digest caches.
 """
 
@@ -90,7 +90,7 @@ def params_fingerprint(params: Mapping[str, np.ndarray]) -> str:
     """Content hash of a parameter set: names, dtypes, shapes and bytes.
 
     Computed once per model (cached by
-    :meth:`~repro.api.RunnableModel.memo_model_key`); subsequent in-place
+    :meth:`~repro.api.CortexModel.memo_model_key`); subsequent in-place
     edits are covered by ``params_version``, not by re-fingerprinting.
     """
     h = hashlib.blake2b(digest_size=DIGEST_SIZE)
@@ -113,7 +113,7 @@ def model_memo_key(model) -> str:
     :class:`~repro.memo.MemoCache`.
     """
     module = model.lowered.module
-    opts = getattr(model, "options", None)
+    opts = model.options
     parts = [
         opts.cache_key() if opts is not None else "no-options",
         ",".join(module.output_buffers),

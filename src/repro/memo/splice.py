@@ -17,12 +17,12 @@ indirection on the state/output buffers (``H[child(k, n)]``), and PR 2's
 kernel canonicalization made those per-row GEMM results invariant to the
 batch extent and row position.  So a cached row seeded at a stub id is
 byte-for-byte what the pruned subtree's root row would have been, and
-every parent computes bitwise-identically.  The splicer *proves* the
-preconditions per model at construction and raises
-:class:`~repro.errors.SpliceRefusedError` otherwise:
+every parent computes bitwise-identically.  Lowering *proves* the
+preconditions once per module (:mod:`repro.ilir.splice_safety`) and
+records the verdict in ``module.meta``, where saved artifacts carry it;
+the splicer reads it at construction and raises
+:class:`~repro.errors.SpliceRefusedError` on a refusal:
 
-* the module must carry operator nests (artifact reloads have none —
-  nothing to analyze);
 * the model must use dynamic (height) batching;
 * no kernel may read through *composed* uninterpreted functions
   (``word(child(k, n))``, ``child(j, child(k, n))`` — unrolled/refactored
@@ -31,6 +31,9 @@ preconditions per model at construction and raises
   (output + state) set;
 * pre/hoisted/post kernels — which iterate every node id, stub rows
   included — must not write any cached buffer.
+
+An artifact written before the verdict was recorded is refused with a
+"re-save" reason, never analyzed by guesswork.
 
 The pruned forest goes through the model's one linearizer like any other
 input — ``Linearizer.__call__(roots, stubs=...)`` numbers the stubs into
@@ -48,7 +51,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import MemoVerifyError, SpliceRefusedError
-from ..ir import TensorRead, UFCall, walk
+from ..ilir.splice_safety import memo_buffers
 from ..linearizer import Linearized, Node
 from ..linearizer.linearize import merge_root_sets
 from ..linearizer.structures import iter_nodes
@@ -121,121 +124,21 @@ class SpliceResult:
 
 
 # ---------------------------------------------------------------------------
-# Splice-safety analysis
-
-
-def _memo_buffers(module) -> List[str]:
-    """The rows an entry caches: output + state buffers, deduped."""
-    return list(dict.fromkeys(list(module.output_buffers)
-                              + list(module.state_buffers)))
-
-
-def _is_child_uf(name: str) -> bool:
-    """Is this uninterpreted function a child accessor (maps a node id to
-    another node's id)?  ``child(k, n)``, the ``left``/``right`` aliases,
-    and the per-slot ``child0``/``child1``/... forms."""
-    return (name in ("child", "left", "right")
-            or (name.startswith("child") and name[5:].isdigit()))
-
-
-def _has_composed_child_uf(nest) -> bool:
-    """Does this nest apply any UF to a child accessor's result?
-
-    ``word(child(k, n))`` / ``child(j, child(k, n))`` mean the kernel
-    inspects structure *below* its direct children — a stub's arity-0 /
-    ``word = -1`` row would feed it wrong values, so such schedules
-    (unroll, recursive refactoring) refuse splicing outright.  Benign
-    single-UF indexing (``Emb[word(n)]``) is not composition.
-    """
-    for e in nest.exprs():
-        for node in walk(e):
-            if isinstance(node, UFCall):
-                for arg in node.args:
-                    for inner in walk(arg):
-                        if (isinstance(inner, UFCall)
-                                and _is_child_uf(inner.fn.name)):
-                            return True
-    return False
-
-
-def _has_child_indexed_write(nest) -> bool:
-    """Does this nest *write* another node's row (child-indexed store)?
-
-    A kernel storing at ``out[child(k, n)]`` would recompute — and
-    clobber — a seeded stub row from the stub's (empty) children.  No
-    zoo schedule does this, but the check is what makes the guarantee
-    mechanical rather than anecdotal.
-    """
-    for idx in nest.out_indices:
-        if any(isinstance(y, UFCall) and _is_child_uf(y.fn.name)
-               for y in walk(idx)):
-            return True
-    return False
-
-
-def _child_indexed_reads(nest) -> List[str]:
-    """Buffers this nest reads at another node's row (child-indexed).
-
-    The reads a seeded stub row must satisfy.  Word-indexed parameter
-    lookups (``Emb[word(n)]``) address tables by payload, not by node
-    id, and are excluded: fused/level kernels never iterate a stub id,
-    so those reads never touch a stub row.
-    """
-    out: List[str] = []
-    for e in nest.exprs():
-        for node in walk(e):
-            if isinstance(node, TensorRead):
-                for idx in node.indices:
-                    if any(isinstance(y, UFCall)
-                           and _is_child_uf(y.fn.name)
-                           for y in walk(idx)):
-                        out.append(node.buffer.name)
-                        break
-    return out
+# Splice safety: the verdict lowering recorded
 
 
 def splice_refusal(model) -> Optional[str]:
-    """Why this model cannot splice cached rows — or ``None`` if it can."""
-    plan = getattr(model, "plan", None)
-    if plan is None:
-        return "model has no precompiled host plan"
-    module = plan.module
-    if not (module.kernels and all(k.nests for k in module.kernels)):
-        return ("module carries no operator nests (e.g. an artifact "
-                "reload) — splice safety cannot be analyzed")
-    lz = model.lowered.linearizer
-    if not lz.dynamic_batch:
-        return "model was compiled without dynamic batching"
-    buffers = _memo_buffers(module)
-    if not buffers:
-        return "model declares no output/state buffers to cache"
-    for kernel in module.kernels:
-        for nest in kernel.nests:
-            if _has_composed_child_uf(nest):
-                return (f"kernel {kernel.name!r} reads through composed "
-                        f"uninterpreted functions (unrolled/refactored "
-                        f"schedule) — it inspects descendants a stub row "
-                        f"cannot stand in for")
-            if _has_child_indexed_write(nest):
-                return (f"kernel {kernel.name!r} writes other nodes' rows "
-                        f"through child indirection — it would clobber "
-                        f"seeded stub rows")
-    indirect: set = set()
-    for kernel in module.kernels:
-        for nest in kernel.nests:
-            indirect.update(_child_indexed_reads(nest))
-    unseeded = sorted(indirect - set(buffers))
-    if unseeded:
-        return (f"kernels read buffers {unseeded} through child "
-                f"indirection, but only output/state rows are cached")
-    for kernel in module.kernels:
-        if kernel.kind in ("pre", "hoisted", "post"):
-            for nest in kernel.nests:
-                if nest.out.name in buffers:
-                    return (f"{kernel.kind} kernel {kernel.name!r} writes "
-                            f"cached buffer {nest.out.name!r} over the "
-                            f"full node range, stub rows included")
-    return None
+    """Why this model cannot splice cached rows — or ``None`` if it can.
+
+    The verdict :func:`repro.ilir.splice_safety.splice_hazard` gave in
+    ``lower()``, read from ``module.meta`` (so a reloaded model answers
+    like the model it was saved from)."""
+    meta = model.lowered.module.meta
+    if "splice_refusal" not in meta:
+        return ("module field meta.splice_refusal is missing (an artifact "
+                "written by an older version); re-save the model with "
+                "save_model")
+    return meta["splice_refusal"] or None
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +148,7 @@ def splice_refusal(model) -> Optional[str]:
 class MemoSplicer:
     """Per-model front end: detect cached subtrees, build the pruned plan.
 
-    Construction runs the splice-safety analysis and raises
+    Construction reads the recorded splice verdict and raises
     :class:`~repro.errors.SpliceRefusedError` when the model's kernels
     cannot provably consume seeded rows — the memoization invariant is
     *bitwise identity or refusal*, never "probably fine".
@@ -265,12 +168,10 @@ class MemoSplicer:
             raise SpliceRefusedError(
                 f"cannot memoize this model: {reason}")
         self.model = model
-        self.buffers = _memo_buffers(model.plan.module)
+        self.buffers = memo_buffers(model.lowered.module)
         self.cache = cache if cache is not None else MemoCache(
             self.policy.max_entries, self.policy.max_bytes)
-        key_fn = getattr(model, "memo_model_key", None)
-        self.model_key = (key_fn() if callable(key_fn)
-                          else hashing.model_memo_key(model))
+        self.model_key = model.memo_model_key()
         self._lock = threading.Lock()
         self.flushes = 0
         self.requests = 0
@@ -281,9 +182,6 @@ class MemoSplicer:
         self.executed_nodes = 0
 
     # -- key plumbing ------------------------------------------------------
-    def _params_version(self) -> int:
-        return int(getattr(self.model, "params_version", 0))
-
     def _key(self, digest: bytes, version: int) -> Hashable:
         return hashing.cache_key(self.model_key, version, digest)
 
@@ -366,7 +264,7 @@ class MemoSplicer:
         """
         sets, merged = merge_root_sets(root_sets)
         total_nodes = hashing.annotate(merged)
-        version = self._params_version()
+        version = self.model.params_version
 
         hits, misses, lookups = self._detect(merged, version)
 

@@ -8,20 +8,14 @@ trees of height 7.
 
 Authored declaratively: :data:`MODEL` holds the cell written once; the
 program builder, seeded parameters and the recursive reference are all
-derived from it (:mod:`repro.authoring`).  :func:`legacy_reference` keeps
-the original hand-written NumPy recursion as a redundant cross-check for
-the parity suite.
+derived from it (:mod:`repro.authoring`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
-import numpy as np
-
 from ..authoring import model
 from ..ir import relu
-from ..linearizer import Node, StructureKind
+from ..linearizer import StructureKind
 from ..ra.node_ref import isleaf
 from ..ra.tensor import NUM_NODES
 from .cells import matvec
@@ -55,28 +49,6 @@ def MODEL(p, hidden: int = DEFAULT_HIDDEN, vocab: int = 1000):
 build = MODEL.build
 random_params = MODEL.random_params
 reference = MODEL.reference
-
-
-def legacy_reference(roots: Sequence[Node], params: Dict[str, np.ndarray]
-                     ) -> Dict[int, np.ndarray]:
-    """Hand-written recursive NumPy reference (parity cross-check only)."""
-    emb, wl, wr, b = params["Emb"], params["Wl"], params["Wr"], params["b"]
-    out: Dict[int, np.ndarray] = {}
-
-    def go(node: Node) -> np.ndarray:
-        if id(node) in out:
-            return out[id(node)]
-        if node.is_leaf:
-            h = emb[node.word].astype(np.float32)
-        else:
-            z = wl @ go(node.left) + wr @ go(node.right) + b
-            h = np.maximum(z, 0).astype(np.float32)
-        out[id(node)] = h
-        return h
-
-    for r in roots:
-        go(r)
-    return out
 
 
 OUTPUT = "rnn"

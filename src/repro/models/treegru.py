@@ -16,23 +16,19 @@ the moved reduction cannot drop a barrier.
 
 Both variants share one authored cell (:func:`_cell`); :data:`MODEL` and
 :data:`SIMPLE_MODEL` are its two :class:`~repro.authoring.ModelDef`
-instances.  :func:`legacy_reference` keeps the hand-written recursion as
-a parity cross-check.
+instances.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, Sequence
-
-import numpy as np
 
 from ..authoring import define_model
 from ..ir import sigmoid, tanh
-from ..linearizer import Node, StructureKind
+from ..linearizer import StructureKind
 from ..ra.node_ref import isleaf
 from ..ra.tensor import NUM_NODES
-from .cells import child_sum, matvec, np_sigmoid
+from .cells import child_sum, matvec
 
 DEFAULT_HIDDEN = 256
 
@@ -87,38 +83,6 @@ build_simple = SIMPLE_MODEL.build
 random_params = MODEL.random_params
 reference = MODEL.reference
 reference_simple = SIMPLE_MODEL.reference
-
-
-def legacy_reference(roots: Sequence[Node], params: Dict[str, np.ndarray], *,
-                     simple: bool = False) -> Dict[int, np.ndarray]:
-    """Hand-written recursive NumPy reference (parity cross-check only)."""
-    out: Dict[int, np.ndarray] = {}
-    emb = params["Emb"]
-
-    def go(node: Node) -> np.ndarray:
-        if id(node) in out:
-            return out[id(node)]
-        if node.is_leaf:
-            h = emb[node.word].astype(np.float32)
-        else:
-            h_sum = np.sum([go(c) for c in node.children], axis=0)
-            z = np_sigmoid(params["Uz"] @ h_sum + params["bz"])
-            r = np_sigmoid(params["Ur"] @ h_sum + params["br"])
-            hp = np.tanh(params["Uh"] @ (r * h_sum) + params["bh"])
-            if simple:
-                h = ((1.0 - z) * hp).astype(np.float32)
-            else:
-                h = (z * h_sum + (1.0 - z) * hp).astype(np.float32)
-        out[id(node)] = h
-        return h
-
-    for r in roots:
-        go(r)
-    return out
-
-
-def legacy_reference_simple(roots, params):
-    return legacy_reference(roots, params, simple=True)
 
 
 OUTPUT = "rnn"

@@ -15,10 +15,9 @@ state is folded away entirely by constant propagation (§4.3), which the
 tests assert.  As in the paper's evaluation, input matrix-vector products
 are not part of the recursive portion (GRNN-style upfront matmuls).
 
-The child-sum cell is authored declaratively (:data:`MODEL`); its ~60-line
-hand-written NumPy recursion survives as :func:`legacy_reference`, a
-redundant cross-check for the parity suite.  The N-ary variant below still
-uses the classic hand-written triple (build / random_params / reference).
+The child-sum cell is authored declaratively (:data:`MODEL`).  The N-ary
+variant below still uses the classic hand-written triple (build /
+random_params / reference).
 """
 
 from __future__ import annotations
@@ -99,39 +98,6 @@ def MODEL(p, hidden: int = DEFAULT_HIDDEN, vocab: int = 1000,
 build = MODEL.build
 random_params = MODEL.random_params
 reference = MODEL.reference
-
-
-def legacy_reference(roots: Sequence[Node], params: Dict[str, np.ndarray]
-                     ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-    """Hand-written reference, ``id(node) -> (h, c)`` (cross-check only)."""
-    out: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    emb = params["Emb"]
-
-    def go(node: Node) -> Tuple[np.ndarray, np.ndarray]:
-        if id(node) in out:
-            return out[id(node)]
-        if node.is_leaf:
-            h = emb[node.word].astype(np.float32)
-            c = np.zeros_like(h)
-        else:
-            hs = [go(ch)[0] for ch in node.children]
-            cs = [go(ch)[1] for ch in node.children]
-            h_tilde = np.sum(hs, axis=0)
-            gi = np_sigmoid(params["Ui"] @ h_tilde + params["bi"])
-            go_ = np_sigmoid(params["Uo"] @ h_tilde + params["bo"])
-            gu = np.tanh(params["Uu"] @ h_tilde + params["bu"])
-            c = gi * gu
-            for hk, ck in zip(hs, cs):
-                fk = np_sigmoid(params["Uf"] @ hk + params["bf"])
-                c = c + fk * ck
-            c = c.astype(np.float32)
-            h = (go_ * np.tanh(c)).astype(np.float32)
-        out[id(node)] = (h, c)
-        return h, c
-
-    for r in roots:
-        go(r)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,20 +5,14 @@ Used in §7.4 to evaluate unrolling with one-node-per-thread-block
 scheduling.
 
 Authored declaratively (:mod:`repro.authoring`): parameters and the
-recursive reference derive from the single cell definition below;
-:func:`legacy_reference` keeps the hand-written recursion as a parity
-cross-check.
+recursive reference derive from the single cell definition below.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
-import numpy as np
-
 from ..authoring import model
 from ..ir import tanh
-from ..linearizer import Node, StructureKind
+from ..linearizer import StructureKind
 from ..ra.node_ref import isleaf
 from ..ra.tensor import NUM_NODES
 
@@ -43,27 +37,6 @@ def MODEL(p, hidden: int = DEFAULT_HIDDEN, vocab: int = 1000):
 build = MODEL.build
 random_params = MODEL.random_params
 reference = MODEL.reference
-
-
-def legacy_reference(roots: Sequence[Node], params: Dict[str, np.ndarray]
-                     ) -> Dict[int, np.ndarray]:
-    """Hand-written recursive NumPy reference (parity cross-check only)."""
-    emb = params["Emb"]
-    out: Dict[int, np.ndarray] = {}
-
-    def go(node: Node) -> np.ndarray:
-        if id(node) in out:
-            return out[id(node)]
-        if node.is_leaf:
-            h = emb[node.word].astype(np.float32)
-        else:
-            h = np.tanh(go(node.left) + go(node.right)).astype(np.float32)
-        out[id(node)] = h
-        return h
-
-    for r in roots:
-        go(r)
-    return out
 
 
 #: output state buffer name (recursion output of ``h_ph``)

@@ -31,8 +31,8 @@ Derive variants with :meth:`CompileOptions.with_`::
 
     opts = PAPER_HEADLINE.with_(unroll=True, per_block=True)
 
-This module also hosts the shared :class:`Validate` enum unifying the
-runtime input-validation conventions (``run(validate=...)``,
+This module also hosts :class:`Validate`, the one spelling of the
+runtime input-validation setting (``run(validate=...)``,
 ``run_many(validate=...)``); servers always check, at ``submit``.
 """
 
@@ -43,7 +43,7 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict
 
 from .errors import ScheduleError
 
@@ -70,36 +70,13 @@ class Validate(enum.Enum):
     gathers, so it runs on every call under every setting and refuses
     with :class:`~repro.errors.LinearizationError`: words must lie in
     ``[-1, rows)``, and a leaf's — always gathered — in ``[0, rows)``
-    (``-1`` marks "absent" on interior nodes only).  The
-    old per-API spellings — ``True``/``False`` for single calls,
-    ``"first"``/``"always"``/``"never"`` for streams — are still accepted
-    everywhere and coerced through :meth:`coerce`.
+    (``-1`` marks "absent" on interior nodes only).  Entry points take
+    members only: a bool or a string is a ``TypeError``.
     """
 
     FIRST = "first"
     ALWAYS = "always"
     NEVER = "never"
-
-    @classmethod
-    def coerce(cls, value: Union["Validate", str, bool]) -> "Validate":
-        """Normalize any accepted spelling; raises ``ValueError`` otherwise."""
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, bool):
-            return cls.ALWAYS if value else cls.NEVER
-        if isinstance(value, str):
-            try:
-                return cls(value)
-            except ValueError:
-                pass
-        raise ValueError(
-            f"validate must be first/always/never (a Validate, one of the "
-            f"string literals, or a bool), not {value!r}")
-
-    @property
-    def checks_single_call(self) -> bool:
-        """Should a standalone ``run()`` call validate its input?"""
-        return self is not Validate.NEVER
 
     def checks_step(self, index: int) -> bool:
         """Should step ``index`` of a stream validate its input?"""
@@ -272,9 +249,3 @@ PRESETS: Dict[str, CompileOptions] = {
     "unfused_ablation": UNFUSED_ABLATION,
     "debug": DEBUG,
 }
-
-# ergonomic aliases: CompileOptions.PAPER_HEADLINE etc. (class attributes
-# on a frozen dataclass are assignable; only instances are immutable)
-CompileOptions.PAPER_HEADLINE = PAPER_HEADLINE  # type: ignore[attr-defined]
-CompileOptions.UNFUSED_ABLATION = UNFUSED_ABLATION  # type: ignore[attr-defined]
-CompileOptions.DEBUG = DEBUG  # type: ignore[attr-defined]

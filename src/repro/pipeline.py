@@ -1,11 +1,14 @@
 """The staged compiler pipeline and the compile-cache session.
 
-:class:`CompilerPipeline` is the explicit form of what ``compile_model``
-used to do monolithically: **build** the RA program from a model spec,
-**schedule** it (imprint :class:`~repro.options.CompileOptions` through
-the §3.1 primitives and validate), **lower** recursion to loops, run
-**codegen** (the Python kernels + the C rendering), and derive
-the host launch **plan**.  Each stage is timed into a
+:class:`CompilerPipeline` is what ``repro.compile`` runs, one stage at a
+time: **build** the RA program from a model spec, **schedule** it
+(imprint :class:`~repro.options.CompileOptions` through the §3.1
+primitives and validate), **lower** recursion to loops (recording the
+zero-fill and splice-safety verdicts in ``module.meta``, where a saved
+artifact carries them), run **codegen** (the Python kernels + the C
+rendering), and derive the host launch **plan**.  The result is a
+:class:`~repro.api.CortexModel` — the same class
+:func:`~repro.tools.artifact.load_model` returns.  Each stage is timed into a
 :class:`StageRecord`; ``on_stage`` hooks observe stages as they finish —
 the introspection autotuners, servers and CI want from a compiler front
 door (cf. Relay/TVM's pass-pipeline design).

@@ -41,6 +41,7 @@ from ..ilir.layout import densify_intermediates
 from ..ilir.module import HostStep, ILModule, Kernel
 from ..ilir.nests import AxisSpec, OpNest
 from ..ilir.passes.nonlinear_approx import apply_rational_approximations
+from ..ilir.splice_safety import splice_hazard
 from ..ilir.zero_fill import zero_required
 from ..ir import (Const, DimRegistry, Expr, Interval, Reduce, TensorRead,
                   UFCall, Var, as_expr, free_vars, is_zero, reads_of,
@@ -65,10 +66,6 @@ class Lowered:
     module: ILModule
     linearizer: Linearizer
     bounds: Dict[str, BoundsReport] = field(default_factory=dict)
-
-    @property
-    def python_source(self) -> str:
-        return self.module.python_source or ""
 
 
 def run_codegen(module: ILModule) -> ILModule:
@@ -118,9 +115,12 @@ def lower(prog: Program, schedule: Optional[CortexSchedule] = None,
         apply_rational_approximations(ctx.all_nests())
     module = ctx.form_kernels()
     # the one place nests and kernel order are both known: record which
-    # buffers a recycled workspace must re-zero (host plans and artifact
-    # manifests read this list; neither re-analyzes)
+    # buffers a recycled workspace must re-zero and whether cached rows may
+    # be spliced in ("" = yes; None would not survive the manifest) — host
+    # plans, the memo splicer and artifact manifests read these verdicts,
+    # none re-analyzes
     module.meta["needs_zero"] = sorted(zero_required(module))
+    module.meta["splice_refusal"] = splice_hazard(module) or ""
     bounds = ctx.verify_bounds(strict=strict_bounds)
 
     from ..ilir.verify import assert_well_formed

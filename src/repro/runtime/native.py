@@ -21,7 +21,7 @@ corrupting memory.
 
 The library also carries the model's linearizer (:func:`load_walker`):
 the §4.2 structure walk, generated with the kernels, which
-``RunnableModel.fast_linearizer()`` takes in place of the Python walk.
+``CortexModel.fast_linearizer()`` takes in place of the Python walk.
 
 The one array a launch does not pass as is: a weight that a contraction
 tile reads (``KernelSignature.packed``) goes in as column panels, packed

@@ -350,6 +350,16 @@ def execute_plan(plan: HostPlan, lin: Linearized,
     arrays built by the splicer never iterate a seeded id, so kernels
     only ever *read* these rows through child indirection.
     """
+    cost = None
+    if device is not None:
+        if not all(k.nests for k in plan.module.kernels):
+            raise ExecutionError(
+                "simulated-latency estimation needs the module's operator "
+                "nests, and this one carries none (a model reloaded from an "
+                "artifact executes numerics only); run without device=")
+        from .costmodel import estimate_cost
+
+        cost = estimate_cost(plan.module, lin, device)
     if faults is not None:
         faults.on_execution()
         faults.check_arena()
@@ -410,14 +420,7 @@ def execute_plan(plan: HostPlan, lin: Linearized,
     if profiler is not None:
         profiler.note_execution(t0 - t_ws, wall)
 
-    result = ExecutionResult(workspace=ws, lin=lin,
-                             state_buffers=list(plan.module.state_buffers),
-                             wall_time_s=wall,
-                             arena_buffers=leased)
-    if device is not None:
-        from .costmodel import estimate_cost
-
-        report = estimate_cost(plan.module, lin, device)
-        result.cost = report
-        result.simulated_time_s = report.total_time_s
-    return result
+    return ExecutionResult(
+        workspace=ws, lin=lin, state_buffers=list(plan.module.state_buffers),
+        wall_time_s=wall, cost=cost, arena_buffers=leased,
+        simulated_time_s=None if cost is None else cost.total_time_s)

@@ -47,7 +47,7 @@ from .router import CircuitBreaker, _private_arena_view
 from .server import ModelServer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..api import ModelHandle
+    from ..api import CortexModel
 
 #: ModelServer.metrics_snapshot keys the pool aggregate must preserve
 #: (the PR 7 pin); counters sum, rates sum, percentiles pool raw windows
@@ -163,7 +163,7 @@ class WorkerPool:
             applied to each replica alike.
     """
 
-    def __init__(self, model: "ModelHandle", replicas: int = 2, *,
+    def __init__(self, model: "CortexModel", replicas: int = 2, *,
                  balancer: Union[str, LoadBalancer] = "round_robin",
                  name: str = "pool",
                  breaker: Union[bool, Callable[[], CircuitBreaker]] = True,

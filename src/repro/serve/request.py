@@ -46,7 +46,6 @@ class RequestResult:
     queue_time_s: float = 0.0
     exec_time_s: float = 0.0
     latency_s: float = 0.0
-    simulated_time_s: Optional[float] = None
     #: execution attempts this request took to succeed (1 = first try;
     #: more when transient faults forced retries)
     attempts: int = 1

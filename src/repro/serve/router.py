@@ -7,10 +7,9 @@ scheduler, arena and metrics — models never share workspace — so the
 router is thin by design: registration, dispatch, lifecycle, health
 tracking, and an aggregated metrics view.
 
-Registration accepts anything implementing the :class:`~repro.api
-.ModelHandle` surface — a freshly compiled :class:`~repro.api
-.CortexModel` or an artifact-reloaded :class:`~repro.tools.artifact
-.DeployedModel` — and :meth:`Router.deploy` compiles by spec + options
+Registration accepts a :class:`~repro.api.CortexModel` — freshly
+compiled or reloaded from an artifact — or a ready server, and
+:meth:`Router.deploy` compiles by spec + options
 through the router's :class:`~repro.pipeline.Session`, so registering
 the same configuration twice (blue/green rollouts, per-tenant aliases)
 never recompiles.
@@ -28,7 +27,6 @@ to ``CLOSED`` once the probes succeed.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import enum
 import threading
@@ -227,7 +225,7 @@ class CircuitBreaker:
         return f"CircuitBreaker({self.state.value})"
 
 
-def _private_arena_view(model):
+def _private_arena_view(model: "CortexModel") -> "CortexModel":
     """A shallow view of ``model`` with its own workspace arena.
 
     Compilation state (program, kernels, host plan, params) is shared;
@@ -236,16 +234,12 @@ def _private_arena_view(model):
     """
     from ..runtime.memory import WorkspaceArena
 
-    if dataclasses.is_dataclass(model):
-        # CortexModel: __post_init__ re-runs and resets the lease state
-        return dataclasses.replace(model, arena=WorkspaceArena())
-    view = copy.copy(model)
-    view.arena = WorkspaceArena()
-    view._init_runtime()
-    return view
+    # __post_init__ re-runs and resets the lease state
+    return dataclasses.replace(model, arena=WorkspaceArena())
+
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..api import ModelHandle
+    from ..api import CortexModel
     from ..models.registry import ModelSpec
     from ..options import CompileOptions
     from ..pipeline import Session
@@ -275,7 +269,7 @@ class Router:
 
     # -- registration ------------------------------------------------------
     def add_model(self, name: str,
-                  model: Union["ModelHandle", ModelServer], *,
+                  model: Union["CortexModel", ModelServer], *,
                   breaker: Union[CircuitBreaker, bool, None] = True,
                   **server_kw) -> ModelServer:
         """Register a model (wrapped in a new server) or a ready server.

@@ -6,7 +6,11 @@
 decides when the pending requests flush as one coalesced mega-batch through
 the model's precompiled :class:`~repro.runtime.plan.HostPlan` and workspace
 arena — so the per-call host work PR 1 hoisted to compile time is now also
-amortized *across callers*, not just across a single caller's stream.
+amortized *across callers*, not just across a single caller's stream.  The
+model may be compiled in process or reloaded from an artifact; both are the
+one :class:`~repro.api.CortexModel` class and serve identically.  Serving
+timings are measured host wall-clock, never simulated (DESIGN.md §1): the
+server takes no simulated device.
 
 One flush loop (``Scheduler.take`` -> claim -> ``coalesce`` ->
 ``execute_plan`` on the model's one arena -> ``scatter`` -> resolve), two
@@ -82,8 +86,7 @@ from .request import Request, RequestHandle, RequestResult
 from .scheduler import FlushPolicy, Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..api import ModelHandle
-    from ..runtime.device import Device
+    from ..api import CortexModel
 
 #: an observer sees every *executed* request's final outcome:
 #: ``fn(request, exc)`` with ``exc is None`` on success.  Client-caused
@@ -157,8 +160,6 @@ class ModelServer:
             tests and degraded-mode benchmarks.
         outputs: buffer names to scatter back per request (default: the
             model's output and state buffers).
-        device: optional simulated device; attaches per-flush simulated
-            time to every result.
         tracer: optional :class:`~repro.obs.Tracer`.  With one, every
             submitted request gets its own trace id and a root
             ``request`` span closed exactly once with the request's
@@ -181,8 +182,9 @@ class ModelServer:
             outputs guaranteed bitwise identical to the plain path (the
             splicer refuses — :class:`~repro.errors.SpliceRefusedError`
             at construction — any model where that cannot be proven).
-            Models compiled with ``CompileOptions(memo="on")`` get this
-            by default via :meth:`~repro.api.RunnableModel.server`.
+            Models compiled with ``CompileOptions(memo="on")`` — in
+            process or reloaded — get this by default via
+            :meth:`~repro.api.CortexModel.server`.
         memo_cache: optional shared :class:`~repro.memo.MemoCache`
             (e.g. one cache across a Router's models); default is a
             private cache sized by the policy.
@@ -199,14 +201,13 @@ class ModelServer:
             disjoint block so ids stay unique pool-wide.
     """
 
-    def __init__(self, model: "ModelHandle", *,
+    def __init__(self, model: "CortexModel", *,
                  policy: Optional[FlushPolicy] = None,
                  max_queue: int = 1024,
                  max_request_nodes: Optional[int] = None,
                  retry: Optional[RetryPolicy] = None,
                  faults: Optional[FaultInjector] = None,
                  outputs: Optional[Sequence[str]] = None,
-                 device: Optional["Device"] = None,
                  tracer: Optional[Tracer] = None,
                  profiler: Optional[KernelProfiler] = None,
                  clock: Optional[Clock] = None,
@@ -219,13 +220,6 @@ class ModelServer:
                  request_id_base: int = 0):
         if max_request_nodes is not None and max_request_nodes < 1:
             raise ServingError("max_request_nodes must be >= 1")
-        # deployment forms without a cost model (artifact reloads) veto
-        # simulated devices here too, not only in their server() wrapper,
-        # so direct ModelServer/Router construction cannot leak wrong
-        # latencies
-        check_device = getattr(model, "_check_device", None)
-        if check_device is not None:
-            check_device(device)
         self.model = model
         self.name = name
         self._clock: Clock = clock if clock is not None else time.perf_counter
@@ -237,7 +231,6 @@ class ModelServer:
         self.profiler = profiler
         self.retry = retry if retry is not None else RetryPolicy()
         self.faults = faults
-        self.device = device
         # one scrape for the whole serving stack: the arena, the fault
         # injector and the queue report into the same registry the
         # ServerMetrics counters live in (breakers bind via Router)
@@ -630,9 +623,8 @@ class ModelServer:
             batch = coalesce(reqs, model.fast_linearizer(), self.memo)
             t_exec = self._clock()
             res = execute_plan(model.plan, batch.lin, model.params,
-                               device=self.device, arena=arena,
-                               faults=self.faults, profiler=self.profiler,
-                               seeds=batch.seeds)
+                               arena=arena, faults=self.faults,
+                               profiler=self.profiler, seeds=batch.seeds)
             try:
                 t_scatter = self._clock()
                 per_request = scatter(batch.root_ids, res.workspace,
@@ -699,7 +691,6 @@ class ModelServer:
                 queue_time_s=flush_t - req.submit_t,
                 exec_time_s=exec_s,
                 latency_s=latency,
-                simulated_time_s=res.simulated_time_s,
                 attempts=req.attempts))
             self._notify(req, None)
             if tracer is not None and req.span is not None:

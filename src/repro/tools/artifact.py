@@ -4,22 +4,23 @@
 compiled model — the generated Python kernels (``module.py``, the one
 source the model itself runs), the parameters, a JSON manifest describing
 buffers, kernel launch order, linearizer configuration and the schedule
-``meta`` (including ``needs_zero``, lowering's per-buffer zero-fill
-verdicts), and ``options.json`` recording the exact
+``meta`` (including lowering's verdicts: ``needs_zero``, the per-buffer
+zero-fill list, and ``splice_refusal``, whether cached rows may be
+spliced in), and ``options.json`` recording the exact
 :class:`~repro.options.CompileOptions` the model was compiled under
 (plus their stable ``cache_key``).  ``load_model`` reconstructs a
-runnable model from that directory without invoking the compiler; its
-host plan is built by the same rule as the in-process one, so a reloaded
-artifact launches the same kernels with the same workspace zeroing as
-the model it was saved from.  Artifacts written before ``needs_zero``
-was recorded are refused with a typed error asking for a re-save.
+:class:`~repro.api.CortexModel` from that directory without invoking the
+compiler; its host plan is built by the same rule as the in-process one,
+so a reloaded artifact launches the same kernels with the same workspace
+zeroing as the model it was saved from.  Artifacts written before
+``needs_zero`` was recorded are refused with a typed error asking for a
+re-save; those written before ``splice_refusal`` load, and refuse only
+memoization, with the same request.
 
-The reloaded :class:`DeployedModel` implements the same
-:class:`~repro.api.ModelHandle` surface as an in-process
-:class:`~repro.api.CortexModel` — ``run`` / ``run_many`` / ``server`` /
-``default_outputs`` / ``release`` — so the compile → save → serve loop
-closes: ``load_model(path).server()`` coalesces and serves bit-identically
-to a server over the original model.
+The reloaded model is the in-process class, so the compile → save →
+serve loop closes: ``load_model(path).server()`` coalesces, memoizes
+when the options say ``memo="on"``, and serves bit-identically to a
+server over the original model.
 
 Models compiled with ``target="c"`` additionally bake the native
 backend: the generated C source (``module.c``), the prebuilt shared
@@ -34,8 +35,10 @@ packed layout than this launcher's, and so cannot vouch for the
 library's ABI.  The library holds every ISA variant of its kernels and
 picks one where it is loaded.
 
-Deployed artifacts execute numerics only; simulated-latency estimation
-needs the full compiler session (operator nests are not serialized).
+A reloaded model has no ``spec``, ``program`` or ``report``, and its
+module no operator nests (they are not serialized), so it executes
+numerics only: ``run(device=...)`` is refused by
+:func:`~repro.runtime.plan.execute_plan`.
 """
 
 from __future__ import annotations
@@ -44,12 +47,12 @@ import json
 import os
 import shutil
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from ..api import CortexModel, RunnableModel
-from ..errors import CortexError, ExecutionError, NativeError
+from ..api import CortexModel
+from ..errors import CortexError, NativeError
 from ..ilir.buffer import ILBuffer
 from ..ilir.codegen.c_codegen import signatures_from_json, signatures_to_json
 from ..ilir.codegen.compiled import CompiledModule
@@ -58,10 +61,8 @@ from ..ir import Const, DimRegistry, Var, dtype_of
 from ..linearizer import Linearizer, StructureKind
 from ..options import CompileOptions
 from ..ra.lowering import Lowered
-from ..runtime.memory import WorkspaceArena
 from ..runtime.native import (attach_native, source_hash,
                               warn_native_fallback)
-from ..runtime.plan import get_host_plan
 
 MANIFEST = "manifest.json"
 SOURCE = "module.py"
@@ -95,7 +96,7 @@ def save_model(model: CortexModel, path: Union[str, Path]) -> Path:
     path.mkdir(parents=True, exist_ok=True)
     module = model.lowered.module
     lin = model.lowered.linearizer
-    options: Optional[CompileOptions] = getattr(model, "options", None)
+    options = model.options
 
     manifest = {
         "name": module.name,
@@ -155,51 +156,7 @@ def save_model(model: CortexModel, path: Union[str, Path]) -> Path:
     return path
 
 
-class DeployedModel(RunnableModel):
-    """A reloaded artifact: the full runtime surface, without the compiler.
-
-    Shares :class:`~repro.api.RunnableModel` with the in-process model, so
-    ``run`` / ``run_many`` / ``server`` / ``release`` behave identically —
-    including workspace-arena pooling and cross-request coalescing.  Only
-    simulated-latency estimation is unavailable (no operator nests), so
-    ``run(device=...)`` raises.
-    """
-
-    def __init__(self, module: ILModule, linearizer: Linearizer,
-                 params: Dict[str, np.ndarray],
-                 options: Optional[CompileOptions] = None, *,
-                 native_so: Optional[Path] = None):
-        self.module = module
-        self.linearizer = linearizer
-        self.params = dict(params)
-        #: the CompileOptions the artifact was compiled under (None for
-        #: artifacts written before options were recorded)
-        self.options = options
-        self.compiled = CompiledModule(module)
-        self.lowered = Lowered(module=module, linearizer=linearizer)
-        if module.c_signatures is not None:
-            # reloaded modules carry no operator nests, so the launchers
-            # are rebuilt from the serialized signatures: the prebuilt
-            # .so when its source hash matched, a recompile of module.c
-            # otherwise, and a NativeFallbackWarning + Python kernels
-            # when no compiler is available
-            attach_native(self.compiled, so_path=native_so)
-        self.plan = get_host_plan(self.lowered, self.compiled)
-        self.arena = WorkspaceArena()
-        self._init_runtime()
-
-    def _check_device(self, device) -> None:
-        # covers run, run_many AND server(device=...): with no operator
-        # nests the cost model would sum zero traffic and report a
-        # wildly wrong simulated latency instead of failing
-        if device is not None:
-            raise ExecutionError(
-                "deployed artifacts execute numerics only; simulated-latency "
-                "estimation needs the full compiler session (operator nests "
-                "are not serialized)")
-
-
-def load_model(path: Union[str, Path]) -> DeployedModel:
+def load_model(path: Union[str, Path]) -> CortexModel:
     """Reconstruct a runnable model from an artifact directory.
 
     Restores the exact :class:`~repro.options.CompileOptions` from
@@ -267,5 +224,13 @@ def load_model(path: Union[str, Path]) -> DeployedModel:
             # signatures that cannot describe the library's ABI (written
             # before packed weights): serve through the Python kernels
             warn_native_fallback(e)
-    return DeployedModel(module, linearizer, params, options=options,
-                         native_so=native_so)
+    lowered = Lowered(module=module, linearizer=linearizer)
+    compiled = CompiledModule(module)
+    if module.c_signatures is not None:
+        # no operator nests to render from, so the launchers come from the
+        # serialized signatures: the prebuilt .so when its source hash
+        # matched, a recompile of module.c otherwise, and a
+        # NativeFallbackWarning + Python kernels when no compiler is around
+        attach_native(compiled, so_path=native_so)
+    return CortexModel(spec=None, program=None, lowered=lowered,
+                       compiled=compiled, params=params, options=options)

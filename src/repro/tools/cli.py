@@ -29,11 +29,10 @@ from typing import List, Optional
 import numpy as np
 
 from ..api import compile as compile_api
-from ..api import compile_model
 from ..baselines import cavs_like, dynet_like, pytorch_like
 from ..bench.harness import BENCH_VOCAB, format_table, paper_inputs
 from ..models import MODELS, get_model
-from ..options import PRESETS
+from ..options import PRESETS, CompileOptions
 from ..runtime import breakdown_from_cost, get_device
 from ..tune import grid_search
 
@@ -196,25 +195,23 @@ def cmd_models(args) -> int:
     return 0
 
 
-def _compile(args, options=None, spec=None, **extra):
+def _compile(args, options=None, spec=None):
     spec = spec if spec is not None else _resolve_cli_model(args)
     hidden = args.hidden or spec.hs
-    target = getattr(args, "target", "python")
+    options = (options or CompileOptions()).with_(
+        target=getattr(args, "target", "python"))
     # the registry drops `vocab` for models that never embed (dagrnn)
-    if options is not None:
-        return compile_api(spec, options.with_(target=target),
-                           hidden=hidden, vocab=BENCH_VOCAB), hidden
-    return compile_model(spec, hidden=hidden, vocab=BENCH_VOCAB,
-                         target=target, **extra), hidden
+    return compile_api(spec, options, hidden=hidden,
+                       vocab=BENCH_VOCAB), hidden
 
 
 def cmd_compile(args) -> int:
     if getattr(args, "preset", None):
         model, hidden = _compile(args, options=PRESETS[args.preset])
     else:
-        model, hidden = _compile(args, specialize=not args.no_specialize,
-                                 fusion=args.fusion,
-                                 persistence=args.fusion == "max")
+        model, hidden = _compile(args, options=CompileOptions(
+            specialize=not args.no_specialize, fusion=args.fusion,
+            persistence=args.fusion == "max"))
     mod = model.lowered.module
     print(f"compiled {args.model} (hidden={hidden})")
     if model.options is not None:
@@ -308,7 +305,6 @@ def cmd_export(args) -> int:
 def _serve_synthetic(args, *, tracer=None, profiler=None):
     """Compile (traced when a tracer rides along) and serve a synthetic
     stream; returns the drained server, its observability surfaces intact."""
-    from ..options import CompileOptions
     from ..pipeline import CompilerPipeline
     from ..serve import Deadline, MaxPendingRequests
 

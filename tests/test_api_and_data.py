@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro import CortexModel, compile_model
+import repro
+from repro import CompileOptions, CortexModel
 from repro.data import (grid_dag, grid_dag_batch, left_chain_tree,
                         perfect_binary_tree, random_binary_tree, random_dag,
                         synthetic_treebank)
 from repro.data.trees import SST_MAX_LEN, SST_MEAN_LEN, SST_MIN_LEN
-from repro.errors import LinearizationError, ScheduleError
+from repro.errors import LinearizationError
 from repro.linearizer import count_nodes, detect_kind, StructureKind, node_heights
 from repro.tools.cli import build_parser, main
 
@@ -17,8 +18,8 @@ VOCAB = 50
 
 # -- api -----------------------------------------------------------------------
 
-def test_compile_model_returns_cortex_model():
-    m = compile_model("treernn", hidden=8, vocab=VOCAB)
+def test_compile_returns_cortex_model():
+    m = repro.compile("treernn", hidden=8, vocab=VOCAB)
     assert isinstance(m, CortexModel)
     assert m.outputs == ["rnn"]
     assert "def k_fused" in m.python_source
@@ -28,34 +29,29 @@ def test_compile_model_returns_cortex_model():
     assert "#include <math.h>" in m.c_source
 
 
-def test_compile_model_unknown_name():
+def test_compile_unknown_name():
     with pytest.raises(KeyError, match="unknown model"):
-        compile_model("transformer")
+        repro.compile("transformer")
 
 
-def test_compile_model_schedule_knobs_reach_module():
-    m = compile_model("treernn", hidden=8, vocab=VOCAB, fusion="none",
-                      persistence=False, specialize=False,
-                      dynamic_batch=False)
+def test_compile_schedule_knobs_reach_module():
+    m = repro.compile("treernn", CompileOptions(
+        fusion="none", persistence=False, specialize=False,
+        dynamic_batch=False), hidden=8, vocab=VOCAB)
     meta = m.lowered.module.meta
     assert meta["fusion"] == "none"
     assert meta["specialize"] is False
     assert meta["dynamic_batch"] is False
 
 
-def test_compile_model_rejects_dag_unroll():
-    with pytest.raises(ScheduleError):
-        compile_model("dagrnn", hidden=8, unroll=True)
-
-
-def test_compile_model_accepts_custom_params():
+def test_compile_accepts_custom_params():
     spec_params = {"Emb": np.ones((VOCAB, 8), np.float32)}
-    m = compile_model("treernn", hidden=8, vocab=VOCAB, params=spec_params)
+    m = repro.compile("treernn", hidden=8, vocab=VOCAB, params=spec_params)
     assert m.params["Emb"][0, 0] == 1.0
 
 
 def test_run_accepts_single_root():
-    m = compile_model("treernn", hidden=8, vocab=VOCAB)
+    m = repro.compile("treernn", hidden=8, vocab=VOCAB)
     t = random_binary_tree(4, vocab_size=VOCAB)
     res = m.run(t)
     assert res.root_output("rnn").shape == (1, 8)
@@ -175,7 +171,7 @@ def test_memory_comparison_keys():
     from repro.analysis import memory_comparison
     from repro.runtime import V100
 
-    m = compile_model("treernn", hidden=8, vocab=VOCAB)
+    m = repro.compile("treernn", hidden=8, vocab=VOCAB)
     trees = synthetic_treebank(2, vocab_size=VOCAB,
                                rng=np.random.default_rng(0))
     mem = memory_comparison(m, trees, V100)

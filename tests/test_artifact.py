@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro import compile_model
+import repro
+from repro import CompileOptions
 from repro.data import synthetic_treebank
 from repro.errors import ExecutionError
 from repro.models import get_model
-from repro.tools.artifact import DeployedModel, load_model, save_model
+from repro.tools.artifact import load_model, save_model
 
 VOCAB = 50
 RNG = np.random.default_rng(9)
@@ -15,14 +16,14 @@ TREES = synthetic_treebank(3, vocab_size=VOCAB, rng=RNG)
 
 
 def _roundtrip(tmp_path, name, **kw):
-    model = compile_model(name, hidden=12, vocab=VOCAB, **kw)
+    model = repro.compile(name, CompileOptions(**kw), hidden=12, vocab=VOCAB)
     out = save_model(model, tmp_path / name)
     loaded = load_model(out)
     return model, loaded
 
 
 def test_artifact_files_written(tmp_path):
-    model = compile_model("treernn", hidden=8, vocab=VOCAB)
+    model = repro.compile("treernn", hidden=8, vocab=VOCAB)
     out = save_model(model, tmp_path / "m")
     assert (out / "manifest.json").exists()
     assert (out / "module.py").exists()
@@ -68,8 +69,9 @@ def test_loaded_model_validates_inputs(tmp_path):
 
 
 def test_manifest_roundtrips_linearizer_config(tmp_path):
-    model = compile_model("treegru", hidden=8, vocab=VOCAB, specialize=False,
-                          dynamic_batch=True)
+    model = repro.compile("treegru",
+                          CompileOptions(specialize=False, dynamic_batch=True),
+                          hidden=8, vocab=VOCAB)
     loaded = load_model(save_model(model, tmp_path / "g"))
-    assert loaded.linearizer.specialize_leaves is False
-    assert loaded.linearizer.dynamic_batch is True
+    assert loaded.lowered.linearizer.specialize_leaves is False
+    assert loaded.lowered.linearizer.dynamic_batch is True

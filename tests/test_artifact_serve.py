@@ -1,10 +1,10 @@
 """The compile -> save -> serve production loop, bit for bit.
 
-An artifact-deployed model implements the same ModelHandle surface as
-the in-process model, so `load_model(path).server()` must serve every
-request bit-identically to a `ModelServer` over the original — across
-flush policies — and `options.json` must restore the exact
-CompileOptions the artifact was compiled under.
+A reloaded artifact is a `CortexModel` like the in-process model, so
+`load_model(path).server()` must serve every request bit-identically to a
+`ModelServer` over the original — across flush policies — and
+`options.json` must restore the exact CompileOptions the artifact was
+compiled under.
 """
 
 import json
@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 
 import repro
-from repro import CompileOptions, ModelHandle
+from repro import CompileOptions, CortexModel
 from repro.data import synthetic_treebank
 from repro.errors import ExecutionError
 from repro.serve import Deadline, MaxPendingRequests, MaxTotalNodes
-from repro.tools.artifact import (OPTIONS, DeployedModel, load_model,
-                                  save_model)
+from repro.tools.artifact import OPTIONS, load_model, save_model
 
 VOCAB = 60
 RNG = np.random.default_rng(21)
@@ -58,8 +57,6 @@ def test_load_model_restores_exact_options(tmp_path):
 def test_resaving_without_options_clears_stale_options_json(tmp_path):
     """Re-using an artifact directory must not attribute the previous
     save's options.json to a model saved without options."""
-    from repro.api import CortexModel
-
     model, _, out = _artifact(tmp_path)
     bare = CortexModel(spec=model.spec, program=model.program,
                        lowered=model.lowered, compiled=model.compiled,
@@ -87,9 +84,12 @@ def test_pre_options_artifacts_still_load(tmp_path):
 # -- one model surface --------------------------------------------------------
 
 def test_deployed_model_implements_model_handle(tmp_path):
+    """A reloaded artifact is the in-process class, minus what only the
+    compiler has (the reloaded memo tests check the C target too)."""
     model, loaded, _ = _artifact(tmp_path)
-    assert isinstance(model, ModelHandle)
-    assert isinstance(loaded, ModelHandle)
+    assert type(model) is CortexModel and type(loaded) is CortexModel
+    assert loaded.spec is None and loaded.program is None
+    assert loaded.report is None and loaded.options == model.options
     assert loaded.default_outputs() == model.default_outputs()
 
 
@@ -110,25 +110,21 @@ def test_deployed_run_many_and_release_match_in_process(tmp_path):
 
 
 def test_deployed_model_rejects_simulated_device(tmp_path):
-    """Every device-accepting entry point must fail loudly: with no
-    operator nests the cost model would report a wildly wrong latency."""
+    """``run`` / ``run_many`` with a device fail loudly in
+    ``execute_plan``, before any lease: with no operator nests the cost
+    model would report a wildly wrong latency.  The same calls without a
+    device still run."""
     from repro.runtime import V100
 
     _, loaded, _ = _artifact(tmp_path)
     roots = _requests(1, np.random.default_rng(0))[0]
     with pytest.raises(ExecutionError, match="numerics only"):
-        loaded.run(roots, device=V100)
+        loaded.run(roots, device=V100, reuse=True)
     with pytest.raises(ExecutionError, match="numerics only"):
         loaded.run_many([roots], device=V100)
-    with pytest.raises(ExecutionError, match="numerics only"):
-        loaded.server(device=V100)
-    # direct server construction must be vetoed too, not just .server()
-    from repro.serve import ModelServer, Router
-
-    with pytest.raises(ExecutionError, match="numerics only"):
-        ModelServer(loaded, device=V100)
-    with pytest.raises(ExecutionError, match="numerics only"):
-        Router().add_model("m", loaded, device=V100)
+    assert loaded.arena.snapshot()["leased"] == 0
+    assert loaded.arena.stats.misses == 0      # refused before the lease
+    assert loaded.run(roots).simulated_time_s is None
 
 
 # -- artifact server == in-process server, across flush policies --------------

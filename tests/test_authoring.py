@@ -27,11 +27,12 @@ from repro.ir import reduce_axis, reduce_sum, sigmoid, tanh
 from repro.linearizer import StructureKind, branch, iter_nodes, leaf
 from repro.models import (MODELS, ModelSpec, RegistryError, get_model,
                           model_names, register, unregister)
-from repro.models import treefc, treegru, treelstm, treernn
 from repro.models.sequential import make_sequence
 from repro.ra.interp import InterpError, interpret_reference
 from repro.ra.tensor import NUM_NODES
 from repro.ra.node_ref import isleaf
+
+import handwritten_references
 
 VOCAB = 60
 RNG = np.random.default_rng(11)
@@ -62,11 +63,11 @@ def _as_tuple(value, multi):
 
 
 PORTED = {
-    "treefc": treefc.legacy_reference,
-    "treernn": treernn.legacy_reference,
-    "treegru": treegru.legacy_reference,
-    "simple_treegru": treegru.legacy_reference_simple,
-    "treelstm": treelstm.legacy_reference,
+    "treefc": handwritten_references.treefc,
+    "treernn": handwritten_references.treernn,
+    "treegru": handwritten_references.treegru,
+    "simple_treegru": handwritten_references.simple_treegru,
+    "treelstm": handwritten_references.treelstm,
 }
 
 
@@ -130,7 +131,7 @@ def test_treelstm_reference_infers_wide_arity():
     root = branch(leaf(1), leaf(2), branch(leaf(3), leaf(4), leaf(5)))
     params = spec.make_params(hidden=8, vocab=VOCAB)
     derived = spec.reference([root], params)
-    legacy = treelstm.legacy_reference([root], params)
+    legacy = handwritten_references.treelstm([root], params)
     for node in iter_nodes([root]):
         for dv, lv in zip(derived[id(node)], legacy[id(node)]):
             np.testing.assert_allclose(dv, lv, atol=LEGACY_ATOL)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import compile_model
+import repro
 from repro.baselines import (FEATURE_MATRIX, cavs_like, dynet_like, get_cell,
                              grnn_like, pytorch_like)
 from repro.baselines.framework import Ledger, VendorKernels
@@ -102,7 +102,7 @@ def test_contiguity_copies_charged_for_batched_frameworks():
 def test_cortex_beats_all_baselines_on_gpu():
     """The headline result: lowest latency across frameworks (Table 4/5)."""
     for name in ("treefc", "treegru", "treelstm"):
-        m = compile_model(name, hidden=256, vocab=VOCAB)
+        m = repro.compile(name, hidden=256, vocab=VOCAB)
         cortex = m.run(TREES, device=V100).simulated_time_s
         for runner in (pytorch_like, dynet_like, cavs_like):
             base = runner.run(name, m.params, TREES, V100).latency_s
@@ -112,7 +112,7 @@ def test_cortex_beats_all_baselines_on_gpu():
 def test_speedup_grows_with_batch_size_vs_pytorch():
     """Fig. 6: the PyTorch gap widens with batch size."""
     name = "treegru"
-    m = compile_model(name, hidden=256, vocab=VOCAB)
+    m = repro.compile(name, hidden=256, vocab=VOCAB)
     rng = np.random.default_rng(3)
     t1 = synthetic_treebank(1, vocab_size=VOCAB, rng=rng)
     t10 = synthetic_treebank(10, vocab_size=VOCAB, rng=rng)

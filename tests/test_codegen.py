@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import compile_model
+import repro
+from repro import CompileOptions
 from repro.errors import CodegenError
 from repro.ilir.codegen.compiled import CompiledModule
 from repro.ilir.codegen.python_codegen import generate_python
@@ -13,7 +14,8 @@ VOCAB = 50
 
 
 def _module(name="treefc", **kw):
-    return compile_model(name, hidden=8, vocab=VOCAB, **kw).lowered.module
+    return repro.compile(name, CompileOptions(**kw), hidden=8,
+                         vocab=VOCAB).lowered.module
 
 
 # -- python codegen -----------------------------------------------------------
@@ -34,7 +36,7 @@ def test_matvec_generates_einsum():
 
 
 def test_childsum_generates_masked_loop():
-    model = compile_model("treelstm", hidden=8, vocab=VOCAB)
+    model = repro.compile("treelstm", hidden=8, vocab=VOCAB)
     mod = model.lowered.module
     src = mod.python_source
     # declared arity 2: the masked accumulation is unrolled over the slots
@@ -91,9 +93,10 @@ def test_generated_source_is_deterministic():
 
 
 def test_rational_approx_appears_when_requested():
-    m = compile_model("treernn", hidden=8, vocab=VOCAB, rational_approx=True)
+    m = repro.compile("treernn", CompileOptions(rational_approx=True),
+                      hidden=8, vocab=VOCAB)
     assert "_tanh_rational" in m.python_source
-    m2 = compile_model("treernn", hidden=8, vocab=VOCAB)
+    m2 = repro.compile("treernn", hidden=8, vocab=VOCAB)
     assert "_tanh_rational(" not in m2.python_source.replace(
         "tanh_rational as _tanh_rational", "")
 

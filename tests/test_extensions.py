@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import compile_model
+import repro
+from repro import CompileOptions
 from repro.analysis import (compilation_report, kernel_report,
                             placement_report)
 from repro.baselines import dynet_like, nimble_like, pytorch_like
@@ -63,7 +64,7 @@ def test_nimble_no_batching_no_graph():
 
 def test_nary_treelstm_matches_reference():
     spec = get_model("treelstm_nary")
-    m = compile_model("treelstm_nary", hidden=12, vocab=VOCAB)
+    m = repro.compile("treelstm_nary", hidden=12, vocab=VOCAB)
     res = m.run(TREES)
     ref = spec.reference(TREES, m.params)
     for t in TREES:
@@ -76,8 +77,8 @@ def test_nary_treelstm_matches_reference():
 
 def test_nary_treelstm_differs_from_childsum():
     """Per-slot forget weights: a genuinely different model."""
-    m1 = compile_model("treelstm", hidden=12, vocab=VOCAB)
-    m2 = compile_model("treelstm_nary", hidden=12, vocab=VOCAB)
+    m1 = repro.compile("treelstm", hidden=12, vocab=VOCAB)
+    m2 = repro.compile("treelstm_nary", hidden=12, vocab=VOCAB)
     r1 = m1.run(TREES).root_output("rnn_h_ph")
     r2 = m2.run(TREES).root_output("rnn_h_ph")
     assert not np.allclose(r1, r2, atol=1e-3)
@@ -87,7 +88,8 @@ def test_nary_treelstm_differs_from_childsum():
                                    dict(fusion="none", persistence=False)])
 def test_nary_treelstm_schedules(sched):
     spec = get_model("treelstm_nary")
-    m = compile_model("treelstm_nary", hidden=8, vocab=VOCAB, **sched)
+    m = repro.compile("treelstm_nary", CompileOptions(**sched), hidden=8,
+                      vocab=VOCAB)
     res = m.run(TREES)
     ref = spec.reference_h(TREES, m.params)
     for t in TREES:
@@ -96,14 +98,14 @@ def test_nary_treelstm_schedules(sched):
 
 
 def test_nary_treelstm_single_barrier_per_level():
-    m = compile_model("treelstm_nary", hidden=8, vocab=VOCAB)
+    m = repro.compile("treelstm_nary", hidden=8, vocab=VOCAB)
     assert m.lowered.module.meta["barriers_per_level"] == 1
 
 
 # -- compilation reports ---------------------------------------------------------
 
 def test_placement_report_scopes():
-    m = compile_model("treefc", hidden=8, vocab=VOCAB)
+    m = repro.compile("treefc", hidden=8, vocab=VOCAB)
     rep = placement_report(m.lowered.module)
     assert "registers (persistent)" in rep
     assert "shared memory (dense-indexed)" in rep
@@ -111,7 +113,7 @@ def test_placement_report_scopes():
 
 
 def test_kernel_report_lists_nests_and_stages():
-    m = compile_model("treegru", hidden=8, vocab=VOCAB)
+    m = repro.compile("treegru", hidden=8, vocab=VOCAB)
     rep = kernel_report(m.lowered.module)
     assert "fused" in rep
     assert "2 barrier(s)/level" in rep
@@ -119,7 +121,7 @@ def test_kernel_report_lists_nests_and_stages():
 
 
 def test_compilation_report_mentions_folding():
-    m = compile_model("treelstm", hidden=8, vocab=VOCAB)
+    m = repro.compile("treelstm", hidden=8, vocab=VOCAB)
     rep = compilation_report(m.lowered.module)
     assert "leaf_c" in rep  # constant-folded zero leaf state
     assert "schedule: fusion=max" in rep

@@ -4,7 +4,7 @@ printer corners, executor without a device."""
 import numpy as np
 import pytest
 
-from repro import compile_model
+import repro
 from repro.baselines import grnn_like
 from repro.data import synthetic_treebank
 from repro.data.vocab import random_embeddings, random_words
@@ -53,7 +53,7 @@ def test_vocab_helpers():
 
 
 def test_run_without_device_has_no_cost():
-    m = compile_model("treernn", hidden=8, vocab=VOCAB)
+    m = repro.compile("treernn", hidden=8, vocab=VOCAB)
     trees = synthetic_treebank(1, vocab_size=VOCAB, rng=RNG)
     res = m.run(trees)
     assert res.cost is None

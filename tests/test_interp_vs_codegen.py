@@ -9,7 +9,8 @@ strongest end-to-end semantic check in the suite.
 import numpy as np
 import pytest
 
-from repro import compile_model
+import repro
+from repro import CompileOptions
 from repro.data import grid_dag_batch, synthetic_treebank
 from repro.ilir.interp import run_module
 
@@ -21,9 +22,10 @@ TREES = synthetic_treebank(2, vocab_size=VOCAB, rng=RNG)
 
 def _interp_vs_codegen(name, roots, **schedule):
     if name == "dagrnn":
-        model = compile_model(name, hidden=HIDDEN, **schedule)
+        model = repro.compile(name, CompileOptions(**schedule), hidden=HIDDEN)
     else:
-        model = compile_model(name, hidden=HIDDEN, vocab=VOCAB, **schedule)
+        model = repro.compile(name, CompileOptions(**schedule), hidden=HIDDEN,
+                              vocab=VOCAB)
     module = model.lowered.module
     lin = model.lowered.linearizer(roots)
     res = model.run(roots)
@@ -59,7 +61,7 @@ def test_interpreter_matches_codegen_no_specialization():
 
 
 def test_interpreter_counts_fused_barriers():
-    model = compile_model("treegru", hidden=HIDDEN, vocab=VOCAB)
+    model = repro.compile("treegru", hidden=HIDDEN, vocab=VOCAB)
     module = model.lowered.module
     lin = model.lowered.linearizer(TREES)
     c = model.plan.bind_scalars(lin)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import compile_model
+import repro
+from repro import CompileOptions
 from repro.errors import LoweringError
 from repro.ir import tanh
 from repro.linearizer import StructureKind
@@ -19,7 +20,7 @@ def test_lowering_requires_recursion():
 
 
 def test_fused_kernel_structure():
-    m = compile_model("treefc", hidden=8, vocab=30)
+    m = repro.compile("treefc", hidden=8, vocab=30)
     mod = m.lowered.module
     fused = mod.fused_kernel
     assert fused is not None
@@ -30,8 +31,9 @@ def test_fused_kernel_structure():
 
 
 def test_no_fusion_one_kernel_per_operator():
-    m = compile_model("treefc", hidden=8, vocab=30, fusion="none",
-                      persistence=False)
+    m = repro.compile("treefc",
+                      CompileOptions(fusion="none", persistence=False),
+                      hidden=8, vocab=30)
     kinds = [k.kind for k in m.lowered.module.kernels]
     assert "fused" not in kinds
     # operators: lh, rh, ml, mr, rec_h -> 5 level kernels; leaf_h -> 1 leaf
@@ -40,7 +42,7 @@ def test_no_fusion_one_kernel_per_operator():
 
 
 def test_specialization_splits_leaf_and_level_nests():
-    m = compile_model("treernn", hidden=8, vocab=30)
+    m = repro.compile("treernn", hidden=8, vocab=30)
     fused = m.lowered.module.fused_kernel
     leaf = [n for n in fused.nests if n.phase == "leaf"]
     level = [n for n in fused.nests if n.phase == "level"]
@@ -51,7 +53,8 @@ def test_specialization_splits_leaf_and_level_nests():
 
 
 def test_conditional_operator_without_specialization():
-    m = compile_model("treernn", hidden=8, vocab=30, specialize=False)
+    m = repro.compile("treernn", CompileOptions(specialize=False), hidden=8,
+                      vocab=30)
     fused = m.lowered.module.fused_kernel
     names = [n.name for n in fused.nests]
     assert "body_h" in names  # the select nest exists
@@ -63,14 +66,14 @@ def test_conditional_operator_without_specialization():
 
 
 def test_zero_leaf_state_is_constant_folded():
-    m = compile_model("treelstm", hidden=8, vocab=30)
+    m = repro.compile("treelstm", hidden=8, vocab=30)
     assert "leaf_c" in m.lowered.module.meta["zero_folded"]
     fused = m.lowered.module.fused_kernel
     assert all(n.name != "leaf_c" for n in fused.nests)
 
 
 def test_node_independent_leaf_value_is_hoisted():
-    m = compile_model("mvrnn", hidden=8, vocab=30)
+    m = repro.compile("mvrnn", hidden=8, vocab=30)
     mod = m.lowered.module
     hoisted = [k for k in mod.kernels if k.kind == "hoisted"]
     assert len(hoisted) == 1
@@ -82,7 +85,7 @@ def test_node_independent_leaf_value_is_hoisted():
 
 
 def test_dense_indexing_applied_to_intermediates():
-    m = compile_model("treefc", hidden=8, vocab=30)
+    m = repro.compile("treefc", hidden=8, vocab=30)
     bufs = m.lowered.module.buffers
     for name in ("lh", "rh", "ml", "mr"):
         assert bufs[name].dense_indexed, name
@@ -94,44 +97,50 @@ def test_dense_indexing_applied_to_intermediates():
 
 
 def test_dense_indexing_disabled_without_fusion():
-    m = compile_model("treefc", hidden=8, vocab=30, fusion="none",
-                      persistence=False)
+    m = repro.compile("treefc",
+                      CompileOptions(fusion="none", persistence=False),
+                      hidden=8, vocab=30)
     bufs = m.lowered.module.buffers
     assert not bufs["lh"].dense_indexed
     assert bufs["lh"].scope == "global"
 
 
 def test_persistence_moves_params_to_registers():
-    m = compile_model("treefc", hidden=8, vocab=30, persistence=True)
+    m = repro.compile("treefc", CompileOptions(persistence=True), hidden=8,
+                      vocab=30)
     bufs = m.lowered.module.buffers
     assert bufs["Wl"].scope == "register"
-    m2 = compile_model("treefc", hidden=8, vocab=30, persistence=False)
+    m2 = repro.compile("treefc", CompileOptions(persistence=False), hidden=8,
+                       vocab=30)
     assert m2.lowered.module.buffers["Wl"].scope == "param"
 
 
 def test_barriers_per_level_from_reduction_depth():
-    assert compile_model("treernn", hidden=8, vocab=30) \
+    assert repro.compile("treernn", hidden=8, vocab=30) \
         .lowered.module.meta["barriers_per_level"] == 1
-    assert compile_model("treegru", hidden=8, vocab=30) \
+    assert repro.compile("treegru", hidden=8, vocab=30) \
         .lowered.module.meta["barriers_per_level"] == 2
-    assert compile_model("treelstm", hidden=8, vocab=30) \
+    assert repro.compile("treelstm", hidden=8, vocab=30) \
         .lowered.module.meta["barriers_per_level"] == 1
 
 
 def test_refactoring_reduces_barriers_only_when_legal():
-    gru = compile_model("treegru", hidden=8, vocab=30, refactor=True)
-    sgru = compile_model("simple_treegru", hidden=8, vocab=30, refactor=True)
+    gru = repro.compile("treegru", CompileOptions(refactor=True), hidden=8,
+                        vocab=30)
+    sgru = repro.compile("simple_treegru", CompileOptions(refactor=True),
+                         hidden=8, vocab=30)
     assert gru.lowered.module.meta["barriers_per_level"] == 2
     assert sgru.lowered.module.meta["barriers_per_level"] == 1
 
 
 def test_unroll_marks_level_pairing_and_extra_barriers():
-    rnn = compile_model("treernn", hidden=8, vocab=30, unroll=True,
-                        per_block=True)
+    rnn = repro.compile("treernn", CompileOptions(unroll=True, per_block=True),
+                        hidden=8, vocab=30)
     fused = rnn.lowered.module.fused_kernel
     assert fused.level_pairing
     assert fused.unroll_extra_barriers == 0
-    lstm = compile_model("treelstm", hidden=8, vocab=30, unroll=True)
+    lstm = repro.compile("treelstm", CompileOptions(unroll=True), hidden=8,
+                         vocab=30)
     fused2 = lstm.lowered.module.fused_kernel
     assert fused2.unroll_extra_barriers > 0  # Fig. 11
 
@@ -140,18 +149,18 @@ def test_all_bound_checks_eliminated_for_zoo():
     """Every access of every model is proven in bounds (App. A.1 story)."""
     for name in ("treernn", "treefc", "treegru", "treelstm", "mvrnn",
                  "dagrnn", "seq_lstm", "seq_gru"):
-        m = compile_model(name, hidden=8, vocab=30) if name != "dagrnn" \
-            else compile_model(name, hidden=8)
+        m = repro.compile(name, hidden=8, vocab=30) if name != "dagrnn" \
+            else repro.compile(name, hidden=8)
         for nest_name, rep in m.lowered.bounds.items():
             assert rep.all_proven, f"{name}.{nest_name}: {rep.residual}"
 
 
 def test_pre_ops_become_upfront_matmul_kernels():
-    m = compile_model("seq_lstm", hidden=8, vocab=30)
+    m = repro.compile("seq_lstm", hidden=8, vocab=30)
     pre = [k for k in m.lowered.module.kernels if k.kind == "pre"]
     assert {k.name for k in pre} == {"xi", "xo", "xf", "xu"}
 
 
 def test_state_buffers_listed():
-    m = compile_model("treelstm", hidden=8, vocab=30)
+    m = repro.compile("treelstm", hidden=8, vocab=30)
     assert set(m.lowered.module.state_buffers) == {"rnn_h_ph", "rnn_c_ph"}

@@ -45,19 +45,20 @@ from repro.runtime.native import native_available
 from repro.serve import FaultInjector, MaxPendingRequests, ModelServer
 from repro.serve.coalescer import coalesce
 from repro.serve.request import Request
+from repro.tools.artifact import load_model, save_model
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
 VOCAB = 120
 
 
-def _small_model(name, **kw):
-    args = dict(hidden=8, **kw)
+def _small_model(name, **options):
+    args = dict(hidden=8)
     if name == "dagrnn":
         args["num_cells"] = 64
     else:
         args["vocab"] = VOCAB
-    return api.compile_model(name, **args)
+    return api.compile(name, CompileOptions(**options), **args)
 
 
 def _stream(name, n, seed):
@@ -300,6 +301,79 @@ def test_session_rejects_foreign_splicer():
     splicer = MemoSplicer(a)
     with pytest.raises(MemoError):
         MemoSession(b, splicer=splicer)
+
+
+# ---------------------------------------------------------------------------
+# a reloaded artifact memoizes exactly like the model it was saved from
+
+
+@pytest.mark.parametrize("target", ["python", "c"])
+def test_reloaded_memo_artifact_serves_like_the_in_process_model(
+        target, tmp_path):
+    """``memo="on"`` survives save -> load: the reloaded model's default
+    server memoizes a 200-request Zipf stream with the in-process memo
+    server's bits, hits and executed nodes, and so does a MemoSession."""
+    if target == "c" and not native_available():
+        pytest.skip("no C compiler on the host")
+    m = api.compile("treelstm", CompileOptions(memo="on", target=target),
+                    hidden=8, vocab=VOCAB)
+    dep = load_model(save_model(m, tmp_path / "artifact"))
+    assert type(dep) is type(m) is api.CortexModel
+    assert splice_refusal(dep) is None
+    stream = zipf_tree_stream(200, vocab_size=VOCAB, seed=CHAOS_SEED)
+    servers = [model.server(policy=MaxPendingRequests(8))
+               for model in (m, dep)]
+    assert all(s.memo is not None for s in servers)
+    ours, theirs = (s.serve_forever(stream) for s in servers)
+    outs = m.default_outputs()
+    for ha, hb in zip(ours, theirs):
+        for out in outs:
+            assert np.array_equal(ha.result().root_output(out),
+                                  hb.result().root_output(out)), out
+    want, got = (s.metrics_snapshot()["memo"] for s in servers)
+    assert got["hits"] > 0 and got["executed_nodes"] < got["total_nodes"]
+    for key in ("lookups", "hits", "executed_nodes", "total_nodes"):
+        assert got[key] == want[key], key
+    sessions = [MemoSession(model) for model in (m, dep)]
+    for roots in stream[:40]:
+        a, b = (s.run(roots) for s in sessions)
+        for out in outs:
+            assert np.array_equal(a[out], b[out]), out
+    assert sessions[1].stats()["hits"] == sessions[0].stats()["hits"] > 0
+
+
+def test_reloaded_artifact_refuses_memo_with_the_in_process_reason(tmp_path):
+    m = api.compile("treernn", DEBUG, hidden=8, vocab=VOCAB)
+    dep = load_model(save_model(m, tmp_path / "artifact"))
+    assert "dynamic batching" in splice_refusal(m)
+    assert splice_refusal(dep) == splice_refusal(m)
+    messages = []
+    for model in (m, dep):
+        with pytest.raises(SpliceRefusedError) as info:
+            model.server(memo="on")
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_artifact_without_splice_verdict_refuses_memo_asking_for_resave(
+        tmp_path):
+    """A manifest written before the verdict was shipped still loads and
+    runs; only memoization is refused, typed, naming the field."""
+    m = api.compile("treernn", CompileOptions(memo="on"), hidden=8,
+                    vocab=VOCAB)
+    path = save_model(m, tmp_path / "artifact")
+    manifest = json.loads((path / "manifest.json").read_text())
+    del manifest["meta"]["splice_refusal"]
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    dep = load_model(path)
+    tree = zipf_tree_stream(1, vocab_size=VOCAB)[0]
+    assert np.array_equal(dep.run(tree).root_output("rnn"),
+                          m.run(tree).root_output("rnn"))
+    resave = r"meta\.splice_refusal is missing.*re-save"
+    with pytest.raises(SpliceRefusedError, match=resave):
+        dep.server()
+    with pytest.raises(SpliceRefusedError, match=resave):
+        MemoSession(dep)
 
 
 # ---------------------------------------------------------------------------

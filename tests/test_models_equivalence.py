@@ -8,7 +8,8 @@ random inputs — the core correctness property of the whole compiler.
 import numpy as np
 import pytest
 
-from repro import compile_model
+import repro
+from repro import CompileOptions
 from repro.data import grid_dag_batch, random_binary_tree, synthetic_treebank
 from repro.models import MODELS, get_model
 from repro.models.sequential import make_sequence
@@ -44,9 +45,10 @@ def _check(name, schedule_kw, rng):
     spec = get_model(name)
     kw = dict(schedule_kw)
     if name == "dagrnn":
-        model = compile_model(name, hidden=HIDDEN, **kw)
+        model = repro.compile(name, CompileOptions(**kw), hidden=HIDDEN)
     else:
-        model = compile_model(name, hidden=HIDDEN, vocab=VOCAB, **kw)
+        model = repro.compile(name, CompileOptions(**kw), hidden=HIDDEN,
+                              vocab=VOCAB)
     roots = _roots_for(name, rng)
     res = model.run(roots)
     ref = spec.reference_h(roots, model.params)
@@ -92,7 +94,7 @@ def test_unroll_schedule_preserves_numerics():
 def test_single_leaf_tree():
     """Degenerate input: one leaf node (root is the leaf)."""
     spec = get_model("treernn")
-    model = compile_model("treernn", hidden=HIDDEN, vocab=VOCAB)
+    model = repro.compile("treernn", hidden=HIDDEN, vocab=VOCAB)
     from repro.linearizer import leaf
 
     t = leaf(7)
@@ -107,7 +109,7 @@ def test_deep_unbalanced_tree():
     from repro.data import left_chain_tree
 
     spec = get_model("treegru")
-    model = compile_model("treegru", hidden=8, vocab=VOCAB)
+    model = repro.compile("treegru", hidden=8, vocab=VOCAB)
     t = left_chain_tree(12, vocab_size=VOCAB)
     res = model.run([t])
     ref = spec.reference_h([t], model.params)
@@ -120,14 +122,14 @@ def test_all_states_of_multi_state_models():
     rng = np.random.default_rng(7)
     trees = synthetic_treebank(3, vocab_size=VOCAB, rng=rng)
 
-    m = compile_model("treelstm", hidden=HIDDEN, vocab=VOCAB)
+    m = repro.compile("treelstm", hidden=HIDDEN, vocab=VOCAB)
     res = m.run(trees)
     ref = get_model("treelstm").reference(trees, m.params)
     order = np.argsort([res.lin.node_id(t) for t in trees])
     exp_c = np.stack([ref[id(trees[i])][1] for i in order])
     np.testing.assert_allclose(res.root_output("rnn_c_ph"), exp_c, atol=ATOL)
 
-    m2 = compile_model("mvrnn", hidden=8, vocab=VOCAB)
+    m2 = repro.compile("mvrnn", hidden=8, vocab=VOCAB)
     res2 = m2.run(trees)
     ref2 = get_model("mvrnn").reference(trees, m2.params)
     exp_m = np.stack([ref2[id(trees[i])][1] for i in order])
@@ -137,9 +139,9 @@ def test_all_states_of_multi_state_models():
 def test_rational_approximation_is_close_but_inexact():
     rng = np.random.default_rng(8)
     trees = synthetic_treebank(2, vocab_size=VOCAB, rng=rng)
-    exact = compile_model("treernn", hidden=HIDDEN, vocab=VOCAB)
-    approx = compile_model("treernn", hidden=HIDDEN, vocab=VOCAB,
-                           rational_approx=True)
+    exact = repro.compile("treernn", hidden=HIDDEN, vocab=VOCAB)
+    approx = repro.compile("treernn", CompileOptions(rational_approx=True),
+                           hidden=HIDDEN, vocab=VOCAB)
     r1 = exact.run(trees).root_output("rnn")
     r2 = approx.run(trees).root_output("rnn")
     assert np.max(np.abs(r1 - r2)) < 0.1
@@ -150,7 +152,7 @@ def test_batch_of_identical_trees():
     rng = np.random.default_rng(9)
     t = random_binary_tree(6, vocab_size=VOCAB, rng=rng)
     spec = get_model("treefc")
-    model = compile_model("treefc", hidden=HIDDEN, vocab=VOCAB)
+    model = repro.compile("treefc", hidden=HIDDEN, vocab=VOCAB)
     # same shape, shared nothing: two distinct trees built the same way
     t2 = random_binary_tree(6, vocab_size=VOCAB, rng=np.random.default_rng(9))
     res = model.run([t, t2])

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import compile_model
+import repro
+from repro import CompileOptions
 from repro.ilir.bounds import (Facts, default_linearizer_facts, infer_shape,
                                set_symbolic_extent)
 from repro.ir import Interval, TensorRead, Var, structural_equal, uf
@@ -14,7 +15,7 @@ VOCAB = 40
 
 def test_lowering_registers_listing3_relation():
     """d_node <- (d_all_batches, d_batch) via batch_begin(b) + n_idx."""
-    m = compile_model("treernn", hidden=8, vocab=VOCAB)
+    m = repro.compile("treernn", hidden=8, vocab=VOCAB)
     dims = m.lowered.module.dims
     d_node = dims.lookup("d_node")
     assert d_node is not None
@@ -27,7 +28,7 @@ def test_lowering_registers_listing3_relation():
 
 
 def test_axes_carry_named_dims():
-    m = compile_model("treegru", hidden=8, vocab=VOCAB)
+    m = repro.compile("treegru", hidden=8, vocab=VOCAB)
     fused = m.lowered.module.fused_kernel
     node_axes = [n.node_axis for n in fused.nests if n.node_axis]
     assert node_axes
@@ -93,8 +94,9 @@ def test_seq_gru_refactor_halves_barriers():
 
     rng = np.random.default_rng(0)
     seqs = [make_sequence(list(rng.integers(0, VOCAB, 20)))]
-    plain = compile_model("seq_gru", hidden=16, vocab=VOCAB)
-    refd = compile_model("seq_gru", hidden=16, vocab=VOCAB, refactor=True)
+    plain = repro.compile("seq_gru", hidden=16, vocab=VOCAB)
+    refd = repro.compile("seq_gru", CompileOptions(refactor=True), hidden=16,
+                         vocab=VOCAB)
     b1 = plain.run(seqs, device=V100).cost.barriers
     b2 = refd.run(seqs, device=V100).cost.barriers
     assert b1 == 2 * b2  # 2 barriers/step -> 1 (GRNN GRU optimization)

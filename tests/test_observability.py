@@ -39,7 +39,7 @@ VOCAB = 120
 
 
 def _small_model(name="treelstm", **kw):
-    return api.compile_model(name, hidden=8, vocab=VOCAB, **kw)
+    return api.compile(name, CompileOptions(**kw), hidden=8, vocab=VOCAB)
 
 
 def _tree(rng, batch=1):
@@ -363,7 +363,7 @@ def test_pool_snapshot_aggregates_preserve_pinned_keys():
     from repro import api
     from repro.serve import MaxPendingRequests, WorkerPool
 
-    model = api.compile_model("treefc", hidden=8, vocab=50)
+    model = api.compile("treefc", hidden=8, vocab=50)
     pool = WorkerPool(model, replicas=2, policy=MaxPendingRequests(2))
     from repro.data import synthetic_treebank
     rng = np.random.default_rng(0)

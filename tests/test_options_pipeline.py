@@ -4,23 +4,21 @@ Covers the PR's acceptance criteria: eager option validation (illegal
 combinations raise instead of being coerced), preset/`with_` derivation,
 cross-process-stable cache keys, staged compilation with per-stage
 records and hooks, Session compile-count elimination (equal options ->
-the same model object), bit-identity between `compile(spec, options)`
-and the legacy `compile_model(**kwargs)` shim, the shared Validate enum,
-and the `_prog_of` owning-program fix.
+the same model object), the Validate enum as the one spelling of
+`validate=`, and the `_prog_of` owning-program fix.
 """
 
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
-from repro import CompileOptions, Session, Validate, compile_model
-from repro.data import grid_dag_batch, synthetic_treebank
+from repro import CompileOptions, Session, Validate
+from repro.data import synthetic_treebank
 from repro.errors import IRError, ScheduleError
 from repro.models import get_model
 from repro.options import DEBUG, PAPER_HEADLINE, PRESETS, UNFUSED_ABLATION
@@ -72,8 +70,6 @@ def test_presets_are_valid_and_registered():
     assert UNFUSED_ABLATION.fusion == "none"
     assert not UNFUSED_ABLATION.persistence
     assert not DEBUG.dynamic_batch and not DEBUG.specialize
-    # class-attribute aliases point at the same objects
-    assert CompileOptions.PAPER_HEADLINE is PAPER_HEADLINE
 
 
 def test_dict_roundtrip_and_unknown_fields():
@@ -163,60 +159,6 @@ def test_pipeline_rejects_dag_unroll_at_schedule_stage():
     with pytest.raises(ScheduleError, match="trees and sequences"):
         repro.compile("dagrnn", CompileOptions(unroll=True), hidden=8,
                       num_cells=64)
-
-
-# -- compile vs legacy shim: bit-identity -------------------------------------
-
-ZOO = (("treernn", {"vocab": VOCAB}), ("treelstm", {"vocab": VOCAB}),
-       ("seq_gru", {"vocab": VOCAB}), ("dagrnn", {"num_cells": 64}))
-
-
-@pytest.mark.parametrize("name,kw", ZOO, ids=[z[0] for z in ZOO])
-def test_compile_and_legacy_shim_bit_identical(name, kw):
-    spec = get_model(name)
-    params = spec.make_params(hidden=8, rng=np.random.default_rng(5), **kw)
-    legacy = compile_model(name, hidden=8, params=params, **kw)
-    unified = repro.compile(name, CompileOptions(), hidden=8, params=params,
-                            **kw)
-    # identical generated artifacts...
-    assert legacy.python_source == unified.python_source
-    assert legacy.c_source == unified.c_source
-    # ...identical host plans...
-    for a, b in zip(legacy.plan.buffers, unified.plan.buffers):
-        assert (a.name, a.dims, a.needs_zero, a.required_param) == \
-            (b.name, b.dims, b.needs_zero, b.required_param)
-    for phase in ("pre", "leaf", "level", "fused", "post"):
-        assert [n for n, _ in getattr(legacy.plan, phase)] == \
-            [n for n, _ in getattr(unified.plan, phase)]
-    # ...identical outputs, bit for bit
-    if name == "dagrnn":
-        roots = grid_dag_batch(2, 3, 3)
-    elif name == "seq_gru":
-        from repro.models.sequential import make_sequence
-        rng = np.random.default_rng(0)
-        roots = [make_sequence(list(rng.integers(0, VOCAB, 6)))]
-    else:
-        roots = TREES
-    ra, rb = legacy.run(roots), unified.run(roots)
-    for out in legacy.default_outputs():
-        assert np.array_equal(ra.output(out), rb.output(out)), out
-
-
-def test_legacy_shim_coerces_explicit_persistence_with_warning():
-    with pytest.warns(DeprecationWarning, match="disables persistence"):
-        m = compile_model("treernn", hidden=8, vocab=VOCAB, fusion="none",
-                          persistence=True)
-    assert m.options.persistence is False
-    assert m.lowered.module.meta["persistence"] is False
-
-
-def test_legacy_shim_default_persistence_follows_fusion_silently():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # any warning fails the test
-        m = compile_model("treernn", hidden=8, vocab=VOCAB, fusion="none")
-    assert m.options.persistence is False
-    m2 = compile_model("treernn", hidden=8, vocab=VOCAB)
-    assert m2.options.persistence is True
 
 
 # -- Session ------------------------------------------------------------------
@@ -310,24 +252,24 @@ def test_grid_search_shares_compiles_through_session():
 
 # -- Validate enum ------------------------------------------------------------
 
-def test_validate_coerce_accepts_all_legacy_spellings():
-    assert Validate.coerce(True) is Validate.ALWAYS
-    assert Validate.coerce(False) is Validate.NEVER
-    assert Validate.coerce("first") is Validate.FIRST
-    assert Validate.coerce(Validate.NEVER) is Validate.NEVER
-    with pytest.raises(ValueError, match="first/always/never"):
-        Validate.coerce("sometimes")
-    with pytest.raises(ValueError):
-        Validate.coerce(3)
+def test_validate_refuses_legacy_spellings():
+    """``validate=`` takes Validate members only: the old bool and string
+    spellings are a TypeError naming the enum, at every entry point."""
+    m = repro.compile("treernn", hidden=8, vocab=VOCAB)
+    for legacy in (True, False, "first", "never", "sometimes", 3, None):
+        with pytest.raises(TypeError, match="repro.Validate member"):
+            m.run(TREES, validate=legacy)
+        with pytest.raises(TypeError, match="repro.Validate member"):
+            m.run_many([TREES], validate=legacy)
+    assert not hasattr(Validate, "coerce")
 
 
 def test_run_and_run_many_accept_validate_enum():
-    m = compile_model("treernn", hidden=8, vocab=VOCAB)
+    m = repro.compile("treernn", hidden=8, vocab=VOCAB)
     ref = m.run(TREES).output("rnn").copy()
     assert np.array_equal(m.run(TREES, validate=Validate.NEVER).output("rnn"),
                           ref)
-    for mode in (Validate.FIRST, Validate.ALWAYS, Validate.NEVER, True,
-                 False, "first"):
+    for mode in (Validate.FIRST, Validate.ALWAYS, Validate.NEVER):
         res = m.run_many([TREES], validate=mode)
         assert np.array_equal(res[0].root_output("rnn"),
                               ref[m.lowered.linearizer(TREES).roots])

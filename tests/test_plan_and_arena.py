@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import api
+from repro import CompileOptions, Validate, api
 from repro.data import synthetic_treebank
 from repro.errors import ExecutionError
 from repro.ir import evaluate
@@ -38,13 +38,13 @@ from repro.tools.artifact import load_model, save_model
 VOCAB = 120
 
 
-def _small_model(name, **schedule):
-    kw = dict(hidden=8, **schedule)
+def _small_model(name, **options):
+    args = dict(hidden=8)
     if name == "dagrnn":
-        kw["num_cells"] = 64
+        args["num_cells"] = 64
     else:
-        kw["vocab"] = VOCAB
-    return api.compile_model(name, **kw)
+        args["vocab"] = VOCAB
+    return api.compile(name, CompileOptions(**options), **args)
 
 
 def _inputs(name, rng, batch=3):
@@ -98,10 +98,11 @@ def test_plan_execute_bit_identical_across_zoo(name):
 
 
 @pytest.mark.parametrize("schedule", [
-    dict(fusion="none"),
+    dict(fusion="none", persistence=False),
     dict(specialize=False),
     dict(dynamic_batch=False),
-    dict(fusion="none", specialize=False, dynamic_batch=False),
+    dict(fusion="none", persistence=False, specialize=False,
+         dynamic_batch=False),
     dict(dense_intermediates=False),
 ])
 def test_plan_execute_bit_identical_schedule_variants(schedule):
@@ -116,11 +117,11 @@ def test_plan_is_cached_on_compiled_module():
     p1 = get_host_plan(m.lowered, m.compiled)
     p2 = get_host_plan(m.lowered, m.compiled)
     assert p1 is p2
-    assert p1 is m.plan  # compile_model built it eagerly
+    assert p1 is m.plan  # compile() built it eagerly
 
 
 def test_plan_partitions_kernels_like_module_steps():
-    m = _small_model("treelstm", fusion="none")
+    m = _small_model("treelstm", fusion="none", persistence=False)
     plan = m.plan
     kinds = {k.kind for k in m.lowered.module.kernels}
     assert {"leaf", "level"} <= kinds
@@ -359,10 +360,10 @@ def test_run_with_device_attaches_cost():
 def test_run_many_validate_modes():
     m = _small_model("treernn")
     roots = _inputs("treernn", np.random.default_rng(0), batch=1)
-    for mode in ("first", "always", "never"):
+    for mode in (Validate.FIRST, Validate.ALWAYS, Validate.NEVER):
         assert m.run_many([roots, roots], validate=mode)
-    with pytest.raises(ValueError):
-        m.run_many([roots], validate="sometimes")
+    with pytest.raises(TypeError, match="Validate"):
+        m.run_many([roots], validate="first")
     # validation still fires on the first batch: a DAG fed to a tree model
     shared = leaf(3)
     dag = branch(branch(shared, leaf(1)), shared)
@@ -753,13 +754,14 @@ def _plan_shape(plan):
     return kinds, [(b.name, b.needs_zero) for b in plan.buffers]
 
 
-@pytest.mark.parametrize("schedule", [dict(), dict(fusion="none")],
+@pytest.mark.parametrize("schedule",
+                         [dict(), dict(fusion="none", persistence=False)],
                          ids=["headline", "unfused"])
 @pytest.mark.parametrize("name", list(MODELS))
 def test_artifact_roundtrip_plan_parity(name, schedule, tmp_path):
     """save -> load yields the same launch records and the same per-buffer
-    ``needs_zero`` as ``m.plan``, bitwise-equal outputs, and a memo refusal
-    that says why (no nests to analyze)."""
+    ``needs_zero`` as ``m.plan``, bitwise-equal outputs, and the same
+    splice verdict (the one lowering recorded, shipped in the manifest)."""
     from repro.memo import splice_refusal
 
     m = _small_model(name, **schedule)
@@ -768,7 +770,9 @@ def test_artifact_roundtrip_plan_parity(name, schedule, tmp_path):
     assert _plan_shape(dep.plan) == _plan_shape(m.plan)
     assert dep.python_source == m.python_source
     _assert_ws_identical(m.run(roots), dep.run(roots), name)
-    assert "no operator nests" in splice_refusal(dep)
+    assert splice_refusal(dep) == splice_refusal(m)
+    assert dep.lowered.module.meta["splice_refusal"] == \
+        m.lowered.module.meta["splice_refusal"]
 
 
 def test_load_model_refuses_artifact_without_zero_fill_verdicts(tmp_path):

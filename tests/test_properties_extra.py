@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import compile_model
+import repro
 from repro.data import random_binary_tree, synthetic_treebank
 from repro.errors import ExecutionError, LinearizationError
 from repro.ir import Interval, simplify, structural_equal
@@ -49,7 +49,7 @@ def test_interval_unbounded_mul():
 # -- cost-model monotonicity --------------------------------------------------------
 
 def test_latency_monotone_in_batch_size():
-    m = compile_model("treegru", hidden=32, vocab=VOCAB)
+    m = repro.compile("treegru", hidden=32, vocab=VOCAB)
     rng = np.random.default_rng(0)
     trees = synthetic_treebank(8, vocab_size=VOCAB, rng=rng)
     t2 = m.run(trees[:2], device=V100).simulated_time_s
@@ -62,7 +62,7 @@ def test_flops_monotone_in_hidden_size():
     trees = synthetic_treebank(3, vocab_size=VOCAB, rng=rng)
     f = {}
     for h in (16, 64):
-        m = compile_model("treegru", hidden=h, vocab=VOCAB)
+        m = repro.compile("treegru", hidden=h, vocab=VOCAB)
         f[h] = m.run(trees, device=V100).cost.flops
     assert f[64] > 4 * f[16]  # matvecs are quadratic in hidden size
 
@@ -72,7 +72,7 @@ def test_flops_monotone_in_hidden_size():
 def test_barriers_equal_levels_times_depth(n_trees, seed):
     rng = np.random.default_rng(seed)
     trees = synthetic_treebank(n_trees, vocab_size=VOCAB, rng=rng)
-    m = compile_model("treernn", hidden=8, vocab=VOCAB)
+    m = repro.compile("treernn", hidden=8, vocab=VOCAB)
     res = m.run(trees, device=V100)
     lin = res.lin
     levels = lin.num_batches - lin.leaf_batch_count
@@ -120,7 +120,7 @@ def test_duplicate_node_in_batches_rejected():
 # -- executor failure injection -------------------------------------------------------
 
 def test_missing_parameter_raises():
-    m = compile_model("treefc", hidden=8, vocab=VOCAB)
+    m = repro.compile("treefc", hidden=8, vocab=VOCAB)
     params = dict(m.params)
     del params["Wl"]
     rng = np.random.default_rng(0)
@@ -130,7 +130,7 @@ def test_missing_parameter_raises():
 
 
 def test_word_id_out_of_vocab_is_runtime_error():
-    m = compile_model("treernn", hidden=8, vocab=10)
+    m = repro.compile("treernn", hidden=8, vocab=10)
     rng = np.random.default_rng(0)
     tree = random_binary_tree(3, vocab_size=5000, rng=rng)  # ids >> vocab
     with pytest.raises(Exception):
@@ -140,7 +140,7 @@ def test_word_id_out_of_vocab_is_runtime_error():
 # -- RA printer -----------------------------------------------------------------------
 
 def test_program_printer_roundtrips_structure():
-    prog = compile_model("treernn", hidden=8, vocab=VOCAB).program
+    prog = repro.compile("treernn", hidden=8, vocab=VOCAB).program
     text = program_to_str(prog)
     assert "input_tensor" in text
     assert "placeholder" in text
@@ -153,7 +153,7 @@ def test_program_printer_roundtrips_structure():
 
 
 def test_op_printer_compute_body():
-    prog = compile_model("treernn", hidden=8, vocab=VOCAB).program
+    prog = repro.compile("treernn", hidden=8, vocab=VOCAB).program
     lh = next(op for op in prog.ops if op.output.name == "lh")
     s = op_to_str(lh)
     assert "h_ph[left(" in s

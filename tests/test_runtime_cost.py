@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import compile_model
+import repro
+from repro import CompileOptions
 from repro.data import synthetic_treebank
 from repro.errors import DeviceError, ExecutionError
 from repro.runtime import (ARM, INTEL, V100, breakdown_from_cost, get_device,
@@ -16,7 +17,7 @@ TREES = synthetic_treebank(6, vocab_size=VOCAB, rng=RNG)
 
 
 def _run(name="treefc", device=V100, **kw):
-    m = compile_model(name, hidden=64, vocab=VOCAB, **kw)
+    m = repro.compile(name, CompileOptions(**kw), hidden=64, vocab=VOCAB)
     return m, m.run(TREES, device=device)
 
 
@@ -66,7 +67,8 @@ def test_persistence_reduces_dram_traffic():
 
 def test_persistence_spills_when_too_large():
     """Oversized parameters cannot stay on chip; a note records the spill."""
-    m = compile_model("treefc", hidden=64, vocab=VOCAB, persistence=True)
+    m = repro.compile("treefc", CompileOptions(persistence=True), hidden=64,
+                      vocab=VOCAB)
     tiny = V100.with_(onchip_capacity=1024.0)
     res = m.run(TREES, device=tiny)
     assert any("spilled" in n for n in res.cost.notes)
@@ -88,9 +90,9 @@ def test_specialization_reduces_flops():
 
 
 def test_refactor_reduces_barriers_for_simple_treegru():
-    m1 = compile_model("simple_treegru", hidden=64, vocab=VOCAB)
-    m2 = compile_model("simple_treegru", hidden=64, vocab=VOCAB,
-                       refactor=True)
+    m1 = repro.compile("simple_treegru", hidden=64, vocab=VOCAB)
+    m2 = repro.compile("simple_treegru", CompileOptions(refactor=True),
+                       hidden=64, vocab=VOCAB)
     r1 = m1.run(TREES, device=V100)
     r2 = m2.run(TREES, device=V100)
     assert r2.cost.barriers < r1.cost.barriers
@@ -98,28 +100,32 @@ def test_refactor_reduces_barriers_for_simple_treegru():
 
 
 def test_refactor_no_effect_for_treegru():
-    m1 = compile_model("treegru", hidden=64, vocab=VOCAB)
-    m2 = compile_model("treegru", hidden=64, vocab=VOCAB, refactor=True)
+    m1 = repro.compile("treegru", hidden=64, vocab=VOCAB)
+    m2 = repro.compile("treegru", CompileOptions(refactor=True), hidden=64,
+                       vocab=VOCAB)
     assert (m1.run(TREES, device=V100).cost.barriers
             == m2.run(TREES, device=V100).cost.barriers)
 
 
 def test_unroll_hurts_treelstm_helps_treernn():
     """Fig. 10b: barrier structure decides the unrolling outcome."""
-    lstm = compile_model("treelstm", hidden=64, vocab=VOCAB)
-    lstm_u = compile_model("treelstm", hidden=64, vocab=VOCAB, unroll=True)
+    lstm = repro.compile("treelstm", hidden=64, vocab=VOCAB)
+    lstm_u = repro.compile("treelstm", CompileOptions(unroll=True), hidden=64,
+                           vocab=VOCAB)
     assert (lstm_u.run(TREES, device=V100).cost.barrier_s
             > lstm.run(TREES, device=V100).cost.barrier_s)
 
-    rnn = compile_model("treernn", hidden=64, vocab=VOCAB, per_block=True)
-    rnn_u = compile_model("treernn", hidden=64, vocab=VOCAB, unroll=True,
-                          per_block=True)
+    rnn = repro.compile("treernn", CompileOptions(per_block=True), hidden=64,
+                        vocab=VOCAB)
+    rnn_u = repro.compile("treernn",
+                          CompileOptions(unroll=True, per_block=True),
+                          hidden=64, vocab=VOCAB)
     assert (rnn_u.run(TREES, device=V100).cost.barriers
             < rnn.run(TREES, device=V100).cost.barriers)
 
 
 def test_cpu_devices_slower_than_gpu_at_scale():
-    m = compile_model("treegru", hidden=256, vocab=VOCAB)
+    m = repro.compile("treegru", hidden=256, vocab=VOCAB)
     gpu = m.run(TREES, device=V100).simulated_time_s
     intel = m.run(TREES, device=INTEL).simulated_time_s
     arm = m.run(TREES, device=ARM).simulated_time_s
@@ -128,7 +134,7 @@ def test_cpu_devices_slower_than_gpu_at_scale():
 
 
 def test_linearization_time_model():
-    m = compile_model("treefc", hidden=16, vocab=VOCAB)
+    m = repro.compile("treefc", hidden=16, vocab=VOCAB)
     lin = m.lowered.linearizer(TREES)
     t = linearization_time_s(lin)
     assert t > 0
@@ -181,7 +187,7 @@ def test_memory_report_components():
 # -- executor errors ----------------------------------------------------------
 
 def test_parameter_shape_mismatch_rejected():
-    m = compile_model("treefc", hidden=16, vocab=VOCAB)
+    m = repro.compile("treefc", hidden=16, vocab=VOCAB)
     bad = dict(m.params)
     bad["Wl"] = np.zeros((3, 3), np.float32)
     from repro.runtime import execute_plan

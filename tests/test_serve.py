@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import api
+from repro import CompileOptions, api
 from repro.data import grid_dag_batch, synthetic_treebank
 from repro.errors import LinearizationError, QueueFullError, ServingError
 from repro.linearizer import TreeLinearizer, branch, count_nodes, leaf
@@ -35,13 +35,13 @@ VOCAB = 120
 ZOO = ("treelstm", "dagrnn", "treefc", "seq_lstm")
 
 
-def _small_model(name, **kw):
-    args = dict(hidden=8, **kw)
+def _small_model(name, **options):
+    args = dict(hidden=8)
     if name == "dagrnn":
         args["num_cells"] = 64
     else:
         args["vocab"] = VOCAB
-    return api.compile_model(name, **args)
+    return api.compile(name, CompileOptions(**options), **args)
 
 
 def _request(name, rng, batch=1):
@@ -390,15 +390,25 @@ def test_server_keyword_surface_is_pinned():
               if p.kind is p.KEYWORD_ONLY}
     assert kwonly == {
         "policy", "max_queue", "max_request_nodes", "retry", "faults",
-        "outputs", "device", "tracer", "profiler", "clock",
+        "outputs", "tracer", "profiler", "clock",
         "wake_interval_s", "memo", "memo_cache", "memo_policy", "name",
         "fair_share", "request_id_base"}
-    assert len(kwonly) == 17
+    assert len(kwonly) == 16
     m = _small_model("treernn")
     with pytest.raises(TypeError, match="no_such_option"):
         m.server(no_such_option=1)
     with pytest.raises(TypeError, match="no_such_option"):
         WorkerPool(m, replicas=2, no_such_option=1)
+    # serving numbers are measured, never simulated: no device keyword
+    from repro.runtime import V100
+    from repro.serve import Router
+
+    with pytest.raises(TypeError, match="device"):
+        m.server(device=V100)
+    with pytest.raises(TypeError, match="device"):
+        WorkerPool(m, replicas=2, device=V100)
+    with pytest.raises(TypeError, match="device"):
+        Router().add_model("m", m, device=V100)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +499,7 @@ def _serve_unique_forests(hidden, flushes, memo):
     lane calls this at a larger size.)"""
     from repro.runtime.memory import ALIGN, SLABS_PER_CLASS
 
-    m = api.compile_model("treelstm", hidden=hidden, vocab=VOCAB)
+    m = api.compile("treelstm", hidden=hidden, vocab=VOCAB)
     arena = m.arena
     srv = m.server(memo=memo)
     rng = np.random.default_rng(5)

@@ -22,7 +22,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import api
+from repro import CompileOptions, api
 from repro.data import (grid_dag_batch, perfect_binary_tree,
                         synthetic_treebank)
 from repro.errors import (CircuitOpenError, CortexError,
@@ -47,13 +47,13 @@ CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 VOCAB = 120
 
 
-def _small_model(name, **kw):
-    args = dict(hidden=8, **kw)
+def _small_model(name, **options):
+    args = dict(hidden=8)
     if name == "dagrnn":
         args["num_cells"] = 64
     else:
         args["vocab"] = VOCAB
-    return api.compile_model(name, **args)
+    return api.compile(name, CompileOptions(**options), **args)
 
 
 def _request(name, rng, batch=1):

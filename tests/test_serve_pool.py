@@ -42,7 +42,7 @@ OUT = "rnn_h_ph"
 
 @pytest.fixture(scope="module")
 def model():
-    return api.compile_model("treelstm", hidden=8, vocab=VOCAB)
+    return api.compile("treelstm", hidden=8, vocab=VOCAB)
 
 
 def _requests(n, rng, batch=1):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.data import grid_dag_batch, synthetic_treebank
 from repro.errors import ScheduleError
 from repro.ilir import Block, For, ILBuffer, Store, run_stmt
@@ -148,19 +149,17 @@ def test_annotations_change_kind_only():
 # -- module verifier -----------------------------------------------------------
 
 def test_verifier_accepts_all_zoo_modules():
-    from repro import compile_model
     from repro.ilir import verify_module
 
     for name in ("treernn", "treelstm", "mvrnn"):
-        m = compile_model(name, hidden=8, vocab=VOCAB)
+        m = repro.compile(name, hidden=8, vocab=VOCAB)
         assert verify_module(m.lowered.module) == []
 
 
 def test_verifier_flags_unknown_buffer():
-    from repro import compile_model
     from repro.ilir import verify_module
 
-    m = compile_model("treernn", hidden=8, vocab=VOCAB)
+    m = repro.compile("treernn", hidden=8, vocab=VOCAB)
     mod = m.lowered.module
     # sabotage: drop a buffer from the map
     victim = mod.fused_kernel.nests[0].out.name

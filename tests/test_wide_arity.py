@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import compile_model
+import repro
 from repro.data import grid_dag, random_dag
 from repro.linearizer import DagLinearizer, Node, count_nodes, iter_nodes
 from repro.models import get_model
@@ -29,7 +29,7 @@ def test_dagrnn_four_children():
     """The 4-slot masked child reduction (child0..child3 arrays)."""
     rng = np.random.default_rng(11)
     spec = get_model("dagrnn")
-    m = compile_model("dagrnn", hidden=12, num_cells=200, max_children=4)
+    m = repro.compile("dagrnn", hidden=12, num_cells=200, max_children=4)
     roots = [random_dag(20, max_children=4, rng=rng)]
     res = m.run(roots)
     ref = spec.reference_h(roots, m.params)
@@ -40,7 +40,7 @@ def test_dagrnn_four_children():
 
 def test_dagrnn_diagonal_grid_three_children():
     spec = get_model("dagrnn")
-    m = compile_model("dagrnn", hidden=8, num_cells=200, max_children=3)
+    m = repro.compile("dagrnn", hidden=8, num_cells=200, max_children=3)
     roots = [grid_dag(5, 5, diagonal=True)]
     res = m.run(roots)
     ref = spec.reference_h(roots, m.params)
@@ -68,7 +68,7 @@ def test_dag_linearizer_wide_arity_invariants(num_nodes, maxc, seed):
 def test_dagrnn_random_wide_dags_match_reference(num_nodes, seed):
     rng = np.random.default_rng(seed)
     spec = get_model("dagrnn")
-    m = compile_model("dagrnn", hidden=6, num_cells=200, max_children=3)
+    m = repro.compile("dagrnn", hidden=6, num_cells=200, max_children=3)
     root = random_dag(num_nodes, max_children=3, rng=rng)
     res = m.run([root])
     ref = spec.reference_h([root], m.params)
