@@ -17,7 +17,7 @@ is reassociation-free:
   in the same slot order as the masked NumPy loop;
 * constant-extent reductions become serial first-assign/fold loops.
 
-On top of that it makes three schedule choices, none visible in the IR:
+On top of that it makes four schedule choices, none visible in the IR:
 
 * **Contractions** — ``out[rows.., j] = sum_r W[j, r] * x[rows.., r]``
   with ``W`` a never-written weight and ``x`` a per-node row, possibly
@@ -60,6 +60,21 @@ On top of that it makes three schedule choices, none visible in the IR:
   prelude's own polynomials (``repro_vexpf<lanes>`` ...; the scalar
   ``repro_expf`` ... are their lane 0), so C-target bits do not depend
   on the host's libm.
+* **Column teams** (:class:`_Team`).  A ``fused`` kernel is the body every
+  member of a team of ``team`` threads runs (``k_<name>_<variant>_team``)
+  plus the entry point that launches it through the prelude's pthread
+  runtime (:data:`_C_TEAM`).  The nests between two barriers form a
+  segment of tickets: one per whole column panel of the nests split
+  along their output columns — a contraction's ``j`` or a lane loop's
+  axis; the partial panel is the last ticket — running that column range
+  of each in order, and one per nest that is not split.  Member ``t``
+  takes its own share of a segment's tickets first, then the others'
+  from the back.  Each output is still one thread's, through the same
+  operations, so the bits do not depend on the team size or on who took
+  what.  Barriers go before a nest whose buffers cross tickets' columns
+  since the last one and at the end of every batch iteration;
+  ``repro_team_columns()`` reports the widest split extent, from which
+  the launcher sizes the team.
 
 Where the two targets run different code — BLAS einsum contractions,
 which reassociate, and the transcendentals (the prelude's polynomials,
@@ -72,12 +87,14 @@ trivial::
 
     void k_<name>[_<variant>](<buf ptrs...>, <const int32_t* uf arrays...>,
                               <const packed weight ptrs...>,
-                              const int64_t* S, int64_t begin, int64_t length);
+                              const int64_t* S, int64_t begin, int64_t length,
+                              int64_t team);
 
 ``S`` packs the scalar parameters the kernel mentions (a
 :class:`KernelSignature` records which, in order); ``begin``/``length``
 carry the batch window for ``leaf``/``level`` kernels and are ignored by
-the other kinds.
+the other kinds; ``team`` is the members a ``fused`` kernel splits its
+columns across, ignored by the other kinds.
 """
 
 from __future__ import annotations
@@ -94,6 +111,7 @@ from ...ir import (BinOp, Call, Cast, Const, Expr, Reduce, Select, TensorRead,
 from ..buffer import ILBuffer
 from ..module import ILModule, Kernel
 from ..nests import AxisSpec, OpNest
+from ..passes.barrier_insertion import is_child_access
 
 _INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/", "mod": "%",
           "lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==",
@@ -174,6 +192,9 @@ static inline double repro_min(double a, double b) { return a < b ? a : b; }
 static inline double repro_max(double a, double b) { return a > b ? a : b; }
 static inline int64_t repro_imin(int64_t a, int64_t b) { return a < b ? a : b; }
 static inline int64_t repro_imax(int64_t a, int64_t b) { return a > b ? a : b; }
+/* a gathered index of -1 (a missing child, a memo stub's word) reads the
+ * last row, as NumPy's does */
+static inline int64_t repro_wrap(int64_t i, int64_t n) { return i < 0 ? i + n : i; }
 
 /* Python floor semantics (C integer division truncates toward zero). */
 static inline int64_t repro_floordiv(int64_t a, int64_t b) {
@@ -220,6 +241,262 @@ static inline double repro_sigmoid_rational(double x) {
 static inline int64_t repro_isleaf(int64_t leaf_start,
                                    const int32_t* num_children, int64_t n) {
   return leaf_start >= 0 ? (n >= leaf_start) : (num_children[n] == 0);
+}
+
+'''
+
+#: The column team a fused kernel runs as (pthreads only).  Every member
+#: runs the kernel's body; the work between two waits is a *segment* of
+#: tickets (a column panel of the segment's split nests, or one nest that
+#: is not split).  Member ``t`` takes the tickets of its own share first,
+#: then helps the others from the back of theirs, and a segment is over
+#: when all its tickets are done — so a member that wakes late, runs slow
+#: or never comes leaves its work to the others instead of holding them
+#: up.  One team per library: workers start at the first teamed launch,
+#: park on a condvar as soon as it ends, and a fork child forgets them.  A
+#: launch teams only when no other fused launch of the library is in
+#: flight, and a worker stops helping as soon as one starts, so two
+#: callers never ask the CPUs for more than their own threads.  A worker
+#: that cannot be created shrinks the team.  Waits spin with ``pause``,
+#: then yield.
+_C_TEAM = '''\
+/* ---- column teams: every member runs the body; a segment's tickets go
+ * to their share's member first, to the others when it is behind */
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+
+#define REPRO_TEAM static __attribute__((unused))
+#define REPRO_TEAM_MAX 64      /* members, the launching thread included */
+#define REPRO_TEAM_SPIN 2048   /* pause rounds before a wait yields */
+#define REPRO_TEAM_OPEN (1ull << 31)
+
+typedef struct {
+  int64_t t, T;   /* this member; the team's size, which is its shares */
+  int64_t seg;    /* the segment it is in, from 1 */
+  int64_t count;  /* tickets it ran in this segment */
+  int64_t next;   /* a team of one: the segment's next ticket */
+  int quit;       /* stopped helping: takes no more tickets */
+} repro_member;
+typedef void (*repro_team_body)(void* const* args, repro_member* m);
+
+/* per member, a cache line each: its share's tickets not yet taken
+ * (seg << 32 | lo << 16 | hi: [lo, hi) of segment seg), which it takes
+ * from while the others wait on what it reported done (seg << 32 |
+ * count) */
+typedef struct {
+  uint64_t claim;
+  char pad[56];
+  uint64_t done;
+  char pad2[56];
+} repro_share;
+static repro_share repro_shares[REPRO_TEAM_MAX] __attribute__((aligned(64)));
+
+static struct {
+  int64_t inflight;       /* fused launches running on this library */
+  uint64_t gate;          /* launch << 32 | REPRO_TEAM_OPEN | members in */
+  pthread_mutex_t lock;   /* guards the fields below and `wake` */
+  pthread_cond_t wake;
+  int forks;              /* the fork-child handler is registered */
+  int64_t workers;        /* started: members 1..workers */
+  uint64_t launch;        /* launches published */
+  repro_team_body body;
+  void* const* args;
+  int64_t size;
+} repro_team = {0, 0, PTHREAD_MUTEX_INITIALIZER, PTHREAD_COND_INITIALIZER,
+                0, 0, 0, 0, 0, 0};
+
+/* compiled unoptimised, since cc time is set-up time: the waits and the
+ * system calls gain nothing from it, nor, measured, does taking tickets */
+#if defined(__clang__)
+#pragma clang optimize off
+#elif defined(__GNUC__)
+#pragma GCC push_options
+#pragma GCC optimize ("O0")
+#endif
+
+static inline void repro_team_pause(int* spin) {
+  if (*spin < REPRO_TEAM_SPIN) {
+    ++*spin;
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  } else {
+    sched_yield();
+  }
+}
+
+/* the next ticket of the member's P-ticket segment, or -1: its own share
+ * [u P / T, (u + 1) P / T) from the front, then the others' from the back */
+REPRO_TEAM int64_t repro_team_take(repro_member* m, int64_t P) {
+  if (m->quit) return -1;
+  if (m->t && __atomic_load_n(&repro_team.inflight, __ATOMIC_RELAXED) > 1) {
+    m->quit = 1;  /* another launch is running: its caller needs the CPU */
+    return -1;
+  }
+  const uint64_t s = (uint64_t)m->seg;
+  for (int64_t k = 0; k < m->T; ++k) {
+    const int64_t u = (m->t + k) % m->T;
+    uint64_t* w = &repro_shares[u].claim;
+    uint64_t c = __atomic_load_n(w, __ATOMIC_RELAXED);
+    for (;;) {
+      int64_t lo = u * P / m->T, hi = (u + 1) * P / m->T;
+      if (c >> 32 > s) break;  /* the segment is over */
+      if (c >> 32 == s) {
+        lo = (int64_t)(c >> 16 & 0xffff);
+        hi = (int64_t)(c & 0xffff);
+      }
+      if (lo >= hi) break;
+      const uint64_t n = s << 32 | (uint64_t)(k ? lo : lo + 1) << 16
+                         | (uint64_t)(k ? hi - 1 : hi);
+      if (__atomic_compare_exchange_n(w, &c, n, 0, __ATOMIC_RELAXED,
+                                      __ATOMIC_RELAXED)) {
+        ++m->count;
+        return k ? hi - 1 : lo;
+      }
+    }
+  }
+  return -1;
+}
+
+/* the end of a segment: report, then wait until all its P tickets are
+ * done; nonzero when the member stops here (its body returns) */
+REPRO_TEAM int repro_team_wait(repro_member* m, int64_t P) {
+  const uint64_t s = (uint64_t)m->seg++;
+  __atomic_store_n(&repro_shares[m->t].done, s << 32 | (uint64_t)m->count,
+                   __ATOMIC_RELEASE);
+  m->count = 0;
+  if (m->quit || (m->t && !(__atomic_load_n(&repro_team.gate,
+                                             __ATOMIC_RELAXED)
+                            & REPRO_TEAM_OPEN)))
+    return 1;
+  for (int spin = 0;; repro_team_pause(&spin)) {
+    int64_t done = 0;
+    for (int64_t u = 0; u < m->T; ++u) {
+      const uint64_t d = __atomic_load_n(&repro_shares[u].done,
+                                         __ATOMIC_ACQUIRE);
+      if (d >> 32 > s) return 0;  /* a member is past it */
+      if (d >> 32 == s) done += (int64_t)(d & 0xffffffff);
+    }
+    if (done == P) return 0;
+  }
+}
+
+REPRO_TEAM void* repro_team_worker(void* arg) {
+  const int64_t t = (int64_t)(intptr_t)arg;
+  pthread_mutex_lock(&repro_team.lock);
+  uint64_t seen = repro_team.launch - 1;  /* started for this launch */
+  for (;;) {
+    while (repro_team.launch == seen)
+      pthread_cond_wait(&repro_team.wake, &repro_team.lock);
+    seen = repro_team.launch;
+    if (t >= repro_team.size) continue;
+    repro_member m = {t, repro_team.size, 1, 0, 0, 0};
+    repro_team_body body = repro_team.body;
+    void* const* args = repro_team.args;
+    pthread_mutex_unlock(&repro_team.lock);
+    /* in only while the launch is open: the caller waits for those in */
+    uint64_t g = __atomic_load_n(&repro_team.gate, __ATOMIC_ACQUIRE);
+    while (g >> 32 == (seen & 0xffffffff) && (g & REPRO_TEAM_OPEN)) {
+      if (__atomic_compare_exchange_n(&repro_team.gate, &g, g + 1, 0,
+                                      __ATOMIC_ACQ_REL, __ATOMIC_ACQUIRE)) {
+        body(args, &m);
+        __atomic_fetch_sub(&repro_team.gate, 1, __ATOMIC_RELEASE);
+        break;
+      }
+    }
+    pthread_mutex_lock(&repro_team.lock);
+  }
+  return NULL;
+}
+
+/* a fork child has the forking thread only: no workers, no launches */
+REPRO_TEAM void repro_team_forget(void) {
+  pthread_mutex_init(&repro_team.lock, NULL);
+  pthread_cond_init(&repro_team.wake, NULL);
+  repro_team.workers = 0;
+  repro_team.inflight = 0;
+  repro_team.gate = 0;
+}
+
+/* publish a launch to up to `size` - 1 workers; the members it has */
+REPRO_TEAM int64_t repro_team_open(repro_team_body body, void* const* args,
+                                   int64_t size) {
+  pthread_mutex_lock(&repro_team.lock);
+  if (!repro_team.forks)
+    repro_team.forks = pthread_atfork(NULL, NULL, repro_team_forget) == 0;
+  if (size > REPRO_TEAM_MAX) size = REPRO_TEAM_MAX;
+  if (repro_team.forks && repro_team.workers + 1 < size) {
+    sigset_t all, old;  /* workers take no signals: they stay the caller's */
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    while (repro_team.workers + 1 < size) {
+      pthread_t th;
+      if (pthread_create(&th, NULL, repro_team_worker,
+                         (void*)(intptr_t)(repro_team.workers + 1)) != 0)
+        break;
+      pthread_detach(th);
+      repro_team.workers++;
+    }
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+  }
+  if (size > repro_team.workers + 1) size = repro_team.workers + 1;
+  if (size > 1) {
+    for (int64_t u = 0; u < size; ++u) {
+      __atomic_store_n(&repro_shares[u].claim, 0, __ATOMIC_RELAXED);
+      __atomic_store_n(&repro_shares[u].done, 0, __ATOMIC_RELAXED);
+    }
+    repro_team.launch++;
+    repro_team.body = body;
+    repro_team.args = args;
+    repro_team.size = size;
+    __atomic_store_n(&repro_team.gate, (repro_team.launch & 0xffffffff) << 32
+                     | REPRO_TEAM_OPEN, __ATOMIC_RELEASE);
+    pthread_cond_broadcast(&repro_team.wake);
+  }
+  pthread_mutex_unlock(&repro_team.lock);
+  return size;
+}
+
+/* run `body` as a team of up to `size`, the caller being member 0: alone
+ * when another fused launch of this library is in flight.  The body ends
+ * waiting for its last segment, so all the work is done when it returns;
+ * then the launch closes and the members still in are waited for */
+REPRO_TEAM void repro_team_run(repro_team_body body, void* const* args,
+                               int64_t size) {
+  repro_member m = {0, 1, 1, 0, 0, 0};
+  if (__atomic_fetch_add(&repro_team.inflight, 1, __ATOMIC_ACQ_REL) == 0
+      && size > 1)
+    m.T = repro_team_open(body, args, size);
+  body(args, &m);
+  if (m.T > 1) {
+    uint64_t g = __atomic_and_fetch(&repro_team.gate, ~REPRO_TEAM_OPEN,
+                                    __ATOMIC_ACQ_REL);
+    for (int spin = 0; g & (REPRO_TEAM_OPEN - 1); repro_team_pause(&spin))
+      g = __atomic_load_n(&repro_team.gate, __ATOMIC_ACQUIRE);
+  }
+  __atomic_fetch_sub(&repro_team.inflight, 1, __ATOMIC_RELEASE);
+}
+
+#if defined(__clang__)
+#pragma clang optimize on
+#elif defined(__GNUC__)
+#pragma GCC pop_options
+#endif
+
+/* what the body calls per ticket and per segment: a team of one takes
+ * its tickets in order and never waits */
+static inline int64_t repro_team_claim(repro_member* m, int64_t P) {
+  if (m->T < 2) return m->next < P ? m->next++ : -1;
+  return repro_team_take(m, P);
+}
+
+static inline int repro_team_sync(repro_member* m, int64_t P) {
+  if (m->T < 2) {
+    m->next = 0;
+    return 0;
+  }
+  return repro_team_wait(m, P);
 }
 
 '''
@@ -746,9 +1023,9 @@ def _variant_target(variant: str) -> str:
 
 
 def native_prelude() -> str:
-    """What every generated module opens with: the scalar helpers, then
-    per ISA variant the vector type and its helpers (the avx2 ones behind
-    ``REPRO_AVX2``)."""
+    """What every generated module opens with: the scalar helpers, the
+    column-team runtime, then per ISA variant the vector type and its
+    helpers (the avx2 ones behind ``REPRO_AVX2``)."""
     def vectors(variant: str) -> str:
         lanes = VARIANTS[variant]
         return (_C_VECTOR_PRELUDE.replace("@L@", str(lanes))
@@ -756,7 +1033,8 @@ def native_prelude() -> str:
                 .replace("@T@", _variant_target(variant))
                 .replace("@ZEROS@", ", ".join("0" * lanes)))
 
-    return "\n".join([_C_PRELUDE, vectors("base"), _C_SCALAR_POLYNOMIALS,
+    return "\n".join([_C_PRELUDE, _C_TEAM, vectors("base"),
+                      _C_SCALAR_POLYNOMIALS,
                       _AVX2_GUARD, "#ifdef REPRO_AVX2", vectors("avx2"),
                       "#endif", ""])
 
@@ -778,6 +1056,79 @@ class _Contraction:
 
 def _is_const_axis(ax: AxisSpec) -> bool:
     return isinstance(ax.extent, Const) and is_zero(ax.begin)
+
+
+def _clip(end: str, whole: int, extent: int) -> str:
+    """The end of the whole steps (vectors, panels) in a ticket ending at
+    ``end``: the whole ones stop at ``whole`` of the axis' ``extent``."""
+    return end if whole == extent else f"repro_imin({end}, {whole})"
+
+
+#: one buffer access of a nest, as the barrier placement sees it: the
+#: buffer, the column count of the split when the access is at the nest's
+#: own column (``None``: any column), whether it writes, and whether it
+#: reads rows through a child accessor — rows of earlier levels, never the
+#: ones this level writes: the linearizer numbers batches down from the
+#: last row, and a missing child's ``-1`` reads that row, the first
+#: batch's, whose nodes are leaves and gather no children
+_Access = Tuple[str, Optional[int], bool, bool]
+
+
+class _Team:
+    """The segments of one fused kernel body: the nests since the last
+    barrier, each with the column count it is split along (``None``: not
+    split), and their accesses, which decide where the next barrier
+    goes."""
+
+    def __init__(self) -> None:
+        self.nests: List[Tuple[OpNest, Optional[int]]] = []
+        self.barriers = 0
+        self.barriers_per_level = 0
+        self._written: Dict[str, set] = {}  # buffer -> keys
+        self._read: Dict[str, set] = {}
+
+    def conflicts(self, accesses: Sequence[_Access]) -> bool:
+        """Would these accesses meet data of another ticket (or let another
+        ticket meet data this one still reads) without a barrier?"""
+        for buf, key, write, _ in accesses:
+            prev = set(self._written.get(buf, ()))
+            if write:
+                prev |= self._read.get(buf, set())
+            if prev and (key is None or prev != {key}):
+                return True
+        return False
+
+    def record(self, nest: OpNest, key: Optional[int],
+               accesses: Sequence[_Access]) -> None:
+        self.nests.append((nest, key))
+        for buf, key, write, earlier in accesses:
+            if write:
+                self._written.setdefault(buf, set()).add(key)
+            elif not earlier:
+                self._read.setdefault(buf, set()).add(key)
+
+    def tickets(self, panel: int
+                ) -> List[Tuple[int, Optional[int], List[OpNest]]]:
+        """The segment's tickets as runs ``(count, n_cols, nests)``: one
+        ticket per ``panel`` columns of each split column count, running
+        that column range of its nests in order, then one ticket per nest
+        that is not split.  The runs share no data (:meth:`conflicts`), so
+        any member may take any ticket."""
+        split: Dict[int, List[OpNest]] = {}
+        alone: List[Tuple[int, Optional[int], List[OpNest]]] = []
+        for nest, key in self.nests:
+            if key is None:
+                alone.append((1, None, [nest]))
+            else:
+                split.setdefault(key, []).append(nest)
+        return [(-(-n // panel), n, nests)
+                for n, nests in split.items()] + alone
+
+    def close(self) -> None:
+        self.barriers += 1
+        self.nests = []
+        self._written.clear()
+        self._read.clear()
 
 
 class _KernelABI:
@@ -829,9 +1180,10 @@ class _CTx:
                  clamp: bool = False):
         self.gen = gen
         self.env = env
-        #: floor gathered (UF-valued) tensor indices at 0.  For reads whose
-        #: value is masked downstream but whose gather is not: a child
-        #: slot past a node's arity holds ``-1``
+        #: wrap gathered (UF-valued) tensor indices of -1 to the last row,
+        #: as NumPy does.  For reads whose value is masked downstream but
+        #: whose gather is not: a child slot past a node's arity holds
+        #: ``-1``
         self.clamp = clamp
 
     def child(self, extra: Dict[str, str]) -> "_CTx":
@@ -979,6 +1331,10 @@ class NativeCodegen:
         # rebound per ISA variant
         self.variant, self.lanes, self.target = "base", VARIANTS["base"], ""
         self._microkernels: Dict[str, str] = {}
+        #: the split of the fused kernel being emitted (``None`` outside)
+        self._team: Optional[_Team] = None
+        #: the widest column extent any fused kernel splits
+        self._team_columns = 0
 
     # -- public ------------------------------------------------------------
     def generate(self) -> Tuple[str, Dict[str, KernelSignature]]:
@@ -999,6 +1355,12 @@ class NativeCodegen:
             parts += (section if variant == "base"
                       else ["#ifdef REPRO_AVX2", *section, "#endif"])
         parts.append(_C_DISPATCH)
+        parts.append(
+            "/* output columns of the widest nest a fused kernel splits "
+            "(0: none); the\n * launcher sizes the team it passes from "
+            "it */\n"
+            f"int64_t repro_team_columns(void) {{ return "
+            f"{self._team_columns}; }}\n")
         parts += [self._dispatcher(signatures[k.name])
                   for k in self.module.kernels]
         parts += [_C_LINEARIZER, _C_EPILOGUE]
@@ -1015,23 +1377,35 @@ class NativeCodegen:
         return "\n".join(lines)
 
     @staticmethod
-    def _params(sig: KernelSignature) -> List[Tuple[str, str]]:
-        """``(C type, name)`` of every parameter of ``sig``'s entry points."""
+    def _pointers(sig: KernelSignature) -> List[Tuple[str, str]]:
+        """``(C type, name)`` of the pointer parameters of ``sig``'s entry
+        points: arrays, packed weights, then ``S``."""
         params = [(("" if writable else "const ")
                    + f"{NATIVE_CTYPES[dtype_name]}*", name)
                   for name, dtype_name, writable in sig.arrays]
         params += [(f"const {NATIVE_CTYPES[dtype_name]}*", _packed_name(name))
                    for name, dtype_name in sig.packed]
-        return params + [("const int64_t*", "S"), ("int64_t", "begin"),
-                         ("int64_t", "length")]
+        return params + [("const int64_t*", "S")]
+
+    @classmethod
+    def _params(cls, sig: KernelSignature) -> List[Tuple[str, str]]:
+        """``(C type, name)`` of every parameter of ``sig``'s entry points."""
+        return cls._pointers(sig) + [("int64_t", "begin"),
+                                     ("int64_t", "length"),
+                                     ("int64_t", "team")]
+
+    @staticmethod
+    def _opening(head: str, params: Sequence[Tuple[str, str]]) -> str:
+        """A function definition's first lines, up to its ``{``."""
+        decl = ",\n    ".join(f"{ct} {name}" for ct, name in params)
+        return f"{head}(\n    {decl}) {{"
 
     def _dispatcher(self, sig: KernelSignature) -> str:
         """The exported ``k_<name>``: the variant picked at load time."""
         params = self._params(sig)
-        decl = ",\n    ".join(f"{ct} {name}" for ct, name in params)
         args = ", ".join(name for _, name in params)
         return "\n".join([
-            f"void {sig.symbol}(", f"    {decl}) {{",
+            self._opening(f"void {sig.symbol}", params),
             "#ifdef REPRO_AVX2",
             f"  if (repro_use_avx2) {{ {sig.symbol}_avx2({args}); return; }}",
             "#endif",
@@ -1056,17 +1430,18 @@ class NativeCodegen:
 
     def _flat_index(self, shape: Sequence[Expr], indices: Sequence[Expr],
                     tx: _CTx) -> str:
-        def index(i: Expr) -> str:
+        def index(dim: int) -> str:
+            i = indices[dim]
             src = tx.tx(i)
             if tx.clamp and any(isinstance(x, UFCall) for x in walk(i)):
-                return f"repro_imax({src}, 0)"
+                return f"repro_wrap({src}, {self._extent_src(shape[dim], tx)})"
             return src
 
         # row-major Horner form: ((i0*e1 + i1)*e2 + i2)...
-        src = f"({index(indices[0])})"
+        src = f"({index(0)})"
         for dim in range(1, len(indices)):
             ext = self._extent_src(shape[dim], tx)
-            src = f"({src} * ({ext}) + ({index(indices[dim])}))"
+            src = f"({src} * ({ext}) + ({index(dim)}))"
         return src
 
     def uf_src(self, e: UFCall, tx: _CTx) -> str:
@@ -1091,8 +1466,13 @@ class NativeCodegen:
     def _emit_kernel(self, kernel: Kernel) -> Tuple[str, KernelSignature]:
         self.abi = _KernelABI()
         body: List[str] = []
+        team: Optional[_Team] = None
         if kernel.kind == "fused":
-            self._emit_fused_body(kernel, body, 1)
+            team = self._team = _Team()
+            try:
+                self._emit_fused_body(kernel, body, 1)
+            finally:
+                self._team = None
         elif kernel.kind in ("leaf", "level"):
             for n in kernel.nests:
                 self._emit_nest(n, body, 1, "begin", "length")
@@ -1105,25 +1485,51 @@ class NativeCodegen:
                     self._emit_nest(n, body, 1, None, None)
 
         sig = self.abi.signature(kernel, self.module)
+        entry = f"{sig.symbol}_{self.variant}"
+        scalars = [f"  const int64_t {s} = S[{i}];"
+                   for i, s in enumerate(sig.scalars)] or ["  (void)S;"]
         head = [f"// kernel {kernel.name} (kind={kernel.kind}), "
                 f"{self.variant} variant"]
-        if kernel.kind == "fused":
-            head.append(f"// persistent kernel: {kernel.barriers_per_level} "
-                        f"global barrier(s) per level")
-        head.append(f"{self.target}void {sig.symbol}_{self.variant}(")
-        head.append("    " + ",\n    ".join(
-            f"{ct} {name}" for ct, name in self._params(sig)) + ") {")
-        for i, s in enumerate(sig.scalars):
-            head.append(f"  const int64_t {s} = S[{i}];")
-        if not sig.scalars:
-            head.append("  (void)S;")
-        if kernel.kind not in ("leaf", "level"):
-            head.append("  (void)begin; (void)length;")
-        return "\n".join(head + body + ["}", ""]), sig
+        if team is None:
+            head += [self._opening(f"{self.target}void {entry}",
+                                   self._params(sig)), *scalars]
+            head.append("  (void)team;" if kernel.kind in ("leaf", "level")
+                        else "  (void)begin; (void)length; (void)team;")
+            return "\n".join(head + body + ["}", ""]), sig
+        # a fused kernel is the body every member of its team runs, then
+        # the entry point that launches the team over it
+        pointers = self._pointers(sig)
+        head += [f"// persistent kernel: {team.barriers_per_level} global "
+                 f"barrier(s) per level; every member of the launch's",
+                 "// team runs this body, taking tickets (column panels) of "
+                 "each segment",
+                 f"static {self.target}void {entry}_team(void* const* A, "
+                 f"repro_member* _m) {{"]
+        head += [f"  {ct} {name} = ({ct})A[{i}];"
+                 for i, (ct, name) in enumerate(pointers)]
+        head += scalars
+        launch = [
+            self._opening(f"{self.target}void {entry}", self._params(sig)),
+            "  void* const A[] = {"
+            + ", ".join(f"(void*){name}" for _, name in pointers) + "};",
+            "  (void)begin; (void)length;",
+            f"  repro_team_run({entry}_team, A, team);", "}", ""]
+        return "\n".join(head + body + ["}", ""] + launch), sig
 
     def _emit_fused_body(self, kernel: Kernel, out: List[str],
                          indent: int) -> None:
+        """The phases of a persistent kernel, as every team member runs
+        them: each run of nests between two barriers is a segment of
+        tickets (:meth:`_emit_segment`).
+
+        Barriers go where codegen puts them: before a nest whose data
+        crosses tickets' columns since the last one (:meth:`_Team.conflicts`),
+        and at the end of every batch iteration (the paper's barrier; it
+        also covers the per-level scratch and child reads of state).  The
+        last one ends the kernel: a member returns with all work done.
+        """
         pad = "  " * indent
+        team = self._team
         leaf_nests = [n for n in kernel.nests if n.phase == "leaf"]
         level_nests = [n for n in kernel.nests if n.phase == "level"]
         self.abi.ufs.update(("batch_begin", "batch_length"))
@@ -1138,24 +1544,107 @@ class NativeCodegen:
             out.append(f"{pad}  const int64_t _length = "
                        f"(int64_t)batch_length[_lb];")
             for n in leaf_nests:
-                self._emit_nest(n, out, indent + 1, "_begin", "_length")
+                self._emit_team_nest(n, out, indent + 1)
+            self._emit_segment(out, indent + 1, "end of the leaf batch")
             out.append(f"{pad}}}")
-        out.append(f"{pad}// internal batches: the dependence-carrying loop; "
-                   f"one global barrier per iteration (App. A.4)")
+        out.append(f"{pad}// internal batches: the dependence-carrying loop "
+                   f"(App. A.4)")
         out.append(f"{pad}for (int64_t _b = level_start; _b < num_batches; "
                    f"++_b) {{")
         out.append(f"{pad}  const int64_t _begin = "
                    f"(int64_t)batch_begin[_b];")
         out.append(f"{pad}  const int64_t _length = "
                    f"(int64_t)batch_length[_b];")
+        first = team.barriers
         for n in level_nests:
-            self._emit_nest(n, out, indent + 1, "_begin", "_length")
+            self._emit_team_nest(n, out, indent + 1)
+        self._emit_segment(out, indent + 1, "end of the level")
+        team.barriers_per_level = team.barriers - first
         out.append(f"{pad}}}")
+
+    def _emit_team_nest(self, nest: OpNest, out: List[str],
+                        indent: int) -> None:
+        """Add ``nest`` to the open segment, split along its output
+        columns or not; end the segment first when its accesses need a
+        barrier."""
+        team = self._team
+        axis = self._split_axis(nest)
+        key = None if axis is None else int(axis.extent.value)
+        accesses: List[_Access] = [(nest.out.name, key, True, False)]
+        for e in nest.exprs():
+            for x in walk(e):
+                if isinstance(x, TensorRead) and x.buffer.name in self._written:
+                    last = x.indices[-1]
+                    own = (axis is not None and isinstance(last, Var)
+                           and last.name == axis.var.name)
+                    accesses.append((x.buffer.name, key if own else None,
+                                     False, is_child_access(x.indices[0])))
+        if team.conflicts(accesses):
+            self._emit_segment(out, indent,
+                               f"{nest.name} meets other tickets' columns")
+        team.record(nest, key, accesses)
+        if key is not None:
+            self._team_columns = max(self._team_columns, key)
+
+    def _emit_segment(self, out: List[str], indent: int, why: str) -> None:
+        """The open segment: a loop taking its tickets until none is left
+        (``repro_team_claim`` in :data:`_C_TEAM`), then the barrier — the
+        wait for the tickets other members took."""
+        team = self._team
+        panel = panel_width(self.lanes)
+        runs = team.tickets(panel)
+        if not runs:
+            return
+        total = sum(count for count, _, _ in runs)
+        if total > 0xFFFF:
+            raise CodegenError(
+                f"native codegen: a fused-kernel segment of {total} tickets "
+                f"(at most 65535)")
+        pad = "  " * indent
+        out.append(f"{pad}for (int64_t _k; (_k = repro_team_claim(_m, "
+                   f"{total})) >= 0;) {{")
+        inner, first = indent + 1, 0
+        for i, (count, n_cols, nests) in enumerate(runs):
+            if len(runs) > 1:
+                inner = indent + 2
+                out.append(f"{pad}  " + (
+                    f"if (_k < {count}) {{" if i == 0 else
+                    f"}} else if (_k < {first + count}) {{"
+                    if i < len(runs) - 1 else "} else {"))
+            cols = None
+            if n_cols is not None:
+                k = "_k" if not first else f"(_k - {first})"
+                end = (f"_j0 + {panel}" if n_cols % panel == 0
+                       else f"repro_imin(_j0 + {panel}, {n_cols})")
+                out.append(f"{'  ' * inner}const int64_t _j0 = {k} * {panel}"
+                           f", _j1 = {end};")
+                cols = ("_j0", "_j1")
+            for nest in nests:
+                self._emit_nest(nest, out, inner, "_begin", "_length", cols)
+            first += count
+        if len(runs) > 1:
+            out.append(f"{pad}  }}")
+        out.append(f"{pad}}}")
+        out.append(f"{pad}if (repro_team_sync(_m, {total})) return;  // {why}")
+        team.close()
+
+    def _split_axis(self, nest: OpNest) -> Optional[AxisSpec]:
+        """The output-column axis a team splits ``nest`` along — a
+        contraction's ``j`` or a lane loop's axis — or ``None``."""
+        contraction = self._match_contraction(nest)
+        if contraction is not None:
+            return contraction.col
+        try:
+            return self._lane_axis(nest)
+        except _NotVectorizable:
+            return None
 
     # -- nests ---------------------------------------------------------------
     def _emit_nest(self, nest: OpNest, out: List[str], indent: int,
-                   begin_src: Optional[str],
-                   length_src: Optional[str]) -> None:
+                   begin_src: Optional[str], length_src: Optional[str],
+                   cols: Optional[Tuple[str, str]] = None) -> None:
+        """``cols``: the ``(j0, j1)`` output columns of a team ticket (see
+        :meth:`_split_axis`); ``None``, all of them."""
         if len(nest.lets) > 1:
             raise CodegenError(
                 f"native codegen: nest {nest.name} has {len(nest.lets)} "
@@ -1167,17 +1656,18 @@ class NativeCodegen:
         contraction = self._match_contraction(nest)
         if contraction is not None:
             self._emit_contraction(nest, contraction, out, indent,
-                                   begin_src, length_src)
+                                   begin_src, length_src, cols)
             return
         out.append(f"{'  ' * indent}// {nest.name} [{nest.tag}]")
         mark = self._tmp
         try:
             lines: List[str] = []
             self._emit_loops(nest, lines, indent, begin_src, length_src,
-                             self._lane_axis(nest))
+                             self._lane_axis(nest), cols)
         except _NotVectorizable:
             self._tmp, lines = mark, []
-            self._emit_loops(nest, lines, indent, begin_src, length_src, None)
+            self._emit_loops(nest, lines, indent, begin_src, length_src, None,
+                             cols)
         out.extend(lines)
 
     def _lane_axis(self, nest: OpNest) -> AxisSpec:
@@ -1203,9 +1693,11 @@ class NativeCodegen:
 
     def _emit_loops(self, nest: OpNest, out: List[str], indent: int,
                     begin_src: Optional[str], length_src: Optional[str],
-                    lane: Optional[AxisSpec]) -> None:
+                    lane: Optional[AxisSpec],
+                    cols: Optional[Tuple[str, str]] = None) -> None:
         """The nest's loops, guard and store; ``lane``, its innermost
-        axis, runs as vector lanes instead of a loop."""
+        axis, runs as vector lanes instead of a loop.  ``cols`` bounds
+        the innermost axis to a team ticket's columns."""
         env: Dict[str, str] = {}
         tx = _CTx(self, env)
         depth = 0
@@ -1214,7 +1706,12 @@ class NativeCodegen:
                 continue
             p = "  " * (indent + depth)
             v = ax.var.name
-            if ax.kind == "node":
+            if cols is not None and ax is nest.axes[-1]:
+                out.append(f"{p}for (int64_t {v} = {cols[0]}; {v} < {cols[1]}; "
+                           f"++{v}) {{")
+                env[v] = v
+                depth += 1
+            elif ax.kind == "node":
                 if length_src is None:
                     self.abi.scalars.add("num_nodes")
                 length = length_src if length_src is not None else "num_nodes"
@@ -1241,7 +1738,7 @@ class NativeCodegen:
             close_pred = True
 
         if lane is not None:
-            self._emit_lanes(nest, lane, tx, out, p)
+            self._emit_lanes(nest, lane, tx, out, p, cols)
         else:
             body = nest.body
             if isinstance(body, Reduce):
@@ -1277,19 +1774,28 @@ class NativeCodegen:
 
     # -- lane loops ----------------------------------------------------------
     def _emit_lanes(self, nest: OpNest, lane: AxisSpec, tx: _CTx,
-                    out: List[str], pad: str) -> None:
-        """``lane``'s extent, ``self.lanes`` iterations per step, then the
-        tail as one partial vector (same operations, fewer live lanes)."""
+                    out: List[str], pad: str,
+                    cols: Optional[Tuple[str, str]] = None) -> None:
+        """``lane``'s extent (``cols``: a team ticket's panel of it, so
+        whole vectors), ``self.lanes`` iterations per step, then the tail
+        as one partial vector (same operations, fewer live lanes), which
+        only the ticket that ends the axis runs."""
         v, extent = lane.var.name, int(lane.extent.value)
         full = extent - extent % self.lanes
+        lo, stop, tail = "0", f"{v} < {full}", "{"
+        if cols is not None:
+            lo, stop = cols[0], f"{v} < {_clip(cols[1], full, extent)}"
+            tail = f"if ({cols[1]} > {full}) {{"
         if full:
-            out.append(f"{pad}for (int64_t {v} = 0; {v} < {full}; "
+            out.append(f"{pad}for (int64_t {v} = {lo}; {stop}; "
                        f"{v} += {self.lanes}) {{")
             self._emit_lane_step(nest, _VTx(tx.child({v: v}), v, None), out,
                                  pad + "  ")
             out.append(f"{pad}}}")
+        elif cols is not None:
+            out.append(f"{pad}(void){lo};  // one partial vector: {lo} == 0")
         if extent > full:
-            out.append(f"{pad}{{")
+            out.append(f"{pad}{tail}")
             self._emit_lane_step(
                 nest, _VTx(tx.child({v: str(full)}), v, extent - full), out,
                 pad + "  ")
@@ -1382,14 +1888,19 @@ class NativeCodegen:
     def _emit_contraction(self, nest: OpNest, m: _Contraction,
                           out: List[str], indent: int,
                           begin_src: Optional[str],
-                          length_src: Optional[str]) -> None:
-        """Rows ``_TILE_ROWS`` at a time through the shape's microkernel.
+                          length_src: Optional[str],
+                          cols: Optional[Tuple[str, str]] = None) -> None:
+        """Rows ``_TILE_ROWS`` at a time through the shape's microkernel,
+        over the columns ``cols`` (default: all of them).
 
-        A gathered row index is floored at 0: the slot past a node's
-        arity holds ``-1``, and whatever that row contracts to is masked
-        by every reader downstream, so any in-bounds row will do.
+        A gathered row index of ``-1`` — the slot past a node's arity —
+        reads the last row, as NumPy does: whatever it contracts to is
+        masked by every reader downstream, and that row is the first
+        batch's, never one a level writes while another member reads it
+        (see :data:`_Access`).
         """
         pad = "  " * indent
+        j0, j1 = cols or ("0", str(m.n_cols))
         self.abi.packed[m.weight.name] = m.weight.dtype.name
         w_src = _packed_name(m.weight.name)
         row_axes = [a for a in nest.axes if a is not m.col]
@@ -1420,7 +1931,7 @@ class NativeCodegen:
                 xs.append(f"&{self.read_src(m.row, tx)}")
                 os_.append(f"&{self._store_target(nest, tx)}")
             out.append(f"{pad}  {self._microkernel(m, nrows)}({w_src}, "
-                       f"{', '.join(xs + os_)});")
+                       f"{', '.join(xs + os_)}, {j0}, {j1});")
             out.append(f"{pad}}}")
 
     def _bind_row(self, nest: OpNest, row_axes: Sequence[AxisSpec],
@@ -1447,14 +1958,16 @@ class NativeCodegen:
     def _microkernel(self, m: _Contraction, nrows: int) -> str:
         """Name of the outlined ``nrows``-row microkernel of ``m``'s shape
         (emitted once per variant, shared by every nest of that shape):
-        ``(P, x0.., o0..)`` contracts rows ``x*`` with the panels ``P``
-        into output rows ``o*``."""
+        ``(P, x0.., o0.., j0, j1)`` contracts rows ``x*`` with the panels
+        ``P`` into columns ``[j0, j1)`` of output rows ``o*`` — whole
+        panels, the last ticket's running through the end."""
         name = f"repro_mk{m.n_red}x{m.n_cols}r{nrows}_{self.variant}"
         if name not in self._microkernels:
             xs = [f"x{s}" for s in range(nrows)]
             os_ = [f"o{s}" for s in range(nrows)]
             params = (["const float* P"] + [f"const float* {x}" for x in xs]
-                      + [f"float* {o}" for o in os_])
+                      + [f"float* {o}" for o in os_]
+                      + ["int64_t j0", "int64_t j1"])
             lines = [f"static __attribute__((noinline)) {self.target}void "
                      f"{name}(", f"    {', '.join(params)}) {{"]
             self._emit_tiles(m, xs, os_, lines, "  ")
@@ -1463,8 +1976,9 @@ class NativeCodegen:
 
     def _emit_tiles(self, m: _Contraction, xs: Sequence[str],
                     os_: Sequence[str], out: List[str], pad: str) -> None:
-        """Cover the output columns of ``len(xs)`` rows: full panels, the
-        vectors of the partial panel, then its scalar columns.
+        """Cover the output columns ``[j0, j1)`` of ``len(xs)`` rows: the
+        full panels among them, then — when the range runs to the end —
+        the vectors of the partial panel and its scalar columns.
 
         ``P`` holds ``n_cols // panel`` blocks of ``[n_red][panel]``, then
         the remaining columns as one ``[n_red][tail]`` block
@@ -1475,11 +1989,17 @@ class NativeCodegen:
         done = m.n_cols - m.n_cols % panel
         tail = m.n_cols - done
         if done:
-            out.append(f"{pad}for (int64_t _j = 0; _j < {done}; "
-                       f"_j += {panel}) {{")
+            out.append(f"{pad}for (int64_t _j = j0; "
+                       f"_j < {_clip('j1', done, m.n_cols)}; _j += {panel}) {{")
             self._emit_tile(m, f"P + _j * {m.n_red}", panel, xs, os_, "_j",
                             _TILE_VECS, out, pad + "  ")
             out.append(f"{pad}}}")
+        else:
+            out.append(f"{pad}(void)j0;  // one partial panel: j0 == 0")
+        if not tail:
+            return
+        out.append(f"{pad}if (j1 > {done}) {{")
+        outer, pad = pad, pad + "  "
         tail_src = f"P + {done * m.n_red}"
         rem_vecs = tail // self.lanes
         if rem_vecs:
@@ -1500,6 +2020,7 @@ class NativeCodegen:
                            f"{x}[_kr];")
                 out.append(f"{pad}  {o}[_j] = {acc};")
             out.append(f"{pad}}}")
+        out.append(f"{outer}}}")
 
     def _emit_tile(self, m: _Contraction, w_src: str, stride: int,
                    xs: Sequence[str], os_: Sequence[str], col_src: str,
@@ -1578,8 +2099,9 @@ class NativeCodegen:
         The Python target may instead route matching ``sum(read * read)``
         bodies through BLAS einsum, whose accumulation order differs;
         those kernels are tolerance-gated (see
-        :func:`parity_classification`).  Gathered indices are floored at
-        0 as in :meth:`_emit_contraction`: nothing guards these reads.
+        :func:`parity_classification`).  Gathered indices of ``-1`` read
+        the last row as in :meth:`_emit_contraction`: nothing guards these
+        reads.
         """
         ct = NATIVE_CTYPES[red.body.dtype.name]
         acc = self._fresh("acc")

@@ -28,7 +28,7 @@ from ..stmt import (Barrier, Block, For, IfThenElse, Let, Stmt, Store,
 CHILD_FN_PREFIXES = ("left", "right", "child")
 
 
-def _is_child_access(e: Expr) -> bool:
+def is_child_access(e: Expr) -> bool:
     return isinstance(e, UFCall) and any(
         e.fn.name.startswith(p) for p in CHILD_FN_PREFIXES)
 
@@ -42,7 +42,7 @@ def _stores_and_dependent_reads(s: Stmt) -> tuple[Set[str], Set[str]]:
             written.add(st.buffer.name)
             for sub in walk(st.value):
                 if isinstance(sub, TensorRead) and sub.indices:
-                    if _is_child_access(sub.indices[0]):
+                    if is_child_access(sub.indices[0]):
                         dep_read.add(sub.buffer.name)
     return written, dep_read
 
@@ -160,7 +160,7 @@ def _has_dependent_read(s: Stmt) -> bool:
         if isinstance(st, Store):
             for sub in walk(st.value):
                 if isinstance(sub, TensorRead) and sub.indices and \
-                        _is_child_access(sub.indices[0]):
+                        is_child_access(sub.indices[0]):
                     return True
     return False
 

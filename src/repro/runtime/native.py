@@ -34,6 +34,16 @@ picked for this host when it was loaded (``repro_lanes()``;
 :attr:`NativeModule.variant`): the build itself carries no ``-march``
 flag and every variant the compiler could emit.
 
+A launch also passes a team size: the threads a ``fused`` kernel splits
+its output columns across (the library's own pthread team; ``-pthread``
+is in :data:`DEFAULT_CFLAGS`).  It is worked out once, at load
+(:attr:`NativeModule.team`, :func:`team_size`): the CPUs this process
+may run on, at most one per :data:`TEAM_COLUMNS` of the widest nest the
+library splits, at least one.  Every other kernel passes 1.  It is an
+upper bound: a launch runs alone while another fused launch of the
+library is in flight, and the library's worker stops helping when one
+starts.
+
 No compiler on the host (or ``REPRO_NO_CC=1``) is not an error:
 :func:`attach_native` warns with
 :class:`~repro.errors.NativeFallbackWarning` and the model runs on the
@@ -67,7 +77,23 @@ from .kernels import data_address, panel_packed
 #: rounds once where NumPy rounds twice — breaking bitwise agreement on
 #: otherwise reassociation-free kernels.
 DEFAULT_CFLAGS: Tuple[str, ...] = ("-O2", "-fPIC", "-shared",
-                                   "-ffp-contract=off")
+                                   "-ffp-contract=off", "-pthread")
+
+#: output columns each member of a fused kernel's team gets at least: the
+#: share a two-member team measured faster at (h256).  Lower it only with
+#: a recorded h64 / h128 teamed-vs-solo measurement.
+TEAM_COLUMNS = 128
+
+
+def team_size(columns: int) -> int:
+    """Members of a fused kernel's column team on this process: one per
+    CPU it may run on, at most one per :data:`TEAM_COLUMNS` of the widest
+    split nest's ``columns``, and at least one."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, columns // TEAM_COLUMNS))
 
 #: NumPy dtype -> ctypes element type for zero-copy pointer marshalling.
 DTYPE_TO_CTYPE = {
@@ -192,20 +218,24 @@ class NativeKernelLauncher:
     length)`` for leaf/level — so :class:`~repro.runtime.plan.HostPlan`
     launch records need no special casing.  ``is_native`` marks the
     callable for :class:`~repro.runtime.profiler.KernelProfiler`
-    labeling.
+    labeling; ``team`` is the team size every launch passes (1 but for
+    fused kernels).
     """
 
     is_native = True
 
-    __slots__ = ("name", "kind", "signature", "_cfunc", "_arrays", "_packed",
-                 "_panel", "_scalars", "_svec_type")
+    __slots__ = ("name", "kind", "signature", "team", "_cfunc", "_arrays",
+                 "_packed", "_panel", "_scalars", "_svec_type")
 
-    def __init__(self, cfunc, signature: KernelSignature, lanes: int):
+    def __init__(self, cfunc, signature: KernelSignature, lanes: int,
+                 team: int = 1):
         """``lanes``: the float32 vector width of the variant ``cfunc``
-        is (or dispatches to) — it fixes the packed weights' panels."""
+        is (or dispatches to) — it fixes the packed weights' panels.
+        ``team``: the members a fused kernel splits its columns across."""
         self.name = signature.name
         self.kind = signature.kind
         self.signature = signature
+        self.team = int(team) if signature.kind == "fused" else 1
         self._arrays = tuple((name, np.dtype(dt))
                              for name, dt, _writable in signature.arrays)
         self._packed = tuple((name, np.dtype(dt))
@@ -219,7 +249,7 @@ class NativeKernelLauncher:
         cfunc.argtypes = (
             [ctypes.c_void_p] * (len(self._arrays) + len(self._packed))
             + [ctypes.POINTER(ctypes.c_int64), ctypes.c_int64,
-               ctypes.c_int64])
+               ctypes.c_int64, ctypes.c_int64])
         cfunc.restype = None
         self._cfunc = cfunc
 
@@ -242,7 +272,7 @@ class NativeKernelLauncher:
             packed.append(panel_packed(arr, self._panel))
             args.append(data_address(packed[-1]))
         svec = self._svec_type(*[int(c[s]) for s in self._scalars])
-        self._cfunc(*args, svec, int(begin), int(length))
+        self._cfunc(*args, svec, int(begin), int(length), self.team)
 
 
 def load_walker(so_path: os.PathLike):
@@ -350,8 +380,13 @@ class NativeModule:
         lanes = lanes_fn()
         #: the ISA variant the exported kernels dispatch to on this host
         self.variant = next(v for v, n in VARIANTS.items() if n == lanes)
+        columns_fn = self._symbol("repro_team_columns")
+        columns_fn.argtypes, columns_fn.restype = [], ctypes.c_int64
+        #: members of the team each fused-kernel launch asks for
+        self.team = team_size(columns_fn())
         self.fns: Dict[str, NativeKernelLauncher] = {
-            name: NativeKernelLauncher(self._symbol(sig.symbol), sig, lanes)
+            name: NativeKernelLauncher(self._symbol(sig.symbol), sig, lanes,
+                                       self.team)
             for name, sig in self.signatures.items()}
         #: the library's own linearizer (see :func:`load_walker`), if any
         self.walker = load_walker(self.so_path)
@@ -364,14 +399,18 @@ class NativeModule:
                 f"native library {self.so_path} exports no symbol "
                 f"{name!r}") from None
 
-    def variant_fns(self, variant: str) -> Dict[str, NativeKernelLauncher]:
+    def variant_fns(self, variant: str, *, team: Optional[int] = None
+                    ) -> Dict[str, NativeKernelLauncher]:
         """Launchers on one ISA variant's own entry points
-        (``k_<kernel>_<variant>``), bypassing the load-time dispatch:
-        how a test runs the variant its host would not pick.  The caller
-        checks that the CPU can execute it."""
+        (``k_<kernel>_<variant>``), bypassing the load-time dispatch, with
+        fused kernels split across ``team`` members (default
+        :attr:`team`): how a test runs the variant, or the team size, its
+        host would not pick.  The caller checks that the CPU can execute
+        the variant."""
+        team = self.team if team is None else team
         return {name: NativeKernelLauncher(
                     self._symbol(f"{sig.symbol}_{variant}"), sig,
-                    VARIANTS[variant])
+                    VARIANTS[variant], team)
                 for name, sig in self.signatures.items()}
 
     @classmethod

@@ -78,8 +78,9 @@ class KernelProfiler:
         self._lock = threading.Lock()
         #: kernel name -> [calls, total seconds]
         self._kernels: Dict[str, List[float]] = {}
-        #: kernel names whose wrapped callable is a native (.so) launcher
-        self._native: set = set()
+        #: kernel name -> team size, for each whose wrapped callable is a
+        #: native (.so) launcher
+        self._native: Dict[str, int] = {}
         self.executions = 0
         self.linearize_s = 0.0
         self.workspace_s = 0.0
@@ -98,7 +99,7 @@ class KernelProfiler:
         for name, fn in records:
             if getattr(fn, "is_native", False):
                 with self._lock:
-                    self._native.add(name)
+                    self._native[name] = fn.team
             def timed(*args, _fn=fn, _name=name):
                 t0 = self._clock()
                 r = _fn(*args)
@@ -140,13 +141,18 @@ class KernelProfiler:
             return sum(s for _, s in self._kernels.values())
 
     def snapshot(self) -> Dict[str, object]:
-        """Per-kernel counts/times plus phase totals, as plain data."""
+        """Per-kernel counts/times plus phase totals, as plain data.  A
+        native kernel's row also has ``team``: the members its launches
+        asked for (a fused kernel's column team, else 1)."""
         with self._lock:
-            kernels = {
-                name: {"calls": int(calls), "total_s": total,
-                       "mean_us": (total / calls * 1e6) if calls else 0.0,
-                       "native": name in self._native}
-                for name, (calls, total) in sorted(self._kernels.items())}
+            kernels = {}
+            for name, (calls, total) in sorted(self._kernels.items()):
+                row = kernels[name] = {
+                    "calls": int(calls), "total_s": total,
+                    "mean_us": (total / calls * 1e6) if calls else 0.0,
+                    "native": name in self._native}
+                if row["native"]:
+                    row["team"] = self._native[name]
             return {
                 "executions": self.executions,
                 "kernel_calls": int(sum(c for c, _ in

@@ -360,6 +360,15 @@ def test_profiler_labels_native_kernels():
     assert all(row["native"] for row in snap["kernels"].values())
     assert prof.native_kernels == set(snap["kernels"])
     assert prof.breakdown().framework == "Cortex (measured, native)"
+    # the team each launch asked for: one at h16, or a silent solo h256
+    # would look like a teamed one
+    assert {row["team"] for row in snap["kernels"].values()} == {1}
+    wide = _compile("treelstm", "c", hidden=256)
+    prof_wide = KernelProfiler()
+    execute_plan(wide.plan, wide._linearize(_inputs("treelstm"), True),
+                 wide.params, profiler=prof_wide)
+    assert prof_wide.snapshot()["kernels"]["fused"]["team"] == \
+        wide.compiled.native.team
 
     py = _compile("treelstm", "python")
     prof2 = KernelProfiler()
@@ -546,15 +555,27 @@ def _refuse_contractions(monkeypatch):
 def test_tiled_contraction_bitwise_equals_scalar_fold(
         name, preset, hidden, monkeypatch):
     """40 leaves a narrower column tile after the full ones, 10 scalar
-    columns after the vectors; every workspace buffer must agree."""
+    columns after the vectors; every workspace buffer must agree — at
+    256 also with the tiles split across a team of two, the folds run
+    by one."""
     tiled = _compile(name, "c", hidden=hidden, **PRESETS[preset])
     assert any(sig.packed for sig in tiled.compiled.native.signatures.values())
     _refuse_contractions(monkeypatch)
     scalar = _compile(name, "c", hidden=hidden, **PRESETS[preset])
     assert not any(sig.packed
                    for sig in scalar.compiled.native.signatures.values())
-    _assert_same_workspaces(tiled, scalar,
-                            _batches(name, np.random.default_rng(5)))
+    batches = _batches(name, np.random.default_rng(5))
+    _assert_same_workspaces(tiled, scalar, batches)
+    if hidden == 256:
+        variant = tiled.compiled.native.variant
+        two = _variant_plan(tiled, variant, team=2)
+        one = _variant_plan(scalar, variant, team=1)
+        for roots in batches:
+            lin = tiled._linearize(roots, True)
+            a = execute_plan(two, lin, tiled.params).workspace
+            b = execute_plan(one, lin, scalar.params).workspace
+            for buf in a:
+                assert np.array_equal(a[buf], b[buf]), buf
 
 
 @needs_cc
@@ -606,44 +627,53 @@ def test_inplace_weight_edit_repacks_on_version_bump():
 
 @needs_cc
 def test_pool_replicas_bitwise_equal_single_replica():
+    """At 256 the replicas share one library's column team: whichever
+    launch finds it taken runs alone, with the same bits."""
     from repro.serve import MaxPendingRequests, WorkerPool
 
-    model = _compile("treelstm", "c")
     trees = _inputs("treelstm", n=12, seed=3)
+    for hidden in (HIDDEN, 256):
+        model = _compile("treelstm", "c", hidden=hidden)
 
-    def serve(replicas):
-        with WorkerPool(model, replicas=replicas, balancer="round_robin",
-                        policy=MaxPendingRequests(3)) as pool:
-            handles = [pool.submit([t]) for t in trees]
-            return [{n: h.result(60.0).root_output(n) for n in model.outputs}
-                    for h in handles]
+        def serve(replicas):
+            with WorkerPool(model, replicas=replicas,
+                            balancer="round_robin",
+                            policy=MaxPendingRequests(3)) as pool:
+                handles = [pool.submit([t]) for t in trees]
+                return [{n: h.result(60.0).root_output(n)
+                         for n in model.outputs} for h in handles]
 
-    for one, two in zip(serve(1), serve(2)):
-        for n in one:
-            assert np.array_equal(one[n], two[n])
+        for one, two in zip(serve(1), serve(2)):
+            for n in one:
+                assert np.array_equal(one[n], two[n])
 
 
 @needs_cc
 @pytest.mark.parametrize("name", CONTRACTION_ZOO)
 def test_zoo_runs_clean_under_ubsan(name):
     """The module built with UBSan in trap-on-first-report mode runs the
-    zoo at a hidden size that exercises every tile shape."""
-    model = _compile(name, "python", hidden=40)
+    zoo at a hidden size that exercises every tile shape, and at one
+    whose fused kernel splits across a team of two."""
     flags = DEFAULT_CFLAGS + ("-fsanitize=undefined",
                               "-fno-sanitize-recover=all")
-    try:
-        model.compiled.native = NativeModule.from_ilmodule(
-            model.lowered.module, flags=flags)
-    except NativeError as e:
-        pytest.skip(f"no UBSan runtime on this host: {e}")
-    plan = build_host_plan(model.lowered, model.compiled)
-    ref = _compile(name, "c", hidden=40)
-    for roots in _batches(name, np.random.default_rng(5)):
-        lin = model._linearize(roots, True)
-        got = execute_plan(plan, lin, model.params)
-        want = ref.run(roots)
-        for buf in ref.outputs:
-            assert np.array_equal(got.workspace[buf], want.workspace[buf])
+    for hidden, team in ((40, 1), (256, 2)):
+        model = _compile(name, "python", hidden=hidden)
+        try:
+            native = NativeModule.from_ilmodule(model.lowered.module,
+                                                flags=flags)
+        except NativeError as e:
+            pytest.skip(f"no UBSan runtime on this host: {e}")
+        model.compiled.native = types.SimpleNamespace(
+            fns=native.variant_fns(native.variant, team=team))
+        plan = build_host_plan(model.lowered, model.compiled)
+        ref = _compile(name, "c", hidden=hidden)
+        for roots in _batches(name, np.random.default_rng(5)):
+            lin = model._linearize(roots, True)
+            got = execute_plan(plan, lin, model.params)
+            want = ref.run(roots)
+            for buf in ref.outputs:
+                assert np.array_equal(got.workspace[buf],
+                                      want.workspace[buf])
 
 
 @needs_cc
@@ -662,33 +692,213 @@ def test_generated_c_compiles_without_warnings():
 
 # -- ISA variants -------------------------------------------------------------
 
-def _variant_plan(model, variant):
-    """The model's host plan over one ISA variant's own entry points."""
+def _variant_plan(model, variant, team=None):
+    """The model's host plan over one ISA variant's own entry points,
+    fused kernels split across ``team`` members (default: the library's
+    pick for this host)."""
     compiled = copy.copy(model.compiled)
     compiled.native = types.SimpleNamespace(
-        fns=model.compiled.native.variant_fns(variant))
+        fns=model.compiled.native.variant_fns(variant, team=team))
     return build_host_plan(model.lowered, compiled)
+
+
+#: team sizes every fused kernel must give the team-of-one bits at: past
+#: the panels of the small hidden sizes, and past this host's CPUs
+TEAMS = (1, 2, 3, 4)
 
 
 @needs_cc
 @pytest.mark.parametrize("hidden", (1, 6, 40, 256))
 @pytest.mark.parametrize("name", CONTRACTION_ZOO)
 def test_isa_variants_agree_bitwise(name, hidden):
-    """base (4 lanes) and avx2 (8 lanes) on every workspace buffer —
-    contractions, lane loops and the polynomials alike — at hidden sizes
-    with full panels (256), a partial panel (40), scalar columns and
-    partial vectors (6) and one column (1)."""
+    """base (4 lanes) and avx2 (8 lanes), each split across teams of one
+    to four, against the base variant's team of one on every workspace
+    buffer — contractions, lane loops and the polynomials alike — at
+    hidden sizes with full panels (256), a partial panel (40), scalar
+    columns and partial vectors (6) and one column (1)."""
     model = _compile(name, "c", hidden=hidden)
     if model.compiled.native.variant != "avx2":
         pytest.skip("this host's CPU runs the base variant only")
-    base, avx2 = _variant_plan(model, "base"), _variant_plan(model, "avx2")
+    ref = _variant_plan(model, "base", team=1)
+    plans = [_variant_plan(model, variant, team)
+             for variant in ("base", "avx2") for team in TEAMS]
     for roots in _batches(name, np.random.default_rng(5)):
         lin = model._linearize(roots, True)
-        a = execute_plan(base, lin, model.params).workspace
-        b = execute_plan(avx2, lin, model.params).workspace
-        assert set(a) == set(b)
-        for buf in a:
-            assert np.array_equal(a[buf], b[buf]), buf
+        a = execute_plan(ref, lin, model.params).workspace
+        for plan in plans:
+            b = execute_plan(plan, lin, model.params).workspace
+            assert set(a) == set(b)
+            for buf in a:
+                assert np.array_equal(a[buf], b[buf]), buf
+
+
+# -- column teams --------------------------------------------------------------
+
+@needs_cc
+@pytest.mark.parametrize("unsplit", ({"mf"}, {"mi", "mo"}), ids=str)
+@pytest.mark.parametrize("hidden", (40, 256))
+def test_unsplit_nests_are_tickets_of_their_own(hidden, unsplit,
+                                                monkeypatch):
+    """No zoo nest refuses the column split, so make some of treelstm's
+    refuse it (test-only): each then shares a segment with split nests as
+    one more ticket (``{"mi", "mo"}``: two of them beside ``mu``'s
+    panels), and every team size still gives the all-split team of one's
+    bits on every workspace buffer."""
+    split = _compile("treelstm", "c", hidden=hidden)
+    plain = NativeCodegen._split_axis
+    monkeypatch.setattr(
+        NativeCodegen, "_split_axis",
+        lambda self, nest: None if nest.name in unsplit
+        else plain(self, nest))
+    mixed = _compile("treelstm", "c", hidden=hidden)
+    body = mixed.c_source[mixed.c_source.index("_team("):]
+    assert "} else {" in body
+    assert ("} else if" in body) == (len(unsplit) > 1)
+    variant = split.compiled.native.variant
+    ref = _variant_plan(split, variant, team=1)
+    plans = [_variant_plan(mixed, variant, team) for team in TEAMS]
+    for roots in _batches("treelstm", np.random.default_rng(5)):
+        lin = split._linearize(roots, True)
+        a = execute_plan(ref, lin, split.params).workspace
+        for plan in plans:
+            b = execute_plan(plan, lin, mixed.params).workspace
+            for buf in a:
+                assert np.array_equal(a[buf], b[buf]), buf
+
+
+def _teamed_treelstm(monkeypatch):
+    """An h256 treelstm whose fused kernel asks for a team of two, however
+    many CPUs this host has."""
+    from repro.runtime import native
+
+    monkeypatch.setattr(native, "team_size", lambda columns: 2)
+    model = _compile("treelstm", "c", hidden=256)
+    assert model.compiled.native.fns["fused"].team == 2
+    return model
+
+
+def _outputs(model, trees):
+    return [{n: model.run([t]).root_output(n).copy() for n in model.outputs}
+            for t in trees]
+
+
+def _assert_same_outputs(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for n in w:
+            assert np.array_equal(g[n], w[n]), n
+
+
+@needs_cc
+def test_team_size_follows_columns_and_cpus():
+    """A team of one below 128 output columns a member (and with one CPU);
+    the fused kernel's launcher carries the team, the others one."""
+    from repro.runtime.native import TEAM_COLUMNS, team_size
+
+    cpus = len(os.sched_getaffinity(0))
+    assert team_size(0) == team_size(TEAM_COLUMNS - 1) == 1
+    assert team_size(2 * TEAM_COLUMNS) == min(2, cpus)
+    assert team_size(1 << 20) == cpus
+    assert _compile("treelstm", "c", hidden=128).compiled.native.team == 1
+    model = _compile("seq_lstm", "c", hidden=256)
+    native = model.compiled.native
+    assert native.team == min(2, cpus)
+    assert {(fn.kind, fn.team) for fn in native.fns.values()} == {
+        ("pre", 1), ("fused", native.team)}
+
+
+@needs_cc
+def test_cli_compile_names_variant_and_team(capsys):
+    from repro.tools.cli import main
+
+    assert main(["compile", "treelstm", "--hidden", "256",
+                 "--target", "c"]) == 0
+    team = min(2, len(os.sched_getaffinity(0)))
+    assert f", team of {team}\n" in capsys.readouterr().out
+
+
+@needs_cc
+def test_concurrent_launches_on_one_library_are_bitwise(monkeypatch):
+    """Three threads run one h256 model (three arena views) at once, 200
+    calls each — more launching threads than this host has cores, the
+    team's worker besides: a launch that finds another in flight runs
+    alone, the team's worker stops helping, and every output is the
+    sequential run's."""
+    import threading
+
+    from repro.serve.router import _private_arena_view
+
+    model = _teamed_treelstm(monkeypatch)
+    trees = synthetic_treebank(200, vocab_size=VOCAB,
+                               rng=np.random.default_rng(11))
+    want = _outputs(model, trees)
+    views = [_private_arena_view(model) for _ in range(3)]
+    got, errors = [None] * len(views), []
+    start = threading.Barrier(len(views))
+
+    def work(i):
+        try:
+            start.wait()
+            got[i] = _outputs(views[i], trees)
+        except Exception as e:  # surfaced below
+            errors.append(e)
+
+    # daemons: a launch that never returns fails the test, not the exit
+    threads = [threading.Thread(target=work, args=(i,), daemon=True)
+               for i in range(len(views))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads), "a launch never returned"
+    assert not errors, errors
+    for outs in got:
+        _assert_same_outputs(outs, want)
+
+
+def _run_in_fork_child(model, trees, conn):
+    threads = len(os.listdir("/proc/self/task"))
+    outs = _outputs(model, trees)
+    conn.send((outs, len(os.listdir("/proc/self/task")) - threads))
+    conn.close()
+
+
+@needs_cc
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads through /proc")
+def test_fork_child_starts_its_own_team(monkeypatch):
+    """A ``fork`` child inherits the parent's started team but none of its
+    workers: the library's atfork handler forgets them (and the launch
+    lock, which a worker may hold), so the child's first teamed launch
+    starts a worker of its own, and the child's outputs are the parent's."""
+    import multiprocessing
+
+    model = _teamed_treelstm(monkeypatch)
+    trees = synthetic_treebank(8, vocab_size=VOCAB,
+                               rng=np.random.default_rng(4))
+    want = _outputs(model, trees)  # the parent's team is running now
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_run_in_fork_child,
+                        args=(model, trees, send))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(60.0), "the fork child hung in its first launch"
+        got, started = recv.recv()
+    finally:
+        child.join(10.0)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    assert started == 1, "the fork child's team started no worker"
+    _assert_same_outputs(got, want)
+    _assert_same_outputs(_outputs(model, trees), want)  # parent unharmed
 
 
 # -- the prelude's own exp / tanh / sigmoid ------------------------------------
@@ -932,21 +1142,40 @@ print("stub rows ran clean")
 """
 
 
-def _run_under_asan(script, tmp_path):
-    """ASan sees the interpreter's allocations only when preloaded,
-    hence the subprocess."""
-    libasan = subprocess.run(
-        [find_compiler(), "-print-file-name=libasan.so"],
+#: sanitizer runtime -> its options for a run that must report nothing
+_SANITIZER_OPTIONS = {"asan": ("ASAN_OPTIONS", "detect_leaks=0"),
+                      "tsan": ("TSAN_OPTIONS", "halt_on_error=1 exitcode=66")}
+
+
+def _run_preloaded(script, tmp_path, runtime="asan"):
+    """ASan (or TSan) sees the interpreter's allocations (threads) only
+    when preloaded, hence the subprocess.  TSan alone may be missing from
+    the host: a TSan script that cannot build its library prints ``SKIP:
+    <reason>``, and an interpreter that will not start under the preload
+    skips too.  Under ASan both are failures."""
+    lib = subprocess.run(
+        [find_compiler(), f"-print-file-name=lib{runtime}.so"],
         capture_output=True, text=True).stdout.strip()
-    if not os.path.isabs(libasan):  # not found: the bare name comes back
-        pytest.skip("no ASan runtime on this host")
-    env = dict(os.environ, LD_PRELOAD=libasan,
-               ASAN_OPTIONS="detect_leaks=0",
+    if not os.path.isabs(lib):  # not found: the bare name comes back
+        pytest.skip(f"no {runtime} runtime on this host")
+    var, options = _SANITIZER_OPTIONS[runtime]
+    env = dict(os.environ, LD_PRELOAD=lib, **{var: options},
                REPRO_NATIVE_CACHE_DIR=str(tmp_path),
                PYTHONPATH=os.pathsep.join(sys.path))
+    may_skip = runtime == "tsan"
+    if may_skip:
+        probe = subprocess.run([sys.executable, "-c", "pass"], env=env,
+                               capture_output=True, text=True, timeout=60)
+        if probe.returncode != 0:
+            pytest.skip(f"{lib} preloaded into {sys.executable} fails "
+                        f"before running anything (exit "
+                        f"{probe.returncode}): "
+                        f"{probe.stderr.strip()[-300:]}")
     proc = subprocess.run([sys.executable, "-c", script],
                           env=env, capture_output=True, text=True,
                           timeout=300)
+    if may_skip and proc.returncode == 0 and proc.stdout.startswith("SKIP: "):
+        pytest.skip(proc.stdout[len("SKIP: "):].strip())
     assert proc.returncode == 0 and "ran clean" in proc.stdout, \
         proc.stderr[-3000:]
 
@@ -956,7 +1185,7 @@ def test_unary_node_gathers_stay_in_bounds_under_asan(tmp_path):
     """treelstm's ``mf`` contraction gathers its row through
     ``child[k, n]``, which is ``-1`` for the slots past a node's arity:
     the read used to land one row before ``rnn_h_ph``."""
-    _run_under_asan(_UNARY_UNDER_ASAN, tmp_path)
+    _run_preloaded(_UNARY_UNDER_ASAN, tmp_path)
 
 
 @needs_cc
@@ -965,7 +1194,62 @@ def test_memo_stub_rows_stay_in_bounds_under_asan(tmp_path):
     id, and a memo stub's word is ``-1``: the floor on gathered indices
     keeps that read inside the table (the row it computes is never
     read)."""
-    _run_under_asan(_STUB_ROWS_UNDER_ASAN, tmp_path)
+    _run_preloaded(_STUB_ROWS_UNDER_ASAN, tmp_path)
+
+
+_TEAM_UNDER_TSAN = """
+import copy, types
+import numpy as np
+from repro.data import synthetic_treebank
+from repro.errors import NativeError
+from repro.linearizer import branch, leaf
+from repro.options import CompileOptions
+from repro.pipeline import CompilerPipeline
+from repro.runtime.native import DEFAULT_CFLAGS, NativeModule
+from repro.runtime.plan import build_host_plan, execute_plan
+
+# treebank trees, then unary nodes in the root level: the gather of a
+# missing child runs in the level that writes row 0
+trees = synthetic_treebank(100, vocab_size=50, rng=np.random.default_rng(3))
+trees += [branch(leaf(3)), branch(branch(leaf(3)), branch(leaf(4), leaf(5))),
+          branch(branch(leaf(3), leaf(4)))]
+for specialize in (True, False):
+    model = CompilerPipeline().compile(
+        "treelstm", CompileOptions(target="python", specialize=specialize),
+        hidden=256, vocab=50, rng=np.random.default_rng(0))
+    try:
+        native = NativeModule.from_ilmodule(
+            model.lowered.module,
+            flags=DEFAULT_CFLAGS + ("-fsanitize=thread",))
+    except NativeError as e:
+        print(f"SKIP: -fsanitize=thread does not build here: {e}")
+        raise SystemExit(0)
+
+    def plan(team):
+        compiled = copy.copy(model.compiled)
+        compiled.native = types.SimpleNamespace(
+            fns=native.variant_fns(native.variant, team=team))
+        return build_host_plan(model.lowered, compiled)
+
+    one, two = plan(1), plan(2)
+    for tree in trees:
+        lin = model._linearize([tree], True)
+        a = execute_plan(one, lin, model.params).workspace
+        b = execute_plan(two, lin, model.params).workspace
+        for name in model.outputs:
+            assert np.array_equal(a[name], b[name]), (specialize, name)
+print("team ran clean")
+"""
+
+
+@needs_cc
+def test_team_runs_clean_under_tsan(tmp_path):
+    """103 h256 calls split across a team of two, on the specialized and
+    the unspecialized schedule, under ThreadSanitizer (halting on its
+    first report): the barriers codegen placed order every cross-column
+    read after its writes, and a missing child's gather never reads the
+    row its level is writing."""
+    _run_preloaded(_TEAM_UNDER_TSAN, tmp_path, runtime="tsan")
 
 
 @pytest.mark.parametrize("target", ("python", "c"))
@@ -1494,7 +1778,7 @@ print("walker ran clean")
 
 @needs_cc
 def test_native_walker_under_asan_and_ubsan(tmp_path):
-    _run_under_asan(_WALKER_UNDER_ASAN, tmp_path)
+    _run_preloaded(_WALKER_UNDER_ASAN, tmp_path)
 
 
 # -- golden snapshots of the generated C ---------------------------------------
