@@ -33,7 +33,7 @@ async def tenant(pool: WorkerPool, name: str, seed: int):
     requests = [synthetic_treebank(1, vocab_size=1000, rng=rng)
                 for _ in range(REQUESTS_PER_TENANT)]
     # asubmit enqueues without blocking the event loop and returns an
-    # awaitable handle; deadline/cancel/retry semantics are identical to
+    # awaitable handle; deadline/cancel semantics are identical to
     # the threaded API (same handle underneath, same scheduler)
     handles = [await pool.asubmit(roots, timeout_s=30.0, tenant=name)
                for roots in requests]

@@ -1,13 +1,13 @@
-"""Chaos serving: inject seeded faults, watch the server heal bitwise.
+"""Chaos serving: one poisoned request in a flush, bitwise neighbours.
 
-Compiles a TreeLSTM and serves a synthetic request stream twice — once
-fault-free, once with a seeded FaultInjector raising transient kernel
-exceptions in 10% of executions — and verifies that every request the
-chaotic run completed produced root rows bitwise identical to the clean
-run.  The server's bounded retry (exponential backoff + seeded jitter)
-absorbs the injected faults; anything it cannot heal fails with a precise
-typed error instead of hanging a handle.  Ends with the resilience
-counters: retries, isolations, error rate, and the injector's own tally.
+Compiles a TreeLSTM behind a ``Router`` and submits 8 requests that ride
+one coalesced flush.  One of them carries a leaf word past the embedding
+table — a client's bad input, refused by the flush's word-range check.
+Bisection isolation re-executes the flush's halves until that request
+fails alone with ``LinearizationError``; its 7 neighbours are served
+bitwise identical to running each one alone, and the model's circuit
+breaker stays closed, because a client's bad input says nothing about
+the model's health.  Ends with the resilience counters.
 
 Run:  python examples/serve_chaos.py
       REPRO_CHAOS_SEED=1 python examples/serve_chaos.py
@@ -19,67 +19,51 @@ import numpy as np
 
 import repro
 from repro.data import synthetic_treebank
-from repro.errors import CortexError
-from repro.serve import FaultInjector, MaxPendingRequests
+from repro.errors import LinearizationError
+from repro.linearizer import branch, leaf
+from repro.serve import MaxPendingRequests, Router
 
-NUM_REQUESTS = 120
+FLUSH = 8
+VOCAB = 1000
 HIDDEN = int(os.environ.get("REPRO_EXAMPLE_HIDDEN", "128"))
 SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
 
-def serve_stream(model, requests, faults=None):
-    """One synchronous pass over the stream; returns per-request outcomes."""
-    server = model.server(policy=MaxPendingRequests(8), faults=faults)
-    handles = [server.submit(roots) for roots in requests]
-    server.drain()
-    outcomes = []
-    for h in handles:
-        exc = h.exception()
-        outcomes.append(h.result() if exc is None else exc)
-    return server, outcomes
-
-
 def main() -> None:
-    # 1. one compiled model serves both passes (results depend only on
-    #    the coalesced batch, so the passes are directly comparable)
-    model = repro.compile("treelstm", hidden=HIDDEN, vocab=1000)
+    model = repro.compile("treelstm", hidden=HIDDEN, vocab=VOCAB)
+    router = Router()
+    router.add_model("sentiment", model, policy=MaxPendingRequests(FLUSH))
+
+    # 1. eight requests, one flush; the poisoned one sits at a seeded slot
     rng = np.random.default_rng(SEED)
-    requests = [synthetic_treebank(1, vocab_size=1000, rng=rng)
-                for _ in range(NUM_REQUESTS)]
+    requests = [synthetic_treebank(1, vocab_size=VOCAB, rng=rng)
+                for _ in range(FLUSH)]
+    bad = int(rng.integers(FLUSH))
+    requests[bad] = [branch(branch(leaf(3), leaf(1)), leaf(VOCAB + 7))]
+    handles = [router.submit("sentiment", roots) for roots in requests]
 
-    # 2. the clean pass: ground truth for the bitwise comparison
-    _, clean = serve_stream(model, requests)
-
-    # 3. the chaotic pass: a seeded injector fails 10% of executions with
-    #    retryable kernel exceptions; the same seed replays the same chaos
-    faults = FaultInjector(seed=SEED, kernel_failure_rate=0.10)
-    server, chaotic = serve_stream(model, requests, faults=faults)
-
-    # 4. the resilience invariant: every chaotic outcome is either a
-    #    result identical to the clean run's, or a typed injected error
-    healed = retried = failed = 0
-    for clean_res, res in zip(clean, chaotic):
-        if isinstance(res, CortexError):
-            assert getattr(res, "injected", False), res
-            failed += 1
+    # 2. the policy fired on the 8th submit: every handle is resolved
+    for i, (roots, h) in enumerate(zip(requests, handles)):
+        exc = h.exception()
+        if i == bad:
+            assert isinstance(exc, LinearizationError), exc
             continue
-        for name, rows in clean_res.outputs.items():
-            assert np.array_equal(res.root_output(name), rows), name
-        healed += 1
-        if res.attempts > 1:
-            retried += 1
-    print(f"chaos seed {SEED}: {healed}/{NUM_REQUESTS} requests bitwise "
-          f"identical to the fault-free run ({retried} needed retries), "
-          f"{failed} failed typed")
+        assert exc is None, exc
+        solo = model.run(roots)
+        ids = [solo.lin.node_id(r) for r in roots]
+        for name, rows in h.result().outputs.items():
+            assert np.array_equal(rows, solo.workspace[name][ids]), name
+    assert router.health() == {"sentiment": "closed"}
+    print(f"chaos seed {SEED}: request {bad} of {FLUSH} failed alone with "
+          f"LinearizationError; {FLUSH - 1} neighbours bitwise identical "
+          f"to solo runs; breaker {router.health()['sentiment']}")
 
-    # 5. the metrics snapshot now carries the resilience counters and the
-    #    injector's tally — the monitoring surface for degraded mode
-    snap = server.metrics_snapshot()
-    print(f"retries:     {snap['retries']} "
-          f"(isolations: {snap['isolations']})")
-    print(f"error rate:  {snap['error_rate']:.1%}")
-    print(f"injected:    {snap['faults']['kernel_failures']} kernel "
-          f"faults over {snap['faults']['executions']} executions")
+    # 3. bisection's receipt: [8] -> [4][4] -> [2][2] -> [1][1]
+    snap = router.metrics_snapshot()["sentiment"]
+    print(f"completed:   {snap['completed']}, failed: {snap['failed']} "
+          f"(error rate {snap['error_rate']:.1%})")
+    print(f"isolations:  {snap['isolations']} "
+          f"({snap['isolation_execs']} extra executions)")
 
 
 if __name__ == "__main__":

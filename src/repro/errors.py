@@ -3,20 +3,14 @@
 Every error raised by this package derives from :class:`CortexError` so
 applications can catch compiler problems without catching unrelated bugs.
 
-The serving subsystem additionally classifies failures for its retry and
-degradation machinery:
-
-* ``retryable`` — a class-level flag on every :class:`CortexError`;
-  ``True`` only for failures that a plain re-execution can plausibly fix
-  (:class:`TransientExecutionError`).  The server's bounded-retry loop
-  consults it through :func:`is_retryable`, so a malformed request is
-  never pointlessly re-executed while a transient kernel fault is.
-* client-caused request outcomes get precise types —
-  :class:`RequestTimeoutError` / :class:`DeadlineExceededError` /
-  :class:`RequestCancelledError` — distinct from server-side overload
-  (:class:`QueueFullError`, :class:`LoadShedError`) and from degraded
-  upstream health (:class:`CircuitOpenError`), because callers react
-  differently to each (give up, back off, or fail over).
+The serving subsystem additionally gives each request outcome a precise
+type, because callers react differently to each (give up, back off, or
+fail over): client-caused outcomes — :class:`RequestTimeoutError` /
+:class:`DeadlineExceededError` / :class:`RequestCancelledError` — are
+distinct from server-side overload (:class:`QueueFullError`,
+:class:`LoadShedError`) and from degraded upstream health
+(:class:`CircuitOpenError`).  Which of those outcomes say something about
+a *model's* health is decided once, by :func:`health_signal`.
 """
 
 from __future__ import annotations
@@ -26,10 +20,6 @@ from typing import Optional
 
 class CortexError(Exception):
     """Base class for all errors raised by this package."""
-
-    #: may a plain re-execution of the failed work plausibly succeed?
-    #: Consulted by the serving retry loop via :func:`is_retryable`.
-    retryable: bool = False
 
 
 class IRError(CortexError):
@@ -84,18 +74,6 @@ class LinearizationError(CortexError):
 
 class ExecutionError(CortexError):
     """Runtime failure while executing a compiled module."""
-
-
-class TransientExecutionError(ExecutionError):
-    """An execution failure that re-running the same work may fix.
-
-    The classification the serving retry loop keys on: spurious kernel
-    faults, allocation pressure, injected chaos faults.  Deterministic
-    failures (shape mismatches, malformed structures) must **not** use
-    this type — retrying them wastes the whole batch's time.
-    """
-
-    retryable = True
 
 
 class DeviceError(CortexError):
@@ -162,9 +140,9 @@ class SpliceRefusedError(MemoError):
 class MemoVerifyError(MemoError):
     """A verify-mode memoized flush did not match unmemoized execution.
 
-    Never retryable: a mismatch means a poisoned cache entry or a broken
-    splice-safety assumption, and re-executing the same splice would
-    silently return the same wrong rows.
+    A mismatch means a poisoned cache entry or a broken splice-safety
+    assumption; re-executing the same splice would silently return the
+    same wrong rows, so the flush fails instead.
     """
 
 
@@ -182,11 +160,25 @@ class CircuitOpenError(ServingError):
         self.retry_after_s = retry_after_s
 
 
-def is_retryable(exc: BaseException) -> bool:
-    """Is this failure worth re-executing (bounded, with backoff)?
+#: outcomes that say nothing about the model that would have served them:
+#: the request's own input was refused (structure, word range, int32, size
+#: cap), the caller gave up, or the server was overloaded
+_NEUTRAL = (LinearizationError, InvalidRequestError, RequestCancelledError,
+            DeadlineExceededError, QueueFullError)
 
-    ``True`` exactly for :class:`CortexError` subclasses that declare
-    ``retryable = True``; foreign exceptions (bugs, keyboard interrupts)
-    are never retried.
+
+def health_signal(exc: Optional[BaseException]) -> Optional[bool]:
+    """The one failure taxonomy: what a request's outcome says about its
+    model.
+
+    ``True`` for a result (``exc is None``), ``None`` for an outcome that
+    belongs to the client or to load — a refused input, a cancellation, a
+    deadline expiry, load shedding — and ``False`` for every other
+    exception, which counts against the model.  Circuit breakers are fed
+    through this function and nothing else.
     """
-    return bool(getattr(exc, "retryable", False))
+    if exc is None:
+        return True
+    if isinstance(exc, _NEUTRAL):
+        return None
+    return False

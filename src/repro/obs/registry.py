@@ -13,7 +13,7 @@ Three instrument types:
 * :class:`Counter` — monotonically increasing (``inc``);
 * :class:`Gauge` — settable level (``set``/``inc``/``dec``), or a
   *callback* gauge whose value is pulled from a function at collect time
-  (how the workspace arena, fault injector and circuit breakers report
+  (how the workspace arena, the queue and circuit breakers report
   without restructuring their internal counters into push calls);
 * :class:`Histogram` — fixed cumulative buckets plus lifetime
   count/sum for Prometheus, **and** a bounded sliding window of raw

@@ -44,7 +44,7 @@ STATUS_UNSET = "unset"
 
 
 class SpanEvent:
-    """A point-in-time annotation on a span (retry, cancellation, ...)."""
+    """A point-in-time annotation on a span (isolation, cancellation, ...)."""
 
     __slots__ = ("name", "t", "attributes")
 

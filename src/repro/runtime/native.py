@@ -7,7 +7,7 @@ system compiler (``cc -O2 -shared -fPIC``) into a cached shared library,
 loads it via :mod:`ctypes`, and wraps each exported kernel in a callable
 with the Python kernels' exact calling convention — so
 :func:`repro.runtime.plan.execute_plan` dispatches native launches
-through the unchanged arena/profiler/fault-hook path.
+through the unchanged arena/profiler path.
 
 Marshalling is zero-copy: NumPy buffers pass as raw data addresses into
 ``c_void_p`` parameters — the address the host plan worked out for the

@@ -321,7 +321,7 @@ class ExecutionResult:
 
 def execute_plan(plan: HostPlan, lin: Linearized,
                  params: Mapping[str, np.ndarray], *,
-                 device=None, arena=None, faults=None, profiler=None,
+                 device=None, arena=None, profiler=None,
                  seeds=None) -> ExecutionResult:
     """Run the precompiled host program over one linearized input batch.
 
@@ -329,14 +329,10 @@ def execute_plan(plan: HostPlan, lin: Linearized,
     kernels in step order, leaf kernels over the leaf batches, level
     kernels over the internal batches, then fused and post kernels.
 
-    ``faults`` is an optional :class:`~repro.serve.faults.FaultInjector`;
-    its hooks fire at execution start (slow flush), before workspace
-    allocation (arena failure) and inside the launch phase (kernel
-    exception).  When an exception escapes after the arena lease — a bad
-    seed row, an injected or genuine kernel failure — the slab is released
-    back to the arena before it propagates (a missing or mis-shaped
-    parameter is refused before the lease), so a failed call never shrinks
-    the arena.
+    When an exception escapes after the arena lease — a bad seed row, a
+    failing kernel — the slab is released back to the arena before it
+    propagates (a missing or mis-shaped parameter is refused before the
+    lease), so a failed call never shrinks the arena.
 
     ``profiler`` is an optional :class:`~repro.runtime.profiler
     .KernelProfiler`: every launch record is wrapped in a per-call timing
@@ -360,9 +356,6 @@ def execute_plan(plan: HostPlan, lin: Linearized,
         from .costmodel import estimate_cost
 
         cost = estimate_cost(plan.module, lin, device)
-    if faults is not None:
-        faults.on_execution()
-        faults.check_arena()
     t_ws = time.perf_counter() if profiler is not None else 0.0
     c = plan.bind_scalars(lin)
     ws, leased = plan.make_workspace(lin, params, arena)
@@ -381,8 +374,6 @@ def execute_plan(plan: HostPlan, lin: Linearized,
             fused, post = plan.fused, plan.post
 
         t0 = time.perf_counter()
-        if faults is not None:
-            faults.check_kernel()
         for _, fn in pre:
             fn(ws, c)
 

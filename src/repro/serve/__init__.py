@@ -15,8 +15,8 @@ One flush loop per server, two ways to drive it, and a pool on top:
   and batch jobs.
 * **threaded** — ``with server:`` runs the one worker thread that owns
   every flush while any number of producer threads submit.  The full
-  request lifecycle rides along: deadlines, cancellation, bounded retry,
-  bisection fault isolation, priority shedding.
+  request lifecycle rides along: deadlines, cancellation, bisection
+  fault isolation, priority shedding.
 * **pooled-async** — a :class:`~repro.serve.pool.WorkerPool` replicates
   the server N times (private arenas, shared compilation) behind
   pluggable load balancing with per-replica circuit breakers, and
@@ -35,20 +35,19 @@ Pieces:
 * :mod:`~repro.serve.scheduler` — flush policies, admission control,
   priority-aware load shedding, per-tenant fair-share interleaving;
 * :mod:`~repro.serve.server` — the :class:`ModelServer` front-end with
-  bounded retry and bisection fault isolation;
+  bisection fault isolation;
 * :mod:`~repro.serve.aio` — the asyncio bridge (awaitable handles);
 * :mod:`~repro.serve.pool` — replica worker pools, load balancers,
   replica replacement, aggregated metrics;
-* :mod:`~repro.serve.faults` — deterministic, seeded fault injection;
 * :mod:`~repro.serve.metrics` — throughput / latency / occupancy /
   resilience counters, tenant-labeled families;
 * :mod:`~repro.serve.router` — multi-model dispatch (servers *and*
-  pools) with circuit breakers and health states.
+  pools) with circuit breakers and health states, fed by the one failure
+  taxonomy, :func:`repro.errors.health_signal`.
 """
 
 from .aio import AsyncRequestHandle
 from .coalescer import CoalescedBatch, coalesce, scatter
-from .faults import FaultInjector
 from .metrics import ServerMetrics
 from .pool import (LeastLoaded, LoadBalancer, Replica, RoundRobin,
                    SloAware, WorkerPool)
@@ -57,15 +56,13 @@ from .router import BreakerState, CircuitBreaker, Router
 from .scheduler import (Admission, AnyOf, Deadline, FlushPolicy,
                         MaxPendingRequests, MaxTotalNodes, QueueSnapshot,
                         Scheduler, default_policy)
-from .server import NO_RETRY, ModelServer, RetryPolicy
+from .server import ModelServer
 
 __all__ = [
-    "CoalescedBatch", "coalesce", "scatter", "FaultInjector",
-    "ServerMetrics", "Request", "RequestHandle", "RequestResult",
-    "BreakerState", "CircuitBreaker", "Router", "Admission", "AnyOf",
-    "Deadline", "FlushPolicy", "MaxPendingRequests", "MaxTotalNodes",
-    "QueueSnapshot", "Scheduler", "default_policy", "NO_RETRY",
-    "ModelServer", "RetryPolicy", "AsyncRequestHandle",
-    "WorkerPool", "Replica", "LoadBalancer", "RoundRobin", "LeastLoaded",
-    "SloAware",
+    "CoalescedBatch", "coalesce", "scatter", "ServerMetrics", "Request",
+    "RequestHandle", "RequestResult", "BreakerState", "CircuitBreaker",
+    "Router", "Admission", "AnyOf", "Deadline", "FlushPolicy",
+    "MaxPendingRequests", "MaxTotalNodes", "QueueSnapshot", "Scheduler",
+    "default_policy", "ModelServer", "AsyncRequestHandle", "WorkerPool",
+    "Replica", "LoadBalancer", "RoundRobin", "LeastLoaded", "SloAware",
 ]

@@ -10,7 +10,7 @@ which mirrors resolution into an ``asyncio`` future via
 ``loop.call_soon_threadsafe`` from the handle's done-callback.
 
 Lifecycle parity is exact, by construction: admission, deadlines,
-priorities, retries, isolation and cancellation all happen in the
+priorities, isolation and cancellation all happen in the
 threaded machinery on the *same* handle object; the bridge only changes
 how a caller waits.  Typed errors carry over unchanged — an awaited
 cancelled request raises :class:`~repro.errors.RequestCancelledError`

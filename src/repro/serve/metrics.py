@@ -6,8 +6,8 @@ Counter family and every distribution a registry Histogram, so the same
 numbers that feed :meth:`snapshot` (the flat dict the server has always
 exposed) are also scrapeable in Prometheus text format or JSON via the
 exporters in :mod:`repro.obs.export`.  Other serving components
-(:class:`~repro.serve.router.CircuitBreaker`, the fault injector, the
-workspace arena) register into the **same** registry through their
+(:class:`~repro.serve.router.CircuitBreaker`, the workspace arena)
+register into the **same** registry through their
 ``bind_metrics`` hooks, giving one scrape for the whole serving stack.
 
 The recording API (``note_submit`` / ``note_flush`` / ...) and the
@@ -61,8 +61,6 @@ class ServerMetrics:
         self._nodes = r.counter(
             "serve_nodes_processed_total",
             "structure nodes executed in successful flushes")
-        self._retries = r.counter(
-            "serve_retries_total", "transient-failure retry attempts")
         self._isolations = r.counter(
             "serve_isolations_total",
             "failed batches bisected to isolate a poison request")
@@ -117,10 +115,6 @@ class ServerMetrics:
     def note_reject(self) -> None:
         self._rejected.inc()
 
-    def note_retry(self) -> None:
-        """One transient-failure retry attempt (of a whole flush)."""
-        self._retries.inc()
-
     def note_isolation(self, extra_execs: int) -> None:
         """A failed multi-request batch was bisected into sub-batches."""
         self._isolations.inc()
@@ -139,29 +133,27 @@ class ServerMetrics:
         self._shed.inc(n)
 
     def note_failed(self, n: int = 1) -> None:
-        """``n`` requests failed outside a whole-flush failure."""
+        """``n`` requests resolved with an execution failure."""
         self._failed.inc(n)
 
     def note_flush(self, num_requests: int, num_nodes: int, exec_s: float,
-                   latencies: Sequence[float], *, failed: bool = False,
+                   latencies: Sequence[float], *,
                    tenants: Optional[Sequence[str]] = None) -> None:
+        """One successful flush: its requests completed."""
         self._flushes.inc()
-        if failed:
-            self._failed.inc(num_requests)
-        else:
-            self._completed.inc(num_requests)
-            self._nodes.inc(num_nodes)
-            self._occ_requests.observe(num_requests)
-            self._occ_nodes.observe(num_nodes)
-            self._flush_exec.observe(exec_s)
-            self._latency.observe_many(latencies)
-            if tenants:
-                counts: Dict[str, int] = {}
-                for t in tenants:
-                    counts[t] = counts.get(t, 0) + 1
-                for t, n in counts.items():
-                    self._tenants[t] = True
-                    self._tenant_completed.labels(tenant=t).inc(n)
+        self._completed.inc(num_requests)
+        self._nodes.inc(num_nodes)
+        self._occ_requests.observe(num_requests)
+        self._occ_nodes.observe(num_nodes)
+        self._flush_exec.observe(exec_s)
+        self._latency.observe_many(latencies)
+        if tenants:
+            counts: Dict[str, int] = {}
+            for t in tenants:
+                counts[t] = counts.get(t, 0) + 1
+            for t, n in counts.items():
+                self._tenants[t] = True
+                self._tenant_completed.labels(tenant=t).inc(n)
 
     # -- per-tenant views ----------------------------------------------------
     def tenants(self) -> Dict[str, Dict[str, int]]:
@@ -213,7 +205,7 @@ class ServerMetrics:
             "latency_mean_ms": self._latency.window_mean() * 1e3,
             "batch_occupancy_requests": self._occ_requests.window_mean(),
             "batch_occupancy_nodes": self._occ_nodes.window_mean(),
-            "retries": int(self._retries.value),
+            "retries": 0,  # its only reader: benchmarks/e2e/child.py:685
             "isolations": int(self._isolations.value),
             "isolation_execs": int(self._isolation_execs.value),
             "expired": int(self._expired.value),

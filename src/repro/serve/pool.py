@@ -30,6 +30,7 @@ depth bound — shedding at the door beats queueing past a deadline.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import threading
 from dataclasses import dataclass
@@ -52,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: ModelServer.metrics_snapshot keys the pool aggregate must preserve
 #: (the PR 7 pin); counters sum, rates sum, percentiles pool raw windows
 _SUM_KEYS = ("submitted", "rejected", "completed", "failed", "flushes",
-             "nodes_processed", "retries", "isolations", "isolation_execs",
+             "nodes_processed", "isolations", "isolation_execs",
              "expired", "cancelled", "shed")
 
 
@@ -155,11 +156,8 @@ class WorkerPool:
             attribute), so one trace export covers the whole pool.
         clock: optional shared :class:`~repro.obs.Clock` for all
             replicas and breakers.
-        faults: a :class:`~repro.serve.FaultInjector` shared by every
-            replica, or a one-arg callable ``faults(i)`` building one
-            per replica (independent chaos schedules).
         server_kw: every other :class:`~repro.serve.ModelServer` keyword
-            (``policy``, ``fair_share``, ``retry``, ``memo`` ...) —
+            (``policy``, ``fair_share``, ``max_queue``, ``memo`` ...) —
             applied to each replica alike.
     """
 
@@ -169,7 +167,6 @@ class WorkerPool:
                  breaker: Union[bool, Callable[[], CircuitBreaker]] = True,
                  tracer: Optional[Tracer] = None,
                  clock: Optional[Clock] = None,
-                 faults=None,
                  **server_kw):
         if replicas < 1:
             raise ServingError("a pool needs at least 1 replica")
@@ -178,7 +175,6 @@ class WorkerPool:
         self.tracer = tracer
         self._clock = clock
         self._breaker_spec = breaker
-        self._faults_spec = faults
         self._server_kw = dict(server_kw)
         self._balancer = _make_balancer(balancer)
         #: pool-level registry: replica-labeled gauges + breaker families
@@ -216,16 +212,13 @@ class WorkerPool:
     # -- replica construction ----------------------------------------------
     def _build_replica(self, index: int) -> Replica:
         rname = f"{self.name}/r{index}"
-        faults = self._faults_spec
-        if callable(faults) and not hasattr(faults, "snapshot"):
-            faults = faults(index)
         # each build (including replacements) gets a fresh disjoint id
         # block, so request ids are unique across the pool's lifetime
         self._id_blocks += 1
         server = ModelServer(
             _private_arena_view(self._model),
             name=rname, tracer=self.tracer, clock=self._clock,
-            faults=faults, request_id_base=self._id_blocks * 10 ** 9,
+            request_id_base=self._id_blocks * 10 ** 9,
             **self._server_kw)
         breaker_spec = self._breaker_spec
         if breaker_spec is True:
@@ -243,8 +236,6 @@ class WorkerPool:
             breaker.bind_metrics(self.registry, model=rname)
             if self.tracer is not None:
                 breaker.bind_tracer(self.tracer, replica=rname)
-            server.add_observer(
-                lambda req, exc, _b=breaker: _b.record(exc is None))
         # callback children *replace* on re-registration, so a
         # replacement replica rebinds its label set cleanly
         self._g_depth.callback(
@@ -306,12 +297,14 @@ class WorkerPool:
                tenant: str = "default") -> RequestHandle:
         """Route one request to a replica; failover across the order.
 
-        Walks the balancer's candidate order: breaker-OPEN replicas are
-        skipped, :class:`~repro.errors.QueueFullError` backpressure
-        fails over to the next candidate, and only when *every* replica
-        refuses does the submit fail — with the most informative of the
-        collected refusals (breaker sheds outrank queue-full, since they
-        carry health state and a retry-after hint).
+        Walks the balancer's candidate order: replicas whose breaker
+        refuses are skipped, :class:`~repro.errors.QueueFullError`
+        backpressure fails over to the next candidate, and only when
+        *every* replica refuses does the submit fail — with the most
+        informative of the collected refusals (breaker sheds outrank
+        queue-full, since they carry health state and a retry-after
+        hint).  The breaker of the replica that takes the request hears
+        its outcome (:meth:`~repro.serve.router.CircuitBreaker.admit`).
         """
         if self._closed:
             raise ServingError(
@@ -326,19 +319,21 @@ class WorkerPool:
         breaker_exc: Optional[CircuitOpenError] = None
         full_exc: Optional[QueueFullError] = None
         for rep in order:
-            if rep.breaker is not None and not rep.breaker.allow():
+            submit = functools.partial(
+                rep.server.submit, roots, timeout_s=timeout_s,
+                priority=priority, tenant=tenant)
+            try:
+                handle = (submit() if rep.breaker is None
+                          else rep.breaker.admit(submit))
+            except QueueFullError as exc:
+                full_exc = exc
+                continue
+            if handle is None:
                 if breaker_exc is None:
                     breaker_exc = CircuitOpenError(
                         f"replica {rep.name!r} circuit is "
                         f"{rep.breaker.state.value}",
                         retry_after_s=rep.breaker.retry_after_s())
-                continue
-            try:
-                handle = rep.server.submit(
-                    roots, timeout_s=timeout_s, priority=priority,
-                    tenant=tenant)
-            except QueueFullError as exc:
-                full_exc = exc
                 continue
             self._note_tenant(tenant)
             return handle
@@ -458,6 +453,7 @@ class WorkerPool:
             (s["uptime_s"] for s in snaps.values()), default=0.0)}
         for key in _SUM_KEYS:
             agg[key] = sum(s[key] for s in snaps.values())
+        agg["retries"] = 0  # its only reader: benchmarks/e2e/child.py:685
         agg["throughput_rps"] = sum(
             s["throughput_rps"] for s in snaps.values())
         agg["throughput_nodes_ps"] = sum(

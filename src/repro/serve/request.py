@@ -46,8 +46,8 @@ class RequestResult:
     queue_time_s: float = 0.0
     exec_time_s: float = 0.0
     latency_s: float = 0.0
-    #: execution attempts this request took to succeed (1 = first try;
-    #: more when transient faults forced retries)
+    #: executions this request rode in (1 = its first flush; more when a
+    #: failed batch was bisected and the request re-ran in a sub-batch)
     attempts: int = 1
 
     def root_output(self, name: str) -> np.ndarray:
@@ -210,7 +210,7 @@ class Request:
     #: arriving higher-priority request may evict the lowest-priority
     #: queued one instead of being rejected)
     priority: int = 0
-    #: execution attempts so far (bounded by the server's retry policy)
+    #: executions so far, bisection re-runs included
     attempts: int = 0
     #: fair-share accounting class — requests from different tenants are
     #: interleaved by the scheduler's fair-share take so one chatty

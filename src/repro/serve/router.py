@@ -15,9 +15,12 @@ the same configuration twice (blue/green rollouts, per-tenant aliases)
 never recompiles.
 
 Graceful degradation: every registered model gets a
-:class:`CircuitBreaker` (disable with ``breaker=False``).  The breaker
-watches executed requests' outcomes through the server's observer hook
-and walks the classic health states — ``CLOSED`` (healthy) → ``OPEN``
+:class:`CircuitBreaker` (disable with ``breaker=False``).  Every request
+the breaker admits reports back once, when its handle resolves, and
+:func:`~repro.errors.health_signal` decides what the outcome says: a
+client's refused input, a cancellation, an expiry or load shedding says
+nothing, so only the model's own failures count.  The breaker walks the
+classic health states — ``CLOSED`` (healthy) → ``OPEN``
 after a run of failures (submits shed immediately with
 :class:`~repro.errors.CircuitOpenError` instead of queueing onto a
 broken model and cascading into queue timeouts) → ``HALF_OPEN`` after a
@@ -31,10 +34,10 @@ import dataclasses
 import enum
 import threading
 import time
-from typing import (TYPE_CHECKING, Dict, Iterator, Optional, Sequence,
-                    Union)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, Optional,
+                    Sequence, Union)
 
-from ..errors import CircuitOpenError, ServingError
+from ..errors import CircuitOpenError, ServingError, health_signal
 from ..linearizer import Node
 from ..obs import Clock, MetricsRegistry, Tracer
 from .request import RequestHandle
@@ -52,13 +55,15 @@ class BreakerState(enum.Enum):
 class CircuitBreaker:
     """Consecutive-failure circuit breaker with half-open recovery.
 
-    ``failure_threshold`` consecutive executed-request failures trip the
-    breaker ``OPEN``; for ``reset_timeout_s`` every :meth:`allow` is
+    ``failure_threshold`` consecutive failures of the model trip the
+    breaker ``OPEN``; for ``reset_timeout_s`` every :meth:`admit` is
     refused (the router sheds with
     :class:`~repro.errors.CircuitOpenError`).  After the cool-down the
     breaker turns ``HALF_OPEN`` and admits up to ``half_open_probes``
     in-flight probe requests: that many successes close it (counters
     reset), while any probe failure re-opens it for a fresh cool-down.
+    A probe gives its slot back whatever its outcome, so outcomes that
+    say nothing about the model never wedge the breaker half-open.
 
     Thread-safe; ``clock`` is injectable for tests — any
     :class:`~repro.obs.Clock` (defaults to ``time.monotonic``), so one
@@ -86,6 +91,9 @@ class CircuitBreaker:
         self._opened_t = 0.0
         self._probes_in_flight = 0
         self._probe_successes = 0
+        #: bumped on every entry to HALF_OPEN: a probe returns its slot
+        #: only to the generation that lent it
+        self._generation = 0
         self.opened_count = 0        # times the breaker tripped OPEN
         self.shed_count = 0          # submits refused while OPEN
         #: observability bindings (optional; see bind_metrics/bind_tracer)
@@ -155,22 +163,52 @@ class CircuitBreaker:
             self._set_state(BreakerState.HALF_OPEN)
             self._probes_in_flight = 0
             self._probe_successes = 0
+            self._generation += 1
 
-    def allow(self) -> bool:
-        """May a new request pass?  (Counts a HALF_OPEN probe slot.)"""
+    def admit(self, submit: Callable[[], RequestHandle]
+              ) -> Optional[RequestHandle]:
+        """Pass one request through the breaker; ``None`` when refused.
+
+        ``submit`` runs only when the breaker lets the request through.
+        The handle it returns reports back exactly once, when it
+        resolves, and :func:`~repro.errors.health_signal` decides whether
+        that outcome counts for the model, against it, or not at all.  A
+        request admitted ``HALF_OPEN`` holds a probe slot until then; a
+        refusal raised by ``submit`` itself returns the slot and
+        propagates.  Requests admitted ``CLOSED`` never touch the probe
+        count.
+        """
         with self._lock:
             self._maybe_half_open()
             if self._state is BreakerState.CLOSED:
-                return True
-            if self._state is BreakerState.HALF_OPEN:
-                if self._probes_in_flight < self.half_open_probes:
-                    self._probes_in_flight += 1
-                    return True
-                return False
-            self.shed_count += 1
-            if self._m_shed is not None:
-                self._m_shed.inc()
-            return False
+                probe = None
+            elif (self._state is BreakerState.HALF_OPEN
+                    and self._probes_in_flight < self.half_open_probes):
+                self._probes_in_flight += 1
+                probe = self._generation
+            else:
+                if self._state is BreakerState.OPEN:
+                    self.shed_count += 1
+                    if self._m_shed is not None:
+                        self._m_shed.inc()
+                return None
+        try:
+            handle = submit()
+        except BaseException:
+            self._settle(probe, None)
+            raise
+        handle.add_done_callback(
+            lambda h: self._settle(probe, health_signal(h.exception(0))))
+        return handle
+
+    def _settle(self, probe: Optional[int], ok: Optional[bool]) -> None:
+        """An admitted request's end: free its probe slot, then record
+        its health signal (``None`` records nothing)."""
+        with self._lock:
+            if probe == self._generation:
+                self._probes_in_flight -= 1
+        if ok is not None:
+            self.record(ok)
 
     def retry_after_s(self) -> Optional[float]:
         """Remaining cool-down when OPEN; ``None`` otherwise."""
@@ -181,7 +219,7 @@ class CircuitBreaker:
                        - (self._clock() - self._opened_t))
 
     def record(self, ok: bool) -> None:
-        """Feed one executed request's outcome into the health state."""
+        """Feed one success or model failure into the health state."""
         with self._lock:
             if ok:
                 if self._state is BreakerState.HALF_OPEN:
@@ -304,8 +342,6 @@ class Router:
             breaker.bind_metrics(server.metrics.registry, model=name)
             if server.tracer is not None:
                 breaker.bind_tracer(server.tracer, model=name)
-            server.add_observer(
-                lambda req, exc, _b=breaker: _b.record(exc is None))
         self._servers[name] = server
         return server
 
@@ -429,12 +465,15 @@ class Router:
         """
         server = self.server(name)
         breaker = self._breakers.get(name)
-        if breaker is not None and not breaker.allow():
+        if breaker is None:
+            return server.submit(roots, **submit_kw)
+        handle = breaker.admit(lambda: server.submit(roots, **submit_kw))
+        if handle is None:
             raise CircuitOpenError(
                 f"model {name!r} circuit is {breaker.state.value}; "
                 f"shedding until the model proves healthy",
                 retry_after_s=breaker.retry_after_s())
-        return server.submit(roots, **submit_kw)
+        return handle
 
     def flush(self, name: Optional[str] = None) -> int:
         """Flush one model's queue, or every model's when ``name`` is None."""

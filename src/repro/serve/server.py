@@ -45,18 +45,19 @@ Resilience (the request lifecycle, end to end):
   expired *in the queue* and are never co-batched or executed.
 * **cancellation** — ``handle.cancel()`` wins any time before the server
   claims the request for execution.
-* **retries** — failures classified transient (see
-  :func:`~repro.errors.is_retryable`) re-execute the whole batch under a
-  bounded :class:`RetryPolicy` with exponential backoff + seeded jitter;
-  outputs after a successful retry are bitwise identical to a fault-free
-  run (execution is deterministic given the coalesced batch).
-* **isolation** — a batch that keeps failing is bisected (O(log n)
-  re-executions, not O(n)) so one poisoned request fails alone with a
-  typed error while its co-batched neighbours still succeed.
+* **isolation** — a failed batch is bisected (O(log n) re-executions,
+  not O(n)) so one poisoned request fails alone with a typed error while
+  its co-batched neighbours still succeed.  There is no retry: execution
+  is deterministic given the coalesced batch, so a failure that survives
+  bisection is the request's own and is delivered through its handle.
 
 Every taken request resolves exactly once, on every code path — the
 chaos suite drives injected faults through this loop and asserts no
-handle is ever left unresolved.
+handle is ever left unresolved.  Whoever needs to hear about a request's
+end (the breakers of :class:`~repro.serve.Router` and
+:class:`~repro.serve.WorkerPool`, the asyncio bridge) registers
+:meth:`~repro.serve.request.RequestHandle.add_done_callback` on the
+handle ``submit`` returned.
 """
 
 from __future__ import annotations
@@ -64,15 +65,12 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Iterable, List, Optional,
-                    Sequence, Union)
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..errors import (DeadlineExceededError, InvalidRequestError,
-                      LoadShedError, QueueFullError, ServingError,
-                      is_retryable)
+                      LoadShedError, QueueFullError, ServingError)
 from ..linearizer import Node
 from ..linearizer import validate as validate_structure
 from ..obs import (STATUS_CANCELLED, STATUS_DEADLINE, STATUS_ERROR,
@@ -80,63 +78,12 @@ from ..obs import (STATUS_CANCELLED, STATUS_DEADLINE, STATUS_ERROR,
 from ..runtime.plan import execute_plan
 from ..runtime.profiler import KernelProfiler
 from .coalescer import coalesce, scatter
-from .faults import FaultInjector
 from .metrics import ServerMetrics
 from .request import Request, RequestHandle, RequestResult
 from .scheduler import FlushPolicy, Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..api import CortexModel
-
-#: an observer sees every *executed* request's final outcome:
-#: ``fn(request, exc)`` with ``exc is None`` on success.  Client-caused
-#: outcomes (cancelled, expired, shed) are not reported — they say
-#: nothing about the model's health.
-Observer = Callable[[Request, Optional[BaseException]], None]
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff and deterministic jitter.
-
-    ``max_attempts`` bounds *executions per request* (first try
-    included); retries fire only for failures whose exception type is
-    classified transient (:func:`~repro.errors.is_retryable`).  Backoff
-    for attempt ``k`` (1-based retry index) is ``base_delay_s *
-    multiplier**(k-1)`` capped at ``max_delay_s``, scaled by a jitter
-    factor drawn uniformly from ``[1 - jitter, 1 + jitter]`` out of a
-    generator seeded with ``seed`` — so a chaos run's exact retry
-    schedule is reproducible.
-    """
-
-    max_attempts: int = 3
-    base_delay_s: float = 0.0005
-    max_delay_s: float = 0.05
-    multiplier: float = 2.0
-    jitter: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ServingError("RetryPolicy.max_attempts must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ServingError("RetryPolicy.jitter must be in [0, 1]")
-        if self.base_delay_s < 0 or self.max_delay_s < 0:
-            raise ServingError("RetryPolicy delays must be >= 0")
-
-    def backoff_s(self, retry_index: int,
-                  rng: np.random.Generator) -> float:
-        """Sleep before the ``retry_index``-th retry (1-based)."""
-        delay = min(self.base_delay_s * self.multiplier ** (retry_index - 1),
-                    self.max_delay_s)
-        if self.jitter and delay:
-            delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return delay
-
-
-#: no-retry policy for callers that want failures surfaced immediately
-NO_RETRY = RetryPolicy(max_attempts=1)
-
 
 class ModelServer:
     """Cross-request dynamic batching over one compiled model.
@@ -152,12 +99,6 @@ class ModelServer:
         max_request_nodes: admission cap on one request's structure size
             (``None`` = uncapped); violations raise
             :class:`~repro.errors.InvalidRequestError`.
-        retry: transient-failure :class:`RetryPolicy` (default: 3
-            attempts with exponential backoff + seeded jitter); pass
-            :data:`NO_RETRY` to surface first failures.
-        faults: optional :class:`~repro.serve.FaultInjector` threaded
-            into every ``execute_plan`` call — deterministic chaos for
-            tests and degraded-mode benchmarks.
         outputs: buffer names to scatter back per request (default: the
             model's output and state buffers).
         tracer: optional :class:`~repro.obs.Tracer`.  With one, every
@@ -165,9 +106,9 @@ class ModelServer:
             ``request`` span closed exactly once with the request's
             outcome, every flush gets a ``flush`` span with
             ``coalesce`` / ``linearize`` / ``execute`` / ``scatter`` /
-            ``resolve`` children, and lifecycle turns (retry, cancel,
-            expire, shed) land as span events.  Without one (default)
-            the hot path pays one pointer comparison per hook.
+            ``resolve`` children, and lifecycle turns (isolation,
+            cancel, expire, shed) land as span events.  Without one
+            (default) the hot path pays one pointer comparison per hook.
         profiler: optional :class:`~repro.runtime.profiler
             .KernelProfiler` threaded into every ``execute_plan`` call
             — per-kernel wall times and call counts, reported under the
@@ -205,8 +146,6 @@ class ModelServer:
                  policy: Optional[FlushPolicy] = None,
                  max_queue: int = 1024,
                  max_request_nodes: Optional[int] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 faults: Optional[FaultInjector] = None,
                  outputs: Optional[Sequence[str]] = None,
                  tracer: Optional[Tracer] = None,
                  profiler: Optional[KernelProfiler] = None,
@@ -229,15 +168,11 @@ class ModelServer:
         self.metrics = ServerMetrics(clock=self._clock)
         self.tracer = tracer
         self.profiler = profiler
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.faults = faults
-        # one scrape for the whole serving stack: the arena, the fault
-        # injector and the queue report into the same registry the
-        # ServerMetrics counters live in (breakers bind via Router)
+        # one scrape for the whole serving stack: the arena and the queue
+        # report into the same registry the ServerMetrics counters live in
+        # (breakers bind via Router)
         reg = self.metrics.registry
         model.arena.bind_metrics(reg)
-        if faults is not None:
-            faults.bind_metrics(reg)
         reg.gauge("serve_queue_depth", "requests waiting in the queue",
                   fn=lambda: len(self.scheduler))
         reg.gauge("serve_queue_nodes",
@@ -262,7 +197,6 @@ class ModelServer:
             raise ServingError(
                 f"memo must be 'on' or 'off', got {memo!r}")
         self._max_request_nodes = max_request_nodes
-        self._retry_rng = np.random.default_rng(self.retry.seed)
         self._outputs = (list(outputs) if outputs is not None
                          else model.default_outputs())
         unknown = [n for n in self._outputs
@@ -277,7 +211,6 @@ class ModelServer:
         # unique across a pool
         self._req_counter = request_id_base
         self._counter_lock = threading.Lock()
-        self._observers: List[Observer] = []
         #: serializes flush execution (arena + workspace are single-threaded)
         self._flush_lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
@@ -289,25 +222,6 @@ class ModelServer:
         #: submits are refused permanently, unlike a restartable stop()
         self._closed = False
 
-    # -- health observers --------------------------------------------------
-    def add_observer(self, fn: Observer) -> None:
-        """Register a callback for executed requests' final outcomes.
-
-        Called as ``fn(request, exc)`` after the handle resolves —
-        ``exc is None`` for success, the typed failure otherwise.
-        Cancelled, expired and shed requests are not reported (they
-        carry no signal about the model's health).  The router's
-        circuit breakers attach through this hook.
-        """
-        self._observers.append(fn)
-
-    def _notify(self, req: Request, exc: Optional[BaseException]) -> None:
-        for fn in self._observers:
-            try:
-                fn(req, exc)
-            except Exception:  # pragma: no cover - observer bugs
-                pass  # a broken observer must not take down the flush loop
-
     # -- submission --------------------------------------------------------
     def submit(self, roots: Union[Node, Sequence[Node]], *,
                timeout_s: Optional[float] = None,
@@ -316,9 +230,10 @@ class ModelServer:
         """Queue one request; returns its handle immediately.
 
         ``timeout_s`` sets the request's deadline: if it is still queued
-        (or mid-retry) when the deadline passes, it fails with
+        when the deadline passes, it fails with
         :class:`~repro.errors.DeadlineExceededError` and is never
-        executed.  ``priority`` feeds overload shedding: at a full queue
+        executed (one waiting to re-run in a bisected sub-batch expires
+        the same way).  ``priority`` feeds overload shedding: at a full queue
         a higher-priority arrival evicts the lowest-priority pending
         request (shed with :class:`~repro.errors.LoadShedError`) instead
         of being rejected.  ``tenant`` is the request's fair-share
@@ -548,52 +463,31 @@ class ModelServer:
     def _run_batch(self, reqs: List[Request]) -> None:
         """Execute one (sub-)batch to final resolution of every handle.
 
-        The loop: claim live requests, attempt the coalesced execution,
-        retry transient failures under the bounded policy with backoff,
-        and bisect persistent multi-request failures so a single culprit
-        fails alone — O(log n) re-executions instead of the seed's O(n)
-        serial isolation.  Claim time is the single arbitration point
-        for cancel/deadline races.
+        Claim live requests and attempt the coalesced execution; a failed
+        multi-request batch is bisected so a single culprit fails alone —
+        O(log n) re-executions instead of the seed's O(n) serial
+        isolation.  Claim time is the single arbitration point for
+        cancel/deadline races.
         """
-        while True:
-            reqs = self._claim_live(reqs)
-            if not reqs:
-                return
-            try:
-                self._attempt(reqs)
-                return
-            except Exception as exc:
-                if (is_retryable(exc)
-                        and max(r.attempts for r in reqs)
-                        < self.retry.max_attempts):
-                    self.metrics.note_retry()
-                    if self.tracer is not None:
-                        for r in reqs:
-                            if r.span is not None:
-                                r.span.add_event(
-                                    "retry", attempt=r.attempts,
-                                    exception=type(exc).__name__)
-                    retry_index = max(r.attempts for r in reqs)
-                    delay = self.retry.backoff_s(retry_index,
-                                                 self._retry_rng)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                if len(reqs) > 1:
-                    # bisection isolation: split and recurse, so one
-                    # poisoned request costs O(log n) re-executions
-                    mid = len(reqs) // 2
-                    self.metrics.note_isolation(extra_execs=2)
-                    if self.tracer is not None:
-                        for r in reqs:
-                            if r.span is not None:
-                                r.span.add_event("isolated",
-                                                 batch=len(reqs))
-                    self._run_batch(reqs[:mid])
-                    self._run_batch(reqs[mid:])
-                    return
+        reqs = self._claim_live(reqs)
+        if not reqs:
+            return
+        try:
+            self._attempt(reqs)
+        except Exception as exc:
+            if len(reqs) == 1:
                 self._fail_request(reqs[0], exc)
                 return
+            # bisection isolation: split and recurse, so one poisoned
+            # request costs O(log n) re-executions
+            self.metrics.note_isolation(extra_execs=2)
+            if self.tracer is not None:
+                for r in reqs:
+                    if r.span is not None:
+                        r.span.add_event("isolated", batch=len(reqs))
+            mid = len(reqs) // 2
+            self._run_batch(reqs[:mid])
+            self._run_batch(reqs[mid:])
 
     def _attempt(self, reqs: List[Request]) -> None:
         """One coalesced execution attempt; resolves handles on success.
@@ -623,8 +517,8 @@ class ModelServer:
             batch = coalesce(reqs, model.fast_linearizer(), self.memo)
             t_exec = self._clock()
             res = execute_plan(model.plan, batch.lin, model.params,
-                               arena=arena, faults=self.faults,
-                               profiler=self.profiler, seeds=batch.seeds)
+                               arena=arena, profiler=self.profiler,
+                               seeds=batch.seeds)
             try:
                 t_scatter = self._clock()
                 per_request = scatter(batch.root_ids, res.workspace,
@@ -632,7 +526,7 @@ class ModelServer:
                 splice = batch.splice
                 if splice is not None:
                     # verify (optional) then commit — both only after the
-                    # whole flush executed, so an injected fault can never
+                    # whole flush executed, so a failed execution can never
                     # leave partial rows in the cache; commit copies rows
                     # before the arena reclaims the workspace below
                     if self.memo.policy.verify:
@@ -692,7 +586,6 @@ class ModelServer:
                 exec_time_s=exec_s,
                 latency_s=latency,
                 attempts=req.attempts))
-            self._notify(req, None)
             if tracer is not None and req.span is not None:
                 tracer.add_span("queued", req.submit_t, flush_t,
                                 parent=req.span)
@@ -714,7 +607,6 @@ class ModelServer:
         """Final, typed failure of a single isolated request."""
         if req.handle.set_exception(exc):
             self.metrics.note_failed()
-            self._notify(req, exc)
             self._end_request_span(req, STATUS_ERROR, "failed",
                                    exception=type(exc).__name__,
                                    attempts=req.attempts)
@@ -871,8 +763,6 @@ class ModelServer:
         tenants = self.metrics.tenants()
         if tenants:
             snap["tenants"] = tenants
-        if self.faults is not None:
-            snap["faults"] = self.faults.snapshot()
         if self.profiler is not None:
             snap["kernels"] = self.profiler.snapshot()
         if self.memo is not None:
@@ -883,7 +773,7 @@ class ModelServer:
         """The whole serving stack's registry in Prometheus text format.
 
         Covers the request counters and latency/occupancy histograms,
-        the arena and fault-injector gauges, queue depth, and any
+        the arena gauges, queue depth, and any
         breakers the router bound — one scrape body, ready to serve
         from an HTTP handler.
         """

@@ -42,10 +42,12 @@ from repro.obs import Tracer, validate_chrome_trace
 from repro.options import DEBUG, CompileOptions
 from repro.ra.interp import interpret_reference
 from repro.runtime.native import native_available
-from repro.serve import FaultInjector, MaxPendingRequests, ModelServer
+from repro.serve import MaxPendingRequests, ModelServer
 from repro.serve.coalescer import coalesce
 from repro.serve.request import Request
 from repro.tools.artifact import load_model, save_model
+
+from fault_injection import FaultInjector
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
@@ -767,8 +769,8 @@ def test_chaos_memo_server_bitwise_or_typed_with_verify():
     m = _small_model("treelstm")
     faults = FaultInjector(seed=CHAOS_SEED, kernel_failure_rate=0.12,
                            arena_failure_rate=0.08)
-    srv = m.server(policy=MaxPendingRequests(4), faults=faults,
-                   memo="on", memo_policy=MemoPolicy(verify=True))
+    srv = faults.wrap(m).server(policy=MaxPendingRequests(4), memo="on",
+                                memo_policy=MemoPolicy(verify=True))
     stream = zipf_tree_stream(60, vocab_size=VOCAB, seed=CHAOS_SEED)
     handles = [srv.submit(r) for r in stream]
     srv.drain()
@@ -794,16 +796,20 @@ def test_faulted_flush_commits_nothing():
     m = _small_model("treefc")
     faults = FaultInjector(seed=CHAOS_SEED, kernel_failure_rate=1.0,
                            max_injections=1)
-    srv = m.server(policy=MaxPendingRequests(4), faults=faults)
+    srv = faults.wrap(m).server(policy=MaxPendingRequests(4))
     # hand-wire the memo splicer so the failing attempt is observable
     splicer = MemoSplicer(m)
     srv.memo = splicer
     tree = _balanced(3, np.random.default_rng(CHAOS_SEED))
     h = srv.submit(tree)
     srv.drain()
-    assert h.exception() is None               # retry healed it
-    # the failed first attempt committed nothing: every entry present
-    # came from the successful retry, and replays bitwise
+    assert h.exception().injected              # the fault failed it...
+    assert len(splicer.cache) == 0             # ...and it committed nothing
+    h = srv.submit(tree)                       # the caller resubmits
+    srv.drain()
+    assert h.exception() is None
+    # every entry present came from the successful resubmit, and
+    # replays bitwise
     assert len(splicer.cache) > 0
     sess = MemoSession(m, splicer=splicer)
     got = sess.run(_balanced(3, np.random.default_rng(CHAOS_SEED)))

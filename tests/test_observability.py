@@ -5,7 +5,7 @@ exporters) in isolation, their integration into the compiler pipeline
 and the serving stack, and the two satellite invariants:
 
 * **span-tree completeness under chaos** — a seeded 200-request
-  FaultInjector run ends with exactly one closed root span per request,
+  fault-injected run ends with exactly one closed root span per request,
   whose terminal event matches the handle's observed outcome, and zero
   orphan open spans;
 * **one clock** — a single :class:`~repro.obs.FakeClock` drives tracer
@@ -31,9 +31,10 @@ from repro.obs import (DEFAULT_BUCKETS, FakeClock, Histogram, MetricError,
 from repro.options import CompileOptions
 from repro.pipeline import CompilerPipeline
 from repro.runtime import KernelProfiler
-from repro.serve import (BreakerState, CircuitBreaker, FaultInjector,
-                         MaxPendingRequests, ModelServer, Router,
-                         ServerMetrics)
+from repro.serve import (BreakerState, CircuitBreaker, MaxPendingRequests,
+                         ModelServer, Router, ServerMetrics)
+
+from fault_injection import FaultInjector
 
 VOCAB = 120
 
@@ -381,14 +382,6 @@ def test_pool_snapshot_aggregates_preserve_pinned_keys():
     pool.stop()
 
 
-def test_server_metrics_failed_flush_counts_no_completions():
-    m = ServerMetrics()
-    m.note_flush(3, 12, 0.01, [], failed=True)
-    snap = m.snapshot()
-    assert (snap["flushes"], snap["failed"], snap["completed"]) == (1, 3, 0)
-    assert snap["error_rate"] == pytest.approx(1.0)
-
-
 # ---------------------------------------------------------------------------
 # kernel profiling
 
@@ -532,8 +525,8 @@ def test_chaos_span_tree_completeness(tmp_path):
     m = _small_model("treelstm")
     tracer = Tracer()
     faults = FaultInjector(seed=0, kernel_failure_rate=0.15)
-    srv = ModelServer(m, policy=MaxPendingRequests(50), max_queue=10,
-                      faults=faults, tracer=tracer)
+    srv = ModelServer(faults.wrap(m), policy=MaxPendingRequests(50),
+                      max_queue=10, tracer=tracer)
     rng = np.random.default_rng(0)
     handles = []
     for i in range(187):

@@ -1,15 +1,18 @@
 """Chaos suite: the serving resilience invariant under injected faults.
 
-The invariant: with a seeded :class:`~repro.serve.FaultInjector` driving
-transient kernel exceptions, arena allocation failures and slow flushes
-through the server, **every** submitted request either succeeds with
-outputs bitwise identical to a fault-free solo run, or fails with a
-precise typed :class:`~repro.errors.CortexError` — and no handle is ever
-left unresolved.  Around that: the request lifecycle (deadlines,
-cancellation, typed ``result(timeout=)``), bounded retry determinism,
-O(log n) bisection isolation, priority-aware load shedding, circuit
-breakers walking CLOSED -> OPEN -> HALF_OPEN -> CLOSED under an
-injectable clock, and concurrent-submit backpressure.
+The invariant: with a seeded test-side
+:class:`~fault_injection.FaultInjector` wrapping the model the server
+runs — persistent kernel exceptions, arena allocation failures and slow
+flushes — **every** submitted request either succeeds with outputs
+bitwise identical to a fault-free solo run, or fails with a precise
+typed :class:`~repro.errors.CortexError`, and no handle is ever left
+unresolved.  The server does not retry; bisection re-runs a failed
+batch's halves, so a fault fails only the requests whose every execution
+it hit.  Around that: the request lifecycle (deadlines, cancellation,
+typed ``result(timeout=)``), O(log n) bisection isolation,
+priority-aware load shedding, circuit breakers walking CLOSED -> OPEN ->
+HALF_OPEN -> CLOSED under an injectable clock and fed only by outcomes
+that say something about the model, and concurrent-submit backpressure.
 
 Chaos runs are reproducible: the request stream and the injector share
 ``REPRO_CHAOS_SEED`` (default 0; CI runs two fixed seeds), so a failure
@@ -26,19 +29,20 @@ from repro import CompileOptions, api
 from repro.data import (grid_dag_batch, perfect_binary_tree,
                         synthetic_treebank)
 from repro.errors import (CircuitOpenError, CortexError,
-                          DeadlineExceededError, InvalidRequestError,
-                          LinearizationError,
+                          DeadlineExceededError, ExecutionError,
+                          InvalidRequestError, LinearizationError,
                           LoadShedError, QueueFullError,
                           RequestCancelledError, RequestTimeoutError,
-                          ServingError, TransientExecutionError,
-                          is_retryable)
+                          ServingError, health_signal)
 from repro.linearizer import branch, leaf
 from repro.models.registry import MODELS
 from repro.models.sequential import make_sequence
 from repro.obs import FakeClock
-from repro.serve import (BreakerState, CircuitBreaker, FaultInjector,
-                         MaxPendingRequests, ModelServer, NO_RETRY,
-                         RetryPolicy, Router)
+from repro.serve import (BreakerState, CircuitBreaker, MaxPendingRequests,
+                         ModelServer, Router, WorkerPool)
+from repro.serve.request import RequestHandle
+
+from fault_injection import FaultInjector, inject_replicas
 
 #: one seed drives the request stream AND the fault sequence; CI's chaos
 #: lane runs the suite under two fixed values of REPRO_CHAOS_SEED
@@ -74,13 +78,6 @@ def _assert_request_matches_solo(model, roots, result):
                               solo.workspace[out][ids]), out
 
 
-def _watch_executions(srv):
-    """Observer capturing every *executed* request's final outcome."""
-    executed = []
-    srv.add_observer(lambda req, exc: executed.append((req.request_id, exc)))
-    return executed
-
-
 # breaker cool-downs, server deadlines and tracer spans all run off the
 # one injectable repro.obs.FakeClock imported above
 
@@ -91,16 +88,17 @@ def _watch_executions(srv):
 def test_chaos_transient_kernel_faults_bitwise_or_typed():
     """10% injected kernel faults over 200 coalesced requests, two models.
 
-    Every request must resolve: either a success whose root rows equal a
-    fault-free solo run bit for bit (bounded retry healed the fault), or
-    a typed CortexError carrying the ``injected`` tag.
+    Each fault strikes one execution.  Every request must resolve: either
+    a success whose root rows equal a fault-free solo run bit for bit
+    (bisection re-ran it in a sub-batch the fault spared), or a typed
+    CortexError carrying the ``injected`` tag.
     """
     rng = np.random.default_rng(CHAOS_SEED)
     total_injected = 0
     for name in ("treelstm", "dagrnn"):
         m = _small_model(name)
         faults = FaultInjector(seed=CHAOS_SEED, kernel_failure_rate=0.10)
-        srv = m.server(policy=MaxPendingRequests(4), faults=faults)
+        srv = faults.wrap(m).server(policy=MaxPendingRequests(4))
         requests = [_request(name, rng) for _ in range(100)]
         handles = [srv.submit(r) for r in requests]
         srv.drain()
@@ -109,33 +107,34 @@ def test_chaos_transient_kernel_faults_bitwise_or_typed():
             exc = h.exception()
             if exc is None:
                 res = h.result()
-                assert 1 <= res.attempts <= srv.retry.max_attempts
+                assert 1 <= res.attempts <= 3           # [4] -> [2] -> [1]
                 _assert_request_matches_solo(m, roots, res)
             else:
                 assert isinstance(exc, CortexError)
                 assert getattr(exc, "injected", False)
         snap = srv.metrics_snapshot()
         assert snap["completed"] + snap["failed"] == 100
-        assert snap["faults"]["kernel_failures"] == faults.kernel_failures
         assert snap["error_rate"] == snap["failed"] / 100
+        # every flush starts as a batch of four: a fault means bisection
+        assert (snap["isolations"] > 0) == (faults.kernel_failures > 0)
         total_injected += faults.kernel_failures
     # the run must actually have been chaotic (holds for the CI seeds)
     assert total_injected > 0
 
 
 def test_chaos_arena_faults_healed_without_leaking_the_pool():
-    """Arena allocation faults retry to success; the pool stays bounded.
+    """Arena allocation faults heal through bisection; the pool stays
+    bounded.
 
     A mid-execution failure used to leak its lease out of the arena
     forever; now every failed flush puts its slab back in its class, so
     two identical faulted phases leave the same bytes parked and nothing
     out on lease (steady state, no monotonic growth or shrink).
     """
-    m = _small_model("treelstm")
     faults = FaultInjector(seed=CHAOS_SEED, kernel_failure_rate=0.15,
                            arena_failure_rate=0.15)
-    srv = m.server(policy=MaxPendingRequests(4), faults=faults,
-                   retry=RetryPolicy(max_attempts=4, base_delay_s=0.0))
+    view = faults.wrap(_small_model("treelstm"))
+    srv = view.server(policy=MaxPendingRequests(4))
 
     def phase():
         # replay the identical request stream AND fault sequence, so the
@@ -148,15 +147,15 @@ def test_chaos_arena_faults_healed_without_leaking_the_pool():
         return handles
 
     phase()
-    after_first = m.arena.snapshot()
+    after_first = view.arena.snapshot()
     assert after_first["pooled_bytes"] > 0 and after_first["leased"] == 0
     phase()
-    after_second = m.arena.snapshot()
+    after_second = view.arena.snapshot()
     assert after_second["pooled_bytes"] == after_first["pooled_bytes"]
     assert after_second["leased"] == 0
     assert after_second["misses"] == after_first["misses"]  # all reuse
     assert faults.kernel_failures + faults.arena_failures > 0
-    assert srv.metrics_snapshot()["retries"] > 0
+    assert srv.metrics_snapshot()["isolations"] > 0
 
 
 def test_chaos_slow_flushes_only_delay_never_corrupt():
@@ -164,7 +163,7 @@ def test_chaos_slow_flushes_only_delay_never_corrupt():
     m = _small_model("treefc")
     faults = FaultInjector(seed=CHAOS_SEED, slow_flush_rate=1.0,
                            slow_flush_s=0.001)
-    srv = m.server(policy=MaxPendingRequests(4), faults=faults)
+    srv = faults.wrap(m).server(policy=MaxPendingRequests(4))
     requests = [_request("treefc", rng) for _ in range(8)]
     handles = [srv.submit(r) for r in requests]
     srv.drain()
@@ -180,7 +179,7 @@ def test_chaos_run_is_reproducible_per_seed():
         rng = np.random.default_rng(CHAOS_SEED)
         m = _small_model("treernn")
         faults = FaultInjector(seed=CHAOS_SEED, kernel_failure_rate=0.2)
-        srv = m.server(policy=MaxPendingRequests(4), faults=faults)
+        srv = faults.wrap(m).server(policy=MaxPendingRequests(4))
         requests = [_request("treernn", rng) for _ in range(24)]
         handles = [srv.submit(r) for r in requests]
         srv.drain()
@@ -205,14 +204,22 @@ def test_fault_injector_validates_rates_and_resets():
         FaultInjector(kernel_failure_rate=1.5)
     with pytest.raises(ValueError):
         FaultInjector(arena_failure_rate=-0.1)
+    m = _small_model("treefc")
+    roots = _request("treefc", np.random.default_rng(CHAOS_SEED))
     inj = FaultInjector(seed=3, kernel_failure_rate=1.0, max_injections=1)
-    with pytest.raises(TransientExecutionError):
-        inj.check_kernel()
-    inj.check_kernel()                       # max_injections exhausted
+    view = inj.wrap(m)
+    assert view.plan is not m.plan and view.arena is not m.arena
+    with pytest.raises(ExecutionError):
+        view.run(roots, reuse=True)
+    assert view.arena.snapshot()["leased"] == 0  # the slab came back
+    view.run(roots, reuse=True)              # max_injections exhausted
+    m.run(roots, reuse=True)                 # the wrapped model is untouched
     inj.reset()
-    with pytest.raises(TransientExecutionError) as ei:
-        inj.check_kernel()
-    assert ei.value.injected and is_retryable(ei.value)
+    with pytest.raises(ExecutionError) as ei:
+        view.run(roots, reuse=True)
+    # injected faults are the model's own: they count against it
+    assert ei.value.injected and health_signal(ei.value) is False
+    assert inj.snapshot()["executions"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +229,6 @@ def test_fault_injector_validates_rates_and_resets():
 def test_deadline_expired_request_is_never_executed():
     m = _small_model("treefc")
     srv = m.server(policy=MaxPendingRequests(100))
-    executed = _watch_executions(srv)
     rng = np.random.default_rng(CHAOS_SEED)
     live = srv.submit(_request("treefc", rng))
     dead = srv.submit(_request("treefc", rng), timeout_s=0.0)
@@ -232,9 +238,9 @@ def test_deadline_expired_request_is_never_executed():
     assert isinstance(dead.exception(), DeadlineExceededError)
     assert isinstance(dead.exception(), TimeoutError)   # catchable as stdlib
     assert live.result().batch_requests == 1
-    assert [rid for rid, _ in executed] == [live.request_id]
     snap = srv.metrics_snapshot()
     assert snap["expired"] == 1 and snap["completed"] == 1
+    assert snap["failed"] == 0 and snap["flushes"] == 1
     with pytest.raises(ServingError):
         srv.submit(_request("treefc", rng), timeout_s=-1.0)
 
@@ -254,7 +260,6 @@ def test_expiry_sweeps_the_queue_without_a_flush():
 def test_cancel_wins_only_before_the_claim():
     m = _small_model("treefc")
     srv = m.server(policy=MaxPendingRequests(100))
-    executed = _watch_executions(srv)
     rng = np.random.default_rng(CHAOS_SEED)
     kept = srv.submit(_request("treefc", rng))
     gone = srv.submit(_request("treefc", rng))
@@ -266,8 +271,10 @@ def test_cancel_wins_only_before_the_claim():
     srv.drain()
     assert not kept.cancel()                 # resolved: too late to cancel
     assert kept.result().attempts == 1
-    assert [rid for rid, _ in executed] == [kept.request_id]
-    assert srv.metrics_snapshot()["cancelled"] == 1
+    assert kept.result().batch_requests == 1   # the cancelled one never rode
+    snap = srv.metrics_snapshot()
+    assert snap["cancelled"] == 1
+    assert (snap["completed"], snap["failed"]) == (1, 0)
 
 
 def test_result_timeout_is_typed_and_leaves_request_pending():
@@ -284,39 +291,32 @@ def test_result_timeout_is_typed_and_leaves_request_pending():
 
 
 # ---------------------------------------------------------------------------
-# bounded retry: determinism and exhaustion
+# persistent faults: no retry, bisection decides who fails
 
 
-def test_retry_backoff_schedule_is_seed_deterministic():
-    pol = RetryPolicy(base_delay_s=0.001, multiplier=2.0, jitter=0.5,
-                      max_delay_s=0.01, seed=7)
-    sched_a = [pol.backoff_s(k, np.random.default_rng(pol.seed))
-               for k in (1, 2, 3)]
-    sched_b = [pol.backoff_s(k, np.random.default_rng(pol.seed))
-               for k in (1, 2, 3)]
-    assert sched_a == sched_b
-    for k, delay in enumerate(sched_a, start=1):
-        base = min(0.001 * 2.0 ** (k - 1), 0.01)
-        assert 0.5 * base <= delay <= 1.5 * base    # jitter stays bounded
-    with pytest.raises(ServingError):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ServingError):
-        RetryPolicy(jitter=1.5)
-    assert NO_RETRY.max_attempts == 1
-
-
-def test_retry_exhaustion_fails_with_the_transient_error():
-    """A fault that never heals burns max_attempts and surfaces typed."""
+def test_persistent_fault_fails_its_request_once_without_retry():
+    """Three injected faults on a flush of four: [4] fails, [2] fails,
+    [1] fails — that request fails once, typed, and its three
+    neighbours are served bitwise.  The failed and error_rate counters
+    come from that real failure."""
     m = _small_model("treefc")
-    faults = FaultInjector(seed=CHAOS_SEED, kernel_failure_rate=1.0)
-    srv = m.server(policy=MaxPendingRequests(100), faults=faults,
-                   retry=RetryPolicy(max_attempts=3, base_delay_s=0.0))
-    h = srv.submit(_request("treefc", np.random.default_rng(CHAOS_SEED)))
-    srv.flush()
-    exc = h.exception()
-    assert isinstance(exc, TransientExecutionError) and exc.injected
-    assert faults.kernel_failures == 3       # exactly max_attempts draws
-    assert srv.metrics_snapshot()["retries"] == 2
+    faults = FaultInjector(seed=CHAOS_SEED, kernel_failure_rate=1.0,
+                           max_injections=3)
+    srv = faults.wrap(m).server(policy=MaxPendingRequests(100))
+    rng = np.random.default_rng(CHAOS_SEED)
+    requests = [_request("treefc", rng) for _ in range(4)]
+    handles = [srv.submit(r) for r in requests]
+    assert srv.flush() == 4
+    exc = handles[0].exception()
+    assert isinstance(exc, ExecutionError) and exc.injected
+    for roots, h in zip(requests[1:], handles[1:]):
+        _assert_request_matches_solo(m, roots, h.result())
+    assert faults.kernel_failures == 3
+    assert faults.executions == 5            # [4] [2] [1] [1] [2]
+    snap = srv.metrics_snapshot()
+    assert (snap["completed"], snap["failed"]) == (3, 1)
+    assert snap["error_rate"] == 0.25
+    assert snap["isolations"] == 2 and snap["retries"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +326,6 @@ def test_retry_exhaustion_fails_with_the_transient_error():
 def test_bisection_isolates_single_culprit_in_log_executions():
     m = _small_model("treernn")
     srv = m.server(policy=MaxPendingRequests(100))
-    executed = _watch_executions(srv)
     rng = np.random.default_rng(CHAOS_SEED)
     good = [_request("treernn", rng) for _ in range(7)]
     # structure is refused at submit(); the poison that still reaches a
@@ -345,8 +344,6 @@ def test_bisection_isolates_single_culprit_in_log_executions():
     assert snap["isolations"] == 3
     assert snap["isolation_execs"] == 6
     assert snap["failed"] == 1 and snap["completed"] == 7
-    failures = [rid for rid, exc in executed if exc is not None]
-    assert failures == [bad_h.request_id]
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +374,6 @@ def test_hostile_structures_refused_at_every_door(door):
     errors on the caller's thread, before anything is queued, hashed or
     linearized — memo on, so a structure that got through would reach
     the hashing pass, which does not terminate on a cycle."""
-    from repro.serve import WorkerPool
-
     m = _small_model("treernn")
     kw = dict(policy=MaxPendingRequests(4), max_request_nodes=8, memo="on")
     if door == "pool":
@@ -443,14 +438,12 @@ def test_priority_shedding_evicts_lowest_priority_for_higher():
 def _failing_router(max_injections, clock):
     """A router serving one model whose first executions always fail."""
     router = Router()
-    m = _small_model("treefc")
     faults = FaultInjector(seed=CHAOS_SEED, kernel_failure_rate=1.0,
-                           transient=False, max_injections=max_injections)
+                           max_injections=max_injections)
     breaker = CircuitBreaker(failure_threshold=3, reset_timeout_s=10.0,
                              half_open_probes=2, clock=clock)
-    router.add_model("frontend", m, breaker=breaker,
-                     policy=MaxPendingRequests(1), retry=NO_RETRY,
-                     faults=faults)
+    router.add_model("frontend", faults.wrap(_small_model("treefc")),
+                     breaker=breaker, policy=MaxPendingRequests(1))
     return router, breaker
 
 
@@ -458,7 +451,7 @@ def test_breaker_opens_on_persistent_failure_and_recovers():
     clock = FakeClock()
     router, breaker = _failing_router(max_injections=3, clock=clock)
     rng = np.random.default_rng(CHAOS_SEED)
-    # three persistent failures (not retryable, executed solo) trip it
+    # three persistent failures (executed solo) trip it
     for _ in range(3):
         h = router.submit("frontend", _request("treefc", rng))
         assert isinstance(h.exception(), CortexError)
@@ -509,13 +502,11 @@ def test_breaker_half_open_bounds_inflight_probes():
     router = Router()
     breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=5.0,
                              half_open_probes=2, clock=clock)
-    m = _small_model("treefc")
     faults = FaultInjector(seed=CHAOS_SEED, kernel_failure_rate=1.0,
-                           transient=False, max_injections=1)
+                           max_injections=1)
     # a policy that never auto-fires keeps the probes queued (in flight)
-    router.add_model("frontend", m, breaker=breaker,
-                     policy=MaxPendingRequests(100), retry=NO_RETRY,
-                     faults=faults)
+    router.add_model("frontend", faults.wrap(_small_model("treefc")),
+                     breaker=breaker, policy=MaxPendingRequests(100))
     rng = np.random.default_rng(CHAOS_SEED)
     h = router.submit("frontend", _request("treefc", rng))
     router.flush("frontend")
@@ -528,6 +519,125 @@ def test_breaker_half_open_bounds_inflight_probes():
     router.flush("frontend")
     assert p1.result() and p2.result()
     assert breaker.state is BreakerState.CLOSED
+
+
+def _oov(word):
+    """A well-formed tree whose last leaf word is past the embedding
+    table: refused by the flush's word-range check, the client's fault."""
+    return [branch(branch(leaf(3), leaf(1)), leaf(word))]
+
+
+@pytest.mark.parametrize("door", ("router", "pool"))
+def test_client_input_errors_never_open_a_breaker(door):
+    """Five out-of-vocabulary requests, each failing alone with
+    LinearizationError, say nothing about the model: every breaker stays
+    closed and the next valid request is served bitwise — while a
+    persistent kernel fault still counts (the breaker tests above)."""
+    m = _small_model("treelstm")
+    kw = dict(policy=MaxPendingRequests(1))
+    if door == "router":
+        front = Router()
+        front.add_model("t", m, **kw)
+        submit = lambda roots: front.submit("t", roots)      # noqa: E731
+    else:
+        # least-loaded over always-empty queues: every request lands on
+        # replica 0, so five failures would reach its threshold
+        front = WorkerPool(m, replicas=2, balancer="least_loaded", **kw)
+        submit = front.submit
+    for i in range(5):
+        h = submit(_oov(VOCAB + i))
+        assert isinstance(h.exception(), LinearizationError)
+    assert set(front.health().values()) == {"closed"}
+    good = _request("treelstm", np.random.default_rng(CHAOS_SEED))
+    _assert_request_matches_solo(m, good, submit(good).result())
+    front.stop()
+
+
+def test_breaker_neutral_probe_outcomes_return_their_slots():
+    """A HALF_OPEN probe gives its slot back on every outcome: a neutral
+    resolution, or a refusal raised by submit itself."""
+    clock = FakeClock()
+    breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=5.0,
+                             half_open_probes=2, clock=clock)
+    breaker.record(False)
+    clock.advance(5.0)
+    assert breaker.state is BreakerState.HALF_OPEN
+    neutral = (DeadlineExceededError("late"), RequestCancelledError("gone"),
+               LoadShedError("shed"), LinearizationError("bad word"))
+    for i, exc in enumerate(neutral):
+        h = breaker.admit(lambda i=i: RequestHandle(i))
+        assert h is not None                 # a slot was free
+        h.set_exception(exc)
+    for exc in (InvalidRequestError("too big"), QueueFullError("full")):
+        def refuse(exc=exc):
+            raise exc
+        with pytest.raises(type(exc)):
+            breaker.admit(refuse)
+    assert breaker.state is BreakerState.HALF_OPEN
+    held = [breaker.admit(lambda: RequestHandle(9)) for _ in range(3)]
+    assert held[2] is None                   # two in flight: budget spent
+    for h in held[:2]:
+        h.set_result("ok")
+    assert breaker.state is BreakerState.CLOSED
+
+
+def test_breaker_probe_slots_hold_under_racing_threads():
+    """Admissions and neutral resolutions racing on more threads than
+    cores neither lose a probe slot nor exceed the in-flight bound."""
+    import sys
+
+    clock = FakeClock()
+    breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=1.0,
+                             half_open_probes=3, clock=clock)
+    breaker.record(False)
+    clock.advance(1.0)
+    admitted, peak = [0], [0]
+
+    def worker():
+        for i in range(300):
+            h = breaker.admit(lambda: RequestHandle(i))
+            if h is not None:
+                peak[0] = max(peak[0], breaker._probes_in_flight)
+                admitted[0] += 1
+                h.set_exception(DeadlineExceededError("late"))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert admitted[0] > 0 and peak[0] <= 3
+    assert breaker._probes_in_flight == 0
+    assert breaker.state is BreakerState.HALF_OPEN
+
+
+def test_breaker_refused_probe_returns_its_slot_at_the_router():
+    """Oversized probes refused at the door must not wedge HALF_OPEN."""
+    clock = FakeClock()
+    breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=5.0,
+                             half_open_probes=2, clock=clock)
+    router = Router()
+    m = _small_model("treefc")
+    router.add_model("m", m, breaker=breaker, max_request_nodes=3,
+                     policy=MaxPendingRequests(1))
+    breaker.record(False)
+    clock.advance(5.0)
+    assert breaker.state is BreakerState.HALF_OPEN
+    for _ in range(2):
+        with pytest.raises(InvalidRequestError):
+            router.submit("m", [perfect_binary_tree(3, vocab_size=VOCAB)])
+    clock.advance(3600.0)
+    for word in (1, 2):
+        roots = [leaf(word)]
+        _assert_request_matches_solo(
+            m, roots, router.submit("m", roots).result())
+    assert router.health() == {"m": "closed"}
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +682,7 @@ def test_threaded_stop_during_injected_failures_leaves_no_handle_pending():
     """stop() during chaotic in-flight traffic resolves every handle."""
     m = _small_model("treelstm")
     faults = FaultInjector(seed=CHAOS_SEED, kernel_failure_rate=0.3)
-    srv = ModelServer(m, policy=MaxPendingRequests(4), faults=faults,
-                      retry=RetryPolicy(max_attempts=3, base_delay_s=0.0),
+    srv = ModelServer(faults.wrap(m), policy=MaxPendingRequests(4),
                       max_queue=8)
     handles = []
     lock = threading.Lock()
@@ -624,10 +733,7 @@ def test_acceptance_pooled_continuous_batching_bitwise_vs_sync_solo():
     every handle exactly once, and close exactly one root span per
     request.
     """
-    import asyncio
-
     from repro.obs import Tracer
-    from repro.serve import WorkerPool
     from repro.serve.router import _private_arena_view
 
     m = _small_model("treelstm")
@@ -649,12 +755,12 @@ def test_acceptance_pooled_continuous_batching_bitwise_vs_sync_solo():
 
     # slow-flush chaos: delays reorder replica timing but never corrupt
     tracer = Tracer()
-    pool = WorkerPool(
-        m, replicas=4, balancer="round_robin", tracer=tracer,
-        faults=lambda i: FaultInjector(seed=CHAOS_SEED + i,
-                                       slow_flush_rate=0.25,
-                                       slow_flush_s=0.0002),
-        policy=MaxPendingRequests(4), fair_share=True)
+    pool = WorkerPool(m, replicas=4, balancer="round_robin", tracer=tracer,
+                      policy=MaxPendingRequests(4), fair_share=True)
+    injectors = inject_replicas(
+        pool, lambda i: FaultInjector(seed=CHAOS_SEED + i,
+                                      slow_flush_rate=0.25,
+                                      slow_flush_s=0.0002))
     resolutions = []
     with pool:
         handles = [pool.submit(roots, priority=p, tenant=t)
@@ -681,7 +787,7 @@ def test_acceptance_pooled_continuous_batching_bitwise_vs_sync_solo():
     assert all(h.done() for h in handles)
 
     # chaos actually happened
-    total_slow = sum(r.server.faults.slow_flushes for r in pool.replicas)
+    total_slow = sum(inj.slow_flushes for inj in injectors)
     assert total_slow > 0
 
     # one closed root span per request, none dangling
@@ -693,23 +799,20 @@ def test_acceptance_pooled_continuous_batching_bitwise_vs_sync_solo():
 
 def test_pool_chaos_kernel_faults_bitwise_or_typed_across_replicas():
     """The tentpole chaos invariant holds through a pool: with
-    per-replica injectors firing transient kernel faults, every request
-    either heals to bitwise-identical outputs or fails typed."""
-    from repro.serve import WorkerPool
-
+    per-replica injectors firing kernel faults, every request either
+    heals through bisection to bitwise-identical outputs or fails typed."""
     m = _small_model("treelstm")
-    pool = WorkerPool(
-        m, replicas=2, balancer="least_loaded",
-        faults=lambda i: FaultInjector(seed=CHAOS_SEED + i,
-                                       kernel_failure_rate=0.12),
-        policy=MaxPendingRequests(4),
-        retry=RetryPolicy(max_attempts=3, base_delay_s=0.0))
+    pool = WorkerPool(m, replicas=2, balancer="least_loaded",
+                      policy=MaxPendingRequests(4))
+    injectors = inject_replicas(
+        pool, lambda i: FaultInjector(seed=CHAOS_SEED + i,
+                                      kernel_failure_rate=0.12))
     rng = np.random.default_rng(CHAOS_SEED)
     requests = [_request("treelstm", rng) for _ in range(60)]
     with pool:
         handles = [pool.submit(r) for r in requests]
         # force out sub-policy stragglers; in-flight flushes and
-        # retries then resolve on the worker threads
+        # bisections then resolve on the worker threads
         pool.drain()
         for h in handles:
             h.exception(30)
@@ -720,31 +823,24 @@ def test_pool_chaos_kernel_faults_bitwise_or_typed_across_replicas():
             _assert_request_matches_solo(m, roots, h.result(0))
         else:
             assert isinstance(exc, CortexError) and exc.injected
-    injected = sum(r.server.faults.kernel_failures
-                   for r in pool.replicas)
-    assert injected > 0
+    assert sum(inj.kernel_failures for inj in injectors) > 0
     snap = pool.metrics_snapshot()
     assert snap["completed"] + snap["failed"] == 60
 
 
 def test_pool_async_chaos_mixed_lifecycle_under_faults():
     """asubmit through a faulted pool: deadlines expire typed,
-    cancels win or lose cleanly, survivors retry to bitwise outputs."""
+    cancels win or lose cleanly, survivors resolve bitwise or typed."""
     import asyncio
-
-    from repro.serve import WorkerPool
 
     m = _small_model("treelstm")
     rng = np.random.default_rng(CHAOS_SEED)
     requests = [_request("treelstm", rng) for _ in range(30)]
 
     async def go():
-        pool = WorkerPool(
-            m, replicas=2,
-            faults=lambda i: FaultInjector(seed=CHAOS_SEED + i,
-                                           kernel_failure_rate=0.15),
-            policy=MaxPendingRequests(4),
-            retry=RetryPolicy(max_attempts=3, base_delay_s=0.0))
+        pool = WorkerPool(m, replicas=2, policy=MaxPendingRequests(4))
+        inject_replicas(pool, lambda i: FaultInjector(
+            seed=CHAOS_SEED + i, kernel_failure_rate=0.15))
         pool.start()
         try:
             doomed = await pool.asubmit(requests[0], timeout_s=1e-4)

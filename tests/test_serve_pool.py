@@ -7,7 +7,7 @@ Three layers of the scale-out serving PR under one suite:
   crash + replacement, aggregated metrics that preserve the pinned
   single-server snapshot keys;
 * :class:`~repro.serve.aio.AsyncRequestHandle` — lifecycle parity
-  (deadline, cancel, retry) between ``await`` and the thread API;
+  (deadline, cancel, typed failure) between ``await`` and the thread API;
 * the one worker thread — stop/start/close ordering, and claim time as
   the single arbitration point for a cancel racing a taken batch.
 
@@ -28,12 +28,14 @@ from repro.data import synthetic_treebank
 from repro.errors import (CircuitOpenError, DeadlineExceededError,
                           QueueFullError, RequestCancelledError,
                           RequestTimeoutError, ServingError)
-from repro.obs import Tracer
-from repro.serve import (AsyncRequestHandle, Deadline, FaultInjector,
-                         LeastLoaded, MaxPendingRequests, ModelServer,
-                         RoundRobin, Router, Scheduler, SloAware,
-                         WorkerPool)
+from repro.obs import FakeClock, Tracer
+from repro.serve import (AsyncRequestHandle, CircuitBreaker, Deadline,
+                         LeastLoaded, LoadBalancer, MaxPendingRequests,
+                         ModelServer, RoundRobin, Router, Scheduler,
+                         SloAware, WorkerPool)
 from repro.serve.request import Request, RequestHandle
+
+from fault_injection import FaultInjector
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 VOCAB = 120
@@ -237,6 +239,41 @@ def test_pool_all_breakers_open_sheds_typed(model):
     pool.stop()
 
 
+class _InIndexOrder(LoadBalancer):
+    def order(self, replicas):
+        return list(replicas)
+
+
+def test_pool_failover_queue_full_probe_returns_its_slot(model):
+    """A HALF_OPEN replica whose queue refuses the probe must get the
+    probe slot back, or it stays half-open forever."""
+    clock = FakeClock()
+    pool = WorkerPool(model, replicas=2, balancer=_InIndexOrder(),
+                      max_queue=1, policy=MaxPendingRequests(100),
+                      breaker=lambda: CircuitBreaker(
+                          failure_threshold=1, reset_timeout_s=5.0,
+                          half_open_probes=1, clock=clock))
+    r0 = pool.replicas[0]
+    r0.breaker.record(False)
+    clock.advance(5.0)
+    rng = np.random.default_rng(CHAOS_SEED)
+    reqs = _requests(3, rng)
+    filler = r0.server.submit(reqs[0])       # r0's queue is now full
+    # r0 admits the probe, its queue refuses it: failover to r1
+    landed = pool.submit(reqs[1])
+    assert r0.server.metrics_snapshot()["submitted"] == 1
+    assert filler.cancel()
+    pool.drain()
+    probe = pool.submit(reqs[2])             # the slot came back: r0 takes it
+    assert r0.server.metrics_snapshot()["submitted"] == 2
+    pool.drain()
+    assert np.array_equal(probe.result(5).root_output(OUT),
+                          _solo_rows(model, reqs[2]))
+    assert landed.result(5) is not None
+    assert r0.breaker.state.value == "closed"
+    pool.stop()
+
+
 def test_pool_stop_is_idempotent_and_rejects_submits(model):
     tracer = Tracer()
     pool = WorkerPool(model, replicas=2, tracer=tracer,
@@ -275,17 +312,12 @@ def test_pool_concurrent_stops_race_safely(model):
 def test_pool_replace_replica_after_crash_resolves_everything(model):
     """The CI smoke contract: forced worker crash + replacement leaves
     zero unresolved handles, and the replacement serves correctly."""
-    # replica 0 gets a persistently failing injector (not retryable),
-    # replica 1 is healthy
-    def faults(i):
-        if i == 0:
-            return FaultInjector(seed=CHAOS_SEED, kernel_failure_rate=1.0,
-                                 transient=False)
-        return None
-
-    pool = WorkerPool(model, replicas=2, faults=faults,
-                      balancer="round_robin",
+    # replica 0 gets a persistently failing injector, replica 1 is healthy
+    pool = WorkerPool(model, replicas=2, balancer="round_robin",
                       policy=MaxPendingRequests(2))
+    r0 = pool.replicas[0].server
+    r0.model = FaultInjector(seed=CHAOS_SEED,
+                             kernel_failure_rate=1.0).wrap(r0.model)
     pool.start()
     rng = np.random.default_rng(CHAOS_SEED)
     reqs = _requests(10, rng)
@@ -304,8 +336,7 @@ def test_pool_replace_replica_after_crash_resolves_everything(model):
     with pytest.raises(ServingError):
         old_server.submit(reqs[0])
     assert pool.replaced == ["pool/r0"]
-    # the fresh replica (no injector is NOT inherited: faults(i) runs
-    # again and still poisons index 0 — so replace with healthy spec)
+    # the fresh replica is built from the pool's healthy model
     more = [pool.submit(r) for r in _requests(6, rng)]
     pool.drain()
     assert all(h.done() for h in more)
@@ -526,31 +557,38 @@ def test_async_cancel_race_semantics(model):
 
 
 def test_async_retry_then_succeed_bitwise(model):
-    """Transient faults retry under the same policy as threads and the
-    recovered outputs stay bitwise identical."""
+    """A failed request surfaces typed through ``await``; the caller's
+    own retry (a resubmit) is served bitwise identical."""
     rng = np.random.default_rng(CHAOS_SEED)
     reqs = _requests(8, rng)
     expect = [_solo_rows(model, r) for r in reqs]
 
     async def go():
-        # the first two executions fail transiently, deterministically
-        # for every chaos seed; bounded retry must heal both
+        # the first three executions fail, deterministically for every
+        # chaos seed: a flush's [n] -> [n/2] -> [1] bisection path, so
+        # exactly one request fails and every other one heals
         faults = FaultInjector(seed=CHAOS_SEED, kernel_failure_rate=1.0,
-                               max_injections=2)
-        srv = ModelServer(model, faults=faults,
+                               max_injections=3)
+        srv = ModelServer(faults.wrap(model),
                           policy=MaxPendingRequests(4) | Deadline(1.0))
         srv.start()
         try:
             handles = [await srv.asubmit(r) for r in reqs]
-            res = await asyncio.gather(*handles)
-            return [(r.root_output(OUT), r.attempts) for r in res]
+            got, retried = [], 0
+            for roots, h in zip(reqs, handles):
+                exc = await h.exception()
+                if exc is not None:
+                    assert exc.injected
+                    retried += 1
+                    h = await srv.asubmit(roots)
+                got.append((await h).root_output(OUT))
+            return got, retried
         finally:
             srv.stop()
 
-    got = asyncio.run(go())
-    assert any(attempts > 1 for _, attempts in got), \
-        "the injector must have forced at least one retry"
-    for e, (g, _) in zip(expect, got):
+    got, retried = asyncio.run(go())
+    assert retried == 1, "the injector must have failed one request"
+    for e, g in zip(expect, got):
         assert np.array_equal(e, g)
 
 
