@@ -12,7 +12,8 @@ Walks the whole new front door in one sitting:
 4. ``Session`` — equal (model, options) compile exactly once; routers,
    benchmarks and autotuners share compiled models through it;
 5. the compile -> save -> serve loop: the artifact records its options
-   in ``options.json`` and serves bit-identically after reload.
+   next to the lowered IR in ``artifact.json`` and serves bit-identically
+   after reload.
 
 Run:  python examples/compile_options.py
 """

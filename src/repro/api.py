@@ -22,10 +22,10 @@ Every runnable model is a :class:`CortexModel` — compiled in process, or
 reloaded from disk by :func:`~repro.tools.artifact.load_model` — and runs
 the one generated source through the one executor
 (:func:`~repro.runtime.plan.execute_plan`) under a host plan built by the
-same rule (see DESIGN.md §3).  What a reloaded model lacks (the spec, the
-RA program, the operator nests) is decided once, from its module: the
-executor refuses a simulated ``device`` without nests, and memoization
-reads the splice verdict lowering recorded in the module's ``meta``.
+same rule (see DESIGN.md §3).  Either way its module carries the operator
+nests that source, the verdicts in ``meta``, the host plan and the
+simulated-``device`` estimate are derived from; a reloaded model lacks
+only the spec and the RA program.
 
 For repeated inference over a stream of input batches, use the amortized
 entry points: ``model.run(roots, reuse=True)`` recycles workspace buffers
@@ -93,8 +93,8 @@ class CortexModel:
 
     ``compile()`` fills every field; a model reloaded by
     :func:`~repro.tools.artifact.load_model` has no ``spec``, ``program``
-    or ``report`` (and its module no operator nests), and runs, streams,
-    serves and memoizes through the same methods.
+    or ``report``, and runs, streams, serves, memoizes and estimates
+    through the same methods.
     """
 
     spec: Optional[ModelSpec]

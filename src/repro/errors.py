@@ -68,6 +68,12 @@ class NativeFallbackWarning(UserWarning):
     """
 
 
+class ArtifactError(CortexError):
+    """A saved-model directory cannot be loaded: another format, or a
+    document that does not decode to a well-formed module.  The message
+    says to re-save the model with ``save_model``."""
+
+
 class LinearizationError(CortexError):
     """The data structure linearizer rejected an input structure."""
 
@@ -132,8 +138,8 @@ class SpliceRefusedError(MemoError):
     when the safety verdict lowering recorded says seeding cached state
     rows may not reproduce unmemoized execution bitwise (e.g. kernels that
     inspect descendants beyond direct child state, schedules without
-    dynamic batching), or when an older artifact carries no verdict.  The memoization
-    invariant is absolute: refuse rather than risk a non-identical splice.
+    dynamic batching).  The memoization invariant is absolute: refuse
+    rather than risk a non-identical splice.
     """
 
 

@@ -2,9 +2,9 @@
 
 One generator lives here, :func:`generate_c_module`: complete, portable,
 self-contained C99 that ``runtime/native.py`` compiles with the system
-compiler into a ``.so`` and launches through ``ctypes``.  It needs the
-module's operator nests; an artifact reload has none and reads the source
-its compile wrote to disk.
+compiler into a ``.so`` and launches through ``ctypes``.  It renders the
+module's operator nests, which a module reloaded from an artifact carries
+too, so a reload renders the same source byte for byte.
 
 The generator mirrors ``python_codegen.PythonCodegen`` construct
 for construct so the two targets agree bitwise wherever the arithmetic
@@ -105,7 +105,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...errors import CodegenError, NativeError
+from ...errors import CodegenError
 from ...ir import (BinOp, Call, Cast, Const, Expr, Reduce, Select, TensorRead,
                    UFCall, UnaryOp, Var, expr_to_str, free_vars, is_zero, walk)
 from ..buffer import ILBuffer
@@ -923,12 +923,6 @@ _C_EPILOGUE = '''\
 '''
 
 
-#: how a launcher must lay out ``KernelSignature.packed`` weights; part
-#: of every serialized signature so that a library built for another
-#: layout is never launched
-PACKED_LAYOUT = "panel"
-
-
 @dataclass(frozen=True)
 class KernelSignature:
     """The native launch ABI of one kernel.
@@ -950,45 +944,9 @@ class KernelSignature:
     packed: Tuple[Tuple[str, str], ...]
     scalars: Tuple[str, ...]
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "kind": self.kind,
-                "arrays": [list(a) for a in self.arrays],
-                "packed": [list(p) for p in self.packed],
-                "packed_layout": PACKED_LAYOUT,
-                "scalars": list(self.scalars)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "KernelSignature":
-        if "packed" not in data:
-            # a record written before packed weights existed cannot say
-            # whether its library expects them: never guess an ABI
-            raise NativeError(
-                f"kernel {data['name']}: launch signature predates the "
-                f"packed-weight ABI (no 'packed' entry)")
-        if data.get("packed_layout") != PACKED_LAYOUT:
-            # e.g. no entry at all: the library reads transposed weights
-            raise NativeError(
-                f"kernel {data['name']}: launch signature was written for "
-                f"packed layout {data.get('packed_layout', 'transpose')!r}, "
-                f"this launcher packs {PACKED_LAYOUT!r}")
-        return cls(name=data["name"], kind=data["kind"],
-                   arrays=tuple((a[0], a[1], bool(a[2]))
-                                for a in data["arrays"]),
-                   packed=tuple((p[0], p[1]) for p in data["packed"]),
-                   scalars=tuple(data["scalars"]))
-
     @property
     def symbol(self) -> str:
         return f"k_{self.name}"
-
-
-def signatures_to_json(signatures: Dict[str, KernelSignature]) -> list:
-    return [signatures[name].to_json() for name in sorted(signatures)]
-
-
-def signatures_from_json(data: Sequence[dict]) -> Dict[str, KernelSignature]:
-    sigs = [KernelSignature.from_json(d) for d in data]
-    return {s.name: s for s in sigs}
 
 
 #: ISA variants every kernel body is emitted at, as ``name -> float32
@@ -1183,7 +1141,7 @@ class _CTx:
         #: wrap gathered (UF-valued) tensor indices of -1 to the last row,
         #: as NumPy does.  For reads whose value is masked downstream but
         #: whose gather is not: a child slot past a node's arity holds
-        #: ``-1``
+        #: ``-1``.  (Gathers through ``words`` wrap always.)
         self.clamp = clamp
 
     def child(self, extra: Dict[str, str]) -> "_CTx":
@@ -1338,9 +1296,6 @@ class NativeCodegen:
 
     # -- public ------------------------------------------------------------
     def generate(self) -> Tuple[str, Dict[str, KernelSignature]]:
-        if not self.module.kernels or not all(
-                k.nests for k in self.module.kernels):
-            raise CodegenError("native codegen requires operator nests")
         parts = [self._header(), native_prelude()]
         signatures: Dict[str, KernelSignature] = {}
         for variant, lanes in VARIANTS.items():
@@ -1431,9 +1386,12 @@ class NativeCodegen:
     def _flat_index(self, shape: Sequence[Expr], indices: Sequence[Expr],
                     tx: _CTx) -> str:
         def index(dim: int) -> str:
+            # a word of -1 (an interior node's "absent") reads the last row,
+            # as NumPy and the oracle do, whether or not the value is used
             i = indices[dim]
             src = tx.tx(i)
-            if tx.clamp and any(isinstance(x, UFCall) for x in walk(i)):
+            if any(isinstance(x, UFCall) and (tx.clamp or x.fn.name == "words")
+                   for x in walk(i)):
                 return f"repro_wrap({src}, {self._extent_src(shape[dim], tx)})"
             return src
 
@@ -2137,12 +2095,9 @@ class NativeCodegen:
 
 def generate_c_module(
         module: ILModule) -> Tuple[str, Dict[str, KernelSignature]]:
-    """Emit the executable C source and per-kernel launch signatures.
-
-    Requires operator nests (modules reloaded from serialized artifacts
-    lack them; they keep the prebuilt ``.so``'s recorded signatures or
-    fall back to Python execution).
-    """
+    """Emit the executable C source and per-kernel launch signatures,
+    a deterministic function of the module (a reloaded artifact renders
+    the bytes its compile rendered)."""
     return NativeCodegen(module).generate()
 
 

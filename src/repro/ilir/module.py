@@ -114,9 +114,9 @@ class ILModule:
     meta: Dict[str, object] = field(default_factory=dict)
     #: generated python source (attached by the code generator).
     python_source: Optional[str] = None
-    #: generated native C source and its per-kernel launch signatures:
-    #: attached together by code generation, or read back from an
-    #: artifact (the signatures only if it was saved with a native build).
+    #: generated native C source and its per-kernel launch signatures,
+    #: attached together by code generation (both ``None`` when the C
+    #: generator refused the module).
     c_source: Optional[str] = None
     c_signatures: Optional[Dict[str, KernelSignature]] = None
 

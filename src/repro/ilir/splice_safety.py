@@ -1,9 +1,9 @@
 """Splice safety: may cached rows stand in for pruned subtrees?
 
-Run once by :func:`repro.ra.lowering.lower`, where the operator nests
-exist, and recorded as ``module.meta["splice_refusal"]`` (``""`` when
-splicing is bitwise-safe), which artifacts ship with the rest of ``meta``.
-Why these conditions suffice: :mod:`repro.memo.splice`.
+Run once per module by :func:`repro.ra.lowering.seal` — after lowering,
+and again on a module decoded from an artifact, which carries its nests —
+and recorded as ``module.meta["splice_refusal"]`` (``None`` when splicing
+is bitwise-safe).  Why these conditions suffice: :mod:`repro.memo.splice`.
 """
 
 from __future__ import annotations

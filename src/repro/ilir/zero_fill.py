@@ -1,9 +1,9 @@
 """Read-before-write analysis: which buffers must start a call zeroed.
 
-Run once by :func:`repro.ra.lowering.lower`, where the operator nests
-exist, and recorded as ``module.meta["needs_zero"]``.  The host plan reads
-the recorded list and artifacts serialize it with the rest of ``meta``, so
-an in-process model and its reloaded artifact recycle workspace buffers
+Run once per module by :func:`repro.ra.lowering.seal` — after lowering,
+and again on a module decoded from an artifact, which carries its nests —
+and recorded as ``module.meta["needs_zero"]``, which the host plan reads.
+So an in-process model and its reloaded artifact recycle workspace buffers
 under the same zeroing rule.
 """
 

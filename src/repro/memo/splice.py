@@ -18,10 +18,10 @@ kernel canonicalization made those per-row GEMM results invariant to the
 batch extent and row position.  So a cached row seeded at a stub id is
 byte-for-byte what the pruned subtree's root row would have been, and
 every parent computes bitwise-identically.  Lowering *proves* the
-preconditions once per module (:mod:`repro.ilir.splice_safety`) and
-records the verdict in ``module.meta``, where saved artifacts carry it;
-the splicer reads it at construction and raises
-:class:`~repro.errors.SpliceRefusedError` on a refusal:
+preconditions once per module (:mod:`repro.ilir.splice_safety`), from
+its nests — in-process or reloaded, a module has them — and records the
+verdict in ``module.meta``; the splicer reads it at construction and
+raises :class:`~repro.errors.SpliceRefusedError` on a refusal:
 
 * the model must use dynamic (height) batching;
 * no kernel may read through *composed* uninterpreted functions
@@ -31,9 +31,6 @@ the splicer reads it at construction and raises
   (output + state) set;
 * pre/hoisted/post kernels — which iterate every node id, stub rows
   included — must not write any cached buffer.
-
-An artifact written before the verdict was recorded is refused with a
-"re-save" reason, never analyzed by guesswork.
 
 The pruned forest goes through the model's one linearizer like any other
 input — ``Linearizer.__call__(roots, stubs=...)`` numbers the stubs into
@@ -130,15 +127,10 @@ class SpliceResult:
 def splice_refusal(model) -> Optional[str]:
     """Why this model cannot splice cached rows — or ``None`` if it can.
 
-    The verdict :func:`repro.ilir.splice_safety.splice_hazard` gave in
-    ``lower()``, read from ``module.meta`` (so a reloaded model answers
-    like the model it was saved from)."""
-    meta = model.lowered.module.meta
-    if "splice_refusal" not in meta:
-        return ("module field meta.splice_refusal is missing (an artifact "
-                "written by an older version); re-save the model with "
-                "save_model")
-    return meta["splice_refusal"] or None
+    The verdict :func:`repro.ilir.splice_safety.splice_hazard` gave when
+    the module was sealed (:func:`repro.ra.lowering.seal`), read from
+    ``module.meta``."""
+    return model.lowered.module.meta["splice_refusal"]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ persistent kernel runs.
 Because the object is frozen and fully value-typed, :meth:`CompileOptions
 .cache_key` is a stable content hash (sha256 over the canonical field
 dict, independent of ``PYTHONHASHSEED`` and of the process) — the key the
-:class:`~repro.pipeline.Session` cache, artifact manifests and autotuners
+:class:`~repro.pipeline.Session` cache, saved artifacts and autotuners
 use to recognize "the same compilation" across calls and across machines.
 
 Presets name the configurations the paper's evaluation keeps reaching
@@ -167,7 +167,7 @@ class CompileOptions:
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        """Plain JSON-serializable field dict (artifact manifests)."""
+        """Plain JSON-serializable field dict (saved artifacts)."""
         return dataclasses.asdict(self)
 
     @classmethod
@@ -191,7 +191,7 @@ class CompileOptions:
         Identical options produce identical keys in every process and on
         every machine (sha256 over the canonical JSON encoding — no
         dependence on ``PYTHONHASHSEED`` or field declaration order), so
-        the key is safe to embed in artifact manifests and on-disk caches.
+        the key is safe to embed in saved artifacts and on-disk caches.
         """
         payload = {"v": _CACHE_KEY_VERSION}
         payload.update(self.to_dict())

@@ -4,11 +4,11 @@
 time: **build** the RA program from a model spec, **schedule** it
 (imprint :class:`~repro.options.CompileOptions` through the §3.1
 primitives and validate), **lower** recursion to loops (recording the
-zero-fill and splice-safety verdicts in ``module.meta``, where a saved
-artifact carries them), run **codegen** (the Python kernels + the C
-rendering), and derive the host launch **plan**.  The result is a
-:class:`~repro.api.CortexModel` — the same class
-:func:`~repro.tools.artifact.load_model` returns.  Each stage is timed into a
+zero-fill and splice-safety verdicts in ``module.meta``), run **codegen**
+(the Python kernels + the C rendering), and derive the host launch
+**plan**.  The result is a :class:`~repro.api.CortexModel` — the same
+class :func:`~repro.tools.artifact.load_model` returns, after the same
+stages from ``lower()``'s tail on.  Each stage is timed into a
 :class:`StageRecord`; ``on_stage`` hooks observe stages as they finish —
 the introspection autotuners, servers and CI want from a compiler front
 door (cf. Relay/TVM's pass-pipeline design).

@@ -47,7 +47,7 @@ from ..ir import (Const, DimRegistry, Expr, Interval, Reduce, TensorRead,
                   UFCall, Var, as_expr, free_vars, is_zero, reads_of,
                   simplify, structural_equal, substitute, substitute_buffers,
                   walk)
-from ..linearizer import Linearizer
+from ..linearizer import Linearizer, StructureKind
 from ..utils import NameSupply
 from .analysis import (RecursionPartition, partition, reduction_depth,
                        refactor_barrier_saving)
@@ -66,6 +66,20 @@ class Lowered:
     module: ILModule
     linearizer: Linearizer
     bounds: Dict[str, BoundsReport] = field(default_factory=dict)
+
+
+def seal(module: ILModule) -> ILModule:
+    """What a module gets once its nests exist, lowered or decoded from an
+    artifact: the verdicts its runtime reads in ``meta`` — which buffers a
+    recycled workspace must re-zero (``needs_zero``; the host plan) and why
+    cached rows may not be spliced in (``splice_refusal``, ``None`` when
+    they may; the memo splicer) — and the well-formedness check."""
+    from ..ilir.verify import assert_well_formed
+
+    module.meta["needs_zero"] = sorted(zero_required(module))
+    module.meta["splice_refusal"] = splice_hazard(module)
+    assert_well_formed(module)
+    return module
 
 
 def run_codegen(module: ILModule) -> ILModule:
@@ -113,39 +127,31 @@ def lower(prog: Program, schedule: Optional[CortexSchedule] = None,
         ctx.persist_params()
     if rational_approx:
         apply_rational_approximations(ctx.all_nests())
-    module = ctx.form_kernels()
-    # the one place nests and kernel order are both known: record which
-    # buffers a recycled workspace must re-zero and whether cached rows may
-    # be spliced in ("" = yes; None would not survive the manifest) — host
-    # plans, the memo splicer and artifact manifests read these verdicts,
-    # none re-analyzes
-    module.meta["needs_zero"] = sorted(zero_required(module))
-    module.meta["splice_refusal"] = splice_hazard(module) or ""
+    module = seal(ctx.form_kernels())
     bounds = ctx.verify_bounds(strict=strict_bounds)
-
-    from ..ilir.verify import assert_well_formed
-
-    assert_well_formed(module)
-
     if codegen:
         run_codegen(module)
-
-    linearizer = Linearizer(prog.kind, prog.max_children,
-                            dynamic_batch=sched.dynamic_batch,
-                            specialize_leaves=sched.specialize,
-                            word_limit=_word_limit(ctx.all_nests()))
-    return Lowered(module=module, linearizer=linearizer, bounds=bounds)
+    return Lowered(module=module, linearizer=linearizer_for(module),
+                   bounds=bounds)
 
 
-def _word_limit(nests) -> Optional[int]:
-    """Declared rows of the smallest table gathered through ``words``."""
+def linearizer_for(module: ILModule) -> Linearizer:
+    """The linearizer a module's kernels expect: the structure kind and
+    arity, batching and leaf specialization its schedule recorded in
+    ``meta``, and the declared rows of the smallest table gathered through
+    ``words`` (see :attr:`Linearizer.word_limit`)."""
+    meta = module.meta
     limits = [int(read.buffer.shape[d].value)
-              for nest in nests for read in reads_of(nest.body)
+              for kernel in module.kernels for nest in kernel.nests
+              for read in reads_of(nest.body)
               for d, idx in enumerate(read.indices)
               if isinstance(read.buffer.shape[d], Const)
               and any(isinstance(x, UFCall) and x.fn.name == "words"
                       for x in walk(idx))]
-    return min(limits, default=None)
+    return Linearizer(StructureKind(meta["kind"]), meta["max_children"],
+                      dynamic_batch=meta["dynamic_batch"],
+                      specialize_leaves=meta["specialize"],
+                      word_limit=min(limits, default=None))
 
 
 class _LoweringContext:

@@ -68,6 +68,14 @@ class StructureAccess:
             self._child[k] = fn
         return fn
 
+    def by_name(self) -> Dict[str, UninterpretedFunction]:
+        """Every function this factory makes, by name (how a module
+        decoded from an artifact resolves its ``UFCall``s)."""
+        fns = [self.words, self.num_children, self.isleaf, self.batch_begin,
+               self.batch_length, self.child_any,
+               *map(self.child, range(MAX_SUPPORTED_CHILDREN))]
+        return {fn.name: fn for fn in fns}
+
     @property
     def left(self) -> UninterpretedFunction:
         return self.child(0)

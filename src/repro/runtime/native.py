@@ -416,27 +416,20 @@ class NativeModule:
     @classmethod
     def from_ilmodule(cls, module, **kwargs) -> "NativeModule":
         """JIT an ILIR module: the source code generation attached to
-        it, or a fresh rendering (requires operator nests) when it
-        carries none."""
+        it, or a fresh rendering when it has no source yet (lowered with
+        ``codegen=False``, or refused by the generator, which refuses
+        again)."""
         if module.c_source is None or module.c_signatures is None:
             return cls(*generate_c_module(module), **kwargs)
         return cls(module.c_source, module.c_signatures, **kwargs)
 
 
-def warn_native_fallback(reason: object) -> None:
-    """Emit the one :class:`NativeFallbackWarning` (to the caller's caller)."""
-    warnings.warn(
-        f"native backend unavailable ({reason}); falling back to the "
-        f"Python target", NativeFallbackWarning, stacklevel=3)
-
-
-def attach_native(compiled, *, so_path: Optional[os.PathLike] = None,
-                  cc: Optional[str] = None,
-                  cache_dir: Optional[os.PathLike] = None,
-                  warn: bool = True) -> Optional["NativeModule"]:
+def attach_native(compiled, *, so_path: Optional[os.PathLike] = None
+                  ) -> Optional["NativeModule"]:
     """Build and attach a :class:`NativeModule` to a ``CompiledModule``
-    from the C source and signatures its module carries (an artifact
-    reload passes the prebuilt ``so_path`` when its hash checked out).
+    from the C source and signatures its module carries, loading
+    ``so_path`` instead of compiling when that file exists (an artifact
+    reload passes the shipped library named by the source's hash).
 
     Returns the attached module, or ``None`` after emitting
     :class:`NativeFallbackWarning` when the native target cannot be
@@ -444,11 +437,11 @@ def attach_native(compiled, *, so_path: Optional[os.PathLike] = None,
     model then executes through the Python target unchanged.
     """
     try:
-        native = NativeModule.from_ilmodule(compiled.module, so_path=so_path,
-                                            cc=cc, cache_dir=cache_dir)
+        native = NativeModule.from_ilmodule(compiled.module, so_path=so_path)
     except (CodegenError, NativeError) as e:
-        if warn:
-            warn_native_fallback(e)
+        warnings.warn(
+            f"native backend unavailable ({e}); falling back to the Python "
+            f"target", NativeFallbackWarning, stacklevel=2)
         return None
     compiled.native = native
     return native

@@ -16,8 +16,8 @@ a reloaded artifact — and holds:
   launchers when a native module is attached);
 * a buffer-allocation plan with symbolic shapes pre-parsed into
   ``(static dims, which runtime scalars)`` recipes, plus the per-buffer
-  ``needs_zero`` verdict lowering recorded in ``module.meta`` (see
-  :mod:`repro.ilir.zero_fill`): a call's scratch buffers are views into
+  ``needs_zero`` verdict sealing the module recorded in ``module.meta``
+  (see :mod:`repro.ilir.zero_fill`): a call's scratch buffers are views into
   one slab, ``needs_zero`` ones first, so a recycled slab is re-zeroed
   with one slice assignment over that prefix and nothing else;
 * the scalar-binding template (which metadata overrides apply).
@@ -224,14 +224,8 @@ class HostPlan:
 
 
 def build_host_plan(lowered: Lowered, compiled: CompiledModule) -> HostPlan:
-    """Derive the host plan from a lowered (or reloaded) module."""
+    """Derive the host plan from a sealed module (lowered or reloaded)."""
     module = lowered.module
-    if "needs_zero" not in module.meta:
-        # never guess "zero everything": lowering records the verdicts and
-        # artifacts carry them, so their absence is a malformed module
-        raise ExecutionError(
-            f"module {module.name!r} records no zero-fill verdicts "
-            f"(meta['needs_zero']); build it with repro.ra.lowering.lower")
     zero_set = set(module.meta["needs_zero"])
     fns = dict(compiled.fns)
     native = getattr(compiled, "native", None)
@@ -348,11 +342,6 @@ def execute_plan(plan: HostPlan, lin: Linearized,
     """
     cost = None
     if device is not None:
-        if not all(k.nests for k in plan.module.kernels):
-            raise ExecutionError(
-                "simulated-latency estimation needs the module's operator "
-                "nests, and this one carries none (a model reloaded from an "
-                "artifact executes numerics only); run without device=")
         from .costmodel import estimate_cost
 
         cost = estimate_cost(plan.module, lin, device)

@@ -594,7 +594,7 @@ static void k_fused_base_team(void* const* A, repro_member* _m) {
       for (int64_t n_idx = 0; n_idx < _length; ++n_idx) {
         const int64_t n = (_begin) + n_idx;
         for (int64_t i = _j0; i < _j1; i += 4) {
-          repro_vstore4(&rnn[((n) * (8) + (i))], repro_vtanhf4((repro_vload4(&Feat[((words[n]) * (8) + (i))]) + repro_vload4(&b[(i)]))));
+          repro_vstore4(&rnn[((n) * (8) + (i))], repro_vtanhf4((repro_vload4(&Feat[((repro_wrap(words[n], 4000)) * (8) + (i))]) + repro_vload4(&b[(i)]))));
         }
       }
     }
@@ -637,7 +637,7 @@ static void k_fused_base_team(void* const* A, repro_member* _m) {
       for (int64_t n_idx_3 = 0; n_idx_3 < _length; ++n_idx_3) {
         const int64_t n_3 = (_begin) + n_idx_3;
         for (int64_t i_3 = _j0; i_3 < _j1; i_3 += 4) {
-          repro_vstore4(&rnn[((n_3) * (8) + (i_3))], repro_vtanhf4(((repro_vload4(&mu[((n_idx_3) * (8) + (i_3))]) + repro_vload4(&Feat[((words[n_3]) * (8) + (i_3))])) + repro_vload4(&b[(i_3)]))));
+          repro_vstore4(&rnn[((n_3) * (8) + (i_3))], repro_vtanhf4(((repro_vload4(&mu[((n_idx_3) * (8) + (i_3))]) + repro_vload4(&Feat[((repro_wrap(words[n_3], 4000)) * (8) + (i_3))])) + repro_vload4(&b[(i_3)]))));
         }
       }
     }
@@ -743,7 +743,7 @@ static __attribute__((target("avx2"))) void k_fused_avx2_team(void* const* A, re
       for (int64_t n_idx = 0; n_idx < _length; ++n_idx) {
         const int64_t n = (_begin) + n_idx;
         for (int64_t i = _j0; i < _j1; i += 8) {
-          repro_vstore8(&rnn[((n) * (8) + (i))], repro_vtanhf8((repro_vload8(&Feat[((words[n]) * (8) + (i))]) + repro_vload8(&b[(i)]))));
+          repro_vstore8(&rnn[((n) * (8) + (i))], repro_vtanhf8((repro_vload8(&Feat[((repro_wrap(words[n], 4000)) * (8) + (i))]) + repro_vload8(&b[(i)]))));
         }
       }
     }
@@ -786,7 +786,7 @@ static __attribute__((target("avx2"))) void k_fused_avx2_team(void* const* A, re
       for (int64_t n_idx_3 = 0; n_idx_3 < _length; ++n_idx_3) {
         const int64_t n_3 = (_begin) + n_idx_3;
         for (int64_t i_3 = _j0; i_3 < _j1; i_3 += 8) {
-          repro_vstore8(&rnn[((n_3) * (8) + (i_3))], repro_vtanhf8(((repro_vload8(&mu[((n_idx_3) * (8) + (i_3))]) + repro_vload8(&Feat[((words[n_3]) * (8) + (i_3))])) + repro_vload8(&b[(i_3)]))));
+          repro_vstore8(&rnn[((n_3) * (8) + (i_3))], repro_vtanhf8(((repro_vload8(&mu[((n_idx_3) * (8) + (i_3))]) + repro_vload8(&Feat[((repro_wrap(words[n_3], 4000)) * (8) + (i_3))])) + repro_vload8(&b[(i_3)]))));
         }
       }
     }

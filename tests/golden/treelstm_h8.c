@@ -624,7 +624,7 @@ static void k_fused_base_team(void* const* A, repro_member* _m) {
       for (int64_t n_idx = 0; n_idx < _length; ++n_idx) {
         const int64_t n = (_begin) + n_idx;
         for (int64_t i = _j0; i < _j1; i += 4) {
-          repro_vstore4(&rnn_h_ph[((n) * (8) + (i))], repro_vload4(&Emb[((words[n]) * (8) + (i))]));
+          repro_vstore4(&rnn_h_ph[((n) * (8) + (i))], repro_vload4(&Emb[((repro_wrap(words[n], 50)) * (8) + (i))]));
         }
       }
     }
@@ -889,7 +889,7 @@ static __attribute__((target("avx2"))) void k_fused_avx2_team(void* const* A, re
       for (int64_t n_idx = 0; n_idx < _length; ++n_idx) {
         const int64_t n = (_begin) + n_idx;
         for (int64_t i = _j0; i < _j1; i += 8) {
-          repro_vstore8(&rnn_h_ph[((n) * (8) + (i))], repro_vload8(&Emb[((words[n]) * (8) + (i))]));
+          repro_vstore8(&rnn_h_ph[((n) * (8) + (i))], repro_vload8(&Emb[((repro_wrap(words[n], 50)) * (8) + (i))]));
         }
       }
     }

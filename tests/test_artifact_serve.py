@@ -2,9 +2,8 @@
 
 A reloaded artifact is a `CortexModel` like the in-process model, so
 `load_model(path).server()` must serve every request bit-identically to a
-`ModelServer` over the original — across flush policies — and
-`options.json` must restore the exact CompileOptions the artifact was
-compiled under.
+`ModelServer` over the original — across flush policies — and the
+artifact must restore the exact CompileOptions it was compiled under.
 """
 
 import json
@@ -15,9 +14,8 @@ import pytest
 import repro
 from repro import CompileOptions, CortexModel
 from repro.data import synthetic_treebank
-from repro.errors import ExecutionError
 from repro.serve import Deadline, MaxPendingRequests, MaxTotalNodes
-from repro.tools.artifact import OPTIONS, load_model, save_model
+from repro.tools.artifact import DOCUMENT, load_model, save_model
 
 VOCAB = 60
 RNG = np.random.default_rng(21)
@@ -40,11 +38,9 @@ def _requests(n, rng):
 
 def test_artifact_writes_options_json(tmp_path):
     model, loaded, out = _artifact(tmp_path)
-    payload = json.loads((out / OPTIONS).read_text())
-    assert payload["cache_key"] == model.options.cache_key()
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["options_file"] == OPTIONS
-    assert manifest["options_key"] == model.options.cache_key()
+    payload = json.loads((out / DOCUMENT).read_text())["options"]
+    assert payload == model.options.to_dict()
+    assert loaded.options.cache_key() == model.options.cache_key()
 
 
 def test_load_model_restores_exact_options(tmp_path):
@@ -56,29 +52,16 @@ def test_load_model_restores_exact_options(tmp_path):
 
 def test_resaving_without_options_clears_stale_options_json(tmp_path):
     """Re-using an artifact directory must not attribute the previous
-    save's options.json to a model saved without options."""
+    save's options to a model saved without options."""
     model, _, out = _artifact(tmp_path)
     bare = CortexModel(spec=model.spec, program=model.program,
                        lowered=model.lowered, compiled=model.compiled,
                        params=model.params)
     assert bare.options is None
     save_model(bare, out)
-    assert not (out / OPTIONS).exists()
+    assert json.loads((out / DOCUMENT).read_text())["options"] is None
     loaded = load_model(out)
     assert loaded.options is None
-
-
-def test_pre_options_artifacts_still_load(tmp_path):
-    _, _, out = _artifact(tmp_path)
-    (out / OPTIONS).unlink()
-    manifest = json.loads((out / "manifest.json").read_text())
-    manifest.pop("options_file")
-    manifest.pop("options_key")
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    loaded = load_model(out)
-    assert loaded.options is None
-    assert loaded.run(_requests(1, np.random.default_rng(0))[0:1][0]) \
-        .root_output("rnn_h_ph").shape == (1, 8)
 
 
 # -- one model surface --------------------------------------------------------
@@ -109,21 +92,23 @@ def test_deployed_run_many_and_release_match_in_process(tmp_path):
     assert not loaded._leased
 
 
-def test_deployed_model_rejects_simulated_device(tmp_path):
-    """``run`` / ``run_many`` with a device fail loudly in
-    ``execute_plan``, before any lease: with no operator nests the cost
-    model would report a wildly wrong latency.  The same calls without a
-    device still run."""
+def test_deployed_model_estimates_simulated_device_like_in_process(
+        tmp_path):
+    """A reloaded module carries its operator nests, so ``run`` /
+    ``run_many`` with a device give the in-process estimate exactly."""
     from repro.runtime import V100
 
-    _, loaded, _ = _artifact(tmp_path)
+    model, loaded, _ = _artifact(tmp_path)
     roots = _requests(1, np.random.default_rng(0))[0]
-    with pytest.raises(ExecutionError, match="numerics only"):
-        loaded.run(roots, device=V100, reuse=True)
-    with pytest.raises(ExecutionError, match="numerics only"):
-        loaded.run_many([roots], device=V100)
+    want = model.run(roots, device=V100)
+    got = loaded.run(roots, device=V100, reuse=True)
+    assert got.simulated_time_s == want.simulated_time_s is not None
+    assert got.cost.per_kernel == want.cost.per_kernel
+    loaded.release()
+    assert [r.simulated_time_s for r in loaded.run_many([roots],
+                                                        device=V100)] == \
+        [want.simulated_time_s]
     assert loaded.arena.snapshot()["leased"] == 0
-    assert loaded.arena.stats.misses == 0      # refused before the lease
     assert loaded.run(roots).simulated_time_s is None
 
 

@@ -357,27 +357,6 @@ def test_reloaded_artifact_refuses_memo_with_the_in_process_reason(tmp_path):
     assert messages[0] == messages[1]
 
 
-def test_artifact_without_splice_verdict_refuses_memo_asking_for_resave(
-        tmp_path):
-    """A manifest written before the verdict was shipped still loads and
-    runs; only memoization is refused, typed, naming the field."""
-    m = api.compile("treernn", CompileOptions(memo="on"), hidden=8,
-                    vocab=VOCAB)
-    path = save_model(m, tmp_path / "artifact")
-    manifest = json.loads((path / "manifest.json").read_text())
-    del manifest["meta"]["splice_refusal"]
-    (path / "manifest.json").write_text(json.dumps(manifest))
-    dep = load_model(path)
-    tree = zipf_tree_stream(1, vocab_size=VOCAB)[0]
-    assert np.array_equal(dep.run(tree).root_output("rnn"),
-                          m.run(tree).root_output("rnn"))
-    resave = r"meta\.splice_refusal is missing.*re-save"
-    with pytest.raises(SpliceRefusedError, match=resave):
-        dep.server()
-    with pytest.raises(SpliceRefusedError, match=resave):
-        MemoSession(dep)
-
-
 # ---------------------------------------------------------------------------
 # the tentpole invariant: memo-on serving is bitwise memo-off, zoo-wide
 

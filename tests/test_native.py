@@ -9,8 +9,8 @@ stage, model- and kernel-level parity against the Python kernels
 where the prelude polynomials / BLAS reassociation differ), the
 no-compiler fallback, profiler labeling, artifact round-trips and
 serving — and the schedules of the native generator: register-tiled
-contractions over panel-packed weights (bitwise against the scalar fold, the packing
-cache, ABI records), the two ISA variants (bitwise against each other),
+contractions over panel-packed weights (bitwise against the scalar fold,
+the packing cache), the two ISA variants (bitwise against each other),
 the lane loops and the prelude's own exp / tanh / sigmoid (bitwise
 against an op-for-op NumPy reference, ulp-bounded against float64), and
 UBSan / ASan / warning-clean builds.
@@ -21,7 +21,6 @@ regenerate with ``REPRO_REGEN_GOLDEN=1``.
 
 import copy
 import ctypes
-import json
 import os
 import subprocess
 import sys
@@ -32,16 +31,14 @@ import numpy as np
 import pytest
 
 from repro.data import (grid_dag, grid_dag_batch, random_dag,
-                        synthetic_treebank)
+                        synthetic_treebank, zipf_dag_stream)
 from repro.errors import (LinearizationError, NativeError,
                           NativeFallbackWarning, ScheduleError, ServingError)
 from repro.ilir.codegen import c_codegen
 from repro.ilir.codegen.c_codegen import (NativeCodegen, c_float_literal,
-                                          generate_c_module,
-                                          parity_classification,
-                                          signatures_from_json,
-                                          signatures_to_json)
+                                          parity_classification)
 from repro.linearizer import sequence
+from repro.linearizer.structures import iter_nodes
 from repro.options import CompileOptions, Validate
 from repro.pipeline import STAGES, CompilerPipeline
 from repro.runtime.native import (DEFAULT_CFLAGS, DTYPE_TO_CTYPE, NativeModule,
@@ -379,61 +376,44 @@ def test_profiler_labels_native_kernels():
     assert prof2.breakdown().framework == "Cortex (measured)"
 
 
-# -- signatures ----------------------------------------------------------------
-
-def test_signature_json_roundtrip():
-    model = _compile("treelstm", "python")
-    _source, sigs = generate_c_module(model.lowered.module)
-    assert sigs["fused"].packed == tuple(
-        (w, "float32") for w in ("Ui", "Uo", "Uu", "Uf"))
-    data = json.loads(json.dumps(signatures_to_json(sigs)))
-    assert signatures_from_json(data) == sigs
-    # a record written when packed weights were transposes, not panels
-    assert data[0].pop("packed_layout") == "panel"
-    with pytest.raises(NativeError, match="packed layout 'transpose'"):
-        signatures_from_json(data)
-    # a record without packed entries cannot vouch for any library's ABI
-    del data[0]["packed"]
-    with pytest.raises(NativeError, match="predates the packed-weight ABI"):
-        signatures_from_json(data)
-
-
 # -- artifacts -----------------------------------------------------------------
 
 @needs_cc
 def test_artifact_bakes_and_reloads_native(tmp_path, monkeypatch):
-    from repro.tools.artifact import (NATIVE_META, NATIVE_SO, load_model,
-                                      save_model)
+    """The shipped ``.so`` is named by the hash of its C source; a reload
+    loads it when the regenerated source hashes to that name.  Stale
+    (another name): recompiled, or without a compiler the Python kernels
+    with the typed warning."""
+    from repro.runtime.native import source_hash
+    from repro.tools.artifact import load_model, save_model
 
     model = _compile("treelstm", "c")
+    assert model.compiled.native.signatures["fused"].packed == tuple(
+        (w, "float32") for w in ("Ui", "Uo", "Uu", "Uf"))
     trees = _inputs("treelstm")
     want = [dict(r.outputs) for r in model.run_many(trees)]
     out = save_model(model, tmp_path / "art")
-    assert (out / NATIVE_SO).exists() and (out / NATIVE_META).exists()
-    meta = json.loads((out / NATIVE_META).read_text())
-    assert set(meta) == {"source_hash", "cc", "flags", "signatures"}
-    assert [sig["packed"] for sig in meta["signatures"]] == [
-        [[w, "float32"] for w in ("Ui", "Uo", "Uu", "Uf")]]
-    assert [sig["packed_layout"] for sig in meta["signatures"]] == ["panel"]
+    so = out / f"module.{source_hash(model.c_source)}.so"
+    assert so.exists()
 
     # 1) prebuilt load: native serving with NO compiler on the host
     monkeypatch.setenv("REPRO_NO_CC", "1")
     dm = load_model(out)
     assert dm.compiled.native is not None
     assert dm.compiled.native.cc == "(prebuilt)"
+    assert dm.compiled.native.so_path == so
     for a, b in zip(want, [dict(r.outputs) for r in dm.run_many(trees)]):
         for n in a:
             np.testing.assert_array_equal(a[n], b[n])
 
-    # 2) stale source + no compiler: typed fallback, Python kernels
-    (out / "module.c").write_text((out / "module.c").read_text()
-                                  + "\n/* tampered */\n")
+    # 2) stale library + no compiler: typed fallback, Python kernels
+    so.rename(out / f"module.{source_hash('another source')}.so")
     with pytest.warns(NativeFallbackWarning):
         dm2 = load_model(out)
     assert getattr(dm2.compiled, "native", None) is None
     dm2.run_many(trees)
 
-    # 3) stale source + compiler: recompiled from module.c
+    # 3) stale library + compiler: recompiled from the regenerated source
     monkeypatch.delenv("REPRO_NO_CC")
     dm3 = load_model(out)
     assert dm3.compiled.native is not None
@@ -441,43 +421,6 @@ def test_artifact_bakes_and_reloads_native(tmp_path, monkeypatch):
     for a, b in zip(want, [dict(r.outputs) for r in dm3.run_many(trees)]):
         for n in a:
             np.testing.assert_array_equal(a[n], b[n])
-
-
-def _assert_stale_abi_falls_back(tmp_path, entry, match):
-    """An artifact whose ``native.json`` signatures lack ``entry`` loads
-    with the typed warning and runs the Python kernels."""
-    from repro.tools.artifact import NATIVE_META, load_model, save_model
-
-    model = _compile("treelstm", "c")
-    out = save_model(model, tmp_path / "art")
-    meta = json.loads((out / NATIVE_META).read_text())
-    for sig in meta["signatures"]:
-        del sig[entry]
-    (out / NATIVE_META).write_text(json.dumps(meta))
-    with pytest.warns(NativeFallbackWarning, match=match):
-        dm = load_model(out)
-    assert getattr(dm.compiled, "native", None) is None
-    py = _compile("treelstm", "python")
-    for tree in _inputs("treelstm"):
-        for name in py.outputs:
-            np.testing.assert_array_equal(dm.run(tree).root_output(name),
-                                          py.run(tree).root_output(name))
-
-
-@needs_cc
-def test_artifact_without_packed_entries_falls_back(tmp_path):
-    """A ``native.json`` written before signatures recorded packed
-    weights must never be launched against: Python kernels, with the
-    typed warning."""
-    _assert_stale_abi_falls_back(tmp_path, "packed", "packed-weight ABI")
-
-
-@needs_cc
-def test_artifact_with_transposed_weights_abi_falls_back(tmp_path):
-    """Nor one written when packed weights were transposes: its library
-    would read the panels this launcher packs as ``W.T``."""
-    _assert_stale_abi_falls_back(tmp_path, "packed_layout",
-                                 "packed layout 'transpose'")
 
 
 @needs_cc
@@ -501,12 +444,11 @@ def test_artifact_runs_on_the_base_variant(tmp_path, monkeypatch):
 
 
 def test_artifact_python_target_bakes_no_native(tmp_path):
-    from repro.tools.artifact import NATIVE_META, NATIVE_SO, save_model
+    from repro.tools.artifact import save_model
 
     model = _compile("treernn", "python")
     out = save_model(model, tmp_path / "art")
-    assert not (out / NATIVE_SO).exists()
-    assert not (out / NATIVE_META).exists()
+    assert not list(out.glob("*.so"))
 
 
 # -- contraction tiles ---------------------------------------------------------
@@ -1197,6 +1139,94 @@ def test_memo_stub_rows_stay_in_bounds_under_asan(tmp_path):
     _run_preloaded(_STUB_ROWS_UNDER_ASAN, tmp_path)
 
 
+def _absent_word_requests(name):
+    """Requests whose interior nodes carry the word ``-1`` ("absent"):
+    ``zipf_dag_stream``'s join nodes, or the middle of a sequence."""
+    if name == "dagrnn":
+        return [[dag] for dag in zipf_dag_stream(6, seed=3)]
+    rng = np.random.default_rng(3)
+    requests = []
+    for n in (3, 6, 9):
+        seq = node = sequence(rng.integers(0, VOCAB, size=n).tolist())
+        for _ in range(n // 2):
+            node = node.children[0]
+        node.word = -1
+        requests.append([seq])
+    return requests
+
+
+@needs_cc
+@pytest.mark.parametrize("name", ("dagrnn", "seq_lstm", "seq_gru"))
+def test_absent_interior_words_gather_the_last_row(name):
+    """Models that gather ``words`` at every node read an interior
+    ``-1`` as the table's last row on every target and ISA variant, as
+    NumPy does: each one's output equals its own with those words
+    rewritten to that row, and C matches Python (bitwise where
+    :func:`parity_classification` promises it).  The native gather used
+    to read before the table."""
+    c, py = _compile(name, "c"), _compile(name, "python")
+    plans = {"python": py.plan, "c": c.plan, "base": _variant_plan(c, "base")}
+    if c.compiled.native.variant == "avx2":
+        plans["avx2"] = _variant_plan(c, "avx2")
+    bitwise = all(k["bitwise"] for k in
+                  parity_classification(c.lowered.module).values())
+    last = c.lowered.linearizer.word_limit - 1
+    for roots in _absent_word_requests(name):
+        absent = [n for n in iter_nodes(roots) if n.word == -1]
+        assert absent and all(n.children for n in absent)
+
+        def run():
+            lin = py._linearize(roots, True)
+            return {k: execute_plan(plan, lin, c.params).workspace
+                    for k, plan in plans.items()}
+
+        got = run()
+        for n in absent:
+            n.word = last
+        want = run()
+        for n in absent:
+            n.word = -1
+        for k in plans:
+            for out in c.outputs:
+                assert np.array_equal(got[k][out], want[k][out]), (k, out)
+                if bitwise:
+                    assert np.array_equal(got[k][out], got["python"][out])
+                np.testing.assert_allclose(got[k][out], got["python"][out],
+                                           rtol=1e-5, atol=1e-6)
+
+
+_ABSENT_WORDS_UNDER_ASAN = """
+import numpy as np
+from repro.data import zipf_dag_stream
+from repro.options import CompileOptions
+from repro.pipeline import CompilerPipeline
+from repro.runtime.native import DEFAULT_CFLAGS, NativeModule
+from repro.runtime.plan import build_host_plan, execute_plan
+
+model = CompilerPipeline().compile(
+    "dagrnn", CompileOptions(target="python"), hidden=16,
+    rng=np.random.default_rng(0))
+model.compiled.native = NativeModule.from_ilmodule(
+    model.lowered.module, flags=DEFAULT_CFLAGS + ("-fsanitize=address",))
+plan = build_host_plan(model.lowered, model.compiled)
+for dag in zipf_dag_stream(6, seed=3):
+    got = execute_plan(plan, model._linearize([dag], True), model.params)
+    want = model.run([dag])
+    for name in model.outputs:
+        assert np.allclose(got.workspace[name], want.workspace[name],
+                           rtol=1e-5, atol=1e-6), name
+print("absent words ran clean")
+"""
+
+
+@needs_cc
+def test_absent_interior_words_stay_in_bounds_under_asan(tmp_path):
+    """dagrnn gathers ``Feat[words[n]]`` at every node, and the join nodes
+    of ``zipf_dag_stream`` carry ``-1``: the wrap keeps the read inside
+    the table."""
+    _run_preloaded(_ABSENT_WORDS_UNDER_ASAN, tmp_path)
+
+
 _TEAM_UNDER_TSAN = """
 import copy, types
 import numpy as np
@@ -1622,15 +1652,8 @@ def test_pythonapi_masked_serves_through_the_python_builder(monkeypatch):
 @needs_cc
 def test_artifacts_linearize_from_their_own_library(tmp_path, monkeypatch):
     """A reloaded ``target="c"`` artifact walks natively from the ``.so``
-    it carries; one built before the section existed (no
-    ``repro_lin_walk`` export) loads without a warning and linearizes
-    through Python."""
-    import shutil
-    import warnings
-
-    from repro.runtime.native import source_hash
-    from repro.tools.artifact import (NATIVE_META, NATIVE_SO, load_model,
-                                      save_model)
+    it carries, with no compiler on the host."""
+    from repro.tools.artifact import load_model, save_model
 
     model = _compile("treelstm", "c")
     trees = _inputs("treelstm", n=4)
@@ -1641,32 +1664,11 @@ def test_artifacts_linearize_from_their_own_library(tmp_path, monkeypatch):
     assert fresh.compiled.native.cc == "(prebuilt)"
     assert fresh.fast_linearizer().native is fresh.compiled.native.walker
     assert fresh.compiled.native.walker is not None
-    monkeypatch.delenv("REPRO_NO_CC")
-
-    old_source = model.c_source.replace(c_codegen._C_LINEARIZER, "")
-    assert "repro_lin_walk" not in old_source
-    old = NativeModule(old_source, model.compiled.native.signatures,
-                       cache_dir=tmp_path / "cache")
-    assert old.walker is None
-    out = save_model(model, tmp_path / "aged")   # a loaded .so stays as is
-    shutil.copyfile(old.so_path, out / NATIVE_SO)
-    (out / "module.c").write_text(old_source)
-    meta = json.loads((out / NATIVE_META).read_text())
-    meta["source_hash"] = source_hash(old_source)
-    (out / NATIVE_META).write_text(json.dumps(meta))
-    monkeypatch.setenv("REPRO_NO_CC", "1")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        aged = load_model(out)
-        assert aged.compiled.native.cc == "(prebuilt)"
-        assert aged.compiled.native.walker is None
-        assert aged.fast_linearizer().native is None
-        results = [m.run(trees, validate=Validate.NEVER)
-                   for m in (fresh, aged)]
-    for got in results:
-        _assert_same_layout(got.lin, want.lin)
-        for name in model.outputs:
-            assert np.array_equal(got.workspace[name], want.workspace[name])
+    got = fresh.run(trees, validate=Validate.NEVER)
+    assert got.lin._rev is None                     # the walker's layout
+    _assert_same_layout(got.lin, want.lin)
+    for name in model.outputs:
+        assert np.array_equal(got.workspace[name], want.workspace[name])
 
 
 @needs_cc

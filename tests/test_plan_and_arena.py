@@ -761,7 +761,7 @@ def _plan_shape(plan):
 def test_artifact_roundtrip_plan_parity(name, schedule, tmp_path):
     """save -> load yields the same launch records and the same per-buffer
     ``needs_zero`` as ``m.plan``, bitwise-equal outputs, and the same
-    splice verdict (the one lowering recorded, shipped in the manifest)."""
+    splice verdict (recomputed from the reloaded nests)."""
     from repro.memo import splice_refusal
 
     m = _small_model(name, **schedule)
@@ -773,24 +773,3 @@ def test_artifact_roundtrip_plan_parity(name, schedule, tmp_path):
     assert splice_refusal(dep) == splice_refusal(m)
     assert dep.lowered.module.meta["splice_refusal"] == \
         m.lowered.module.meta["splice_refusal"]
-
-
-def test_load_model_refuses_artifact_without_zero_fill_verdicts(tmp_path):
-    """An artifact written before ``meta.needs_zero`` existed carries the
-    deleted reference-flavor source: one typed refusal naming the field,
-    never an ImportError out of ``exec`` or a zero-everything guess."""
-    import json
-
-    from repro.errors import CortexError
-
-    m = _small_model("treernn")
-    path = save_model(m, tmp_path / "artifact")
-    manifest = json.loads((path / "manifest.json").read_text())
-    del manifest["meta"]["needs_zero"]
-    (path / "manifest.json").write_text(json.dumps(manifest))
-    # stands in for the old source, whose import of a removed kernel
-    # helper would fail: the refusal must come before any exec
-    (path / "module.py").write_text(
-        "raise ImportError('stale module.py must never be exec-ed')\n")
-    with pytest.raises(CortexError, match=r"meta\.needs_zero.*re-save"):
-        load_model(path)
