@@ -4,7 +4,9 @@ One generator lives here, :func:`generate_c_module`: complete, portable,
 self-contained C99 that ``runtime/native.py`` compiles with the system
 compiler into a ``.so`` and launches through ``ctypes``.  It renders the
 module's operator nests, which a module reloaded from an artifact carries
-too, so a reload renders the same source byte for byte.
+too, so a reload renders the same source byte for byte.  The source is
+one text in :data:`PARTS` that the preprocessor selects (``REPRO_PART``),
+so that the build may compile them as concurrent units and link them.
 
 The generator mirrors ``python_codegen.PythonCodegen`` construct
 for construct so the two targets agree bitwise wherever the arithmetic
@@ -100,6 +102,7 @@ columns across, ignored by the other kinds.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -186,6 +189,15 @@ _C_PRELUDE = '''\
 extern "C" {
 #endif
 
+/* a parted build compiles part k of the source as a unit of its own
+ * (-DREPRO_PART=k) and links the parts; without REPRO_PART the source is
+ * every part at once */
+#ifdef REPRO_PART
+#define REPRO_IN(k) (REPRO_PART == (k))
+#else
+#define REPRO_IN(k) 1
+#endif
+
 static inline float repro_minf(float a, float b) { return a < b ? a : b; }
 static inline float repro_maxf(float a, float b) { return a > b ? a : b; }
 static inline double repro_min(double a, double b) { return a < b ? a : b; }
@@ -258,18 +270,15 @@ static inline int64_t repro_isleaf(int64_t leaf_start,
 #: flight, and a worker stops helping as soon as one starts, so two
 #: callers never ask the CPUs for more than their own threads.  A worker
 #: that cannot be created shrinks the team.  Waits spin with ``pause``,
-#: then yield.
-_C_TEAM = '''\
+#: then yield.  The runtime part of a module defines the team once, with
+#: hidden visibility (:data:`_C_TEAM`); the kernel parts call it through
+#: the declarations of :data:`_C_TEAM_API`, so a library has one team
+#: however its parts were compiled.
+_C_TEAM_API = '''\
 /* ---- column teams: every member runs the body; a segment's tickets go
- * to their share's member first, to the others when it is behind */
-#include <pthread.h>
-#include <sched.h>
-#include <signal.h>
-
-#define REPRO_TEAM static __attribute__((unused))
-#define REPRO_TEAM_MAX 64      /* members, the launching thread included */
-#define REPRO_TEAM_SPIN 2048   /* pause rounds before a wait yields */
-#define REPRO_TEAM_OPEN (1ull << 31)
+ * to their share's member first, to the others when it is behind.  The
+ * runtime part defines the team, once per library */
+#define REPRO_TEAM __attribute__((visibility("hidden")))
 
 typedef struct {
   int64_t t, T;   /* this member; the team's size, which is its shares */
@@ -279,6 +288,37 @@ typedef struct {
   int quit;       /* stopped helping: takes no more tickets */
 } repro_member;
 typedef void (*repro_team_body)(void* const* args, repro_member* m);
+
+REPRO_TEAM int64_t repro_team_take(repro_member* m, int64_t P);
+REPRO_TEAM int repro_team_wait(repro_member* m, int64_t P);
+REPRO_TEAM void repro_team_run(repro_team_body body, void* const* args,
+                               int64_t size);
+
+/* what the body calls per ticket and per segment: a team of one takes
+ * its tickets in order and never waits */
+static inline int64_t repro_team_claim(repro_member* m, int64_t P) {
+  if (m->T < 2) return m->next < P ? m->next++ : -1;
+  return repro_team_take(m, P);
+}
+
+static inline int repro_team_sync(repro_member* m, int64_t P) {
+  if (m->T < 2) {
+    m->next = 0;
+    return 0;
+  }
+  return repro_team_wait(m, P);
+}
+'''
+
+_C_TEAM = '''\
+/* ---- the column team */
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+
+#define REPRO_TEAM_MAX 64      /* members, the launching thread included */
+#define REPRO_TEAM_SPIN 2048   /* pause rounds before a wait yields */
+#define REPRO_TEAM_OPEN (1ull << 31)
 
 /* per member, a cache line each: its share's tickets not yet taken
  * (seg << 32 | lo << 16 | hi: [lo, hi) of segment seg), which it takes
@@ -382,7 +422,7 @@ REPRO_TEAM int repro_team_wait(repro_member* m, int64_t P) {
   }
 }
 
-REPRO_TEAM void* repro_team_worker(void* arg) {
+static void* repro_team_worker(void* arg) {
   const int64_t t = (int64_t)(intptr_t)arg;
   pthread_mutex_lock(&repro_team.lock);
   uint64_t seen = repro_team.launch - 1;  /* started for this launch */
@@ -411,7 +451,7 @@ REPRO_TEAM void* repro_team_worker(void* arg) {
 }
 
 /* a fork child has the forking thread only: no workers, no launches */
-REPRO_TEAM void repro_team_forget(void) {
+static void repro_team_forget(void) {
   pthread_mutex_init(&repro_team.lock, NULL);
   pthread_cond_init(&repro_team.wake, NULL);
   repro_team.workers = 0;
@@ -420,8 +460,8 @@ REPRO_TEAM void repro_team_forget(void) {
 }
 
 /* publish a launch to up to `size` - 1 workers; the members it has */
-REPRO_TEAM int64_t repro_team_open(repro_team_body body, void* const* args,
-                                   int64_t size) {
+static int64_t repro_team_open(repro_team_body body, void* const* args,
+                               int64_t size) {
   pthread_mutex_lock(&repro_team.lock);
   if (!repro_team.forks)
     repro_team.forks = pthread_atfork(NULL, NULL, repro_team_forget) == 0;
@@ -483,22 +523,6 @@ REPRO_TEAM void repro_team_run(repro_team_body body, void* const* args,
 #elif defined(__GNUC__)
 #pragma GCC pop_options
 #endif
-
-/* what the body calls per ticket and per segment: a team of one takes
- * its tickets in order and never waits */
-static inline int64_t repro_team_claim(repro_member* m, int64_t P) {
-  if (m->T < 2) return m->next < P ? m->next++ : -1;
-  return repro_team_take(m, P);
-}
-
-static inline int repro_team_sync(repro_member* m, int64_t P) {
-  if (m->T < 2) {
-    m->next = 0;
-    return 0;
-  }
-  return repro_team_wait(m, P);
-}
-
 '''
 
 #: float32 vector helpers, instantiated once per ISA variant (``@L@``
@@ -980,10 +1004,35 @@ def _variant_target(variant: str) -> str:
     return f'__attribute__((target("{variant}"))) '
 
 
+#: the parts of a generated module's source, by ``REPRO_PART`` number:
+#: the model-independent runtime (the column team, the variant pick and
+#: the exported dispatchers, the linearizer), then each ISA variant's
+#: kernels and microkernels.  ``runtime/native.py`` compiles them as
+#: concurrent units and links the objects; without ``REPRO_PART`` the
+#: source is one unit.
+PARTS = ("runtime", *VARIANTS)
+
+_PARTS_DEFINE = re.compile(r"^#define REPRO_PARTS (\d+)$", re.MULTILINE)
+
+
+def source_parts(source: str) -> int:
+    """The parts ``source`` declares (``#define REPRO_PARTS <n>``); 1, one
+    unit, for a source that declares none."""
+    m = _PARTS_DEFINE.search(source)
+    return int(m.group(1)) if m else 1
+
+
+def _part_guard(part: str) -> str:
+    """The ``#if`` that opens ``part``'s section of a source: the avx2
+    variant's also needs the compiler to target AVX2 (``REPRO_AVX2``)."""
+    guard = f"#if REPRO_IN({PARTS.index(part)})"
+    return guard + (" && defined(REPRO_AVX2)" if part == "avx2" else "")
+
+
 def native_prelude() -> str:
-    """What every generated module opens with: the scalar helpers, the
-    column-team runtime, then per ISA variant the vector type and its
-    helpers (the avx2 ones behind ``REPRO_AVX2``)."""
+    """What every part of a generated module opens with: the scalar
+    helpers, the column team's declarations, then per ISA variant the
+    vector type and its helpers (the avx2 ones in the avx2 part only)."""
     def vectors(variant: str) -> str:
         lanes = VARIANTS[variant]
         return (_C_VECTOR_PRELUDE.replace("@L@", str(lanes))
@@ -991,9 +1040,9 @@ def native_prelude() -> str:
                 .replace("@T@", _variant_target(variant))
                 .replace("@ZEROS@", ", ".join("0" * lanes)))
 
-    return "\n".join([_C_PRELUDE, _C_TEAM, vectors("base"),
+    return "\n".join([_C_PRELUDE, _C_TEAM_API, vectors("base"),
                       _C_SCALAR_POLYNOMIALS,
-                      _AVX2_GUARD, "#ifdef REPRO_AVX2", vectors("avx2"),
+                      _AVX2_GUARD, _part_guard("avx2"), vectors("avx2"),
                       "#endif", ""])
 
 
@@ -1296,8 +1345,8 @@ class NativeCodegen:
 
     # -- public ------------------------------------------------------------
     def generate(self) -> Tuple[str, Dict[str, KernelSignature]]:
-        parts = [self._header(), native_prelude()]
         signatures: Dict[str, KernelSignature] = {}
+        sections: Dict[str, List[str]] = {}
         for variant, lanes in VARIANTS.items():
             self.variant, self.lanes = variant, lanes
             self.target = _variant_target(variant)
@@ -1306,20 +1355,23 @@ class NativeCodegen:
             for kernel in self.module.kernels:
                 src, signatures[kernel.name] = self._emit_kernel(kernel)
                 kernels.append(src)
-            section = list(self._microkernels.values()) + kernels
-            parts += (section if variant == "base"
-                      else ["#ifdef REPRO_AVX2", *section, "#endif"])
-        parts.append(_C_DISPATCH)
-        parts.append(
+            sections[variant] = list(self._microkernels.values()) + kernels
+        sections["runtime"] = [
+            _C_TEAM, _C_DISPATCH,
             "/* output columns of the widest nest a fused kernel splits "
             "(0: none); the\n * launcher sizes the team it passes from "
             "it */\n"
             f"int64_t repro_team_columns(void) {{ return "
-            f"{self._team_columns}; }}\n")
-        parts += [self._dispatcher(signatures[k.name])
-                  for k in self.module.kernels]
-        parts += [_C_LINEARIZER, _C_EPILOGUE]
-        return "\n".join(parts), signatures
+            f"{self._team_columns}; }}\n",
+            *[self._dispatcher(signatures[k.name])
+              for k in self.module.kernels],
+            _C_LINEARIZER]
+        out = [self._header(), native_prelude()]
+        for k, part in enumerate(PARTS):
+            out += [f"/* ======== part {k}: {part} ======== */",
+                    _part_guard(part), *sections[part], "#endif", ""]
+        out.append(_C_EPILOGUE)
+        return "\n".join(out), signatures
 
     def _header(self) -> str:
         lines = [f"// ===== module {self.module.name} =====",
@@ -1328,7 +1380,9 @@ class NativeCodegen:
             shape = "x".join(expr_to_str(s) for s in buf.shape)
             lines.append(
                 f"// buffer {buf.name}: {shape} {buf.dtype} @{buf.scope}")
-        lines.append("")
+        lines += [f"// parts: {', '.join(PARTS)}; each builds on its own "
+                  f"under -DREPRO_PART=<k>",
+                  f"#define REPRO_PARTS {len(PARTS)}", ""]
         return "\n".join(lines)
 
     @staticmethod
@@ -1350,16 +1404,26 @@ class NativeCodegen:
                                      ("int64_t", "team")]
 
     @staticmethod
-    def _opening(head: str, params: Sequence[Tuple[str, str]]) -> str:
-        """A function definition's first lines, up to its ``{``."""
+    def _declarator(head: str, params: Sequence[Tuple[str, str]]) -> str:
+        """A function's head and parameter list."""
         decl = ",\n    ".join(f"{ct} {name}" for ct, name in params)
-        return f"{head}(\n    {decl}) {{"
+        return f"{head}(\n    {decl})"
+
+    @classmethod
+    def _opening(cls, head: str, params: Sequence[Tuple[str, str]]) -> str:
+        """A function definition's first lines, up to its ``{``."""
+        return cls._declarator(head, params) + " {"
 
     def _dispatcher(self, sig: KernelSignature) -> str:
-        """The exported ``k_<name>``: the variant picked at load time."""
+        """The exported ``k_<name>``: the variant picked at load time,
+        whose entry points the variants' parts define."""
         params = self._params(sig)
         args = ", ".join(name for _, name in params)
+        protos = [self._declarator(f"{_variant_target(v)}void "
+                                   f"{sig.symbol}_{v}", params) + ";"
+                  for v in VARIANTS]
         return "\n".join([
+            protos[0], "#ifdef REPRO_AVX2", *protos[1:], "#endif",
             self._opening(f"void {sig.symbol}", params),
             "#ifdef REPRO_AVX2",
             f"  if (repro_use_avx2) {{ {sig.symbol}_avx2({args}); return; }}",

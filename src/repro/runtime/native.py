@@ -1,9 +1,11 @@
 """Native (C -> ``.so``) JIT backend: compile once, launch zero-copy.
 
 The JITModule pattern: :func:`generate_c_module` renders one
-self-contained C translation unit per ILIR module; this layer hashes the
-source + compiler + flags into a cache key, compiles it once with the
-system compiler (``cc -O2 -shared -fPIC``) into a cached shared library,
+self-contained C source per ILIR module; this layer hashes the source +
+compiler + flags into a cache key, compiles it once with the system
+compiler (``cc -O2 -shared -fPIC``; its parts as concurrent units when
+the process may use more than one CPU, :func:`build_shared_library`)
+into a cached shared library,
 loads it via :mod:`ctypes`, and wraps each exported kernel in a callable
 with the Python kernels' exact calling convention — so
 :func:`repro.runtime.plan.execute_plan` dispatches native launches
@@ -61,14 +63,14 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import CodegenError, NativeError, NativeFallbackWarning
 from ..ilir.codegen.c_codegen import (LINEARIZER_PY_API, VARIANTS,
                                       KernelSignature, generate_c_module,
-                                      panel_width)
+                                      panel_width, source_parts)
 from ..linearizer.linearize import Linearized, _carve
 from .kernels import data_address, panel_packed
 
@@ -85,15 +87,19 @@ DEFAULT_CFLAGS: Tuple[str, ...] = ("-O2", "-fPIC", "-shared",
 TEAM_COLUMNS = 128
 
 
+def cpus() -> int:
+    """The CPUs this process may run on (its affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
 def team_size(columns: int) -> int:
     """Members of a fused kernel's column team on this process: one per
     CPU it may run on, at most one per :data:`TEAM_COLUMNS` of the widest
     split nest's ``columns``, and at least one."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, columns // TEAM_COLUMNS))
+    return max(1, min(cpus(), columns // TEAM_COLUMNS))
 
 #: NumPy dtype -> ctypes element type for zero-copy pointer marshalling.
 DTYPE_TO_CTYPE = {
@@ -154,6 +160,21 @@ def _default_cache_dir() -> Path:
         return Path(tempfile.gettempdir()) / "repro-native"
 
 
+def _start_cc(cmd: Sequence[str]) -> subprocess.Popen:
+    return subprocess.Popen(list(cmd), stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True)
+
+
+def _finish_cc(proc: subprocess.Popen) -> None:
+    """Wait for one compiler run; a failure is the typed error carrying
+    its command and stderr."""
+    _, err = proc.communicate()
+    if proc.returncode != 0:
+        raise NativeError(
+            f"C compilation failed ({' '.join(proc.args)}):\n"
+            f"{err.strip()[-2000:]}")
+
+
 def build_shared_library(source: str, *, cc: str,
                          flags: Sequence[str] = DEFAULT_CFLAGS,
                          cache_dir: Optional[os.PathLike] = None) -> Path:
@@ -161,9 +182,21 @@ def build_shared_library(source: str, *, cc: str,
 
     The cache key is the hash of (source, compiler basename, flags): a
     re-render of the same module reuses the library without invoking the
-    compiler; any source or flag change gets a fresh directory.  Builds
-    are atomic (compile to a temp name, ``os.replace`` into place) so
-    concurrent processes never load a half-written library.
+    compiler; any source or flag change gets a fresh directory.
+
+    A source in parts (:func:`source_parts`) on a process that may run on
+    more than one CPU compiles as one ``cc -c -DREPRO_PART=<k>`` process
+    per part, at most one per CPU at a time (the calling thread starts
+    them and waits for the oldest; no helper thread), and the objects link
+    into the library with the same flags.  On one CPU (where the parts
+    would only take turns, and each pays the shared prelude again), or for
+    a source without parts, one ``cc`` run builds the whole source.
+
+    Every file a build writes lives in a directory of its own under the
+    key's, and the library and the source copy are installed by
+    ``os.replace``: concurrent builds of one key, in threads or processes,
+    never load or install each other's half-written files, and a failed
+    build leaves nothing behind.
     """
     base = Path(cache_dir) if cache_dir is not None else _default_cache_dir()
     key_text = "\x00".join([source, os.path.basename(cc), *flags])
@@ -172,22 +205,37 @@ def build_shared_library(source: str, *, cc: str,
     so_path = mod_dir / "module.so"
     if so_path.exists():
         return so_path
+    parts = source_parts(source)
+    jobs = min(parts, cpus())
     try:
         mod_dir.mkdir(parents=True, exist_ok=True)
-        c_path = mod_dir / "module.c"
-        c_path.write_text(source)
-        tmp = mod_dir / f".build-{os.getpid()}.so"
-        cmd = [cc, *flags, "-o", str(tmp), str(c_path), "-lm"]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode != 0:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise NativeError(
-                f"C compilation failed ({' '.join(cmd)}):\n"
-                f"{proc.stderr.strip()[-2000:]}")
-        os.replace(tmp, so_path)
+        work = Path(tempfile.mkdtemp(prefix=".build-", dir=mod_dir))
+        try:
+            c_path, lib = work / "module.c", work / "module.so"
+            c_path.write_text(source)
+            units = [str(c_path)]
+            if jobs > 1:
+                units = [str(work / f"part{k}.o") for k in range(parts)]
+                compile_flags = [f for f in flags if f != "-shared"]
+                running: List[subprocess.Popen] = []
+                try:
+                    for k, obj in enumerate(units):
+                        if len(running) == jobs:  # a CPU frees up
+                            _finish_cc(running.pop(0))
+                        running.append(_start_cc(
+                            [cc, *compile_flags, "-c", f"-DREPRO_PART={k}",
+                             "-o", obj, str(c_path)]))
+                    while running:
+                        _finish_cc(running.pop(0))
+                finally:
+                    for proc in running:  # a part failed: stop the others
+                        proc.kill()
+                        proc.communicate()
+            _finish_cc(_start_cc([cc, *flags, "-o", str(lib), *units, "-lm"]))
+            os.replace(c_path, mod_dir / "module.c")
+            os.replace(lib, so_path)
+        finally:
+            shutil.rmtree(work, ignore_errors=True)
     except OSError as e:
         raise NativeError(f"native build cache I/O failure: {e}") from e
     return so_path
@@ -277,9 +325,10 @@ class NativeKernelLauncher:
 
 def load_walker(so_path: os.PathLike):
     """The linearizer ``so_path`` carries (the section ``generate_c_module``
-    closes every unit with), bound to this interpreter: a ``(linearizer,
-    roots) -> Linearized`` callable that answers ``None`` for anything it
-    refuses, so that the Python builder decides and words the error.
+    closes every runtime part with), bound to this interpreter: a
+    ``(linearizer, roots) -> Linearized`` callable that answers ``None``
+    for anything it refuses, so that the Python builder decides and words
+    the error.
 
     ``None`` when there is nothing to bind: a library built before the
     section existed, an interpreter that is not CPython, no

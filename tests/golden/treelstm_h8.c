@@ -21,12 +21,23 @@
 // buffer mf: max_batch_lenx2x8 float32 @shared
 // buffer gf: max_batch_lenx2x8 float32 @shared
 // buffer fc_sum: max_batch_lenx8 float32 @shared
+// parts: runtime, base, avx2; each builds on its own under -DREPRO_PART=<k>
+#define REPRO_PARTS 3
 
 #include <math.h>
 #include <stdint.h>
 
 #ifdef __cplusplus
 extern "C" {
+#endif
+
+/* a parted build compiles part k of the source as a unit of its own
+ * (-DREPRO_PART=k) and links the parts; without REPRO_PART the source is
+ * every part at once */
+#ifdef REPRO_PART
+#define REPRO_IN(k) (REPRO_PART == (k))
+#else
+#define REPRO_IN(k) 1
 #endif
 
 static inline float repro_minf(float a, float b) { return a < b ? a : b; }
@@ -88,15 +99,9 @@ static inline int64_t repro_isleaf(int64_t leaf_start,
 
 
 /* ---- column teams: every member runs the body; a segment's tickets go
- * to their share's member first, to the others when it is behind */
-#include <pthread.h>
-#include <sched.h>
-#include <signal.h>
-
-#define REPRO_TEAM static __attribute__((unused))
-#define REPRO_TEAM_MAX 64      /* members, the launching thread included */
-#define REPRO_TEAM_SPIN 2048   /* pause rounds before a wait yields */
-#define REPRO_TEAM_OPEN (1ull << 31)
+ * to their share's member first, to the others when it is behind.  The
+ * runtime part defines the team, once per library */
+#define REPRO_TEAM __attribute__((visibility("hidden")))
 
 typedef struct {
   int64_t t, T;   /* this member; the team's size, which is its shares */
@@ -107,209 +112,10 @@ typedef struct {
 } repro_member;
 typedef void (*repro_team_body)(void* const* args, repro_member* m);
 
-/* per member, a cache line each: its share's tickets not yet taken
- * (seg << 32 | lo << 16 | hi: [lo, hi) of segment seg), which it takes
- * from while the others wait on what it reported done (seg << 32 |
- * count) */
-typedef struct {
-  uint64_t claim;
-  char pad[56];
-  uint64_t done;
-  char pad2[56];
-} repro_share;
-static repro_share repro_shares[REPRO_TEAM_MAX] __attribute__((aligned(64)));
-
-static struct {
-  int64_t inflight;       /* fused launches running on this library */
-  uint64_t gate;          /* launch << 32 | REPRO_TEAM_OPEN | members in */
-  pthread_mutex_t lock;   /* guards the fields below and `wake` */
-  pthread_cond_t wake;
-  int forks;              /* the fork-child handler is registered */
-  int64_t workers;        /* started: members 1..workers */
-  uint64_t launch;        /* launches published */
-  repro_team_body body;
-  void* const* args;
-  int64_t size;
-} repro_team = {0, 0, PTHREAD_MUTEX_INITIALIZER, PTHREAD_COND_INITIALIZER,
-                0, 0, 0, 0, 0, 0};
-
-/* compiled unoptimised, since cc time is set-up time: the waits and the
- * system calls gain nothing from it, nor, measured, does taking tickets */
-#if defined(__clang__)
-#pragma clang optimize off
-#elif defined(__GNUC__)
-#pragma GCC push_options
-#pragma GCC optimize ("O0")
-#endif
-
-static inline void repro_team_pause(int* spin) {
-  if (*spin < REPRO_TEAM_SPIN) {
-    ++*spin;
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#endif
-  } else {
-    sched_yield();
-  }
-}
-
-/* the next ticket of the member's P-ticket segment, or -1: its own share
- * [u P / T, (u + 1) P / T) from the front, then the others' from the back */
-REPRO_TEAM int64_t repro_team_take(repro_member* m, int64_t P) {
-  if (m->quit) return -1;
-  if (m->t && __atomic_load_n(&repro_team.inflight, __ATOMIC_RELAXED) > 1) {
-    m->quit = 1;  /* another launch is running: its caller needs the CPU */
-    return -1;
-  }
-  const uint64_t s = (uint64_t)m->seg;
-  for (int64_t k = 0; k < m->T; ++k) {
-    const int64_t u = (m->t + k) % m->T;
-    uint64_t* w = &repro_shares[u].claim;
-    uint64_t c = __atomic_load_n(w, __ATOMIC_RELAXED);
-    for (;;) {
-      int64_t lo = u * P / m->T, hi = (u + 1) * P / m->T;
-      if (c >> 32 > s) break;  /* the segment is over */
-      if (c >> 32 == s) {
-        lo = (int64_t)(c >> 16 & 0xffff);
-        hi = (int64_t)(c & 0xffff);
-      }
-      if (lo >= hi) break;
-      const uint64_t n = s << 32 | (uint64_t)(k ? lo : lo + 1) << 16
-                         | (uint64_t)(k ? hi - 1 : hi);
-      if (__atomic_compare_exchange_n(w, &c, n, 0, __ATOMIC_RELAXED,
-                                      __ATOMIC_RELAXED)) {
-        ++m->count;
-        return k ? hi - 1 : lo;
-      }
-    }
-  }
-  return -1;
-}
-
-/* the end of a segment: report, then wait until all its P tickets are
- * done; nonzero when the member stops here (its body returns) */
-REPRO_TEAM int repro_team_wait(repro_member* m, int64_t P) {
-  const uint64_t s = (uint64_t)m->seg++;
-  __atomic_store_n(&repro_shares[m->t].done, s << 32 | (uint64_t)m->count,
-                   __ATOMIC_RELEASE);
-  m->count = 0;
-  if (m->quit || (m->t && !(__atomic_load_n(&repro_team.gate,
-                                             __ATOMIC_RELAXED)
-                            & REPRO_TEAM_OPEN)))
-    return 1;
-  for (int spin = 0;; repro_team_pause(&spin)) {
-    int64_t done = 0;
-    for (int64_t u = 0; u < m->T; ++u) {
-      const uint64_t d = __atomic_load_n(&repro_shares[u].done,
-                                         __ATOMIC_ACQUIRE);
-      if (d >> 32 > s) return 0;  /* a member is past it */
-      if (d >> 32 == s) done += (int64_t)(d & 0xffffffff);
-    }
-    if (done == P) return 0;
-  }
-}
-
-REPRO_TEAM void* repro_team_worker(void* arg) {
-  const int64_t t = (int64_t)(intptr_t)arg;
-  pthread_mutex_lock(&repro_team.lock);
-  uint64_t seen = repro_team.launch - 1;  /* started for this launch */
-  for (;;) {
-    while (repro_team.launch == seen)
-      pthread_cond_wait(&repro_team.wake, &repro_team.lock);
-    seen = repro_team.launch;
-    if (t >= repro_team.size) continue;
-    repro_member m = {t, repro_team.size, 1, 0, 0, 0};
-    repro_team_body body = repro_team.body;
-    void* const* args = repro_team.args;
-    pthread_mutex_unlock(&repro_team.lock);
-    /* in only while the launch is open: the caller waits for those in */
-    uint64_t g = __atomic_load_n(&repro_team.gate, __ATOMIC_ACQUIRE);
-    while (g >> 32 == (seen & 0xffffffff) && (g & REPRO_TEAM_OPEN)) {
-      if (__atomic_compare_exchange_n(&repro_team.gate, &g, g + 1, 0,
-                                      __ATOMIC_ACQ_REL, __ATOMIC_ACQUIRE)) {
-        body(args, &m);
-        __atomic_fetch_sub(&repro_team.gate, 1, __ATOMIC_RELEASE);
-        break;
-      }
-    }
-    pthread_mutex_lock(&repro_team.lock);
-  }
-  return NULL;
-}
-
-/* a fork child has the forking thread only: no workers, no launches */
-REPRO_TEAM void repro_team_forget(void) {
-  pthread_mutex_init(&repro_team.lock, NULL);
-  pthread_cond_init(&repro_team.wake, NULL);
-  repro_team.workers = 0;
-  repro_team.inflight = 0;
-  repro_team.gate = 0;
-}
-
-/* publish a launch to up to `size` - 1 workers; the members it has */
-REPRO_TEAM int64_t repro_team_open(repro_team_body body, void* const* args,
-                                   int64_t size) {
-  pthread_mutex_lock(&repro_team.lock);
-  if (!repro_team.forks)
-    repro_team.forks = pthread_atfork(NULL, NULL, repro_team_forget) == 0;
-  if (size > REPRO_TEAM_MAX) size = REPRO_TEAM_MAX;
-  if (repro_team.forks && repro_team.workers + 1 < size) {
-    sigset_t all, old;  /* workers take no signals: they stay the caller's */
-    sigfillset(&all);
-    pthread_sigmask(SIG_SETMASK, &all, &old);
-    while (repro_team.workers + 1 < size) {
-      pthread_t th;
-      if (pthread_create(&th, NULL, repro_team_worker,
-                         (void*)(intptr_t)(repro_team.workers + 1)) != 0)
-        break;
-      pthread_detach(th);
-      repro_team.workers++;
-    }
-    pthread_sigmask(SIG_SETMASK, &old, NULL);
-  }
-  if (size > repro_team.workers + 1) size = repro_team.workers + 1;
-  if (size > 1) {
-    for (int64_t u = 0; u < size; ++u) {
-      __atomic_store_n(&repro_shares[u].claim, 0, __ATOMIC_RELAXED);
-      __atomic_store_n(&repro_shares[u].done, 0, __ATOMIC_RELAXED);
-    }
-    repro_team.launch++;
-    repro_team.body = body;
-    repro_team.args = args;
-    repro_team.size = size;
-    __atomic_store_n(&repro_team.gate, (repro_team.launch & 0xffffffff) << 32
-                     | REPRO_TEAM_OPEN, __ATOMIC_RELEASE);
-    pthread_cond_broadcast(&repro_team.wake);
-  }
-  pthread_mutex_unlock(&repro_team.lock);
-  return size;
-}
-
-/* run `body` as a team of up to `size`, the caller being member 0: alone
- * when another fused launch of this library is in flight.  The body ends
- * waiting for its last segment, so all the work is done when it returns;
- * then the launch closes and the members still in are waited for */
+REPRO_TEAM int64_t repro_team_take(repro_member* m, int64_t P);
+REPRO_TEAM int repro_team_wait(repro_member* m, int64_t P);
 REPRO_TEAM void repro_team_run(repro_team_body body, void* const* args,
-                               int64_t size) {
-  repro_member m = {0, 1, 1, 0, 0, 0};
-  if (__atomic_fetch_add(&repro_team.inflight, 1, __ATOMIC_ACQ_REL) == 0
-      && size > 1)
-    m.T = repro_team_open(body, args, size);
-  body(args, &m);
-  if (m.T > 1) {
-    uint64_t g = __atomic_and_fetch(&repro_team.gate, ~REPRO_TEAM_OPEN,
-                                    __ATOMIC_ACQ_REL);
-    for (int spin = 0; g & (REPRO_TEAM_OPEN - 1); repro_team_pause(&spin))
-      g = __atomic_load_n(&repro_team.gate, __ATOMIC_ACQUIRE);
-  }
-  __atomic_fetch_sub(&repro_team.inflight, 1, __ATOMIC_RELEASE);
-}
-
-#if defined(__clang__)
-#pragma clang optimize on
-#elif defined(__GNUC__)
-#pragma GCC pop_options
-#endif
+                               int64_t size);
 
 /* what the body calls per ticket and per segment: a team of one takes
  * its tickets in order and never waits */
@@ -325,7 +131,6 @@ static inline int repro_team_sync(repro_member* m, int64_t P) {
   }
   return repro_team_wait(m, P);
 }
-
 
 /* ---- 4-lane float32 vectors (16 bytes; GCC/Clang vector extension).
  * One output element per lane, so a lane sees exactly the scalar loop's
@@ -429,7 +234,7 @@ static inline float repro_tanhf(float x) {
 #define REPRO_AVX2 1
 #endif
 
-#ifdef REPRO_AVX2
+#if REPRO_IN(2) && defined(REPRO_AVX2)
 /* ---- 8-lane float32 vectors (32 bytes; GCC/Clang vector extension).
  * One output element per lane, so a lane sees exactly the scalar loop's
  * operation sequence. */
@@ -520,246 +325,241 @@ REPRO_VMATH8 repro_vf8 repro_vtanhf8(repro_vf8 x) {
 
 #endif
 
-static __attribute__((noinline)) void repro_mk8x8r2_base(
-    const float* P, const float* x0, const float* x1, float* o0, float* o1, int64_t j0, int64_t j1) {
-  (void)j0;  // one partial panel: j0 == 0
-  if (j1 > 0) {
-    {
-      const float* _wp = P + 0;
-      repro_vf4 _sx0 = repro_vsplat4(x0[0]);
-      repro_vf4 _sx1 = repro_vsplat4(x1[0]);
-      repro_vf4 _wv0 = repro_vload4(_wp + 0);
-      repro_vf4 _wv1 = repro_vload4(_wp + 4);
-      repro_vf4 _ac0_0 = _wv0 * _sx0;
-      repro_vf4 _ac0_1 = _wv1 * _sx0;
-      repro_vf4 _ac1_0 = _wv0 * _sx1;
-      repro_vf4 _ac1_1 = _wv1 * _sx1;
-      for (int64_t _kr = 1; _kr < 8; ++_kr) {
-        _wp += 8;
-        _sx0 = repro_vsplat4(x0[_kr]);
-        _sx1 = repro_vsplat4(x1[_kr]);
-        _wv0 = repro_vload4(_wp + 0);
-        _wv1 = repro_vload4(_wp + 4);
-        _ac0_0 = _ac0_0 + _wv0 * _sx0;
-        _ac0_1 = _ac0_1 + _wv1 * _sx0;
-        _ac1_0 = _ac1_0 + _wv0 * _sx1;
-        _ac1_1 = _ac1_1 + _wv1 * _sx1;
-      }
-      repro_vstore4(o0 + 0 + 0, _ac0_0);
-      repro_vstore4(o0 + 0 + 4, _ac0_1);
-      repro_vstore4(o1 + 0 + 0, _ac1_0);
-      repro_vstore4(o1 + 0 + 4, _ac1_1);
-    }
+/* ======== part 0: runtime ======== */
+#if REPRO_IN(0)
+/* ---- the column team */
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+
+#define REPRO_TEAM_MAX 64      /* members, the launching thread included */
+#define REPRO_TEAM_SPIN 2048   /* pause rounds before a wait yields */
+#define REPRO_TEAM_OPEN (1ull << 31)
+
+/* per member, a cache line each: its share's tickets not yet taken
+ * (seg << 32 | lo << 16 | hi: [lo, hi) of segment seg), which it takes
+ * from while the others wait on what it reported done (seg << 32 |
+ * count) */
+typedef struct {
+  uint64_t claim;
+  char pad[56];
+  uint64_t done;
+  char pad2[56];
+} repro_share;
+static repro_share repro_shares[REPRO_TEAM_MAX] __attribute__((aligned(64)));
+
+static struct {
+  int64_t inflight;       /* fused launches running on this library */
+  uint64_t gate;          /* launch << 32 | REPRO_TEAM_OPEN | members in */
+  pthread_mutex_t lock;   /* guards the fields below and `wake` */
+  pthread_cond_t wake;
+  int forks;              /* the fork-child handler is registered */
+  int64_t workers;        /* started: members 1..workers */
+  uint64_t launch;        /* launches published */
+  repro_team_body body;
+  void* const* args;
+  int64_t size;
+} repro_team = {0, 0, PTHREAD_MUTEX_INITIALIZER, PTHREAD_COND_INITIALIZER,
+                0, 0, 0, 0, 0, 0};
+
+/* compiled unoptimised, since cc time is set-up time: the waits and the
+ * system calls gain nothing from it, nor, measured, does taking tickets */
+#if defined(__clang__)
+#pragma clang optimize off
+#elif defined(__GNUC__)
+#pragma GCC push_options
+#pragma GCC optimize ("O0")
+#endif
+
+static inline void repro_team_pause(int* spin) {
+  if (*spin < REPRO_TEAM_SPIN) {
+    ++*spin;
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  } else {
+    sched_yield();
   }
 }
 
-static __attribute__((noinline)) void repro_mk8x8r1_base(
-    const float* P, const float* x0, float* o0, int64_t j0, int64_t j1) {
-  (void)j0;  // one partial panel: j0 == 0
-  if (j1 > 0) {
-    {
-      const float* _wp = P + 0;
-      repro_vf4 _sx0 = repro_vsplat4(x0[0]);
-      repro_vf4 _wv0 = repro_vload4(_wp + 0);
-      repro_vf4 _wv1 = repro_vload4(_wp + 4);
-      repro_vf4 _ac0_0 = _wv0 * _sx0;
-      repro_vf4 _ac0_1 = _wv1 * _sx0;
-      for (int64_t _kr = 1; _kr < 8; ++_kr) {
-        _wp += 8;
-        _sx0 = repro_vsplat4(x0[_kr]);
-        _wv0 = repro_vload4(_wp + 0);
-        _wv1 = repro_vload4(_wp + 4);
-        _ac0_0 = _ac0_0 + _wv0 * _sx0;
-        _ac0_1 = _ac0_1 + _wv1 * _sx0;
+/* the next ticket of the member's P-ticket segment, or -1: its own share
+ * [u P / T, (u + 1) P / T) from the front, then the others' from the back */
+REPRO_TEAM int64_t repro_team_take(repro_member* m, int64_t P) {
+  if (m->quit) return -1;
+  if (m->t && __atomic_load_n(&repro_team.inflight, __ATOMIC_RELAXED) > 1) {
+    m->quit = 1;  /* another launch is running: its caller needs the CPU */
+    return -1;
+  }
+  const uint64_t s = (uint64_t)m->seg;
+  for (int64_t k = 0; k < m->T; ++k) {
+    const int64_t u = (m->t + k) % m->T;
+    uint64_t* w = &repro_shares[u].claim;
+    uint64_t c = __atomic_load_n(w, __ATOMIC_RELAXED);
+    for (;;) {
+      int64_t lo = u * P / m->T, hi = (u + 1) * P / m->T;
+      if (c >> 32 > s) break;  /* the segment is over */
+      if (c >> 32 == s) {
+        lo = (int64_t)(c >> 16 & 0xffff);
+        hi = (int64_t)(c & 0xffff);
       }
-      repro_vstore4(o0 + 0 + 0, _ac0_0);
-      repro_vstore4(o0 + 0 + 4, _ac0_1);
+      if (lo >= hi) break;
+      const uint64_t n = s << 32 | (uint64_t)(k ? lo : lo + 1) << 16
+                         | (uint64_t)(k ? hi - 1 : hi);
+      if (__atomic_compare_exchange_n(w, &c, n, 0, __ATOMIC_RELAXED,
+                                      __ATOMIC_RELAXED)) {
+        ++m->count;
+        return k ? hi - 1 : lo;
+      }
     }
+  }
+  return -1;
+}
+
+/* the end of a segment: report, then wait until all its P tickets are
+ * done; nonzero when the member stops here (its body returns) */
+REPRO_TEAM int repro_team_wait(repro_member* m, int64_t P) {
+  const uint64_t s = (uint64_t)m->seg++;
+  __atomic_store_n(&repro_shares[m->t].done, s << 32 | (uint64_t)m->count,
+                   __ATOMIC_RELEASE);
+  m->count = 0;
+  if (m->quit || (m->t && !(__atomic_load_n(&repro_team.gate,
+                                             __ATOMIC_RELAXED)
+                            & REPRO_TEAM_OPEN)))
+    return 1;
+  for (int spin = 0;; repro_team_pause(&spin)) {
+    int64_t done = 0;
+    for (int64_t u = 0; u < m->T; ++u) {
+      const uint64_t d = __atomic_load_n(&repro_shares[u].done,
+                                         __ATOMIC_ACQUIRE);
+      if (d >> 32 > s) return 0;  /* a member is past it */
+      if (d >> 32 == s) done += (int64_t)(d & 0xffffffff);
+    }
+    if (done == P) return 0;
   }
 }
 
-// kernel fused (kind=fused), base variant
-// persistent kernel: 2 global barrier(s) per level; every member of the launch's
-// team runs this body, taking tickets (column panels) of each segment
-static void k_fused_base_team(void* const* A, repro_member* _m) {
-  float* rnn_h_ph = (float*)A[0];
-  float* rnn_c_ph = (float*)A[1];
-  const float* Emb = (const float*)A[2];
-  const float* bi = (const float*)A[3];
-  const float* bo = (const float*)A[4];
-  const float* bu = (const float*)A[5];
-  const float* bf = (const float*)A[6];
-  float* h_tilde = (float*)A[7];
-  float* mi = (float*)A[8];
-  float* mo = (float*)A[9];
-  float* mu = (float*)A[10];
-  float* gi = (float*)A[11];
-  float* go = (float*)A[12];
-  float* gu = (float*)A[13];
-  float* mf = (float*)A[14];
-  float* gf = (float*)A[15];
-  float* fc_sum = (float*)A[16];
-  const int32_t* batch_begin = (const int32_t*)A[17];
-  const int32_t* batch_length = (const int32_t*)A[18];
-  const int32_t* child = (const int32_t*)A[19];
-  const int32_t* num_children = (const int32_t*)A[20];
-  const int32_t* words = (const int32_t*)A[21];
-  const float* Ui_P = (const float*)A[22];
-  const float* Uo_P = (const float*)A[23];
-  const float* Uu_P = (const float*)A[24];
-  const float* Uf_P = (const float*)A[25];
-  const int64_t* S = (const int64_t*)A[26];
-  const int64_t num_nodes = S[0];
-  const int64_t num_batches = S[1];
-  const int64_t leaf_batch_count = S[2];
-  const int64_t max_children = S[3];
-  const int64_t level_start = S[4];
-  // leaf phase (specialized leaf batches)
-  for (int64_t _lb = 0; _lb < leaf_batch_count; ++_lb) {
-    const int64_t _begin = (int64_t)batch_begin[_lb];
-    const int64_t _length = (int64_t)batch_length[_lb];
-    for (int64_t _k; (_k = repro_team_claim(_m, 1)) >= 0;) {
-      const int64_t _j0 = _k * 16, _j1 = repro_imin(_j0 + 16, 8);
-      // leaf_h [gather]
-      for (int64_t n_idx = 0; n_idx < _length; ++n_idx) {
-        const int64_t n = (_begin) + n_idx;
-        for (int64_t i = _j0; i < _j1; i += 4) {
-          repro_vstore4(&rnn_h_ph[((n) * (8) + (i))], repro_vload4(&Emb[((repro_wrap(words[n], 50)) * (8) + (i))]));
-        }
+static void* repro_team_worker(void* arg) {
+  const int64_t t = (int64_t)(intptr_t)arg;
+  pthread_mutex_lock(&repro_team.lock);
+  uint64_t seen = repro_team.launch - 1;  /* started for this launch */
+  for (;;) {
+    while (repro_team.launch == seen)
+      pthread_cond_wait(&repro_team.wake, &repro_team.lock);
+    seen = repro_team.launch;
+    if (t >= repro_team.size) continue;
+    repro_member m = {t, repro_team.size, 1, 0, 0, 0};
+    repro_team_body body = repro_team.body;
+    void* const* args = repro_team.args;
+    pthread_mutex_unlock(&repro_team.lock);
+    /* in only while the launch is open: the caller waits for those in */
+    uint64_t g = __atomic_load_n(&repro_team.gate, __ATOMIC_ACQUIRE);
+    while (g >> 32 == (seen & 0xffffffff) && (g & REPRO_TEAM_OPEN)) {
+      if (__atomic_compare_exchange_n(&repro_team.gate, &g, g + 1, 0,
+                                      __ATOMIC_ACQ_REL, __ATOMIC_ACQUIRE)) {
+        body(args, &m);
+        __atomic_fetch_sub(&repro_team.gate, 1, __ATOMIC_RELEASE);
+        break;
       }
     }
-    if (repro_team_sync(_m, 1)) return;  // end of the leaf batch
+    pthread_mutex_lock(&repro_team.lock);
   }
-  // internal batches: the dependence-carrying loop (App. A.4)
-  for (int64_t _b = level_start; _b < num_batches; ++_b) {
-    const int64_t _begin = (int64_t)batch_begin[_b];
-    const int64_t _length = (int64_t)batch_length[_b];
-    for (int64_t _k; (_k = repro_team_claim(_m, 1)) >= 0;) {
-      const int64_t _j0 = _k * 16, _j1 = repro_imin(_j0 + 16, 8);
-      // h_tilde [childsum]
-      for (int64_t n_idx_2 = 0; n_idx_2 < _length; ++n_idx_2) {
-        const int64_t n_2 = (_begin) + n_idx_2;
-        for (int64_t i_2 = _j0; i_2 < _j1; i_2 += 4) {
-          repro_vf4 _acc1 = repro_vsplat4(0.0f);
-          for (int64_t _k2 = 0; _k2 < max_children; ++_k2) {
-            _acc1 = _acc1 + ((_k2 < (num_children[n_2])) ? (repro_vload4(&rnn_h_ph[((child[((_k2) * num_nodes + (n_2))]) * (8) + (i_2))])) : repro_vsplat4(0.0f));
-          }
-          repro_vstore4(&h_tilde[((n_idx_2) * (8) + (i_2))], _acc1);
-        }
-      }
-    }
-    if (repro_team_sync(_m, 1)) return;  // mi meets other tickets' columns
-    for (int64_t _k; (_k = repro_team_claim(_m, 1)) >= 0;) {
-      const int64_t _j0 = _k * 16, _j1 = repro_imin(_j0 + 16, 8);
-      // mi [matvec] contraction over panel-packed Ui_P[8][8]
-      const int64_t _rows3 = (_length) * 1;
-      int64_t _q4 = 0;
-      for (; _q4 + 2 <= _rows3; _q4 += 2) {
-        const int64_t _n_idx_3_5 = _q4;
-        const int64_t _n_idx_3_7 = _q4 + 1;
-        repro_mk8x8r2_base(Ui_P, &h_tilde[((_n_idx_3_5) * (8) + (0))], &h_tilde[((_n_idx_3_7) * (8) + (0))], &mi[((_n_idx_3_5) * (8) + (0))], &mi[((_n_idx_3_7) * (8) + (0))], _j0, _j1);
-      }
-      for (; _q4 + 1 <= _rows3; _q4 += 1) {
-        const int64_t _n_idx_3_9 = _q4;
-        repro_mk8x8r1_base(Ui_P, &h_tilde[((_n_idx_3_9) * (8) + (0))], &mi[((_n_idx_3_9) * (8) + (0))], _j0, _j1);
-      }
-      // mo [matvec] contraction over panel-packed Uo_P[8][8]
-      const int64_t _rows11 = (_length) * 1;
-      int64_t _q12 = 0;
-      for (; _q12 + 2 <= _rows11; _q12 += 2) {
-        const int64_t _n_idx_4_13 = _q12;
-        const int64_t _n_idx_4_15 = _q12 + 1;
-        repro_mk8x8r2_base(Uo_P, &h_tilde[((_n_idx_4_13) * (8) + (0))], &h_tilde[((_n_idx_4_15) * (8) + (0))], &mo[((_n_idx_4_13) * (8) + (0))], &mo[((_n_idx_4_15) * (8) + (0))], _j0, _j1);
-      }
-      for (; _q12 + 1 <= _rows11; _q12 += 1) {
-        const int64_t _n_idx_4_17 = _q12;
-        repro_mk8x8r1_base(Uo_P, &h_tilde[((_n_idx_4_17) * (8) + (0))], &mo[((_n_idx_4_17) * (8) + (0))], _j0, _j1);
-      }
-      // mu [matvec] contraction over panel-packed Uu_P[8][8]
-      const int64_t _rows19 = (_length) * 1;
-      int64_t _q20 = 0;
-      for (; _q20 + 2 <= _rows19; _q20 += 2) {
-        const int64_t _n_idx_5_21 = _q20;
-        const int64_t _n_idx_5_23 = _q20 + 1;
-        repro_mk8x8r2_base(Uu_P, &h_tilde[((_n_idx_5_21) * (8) + (0))], &h_tilde[((_n_idx_5_23) * (8) + (0))], &mu[((_n_idx_5_21) * (8) + (0))], &mu[((_n_idx_5_23) * (8) + (0))], _j0, _j1);
-      }
-      for (; _q20 + 1 <= _rows19; _q20 += 1) {
-        const int64_t _n_idx_5_25 = _q20;
-        repro_mk8x8r1_base(Uu_P, &h_tilde[((_n_idx_5_25) * (8) + (0))], &mu[((_n_idx_5_25) * (8) + (0))], _j0, _j1);
-      }
-      // gi [elementwise]
-      for (int64_t n_idx_6 = 0; n_idx_6 < _length; ++n_idx_6) {
-        for (int64_t i_6 = _j0; i_6 < _j1; i_6 += 4) {
-          repro_vstore4(&gi[((n_idx_6) * (8) + (i_6))], repro_vsigmoidf4((repro_vload4(&mi[((n_idx_6) * (8) + (i_6))]) + repro_vload4(&bi[(i_6)]))));
-        }
-      }
-      // go [elementwise]
-      for (int64_t n_idx_7 = 0; n_idx_7 < _length; ++n_idx_7) {
-        for (int64_t i_7 = _j0; i_7 < _j1; i_7 += 4) {
-          repro_vstore4(&go[((n_idx_7) * (8) + (i_7))], repro_vsigmoidf4((repro_vload4(&mo[((n_idx_7) * (8) + (i_7))]) + repro_vload4(&bo[(i_7)]))));
-        }
-      }
-      // gu [elementwise]
-      for (int64_t n_idx_8 = 0; n_idx_8 < _length; ++n_idx_8) {
-        for (int64_t i_8 = _j0; i_8 < _j1; i_8 += 4) {
-          repro_vstore4(&gu[((n_idx_8) * (8) + (i_8))], repro_vtanhf4((repro_vload4(&mu[((n_idx_8) * (8) + (i_8))]) + repro_vload4(&bu[(i_8)]))));
-        }
-      }
-      // mf [matvec] contraction over panel-packed Uf_P[8][8]
-      const int64_t _rows27 = (_length) * 2;
-      int64_t _q28 = 0;
-      for (; _q28 + 2 <= _rows27; _q28 += 2) {
-        const int64_t _i_9_29 = (_q28) % 2;
-        const int64_t _n_idx_9_30 = (_q28) / 2;
-        const int64_t _n_9_31 = (_begin) + _n_idx_9_30;
-        const int64_t _i_9_32 = (_q28 + 1) % 2;
-        const int64_t _n_idx_9_33 = (_q28 + 1) / 2;
-        const int64_t _n_9_34 = (_begin) + _n_idx_9_33;
-        repro_mk8x8r2_base(Uf_P, &rnn_h_ph[((repro_wrap(child[((_i_9_29) * num_nodes + (_n_9_31))], num_nodes)) * (8) + (0))], &rnn_h_ph[((repro_wrap(child[((_i_9_32) * num_nodes + (_n_9_34))], num_nodes)) * (8) + (0))], &mf[(((_n_idx_9_30) * (2) + (_i_9_29)) * (8) + (0))], &mf[(((_n_idx_9_33) * (2) + (_i_9_32)) * (8) + (0))], _j0, _j1);
-      }
-      for (; _q28 + 1 <= _rows27; _q28 += 1) {
-        const int64_t _i_9_35 = (_q28) % 2;
-        const int64_t _n_idx_9_36 = (_q28) / 2;
-        const int64_t _n_9_37 = (_begin) + _n_idx_9_36;
-        repro_mk8x8r1_base(Uf_P, &rnn_h_ph[((repro_wrap(child[((_i_9_35) * num_nodes + (_n_9_37))], num_nodes)) * (8) + (0))], &mf[(((_n_idx_9_36) * (2) + (_i_9_35)) * (8) + (0))], _j0, _j1);
-      }
-      // gf [elementwise]
-      for (int64_t n_idx_10 = 0; n_idx_10 < _length; ++n_idx_10) {
-        for (int64_t i_11 = 0; i_11 < (0) + (2); ++i_11) {
-          for (int64_t i_12 = _j0; i_12 < _j1; i_12 += 4) {
-            repro_vstore4(&gf[(((n_idx_10) * (2) + (i_11)) * (8) + (i_12))], repro_vsigmoidf4((repro_vload4(&mf[(((n_idx_10) * (2) + (i_11)) * (8) + (i_12))]) + repro_vload4(&bf[(i_12)]))));
-          }
-        }
-      }
-      // fc_sum [childsum]
-      for (int64_t n_idx_11 = 0; n_idx_11 < _length; ++n_idx_11) {
-        const int64_t n_11 = (_begin) + n_idx_11;
-        for (int64_t i_13 = _j0; i_13 < _j1; i_13 += 4) {
-          repro_vf4 _acc38 = repro_vsplat4(0.0f);
-          for (int64_t _k39 = 0; _k39 < max_children; ++_k39) {
-            _acc38 = _acc38 + ((_k39 < (num_children[n_11])) ? ((repro_vload4(&gf[(((n_idx_11) * (2) + (_k39)) * (8) + (i_13))]) * repro_vload4(&rnn_c_ph[((child[((_k39) * num_nodes + (n_11))]) * (8) + (i_13))]))) : repro_vsplat4(0.0f));
-          }
-          repro_vstore4(&fc_sum[((n_idx_11) * (8) + (i_13))], _acc38);
-        }
-      }
-      // rec_c [elementwise]
-      for (int64_t n_idx_12 = 0; n_idx_12 < _length; ++n_idx_12) {
-        const int64_t n_12 = (_begin) + n_idx_12;
-        for (int64_t i_14 = _j0; i_14 < _j1; i_14 += 4) {
-          repro_vstore4(&rnn_c_ph[((n_12) * (8) + (i_14))], ((repro_vload4(&gi[((n_idx_12) * (8) + (i_14))]) * repro_vload4(&gu[((n_idx_12) * (8) + (i_14))])) + repro_vload4(&fc_sum[((n_idx_12) * (8) + (i_14))])));
-        }
-      }
-      // rec_h [elementwise]
-      for (int64_t n_idx_13 = 0; n_idx_13 < _length; ++n_idx_13) {
-        const int64_t n_14 = (_begin) + n_idx_13;
-        for (int64_t i_16 = _j0; i_16 < _j1; i_16 += 4) {
-          repro_vstore4(&rnn_h_ph[((n_14) * (8) + (i_16))], (repro_vload4(&go[((n_idx_13) * (8) + (i_16))]) * repro_vtanhf4(repro_vload4(&rnn_c_ph[((n_14) * (8) + (i_16))]))));
-        }
-      }
-    }
-    if (repro_team_sync(_m, 1)) return;  // end of the level
-  }
+  return NULL;
 }
+
+/* a fork child has the forking thread only: no workers, no launches */
+static void repro_team_forget(void) {
+  pthread_mutex_init(&repro_team.lock, NULL);
+  pthread_cond_init(&repro_team.wake, NULL);
+  repro_team.workers = 0;
+  repro_team.inflight = 0;
+  repro_team.gate = 0;
+}
+
+/* publish a launch to up to `size` - 1 workers; the members it has */
+static int64_t repro_team_open(repro_team_body body, void* const* args,
+                               int64_t size) {
+  pthread_mutex_lock(&repro_team.lock);
+  if (!repro_team.forks)
+    repro_team.forks = pthread_atfork(NULL, NULL, repro_team_forget) == 0;
+  if (size > REPRO_TEAM_MAX) size = REPRO_TEAM_MAX;
+  if (repro_team.forks && repro_team.workers + 1 < size) {
+    sigset_t all, old;  /* workers take no signals: they stay the caller's */
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    while (repro_team.workers + 1 < size) {
+      pthread_t th;
+      if (pthread_create(&th, NULL, repro_team_worker,
+                         (void*)(intptr_t)(repro_team.workers + 1)) != 0)
+        break;
+      pthread_detach(th);
+      repro_team.workers++;
+    }
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+  }
+  if (size > repro_team.workers + 1) size = repro_team.workers + 1;
+  if (size > 1) {
+    for (int64_t u = 0; u < size; ++u) {
+      __atomic_store_n(&repro_shares[u].claim, 0, __ATOMIC_RELAXED);
+      __atomic_store_n(&repro_shares[u].done, 0, __ATOMIC_RELAXED);
+    }
+    repro_team.launch++;
+    repro_team.body = body;
+    repro_team.args = args;
+    repro_team.size = size;
+    __atomic_store_n(&repro_team.gate, (repro_team.launch & 0xffffffff) << 32
+                     | REPRO_TEAM_OPEN, __ATOMIC_RELEASE);
+    pthread_cond_broadcast(&repro_team.wake);
+  }
+  pthread_mutex_unlock(&repro_team.lock);
+  return size;
+}
+
+/* run `body` as a team of up to `size`, the caller being member 0: alone
+ * when another fused launch of this library is in flight.  The body ends
+ * waiting for its last segment, so all the work is done when it returns;
+ * then the launch closes and the members still in are waited for */
+REPRO_TEAM void repro_team_run(repro_team_body body, void* const* args,
+                               int64_t size) {
+  repro_member m = {0, 1, 1, 0, 0, 0};
+  if (__atomic_fetch_add(&repro_team.inflight, 1, __ATOMIC_ACQ_REL) == 0
+      && size > 1)
+    m.T = repro_team_open(body, args, size);
+  body(args, &m);
+  if (m.T > 1) {
+    uint64_t g = __atomic_and_fetch(&repro_team.gate, ~REPRO_TEAM_OPEN,
+                                    __ATOMIC_ACQ_REL);
+    for (int spin = 0; g & (REPRO_TEAM_OPEN - 1); repro_team_pause(&spin))
+      g = __atomic_load_n(&repro_team.gate, __ATOMIC_ACQUIRE);
+  }
+  __atomic_fetch_sub(&repro_team.inflight, 1, __ATOMIC_RELEASE);
+}
+
+#if defined(__clang__)
+#pragma clang optimize on
+#elif defined(__GNUC__)
+#pragma GCC pop_options
+#endif
+
+#ifdef REPRO_AVX2
+static int repro_use_avx2 = 0;
+__attribute__((constructor)) static void repro_pick_variant(void) {
+  __builtin_cpu_init();
+  repro_use_avx2 = __builtin_cpu_supports("avx2") != 0;
+}
+#endif
+
+/* float32 lanes of the variant the exported kernels dispatch to: the
+ * launcher packs weight panels for that width */
+int repro_lanes(void) {
+#ifdef REPRO_AVX2
+  if (repro_use_avx2) return 8;
+#endif
+  return 4;
+}
+
+/* output columns of the widest nest a fused kernel splits (0: none); the
+ * launcher sizes the team it passes from it */
+int64_t repro_team_columns(void) { return 8; }
 
 void k_fused_base(
     float* rnn_h_ph,
@@ -791,241 +591,8 @@ void k_fused_base(
     const int64_t* S,
     int64_t begin,
     int64_t length,
-    int64_t team) {
-  void* const A[] = {(void*)rnn_h_ph, (void*)rnn_c_ph, (void*)Emb, (void*)bi, (void*)bo, (void*)bu, (void*)bf, (void*)h_tilde, (void*)mi, (void*)mo, (void*)mu, (void*)gi, (void*)go, (void*)gu, (void*)mf, (void*)gf, (void*)fc_sum, (void*)batch_begin, (void*)batch_length, (void*)child, (void*)num_children, (void*)words, (void*)Ui_P, (void*)Uo_P, (void*)Uu_P, (void*)Uf_P, (void*)S};
-  (void)begin; (void)length;
-  repro_team_run(k_fused_base_team, A, team);
-}
-
+    int64_t team);
 #ifdef REPRO_AVX2
-static __attribute__((noinline)) __attribute__((target("avx2"))) void repro_mk8x8r2_avx2(
-    const float* P, const float* x0, const float* x1, float* o0, float* o1, int64_t j0, int64_t j1) {
-  (void)j0;  // one partial panel: j0 == 0
-  if (j1 > 0) {
-    {
-      const float* _wp = P + 0;
-      repro_vf8 _sx0 = repro_vsplat8(x0[0]);
-      repro_vf8 _sx1 = repro_vsplat8(x1[0]);
-      repro_vf8 _wv0 = repro_vload8(_wp + 0);
-      repro_vf8 _ac0_0 = _wv0 * _sx0;
-      repro_vf8 _ac1_0 = _wv0 * _sx1;
-      for (int64_t _kr = 1; _kr < 8; ++_kr) {
-        _wp += 8;
-        _sx0 = repro_vsplat8(x0[_kr]);
-        _sx1 = repro_vsplat8(x1[_kr]);
-        _wv0 = repro_vload8(_wp + 0);
-        _ac0_0 = _ac0_0 + _wv0 * _sx0;
-        _ac1_0 = _ac1_0 + _wv0 * _sx1;
-      }
-      repro_vstore8(o0 + 0 + 0, _ac0_0);
-      repro_vstore8(o1 + 0 + 0, _ac1_0);
-    }
-  }
-}
-
-static __attribute__((noinline)) __attribute__((target("avx2"))) void repro_mk8x8r1_avx2(
-    const float* P, const float* x0, float* o0, int64_t j0, int64_t j1) {
-  (void)j0;  // one partial panel: j0 == 0
-  if (j1 > 0) {
-    {
-      const float* _wp = P + 0;
-      repro_vf8 _sx0 = repro_vsplat8(x0[0]);
-      repro_vf8 _wv0 = repro_vload8(_wp + 0);
-      repro_vf8 _ac0_0 = _wv0 * _sx0;
-      for (int64_t _kr = 1; _kr < 8; ++_kr) {
-        _wp += 8;
-        _sx0 = repro_vsplat8(x0[_kr]);
-        _wv0 = repro_vload8(_wp + 0);
-        _ac0_0 = _ac0_0 + _wv0 * _sx0;
-      }
-      repro_vstore8(o0 + 0 + 0, _ac0_0);
-    }
-  }
-}
-
-// kernel fused (kind=fused), avx2 variant
-// persistent kernel: 2 global barrier(s) per level; every member of the launch's
-// team runs this body, taking tickets (column panels) of each segment
-static __attribute__((target("avx2"))) void k_fused_avx2_team(void* const* A, repro_member* _m) {
-  float* rnn_h_ph = (float*)A[0];
-  float* rnn_c_ph = (float*)A[1];
-  const float* Emb = (const float*)A[2];
-  const float* bi = (const float*)A[3];
-  const float* bo = (const float*)A[4];
-  const float* bu = (const float*)A[5];
-  const float* bf = (const float*)A[6];
-  float* h_tilde = (float*)A[7];
-  float* mi = (float*)A[8];
-  float* mo = (float*)A[9];
-  float* mu = (float*)A[10];
-  float* gi = (float*)A[11];
-  float* go = (float*)A[12];
-  float* gu = (float*)A[13];
-  float* mf = (float*)A[14];
-  float* gf = (float*)A[15];
-  float* fc_sum = (float*)A[16];
-  const int32_t* batch_begin = (const int32_t*)A[17];
-  const int32_t* batch_length = (const int32_t*)A[18];
-  const int32_t* child = (const int32_t*)A[19];
-  const int32_t* num_children = (const int32_t*)A[20];
-  const int32_t* words = (const int32_t*)A[21];
-  const float* Ui_P = (const float*)A[22];
-  const float* Uo_P = (const float*)A[23];
-  const float* Uu_P = (const float*)A[24];
-  const float* Uf_P = (const float*)A[25];
-  const int64_t* S = (const int64_t*)A[26];
-  const int64_t num_nodes = S[0];
-  const int64_t num_batches = S[1];
-  const int64_t leaf_batch_count = S[2];
-  const int64_t max_children = S[3];
-  const int64_t level_start = S[4];
-  // leaf phase (specialized leaf batches)
-  for (int64_t _lb = 0; _lb < leaf_batch_count; ++_lb) {
-    const int64_t _begin = (int64_t)batch_begin[_lb];
-    const int64_t _length = (int64_t)batch_length[_lb];
-    for (int64_t _k; (_k = repro_team_claim(_m, 1)) >= 0;) {
-      const int64_t _j0 = _k * 32, _j1 = repro_imin(_j0 + 32, 8);
-      // leaf_h [gather]
-      for (int64_t n_idx = 0; n_idx < _length; ++n_idx) {
-        const int64_t n = (_begin) + n_idx;
-        for (int64_t i = _j0; i < _j1; i += 8) {
-          repro_vstore8(&rnn_h_ph[((n) * (8) + (i))], repro_vload8(&Emb[((repro_wrap(words[n], 50)) * (8) + (i))]));
-        }
-      }
-    }
-    if (repro_team_sync(_m, 1)) return;  // end of the leaf batch
-  }
-  // internal batches: the dependence-carrying loop (App. A.4)
-  for (int64_t _b = level_start; _b < num_batches; ++_b) {
-    const int64_t _begin = (int64_t)batch_begin[_b];
-    const int64_t _length = (int64_t)batch_length[_b];
-    for (int64_t _k; (_k = repro_team_claim(_m, 1)) >= 0;) {
-      const int64_t _j0 = _k * 32, _j1 = repro_imin(_j0 + 32, 8);
-      // h_tilde [childsum]
-      for (int64_t n_idx_2 = 0; n_idx_2 < _length; ++n_idx_2) {
-        const int64_t n_2 = (_begin) + n_idx_2;
-        for (int64_t i_2 = _j0; i_2 < _j1; i_2 += 8) {
-          repro_vf8 _acc1 = repro_vsplat8(0.0f);
-          for (int64_t _k2 = 0; _k2 < max_children; ++_k2) {
-            _acc1 = _acc1 + ((_k2 < (num_children[n_2])) ? (repro_vload8(&rnn_h_ph[((child[((_k2) * num_nodes + (n_2))]) * (8) + (i_2))])) : repro_vsplat8(0.0f));
-          }
-          repro_vstore8(&h_tilde[((n_idx_2) * (8) + (i_2))], _acc1);
-        }
-      }
-    }
-    if (repro_team_sync(_m, 1)) return;  // mi meets other tickets' columns
-    for (int64_t _k; (_k = repro_team_claim(_m, 1)) >= 0;) {
-      const int64_t _j0 = _k * 32, _j1 = repro_imin(_j0 + 32, 8);
-      // mi [matvec] contraction over panel-packed Ui_P[8][8]
-      const int64_t _rows3 = (_length) * 1;
-      int64_t _q4 = 0;
-      for (; _q4 + 2 <= _rows3; _q4 += 2) {
-        const int64_t _n_idx_3_5 = _q4;
-        const int64_t _n_idx_3_7 = _q4 + 1;
-        repro_mk8x8r2_avx2(Ui_P, &h_tilde[((_n_idx_3_5) * (8) + (0))], &h_tilde[((_n_idx_3_7) * (8) + (0))], &mi[((_n_idx_3_5) * (8) + (0))], &mi[((_n_idx_3_7) * (8) + (0))], _j0, _j1);
-      }
-      for (; _q4 + 1 <= _rows3; _q4 += 1) {
-        const int64_t _n_idx_3_9 = _q4;
-        repro_mk8x8r1_avx2(Ui_P, &h_tilde[((_n_idx_3_9) * (8) + (0))], &mi[((_n_idx_3_9) * (8) + (0))], _j0, _j1);
-      }
-      // mo [matvec] contraction over panel-packed Uo_P[8][8]
-      const int64_t _rows11 = (_length) * 1;
-      int64_t _q12 = 0;
-      for (; _q12 + 2 <= _rows11; _q12 += 2) {
-        const int64_t _n_idx_4_13 = _q12;
-        const int64_t _n_idx_4_15 = _q12 + 1;
-        repro_mk8x8r2_avx2(Uo_P, &h_tilde[((_n_idx_4_13) * (8) + (0))], &h_tilde[((_n_idx_4_15) * (8) + (0))], &mo[((_n_idx_4_13) * (8) + (0))], &mo[((_n_idx_4_15) * (8) + (0))], _j0, _j1);
-      }
-      for (; _q12 + 1 <= _rows11; _q12 += 1) {
-        const int64_t _n_idx_4_17 = _q12;
-        repro_mk8x8r1_avx2(Uo_P, &h_tilde[((_n_idx_4_17) * (8) + (0))], &mo[((_n_idx_4_17) * (8) + (0))], _j0, _j1);
-      }
-      // mu [matvec] contraction over panel-packed Uu_P[8][8]
-      const int64_t _rows19 = (_length) * 1;
-      int64_t _q20 = 0;
-      for (; _q20 + 2 <= _rows19; _q20 += 2) {
-        const int64_t _n_idx_5_21 = _q20;
-        const int64_t _n_idx_5_23 = _q20 + 1;
-        repro_mk8x8r2_avx2(Uu_P, &h_tilde[((_n_idx_5_21) * (8) + (0))], &h_tilde[((_n_idx_5_23) * (8) + (0))], &mu[((_n_idx_5_21) * (8) + (0))], &mu[((_n_idx_5_23) * (8) + (0))], _j0, _j1);
-      }
-      for (; _q20 + 1 <= _rows19; _q20 += 1) {
-        const int64_t _n_idx_5_25 = _q20;
-        repro_mk8x8r1_avx2(Uu_P, &h_tilde[((_n_idx_5_25) * (8) + (0))], &mu[((_n_idx_5_25) * (8) + (0))], _j0, _j1);
-      }
-      // gi [elementwise]
-      for (int64_t n_idx_6 = 0; n_idx_6 < _length; ++n_idx_6) {
-        for (int64_t i_6 = _j0; i_6 < _j1; i_6 += 8) {
-          repro_vstore8(&gi[((n_idx_6) * (8) + (i_6))], repro_vsigmoidf8((repro_vload8(&mi[((n_idx_6) * (8) + (i_6))]) + repro_vload8(&bi[(i_6)]))));
-        }
-      }
-      // go [elementwise]
-      for (int64_t n_idx_7 = 0; n_idx_7 < _length; ++n_idx_7) {
-        for (int64_t i_7 = _j0; i_7 < _j1; i_7 += 8) {
-          repro_vstore8(&go[((n_idx_7) * (8) + (i_7))], repro_vsigmoidf8((repro_vload8(&mo[((n_idx_7) * (8) + (i_7))]) + repro_vload8(&bo[(i_7)]))));
-        }
-      }
-      // gu [elementwise]
-      for (int64_t n_idx_8 = 0; n_idx_8 < _length; ++n_idx_8) {
-        for (int64_t i_8 = _j0; i_8 < _j1; i_8 += 8) {
-          repro_vstore8(&gu[((n_idx_8) * (8) + (i_8))], repro_vtanhf8((repro_vload8(&mu[((n_idx_8) * (8) + (i_8))]) + repro_vload8(&bu[(i_8)]))));
-        }
-      }
-      // mf [matvec] contraction over panel-packed Uf_P[8][8]
-      const int64_t _rows27 = (_length) * 2;
-      int64_t _q28 = 0;
-      for (; _q28 + 2 <= _rows27; _q28 += 2) {
-        const int64_t _i_9_29 = (_q28) % 2;
-        const int64_t _n_idx_9_30 = (_q28) / 2;
-        const int64_t _n_9_31 = (_begin) + _n_idx_9_30;
-        const int64_t _i_9_32 = (_q28 + 1) % 2;
-        const int64_t _n_idx_9_33 = (_q28 + 1) / 2;
-        const int64_t _n_9_34 = (_begin) + _n_idx_9_33;
-        repro_mk8x8r2_avx2(Uf_P, &rnn_h_ph[((repro_wrap(child[((_i_9_29) * num_nodes + (_n_9_31))], num_nodes)) * (8) + (0))], &rnn_h_ph[((repro_wrap(child[((_i_9_32) * num_nodes + (_n_9_34))], num_nodes)) * (8) + (0))], &mf[(((_n_idx_9_30) * (2) + (_i_9_29)) * (8) + (0))], &mf[(((_n_idx_9_33) * (2) + (_i_9_32)) * (8) + (0))], _j0, _j1);
-      }
-      for (; _q28 + 1 <= _rows27; _q28 += 1) {
-        const int64_t _i_9_35 = (_q28) % 2;
-        const int64_t _n_idx_9_36 = (_q28) / 2;
-        const int64_t _n_9_37 = (_begin) + _n_idx_9_36;
-        repro_mk8x8r1_avx2(Uf_P, &rnn_h_ph[((repro_wrap(child[((_i_9_35) * num_nodes + (_n_9_37))], num_nodes)) * (8) + (0))], &mf[(((_n_idx_9_36) * (2) + (_i_9_35)) * (8) + (0))], _j0, _j1);
-      }
-      // gf [elementwise]
-      for (int64_t n_idx_10 = 0; n_idx_10 < _length; ++n_idx_10) {
-        for (int64_t i_11 = 0; i_11 < (0) + (2); ++i_11) {
-          for (int64_t i_12 = _j0; i_12 < _j1; i_12 += 8) {
-            repro_vstore8(&gf[(((n_idx_10) * (2) + (i_11)) * (8) + (i_12))], repro_vsigmoidf8((repro_vload8(&mf[(((n_idx_10) * (2) + (i_11)) * (8) + (i_12))]) + repro_vload8(&bf[(i_12)]))));
-          }
-        }
-      }
-      // fc_sum [childsum]
-      for (int64_t n_idx_11 = 0; n_idx_11 < _length; ++n_idx_11) {
-        const int64_t n_11 = (_begin) + n_idx_11;
-        for (int64_t i_13 = _j0; i_13 < _j1; i_13 += 8) {
-          repro_vf8 _acc38 = repro_vsplat8(0.0f);
-          for (int64_t _k39 = 0; _k39 < max_children; ++_k39) {
-            _acc38 = _acc38 + ((_k39 < (num_children[n_11])) ? ((repro_vload8(&gf[(((n_idx_11) * (2) + (_k39)) * (8) + (i_13))]) * repro_vload8(&rnn_c_ph[((child[((_k39) * num_nodes + (n_11))]) * (8) + (i_13))]))) : repro_vsplat8(0.0f));
-          }
-          repro_vstore8(&fc_sum[((n_idx_11) * (8) + (i_13))], _acc38);
-        }
-      }
-      // rec_c [elementwise]
-      for (int64_t n_idx_12 = 0; n_idx_12 < _length; ++n_idx_12) {
-        const int64_t n_12 = (_begin) + n_idx_12;
-        for (int64_t i_14 = _j0; i_14 < _j1; i_14 += 8) {
-          repro_vstore8(&rnn_c_ph[((n_12) * (8) + (i_14))], ((repro_vload8(&gi[((n_idx_12) * (8) + (i_14))]) * repro_vload8(&gu[((n_idx_12) * (8) + (i_14))])) + repro_vload8(&fc_sum[((n_idx_12) * (8) + (i_14))])));
-        }
-      }
-      // rec_h [elementwise]
-      for (int64_t n_idx_13 = 0; n_idx_13 < _length; ++n_idx_13) {
-        const int64_t n_14 = (_begin) + n_idx_13;
-        for (int64_t i_16 = _j0; i_16 < _j1; i_16 += 8) {
-          repro_vstore8(&rnn_h_ph[((n_14) * (8) + (i_16))], (repro_vload8(&go[((n_idx_13) * (8) + (i_16))]) * repro_vtanhf8(repro_vload8(&rnn_c_ph[((n_14) * (8) + (i_16))]))));
-        }
-      }
-    }
-    if (repro_team_sync(_m, 1)) return;  // end of the level
-  }
-}
-
 __attribute__((target("avx2"))) void k_fused_avx2(
     float* rnn_h_ph,
     float* rnn_c_ph,
@@ -1056,34 +623,8 @@ __attribute__((target("avx2"))) void k_fused_avx2(
     const int64_t* S,
     int64_t begin,
     int64_t length,
-    int64_t team) {
-  void* const A[] = {(void*)rnn_h_ph, (void*)rnn_c_ph, (void*)Emb, (void*)bi, (void*)bo, (void*)bu, (void*)bf, (void*)h_tilde, (void*)mi, (void*)mo, (void*)mu, (void*)gi, (void*)go, (void*)gu, (void*)mf, (void*)gf, (void*)fc_sum, (void*)batch_begin, (void*)batch_length, (void*)child, (void*)num_children, (void*)words, (void*)Ui_P, (void*)Uo_P, (void*)Uu_P, (void*)Uf_P, (void*)S};
-  (void)begin; (void)length;
-  repro_team_run(k_fused_avx2_team, A, team);
-}
-
+    int64_t team);
 #endif
-#ifdef REPRO_AVX2
-static int repro_use_avx2 = 0;
-__attribute__((constructor)) static void repro_pick_variant(void) {
-  __builtin_cpu_init();
-  repro_use_avx2 = __builtin_cpu_supports("avx2") != 0;
-}
-#endif
-
-/* float32 lanes of the variant the exported kernels dispatch to: the
- * launcher packs weight panels for that width */
-int repro_lanes(void) {
-#ifdef REPRO_AVX2
-  if (repro_use_avx2) return 8;
-#endif
-  return 4;
-}
-
-/* output columns of the widest nest a fused kernel splits (0: none); the
- * launcher sizes the team it passes from it */
-int64_t repro_team_columns(void) { return 8; }
-
 void k_fused(
     float* rnn_h_ph,
     float* rnn_c_ph,
@@ -1377,6 +918,557 @@ int repro_lin_fill(void* ctx, int32_t* block, void* order) {
 #pragma clang optimize on
 #elif defined(__GNUC__)
 #pragma GCC pop_options
+#endif
+
+#endif
+
+/* ======== part 1: base ======== */
+#if REPRO_IN(1)
+static __attribute__((noinline)) void repro_mk8x8r2_base(
+    const float* P, const float* x0, const float* x1, float* o0, float* o1, int64_t j0, int64_t j1) {
+  (void)j0;  // one partial panel: j0 == 0
+  if (j1 > 0) {
+    {
+      const float* _wp = P + 0;
+      repro_vf4 _sx0 = repro_vsplat4(x0[0]);
+      repro_vf4 _sx1 = repro_vsplat4(x1[0]);
+      repro_vf4 _wv0 = repro_vload4(_wp + 0);
+      repro_vf4 _wv1 = repro_vload4(_wp + 4);
+      repro_vf4 _ac0_0 = _wv0 * _sx0;
+      repro_vf4 _ac0_1 = _wv1 * _sx0;
+      repro_vf4 _ac1_0 = _wv0 * _sx1;
+      repro_vf4 _ac1_1 = _wv1 * _sx1;
+      for (int64_t _kr = 1; _kr < 8; ++_kr) {
+        _wp += 8;
+        _sx0 = repro_vsplat4(x0[_kr]);
+        _sx1 = repro_vsplat4(x1[_kr]);
+        _wv0 = repro_vload4(_wp + 0);
+        _wv1 = repro_vload4(_wp + 4);
+        _ac0_0 = _ac0_0 + _wv0 * _sx0;
+        _ac0_1 = _ac0_1 + _wv1 * _sx0;
+        _ac1_0 = _ac1_0 + _wv0 * _sx1;
+        _ac1_1 = _ac1_1 + _wv1 * _sx1;
+      }
+      repro_vstore4(o0 + 0 + 0, _ac0_0);
+      repro_vstore4(o0 + 0 + 4, _ac0_1);
+      repro_vstore4(o1 + 0 + 0, _ac1_0);
+      repro_vstore4(o1 + 0 + 4, _ac1_1);
+    }
+  }
+}
+
+static __attribute__((noinline)) void repro_mk8x8r1_base(
+    const float* P, const float* x0, float* o0, int64_t j0, int64_t j1) {
+  (void)j0;  // one partial panel: j0 == 0
+  if (j1 > 0) {
+    {
+      const float* _wp = P + 0;
+      repro_vf4 _sx0 = repro_vsplat4(x0[0]);
+      repro_vf4 _wv0 = repro_vload4(_wp + 0);
+      repro_vf4 _wv1 = repro_vload4(_wp + 4);
+      repro_vf4 _ac0_0 = _wv0 * _sx0;
+      repro_vf4 _ac0_1 = _wv1 * _sx0;
+      for (int64_t _kr = 1; _kr < 8; ++_kr) {
+        _wp += 8;
+        _sx0 = repro_vsplat4(x0[_kr]);
+        _wv0 = repro_vload4(_wp + 0);
+        _wv1 = repro_vload4(_wp + 4);
+        _ac0_0 = _ac0_0 + _wv0 * _sx0;
+        _ac0_1 = _ac0_1 + _wv1 * _sx0;
+      }
+      repro_vstore4(o0 + 0 + 0, _ac0_0);
+      repro_vstore4(o0 + 0 + 4, _ac0_1);
+    }
+  }
+}
+
+// kernel fused (kind=fused), base variant
+// persistent kernel: 2 global barrier(s) per level; every member of the launch's
+// team runs this body, taking tickets (column panels) of each segment
+static void k_fused_base_team(void* const* A, repro_member* _m) {
+  float* rnn_h_ph = (float*)A[0];
+  float* rnn_c_ph = (float*)A[1];
+  const float* Emb = (const float*)A[2];
+  const float* bi = (const float*)A[3];
+  const float* bo = (const float*)A[4];
+  const float* bu = (const float*)A[5];
+  const float* bf = (const float*)A[6];
+  float* h_tilde = (float*)A[7];
+  float* mi = (float*)A[8];
+  float* mo = (float*)A[9];
+  float* mu = (float*)A[10];
+  float* gi = (float*)A[11];
+  float* go = (float*)A[12];
+  float* gu = (float*)A[13];
+  float* mf = (float*)A[14];
+  float* gf = (float*)A[15];
+  float* fc_sum = (float*)A[16];
+  const int32_t* batch_begin = (const int32_t*)A[17];
+  const int32_t* batch_length = (const int32_t*)A[18];
+  const int32_t* child = (const int32_t*)A[19];
+  const int32_t* num_children = (const int32_t*)A[20];
+  const int32_t* words = (const int32_t*)A[21];
+  const float* Ui_P = (const float*)A[22];
+  const float* Uo_P = (const float*)A[23];
+  const float* Uu_P = (const float*)A[24];
+  const float* Uf_P = (const float*)A[25];
+  const int64_t* S = (const int64_t*)A[26];
+  const int64_t num_nodes = S[0];
+  const int64_t num_batches = S[1];
+  const int64_t leaf_batch_count = S[2];
+  const int64_t max_children = S[3];
+  const int64_t level_start = S[4];
+  // leaf phase (specialized leaf batches)
+  for (int64_t _lb = 0; _lb < leaf_batch_count; ++_lb) {
+    const int64_t _begin = (int64_t)batch_begin[_lb];
+    const int64_t _length = (int64_t)batch_length[_lb];
+    for (int64_t _k; (_k = repro_team_claim(_m, 1)) >= 0;) {
+      const int64_t _j0 = _k * 16, _j1 = repro_imin(_j0 + 16, 8);
+      // leaf_h [gather]
+      for (int64_t n_idx = 0; n_idx < _length; ++n_idx) {
+        const int64_t n = (_begin) + n_idx;
+        for (int64_t i = _j0; i < _j1; i += 4) {
+          repro_vstore4(&rnn_h_ph[((n) * (8) + (i))], repro_vload4(&Emb[((repro_wrap(words[n], 50)) * (8) + (i))]));
+        }
+      }
+    }
+    if (repro_team_sync(_m, 1)) return;  // end of the leaf batch
+  }
+  // internal batches: the dependence-carrying loop (App. A.4)
+  for (int64_t _b = level_start; _b < num_batches; ++_b) {
+    const int64_t _begin = (int64_t)batch_begin[_b];
+    const int64_t _length = (int64_t)batch_length[_b];
+    for (int64_t _k; (_k = repro_team_claim(_m, 1)) >= 0;) {
+      const int64_t _j0 = _k * 16, _j1 = repro_imin(_j0 + 16, 8);
+      // h_tilde [childsum]
+      for (int64_t n_idx_2 = 0; n_idx_2 < _length; ++n_idx_2) {
+        const int64_t n_2 = (_begin) + n_idx_2;
+        for (int64_t i_2 = _j0; i_2 < _j1; i_2 += 4) {
+          repro_vf4 _acc1 = repro_vsplat4(0.0f);
+          for (int64_t _k2 = 0; _k2 < max_children; ++_k2) {
+            _acc1 = _acc1 + ((_k2 < (num_children[n_2])) ? (repro_vload4(&rnn_h_ph[((child[((_k2) * num_nodes + (n_2))]) * (8) + (i_2))])) : repro_vsplat4(0.0f));
+          }
+          repro_vstore4(&h_tilde[((n_idx_2) * (8) + (i_2))], _acc1);
+        }
+      }
+    }
+    if (repro_team_sync(_m, 1)) return;  // mi meets other tickets' columns
+    for (int64_t _k; (_k = repro_team_claim(_m, 1)) >= 0;) {
+      const int64_t _j0 = _k * 16, _j1 = repro_imin(_j0 + 16, 8);
+      // mi [matvec] contraction over panel-packed Ui_P[8][8]
+      const int64_t _rows3 = (_length) * 1;
+      int64_t _q4 = 0;
+      for (; _q4 + 2 <= _rows3; _q4 += 2) {
+        const int64_t _n_idx_3_5 = _q4;
+        const int64_t _n_idx_3_7 = _q4 + 1;
+        repro_mk8x8r2_base(Ui_P, &h_tilde[((_n_idx_3_5) * (8) + (0))], &h_tilde[((_n_idx_3_7) * (8) + (0))], &mi[((_n_idx_3_5) * (8) + (0))], &mi[((_n_idx_3_7) * (8) + (0))], _j0, _j1);
+      }
+      for (; _q4 + 1 <= _rows3; _q4 += 1) {
+        const int64_t _n_idx_3_9 = _q4;
+        repro_mk8x8r1_base(Ui_P, &h_tilde[((_n_idx_3_9) * (8) + (0))], &mi[((_n_idx_3_9) * (8) + (0))], _j0, _j1);
+      }
+      // mo [matvec] contraction over panel-packed Uo_P[8][8]
+      const int64_t _rows11 = (_length) * 1;
+      int64_t _q12 = 0;
+      for (; _q12 + 2 <= _rows11; _q12 += 2) {
+        const int64_t _n_idx_4_13 = _q12;
+        const int64_t _n_idx_4_15 = _q12 + 1;
+        repro_mk8x8r2_base(Uo_P, &h_tilde[((_n_idx_4_13) * (8) + (0))], &h_tilde[((_n_idx_4_15) * (8) + (0))], &mo[((_n_idx_4_13) * (8) + (0))], &mo[((_n_idx_4_15) * (8) + (0))], _j0, _j1);
+      }
+      for (; _q12 + 1 <= _rows11; _q12 += 1) {
+        const int64_t _n_idx_4_17 = _q12;
+        repro_mk8x8r1_base(Uo_P, &h_tilde[((_n_idx_4_17) * (8) + (0))], &mo[((_n_idx_4_17) * (8) + (0))], _j0, _j1);
+      }
+      // mu [matvec] contraction over panel-packed Uu_P[8][8]
+      const int64_t _rows19 = (_length) * 1;
+      int64_t _q20 = 0;
+      for (; _q20 + 2 <= _rows19; _q20 += 2) {
+        const int64_t _n_idx_5_21 = _q20;
+        const int64_t _n_idx_5_23 = _q20 + 1;
+        repro_mk8x8r2_base(Uu_P, &h_tilde[((_n_idx_5_21) * (8) + (0))], &h_tilde[((_n_idx_5_23) * (8) + (0))], &mu[((_n_idx_5_21) * (8) + (0))], &mu[((_n_idx_5_23) * (8) + (0))], _j0, _j1);
+      }
+      for (; _q20 + 1 <= _rows19; _q20 += 1) {
+        const int64_t _n_idx_5_25 = _q20;
+        repro_mk8x8r1_base(Uu_P, &h_tilde[((_n_idx_5_25) * (8) + (0))], &mu[((_n_idx_5_25) * (8) + (0))], _j0, _j1);
+      }
+      // gi [elementwise]
+      for (int64_t n_idx_6 = 0; n_idx_6 < _length; ++n_idx_6) {
+        for (int64_t i_6 = _j0; i_6 < _j1; i_6 += 4) {
+          repro_vstore4(&gi[((n_idx_6) * (8) + (i_6))], repro_vsigmoidf4((repro_vload4(&mi[((n_idx_6) * (8) + (i_6))]) + repro_vload4(&bi[(i_6)]))));
+        }
+      }
+      // go [elementwise]
+      for (int64_t n_idx_7 = 0; n_idx_7 < _length; ++n_idx_7) {
+        for (int64_t i_7 = _j0; i_7 < _j1; i_7 += 4) {
+          repro_vstore4(&go[((n_idx_7) * (8) + (i_7))], repro_vsigmoidf4((repro_vload4(&mo[((n_idx_7) * (8) + (i_7))]) + repro_vload4(&bo[(i_7)]))));
+        }
+      }
+      // gu [elementwise]
+      for (int64_t n_idx_8 = 0; n_idx_8 < _length; ++n_idx_8) {
+        for (int64_t i_8 = _j0; i_8 < _j1; i_8 += 4) {
+          repro_vstore4(&gu[((n_idx_8) * (8) + (i_8))], repro_vtanhf4((repro_vload4(&mu[((n_idx_8) * (8) + (i_8))]) + repro_vload4(&bu[(i_8)]))));
+        }
+      }
+      // mf [matvec] contraction over panel-packed Uf_P[8][8]
+      const int64_t _rows27 = (_length) * 2;
+      int64_t _q28 = 0;
+      for (; _q28 + 2 <= _rows27; _q28 += 2) {
+        const int64_t _i_9_29 = (_q28) % 2;
+        const int64_t _n_idx_9_30 = (_q28) / 2;
+        const int64_t _n_9_31 = (_begin) + _n_idx_9_30;
+        const int64_t _i_9_32 = (_q28 + 1) % 2;
+        const int64_t _n_idx_9_33 = (_q28 + 1) / 2;
+        const int64_t _n_9_34 = (_begin) + _n_idx_9_33;
+        repro_mk8x8r2_base(Uf_P, &rnn_h_ph[((repro_wrap(child[((_i_9_29) * num_nodes + (_n_9_31))], num_nodes)) * (8) + (0))], &rnn_h_ph[((repro_wrap(child[((_i_9_32) * num_nodes + (_n_9_34))], num_nodes)) * (8) + (0))], &mf[(((_n_idx_9_30) * (2) + (_i_9_29)) * (8) + (0))], &mf[(((_n_idx_9_33) * (2) + (_i_9_32)) * (8) + (0))], _j0, _j1);
+      }
+      for (; _q28 + 1 <= _rows27; _q28 += 1) {
+        const int64_t _i_9_35 = (_q28) % 2;
+        const int64_t _n_idx_9_36 = (_q28) / 2;
+        const int64_t _n_9_37 = (_begin) + _n_idx_9_36;
+        repro_mk8x8r1_base(Uf_P, &rnn_h_ph[((repro_wrap(child[((_i_9_35) * num_nodes + (_n_9_37))], num_nodes)) * (8) + (0))], &mf[(((_n_idx_9_36) * (2) + (_i_9_35)) * (8) + (0))], _j0, _j1);
+      }
+      // gf [elementwise]
+      for (int64_t n_idx_10 = 0; n_idx_10 < _length; ++n_idx_10) {
+        for (int64_t i_11 = 0; i_11 < (0) + (2); ++i_11) {
+          for (int64_t i_12 = _j0; i_12 < _j1; i_12 += 4) {
+            repro_vstore4(&gf[(((n_idx_10) * (2) + (i_11)) * (8) + (i_12))], repro_vsigmoidf4((repro_vload4(&mf[(((n_idx_10) * (2) + (i_11)) * (8) + (i_12))]) + repro_vload4(&bf[(i_12)]))));
+          }
+        }
+      }
+      // fc_sum [childsum]
+      for (int64_t n_idx_11 = 0; n_idx_11 < _length; ++n_idx_11) {
+        const int64_t n_11 = (_begin) + n_idx_11;
+        for (int64_t i_13 = _j0; i_13 < _j1; i_13 += 4) {
+          repro_vf4 _acc38 = repro_vsplat4(0.0f);
+          for (int64_t _k39 = 0; _k39 < max_children; ++_k39) {
+            _acc38 = _acc38 + ((_k39 < (num_children[n_11])) ? ((repro_vload4(&gf[(((n_idx_11) * (2) + (_k39)) * (8) + (i_13))]) * repro_vload4(&rnn_c_ph[((child[((_k39) * num_nodes + (n_11))]) * (8) + (i_13))]))) : repro_vsplat4(0.0f));
+          }
+          repro_vstore4(&fc_sum[((n_idx_11) * (8) + (i_13))], _acc38);
+        }
+      }
+      // rec_c [elementwise]
+      for (int64_t n_idx_12 = 0; n_idx_12 < _length; ++n_idx_12) {
+        const int64_t n_12 = (_begin) + n_idx_12;
+        for (int64_t i_14 = _j0; i_14 < _j1; i_14 += 4) {
+          repro_vstore4(&rnn_c_ph[((n_12) * (8) + (i_14))], ((repro_vload4(&gi[((n_idx_12) * (8) + (i_14))]) * repro_vload4(&gu[((n_idx_12) * (8) + (i_14))])) + repro_vload4(&fc_sum[((n_idx_12) * (8) + (i_14))])));
+        }
+      }
+      // rec_h [elementwise]
+      for (int64_t n_idx_13 = 0; n_idx_13 < _length; ++n_idx_13) {
+        const int64_t n_14 = (_begin) + n_idx_13;
+        for (int64_t i_16 = _j0; i_16 < _j1; i_16 += 4) {
+          repro_vstore4(&rnn_h_ph[((n_14) * (8) + (i_16))], (repro_vload4(&go[((n_idx_13) * (8) + (i_16))]) * repro_vtanhf4(repro_vload4(&rnn_c_ph[((n_14) * (8) + (i_16))]))));
+        }
+      }
+    }
+    if (repro_team_sync(_m, 1)) return;  // end of the level
+  }
+}
+
+void k_fused_base(
+    float* rnn_h_ph,
+    float* rnn_c_ph,
+    const float* Emb,
+    const float* bi,
+    const float* bo,
+    const float* bu,
+    const float* bf,
+    float* h_tilde,
+    float* mi,
+    float* mo,
+    float* mu,
+    float* gi,
+    float* go,
+    float* gu,
+    float* mf,
+    float* gf,
+    float* fc_sum,
+    const int32_t* batch_begin,
+    const int32_t* batch_length,
+    const int32_t* child,
+    const int32_t* num_children,
+    const int32_t* words,
+    const float* Ui_P,
+    const float* Uo_P,
+    const float* Uu_P,
+    const float* Uf_P,
+    const int64_t* S,
+    int64_t begin,
+    int64_t length,
+    int64_t team) {
+  void* const A[] = {(void*)rnn_h_ph, (void*)rnn_c_ph, (void*)Emb, (void*)bi, (void*)bo, (void*)bu, (void*)bf, (void*)h_tilde, (void*)mi, (void*)mo, (void*)mu, (void*)gi, (void*)go, (void*)gu, (void*)mf, (void*)gf, (void*)fc_sum, (void*)batch_begin, (void*)batch_length, (void*)child, (void*)num_children, (void*)words, (void*)Ui_P, (void*)Uo_P, (void*)Uu_P, (void*)Uf_P, (void*)S};
+  (void)begin; (void)length;
+  repro_team_run(k_fused_base_team, A, team);
+}
+
+#endif
+
+/* ======== part 2: avx2 ======== */
+#if REPRO_IN(2) && defined(REPRO_AVX2)
+static __attribute__((noinline)) __attribute__((target("avx2"))) void repro_mk8x8r2_avx2(
+    const float* P, const float* x0, const float* x1, float* o0, float* o1, int64_t j0, int64_t j1) {
+  (void)j0;  // one partial panel: j0 == 0
+  if (j1 > 0) {
+    {
+      const float* _wp = P + 0;
+      repro_vf8 _sx0 = repro_vsplat8(x0[0]);
+      repro_vf8 _sx1 = repro_vsplat8(x1[0]);
+      repro_vf8 _wv0 = repro_vload8(_wp + 0);
+      repro_vf8 _ac0_0 = _wv0 * _sx0;
+      repro_vf8 _ac1_0 = _wv0 * _sx1;
+      for (int64_t _kr = 1; _kr < 8; ++_kr) {
+        _wp += 8;
+        _sx0 = repro_vsplat8(x0[_kr]);
+        _sx1 = repro_vsplat8(x1[_kr]);
+        _wv0 = repro_vload8(_wp + 0);
+        _ac0_0 = _ac0_0 + _wv0 * _sx0;
+        _ac1_0 = _ac1_0 + _wv0 * _sx1;
+      }
+      repro_vstore8(o0 + 0 + 0, _ac0_0);
+      repro_vstore8(o1 + 0 + 0, _ac1_0);
+    }
+  }
+}
+
+static __attribute__((noinline)) __attribute__((target("avx2"))) void repro_mk8x8r1_avx2(
+    const float* P, const float* x0, float* o0, int64_t j0, int64_t j1) {
+  (void)j0;  // one partial panel: j0 == 0
+  if (j1 > 0) {
+    {
+      const float* _wp = P + 0;
+      repro_vf8 _sx0 = repro_vsplat8(x0[0]);
+      repro_vf8 _wv0 = repro_vload8(_wp + 0);
+      repro_vf8 _ac0_0 = _wv0 * _sx0;
+      for (int64_t _kr = 1; _kr < 8; ++_kr) {
+        _wp += 8;
+        _sx0 = repro_vsplat8(x0[_kr]);
+        _wv0 = repro_vload8(_wp + 0);
+        _ac0_0 = _ac0_0 + _wv0 * _sx0;
+      }
+      repro_vstore8(o0 + 0 + 0, _ac0_0);
+    }
+  }
+}
+
+// kernel fused (kind=fused), avx2 variant
+// persistent kernel: 2 global barrier(s) per level; every member of the launch's
+// team runs this body, taking tickets (column panels) of each segment
+static __attribute__((target("avx2"))) void k_fused_avx2_team(void* const* A, repro_member* _m) {
+  float* rnn_h_ph = (float*)A[0];
+  float* rnn_c_ph = (float*)A[1];
+  const float* Emb = (const float*)A[2];
+  const float* bi = (const float*)A[3];
+  const float* bo = (const float*)A[4];
+  const float* bu = (const float*)A[5];
+  const float* bf = (const float*)A[6];
+  float* h_tilde = (float*)A[7];
+  float* mi = (float*)A[8];
+  float* mo = (float*)A[9];
+  float* mu = (float*)A[10];
+  float* gi = (float*)A[11];
+  float* go = (float*)A[12];
+  float* gu = (float*)A[13];
+  float* mf = (float*)A[14];
+  float* gf = (float*)A[15];
+  float* fc_sum = (float*)A[16];
+  const int32_t* batch_begin = (const int32_t*)A[17];
+  const int32_t* batch_length = (const int32_t*)A[18];
+  const int32_t* child = (const int32_t*)A[19];
+  const int32_t* num_children = (const int32_t*)A[20];
+  const int32_t* words = (const int32_t*)A[21];
+  const float* Ui_P = (const float*)A[22];
+  const float* Uo_P = (const float*)A[23];
+  const float* Uu_P = (const float*)A[24];
+  const float* Uf_P = (const float*)A[25];
+  const int64_t* S = (const int64_t*)A[26];
+  const int64_t num_nodes = S[0];
+  const int64_t num_batches = S[1];
+  const int64_t leaf_batch_count = S[2];
+  const int64_t max_children = S[3];
+  const int64_t level_start = S[4];
+  // leaf phase (specialized leaf batches)
+  for (int64_t _lb = 0; _lb < leaf_batch_count; ++_lb) {
+    const int64_t _begin = (int64_t)batch_begin[_lb];
+    const int64_t _length = (int64_t)batch_length[_lb];
+    for (int64_t _k; (_k = repro_team_claim(_m, 1)) >= 0;) {
+      const int64_t _j0 = _k * 32, _j1 = repro_imin(_j0 + 32, 8);
+      // leaf_h [gather]
+      for (int64_t n_idx = 0; n_idx < _length; ++n_idx) {
+        const int64_t n = (_begin) + n_idx;
+        for (int64_t i = _j0; i < _j1; i += 8) {
+          repro_vstore8(&rnn_h_ph[((n) * (8) + (i))], repro_vload8(&Emb[((repro_wrap(words[n], 50)) * (8) + (i))]));
+        }
+      }
+    }
+    if (repro_team_sync(_m, 1)) return;  // end of the leaf batch
+  }
+  // internal batches: the dependence-carrying loop (App. A.4)
+  for (int64_t _b = level_start; _b < num_batches; ++_b) {
+    const int64_t _begin = (int64_t)batch_begin[_b];
+    const int64_t _length = (int64_t)batch_length[_b];
+    for (int64_t _k; (_k = repro_team_claim(_m, 1)) >= 0;) {
+      const int64_t _j0 = _k * 32, _j1 = repro_imin(_j0 + 32, 8);
+      // h_tilde [childsum]
+      for (int64_t n_idx_2 = 0; n_idx_2 < _length; ++n_idx_2) {
+        const int64_t n_2 = (_begin) + n_idx_2;
+        for (int64_t i_2 = _j0; i_2 < _j1; i_2 += 8) {
+          repro_vf8 _acc1 = repro_vsplat8(0.0f);
+          for (int64_t _k2 = 0; _k2 < max_children; ++_k2) {
+            _acc1 = _acc1 + ((_k2 < (num_children[n_2])) ? (repro_vload8(&rnn_h_ph[((child[((_k2) * num_nodes + (n_2))]) * (8) + (i_2))])) : repro_vsplat8(0.0f));
+          }
+          repro_vstore8(&h_tilde[((n_idx_2) * (8) + (i_2))], _acc1);
+        }
+      }
+    }
+    if (repro_team_sync(_m, 1)) return;  // mi meets other tickets' columns
+    for (int64_t _k; (_k = repro_team_claim(_m, 1)) >= 0;) {
+      const int64_t _j0 = _k * 32, _j1 = repro_imin(_j0 + 32, 8);
+      // mi [matvec] contraction over panel-packed Ui_P[8][8]
+      const int64_t _rows3 = (_length) * 1;
+      int64_t _q4 = 0;
+      for (; _q4 + 2 <= _rows3; _q4 += 2) {
+        const int64_t _n_idx_3_5 = _q4;
+        const int64_t _n_idx_3_7 = _q4 + 1;
+        repro_mk8x8r2_avx2(Ui_P, &h_tilde[((_n_idx_3_5) * (8) + (0))], &h_tilde[((_n_idx_3_7) * (8) + (0))], &mi[((_n_idx_3_5) * (8) + (0))], &mi[((_n_idx_3_7) * (8) + (0))], _j0, _j1);
+      }
+      for (; _q4 + 1 <= _rows3; _q4 += 1) {
+        const int64_t _n_idx_3_9 = _q4;
+        repro_mk8x8r1_avx2(Ui_P, &h_tilde[((_n_idx_3_9) * (8) + (0))], &mi[((_n_idx_3_9) * (8) + (0))], _j0, _j1);
+      }
+      // mo [matvec] contraction over panel-packed Uo_P[8][8]
+      const int64_t _rows11 = (_length) * 1;
+      int64_t _q12 = 0;
+      for (; _q12 + 2 <= _rows11; _q12 += 2) {
+        const int64_t _n_idx_4_13 = _q12;
+        const int64_t _n_idx_4_15 = _q12 + 1;
+        repro_mk8x8r2_avx2(Uo_P, &h_tilde[((_n_idx_4_13) * (8) + (0))], &h_tilde[((_n_idx_4_15) * (8) + (0))], &mo[((_n_idx_4_13) * (8) + (0))], &mo[((_n_idx_4_15) * (8) + (0))], _j0, _j1);
+      }
+      for (; _q12 + 1 <= _rows11; _q12 += 1) {
+        const int64_t _n_idx_4_17 = _q12;
+        repro_mk8x8r1_avx2(Uo_P, &h_tilde[((_n_idx_4_17) * (8) + (0))], &mo[((_n_idx_4_17) * (8) + (0))], _j0, _j1);
+      }
+      // mu [matvec] contraction over panel-packed Uu_P[8][8]
+      const int64_t _rows19 = (_length) * 1;
+      int64_t _q20 = 0;
+      for (; _q20 + 2 <= _rows19; _q20 += 2) {
+        const int64_t _n_idx_5_21 = _q20;
+        const int64_t _n_idx_5_23 = _q20 + 1;
+        repro_mk8x8r2_avx2(Uu_P, &h_tilde[((_n_idx_5_21) * (8) + (0))], &h_tilde[((_n_idx_5_23) * (8) + (0))], &mu[((_n_idx_5_21) * (8) + (0))], &mu[((_n_idx_5_23) * (8) + (0))], _j0, _j1);
+      }
+      for (; _q20 + 1 <= _rows19; _q20 += 1) {
+        const int64_t _n_idx_5_25 = _q20;
+        repro_mk8x8r1_avx2(Uu_P, &h_tilde[((_n_idx_5_25) * (8) + (0))], &mu[((_n_idx_5_25) * (8) + (0))], _j0, _j1);
+      }
+      // gi [elementwise]
+      for (int64_t n_idx_6 = 0; n_idx_6 < _length; ++n_idx_6) {
+        for (int64_t i_6 = _j0; i_6 < _j1; i_6 += 8) {
+          repro_vstore8(&gi[((n_idx_6) * (8) + (i_6))], repro_vsigmoidf8((repro_vload8(&mi[((n_idx_6) * (8) + (i_6))]) + repro_vload8(&bi[(i_6)]))));
+        }
+      }
+      // go [elementwise]
+      for (int64_t n_idx_7 = 0; n_idx_7 < _length; ++n_idx_7) {
+        for (int64_t i_7 = _j0; i_7 < _j1; i_7 += 8) {
+          repro_vstore8(&go[((n_idx_7) * (8) + (i_7))], repro_vsigmoidf8((repro_vload8(&mo[((n_idx_7) * (8) + (i_7))]) + repro_vload8(&bo[(i_7)]))));
+        }
+      }
+      // gu [elementwise]
+      for (int64_t n_idx_8 = 0; n_idx_8 < _length; ++n_idx_8) {
+        for (int64_t i_8 = _j0; i_8 < _j1; i_8 += 8) {
+          repro_vstore8(&gu[((n_idx_8) * (8) + (i_8))], repro_vtanhf8((repro_vload8(&mu[((n_idx_8) * (8) + (i_8))]) + repro_vload8(&bu[(i_8)]))));
+        }
+      }
+      // mf [matvec] contraction over panel-packed Uf_P[8][8]
+      const int64_t _rows27 = (_length) * 2;
+      int64_t _q28 = 0;
+      for (; _q28 + 2 <= _rows27; _q28 += 2) {
+        const int64_t _i_9_29 = (_q28) % 2;
+        const int64_t _n_idx_9_30 = (_q28) / 2;
+        const int64_t _n_9_31 = (_begin) + _n_idx_9_30;
+        const int64_t _i_9_32 = (_q28 + 1) % 2;
+        const int64_t _n_idx_9_33 = (_q28 + 1) / 2;
+        const int64_t _n_9_34 = (_begin) + _n_idx_9_33;
+        repro_mk8x8r2_avx2(Uf_P, &rnn_h_ph[((repro_wrap(child[((_i_9_29) * num_nodes + (_n_9_31))], num_nodes)) * (8) + (0))], &rnn_h_ph[((repro_wrap(child[((_i_9_32) * num_nodes + (_n_9_34))], num_nodes)) * (8) + (0))], &mf[(((_n_idx_9_30) * (2) + (_i_9_29)) * (8) + (0))], &mf[(((_n_idx_9_33) * (2) + (_i_9_32)) * (8) + (0))], _j0, _j1);
+      }
+      for (; _q28 + 1 <= _rows27; _q28 += 1) {
+        const int64_t _i_9_35 = (_q28) % 2;
+        const int64_t _n_idx_9_36 = (_q28) / 2;
+        const int64_t _n_9_37 = (_begin) + _n_idx_9_36;
+        repro_mk8x8r1_avx2(Uf_P, &rnn_h_ph[((repro_wrap(child[((_i_9_35) * num_nodes + (_n_9_37))], num_nodes)) * (8) + (0))], &mf[(((_n_idx_9_36) * (2) + (_i_9_35)) * (8) + (0))], _j0, _j1);
+      }
+      // gf [elementwise]
+      for (int64_t n_idx_10 = 0; n_idx_10 < _length; ++n_idx_10) {
+        for (int64_t i_11 = 0; i_11 < (0) + (2); ++i_11) {
+          for (int64_t i_12 = _j0; i_12 < _j1; i_12 += 8) {
+            repro_vstore8(&gf[(((n_idx_10) * (2) + (i_11)) * (8) + (i_12))], repro_vsigmoidf8((repro_vload8(&mf[(((n_idx_10) * (2) + (i_11)) * (8) + (i_12))]) + repro_vload8(&bf[(i_12)]))));
+          }
+        }
+      }
+      // fc_sum [childsum]
+      for (int64_t n_idx_11 = 0; n_idx_11 < _length; ++n_idx_11) {
+        const int64_t n_11 = (_begin) + n_idx_11;
+        for (int64_t i_13 = _j0; i_13 < _j1; i_13 += 8) {
+          repro_vf8 _acc38 = repro_vsplat8(0.0f);
+          for (int64_t _k39 = 0; _k39 < max_children; ++_k39) {
+            _acc38 = _acc38 + ((_k39 < (num_children[n_11])) ? ((repro_vload8(&gf[(((n_idx_11) * (2) + (_k39)) * (8) + (i_13))]) * repro_vload8(&rnn_c_ph[((child[((_k39) * num_nodes + (n_11))]) * (8) + (i_13))]))) : repro_vsplat8(0.0f));
+          }
+          repro_vstore8(&fc_sum[((n_idx_11) * (8) + (i_13))], _acc38);
+        }
+      }
+      // rec_c [elementwise]
+      for (int64_t n_idx_12 = 0; n_idx_12 < _length; ++n_idx_12) {
+        const int64_t n_12 = (_begin) + n_idx_12;
+        for (int64_t i_14 = _j0; i_14 < _j1; i_14 += 8) {
+          repro_vstore8(&rnn_c_ph[((n_12) * (8) + (i_14))], ((repro_vload8(&gi[((n_idx_12) * (8) + (i_14))]) * repro_vload8(&gu[((n_idx_12) * (8) + (i_14))])) + repro_vload8(&fc_sum[((n_idx_12) * (8) + (i_14))])));
+        }
+      }
+      // rec_h [elementwise]
+      for (int64_t n_idx_13 = 0; n_idx_13 < _length; ++n_idx_13) {
+        const int64_t n_14 = (_begin) + n_idx_13;
+        for (int64_t i_16 = _j0; i_16 < _j1; i_16 += 8) {
+          repro_vstore8(&rnn_h_ph[((n_14) * (8) + (i_16))], (repro_vload8(&go[((n_idx_13) * (8) + (i_16))]) * repro_vtanhf8(repro_vload8(&rnn_c_ph[((n_14) * (8) + (i_16))]))));
+        }
+      }
+    }
+    if (repro_team_sync(_m, 1)) return;  // end of the level
+  }
+}
+
+__attribute__((target("avx2"))) void k_fused_avx2(
+    float* rnn_h_ph,
+    float* rnn_c_ph,
+    const float* Emb,
+    const float* bi,
+    const float* bo,
+    const float* bu,
+    const float* bf,
+    float* h_tilde,
+    float* mi,
+    float* mo,
+    float* mu,
+    float* gi,
+    float* go,
+    float* gu,
+    float* mf,
+    float* gf,
+    float* fc_sum,
+    const int32_t* batch_begin,
+    const int32_t* batch_length,
+    const int32_t* child,
+    const int32_t* num_children,
+    const int32_t* words,
+    const float* Ui_P,
+    const float* Uo_P,
+    const float* Uu_P,
+    const float* Uf_P,
+    const int64_t* S,
+    int64_t begin,
+    int64_t length,
+    int64_t team) {
+  void* const A[] = {(void*)rnn_h_ph, (void*)rnn_c_ph, (void*)Emb, (void*)bi, (void*)bo, (void*)bu, (void*)bf, (void*)h_tilde, (void*)mi, (void*)mo, (void*)mu, (void*)gi, (void*)go, (void*)gu, (void*)mf, (void*)gf, (void*)fc_sum, (void*)batch_begin, (void*)batch_length, (void*)child, (void*)num_children, (void*)words, (void*)Ui_P, (void*)Uo_P, (void*)Uu_P, (void*)Uf_P, (void*)S};
+  (void)begin; (void)length;
+  repro_team_run(k_fused_avx2_team, A, team);
+}
+
 #endif
 
 

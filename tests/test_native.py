@@ -191,24 +191,163 @@ def test_c_source_is_generated_once_per_compile(monkeypatch):
 
 # -- the build cache -----------------------------------------------------------
 
+def _parted_probe(*bodies):
+    """A source in ``len(bodies)`` parts, the way generated modules declare
+    them: part ``k`` defines ``int part<k>(void) { <body> }``."""
+    lines = [f"#define REPRO_PARTS {len(bodies)}"]
+    for k, body in enumerate(bodies):
+        lines += [f"#if !defined(REPRO_PART) || REPRO_PART == {k}",
+                  f"int part{k}(void) {{ {body} }}", "#endif"]
+    return "\n".join(lines) + "\n"
+
+
+def _as_if_cpus(monkeypatch, cpus):
+    """Builds (and team sizes) see ``cpus`` CPUs: one unit or parts."""
+    from repro.runtime import native
+
+    monkeypatch.setattr(native, "cpus", lambda: cpus)
+
+
+def _record_launches(monkeypatch, cpus):
+    """Builds see ``cpus`` CPUs; the list of compiler commands they run."""
+    _as_if_cpus(monkeypatch, cpus)
+    launches = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, cmd, *args, **kw):
+            launches.append(cmd)
+            super().__init__(cmd, *args, **kw)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return launches
+
+
+def _assert_only_installed(cache_dir, *names):
+    """Nothing a build wrote is left under ``cache_dir`` but ``names`` in
+    each key directory."""
+    for key in cache_dir.iterdir():
+        assert sorted(p.name for p in key.iterdir()) == sorted(names), key
+
+
 @needs_cc
-def test_so_cache_hit_and_miss(tmp_path):
+def test_so_cache_hit_and_miss(tmp_path, monkeypatch):
     cc = find_compiler()
+    launches = _record_launches(monkeypatch, cpus=2)
     source = "int repro_cache_probe(void) { return 42; }\n"
     p1 = build_shared_library(source, cc=cc, cache_dir=tmp_path)
+    assert len(launches) == 1  # no parts: one unit, whatever the CPUs
     stamp = p1.stat().st_mtime_ns
     p2 = build_shared_library(source, cc=cc, cache_dir=tmp_path)
     assert p2 == p1 and p2.stat().st_mtime_ns == stamp  # no recompile
     p3 = build_shared_library(source + "/* v2 */\n", cc=cc,
                               cache_dir=tmp_path)
     assert p3 != p1  # any source change keys a fresh directory
+    # a source in parts: a cc process per part, then the link; the second
+    # build of it runs nothing
+    launches.clear()
+    parted = _parted_probe("return 1;", "return 2;", "return 3;")
+    p4 = build_shared_library(parted, cc=cc, cache_dir=tmp_path)
+    assert sorted(c[c.index("-c") + 1] for c in launches[:3]) == [
+        f"-DREPRO_PART={k}" for k in range(3)]
+    assert len(launches) == 4 and "-c" not in launches[3]
+    lib = ctypes.CDLL(str(p4))
+    assert (lib.part0(), lib.part1(), lib.part2()) == (1, 2, 3)
+    launches.clear()
+    assert build_shared_library(parted, cc=cc, cache_dir=tmp_path) == p4
+    assert not launches
+    _assert_only_installed(tmp_path, "module.c", "module.so")
 
 
 @needs_cc
-def test_compile_failure_raises_with_stderr(tmp_path):
-    with pytest.raises(NativeError, match="C compilation failed"):
-        build_shared_library("this is not C\n", cc=find_compiler(),
+def test_compile_failure_raises_with_stderr(tmp_path, monkeypatch):
+    """One typed error, with the failing unit's command and stderr, and
+    nothing the build wrote left behind: in one unit, or in the one part
+    of three that does not compile."""
+    for cpus in (1, 2):
+        _as_if_cpus(monkeypatch, cpus)
+        cache = tmp_path / str(cpus)
+        with pytest.raises(NativeError, match="C compilation failed"):
+            build_shared_library("this is not C\n", cc=find_compiler(),
+                                 cache_dir=cache)
+        source = _parted_probe("return 0;", "return 1 }", "return 2;")
+        with pytest.raises(NativeError, match="C compilation failed") as err:
+            build_shared_library(source, cc=find_compiler(), cache_dir=cache)
+        message = str(err.value)
+        assert message.count("C compilation failed") == 1
+        assert "part1(void) { return 1 }" in message  # the compiler's excerpt
+        assert ("-DREPRO_PART=1" in message) == (cpus > 1)
+        _assert_only_installed(cache)
+
+
+@needs_cc
+def test_parted_build_links_with_every_flag(tmp_path, monkeypatch):
+    """A sanitizer flag reaches every part's compile and the link (which
+    pulls in its runtime); ``-shared`` only the link."""
+    launches = _record_launches(monkeypatch, cpus=2)
+    flags = DEFAULT_CFLAGS + ("-fsanitize=undefined",)
+    try:
+        build_shared_library(_parted_probe("return 0;", "return 1;"),
+                             cc=find_compiler(), flags=flags,
                              cache_dir=tmp_path)
+    except NativeError as e:
+        pytest.skip(f"no UBSan runtime on this host: {e}")
+    *parts, link = launches
+    assert len(parts) == 2
+    assert all("-fsanitize=undefined" in c for c in launches)
+    assert "-shared" in link and not any("-shared" in c for c in parts)
+
+
+@needs_cc
+def test_concurrent_builds_of_one_key_all_load(tmp_path, monkeypatch):
+    """Four threads build one module's source into a fresh cache at once:
+    each link (or one-unit compile) is held until all four builds have
+    reached theirs, then until all four have ended, so every build is past
+    the cache check and none installs before all have written.  Each
+    build's files are its own, so every thread loads a whole library.
+    (Builds used to share one temporary name: a thread installed another's
+    file, or found its own gone.)"""
+    import threading
+
+    source = _compile("treelstm", "python", hidden=8).lowered.module.c_source
+    threads = 4
+    linking, linked = (threading.Barrier(threads, timeout=120)
+                       for _ in range(2))
+
+    class Held(subprocess.Popen):
+        def __init__(self, cmd, *args, **kw):
+            self.held = "-c" not in cmd
+            if self.held:
+                linking.wait()
+            super().__init__(cmd, *args, **kw)
+
+        def communicate(self, *args, **kw):
+            try:
+                return super().communicate(*args, **kw)
+            finally:
+                if self.held:
+                    linked.wait()
+
+    monkeypatch.setattr(subprocess, "Popen", Held)
+    lanes, errors = [], []
+
+    def build():
+        try:
+            lib = ctypes.CDLL(str(build_shared_library(
+                source, cc=find_compiler(), cache_dir=tmp_path)))
+            lib.repro_lanes.restype = ctypes.c_int
+            lanes.append(lib.repro_lanes())
+        except Exception as e:  # surfaced below
+            errors.append(e)
+
+    workers = [threading.Thread(target=build, daemon=True)
+               for _ in range(threads)]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join(300.0)
+    assert not errors, errors
+    assert len(lanes) == threads and set(lanes) <= {4, 8}
+    _assert_only_installed(tmp_path, "module.c", "module.so")
 
 
 # -- zero-copy launch validation ----------------------------------------------
@@ -592,17 +731,19 @@ def test_pool_replicas_bitwise_equal_single_replica():
 
 @needs_cc
 @pytest.mark.parametrize("name", CONTRACTION_ZOO)
-def test_zoo_runs_clean_under_ubsan(name):
-    """The module built with UBSan in trap-on-first-report mode runs the
-    zoo at a hidden size that exercises every tile shape, and at one
-    whose fused kernel splits across a team of two."""
+def test_zoo_runs_clean_under_ubsan(name, tmp_path, monkeypatch):
+    """The module built (in parts) with UBSan in trap-on-first-report mode
+    runs the zoo at a hidden size that exercises every tile shape, and at
+    one whose fused kernel splits across a team of two."""
     flags = DEFAULT_CFLAGS + ("-fsanitize=undefined",
                               "-fno-sanitize-recover=all")
+    _as_if_cpus(monkeypatch, 2)
     for hidden, team in ((40, 1), (256, 2)):
         model = _compile(name, "python", hidden=hidden)
         try:
             native = NativeModule.from_ilmodule(model.lowered.module,
-                                                flags=flags)
+                                                flags=flags,
+                                                cache_dir=tmp_path)
         except NativeError as e:
             pytest.skip(f"no UBSan runtime on this host: {e}")
         model.compiled.native = types.SimpleNamespace(
@@ -619,28 +760,38 @@ def test_zoo_runs_clean_under_ubsan(name):
 
 
 @needs_cc
-def test_generated_c_compiles_without_warnings():
+def test_generated_c_compiles_without_warnings(tmp_path, monkeypatch):
     """Every schedule the zoo exercises (full / partial panels, scalar
-    columns, lane-loop tails, both presets), ``-Wall -Wextra`` as errors:
+    columns, lane-loop tails, both presets), ``-Wall -Wextra`` as errors,
+    each part on its own (and one model's source as one unit):
     ``-Wpsabi`` is how a 32-byte vector crossing a non-AVX function
     boundary shows up."""
     flags = DEFAULT_CFLAGS + ("-Wall", "-Wextra", "-Werror")
+    launches = _record_launches(monkeypatch, cpus=2)
     for name in ZOO + ("seq_lstm", "mvrnn", "treelstm_nary"):
         for preset in PRESETS.values():
             for hidden in (6, 40):
                 model = _compile(name, "python", hidden=hidden, **preset)
-                NativeModule.from_ilmodule(model.lowered.module, flags=flags)
+                NativeModule.from_ilmodule(model.lowered.module, flags=flags,
+                                           cache_dir=tmp_path / "parted")
+    assert all("-c" in c for c in launches[:3]) and "-c" not in launches[3]
+    _as_if_cpus(monkeypatch, 1)
+    launches.clear()
+    NativeModule.from_ilmodule(model.lowered.module, flags=flags,
+                               cache_dir=tmp_path / "one")
+    assert len(launches) == 1
 
 
 # -- ISA variants -------------------------------------------------------------
 
-def _variant_plan(model, variant, team=None):
-    """The model's host plan over one ISA variant's own entry points,
-    fused kernels split across ``team`` members (default: the library's
-    pick for this host)."""
+def _variant_plan(model, variant, team=None, native=None):
+    """The model's host plan over one ISA variant's own entry points (of
+    ``native``, default the model's library), fused kernels split across
+    ``team`` members (default: the library's pick for this host)."""
+    native = native or model.compiled.native
     compiled = copy.copy(model.compiled)
     compiled.native = types.SimpleNamespace(
-        fns=model.compiled.native.variant_fns(variant, team=team))
+        fns=native.variant_fns(variant, team=team))
     return build_host_plan(model.lowered, compiled)
 
 
@@ -672,6 +823,36 @@ def test_isa_variants_agree_bitwise(name, hidden):
             assert set(a) == set(b)
             for buf in a:
                 assert np.array_equal(a[buf], b[buf]), buf
+
+
+@needs_cc
+@pytest.mark.parametrize("name", CONTRACTION_ZOO)
+def test_parted_library_equals_one_unit_build(name, tmp_path, monkeypatch):
+    """One source built in parts (a cc process per part, then the link)
+    and as one unit: every workspace buffer byte-identical, on both ISA
+    variants, split across teams of one and two."""
+    model = _compile(name, "c", hidden=40)
+    built, launches = {}, _record_launches(monkeypatch, 1)
+    for cpus in (1, 2):
+        _as_if_cpus(monkeypatch, cpus)
+        launches.clear()
+        built[cpus] = NativeModule.from_ilmodule(
+            model.lowered.module, cache_dir=tmp_path / str(cpus))
+        assert len(launches) == (1 if cpus == 1 else 4)
+    variants = ("base", "avx2") if model.compiled.native.variant == "avx2" \
+        else ("base",)
+    for variant in variants:
+        for team in (1, 2):
+            one, parted = (_variant_plan(model, variant, team, built[cpus])
+                           for cpus in (1, 2))
+            for roots in _batches(name, np.random.default_rng(5)):
+                lin = model._linearize(roots, True)
+                a = execute_plan(one, lin, model.params).workspace
+                b = execute_plan(parted, lin, model.params).workspace
+                assert set(a) == set(b)
+                for buf in a:
+                    assert a[buf].tobytes() == b[buf].tobytes(), (
+                        variant, team, buf)
 
 
 # -- column teams --------------------------------------------------------------

@@ -410,7 +410,7 @@ def test_router_add_pool_dispatch_and_lifecycle(model):
 # the threaded flush loop: claim-time arbitration, stop/start/close
 
 
-def test_pipeline_fallback_on_stale_prepared_batch(model):
+def test_cancel_between_take_and_claim_fails_typed(model):
     """A cancel landing between ``scheduler.take()`` and the claim fails
     typed; both co-taken neighbours still match their solo rows."""
     from repro.serve.router import _private_arena_view
@@ -433,7 +433,7 @@ def test_pipeline_fallback_on_stale_prepared_batch(model):
     assert srv.metrics_snapshot()["cancelled"] == 1
 
 
-def test_pipeline_stop_drains_everything(model):
+def test_stop_drains_and_restarts_close_is_final(model):
     """submit -> take -> execute -> resolve survives stop(): everything
     queued drains, start() works again, close() is final."""
     srv = ModelServer(model, policy=MaxPendingRequests(4))
