@@ -6,7 +6,7 @@ Irregular Loops IR with its scheduling/compilation passes, data structure
 linearizers, code generation, simulated devices standing in for the paper's
 testbeds, and the baseline execution models it is evaluated against.
 
-The compile front door is ``repro.compile(spec, CompileOptions(...))`` —
+The compile front door is ``repro.compile(model, CompileOptions(...))`` —
 an explicit, validated configuration driving the staged
 :class:`~repro.pipeline.CompilerPipeline` and returning a
 :class:`CortexModel`, the one class that runs a model whether it was

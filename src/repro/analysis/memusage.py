@@ -22,7 +22,7 @@ def memory_comparison(model: CortexModel, roots: Sequence[Node],
     buffer-map accounting (parameters + recursion state + index arrays;
     fused intermediates live on chip and do not occupy DRAM).
     """
-    name = model.spec.short_name if model.spec else model.program.name
+    name = model.lowered.module.name
     params = model.params
     out: Dict[str, float] = {}
     out["PyTorch"] = pytorch_like.run(name, params, roots,

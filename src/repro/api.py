@@ -1,7 +1,7 @@
 """High-level API: one compile front door, one model class.
 
-Compilation is ``compile(spec, options)``: a model-zoo name (or
-:class:`~repro.models.registry.ModelSpec`) plus a frozen, validated
+Compilation is ``compile(model, options)``: a model-zoo name (or an
+authoring :class:`~repro.authoring.ModelDef`) plus a frozen, validated
 :class:`~repro.options.CompileOptions` run through the staged
 :class:`~repro.pipeline.CompilerPipeline` (build -> schedule -> lower ->
 codegen -> plan).
@@ -25,7 +25,7 @@ the one generated source through the one executor
 same rule (see DESIGN.md §3).  Either way its module carries the operator
 nests that source, the verdicts in ``meta``, the host plan and the
 simulated-``device`` estimate are derived from; a reloaded model lacks
-only the spec and the RA program.
+only its model definition and the RA program.
 
 For repeated inference over a stream of input batches, use the amortized
 entry points: ``model.run(roots, reuse=True)`` recycles workspace buffers
@@ -41,7 +41,7 @@ from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Union)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .authoring import ModelDef as ModelDefLike
+    from .authoring import ModelDef
     from .pipeline import CompileReport, Session, StageHook
     from .serve import ModelServer
 
@@ -49,7 +49,6 @@ import numpy as np
 
 from .ilir.codegen.compiled import CompiledModule
 from .linearizer import Linearized, Linearizer, Node
-from .models.registry import ModelSpec
 from .options import CompileOptions, Validate
 from .ra.lowering import Lowered
 from .ra.ops import Program
@@ -97,7 +96,8 @@ class CortexModel:
     through the same methods.
     """
 
-    spec: Optional[ModelSpec]
+    #: the model definition it was compiled from
+    spec: Optional["ModelDef"]
     program: Optional[Program]
     lowered: Lowered
     compiled: CompiledModule
@@ -299,7 +299,7 @@ class CortexModel:
         return self.lowered.module.output_buffers
 
 
-def compile(model: Union[str, ModelSpec, "ModelDefLike"],
+def compile(model: Union[str, "ModelDef"],
             options: Optional[CompileOptions] = None, *,
             hidden: Optional[int] = None, vocab: int = 1000,
             params: Optional[Mapping[str, np.ndarray]] = None,
@@ -309,11 +309,10 @@ def compile(model: Union[str, ModelSpec, "ModelDefLike"],
             **build_kw) -> CortexModel:
     """Compile one model under explicit, validated options.
 
-    ``model`` is a registry short name, a
-    :class:`~repro.models.registry.ModelSpec`, or a declaratively
-    authored :class:`~repro.authoring.ModelDef` — user-defined models
-    compile, serve and export exactly like zoo entries (register them
-    via ``ModelDef.register()`` to also address them by name).
+    ``model`` is a registry short name or a declaratively authored
+    :class:`~repro.authoring.ModelDef` — user-defined models compile,
+    serve and export exactly like zoo entries (register them via
+    ``ModelDef.register()`` to also address them by name).
 
     The front door of the compiler: ``options`` (default:
     :data:`~repro.options.PAPER_HEADLINE`) is validated eagerly — illegal
@@ -324,7 +323,7 @@ def compile(model: Union[str, ModelSpec, "ModelDefLike"],
     carries ``options`` and a per-stage ``report``.
 
     ``session`` routes the compile through a :class:`~repro.pipeline
-    .Session` cache (equal spec + options -> the same model object);
+    .Session` cache (equal model + options -> the same model object);
     ``on_stage`` observes each pipeline stage as it completes.
     """
     if session is not None:

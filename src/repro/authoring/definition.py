@@ -3,11 +3,12 @@
 A :class:`ModelDef` holds a single *builder* function — the RA cell math,
 written once with ``p.input_tensor`` / ``p.compute`` / ``p.recursion_op``
 — plus the structural facts compilation needs up front (structure kind,
-arity bound, paper hidden sizes).  Everything else the old hand-written
-model modules maintained by eye is **derived** from that one definition:
+arity bound, paper hidden sizes).  Every model in the zoo is one, and the
+registry stores nothing else.  Everything else is **derived** from that
+one definition:
 
 * ``build(hidden, vocab, ...)`` — constructs the
-  :class:`~repro.ra.ops.Program` (the wrapper owns the ``with Program``
+  :class:`~repro.ra.ops.Program` (the definition owns the ``with Program``
   block, so the builder body is nothing but cell math);
 * ``random_params(...)`` — parameter shapes come straight from the
   declared ``input_tensor`` extents, filled by seeded initializers
@@ -15,14 +16,14 @@ model modules maintained by eye is **derived** from that one definition:
 * ``reference(roots, params)`` — the recursive NumPy reference is the
   RA interpreter (:mod:`repro.ra.interp`) over the same program, so it
   cannot drift from the compiled model;
-* registry metadata — ``outputs`` from the ``recursion_op``,
-  ``multi_state`` from its pair count, vocabulary usage from the build
-  signature, all via :mod:`repro.ra.analysis`.
+* ``outputs`` / ``multi_state`` — read off the ``recursion_op`` of one
+  probe build (:func:`repro.ra.analysis.derive_metadata`), which also
+  refuses a fixed child slot beyond ``max_children`` and a ``vocab``
+  argument with no ``n.word`` read behind it.
 
-``ModelDef.register()`` drops the derived
-:class:`~repro.models.registry.ModelSpec` into the global registry, after
-which the model serves, exports, autotunes and benchmarks exactly like a
-zoo model::
+``ModelDef.register()`` drops the definition into the global registry,
+after which the model serves, exports, autotunes and benchmarks exactly
+like a zoo model::
 
     from repro.authoring import model
     from repro.linearizer import StructureKind
@@ -49,6 +50,7 @@ import numpy as np
 from ..errors import CortexError
 from ..linearizer import Node, StructureKind
 from ..linearizer.structures import iter_nodes
+from ..ra.analysis import DerivedMetadata, derive_metadata, word_tables
 from ..ra.interp import ReferenceInterpreter
 from ..ra.ops import InputOp, Program
 from .initializers import Init, default_init
@@ -72,15 +74,16 @@ _EXTRA_B = (47, 67, 71, 73, 79, 83)
 _ARG, _CONST, _OPAQUE = "arg", "const", "opaque"
 
 
-@dataclass(eq=False)  # identity semantics: each def owns caches and a spec
+@dataclass(eq=False)  # identity semantics: each def owns its caches
 class ModelDef:
     """One declaratively authored model; see the module docstring.
 
     Instances are what :func:`define_model` and the :func:`model`
-    decorator return.  They are accepted directly by ``repro.compile``,
-    :class:`~repro.pipeline.Session`, and
-    :meth:`~repro.serve.Router.deploy` (all resolve to the cached derived
-    spec), and become globally visible via :meth:`register`.
+    decorator return, and what the registry holds.  They are accepted
+    directly by ``repro.compile``, :class:`~repro.pipeline.Session` (which
+    keys its cache on the def itself), and
+    :meth:`~repro.serve.Router.deploy`, and become addressable by name
+    via :meth:`register`.
 
     Builders must accept a ``hidden`` argument — it is the size knob the
     whole surface (``compile(hidden=)``, ``hs``/``hl``, the CLI's
@@ -126,13 +129,8 @@ class ModelDef:
             self.name = self.short_name
         self.needs_vocab = "vocab" in self._accepted
         self._templates: Optional[Dict[str, Tuple]] = None
-        self._spec = None
+        self._meta: Optional[DerivedMetadata] = None
         self._prog_cache: Dict[Tuple, Program] = {}
-        # the public build callable, with a signature the registry's
-        # needs_vocab verification can introspect
-        self.build = self._make_build()
-        self.random_params = self._make_random_params()
-        self.reference = self._make_reference()
 
     # -- program construction ------------------------------------------------
     def _build(self, args: Dict[str, Any]) -> Program:
@@ -151,15 +149,25 @@ class ModelDef:
     def _resolve_args(self, hidden: Optional[int], vocab: int,
                       build_kw: Dict[str, Any]) -> Dict[str, Any]:
         args = dict(build_kw)
-        if "hidden" in self._accepted:
-            args["hidden"] = int(hidden) if hidden is not None else self.hs
+        args["hidden"] = int(hidden) if hidden is not None else self.hs
         if self.needs_vocab:
             args["vocab"] = int(vocab)
         return args
 
+    def build(self, hidden: Optional[int] = None, vocab: int = 1000,
+              **build_kw) -> Program:
+        """A fresh RA program for one configuration.
+
+        ``hidden=None`` is the paper's small size (``hs``); ``vocab`` is
+        dropped when the builder does not take one.  Never cached:
+        compiling imprints a schedule on the program it is given.
+        """
+        return self._build(self._resolve_args(hidden, vocab, build_kw))
+
     def program(self, hidden: Optional[int] = None, vocab: int = 1000,
                 **build_kw) -> Program:
-        """The RA program for one configuration (cached per assignment)."""
+        """The RA program for one configuration (cached per assignment;
+        read-only — derivations share it)."""
         args = self._resolve_args(hidden, vocab, build_kw)
         key = tuple(sorted(args.items()))
         prog = self._prog_cache.get(key)
@@ -167,48 +175,25 @@ class ModelDef:
             prog = self._prog_cache[key] = self._build(args)
         return prog
 
-    def _make_build(self) -> Callable[..., Program]:
-        # two spellings so `vocab` appears in the signature exactly when
-        # the builder embeds — ModelSpec.build_args and the registry's
-        # derive-and-verify check both read it
-        if self.needs_vocab:
-            def build(hidden: Optional[int] = None, vocab: int = 1000,
-                      **build_kw) -> Program:
-                return self._build(self._resolve_args(hidden, vocab, build_kw))
-        else:
-            def build(hidden: Optional[int] = None, **build_kw) -> Program:
-                return self._build(self._resolve_args(hidden, 1000, build_kw))
-        build.__name__ = f"build_{self.short_name}"
-        build.__qualname__ = build.__name__
-        build.__doc__ = f"Derived RA-program builder for {self.short_name!r}."
-        return build
-
     # -- derived parameters --------------------------------------------------
-    def _make_random_params(self):
-        def random_params(hidden: Optional[int] = None, vocab: int = 1000,
-                          rng: Optional[np.random.Generator] = None,
-                          **build_kw) -> Dict[str, np.ndarray]:
-            args = self._resolve_args(hidden, vocab, build_kw)
-            prog = self.program(hidden, vocab, **build_kw)
-            gen = rng if rng is not None else np.random.default_rng(0)
-            table_extent = args.get("vocab")
-            out: Dict[str, np.ndarray] = {}
-            for op in prog.ops:
-                if not isinstance(op, InputOp):
-                    continue
-                t = op.output
-                shape = t.concrete_shape({})
-                init = self.inits.get(t.name)
-                if init is None:
-                    init = default_init(shape, table_extent)
-                out[t.name] = init.make(gen, shape)
-            return out
-
-        random_params.__name__ = f"random_params_{self.short_name}"
-        random_params.__doc__ = (
-            f"Derived seeded parameters for {self.short_name!r}: shapes "
-            f"from the declared input tensors, drawn in declaration order.")
-        return random_params
+    def random_params(self, hidden: Optional[int] = None, vocab: int = 1000,
+                      rng: Optional[np.random.Generator] = None,
+                      **build_kw) -> Dict[str, np.ndarray]:
+        """Seeded parameters: shapes from the declared input tensors,
+        drawn in declaration order (default seed 0)."""
+        prog = self.program(hidden, vocab, **build_kw)
+        gen = rng if rng is not None else np.random.default_rng(0)
+        tables = word_tables(prog)
+        out: Dict[str, np.ndarray] = {}
+        for op in prog.ops:
+            if not isinstance(op, InputOp):
+                continue
+            t = op.output
+            init = self.inits.get(t.name)
+            if init is None:
+                init = default_init(t.name in tables)
+            out[t.name] = init.make(gen, t.concrete_shape({}))
+        return out
 
     # -- shape templates (params -> build args) -------------------------------
     def _probe_args(self, table: Mapping[str, int],
@@ -311,54 +296,56 @@ class ModelDef:
         return inferred
 
     # -- derived reference ----------------------------------------------------
-    def _make_reference(self):
-        def reference(roots: Union[Node, Sequence[Node]],
-                      params: Mapping[str, np.ndarray]) -> Dict[int, Any]:
-            root_list = [roots] if isinstance(roots, Node) else list(roots)
-            args = self.infer_build_args(params, root_list)
-            hidden = args.pop("hidden", None)
-            vocab = args.pop("vocab", 1000)
-            prog = self.program(hidden, vocab, **args)
-            return ReferenceInterpreter(prog)(root_list, params)
+    def reference(self, roots: Union[Node, Sequence[Node]],
+                  params: Mapping[str, np.ndarray]) -> Dict[int, Any]:
+        """The recursive reference, ``id(node) -> state`` (a tuple of
+        states for a multi-state model): the RA interpreter over the
+        model's own program, bit-faithful to the generated kernels."""
+        root_list = [roots] if isinstance(roots, Node) else list(roots)
+        args = self.infer_build_args(params, root_list)
+        hidden = args.pop("hidden", None)
+        vocab = args.pop("vocab", 1000)
+        prog = self.program(hidden, vocab, **args)
+        return ReferenceInterpreter(prog)(root_list, params)
 
-        reference.__name__ = f"reference_{self.short_name}"
-        reference.__doc__ = (
-            f"Derived recursive reference for {self.short_name!r}: the RA "
-            f"interpreter over the model's own program (bit-faithful to "
-            f"the generated kernels; see repro.ra.interp).")
-        return reference
+    def reference_h(self, roots: Sequence[Node],
+                    params: Mapping[str, np.ndarray]) -> Dict[int, np.ndarray]:
+        """Reference hidden state per node (the first state when several)."""
+        ref = self.reference(roots, params)
+        if self.multi_state:
+            return {k: v[0] for k, v in ref.items()}
+        return ref
 
-    # -- registry integration --------------------------------------------------
-    def spec(self):
-        """The derived :class:`~repro.models.registry.ModelSpec` (cached).
+    # -- derived metadata ------------------------------------------------------
+    def metadata(self) -> DerivedMetadata:
+        """Facts read off one probe build (derived once, then cached).
 
-        The same object is returned on every call, so
-        :class:`~repro.pipeline.Session` caches key consistently whether
-        callers pass the def, the spec, or (once registered) the name.
+        Refuses a definition that reads a fixed child slot beyond
+        ``max_children`` (:class:`~repro.errors.LoweringError`) or takes
+        ``vocab`` without ever reading ``n.word`` (:class:`AuthoringError`).
         """
-        if self._spec is not None:
-            return self._spec
-        from ..models.registry import ModelSpec
-        from ..ra.analysis import derive_metadata
+        if self._meta is None:
+            meta = derive_metadata(self.program(hidden=_PROBE_A["hidden"],
+                                                vocab=_PROBE_A["vocab"]))
+            if self.needs_vocab and not meta.uses_words:
+                raise AuthoringError(
+                    f"{self.short_name}: the builder takes `vocab` but the "
+                    f"program never reads `n.word` — nothing to embed")
+            self._meta = meta
+        return self._meta
 
-        meta = derive_metadata(self.program(hidden=_PROBE_A["hidden"],
-                                            vocab=_PROBE_A["vocab"]))
-        self._spec = ModelSpec(
-            name=self.name or self.short_name,
-            short_name=self.short_name,
-            build=self.build,
-            random_params=self.random_params,
-            reference=self.reference,
-            outputs=meta.outputs,
-            kind=self.kind,
-            hs=self.hs, hl=self.hl,
-            max_children=self.max_children,
-            multi_state=meta.multi_state,
-            needs_vocab=self.needs_vocab)
-        return self._spec
+    @property
+    def outputs(self) -> Tuple[str, ...]:
+        """The recursion's output state buffers, in declaration order."""
+        return self.metadata().outputs
 
-    def register(self, *, verify: bool = True):
-        """Register the derived spec in the global model registry.
+    @property
+    def multi_state(self) -> bool:
+        """True when the recursion resolves more than one state."""
+        return self.metadata().multi_state
+
+    def register(self) -> "ModelDef":
+        """Add this definition to the global model registry.
 
         After this the model is addressable by name everywhere a zoo
         model is: ``repro.compile``, sessions, ``ModelServer``/``Router``,
@@ -366,7 +353,7 @@ class ModelDef:
         """
         from ..models.registry import register as _register
 
-        return _register(self.spec(), verify=verify)
+        return _register(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"ModelDef({self.short_name}, kind={self.kind.value}, "

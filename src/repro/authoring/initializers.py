@@ -3,10 +3,10 @@
 The authoring layer derives parameter *shapes* from the ``input_tensor``
 declarations of a model's RA program; these initializer specs say how to
 fill them.  Models rarely need to spell one out: :func:`default_init`
-reproduces the zoo's long-standing conventions (embedding-style tables at
-scale 0.5, weights and biases at scale 0.1) by looking at whether a
-tensor's leading dimension is the vocabulary extent.  Per-tensor
-overrides go through ``inits={"W": init.normal(0.02)}`` on
+reproduces the zoo's long-standing conventions (lookup tables at scale
+0.5, weights and biases at scale 0.1), where a lookup table is a tensor
+the program indexes by ``n.word`` (:func:`repro.ra.analysis.word_tables`).
+Per-tensor overrides go through ``inits={"W": init.normal(0.02)}`` on
 :func:`~repro.authoring.define_model`.
 
 All initializers draw from the single :class:`numpy.random.Generator`
@@ -17,7 +17,7 @@ reproducible parameters for a fixed model definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -80,14 +80,11 @@ def eye_plus_noise(scale: float = 0.05) -> Init:
     return Init(fn, label=f"eye_plus_noise({scale})")
 
 
-def default_init(shape: Tuple[int, ...], vocab: Optional[int]) -> Init:
+def default_init(table: bool) -> Init:
     """The convention-over-configuration default for one input tensor.
 
-    A 2-D tensor whose *leading* extent is the model's vocabulary (or
-    feature-table) size is an embedding-style lookup table → scale 0.5;
-    everything else (weights, biases) draws at scale 0.1 — exactly the
-    conventions the hand-written ``random_params`` functions used.
+    A lookup table — an embedding or feature table, i.e. a tensor the
+    program indexes by ``n.word`` — draws at scale 0.5; everything else
+    (weights, biases) at scale 0.1.
     """
-    if vocab is not None and len(shape) >= 2 and shape[0] == vocab:
-        return embedding()
-    return normal()
+    return embedding() if table else normal()

@@ -7,7 +7,7 @@ compares Cortex against GRNN with its lock-free global barrier and against
 a lock-based variant (Xiao & Feng 2010) for fairness — both reproduced
 here.
 
-Numerics run through the plain NumPy reference (these are hand-written
+Numerics come from the model's derived reference (these are hand-written
 kernels; their correctness is not under test) while latency comes from the
 persistent-kernel cost structure.
 """
@@ -20,7 +20,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from ..linearizer import Node
-from ..models import sequential
+from ..models import get_model
 from ..runtime.device import Device
 from .framework import INTRINSIC_FLOPS, Ledger
 
@@ -81,12 +81,8 @@ def run(model: str, params: Dict[str, np.ndarray], roots: Sequence[Node],
         device: Device, *, lock_free: bool = True,
         hidden: int = None) -> GrnnResult:
     """Latency from the persistent-kernel model; outputs from the reference."""
-    if model == "lstm":
-        ref = sequential.reference_lstm(roots, params)
-        hidden = hidden or params["Ui"].shape[0]
-    else:
-        ref = sequential.reference_gru(roots, params)
-        hidden = hidden or params["Uz"].shape[0]
+    ref = get_model(f"seq_{model}").reference(roots, params)
+    hidden = hidden or params["Ui" if model == "lstm" else "Uz"].shape[0]
     seq_len = max(_chain_len(r) for r in roots) - 1  # minus the virtual step
     ledger = latency(model, seq_len, len(roots), hidden, device,
                      lock_free=lock_free)

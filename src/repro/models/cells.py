@@ -8,12 +8,10 @@ gate combinations — mirroring how the paper's Fig. 8 draws the operator DAG
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-import numpy as np
+from typing import Optional
 
 from ..ir import Expr, reduce_sum
-from ..ra.ops import Program, compute
+from ..ra.ops import Program
 from ..ra.tensor import NUM_NODES, RATensor
 
 
@@ -67,26 +65,3 @@ def _axis_uf(prog: Program, extent: Expr):
     from ..ir import reduce_axis
 
     return reduce_axis(extent, prog.fresh("k"))
-
-
-# ---------------------------------------------------------------------------
-# NumPy reference helpers (mirrors of the scalar cell math)
-
-
-def np_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float32)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def random_matrix(rng: np.random.Generator, rows: int, cols: int,
-                  scale: float = 0.1) -> np.ndarray:
-    return (rng.standard_normal((rows, cols)) * scale).astype(np.float32)
-
-
-def random_vector(rng: np.random.Generator, n: int,
-                  scale: float = 0.1) -> np.ndarray:
-    return (rng.standard_normal(n) * scale).astype(np.float32)

@@ -14,73 +14,34 @@ asserts exactly that.  Unrolling and refactoring are rejected for DAGs
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
-import numpy as np
-
+from ..authoring import model
 from ..ir import tanh
-from ..linearizer import Node, StructureKind
-from ..ra.ops import Program
+from ..linearizer import StructureKind
 from ..ra.node_ref import isleaf
 from ..ra.tensor import NUM_NODES
-from .cells import child_sum, matvec, random_matrix, random_vector
+from .cells import child_sum, matvec
 
 DEFAULT_HIDDEN = 256
 MAX_CHILDREN = 2
 
 
-def build(hidden: int = DEFAULT_HIDDEN, num_cells: int = 4000,
-          max_children: int = MAX_CHILDREN) -> Program:
+@model("dagrnn", name="DAG-RNN", kind=StructureKind.DAG,
+       max_children=MAX_CHILDREN)
+def MODEL(p, hidden: int = DEFAULT_HIDDEN, num_cells: int = 4000,
+          max_children: int = MAX_CHILDREN):
     """``num_cells`` sizes the feature table (cells across the batch)."""
-    with Program("dagrnn", StructureKind.DAG, max_children) as p:
-        Feat = p.input_tensor((num_cells, hidden), "Feat")
-        U = p.input_tensor((hidden, hidden), "U")
-        b = p.input_tensor((hidden,), "b")
-        ph = p.placeholder((NUM_NODES, hidden), "h_ph")
+    Feat = p.input_tensor((num_cells, hidden), "Feat")
+    U = p.input_tensor((hidden, hidden), "U")
+    b = p.input_tensor((hidden,), "b")
+    ph = p.placeholder((NUM_NODES, hidden), "h_ph")
 
-        leaf_h = p.compute((NUM_NODES, hidden),
-                           lambda n, i: tanh(Feat[n.word, i] + b[i]), "leaf_h")
-        h_sum = child_sum(p, ph, "h_sum", hidden)
-        mu = matvec(p, U, h_sum, "mu")
-        rec_h = p.compute(
-            (NUM_NODES, hidden),
-            lambda n, i: tanh(mu[n, i] + Feat[n.word, i] + b[i]), "rec_h")
-        body = p.if_then_else((NUM_NODES, hidden),
-                              lambda n, i: (isleaf(n), leaf_h, rec_h), "body_h")
-        p.recursion_op(ph, body, "rnn")
-    return p
-
-
-def random_params(hidden: int = DEFAULT_HIDDEN, num_cells: int = 4000,
-                  max_children: int = MAX_CHILDREN,
-                  rng: np.random.Generator | None = None) -> Dict[str, np.ndarray]:
-    rng = rng or np.random.default_rng(0)
-    return {
-        "Feat": random_matrix(rng, num_cells, hidden, scale=0.5),
-        "U": random_matrix(rng, hidden, hidden),
-        "b": random_vector(rng, hidden),
-    }
-
-
-def reference(roots: Sequence[Node], params: Dict[str, np.ndarray]
-              ) -> Dict[int, np.ndarray]:
-    out: Dict[int, np.ndarray] = {}
-    feat, U, b = params["Feat"], params["U"], params["b"]
-
-    def go(node: Node) -> np.ndarray:
-        if id(node) in out:
-            return out[id(node)]
-        if node.is_leaf:
-            h = np.tanh(feat[node.word] + b).astype(np.float32)
-        else:
-            h_sum = np.sum([go(c) for c in node.children], axis=0)
-            h = np.tanh(U @ h_sum + feat[node.word] + b).astype(np.float32)
-        out[id(node)] = h
-        return h
-
-    for r in roots:
-        go(r)
-    return out
-
-
-OUTPUT = "rnn"
+    leaf_h = p.compute((NUM_NODES, hidden),
+                       lambda n, i: tanh(Feat[n.word, i] + b[i]), "leaf_h")
+    h_sum = child_sum(p, ph, "h_sum", hidden)
+    mu = matvec(p, U, h_sum, "mu")
+    rec_h = p.compute(
+        (NUM_NODES, hidden),
+        lambda n, i: tanh(mu[n, i] + Feat[n.word, i] + b[i]), "rec_h")
+    body = p.if_then_else((NUM_NODES, hidden),
+                          lambda n, i: (isleaf(n), leaf_h, rec_h), "body_h")
+    p.recursion_op(ph, body, "rnn")

@@ -1,115 +1,48 @@
 """Model registry: uniform access to every model in the zoo.
 
-Benchmarks and tests iterate :data:`MODELS`; each entry knows how to build
-the RA program, generate random parameters, evaluate a recursive NumPy
-reference, and which state buffers hold the outputs.  ``hs``/``hl`` are the
-paper's small/large hidden sizes (Table 2: 256/512, except MV-RNN 64/128).
+Benchmarks and tests iterate :data:`MODELS`; every entry is a
+:class:`~repro.authoring.ModelDef`, so each builds its RA program,
+generates seeded parameters, evaluates the recursive reference (the RA
+interpreter over that program) and names its output state buffers — all
+derived from its one cell definition.  ``hs``/``hl`` are the paper's
+small/large hidden sizes (Table 2: 256/512, except MV-RNN 64/128).
 
 The registry is write-once-per-name: entries enter through
-:func:`register`, which rejects duplicate short names and — crucially —
-re-derives the structural metadata (``outputs``, ``max_children``,
-``multi_state``, vocabulary usage) from a small probe build of the
-declared program via :mod:`repro.ra.analysis` and refuses registration
-when the hand-declared values drift from what the program actually does.
+:func:`register`, which rejects duplicate short names and runs the def's
+one derivation (:meth:`~repro.authoring.ModelDef.metadata`), so a
+definition that derivation refuses never becomes addressable.
 :data:`MODELS` itself is a read-only mapping view, so external code can
 iterate and look up but cannot mutate the zoo; mutation goes through
 :func:`register` / :func:`unregister` only.  Iteration order is the
 (deterministic) registration order.
 
-User-defined models flow through the same door: the authoring layer
-(:mod:`repro.authoring`) builds a :class:`ModelSpec` with derived
-parameters/reference and calls :func:`register`, after which the model is
-indistinguishable from a zoo entry for ``repro.compile``, sessions,
-servers, routers, artifacts, the CLI and the autotuner.
+User-defined models flow through the same door
+(``ModelDef.register()``), after which the model is indistinguishable
+from a zoo entry for ``repro.compile``, sessions, servers, routers,
+artifacts, the CLI and the autotuner.
 """
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
-import numpy as np
-
+from ..authoring import ModelDef
 from ..errors import CortexError
-from ..linearizer import Node, StructureKind
-from ..ra.ops import Program
 from . import dagrnn, mvrnn, sequential, treefc, treegru, treelstm, treernn
 
 
 class RegistryError(CortexError):
-    """Invalid registration: duplicate name or drifted metadata."""
-
-
-#: probe build sizes used by registration verification (small on purpose —
-#: only the graph structure is inspected, never executed)
-_PROBE_HIDDEN = 4
-_PROBE_VOCAB = 13
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Everything needed to benchmark one model uniformly."""
-
-    name: str
-    short_name: str
-    build: Callable[..., Program]
-    random_params: Callable[..., Dict[str, np.ndarray]]
-    reference: Callable[..., Dict[int, object]]
-    outputs: Tuple[str, ...]
-    kind: StructureKind
-    hs: int = 256
-    hl: int = 512
-    max_children: int = 2
-    #: reference() returns tuples (h, c)/(h, M) for multi-state models
-    multi_state: bool = False
-    #: build()/random_params() take a ``vocab`` argument (DAG-RNN's cells
-    #: carry per-node features instead of embedding lookups)
-    needs_vocab: bool = True
-
-    def build_args(self, hidden: Optional[int] = None, vocab: int = 1000,
-                   **build_kw) -> Dict[str, object]:
-        """Normalized keyword arguments for ``build``/``random_params``.
-
-        Centralizes the per-model conventions every caller used to
-        re-implement: ``hidden=None`` resolves to the paper's small size
-        (``hs``) and ``vocab`` is dropped for models that do not embed.
-        """
-        args: Dict[str, object] = dict(build_kw)
-        args["hidden"] = hidden if hidden is not None else self.hs
-        if self.needs_vocab:
-            args["vocab"] = vocab
-        return args
-
-    def build_program(self, hidden: Optional[int] = None, vocab: int = 1000,
-                      **build_kw) -> Program:
-        """Construct the RA program for one configuration."""
-        return self.build(**self.build_args(hidden, vocab, **build_kw))
-
-    def make_params(self, hidden: Optional[int] = None, vocab: int = 1000,
-                    rng: Optional[np.random.Generator] = None,
-                    **build_kw) -> Dict[str, np.ndarray]:
-        """Random parameters matching :meth:`build_program`'s shapes."""
-        return self.random_params(rng=rng,
-                                  **self.build_args(hidden, vocab, **build_kw))
-
-    def reference_h(self, roots: Sequence[Node],
-                    params: Dict[str, np.ndarray]) -> Dict[int, np.ndarray]:
-        """Reference hidden state per node (first state for multi-state)."""
-        ref = self.reference(roots, params)
-        if self.multi_state:
-            return {k: v[0] for k, v in ref.items()}
-        return ref  # type: ignore[return-value]
+    """Invalid registration: the short name is already taken."""
 
 
 #: the private, mutable store — every mutation goes through register()
-_MODELS: Dict[str, ModelSpec] = {}
+_MODELS: Dict[str, ModelDef] = {}
 
 #: the public registry: a live read-only view of the store, in
 #: registration order.  ``MODELS["treelstm"]``, iteration and ``len`` work
 #: as before; item assignment raises ``TypeError``.
-MODELS: Mapping[str, ModelSpec] = MappingProxyType(_MODELS)
+MODELS: Mapping[str, ModelDef] = MappingProxyType(_MODELS)
 
 
 def model_names() -> Tuple[str, ...]:
@@ -117,166 +50,60 @@ def model_names() -> Tuple[str, ...]:
     return tuple(_MODELS)
 
 
-def all_models() -> Mapping[str, ModelSpec]:
+def all_models() -> Mapping[str, ModelDef]:
     """The read-only registry mapping (same object as :data:`MODELS`)."""
     return MODELS
 
 
-def get_model(name: str) -> ModelSpec:
+def get_model(name: str) -> ModelDef:
     try:
         return _MODELS[name]
     except KeyError:
         raise KeyError(f"unknown model {name!r}; available: {sorted(_MODELS)}")
 
 
-def resolve_model(model) -> ModelSpec:
-    """Coerce a registry name / ModelSpec / authoring ModelDef to a spec.
-
-    The single resolution point used by the compile pipeline, sessions and
-    routers; an authoring :class:`~repro.authoring.ModelDef` resolves to
-    its (cached) derived spec so session caches key on one stable object.
-    """
+def resolve_model(model) -> ModelDef:
+    """Coerce a registry name or a :class:`~repro.authoring.ModelDef` to
+    the def — the single resolution point of the compile pipeline,
+    sessions, routers and the autotuner."""
     if isinstance(model, str):
         return get_model(model)
-    if isinstance(model, ModelSpec):
+    if isinstance(model, ModelDef):
         return model
-    spec = getattr(model, "spec", None)
-    if callable(spec):
-        resolved = spec()
-        if isinstance(resolved, ModelSpec):
-            return resolved
     raise TypeError(
-        f"cannot resolve {model!r} to a ModelSpec; expected a registry "
-        f"name, a ModelSpec, or an authoring ModelDef")
+        f"cannot resolve {model!r} to a model; expected a registry name "
+        f"or an authoring ModelDef")
 
 
-# ---------------------------------------------------------------------------
-# Registration with derive-and-verify
-
-
-def _takes_vocab(build: Callable[..., Program]) -> bool:
-    try:
-        params = inspect.signature(build).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins etc.
-        return True
-    return "vocab" in params
-
-
-def _verify_spec(spec: ModelSpec) -> None:
-    """Probe-build the program and veto drifted metadata declarations.
-
-    Catches exactly the silent-drift class of bug the hand-maintained
-    registry allowed: an entry whose ``outputs`` tuple no longer matches
-    the recursion's state buffers, a ``needs_vocab`` flag disagreeing with
-    the build signature (so ``build_args`` would pass or drop ``vocab``
-    wrongly), a vocabulary claim with no ``n.word`` read behind it, or a
-    ``max_children``/``kind`` declaration differing from the program's.
-    """
-    from ..ra.analysis import derive_metadata
-
-    takes_vocab = _takes_vocab(spec.build)
-    if takes_vocab != spec.needs_vocab:
-        raise RegistryError(
-            f"{spec.short_name}: needs_vocab={spec.needs_vocab} but the "
-            f"build function {'takes' if takes_vocab else 'does not take'} "
-            f"a `vocab` argument")
-    try:
-        prog = spec.build_program(hidden=_PROBE_HIDDEN, vocab=_PROBE_VOCAB)
-    except Exception as e:
-        raise RegistryError(
-            f"{spec.short_name}: probe build failed: {e}") from e
-    meta = derive_metadata(prog)
-    if meta.outputs != tuple(spec.outputs):
-        raise RegistryError(
-            f"{spec.short_name}: declared outputs {tuple(spec.outputs)} but "
-            f"the program's recursion produces {meta.outputs}")
-    if meta.multi_state != spec.multi_state:
-        raise RegistryError(
-            f"{spec.short_name}: multi_state={spec.multi_state} but the "
-            f"recursion resolves {len(meta.outputs)} state(s)")
-    if meta.kind != spec.kind:
-        raise RegistryError(
-            f"{spec.short_name}: declared kind {spec.kind.value!r} but the "
-            f"program was built for {meta.kind.value!r}")
-    # declaration agreement: the registry's bound must match the bound the
-    # program was built with (which sizes the runtime child arrays).  A
-    # declaration *wider* than the fixed slots actually read is fine —
-    # derive_metadata already hard-errors on the true inconsistency of a
-    # fixed slot beyond the program's bound.
-    if meta.declared_max_children != spec.max_children:
-        raise RegistryError(
-            f"{spec.short_name}: declared max_children={spec.max_children} "
-            f"but the program was built with "
-            f"max_children={meta.declared_max_children}")
-    if spec.needs_vocab and not meta.uses_words:
-        raise RegistryError(
-            f"{spec.short_name}: needs_vocab=True but the program never "
-            f"reads `n.word` — nothing to embed")
-
-
-def register(spec: ModelSpec, *, verify: bool = True) -> ModelSpec:
+def register(model: ModelDef) -> ModelDef:
     """Add a model to the registry; the only write path into ``MODELS``.
 
-    Rejects duplicate short names (``unregister`` first to replace) and,
-    with ``verify=True`` (the default), re-derives the structural metadata
-    from a probe build and refuses entries whose declarations drifted.
-    Returns the spec for chaining.
+    Rejects duplicate short names (``unregister`` first to replace) and
+    definitions the def's own derivation refuses.  Returns the def for
+    chaining.
     """
-    if spec.short_name in _MODELS:
+    if model.short_name in _MODELS:
         raise RegistryError(
-            f"model {spec.short_name!r} is already registered; "
+            f"model {model.short_name!r} is already registered; "
             f"unregister() it first to replace the entry")
-    if verify:
-        _verify_spec(spec)
-    _MODELS[spec.short_name] = spec
-    return spec
+    model.metadata()
+    _MODELS[model.short_name] = model
+    return model
 
 
-def unregister(name: str) -> ModelSpec:
+def unregister(name: str) -> ModelDef:
     """Remove (and return) a registered model; KeyError when absent."""
     return _MODELS.pop(name)
 
 
 # ---------------------------------------------------------------------------
-# The zoo.  Ported models (treefc, treernn, treegru, simple_treegru,
-# treelstm) register through the authoring layer: the cell definition in
-# their module is the single source from which parameters and the
-# recursive reference are derived.  The remaining entries still carry
-# hand-written params/reference callables; both go through register(), so
-# every entry is verified against its built program.
+# The zoo, in the paper's order: each module defines its cells once.
 
 for _def in (treefc.MODEL, treernn.MODEL, treegru.MODEL,
-             treegru.SIMPLE_MODEL, treelstm.MODEL):
-    register(_def.spec())
-
-register(ModelSpec(
-    name="N-ary TreeLSTM", short_name="treelstm_nary",
-    build=treelstm.build_nary, random_params=treelstm.random_params_nary,
-    reference=treelstm.reference_nary, outputs=("rnn_h_ph", "rnn_c_ph"),
-    kind=StructureKind.TREE, multi_state=True))
-register(ModelSpec(
-    name="MV-RNN", short_name="mvrnn",
-    build=mvrnn.build, random_params=mvrnn.random_params,
-    reference=mvrnn.reference, outputs=("rnn_h_ph", "rnn_M_ph"),
-    kind=StructureKind.TREE, hs=64, hl=128, multi_state=True))
-register(ModelSpec(
-    name="DAG-RNN", short_name="dagrnn",
-    build=dagrnn.build, random_params=dagrnn.random_params,
-    reference=dagrnn.reference, outputs=("rnn",),
-    kind=StructureKind.DAG, needs_vocab=False))
-register(ModelSpec(
-    name="Sequential LSTM", short_name="seq_lstm",
-    build=sequential.build_lstm,
-    random_params=sequential.random_params_lstm,
-    reference=sequential.reference_lstm,
-    outputs=("rnn_h_ph", "rnn_c_ph"),
-    kind=StructureKind.SEQUENCE, max_children=1, multi_state=True))
-register(ModelSpec(
-    name="Sequential GRU", short_name="seq_gru",
-    build=sequential.build_gru,
-    random_params=sequential.random_params_gru,
-    reference=sequential.reference_gru, outputs=("rnn",),
-    kind=StructureKind.SEQUENCE, max_children=1))
+             treegru.SIMPLE_MODEL, treelstm.MODEL, treelstm.NARY_MODEL,
+             mvrnn.MODEL, dagrnn.MODEL, sequential.LSTM_MODEL,
+             sequential.GRU_MODEL):
+    register(_def)
 
 #: the five models of the paper's main evaluation (Table 2 order)
 PAPER_MODELS: List[str] = ["treefc", "dagrnn", "treegru", "treelstm", "mvrnn"]

@@ -18,17 +18,16 @@ and saves one — the GRNN GRU optimization (§7.4).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence
 
-import numpy as np
-
+from ..authoring import model
 from ..ir import reduce_axis, reduce_sum, sigmoid, tanh
 from ..linearizer import Node, StructureKind
 from ..linearizer.structures import sequence as _chain
 from ..ra.ops import Program
 from ..ra.node_ref import isleaf
 from ..ra.tensor import NUM_NODES
-from .cells import matvec, np_sigmoid, random_matrix, random_vector
+from .cells import matvec
 
 DEFAULT_HIDDEN = 256
 
@@ -52,181 +51,87 @@ def _input_projection(p: Program, W, X, name: str, hidden: int):
 # LSTM
 
 
-def build_lstm(hidden: int = DEFAULT_HIDDEN, input_size: int = DEFAULT_HIDDEN,
-               vocab: int = 1000) -> Program:
+@model("seq_lstm", name="Sequential LSTM", kind=StructureKind.SEQUENCE,
+       max_children=1)
+def LSTM_MODEL(p, hidden: int = DEFAULT_HIDDEN,
+               input_size: int = DEFAULT_HIDDEN, vocab: int = 1000):
     H = hidden
-    with Program("seq_lstm", StructureKind.SEQUENCE, 1) as p:
-        X = p.input_tensor((vocab, input_size), "X")
-        ph_h = p.placeholder((NUM_NODES, H), "h_ph")
-        ph_c = p.placeholder((NUM_NODES, H), "c_ph")
-        Ws = {g: p.input_tensor((H, input_size), f"Wx{g}") for g in "iofu"}
-        Us = {g: p.input_tensor((H, H), f"U{g}") for g in "iofu"}
-        bs = {g: p.input_tensor((H,), f"b{g}") for g in "iofu"}
+    X = p.input_tensor((vocab, input_size), "X")
+    ph_h = p.placeholder((NUM_NODES, H), "h_ph")
+    ph_c = p.placeholder((NUM_NODES, H), "c_ph")
+    Ws = {g: p.input_tensor((H, input_size), f"Wx{g}") for g in "iofu"}
+    Us = {g: p.input_tensor((H, H), f"U{g}") for g in "iofu"}
+    bs = {g: p.input_tensor((H,), f"b{g}") for g in "iofu"}
 
-        xp = {g: _input_projection(p, Ws[g], X, f"x{g}", H) for g in "iofu"}
+    xp = {g: _input_projection(p, Ws[g], X, f"x{g}", H) for g in "iofu"}
 
-        leaf_h = p.compute((NUM_NODES, H), lambda n, i: 0.0, "leaf_h")
-        leaf_c = p.compute((NUM_NODES, H), lambda n, i: 0.0, "leaf_c")
+    leaf_h = p.compute((NUM_NODES, H), lambda n, i: 0.0, "leaf_h")
+    leaf_c = p.compute((NUM_NODES, H), lambda n, i: 0.0, "leaf_c")
 
-        hp = p.compute((NUM_NODES, H), lambda n, i: ph_h[n.left, i], "hp")
-        cp = p.compute((NUM_NODES, H), lambda n, i: ph_c[n.left, i], "cp")
-        m = {g: matvec(p, Us[g], hp, f"m{g}") for g in "iofu"}
-        gi = p.compute((NUM_NODES, H), lambda n, i:
-                       sigmoid(m["i"][n, i] + xp["i"][n, i] + bs["i"][i]), "gi")
-        gf = p.compute((NUM_NODES, H), lambda n, i:
-                       sigmoid(m["f"][n, i] + xp["f"][n, i] + bs["f"][i]), "gf")
-        go_ = p.compute((NUM_NODES, H), lambda n, i:
-                        sigmoid(m["o"][n, i] + xp["o"][n, i] + bs["o"][i]), "go")
-        gu = p.compute((NUM_NODES, H), lambda n, i:
-                       tanh(m["u"][n, i] + xp["u"][n, i] + bs["u"][i]), "gu")
-        rec_c = p.compute((NUM_NODES, H), lambda n, i:
-                          gf[n, i] * cp[n, i] + gi[n, i] * gu[n, i], "rec_c")
-        rec_h = p.compute((NUM_NODES, H), lambda n, i:
-                          go_[n, i] * tanh(rec_c[n, i]), "rec_h")
-        body_c = p.if_then_else((NUM_NODES, H),
-                                lambda n, i: (isleaf(n), leaf_c, rec_c),
-                                "body_c")
-        body_h = p.if_then_else((NUM_NODES, H),
-                                lambda n, i: (isleaf(n), leaf_h, rec_h),
-                                "body_h")
-        p.recursion_op([(ph_h, body_h), (ph_c, body_c)], name="rnn")
-    return p
-
-
-def random_params_lstm(hidden: int = DEFAULT_HIDDEN,
-                       input_size: int = DEFAULT_HIDDEN, vocab: int = 1000,
-                       rng: np.random.Generator | None = None
-                       ) -> Dict[str, np.ndarray]:
-    rng = rng or np.random.default_rng(0)
-    out = {"X": random_matrix(rng, vocab, input_size, scale=0.5)}
-    for g in "iofu":
-        out[f"Wx{g}"] = random_matrix(rng, hidden, input_size)
-        out[f"U{g}"] = random_matrix(rng, hidden, hidden)
-        out[f"b{g}"] = random_vector(rng, hidden)
-    return out
-
-
-def reference_lstm(roots: Sequence[Node], params: Dict[str, np.ndarray]
-                   ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-    out: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    H = params["Ui"].shape[0]
-
-    def go(node: Node) -> Tuple[np.ndarray, np.ndarray]:
-        if id(node) in out:
-            return out[id(node)]
-        if node.is_leaf:
-            h = np.zeros(H, np.float32)
-            c = np.zeros(H, np.float32)
-        else:
-            hp, cp = go(node.children[0])
-            x = params["X"][node.word]
-            gate = {}
-            for g in "iofu":
-                z = (params[f"U{g}"] @ hp + params[f"Wx{g}"] @ x
-                     + params[f"b{g}"])
-                gate[g] = np.tanh(z) if g == "u" else np_sigmoid(z)
-            c = (gate["f"] * cp + gate["i"] * gate["u"]).astype(np.float32)
-            h = (gate["o"] * np.tanh(c)).astype(np.float32)
-        out[id(node)] = (h, c)
-        return h, c
-
-    for r in roots:
-        go(r)
-    return out
+    hp = p.compute((NUM_NODES, H), lambda n, i: ph_h[n.left, i], "hp")
+    cp = p.compute((NUM_NODES, H), lambda n, i: ph_c[n.left, i], "cp")
+    m = {g: matvec(p, Us[g], hp, f"m{g}") for g in "iofu"}
+    gi = p.compute((NUM_NODES, H), lambda n, i:
+                   sigmoid(m["i"][n, i] + xp["i"][n, i] + bs["i"][i]), "gi")
+    gf = p.compute((NUM_NODES, H), lambda n, i:
+                   sigmoid(m["f"][n, i] + xp["f"][n, i] + bs["f"][i]), "gf")
+    go_ = p.compute((NUM_NODES, H), lambda n, i:
+                    sigmoid(m["o"][n, i] + xp["o"][n, i] + bs["o"][i]), "go")
+    gu = p.compute((NUM_NODES, H), lambda n, i:
+                   tanh(m["u"][n, i] + xp["u"][n, i] + bs["u"][i]), "gu")
+    rec_c = p.compute((NUM_NODES, H), lambda n, i:
+                      gf[n, i] * cp[n, i] + gi[n, i] * gu[n, i], "rec_c")
+    rec_h = p.compute((NUM_NODES, H), lambda n, i:
+                      go_[n, i] * tanh(rec_c[n, i]), "rec_h")
+    body_c = p.if_then_else((NUM_NODES, H),
+                            lambda n, i: (isleaf(n), leaf_c, rec_c),
+                            "body_c")
+    body_h = p.if_then_else((NUM_NODES, H),
+                            lambda n, i: (isleaf(n), leaf_h, rec_h),
+                            "body_h")
+    p.recursion_op([(ph_h, body_h), (ph_c, body_c)], name="rnn")
 
 
 # ---------------------------------------------------------------------------
 # GRU
 
 
-def build_gru(hidden: int = DEFAULT_HIDDEN, input_size: int = DEFAULT_HIDDEN,
-              vocab: int = 1000, *, simple: bool = False) -> Program:
+@model("seq_gru", name="Sequential GRU", kind=StructureKind.SEQUENCE,
+       max_children=1)
+def GRU_MODEL(p, hidden: int = DEFAULT_HIDDEN,
+              input_size: int = DEFAULT_HIDDEN, vocab: int = 1000):
     H = hidden
-    name = "seq_simple_gru" if simple else "seq_gru"
-    with Program(name, StructureKind.SEQUENCE, 1) as p:
-        X = p.input_tensor((vocab, input_size), "X")
-        ph = p.placeholder((NUM_NODES, H), "h_ph")
-        Wxz = p.input_tensor((H, input_size), "Wxz")
-        Wxr = p.input_tensor((H, input_size), "Wxr")
-        Wxh = p.input_tensor((H, input_size), "Wxh")
-        Uz = p.input_tensor((H, H), "Uz")
-        Ur = p.input_tensor((H, H), "Ur")
-        Uh = p.input_tensor((H, H), "Uh")
-        bz = p.input_tensor((H,), "bz")
-        br = p.input_tensor((H,), "br")
-        bh = p.input_tensor((H,), "bh")
+    X = p.input_tensor((vocab, input_size), "X")
+    ph = p.placeholder((NUM_NODES, H), "h_ph")
+    Wxz = p.input_tensor((H, input_size), "Wxz")
+    Wxr = p.input_tensor((H, input_size), "Wxr")
+    Wxh = p.input_tensor((H, input_size), "Wxh")
+    Uz = p.input_tensor((H, H), "Uz")
+    Ur = p.input_tensor((H, H), "Ur")
+    Uh = p.input_tensor((H, H), "Uh")
+    bz = p.input_tensor((H,), "bz")
+    br = p.input_tensor((H,), "br")
+    bh = p.input_tensor((H,), "bh")
 
-        xz = _input_projection(p, Wxz, X, "xz", H)
-        xr = _input_projection(p, Wxr, X, "xr", H)
-        xh = _input_projection(p, Wxh, X, "xh", H)
+    xz = _input_projection(p, Wxz, X, "xz", H)
+    xr = _input_projection(p, Wxr, X, "xr", H)
+    xh = _input_projection(p, Wxh, X, "xh", H)
 
-        leaf_h = p.compute((NUM_NODES, H), lambda n, i: 0.0, "leaf_h")
-        hp = p.compute((NUM_NODES, H), lambda n, i: ph[n.left, i], "hp")
-        mz = matvec(p, Uz, hp, "mz")
-        mr = matvec(p, Ur, hp, "mr")
-        z = p.compute((NUM_NODES, H), lambda n, i:
-                      sigmoid(mz[n, i] + xz[n, i] + bz[i]), "z")
-        r = p.compute((NUM_NODES, H), lambda n, i:
-                      sigmoid(mr[n, i] + xr[n, i] + br[i]), "r")
-        rh = p.compute((NUM_NODES, H), lambda n, i: r[n, i] * hp[n, i], "rh")
-        mh = matvec(p, Uh, rh, "mh")
-        hprime = p.compute((NUM_NODES, H), lambda n, i:
-                           tanh(mh[n, i] + xh[n, i] + bh[i]), "hprime")
-        if simple:
-            rec_h = p.compute((NUM_NODES, H), lambda n, i:
-                              (1.0 - z[n, i]) * hprime[n, i], "rec_h")
-        else:
-            rec_h = p.compute((NUM_NODES, H), lambda n, i:
-                              z[n, i] * hp[n, i]
-                              + (1.0 - z[n, i]) * hprime[n, i], "rec_h")
-        body = p.if_then_else((NUM_NODES, H),
-                              lambda n, i: (isleaf(n), leaf_h, rec_h), "body_h")
-        p.recursion_op(ph, body, "rnn")
-    return p
-
-
-def random_params_gru(hidden: int = DEFAULT_HIDDEN,
-                      input_size: int = DEFAULT_HIDDEN, vocab: int = 1000,
-                      rng: np.random.Generator | None = None
-                      ) -> Dict[str, np.ndarray]:
-    rng = rng or np.random.default_rng(0)
-    out = {"X": random_matrix(rng, vocab, input_size, scale=0.5)}
-    for g, w in (("z", "Wxz"), ("r", "Wxr"), ("h", "Wxh")):
-        out[w] = random_matrix(rng, hidden, input_size)
-        out[f"U{g}"] = random_matrix(rng, hidden, hidden)
-        out[f"b{g}"] = random_vector(rng, hidden)
-    return out
-
-
-def reference_gru(roots: Sequence[Node], params: Dict[str, np.ndarray], *,
-                  simple: bool = False) -> Dict[int, np.ndarray]:
-    out: Dict[int, np.ndarray] = {}
-    H = params["Uz"].shape[0]
-
-    def go(node: Node) -> np.ndarray:
-        if id(node) in out:
-            return out[id(node)]
-        if node.is_leaf:
-            h = np.zeros(H, np.float32)
-        else:
-            hp = go(node.children[0])
-            x = params["X"][node.word]
-            z = np_sigmoid(params["Uz"] @ hp + params["Wxz"] @ x + params["bz"])
-            r = np_sigmoid(params["Ur"] @ hp + params["Wxr"] @ x + params["br"])
-            hp2 = np.tanh(params["Uh"] @ (r * hp) + params["Wxh"] @ x
-                          + params["bh"])
-            if simple:
-                h = ((1.0 - z) * hp2).astype(np.float32)
-            else:
-                h = (z * hp + (1.0 - z) * hp2).astype(np.float32)
-        out[id(node)] = h
-        return h
-
-    for r in roots:
-        go(r)
-    return out
-
-
-OUTPUT = "rnn"
-OUTPUT_H = "rnn_h_ph"
-OUTPUT_C = "rnn_c_ph"
+    leaf_h = p.compute((NUM_NODES, H), lambda n, i: 0.0, "leaf_h")
+    hp = p.compute((NUM_NODES, H), lambda n, i: ph[n.left, i], "hp")
+    mz = matvec(p, Uz, hp, "mz")
+    mr = matvec(p, Ur, hp, "mr")
+    z = p.compute((NUM_NODES, H), lambda n, i:
+                  sigmoid(mz[n, i] + xz[n, i] + bz[i]), "z")
+    r = p.compute((NUM_NODES, H), lambda n, i:
+                  sigmoid(mr[n, i] + xr[n, i] + br[i]), "r")
+    rh = p.compute((NUM_NODES, H), lambda n, i: r[n, i] * hp[n, i], "rh")
+    mh = matvec(p, Uh, rh, "mh")
+    hprime = p.compute((NUM_NODES, H), lambda n, i:
+                       tanh(mh[n, i] + xh[n, i] + bh[i]), "hprime")
+    rec_h = p.compute((NUM_NODES, H), lambda n, i:
+                      z[n, i] * hp[n, i]
+                      + (1.0 - z[n, i]) * hprime[n, i], "rec_h")
+    body = p.if_then_else((NUM_NODES, H),
+                          lambda n, i: (isleaf(n), leaf_h, rec_h), "body_h")
+    p.recursion_op(ph, body, "rnn")

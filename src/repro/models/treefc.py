@@ -43,12 +43,3 @@ def MODEL(p, hidden: int = DEFAULT_HIDDEN, vocab: int = 1000):
     body = p.if_then_else((NUM_NODES, hidden),
                           lambda n, i: (isleaf(n), leaf_h, rec_h), "body_h")
     p.recursion_op(ph, body, "rnn")
-
-
-#: derived builder/params (kept as module-level names for convenience)
-build = MODEL.build
-random_params = MODEL.random_params
-reference = MODEL.reference
-
-
-OUTPUT = "rnn"

@@ -77,12 +77,3 @@ MODEL = define_model("treegru", _cell, name="TreeGRU",
 SIMPLE_MODEL = define_model(
     "simple_treegru", functools.partial(_cell, simple=True),
     name="SimpleTreeGRU", kind=StructureKind.TREE, max_children=2)
-
-build = MODEL.build
-build_simple = SIMPLE_MODEL.build
-random_params = MODEL.random_params
-reference = MODEL.reference
-reference_simple = SIMPLE_MODEL.reference
-
-
-OUTPUT = "rnn"

@@ -1,7 +1,7 @@
 """The staged compiler pipeline and the compile-cache session.
 
 :class:`CompilerPipeline` is what ``repro.compile`` runs, one stage at a
-time: **build** the RA program from a model spec, **schedule** it
+time: **build** the RA program from a model definition, **schedule** it
 (imprint :class:`~repro.options.CompileOptions` through the §3.1
 primitives and validate), **lower** recursion to loops (recording the
 zero-fill and splice-safety verdicts in ``module.meta``), run **codegen**
@@ -13,8 +13,8 @@ stages from ``lower()``'s tail on.  Each stage is timed into a
 the introspection autotuners, servers and CI want from a compiler front
 door (cf. Relay/TVM's pass-pipeline design).
 
-:class:`Session` caches compiled models by ``(model spec, resolved build
-arguments, options.cache_key())`` so routers, benchmark harnesses and
+:class:`Session` caches compiled models by ``(model definition, resolved
+build arguments, options.cache_key())`` so routers, benchmark harnesses and
 grid-search autotuners stop recompiling identical configurations — a
 cache hit returns the *same* :class:`~repro.api.CortexModel` object, so
 its host plan and workspace arena are shared too.  Compilation requests
@@ -33,7 +33,8 @@ import numpy as np
 
 from .api import CortexModel
 from .ilir.codegen.compiled import CompiledModule
-from .models.registry import ModelSpec, resolve_model
+from .authoring import ModelDef
+from .models.registry import resolve_model
 from .obs import STATUS_ERROR, Tracer
 from .options import CompileOptions
 from .ra.lowering import lower, run_codegen
@@ -96,7 +97,7 @@ class CompileReport:
 
 
 class CompilerPipeline:
-    """The staged front door: spec + options -> compiled model.
+    """The staged front door: model + options -> compiled model.
 
     ``on_stage`` (constructor-level, and/or per-call) observes every
     :class:`StageRecord` as its stage finishes; ``compile_count`` tallies
@@ -119,7 +120,7 @@ class CompilerPipeline:
         self.tracer = tracer
         self.compile_count = 0
 
-    def compile(self, model: Union[str, ModelSpec],
+    def compile(self, model: Union[str, ModelDef],
                 options: Optional[CompileOptions] = None, *,
                 hidden: Optional[int] = None, vocab: int = 1000,
                 params: Optional[Mapping[str, np.ndarray]] = None,
@@ -128,10 +129,9 @@ class CompilerPipeline:
                 **build_kw) -> CortexModel:
         """Run every stage; returns the model with its report attached.
 
-        ``model`` is a registry name, a :class:`ModelSpec`, or an
-        authoring :class:`~repro.authoring.ModelDef` (resolved to its
-        derived spec) — user-authored models compile identically to zoo
-        entries.
+        ``model`` is a registry name or an authoring
+        :class:`~repro.authoring.ModelDef` — user-authored models compile
+        identically to zoo entries.
         """
         spec = resolve_model(model)
         opts = _resolve_options(options)
@@ -155,10 +155,11 @@ class CompilerPipeline:
 
         try:
             t0 = time.perf_counter()
-            prog = spec.build_program(hidden, vocab, **build_kw)
+            # a fresh program: the schedule stage below mutates it
+            prog = spec.build(hidden, vocab, **build_kw)
             model_params = (dict(params) if params is not None
-                            else spec.make_params(hidden, vocab, rng=rng,
-                                                  **build_kw))
+                            else spec.random_params(hidden, vocab, rng=rng,
+                                                    **build_kw))
             finish("build", t0)
 
             t0 = time.perf_counter()
@@ -216,9 +217,9 @@ class SessionStats:
 
 
 class Session:
-    """A compile cache: equal ``(spec, args, options)`` -> same model.
+    """A compile cache: equal ``(model, args, options)`` -> same model.
 
-    The cache key is ``(model short name, resolved build arguments,
+    The cache key is ``(model definition, resolved build arguments,
     options.cache_key())`` — :meth:`CompileOptions.cache_key` is a stable
     content hash, so two *equal* options objects hit the same entry.  A
     hit returns the identical :class:`CortexModel` object (plan and arena
@@ -231,7 +232,7 @@ class Session:
         self.stats = SessionStats()
         self._cache: Dict[Tuple, CortexModel] = {}
 
-    def compile(self, model: Union[str, ModelSpec],
+    def compile(self, model: Union[str, ModelDef],
                 options: Optional[CompileOptions] = None, *,
                 hidden: Optional[int] = None, vocab: int = 1000,
                 params: Optional[Mapping[str, np.ndarray]] = None,
@@ -243,9 +244,9 @@ class Session:
         ``on_stage`` observes pipeline stages exactly as in
         :meth:`CompilerPipeline.compile`; a cache hit runs no stages, so
         the hook fires only when compilation actually happens.  A
-        :class:`~repro.authoring.ModelDef` resolves to its cached derived
-        spec, so compiling through the def and through the registered
-        name hit the same cache entry.
+        registered name resolves to its :class:`~repro.authoring.ModelDef`,
+        so compiling through the def and through the name hit the same
+        cache entry.
         """
         spec = resolve_model(model)
         opts = _resolve_options(options)
@@ -267,14 +268,14 @@ class Session:
         return compiled
 
     @staticmethod
-    def _key(spec: ModelSpec, opts: CompileOptions, hidden: Optional[int],
+    def _key(spec: ModelDef, opts: CompileOptions, hidden: Optional[int],
              vocab: int, build_kw: Dict[str, object]) -> Tuple:
-        # the spec itself keys the entry (a frozen dataclass hashing its
-        # build/params callables), so a custom spec reusing a zoo
-        # short_name can never collide with the zoo model; build args are
-        # resolved so hidden=None and hidden=spec.hs share an entry (and
-        # vocab drops out for models that never embed)
-        args = spec.build_args(hidden, vocab, **build_kw)
+        # the def itself keys the entry (it hashes by identity), so a
+        # custom def reusing a zoo short_name can never collide with the
+        # zoo model; build args are resolved so hidden=None and
+        # hidden=spec.hs share an entry (and vocab drops out for models
+        # that never embed)
+        args = spec._resolve_args(hidden, vocab, build_kw)
         return (spec, tuple(sorted(args.items())), opts.cache_key())
 
     def clear(self) -> None:

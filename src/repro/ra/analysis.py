@@ -243,13 +243,12 @@ def count_tensor_ops(prog: Program) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Metadata derivation (authoring / registry verification)
+# Metadata derivation (authoring)
 #
-# The registry used to carry hand-maintained ``outputs`` / ``needs_vocab`` /
-# ``max_children`` flags that could silently drift from what the built
-# program actually does.  These analyses read the same facts *off the
-# program*: the authoring layer uses them to fill metadata in, and
-# ``models.registry.register`` re-derives them to veto drifted declarations.
+# The facts a model definition would otherwise have to declare by hand —
+# its output state buffers, whether it resolves several states, whether
+# it reads ``n.word`` and through which tables — are read *off the
+# program*: :class:`~repro.authoring.ModelDef` derives them once.
 
 
 def _all_exprs(prog: Program):
@@ -267,19 +266,36 @@ def _all_exprs(prog: Program):
             yield op.cond
 
 
+def _reads_word(prog: Program, e) -> bool:
+    from ..ir import UFCall, walk
+
+    words = prog.access.words
+    return any(isinstance(x, UFCall) and x.fn is words for x in walk(e))
+
+
 def uses_words(prog: Program) -> bool:
     """Does any operator read the node payload (``n.word``)?
 
     True for embedding lookups *and* feature-table reads (DAG-RNN), so a
     ``True`` here does not by itself imply the model takes a vocabulary
-    argument — but a model that claims ``needs_vocab`` without ever
-    reading ``n.word`` has nothing to embed, which registration rejects.
+    argument — but a model that takes ``vocab`` without ever reading
+    ``n.word`` has nothing to embed, which its derivation refuses.
     """
-    from ..ir import UFCall, walk
+    return any(_reads_word(prog, e) for e in _all_exprs(prog))
 
-    words = prog.access.words
-    return any(isinstance(x, UFCall) and x.fn is words
-               for e in _all_exprs(prog) for x in walk(e))
+
+def word_tables(prog: Program) -> frozenset:
+    """Names of the tensors some operator indexes by ``n.word``.
+
+    These are the program's lookup tables — embeddings and DAG-RNN's
+    feature table alike — whatever their extents happen to be.
+    """
+    from ..ir import TensorRead, walk
+
+    return frozenset(
+        x.buffer.name for e in _all_exprs(prog) for x in walk(e)
+        if isinstance(x, TensorRead)
+        and any(_reads_word(prog, i) for i in x.indices))
 
 
 def used_child_slots(prog: Program) -> tuple:
@@ -306,25 +322,6 @@ def used_child_slots(prog: Program) -> tuple:
     return frozenset(fixed), child_any
 
 
-def derived_max_children(prog: Program) -> int:
-    """The arity bound the program's structure accesses require.
-
-    Symbolic child-sum accesses (``child(k, n)``) iterate up to the
-    declared bound, so they pin the derived value to the declaration;
-    otherwise the highest fixed slot read determines it.  A program whose
-    declaration exceeds what it ever reads still *works* — the declared
-    value also sizes runtime arrays — but a fixed slot beyond the
-    declaration is a hard inconsistency (the linearizer would never fill
-    that slot), which :func:`derive_metadata` surfaces.
-    """
-    fixed, child_any = used_child_slots(prog)
-    if child_any:
-        return prog.max_children
-    if fixed:
-        return max(fixed) + 1
-    return prog.max_children
-
-
 def derived_outputs(prog: Program) -> tuple:
     """Output state-buffer names, read off ``recursion_op``'s outputs."""
     prog.finalize()
@@ -341,23 +338,21 @@ def derived_multi_state(prog: Program) -> bool:
 
 @dataclass(frozen=True)
 class DerivedMetadata:
-    """Registry-relevant facts derived from a built program."""
+    """Model-level facts derived from a built program."""
 
     outputs: tuple
     multi_state: bool
-    #: arity bound the structure accesses *require* (lower bound)
-    max_children: int
-    #: arity bound the program was built with (sizes runtime arrays)
-    declared_max_children: int
-    kind: object  # StructureKind (import cycle with linearizer avoided)
     uses_words: bool
-    fixed_child_slots: frozenset
-    uses_child_any: bool
 
 
 def derive_metadata(prog: Program) -> DerivedMetadata:
-    """Derive every registry metadata field from one built program."""
-    fixed, child_any = used_child_slots(prog)
+    """Derive a model's metadata from one built program.
+
+    A fixed child slot read beyond the program's ``max_children`` is a
+    hard inconsistency (the linearizer would never fill that slot) and
+    raises :class:`~repro.errors.LoweringError`.
+    """
+    fixed, _ = used_child_slots(prog)
     if fixed and max(fixed) + 1 > prog.max_children:
         raise LoweringError(
             f"{prog.name}: reads child slot {max(fixed)} but declares "
@@ -365,9 +360,4 @@ def derive_metadata(prog: Program) -> DerivedMetadata:
     return DerivedMetadata(
         outputs=derived_outputs(prog),
         multi_state=derived_multi_state(prog),
-        max_children=derived_max_children(prog),
-        declared_max_children=prog.max_children,
-        kind=prog.kind,
-        uses_words=uses_words(prog),
-        fixed_child_slots=fixed,
-        uses_child_any=child_any)
+        uses_words=uses_words(prog))

@@ -278,7 +278,7 @@ def _private_arena_view(model: "CortexModel") -> "CortexModel":
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..api import CortexModel
-    from ..models.registry import ModelSpec
+    from ..authoring import ModelDef
     from ..options import CompileOptions
     from ..pipeline import Session
 
@@ -345,19 +345,18 @@ class Router:
         self._servers[name] = server
         return server
 
-    def deploy(self, name: str, model: Union[str, "ModelSpec"],
+    def deploy(self, name: str, model: Union[str, "ModelDef"],
                options: Optional["CompileOptions"] = None, *,
                hidden: Optional[int] = None, vocab: int = 1000,
                build_kw: Optional[dict] = None,
                **server_kw) -> ModelServer:
         """Compile (through the router's session cache) and register.
 
-        ``model`` is a registry name, a spec, or a user-authored
-        :class:`~repro.authoring.ModelDef` (resolved to its derived spec
-        by the session) — custom models deploy exactly like zoo models;
-        ``options`` a
+        ``model`` is a registry name or a user-authored
+        :class:`~repro.authoring.ModelDef` — custom models deploy exactly
+        like zoo models; ``options`` a
         :class:`~repro.options.CompileOptions` (default: the paper
-        headline schedule).  Equal ``(spec, options)`` deployments under
+        headline schedule).  Equal ``(model, options)`` deployments under
         different names share one *compilation* — program, generated
         kernels, host plan — so multi-alias serving costs one compile;
         each deployment still gets its own workspace arena (arenas are
@@ -391,7 +390,7 @@ class Router:
         self._servers[name] = pool
         return pool
 
-    def deploy_pool(self, name: str, model: Union[str, "ModelSpec"],
+    def deploy_pool(self, name: str, model: Union[str, "ModelDef"],
                     options: Optional["CompileOptions"] = None, *,
                     replicas: int = 2, hidden: Optional[int] = None,
                     vocab: int = 1000, build_kw: Optional[dict] = None,

@@ -87,7 +87,7 @@ def load_model_file(path: str) -> None:
         if not isinstance(value, ModelDef):
             continue
         existing = MODELS.get(value.short_name)
-        if existing is not None and existing is not value.spec():
+        if existing is not None and existing is not value:
             if _MODEL_FILE_SOURCES.get(value.short_name) == file:
                 # the same file, loaded again (e.g. a second CLI command
                 # in one process): replace with this load's definition

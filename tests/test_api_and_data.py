@@ -128,9 +128,22 @@ def test_cli_parser_subcommands():
 
 
 def test_cli_models(capsys):
+    """Ten zoo models: key, name, structure, hs, hl, #states."""
     assert main(["models"]) == 0
     out = capsys.readouterr().out
-    assert "treelstm" in out and "dagrnn" in out
+    rows = [[c.strip() for c in line.split("|")]
+            for line in out.splitlines() if "|" in line][1:]
+    assert rows == [
+        ["dagrnn", "DAG-RNN", "dag", "256", "512", "1"],
+        ["mvrnn", "MV-RNN", "tree", "64", "128", "2"],
+        ["seq_gru", "Sequential GRU", "sequence", "256", "512", "1"],
+        ["seq_lstm", "Sequential LSTM", "sequence", "256", "512", "2"],
+        ["simple_treegru", "SimpleTreeGRU", "tree", "256", "512", "1"],
+        ["treefc", "TreeFC", "tree", "256", "512", "1"],
+        ["treegru", "TreeGRU", "tree", "256", "512", "1"],
+        ["treelstm", "TreeLSTM", "tree", "256", "512", "2"],
+        ["treelstm_nary", "N-ary TreeLSTM", "tree", "256", "512", "2"],
+        ["treernn", "TreeRNN", "tree", "256", "512", "1"]]
 
 
 def test_cli_compile(capsys):

@@ -66,6 +66,16 @@ def test_loaded_model_matches_reference(tmp_path):
                                    ref[id(t)], atol=1e-4)
 
 
+def test_reloaded_model_memory_comparison(tmp_path):
+    """Fig. 12's comparison takes a reload, which has no spec or program."""
+    from repro.analysis.memusage import memory_comparison
+
+    model, loaded = _roundtrip(tmp_path, "treelstm")
+    assert loaded.spec is None and loaded.program is None
+    assert (memory_comparison(loaded, TREES, V100)
+            == memory_comparison(model, TREES, V100))
+
+
 def test_loaded_unfused_model_runs(tmp_path):
     model, loaded = _roundtrip(tmp_path, "treernn", fusion="none",
                                persistence=False)

@@ -2,18 +2,18 @@
 
 Three layers of guarantees:
 
-* **Reference parity** — the derived RA interpreter agrees with every
-  legacy hand-written NumPy reference across the zoo (both ported and
-  unported models, two hidden sizes, random structures, multi-state
-  models) to float32 GEMV-vs-GEMM tolerance, and agrees with *compiled*
-  outputs **bitwise** (the interpreter routes reductions through the same
-  canonicalized GEMM plans as the generated kernels).
+* **Reference parity** — every zoo model's derived reference (the RA
+  interpreter) agrees with an independent hand-written NumPy recursion
+  (``handwritten_references``; two hidden sizes, random structures,
+  multi-state models) to float32 GEMV-vs-GEMM tolerance, and agrees with
+  *compiled* outputs **bitwise** (the interpreter routes reductions
+  through the same canonicalized GEMM plans as the generated kernels).
 * **Authoring end-to-end** — a model authored purely through the new API
   (no ``random_params``, no hand-written reference) compiles via
   ``repro.compile``, serves coalesced through ``ModelServer``, round-trips
   as an artifact, and caches correctly in a ``Session``.
 * **Registry hardening** — duplicate rejection, read-only ``MODELS``,
-  deterministic order, and derive-and-verify of declared metadata.
+  deterministic order, and the refusals of the def's one derivation.
 """
 
 import numpy as np
@@ -21,12 +21,13 @@ import pytest
 
 import repro
 from repro.authoring import AuthoringError, ModelDef, define_model, model
+from repro.errors import LoweringError
 from repro.data import (grid_dag_batch, random_binary_tree, random_dag,
                         synthetic_treebank)
 from repro.ir import reduce_axis, reduce_sum, sigmoid, tanh
 from repro.linearizer import StructureKind, branch, iter_nodes, leaf
-from repro.models import (MODELS, ModelSpec, RegistryError, get_model,
-                          model_names, register, unregister)
+from repro.models import (MODELS, RegistryError, get_model, model_names,
+                          unregister)
 from repro.models.sequential import make_sequence
 from repro.ra.interp import InterpError, interpret_reference
 from repro.ra.tensor import NUM_NODES
@@ -37,8 +38,8 @@ import handwritten_references
 VOCAB = 60
 RNG = np.random.default_rng(11)
 
-#: tolerance for interpreter vs hand-written NumPy references: the legacy
-#: references use `@` (GEMV accumulation order), the interpreter executes
+#: tolerance for interpreter vs hand-written NumPy references: the
+#: hand-written ones use `@` (GEMV accumulation order), the interpreter executes
 #: the kernels' GEMM plans — identical math, float32-noise apart
 LEGACY_ATOL = 1e-5
 
@@ -59,46 +60,31 @@ def _as_tuple(value, multi):
 
 
 # ---------------------------------------------------------------------------
-# Parity: derived interpreter vs legacy hand-written references
+# Parity: derived references vs independent hand-written recursions
 
 
-PORTED = {
-    "treefc": handwritten_references.treefc,
-    "treernn": handwritten_references.treernn,
-    "treegru": handwritten_references.treegru,
-    "simple_treegru": handwritten_references.simple_treegru,
-    "treelstm": handwritten_references.treelstm,
-}
+#: one independent oracle per zoo model
+ORACLES = {
+    name: getattr(handwritten_references, name)
+    for name in ("treefc", "treernn", "treegru", "simple_treegru",
+                 "treelstm", "treelstm_nary", "mvrnn", "dagrnn",
+                 "seq_lstm", "seq_gru")}
+
+
+def test_every_zoo_model_has_an_oracle():
+    """No model joins the zoo without an independent reference."""
+    assert set(MODELS) == set(ORACLES)
 
 
 @pytest.mark.parametrize("hidden", [8, 32])
-@pytest.mark.parametrize("name", sorted(PORTED))
+@pytest.mark.parametrize("name", sorted(ORACLES))
 def test_derived_reference_matches_legacy(name, hidden):
     spec = get_model(name)
     rng = np.random.default_rng(hidden)
     roots = _roots_for(spec, rng)
-    params = spec.make_params(hidden=hidden, vocab=VOCAB)
+    params = spec.random_params(hidden=hidden, vocab=VOCAB)
     derived = spec.reference(roots, params)
-    legacy = PORTED[name](roots, params)
-    for node in iter_nodes(roots):
-        d = _as_tuple(derived[id(node)], spec.multi_state)
-        l = _as_tuple(legacy[id(node)], spec.multi_state)
-        for dv, lv in zip(d, l):
-            np.testing.assert_allclose(dv, lv, atol=LEGACY_ATOL)
-
-
-@pytest.mark.parametrize("hidden", [8, 32])
-@pytest.mark.parametrize("name", sorted(set(MODELS) - set(PORTED)))
-def test_interpreter_matches_unported_references(name, hidden):
-    """The interpreter also reproduces every *unported* hand-written
-    reference (mvrnn's matrix state, dagrnn's features, sequences)."""
-    spec = get_model(name)
-    rng = np.random.default_rng(hidden + 1)
-    roots = _roots_for(spec, rng)
-    params = spec.make_params(hidden=hidden, vocab=VOCAB)
-    prog = spec.build_program(hidden=hidden, vocab=VOCAB)
-    derived = interpret_reference(prog, roots, params)
-    legacy = spec.reference(roots, params)
+    legacy = ORACLES[name](roots, params)
     for node in iter_nodes(roots):
         d = _as_tuple(derived[id(node)], spec.multi_state)
         l = _as_tuple(legacy[id(node)], spec.multi_state)
@@ -111,11 +97,10 @@ def test_interpreter_bitwise_identical_to_compiled(name):
     """interp == compiled with ZERO tolerance, every node, every state."""
     spec = get_model(name)
     rng = np.random.default_rng(5)
-    kw = {} if not spec.needs_vocab else {"vocab": VOCAB}
-    m = repro.compile(spec, hidden=8, **kw)
+    m = repro.compile(spec, hidden=8, vocab=VOCAB)
     roots = _roots_for(spec, rng)
     res = m.run(roots)
-    prog = spec.build_program(hidden=8, vocab=VOCAB)
+    prog = spec.build(hidden=8, vocab=VOCAB)
     derived = interpret_reference(prog, roots, m.params)
     for node in iter_nodes(roots):
         nid = res.lin.node_id(node)
@@ -129,7 +114,7 @@ def test_treelstm_reference_infers_wide_arity():
     """The derived reference widens max_children from the input arity."""
     spec = get_model("treelstm")
     root = branch(leaf(1), leaf(2), branch(leaf(3), leaf(4), leaf(5)))
-    params = spec.make_params(hidden=8, vocab=VOCAB)
+    params = spec.random_params(hidden=8, vocab=VOCAB)
     derived = spec.reference([root], params)
     legacy = handwritten_references.treelstm([root], params)
     for node in iter_nodes([root]):
@@ -139,7 +124,7 @@ def test_treelstm_reference_infers_wide_arity():
 
 def test_interpreter_rejects_missing_and_misshaped_params():
     spec = get_model("treernn")
-    prog = spec.build_program(hidden=8, vocab=VOCAB)
+    prog = spec.build(hidden=8, vocab=VOCAB)
     tree = random_binary_tree(4, vocab_size=VOCAB,
                               rng=np.random.default_rng(0))
     with pytest.raises(InterpError, match="missing parameter"):
@@ -155,8 +140,8 @@ def test_interpreter_rejects_missing_and_misshaped_params():
 
 def test_derived_params_match_program_shapes_and_seed():
     spec = get_model("treelstm")
-    prog = spec.build_program(hidden=16, vocab=VOCAB)
-    params = spec.make_params(hidden=16, vocab=VOCAB)
+    prog = spec.build(hidden=16, vocab=VOCAB)
+    params = spec.random_params(hidden=16, vocab=VOCAB)
     from repro.ra.ops import InputOp
 
     inputs = {op.output.name: op.output.concrete_shape({})
@@ -165,14 +150,29 @@ def test_derived_params_match_program_shapes_and_seed():
     for name, shape in inputs.items():
         assert params[name].shape == shape
         assert params[name].dtype == np.float32
-    # embedding convention: vocab-leading table at scale 0.5
+    # embedding convention: a table read through n.word at scale 0.5
     assert params["Emb"].std() > 2 * params["Ui"].std()
     # same seed -> same draws; different seed -> different
-    again = spec.make_params(hidden=16, vocab=VOCAB)
+    again = spec.random_params(hidden=16, vocab=VOCAB)
     assert all(np.array_equal(params[k], again[k]) for k in params)
-    other = spec.make_params(hidden=16, vocab=VOCAB,
-                             rng=np.random.default_rng(9))
+    other = spec.random_params(hidden=16, vocab=VOCAB,
+                               rng=np.random.default_rng(9))
     assert not np.array_equal(params["Ui"], other["Ui"])
+
+
+def test_default_init_finds_tables_by_word_reads():
+    """A table is what the program indexes by `n.word`, not whatever
+    tensor happens to lead with the vocabulary's extent."""
+    params = repro.compile("treelstm", hidden=64, vocab=64).params
+    assert 0.45 < params["Emb"].std() < 0.55
+    for name in ("Ui", "Uo", "Uu", "Uf"):
+        assert 0.09 < params[name].std() < 0.11, name
+    # dagrnn's feature table gets the table scale without an override
+    dagrnn = get_model("dagrnn")
+    assert "Feat" not in dagrnn.inits
+    params = dagrnn.random_params(hidden=64, num_cells=64)
+    assert 0.45 < params["Feat"].std() < 0.55
+    assert 0.09 < params["U"].std() < 0.11
 
 
 def test_init_override_and_infer_build_args():
@@ -274,8 +274,7 @@ def test_authored_def_and_name_share_session_entry(gated_def):
     session = repro.Session()
     a = session.compile(gated_def, hidden=16, vocab=VOCAB)
     b = session.compile("gated_toy", hidden=16, vocab=VOCAB)
-    c = session.compile(gated_def.spec(), hidden=16, vocab=VOCAB)
-    assert a is b and b is c
+    assert a is b and a.spec is gated_def
     assert session.cache_info()["misses"] == 1
 
 
@@ -373,55 +372,51 @@ def test_register_rejects_duplicate_short_name(gated_def):
         clone.register()
 
 
-def test_register_rejects_drifted_outputs():
-    base = get_model("treernn")
-    bad = ModelSpec(
-        name="Drifted", short_name="drifted_outputs",
-        build=base.build, random_params=base.random_params,
-        reference=base.reference, outputs=("not_the_output",),
-        kind=StructureKind.TREE)
-    with pytest.raises(RegistryError, match="recursion produces"):
-        register(bad)
-    assert "drifted_outputs" not in MODELS
+def _wordless_cell(p, hidden, vocab):
+    """Takes `vocab` but never reads `n.word`: nothing to embed."""
+    Emb = p.input_tensor((vocab, hidden), "Emb")
+    ph = p.placeholder((NUM_NODES, hidden), "h_ph")
+    leaf_h = p.compute((NUM_NODES, hidden), lambda n, i: Emb[0, i], "leaf")
+    rec = p.compute((NUM_NODES, hidden),
+                    lambda n, i: ph[n.left, i] + ph[n.right, i], "rec")
+    body = p.if_then_else((NUM_NODES, hidden),
+                          lambda n, i: (isleaf(n), leaf_h, rec), "body")
+    p.recursion_op(ph, body, "rnn")
 
 
-def test_register_rejects_drifted_vocab_flag():
-    base = get_model("treernn")
-    bad = ModelSpec(
-        name="Drifted", short_name="drifted_vocab",
-        build=base.build, random_params=base.random_params,
-        reference=base.reference, outputs=("rnn",),
-        kind=StructureKind.TREE, needs_vocab=False)
-    with pytest.raises(RegistryError, match="needs_vocab"):
-        register(bad)
+def test_register_rejects_vocab_without_word_read():
+    d = define_model("wordless_toy", _wordless_cell)
+    with pytest.raises(AuthoringError, match="never reads `n.word`"):
+        d.register()
+    assert "wordless_toy" not in MODELS
 
 
-def test_register_rejects_drifted_max_children():
-    base = get_model("treernn")
-    bad = ModelSpec(
-        name="Drifted", short_name="drifted_children",
-        build=base.build, random_params=base.random_params,
-        reference=base.reference, outputs=("rnn",),
-        kind=StructureKind.TREE, max_children=5)
-    with pytest.raises(RegistryError, match="max_children"):
-        register(bad)
+def test_register_rejects_child_slot_beyond_max_children():
+    def third_child(p, hidden, vocab):
+        Emb = p.input_tensor((vocab, hidden), "Emb")
+        ph = p.placeholder((NUM_NODES, hidden), "h_ph")
+        leaf_h = p.compute((NUM_NODES, hidden),
+                           lambda n, i: Emb[n.word, i], "leaf")
+        # placeholders are only readable at declared slots; any other
+        # tensor read at a third child still needs a slot that is never
+        # filled
+        rec = p.compute((NUM_NODES, hidden),
+                        lambda n, i: tanh(ph[n.left, i])
+                        + leaf_h[n.child(2), i], "rec")
+        body = p.if_then_else((NUM_NODES, hidden),
+                              lambda n, i: (isleaf(n), leaf_h, rec), "body")
+        p.recursion_op(ph, body, "rnn")
 
-
-def test_register_rejects_drifted_multi_state():
-    base = get_model("treelstm")
-    bad = ModelSpec(
-        name="Drifted", short_name="drifted_state",
-        build=base.build, random_params=base.random_params,
-        reference=base.reference, outputs=("rnn_h_ph", "rnn_c_ph"),
-        kind=StructureKind.TREE, multi_state=False)
-    with pytest.raises(RegistryError, match="multi_state"):
-        register(bad)
+    d = define_model("third_child_toy", third_child, max_children=2)
+    with pytest.raises(LoweringError, match="reads child slot 2"):
+        d.register()
+    assert "third_child_toy" not in MODELS
 
 
 def test_unregister_roundtrip(gated_def):
-    spec = gated_def.register()
-    assert get_model("gated_toy") is spec
-    assert unregister("gated_toy") is spec
+    d = gated_def.register()
+    assert d is gated_def and get_model("gated_toy") is d
+    assert unregister("gated_toy") is d
     with pytest.raises(KeyError):
         get_model("gated_toy")
 

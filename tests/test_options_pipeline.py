@@ -278,7 +278,7 @@ def test_run_and_run_many_accept_validate_enum():
 # -- _prog_of: owning-program resolution --------------------------------------
 
 def test_schedule_primitives_work_outside_program_block():
-    prog = get_model("treernn").build_program(hidden=8, vocab=VOCAB)
+    prog = get_model("treernn").build(hidden=8, vocab=VOCAB)
     out = prog.recursion.outputs[0]
     # no `with Program(...)` active: Program.current() would raise IRError
     with pytest.raises(IRError):
@@ -289,7 +289,7 @@ def test_schedule_primitives_work_outside_program_block():
 
 
 def test_schedule_primitives_target_owning_program_not_current():
-    prog = get_model("treernn").build_program(hidden=8, vocab=VOCAB)
+    prog = get_model("treernn").build(hidden=8, vocab=VOCAB)
     out = prog.recursion.outputs[0]
     with Program("decoy"):
         decoy = Program.current()
