@@ -6,7 +6,9 @@ compiler into a ``.so`` and launches through ``ctypes``.  It renders the
 module's operator nests, which a module reloaded from an artifact carries
 too, so a reload renders the same source byte for byte.  The source is
 one text in :data:`PARTS` that the preprocessor selects (``REPRO_PART``),
-so that the build may compile them as concurrent units and link them.
+so that the build may compile them as concurrent units and link them, and
+holds every ISA variant; a build may keep one of the wide ones
+(``REPRO_WIDE``, :func:`wide_define`).
 
 The generator mirrors ``python_codegen.PythonCodegen`` construct
 for construct so the two targets agree bitwise wherever the arithmetic
@@ -41,18 +43,21 @@ On top of that it makes four schedule choices, none visible in the IR:
   tile, then scalar columns.  Everything the matcher refuses (min/max,
   non-constant extents, both operands node-indexed, guarded nests,
   dtypes other than float32) keeps the fold.
-* **Two ISA variants** (:data:`VARIANTS`).  Every kernel body and
+* **Three ISA variants** (:data:`VARIANTS`).  Every kernel body and
   microkernel is emitted at 4 lanes (``k_<name>_base``, portable 16-byte
-  vectors) and, under ``REPRO_AVX2`` (x86-64, GCC/Clang), again at 8
+  vectors) and, on x86-64 with GCC/Clang (``REPRO_X86``), again at 8
   lanes inside ``__attribute__((target("avx2")))`` functions
-  (``k_<name>_avx2``).  A constructor asks
-  ``__builtin_cpu_supports("avx2")`` once; the exported ``k_<name>``
-  forwards to the variant it allows and ``repro_lanes()`` reports it, so
-  the launcher packs panels of that width.  No ``-march`` flag: the
-  ``.so`` runs wherever it is loaded.  Lanes stay distinct outputs and
-  products are rounded before they are added (no FMA), so both variants
-  produce the fold's bits.  (32-byte vectors compiled *without* AVX run
-  several times slower than 16-byte ones, hence two bodies, not one.)
+  (``k_<name>_avx2``) and at 16 inside ``target("avx512f")`` ones
+  (``k_<name>_avx512f``), each wide variant in a part of its own.  A
+  constructor asks ``__builtin_cpu_supports`` once, widest first, among
+  the variants the build holds (``repro_held()``); the exported
+  ``k_<name>`` forwards to the one it picked and ``repro_lanes()``
+  reports it, so the launcher packs panels of that width.  No ``-march``
+  flag: the ``.so`` runs wherever it is loaded.  Lanes stay distinct
+  outputs and products are rounded before they are added (no FMA), so
+  every variant produces the fold's bits.  (Wide vectors compiled
+  *without* their ISA run several times slower than 16-byte ones, hence
+  a body per variant, not one.)
 * **Lane loops** (:class:`_VTx`).  An elementwise nest whose innermost
   axis is a constant extent stored at unit stride, whose reads are
   unit-stride or invariant in it, runs that axis ``lanes`` iterations per
@@ -189,13 +194,20 @@ _C_PRELUDE = '''\
 extern "C" {
 #endif
 
-/* a parted build compiles part k of the source as a unit of its own
- * (-DREPRO_PART=k) and links the parts; without REPRO_PART the source is
- * every part at once */
-#ifdef REPRO_PART
-#define REPRO_IN(k) (REPRO_PART == (k))
+/* a build with -DREPRO_WIDE=k holds, besides the runtime (part 0) and the
+ * base variant (part 1), only the wide variant of part k; without it, every
+ * variant.  A parted build compiles each part it holds as a unit of its own
+ * (-DREPRO_PART=k) and links them; without REPRO_PART the source is every
+ * part it holds at once */
+#ifdef REPRO_WIDE
+#define REPRO_HOLDS(k) ((k) <= 1 || (k) == REPRO_WIDE)
 #else
-#define REPRO_IN(k) 1
+#define REPRO_HOLDS(k) 1
+#endif
+#ifdef REPRO_PART
+#define REPRO_IN(k) (REPRO_PART == (k) && REPRO_HOLDS(k))
+#else
+#define REPRO_IN(k) REPRO_HOLDS(k)
 #endif
 
 static inline float repro_minf(float a, float b) { return a < b ? a : b; }
@@ -527,10 +539,11 @@ REPRO_TEAM void repro_team_run(repro_team_body body, void* const* args,
 
 #: float32 vector helpers, instantiated once per ISA variant (``@L@``
 #: lanes, ``@B@`` bytes, ``@T@`` the variant's function attribute).  A
-#: 32-byte vector must never cross a function boundary compiled without
-#: AVX, so the small ones are ``always_inline``; the three polynomials
-#: stay out of line (one copy per variant, or ``cc`` time grows by half)
-#: and carry the variant's target attribute like their callers.
+#: 32- or 64-byte vector must never cross a function boundary compiled
+#: without its ISA, so the small ones are ``always_inline``; the three
+#: polynomials stay out of line (one copy per variant, or ``cc`` time
+#: grows by half) and carry the variant's target attribute like their
+#: callers.
 _C_VECTOR_PRELUDE = '''\
 /* ---- @L@-lane float32 vectors (@B@ bytes; GCC/Clang vector extension).
  * One output element per lane, so a lane sees exactly the scalar loop's
@@ -632,34 +645,6 @@ static inline float repro_sigmoidf(float x) {
 }
 static inline float repro_tanhf(float x) {
   return repro_vtanhf4(repro_vsplat4(x))[0];
-}
-'''
-
-#: the avx2 variant is compiled in when the compiler can target AVX2 per
-#: function (``REPRO_AVX2``); a constructor picks the variant once, at
-#: load time
-_AVX2_GUARD = '''\
-#if defined(__x86_64__) && defined(__GNUC__)
-#define REPRO_AVX2 1
-#endif
-'''
-
-_C_DISPATCH = '''\
-#ifdef REPRO_AVX2
-static int repro_use_avx2 = 0;
-__attribute__((constructor)) static void repro_pick_variant(void) {
-  __builtin_cpu_init();
-  repro_use_avx2 = __builtin_cpu_supports("avx2") != 0;
-}
-#endif
-
-/* float32 lanes of the variant the exported kernels dispatch to: the
- * launcher packs weight panels for that width */
-int repro_lanes(void) {
-#ifdef REPRO_AVX2
-  if (repro_use_avx2) return 8;
-#endif
-  return 4;
 }
 '''
 
@@ -974,15 +959,21 @@ class KernelSignature:
 
 
 #: ISA variants every kernel body is emitted at, as ``name -> float32
-#: lanes``.  ``base`` is portable 16-byte vector code; ``avx2`` is the same
-#: generator at 32 bytes inside ``target("avx2")`` functions, compiled in
-#: on x86-64 and chosen at load time.  ``k_<kernel>_<variant>`` is exported
-#: for each; ``k_<kernel>`` dispatches.
-VARIANTS = {"base": 4, "avx2": 8}
+#: lanes``, narrowest first.  ``base`` is portable 16-byte vector code;
+#: ``avx2`` and ``avx512f`` are the same generator at 32 and 64 bytes
+#: inside ``target("<variant>")`` functions, compiled in on x86-64.  A
+#: build holds ``base`` and every wide variant, or one of them
+#: (:func:`wide_define`); the library dispatches to the widest it holds
+#: that the CPU runs, chosen when it loads.  ``k_<kernel>_<variant>`` is
+#: exported for each held; ``k_<kernel>`` dispatches.
+VARIANTS = {"base": 4, "avx2": 8, "avx512f": 16}
+
+#: the variants past ``base``, each in a part of its own
+_WIDE = tuple(VARIANTS)[1:]
 
 #: contraction register tile: rows x vectors of output columns.  2 x 4
 #: accumulators, 4 weight vectors and 2 row splats fill 14 of the 16
-#: vector registers of x86-64 (xmm or ymm alike).
+#: vector registers of x86-64 (xmm or ymm alike; half of avx512f's 32).
 _TILE_ROWS = 2
 _TILE_VECS = 4
 
@@ -1007,9 +998,9 @@ def _variant_target(variant: str) -> str:
 #: the parts of a generated module's source, by ``REPRO_PART`` number:
 #: the model-independent runtime (the column team, the variant pick and
 #: the exported dispatchers, the linearizer), then each ISA variant's
-#: kernels and microkernels.  ``runtime/native.py`` compiles them as
-#: concurrent units and links the objects; without ``REPRO_PART`` the
-#: source is one unit.
+#: kernels and microkernels.  ``runtime/native.py`` compiles the parts a
+#: build holds (:func:`held_parts`) as concurrent units and links the
+#: objects; without ``REPRO_PART`` the source is one unit.
 PARTS = ("runtime", *VARIANTS)
 
 _PARTS_DEFINE = re.compile(r"^#define REPRO_PARTS (\d+)$", re.MULTILINE)
@@ -1022,17 +1013,53 @@ def source_parts(source: str) -> int:
     return int(m.group(1)) if m else 1
 
 
+def wide_define(variant: str) -> str:
+    """The build flag that keeps, of the wide variants, ``variant``'s part
+    only (none of them for ``base``): the runtime, ``base`` and it."""
+    return f"-DREPRO_WIDE={PARTS.index(variant)}"
+
+
+_WIDE_FLAG = re.compile(r"-DREPRO_WIDE=(\d+)$")
+
+
+def held_parts(parts: int, flags: Sequence[str]) -> List[int]:
+    """The parts of a ``parts``-part source that a build with ``flags``
+    compiles: every one, or, under a :func:`wide_define` flag, parts 0
+    and 1 and the one it names (``REPRO_HOLDS`` in the prelude)."""
+    wide = [int(m.group(1)) for f in flags if (m := _WIDE_FLAG.match(f))]
+    return [k for k in range(parts) if not wide or k <= 1 or k == wide[-1]]
+
+
+def _variant_macro(variant: str) -> str:
+    """Defined when the build holds the wide ``variant`` and the compiler
+    targets it per function."""
+    return f"REPRO_{variant.upper()}"
+
+
 def _part_guard(part: str) -> str:
-    """The ``#if`` that opens ``part``'s section of a source: the avx2
-    variant's also needs the compiler to target AVX2 (``REPRO_AVX2``)."""
+    """The ``#if`` that opens ``part``'s section of a source: a wide
+    variant's also needs its macro (:func:`_variant_macro`)."""
     guard = f"#if REPRO_IN({PARTS.index(part)})"
-    return guard + (" && defined(REPRO_AVX2)" if part == "avx2" else "")
+    if part in _WIDE:
+        guard += f" && defined({_variant_macro(part)})"
+    return guard
+
+
+def _variant_macros() -> str:
+    """The wide variants are compiled in where GCC/Clang targets x86-64
+    (``REPRO_X86``), each when the build holds it."""
+    lines = ["#if defined(__x86_64__) && defined(__GNUC__)",
+             "#define REPRO_X86 1", "#endif"]
+    for v in _WIDE:
+        lines += [f"#if defined(REPRO_X86) && REPRO_HOLDS({PARTS.index(v)})",
+                  f"#define {_variant_macro(v)} 1", "#endif"]
+    return "\n".join(lines) + "\n"
 
 
 def native_prelude() -> str:
     """What every part of a generated module opens with: the scalar
     helpers, the column team's declarations, then per ISA variant the
-    vector type and its helpers (the avx2 ones in the avx2 part only)."""
+    vector type and its helpers (a wide variant's in its own part only)."""
     def vectors(variant: str) -> str:
         lanes = VARIANTS[variant]
         return (_C_VECTOR_PRELUDE.replace("@L@", str(lanes))
@@ -1040,10 +1067,44 @@ def native_prelude() -> str:
                 .replace("@T@", _variant_target(variant))
                 .replace("@ZEROS@", ", ".join("0" * lanes)))
 
-    return "\n".join([_C_PRELUDE, _C_TEAM_API, vectors("base"),
-                      _C_SCALAR_POLYNOMIALS,
-                      _AVX2_GUARD, _part_guard("avx2"), vectors("avx2"),
-                      "#endif", ""])
+    out = [_C_PRELUDE, _C_TEAM_API, vectors("base"), _C_SCALAR_POLYNOMIALS,
+           _variant_macros()]
+    for v in _WIDE:
+        out += [_part_guard(v), vectors(v), "#endif"]
+    return "\n".join(out + [""])
+
+
+def _dispatch_source() -> str:
+    """The runtime part's variant pick: a constructor setting
+    ``repro_pick`` to the part of the widest variant the build holds that
+    the CPU runs, then ``repro_lanes()`` and ``repro_held()``."""
+    base = PARTS.index("base")
+    pick, held = [], [f"  int held = 1 << {base};"]
+    for v in reversed(_WIDE):
+        pick += [f"#ifdef {_variant_macro(v)}",
+                 f'  if (__builtin_cpu_supports("{v}")) {{ repro_pick = '
+                 f'{PARTS.index(v)}; return; }}', "#endif"]
+    for v in _WIDE:
+        held += [f"#ifdef {_variant_macro(v)}",
+                 f"  held |= 1 << {PARTS.index(v)};", "#endif"]
+    lanes = ", ".join(str(VARIANTS.get(p, 0)) for p in PARTS)
+    return "\n".join([
+        "/* the part of the variant the exported kernels dispatch to: the",
+        " * widest one this build holds that the CPU runs, picked at load */",
+        f"static int repro_pick = {base};",
+        "__attribute__((constructor)) static void repro_pick_variant(void) {",
+        "#ifdef REPRO_X86", "  __builtin_cpu_init();", "#endif", *pick, "}",
+        "",
+        "/* float32 lanes of the variant the exported kernels dispatch to: the",
+        " * launcher packs weight panels for that width */",
+        "int repro_lanes(void) {",
+        f"  static const int lanes[] = {{{lanes}}};",
+        "  return lanes[repro_pick];", "}", "",
+        "/* the variants this build holds, as a mask of their parts */",
+        "int repro_held(void) {", *held, "  return held;", "}", ""])
+
+
+_C_DISPATCH = _dispatch_source()
 
 
 class _NotVectorizable(Exception):
@@ -1419,16 +1480,19 @@ class NativeCodegen:
         whose entry points the variants' parts define."""
         params = self._params(sig)
         args = ", ".join(name for _, name in params)
-        protos = [self._declarator(f"{_variant_target(v)}void "
-                                   f"{sig.symbol}_{v}", params) + ";"
-                  for v in VARIANTS]
-        return "\n".join([
-            protos[0], "#ifdef REPRO_AVX2", *protos[1:], "#endif",
-            self._opening(f"void {sig.symbol}", params),
-            "#ifdef REPRO_AVX2",
-            f"  if (repro_use_avx2) {{ {sig.symbol}_avx2({args}); return; }}",
-            "#endif",
-            f"  {sig.symbol}_base({args});", "}", ""])
+        protos = [self._declarator(f"void {sig.symbol}_base", params) + ";"]
+        calls = []
+        for v in _WIDE:
+            protos += [f"#ifdef {_variant_macro(v)}",
+                       self._declarator(f"{_variant_target(v)}void "
+                                        f"{sig.symbol}_{v}", params) + ";",
+                       "#endif"]
+        for v in reversed(_WIDE):
+            calls += [f"#ifdef {_variant_macro(v)}",
+                      f"  if (repro_pick == {PARTS.index(v)}) {{ "
+                      f"{sig.symbol}_{v}({args}); return; }}", "#endif"]
+        return "\n".join([*protos, self._opening(f"void {sig.symbol}", params),
+                          *calls, f"  {sig.symbol}_base({args});", "}", ""])
 
     # -- shared helpers ------------------------------------------------------
     def _fresh(self, hint: str) -> str:

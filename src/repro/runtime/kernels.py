@@ -15,6 +15,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..ilir.passes.nonlinear_approx import sigmoid_rational, tanh_rational
+from .memory import aligned_bytes
 
 __all__ = ["tanh", "sigmoid", "sigmoid_fast", "exp", "log", "sqrt", "relu",
            "erf", "tanh_rational", "sigmoid_rational", "einsum2",
@@ -177,7 +178,10 @@ def panel_packed(base: np.ndarray, panel: int) -> np.ndarray:
     The native launcher's weight layout (BLIS-style): ``j // panel``
     blocks ``[r][panel]`` — block ``p`` holds columns ``p * panel ..`` of
     ``base.T`` — then the columns left over as one ``[r][tail]`` block,
-    flat, so a contraction tile streams its block front to back.  Shares
+    flat, so a contraction tile streams its block front to back.  The
+    copy starts on a cache line (:func:`~repro.runtime.memory.aligned_bytes`,
+    as the workspace slab does), so no wide vector load of a full panel
+    splits one; it is written in place, with no temporary.  Shares
     :data:`_CONTIG_CACHE` (and so :func:`clear_contig_cache`) with the
     GEMM operands above.
     """
@@ -187,10 +191,12 @@ def panel_packed(base: np.ndarray, panel: int) -> np.ndarray:
         return hit[1]
     n_cols, n_red = base.shape
     full = n_cols - n_cols % panel
+    packed = aligned_bytes(base.size * base.itemsize).view(base.dtype)
     wt = base.T
-    return _cache_copy(key, base, np.concatenate((
-        wt[:, :full].reshape(n_red, -1, panel).transpose(1, 0, 2).ravel(),
-        wt[:, full:].ravel())))
+    packed[:full * n_red].reshape(-1, n_red, panel)[...] = \
+        wt[:, :full].reshape(n_red, -1, panel).transpose(1, 0, 2)
+    packed[full * n_red:].reshape(n_red, -1)[...] = wt[:, full:]
+    return _cache_copy(key, base, packed)
 
 
 def data_address(base: np.ndarray) -> int:

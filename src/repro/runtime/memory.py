@@ -38,6 +38,13 @@ SLABS_PER_CLASS = 2
 MAX_LEASE_BYTES = 1 << 30
 
 
+def aligned_bytes(size: int, alloc=np.empty) -> np.ndarray:
+    """``size`` bytes (``uint8``, from ``alloc``) starting on a cache line."""
+    raw = alloc(size + ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % ALIGN
+    return raw[start:start + size]
+
+
 @dataclass
 class ArenaStats:
     """Lease counters: a hit recycled a parked slab, a miss allocated one."""
@@ -82,9 +89,7 @@ class WorkspaceArena:
             self.pooled_bytes -= size
             self.stats.hits += 1
         else:
-            raw = np.zeros(size + ALIGN, dtype=np.uint8)  # fresh: all zero
-            start = -raw.ctypes.data % ALIGN
-            slab = raw[start:start + size]
+            slab = aligned_bytes(size, np.zeros)  # fresh: all zero
             self.stats.misses += 1
         self._out.add(id(slab))
         return slab

@@ -31,10 +31,15 @@ once per weight array by :func:`repro.runtime.kernels.panel_packed` — in
 the cache the Python target's GEMM operands already live in, so the same
 ``bump_params_version()`` / ``clear_contig_cache()`` call retires both
 after an in-place weight edit, and replicas sharing ``params`` share the
-panels read-only.  The panel width follows the ISA variant the library
-picked for this host when it was loaded (``repro_lanes()``;
-:attr:`NativeModule.variant`): the build itself carries no ``-march``
-flag and every variant the compiler could emit.
+panels read-only.  Every panel starts on a cache line, like the slab.
+The panel width follows the ISA variant the library picked for this host
+when it was loaded (``repro_lanes()``; :attr:`NativeModule.variant`).
+The build carries no ``-march`` flag.  It holds ``base`` and the widest
+variant this CPU runs (:func:`host_variant`, one ``-DREPRO_WIDE`` define
+among the flags, so in the cache key): three ``cc`` parts, the runtime
+included.  When NumPy's CPU-feature table cannot say, it holds every
+variant.  A library loaded on another host (an artifact's) runs the
+widest variant it holds that that CPU runs, with the same bits.
 
 A launch also passes a team size: the threads a ``fused`` kernel splits
 its output columns across (the library's own pthread team; ``-pthread``
@@ -55,6 +60,7 @@ Python target.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -68,9 +74,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import CodegenError, NativeError, NativeFallbackWarning
-from ..ilir.codegen.c_codegen import (LINEARIZER_PY_API, VARIANTS,
+from ..ilir.codegen.c_codegen import (LINEARIZER_PY_API, PARTS, VARIANTS,
                                       KernelSignature, generate_c_module,
-                                      panel_width, source_parts)
+                                      held_parts, panel_width, source_parts,
+                                      wide_define)
 from ..linearizer.linearize import Linearized, _carve
 from .kernels import data_address, panel_packed
 
@@ -100,6 +107,33 @@ def team_size(columns: int) -> int:
     CPU it may run on, at most one per :data:`TEAM_COLUMNS` of the widest
     split nest's ``columns``, and at least one."""
     return max(1, min(cpus(), columns // TEAM_COLUMNS))
+
+
+@functools.lru_cache(maxsize=None)
+def cpu_variants() -> Optional[Tuple[str, ...]]:
+    """The ISA variants (:data:`VARIANTS`, narrowest first) this CPU runs,
+    read once per process from NumPy's runtime CPU-feature table, which
+    checks the operating system's support too; ``None`` when there is no
+    such table to read."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as table
+    except ImportError:
+        try:
+            from numpy.core._multiarray_umath import \
+                __cpu_features__ as table
+        except ImportError:
+            return None
+    return tuple(v for v in VARIANTS
+                 if v == "base" or table.get(v.upper(), False))
+
+
+def host_variant() -> Optional[str]:
+    """The widest variant this CPU runs: the one a JIT build holds beside
+    ``base`` (``wide_define``).  ``None`` when :func:`cpu_variants` cannot
+    tell, and the build holds every variant."""
+    runs = cpu_variants()
+    return runs[-1] if runs else None
+
 
 #: NumPy dtype -> ctypes element type for zero-copy pointer marshalling.
 DTYPE_TO_CTYPE = {
@@ -186,11 +220,12 @@ def build_shared_library(source: str, *, cc: str,
 
     A source in parts (:func:`source_parts`) on a process that may run on
     more than one CPU compiles as one ``cc -c -DREPRO_PART=<k>`` process
-    per part, at most one per CPU at a time (the calling thread starts
-    them and waits for the oldest; no helper thread), and the objects link
-    into the library with the same flags.  On one CPU (where the parts
-    would only take turns, and each pays the shared prelude again), or for
-    a source without parts, one ``cc`` run builds the whole source.
+    per part the flags hold (``held_parts``; a part they leave out runs no
+    ``cc``), at most one per CPU at a time (the calling thread starts them
+    and waits for the oldest; no helper thread), and the objects link into
+    the library with the same flags.  On one CPU (where the parts would
+    only take turns, and each pays the shared prelude again), or for a
+    source without parts, one ``cc`` run builds the whole source.
 
     Every file a build writes lives in a directory of its own under the
     key's, and the library and the source copy are installed by
@@ -205,8 +240,8 @@ def build_shared_library(source: str, *, cc: str,
     so_path = mod_dir / "module.so"
     if so_path.exists():
         return so_path
-    parts = source_parts(source)
-    jobs = min(parts, cpus())
+    parts = held_parts(source_parts(source), flags)
+    jobs = min(len(parts), cpus())
     try:
         mod_dir.mkdir(parents=True, exist_ok=True)
         work = Path(tempfile.mkdtemp(prefix=".build-", dir=mod_dir))
@@ -215,11 +250,11 @@ def build_shared_library(source: str, *, cc: str,
             c_path.write_text(source)
             units = [str(c_path)]
             if jobs > 1:
-                units = [str(work / f"part{k}.o") for k in range(parts)]
+                units = [str(work / f"part{k}.o") for k in parts]
                 compile_flags = [f for f in flags if f != "-shared"]
                 running: List[subprocess.Popen] = []
                 try:
-                    for k, obj in enumerate(units):
+                    for k, obj in zip(parts, units):
                         if len(running) == jobs:  # a CPU frees up
                             _finish_cc(running.pop(0))
                         running.append(_start_cc(
@@ -266,23 +301,24 @@ class NativeKernelLauncher:
     length)`` for leaf/level — so :class:`~repro.runtime.plan.HostPlan`
     launch records need no special casing.  ``is_native`` marks the
     callable for :class:`~repro.runtime.profiler.KernelProfiler`
-    labeling; ``team`` is the team size every launch passes (1 but for
-    fused kernels).
+    labeling; ``variant`` is the ISA variant it runs and ``team`` the team
+    size every launch passes (1 but for fused kernels).
     """
 
     is_native = True
 
-    __slots__ = ("name", "kind", "signature", "team", "_cfunc", "_arrays",
-                 "_packed", "_panel", "_scalars", "_svec_type")
+    __slots__ = ("name", "kind", "signature", "variant", "team", "_cfunc",
+                 "_arrays", "_packed", "_panel", "_scalars", "_svec_type")
 
-    def __init__(self, cfunc, signature: KernelSignature, lanes: int,
+    def __init__(self, cfunc, signature: KernelSignature, variant: str,
                  team: int = 1):
-        """``lanes``: the float32 vector width of the variant ``cfunc``
-        is (or dispatches to) — it fixes the packed weights' panels.
-        ``team``: the members a fused kernel splits its columns across."""
+        """``variant``: the ISA variant ``cfunc`` is (or dispatches to) —
+        its lanes fix the packed weights' panels.  ``team``: the members a
+        fused kernel splits its columns across."""
         self.name = signature.name
         self.kind = signature.kind
         self.signature = signature
+        self.variant = variant
         self.team = int(team) if signature.kind == "fused" else 1
         self._arrays = tuple((name, np.dtype(dt))
                              for name, dt, _writable in signature.arrays)
@@ -290,7 +326,7 @@ class NativeKernelLauncher:
                              for name, dt in signature.packed)
         for _name, dt in self._arrays + self._packed:
             ctype_for(dt)  # typed refusal of dtypes the C ABI cannot carry
-        self._panel = panel_width(lanes)
+        self._panel = panel_width(VARIANTS[variant])
         self._scalars = signature.scalars
         self._svec_type = ctypes.c_int64 * len(signature.scalars)
         # pointers travel as plain addresses: no per-launch POINTER cast
@@ -417,6 +453,9 @@ class NativeModule:
                 raise NativeError(
                     "no C compiler found (tried $REPRO_CC/$CC, cc, gcc, "
                     "clang; REPRO_NO_CC forces this)")
+            host = host_variant()
+            if host is not None:
+                self.flags += (wide_define(host),)
             self.so_path = build_shared_library(
                 source, cc=self.cc, flags=self.flags, cache_dir=cache_dir)
         try:
@@ -424,18 +463,22 @@ class NativeModule:
         except OSError as e:
             raise NativeError(
                 f"failed to load native library {self.so_path}: {e}") from e
-        lanes_fn = self._symbol("repro_lanes")
-        lanes_fn.argtypes, lanes_fn.restype = [], ctypes.c_int
-        lanes = lanes_fn()
-        #: the ISA variant the exported kernels dispatch to on this host
-        self.variant = next(v for v, n in VARIANTS.items() if n == lanes)
+        held_fn, lanes_fn = (self._symbol(f"repro_{f}")
+                             for f in ("held", "lanes"))
+        for fn in (held_fn, lanes_fn):
+            fn.argtypes, fn.restype = [], ctypes.c_int
+        held, lanes = held_fn(), lanes_fn()
+        #: the ISA variants the library holds, narrowest first
+        self.holds = tuple(v for v in VARIANTS if held >> PARTS.index(v) & 1)
+        #: the one the exported kernels dispatch to on this host
+        self.variant = next(v for v in self.holds if VARIANTS[v] == lanes)
         columns_fn = self._symbol("repro_team_columns")
         columns_fn.argtypes, columns_fn.restype = [], ctypes.c_int64
         #: members of the team each fused-kernel launch asks for
         self.team = team_size(columns_fn())
         self.fns: Dict[str, NativeKernelLauncher] = {
-            name: NativeKernelLauncher(self._symbol(sig.symbol), sig, lanes,
-                                       self.team)
+            name: NativeKernelLauncher(self._symbol(sig.symbol), sig,
+                                       self.variant, self.team)
             for name, sig in self.signatures.items()}
         #: the library's own linearizer (see :func:`load_walker`), if any
         self.walker = load_walker(self.so_path)
@@ -453,13 +496,14 @@ class NativeModule:
         """Launchers on one ISA variant's own entry points
         (``k_<kernel>_<variant>``), bypassing the load-time dispatch, with
         fused kernels split across ``team`` members (default
-        :attr:`team`): how a test runs the variant, or the team size, its
-        host would not pick.  The caller checks that the CPU can execute
-        the variant."""
+        :attr:`team`): how a test runs a variant the library holds
+        (:attr:`holds`), or the team size, its host would not pick.  The
+        caller checks that the CPU can execute the variant
+        (:func:`cpu_variants`)."""
         team = self.team if team is None else team
         return {name: NativeKernelLauncher(
-                    self._symbol(f"{sig.symbol}_{variant}"), sig,
-                    VARIANTS[variant], team)
+                    self._symbol(f"{sig.symbol}_{variant}"), sig, variant,
+                    team)
                 for name, sig in self.signatures.items()}
 
     @classmethod

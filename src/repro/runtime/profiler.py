@@ -78,9 +78,9 @@ class KernelProfiler:
         self._lock = threading.Lock()
         #: kernel name -> [calls, total seconds]
         self._kernels: Dict[str, List[float]] = {}
-        #: kernel name -> team size, for each whose wrapped callable is a
-        #: native (.so) launcher
-        self._native: Dict[str, int] = {}
+        #: kernel name -> (team size, ISA variant), for each whose wrapped
+        #: callable is a native (.so) launcher
+        self._native: Dict[str, Tuple[int, str]] = {}
         self.executions = 0
         self.linearize_s = 0.0
         self.workspace_s = 0.0
@@ -99,7 +99,7 @@ class KernelProfiler:
         for name, fn in records:
             if getattr(fn, "is_native", False):
                 with self._lock:
-                    self._native[name] = fn.team
+                    self._native[name] = (fn.team, fn.variant)
             def timed(*args, _fn=fn, _name=name):
                 t0 = self._clock()
                 r = _fn(*args)
@@ -143,7 +143,8 @@ class KernelProfiler:
     def snapshot(self) -> Dict[str, object]:
         """Per-kernel counts/times plus phase totals, as plain data.  A
         native kernel's row also has ``team``: the members its launches
-        asked for (a fused kernel's column team, else 1)."""
+        asked for (a fused kernel's column team, else 1), and ``variant``:
+        the ISA variant they ran."""
         with self._lock:
             kernels = {}
             for name, (calls, total) in sorted(self._kernels.items()):
@@ -152,7 +153,7 @@ class KernelProfiler:
                     "mean_us": (total / calls * 1e6) if calls else 0.0,
                     "native": name in self._native}
                 if row["native"]:
-                    row["team"] = self._native[name]
+                    row["team"], row["variant"] = self._native[name]
             return {
                 "executions": self.executions,
                 "kernel_calls": int(sum(c for c, _ in

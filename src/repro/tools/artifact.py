@@ -19,8 +19,9 @@ estimates ``run(device=...)`` like the model it was saved from; only
 say ``target="c"`` loads the shipped ``.so`` when the regenerated source
 hashes to its name — no compiler needed — and otherwise compiles that
 source, or, without a compiler, falls back to the Python kernels with a
-:class:`~repro.errors.NativeFallbackWarning`.  The library holds every
-ISA variant of its kernels and picks one where it is loaded.
+:class:`~repro.errors.NativeFallbackWarning`.  The library holds its
+kernels' ``base`` variant and the building host's widest one, and picks
+the widest of them the CPU runs where it is loaded, with the same bits.
 
 No text read from the directory is executed: the kernels are generated
 from the decoded module (a shipped ``.so`` is native code, trusted like

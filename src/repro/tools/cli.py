@@ -225,8 +225,8 @@ def cmd_compile(args) -> int:
         native = getattr(model.compiled, "native", None)
         if native is not None:
             print(f"  native: {native.cc} [{' '.join(native.flags)}]")
-            print(f"  native: dispatches to {native.variant}, team of "
-                  f"{native.team}")
+            print(f"  native: holds {', '.join(native.holds)}; dispatches "
+                  f"to {native.variant}, team of {native.team}")
             print(f"  native .so cache: {native.so_path}")
         else:
             print("  native: unavailable — fell back to the Python "

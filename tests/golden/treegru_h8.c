@@ -16,8 +16,8 @@
 // buffer rh_in: max_batch_lenx8 float32 @shared
 // buffer mh: max_batch_lenx8 float32 @shared
 // buffer hprime: max_batch_lenx8 float32 @shared
-// parts: runtime, base, avx2; each builds on its own under -DREPRO_PART=<k>
-#define REPRO_PARTS 3
+// parts: runtime, base, avx2, avx512f; each builds on its own under -DREPRO_PART=<k>
+#define REPRO_PARTS 4
 
 #include <math.h>
 #include <stdint.h>
@@ -26,13 +26,20 @@
 extern "C" {
 #endif
 
-/* a parted build compiles part k of the source as a unit of its own
- * (-DREPRO_PART=k) and links the parts; without REPRO_PART the source is
- * every part at once */
-#ifdef REPRO_PART
-#define REPRO_IN(k) (REPRO_PART == (k))
+/* a build with -DREPRO_WIDE=k holds, besides the runtime (part 0) and the
+ * base variant (part 1), only the wide variant of part k; without it, every
+ * variant.  A parted build compiles each part it holds as a unit of its own
+ * (-DREPRO_PART=k) and links them; without REPRO_PART the source is every
+ * part it holds at once */
+#ifdef REPRO_WIDE
+#define REPRO_HOLDS(k) ((k) <= 1 || (k) == REPRO_WIDE)
 #else
-#define REPRO_IN(k) 1
+#define REPRO_HOLDS(k) 1
+#endif
+#ifdef REPRO_PART
+#define REPRO_IN(k) (REPRO_PART == (k) && REPRO_HOLDS(k))
+#else
+#define REPRO_IN(k) REPRO_HOLDS(k)
 #endif
 
 static inline float repro_minf(float a, float b) { return a < b ? a : b; }
@@ -226,7 +233,13 @@ static inline float repro_tanhf(float x) {
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
+#define REPRO_X86 1
+#endif
+#if defined(REPRO_X86) && REPRO_HOLDS(2)
 #define REPRO_AVX2 1
+#endif
+#if defined(REPRO_X86) && REPRO_HOLDS(3)
+#define REPRO_AVX512F 1
 #endif
 
 #if REPRO_IN(2) && defined(REPRO_AVX2)
@@ -316,6 +329,96 @@ REPRO_VMATH8 repro_vf8 repro_vtanhf8(repro_vf8 x) {
       / (repro_vexpf8(a + a) + repro_vsplat8(1.0f));
   return (repro_vf8)((repro_vi8)repro_vselect8(
       a < repro_vsplat8(0.625f), p, q) | sign);
+}
+
+#endif
+#if REPRO_IN(3) && defined(REPRO_AVX512F)
+/* ---- 16-lane float32 vectors (64 bytes; GCC/Clang vector extension).
+ * One output element per lane, so a lane sees exactly the scalar loop's
+ * operation sequence. */
+typedef float repro_vf16 __attribute__((vector_size(64)));
+typedef int32_t repro_vi16 __attribute__((vector_size(64)));
+#define REPRO_V16 __attribute__((target("avx512f"))) static inline __attribute__((always_inline))
+#define REPRO_VMATH16 __attribute__((target("avx512f"))) static __attribute__((noinline, unused))
+REPRO_V16 repro_vf16 repro_vload16(const float* p) {
+  repro_vf16 v; __builtin_memcpy(&v, p, sizeof v); return v;
+}
+REPRO_V16 void repro_vstore16(float* p, repro_vf16 v) {
+  __builtin_memcpy(p, &v, sizeof v);
+}
+/* the first n lanes only (an extent's tail): no byte past them is touched */
+REPRO_V16 repro_vf16 repro_vloadn16(const float* p, int n) {
+  repro_vf16 v = {0.0f}; __builtin_memcpy(&v, p, n * sizeof(float)); return v;
+}
+REPRO_V16 void repro_vstoren16(float* p, repro_vf16 v, int n) {
+  __builtin_memcpy(p, &v, n * sizeof(float));
+}
+/* a shuffle, not a {x, x, ..} literal: GCC lowers the literal to one
+ * insert per lane inside target("avx2") functions */
+REPRO_V16 repro_vf16 repro_vsplat16(float x) {
+  repro_vf16 v = {x};
+#if defined(__clang__)
+  return __builtin_shufflevector(v, v, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0);
+#else
+  return __builtin_shuffle(v, (repro_vi16){0});
+#endif
+}
+REPRO_V16 repro_vf16 repro_vselect16(repro_vi16 m, repro_vf16 a,
+                                      repro_vf16 b) {
+  return (repro_vf16)(((repro_vi16)a & m) | ((repro_vi16)b & ~m));
+}
+REPRO_V16 repro_vf16 repro_vreluf16(repro_vf16 x) {
+  return (repro_vf16)((repro_vi16)x & (x > repro_vsplat16(0.0f)));
+}
+/* exp: clamp to the float range, n = round(x / ln 2) by the 1.5 * 2^23
+ * trick, two-constant ln 2 reduction, Cephes' degree-5 polynomial, then
+ * 2^n through the exponent bits in two halves so that results down to
+ * the smallest subnormal and up to FLT_MAX come out rounded once. */
+REPRO_VMATH16 repro_vf16 repro_vexpf16(repro_vf16 x) {
+  const repro_vf16 magic = repro_vsplat16(12582912.0f);
+  const repro_vf16 hi = repro_vsplat16(89.0f), lo = repro_vsplat16(-104.0f);
+  x = repro_vselect16(x > hi, hi, x);
+  x = repro_vselect16(x < lo, lo, x);
+  repro_vf16 t = x * repro_vsplat16(1.44269504088896341f) + magic;
+  repro_vf16 n = t - magic;
+  repro_vi16 ni = (repro_vi16)t - (repro_vi16)magic;
+  repro_vf16 r = x - n * repro_vsplat16(0.693359375f);
+  r = r - n * repro_vsplat16(-2.12194440e-4f);
+  repro_vf16 p = repro_vsplat16(1.9875691500e-4f);
+  p = p * r + repro_vsplat16(1.3981999507e-3f);
+  p = p * r + repro_vsplat16(8.3334519073e-3f);
+  p = p * r + repro_vsplat16(4.1665795894e-2f);
+  p = p * r + repro_vsplat16(1.6666665459e-1f);
+  p = p * r + repro_vsplat16(5.0000001201e-1f);
+  p = p * (r * r) + r;
+  p = p + repro_vsplat16(1.0f);
+  repro_vi16 h = ni >> 1;
+  return p * (repro_vf16)((h + 127) << 23)
+           * (repro_vf16)((ni - h + 127) << 23);
+}
+/* the stable logistic: z = exp(-|x|), then 1 / (1 + z) or z / (1 + z) */
+REPRO_VMATH16 repro_vf16 repro_vsigmoidf16(repro_vf16 x) {
+  repro_vi16 sign = (repro_vi16)x & (repro_vi16)repro_vsplat16(-0.0f);
+  repro_vf16 z = repro_vexpf16(-(repro_vf16)((repro_vi16)x ^ sign));
+  return repro_vselect16(x >= repro_vsplat16(0.0f), repro_vsplat16(1.0f), z)
+         / (repro_vsplat16(1.0f) + z);
+}
+/* tanh on |x|, sign re-attached: Cephes' odd polynomial below 0.625,
+ * 1 - 2 / (exp(2|x|) + 1) from there on */
+REPRO_VMATH16 repro_vf16 repro_vtanhf16(repro_vf16 x) {
+  repro_vi16 sign = (repro_vi16)x & (repro_vi16)repro_vsplat16(-0.0f);
+  repro_vf16 a = (repro_vf16)((repro_vi16)x ^ sign);
+  repro_vf16 z = a * a;
+  repro_vf16 p = repro_vsplat16(-5.70498872745e-3f);
+  p = p * z + repro_vsplat16(2.06390887954e-2f);
+  p = p * z + repro_vsplat16(-5.37397155531e-2f);
+  p = p * z + repro_vsplat16(1.33314422036e-1f);
+  p = p * z + repro_vsplat16(-3.33332819422e-1f);
+  p = p * z * a + a;
+  repro_vf16 q = repro_vsplat16(1.0f) - repro_vsplat16(2.0f)
+      / (repro_vexpf16(a + a) + repro_vsplat16(1.0f));
+  return (repro_vf16)((repro_vi16)repro_vselect16(
+      a < repro_vsplat16(0.625f), p, q) | sign);
 }
 
 #endif
@@ -535,21 +638,38 @@ REPRO_TEAM void repro_team_run(repro_team_body body, void* const* args,
 #pragma GCC pop_options
 #endif
 
-#ifdef REPRO_AVX2
-static int repro_use_avx2 = 0;
+/* the part of the variant the exported kernels dispatch to: the
+ * widest one this build holds that the CPU runs, picked at load */
+static int repro_pick = 1;
 __attribute__((constructor)) static void repro_pick_variant(void) {
+#ifdef REPRO_X86
   __builtin_cpu_init();
-  repro_use_avx2 = __builtin_cpu_supports("avx2") != 0;
-}
 #endif
+#ifdef REPRO_AVX512F
+  if (__builtin_cpu_supports("avx512f")) { repro_pick = 3; return; }
+#endif
+#ifdef REPRO_AVX2
+  if (__builtin_cpu_supports("avx2")) { repro_pick = 2; return; }
+#endif
+}
 
 /* float32 lanes of the variant the exported kernels dispatch to: the
  * launcher packs weight panels for that width */
 int repro_lanes(void) {
+  static const int lanes[] = {0, 4, 8, 16};
+  return lanes[repro_pick];
+}
+
+/* the variants this build holds, as a mask of their parts */
+int repro_held(void) {
+  int held = 1 << 1;
 #ifdef REPRO_AVX2
-  if (repro_use_avx2) return 8;
+  held |= 1 << 2;
 #endif
-  return 4;
+#ifdef REPRO_AVX512F
+  held |= 1 << 3;
+#endif
+  return held;
 }
 
 /* output columns of the widest nest a fused kernel splits (0: none); the
@@ -610,6 +730,34 @@ __attribute__((target("avx2"))) void k_fused_avx2(
     int64_t length,
     int64_t team);
 #endif
+#ifdef REPRO_AVX512F
+__attribute__((target("avx512f"))) void k_fused_avx512f(
+    float* rnn,
+    const float* Emb,
+    const float* bz,
+    const float* br,
+    const float* bh,
+    float* h_sum,
+    float* mz,
+    float* mr,
+    float* z,
+    float* r,
+    float* rh_in,
+    float* mh,
+    float* hprime,
+    const int32_t* batch_begin,
+    const int32_t* batch_length,
+    const int32_t* child,
+    const int32_t* num_children,
+    const int32_t* words,
+    const float* Uz_P,
+    const float* Ur_P,
+    const float* Uh_P,
+    const int64_t* S,
+    int64_t begin,
+    int64_t length,
+    int64_t team);
+#endif
 void k_fused(
     float* rnn,
     const float* Emb,
@@ -636,8 +784,11 @@ void k_fused(
     int64_t begin,
     int64_t length,
     int64_t team) {
+#ifdef REPRO_AVX512F
+  if (repro_pick == 3) { k_fused_avx512f(rnn, Emb, bz, br, bh, h_sum, mz, mr, z, r, rh_in, mh, hprime, batch_begin, batch_length, child, num_children, words, Uz_P, Ur_P, Uh_P, S, begin, length, team); return; }
+#endif
 #ifdef REPRO_AVX2
-  if (repro_use_avx2) { k_fused_avx2(rnn, Emb, bz, br, bh, h_sum, mz, mr, z, r, rh_in, mh, hprime, batch_begin, batch_length, child, num_children, words, Uz_P, Ur_P, Uh_P, S, begin, length, team); return; }
+  if (repro_pick == 2) { k_fused_avx2(rnn, Emb, bz, br, bh, h_sum, mz, mr, z, r, rh_in, mh, hprime, batch_begin, batch_length, child, num_children, words, Uz_P, Ur_P, Uh_P, S, begin, length, team); return; }
 #endif
   k_fused_base(rnn, Emb, bz, br, bh, h_sum, mz, mr, z, r, rh_in, mh, hprime, batch_begin, batch_length, child, num_children, words, Uz_P, Ur_P, Uh_P, S, begin, length, team);
 }
@@ -1359,6 +1510,221 @@ __attribute__((target("avx2"))) void k_fused_avx2(
   void* const A[] = {(void*)rnn, (void*)Emb, (void*)bz, (void*)br, (void*)bh, (void*)h_sum, (void*)mz, (void*)mr, (void*)z, (void*)r, (void*)rh_in, (void*)mh, (void*)hprime, (void*)batch_begin, (void*)batch_length, (void*)child, (void*)num_children, (void*)words, (void*)Uz_P, (void*)Ur_P, (void*)Uh_P, (void*)S};
   (void)begin; (void)length;
   repro_team_run(k_fused_avx2_team, A, team);
+}
+
+#endif
+
+/* ======== part 3: avx512f ======== */
+#if REPRO_IN(3) && defined(REPRO_AVX512F)
+static __attribute__((noinline)) __attribute__((target("avx512f"))) void repro_mk8x8r2_avx512f(
+    const float* P, const float* x0, const float* x1, float* o0, float* o1, int64_t j0, int64_t j1) {
+  (void)j0;  // one partial panel: j0 == 0
+  if (j1 > 0) {
+    for (int64_t _j = 0; _j < 8; ++_j) {
+      const float* _wp = P + 0 + (_j - 0);
+      float _ac0 = _wp[0] * x0[0];
+      for (int64_t _kr = 1; _kr < 8; ++_kr) _ac0 = _ac0 + _wp[_kr * 8] * x0[_kr];
+      o0[_j] = _ac0;
+      float _ac1 = _wp[0] * x1[0];
+      for (int64_t _kr = 1; _kr < 8; ++_kr) _ac1 = _ac1 + _wp[_kr * 8] * x1[_kr];
+      o1[_j] = _ac1;
+    }
+  }
+}
+
+static __attribute__((noinline)) __attribute__((target("avx512f"))) void repro_mk8x8r1_avx512f(
+    const float* P, const float* x0, float* o0, int64_t j0, int64_t j1) {
+  (void)j0;  // one partial panel: j0 == 0
+  if (j1 > 0) {
+    for (int64_t _j = 0; _j < 8; ++_j) {
+      const float* _wp = P + 0 + (_j - 0);
+      float _ac0 = _wp[0] * x0[0];
+      for (int64_t _kr = 1; _kr < 8; ++_kr) _ac0 = _ac0 + _wp[_kr * 8] * x0[_kr];
+      o0[_j] = _ac0;
+    }
+  }
+}
+
+// kernel fused (kind=fused), avx512f variant
+// persistent kernel: 3 global barrier(s) per level; every member of the launch's
+// team runs this body, taking tickets (column panels) of each segment
+static __attribute__((target("avx512f"))) void k_fused_avx512f_team(void* const* A, repro_member* _m) {
+  float* rnn = (float*)A[0];
+  const float* Emb = (const float*)A[1];
+  const float* bz = (const float*)A[2];
+  const float* br = (const float*)A[3];
+  const float* bh = (const float*)A[4];
+  float* h_sum = (float*)A[5];
+  float* mz = (float*)A[6];
+  float* mr = (float*)A[7];
+  float* z = (float*)A[8];
+  float* r = (float*)A[9];
+  float* rh_in = (float*)A[10];
+  float* mh = (float*)A[11];
+  float* hprime = (float*)A[12];
+  const int32_t* batch_begin = (const int32_t*)A[13];
+  const int32_t* batch_length = (const int32_t*)A[14];
+  const int32_t* child = (const int32_t*)A[15];
+  const int32_t* num_children = (const int32_t*)A[16];
+  const int32_t* words = (const int32_t*)A[17];
+  const float* Uz_P = (const float*)A[18];
+  const float* Ur_P = (const float*)A[19];
+  const float* Uh_P = (const float*)A[20];
+  const int64_t* S = (const int64_t*)A[21];
+  const int64_t num_nodes = S[0];
+  const int64_t num_batches = S[1];
+  const int64_t leaf_batch_count = S[2];
+  const int64_t max_children = S[3];
+  const int64_t level_start = S[4];
+  // leaf phase (specialized leaf batches)
+  for (int64_t _lb = 0; _lb < leaf_batch_count; ++_lb) {
+    const int64_t _begin = (int64_t)batch_begin[_lb];
+    const int64_t _length = (int64_t)batch_length[_lb];
+    for (int64_t _k; (_k = repro_team_claim(_m, 1)) >= 0;) {
+      const int64_t _j0 = _k * 64, _j1 = repro_imin(_j0 + 64, 8);
+      // leaf_h [gather]
+      for (int64_t n_idx = 0; n_idx < _length; ++n_idx) {
+        const int64_t n = (_begin) + n_idx;
+        (void)_j0;  // one partial vector: _j0 == 0
+        if (_j1 > 0) {
+          repro_vstoren16(&rnn[((n) * (8) + (0))], repro_vloadn16(&Emb[((repro_wrap(words[n], 50)) * (8) + (0))], 8), 8);
+        }
+      }
+    }
+    if (repro_team_sync(_m, 1)) return;  // end of the leaf batch
+  }
+  // internal batches: the dependence-carrying loop (App. A.4)
+  for (int64_t _b = level_start; _b < num_batches; ++_b) {
+    const int64_t _begin = (int64_t)batch_begin[_b];
+    const int64_t _length = (int64_t)batch_length[_b];
+    for (int64_t _k; (_k = repro_team_claim(_m, 1)) >= 0;) {
+      const int64_t _j0 = _k * 64, _j1 = repro_imin(_j0 + 64, 8);
+      // h_sum [childsum]
+      for (int64_t n_idx_1 = 0; n_idx_1 < _length; ++n_idx_1) {
+        const int64_t n_1 = (_begin) + n_idx_1;
+        (void)_j0;  // one partial vector: _j0 == 0
+        if (_j1 > 0) {
+          repro_vf16 _acc1 = repro_vsplat16(0.0f);
+          for (int64_t _k2 = 0; _k2 < max_children; ++_k2) {
+            _acc1 = _acc1 + ((_k2 < (num_children[n_1])) ? (repro_vloadn16(&rnn[((child[((_k2) * num_nodes + (n_1))]) * (8) + (0))], 8)) : repro_vsplat16(0.0f));
+          }
+          repro_vstoren16(&h_sum[((n_idx_1) * (8) + (0))], _acc1, 8);
+        }
+      }
+    }
+    if (repro_team_sync(_m, 1)) return;  // mz meets other tickets' columns
+    for (int64_t _k; (_k = repro_team_claim(_m, 1)) >= 0;) {
+      const int64_t _j0 = _k * 64, _j1 = repro_imin(_j0 + 64, 8);
+      // mz [matvec] contraction over panel-packed Uz_P[8][8]
+      const int64_t _rows3 = (_length) * 1;
+      int64_t _q4 = 0;
+      for (; _q4 + 2 <= _rows3; _q4 += 2) {
+        const int64_t _n_idx_2_5 = _q4;
+        const int64_t _n_idx_2_7 = _q4 + 1;
+        repro_mk8x8r2_avx512f(Uz_P, &h_sum[((_n_idx_2_5) * (8) + (0))], &h_sum[((_n_idx_2_7) * (8) + (0))], &mz[((_n_idx_2_5) * (8) + (0))], &mz[((_n_idx_2_7) * (8) + (0))], _j0, _j1);
+      }
+      for (; _q4 + 1 <= _rows3; _q4 += 1) {
+        const int64_t _n_idx_2_9 = _q4;
+        repro_mk8x8r1_avx512f(Uz_P, &h_sum[((_n_idx_2_9) * (8) + (0))], &mz[((_n_idx_2_9) * (8) + (0))], _j0, _j1);
+      }
+      // mr [matvec] contraction over panel-packed Ur_P[8][8]
+      const int64_t _rows11 = (_length) * 1;
+      int64_t _q12 = 0;
+      for (; _q12 + 2 <= _rows11; _q12 += 2) {
+        const int64_t _n_idx_3_13 = _q12;
+        const int64_t _n_idx_3_15 = _q12 + 1;
+        repro_mk8x8r2_avx512f(Ur_P, &h_sum[((_n_idx_3_13) * (8) + (0))], &h_sum[((_n_idx_3_15) * (8) + (0))], &mr[((_n_idx_3_13) * (8) + (0))], &mr[((_n_idx_3_15) * (8) + (0))], _j0, _j1);
+      }
+      for (; _q12 + 1 <= _rows11; _q12 += 1) {
+        const int64_t _n_idx_3_17 = _q12;
+        repro_mk8x8r1_avx512f(Ur_P, &h_sum[((_n_idx_3_17) * (8) + (0))], &mr[((_n_idx_3_17) * (8) + (0))], _j0, _j1);
+      }
+      // z [elementwise]
+      for (int64_t n_idx_4 = 0; n_idx_4 < _length; ++n_idx_4) {
+        (void)_j0;  // one partial vector: _j0 == 0
+        if (_j1 > 0) {
+          repro_vstoren16(&z[((n_idx_4) * (8) + (0))], repro_vsigmoidf16((repro_vloadn16(&mz[((n_idx_4) * (8) + (0))], 8) + repro_vloadn16(&bz[(0)], 8))), 8);
+        }
+      }
+      // r [elementwise]
+      for (int64_t n_idx_5 = 0; n_idx_5 < _length; ++n_idx_5) {
+        (void)_j0;  // one partial vector: _j0 == 0
+        if (_j1 > 0) {
+          repro_vstoren16(&r[((n_idx_5) * (8) + (0))], repro_vsigmoidf16((repro_vloadn16(&mr[((n_idx_5) * (8) + (0))], 8) + repro_vloadn16(&br[(0)], 8))), 8);
+        }
+      }
+      // rh_in [elementwise]
+      for (int64_t n_idx_6 = 0; n_idx_6 < _length; ++n_idx_6) {
+        (void)_j0;  // one partial vector: _j0 == 0
+        if (_j1 > 0) {
+          repro_vstoren16(&rh_in[((n_idx_6) * (8) + (0))], (repro_vloadn16(&r[((n_idx_6) * (8) + (0))], 8) * repro_vloadn16(&h_sum[((n_idx_6) * (8) + (0))], 8)), 8);
+        }
+      }
+    }
+    if (repro_team_sync(_m, 1)) return;  // mh meets other tickets' columns
+    for (int64_t _k; (_k = repro_team_claim(_m, 1)) >= 0;) {
+      const int64_t _j0 = _k * 64, _j1 = repro_imin(_j0 + 64, 8);
+      // mh [matvec] contraction over panel-packed Uh_P[8][8]
+      const int64_t _rows19 = (_length) * 1;
+      int64_t _q20 = 0;
+      for (; _q20 + 2 <= _rows19; _q20 += 2) {
+        const int64_t _n_idx_7_21 = _q20;
+        const int64_t _n_idx_7_23 = _q20 + 1;
+        repro_mk8x8r2_avx512f(Uh_P, &rh_in[((_n_idx_7_21) * (8) + (0))], &rh_in[((_n_idx_7_23) * (8) + (0))], &mh[((_n_idx_7_21) * (8) + (0))], &mh[((_n_idx_7_23) * (8) + (0))], _j0, _j1);
+      }
+      for (; _q20 + 1 <= _rows19; _q20 += 1) {
+        const int64_t _n_idx_7_25 = _q20;
+        repro_mk8x8r1_avx512f(Uh_P, &rh_in[((_n_idx_7_25) * (8) + (0))], &mh[((_n_idx_7_25) * (8) + (0))], _j0, _j1);
+      }
+      // hprime [elementwise]
+      for (int64_t n_idx_8 = 0; n_idx_8 < _length; ++n_idx_8) {
+        (void)_j0;  // one partial vector: _j0 == 0
+        if (_j1 > 0) {
+          repro_vstoren16(&hprime[((n_idx_8) * (8) + (0))], repro_vtanhf16((repro_vloadn16(&mh[((n_idx_8) * (8) + (0))], 8) + repro_vloadn16(&bh[(0)], 8))), 8);
+        }
+      }
+      // rec_h [elementwise]
+      for (int64_t n_idx_9 = 0; n_idx_9 < _length; ++n_idx_9) {
+        const int64_t n_9 = (_begin) + n_idx_9;
+        (void)_j0;  // one partial vector: _j0 == 0
+        if (_j1 > 0) {
+          repro_vstoren16(&rnn[((n_9) * (8) + (0))], ((repro_vloadn16(&z[((n_idx_9) * (8) + (0))], 8) * repro_vloadn16(&h_sum[((n_idx_9) * (8) + (0))], 8)) + ((repro_vsplat16(1.0f) - repro_vloadn16(&z[((n_idx_9) * (8) + (0))], 8)) * repro_vloadn16(&hprime[((n_idx_9) * (8) + (0))], 8))), 8);
+        }
+      }
+    }
+    if (repro_team_sync(_m, 1)) return;  // end of the level
+  }
+}
+
+__attribute__((target("avx512f"))) void k_fused_avx512f(
+    float* rnn,
+    const float* Emb,
+    const float* bz,
+    const float* br,
+    const float* bh,
+    float* h_sum,
+    float* mz,
+    float* mr,
+    float* z,
+    float* r,
+    float* rh_in,
+    float* mh,
+    float* hprime,
+    const int32_t* batch_begin,
+    const int32_t* batch_length,
+    const int32_t* child,
+    const int32_t* num_children,
+    const int32_t* words,
+    const float* Uz_P,
+    const float* Ur_P,
+    const float* Uh_P,
+    const int64_t* S,
+    int64_t begin,
+    int64_t length,
+    int64_t team) {
+  void* const A[] = {(void*)rnn, (void*)Emb, (void*)bz, (void*)br, (void*)bh, (void*)h_sum, (void*)mz, (void*)mr, (void*)z, (void*)r, (void*)rh_in, (void*)mh, (void*)hprime, (void*)batch_begin, (void*)batch_length, (void*)child, (void*)num_children, (void*)words, (void*)Uz_P, (void*)Ur_P, (void*)Uh_P, (void*)S};
+  (void)begin; (void)length;
+  repro_team_run(k_fused_avx512f_team, A, team);
 }
 
 #endif

@@ -21,8 +21,8 @@
 // buffer mf: max_batch_lenx2x8 float32 @shared
 // buffer gf: max_batch_lenx2x8 float32 @shared
 // buffer fc_sum: max_batch_lenx8 float32 @shared
-// parts: runtime, base, avx2; each builds on its own under -DREPRO_PART=<k>
-#define REPRO_PARTS 3
+// parts: runtime, base, avx2, avx512f; each builds on its own under -DREPRO_PART=<k>
+#define REPRO_PARTS 4
 
 #include <math.h>
 #include <stdint.h>
@@ -31,13 +31,20 @@
 extern "C" {
 #endif
 
-/* a parted build compiles part k of the source as a unit of its own
- * (-DREPRO_PART=k) and links the parts; without REPRO_PART the source is
- * every part at once */
-#ifdef REPRO_PART
-#define REPRO_IN(k) (REPRO_PART == (k))
+/* a build with -DREPRO_WIDE=k holds, besides the runtime (part 0) and the
+ * base variant (part 1), only the wide variant of part k; without it, every
+ * variant.  A parted build compiles each part it holds as a unit of its own
+ * (-DREPRO_PART=k) and links them; without REPRO_PART the source is every
+ * part it holds at once */
+#ifdef REPRO_WIDE
+#define REPRO_HOLDS(k) ((k) <= 1 || (k) == REPRO_WIDE)
 #else
-#define REPRO_IN(k) 1
+#define REPRO_HOLDS(k) 1
+#endif
+#ifdef REPRO_PART
+#define REPRO_IN(k) (REPRO_PART == (k) && REPRO_HOLDS(k))
+#else
+#define REPRO_IN(k) REPRO_HOLDS(k)
 #endif
 
 static inline float repro_minf(float a, float b) { return a < b ? a : b; }
@@ -231,7 +238,13 @@ static inline float repro_tanhf(float x) {
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
+#define REPRO_X86 1
+#endif
+#if defined(REPRO_X86) && REPRO_HOLDS(2)
 #define REPRO_AVX2 1
+#endif
+#if defined(REPRO_X86) && REPRO_HOLDS(3)
+#define REPRO_AVX512F 1
 #endif
 
 #if REPRO_IN(2) && defined(REPRO_AVX2)
@@ -321,6 +334,96 @@ REPRO_VMATH8 repro_vf8 repro_vtanhf8(repro_vf8 x) {
       / (repro_vexpf8(a + a) + repro_vsplat8(1.0f));
   return (repro_vf8)((repro_vi8)repro_vselect8(
       a < repro_vsplat8(0.625f), p, q) | sign);
+}
+
+#endif
+#if REPRO_IN(3) && defined(REPRO_AVX512F)
+/* ---- 16-lane float32 vectors (64 bytes; GCC/Clang vector extension).
+ * One output element per lane, so a lane sees exactly the scalar loop's
+ * operation sequence. */
+typedef float repro_vf16 __attribute__((vector_size(64)));
+typedef int32_t repro_vi16 __attribute__((vector_size(64)));
+#define REPRO_V16 __attribute__((target("avx512f"))) static inline __attribute__((always_inline))
+#define REPRO_VMATH16 __attribute__((target("avx512f"))) static __attribute__((noinline, unused))
+REPRO_V16 repro_vf16 repro_vload16(const float* p) {
+  repro_vf16 v; __builtin_memcpy(&v, p, sizeof v); return v;
+}
+REPRO_V16 void repro_vstore16(float* p, repro_vf16 v) {
+  __builtin_memcpy(p, &v, sizeof v);
+}
+/* the first n lanes only (an extent's tail): no byte past them is touched */
+REPRO_V16 repro_vf16 repro_vloadn16(const float* p, int n) {
+  repro_vf16 v = {0.0f}; __builtin_memcpy(&v, p, n * sizeof(float)); return v;
+}
+REPRO_V16 void repro_vstoren16(float* p, repro_vf16 v, int n) {
+  __builtin_memcpy(p, &v, n * sizeof(float));
+}
+/* a shuffle, not a {x, x, ..} literal: GCC lowers the literal to one
+ * insert per lane inside target("avx2") functions */
+REPRO_V16 repro_vf16 repro_vsplat16(float x) {
+  repro_vf16 v = {x};
+#if defined(__clang__)
+  return __builtin_shufflevector(v, v, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0);
+#else
+  return __builtin_shuffle(v, (repro_vi16){0});
+#endif
+}
+REPRO_V16 repro_vf16 repro_vselect16(repro_vi16 m, repro_vf16 a,
+                                      repro_vf16 b) {
+  return (repro_vf16)(((repro_vi16)a & m) | ((repro_vi16)b & ~m));
+}
+REPRO_V16 repro_vf16 repro_vreluf16(repro_vf16 x) {
+  return (repro_vf16)((repro_vi16)x & (x > repro_vsplat16(0.0f)));
+}
+/* exp: clamp to the float range, n = round(x / ln 2) by the 1.5 * 2^23
+ * trick, two-constant ln 2 reduction, Cephes' degree-5 polynomial, then
+ * 2^n through the exponent bits in two halves so that results down to
+ * the smallest subnormal and up to FLT_MAX come out rounded once. */
+REPRO_VMATH16 repro_vf16 repro_vexpf16(repro_vf16 x) {
+  const repro_vf16 magic = repro_vsplat16(12582912.0f);
+  const repro_vf16 hi = repro_vsplat16(89.0f), lo = repro_vsplat16(-104.0f);
+  x = repro_vselect16(x > hi, hi, x);
+  x = repro_vselect16(x < lo, lo, x);
+  repro_vf16 t = x * repro_vsplat16(1.44269504088896341f) + magic;
+  repro_vf16 n = t - magic;
+  repro_vi16 ni = (repro_vi16)t - (repro_vi16)magic;
+  repro_vf16 r = x - n * repro_vsplat16(0.693359375f);
+  r = r - n * repro_vsplat16(-2.12194440e-4f);
+  repro_vf16 p = repro_vsplat16(1.9875691500e-4f);
+  p = p * r + repro_vsplat16(1.3981999507e-3f);
+  p = p * r + repro_vsplat16(8.3334519073e-3f);
+  p = p * r + repro_vsplat16(4.1665795894e-2f);
+  p = p * r + repro_vsplat16(1.6666665459e-1f);
+  p = p * r + repro_vsplat16(5.0000001201e-1f);
+  p = p * (r * r) + r;
+  p = p + repro_vsplat16(1.0f);
+  repro_vi16 h = ni >> 1;
+  return p * (repro_vf16)((h + 127) << 23)
+           * (repro_vf16)((ni - h + 127) << 23);
+}
+/* the stable logistic: z = exp(-|x|), then 1 / (1 + z) or z / (1 + z) */
+REPRO_VMATH16 repro_vf16 repro_vsigmoidf16(repro_vf16 x) {
+  repro_vi16 sign = (repro_vi16)x & (repro_vi16)repro_vsplat16(-0.0f);
+  repro_vf16 z = repro_vexpf16(-(repro_vf16)((repro_vi16)x ^ sign));
+  return repro_vselect16(x >= repro_vsplat16(0.0f), repro_vsplat16(1.0f), z)
+         / (repro_vsplat16(1.0f) + z);
+}
+/* tanh on |x|, sign re-attached: Cephes' odd polynomial below 0.625,
+ * 1 - 2 / (exp(2|x|) + 1) from there on */
+REPRO_VMATH16 repro_vf16 repro_vtanhf16(repro_vf16 x) {
+  repro_vi16 sign = (repro_vi16)x & (repro_vi16)repro_vsplat16(-0.0f);
+  repro_vf16 a = (repro_vf16)((repro_vi16)x ^ sign);
+  repro_vf16 z = a * a;
+  repro_vf16 p = repro_vsplat16(-5.70498872745e-3f);
+  p = p * z + repro_vsplat16(2.06390887954e-2f);
+  p = p * z + repro_vsplat16(-5.37397155531e-2f);
+  p = p * z + repro_vsplat16(1.33314422036e-1f);
+  p = p * z + repro_vsplat16(-3.33332819422e-1f);
+  p = p * z * a + a;
+  repro_vf16 q = repro_vsplat16(1.0f) - repro_vsplat16(2.0f)
+      / (repro_vexpf16(a + a) + repro_vsplat16(1.0f));
+  return (repro_vf16)((repro_vi16)repro_vselect16(
+      a < repro_vsplat16(0.625f), p, q) | sign);
 }
 
 #endif
@@ -540,21 +643,38 @@ REPRO_TEAM void repro_team_run(repro_team_body body, void* const* args,
 #pragma GCC pop_options
 #endif
 
-#ifdef REPRO_AVX2
-static int repro_use_avx2 = 0;
+/* the part of the variant the exported kernels dispatch to: the
+ * widest one this build holds that the CPU runs, picked at load */
+static int repro_pick = 1;
 __attribute__((constructor)) static void repro_pick_variant(void) {
+#ifdef REPRO_X86
   __builtin_cpu_init();
-  repro_use_avx2 = __builtin_cpu_supports("avx2") != 0;
-}
 #endif
+#ifdef REPRO_AVX512F
+  if (__builtin_cpu_supports("avx512f")) { repro_pick = 3; return; }
+#endif
+#ifdef REPRO_AVX2
+  if (__builtin_cpu_supports("avx2")) { repro_pick = 2; return; }
+#endif
+}
 
 /* float32 lanes of the variant the exported kernels dispatch to: the
  * launcher packs weight panels for that width */
 int repro_lanes(void) {
+  static const int lanes[] = {0, 4, 8, 16};
+  return lanes[repro_pick];
+}
+
+/* the variants this build holds, as a mask of their parts */
+int repro_held(void) {
+  int held = 1 << 1;
 #ifdef REPRO_AVX2
-  if (repro_use_avx2) return 8;
+  held |= 1 << 2;
 #endif
-  return 4;
+#ifdef REPRO_AVX512F
+  held |= 1 << 3;
+#endif
+  return held;
 }
 
 /* output columns of the widest nest a fused kernel splits (0: none); the
@@ -625,6 +745,39 @@ __attribute__((target("avx2"))) void k_fused_avx2(
     int64_t length,
     int64_t team);
 #endif
+#ifdef REPRO_AVX512F
+__attribute__((target("avx512f"))) void k_fused_avx512f(
+    float* rnn_h_ph,
+    float* rnn_c_ph,
+    const float* Emb,
+    const float* bi,
+    const float* bo,
+    const float* bu,
+    const float* bf,
+    float* h_tilde,
+    float* mi,
+    float* mo,
+    float* mu,
+    float* gi,
+    float* go,
+    float* gu,
+    float* mf,
+    float* gf,
+    float* fc_sum,
+    const int32_t* batch_begin,
+    const int32_t* batch_length,
+    const int32_t* child,
+    const int32_t* num_children,
+    const int32_t* words,
+    const float* Ui_P,
+    const float* Uo_P,
+    const float* Uu_P,
+    const float* Uf_P,
+    const int64_t* S,
+    int64_t begin,
+    int64_t length,
+    int64_t team);
+#endif
 void k_fused(
     float* rnn_h_ph,
     float* rnn_c_ph,
@@ -656,8 +809,11 @@ void k_fused(
     int64_t begin,
     int64_t length,
     int64_t team) {
+#ifdef REPRO_AVX512F
+  if (repro_pick == 3) { k_fused_avx512f(rnn_h_ph, rnn_c_ph, Emb, bi, bo, bu, bf, h_tilde, mi, mo, mu, gi, go, gu, mf, gf, fc_sum, batch_begin, batch_length, child, num_children, words, Ui_P, Uo_P, Uu_P, Uf_P, S, begin, length, team); return; }
+#endif
 #ifdef REPRO_AVX2
-  if (repro_use_avx2) { k_fused_avx2(rnn_h_ph, rnn_c_ph, Emb, bi, bo, bu, bf, h_tilde, mi, mo, mu, gi, go, gu, mf, gf, fc_sum, batch_begin, batch_length, child, num_children, words, Ui_P, Uo_P, Uu_P, Uf_P, S, begin, length, team); return; }
+  if (repro_pick == 2) { k_fused_avx2(rnn_h_ph, rnn_c_ph, Emb, bi, bo, bu, bf, h_tilde, mi, mo, mu, gi, go, gu, mf, gf, fc_sum, batch_begin, batch_length, child, num_children, words, Ui_P, Uo_P, Uu_P, Uf_P, S, begin, length, team); return; }
 #endif
   k_fused_base(rnn_h_ph, rnn_c_ph, Emb, bi, bo, bu, bf, h_tilde, mi, mo, mu, gi, go, gu, mf, gf, fc_sum, batch_begin, batch_length, child, num_children, words, Ui_P, Uo_P, Uu_P, Uf_P, S, begin, length, team);
 }
@@ -1467,6 +1623,267 @@ __attribute__((target("avx2"))) void k_fused_avx2(
   void* const A[] = {(void*)rnn_h_ph, (void*)rnn_c_ph, (void*)Emb, (void*)bi, (void*)bo, (void*)bu, (void*)bf, (void*)h_tilde, (void*)mi, (void*)mo, (void*)mu, (void*)gi, (void*)go, (void*)gu, (void*)mf, (void*)gf, (void*)fc_sum, (void*)batch_begin, (void*)batch_length, (void*)child, (void*)num_children, (void*)words, (void*)Ui_P, (void*)Uo_P, (void*)Uu_P, (void*)Uf_P, (void*)S};
   (void)begin; (void)length;
   repro_team_run(k_fused_avx2_team, A, team);
+}
+
+#endif
+
+/* ======== part 3: avx512f ======== */
+#if REPRO_IN(3) && defined(REPRO_AVX512F)
+static __attribute__((noinline)) __attribute__((target("avx512f"))) void repro_mk8x8r2_avx512f(
+    const float* P, const float* x0, const float* x1, float* o0, float* o1, int64_t j0, int64_t j1) {
+  (void)j0;  // one partial panel: j0 == 0
+  if (j1 > 0) {
+    for (int64_t _j = 0; _j < 8; ++_j) {
+      const float* _wp = P + 0 + (_j - 0);
+      float _ac0 = _wp[0] * x0[0];
+      for (int64_t _kr = 1; _kr < 8; ++_kr) _ac0 = _ac0 + _wp[_kr * 8] * x0[_kr];
+      o0[_j] = _ac0;
+      float _ac1 = _wp[0] * x1[0];
+      for (int64_t _kr = 1; _kr < 8; ++_kr) _ac1 = _ac1 + _wp[_kr * 8] * x1[_kr];
+      o1[_j] = _ac1;
+    }
+  }
+}
+
+static __attribute__((noinline)) __attribute__((target("avx512f"))) void repro_mk8x8r1_avx512f(
+    const float* P, const float* x0, float* o0, int64_t j0, int64_t j1) {
+  (void)j0;  // one partial panel: j0 == 0
+  if (j1 > 0) {
+    for (int64_t _j = 0; _j < 8; ++_j) {
+      const float* _wp = P + 0 + (_j - 0);
+      float _ac0 = _wp[0] * x0[0];
+      for (int64_t _kr = 1; _kr < 8; ++_kr) _ac0 = _ac0 + _wp[_kr * 8] * x0[_kr];
+      o0[_j] = _ac0;
+    }
+  }
+}
+
+// kernel fused (kind=fused), avx512f variant
+// persistent kernel: 2 global barrier(s) per level; every member of the launch's
+// team runs this body, taking tickets (column panels) of each segment
+static __attribute__((target("avx512f"))) void k_fused_avx512f_team(void* const* A, repro_member* _m) {
+  float* rnn_h_ph = (float*)A[0];
+  float* rnn_c_ph = (float*)A[1];
+  const float* Emb = (const float*)A[2];
+  const float* bi = (const float*)A[3];
+  const float* bo = (const float*)A[4];
+  const float* bu = (const float*)A[5];
+  const float* bf = (const float*)A[6];
+  float* h_tilde = (float*)A[7];
+  float* mi = (float*)A[8];
+  float* mo = (float*)A[9];
+  float* mu = (float*)A[10];
+  float* gi = (float*)A[11];
+  float* go = (float*)A[12];
+  float* gu = (float*)A[13];
+  float* mf = (float*)A[14];
+  float* gf = (float*)A[15];
+  float* fc_sum = (float*)A[16];
+  const int32_t* batch_begin = (const int32_t*)A[17];
+  const int32_t* batch_length = (const int32_t*)A[18];
+  const int32_t* child = (const int32_t*)A[19];
+  const int32_t* num_children = (const int32_t*)A[20];
+  const int32_t* words = (const int32_t*)A[21];
+  const float* Ui_P = (const float*)A[22];
+  const float* Uo_P = (const float*)A[23];
+  const float* Uu_P = (const float*)A[24];
+  const float* Uf_P = (const float*)A[25];
+  const int64_t* S = (const int64_t*)A[26];
+  const int64_t num_nodes = S[0];
+  const int64_t num_batches = S[1];
+  const int64_t leaf_batch_count = S[2];
+  const int64_t max_children = S[3];
+  const int64_t level_start = S[4];
+  // leaf phase (specialized leaf batches)
+  for (int64_t _lb = 0; _lb < leaf_batch_count; ++_lb) {
+    const int64_t _begin = (int64_t)batch_begin[_lb];
+    const int64_t _length = (int64_t)batch_length[_lb];
+    for (int64_t _k; (_k = repro_team_claim(_m, 1)) >= 0;) {
+      const int64_t _j0 = _k * 64, _j1 = repro_imin(_j0 + 64, 8);
+      // leaf_h [gather]
+      for (int64_t n_idx = 0; n_idx < _length; ++n_idx) {
+        const int64_t n = (_begin) + n_idx;
+        (void)_j0;  // one partial vector: _j0 == 0
+        if (_j1 > 0) {
+          repro_vstoren16(&rnn_h_ph[((n) * (8) + (0))], repro_vloadn16(&Emb[((repro_wrap(words[n], 50)) * (8) + (0))], 8), 8);
+        }
+      }
+    }
+    if (repro_team_sync(_m, 1)) return;  // end of the leaf batch
+  }
+  // internal batches: the dependence-carrying loop (App. A.4)
+  for (int64_t _b = level_start; _b < num_batches; ++_b) {
+    const int64_t _begin = (int64_t)batch_begin[_b];
+    const int64_t _length = (int64_t)batch_length[_b];
+    for (int64_t _k; (_k = repro_team_claim(_m, 1)) >= 0;) {
+      const int64_t _j0 = _k * 64, _j1 = repro_imin(_j0 + 64, 8);
+      // h_tilde [childsum]
+      for (int64_t n_idx_2 = 0; n_idx_2 < _length; ++n_idx_2) {
+        const int64_t n_2 = (_begin) + n_idx_2;
+        (void)_j0;  // one partial vector: _j0 == 0
+        if (_j1 > 0) {
+          repro_vf16 _acc1 = repro_vsplat16(0.0f);
+          for (int64_t _k2 = 0; _k2 < max_children; ++_k2) {
+            _acc1 = _acc1 + ((_k2 < (num_children[n_2])) ? (repro_vloadn16(&rnn_h_ph[((child[((_k2) * num_nodes + (n_2))]) * (8) + (0))], 8)) : repro_vsplat16(0.0f));
+          }
+          repro_vstoren16(&h_tilde[((n_idx_2) * (8) + (0))], _acc1, 8);
+        }
+      }
+    }
+    if (repro_team_sync(_m, 1)) return;  // mi meets other tickets' columns
+    for (int64_t _k; (_k = repro_team_claim(_m, 1)) >= 0;) {
+      const int64_t _j0 = _k * 64, _j1 = repro_imin(_j0 + 64, 8);
+      // mi [matvec] contraction over panel-packed Ui_P[8][8]
+      const int64_t _rows3 = (_length) * 1;
+      int64_t _q4 = 0;
+      for (; _q4 + 2 <= _rows3; _q4 += 2) {
+        const int64_t _n_idx_3_5 = _q4;
+        const int64_t _n_idx_3_7 = _q4 + 1;
+        repro_mk8x8r2_avx512f(Ui_P, &h_tilde[((_n_idx_3_5) * (8) + (0))], &h_tilde[((_n_idx_3_7) * (8) + (0))], &mi[((_n_idx_3_5) * (8) + (0))], &mi[((_n_idx_3_7) * (8) + (0))], _j0, _j1);
+      }
+      for (; _q4 + 1 <= _rows3; _q4 += 1) {
+        const int64_t _n_idx_3_9 = _q4;
+        repro_mk8x8r1_avx512f(Ui_P, &h_tilde[((_n_idx_3_9) * (8) + (0))], &mi[((_n_idx_3_9) * (8) + (0))], _j0, _j1);
+      }
+      // mo [matvec] contraction over panel-packed Uo_P[8][8]
+      const int64_t _rows11 = (_length) * 1;
+      int64_t _q12 = 0;
+      for (; _q12 + 2 <= _rows11; _q12 += 2) {
+        const int64_t _n_idx_4_13 = _q12;
+        const int64_t _n_idx_4_15 = _q12 + 1;
+        repro_mk8x8r2_avx512f(Uo_P, &h_tilde[((_n_idx_4_13) * (8) + (0))], &h_tilde[((_n_idx_4_15) * (8) + (0))], &mo[((_n_idx_4_13) * (8) + (0))], &mo[((_n_idx_4_15) * (8) + (0))], _j0, _j1);
+      }
+      for (; _q12 + 1 <= _rows11; _q12 += 1) {
+        const int64_t _n_idx_4_17 = _q12;
+        repro_mk8x8r1_avx512f(Uo_P, &h_tilde[((_n_idx_4_17) * (8) + (0))], &mo[((_n_idx_4_17) * (8) + (0))], _j0, _j1);
+      }
+      // mu [matvec] contraction over panel-packed Uu_P[8][8]
+      const int64_t _rows19 = (_length) * 1;
+      int64_t _q20 = 0;
+      for (; _q20 + 2 <= _rows19; _q20 += 2) {
+        const int64_t _n_idx_5_21 = _q20;
+        const int64_t _n_idx_5_23 = _q20 + 1;
+        repro_mk8x8r2_avx512f(Uu_P, &h_tilde[((_n_idx_5_21) * (8) + (0))], &h_tilde[((_n_idx_5_23) * (8) + (0))], &mu[((_n_idx_5_21) * (8) + (0))], &mu[((_n_idx_5_23) * (8) + (0))], _j0, _j1);
+      }
+      for (; _q20 + 1 <= _rows19; _q20 += 1) {
+        const int64_t _n_idx_5_25 = _q20;
+        repro_mk8x8r1_avx512f(Uu_P, &h_tilde[((_n_idx_5_25) * (8) + (0))], &mu[((_n_idx_5_25) * (8) + (0))], _j0, _j1);
+      }
+      // gi [elementwise]
+      for (int64_t n_idx_6 = 0; n_idx_6 < _length; ++n_idx_6) {
+        (void)_j0;  // one partial vector: _j0 == 0
+        if (_j1 > 0) {
+          repro_vstoren16(&gi[((n_idx_6) * (8) + (0))], repro_vsigmoidf16((repro_vloadn16(&mi[((n_idx_6) * (8) + (0))], 8) + repro_vloadn16(&bi[(0)], 8))), 8);
+        }
+      }
+      // go [elementwise]
+      for (int64_t n_idx_7 = 0; n_idx_7 < _length; ++n_idx_7) {
+        (void)_j0;  // one partial vector: _j0 == 0
+        if (_j1 > 0) {
+          repro_vstoren16(&go[((n_idx_7) * (8) + (0))], repro_vsigmoidf16((repro_vloadn16(&mo[((n_idx_7) * (8) + (0))], 8) + repro_vloadn16(&bo[(0)], 8))), 8);
+        }
+      }
+      // gu [elementwise]
+      for (int64_t n_idx_8 = 0; n_idx_8 < _length; ++n_idx_8) {
+        (void)_j0;  // one partial vector: _j0 == 0
+        if (_j1 > 0) {
+          repro_vstoren16(&gu[((n_idx_8) * (8) + (0))], repro_vtanhf16((repro_vloadn16(&mu[((n_idx_8) * (8) + (0))], 8) + repro_vloadn16(&bu[(0)], 8))), 8);
+        }
+      }
+      // mf [matvec] contraction over panel-packed Uf_P[8][8]
+      const int64_t _rows27 = (_length) * 2;
+      int64_t _q28 = 0;
+      for (; _q28 + 2 <= _rows27; _q28 += 2) {
+        const int64_t _i_9_29 = (_q28) % 2;
+        const int64_t _n_idx_9_30 = (_q28) / 2;
+        const int64_t _n_9_31 = (_begin) + _n_idx_9_30;
+        const int64_t _i_9_32 = (_q28 + 1) % 2;
+        const int64_t _n_idx_9_33 = (_q28 + 1) / 2;
+        const int64_t _n_9_34 = (_begin) + _n_idx_9_33;
+        repro_mk8x8r2_avx512f(Uf_P, &rnn_h_ph[((repro_wrap(child[((_i_9_29) * num_nodes + (_n_9_31))], num_nodes)) * (8) + (0))], &rnn_h_ph[((repro_wrap(child[((_i_9_32) * num_nodes + (_n_9_34))], num_nodes)) * (8) + (0))], &mf[(((_n_idx_9_30) * (2) + (_i_9_29)) * (8) + (0))], &mf[(((_n_idx_9_33) * (2) + (_i_9_32)) * (8) + (0))], _j0, _j1);
+      }
+      for (; _q28 + 1 <= _rows27; _q28 += 1) {
+        const int64_t _i_9_35 = (_q28) % 2;
+        const int64_t _n_idx_9_36 = (_q28) / 2;
+        const int64_t _n_9_37 = (_begin) + _n_idx_9_36;
+        repro_mk8x8r1_avx512f(Uf_P, &rnn_h_ph[((repro_wrap(child[((_i_9_35) * num_nodes + (_n_9_37))], num_nodes)) * (8) + (0))], &mf[(((_n_idx_9_36) * (2) + (_i_9_35)) * (8) + (0))], _j0, _j1);
+      }
+      // gf [elementwise]
+      for (int64_t n_idx_10 = 0; n_idx_10 < _length; ++n_idx_10) {
+        for (int64_t i_11 = 0; i_11 < (0) + (2); ++i_11) {
+          (void)_j0;  // one partial vector: _j0 == 0
+          if (_j1 > 0) {
+            repro_vstoren16(&gf[(((n_idx_10) * (2) + (i_11)) * (8) + (0))], repro_vsigmoidf16((repro_vloadn16(&mf[(((n_idx_10) * (2) + (i_11)) * (8) + (0))], 8) + repro_vloadn16(&bf[(0)], 8))), 8);
+          }
+        }
+      }
+      // fc_sum [childsum]
+      for (int64_t n_idx_11 = 0; n_idx_11 < _length; ++n_idx_11) {
+        const int64_t n_11 = (_begin) + n_idx_11;
+        (void)_j0;  // one partial vector: _j0 == 0
+        if (_j1 > 0) {
+          repro_vf16 _acc38 = repro_vsplat16(0.0f);
+          for (int64_t _k39 = 0; _k39 < max_children; ++_k39) {
+            _acc38 = _acc38 + ((_k39 < (num_children[n_11])) ? ((repro_vloadn16(&gf[(((n_idx_11) * (2) + (_k39)) * (8) + (0))], 8) * repro_vloadn16(&rnn_c_ph[((child[((_k39) * num_nodes + (n_11))]) * (8) + (0))], 8))) : repro_vsplat16(0.0f));
+          }
+          repro_vstoren16(&fc_sum[((n_idx_11) * (8) + (0))], _acc38, 8);
+        }
+      }
+      // rec_c [elementwise]
+      for (int64_t n_idx_12 = 0; n_idx_12 < _length; ++n_idx_12) {
+        const int64_t n_12 = (_begin) + n_idx_12;
+        (void)_j0;  // one partial vector: _j0 == 0
+        if (_j1 > 0) {
+          repro_vstoren16(&rnn_c_ph[((n_12) * (8) + (0))], ((repro_vloadn16(&gi[((n_idx_12) * (8) + (0))], 8) * repro_vloadn16(&gu[((n_idx_12) * (8) + (0))], 8)) + repro_vloadn16(&fc_sum[((n_idx_12) * (8) + (0))], 8)), 8);
+        }
+      }
+      // rec_h [elementwise]
+      for (int64_t n_idx_13 = 0; n_idx_13 < _length; ++n_idx_13) {
+        const int64_t n_14 = (_begin) + n_idx_13;
+        (void)_j0;  // one partial vector: _j0 == 0
+        if (_j1 > 0) {
+          repro_vstoren16(&rnn_h_ph[((n_14) * (8) + (0))], (repro_vloadn16(&go[((n_idx_13) * (8) + (0))], 8) * repro_vtanhf16(repro_vloadn16(&rnn_c_ph[((n_14) * (8) + (0))], 8))), 8);
+        }
+      }
+    }
+    if (repro_team_sync(_m, 1)) return;  // end of the level
+  }
+}
+
+__attribute__((target("avx512f"))) void k_fused_avx512f(
+    float* rnn_h_ph,
+    float* rnn_c_ph,
+    const float* Emb,
+    const float* bi,
+    const float* bo,
+    const float* bu,
+    const float* bf,
+    float* h_tilde,
+    float* mi,
+    float* mo,
+    float* mu,
+    float* gi,
+    float* go,
+    float* gu,
+    float* mf,
+    float* gf,
+    float* fc_sum,
+    const int32_t* batch_begin,
+    const int32_t* batch_length,
+    const int32_t* child,
+    const int32_t* num_children,
+    const int32_t* words,
+    const float* Ui_P,
+    const float* Uo_P,
+    const float* Uu_P,
+    const float* Uf_P,
+    const int64_t* S,
+    int64_t begin,
+    int64_t length,
+    int64_t team) {
+  void* const A[] = {(void*)rnn_h_ph, (void*)rnn_c_ph, (void*)Emb, (void*)bi, (void*)bo, (void*)bu, (void*)bf, (void*)h_tilde, (void*)mi, (void*)mo, (void*)mu, (void*)gi, (void*)go, (void*)gu, (void*)mf, (void*)gf, (void*)fc_sum, (void*)batch_begin, (void*)batch_length, (void*)child, (void*)num_children, (void*)words, (void*)Ui_P, (void*)Uo_P, (void*)Uu_P, (void*)Uf_P, (void*)S};
+  (void)begin; (void)length;
+  repro_team_run(k_fused_avx512f_team, A, team);
 }
 
 #endif

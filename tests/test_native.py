@@ -10,7 +10,9 @@ where the prelude polynomials / BLAS reassociation differ), the
 no-compiler fallback, profiler labeling, artifact round-trips and
 serving — and the schedules of the native generator: register-tiled
 contractions over panel-packed weights (bitwise against the scalar fold,
-the packing cache), the two ISA variants (bitwise against each other),
+the packing cache), the three ISA variants (bitwise against each other
+on a library that holds them all), the host-selected parts a JIT build
+compiles,
 the lane loops and the prelude's own exp / tanh / sigmoid (bitwise
 against an op-for-op NumPy reference, ulp-bounded against float64), and
 UBSan / ASan / warning-clean builds.
@@ -42,8 +44,9 @@ from repro.linearizer.structures import iter_nodes
 from repro.options import CompileOptions, Validate
 from repro.pipeline import STAGES, CompilerPipeline
 from repro.runtime.native import (DEFAULT_CFLAGS, DTYPE_TO_CTYPE, NativeModule,
-                                  build_shared_library, ctype_for,
-                                  find_compiler, native_available)
+                                  build_shared_library, cpu_variants,
+                                  ctype_for, find_compiler, host_variant,
+                                  native_available)
 from repro.runtime.plan import build_host_plan, execute_plan
 from repro.runtime.profiler import KernelProfiler
 
@@ -346,7 +349,8 @@ def test_concurrent_builds_of_one_key_all_load(tmp_path, monkeypatch):
     for t in workers:
         t.join(300.0)
     assert not errors, errors
-    assert len(lanes) == threads and set(lanes) <= {4, 8}
+    assert len(lanes) == threads and set(lanes) <= set(
+        c_codegen.VARIANTS.values())
     _assert_only_installed(tmp_path, "module.c", "module.so")
 
 
@@ -497,8 +501,10 @@ def test_profiler_labels_native_kernels():
     assert prof.native_kernels == set(snap["kernels"])
     assert prof.breakdown().framework == "Cortex (measured, native)"
     # the team each launch asked for: one at h16, or a silent solo h256
-    # would look like a teamed one
+    # would look like a teamed one; and the variant each ran
     assert {row["team"] for row in snap["kernels"].values()} == {1}
+    assert {row["variant"] for row in snap["kernels"].values()} == {
+        model.compiled.native.variant}
     wide = _compile("treelstm", "c", hidden=256)
     prof_wide = KernelProfiler()
     execute_plan(wide.plan, wide._linearize(_inputs("treelstm"), True),
@@ -564,9 +570,10 @@ def test_artifact_bakes_and_reloads_native(tmp_path, monkeypatch):
 
 @needs_cc
 def test_artifact_runs_on_the_base_variant(tmp_path, monkeypatch):
-    """The shipped ``.so`` holds both variants, so an artifact built
-    here serves a host without AVX2: its base entry points, launched
-    directly, give the bits the dispatching kernels give."""
+    """The shipped ``.so`` holds ``base`` beside this host's widest
+    variant, so an artifact built here serves a host without it: its base
+    entry points, launched directly, give the bits the dispatching kernels
+    give."""
     from repro.tools.artifact import load_model, save_model
 
     model = _compile("treelstm", "c", hidden=40)
@@ -674,7 +681,7 @@ def test_tiled_contraction_wide_arity(max_children, make_root, monkeypatch):
 
 
 def test_panel_packed_layout_and_cache_contract():
-    from repro.runtime import kernels
+    from repro.runtime import kernels, memory
 
     w = np.arange(7 * 3, dtype=np.float32).reshape(7, 3)  # [j, r]
     packed = kernels.panel_packed(w, 4)
@@ -682,6 +689,18 @@ def test_panel_packed_layout_and_cache_contract():
     assert packed.shape == (21,) and packed.flags.c_contiguous
     assert np.array_equal(packed[:12].reshape(3, 4), w[:4].T)
     assert np.array_equal(packed[12:].reshape(3, 3), w[4:].T)
+    # every copy starts on a cache line, as the workspace slab does, so
+    # no 64-byte load of a full panel splits one (checked over several
+    # allocations: a plain one lands on 16-byte boundaries)
+    for cols, red in ((7, 3), (83, 5), (256, 256), (1024, 256), (4, 1)):
+        for panel in (16, 32, 64):
+            v = np.arange(cols * red, dtype=np.float32).reshape(cols, red)
+            p = kernels.panel_packed(v, panel)
+            assert p.ctypes.data % memory.ALIGN == 0, (cols, red, panel)
+            full = cols - cols % panel
+            assert np.array_equal(p, np.concatenate((
+                v[:full].reshape(-1, panel, red).transpose(0, 2, 1).ravel(),
+                v[full:].T.ravel())))
     assert kernels.panel_packed(w, 4) is packed  # packed once per array
     assert kernels.panel_packed(w, 8) is not packed  # per width
     # shares the GEMM operands' cache without touching their entries
@@ -733,8 +752,10 @@ def test_pool_replicas_bitwise_equal_single_replica():
 @pytest.mark.parametrize("name", CONTRACTION_ZOO)
 def test_zoo_runs_clean_under_ubsan(name, tmp_path, monkeypatch):
     """The module built (in parts) with UBSan in trap-on-first-report mode
-    runs the zoo at a hidden size that exercises every tile shape, and at
-    one whose fused kernel splits across a team of two."""
+    runs the zoo, on the variant this host dispatches to (its widest:
+    avx512f where the CPU has it), at a hidden size that exercises every
+    tile shape, and at one whose fused kernel splits across a team of
+    two."""
     flags = DEFAULT_CFLAGS + ("-fsanitize=undefined",
                               "-fno-sanitize-recover=all")
     _as_if_cpus(monkeypatch, 2)
@@ -746,6 +767,7 @@ def test_zoo_runs_clean_under_ubsan(name, tmp_path, monkeypatch):
                                                 cache_dir=tmp_path)
         except NativeError as e:
             pytest.skip(f"no UBSan runtime on this host: {e}")
+        assert host_variant() in (None, native.variant)
         model.compiled.native = types.SimpleNamespace(
             fns=native.variant_fns(native.variant, team=team))
         plan = build_host_plan(model.lowered, model.compiled)
@@ -763,18 +785,23 @@ def test_zoo_runs_clean_under_ubsan(name, tmp_path, monkeypatch):
 def test_generated_c_compiles_without_warnings(tmp_path, monkeypatch):
     """Every schedule the zoo exercises (full / partial panels, scalar
     columns, lane-loop tails, both presets), ``-Wall -Wextra`` as errors,
-    each part on its own (and one model's source as one unit):
-    ``-Wpsabi`` is how a 32-byte vector crossing a non-AVX function
-    boundary shows up."""
+    each part on its own (and one model's source as one unit), every
+    variant's part, avx512f's included, whatever this CPU runs:
+    ``-Wpsabi`` is how a 32- or 64-byte vector crossing a function
+    boundary compiled without its ISA shows up."""
     flags = DEFAULT_CFLAGS + ("-Wall", "-Wextra", "-Werror")
     launches = _record_launches(monkeypatch, cpus=2)
+    _every_variant(monkeypatch)
     for name in ZOO + ("seq_lstm", "mvrnn", "treelstm_nary"):
         for preset in PRESETS.values():
             for hidden in (6, 40):
                 model = _compile(name, "python", hidden=hidden, **preset)
                 NativeModule.from_ilmodule(model.lowered.module, flags=flags,
                                            cache_dir=tmp_path / "parted")
-    assert all("-c" in c for c in launches[:3]) and "-c" not in launches[3]
+    parts = len(c_codegen.PARTS)
+    assert [c[c.index("-c") + 1] for c in launches[:parts]] == [
+        f"-DREPRO_PART={k}" for k in range(parts)]
+    assert "-c" not in launches[parts]
     _as_if_cpus(monkeypatch, 1)
     launches.clear()
     NativeModule.from_ilmodule(model.lowered.module, flags=flags,
@@ -800,21 +827,62 @@ def _variant_plan(model, variant, team=None, native=None):
 TEAMS = (1, 2, 3, 4)
 
 
+def _every_variant(monkeypatch):
+    """JIT builds from here on hold every ISA variant, as where NumPy's
+    CPU-feature table cannot say which this CPU runs."""
+    from repro.runtime import native
+
+    monkeypatch.setattr(native, "host_variant", lambda: None)
+
+
+@pytest.fixture(scope="module")
+def every_variant(tmp_path_factory):
+    """``model -> NativeModule``: the model's source built holding every
+    ISA variant, once per source in this module."""
+    cache, built = tmp_path_factory.mktemp("every_variant"), {}
+
+    def build(model):
+        module = model.lowered.module
+        if module.c_source not in built:
+            with pytest.MonkeyPatch.context() as mp:
+                _every_variant(mp)
+                built[module.c_source] = NativeModule.from_ilmodule(
+                    module, cache_dir=cache)
+        return built[module.c_source]
+
+    return build
+
+
+def _runnable(native):
+    """The variants ``native`` holds that this CPU runs, and a reason to
+    skip naming the ones it cannot check here (``None``: none)."""
+    runs = cpu_variants() or ("base",)
+    ran = [v for v in native.holds if v in runs]
+    missing = [v for v in c_codegen.VARIANTS if v not in ran]
+    if not missing:
+        return ran, None
+    return ran, (f"ran {', '.join(ran)}; this host cannot run "
+                 f"{', '.join(missing)}")
+
+
 @needs_cc
-@pytest.mark.parametrize("hidden", (1, 6, 40, 256))
+@pytest.mark.parametrize("hidden", (1, 6, 40, 83, 256))
 @pytest.mark.parametrize("name", CONTRACTION_ZOO)
-def test_isa_variants_agree_bitwise(name, hidden):
-    """base (4 lanes) and avx2 (8 lanes), each split across teams of one
-    to four, against the base variant's team of one on every workspace
-    buffer — contractions, lane loops and the polynomials alike — at
-    hidden sizes with full panels (256), a partial panel (40), scalar
-    columns and partial vectors (6) and one column (1)."""
+def test_isa_variants_agree_bitwise(name, hidden, every_variant):
+    """base (4 lanes), avx2 (8 lanes) and avx512f (16 lanes) — each the
+    CPU runs — of a library holding all three, each split across teams of
+    one to four, and the model's own dispatching library, against the
+    base variant's team of one on every workspace buffer — contractions,
+    lane loops and the polynomials alike — at hidden sizes with full
+    panels (256), a 64-column panel then one 16-lane vector then 3 scalar
+    columns (83), a partial panel (40), scalar columns and partial
+    vectors (6) and one column (1)."""
     model = _compile(name, "c", hidden=hidden)
-    if model.compiled.native.variant != "avx2":
-        pytest.skip("this host's CPU runs the base variant only")
-    ref = _variant_plan(model, "base", team=1)
-    plans = [_variant_plan(model, variant, team)
-             for variant in ("base", "avx2") for team in TEAMS]
+    native = every_variant(model)
+    ran, skip = _runnable(native)
+    ref = _variant_plan(model, "base", 1, native)
+    plans = [model.plan] + [_variant_plan(model, variant, team, native)
+                            for variant in ran for team in TEAMS]
     for roots in _batches(name, np.random.default_rng(5)):
         lin = model._linearize(roots, True)
         a = execute_plan(ref, lin, model.params).workspace
@@ -823,24 +891,59 @@ def test_isa_variants_agree_bitwise(name, hidden):
             assert set(a) == set(b)
             for buf in a:
                 assert np.array_equal(a[buf], b[buf]), buf
+    if skip:
+        pytest.skip(skip)
+
+
+@needs_cc
+def test_jit_builds_base_and_the_host_variant(tmp_path, monkeypatch):
+    """A JIT build holds the runtime, ``base`` and the widest variant this
+    CPU runs: on two CPUs three ``cc -c`` processes and one link, every one
+    with the define that names the variant (so it is in the cache key),
+    and the library dispatches to it.  Where the CPU table cannot say, a
+    build holds every variant, and dispatches to the same one."""
+    from repro.ilir.codegen.c_codegen import PARTS, held_parts, wide_define
+
+    host = host_variant()
+    if host is None:
+        pytest.skip("NumPy's CPU-feature table cannot say what this CPU runs")
+    module = _compile("treelstm", "python", hidden=40).lowered.module
+    launches = _record_launches(monkeypatch, cpus=2)
+    native = NativeModule.from_ilmodule(module, cache_dir=tmp_path)
+    *parts, link = launches
+    held = held_parts(len(PARTS), [wide_define(host)])
+    assert held == [0, 1] + [PARTS.index(host)] * (host != "base")
+    assert [c[c.index("-c") + 1] for c in parts] == [
+        f"-DREPRO_PART={k}" for k in held]
+    assert "-c" not in link and all(wide_define(host) in c for c in launches)
+    assert native.holds == tuple(dict.fromkeys(("base", host)))
+    assert native.variant == host
+    launches.clear()
+    _every_variant(monkeypatch)
+    every = NativeModule.from_ilmodule(module, cache_dir=tmp_path)
+    assert every.so_path != native.so_path
+    assert len(launches) == len(PARTS) + 1
+    assert set(native.holds) <= set(every.holds)
+    assert every.variant == host
 
 
 @needs_cc
 @pytest.mark.parametrize("name", CONTRACTION_ZOO)
 def test_parted_library_equals_one_unit_build(name, tmp_path, monkeypatch):
     """One source built in parts (a cc process per part, then the link)
-    and as one unit: every workspace buffer byte-identical, on both ISA
-    variants, split across teams of one and two."""
+    and as one unit: every workspace buffer byte-identical, on every ISA
+    variant the CPU runs, split across teams of one and two."""
     model = _compile(name, "c", hidden=40)
     built, launches = {}, _record_launches(monkeypatch, 1)
+    _every_variant(monkeypatch)
     for cpus in (1, 2):
         _as_if_cpus(monkeypatch, cpus)
         launches.clear()
         built[cpus] = NativeModule.from_ilmodule(
             model.lowered.module, cache_dir=tmp_path / str(cpus))
-        assert len(launches) == (1 if cpus == 1 else 4)
-    variants = ("base", "avx2") if model.compiled.native.variant == "avx2" \
-        else ("base",)
+        assert len(launches) == (1 if cpus == 1 else
+                                 len(c_codegen.PARTS) + 1)
+    variants, _ = _runnable(built[1])
     for variant in variants:
         for team in (1, 2):
             one, parted = (_variant_plan(model, variant, team, built[cpus])
@@ -932,12 +1035,22 @@ def test_team_size_follows_columns_and_cpus():
 
 @needs_cc
 def test_cli_compile_names_variant_and_team(capsys):
+    """The variants the library holds, the one it dispatches to (this
+    host's widest) and the team: "holds base, avx512f; dispatches to
+    avx512f, team of 2" on a 2-CPU AVX-512 host."""
     from repro.tools.cli import main
 
     assert main(["compile", "treelstm", "--hidden", "256",
                  "--target", "c"]) == 0
     team = min(2, len(os.sched_getaffinity(0)))
-    assert f", team of {team}\n" in capsys.readouterr().out
+    host = host_variant()
+    if host is None:
+        holds = ", ".join(c_codegen.VARIANTS)
+        host = (cpu_variants() or ("base",))[-1]
+    else:
+        holds = ", ".join(dict.fromkeys(("base", host)))
+    assert (f"holds {holds}; dispatches to {host}, team of {team}\n"
+            in capsys.readouterr().out)
 
 
 @needs_cc
@@ -1082,7 +1195,7 @@ def prelude_math(tmp_path_factory):
     """``(fn, form) -> callable(x) -> y`` over a library that is the
     prelude plus one array loop per function and form: the scalar
     wrapper, the base vector and — compiled in and runnable here — the
-    avx2 vector."""
+    avx2 and avx512f vectors."""
     if not native_available():
         pytest.skip("no C compiler on the host")
     loops = []
@@ -1091,25 +1204,30 @@ def prelude_math(tmp_path_factory):
             f"void t_{fn}_scalar(const float* x, float* y, int64_t n) {{\n"
             f"  for (int64_t i = 0; i < n; ++i) y[i] = repro_{fn}(x[i]);\n}}")
         for variant, lanes in c_codegen.VARIANTS.items():
+            wide = variant != "base"
             loops.append(
-                ("#ifdef REPRO_AVX2\n" if variant == "avx2" else "")
+                (f"#ifdef {c_codegen._variant_macro(variant)}\n" if wide
+                 else "")
                 + f"{c_codegen._variant_target(variant)}void "
                 f"t_{fn}_{variant}(const float* x, float* y, int64_t n) {{\n"
                 f"  for (int64_t i = 0; i < n; i += {lanes})\n"
                 f"    repro_vstore{lanes}(y + i, repro_v{fn}{lanes}("
                 f"repro_vload{lanes}(x + i)));\n}}"
-                + ("\n#endif" if variant == "avx2" else ""))
+                + ("\n#endif" if wide else ""))
     source = "\n".join([c_codegen.native_prelude(), *loops,
                         c_codegen._C_DISPATCH, c_codegen._C_EPILOGUE])
     lib = ctypes.CDLL(str(build_shared_library(
         source, cc=find_compiler(),
         flags=DEFAULT_CFLAGS + ("-Wall", "-Wextra", "-Werror"),
         cache_dir=tmp_path_factory.mktemp("prelude"))))
-    lib.repro_lanes.restype = ctypes.c_int
-    forms = ["scalar", "base"] + ["avx2"] * (lib.repro_lanes() == 8)
+    lib.repro_held.restype = ctypes.c_int
+    held = lib.repro_held()
+    forms = ["scalar"] + [
+        v for v in (cpu_variants() or ("base",))
+        if held >> c_codegen.PARTS.index(v) & 1]
 
     def call(fn, form, x):
-        assert x.dtype == np.float32 and x.size % 8 == 0
+        assert x.dtype == np.float32 and x.size % 16 == 0
         y = np.empty_like(x)
         cfn = getattr(lib, f"t_{fn}_{form}")
         cfn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
@@ -1153,7 +1271,7 @@ def test_prelude_math_edge_table(prelude_math):
                      (-0.0, 0.5), (100.0, 1.0), (-200.0, 0.0)],
     }
     for fn, rows in table.items():
-        x = np.zeros(-(-len(rows) // 8) * 8, np.float32)
+        x = np.zeros(-(-len(rows) // 16) * 16, np.float32)
         x[:len(rows)] = [r[0] for r in rows]
         want = np.array([r[1] for r in rows], np.float32)
         for form in forms:
@@ -1208,7 +1326,7 @@ import numpy as np
 from repro.linearizer import branch, leaf
 from repro.options import CompileOptions
 from repro.pipeline import CompilerPipeline
-from repro.runtime.native import DEFAULT_CFLAGS, NativeModule
+from repro.runtime.native import DEFAULT_CFLAGS, NativeModule, host_variant
 from repro.runtime.plan import build_host_plan, execute_plan
 
 model = CompilerPipeline().compile(
@@ -1216,6 +1334,7 @@ model = CompilerPipeline().compile(
     rng=np.random.default_rng(0))
 model.compiled.native = NativeModule.from_ilmodule(
     model.lowered.module, flags=DEFAULT_CFLAGS + ("-fsanitize=address",))
+assert host_variant() in (None, model.compiled.native.variant)
 plan = build_host_plan(model.lowered, model.compiled)
 tree = branch(branch(leaf(3)), branch(leaf(4), leaf(5)))
 got = execute_plan(plan, model._linearize([tree], True), model.params)
@@ -1233,7 +1352,7 @@ from repro.linearizer import Node, sequence
 from repro.memo import MemoSplicer
 from repro.options import CompileOptions
 from repro.pipeline import CompilerPipeline
-from repro.runtime.native import DEFAULT_CFLAGS, NativeModule
+from repro.runtime.native import DEFAULT_CFLAGS, NativeModule, host_variant
 from repro.runtime.plan import build_host_plan, execute_plan
 
 model = CompilerPipeline().compile(
@@ -1241,6 +1360,7 @@ model = CompilerPipeline().compile(
     rng=np.random.default_rng(0))
 model.compiled.native = NativeModule.from_ilmodule(
     model.lowered.module, flags=DEFAULT_CFLAGS + ("-fsanitize=address",))
+assert host_variant() in (None, model.compiled.native.variant)
 plan = build_host_plan(model.lowered, model.compiled)
 assert [k.kind for k in model.lowered.module.kernels][0] == "pre"
 splicer = MemoSplicer(model)
@@ -1338,7 +1458,7 @@ def _absent_word_requests(name):
 
 @needs_cc
 @pytest.mark.parametrize("name", ("dagrnn", "seq_lstm", "seq_gru"))
-def test_absent_interior_words_gather_the_last_row(name):
+def test_absent_interior_words_gather_the_last_row(name, every_variant):
     """Models that gather ``words`` at every node read an interior
     ``-1`` as the table's last row on every target and ISA variant, as
     NumPy does: each one's output equals its own with those words
@@ -1346,9 +1466,10 @@ def test_absent_interior_words_gather_the_last_row(name):
     :func:`parity_classification` promises it).  The native gather used
     to read before the table."""
     c, py = _compile(name, "c"), _compile(name, "python")
-    plans = {"python": py.plan, "c": c.plan, "base": _variant_plan(c, "base")}
-    if c.compiled.native.variant == "avx2":
-        plans["avx2"] = _variant_plan(c, "avx2")
+    every = every_variant(c)
+    plans = {"python": py.plan, "c": c.plan}
+    for variant in _runnable(every)[0]:
+        plans[variant] = _variant_plan(c, variant, native=every)
     bitwise = all(k["bitwise"] for k in
                   parity_classification(c.lowered.module).values())
     last = c.lowered.linearizer.word_limit - 1
@@ -1381,7 +1502,7 @@ import numpy as np
 from repro.data import zipf_dag_stream
 from repro.options import CompileOptions
 from repro.pipeline import CompilerPipeline
-from repro.runtime.native import DEFAULT_CFLAGS, NativeModule
+from repro.runtime.native import DEFAULT_CFLAGS, NativeModule, host_variant
 from repro.runtime.plan import build_host_plan, execute_plan
 
 model = CompilerPipeline().compile(
@@ -1389,6 +1510,7 @@ model = CompilerPipeline().compile(
     rng=np.random.default_rng(0))
 model.compiled.native = NativeModule.from_ilmodule(
     model.lowered.module, flags=DEFAULT_CFLAGS + ("-fsanitize=address",))
+assert host_variant() in (None, model.compiled.native.variant)
 plan = build_host_plan(model.lowered, model.compiled)
 for dag in zipf_dag_stream(6, seed=3):
     got = execute_plan(plan, model._linearize([dag], True), model.params)
@@ -1416,7 +1538,7 @@ from repro.errors import NativeError
 from repro.linearizer import branch, leaf
 from repro.options import CompileOptions
 from repro.pipeline import CompilerPipeline
-from repro.runtime.native import DEFAULT_CFLAGS, NativeModule
+from repro.runtime.native import DEFAULT_CFLAGS, NativeModule, host_variant
 from repro.runtime.plan import build_host_plan, execute_plan
 
 # treebank trees, then unary nodes in the root level: the gather of a
@@ -1435,6 +1557,7 @@ for specialize in (True, False):
     except NativeError as e:
         print(f"SKIP: -fsanitize=thread does not build here: {e}")
         raise SystemExit(0)
+    assert host_variant() in (None, native.variant)
 
     def plan(team):
         compiled = copy.copy(model.compiled)
@@ -1456,10 +1579,10 @@ print("team ran clean")
 @needs_cc
 def test_team_runs_clean_under_tsan(tmp_path):
     """103 h256 calls split across a team of two, on the specialized and
-    the unspecialized schedule, under ThreadSanitizer (halting on its
-    first report): the barriers codegen placed order every cross-column
-    read after its writes, and a missing child's gather never reads the
-    row its level is writing."""
+    the unspecialized schedule and the variant this host dispatches to,
+    under ThreadSanitizer (halting on its first report): the barriers
+    codegen placed order every cross-column read after its writes, and a
+    missing child's gather never reads the row its level is writing."""
     _run_preloaded(_TEAM_UNDER_TSAN, tmp_path, runtime="tsan")
 
 
