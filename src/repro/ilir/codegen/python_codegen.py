@@ -4,13 +4,21 @@ Each kernel becomes a Python function over a workspace of NumPy arrays; each
 operator nest becomes a vectorized block.  Three translation paths cover the
 nest shapes the lowering produces:
 
-* **elementwise** — every loop axis becomes a broadcast ``arange`` grid;
-  reads translate to (advanced-)indexed loads, the whole body to one NumPy
-  expression;
+* **elementwise** — the loop axes span a broadcast frame and the whole
+  body becomes one NumPy expression.  A read indexed by frame axes, the
+  node let, constants and reduce scalars is a basic slice — a view, with
+  ``None`` for the frame axes it does not use (and transposed when its
+  axes are out of frame order, as ``child[k, node]`` in a (node, k)
+  frame); a read
+  whose leading index is itself such a read (``child(k, node)``,
+  ``words[node]``, nested) is a 1-D row take,
+  ``ws['h'][ws['child'][0, begin:begin + length], 0:256]``; any other read
+  is a broadcast ``arange`` gather.  Frame ``arange`` arrays are declared
+  only where a gather or an expression still reads them;
 * **einsum** — constant-extent reductions whose body is a product of two
   tensor reads (matrix-vector products, per-node matrix products) map to
   :func:`~repro.runtime.kernels.einsum2` (einsum semantics, contraction
-  plan cached per spec) with gather operands for indirect node accesses;
+  plan cached per spec) with row-take operands for indirect node accesses;
 * **masked child reduction** — reductions whose extent is an uninterpreted
   function of the node (child-sum models) become a masked accumulation
   over the declared ``max_children`` — unrolled when it is a small
@@ -32,14 +40,14 @@ the "host"):
 
 Node-axis convention: the node axis variable iterates ``[0, length)`` and
 the accompanying let binds ``node = batch_begin + n_idx``; because the
-Appendix-B numbering makes batches contiguous, codegen binds the node id
-array to ``arange(begin, begin + length)`` directly.
+Appendix-B numbering makes batches contiguous, a read at ``node`` is the
+row slice ``begin:begin + length`` (and the node id array, where one is
+still needed, ``arange(begin, begin + length)``).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...errors import CodegenError
@@ -78,10 +86,16 @@ _IDENT = re.compile(r"[A-Za-z_]\w*")
 class _VecTx:
     """Expression -> NumPy source inside a broadcast frame of loop axes.
 
-    ``arrays`` maps variable names (axis vars and the node-id let) to source
-    strings that evaluate to frame-broadcastable integer arrays; ``scalars``
-    maps variable names to Python-scalar sources (reduce loop counters).
-    Unknown variables resolve through the scalar dict ``c``.
+    ``frame`` gives the axis variables (and the node-id let) their frame
+    positions, slices and — declared on first use — broadcast ``arange``
+    arrays; ``scalars`` maps variable names to Python-scalar sources
+    (reduce loop counters).  Unknown variables resolve through the scalar
+    dict ``c``.
+
+    Reads lower to the cheapest form that yields the broadcast gather's
+    values (:meth:`load`): a basic slice (a view) when the indices are
+    frame axes and scalars, a row take when the leading index is itself
+    such a read, else the broadcast gather.
 
     ``cse`` (when given) memoizes loads from arrays the kernels never write
     (UF index arrays, parameters) into local bindings, and ``readonly``
@@ -90,10 +104,10 @@ class _VecTx:
     loop counter must not be hoisted out of the loop.
     """
 
-    def __init__(self, arrays: Dict[str, str], scalars: Dict[str, str],
+    def __init__(self, frame: "_Frame", scalars: Dict[str, str],
                  cse: Optional[Callable[[str, str], str]] = None,
                  readonly: Optional[frozenset] = None):
-        self.arrays = arrays
+        self.frame = frame
         self.scalars = scalars
         self.cse = cse
         self.readonly = readonly if readonly is not None else frozenset()
@@ -106,8 +120,8 @@ class _VecTx:
                 return f"np.float32({float(e.value)!r})"
             return repr(e.value)
         if isinstance(e, Var):
-            if e.name in self.arrays:
-                return self.arrays[e.name]
+            if e.name in self.frame.pos:
+                return self.frame.array(e.name)
             if e.name in self.scalars:
                 return self.scalars[e.name]
             return f"c[{e.name!r}]"
@@ -137,25 +151,123 @@ class _VecTx:
         if isinstance(e, Select):
             return (f"np.where({self.tx(e.cond)}, {self.tx(e.then_)}, "
                     f"{self.tx(e.else_)})")
-        if isinstance(e, TensorRead):
-            idx = ", ".join(self.tx(i) for i in e.indices)
-            src = f"ws[{e.buffer.name!r}][{idx}]"
-            if self.cse is not None and e.buffer.name in self.readonly:
-                return self.cse("g", src)
-            return src
-        if isinstance(e, UFCall):
-            if e.fn.name == "isleaf":
-                arg = self.tx(e.args[0])
-                src = f"_isleaf(ws, c, {arg})"
-            else:
-                idx = ", ".join(self.tx(a) for a in e.args)
-                src = f"ws[{e.fn.name!r}][{idx}]"
-            # UF arrays come from the linearizer and are never written by
-            # kernels, so their loads are always memoization-safe.
-            if self.cse is not None:
-                return self.cse("g", src)
-            return src
+        if isinstance(e, UFCall) and e.fn.name == "isleaf":
+            src = f"_isleaf(ws, c, {self.tx(e.args[0])})"
+            return self.cse("g", src) if self.cse is not None else src
+        if isinstance(e, (TensorRead, UFCall)):
+            return self.load(e)
         raise CodegenError(f"cannot vectorize {type(e).__name__}")
+
+    # -- reads --------------------------------------------------------------
+    def load(self, e: Expr, rank: Optional[int] = None) -> Optional[str]:
+        """Source of a tensor or UF read, in the frame's broadcast shape.
+
+        With ``rank`` the result covers only the first ``rank`` frame
+        positions (a row-take index), and ``None`` is returned when no
+        view or take has that shape; without it, a read neither form
+        covers becomes the broadcast gather.
+        """
+        name, indices = _read_parts(e)
+        src = self._affine_load(name, indices,
+                                self.frame.rank if rank is None else rank)
+        if src is None:
+            if rank is not None:
+                return None
+            idx = ", ".join(self.tx(i) for i in indices)
+            src = f"ws[{name!r}][{idx}]"
+        # UF arrays come from the linearizer and are never written by
+        # kernels, so their loads are always memoization-safe.
+        if self.cse is not None and (isinstance(e, UFCall)
+                                     or name in self.readonly):
+            return self.cse("g", src)
+        return src
+
+    def _affine_load(self, name: str, indices: Sequence[Expr],
+                     rank: int) -> Optional[str]:
+        """A view (basic slice) or row take of ``name``, else ``None``.
+
+        Frame axes become their slices and frame positions the read does
+        not use become ``None``, so the result has the gather's shape.  A
+        leading read over frame axes (``child(k, node)``, ``words[node]``,
+        nested) becomes a take index covering the frame positions up to
+        its last one; the remaining indices must follow it in frame order.
+        """
+        frame = self.frame
+        lead_read = indices[0] if indices and _is_read(indices[0]) else None
+        start = 0
+        if lead_read is not None:
+            used0 = frame.positions(lead_read)
+            if not used0:
+                return None
+            start = max(used0) + 1
+            indices = indices[1:]
+        parts: List[Tuple[Optional[int], str]] = []
+        for idx in indices:
+            if isinstance(idx, Var) and idx.name in frame.pos:
+                parts.append((frame.pos[idx.name], frame.slices[idx.name]))
+            elif self._is_scalar(idx):
+                parts.append((None, self.tx(idx)))
+            else:
+                return None
+        used = [p for p, _ in parts if p is not None]
+        if (start > rank or len(set(used)) != len(used)
+                or any(p < start or p >= rank for p in used)
+                or (lead_read is not None and used != sorted(used))):
+            return None
+        lead = None
+        if lead_read is not None:
+            # lowered last: a read that falls back binds no dead lead
+            lead = self.load(lead_read, start)
+            if lead is None:
+                return None
+        elif not used:
+            return None  # a scalar element: the plain index form is basic
+        if used == sorted(used):
+            items = [lead] if lead is not None else []
+            nxt = start
+            for p, s in parts:
+                if p is not None:
+                    items += ["None"] * (p - nxt)
+                    nxt = p + 1
+                items.append(s)
+            items += ["None"] * (rank - nxt)
+            return f"ws[{name!r}][{', '.join(items)}]"
+        # axes out of frame order (``child[k, node]`` in a (node, k) frame):
+        # slice in buffer order, then permute the view into frame order
+        perm = sorted(range(len(used)), key=used.__getitem__)
+        src = (f"ws[{name!r}][{', '.join(s for _, s in parts)}]"
+               f".transpose({', '.join(map(str, perm))})")
+        if rank > len(used):
+            pattern = ["None"] * rank
+            for p in used:
+                pattern[p] = ":"
+            src += f"[{', '.join(pattern)}]"
+        return src
+
+    def _is_scalar(self, e: Expr) -> bool:
+        """Integer arithmetic over constants and non-frame variables."""
+        for x in walk(e):
+            if isinstance(x, Var):
+                if x.name in self.frame.pos:
+                    return False
+            elif isinstance(x, Const):
+                if x.dtype.is_float or x.dtype.is_bool:
+                    return False
+            elif not isinstance(x, (BinOp, UnaryOp)):
+                return False
+        return True
+
+
+def _is_read(e: Expr) -> bool:
+    """A tensor or UF read (``isleaf`` is a predicate, not an array)."""
+    return (isinstance(e, TensorRead)
+            or (isinstance(e, UFCall) and e.fn.name != "isleaf"))
+
+
+def _read_parts(e: Expr) -> Tuple[str, Sequence[Expr]]:
+    if isinstance(e, TensorRead):
+        return e.buffer.name, e.indices
+    return e.fn.name, e.args
 
 
 ISLEAF_HELPER = '''\
@@ -167,14 +279,42 @@ def _isleaf(ws, c, n):
 '''
 
 
-@dataclass
 class _Frame:
-    """Axis arrays of one broadcast frame (full or compact)."""
+    """The loop axes of one broadcast frame (full or compact).
 
-    axes: List[AxisSpec]
-    arrays: Dict[str, str]           # var name -> array source
-    begins: Dict[str, str]           # axis var name -> begin source
-    extents: Dict[str, str]          # axis var name -> extent source
+    ``pos`` maps every axis variable, and the node-id let, to its frame
+    position and ``slices`` to the basic slice it spans.  The broadcast
+    ``arange`` array of a variable is declared only when an expression
+    needs one (:meth:`array`); views and row takes need none.
+    """
+
+    def __init__(self, rank: int, pos: Dict[str, int],
+                 slices: Dict[str, str], aranges: Dict[str, str],
+                 node: Optional[Tuple[str, str, str]] = None,
+                 declare: Optional[Callable[[str, str], str]] = None):
+        self.rank = rank
+        self.pos = pos
+        self.slices = slices
+        self._aranges = aranges
+        self._node = node          # (node let, node axis var, begin source)
+        self._declare = declare
+
+    def positions(self, e: Expr) -> set:
+        """Frame positions the free variables of ``e`` range over."""
+        return {self.pos[v] for v in free_vars(e) if v in self.pos}
+
+    def array(self, name: str) -> str:
+        if self._node is not None and name == self._node[0]:
+            # node = batch_begin + n_idx: affine, because batches are
+            # contiguous under the Appendix-B numbering
+            _, axis, b = self._node
+            idx = self.array(axis)
+            src = idx if b.strip() == "0" else f"(({b}) + {idx})"
+            return self._declare("nd", src)
+        return self._declare("ax", self._aranges[name])
+
+
+_NO_FRAME = _Frame(0, {}, {}, {})
 
 
 class PythonCodegen:
@@ -185,9 +325,10 @@ class PythonCodegen:
 
     * einsum contractions call :func:`repro.runtime.kernels.einsum2`, whose
       contraction plan is parsed once per spec instead of per launch;
-    * broadcast ``arange`` index frames are memoized — batch-invariant ones
-      are hoisted to the kernel preamble, batch-dependent ones are computed
-      once per batch iteration instead of once per nest;
+    * affine reads are views and indirect ones row takes, not broadcast
+      gathers; the ``arange`` frames still read are memoized —
+      batch-invariant ones hoisted to the kernel preamble, batch-dependent
+      ones computed once per batch iteration instead of once per nest;
     * loads from arrays the kernels never write (linearizer UF arrays,
       parameters) are CSE'd into locals with the same scoping rules;
     * variable-extent child reductions are unrolled over the compile-time
@@ -229,7 +370,7 @@ class PythonCodegen:
         self.lines.append("    " * indent + line)
 
     def _scalar_tx(self) -> _VecTx:
-        return _VecTx({}, {})
+        return _VecTx(_NO_FRAME, {})
 
     # -- memoized declarations ------------------------------------------------
     def _loop_dependent(self, src: str) -> bool:
@@ -329,16 +470,17 @@ class PythonCodegen:
     def _build_frame(self, axes: Sequence[AxisSpec], node_let: Optional[str],
                      begin_src: Optional[str], length_src: Optional[str],
                      indent: int) -> _Frame:
-        """Declare broadcast ``arange`` arrays for a set of axes.
+        """The frame of a set of axes; its ``arange`` arrays are declared
+        on first use.
 
         Declarations are memoized: identical frames are shared across nests
         and batch-invariant ones are hoisted out of the level loop.
         """
         m = len(axes)
         scalar = self._scalar_tx()
-        arrays: Dict[str, str] = {}
-        begins: Dict[str, str] = {}
-        extents: Dict[str, str] = {}
+        pos: Dict[str, int] = {}
+        slices: Dict[str, str] = {}
+        aranges: Dict[str, str] = {}
         for j, ax in enumerate(axes):
             if ax.kind == "node":
                 # the node axis variable is the dense in-batch index n_idx
@@ -347,25 +489,22 @@ class PythonCodegen:
             else:
                 b_src = scalar.tx(ax.begin)
                 e_src = scalar.tx(ax.extent)
-            begins[ax.var.name] = b_src
-            extents[ax.var.name] = e_src
+            pos[ax.var.name] = j
+            slices[ax.var.name] = f"({b_src}):({b_src}) + ({e_src})"
             base = f"np.arange(({b_src}), ({b_src}) + ({e_src}))"
             if m > 1:
                 shape = ", ".join("-1" if i == j else "1" for i in range(m))
                 base = f"{base}.reshape({shape})"
-            arrays[ax.var.name] = self._declare("ax", base, indent)
-        # Bind the node-id let: node = batch_begin + n_idx.  Batches are
-        # contiguous under the Appendix-B numbering, so this is affine.
-        if node_let is not None:
-            node_ax = _node_axis_of(axes)
-            if node_ax is not None:
-                b = begin_src if begin_src is not None else "0"
-                idx_arr = arrays[node_ax.var.name]
-                node_src = idx_arr if b.strip() == "0" else f"(({b}) + {idx_arr})"
-                arrays[node_let] = self._declare("nd", node_src, indent)
-                begins[node_let] = b
-                extents[node_let] = extents[node_ax.var.name]
-        return _Frame(list(axes), arrays, begins, extents)
+            aranges[ax.var.name] = base
+        node = None
+        node_ax = _node_axis_of(axes)
+        if node_let is not None and node_ax is not None:
+            b = begin_src if begin_src is not None else "0"
+            e = length_src if length_src is not None else "c['num_nodes']"
+            pos[node_let] = pos[node_ax.var.name]
+            slices[node_let] = f"({b}):({b}) + ({e})"
+            node = (node_let, node_ax.var.name, b)
+        return _Frame(m, pos, slices, aranges, node, self._make_cse(indent))
 
     # -- nests --------------------------------------------------------------------
     def _emit_nest(self, nest: OpNest, indent: int,
@@ -375,7 +514,7 @@ class PythonCodegen:
         # Node axis iterates node *ids* directly: arange(begin, begin+length).
         frame = self._build_frame(nest.axes, node_let, begin_src, length_src,
                                   indent)
-        tx = _VecTx(frame.arrays, {}, cse=self._make_cse(indent),
+        tx = _VecTx(frame, {}, cse=self._make_cse(indent),
                     readonly=self._readonly)
 
         body = nest.body
@@ -391,7 +530,12 @@ class PythonCodegen:
             val_src = f"np.where({pred_src}, {val_src}, {target})"
         elif (target_is_view and val_src.startswith("_e2(")
                 and val_src.endswith(")")):
-            # unpredicated einsum into a slice view: BLAS writes in place
+            # unpredicated einsum into a slice view: BLAS writes in place,
+            # so no operand may be a view of the buffer it writes
+            if nest.out.name in _viewed_operands(body):
+                raise CodegenError(
+                    f"nest {nest.name!r}: in-place einsum output "
+                    f"{nest.out.name!r} aliases one of its operands")
             self._emit(f"_e2i({val_src[4:-1]}, {target})", indent)
             return
         self._emit(f"{target} = {val_src}", indent)
@@ -409,14 +553,10 @@ class PythonCodegen:
         out = nest.out
         slices: List[str] = []
         for idx in nest.out_indices:
-            s = None
-            if isinstance(idx, Var) and idx.name in frame.begins:
-                b, e = frame.begins[idx.name], frame.extents[idx.name]
-                s = f"({b}):({b}) + ({e})"
-            if s is None:
+            if not (isinstance(idx, Var) and idx.name in frame.slices):
                 slices = []
                 break
-            slices.append(s)
+            slices.append(frame.slices[idx.name])
         if slices and len(slices) == out.ndim:
             return f"ws[{out.name!r}][{', '.join(slices)}]", True
         idx_src = ", ".join(tx.tx(i) for i in nest.out_indices)
@@ -449,7 +589,7 @@ class PythonCodegen:
             # slot becomes a literal so slot loads CSE across nests.
             self._emit(f"{acc} = np.float32(0.0)", indent)
             for kv in range(mc):
-                inner = _VecTx(tx.arrays, {**tx.scalars, k.var.name: str(kv)},
+                inner = _VecTx(tx.frame, {**tx.scalars, k.var.name: str(kv)},
                                cse=tx.cse, readonly=tx.readonly)
                 mask = f"({kv} < {inner.tx(k.extent)})"
                 self._emit(f"{acc} = {acc} + np.where({mask}, "
@@ -458,12 +598,15 @@ class PythonCodegen:
                 return f"({acc} + {tx.tx(red.init)})"
             return acc
         kv = self._fresh("k")
-        inner = _VecTx(tx.arrays, {**tx.scalars, k.var.name: kv})
+        inner = _VecTx(tx.frame, {**tx.scalars, k.var.name: kv})
+        # translate before the loop header: frame arrays are declared at
+        # the nest's indent on first use
+        mask = f"({kv} < {inner.tx(k.extent)})"
+        body_src = inner.tx(red.body)
         self._emit(f"{acc} = np.float32(0.0)", indent)
         self._emit(f"for {kv} in range(c['max_children']):", indent)
-        mask = f"({kv} < {inner.tx(k.extent)})"
         self._emit(f"{acc} = {acc} + np.where({mask}, "
-                   f"{inner.tx(red.body)}, np.float32(0.0))", indent + 1)
+                   f"{body_src}, np.float32(0.0))", indent + 1)
         if not is_zero(red.init):
             return f"({acc} + {tx.tx(red.init)})"
         return acc
@@ -471,18 +614,18 @@ class PythonCodegen:
     def _emit_loop_reduce(self, red: Reduce, tx: _VecTx, indent: int) -> str:
         """General fallback: Python loop over the reduce domain."""
         acc = self._fresh("acc")
-        self._emit(f"{acc} = None", indent)
         scalars = dict(tx.scalars)
-        depth = 0
+        headers: List[str] = []
         for ax in red.axes:
             lv = self._fresh("r")
-            self._emit(f"for {lv} in range(int({tx.tx(ax.extent)})):",
-                       indent + depth)
+            headers.append(f"for {lv} in range(int({tx.tx(ax.extent)})):")
             scalars[ax.var.name] = lv
-            depth += 1
-        inner = _VecTx(tx.arrays, scalars)
-        body_src = inner.tx(red.body)
-        d = indent + depth
+        # translate before the loop headers (see the masked reduction)
+        body_src = _VecTx(tx.frame, scalars).tx(red.body)
+        self._emit(f"{acc} = None", indent)
+        for depth, header in enumerate(headers):
+            self._emit(header, indent + depth)
+        d = indent + len(headers)
         if red.op == "sum":
             self._emit(f"{acc} = ({body_src}) if {acc} is None else "
                        f"{acc} + ({body_src})", d)
@@ -498,7 +641,7 @@ class PythonCodegen:
     def _try_einsum(self, nest: OpNest, red: Reduce, frame: _Frame,
                     tx: _VecTx, begin_src, length_src,
                     indent: int = 0) -> Optional[str]:
-        """Match sum(read * read) -> np.einsum with gather operands."""
+        """Match sum(read * read) -> np.einsum with row-take operands."""
         if red.op != "sum" or not is_zero(red.init):
             return None
         body = red.body
@@ -565,19 +708,28 @@ class PythonCodegen:
             return None, ""  # only leading-dimension gathers are supported
         gexpr = gathers[0][1]
         used = set(free_vars(gexpr))
-        node_ax = _node_axis_of(nest.axes)
         frame_axes = [a for a in nest.axes
                       if a.var.name in used
                       or (node_let in used and a is node_ax)]
         if not frame_axes:
             return None, ""
+        # the leading index over the operand's own (compact) frame: a view
+        # for child(k, node) / words[node], so the operand is one row take
         compact = self._build_frame(frame_axes, node_let, begin_src,
                                     length_src, indent)
-        ctx = _VecTx(compact.arrays, {})
+        ctx = _VecTx(compact, {}, cse=self._make_cse(indent),
+                     readonly=self._readonly)
         g_src = ctx.tx(gexpr)
         sub = ("".join(letters[a.var.name] for a in frame_axes)
                + "".join(sub_parts))
         return f"ws[{read.buffer.name!r}][{g_src}]", sub
+
+
+def _viewed_operands(red: Reduce) -> set:
+    """Buffers an einsum over ``red`` reads through views, not row takes
+    (every index a letter variable; see ``_einsum_operand``)."""
+    return {r.buffer.name for r in (red.body.a, red.body.b)
+            if all(isinstance(i, Var) for i in r.indices)}
 
 
 def _node_axis_of(axes: Sequence[AxisSpec]) -> Optional[AxisSpec]:

@@ -109,8 +109,11 @@ def _derive_plan(spec: str) -> Optional[Tuple]:
     that axis on the GEMM's M side — whose per-row results are invariant
     to the runtime extent (the N side selects different BLAS kernels as
     the extent grows; M does not, up to the large-K regime) — and saves
-    an output transpose copy besides.  The last plan element records the
-    swap.
+    an output transpose copy besides.  The M-side invariance holds only
+    for some N widths: with OpenBLAS, when N mod 16 is 1, 2, 3, 5, 6 or 7
+    a row's bits depend on whether M >= 4, so :func:`_dot_gemm` runs every
+    GEMM at an N padded to a multiple of :data:`GEMM_N_ALIGN`.  The last
+    plan element records the swap.
     """
     ins, out = spec.split("->")
     s0, s1 = ins.split(",")
@@ -132,8 +135,13 @@ def _einsum2_plan(spec: str) -> Optional[Tuple]:
     return plan
 
 
+#: GEMM output widths (the N side) run zero-padded to a multiple of this:
+#: at other widths a row's bits depend on the row count (see _dot_gemm).
+GEMM_N_ALIGN = 16
+
 #: (id(base), layout) -> (weakref(base), the re-laid-out copy), where the
-#: layout is a GEMM operand's transpose axes or ``("panel", width)``.
+#: layout is a GEMM operand's ``(transpose axes, padded width)`` or
+#: ``("panel", width)``.
 #: Model weights are the only non-contiguous GEMM operands the generated
 #: kernels produce (a square weight's transpose survives ``reshape`` as an
 #: F-ordered view), and the same parameter arrays recur on every call —
@@ -160,16 +168,36 @@ def _cache_copy(key: Tuple[int, Optional[Tuple]], base: np.ndarray,
 
 
 def _contig_2d(base: np.ndarray, newaxes: Optional[Tuple[int, ...]],
-               view: np.ndarray) -> np.ndarray:
+               view: np.ndarray, pad: bool = False) -> np.ndarray:
     """A C-contiguous equivalent of ``view`` (a reshape of ``base``'s
-    transpose), cached per base array when a copy is unavoidable."""
-    if view.flags.c_contiguous:
+    transpose), cached per base array when a copy is unavoidable.
+
+    With ``pad`` its columns are zero-padded to a multiple of
+    :data:`GEMM_N_ALIGN` (the GEMM's N side).  A weight's transpose is
+    packed, padded, once; a contiguous operand that needs padding is
+    copied per call — it may be a workspace buffer, whose rows change.
+    """
+    cols = view.shape[1]
+    width = -(-cols // GEMM_N_ALIGN) * GEMM_N_ALIGN if pad else cols
+    contiguous = view.flags.c_contiguous
+    if contiguous and width == cols:
         return view
-    key = (id(base), newaxes)
+    if contiguous:
+        return _padded(view, width)
+    key = (id(base), (newaxes, width))
     hit = _CONTIG_CACHE.get(key)
     if hit is not None and hit[0]() is base:
         return hit[1]
-    return _cache_copy(key, base, np.ascontiguousarray(view))
+    return _cache_copy(key, base, _padded(view, width))
+
+
+def _padded(view: np.ndarray, width: int) -> np.ndarray:
+    """A C-contiguous copy of 2-D ``view``, zero columns out to ``width``."""
+    if width == view.shape[1]:
+        return np.ascontiguousarray(view)
+    out = np.zeros((view.shape[0], width), view.dtype)
+    out[:, :view.shape[1]] = view
+    return out
 
 
 def panel_packed(base: np.ndarray, panel: int) -> np.ndarray:
@@ -211,8 +239,11 @@ def data_address(base: np.ndarray) -> int:
     return _cache_copy(key, base, base.ctypes.data)
 
 
-def _plan_operands_2d(plan: Tuple, a, b) -> Tuple[np.ndarray, np.ndarray]:
-    """The two C-contiguous 2-D GEMM operands for one plan application."""
+def _plan_operands_2d(plan: Tuple, a,
+                      b) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The two C-contiguous 2-D GEMM operands for one plan application,
+    the second padded on its N side (see :func:`_contig_2d`), and the
+    unpadded N."""
     ax0, newaxes_a, _, newaxes_b, _, _, swap = plan
     if swap:
         a, b = b, a
@@ -222,31 +253,32 @@ def _plan_operands_2d(plan: Tuple, a, b) -> Tuple[np.ndarray, np.ndarray]:
         n2 *= ash[ax]
     at = (a if newaxes_a is None else a.transpose(newaxes_a)).reshape(-1, n2)
     bt = (b if newaxes_b is None else b.transpose(newaxes_b)).reshape(n2, -1)
-    return (_contig_2d(a, newaxes_a, at), _contig_2d(b, newaxes_b, bt))
+    return (_contig_2d(a, newaxes_a, at), _contig_2d(b, newaxes_b, bt, True),
+            bt.shape[1])
 
 
-def _dot_gemm(at: np.ndarray, bt: np.ndarray) -> np.ndarray:
-    """``at @ bt`` pinned to the batch-extent-invariant GEMM regime.
+def _dot_gemm(at: np.ndarray, bt: np.ndarray, n: int) -> np.ndarray:
+    """``(at @ bt)[:, :n]`` pinned to the batch-extent-invariant GEMM regime.
 
-    Callers supply C-contiguous operands (see :func:`_plan_operands_2d`)
-    — an F-ordered operand would select transposed-packing GEMM paths
-    whose per-row results change with the row count.  The remaining
-    extent-dependent BLAS dispatch handled here: ``(1, k) @ (k, n)`` /
-    ``(m, k) @ (k, 1)`` forward to GEMV-style kernels whose reduction
-    order differs from the GEMM microkernel's — exactly the bit
-    difference the serving coalescer must exclude, since a request
-    executed alone (per-level batch length 1) and the same request
-    inside a mega-batch must agree.  Padding the 1-extent side with a
-    duplicate row/column keeps the multiply on the GEMM path; the pad
-    costs one k-length copy and only on degenerate shapes.
+    Callers supply C-contiguous operands, ``bt`` zero-padded from ``n``
+    columns to a multiple of :data:`GEMM_N_ALIGN` (see
+    :func:`_plan_operands_2d`) — an F-ordered operand would select
+    transposed-packing GEMM paths whose per-row results change with the
+    row count, and so would some N widths: with OpenBLAS, when N mod 16 is
+    1, 2, 3, 5, 6 or 7 a row's bits depend on whether M >= 4 — exactly the
+    bit difference the serving coalescer and the memo splice must exclude,
+    since a request executed alone (per-level batch length 1) and the same
+    request inside a mega-batch must agree.  The zero columns change no
+    other column's sum, and widths already a multiple of 16 run unpadded.
+    The remaining extent-dependent dispatch handled here: ``(1, k) @ (k,
+    n)`` forwards to a GEMV-style kernel whose reduction order differs
+    from the GEMM microkernel's; a duplicate row keeps it on the GEMM path
+    (one k-length copy, only when M is 1).
     """
-    m1 = at.shape[0] == 1
-    n1 = bt.shape[1] == 1
-    if not (m1 or n1):
-        return np.dot(at, bt)
-    a2 = np.concatenate((at, at), axis=0) if m1 else at
-    b2 = np.concatenate((bt, bt), axis=1) if n1 else bt
-    return np.dot(a2, b2)[:at.shape[0], :bt.shape[1]]
+    m = at.shape[0]
+    if m == 1:
+        at = np.concatenate((at, at), axis=0)
+    return np.dot(at, bt)[:m, :n]
 
 
 def einsum2(spec: str, a, b):
@@ -259,9 +291,10 @@ def einsum2(spec: str, a, b):
     deliberate differences give batch-extent-invariant results (the
     cross-request coalescing guarantee) where einsum's own lowering does
     not: the operand order is canonicalized so the runtime node axis lands
-    on the GEMM's M side (see :func:`_einsum2_plan`), and 1-extent edges
-    go through :func:`_dot_gemm` instead of BLAS's GEMV forwarding.  For
-    untouched specs this is bit-identical to einsum.  Specs whose
+    on the GEMM's M side (see :func:`_einsum2_plan`), and the GEMM runs
+    through :func:`_dot_gemm` — N padded to a multiple of 16, a 1-row M
+    kept off BLAS's GEMV forwarding.  For untouched specs at those widths
+    this is bit-identical to einsum.  Specs whose
     structure einsum would not hand to BLAS fall back to einsum.  The
     semantic oracle (:mod:`repro.ra.interp`) contracts through this same
     function, which is what lets it demand zero tolerance.
@@ -270,10 +303,10 @@ def einsum2(spec: str, a, b):
     if plan is None:
         return np.einsum(spec, a, b, optimize=True)
     _, _, notin0, _, notin1, perm, swap = plan
-    at, bt = _plan_operands_2d(plan, a, b)   # applies the swap itself
+    at, bt, n = _plan_operands_2d(plan, a, b)   # applies the swap itself
     if swap:
         a, b = b, a
-    res = _dot_gemm(at, bt)
+    res = _dot_gemm(at, bt, n)
     res = res.reshape(tuple(a.shape[i] for i in notin0)
                       + tuple(b.shape[i] for i in notin1))
     return res.transpose(perm) if perm is not None else res
@@ -282,26 +315,28 @@ def einsum2(spec: str, a, b):
 def einsum2_into(spec: str, a, b, out) -> None:
     """``out[...] = einsum2(spec, a, b)`` without the intermediate copy.
 
-    When the plan needs no output permutation and the destination slice is
-    C-contiguous with the result dtype, the BLAS call writes straight into
+    When the plan needs no output permutation, the destination slice is
+    C-contiguous with the result dtype and the GEMM runs unpadded (N a
+    multiple of :data:`GEMM_N_ALIGN`), the BLAS call writes straight into
     it (``np.dot(..., out=)``) — same gemm, same bits, one less allocation
     and copy per store.  Falls back to the assign form otherwise.
     """
     plan = _einsum2_plan(spec)
     if plan is not None and plan[5] is None and out.flags.c_contiguous:
-        at, bt = _plan_operands_2d(plan, a, b)
-        m, n = at.shape[0], bt.shape[1]
+        at, bt, n = _plan_operands_2d(plan, a, b)
+        m = at.shape[0]
         if out.size == m * n:
             out2d = out.reshape(m, n)
-            if m > 1 and n > 1:
+            if m > 1 and n == bt.shape[1]:
                 try:
                     np.dot(at, bt, out=out2d)
                     return
                 except (ValueError, TypeError):
                     pass  # dtype mismatch: take the assign path
             else:
-                # 1-extent edge: the padded GEMM result, copied into place
-                out2d[...] = _dot_gemm(at, bt)
+                # padded GEMM (1-row or N not a multiple of 16): its
+                # result, copied into place
+                out2d[...] = _dot_gemm(at, bt, n)
                 return
     out[...] = einsum2(spec, a, b)
 

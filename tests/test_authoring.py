@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro import PRESETS
 from repro.authoring import AuthoringError, ModelDef, define_model, model
 from repro.errors import LoweringError
 from repro.data import (grid_dag_batch, random_binary_tree, random_dag,
@@ -94,20 +95,29 @@ def test_derived_reference_matches_legacy(name, hidden):
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_interpreter_bitwise_identical_to_compiled(name):
-    """interp == compiled with ZERO tolerance, every node, every state."""
+    """interp == compiled with ZERO tolerance, every node, every state,
+    under every preset at hidden 1, 8 and 83.
+
+    Hidden 1 and 83 are GEMM widths whose row bits, unpadded, depend on
+    the row count (the interpreter contracts per node, the kernels per
+    batch); see ``runtime/kernels._dot_gemm``."""
     spec = get_model(name)
-    rng = np.random.default_rng(5)
-    m = repro.compile(spec, hidden=8, vocab=VOCAB)
-    roots = _roots_for(spec, rng)
-    res = m.run(roots)
-    prog = spec.build(hidden=8, vocab=VOCAB)
-    derived = interpret_reference(prog, roots, m.params)
-    for node in iter_nodes(roots):
-        nid = res.lin.node_id(node)
-        vals = _as_tuple(derived[id(node)], spec.multi_state)
-        for out_name, v in zip(spec.outputs, vals):
-            assert np.array_equal(res.output(out_name)[nid], v), \
-                f"{name}: node {nid} state {out_name} not bit-identical"
+    for preset in sorted(PRESETS):
+        for hidden in (1, 8, 83):
+            rng = np.random.default_rng(5)
+            m = repro.compile(spec, PRESETS[preset], hidden=hidden,
+                              vocab=VOCAB)
+            roots = _roots_for(spec, rng)
+            res = m.run(roots)
+            prog = spec.build(hidden=hidden, vocab=VOCAB)
+            derived = interpret_reference(prog, roots, m.params)
+            for node in iter_nodes(roots):
+                nid = res.lin.node_id(node)
+                vals = _as_tuple(derived[id(node)], spec.multi_state)
+                for out_name, v in zip(spec.outputs, vals):
+                    assert np.array_equal(res.output(out_name)[nid], v), (
+                        f"{name} {preset} h{hidden}: node {nid} state "
+                        f"{out_name} not bit-identical")
 
 
 def test_treelstm_reference_infers_wide_arity():

@@ -1,13 +1,20 @@
 """Tests for both code generators: source structure and compilation."""
 
+import re
+
 import numpy as np
 import pytest
 
 import repro
-from repro import CompileOptions
+from repro import PRESETS, CompileOptions
 from repro.errors import CodegenError
+from repro.ilir import AxisSpec, ILBuffer, OpNest
 from repro.ilir.codegen.compiled import CompiledModule
 from repro.ilir.codegen.python_codegen import generate_python
+from repro.ilir.module import HostStep, ILModule, Kernel
+from repro.ir import DimRegistry, TensorRead, Var, float32, reduce_axis, \
+    reduce_sum
+from repro.models import MODELS
 from repro.runtime.plan import build_host_plan, execute_plan
 
 VOCAB = 50
@@ -99,6 +106,119 @@ def test_rational_approx_appears_when_requested():
     m2 = repro.compile("treernn", hidden=8, vocab=VOCAB)
     assert "_tanh_rational(" not in m2.python_source.replace(
         "tanh_rational as _tanh_rational", "")
+
+
+# -- read forms: views and row takes -------------------------------------------
+
+#: the presets whose generated reads are pinned below
+READ_PRESETS = ("paper_headline", "unfused_ablation", "debug")
+
+#: a broadcast ``arange`` frame binding: ``_ax3 = np.arange(...)``,
+#: ``_nd5 = ((begin) + _ax3)``
+_FRAME_BINDING = re.compile(r"^\s*(_(?:ax|nd)\d+) = ", re.M)
+_FRAME_ARRAY = re.compile(r"\b_(?:ax|nd)\d+\b")
+
+#: the one remaining consumer of frame arrays: ``isleaf(node)`` predicates
+#: (the debug preset's unspecialized kernels) take node ids, not a buffer
+#: read.  No buffer read stays a broadcast gather in any preset below.
+FRAME_ARRAY_CONSUMERS = ("_isleaf(ws, c, ",)
+
+
+def _subscripts(src):
+    """``(buffer, index text)`` of every ``ws['name'][...]`` read."""
+    for m in re.finditer(r"ws\['(\w+)'\]\[", src):
+        depth, i = 1, m.end()
+        while depth:
+            depth += {"[": 1, "]": -1}.get(src[i], 0)
+            i += 1
+        yield m.group(1), src[m.end():i - 1]
+
+
+def _call_args(src, start):
+    """Top-level comma-separated arguments of a call, from ``src[start]``
+    to its closing parenthesis."""
+    args, depth, i = [], 0, start
+    while True:
+        ch = src[i]
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            if depth == 0:
+                args.append(src[start:i].strip())
+                return args
+            depth -= 1
+        elif ch == "," and depth == 0:
+            args.append(src[start:i].strip())
+            start = i + 1
+        i += 1
+
+
+def _source(name, preset):
+    args = {"num_cells": 16} if name == "dagrnn" else {"vocab": VOCAB}
+    return repro.compile(name, PRESETS[preset], hidden=8,
+                         **args).python_source
+
+
+@pytest.mark.parametrize("preset", READ_PRESETS)
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_reads_are_views_or_row_takes(name, preset):
+    """Batch rows are contiguous id ranges (App. B), so no read indexes a
+    buffer with a broadcast frame array: every one is a basic slice or a
+    row take, and the frame arrays left feed only the named consumers."""
+    src = _source(name, preset)
+    gathers = [(buf, idx) for buf, idx in _subscripts(src)
+               if _FRAME_ARRAY.search(idx)]
+    assert not gathers, gathers
+    for line in src.splitlines():
+        if _FRAME_ARRAY.search(line) and not _FRAME_BINDING.match(line):
+            assert any(c in line for c in FRAME_ARRAY_CONSUMERS), line
+    if preset == "paper_headline":
+        assert not _FRAME_BINDING.search(src)
+
+
+@pytest.mark.parametrize("preset", READ_PRESETS)
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_frame_bindings_are_read(name, preset):
+    """An ``_ax*`` / ``_nd*`` binding is declared only when read."""
+    src = _source(name, preset)
+    for var in _FRAME_BINDING.findall(src):
+        assert len(re.findall(rf"\b{var}\b", src)) > 1, var
+
+
+@pytest.mark.parametrize("preset", READ_PRESETS)
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_inplace_einsum_outputs_alias_no_operand(name, preset):
+    src = _source(name, preset)
+    for m in re.finditer(r"_e2i\('[^']*', ", src):   # past the spec
+        a, b, out = _call_args(src, m.end())
+        (out_buf,) = re.match(r"ws\['(\w+)'\]", out).groups()
+        for operand in (a, b):
+            buf, rest = re.match(r"ws\['(\w+)'\](.*)", operand).groups()
+            # a take (``ws['x'][idx]``, idx an array) copies; a view
+            # (the buffer or a row slice of it) must be another buffer
+            if "ws[" not in rest and not re.search(r"\b_g\d+\b", rest):
+                assert buf != out_buf, (name, preset, operand, out)
+
+
+def test_inplace_einsum_refuses_an_aliased_operand():
+    """``o[n, i] = sum_k W[i, k] * o[n, k]`` in place would let BLAS read
+    rows it is writing: codegen refuses it."""
+    N, K = 4, 3
+    w = ILBuffer("W", (K, K), float32)
+    o = ILBuffer("o", (N, K), float32)
+    n, i = Var("n"), Var("i")
+    k = reduce_axis(K, "k")
+    nest = OpNest(name="self_mv", out=o,
+                  axes=[AxisSpec(n, N, kind="node"), AxisSpec(i, K)],
+                  out_indices=[n, i],
+                  body=reduce_sum(TensorRead(w, [i, k.var])
+                                  * TensorRead(o, [n, k.var]), k),
+                  reads=[w, o])
+    mod = ILModule(name="unit", steps=[HostStep(Kernel("k0", "pre", [nest]))],
+                   buffers={"W": w, "o": o}, dims=DimRegistry(),
+                   state_buffers=[], output_buffers=[], meta={})
+    with pytest.raises(CodegenError, match="aliases"):
+        generate_python(mod)
 
 
 # -- C codegen -----------------------------------------------------------------

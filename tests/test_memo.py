@@ -54,8 +54,8 @@ CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 VOCAB = 120
 
 
-def _small_model(name, **options):
-    args = dict(hidden=8)
+def _small_model(name, hidden=8, **options):
+    args = dict(hidden=hidden)
     if name == "dagrnn":
         args["num_cells"] = 64
     else:
@@ -768,6 +768,23 @@ def test_chaos_memo_server_bitwise_or_typed_with_verify():
     snap = srv.metrics_snapshot()["memo"]
     assert snap["hits"] > 0                    # chaos didn't disable the cache
     assert snap["cache"]["entries"] > 0
+
+
+def test_verify_resolves_every_request_at_hidden_83():
+    """A memoized, verify-every-flush treelstm server at a GEMM width that
+    is not a multiple of 16 (see ``runtime/kernels._dot_gemm``): spliced
+    rows come from flushes of other row counts, so unpadded GEMM rows
+    would fail ``MemoVerifyError`` on most requests."""
+    m = _small_model("treelstm", hidden=83)
+    srv = m.server(policy=MaxPendingRequests(4), memo="on",
+                   memo_policy=MemoPolicy(verify=True))
+    stream = zipf_tree_stream(200, vocab_size=VOCAB, seed=CHAOS_SEED)
+    handles = [srv.submit(r) for r in stream]
+    srv.drain()
+    for roots, h in zip(stream, handles):
+        assert h.exception() is None, h.exception()
+        _assert_bitwise_solo(m, roots, h.result())
+    assert srv.metrics_snapshot()["memo"]["hits"] > 0
 
 
 def test_faulted_flush_commits_nothing():

@@ -35,8 +35,8 @@ VOCAB = 120
 ZOO = ("treelstm", "dagrnn", "treefc", "seq_lstm")
 
 
-def _small_model(name, **options):
-    args = dict(hidden=8)
+def _small_model(name, hidden=8, **options):
+    args = dict(hidden=hidden)
     if name == "dagrnn":
         args["num_cells"] = 64
     else:
@@ -124,6 +124,22 @@ def test_coalesced_bit_identical_across_zoo(name):
         res = h.result()
         assert res.batch_requests == 6
         _assert_request_matches_solo(m, roots, res)
+
+
+@pytest.mark.parametrize("hidden", [1, 8, 83, 256])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_coalesced_bit_identical_at_gemm_widths(name, hidden):
+    """Coalesced rows equal per-request rows at GEMM widths that are not
+    multiples of 16 too (unpadded, hidden 1 and 83 give rows whose bits
+    depend on the row count; see ``runtime/kernels._dot_gemm``)."""
+    rng = np.random.default_rng(hidden)
+    m = _small_model(name, hidden, target="python")
+    requests = [_request(name, rng) for _ in range(6)]
+    srv = m.server(policy=MaxPendingRequests(6))
+    handles = [srv.submit(r) for r in requests]
+    for roots, h in zip(requests, handles):
+        assert h.result().batch_requests == 6
+        _assert_request_matches_solo(m, roots, h.result())
 
 
 @pytest.mark.parametrize("policy", [
