@@ -7,17 +7,19 @@ Framework   Kernel fusion Vendor libraries Dynamic batching Persistence
 =========== ============= ================ ================ ==============
 Cavs        Partial       Yes              Yes              No
 DyNet       No            Yes              Yes              No
+Nimble      Partial       No               No               No
 PyTorch     No            Yes              No               No
 Cortex      Yes           No               Yes              Yes
 =========== ============= ================ ================ ==============
 """
 
-from . import cavs_like, dynet_like, grnn_like, nimble_like, pytorch_like
+from . import cavs_like, dynet_like, grnn_like, pytorch_like
 from .cells import CELLS, CellDef, get_cell
 from .framework import Ledger, VendorKernels
 from .pytorch_like import BaselineResult
 
-#: Table 1 as data, asserted by tests/test_feature_matrix.py
+#: Table 1 as data, asserted by
+#: tests/test_baselines.py::test_feature_matrix_table1
 FEATURE_MATRIX = {
     "cavs": {"kernel_fusion": "partial", "vendor_libraries": True,
              "dynamic_batching": True, "model_persistence": False},
@@ -31,6 +33,6 @@ FEATURE_MATRIX = {
                "dynamic_batching": True, "model_persistence": True},
 }
 
-__all__ = ["cavs_like", "dynet_like", "grnn_like", "nimble_like",
-           "pytorch_like", "CELLS", "CellDef", "get_cell", "Ledger",
+__all__ = ["cavs_like", "dynet_like", "grnn_like", "pytorch_like",
+           "CELLS", "CellDef", "get_cell", "Ledger",
            "VendorKernels", "BaselineResult", "FEATURE_MATRIX"]

@@ -39,9 +39,6 @@ class BaselineResult:
     def latency_s(self) -> float:
         return self.ledger.total_time_s
 
-    def root_state(self, s: int = 0) -> np.ndarray:
-        return self.states[s][self.lin.roots]
-
 
 def run(model_name: str, params: Dict[str, np.ndarray],
         roots: Sequence[Node], device: Device, *,

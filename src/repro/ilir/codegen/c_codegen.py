@@ -1403,6 +1403,10 @@ class NativeCodegen:
         self._team: Optional[_Team] = None
         #: the widest column extent any fused kernel splits
         self._team_columns = 0
+        #: fused kernel name -> global barriers its team runs per level
+        #: (may exceed the ILIR count: codegen adds one wherever a nest
+        #: reads columns another ticket wrote)
+        self.barriers_per_level: Dict[str, int] = {}
 
     # -- public ------------------------------------------------------------
     def generate(self) -> Tuple[str, Dict[str, KernelSignature]]:
@@ -1559,6 +1563,7 @@ class NativeCodegen:
                 self._emit_fused_body(kernel, body, 1)
             finally:
                 self._team = None
+            self.barriers_per_level[kernel.name] = team.barriers_per_level
         elif kernel.kind in ("leaf", "level"):
             for n in kernel.nests:
                 self._emit_nest(n, body, 1, "begin", "length")

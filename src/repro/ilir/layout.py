@@ -1,28 +1,20 @@
-"""Tensor data layouts and dense indexing of intermediates (§5.1, Fig. 5).
+"""Dense indexing of intermediates (§5.1, Fig. 5).
 
-Two facilities:
-
-* generic layout primitives — :func:`split_dim`, :func:`reorder_dims`,
-  :func:`fuse_dims` — that rewrite a buffer's shape together with every
-  access to it across a set of nests ("data layout primitives, which allow
-  tensor dimensions to be split, reordered and fused");
-
-* :func:`densify_intermediates` — the Fig. 5 transform: an intermediate
-  indexed by sparse node ids inside a batch wastes scratchpad space, so
-  re-index it by the dense loop iteration space (``n_idx``), shrink it to
-  ``max_batch_len`` rows and move it to shared memory.  This also turns the
-  indirect access into an affine one.
+:func:`densify_intermediates` is the one layout transform lowering runs on
+the nest list: an intermediate indexed by sparse node ids inside a batch
+wastes scratchpad space, so re-index it by the dense loop iteration space
+(``n_idx``), shrink it to ``max_batch_len`` rows and move it to shared
+memory.  This also turns the indirect access into an affine one.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..errors import IRError
 from ..ir import (Expr, ExprMutator, Reduce, TensorRead, Var, as_expr,
                   structural_equal)
 from .buffer import ILBuffer
-from .nests import AxisSpec, OpNest
+from .nests import OpNest
 
 
 class _AccessRewriter(ExprMutator):
@@ -55,58 +47,6 @@ def _rewrite_accesses(nests: Iterable[OpNest], buffer: ILBuffer, fn) -> None:
         if nest.predicate is not None:
             nest.predicate = rw.visit(nest.predicate)
         nest.lets = [(v, rw.visit(e)) for v, e in nest.lets]
-
-
-# ---------------------------------------------------------------------------
-# Generic layout primitives
-
-
-def split_dim(buffer: ILBuffer, dim: int, factor: int,
-              nests: Sequence[OpNest]) -> None:
-    """Split ``dim`` into (outer, inner) with inner extent ``factor``."""
-    if not 0 <= dim < buffer.ndim:
-        raise IRError(f"split_dim: dim {dim} out of range")
-    if factor <= 0:
-        raise IRError("split_dim: factor must be positive")
-    from ..ir import simplify
-
-    old = list(buffer.shape)
-    outer = simplify((old[dim] + (factor - 1)) // factor)
-    buffer.shape = tuple(old[:dim] + [outer, as_expr(factor)] + old[dim + 1:])
-
-    def fn(indices: List[Expr]) -> List[Expr]:
-        i = indices[dim]
-        return indices[:dim] + [i // factor, i % factor] + indices[dim + 1:]
-
-    _rewrite_accesses(nests, buffer, fn)
-
-
-def reorder_dims(buffer: ILBuffer, perm: Sequence[int],
-                 nests: Sequence[OpNest]) -> None:
-    """Permute buffer dimensions; ``perm[i]`` is the old index of new dim i."""
-    if sorted(perm) != list(range(buffer.ndim)):
-        raise IRError(f"reorder_dims: bad permutation {perm}")
-    buffer.shape = tuple(buffer.shape[p] for p in perm)
-
-    def fn(indices: List[Expr]) -> List[Expr]:
-        return [indices[p] for p in perm]
-
-    _rewrite_accesses(nests, buffer, fn)
-
-
-def fuse_dims(buffer: ILBuffer, dim: int, nests: Sequence[OpNest]) -> None:
-    """Fuse ``dim`` and ``dim+1`` into a single dimension."""
-    if not 0 <= dim < buffer.ndim - 1:
-        raise IRError("fuse_dims: need two adjacent dims")
-    old = list(buffer.shape)
-    inner = old[dim + 1]
-    buffer.shape = tuple(old[:dim] + [old[dim] * inner] + old[dim + 2:])
-
-    def fn(indices: List[Expr]) -> List[Expr]:
-        return (indices[:dim] + [indices[dim] * inner + indices[dim + 1]]
-                + indices[dim + 2:])
-
-    _rewrite_accesses(nests, buffer, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -195,87 +135,3 @@ def _reads_of_nest(nest: OpNest):
 
     body = nest.body.body if isinstance(nest.body, Reduce) else nest.body
     return reads_of(body)
-
-
-# ---------------------------------------------------------------------------
-# Caching tensors indexed by non-affine expressions (Appendix A.3)
-
-
-def cache_indirect_reads(nest: OpNest, buffer: ILBuffer,
-                         max_batch_len) -> Optional[List[OpNest]]:
-    """Stage a buffer's indirect reads through a dense cache tensor.
-
-    When one nest reads ``buffer`` through *multiple* non-affine index
-    expressions (``rnn[left[node], i]`` and ``rnn[right[node], i]``), the
-    cached copy gets an **extra trailing dimension**, one slot per distinct
-    access expression (Appendix A.3's ``rnn_cache``).  Returns the new
-    nests — one fill nest per slot followed by the rewritten consumer — or
-    None when the transform does not apply (fewer than two indirect reads,
-    or a reduction body whose axes the cache cannot cover).
-
-    The cache is indexed by the dense loop iteration space (Fig. 5), so the
-    consumer's indirect accesses all become affine.
-    """
-    from ..ir import UFCall, reads_of
-
-    if isinstance(nest.body, Reduce):
-        return None  # cache ahead of reductions is handled by lowering
-    node_ax = nest.node_axis
-    node_let = _node_let_var(nest)
-    if node_ax is None or node_let is None:
-        return None
-
-    indirect: List[Expr] = []
-    for r in reads_of(nest.body):
-        if isinstance(r.buffer, ILBuffer) and r.buffer.name == buffer.name:
-            idx0 = r.indices[0]
-            if isinstance(idx0, UFCall) and not any(
-                    structural_equal(idx0, e) for e in indirect):
-                indirect.append(idx0)
-    if len(indirect) < 2:
-        return None
-
-    spatial = [a for a in nest.axes if a.kind != "node"]
-    cache = ILBuffer(f"{buffer.name}_cache",
-                     (as_expr(max_batch_len),)
-                     + tuple(a.extent for a in spatial)
-                     + (len(indirect),),
-                     buffer.dtype, scope="shared")
-    cache.dense_indexed = True
-
-    fills: List[OpNest] = []
-    for slot, expr in enumerate(indirect):
-        fills.append(OpNest(
-            name=f"{nest.name}_cache{slot}",
-            out=cache,
-            axes=[AxisSpec(a.var, a.extent, kind=a.kind, begin=a.begin,
-                           dim=a.dim) for a in nest.axes],
-            out_indices=[nest.axes[0].var]
-            + [a.var for a in spatial] + [as_expr(slot)],
-            body=TensorRead(buffer, [expr] + [a.var for a in spatial]),
-            lets=list(nest.lets),
-            stage=nest.stage, tag="gather", phase=nest.phase,
-            reads=[buffer]))
-
-    class _Redirect(ExprMutator):
-        def visit_tensorread(self, e: TensorRead) -> Expr:
-            idx = tuple(self.visit(i) for i in e.indices)
-            if isinstance(e.buffer, ILBuffer) and \
-                    e.buffer.name == buffer.name:
-                for slot, expr in enumerate(indirect):
-                    if structural_equal(idx[0], expr):
-                        n_idx = nest.axes[0].var
-                        return TensorRead(
-                            cache, (n_idx,) + idx[1:] + (as_expr(slot),))
-            if all(a is b for a, b in zip(idx, e.indices)):
-                return e
-            return TensorRead(e.buffer, idx)
-
-    rewritten = OpNest(
-        name=nest.name, out=nest.out, axes=nest.axes,
-        out_indices=list(nest.out_indices),
-        body=_Redirect().visit(nest.body),
-        lets=list(nest.lets), predicate=nest.predicate,
-        stage=nest.stage, tag=nest.tag, phase=nest.phase,
-        reads=[b for b in nest.reads if b.name != buffer.name] + [cache])
-    return fills + [rewritten]

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..errors import IRError
-from ..ir import DimRegistry, Expr
+from ..ir import DimRegistry
 from .buffer import ILBuffer
 from .nests import OpNest
-from .stmt import Barrier, Block, For, Stmt
 
 if TYPE_CHECKING:  # codegen imports this module
     from .codegen.c_codegen import KernelSignature
@@ -53,49 +52,12 @@ class Kernel:
         if self.kind not in KERNEL_KINDS:
             raise IRError(f"unknown kernel kind {self.kind!r}")
 
-    def to_stmt(self) -> Stmt:
-        """Derive the statement-tree view (with barriers) of this kernel."""
-        from ..ir import Var
-
-        nest_stmts: List[Stmt] = []
-        last_stage = 0
-        for nest in self.nests:
-            if self.kind == "fused" and nest.stage > last_stage:
-                nest_stmts.append(Barrier("global"))
-                last_stage = nest.stage
-            nest_stmts.append(nest.to_stmt())
-        body: Stmt = Block(nest_stmts)
-        if self.kind == "fused":
-            b = Var("b_idx")
-            body = For(b, 0, Var("num_internal_batches"),
-                       Block([Barrier("global"), body]), kind="serial")
-        return body
-
-    @property
-    def buffers_written(self) -> List[ILBuffer]:
-        seen: Dict[str, ILBuffer] = {}
-        for n in self.nests:
-            seen.setdefault(n.out.name, n.out)
-        return list(seen.values())
-
-    @property
-    def buffers_read(self) -> List[ILBuffer]:
-        seen: Dict[str, ILBuffer] = {}
-        for n in self.nests:
-            for b in n.reads:
-                seen.setdefault(b.name, b)
-        return list(seen.values())
-
 
 @dataclass
 class HostStep:
     """One entry of the host program: launch ``kernel`` per its kind."""
 
     kernel: Kernel
-
-    @property
-    def loops_over_levels(self) -> bool:
-        return self.kernel.kind == "level"
 
 
 @dataclass
@@ -136,9 +98,3 @@ class ILModule:
             if k.kind == "fused":
                 return k
         return None
-
-    def intermediate_buffers(self) -> List[ILBuffer]:
-        """Materialized temporaries (global/shared scope, not state/params)."""
-        state = set(self.state_buffers)
-        return [b for b in self.buffers.values()
-                if b.scope in ("global", "shared") and b.name not in state]

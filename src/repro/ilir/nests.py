@@ -1,23 +1,23 @@
-"""Structured operator loop nests — the unit the lowering produces.
+"""Structured operator loop nests — the loop IR.
 
 One :class:`OpNest` is one operator's loop nest inside a kernel (cf. the
-separate nests for ``lh``, ``rh`` and ``rnn`` in Listing 2).  The structured
-form keeps enough metadata for bounds inference, the layout transform, the
-cost model and both code generators; :meth:`OpNest.to_stmt` derives the
-plain statement tree for the ``Stmt`` interpreter, so the two views can
-never diverge.
+separate nests for ``lh``, ``rh`` and ``rnn`` in Listing 2).  The nest list
+is the loop IR: lowering produces it, the dense-indexing layout transform
+rewrites it, and bounds inference, the cost model, the host plan, both code
+generators and artifacts read it.  :meth:`OpNest.to_stmt` derives the plain
+statement tree for the ``Stmt``-level evaluator and the barrier pass, so
+the two views can never diverge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import IRError
-from ..ir import (Dim, Expr, Reduce, Var, as_expr, expr_to_str, free_vars,
-                  int32)
+from ..ir import Dim, Expr, Reduce, Var, as_expr, expr_to_str
 from .buffer import ILBuffer
-from .stmt import Block, For, Let, Store, Stmt
+from .stmt import Block, For, IfThenElse, Let, Store, Stmt
 
 AXIS_KINDS = ("node", "spatial", "hoisted")
 
@@ -99,39 +99,28 @@ class OpNest:
         out.extend(e for _, e in self.lets)
         return out
 
-    def iteration_extents(self) -> List[Expr]:
-        exts = [a.extent for a in self.axes]
-        if isinstance(self.body, Reduce):
-            exts.extend(ax.extent for ax in self.body.axes)
-        return exts
-
     # -- derivation of the plain statement view --------------------------------
     def to_stmt(self) -> Stmt:
         """Build the For/Let/Store statement tree for this nest."""
-        from ..ir import Const
-
         if isinstance(self.body, Reduce):
             init_store = Store(self.out, self.out_indices, self.body.init)
             acc_store = Store(self.out, self.out_indices, self.body.body,
                               reduce_op=self.body.op)
             inner: Stmt = acc_store
             for rax in reversed(self.body.axes):
-                inner = For(rax.var, 0, rax.extent, inner, kind="serial")
+                inner = For(rax.var, 0, rax.extent, inner)
             core: Stmt = Block([init_store, inner])
         else:
             core = Store(self.out, self.out_indices, self.body)
 
         if self.predicate is not None:
-            from .stmt import IfThenElse
-
             core = IfThenElse(self.predicate, core)
 
         for var, value in reversed(self.lets):
             core = Let(var, value, core)
 
         for ax in reversed(self.axes):
-            kind = "parallel" if ax.kind == "node" else "serial"
-            core = For(ax.var, ax.begin, ax.extent, core, kind=kind, dim=ax.dim)
+            core = For(ax.var, ax.begin, ax.extent, core)
         return core
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -145,7 +145,7 @@ def _rebuild(s: Stmt, target_ids: Set[int], at_inner: bool) -> Stmt:
         body = _rebuild(s.body, target_ids, at_inner)
         if id(s) in target_ids:
             body = Block([Barrier("global"), body])
-        return For(s.var, s.begin, s.extent, body, s.kind, s.dim)
+        return For(s.var, s.begin, s.extent, body)
     if isinstance(s, Let):
         return Let(s.var, s.value, _rebuild(s.body, target_ids, at_inner))
     if isinstance(s, IfThenElse):
@@ -176,7 +176,7 @@ def _rebuild_conservative(s: Stmt, independent: Set[str]) -> Stmt:
             body = go(st.body)
             if not inner_has_loop and _has_dependent_read(st.body):
                 body = Block([Barrier("global"), body])
-            return For(st.var, st.begin, st.extent, body, st.kind, st.dim)
+            return For(st.var, st.begin, st.extent, body)
         if isinstance(st, Let):
             return Let(st.var, st.value, go(st.body))
         if isinstance(st, IfThenElse):

@@ -1,15 +1,16 @@
-"""ILIR statements: the loop-level program representation (§5).
+"""ILIR statements: the evaluator's view of an operator nest (§5).
 
-The ILIR is "purely loop-based and data structure agnostic": recursion is
-gone, all structure accesses are uninterpreted-function calls, and loops may
-have *variable bounds* (batch sizes) and *indirect* index expressions.
+The compiler's loop IR is the nest list (:mod:`.nests`); lowering, both
+code generators, the cost model and artifacts work on nests.  A statement
+tree is derived from one nest by :meth:`~.nests.OpNest.to_stmt` and read
+by two consumers only: the scalar ``Stmt``-level evaluator
+(:mod:`.interp`) and the Appendix A.4 barrier pass.
 
 Statement forms:
 
 * :class:`Block` — sequence.
 * :class:`For` — loop with begin/extent (either may be symbolic or contain
-  UF calls), an annotation kind (serial / parallel / vectorize / unroll),
-  and an optional named dimension.
+  UF calls).
 * :class:`Let` — scalar binding (``node = batch_begin[b] + n_idx``).
 * :class:`Store` — tensor element write, optionally an accumulation.
 * :class:`IfThenElse` — the conditional operator's lowering (§5.2).
@@ -22,10 +23,8 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from ..errors import IRError
-from ..ir import Dim, Expr, Var, as_expr
+from ..ir import Var, as_expr
 from .buffer import ILBuffer
-
-LOOP_KINDS = ("serial", "parallel", "vectorize", "unroll", "thread", "block")
 
 
 class Stmt:
@@ -52,18 +51,13 @@ class Block(Stmt):
 
 
 class For(Stmt):
-    __slots__ = ("var", "begin", "extent", "body", "kind", "dim")
+    __slots__ = ("var", "begin", "extent", "body")
 
-    def __init__(self, var: Var, begin, extent, body: Stmt,
-                 kind: str = "serial", dim: Optional[Dim] = None):
-        if kind not in LOOP_KINDS:
-            raise IRError(f"unknown loop kind {kind!r}")
+    def __init__(self, var: Var, begin, extent, body: Stmt):
         self.var = var
         self.begin = as_expr(begin)
         self.extent = as_expr(extent)
         self.body = body
-        self.kind = kind
-        self.dim = dim
 
     def children(self):
         return (self.body,)
@@ -147,14 +141,6 @@ def walk_stmts(s: Stmt) -> Iterable[Stmt]:
         yield from walk_stmts(c)
 
 
-def stores_in(s: Stmt) -> list[Store]:
-    return [x for x in walk_stmts(s) if isinstance(x, Store)]
-
-
-def loops_in(s: Stmt) -> list[For]:
-    return [x for x in walk_stmts(s) if isinstance(x, For)]
-
-
 def barriers_in(s: Stmt) -> list[Barrier]:
     return [x for x in walk_stmts(s) if isinstance(x, Barrier)]
 
@@ -169,7 +155,7 @@ def transform_exprs(s: Stmt, fn) -> Stmt:
         return Block([transform_exprs(c, fn) for c in s.stmts])
     if isinstance(s, For):
         return For(s.var, fn(s.begin), fn(s.extent),
-                   transform_exprs(s.body, fn), s.kind, s.dim)
+                   transform_exprs(s.body, fn))
     if isinstance(s, Let):
         return Let(s.var, fn(s.value), transform_exprs(s.body, fn))
     if isinstance(s, Store):
@@ -182,29 +168,3 @@ def transform_exprs(s: Stmt, fn) -> Stmt:
     if isinstance(s, Alloc):
         return Alloc(s.buffer, transform_exprs(s.body, fn))
     return s
-
-
-def substitute_in_stmt(s: Stmt, mapping) -> Stmt:
-    """Substitute variables (by name) in every expression of a statement."""
-    from ..ir import substitute
-
-    return transform_exprs(s, lambda e: substitute(e, mapping))
-
-
-def map_stmt(s: Stmt, fn) -> Stmt:
-    """Bottom-up statement rewrite; ``fn(stmt)`` returns replacement or None."""
-    if isinstance(s, Block):
-        rebuilt: Stmt = Block([map_stmt(c, fn) for c in s.stmts])
-    elif isinstance(s, For):
-        rebuilt = For(s.var, s.begin, s.extent, map_stmt(s.body, fn), s.kind, s.dim)
-    elif isinstance(s, Let):
-        rebuilt = Let(s.var, s.value, map_stmt(s.body, fn))
-    elif isinstance(s, IfThenElse):
-        rebuilt = IfThenElse(s.cond, map_stmt(s.then_body, fn),
-                             None if s.else_body is None else map_stmt(s.else_body, fn))
-    elif isinstance(s, Alloc):
-        rebuilt = Alloc(s.buffer, map_stmt(s.body, fn))
-    else:
-        rebuilt = s
-    out = fn(rebuilt)
-    return rebuilt if out is None else out

@@ -71,10 +71,6 @@ class RecursionPartition:
     post: List[Operation] = field(default_factory=list)    # run once, after
     recursion: RecursionOp | None = None
 
-    @property
-    def body_computes(self) -> List[ComputeOp]:
-        return [op for op in self.body if isinstance(op, ComputeOp)]
-
 
 def _reachable_back(roots: Sequence[RATensor]) -> Set[int]:
     """Ids of ops reachable backwards from ``roots`` (inputs excluded)."""
@@ -235,11 +231,6 @@ def refactor_barrier_saving(prog: Program) -> int:
     if prog.kind == StructureKind.SEQUENCE:
         return 1
     return 0 if combine_reads_placeholder(part) else 1
-
-
-def count_tensor_ops(prog: Program) -> int:
-    """Number of tensor operators in the recursion body (graph size metric)."""
-    return len(partition(prog).body)
 
 
 # ---------------------------------------------------------------------------

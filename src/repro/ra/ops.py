@@ -131,12 +131,6 @@ class RecursionOp(Operation):
                 raise IRError(f"placeholder {ph.name} bound by two recursions")
             ph.op.recursion = self
 
-    def output_for(self, ph: RATensor) -> RATensor:
-        for (p, _), out in zip(self.pairs, self.outputs):
-            if p is ph:
-                return out
-        raise IRError(f"{ph.name} not part of this recursion")
-
 
 # ---------------------------------------------------------------------------
 # Program
@@ -343,10 +337,6 @@ class Program:
     @property
     def placeholders(self) -> list[RATensor]:
         return [op.output for op in self.ops if isinstance(op, PlaceholderOp)]
-
-    @property
-    def model_inputs(self) -> list[RATensor]:
-        return [op.output for op in self.ops if isinstance(op, InputOp)]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Program({self.name}, {len(self.ops)} ops, kind={self.kind.value})"

@@ -296,17 +296,6 @@ def _gather_latency(nests, device: Device,
     return device.gather_latency_s * (1.0 + 0.5 * (count - 1))
 
 
-def nest_has_gather(nest: OpNest) -> bool:
-    """True when the nest loads through an indirect (uninterpreted) index —
-    scattered children states or embedding rows."""
-    body = nest.body.body if isinstance(nest.body, Reduce) else nest.body
-    for read in _reads(body):
-        for idx in read.indices:
-            if any(isinstance(x, UFCall) for x in walk(idx)):
-                return True
-    return False
-
-
 def _buffer_elems(buf: ILBuffer, bindings: Dict[str, float]) -> float:
     n = 1.0
     for s in buf.shape:

@@ -175,9 +175,6 @@ class ServerMetrics:
     def latency_window(self) -> List[float]:
         return self._latency.window_values()
 
-    def flush_exec_window(self) -> List[float]:
-        return self._flush_exec.window_values()
-
     def occupancy_windows(self) -> Dict[str, List[float]]:
         return {"requests": self._occ_requests.window_values(),
                 "nodes": self._occ_nodes.window_values()}

@@ -31,6 +31,7 @@ import numpy as np
 from ..api import compile as compile_api
 from ..baselines import cavs_like, dynet_like, pytorch_like
 from ..bench.harness import BENCH_VOCAB, format_table, paper_inputs
+from ..ilir.codegen.c_codegen import NativeCodegen
 from ..models import MODELS, get_model
 from ..options import PRESETS, CompileOptions
 from ..runtime import breakdown_from_cost, get_device
@@ -232,7 +233,13 @@ def cmd_compile(args) -> int:
             print("  native: unavailable — fell back to the Python "
                   "target (see NativeFallbackWarning)")
     print(f"  kernels: {[(k.name, k.kind) for k in mod.kernels]}")
-    print(f"  barriers/level: {mod.meta['barriers_per_level']}")
+    print(f"  barriers/level (ILIR, as the cost model charges): "
+          f"{mod.meta['barriers_per_level']}")
+    if getattr(model.compiled, "native", None) is not None:
+        codegen = NativeCodegen(mod)
+        codegen.generate()
+        for name, count in codegen.barriers_per_level.items():
+            print(f"  barriers/level (native team, {name}): {count}")
     checks = sum(r.checked for r in model.lowered.bounds.values())
     gone = sum(r.eliminated for r in model.lowered.bounds.values())
     print(f"  bound checks eliminated: {gone}/{checks}")

@@ -1,13 +1,10 @@
-"""Small shared helpers: unique naming, iteration utilities."""
+"""Small shared helpers: unique naming, identifiers, products."""
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections import Counter
-from typing import Iterable, Iterator, TypeVar
-
-T = TypeVar("T")
+from typing import Iterable
 
 _IDENT_RE = re.compile(r"[^0-9a-zA-Z_]+")
 
@@ -38,28 +35,6 @@ def sanitize_identifier(name: str) -> str:
     if out and out[0].isdigit():
         out = "_" + out
     return out
-
-
-def pairwise(it: Iterable[T]) -> Iterator[tuple[T, T]]:
-    a, b = itertools.tee(it)
-    next(b, None)
-    return zip(a, b)
-
-
-def unique_in_order(items: Iterable[T]) -> list[T]:
-    """Deduplicate while preserving first-seen order (hashable items)."""
-    seen: set[T] = set()
-    out: list[T] = []
-    for x in items:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return out
-
-
-def indent_lines(text: str, levels: int = 1, width: int = 4) -> str:
-    pad = " " * (levels * width)
-    return "\n".join(pad + line if line else line for line in text.splitlines())
 
 
 def product(values: Iterable[int]) -> int:

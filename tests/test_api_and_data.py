@@ -11,6 +11,7 @@ from repro.data import (grid_dag, grid_dag_batch, left_chain_tree,
 from repro.data.trees import SST_MAX_LEN, SST_MEAN_LEN, SST_MIN_LEN
 from repro.errors import LinearizationError
 from repro.linearizer import count_nodes, detect_kind, StructureKind, node_heights
+from repro.runtime.native import native_available
 from repro.tools.cli import build_parser, main
 
 VOCAB = 50
@@ -151,6 +152,21 @@ def test_cli_compile(capsys):
     out = capsys.readouterr().out
     assert "bound checks eliminated" in out
     assert "kernels" in out
+
+
+@pytest.mark.skipif(not native_available(),
+                    reason="no C compiler on the host")
+def test_cli_compile_c_reports_native_barriers(capsys):
+    """The fused C kernel's team may run more barriers per level than the
+    ILIR count the cost model charges; ``--target c`` prints both."""
+    for name, ilir, team in (("treelstm", 1, 2), ("treegru", 2, 3),
+                             ("treernn", 1, 1)):
+        assert main(["compile", name, "--hidden", "16",
+                     "--target", "c"]) == 0
+        out = capsys.readouterr().out
+        assert f"barriers/level (ILIR, as the cost model charges): {ilir}" \
+            in out
+        assert f"barriers/level (native team, fused): {team}" in out
 
 
 def test_cli_run(capsys):

@@ -1,4 +1,4 @@
-"""Tests for extension features: Nimble baseline, N-ary TreeLSTM, reports."""
+"""Tests for extension features: N-ary TreeLSTM, reports."""
 
 import numpy as np
 import pytest
@@ -7,57 +7,12 @@ import repro
 from repro import CompileOptions
 from repro.analysis import (compilation_report, kernel_report,
                             placement_report)
-from repro.baselines import dynet_like, nimble_like, pytorch_like
 from repro.data import synthetic_treebank
 from repro.models import get_model
-from repro.runtime import V100
 
 VOCAB = 80
 RNG = np.random.default_rng(21)
 TREES = synthetic_treebank(3, vocab_size=VOCAB, rng=RNG)
-
-
-# -- Nimble-like baseline ------------------------------------------------------
-
-@pytest.mark.parametrize("name", ["treernn", "treegru", "treelstm"])
-def test_nimble_matches_reference(name):
-    spec = get_model(name)
-    params = spec.random_params(hidden=16, vocab=VOCAB)
-    res = nimble_like.run(name, params, TREES, V100)
-    ref = spec.reference_h(TREES, params)
-    for t in TREES:
-        np.testing.assert_allclose(res.states[0][res.lin.node_id(t)],
-                                   ref[id(t)], atol=1e-4)
-
-
-def test_nimble_faster_than_pytorch_slower_than_dynet():
-    """Table 1: compiled kernels beat eager dispatch, but the lack of
-    dynamic batching keeps Nimble behind batching frameworks at batch 10."""
-    spec = get_model("treelstm")
-    params = spec.random_params(hidden=256, vocab=VOCAB)
-    trees = synthetic_treebank(10, vocab_size=VOCAB,
-                               rng=np.random.default_rng(1))
-    nb = nimble_like.run("treelstm", params, trees, V100)
-    pt = pytorch_like.run("treelstm", params, trees, V100)
-    dy = dynet_like.run("treelstm", params, trees, V100)
-    assert nb.latency_s < pt.latency_s
-    assert nb.latency_s > dy.latency_s
-
-
-def test_nimble_partial_fusion_reduces_kernels():
-    spec = get_model("treegru")
-    params = spec.random_params(hidden=16, vocab=VOCAB)
-    nb = nimble_like.run("treegru", params, TREES, V100)
-    pt = pytorch_like.run("treegru", params, TREES, V100)
-    assert nb.ledger.kernel_calls < pt.ledger.kernel_calls
-
-
-def test_nimble_no_batching_no_graph():
-    spec = get_model("treernn")
-    params = spec.random_params(hidden=8, vocab=VOCAB)
-    nb = nimble_like.run("treernn", params, TREES, V100)
-    assert nb.ledger.graph_construction_s == 0.0
-    assert nb.ledger.dynamic_batching_s == 0.0
 
 
 # -- N-ary TreeLSTM -------------------------------------------------------------

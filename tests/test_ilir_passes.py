@@ -1,4 +1,5 @@
-"""Tests for ILIR statements, passes, the interpreter and layout transforms."""
+"""Tests for ILIR statements, the barrier pass, the interpreter and the
+rational approximations."""
 
 import numpy as np
 import pytest
@@ -6,14 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import IRError
-from repro.ilir import (AxisSpec, Barrier, Block, For, ILBuffer, IfThenElse,
-                        Let, OpNest, Store, count_barriers, run_stmt,
-                        stores_in, walk_stmts)
-from repro.ilir.layout import (densify_intermediates, fuse_dims, reorder_dims,
-                               split_dim)
+from repro.ilir import (Barrier, Block, For, ILBuffer, IfThenElse, Let,
+                        Store, count_barriers, run_stmt)
 from repro.ilir.passes import (dependence_carrying_loops, insert_barriers,
-                               sigmoid_rational, split_loop, tanh_rational)
-from repro.ir import Const, TensorRead, Var, float32, int32, tanh, uf
+                               sigmoid_rational, tanh_rational)
+from repro.ir import TensorRead, Var, float32, int32, tanh, uf
 
 
 def _simple_loop(n=8):
@@ -66,36 +64,6 @@ def test_interpreter_unbound_variable_errors():
     buf = ILBuffer("t", (2,), int32)
     with pytest.raises(ExecutionError, match="unbound"):
         run_stmt(Store(buf, [Var("nope")], 1), {"t": np.zeros(2, np.int32)})
-
-
-# -- loop splitting / peeling (App. A.5) -------------------------------------
-
-@pytest.mark.parametrize("n", [1, 7, 8, 13])
-@pytest.mark.parametrize("peel", [True, False])
-def test_split_loop_preserves_semantics(n, peel):
-    buf, loop = _simple_loop(n)
-    ws_ref = {"t": np.zeros(n, np.int32)}
-    run_stmt(loop, ws_ref)
-    split = split_loop(loop, 4, peel=peel)
-    ws = {"t": np.zeros(n, np.int32)}
-    run_stmt(split, ws)
-    assert np.array_equal(ws["t"], ws_ref["t"])
-
-
-def test_peeled_loop_has_no_guard_in_main_chunk():
-    _, loop = _simple_loop(13)
-    peeled = split_loop(loop, 4, peel=True)
-    main = peeled.stmts[0]
-    assert not any(isinstance(s, IfThenElse) for s in walk_stmts(main))
-    # non-peeled split guards every iteration
-    padded = split_loop(loop, 4, peel=False)
-    assert any(isinstance(s, IfThenElse) for s in walk_stmts(padded))
-
-
-def test_split_factor_must_exceed_one():
-    _, loop = _simple_loop()
-    with pytest.raises(IRError):
-        split_loop(loop, 1)
 
 
 # -- barrier insertion (App. A.4) ----------------------------------------------
@@ -154,54 +122,6 @@ def test_no_barrier_without_dependence():
 def test_unknown_barrier_mode():
     with pytest.raises(IRError):
         insert_barriers(_level_loop_stmt(), mode="aggressive")
-
-
-# -- layout primitives (§5.1) -------------------------------------------------
-
-def _nest_for(buf, idx_vars, body):
-    axes = [AxisSpec(v, int(e.value)) for v, e in
-            zip(idx_vars, buf.shape)]
-    return OpNest(name="n", out=buf, axes=axes,
-                  out_indices=list(idx_vars), body=body)
-
-
-def test_split_dim_rewrites_accesses():
-    buf = ILBuffer("t", (8, 4))
-    i, j = Var("i"), Var("j")
-    nest = _nest_for(buf, [i, j], Const(1.0, float32))
-    split_dim(buf, 0, 2, [nest])
-    assert len(buf.shape) == 3
-    assert [str(s) for s in buf.shape] == ["4", "2", "4"]
-    assert str(nest.out_indices[0]) == "i // 2"
-    assert str(nest.out_indices[1]) == "i % 2"
-
-
-def test_reorder_dims():
-    buf = ILBuffer("t", (8, 4))
-    i, j = Var("i"), Var("j")
-    nest = _nest_for(buf, [i, j], Const(1.0, float32))
-    reorder_dims(buf, [1, 0], [nest])
-    assert [str(s) for s in buf.shape] == ["4", "8"]
-    assert [str(x) for x in nest.out_indices] == ["j", "i"]
-
-
-def test_fuse_dims():
-    buf = ILBuffer("t", (8, 4))
-    i, j = Var("i"), Var("j")
-    nest = _nest_for(buf, [i, j], Const(1.0, float32))
-    fuse_dims(buf, 0, [nest])
-    assert len(buf.shape) == 1
-    assert str(nest.out_indices[0]) == "i * 4 + j"
-
-
-def test_bad_layout_args_rejected():
-    buf = ILBuffer("t", (8, 4))
-    with pytest.raises(IRError):
-        split_dim(buf, 5, 2, [])
-    with pytest.raises(IRError):
-        reorder_dims(buf, [0, 0], [])
-    with pytest.raises(IRError):
-        fuse_dims(buf, 1, [])
 
 
 # -- rational approximations (App. A.5) ---------------------------------------

@@ -9,8 +9,7 @@ from repro.bench.harness import format_table, paper_inputs, speedup
 from repro.errors import IRError
 from repro.ir import (Dim, DimRegistry, Var, collect_ufs, expr_to_str,
                       tanh, uf)
-from repro.utils import (NameSupply, indent_lines, pairwise, product,
-                         sanitize_identifier, unique_in_order)
+from repro.utils import NameSupply, product, sanitize_identifier
 
 
 # -- utils ------------------------------------------------------------------
@@ -30,22 +29,9 @@ def test_sanitize_identifier():
     assert sanitize_identifier("ok_name") == "ok_name"
 
 
-def test_unique_in_order():
-    assert unique_in_order([3, 1, 3, 2, 1]) == [3, 1, 2]
-
-
-def test_pairwise():
-    assert list(pairwise([1, 2, 3])) == [(1, 2), (2, 3)]
-
-
 def test_product():
     assert product([2, 3, 4]) == 24
     assert product([]) == 1
-
-
-def test_indent_lines():
-    assert indent_lines("a\nb") == "    a\n    b"
-    assert indent_lines("a\n\nb").splitlines()[1] == ""
 
 
 # -- dims ----------------------------------------------------------------------

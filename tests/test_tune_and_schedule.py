@@ -1,15 +1,9 @@
-"""Tests for the grid-search autotuner and the loop-scheduling transforms."""
+"""Tests for the grid-search autotuner and the ILIR module verifier."""
 
 import numpy as np
-import pytest
 
 import repro
 from repro.data import grid_dag_batch, synthetic_treebank
-from repro.errors import ScheduleError
-from repro.ilir import Block, For, ILBuffer, Store, run_stmt
-from repro.ilir.schedule import (bind_thread, parallelize, reorder, tile,
-                                 unroll, vectorize)
-from repro.ir import Const, Var, int32
 from repro.runtime import V100
 from repro.tune import grid_search
 
@@ -55,95 +49,6 @@ def test_grid_search_unroll_needs_per_block_for_treernn():
     best = result.best
     if best.config["unroll"]:
         assert best.config["per_block"] is True  # Fig. 10b
-
-
-# -- loop scheduling ----------------------------------------------------------
-
-def _loops_2d(n=4, m=6):
-    buf = ILBuffer("t", (n, m), int32)
-    i, j = Var("i"), Var("j")
-    inner = For(j, 0, m, Store(buf, [i, j], i * 10 + j))
-    outer = For(i, 0, n, inner)
-    return buf, outer
-
-
-def _run(stmt, n=4, m=6):
-    ws = {"t": np.zeros((n, m), np.int32)}
-    run_stmt(stmt, ws)
-    return ws["t"]
-
-
-def test_reorder_preserves_semantics():
-    _, loop = _loops_2d()
-    ref = _run(loop)
-    out = reorder(loop, loop)
-    assert np.array_equal(_run(out), ref)
-    assert isinstance(out, For) and out.var.name == "j"
-
-
-def test_reorder_rejects_imperfect_nesting():
-    buf = ILBuffer("t", (4,), int32)
-    i = Var("i")
-    loop = For(i, 0, 4, Store(buf, [i], i))
-    with pytest.raises(ScheduleError):
-        reorder(loop, loop)
-
-
-def test_reorder_rejects_dependent_bounds():
-    buf = ILBuffer("t", (4, 4), int32)
-    i, j = Var("i"), Var("j")
-    tri = For(i, 0, 4, For(j, 0, i + 1, Store(buf, [i, j], 1)))
-    with pytest.raises(ScheduleError):
-        reorder(tri, tri)
-
-
-@pytest.mark.parametrize("fo,fi", [(2, 2), (3, 4), (2, 5)])
-def test_tile_preserves_semantics(fo, fi):
-    _, loop = _loops_2d()
-    ref = _run(loop)
-    out = tile(loop, loop, fo, fi)
-    assert np.array_equal(_run(out), ref)
-
-
-def test_unroll_full():
-    buf = ILBuffer("t", (4,), int32)
-    i = Var("i")
-    loop = For(i, 0, 4, Store(buf, [i], i * 3))
-    out = unroll(loop, loop)
-    assert isinstance(out, Block) and len(out.stmts) == 4
-    ws = {"t": np.zeros(4, np.int32)}
-    run_stmt(out, ws)
-    assert list(ws["t"]) == [0, 3, 6, 9]
-
-
-def test_unroll_rejects_variable_extent():
-    buf = ILBuffer("t", (4,), int32)
-    i = Var("i")
-    loop = For(i, 0, Var("n"), Store(buf, [i], i))
-    with pytest.raises(ScheduleError):
-        unroll(loop, loop)
-
-
-def test_unroll_rejects_huge_loops():
-    buf = ILBuffer("t", (1000,), int32)
-    i = Var("i")
-    loop = For(i, 0, 1000, Store(buf, [i], i))
-    with pytest.raises(ScheduleError, match="refusing"):
-        unroll(loop, loop)
-
-
-def test_annotations_change_kind_only():
-    _, loop = _loops_2d()
-    ref = _run(loop)
-    v = vectorize(loop, loop)
-    p = parallelize(loop, loop)
-    b = bind_thread(loop, loop, "block")
-    assert isinstance(v, For) and v.kind == "vectorize"
-    assert isinstance(p, For) and p.kind == "parallel"
-    assert isinstance(b, For) and b.kind == "block"
-    assert np.array_equal(_run(v), ref)
-    with pytest.raises(ScheduleError):
-        bind_thread(loop, loop, "warp")
 
 
 # -- module verifier -----------------------------------------------------------
