@@ -12,8 +12,9 @@ cache would not.
 
 The pool substructures are reused as the *same objects* across requests
 (as a caller holding canonicalized phrase structures would), which also
-exercises the memo layer's O(1) re-hash path; structural hashing is
-content-addressed, so fresh copies would hit the cache all the same.
+exercises the memo layer's skip of already-digested nodes; structural
+hashing is content-addressed, so fresh copies would hit the cache all the
+same.
 """
 
 from __future__ import annotations

@@ -33,12 +33,11 @@ class Node:
             row for DAG nodes); ``-1`` when absent.
     """
 
-    __slots__ = ("children", "word", "_height", "_memo")
+    __slots__ = ("children", "word", "_memo")
 
     def __init__(self, children: Sequence["Node"] = (), word: int = -1):
         self.children: tuple[Node, ...] = tuple(children)
         self.word = int(word)
-        self._height: Optional[int] = None
         #: (structural digest, subtree node count) cached by repro.memo —
         #: a pure function of the subtree, so it never needs invalidation
         #: as long as nodes stay immutable after construction
@@ -189,6 +188,32 @@ def _walk(roots: Sequence[Node]) -> tuple[int, StructureKind, int]:
     return len(state), kind, max_arity
 
 
+def _flat_walk(roots: Sequence[Node]) -> Optional[tuple[int, int]]:
+    """``(distinct nodes, maximum arity)`` of a forest in which no node is
+    reached twice, else ``None`` at the first repeat.
+
+    One visited set and no colours: on such an input it answers what
+    :func:`_walk` would.  A cycle, a shared node, a child listed twice, a
+    root listed twice and a root below another root each reach some node
+    twice, so every structure the two walks could disagree on stops here.
+    """
+    seen: set[int] = set()
+    stack = list(roots)
+    max_arity = 0
+    while stack:
+        node = stack.pop()
+        nid = id(node)
+        if nid in seen:
+            return None
+        seen.add(nid)
+        kids = node.children
+        if kids:
+            if len(kids) > max_arity:
+                max_arity = len(kids)
+            stack.extend(kids)
+    return len(seen), max_arity
+
+
 def detect_kind(roots: Sequence[Node]) -> StructureKind:
     """Classify an input structure by inspection.
 
@@ -208,10 +233,21 @@ def validate(roots: Sequence[Node], kind: StructureKind,
     structure info ("can be easily verified at runtime", §3): one walk,
     refusing a cycle, then a kind beyond the declared one, then an arity
     beyond ``max_children``.  Returns the number of distinct nodes.
+
+    A TREE or SEQUENCE declaration first tries :func:`_flat_walk`; only
+    when it meets a node twice (or the declaration is DAG, where sharing
+    is legal) does the coloured :func:`_walk` decide, so every verdict
+    and message is the coloured walk's.
     """
     if not roots:
         raise LinearizationError("empty input batch")
-    count, actual, max_arity = _walk(roots)
+    flat = None if kind is StructureKind.DAG else _flat_walk(roots)
+    if flat is None:
+        count, actual, max_arity = _walk(roots)
+    else:
+        count, max_arity = flat
+        actual = (StructureKind.SEQUENCE if max_arity <= 1
+                  else StructureKind.TREE)
     if _KIND_RANK[actual] > _KIND_RANK[kind]:
         raise LinearizationError(
             f"input is a {actual.value} but the model was compiled for a {kind.value}")

@@ -8,13 +8,14 @@ node's subtree (and of the model parameters), equal digests imply equal
 hidden-state rows, which is what makes a digest a safe cache key.
 
 The digest of a node is ``blake2b(arity ‖ word ‖ child digests)`` over 16
-bytes, computed bottom-up in a single post-order pass and cached on the
-node itself (the ``Node._memo`` slot, alongside the subtree node count).
-The cache is never invalidated: nodes are immutable after construction
-(``children`` is a tuple; mutation goes through functional rebuilds like
+bytes, computed bottom-up and cached on the node itself (the
+``Node._memo`` slot, alongside the subtree node count).  The cache is
+never invalidated: nodes are immutable after construction (``children``
+is a tuple; mutation goes through functional rebuilds like
 :func:`repro.memo.session.graft`), so the digest is a constant of the
-object.  Re-submitting the same structure objects therefore hashes in
-O(1) per node visited, not O(subtree).
+object.  :func:`annotate` therefore hashes only the nodes that carry no
+digest yet: re-submitted structure objects cost one set walk over their
+distinct nodes, and no hashing.
 
 What the digest deliberately does **not** include:
 
@@ -31,10 +32,11 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from ..errors import LinearizationError
 from ..linearizer import Node
 from ..linearizer.structures import iter_nodes
 
@@ -49,25 +51,48 @@ _HEADER = struct.Struct("<ii")
 def annotate(roots: Sequence[Node]) -> int:
     """Compute and cache ``(digest, subtree size)`` for every node.
 
-    One iterative post-order pass (no recursion-depth limit; shared DAG
-    nodes visited once); nodes that already carry a cached digest are not
-    rehashed, so a re-submitted structure costs one dict lookup per node.
-    Returns the number of distinct nodes reachable from ``roots``.
+    One flat walk over the distinct reachable nodes counts them and
+    collects those with no digest yet; only these are hashed, in
+    post-order (children first), and the walk from them stops at every
+    digested node, so a digested subtree is not walked again.  An
+    undigested node below a digested one is still reached and hashed.
+    No recursion, whatever the depth.  Returns the number of distinct
+    nodes reachable from ``roots``.
+
+    Raises :class:`~repro.errors.LinearizationError` for a word that is
+    not an int32 — the linearizer's refusal, met here first.
     """
-    count = 0
-    for node in iter_nodes(roots):
-        count += 1
-        if node._memo is not None:
+    seen: set[int] = set()
+    digested: set[int] = set()
+    fresh: List[Node] = []
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        nid = id(node)
+        if nid in seen:
             continue
-        h = hashlib.blake2b(digest_size=DIGEST_SIZE)
-        h.update(_HEADER.pack(len(node.children), node.word))
+        seen.add(nid)
+        if node._memo is None:
+            fresh.append(node)
+        else:
+            digested.add(nid)
+        stack.extend(node.children)
+    for node in iter_nodes(fresh, stop=digested):
+        if node._memo is not None:
+            continue    # a boundary: digested before this call
+        try:
+            header = _HEADER.pack(len(node.children), node.word)
+        except struct.error as e:
+            raise LinearizationError(
+                f"a node's word is not an int32 index: {e}") from None
+        h = hashlib.blake2b(header, digest_size=DIGEST_SIZE)
         size = 1
         for c in node.children:
             c_digest, c_size = c._memo  # post-order: children are cached
             h.update(c_digest)
             size += c_size
         node._memo = (h.digest(), size)
-    return count
+    return len(seen)
 
 
 def subtree_digest(node: Node) -> bytes:

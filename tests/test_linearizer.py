@@ -12,6 +12,7 @@ from repro.linearizer import (DagLinearizer, Linearizer, Node,
                               TreeLinearizer, branch, count_nodes, detect_kind,
                               leaf, node_heights, plan_batches, sequence,
                               tree_from_nested, validate)
+from repro.linearizer.structures import _flat_walk
 
 
 def small_tree():
@@ -69,10 +70,11 @@ def test_validate_is_one_iterative_walk_on_deep_sequences():
 
 
 def _random_structure(rng, n, chain, extra_edges, twice, root_child,
-                      back_edge):
+                      back_edge, root_twice, second):
     """Roots of a random pointer structure over ``n`` nodes: a spanning
     tree (a chain when ``chain``), plus optional sharing edges, a child
-    listed twice, a root that is another root's child, and a back edge."""
+    listed twice, a root that is another root's child, a back edge, a
+    root listed twice and a second, disjoint tree of ``second`` nodes."""
     nodes = [Node((), int(w)) for w in rng.integers(0, 50, n)]
     parent = [None] + [i - 1 if chain else int(rng.integers(0, i))
                        for i in range(1, n)]
@@ -94,12 +96,22 @@ def _random_structure(rng, n, chain, extra_edges, twice, root_child,
     roots = [nodes[0]]
     if root_child and n > 1:
         roots.insert(int(rng.integers(0, 2)), nodes[int(rng.integers(1, n))])
+    if second:
+        other = [Node((), int(w)) for w in rng.integers(0, 50, second)]
+        for i in range(second - 1, 0, -1):            # children built first
+            p = other[int(rng.integers(0, i))]
+            p.children = (other[i],) + p.children
+        roots.insert(int(rng.integers(0, len(roots) + 1)), other[0])
+    if root_twice:
+        roots.append(roots[int(rng.integers(0, len(roots)))])
     return roots
 
 
 def _structure_oracle(roots):
-    """(has cycle, shared, max arity, distinct nodes) — three textbook
-    definitions, each with its own pass over the reachable set."""
+    """(has cycle, shared, max arity, distinct nodes, entered twice) —
+    textbook definitions, each with its own pass over the reachable set.
+    A node is entered once per listing in ``roots`` and once per edge
+    into it; a reachable cycle enters its first node twice."""
     reach = {}
     todo = list(roots)
     while todo:
@@ -124,22 +136,32 @@ def _structure_oracle(roots):
     for node in reach.values():
         for c in node.children:
             edges[id(c)] = edges.get(id(c), 0) + 1
+    entries = dict(edges)
+    for r in roots:
+        entries[id(r)] = entries.get(id(r), 0) + 1
     return (any(cyclic(r) for r in roots),
             any(v > 1 for v in edges.values()),
             max(len(node.children) for node in reach.values()),
-            len(reach))
+            len(reach),
+            any(v > 1 for v in entries.values()))
 
 
 @given(n=st.integers(1, 24), seed=st.integers(0, 10_000),
        chain=st.booleans(), extra_edges=st.integers(0, 3),
        twice=st.booleans(), root_child=st.booleans(),
-       back_edge=st.booleans())
-@settings(max_examples=300, deadline=None)
+       back_edge=st.booleans(), root_twice=st.booleans(),
+       second=st.integers(0, 6))
+@settings(max_examples=400, deadline=None)
 def test_one_walk_agrees_with_three_definition_oracle(
-        n, seed, chain, extra_edges, twice, root_child, back_edge):
+        n, seed, chain, extra_edges, twice, root_child, back_edge,
+        root_twice, second):
     roots = _random_structure(np.random.default_rng(seed), n, chain,
-                              extra_edges, twice, root_child, back_edge)
-    has_cycle, shared, arity, count = _structure_oracle(roots)
+                              extra_edges, twice, root_child, back_edge,
+                              root_twice, second)
+    has_cycle, shared, arity, count, repeat = _structure_oracle(roots)
+    # the flat walk answers alone exactly when no node is entered twice;
+    # every other input falls back to the coloured walk
+    assert _flat_walk(roots) == (None if repeat else (count, arity))
     if has_cycle:
         with pytest.raises(LinearizationError, match="contains a cycle"):
             detect_kind(roots)

@@ -17,12 +17,16 @@ Chaos runs share ``REPRO_CHAOS_SEED`` with the serving chaos suite, so a
 failure here replays exactly.
 """
 
+import hashlib
 import json
 import os
+import struct
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import api
 from repro.data import (synthetic_treebank, zipf_dag_stream,
@@ -31,7 +35,8 @@ from repro.errors import (CortexError, LinearizationError, MemoError,
                           MemoVerifyError, ScheduleError, ServingError,
                           SpliceRefusedError)
 from repro.ilir.codegen.c_codegen import parity_classification
-from repro.linearizer import Node, branch, iter_nodes, leaf, tree_from_nested
+from repro.linearizer import (Node, branch, count_nodes, iter_nodes, leaf,
+                              tree_from_nested)
 from repro.memo import (MemoCache, MemoEntry, MemoPolicy, MemoSession,
                         MemoSplicer, cache_key, graft, model_memo_key,
                         splice_refusal, subtree_digest, subtree_size)
@@ -48,6 +53,7 @@ from repro.serve.request import Request
 from repro.tools.artifact import load_model, save_model
 
 from fault_injection import FaultInjector
+from test_linearizer import _random_structure
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
@@ -152,6 +158,73 @@ def test_annotate_is_iterative_and_cached():
     # recomputed
     assert annotate([node]) == 5001
     assert node._memo is memo_before
+
+
+def _structural_copy(roots):
+    """Fresh, undigested nodes of the same shape, sharing kept."""
+    copies = {}
+    for node in iter_nodes(roots):
+        copies[id(node)] = Node([copies[id(c)] for c in node.children],
+                                node.word)
+    return [copies[id(r)] for r in roots], copies
+
+
+def _reference_digests(roots):
+    """The documented digest of every node, recomputed without ``_memo``."""
+    digest = {}
+    for node in iter_nodes(roots):
+        h = hashlib.blake2b(struct.pack("<ii", len(node.children), node.word),
+                            digest_size=16)
+        for c in node.children:
+            h.update(digest[id(c)])
+        digest[id(node)] = h.digest()
+    return digest
+
+
+@given(n=st.integers(1, 40), seed=st.integers(0, 10_000),
+       chain=st.booleans(), extra_edges=st.integers(0, 3),
+       twice=st.booleans(), root_child=st.booleans(),
+       root_twice=st.booleans(), second=st.integers(0, 6),
+       pre=st.sampled_from([0.0, 0.5, 1.0]), drop=st.sampled_from([0.0, 0.3]))
+@settings(max_examples=200, deadline=None)
+def test_annotate_hashes_only_undigested_nodes(n, seed, chain, extra_edges,
+                                               twice, root_child, root_twice,
+                                               second, pre, drop):
+    """Over acyclic trees and DAGs, partial pre-annotation — whole
+    subtrees digested, then some digests dropped, so a digested node may
+    sit above an undigested one — ends in the digests a from-scratch pass
+    gives, counts distinct nodes, and leaves every digest that already
+    existed as it was."""
+    rng = np.random.default_rng(seed)
+    forest = _random_structure(rng, n, chain, extra_edges, twice,
+                               root_child, False, root_twice, second)
+    nodes = list(iter_nodes(forest))
+    for node in nodes:
+        if rng.random() < pre:
+            annotate([node])
+    for node in nodes:
+        if rng.random() < drop:
+            node._memo = None
+    before = {id(nd): nd._memo for nd in nodes if nd._memo is not None}
+    copy, copies = _structural_copy(forest)
+    assert annotate(forest) == annotate(copy) == count_nodes(forest)
+    reference = _reference_digests(forest)
+    for node in iter_nodes(forest):
+        assert node._memo == copies[id(node)]._memo
+        assert node._memo[0] == reference[id(node)]
+        if id(node) in before:
+            assert node._memo is before[id(node)]
+
+
+def test_annotate_refuses_a_word_past_int32_typed():
+    # struct would raise its own untyped error first; the refusal is the
+    # linearizer's
+    with pytest.raises(LinearizationError, match="not an int32 index"):
+        annotate([Node((leaf(1), leaf(2**40)))])
+    hostile = leaf(3)
+    hostile.word = "seven"
+    with pytest.raises(LinearizationError, match="not an int32 index"):
+        annotate([Node((leaf(1), hostile))])
 
 
 def test_params_fingerprint_and_model_key_separate_models():

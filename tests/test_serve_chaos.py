@@ -523,18 +523,27 @@ def test_breaker_half_open_bounds_inflight_probes():
 
 def _oov(word):
     """A well-formed tree whose last leaf word is past the embedding
-    table: refused by the flush's word-range check, the client's fault."""
+    table: refused at the flush, the client's fault."""
     return [branch(branch(leaf(3), leaf(1)), leaf(word))]
 
 
-@pytest.mark.parametrize("door", ("router", "pool"))
-def test_client_input_errors_never_open_a_breaker(door):
-    """Five out-of-vocabulary requests, each failing alone with
+#: a client's bad word: past the vocabulary, or past int32 on a memo
+#: server, which meets it while hashing, before the linearizer does
+_BAD_WORDS = {"oov": (lambda i: VOCAB + i, "off"),
+              "memo-int32": (lambda i: 2**40 + i, "on")}
+
+
+@pytest.mark.parametrize("door, bad", [
+    pytest.param(door, bad, id=door if bad == "oov" else f"{door}-{bad}")
+    for bad in _BAD_WORDS for door in ("router", "pool")])
+def test_client_input_errors_never_open_a_breaker(door, bad):
+    """Five requests with a bad word, each failing alone with
     LinearizationError, say nothing about the model: every breaker stays
     closed and the next valid request is served bitwise — while a
     persistent kernel fault still counts (the breaker tests above)."""
-    m = _small_model("treelstm")
-    kw = dict(policy=MaxPendingRequests(1))
+    word, memo = _BAD_WORDS[bad]
+    m = _small_model("treelstm", memo=memo)
+    kw = dict(policy=MaxPendingRequests(1), memo=memo)
     if door == "router":
         front = Router()
         front.add_model("t", m, **kw)
@@ -545,7 +554,7 @@ def test_client_input_errors_never_open_a_breaker(door):
         front = WorkerPool(m, replicas=2, balancer="least_loaded", **kw)
         submit = front.submit
     for i in range(5):
-        h = submit(_oov(VOCAB + i))
+        h = submit(_oov(word(i)))
         assert isinstance(h.exception(), LinearizationError)
     assert set(front.health().values()) == {"closed"}
     good = _request("treelstm", np.random.default_rng(CHAOS_SEED))
