@@ -66,8 +66,7 @@ def main() -> None:
     # compile: derived parameters, no random_params written anywhere
     m = repro.compile("gated_treernn", hidden=HIDDEN, vocab=VOCAB)
     res = m.run(trees)
-    roots_out = np.stack([res.output("rnn")[res.lin.node_id(t)]
-                          for t in trees])
+    roots_out = res.root_output("rnn")  # one row per tree, in order
     print(f"compiled {m.spec.name}: outputs={list(m.outputs)}, "
           f"root batch {roots_out.shape}")
 
@@ -90,8 +89,7 @@ def main() -> None:
         save_model(m, d)
         deployed = load_model(d)
         r2 = deployed.run(trees)
-        again = np.stack([r2.output("rnn")[r2.lin.node_id(t)]
-                          for t in trees])
+        again = r2.root_output("rnn")
         print(f"artifact reload == run: {np.array_equal(again, roots_out)}")
 
 

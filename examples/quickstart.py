@@ -33,8 +33,11 @@ def main() -> None:
     #    charges the simulated device
     result = model.run(trees, device=V100)
 
+    # one row per tree, in the order the trees were given
     h_roots = result.root_output("rnn_h_ph")
     print(f"root hidden states: {h_roots.shape}")          # (10, HIDDEN)
+    assert np.array_equal(h_roots[3],
+                          model.run([trees[3]]).root_output("rnn_h_ph")[0])
     print(f"simulated latency:  {result.simulated_time_s * 1e3:.3f} ms")
     c = result.cost
     print(f"  kernel launches:  {c.kernel_launches}")

@@ -38,10 +38,9 @@ def main() -> None:
 
     sentences = synthetic_treebank(10, vocab_size=VOCAB, rng=rng)
 
-    # compiled inference; index per sentence through the linearizer ids
+    # compiled inference; one root row per sentence, in order
     res = model.run(sentences, device=V100)
-    h = np.stack([res.output("rnn_h_ph")[res.lin.node_id(s)]
-                  for s in sentences])
+    h = res.root_output("rnn_h_ph")
     probs = softmax(h @ head_W.T + head_b)
     labels = probs.argmax(axis=1)
 

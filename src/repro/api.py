@@ -67,6 +67,7 @@ class BatchResult:
     """
 
     outputs: Dict[str, np.ndarray]
+    #: the roots' node ids, in the order the batch listed them
     roots: np.ndarray
     wall_time_s: float = 0.0
     linearize_time_s: float = 0.0
@@ -74,7 +75,8 @@ class BatchResult:
     cost: Optional[object] = None
 
     def root_output(self, name: str) -> np.ndarray:
-        """Rows of an output buffer at the root nodes (the model results)."""
+        """Rows of an output buffer at the root nodes (the model results),
+        one per root in the order the batch listed them."""
         return self.outputs[name]
 
 
@@ -253,10 +255,10 @@ class CortexModel:
                                arena=self.arena)
             # advanced indexing already yields fresh arrays (never views),
             # so the root rows survive the workspace recycling below
-            outs = {n: res.workspace[n][lin.roots] for n in names}
+            outs = {n: res.workspace[n][lin.input_roots] for n in names}
             self.arena.release_many(res.arena_buffers)
             results.append(BatchResult(
-                outputs=outs, roots=lin.roots,
+                outputs=outs, roots=lin.input_roots,
                 wall_time_s=res.wall_time_s,
                 linearize_time_s=lin.wall_time_s,
                 simulated_time_s=res.simulated_time_s, cost=res.cost))

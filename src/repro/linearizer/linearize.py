@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, pairwise
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,7 +78,7 @@ class Linearized:
     batch_begin: np.ndarray    # (num_batches,) int32
     batch_length: np.ndarray   # (num_batches,) int32
     leaf_batch_count: int
-    roots: np.ndarray          # (num_roots,) int32
+    roots: np.ndarray          # (num_roots,) int32, sorted
     order: List[Node]          # node_id -> Node
     leaf_start: Optional[int]  # ids >= leaf_start are leaves; None if mixed
     wall_time_s: float = 0.0
@@ -93,6 +94,15 @@ class Linearized:
     #: of it the array fields above started as
     _carved: Optional[List[np.ndarray]] = field(default=None, repr=False,
                                                 compare=False)
+    #: ``input_roots`` when it is not ``roots`` (more than one root)
+    _in_order: Optional[np.ndarray] = field(default=None, repr=False,
+                                            compare=False)
+
+    @property
+    def input_roots(self) -> np.ndarray:
+        """Root ids in the caller's order, duplicates kept: the rows
+        results read (``roots`` holds them sorted, for the kernels)."""
+        return self.roots if self._in_order is None else self._in_order
 
     @property
     def num_batches(self) -> int:
@@ -179,6 +189,15 @@ def merge_root_sets(root_sets: Sequence[Sequence[Node] | Node]
     return sets, merged
 
 
+def split_root_ids(ids: Iterable[int], sets: Sequence[Sequence[Node]]
+                   ) -> List[np.ndarray]:
+    """Each root set's int64 root ids, cut from one array filled in one
+    pass over ``ids`` (the sets' roots, concatenated in order)."""
+    bounds = [0, *accumulate(map(len, sets))]
+    flat = np.fromiter(ids, dtype=np.int64, count=bounds[-1])
+    return [flat[a:b] for a, b in pairwise(bounds)]
+
+
 class Linearizer:
     """Generated-per-model data structure linearizer.
 
@@ -258,10 +277,9 @@ class Linearizer:
         """
         sets, merged = merge_root_sets(root_sets)
         lin = self(merged)
-        id_sets = [np.fromiter((lin.node_id(r) for r in rs),
-                               dtype=np.int64, count=len(rs))
-                   for rs in sets]
-        return lin, id_sets
+        at = dict(zip(map(id, merged), lin.input_roots.tolist()))
+        return lin, split_root_ids(
+            (at[id(r)] for rs in sets for r in rs), sets)
 
     def __call__(self, roots: Sequence[Node] | Node, *,
                  stubs: Sequence[Node] = ()) -> Linearized:
@@ -374,6 +392,7 @@ class Linearizer:
 
         root_ids[:] = np.fromiter((ids[id(r)] for r in roots), np.int32,
                                   len(roots))
+        in_order = root_ids.copy() if len(roots) > 1 else None
         root_ids.sort()
         return Linearized(
             kind=self.kind,
@@ -391,6 +410,7 @@ class Linearizer:
             leaf_start=leaf_start,
             _rev=ids,
             _carved=carved,
+            _in_order=in_order,
         )
 
 

@@ -50,7 +50,7 @@ import numpy as np
 from ..errors import MemoVerifyError, SpliceRefusedError
 from ..ilir.splice_safety import memo_buffers
 from ..linearizer import Linearized, Node
-from ..linearizer.linearize import merge_root_sets
+from ..linearizer.linearize import merge_root_sets, split_root_ids
 from ..linearizer.structures import iter_nodes
 from ..runtime.plan import execute_plan
 from . import hashing
@@ -271,9 +271,8 @@ class MemoSplicer:
         lin = self.model.fast_linearizer()(new_roots, stubs=stubs)
         node_id = lin.node_id
 
-        root_ids = [np.fromiter(
-            (node_id(repl.get(id(r), r)) for r in rs),
-            dtype=np.int64, count=len(rs)) for rs in sets]
+        root_ids = split_root_ids(
+            (node_id(repl.get(id(r), r)) for rs in sets for r in rs), sets)
         stub_ids = {id(s) for s in stubs}
         full_hits = sum(
             1 for rs in sets

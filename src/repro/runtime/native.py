@@ -413,13 +413,18 @@ def load_walker(so_path: os.PathLike):
         except Exception:  # the error a refusal left pending
             return None
         _, child, num_children, words, begins, lengths, root_ids = carved
+        in_order = None
+        if len(roots) > 1:  # the walker sorted them: map back by identity
+            at = {id(order[i]): i for i in root_ids.tolist()}
+            in_order = np.fromiter((at[id(r)] for r in roots), np.int32,
+                                   len(roots))
         return Linearized(
             kind=lz.kind, max_children=lz.max_children, num_nodes=n,
             num_leaves=int(lengths[0]), child=child,
             num_children=num_children, words=words, batch_begin=begins,
             batch_length=lengths, leaf_batch_count=1, roots=root_ids,
             order=order, leaf_start=n - int(lengths[0]),
-            _max_batch_len=widest, _carved=carved)
+            _max_batch_len=widest, _carved=carved, _in_order=in_order)
 
     return native_walk
 

@@ -309,8 +309,9 @@ class ExecutionResult:
         return self.workspace[name]
 
     def root_output(self, name: str) -> np.ndarray:
-        """Rows of a state buffer at the root nodes (the model results)."""
-        return self.workspace[name][self.lin.roots]
+        """Rows of a state buffer at the root nodes (the model results),
+        one per root in the order the roots were given."""
+        return self.workspace[name][self.lin.input_roots]
 
 
 def execute_plan(plan: HostPlan, lin: Linearized,

@@ -16,6 +16,7 @@ cached subtrees pruned out of the forest and their rows to seed attached.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,7 +88,15 @@ def scatter(root_ids: Sequence[np.ndarray],
     """Per-request root-row outputs, one dict per entry of ``root_ids``
     (:attr:`CoalescedBatch.root_ids`, so in ``batch.requests`` order).
 
-    Advanced indexing yields fresh arrays (never views), so the returned
-    rows survive the mega-batch workspace being recycled into the arena.
+    One fancy-index per buffer gathers every request's rows at once;
+    each request gets its own slice of that fresh array.  So the rows
+    survive the mega-batch workspace being recycled into the arena, and
+    no two requests' rows overlap — not even for a root they share.
     """
-    return [{n: workspace[n][ids] for n in names} for ids in root_ids]
+    if not root_ids:
+        return []
+    flat = np.concatenate(root_ids)
+    gathered = [(n, workspace[n][flat]) for n in names]
+    bounds = [0, *accumulate(map(len, root_ids))]
+    return [{n: rows[a:b] for n, rows in gathered}
+            for a, b in pairwise(bounds)]

@@ -104,13 +104,18 @@ class ServerMetrics:
             "serve_tenant_requests_completed_total",
             "requests resolved with a result, by tenant", ["tenant"])
         self._tenants: Dict[str, bool] = {}
+        self._tenant_submit: Dict[str, object] = {}  # labels() once each
 
     # -- recording (server side) -------------------------------------------
     def note_submit(self, tenant: Optional[str] = None) -> None:
         self._submitted.inc()
         if tenant is not None:
-            self._tenants[tenant] = True
-            self._tenant_submitted.labels(tenant=tenant).inc()
+            child = self._tenant_submit.get(tenant)
+            if child is None:
+                self._tenants[tenant] = True
+                child = self._tenant_submit[tenant] = (
+                    self._tenant_submitted.labels(tenant=tenant))
+            child.inc()
 
     def note_reject(self) -> None:
         self._rejected.inc()

@@ -28,14 +28,14 @@ from ..errors import (RequestCancelledError, RequestTimeoutError,
 from ..linearizer import Node
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestResult:
     """Per-request outcome of one coalesced flush.
 
-    ``outputs`` holds *copies* of this request's root rows (the shared
-    mega-batch workspace has already been recycled into the arena by the
-    time the caller sees this), keyed by buffer name and ordered like the
-    request's roots.
+    ``outputs`` holds this request's root rows by buffer name, ordered
+    like its roots: slices of one array per buffer that the flush
+    gathered for all its requests — independent of the recycled
+    workspace, shared only with that flush's requests, never overlapping.
     """
 
     request_id: int
@@ -56,12 +56,20 @@ class RequestResult:
 
 
 class RequestHandle:
-    """Future-like handle for one submitted request."""
+    """Future-like handle for one submitted request.
+
+    Its ``threading.Event`` is made only by a waiter that finds the
+    handle unresolved; resolvers set it only if one exists.
+    """
+
+    __slots__ = ("request_id", "_lock", "_done", "_event", "_result",
+                 "_exception", "_cancelled", "_claimed", "_callbacks")
 
     def __init__(self, request_id: int):
         self.request_id = request_id
-        self._event = threading.Event()
         self._lock = threading.Lock()
+        self._done = False
+        self._event: Optional[threading.Event] = None
         self._result: Optional[RequestResult] = None
         self._exception: Optional[BaseException] = None
         self._cancelled = False
@@ -83,7 +91,7 @@ class RequestHandle:
         futures via ``call_soon_threadsafe``.
         """
         with self._lock:
-            if not self._event.is_set():
+            if not self._done:
                 self._callbacks.append(fn)
                 return
         self._run_callback(fn)
@@ -94,33 +102,31 @@ class RequestHandle:
         except Exception:  # pragma: no cover - callback bugs
             pass
 
-    def _drain_callbacks(self) -> None:
-        """Fire pending callbacks after resolution (outside the lock)."""
+    def _finish(self, result: Optional[RequestResult],
+                exc: Optional[BaseException], cancel: bool = False) -> bool:
+        """Resolve once: state under the lock, then wake and call back."""
         with self._lock:
-            callbacks, self._callbacks = self._callbacks, []
+            if self._done or (cancel and self._claimed):
+                return False
+            self._result, self._exception = result, exc
+            self._cancelled = cancel
+            self._done = True
+            event, callbacks = self._event, self._callbacks
+            self._callbacks = []
+        if event is not None:
+            event.set()
         for fn in callbacks:
             self._run_callback(fn)
+        return True
 
     # -- completion (server side) -----------------------------------------
     def set_result(self, result: RequestResult) -> bool:
         """Resolve with a result; ``False`` when already resolved."""
-        with self._lock:
-            if self._event.is_set():
-                return False
-            self._result = result
-            self._event.set()
-        self._drain_callbacks()
-        return True
+        return self._finish(result, None)
 
     def set_exception(self, exc: BaseException) -> bool:
         """Resolve with a failure; ``False`` when already resolved."""
-        with self._lock:
-            if self._event.is_set():
-                return False
-            self._exception = exc
-            self._event.set()
-        self._drain_callbacks()
-        return True
+        return self._finish(None, exc)
 
     def claim(self) -> bool:
         """Mark execution as started (server side).
@@ -130,7 +136,7 @@ class RequestHandle:
         After a successful claim, :meth:`cancel` can no longer win.
         """
         with self._lock:
-            if self._event.is_set():
+            if self._done:
                 return False
             self._claimed = True
             return True
@@ -144,15 +150,8 @@ class RequestHandle:
         the server will never execute the request.  ``False`` when the
         request is already executing or already resolved.
         """
-        with self._lock:
-            if self._event.is_set() or self._claimed:
-                return False
-            self._cancelled = True
-            self._exception = RequestCancelledError(
-                f"request {self.request_id} cancelled")
-            self._event.set()
-        self._drain_callbacks()
-        return True
+        return self._finish(None, RequestCancelledError(
+            f"request {self.request_id} cancelled"), cancel=True)
 
     @property
     def cancelled(self) -> bool:
@@ -160,7 +159,21 @@ class RequestHandle:
 
     # -- consumption (caller side) -----------------------------------------
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._done
+
+    def _wait(self, timeout: Optional[float]) -> None:
+        """Block until resolved; the event is made here, on first need."""
+        if self._done:
+            return
+        with self._lock:
+            if self._done:
+                return
+            if self._event is None:
+                self._event = threading.Event()
+            event = self._event
+        if not event.wait(timeout):
+            raise RequestTimeoutError(
+                f"request {self.request_id} not served within {timeout}s")
 
     def result(self, timeout: Optional[float] = None) -> RequestResult:
         """Block until the request's flush completes; raise its failure.
@@ -170,9 +183,7 @@ class RequestHandle:
         An expired wait raises :class:`~repro.errors.RequestTimeoutError`
         (a ``TimeoutError`` subclass); the request itself stays pending.
         """
-        if not self._event.wait(timeout):
-            raise RequestTimeoutError(
-                f"request {self.request_id} not served within {timeout}s")
+        self._wait(timeout)
         if self._exception is not None:
             raise self._exception
         assert self._result is not None
@@ -180,19 +191,17 @@ class RequestHandle:
 
     def exception(self, timeout: Optional[float] = None
                   ) -> Optional[BaseException]:
-        if not self._event.wait(timeout):
-            raise RequestTimeoutError(
-                f"request {self.request_id} not served within {timeout}s")
+        self._wait(timeout)
         return self._exception
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = ("cancelled" if self._cancelled
                  else "failed" if self._exception is not None
-                 else "done" if self.done() else "pending")
+                 else "done" if self._done else "pending")
         return f"RequestHandle(id={self.request_id}, {state})"
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """One queued inference request (server-internal bookkeeping)."""
 

@@ -331,12 +331,12 @@ class Scheduler:
             order = (self._fair_order() if self.fair_share
                      else tuple(self._q))
             n = max(1, min(self.policy.take(order), len(order)))
-            out = list(order[:n])
-            if n == len(self._q):
-                self._q.clear()
-            else:
+            if self.fair_share:
+                out = list(order[:n])
                 taken = {id(r) for r in out}
                 self._q = deque(r for r in self._q if id(r) not in taken)
+            else:  # the FIFO prefix, popped: O(taken), not O(queued)
+                out = [self._q.popleft() for _ in range(n)]
             self._nodes -= sum(r.num_nodes for r in out)
             self._deadlines -= sum(
                 1 for r in out if r.deadline_t is not None)

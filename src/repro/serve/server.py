@@ -104,11 +104,12 @@ class ModelServer:
         tracer: optional :class:`~repro.obs.Tracer`.  With one, every
             submitted request gets its own trace id and a root
             ``request`` span closed exactly once with the request's
-            outcome, every flush gets a ``flush`` span with
-            ``coalesce`` / ``linearize`` / ``execute`` / ``scatter`` /
-            ``resolve`` children, and lifecycle turns (isolation,
-            cancel, expire, shed) land as span events.  Without one
-            (default) the hot path pays one pointer comparison per hook.
+            outcome, every flush gets a ``flush`` span (with its
+            thread's ``cpu_ms``) with ``coalesce`` / ``linearize`` /
+            ``execute`` / ``scatter`` / ``resolve`` children, and
+            lifecycle turns (isolation, cancel, expire, shed) land as
+            span events.  Without one (default) the hot path pays one
+            pointer comparison per hook.
         profiler: optional :class:`~repro.runtime.profiler
             .KernelProfiler` threaded into every ``execute_plan`` call
             — per-kernel wall times and call counts, reported under the
@@ -216,6 +217,8 @@ class ModelServer:
         self._thread: Optional[threading.Thread] = None
         self._stop = False
         self._cond = threading.Condition()
+        #: the worker is about to wait on ``_cond``: only then notify
+        self._waiting = False
         #: serializes start/stop so concurrent stop() calls are idempotent
         self._lifecycle_lock = threading.Lock()
         #: set by ``close()`` (and by a pool tearing its replicas down):
@@ -315,8 +318,9 @@ class ModelServer:
                 self._close_dropped_span(adm.victim)
         self.metrics.note_submit(tenant=tenant)
         if self._thread is not None:
-            with self._cond:
-                self._cond.notify()
+            if self._waiting:
+                with self._cond:
+                    self._cond.notify()
         elif self.scheduler.should_flush():
             self.flush()
         return req.handle
@@ -492,13 +496,14 @@ class ModelServer:
     def _attempt(self, reqs: List[Request]) -> None:
         """One coalesced execution attempt; resolves handles on success.
 
-        With a tracer, each attempt records one ``flush`` trace —
-        ``coalesce`` (with a retroactive ``linearize`` child),
-        ``execute``, ``scatter`` and ``resolve`` spans — and stamps
-        every resolved request's own trace with retroactive ``queued``
-        and ``execute`` children before closing its root span.  The
-        tracing-off path pays pointer comparisons and three extra clock
-        reads per flush, nothing per request.
+        With a tracer, each attempt records one ``flush`` trace — its
+        ``cpu_ms`` from ``time.thread_time``, and ``coalesce`` (with a
+        retroactive ``linearize`` child), ``execute``, ``scatter`` and
+        ``resolve`` spans — and stamps every resolved request's own
+        trace with retroactive ``queued`` and ``execute`` children
+        before closing its root span.  The tracing-off path pays pointer
+        comparisons and three extra clock reads per flush, nothing per
+        request.
         """
         model = self.model
         arena = model.arena
@@ -507,6 +512,9 @@ class ModelServer:
         flush_span = (tracer.start_span(
             "flush", attributes={"requests": len(reqs)})
             if tracer is not None else None)
+        # this thread's CPU beside the span's wall time, which under
+        # threaded serving also holds the other threads' turns
+        cpu_t = time.thread_time() if tracer is not None else 0.0
         try:
             # return the slab a prior run(reuse=True) left leased, so the
             # arena's contents are deterministic between flushes
@@ -598,6 +606,8 @@ class ModelServer:
         if flush_span is not None:
             tracer.add_span("resolve", done_t, self._clock(),
                             parent=flush_span)
+            flush_span.set_attribute(
+                "cpu_ms", (time.thread_time() - cpu_t) * 1e3)
             flush_span.end(STATUS_OK)
         self.metrics.note_flush(batch.num_requests, batch.num_nodes,
                                 exec_s, latencies,
@@ -734,6 +744,9 @@ class ModelServer:
                 self.flush()
             else:
                 with self._cond:
+                    # raised before the re-check: a submit either lands
+                    # before it (and the check sees it) or sees the flag
+                    self._waiting = True
                     if not self._stop and not self.scheduler.should_flush():
                         # empty queue: sleep until a submit/stop notifies;
                         # with requests pending, poll so a Deadline policy
@@ -741,6 +754,7 @@ class ModelServer:
                         # new arrivals
                         self._cond.wait(self._wake_interval_s
                                         if len(self.scheduler) else None)
+                    self._waiting = False
         self.drain()
 
     def __enter__(self) -> "ModelServer":

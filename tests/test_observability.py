@@ -14,6 +14,7 @@ and the serving stack, and the two satellite invariants:
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -460,6 +461,27 @@ def test_server_traces_request_lifecycle(tmp_path):
     text = srv.metrics_prometheus()
     assert "serve_requests_completed_total 4" in text
     assert "serve_queue_depth 0" in text
+
+
+def test_flush_span_carries_its_thread_cpu_time(monkeypatch):
+    m = _small_model("treernn")
+    rng = np.random.default_rng(2)
+    tracer = Tracer()
+    srv = ModelServer(m, policy=MaxPendingRequests(3), tracer=tracer)
+    for _ in range(6):
+        srv.submit(_tree(rng))
+    srv.drain()
+    flushes = [s for s in tracer.finished_spans() if s.name == "flush"]
+    assert len(flushes) == 2
+    tick_ms = time.get_clock_info("thread_time").resolution * 1e3
+    for span in flushes:
+        assert 0 < span.attributes["cpu_ms"] <= (
+            span.duration_s * 1e3 + tick_ms)
+    # untraced, a flush reads no thread clock at all
+    monkeypatch.setattr(time, "thread_time", lambda: 1 / 0)
+    plain = ModelServer(m, policy=MaxPendingRequests(3))
+    handles = [plain.submit(_tree(rng)) for _ in range(3)]
+    assert all(h.exception(0) is None for h in handles)
 
 
 # ---------------------------------------------------------------------------

@@ -272,7 +272,7 @@ def test_run_and_run_many_accept_validate_enum():
     for mode in (Validate.FIRST, Validate.ALWAYS, Validate.NEVER):
         res = m.run_many([TREES], validate=mode)
         assert np.array_equal(res[0].root_output("rnn"),
-                              ref[m.lowered.linearizer(TREES).roots])
+                              ref[m.lowered.linearizer(TREES).input_roots])
 
 
 # -- _prog_of: owning-program resolution --------------------------------------

@@ -12,10 +12,14 @@ the multi-model router, and the PR's API satellites (``CortexModel
 
 import dataclasses
 import re
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import CompileOptions, api
 from repro.data import grid_dag_batch, synthetic_treebank
@@ -26,7 +30,7 @@ from repro.models.sequential import make_sequence
 from repro.obs import FakeClock, Tracer
 from repro.serve import (AnyOf, Deadline, MaxPendingRequests, MaxTotalNodes,
                          ModelServer, Request, Router, Scheduler,
-                         default_policy)
+                         default_policy, scatter)
 from repro.serve.scheduler import QueueSnapshot
 
 VOCAB = 120
@@ -54,17 +58,12 @@ def _request(name, rng, batch=1):
 
 
 def _assert_request_matches_solo(model, roots, result):
-    """Coalesced rows must equal the solo run's rows, root for root.
-
-    The server orders a request's rows like the request's own roots; the
-    solo path's ``root_output`` orders them by sorted node id — so compare
-    through the solo linearization's per-root ids.
-    """
+    """Coalesced rows must equal the solo run's rows, root for root (both
+    order a request's rows like the request's own roots)."""
     solo = model.run(roots)
-    ids = [solo.lin.node_id(r) for r in roots]
     for out in model.lowered.module.output_buffers:
         assert np.array_equal(result.root_output(out),
-                              solo.workspace[out][ids]), out
+                              solo.root_output(out)), out
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +100,61 @@ def test_coalesce_shared_root_visited_once():
     lin, id_sets = TreeLinearizer().coalesce([[shared], [shared]])
     assert id_sets[0].tolist() == id_sets[1].tolist()
     assert len(lin.roots) == 1  # deduped in the merged forest
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_gather_scatter_equals_a_fancy_index_per_request(data):
+    rows = data.draw(st.integers(1, 30))
+    sets = data.draw(st.lists(st.lists(st.integers(0, rows - 1),
+                                       min_size=1, max_size=5),
+                              min_size=1, max_size=6))
+    rng = np.random.default_rng(rows)
+    ws = {"h": rng.standard_normal((rows, 3)).astype(np.float32),
+          "c": rng.standard_normal((rows, 2)).astype(np.float32)}
+    root_ids = [np.asarray(ids, dtype=np.int64) for ids in sets]
+    want = [{n: ws[n][ids] for n in ws} for ids in root_ids]
+    got = scatter(root_ids, ws, list(ws))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert all(np.array_equal(g[n], w[n]) and g[n].dtype == w[n].dtype
+                   for n in ws)
+    for buf in ws.values():  # the workspace is recycled...
+        buf.fill(np.nan)
+    # ...and one request writes into its rows: nobody else's rows move
+    for n in ws:
+        got[0][n][...] = -7.0
+    for g, w in zip(got[1:], want[1:]):
+        assert all(np.array_equal(g[n], w[n]) for n in ws)
+
+
+def test_scatter_of_no_requests_is_empty():
+    assert scatter([], {"h": np.zeros((2, 2))}, ["h"]) == []
+
+
+def test_served_rows_survive_later_flushes_and_are_not_shared():
+    model = _small_model("treelstm")
+    rng = np.random.default_rng(17)
+    trees = synthetic_treebank(6, vocab_size=VOCAB, rng=rng)
+    server = ModelServer(model, policy=MaxPendingRequests(4))
+    # requests sharing roots (and a duplicate root) in one flush
+    first = [server.submit(roots) for roots in (
+        trees[:2], [trees[1]], [trees[2], trees[2]], trees[:1])]
+    results = [h.result(0) for h in first]
+    held = [{n: a.copy() for n, a in r.outputs.items()} for r in results]
+    for roots in [trees[3:], [trees[0]], trees[2:5], [trees[5]]] * 3:
+        server.submit(roots)
+    server.drain()
+    assert model.arena.snapshot()["leased"] == 0
+    for roots, r, h in zip((trees[:2], [trees[1]], [trees[2], trees[2]],
+                            trees[:1]), results, held):
+        _assert_request_matches_solo(model, roots, r)
+        assert all(np.array_equal(r.outputs[n], h[n]) for n in h)
+    name = model.default_outputs()[0]
+    a, b = results[0].outputs[name], results[1].outputs[name]
+    assert np.array_equal(a[1], b[0]) and not np.shares_memory(a, b)
+    results[1].outputs[name][...] = 0.0
+    assert np.array_equal(results[0].outputs[name], held[0][name])
 
 
 def test_coalesce_empty_rejected():
@@ -454,6 +508,40 @@ def test_threaded_server_drains_on_stop():
     srv.stop()                                        # drains before exiting
     assert all(h.done() for h in handles)
     srv.stop()                                        # idempotent
+
+
+def test_threaded_worker_never_misses_a_wakeup():
+    """A submit notifies the worker only while it waits.  More producers
+    than cores, each waiting on its own request before the next, would
+    hang (and time out) if a submit ever landed unseen between the
+    worker's queue check and its sleep on an empty queue."""
+    m = _small_model("treernn")
+    tree = synthetic_treebank(1, vocab_size=VOCAB,
+                              rng=np.random.default_rng(5))
+    errors = []
+
+    def producer(srv):
+        try:
+            for _ in range(40):
+                srv.submit(tree).result(timeout=10.0)
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with m.server(policy=MaxPendingRequests(1)) as srv:
+            threads = [threading.Thread(target=producer, args=(srv,))
+                       for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+                assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert not errors
+    assert srv.metrics_snapshot()["completed"] == 160
 
 
 # ---------------------------------------------------------------------------
