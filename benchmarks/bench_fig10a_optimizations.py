@@ -16,16 +16,18 @@ import pytest
 from conftest import save_result
 from repro.bench import cortex_latency_ms, format_table
 from repro.models import get_model
-from repro.runtime import V100
+from repro.runtime import SimSchedule, V100
 
 MODELS = ["treefc", "dagrnn", "treegru", "treelstm"]
 
+#: (label, compile options, simulated schedule): persistence is a what-if
+#: of the simulated device, not a compile option
+NO_PERSISTENCE = SimSchedule(persistence=False)
 CONFIGS = [
-    ("no fusion", dict(fusion="none", specialize=False, persistence=False)),
-    ("max fusion", dict(fusion="max", specialize=False, persistence=False)),
-    ("+specialization", dict(fusion="max", specialize=True,
-                             persistence=False)),
-    ("+persistence", dict(fusion="max", specialize=True, persistence=True)),
+    ("no fusion", dict(fusion="none", specialize=False), NO_PERSISTENCE),
+    ("max fusion", dict(fusion="max", specialize=False), NO_PERSISTENCE),
+    ("+specialization", dict(fusion="max", specialize=True), NO_PERSISTENCE),
+    ("+persistence", dict(fusion="max", specialize=True), SimSchedule()),
 ]
 
 
@@ -35,8 +37,9 @@ def _run():
     for model in MODELS:
         for bs in (1, 10):
             série = []
-            for label, kw in CONFIGS:
-                ms, _ = cortex_latency_ms(model, 256, bs, V100, **kw)
+            for label, kw, schedule in CONFIGS:
+                ms, _ = cortex_latency_ms(model, 256, bs, V100, schedule,
+                                          **kw)
                 série.append(ms)
                 rows.append([get_model(model).name, bs, label, round(ms, 4)])
             data[(model, bs)] = série

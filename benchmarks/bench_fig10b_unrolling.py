@@ -11,23 +11,23 @@ import pytest
 
 from conftest import save_result
 from repro.bench import cortex_latency_ms, format_table
-from repro.runtime import V100
+from repro.runtime import SimSchedule, V100
 
 
 def _run():
     rows = []
     data = {}
     cases = [
-        ("TreeRNN", "treernn", dict(per_block=True), dict(per_block=True,
-                                                          unroll=True)),
-        ("TreeLSTM", "treelstm", dict(), dict(unroll=True)),
+        ("TreeRNN", "treernn", SimSchedule(per_block=True),
+         SimSchedule(per_block=True, unroll=True)),
+        ("TreeLSTM", "treelstm", SimSchedule(), SimSchedule(unroll=True)),
     ]
-    for label, model, base_kw, unroll_kw in cases:
+    for label, model, base, unrolled in cases:
         for bs in (1, 10):
             base_ms, base_cost = cortex_latency_ms(model, 256, bs, V100,
-                                                   **base_kw)
+                                                   base)
             un_ms, un_cost = cortex_latency_ms(model, 256, bs, V100,
-                                               **unroll_kw)
+                                               unrolled)
             rows.append([label, bs, round(base_ms, 4), round(un_ms, 4),
                          base_cost.barriers, un_cost.barriers])
             data[(model, bs)] = (base_ms, un_ms, base_cost.barriers,

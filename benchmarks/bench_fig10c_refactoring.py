@@ -10,7 +10,7 @@ import pytest
 
 from conftest import save_result
 from repro.bench import cortex_latency_ms, format_table
-from repro.runtime import V100
+from repro.runtime import SimSchedule, V100
 
 
 def _run():
@@ -21,7 +21,7 @@ def _run():
         for bs in (1, 10):
             plain, plain_cost = cortex_latency_ms(model, 256, bs, V100)
             ref, ref_cost = cortex_latency_ms(model, 256, bs, V100,
-                                              refactor=True)
+                                              SimSchedule(refactor=True))
             gain = (plain - ref) / plain * 100.0
             rows.append([label, bs, round(plain, 4), round(ref, 4),
                          f"{gain:.1f}%", plain_cost.barriers,

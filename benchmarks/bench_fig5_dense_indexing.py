@@ -12,7 +12,7 @@ import pytest
 
 from conftest import save_result
 from repro.bench import cortex_model, format_table, paper_inputs
-from repro.runtime import V100, measure_memory
+from repro.runtime import V100, estimate, measure_memory
 
 
 def _run():
@@ -27,8 +27,8 @@ def _run():
         mem_dense = measure_memory(m_dense.lowered.module, lin)
         mem_sparse = measure_memory(m_sparse.lowered.module, lin)
 
-        lat_dense = m_dense.run(roots, device=V100).simulated_time_s * 1e3
-        lat_sparse = m_sparse.run(roots, device=V100).simulated_time_s * 1e3
+        lat_dense = estimate(m_dense, roots, V100).total_time_s * 1e3
+        lat_sparse = estimate(m_sparse, roots, V100).total_time_s * 1e3
 
         rows.append([model_name,
                      round(mem_dense.onchip_bytes / 1e3, 1),

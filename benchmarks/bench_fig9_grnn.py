@@ -12,7 +12,7 @@ import pytest
 from conftest import save_result
 from repro.baselines import grnn_like
 from repro.bench import cortex_latency_ms, format_table
-from repro.runtime import V100
+from repro.runtime import SimSchedule, V100
 
 SEQ_LEN = 100
 HIDDEN = 256
@@ -29,7 +29,7 @@ def _run():
             g_lock = grnn_like.latency(model, SEQ_LEN, bs, HIDDEN, V100,
                                        lock_free=False).total_time_s * 1e3
             c_ms, _ = cortex_latency_ms(cortex_name, HIDDEN, bs, V100,
-                                        refactor=refactor)
+                                        SimSchedule(refactor=refactor))
             rows.append([model.upper(), bs, round(g_free, 3),
                          round(g_lock, 3), round(c_ms, 3)])
             out[(model, bs)] = (g_free, g_lock, c_ms)

@@ -4,7 +4,10 @@ The Cortex prototype does not auto-schedule; it sweeps schedule parameters
 by grid search and keeps the fastest.  This example tunes SimpleTreeGRU on
 the simulated V100, shows the ranking, and explains the winner using the
 compilation report — including why recursive refactoring made the cut here
-but would not for the full TreeGRU (footnote 4 / Fig. 10c).
+but would not for the full TreeGRU (footnote 4 / Fig. 10c).  Only fusion
+and specialization change the generated code, so the search compiles
+those points and estimates every simulated schedule
+(:class:`~repro.runtime.SimSchedule`) on them.
 
 Run:  python examples/autotune_schedule.py
 """
@@ -13,11 +16,13 @@ import os
 
 import numpy as np
 
+import dataclasses
+
 import repro
 from repro import CompileOptions
 from repro.analysis import compilation_report
 from repro.data import synthetic_treebank
-from repro.runtime import V100
+from repro.runtime import SimSchedule, V100
 from repro.tune import grid_search
 
 VOCAB = 1000
@@ -38,12 +43,17 @@ def main() -> None:
           f"{worst.latency_ms / best.latency_ms:.1f}x spread across the "
           f"schedule space")
 
-    # compile the winner and explain it
-    cfg = {k: v for k, v in best.config.items()}
-    model = repro.compile("simple_treegru", CompileOptions(**cfg),
-                          hidden=HIDDEN, vocab=VOCAB)
+    # compile the winner and explain it: its code-changing half compiles,
+    # its simulated half is the what-if the estimate applied
+    sim_keys = {f.name for f in dataclasses.fields(SimSchedule)}
+    sim = SimSchedule(**{k: v for k, v in best.config.items()
+                         if k in sim_keys})
+    model = repro.compile("simple_treegru", CompileOptions(
+        **{k: v for k, v in best.config.items() if k not in sim_keys}),
+        hidden=HIDDEN, vocab=VOCAB)
     print("\n=== why the winner wins ===")
     print(compilation_report(model.lowered.module))
+    print(f"simulated schedule: {sim}")
 
     # contrast: the same sweep on full TreeGRU never profits from refactoring
     print("\n=== contrast: TreeGRU (footnote 4) ===")

@@ -3,8 +3,9 @@
 Walks the whole new front door in one sitting:
 
 1. ``repro.compile(spec, CompileOptions(...))`` — an explicit, eagerly
-   validated configuration (illegal combinations raise up front) driving
-   the staged pipeline, with per-stage wall-time records;
+   validated configuration of the knobs that change generated code
+   (illegal values raise up front) driving the staged pipeline, with
+   per-stage wall-time records;
 2. presets (``PAPER_HEADLINE``, ``UNFUSED_ABLATION``, ``DEBUG``) and the
    ``with_`` builder for deriving variants;
 3. ``cache_key()`` — the stable content hash that names a configuration
@@ -35,11 +36,11 @@ VOCAB = 500
 
 
 def main() -> None:
-    # 1. explicit options; invalid combinations fail eagerly
+    # 1. explicit options; invalid values fail eagerly
     opts = CompileOptions()            # == PAPER_HEADLINE
     print(f"headline options: {opts.summary()}")
     try:
-        CompileOptions(fusion="none", persistence=True)
+        CompileOptions(fusion="partial")
     except ScheduleError as e:
         print(f"rejected eagerly: {e}")
 

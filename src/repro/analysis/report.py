@@ -48,8 +48,6 @@ def kernel_report(module: ILModule) -> str:
         head = f"  {kernel.name} ({kernel.kind}"
         if kernel.kind == "fused":
             head += f", {kernel.barriers_per_level} barrier(s)/level"
-            if kernel.level_pairing:
-                head += ", unrolled level pairs"
         head += ")"
         lines.append(head)
         for nest in kernel.nests:
@@ -62,8 +60,7 @@ def kernel_report(module: ILModule) -> str:
 
 def compilation_report(module: ILModule) -> str:
     meta = module.meta
-    opts = [k for k in ("dynamic_batch", "specialize", "persistence",
-                        "unroll", "refactor") if meta.get(k)]
+    opts = [k for k in ("dynamic_batch", "specialize") if meta.get(k)]
     header = (f"schedule: fusion={meta.get('fusion')}"
               + (f", {', '.join(opts)}" if opts else ""))
     parts = [header]

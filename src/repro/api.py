@@ -10,13 +10,12 @@ Example (the README quickstart)::
 
     import repro
     from repro.data import synthetic_treebank
-    from repro.runtime import V100
 
     model = repro.compile("treelstm", hidden=256, vocab=1000)
     trees = synthetic_treebank(10, vocab_size=1000)
-    result = model.run(trees, device=V100)
+    result = model.run(trees)
     print(result.root_output("rnn_h_ph").shape)   # (10, 256)
-    print(result.simulated_time_s)                # simulated latency
+    print(result.wall_time_s)                     # measured host time
 
 Every runnable model is a :class:`CortexModel` — compiled in process, or
 reloaded from disk by :func:`~repro.tools.artifact.load_model` — and runs
@@ -24,8 +23,9 @@ the one generated source through the one executor
 (:func:`~repro.runtime.plan.execute_plan`) under a host plan built by the
 same rule (see DESIGN.md §3).  Either way its module carries the operator
 nests that source, the verdicts in ``meta``, the host plan and the
-simulated-``device`` estimate are derived from; a reloaded model lacks
-only its model definition and the RA program.
+simulated-device estimate (:func:`repro.runtime.estimate`, kept outside
+the run paths) are derived from; a reloaded model lacks only its model
+definition and the RA program.
 
 For repeated inference over a stream of input batches, use the amortized
 entry points: ``model.run(roots, reuse=True)`` recycles workspace buffers
@@ -52,7 +52,6 @@ from .linearizer import Linearized, Linearizer, Node
 from .options import CompileOptions, Validate
 from .ra.lowering import Lowered
 from .ra.ops import Program
-from .runtime.device import Device
 from .runtime.memory import WorkspaceArena
 from .runtime.plan import (ExecutionResult, HostPlan, execute_plan,
                            get_host_plan)
@@ -71,8 +70,6 @@ class BatchResult:
     roots: np.ndarray
     wall_time_s: float = 0.0
     linearize_time_s: float = 0.0
-    simulated_time_s: Optional[float] = None
-    cost: Optional[object] = None
 
     def root_output(self, name: str) -> np.ndarray:
         """Rows of an output buffer at the root nodes (the model results),
@@ -95,7 +92,8 @@ class CortexModel:
     ``compile()`` fills every field; a model reloaded by
     :func:`~repro.tools.artifact.load_model` has no ``spec``, ``program``
     or ``report``, and runs, streams, serves, memoizes and estimates
-    through the same methods.
+    through the same methods, and :func:`repro.runtime.estimate` prices
+    either on a simulated device.
     """
 
     #: the model definition it was compiled from
@@ -210,7 +208,7 @@ class CortexModel:
 
     # -- execution -------------------------------------------------------------
     def run(self, roots: Union[Node, Sequence[Node]], *,
-            device: Optional[Device] = None, reuse: bool = False,
+            reuse: bool = False,
             validate: Validate = Validate.ALWAYS) -> ExecutionResult:
         """Run one inference call through the precompiled host plan.
 
@@ -226,15 +224,13 @@ class CortexModel:
         check = _validate_mode(validate) is not Validate.NEVER
         lin = self._linearize(roots, check)
         if not reuse:
-            return execute_plan(self.plan, lin, self.params, device=device)
+            return execute_plan(self.plan, lin, self.params)
         self.release()
-        res = execute_plan(self.plan, lin, self.params, device=device,
-                           arena=self.arena)
+        res = execute_plan(self.plan, lin, self.params, arena=self.arena)
         self._leased = res.arena_buffers
         return res
 
     def run_many(self, batches: Iterable[Union[Node, Sequence[Node]]], *,
-                 device: Optional[Device] = None,
                  outputs: Optional[Sequence[str]] = None,
                  validate: Validate = Validate.FIRST) -> List[BatchResult]:
         """Amortized streaming inference over a sequence of input batches.
@@ -251,7 +247,7 @@ class CortexModel:
         results: List[BatchResult] = []
         for i, roots in enumerate(batches):
             lin = self._linearize(roots, mode.checks_step(i))
-            res = execute_plan(self.plan, lin, self.params, device=device,
+            res = execute_plan(self.plan, lin, self.params,
                                arena=self.arena)
             # advanced indexing already yields fresh arrays (never views),
             # so the root rows survive the workspace recycling below
@@ -260,8 +256,7 @@ class CortexModel:
             results.append(BatchResult(
                 outputs=outs, roots=lin.input_roots,
                 wall_time_s=res.wall_time_s,
-                linearize_time_s=lin.wall_time_s,
-                simulated_time_s=res.simulated_time_s, cost=res.cost))
+                linearize_time_s=lin.wall_time_s))
         return results
 
     # -- serving ---------------------------------------------------------------
@@ -317,8 +312,8 @@ def compile(model: Union[str, "ModelDef"],
     ``ModelDef.register()`` to also address them by name).
 
     The front door of the compiler: ``options`` (default:
-    :data:`~repro.options.PAPER_HEADLINE`) is validated eagerly — illegal
-    combinations such as ``persistence=True, fusion="none"`` raise
+    :data:`~repro.options.PAPER_HEADLINE`) is validated eagerly — an
+    illegal value such as ``fusion="partial"`` raises
     :class:`~repro.errors.ScheduleError` before any work happens — and
     then drives the staged :class:`~repro.pipeline.CompilerPipeline`
     (build -> schedule -> lower -> codegen -> plan).  The returned model

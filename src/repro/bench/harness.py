@@ -20,6 +20,7 @@ from ..linearizer import Node
 from ..models.sequential import make_sequence
 from ..options import CompileOptions
 from ..pipeline import Session
+from ..runtime.costmodel import CostReport, SimSchedule, estimate
 from ..runtime.device import Device
 
 #: vocabulary used across benchmarks (kept modest so parameter tables fit
@@ -63,14 +64,14 @@ def paper_inputs(model_name: str, batch_size: int, *,
     return out
 
 
-def cortex_model(model_name: str, hidden: int, **schedule) -> CortexModel:
+def cortex_model(model_name: str, hidden: int, **fields) -> CortexModel:
     """Compile (or fetch from the session cache) one model configuration.
 
-    ``schedule`` holds :class:`~repro.options.CompileOptions` fields; the
+    ``fields`` holds :class:`~repro.options.CompileOptions` fields; the
     options' stable ``cache_key`` keys the shared
     :class:`~repro.pipeline.Session`.
     """
-    options = CompileOptions(**schedule)
+    options = CompileOptions(**fields)
     if model_name == "dagrnn":
         return _SESSION.compile(model_name, options, hidden=hidden,
                                 num_cells=100 * 64)
@@ -79,12 +80,15 @@ def cortex_model(model_name: str, hidden: int, **schedule) -> CortexModel:
 
 
 def cortex_latency_ms(model_name: str, hidden: int, batch_size: int,
-                      device: Device, **schedule) -> Tuple[float, object]:
-    """Simulated Cortex latency (ms) and the cost report."""
-    model = cortex_model(model_name, hidden, **schedule)
+                      device: Device, schedule: SimSchedule = SimSchedule(),
+                      **fields) -> Tuple[float, CostReport]:
+    """Simulated Cortex latency (ms) and the cost report: the model
+    compiled under the CompileOptions ``fields``, estimated under
+    ``schedule``."""
+    model = cortex_model(model_name, hidden, **fields)
     roots = paper_inputs(model_name, batch_size)
-    res = model.run(roots, device=device)
-    return res.simulated_time_s * 1e3, res.cost
+    cost = estimate(model, roots, device, schedule)
+    return cost.total_time_s * 1e3, cost
 
 
 BASELINES = {

@@ -31,7 +31,8 @@ class TypeMismatchError(IRError):
 
 
 class ScheduleError(CortexError):
-    """An illegal scheduling directive (e.g. unrolling a DAG model)."""
+    """An illegal scheduling directive (e.g. an unknown fusion level, or a
+    simulated unrolling of a DAG model)."""
 
 
 class LoweringError(CortexError):

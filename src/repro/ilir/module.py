@@ -43,10 +43,6 @@ class Kernel:
     nests: List[OpNest]
     #: global barriers executed per internal level (fused kernels only).
     barriers_per_level: int = 0
-    #: extra barriers per level introduced by unrolling (Fig. 11), if any.
-    unroll_extra_barriers: int = 0
-    #: levels are processed in pairs when the recursion was unrolled.
-    level_pairing: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:

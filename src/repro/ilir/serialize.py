@@ -29,10 +29,9 @@ from .nests import AxisSpec, OpNest
 
 #: the schedule record lowering keeps in ``module.meta``, by type
 SCHEDULE = {"fusion": str, "kind": str, "max_children": int,
-            "dynamic_batch": bool, "specialize": bool, "persistence": bool,
-            "unroll": bool, "per_block": bool, "refactor": bool,
-            "barriers_per_level": int, "reduction_depth": int,
-            "refactor_saving": int, "zero_folded": list}
+            "dynamic_batch": bool, "specialize": bool,
+            "barriers_per_level": int, "refactor_saving": int,
+            "zero_folded": list}
 
 
 def _typed(value, typ: type):
@@ -70,8 +69,6 @@ def module_to_json(module: ILModule) -> dict:
                     for b in module.buffers.values()],
         "kernels": [{"name": k.name, "kind": k.kind,
                      "barriers_per_level": k.barriers_per_level,
-                     "unroll_extra_barriers": k.unroll_extra_barriers,
-                     "level_pairing": k.level_pairing,
                      "nests": [nest(n) for n in k.nests]}
                     for k in module.kernels],
         "state_buffers": list(module.state_buffers),
@@ -135,9 +132,7 @@ def module_from_json(data: dict,
 
     steps = [HostStep(Kernel(_name(k["name"]), k["kind"],
                              [nest(n) for n in k["nests"]],
-                             _typed(k["barriers_per_level"], int),
-                             _typed(k["unroll_extra_barriers"], int),
-                             _typed(k["level_pairing"], bool)))
+                             _typed(k["barriers_per_level"], int)))
              for k in data["kernels"]]
     meta = {k: _typed(data["meta"][k], t) for k, t in SCHEDULE.items()}
     meta["zero_folded"] = [_name(n) for n in meta["zero_folded"]]

@@ -34,8 +34,8 @@ def _has_composed_child_uf(nest: OpNest) -> bool:
 
     ``word(child(k, n))`` / ``child(j, child(k, n))`` mean the kernel
     inspects structure *below* its direct children — a stub's arity-0 /
-    ``word = -1`` row would feed it wrong values, so such schedules
-    (unroll, recursive refactoring) refuse splicing outright.  Benign
+    ``word = -1`` row would feed it wrong values, so such kernels (a
+    hand-unrolled or refactored cell) refuse splicing outright.  Benign
     single-UF indexing (``Emb[word(n)]``) is not composition.
     """
     for e in nest.exprs():
@@ -97,9 +97,9 @@ def splice_hazard(module: ILModule) -> Optional[str]:
         for nest in kernel.nests:
             if _has_composed_child_uf(nest):
                 return (f"kernel {kernel.name!r} reads through composed "
-                        f"uninterpreted functions (unrolled/refactored "
-                        f"schedule) — it inspects descendants a stub row "
-                        f"cannot stand in for")
+                        f"uninterpreted functions (an unrolled or "
+                        f"refactored cell) — it inspects descendants a stub "
+                        f"row cannot stand in for")
             if _has_child_indexed_write(nest):
                 return (f"kernel {kernel.name!r} writes other nodes' rows "
                         f"through child indirection — it would clobber "

@@ -25,8 +25,8 @@ raises :class:`~repro.errors.SpliceRefusedError` on a refusal:
 
 * the model must use dynamic (height) batching;
 * no kernel may read through *composed* uninterpreted functions
-  (``word(child(k, n))``, ``child(j, child(k, n))`` — unrolled/refactored
-  schedules inspect grandchildren a stub cannot stand in for);
+  (``word(child(k, n))``, ``child(j, child(k, n))`` — unrolled or
+  refactored cells inspect grandchildren a stub cannot stand in for);
 * every buffer read through child indirection must be in the cached
   (output + state) set;
 * pre/hoisted/post kernels — which iterate every node id, stub rows

@@ -1,15 +1,17 @@
 """The unified compilation configuration: :class:`CompileOptions`.
 
-One frozen, hashable object captures every schedule and codegen knob the
-compiler understands — the §3.1 recursion-scheduling primitives (dynamic
-batching, leaf specialization, fusion, persistence, unrolling, recursive
-refactoring, per-block GPU scheduling), the ILIR-level layout/codegen
-choices (dense intermediates, rational non-linearity approximation), and
-the bounds-verification strictness.  Invalid combinations raise
-:class:`~repro.errors.ScheduleError` *eagerly*, at construction — e.g.
-``persistence=True`` with ``fusion="none"`` is rejected instead of being
-silently coerced, because parameters can only stay on-chip while a single
-persistent kernel runs.
+One frozen, hashable object captures every knob that changes the code
+the compiler generates — the §3.1 recursion-scheduling primitives that
+shape kernels (dynamic batching, leaf specialization, fusion), the
+ILIR-level layout/codegen choices (dense intermediates, rational
+non-linearity approximation), the bounds-verification strictness, the
+memoization policy and the execution target.  Invalid values raise
+:class:`~repro.errors.ScheduleError` *eagerly*, at construction.
+
+The paper's GPU-only schedule decisions — model persistence, unrolling,
+recursive refactoring and per-block scheduling — change no generated
+code here: they are what-ifs of the simulated V100, asked through
+:func:`repro.runtime.estimate` with a :class:`~repro.runtime.SimSchedule`.
 
 Because the object is frozen and fully value-typed, :meth:`CompileOptions
 .cache_key` is a stable content hash (sha256 over the canonical field
@@ -21,15 +23,15 @@ Presets name the configurations the paper's evaluation keeps reaching
 for::
 
     PAPER_HEADLINE     dynamic batching + specialization + maximal fusion
-                       + model persistence (the Fig. 6/9 configuration)
-    UNFUSED_ABLATION   one kernel per operator per phase, no persistence
+                       (the Fig. 6/9 configuration)
+    UNFUSED_ABLATION   one kernel per operator per phase
                        (the "unfused" bar of Fig. 10a)
     DEBUG              every transformation off — the most literal,
                        single-stepping-friendly lowering
 
 Derive variants with :meth:`CompileOptions.with_`::
 
-    opts = PAPER_HEADLINE.with_(unroll=True, per_block=True)
+    opts = PAPER_HEADLINE.with_(target="c", memo="on")
 
 This module also hosts :class:`Validate`, the one spelling of the
 runtime input-validation setting (``run(validate=...)``,
@@ -51,12 +53,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .ra.ops import Program
 
 #: fields that must be plain bools (eager type validation)
-_BOOL_FIELDS = ("specialize", "dynamic_batch", "persistence", "unroll",
-                "refactor", "per_block", "rational_approx",
+_BOOL_FIELDS = ("specialize", "dynamic_batch", "rational_approx",
                 "dense_intermediates", "strict_bounds")
 
 #: bump when the meaning of a field changes, so old cache keys expire
-_CACHE_KEY_VERSION = 2
+_CACHE_KEY_VERSION = 3
 
 
 class Validate(enum.Enum):
@@ -86,10 +87,10 @@ class Validate(enum.Enum):
 
 @dataclass(frozen=True)
 class CompileOptions:
-    """Every schedule/codegen knob of one compilation, validated eagerly.
+    """Every code-changing knob of one compilation, validated eagerly.
 
     The defaults are the paper's headline configuration (dynamic batching
-    + leaf specialization + maximal kernel fusion + model persistence).
+    + leaf specialization + maximal kernel fusion).
     Instances are immutable; build variants with :meth:`with_`.
     """
 
@@ -99,14 +100,6 @@ class CompileOptions:
     specialize: bool = True
     #: batch independent nodes on the fly at linearization time
     dynamic_batch: bool = True
-    #: persist model parameters in fast on-chip memory (requires fusion)
-    persistence: bool = True
-    #: process a node together with its children (trees/sequences only)
-    unroll: bool = False
-    #: move operators across the recursion backedge (trees/sequences only)
-    refactor: bool = False
-    #: one-node-per-thread-block GPU scheduling (TreeRNN-style, §7.4)
-    per_block: bool = False
     #: replace transcendental non-linearities with rational approximations
     rational_approx: bool = False
     #: dense indexing of scratchpad intermediates (Fig. 5)
@@ -128,14 +121,10 @@ class CompileOptions:
 
     # -- validation --------------------------------------------------------
     def validate(self) -> None:
-        """Raise :class:`ScheduleError` on any illegal knob or combination.
+        """Raise :class:`ScheduleError` on any illegal knob.
 
-        Knob combinations (fusion levels, persistence-requires-fusion)
-        are judged by :meth:`CortexSchedule.validate` itself, so the two
-        layers cannot drift; structure-dependent restrictions
-        (unrolling/refactoring a DAG model) can only be checked against
-        a concrete program and are enforced by the pipeline's schedule
-        stage.
+        Fusion levels are judged by :meth:`CortexSchedule.validate`
+        itself, so the two layers cannot drift.
         """
         for name in _BOOL_FIELDS:
             value = getattr(self, name)
@@ -155,9 +144,7 @@ class CompileOptions:
 
         CortexSchedule(
             dynamic_batch=self.dynamic_batch, specialize=self.specialize,
-            fusion=self.fusion, persistence=self.persistence,
-            unroll=self.unroll, refactor=self.refactor,
-            per_block=self.per_block,
+            fusion=self.fusion,
             dense_intermediates=self.dense_intermediates).validate()
 
     # -- derivation --------------------------------------------------------
@@ -202,31 +189,23 @@ class CompileOptions:
     def apply(self, prog: "Program") -> None:
         """Imprint these options onto a program's schedule (§3.1).
 
-        Plain knobs are written to the :class:`~repro.ra.schedule
-        .CortexSchedule`; ``unroll``/``refactor`` go through the actual
-        scheduling primitives so their structure restrictions (DAG models)
-        raise exactly as a hand-written schedule would.  The schedule is
-        re-validated afterwards, so no illegal state survives compilation.
+        The knobs are written to the :class:`~repro.ra.schedule
+        .CortexSchedule`, which is re-validated afterwards, so no illegal
+        state survives compilation.
         """
-        from .ra import schedule as sched_mod
-
         s = prog.schedule
         s.dynamic_batch = self.dynamic_batch
         s.specialize = self.specialize
         s.fusion = self.fusion
-        s.persistence = self.persistence
-        s.per_block = self.per_block
         s.dense_intermediates = self.dense_intermediates
-        if self.unroll:
-            sched_mod.unroll(prog)
-        if self.refactor:
-            sched_mod.recursive_refactor(prog)
         s.validate()
 
     def summary(self) -> str:
         """Compact one-line rendering (benchmark tables, logs)."""
         on = [f.name for f in dataclasses.fields(self)
               if getattr(self, f.name) is True]
+        if self.memo != "off":
+            on.append(f"memo={self.memo}")
         if self.target != "python":
             on.append(f"target={self.target}")
         return f"fusion={self.fusion} " + (" ".join(sorted(on)) or "(bare)")
@@ -236,12 +215,11 @@ class CompileOptions:
 PAPER_HEADLINE = CompileOptions()
 
 #: the "unfused" ablation bar of Fig. 10a
-UNFUSED_ABLATION = CompileOptions(fusion="none", persistence=False,
-                                  dense_intermediates=False)
+UNFUSED_ABLATION = CompileOptions(fusion="none", dense_intermediates=False)
 
 #: everything off: the most literal lowering, for single-stepping kernels
 DEBUG = CompileOptions(fusion="none", specialize=False, dynamic_batch=False,
-                       persistence=False, dense_intermediates=False)
+                       dense_intermediates=False)
 
 #: name -> options, for CLIs and config files
 PRESETS: Dict[str, CompileOptions] = {

@@ -11,9 +11,8 @@ from .node_ref import NodeVar, StructureAccess, isleaf
 from .ops import (ComputeOp, IfThenElseOp, InputOp, Operation, PlaceholderOp,
                   Program, RecursionOp, compute, if_then_else, input_tensor,
                   placeholder, recursion_op)
-from .schedule import (CortexSchedule, dynamic_batch, per_block_schedule,
-                       persist, recursive_refactor, set_fusion,
-                       specialize_if_else, unroll)
+from .schedule import (CortexSchedule, dynamic_batch, set_fusion,
+                       specialize_if_else)
 from .tensor import NUM_NODES, VOCAB_SIZE, RATensor
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "lower", "NodeVar", "StructureAccess", "isleaf", "ComputeOp",
     "IfThenElseOp", "InputOp", "Operation", "PlaceholderOp", "Program",
     "RecursionOp", "compute", "if_then_else", "input_tensor", "placeholder",
-    "recursion_op", "CortexSchedule", "dynamic_batch", "per_block_schedule",
-    "persist", "recursive_refactor", "set_fusion", "specialize_if_else",
-    "unroll", "NUM_NODES", "VOCAB_SIZE", "RATensor",
+    "recursion_op", "CortexSchedule", "dynamic_batch", "set_fusion",
+    "specialize_if_else", "NUM_NODES", "VOCAB_SIZE", "RATensor",
 ]

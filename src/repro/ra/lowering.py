@@ -19,9 +19,10 @@ The lowering turns a recursive RA program into an :class:`~repro.ilir.module
    never cross nodes are re-indexed by the in-batch loop and shrunk to
    ``max_batch_len`` rows in shared memory.
 6. **Kernel formation**: fusion="max" emits one persistent fused kernel
-   (with the barrier structure derived from the reduction-depth analysis,
-   refactoring and unrolling); fusion="none" emits one kernel per operator
-   per phase, launched per batch by the host.
+   (with the barrier structure derived from the reduction-depth analysis)
+   whose broadcast-read parameters are pinned on chip (model persistence,
+   ``register`` scope); fusion="none" emits one kernel per operator per
+   phase, launched per batch by the host.
 7. **Bounds verification**: every access is checked with the prover +
    linearizer invariants; the report records eliminated vs residual checks.
 """
@@ -49,7 +50,7 @@ from ..ir import (Const, DimRegistry, Expr, Interval, Reduce, TensorRead,
                   walk)
 from ..linearizer import Linearizer, StructureKind
 from ..utils import NameSupply
-from .analysis import (RecursionPartition, partition, reduction_depth,
+from .analysis import (RecursionPartition, barriers_per_level, partition,
                        refactor_barrier_saving)
 from .ops import (ComputeOp, IfThenElseOp, InputOp, Operation, PlaceholderOp,
                   Program, RecursionOp)
@@ -121,9 +122,9 @@ def lower(prog: Program, schedule: Optional[CortexSchedule] = None,
     ctx.build_buffers()
     ctx.build_nests()
     ctx.hoist_and_fold_constants()
-    if sched.fusion == "max" and sched.dense_intermediates:
-        ctx.densify()
-    if sched.persistence:
+    if sched.fusion == "max":
+        if sched.dense_intermediates:
+            ctx.densify()
         ctx.persist_params()
     if rational_approx:
         apply_rational_approximations(ctx.all_nests())
@@ -260,19 +261,15 @@ class _LoweringContext:
                 self.level_nests.append(nest)
 
     def _assign_stages(self) -> None:
-        """Reduction-chain stages; refactoring shifts the chain down."""
+        """Reduction-chain stages: the barrier interval each op runs in."""
         from .analysis import is_hidden_reduction
 
         rd: Dict[str, int] = {}
         for op in self.part.body:
             in_rd = max((rd.get(t.name, 0) for t in op.inputs), default=0)
             rd[op.output.name] = in_rd + 1 if is_hidden_reduction(op) else in_rd
-        saving = refactor_barrier_saving(self.prog) if self.sched.refactor else 0
         for name, depth in rd.items():
-            stage = max(0, depth - 1)
-            if saving:
-                stage = max(0, stage - saving)
-            self.stages[name] = stage
+            self.stages[name] = max(0, depth - 1)
 
     def _subgraph(self, roots: Set[RATensor]) -> Set[str]:
         """Body-op tensor names reachable (backwards) from ``roots``."""
@@ -471,20 +468,11 @@ class _LoweringContext:
         for nest in self.pre_nests:
             steps.append(HostStep(Kernel(nest.name, "pre", [nest])))
 
-        base_barriers = max(1, reduction_depth(self.part))
-        saving = refactor_barrier_saving(self.prog) if sched.refactor else 0
-        barriers = max(1, base_barriers - saving)
-        extra = 0
-        if sched.unroll and not sched.per_block:
-            # Fig. 11: unrolling fragments the batch-wide barrier
-            extra = barriers
-
+        barriers = barriers_per_level(self.part)
         if sched.fusion == "max":
             fused = Kernel("fused", "fused",
                            self.leaf_nests + self.level_nests,
-                           barriers_per_level=barriers,
-                           unroll_extra_barriers=extra,
-                           level_pairing=sched.unroll)
+                           barriers_per_level=barriers)
             steps.append(HostStep(fused))
         else:
             for nest in self.leaf_nests:
@@ -498,13 +486,8 @@ class _LoweringContext:
             "fusion": sched.fusion,
             "dynamic_batch": sched.dynamic_batch,
             "specialize": sched.specialize,
-            "persistence": sched.persistence,
-            "unroll": sched.unroll,
-            "per_block": sched.per_block,
-            "refactor": sched.refactor,
             "barriers_per_level": barriers,
-            "reduction_depth": base_barriers,
-            "refactor_saving": saving,
+            "refactor_saving": refactor_barrier_saving(self.prog),
             "zero_folded": list(self.zero_folded),
             "max_children": self.prog.max_children,
             "kind": self.prog.kind.value,

@@ -42,9 +42,7 @@ def program_to_str(prog: Program) -> str:
     for op in prog.ops:
         lines.append(op_to_str(op))
     s = prog.schedule
-    sched = [k for k in ("dynamic_batch", "specialize", "persistence",
-                         "unroll", "refactor", "per_block")
-             if getattr(s, k)]
+    sched = [k for k in ("dynamic_batch", "specialize") if getattr(s, k)]
     lines.append(f"# schedule: fusion={s.fusion}"
                  + (f" + {', '.join(sched)}" if sched else ""))
     return "\n".join(lines)

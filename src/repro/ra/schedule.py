@@ -1,27 +1,23 @@
-"""Recursion scheduling primitives (§3.1).
-
-The four paper primitives plus the ILIR-level knobs the evaluation sweeps:
+"""Recursion scheduling primitives (§3.1) that shape the generated code:
 
 * :func:`dynamic_batch` — batch independent nodes on the fly (performed at
   linearization time, before any tensor computation).
 * :func:`specialize_if_else` — generate separate code versions for the two
   branches of a leaf check, enabling hoisting/constant propagation (§4.3).
-* :func:`unroll` — process a node together with its children, trading
-  barrier structure for reuse (Fig. 3 / Fig. 11); trees and sequences only.
-* :func:`recursive_refactor` — move operators across the recursion backedge
-  to enable fusion / fewer global barriers (Fig. 4); trees/sequences only.
-* :func:`set_fusion` / :func:`persist` — kernel fusion level and model
-  persistence, the two ablation axes of Fig. 10a.
+* :func:`set_fusion` — the kernel fusion level, Fig. 10a's first axis.
+
+The paper's other GPU schedule decisions (model persistence, unrolling,
+recursive refactoring, per-block scheduling) change no code here; they
+are what-ifs of the simulated device (:class:`repro.runtime.SimSchedule`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Set, Union
+from typing import Set, Union
 
 from ..errors import ScheduleError
-from ..linearizer.structures import StructureKind
-from .ops import IfThenElseOp, Program, RecursionOp
+from .ops import IfThenElseOp, Program
 from .tensor import RATensor
 
 FUSION_LEVELS = ("none", "max")
@@ -34,12 +30,6 @@ class CortexSchedule:
     dynamic_batch: bool = False
     specialize: bool = False
     fusion: str = "max"
-    persistence: bool = False
-    unroll: bool = False
-    refactor: bool = False
-    #: one-node-per-thread-block GPU scheduling (how the paper schedules
-    #: TreeRNN in §7.4); changes how unrolling interacts with barriers.
-    per_block: bool = False
     #: dense indexing of scratchpad intermediates (Fig. 5); on by default.
     dense_intermediates: bool = True
     specialized_ops: Set[str] = field(default_factory=set)
@@ -47,10 +37,6 @@ class CortexSchedule:
     def validate(self) -> None:
         if self.fusion not in FUSION_LEVELS:
             raise ScheduleError(f"unknown fusion level {self.fusion!r}")
-        if self.persistence and self.fusion == "none":
-            raise ScheduleError(
-                "model persistence requires kernel fusion: parameters can only "
-                "stay on-chip while a single persistent kernel runs")
 
 
 def _prog_of(target: Union[Program, RATensor]) -> Program:
@@ -88,50 +74,9 @@ def specialize_if_else(target: Union[Program, RATensor]) -> None:
     prog.schedule.specialize = True
 
 
-def _require_tree_or_sequence(prog: Program, what: str) -> None:
-    if prog.kind == StructureKind.DAG:
-        raise ScheduleError(
-            f"{what} is only supported for trees and sequences: on DAGs, nodes "
-            f"with multiple parents would be recomputed (§3.1)")
-
-
-def unroll(target: Union[Program, RATensor], per_block: Optional[bool] = None) -> None:
-    """Unroll the recursion by one level (process node + children together)."""
-    prog = _prog_of(target)
-    _require_tree_or_sequence(prog, "unrolling")
-    prog.schedule.unroll = True
-    if per_block is not None:
-        prog.schedule.per_block = per_block
-
-
-def recursive_refactor(target: Union[Program, RATensor]) -> None:
-    """Move the recursion backedge to fuse across call boundaries (Fig. 4)."""
-    prog = _prog_of(target)
-    _require_tree_or_sequence(prog, "recursive refactoring")
-    if prog.recursion is None:
-        raise ScheduleError("recursive_refactor needs a recursion_op")
-    prog.schedule.refactor = True
-
-
 def set_fusion(target: Union[Program, RATensor], level: str) -> None:
     """Set the kernel fusion level: "none" or "max" (maximal fusion)."""
     if level not in FUSION_LEVELS:
         raise ScheduleError(f"unknown fusion level {level!r}")
     prog = _prog_of(target)
     prog.schedule.fusion = level
-    if level == "none":
-        prog.schedule.persistence = False
-
-
-def persist(target: Union[Program, RATensor], enable: bool = True) -> None:
-    """Persist model parameters in fast on-chip memory across iterations."""
-    prog = _prog_of(target)
-    prog.schedule.persistence = enable
-    if enable:
-        prog.schedule.validate()
-
-
-def per_block_schedule(target: Union[Program, RATensor], enable: bool = True) -> None:
-    """Schedule one node per GPU thread block (TreeRNN-style, §7.4)."""
-    prog = _prog_of(target)
-    prog.schedule.per_block = enable

@@ -13,6 +13,12 @@ results (§7.2, Table 6, Appendix C):
 * **linearization** — actual measured host time of the data structure
   linearizer (no tensor computation, §7.5).
 
+:func:`estimate` is the one entry point: it linearizes a model's input
+and prices the lowered module, never launching a kernel.  The paper's GPU
+schedule decisions that change no generated code here — model
+persistence, unrolling, recursive refactoring and per-block scheduling —
+are a :class:`SimSchedule` what-if applied inside the pricing.
+
 Traffic accounting follows Appendix C's operational-intensity bookkeeping:
 each *distinct* element a nest touches moves once per launch, parameters
 re-load once per launch/level unless persisted on chip (model persistence),
@@ -23,18 +29,22 @@ parameters) show up as savings.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple, Union
 
-from ..errors import CortexError
+from ..errors import CortexError, ScheduleError
 from ..ilir.buffer import ILBuffer
 from ..ilir.module import ILModule, Kernel
 from ..ilir.nests import OpNest
 from ..ir import (BinOp, Call, Const, Expr, Reduce, Select, TensorRead,
                   UFCall, Var, free_vars, walk)
-from ..linearizer import Linearized
+from ..linearizer import Linearized, Node, StructureKind
 from .device import Device
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..api import CortexModel
 
 #: flop weight of a transcendental intrinsic relative to an add/mul.
 INTRINSIC_FLOPS = 8.0
@@ -49,9 +59,71 @@ LINEARIZE_PER_NODE_S = 28e-9
 LINEARIZE_DAG_FACTOR = 3.4
 
 
-def linearization_time_s(lin: Linearized) -> float:
-    from ..linearizer import StructureKind
+@dataclass(frozen=True)
+class SimSchedule:
+    """The simulated GPU's schedule what-if (§3.1, §7.4, Fig. 10-11).
 
+    None of these decisions changes generated code on the host targets, so
+    they are not compile options; :func:`estimate` applies them to the
+    lowered module's pricing:
+
+    * ``persistence`` — the parameters a fused kernel re-reads every level
+      (lowering pins them ``register`` under ``fusion="max"``) load once
+      and stay on chip; off, they stream from DRAM per level like any
+      parameter.  Without a fused kernel nothing is pinned, and the flag
+      changes nothing.
+    * ``refactor`` — recursive refactoring moves the first reduction across
+      the backedge (Fig. 4), saving the program's ``refactor_saving``
+      barriers per level.
+    * ``unroll`` — a node is processed together with its children: with
+      the hidden dimension spread over thread blocks every level needs
+      twice the barriers (Fig. 11), while ``per_block`` scheduling (one
+      node per thread block, how §7.4 schedules TreeRNN) shares one
+      barrier interval between a pair of levels.
+
+    Unrolling and refactoring apply to trees and sequences only.
+    """
+
+    persistence: bool = True
+    unroll: bool = False
+    refactor: bool = False
+    per_block: bool = False
+
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            if not isinstance(getattr(self, f.name), bool):
+                raise ScheduleError(
+                    f"SimSchedule.{f.name} must be a bool, "
+                    f"got {getattr(self, f.name)!r}")
+
+
+def estimate(model: "CortexModel", roots: Union[Node, Sequence[Node]],
+             device: Device, schedule: SimSchedule = SimSchedule()
+             ) -> "CostReport":
+    """Simulated latency of one inference call of ``model`` on ``device``.
+
+    The input is linearized (and structure-checked) exactly as ``run``
+    does; the compiled kernels never launch and the model is not touched.
+    Unrolling or refactoring a DAG model raises
+    :class:`~repro.errors.ScheduleError`: nodes with several parents would
+    be recomputed.
+    """
+    module = model.lowered.module
+    if module.meta["kind"] == StructureKind.DAG.value:
+        for flag, what in (("unroll", "unrolling"),
+                           ("refactor", "recursive refactoring")):
+            if getattr(schedule, flag):
+                raise ScheduleError(
+                    f"{what} is only supported for trees and sequences: on "
+                    f"DAGs, nodes with multiple parents would be recomputed "
+                    f"(§3.1)")
+    if isinstance(roots, Node):
+        roots = [roots]
+    lin = model.lowered.linearizer(roots)
+    return _module_cost(module, lin, device, schedule)
+
+
+def linearization_time_s(lin: Linearized) -> float:
     per_node = LINEARIZE_PER_NODE_S
     if lin.kind == StructureKind.DAG:
         per_node *= LINEARIZE_DAG_FACTOR
@@ -163,12 +235,13 @@ def _const_extent(e: Expr, bindings: Dict[str, float]) -> float:
 
 
 def nest_traffic(nest: OpNest, node_len: int, bindings: Dict[str, float],
-                 *, persisted_free: bool) -> NestTraffic:
+                 *, persisted_free: bool, pinned: bool = True) -> NestTraffic:
     """Per-launch flops and memory traffic of one operator nest.
 
-    ``node_len`` is the size of the batch this launch covers.  When
-    ``persisted_free`` is set, reads of register-scope parameters are free
-    (they were loaded once during warm-up and stay on chip).
+    ``node_len`` is the size of the batch this launch covers.  Reads of
+    register-scope parameters are free when ``persisted_free`` is set
+    (they were loaded once during warm-up and stay on chip); without
+    ``pinned`` (no model persistence) they are ordinary DRAM parameters.
     """
     ext: Dict[str, float] = {}
     axis_names: Set[str] = set()
@@ -225,7 +298,7 @@ def nest_traffic(nest: OpNest, node_len: int, bindings: Dict[str, float],
                 t.broadcast_onchip += bytes_
             else:
                 t.onchip_bytes += bytes_
-        elif buf.scope == "register":
+        elif buf.scope == "register" and pinned:
             if not persisted_free:
                 t.broadcast_onchip += bytes_
         else:
@@ -316,9 +389,10 @@ def _roofline_time(t: NestTraffic, device: Device) -> float:
     return max(compute, memory) + prologue
 
 
-def estimate_cost(module: ILModule, lin: Linearized, device: Device, *,
-                  barrier_impl: str = "lock") -> CostReport:
-    """Simulated latency of executing ``module`` on ``lin`` with ``device``."""
+def _module_cost(module: ILModule, lin: Linearized, device: Device,
+                 schedule: SimSchedule) -> CostReport:
+    """Simulated latency of executing ``module`` on ``lin`` with ``device``
+    under ``schedule``."""
     report = CostReport()
     report.linearization_s = linearization_time_s(lin)
 
@@ -332,15 +406,13 @@ def estimate_cost(module: ILModule, lin: Linearized, device: Device, *,
     internal = list(range(level_start, lin.num_batches))
     leaf_batches = list(range(lin.leaf_batch_count)) if meta.get("specialize") else []
 
-    barrier_cost = (device.global_barrier_s if barrier_impl == "lock"
-                    else device.lockfree_barrier_s)
-    from ..linearizer import StructureKind
-
     scattered = lin.kind != StructureKind.SEQUENCE
 
     # model persistence: register-scope parameters load once if they fit
+    pinned = schedule.persistence
     reg_bytes = sum(_buffer_elems(b, bindings) * b.dtype.nbytes
-                    for b in module.buffers.values() if b.scope == "register")
+                    for b in module.buffers.values()
+                    if pinned and b.scope == "register")
     persisted = 0 < reg_bytes <= device.onchip_capacity
     if reg_bytes > device.onchip_capacity:
         report.notes.append(
@@ -365,7 +437,7 @@ def estimate_cost(module: ILModule, lin: Linearized, device: Device, *,
             tr = NestTraffic()
             for nest in k.nests:
                 tr += nest_traffic(nest, lin.num_nodes, bindings,
-                                   persisted_free=persisted)
+                                   persisted_free=persisted, pinned=pinned)
             launch(k, tr)
         elif k.kind == "leaf":
             gather = _gather_latency(k.nests, device,
@@ -375,7 +447,8 @@ def estimate_cost(module: ILModule, lin: Linearized, device: Device, *,
                 tr = NestTraffic()
                 for nest in k.nests:
                     tr += nest_traffic(nest, int(lin.batch_length[lb]),
-                                       bindings, persisted_free=persisted)
+                                       bindings, persisted_free=persisted,
+                                       pinned=pinned)
                 launch(k, tr)
                 report.exec_s += gather
         elif k.kind == "level":
@@ -386,19 +459,21 @@ def estimate_cost(module: ILModule, lin: Linearized, device: Device, *,
                 tr = NestTraffic()
                 for nest in k.nests:
                     tr += nest_traffic(nest, int(lin.batch_length[b]),
-                                       bindings, persisted_free=persisted)
+                                       bindings, persisted_free=persisted,
+                                       pinned=pinned)
                 launch(k, tr)
                 report.exec_s += gather
         elif k.kind == "fused":
             _fused_cost(k, lin, device, bindings, leaf_batches, internal,
-                        barrier_cost, persisted, scattered, report)
+                        schedule, int(meta["refactor_saving"]), persisted,
+                        scattered, report)
     return report
 
 
 def _fused_cost(kernel: Kernel, lin: Linearized, device: Device,
                 bindings: Dict[str, float], leaf_batches: Sequence[int],
-                internal: Sequence[int], barrier_cost: float,
-                persisted: bool, scattered: bool,
+                internal: Sequence[int], schedule: SimSchedule,
+                refactor_saving: int, persisted: bool, scattered: bool,
                 report: CostReport) -> None:
     """One persistent launch; levels serialized by global barriers."""
     report.kernel_launches += 1
@@ -410,16 +485,21 @@ def _fused_cost(kernel: Kernel, lin: Linearized, device: Device,
     leaf_gather = _gather_latency(leaf_nests, device, maxc) if scattered else 0.0
     level_gather = _gather_latency(level_nests, device, maxc) if scattered else 0.0
 
+    # refactoring shifts the reduction chain down by the barriers it saves
+    saving = refactor_saving if schedule.refactor else 0
+
     def _stage_time(nests: Sequence[OpNest], length: int) -> Tuple[float, NestTraffic]:
         # nests in the same barrier stage run concurrently; stages serialize
         by_stage: Dict[int, NestTraffic] = {}
         agg = NestTraffic()
         for nest in nests:
             tr = nest_traffic(nest, length, bindings,
-                              persisted_free=persisted)
+                              persisted_free=persisted,
+                              pinned=schedule.persistence)
             if _is_leaf_branch(nest):
                 tr.elems = 0.0  # masked lanes add no useful parallelism
-            st = by_stage.setdefault(nest.stage, NestTraffic())
+            st = by_stage.setdefault(max(0, nest.stage - saving),
+                                     NestTraffic())
             st += tr
             agg += tr
         t = sum(_roofline_time(st, device) for st in by_stage.values())
@@ -438,17 +518,20 @@ def _fused_cost(kernel: Kernel, lin: Linearized, device: Device,
     exec_s = max(exec_s, device.min_kernel_s)
 
     levels = len(internal)
-    per_level = kernel.barriers_per_level + kernel.unroll_extra_barriers
-    if kernel.level_pairing and kernel.unroll_extra_barriers == 0:
+    per_level = max(1, kernel.barriers_per_level - saving)
+    if schedule.unroll and schedule.per_block:
         # per-block unrolling: children live in the same thread block, so a
         # pair of levels shares one barrier interval (Fig. 3 / §7.4)
-        barrier_events = math.ceil(levels / 2) * kernel.barriers_per_level
+        barrier_events = math.ceil(levels / 2) * per_level
+    elif schedule.unroll:
+        # Fig. 11: unrolling fragments the batch-wide barrier
+        barrier_events = levels * 2 * per_level
     else:
         barrier_events = levels * per_level
 
     report.exec_s += exec_s
     report.barriers += barrier_events
-    report.barrier_s += barrier_events * barrier_cost
+    report.barrier_s += barrier_events * device.global_barrier_s
     report.flops += total.flops
     report.dram_bytes += total.total_dram
     report.onchip_bytes += total.total_onchip

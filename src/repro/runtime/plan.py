@@ -24,9 +24,8 @@ a reloaded artifact — and holds:
 
 :func:`execute_plan` is the one executor: a tight loop over prebuilt launch
 records with zero per-call ``module.steps`` scans or symbolic shape
-evaluation.  When given a device, every launch/barrier/byte is charged to
-the cost model, producing the *simulated* latency the paper-figure
-benchmarks report (see DESIGN.md's substitution table).  Its outputs are
+evaluation; it times the host, never a simulated device (the paper-figure
+estimates are :func:`repro.runtime.estimate`'s).  Its outputs are
 held bitwise equal to the semantic oracle (:mod:`repro.ra.interp`) by the
 zero-tolerance tests across the model zoo and schedule variants.
 """
@@ -291,14 +290,12 @@ def get_host_plan(lowered: Lowered, compiled: CompiledModule) -> HostPlan:
 
 @dataclass
 class ExecutionResult:
-    """Outputs plus measured/simulated timing for one inference call."""
+    """Outputs plus measured wall time for one inference call."""
 
     workspace: Dict[str, np.ndarray]
     lin: Linearized
     state_buffers: list[str]
     wall_time_s: float = 0.0
-    simulated_time_s: Optional[float] = None
-    cost: Optional[object] = None  # CostReport when a device was supplied
     #: the one slab leased from a WorkspaceArena (empty without an arena);
     #: released by the caller that owns the arena, after which this result's
     #: workspace must not be read
@@ -316,7 +313,7 @@ class ExecutionResult:
 
 def execute_plan(plan: HostPlan, lin: Linearized,
                  params: Mapping[str, np.ndarray], *,
-                 device=None, arena=None, profiler=None,
+                 arena=None, profiler=None,
                  seeds=None) -> ExecutionResult:
     """Run the precompiled host program over one linearized input batch.
 
@@ -341,11 +338,6 @@ def execute_plan(plan: HostPlan, lin: Linearized,
     arrays built by the splicer never iterate a seeded id, so kernels
     only ever *read* these rows through child indirection.
     """
-    cost = None
-    if device is not None:
-        from .costmodel import estimate_cost
-
-        cost = estimate_cost(plan.module, lin, device)
     t_ws = time.perf_counter() if profiler is not None else 0.0
     c = plan.bind_scalars(lin)
     ws, leased = plan.make_workspace(lin, params, arena)
@@ -403,5 +395,4 @@ def execute_plan(plan: HostPlan, lin: Linearized,
 
     return ExecutionResult(
         workspace=ws, lin=lin, state_buffers=list(plan.module.state_buffers),
-        wall_time_s=wall, cost=cost, arena_buffers=leased,
-        simulated_time_s=None if cost is None else cost.total_time_s)
+        wall_time_s=wall, arena_buffers=leased)

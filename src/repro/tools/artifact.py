@@ -13,8 +13,9 @@ An artifact directory holds the lowered IR, not renderings of it:
 nests exist: the verdicts and the well-formedness check
 (:func:`~repro.ra.lowering.seal`), the linearizer, Python and C code
 generation, the native attach and the host plan.  The result is an
-ordinary :class:`~repro.api.CortexModel`: it runs, serves, memoizes and
-estimates ``run(device=...)`` like the model it was saved from; only
+ordinary :class:`~repro.api.CortexModel`: it runs, serves and memoizes
+like the model it was saved from, and :func:`repro.runtime.estimate`
+gives it the same simulated figures; only
 ``spec``, ``program`` and ``report`` are ``None``.  A reload whose options
 say ``target="c"`` loads the shipped ``.so`` when the regenerated source
 hashes to its name — no compiler needed — and otherwise compiles that
@@ -48,7 +49,7 @@ from ..ra.lowering import Lowered, linearizer_for, run_codegen, seal
 from ..ra.node_ref import StructureAccess
 from ..runtime.native import attach_native, source_hash
 
-FORMAT = "repro-ilir/1"
+FORMAT = "repro-ilir/2"
 DOCUMENT = "artifact.json"
 PARAMS = "params.npz"
 

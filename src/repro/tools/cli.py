@@ -34,7 +34,7 @@ from ..bench.harness import BENCH_VOCAB, format_table, paper_inputs
 from ..ilir.codegen.c_codegen import NativeCodegen
 from ..models import MODELS, get_model
 from ..options import PRESETS, CompileOptions
-from ..runtime import breakdown_from_cost, get_device
+from ..runtime import breakdown_from_cost, estimate, get_device
 from ..tune import grid_search
 
 
@@ -211,8 +211,7 @@ def cmd_compile(args) -> int:
         model, hidden = _compile(args, options=PRESETS[args.preset])
     else:
         model, hidden = _compile(args, options=CompileOptions(
-            specialize=not args.no_specialize, fusion=args.fusion,
-            persistence=args.fusion == "max"))
+            specialize=not args.no_specialize, fusion=args.fusion))
     mod = model.lowered.module
     print(f"compiled {args.model} (hidden={hidden})")
     if model.options is not None:
@@ -249,6 +248,12 @@ def cmd_compile(args) -> int:
         from ..analysis import compilation_report
 
         print("\n" + compilation_report(mod))
+        device = get_device(args.device)
+        cost = estimate(model, paper_inputs(args.model, args.batch,
+                                            kind=model.spec.kind), device)
+        print(f"simulated {device.name} estimate (batch {args.batch}): "
+              f"{cost.total_time_s * 1e3:.4f} ms, {cost.kernel_launches} "
+              f"launch(es), {cost.barriers} barrier(s)")
     if args.show_python:
         print("\n" + (mod.python_source or ""))
     if args.show_c:
@@ -261,11 +266,11 @@ def cmd_run(args) -> int:
     model, hidden = _compile(args, spec=spec)
     device = get_device(args.device)
     roots = paper_inputs(args.model, args.batch, kind=spec.kind)
-    res = model.run(roots, device=device)
+    cost = estimate(model, roots, device)
     print(f"{args.model} hidden={hidden} batch={args.batch} "
           f"on {device.name}:")
-    print(f"  simulated latency: {res.simulated_time_s * 1e3:.4f} ms")
-    bd = breakdown_from_cost(res.cost)
+    print(f"  simulated latency: {cost.total_time_s * 1e3:.4f} ms")
+    bd = breakdown_from_cost(cost)
     for k, v in bd.row().items():
         print(f"  {k}: {v}")
     return 0
@@ -276,14 +281,14 @@ def cmd_compare(args) -> int:
     model, hidden = _compile(args, spec=spec)
     device = get_device(args.device)
     roots = paper_inputs(args.model, args.batch, kind=spec.kind)
-    res = model.run(roots, device=device)
-    rows = [["Cortex", round(res.simulated_time_s * 1e3, 4), 1.0]]
+    cortex_s = estimate(model, roots, device).total_time_s
+    rows = [["Cortex", round(cortex_s * 1e3, 4), 1.0]]
     for label, runner in (("PyTorch-like", pytorch_like.run),
                           ("DyNet-like", dynet_like.run),
                           ("Cavs-like", cavs_like.run)):
         b = runner(args.model, model.params, roots, device)
         rows.append([label, round(b.latency_s * 1e3, 4),
-                     round(b.latency_s / res.simulated_time_s, 2)])
+                     round(b.latency_s / cortex_s, 2)])
     print(format_table(["framework", "latency (ms)", "vs Cortex"], rows,
                        title=f"{args.model} hidden={hidden} "
                              f"batch={args.batch} on {device.name}"))

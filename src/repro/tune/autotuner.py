@@ -3,28 +3,30 @@
 The paper's prototype does not auto-schedule the generated ILIR; instead it
 sweeps a space of schedule parameters by grid search and keeps the best.
 This module reproduces that workflow over the recursion scheduling
-primitives: every legal combination of fusion level, specialization,
-persistence, refactoring and unrolling is compiled, run on a sample input,
-and ranked by simulated latency.
+primitives, ranked by simulated latency.  Only fusion and specialization
+change generated code, so only their points are compiled; every point of
+the simulated device's :class:`~repro.runtime.SimSchedule` (persistence,
+refactoring, unrolling, per-block scheduling) is then an estimate on one
+of those models.
 
-Illegal points are skipped silently (e.g. unrolling a DAG model), so the
-search space adapts to the structure kind exactly as the scheduling layer
-enforces (§3.1).
+Illegal points are recorded with their error (e.g. unrolling a DAG model),
+so the search space adapts to the structure kind exactly as the cost
+model enforces (§3.1).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import CortexError, ScheduleError
 from ..linearizer import Node
 from ..models.registry import resolve_model
 from ..options import CompileOptions
 from ..pipeline import Session
+from ..runtime.costmodel import SimSchedule, estimate
 from ..runtime.device import Device
 
 #: the default grid: every recursion-scheduling knob of §3.1
@@ -36,6 +38,9 @@ DEFAULT_SPACE: Dict[str, Sequence] = {
     "unroll": (False, True),
     "per_block": (False, True),
 }
+
+#: the space keys that are :class:`SimSchedule` fields (the rest compile)
+_SIM_KEYS = frozenset(f.name for f in dataclasses.fields(SimSchedule))
 
 
 @dataclass
@@ -87,40 +92,38 @@ def grid_search(model_name, hidden: int, roots: Sequence[Node],
                 **build_kw) -> TuningResult:
     """Exhaustive sweep of the schedule grid; ranks by simulated latency.
 
-    Every grid point becomes a validated :class:`~repro.options
-    .CompileOptions` compiled through a :class:`~repro.pipeline.Session`,
-    so a configuration revisited within one sweep compiles exactly once.
-    The default session lives for this call only (each trial's model —
-    params, sources, host plan — is reclaimable afterwards); pass a
-    shared ``session`` to also pool compiles across searches, e.g.
-    between a coarse and a refined sweep.
+    The space's :class:`~repro.options.CompileOptions` keys form the
+    compiled points, each through a :class:`~repro.pipeline.Session`; its
+    :class:`~repro.runtime.SimSchedule` keys are estimated on each
+    compiled model without recompiling.  The default session lives for
+    this call only (each model — params, sources, host plan — is
+    reclaimable afterwards); pass a shared ``session`` to also pool
+    compiles across searches, e.g. between a coarse and a refined sweep.
     """
     spec = resolve_model(model_name)
     session = session if session is not None else Session()
     space = dict(space or DEFAULT_SPACE)
     result = TuningResult(model=spec.short_name, hidden=hidden,
                           device=device.name)
-    keys = list(space)
-    for values in itertools.product(*(space[k] for k in keys)):
-        config = dict(zip(keys, values))
-        if _obviously_redundant(config):
-            continue
+    compile_keys = [k for k in space if k not in _SIM_KEYS]
+    sim_keys = [k for k in space if k in _SIM_KEYS]
+    for compile_values in itertools.product(*(space[k] for k in compile_keys)):
+        options = dict(zip(compile_keys, compile_values))
         try:
-            options = CompileOptions(**config)
-            model = session.compile(spec, options, hidden=hidden,
-                                    vocab=vocab, **build_kw)
-            res = model.run(roots, device=device)
-            result.trials.append(Trial(config, res.simulated_time_s * 1e3))
+            model = session.compile(spec, CompileOptions(**options),
+                                    hidden=hidden, vocab=vocab, **build_kw)
         except ScheduleError as e:
-            result.trials.append(Trial(config, None, error=str(e)))
+            model, error = None, str(e)
+        for sim_values in itertools.product(*(space[k] for k in sim_keys)):
+            sim = dict(zip(sim_keys, sim_values))
+            merged = {**options, **sim}
+            config = {k: merged[k] for k in space}  # the space's key order
+            if model is None:
+                result.trials.append(Trial(config, None, error=error))
+                continue
+            try:
+                cost = estimate(model, roots, device, SimSchedule(**sim))
+                result.trials.append(Trial(config, cost.total_time_s * 1e3))
+            except ScheduleError as e:
+                result.trials.append(Trial(config, None, error=str(e)))
     return result
-
-
-def _obviously_redundant(config: Dict[str, object]) -> bool:
-    """Prune points that are equivalent to another grid point."""
-    if config.get("persistence") and config.get("fusion") == "none":
-        return True  # persistence requires fusion; compile would just demote
-    if config.get("per_block") and not config.get("unroll"):
-        # per-block scheduling only changes the model via unrolling here
-        return False
-    return False

@@ -37,7 +37,7 @@ def test_compile_unknown_name():
 
 def test_compile_schedule_knobs_reach_module():
     m = repro.compile("treernn", CompileOptions(
-        fusion="none", persistence=False, specialize=False,
+        fusion="none", specialize=False,
         dynamic_batch=False), hidden=8, vocab=VOCAB)
     meta = m.lowered.module.meta
     assert meta["fusion"] == "none"

@@ -3,7 +3,7 @@
 A reload decodes the lowered module and derives everything else from it,
 so it must *be* the module it was saved from: the same structural keys,
 byte-identical generated sources, the same verdicts and the same
-simulated-device estimate.  A document that is not one is refused with
+simulated-device estimate (:func:`repro.runtime.estimate`).  A document that is not one is refused with
 one typed error, whatever was done to it.
 """
 
@@ -22,7 +22,7 @@ from repro.ilir.serialize import module_to_json
 from repro.linearizer import sequence
 from repro.models import MODELS, get_model
 from repro.options import DEBUG, UNFUSED_ABLATION
-from repro.runtime import V100
+from repro.runtime import SimSchedule, V100, estimate
 from repro.tools.artifact import DOCUMENT, load_model, save_model
 
 VOCAB = 50
@@ -77,8 +77,7 @@ def test_reloaded_model_memory_comparison(tmp_path):
 
 
 def test_loaded_unfused_model_runs(tmp_path):
-    model, loaded = _roundtrip(tmp_path, "treernn", fusion="none",
-                               persistence=False)
+    model, loaded = _roundtrip(tmp_path, "treernn", fusion="none")
     res = loaded.run(TREES)
     assert res.output("rnn").shape[1] == 12
 
@@ -103,13 +102,14 @@ def test_manifest_roundtrips_linearizer_config(tmp_path):
 
 # -- round trip: the reload is the module it was saved from -------------------
 
+#: name -> (compile options, the simulated schedule the estimate asks for)
 SCHEDULES = {
-    "headline": CompileOptions(),
-    "unfused": UNFUSED_ABLATION,
-    "debug": DEBUG,
-    "rational_approx": CompileOptions(rational_approx=True),
-    "unroll": CompileOptions(unroll=True),
-    "refactor": CompileOptions(refactor=True),
+    "headline": (CompileOptions(), SimSchedule()),
+    "unfused": (UNFUSED_ABLATION, SimSchedule()),
+    "debug": (DEBUG, SimSchedule()),
+    "rational_approx": (CompileOptions(rational_approx=True), SimSchedule()),
+    "unroll": (CompileOptions(), SimSchedule(unroll=True)),
+    "refactor": (CompileOptions(), SimSchedule(refactor=True)),
 }
 
 
@@ -133,8 +133,11 @@ def _zoo_roots(name):
 @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_reload_is_the_module_it_was_saved_from(tmp_path, name, schedule):
+    options, sim = SCHEDULES[schedule]
+    model = _zoo_model(name, options)
+    roots = _zoo_roots(name)
     try:
-        model = _zoo_model(name, SCHEDULES[schedule])
+        want_cost = estimate(model, roots, V100, sim)
     except ScheduleError:
         pytest.skip(f"{schedule} is not legal for {name}")
     dep = load_model(save_model(model, tmp_path / "art"))
@@ -146,9 +149,8 @@ def test_reload_is_the_module_it_was_saved_from(tmp_path, name, schedule):
     for verdict in ("needs_zero", "splice_refusal"):
         assert theirs.module.meta[verdict] == ours.module.meta[verdict]
     assert vars(theirs.linearizer) == vars(ours.linearizer)
-    roots = _zoo_roots(name)
-    want, got = (m.run(roots, device=V100) for m in (model, dep))
-    assert got.simulated_time_s == want.simulated_time_s
+    assert estimate(dep, roots, V100, sim) == want_cost
+    want, got = (m.run(roots) for m in (model, dep))
     for out in model.default_outputs():
         assert np.array_equal(got.workspace[out], want.workspace[out]), out
 
@@ -163,11 +165,27 @@ def test_old_format_directory_is_refused_asking_for_a_resave(tmp_path):
     (tmp_path / "module.c").write_text("int broken(\n")
     for path in (tmp_path, tmp_path / "nowhere"):
         with pytest.raises(ArtifactError,
-                           match=r"not a repro-ilir/1 artifact.*re-save"):
+                           match=r"not a repro-ilir/2 artifact.*re-save"):
             load_model(path)
 
 
-_TAGS = ("const", "var", "bin", "un", "cast", "call", "select", "read", "uf",
+def test_repro_ilir_1_document_is_refused_asking_for_a_resave(tmp_path):
+    """The first ILIR format carried the simulated schedule (persistence,
+    unroll, refactor, per-block) in its options, meta and kernels; such a
+    document gets the one typed error, not a partial decode."""
+    out = save_model(repro.compile("treernn", hidden=4, vocab=VOCAB),
+                     tmp_path / "old")
+    doc = json.loads((out / DOCUMENT).read_text())
+    doc["format"] = "repro-ilir/1"
+    doc["options"].update(persistence=True, unroll=False, refactor=False,
+                          per_block=False)
+    (out / DOCUMENT).write_text(json.dumps(doc))
+    with pytest.raises(ArtifactError,
+                       match=r"'repro-ilir/1'.*re-save the model"):
+        load_model(out)
+
+
+_TAGS =("const", "var", "bin", "un", "cast", "call", "select", "read", "uf",
          "reduce")
 
 

@@ -94,22 +94,21 @@ def test_deployed_run_many_and_release_match_in_process(tmp_path):
 
 def test_deployed_model_estimates_simulated_device_like_in_process(
         tmp_path):
-    """A reloaded module carries its operator nests, so ``run`` /
-    ``run_many`` with a device give the in-process estimate exactly."""
-    from repro.runtime import V100
+    """A reloaded module carries its operator nests, so ``estimate`` gives
+    the in-process figures exactly, under any simulated schedule; the run
+    paths carry no simulated state."""
+    from repro.runtime import SimSchedule, V100, estimate
 
     model, loaded, _ = _artifact(tmp_path)
     roots = _requests(1, np.random.default_rng(0))[0]
-    want = model.run(roots, device=V100)
-    got = loaded.run(roots, device=V100, reuse=True)
-    assert got.simulated_time_s == want.simulated_time_s is not None
-    assert got.cost.per_kernel == want.cost.per_kernel
-    loaded.release()
-    assert [r.simulated_time_s for r in loaded.run_many([roots],
-                                                        device=V100)] == \
-        [want.simulated_time_s]
+    for sim in (SimSchedule(), SimSchedule(persistence=False),
+                SimSchedule(unroll=True, per_block=True)):
+        want = estimate(model, roots, V100, sim)
+        assert estimate(loaded, roots, V100, sim) == want
+        assert want.total_time_s > 0
     assert loaded.arena.snapshot()["leased"] == 0
-    assert loaded.run(roots).simulated_time_s is None
+    assert not hasattr(loaded.run(roots), "simulated_time_s")
+    assert not hasattr(loaded.run_many([roots])[0], "cost")
 
 
 # -- artifact server == in-process server, across flush policies --------------

@@ -10,7 +10,7 @@ from repro.baselines.framework import Ledger, VendorKernels
 from repro.data import grid_dag_batch, synthetic_treebank
 from repro.models import get_model
 from repro.models.sequential import make_sequence
-from repro.runtime import ARM, INTEL, V100
+from repro.runtime import ARM, INTEL, V100, estimate
 
 VOCAB = 100
 HIDDEN = 16
@@ -103,7 +103,7 @@ def test_cortex_beats_all_baselines_on_gpu():
     """The headline result: lowest latency across frameworks (Table 4/5)."""
     for name in ("treefc", "treegru", "treelstm"):
         m = repro.compile(name, hidden=256, vocab=VOCAB)
-        cortex = m.run(TREES, device=V100).simulated_time_s
+        cortex = estimate(m, TREES, V100).total_time_s
         for runner in (pytorch_like, dynet_like, cavs_like):
             base = runner.run(name, m.params, TREES, V100).latency_s
             assert cortex < base, (name, runner.__name__)
@@ -117,9 +117,9 @@ def test_speedup_grows_with_batch_size_vs_pytorch():
     t1 = synthetic_treebank(1, vocab_size=VOCAB, rng=rng)
     t10 = synthetic_treebank(10, vocab_size=VOCAB, rng=rng)
     s1 = (pytorch_like.run(name, m.params, t1, V100).latency_s
-          / m.run(t1, device=V100).simulated_time_s)
+          / estimate(m, t1, V100).total_time_s)
     s10 = (pytorch_like.run(name, m.params, t10, V100).latency_s
-           / m.run(t10, device=V100).simulated_time_s)
+           / estimate(m, t10, V100).total_time_s)
     assert s10 > s1 > 1
 
 

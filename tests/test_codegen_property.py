@@ -84,7 +84,6 @@ def test_random_models_codegen_matches_interpreter(body_fn, specialize,
     prog.schedule.dynamic_batch = True
     prog.schedule.specialize = specialize
     prog.schedule.fusion = "max" if fusion_max else "none"
-    prog.schedule.persistence = False
     lowered = lower(prog)
 
     rng = np.random.default_rng(seed)

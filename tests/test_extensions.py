@@ -40,7 +40,7 @@ def test_nary_treelstm_differs_from_childsum():
 
 
 @pytest.mark.parametrize("sched", [dict(specialize=False),
-                                   dict(fusion="none", persistence=False)])
+                                   dict(fusion="none")])
 def test_nary_treelstm_schedules(sched):
     spec = get_model("treelstm_nary")
     m = repro.compile("treelstm_nary", CompileOptions(**sched), hidden=8,

@@ -56,8 +56,8 @@ def test_run_without_device_has_no_cost():
     m = repro.compile("treernn", hidden=8, vocab=VOCAB)
     trees = synthetic_treebank(1, vocab_size=VOCAB, rng=RNG)
     res = m.run(trees)
-    assert res.cost is None
-    assert res.simulated_time_s is None
+    assert not hasattr(res, "cost")
+    assert not hasattr(res, "simulated_time_s")
     assert res.wall_time_s > 0
 
 

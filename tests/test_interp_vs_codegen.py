@@ -53,7 +53,7 @@ def test_interpreter_matches_codegen_dag():
 
 
 def test_interpreter_matches_codegen_no_fusion():
-    _interp_vs_codegen("treefc", TREES, fusion="none", persistence=False)
+    _interp_vs_codegen("treefc", TREES, fusion="none")
 
 
 def test_interpreter_matches_codegen_no_specialization():

@@ -5,11 +5,13 @@ import pytest
 
 import repro
 from repro import CompileOptions
+from repro.data import synthetic_treebank
 from repro.errors import LoweringError
 from repro.ir import tanh
 from repro.linearizer import StructureKind
 from repro.models import get_model
 from repro.ra import NUM_NODES, Program, isleaf, lower
+from repro.runtime import SimSchedule, V100, estimate
 
 
 def test_lowering_requires_recursion():
@@ -32,7 +34,7 @@ def test_fused_kernel_structure():
 
 def test_no_fusion_one_kernel_per_operator():
     m = repro.compile("treefc",
-                      CompileOptions(fusion="none", persistence=False),
+                      CompileOptions(fusion="none"),
                       hidden=8, vocab=30)
     kinds = [k.kind for k in m.lowered.module.kernels]
     assert "fused" not in kinds
@@ -98,7 +100,7 @@ def test_dense_indexing_applied_to_intermediates():
 
 def test_dense_indexing_disabled_without_fusion():
     m = repro.compile("treefc",
-                      CompileOptions(fusion="none", persistence=False),
+                      CompileOptions(fusion="none"),
                       hidden=8, vocab=30)
     bufs = m.lowered.module.buffers
     assert not bufs["lh"].dense_indexed
@@ -106,11 +108,11 @@ def test_dense_indexing_disabled_without_fusion():
 
 
 def test_persistence_moves_params_to_registers():
-    m = repro.compile("treefc", CompileOptions(persistence=True), hidden=8,
-                      vocab=30)
+    m = repro.compile("treefc", hidden=8, vocab=30)
     bufs = m.lowered.module.buffers
     assert bufs["Wl"].scope == "register"
-    m2 = repro.compile("treefc", CompileOptions(persistence=False), hidden=8,
+    assert bufs["Emb"].scope == "param"  # gathered per node: stays in DRAM
+    m2 = repro.compile("treefc", CompileOptions(fusion="none"), hidden=8,
                        vocab=30)
     assert m2.lowered.module.buffers["Wl"].scope == "param"
 
@@ -125,24 +127,37 @@ def test_barriers_per_level_from_reduction_depth():
 
 
 def test_refactoring_reduces_barriers_only_when_legal():
-    gru = repro.compile("treegru", CompileOptions(refactor=True), hidden=8,
-                        vocab=30)
-    sgru = repro.compile("simple_treegru", CompileOptions(refactor=True),
-                         hidden=8, vocab=30)
-    assert gru.lowered.module.meta["barriers_per_level"] == 2
-    assert sgru.lowered.module.meta["barriers_per_level"] == 1
+    """The saving is a property of the program (footnote 4), recorded in
+    ``meta``; the simulated refactoring what-if spends it."""
+    trees = synthetic_treebank(3, vocab_size=30,
+                               rng=np.random.default_rng(0))
+    for name, saving in (("treegru", 0), ("simple_treegru", 1)):
+        m = repro.compile(name, hidden=8, vocab=30)
+        meta = m.lowered.module.meta
+        assert meta["barriers_per_level"] == 2
+        assert meta["refactor_saving"] == saving
+        lin = m.lowered.linearizer(trees)
+        levels = lin.num_batches - lin.leaf_batch_count
+        refactored = estimate(m, trees, V100, SimSchedule(refactor=True))
+        assert refactored.barriers == levels * (2 - saving), name
 
 
-def test_unroll_marks_level_pairing_and_extra_barriers():
-    rnn = repro.compile("treernn", CompileOptions(unroll=True, per_block=True),
-                        hidden=8, vocab=30)
-    fused = rnn.lowered.module.fused_kernel
-    assert fused.level_pairing
-    assert fused.unroll_extra_barriers == 0
-    lstm = repro.compile("treelstm", CompileOptions(unroll=True), hidden=8,
-                         vocab=30)
-    fused2 = lstm.lowered.module.fused_kernel
-    assert fused2.unroll_extra_barriers > 0  # Fig. 11
+def test_unroll_pairs_levels_per_block_and_doubles_barriers_otherwise():
+    """Fig. 3 / Fig. 11 as the simulated device charges them: per-block
+    unrolling shares one barrier interval between two levels; unrolling
+    with the hidden dimension across blocks needs twice the barriers."""
+    trees = synthetic_treebank(3, vocab_size=30,
+                               rng=np.random.default_rng(0))
+    for name in ("treernn", "treelstm"):
+        m = repro.compile(name, hidden=8, vocab=30)
+        per_level = m.lowered.module.fused_kernel.barriers_per_level
+        lin = m.lowered.linearizer(trees)
+        levels = lin.num_batches - lin.leaf_batch_count
+        paired = estimate(m, trees, V100,
+                          SimSchedule(unroll=True, per_block=True))
+        split = estimate(m, trees, V100, SimSchedule(unroll=True))
+        assert paired.barriers == -(-levels // 2) * per_level, name
+        assert split.barriers == 2 * levels * per_level, name
 
 
 def test_all_bound_checks_eliminated_for_zoo():

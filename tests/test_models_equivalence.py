@@ -3,6 +3,9 @@
 Every model in the zoo is compiled under several schedules and must produce
 identical results (to float32 tolerance) to its recursive reference on
 random inputs — the core correctness property of the whole compiler.
+The simulated device's schedule what-ifs (:class:`repro.runtime
+.SimSchedule`) change no code; estimating under one first must leave the
+run's numerics exactly as they are.
 """
 
 import numpy as np
@@ -13,6 +16,7 @@ from repro import CompileOptions
 from repro.data import grid_dag_batch, random_binary_tree, synthetic_treebank
 from repro.models import MODELS, get_model
 from repro.models.sequential import make_sequence
+from repro.runtime import SimSchedule, V100, estimate
 
 HIDDEN = 16
 VOCAB = 120
@@ -24,11 +28,10 @@ TREE_MODELS = ["treernn", "treefc", "treegru", "simple_treegru", "treelstm",
 SCHEDULES = {
     "full": dict(),
     "no_specialize": dict(specialize=False),
-    "no_fusion": dict(fusion="none", persistence=False),
+    "no_fusion": dict(fusion="none"),
     "no_dynamic_batch": dict(dynamic_batch=False),
-    "no_persistence": dict(persistence=False),
-    "bare": dict(specialize=False, fusion="none", persistence=False,
-                 dynamic_batch=False),
+    "no_persistence": SimSchedule(persistence=False),
+    "bare": dict(specialize=False, fusion="none", dynamic_batch=False),
 }
 
 
@@ -41,15 +44,19 @@ def _roots_for(name, rng):
     return synthetic_treebank(4, vocab_size=VOCAB, rng=rng)
 
 
-def _check(name, schedule_kw, rng):
+def _check(name, schedule, rng):
+    """``schedule`` is CompileOptions fields, or a SimSchedule estimated
+    on the headline model before it runs."""
     spec = get_model(name)
-    kw = dict(schedule_kw)
+    kw = {} if isinstance(schedule, SimSchedule) else dict(schedule)
     if name == "dagrnn":
         model = repro.compile(name, CompileOptions(**kw), hidden=HIDDEN)
     else:
         model = repro.compile(name, CompileOptions(**kw), hidden=HIDDEN,
                               vocab=VOCAB)
     roots = _roots_for(name, rng)
+    if isinstance(schedule, SimSchedule):
+        assert estimate(model, roots, V100, schedule).total_time_s > 0
     res = model.run(roots)
     ref = spec.reference_h(roots, model.params)
     got = res.root_output(spec.outputs[0])
@@ -80,14 +87,15 @@ def test_sequential_schedules(name, sched):
 
 
 def test_refactor_schedule_preserves_numerics():
-    _check("simple_treegru", dict(refactor=True), np.random.default_rng(5))
-    _check("seq_gru", dict(refactor=True), np.random.default_rng(5))
+    _check("simple_treegru", SimSchedule(refactor=True),
+           np.random.default_rng(5))
+    _check("seq_gru", SimSchedule(refactor=True), np.random.default_rng(5))
 
 
 def test_unroll_schedule_preserves_numerics():
-    _check("treernn", dict(unroll=True, per_block=True),
+    _check("treernn", SimSchedule(unroll=True, per_block=True),
            np.random.default_rng(6))
-    _check("treelstm", dict(unroll=True), np.random.default_rng(6))
+    _check("treelstm", SimSchedule(unroll=True), np.random.default_rng(6))
 
 
 def test_single_leaf_tree():

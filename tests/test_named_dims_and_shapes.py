@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro import CompileOptions
 from repro.ilir.bounds import (Facts, default_linearizer_facts, infer_shape,
                                set_symbolic_extent)
 from repro.ir import Interval, TensorRead, Var, structural_equal, uf
@@ -90,13 +89,11 @@ def test_infer_shape_falls_back_when_unbounded():
 def test_seq_gru_refactor_halves_barriers():
     from repro.data import random_binary_tree
     from repro.models.sequential import make_sequence
-    from repro.runtime import V100
+    from repro.runtime import SimSchedule, V100, estimate
 
     rng = np.random.default_rng(0)
     seqs = [make_sequence(list(rng.integers(0, VOCAB, 20)))]
-    plain = repro.compile("seq_gru", hidden=16, vocab=VOCAB)
-    refd = repro.compile("seq_gru", CompileOptions(refactor=True), hidden=16,
-                         vocab=VOCAB)
-    b1 = plain.run(seqs, device=V100).cost.barriers
-    b2 = refd.run(seqs, device=V100).cost.barriers
+    model = repro.compile("seq_gru", hidden=16, vocab=VOCAB)
+    b1 = estimate(model, seqs, V100).barriers
+    b2 = estimate(model, seqs, V100, SimSchedule(refactor=True)).barriers
     assert b1 == 2 * b2  # 2 barriers/step -> 1 (GRNN GRU optimization)

@@ -62,7 +62,7 @@ ZOO = ("treelstm", "treegru", "treernn", "dagrnn")
 #: configuration and the one-kernel-per-operator ablation
 PRESETS = {
     "paper_headline": {},
-    "unfused_ablation": dict(fusion="none", persistence=False,
+    "unfused_ablation": dict(fusion="none",
                              dense_intermediates=False),
 }
 
@@ -154,6 +154,13 @@ def test_options_target_in_cache_key_and_summary():
     assert "target=c" in c.summary()
     assert "target" not in py.summary()
     assert CompileOptions.from_dict(c.to_dict()) == c
+    # every knob that forks the cache key shows in the summary
+    memo = CompileOptions(memo="on")
+    assert memo.cache_key() != py.cache_key()
+    assert memo.summary() != py.summary()
+    assert "memo=on" in memo.summary() and "memo" not in py.summary()
+    both = CompileOptions(memo="on", target="c").summary().split()
+    assert "memo=on" in both and "target=c" in both
 
 
 def test_pipeline_records_native_stage():

@@ -8,6 +8,7 @@ the same model object), the Validate enum as the one spelling of
 `validate=`, and the `_prog_of` owning-program fix.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -36,13 +37,33 @@ TREES = synthetic_treebank(3, vocab_size=VOCAB, rng=RNG)
 def test_defaults_are_paper_headline():
     opts = CompileOptions()
     assert opts == PAPER_HEADLINE
-    assert opts.fusion == "max" and opts.persistence
+    assert opts.fusion == "max"
     assert opts.dynamic_batch and opts.specialize
 
 
 def test_persistence_without_fusion_raises_eagerly():
-    with pytest.raises(ScheduleError, match="persistence requires"):
+    """Persistence is a what-if of the simulated device
+    (``repro.runtime.SimSchedule``), with or without fusion: no
+    CompileOptions takes it."""
+    with pytest.raises(TypeError, match="persistence"):
         CompileOptions(fusion="none", persistence=True)
+
+
+def test_options_hold_only_code_changing_knobs():
+    assert [f.name for f in dataclasses.fields(CompileOptions)] == [
+        "fusion", "specialize", "dynamic_batch", "rational_approx",
+        "dense_intermediates", "strict_bounds", "memo", "target"]
+
+
+@pytest.mark.parametrize("removed", ["persistence", "unroll", "refactor",
+                                     "per_block"])
+def test_from_dict_refuses_removed_simulation_knobs(removed):
+    """A document written while the simulated schedule was a compile
+    option cannot be reconstructed: the knob is named, not dropped."""
+    doc = dict(CompileOptions().to_dict(), **{removed: False})
+    with pytest.raises(ScheduleError, match=f"unknown CompileOptions "
+                                            f"fields \\['{removed}'\\]"):
+        CompileOptions.from_dict(doc)
 
 
 def test_unknown_fusion_level_raises():
@@ -52,15 +73,15 @@ def test_unknown_fusion_level_raises():
 
 def test_non_bool_knob_raises():
     with pytest.raises(ScheduleError, match="must be a bool"):
-        CompileOptions(unroll="yes")
+        CompileOptions(specialize="yes")
 
 
 def test_with_rebuilds_and_revalidates():
-    opts = PAPER_HEADLINE.with_(unroll=True, per_block=True)
-    assert opts.unroll and opts.per_block
-    assert PAPER_HEADLINE.unroll is False  # original untouched
+    opts = PAPER_HEADLINE.with_(target="c", memo="on")
+    assert opts.target == "c" and opts.memo == "on"
+    assert PAPER_HEADLINE.target == "python"  # original untouched
     with pytest.raises(ScheduleError):
-        PAPER_HEADLINE.with_(fusion="none")  # persistence still True
+        PAPER_HEADLINE.with_(fusion="most")
 
 
 def test_presets_are_valid_and_registered():
@@ -68,12 +89,12 @@ def test_presets_are_valid_and_registered():
         preset.validate()
         assert isinstance(name, str)
     assert UNFUSED_ABLATION.fusion == "none"
-    assert not UNFUSED_ABLATION.persistence
+    assert not UNFUSED_ABLATION.dense_intermediates
     assert not DEBUG.dynamic_batch and not DEBUG.specialize
 
 
 def test_dict_roundtrip_and_unknown_fields():
-    opts = CompileOptions(unroll=True, per_block=True)
+    opts = CompileOptions(memo="on", target="c")
     assert CompileOptions.from_dict(opts.to_dict()) == opts
     with pytest.raises(ScheduleError, match="unknown CompileOptions"):
         CompileOptions.from_dict({"fusion": "max", "warp_specialize": True})
@@ -85,14 +106,14 @@ def test_cache_key_distinguishes_configs_and_matches_equal_ones():
     a, b = CompileOptions(), CompileOptions()
     assert a.cache_key() == b.cache_key()
     assert a.cache_key() != UNFUSED_ABLATION.cache_key()
-    assert a.cache_key() != a.with_(unroll=True).cache_key()
+    assert a.cache_key() != a.with_(rational_approx=True).cache_key()
 
 
 def test_cache_key_stable_across_processes():
     """The key must not depend on PYTHONHASHSEED or process identity."""
     code = ("from repro.options import CompileOptions as C; "
             "print(C().cache_key(), "
-            "C(fusion='none', persistence=False).cache_key())")
+            "C(fusion='none').cache_key())")
     src = str(Path(repro.__file__).parents[1])
     outs = set()
     for seed in ("0", "1", "12345"):
@@ -103,7 +124,7 @@ def test_cache_key_stable_across_processes():
                               capture_output=True, text=True, check=True)
         outs.add(proc.stdout.strip())
     assert len(outs) == 1, f"cache_key varies across processes: {outs}"
-    unfused = CompileOptions(fusion="none", persistence=False)
+    unfused = CompileOptions(fusion="none")
     assert outs.pop() == (f"{CompileOptions().cache_key()} "
                           f"{unfused.cache_key()}")
 
@@ -153,12 +174,6 @@ def test_compile_rejects_positional_hidden_with_clear_error():
         repro.compile("treernn", 64)
     with pytest.raises(TypeError, match="hidden"):
         Session().compile("treernn", 64)
-
-
-def test_pipeline_rejects_dag_unroll_at_schedule_stage():
-    with pytest.raises(ScheduleError, match="trees and sequences"):
-        repro.compile("dagrnn", CompileOptions(unroll=True), hidden=8,
-                      num_cells=64)
 
 
 # -- Session ------------------------------------------------------------------

@@ -98,10 +98,10 @@ def test_plan_execute_bit_identical_across_zoo(name):
 
 
 @pytest.mark.parametrize("schedule", [
-    dict(fusion="none", persistence=False),
+    dict(fusion="none"),
     dict(specialize=False),
     dict(dynamic_batch=False),
-    dict(fusion="none", persistence=False, specialize=False,
+    dict(fusion="none", specialize=False,
          dynamic_batch=False),
     dict(dense_intermediates=False),
 ])
@@ -121,7 +121,7 @@ def test_plan_is_cached_on_compiled_module():
 
 
 def test_plan_partitions_kernels_like_module_steps():
-    m = _small_model("treelstm", fusion="none", persistence=False)
+    m = _small_model("treelstm", fusion="none")
     plan = m.plan
     kinds = {k.kind for k in m.lowered.module.kernels}
     assert {"leaf", "level"} <= kinds
@@ -345,13 +345,16 @@ def test_run_reuse_recycles_previous_workspace():
     assert m.arena.stats.hits == 1 and m.arena.stats.misses == 1
 
 
-def test_run_with_device_attaches_cost():
+def test_run_paths_take_no_simulated_device():
+    """Simulated figures come from ``repro.runtime.estimate`` only."""
     m = _small_model("treernn")
     roots = _inputs("treernn", np.random.default_rng(0), batch=2)
-    res = m.run(roots, device=V100, reuse=True)
-    assert res.cost is not None and res.simulated_time_s > 0
-    many = m.run_many([roots], device=V100)
-    assert many[0].simulated_time_s > 0
+    lin = m.lowered.linearizer(roots)
+    for call in (lambda: m.run(roots, device=V100),
+                 lambda: m.run_many([roots], device=V100),
+                 lambda: execute_plan(m.plan, lin, m.params, device=V100)):
+        with pytest.raises(TypeError, match="device"):
+            call()
 
 
 def test_run_many_validate_modes():
@@ -752,7 +755,7 @@ def _plan_shape(plan):
 
 
 @pytest.mark.parametrize("schedule",
-                         [dict(), dict(fusion="none", persistence=False)],
+                         [dict(), dict(fusion="none")],
                          ids=["headline", "unfused"])
 @pytest.mark.parametrize("name", list(MODELS))
 def test_artifact_roundtrip_plan_parity(name, schedule, tmp_path):

@@ -12,7 +12,7 @@ from repro.ir import Interval, simplify, structural_equal
 from repro.linearizer import (BatchPlan, TreeLinearizer, assign_ids,
                               check_numbering, plan_batches)
 from repro.ra.printer import op_to_str, program_to_str
-from repro.runtime import V100
+from repro.runtime import V100, estimate
 from repro.runtime.plan import execute_plan
 
 VOCAB = 60
@@ -52,8 +52,8 @@ def test_latency_monotone_in_batch_size():
     m = repro.compile("treegru", hidden=32, vocab=VOCAB)
     rng = np.random.default_rng(0)
     trees = synthetic_treebank(8, vocab_size=VOCAB, rng=rng)
-    t2 = m.run(trees[:2], device=V100).simulated_time_s
-    t8 = m.run(trees, device=V100).simulated_time_s
+    t2 = estimate(m, trees[:2], V100).total_time_s
+    t8 = estimate(m, trees, V100).total_time_s
     assert t8 >= t2
 
 
@@ -63,7 +63,7 @@ def test_flops_monotone_in_hidden_size():
     f = {}
     for h in (16, 64):
         m = repro.compile("treegru", hidden=h, vocab=VOCAB)
-        f[h] = m.run(trees, device=V100).cost.flops
+        f[h] = estimate(m, trees, V100).flops
     assert f[64] > 4 * f[16]  # matvecs are quadratic in hidden size
 
 
@@ -73,10 +73,9 @@ def test_barriers_equal_levels_times_depth(n_trees, seed):
     rng = np.random.default_rng(seed)
     trees = synthetic_treebank(n_trees, vocab_size=VOCAB, rng=rng)
     m = repro.compile("treernn", hidden=8, vocab=VOCAB)
-    res = m.run(trees, device=V100)
-    lin = res.lin
+    lin = m.lowered.linearizer(trees)
     levels = lin.num_batches - lin.leaf_batch_count
-    assert res.cost.barriers == levels  # barriers_per_level == 1
+    assert estimate(m, trees, V100).barriers == levels  # 1 per level
 
 
 # -- numbering failure injection -----------------------------------------------------

@@ -6,9 +6,8 @@ import pytest
 from repro.errors import IRError, ScheduleError
 from repro.ir import tanh
 from repro.linearizer import StructureKind
-from repro.ra import (NUM_NODES, CortexSchedule, Program, dynamic_batch,
-                      isleaf, recursive_refactor, set_fusion,
-                      specialize_if_else, unroll)
+from repro.ra import (NUM_NODES, Program, dynamic_batch, isleaf, lower,
+                      set_fusion, specialize_if_else)
 from repro.ra.analysis import partition, reduction_depth, toposort
 from repro.models import get_model
 
@@ -122,22 +121,36 @@ def test_schedule_primitives_set_flags():
     assert p.schedule.fusion == "none"
 
 
+def _dag_estimate(schedule):
+    import repro
+    from repro.data import grid_dag_batch
+    from repro.runtime import V100, estimate
+
+    m = repro.compile("dagrnn", hidden=8, num_cells=64)
+    return estimate(m, grid_dag_batch(1, 3, 3), V100, schedule)
+
+
 def test_unroll_rejected_for_dags():
-    p = get_model("dagrnn").build(hidden=8)
+    from repro.runtime import SimSchedule
+
     with pytest.raises(ScheduleError, match="trees and sequences"):
-        unroll(p)
+        _dag_estimate(SimSchedule(unroll=True))
 
 
 def test_refactor_rejected_for_dags():
-    p = get_model("dagrnn").build(hidden=8)
+    from repro.runtime import SimSchedule
+
     with pytest.raises(ScheduleError, match="trees and sequences"):
-        recursive_refactor(p)
+        _dag_estimate(SimSchedule(refactor=True))
 
 
 def test_persistence_requires_fusion():
-    s = CortexSchedule(fusion="none", persistence=True)
-    with pytest.raises(ScheduleError, match="persistence requires"):
-        s.validate()
+    """Parameters stay on chip only while one persistent kernel runs:
+    lowering pins the broadcast-read ones under maximal fusion only."""
+    for fusion, scope in (("max", "register"), ("none", "param")):
+        p = get_model("treefc").build(hidden=8, vocab=30)
+        set_fusion(p, fusion)
+        assert lower(p, codegen=False).module.buffers["Wl"].scope == scope
 
 
 def test_unknown_fusion_level():

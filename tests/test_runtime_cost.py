@@ -6,9 +6,9 @@ import pytest
 import repro
 from repro import CompileOptions
 from repro.data import synthetic_treebank
-from repro.errors import DeviceError, ExecutionError
-from repro.runtime import (ARM, INTEL, V100, breakdown_from_cost, get_device,
-                           measure_memory)
+from repro.errors import DeviceError, ExecutionError, ScheduleError
+from repro.runtime import (ARM, INTEL, V100, SimSchedule, breakdown_from_cost,
+                           estimate, get_device, measure_memory)
 from repro.runtime.costmodel import linearization_time_s
 
 VOCAB = 100
@@ -16,9 +16,9 @@ RNG = np.random.default_rng(5)
 TREES = synthetic_treebank(6, vocab_size=VOCAB, rng=RNG)
 
 
-def _run(name="treefc", device=V100, **kw):
+def _run(name="treefc", device=V100, schedule=SimSchedule(), **kw):
     m = repro.compile(name, CompileOptions(**kw), hidden=64, vocab=VOCAB)
-    return m, m.run(TREES, device=device)
+    return m, estimate(m, TREES, device, schedule)
 
 
 # -- devices ------------------------------------------------------------------
@@ -46,89 +46,78 @@ def test_device_validation():
 # -- cost model ----------------------------------------------------------------
 
 def test_fused_kernel_single_launch():
-    _, res = _run()
-    assert res.cost.kernel_launches == 1
-    assert res.cost.barriers > 0
+    _, cost = _run()
+    assert cost.kernel_launches == 1
+    assert cost.barriers > 0
 
 
 def test_no_fusion_many_launches():
     _, fused = _run()
-    _, unfused = _run(fusion="none", persistence=False)
-    assert unfused.cost.kernel_launches > 10 * fused.cost.kernel_launches
-    assert unfused.simulated_time_s > fused.simulated_time_s
+    _, unfused = _run(fusion="none")
+    assert unfused.kernel_launches > 10 * fused.kernel_launches
+    assert unfused.total_time_s > fused.total_time_s
 
 
 def test_persistence_reduces_dram_traffic():
-    _, with_p = _run(persistence=True)
-    _, without = _run(persistence=False)
-    assert with_p.cost.dram_bytes < without.cost.dram_bytes
-    assert with_p.simulated_time_s <= without.simulated_time_s
+    _, with_p = _run(schedule=SimSchedule(persistence=True))
+    _, without = _run(schedule=SimSchedule(persistence=False))
+    assert with_p.dram_bytes < without.dram_bytes
+    assert with_p.total_time_s <= without.total_time_s
 
 
 def test_persistence_spills_when_too_large():
     """Oversized parameters cannot stay on chip; a note records the spill."""
-    m = repro.compile("treefc", CompileOptions(persistence=True), hidden=64,
-                      vocab=VOCAB)
     tiny = V100.with_(onchip_capacity=1024.0)
-    res = m.run(TREES, device=tiny)
-    assert any("spilled" in n for n in res.cost.notes)
+    _, cost = _run(device=tiny)
+    assert any("spilled" in n for n in cost.notes)
 
 
 def test_dynamic_batching_reduces_barrier_count():
     _, batched = _run()
     _, unbatched = _run(dynamic_batch=False)
     # without batching every node is its own level -> far more barriers
-    assert unbatched.cost.barriers > 2 * batched.cost.barriers
-    assert unbatched.simulated_time_s > batched.simulated_time_s
+    assert unbatched.barriers > 2 * batched.barriers
+    assert unbatched.total_time_s > batched.total_time_s
 
 
 def test_specialization_reduces_flops():
     _, spec = _run()
     _, nospec = _run(specialize=False)
     # non-specialized execution runs masked matvecs for leaves too
-    assert nospec.cost.flops > spec.cost.flops
+    assert nospec.flops > spec.flops
 
 
 def test_refactor_reduces_barriers_for_simple_treegru():
-    m1 = repro.compile("simple_treegru", hidden=64, vocab=VOCAB)
-    m2 = repro.compile("simple_treegru", CompileOptions(refactor=True),
-                       hidden=64, vocab=VOCAB)
-    r1 = m1.run(TREES, device=V100)
-    r2 = m2.run(TREES, device=V100)
-    assert r2.cost.barriers < r1.cost.barriers
-    assert r2.simulated_time_s < r1.simulated_time_s
+    _, r1 = _run("simple_treegru")
+    _, r2 = _run("simple_treegru", schedule=SimSchedule(refactor=True))
+    assert r2.barriers < r1.barriers
+    assert r2.total_time_s < r1.total_time_s
 
 
 def test_refactor_no_effect_for_treegru():
-    m1 = repro.compile("treegru", hidden=64, vocab=VOCAB)
-    m2 = repro.compile("treegru", CompileOptions(refactor=True), hidden=64,
-                       vocab=VOCAB)
-    assert (m1.run(TREES, device=V100).cost.barriers
-            == m2.run(TREES, device=V100).cost.barriers)
+    m = repro.compile("treegru", hidden=64, vocab=VOCAB)
+    assert (estimate(m, TREES, V100).barriers
+            == estimate(m, TREES, V100, SimSchedule(refactor=True)).barriers)
 
 
 def test_unroll_hurts_treelstm_helps_treernn():
     """Fig. 10b: barrier structure decides the unrolling outcome."""
     lstm = repro.compile("treelstm", hidden=64, vocab=VOCAB)
-    lstm_u = repro.compile("treelstm", CompileOptions(unroll=True), hidden=64,
-                           vocab=VOCAB)
-    assert (lstm_u.run(TREES, device=V100).cost.barrier_s
-            > lstm.run(TREES, device=V100).cost.barrier_s)
+    assert (estimate(lstm, TREES, V100, SimSchedule(unroll=True)).barrier_s
+            > estimate(lstm, TREES, V100).barrier_s)
 
-    rnn = repro.compile("treernn", CompileOptions(per_block=True), hidden=64,
-                        vocab=VOCAB)
-    rnn_u = repro.compile("treernn",
-                          CompileOptions(unroll=True, per_block=True),
-                          hidden=64, vocab=VOCAB)
-    assert (rnn_u.run(TREES, device=V100).cost.barriers
-            < rnn.run(TREES, device=V100).cost.barriers)
+    rnn = repro.compile("treernn", hidden=64, vocab=VOCAB)
+    per_block = SimSchedule(per_block=True)
+    unrolled = SimSchedule(unroll=True, per_block=True)
+    assert (estimate(rnn, TREES, V100, unrolled).barriers
+            < estimate(rnn, TREES, V100, per_block).barriers)
 
 
 def test_cpu_devices_slower_than_gpu_at_scale():
     m = repro.compile("treegru", hidden=256, vocab=VOCAB)
-    gpu = m.run(TREES, device=V100).simulated_time_s
-    intel = m.run(TREES, device=INTEL).simulated_time_s
-    arm = m.run(TREES, device=ARM).simulated_time_s
+    gpu = estimate(m, TREES, V100).total_time_s
+    intel = estimate(m, TREES, INTEL).total_time_s
+    arm = estimate(m, TREES, ARM).total_time_s
     assert arm > intel  # weaker CPU
     assert intel > 0 and gpu > 0
 
@@ -144,8 +133,8 @@ def test_linearization_time_model():
 
 
 def test_breakdown_from_cost_row():
-    _, res = _run()
-    bd = breakdown_from_cost(res.cost)
+    _, cost = _run()
+    bd = breakdown_from_cost(cost)
     row = bd.row()
     assert row["Framework"] == "Cortex"
     assert row["#Kernel calls"] == 1
@@ -153,18 +142,55 @@ def test_breakdown_from_cost_row():
 
 
 def test_simulated_time_breakdown_sums():
-    _, res = _run()
-    c = res.cost
+    _, c = _run()
     assert c.total_time_s == pytest.approx(
         c.launch_s + c.exec_s + c.barrier_s + c.memcpy_s
         + c.linearization_s + c.param_warmup_s)
+
+
+# -- estimate: the one entry point, outside the run paths ---------------------
+
+def test_estimate_launches_no_kernel(monkeypatch):
+    """The estimate prices the lowered module: every plan callable raising
+    changes nothing, and the model's arena is never leased."""
+    m = repro.compile("treelstm", hidden=16, vocab=VOCAB)
+    want = estimate(m, TREES, V100)
+
+    def refuse(*_a, **_k):
+        raise AssertionError("estimate launched a kernel")
+
+    for kind in ("pre", "leaf", "level", "fused", "post"):
+        records = [(name, refuse) for name, _ in getattr(m.plan, kind)]
+        monkeypatch.setattr(m.plan, kind, records)
+    monkeypatch.setattr(m.plan, "make_workspace", refuse)
+    assert estimate(m, TREES, V100) == want
+    assert m.arena.snapshot()["leased"] == 0
+    with pytest.raises(AssertionError, match="launched"):
+        m.run(TREES)
+
+
+def test_estimate_refuses_unroll_and_refactor_on_dags():
+    from repro.data import grid_dag_batch
+
+    m = repro.compile("dagrnn", hidden=8, num_cells=64)
+    dags = grid_dag_batch(1, 4, 4)
+    assert estimate(m, dags, V100).total_time_s > 0
+    with pytest.raises(ScheduleError, match="unrolling is only supported"):
+        estimate(m, dags, V100, SimSchedule(unroll=True, per_block=True))
+    with pytest.raises(ScheduleError, match="refactoring is only supported"):
+        estimate(m, dags, V100, SimSchedule(refactor=True))
+
+
+def test_sim_schedule_fields_are_bools():
+    with pytest.raises(ScheduleError, match="SimSchedule.unroll"):
+        SimSchedule(unroll="yes")
 
 
 # -- memory -------------------------------------------------------------------
 
 def test_memory_report_fusion_shrinks_intermediates():
     m_fused, _ = _run()
-    m_unfused, _ = _run(fusion="none", persistence=False)
+    m_unfused, _ = _run(fusion="none")
     lin = m_fused.lowered.linearizer(TREES)
     rep_f = measure_memory(m_fused.lowered.module, lin)
     lin2 = m_unfused.lowered.linearizer(TREES)
