@@ -5,7 +5,9 @@ Walks the whole new front door in one sitting:
 1. ``repro.compile(spec, CompileOptions(...))`` — an explicit, eagerly
    validated configuration of the knobs that change generated code
    (illegal values raise up front) driving the staged pipeline, with
-   per-stage wall-time records;
+   per-stage wall-time records; the options are the only compile
+   configuration: the RA program is the computation alone, and
+   ``lower(program, options)`` reads the knobs straight from them;
 2. presets (``PAPER_HEADLINE``, ``UNFUSED_ABLATION``, ``DEBUG``) and the
    ``with_`` builder for deriving variants;
 3. ``cache_key()`` — the stable content hash that names a configuration
@@ -28,6 +30,8 @@ import repro
 from repro import PAPER_HEADLINE, UNFUSED_ABLATION, CompileOptions, Session
 from repro.data import synthetic_treebank
 from repro.errors import ScheduleError
+from repro.models import get_model
+from repro.ra import lower
 from repro.serve import MaxPendingRequests
 from repro.tools.artifact import load_model, save_model
 
@@ -48,6 +52,12 @@ def main() -> None:
                           on_stage=lambda r: print(
                               f"  stage {r.stage:8s} {r.wall_time_s * 1e3:7.2f} ms"))
     print(f"compiled: {model.report.summary()}")
+
+    # one program, two option sets: lowering alone decides the kernels
+    prog = get_model("treelstm").build(hidden=HIDDEN, vocab=VOCAB)
+    for o in (opts, UNFUSED_ABLATION):
+        kernels = lower(prog, o, codegen=False).module.kernels
+        print(f"  lower(program, {o.summary()}): {len(kernels)} kernels")
 
     # 2. presets and derivation
     ablation = UNFUSED_ABLATION

@@ -3,8 +3,8 @@
 Compilation is ``compile(model, options)``: a model-zoo name (or an
 authoring :class:`~repro.authoring.ModelDef`) plus a frozen, validated
 :class:`~repro.options.CompileOptions` run through the staged
-:class:`~repro.pipeline.CompilerPipeline` (build -> schedule -> lower ->
-codegen -> plan).
+:class:`~repro.pipeline.CompilerPipeline` (build -> lower -> codegen ->
+plan).
 
 Example (the README quickstart)::
 
@@ -316,7 +316,7 @@ def compile(model: Union[str, "ModelDef"],
     illegal value such as ``fusion="partial"`` raises
     :class:`~repro.errors.ScheduleError` before any work happens — and
     then drives the staged :class:`~repro.pipeline.CompilerPipeline`
-    (build -> schedule -> lower -> codegen -> plan).  The returned model
+    (build -> lower -> codegen -> plan).  The returned model
     carries ``options`` and a per-stage ``report``.
 
     ``session`` routes the compile through a :class:`~repro.pipeline

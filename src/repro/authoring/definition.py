@@ -159,8 +159,9 @@ class ModelDef:
         """A fresh RA program for one configuration.
 
         ``hidden=None`` is the paper's small size (``hs``); ``vocab`` is
-        dropped when the builder does not take one.  Never cached:
-        compiling imprints a schedule on the program it is given.
+        dropped when the builder does not take one.  Never cached: each
+        compiled model owns its program (:meth:`program` is the shared,
+        read-only one).
         """
         return self._build(self._resolve_args(hidden, vocab, build_kw))
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import BoundsError
 from ..ir import (BinOp, Const, Env, Expr, Interval, TensorRead, UFCall, Var,
                   as_expr, bound_expr, expr_to_str, prove, reads_of, simplify,
                   structural_equal, walk)
@@ -193,8 +192,8 @@ class BoundsReport:
         return not self.residual
 
 
-def verify_nest(nest: OpNest, facts: Facts, *, strict: bool = False) -> BoundsReport:
-    """Verify every access of a nest; optionally raise on unproven checks.
+def verify_nest(nest: OpNest, facts: Facts) -> BoundsReport:
+    """Verify every access of a nest; unproven checks are reported.
 
     Axis variables contribute their numeric intervals to the env; loop vars
     with UF extents are registered for invariant-based reasoning.
@@ -228,8 +227,6 @@ def verify_nest(nest: OpNest, facts: Facts, *, strict: bool = False) -> BoundsRe
                 msg = (f"{nest.name}: cannot prove 0 <= {expr_to_str(idx)} < "
                        f"{expr_to_str(extent)} for {buf.name}")
                 report.residual.append(msg)
-                if strict:
-                    raise BoundsError(msg)
     return report
 
 

@@ -166,14 +166,10 @@ NATIVE_CTYPES = {"float32": "float", "float64": "double",
 _NATIVE_CALLS = {
     "float32": {"tanh": "repro_tanhf", "exp": "repro_expf", "log": "logf",
                 "sqrt": "sqrtf", "erf": "erff",
-                "sigmoid": "repro_sigmoidf", "relu": "repro_reluf",
-                "tanh_rational": "repro_tanh_rationalf",
-                "sigmoid_rational": "repro_sigmoid_rationalf"},
+                "sigmoid": "repro_sigmoidf", "relu": "repro_reluf"},
     "float64": {"tanh": "tanh", "exp": "exp", "log": "log",
                 "sqrt": "sqrt", "erf": "erf",
-                "sigmoid": "repro_sigmoid", "relu": "repro_relu",
-                "tanh_rational": "repro_tanh_rational",
-                "sigmoid_rational": "repro_sigmoid_rational"},
+                "sigmoid": "repro_sigmoid", "relu": "repro_relu"},
 }
 
 #: float32 intrinsics with a vector form in the prelude (the lanes of an
@@ -183,7 +179,7 @@ _VECTOR_CALLS = {"tanh": "tanhf", "sigmoid": "sigmoidf", "exp": "expf",
 
 #: intrinsics whose C and NumPy implementations are different code, so
 #: results agree to tolerance only.  (``sqrt`` is correctly rounded by
-#: both; relu and the rational approximations are plain arithmetic.)
+#: both; relu is plain arithmetic.)
 _TRANSCENDENTALS = frozenset({"tanh", "sigmoid", "exp", "log", "erf"})
 
 _C_PRELUDE = '''\
@@ -239,27 +235,6 @@ static inline double repro_sigmoid(double x) {
   double z = exp(-fabs(x));
   double t = 1.0 + z;
   return x >= 0.0 ? 1.0 / t : z / t;
-}
-
-/* Rational tanh/sigmoid approximations (Appendix A.5) — pure mul/add/div/
- * clip, so bit-identical to the NumPy runtime implementations. */
-static inline float repro_tanh_rationalf(float x) {
-  float num = x * (27.0f + x * x);
-  float den = 27.0f + 9.0f * (x * x);
-  float r = num / den;
-  return r < -1.0f ? -1.0f : (r > 1.0f ? 1.0f : r);
-}
-static inline double repro_tanh_rational(double x) {
-  double num = x * (27.0 + x * x);
-  double den = 27.0 + 9.0 * (x * x);
-  double r = num / den;
-  return r < -1.0 ? -1.0 : (r > 1.0 ? 1.0 : r);
-}
-static inline float repro_sigmoid_rationalf(float x) {
-  return 0.5f * (1.0f + repro_tanh_rationalf(0.5f * x));
-}
-static inline double repro_sigmoid_rational(double x) {
-  return 0.5 * (1.0 + repro_tanh_rational(0.5 * x));
 }
 
 static inline int64_t repro_isleaf(int64_t leaf_start,

@@ -61,9 +61,7 @@ _INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/", "floordiv": "//",
           "eq": "==", "ne": "!="}
 
 _CALLS = {"tanh": "_tanh", "sigmoid": "_sigmoid", "exp": "_exp",
-          "log": "_log", "sqrt": "_sqrt", "relu": "_relu", "erf": "_erf",
-          "tanh_rational": "_tanh_rational",
-          "sigmoid_rational": "_sigmoid_rational"}
+          "log": "_log", "sqrt": "_sqrt", "relu": "_relu", "erf": "_erf"}
 
 # Branchless sigmoid and plan-cached einsum (see repro.runtime.kernels).
 PRELUDE = '''\
@@ -71,7 +69,6 @@ PRELUDE = '''\
 import numpy as np
 from repro.runtime.kernels import (tanh as _tanh, sigmoid_fast as _sigmoid,
     exp as _exp, log as _log, sqrt as _sqrt, relu as _relu, erf as _erf,
-    tanh_rational as _tanh_rational, sigmoid_rational as _sigmoid_rational,
     einsum2 as _e2, einsum2_into as _e2i)
 
 '''

@@ -19,7 +19,6 @@ import numpy as np
 from ..errors import ExecutionError
 from ..ir import (BinOp, Call, Cast, Const, Expr, Reduce, Select, TensorRead,
                   UFCall, UnaryOp, Var)
-from .passes.nonlinear_approx import sigmoid_rational, tanh_rational
 from .stmt import (Alloc, Barrier, Block, For, IfThenElse, Let, Stmt, Store)
 
 _BIN = {
@@ -39,8 +38,6 @@ _CALLS = {
     "sigmoid": lambda x: 1.0 / (1.0 + math.exp(-x)),
     "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
     "relu": lambda x: max(x, 0.0), "erf": math.erf,
-    "tanh_rational": lambda x: float(tanh_rational(x)),
-    "sigmoid_rational": lambda x: float(sigmoid_rational(x)),
 }
 
 

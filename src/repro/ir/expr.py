@@ -40,8 +40,6 @@ UNARY_OPS = frozenset({"neg", "not", "abs"})
 # cost model (which counts them as "expensive" flops).
 INTRINSICS = frozenset({
     "tanh", "sigmoid", "exp", "log", "sqrt", "relu", "erf",
-    # Rational approximations installed by the nonlinear-approx pass (§A.5).
-    "tanh_rational", "sigmoid_rational",
 })
 
 

@@ -161,9 +161,7 @@ _MATH_FUNCS = {
 
 _CALL_RANGES = {
     "tanh": Interval(-1.0, 1.0),
-    "tanh_rational": Interval(-1.0, 1.0),
     "sigmoid": Interval(0.0, 1.0),
-    "sigmoid_rational": Interval(0.0, 1.0),
     "exp": Interval(0.0, POS_INF),
     "sqrt": Interval(0.0, POS_INF),
     "relu": Interval(0.0, POS_INF),

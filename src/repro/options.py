@@ -3,10 +3,12 @@
 One frozen, hashable object captures every knob that changes the code
 the compiler generates — the §3.1 recursion-scheduling primitives that
 shape kernels (dynamic batching, leaf specialization, fusion), the
-ILIR-level layout/codegen choices (dense intermediates, rational
-non-linearity approximation), the bounds-verification strictness, the
-memoization policy and the execution target.  Invalid values raise
-:class:`~repro.errors.ScheduleError` *eagerly*, at construction.
+ILIR layout choice (dense intermediates), the memoization policy and the
+execution target — and is the only compile configuration there is:
+:func:`~repro.ra.lowering.lower` reads the code-shaping knobs straight
+from it, and the RA program carries no schedule of its own.  Invalid
+values raise :class:`~repro.errors.ScheduleError` *eagerly*, at
+construction.
 
 The paper's GPU-only schedule decisions — model persistence, unrolling,
 recursive refactoring and per-block scheduling — change no generated
@@ -45,16 +47,16 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict
+from typing import Dict
 
 from .errors import ScheduleError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .ra.ops import Program
+#: kernel fusion levels: one kernel per operator per phase, or one
+#: persistent fused kernel
+FUSION_LEVELS = ("none", "max")
 
 #: fields that must be plain bools (eager type validation)
-_BOOL_FIELDS = ("specialize", "dynamic_batch", "rational_approx",
-                "dense_intermediates", "strict_bounds")
+_BOOL_FIELDS = ("specialize", "dynamic_batch", "dense_intermediates")
 
 #: bump when the meaning of a field changes, so old cache keys expire
 _CACHE_KEY_VERSION = 3
@@ -100,12 +102,8 @@ class CompileOptions:
     specialize: bool = True
     #: batch independent nodes on the fly at linearization time
     dynamic_batch: bool = True
-    #: replace transcendental non-linearities with rational approximations
-    rational_approx: bool = False
     #: dense indexing of scratchpad intermediates (Fig. 5)
     dense_intermediates: bool = True
-    #: fail compilation on bound checks the prover cannot eliminate
-    strict_bounds: bool = False
     #: cross-request subtree memoization policy: "off" or "on" (servers
     #: built from a model compiled with "on" default to a memoizing path;
     #: see :mod:`repro.memo`)
@@ -121,17 +119,15 @@ class CompileOptions:
 
     # -- validation --------------------------------------------------------
     def validate(self) -> None:
-        """Raise :class:`ScheduleError` on any illegal knob.
-
-        Fusion levels are judged by :meth:`CortexSchedule.validate`
-        itself, so the two layers cannot drift.
-        """
+        """Raise :class:`ScheduleError` on any illegal knob."""
         for name in _BOOL_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise ScheduleError(
                     f"CompileOptions.{name} must be a bool, "
                     f"got {value!r}")
+        if self.fusion not in FUSION_LEVELS:
+            raise ScheduleError(f"unknown fusion level {self.fusion!r}")
         if self.memo not in ("off", "on"):
             raise ScheduleError(
                 f"CompileOptions.memo must be 'off' or 'on', "
@@ -140,12 +136,6 @@ class CompileOptions:
             raise ScheduleError(
                 f"CompileOptions.target must be 'python' or 'c', "
                 f"got {self.target!r}")
-        from .ra.schedule import CortexSchedule
-
-        CortexSchedule(
-            dynamic_batch=self.dynamic_batch, specialize=self.specialize,
-            fusion=self.fusion,
-            dense_intermediates=self.dense_intermediates).validate()
 
     # -- derivation --------------------------------------------------------
     def with_(self, **updates) -> "CompileOptions":
@@ -184,21 +174,6 @@ class CompileOptions:
         payload.update(self.to_dict())
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-    # -- application -------------------------------------------------------
-    def apply(self, prog: "Program") -> None:
-        """Imprint these options onto a program's schedule (§3.1).
-
-        The knobs are written to the :class:`~repro.ra.schedule
-        .CortexSchedule`, which is re-validated afterwards, so no illegal
-        state survives compilation.
-        """
-        s = prog.schedule
-        s.dynamic_batch = self.dynamic_batch
-        s.specialize = self.specialize
-        s.fusion = self.fusion
-        s.dense_intermediates = self.dense_intermediates
-        s.validate()
 
     def summary(self) -> str:
         """Compact one-line rendering (benchmark tables, logs)."""

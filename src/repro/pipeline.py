@@ -1,14 +1,13 @@
 """The staged compiler pipeline and the compile-cache session.
 
 :class:`CompilerPipeline` is what ``repro.compile`` runs, one stage at a
-time: **build** the RA program from a model definition, **schedule** it
-(imprint :class:`~repro.options.CompileOptions` through the §3.1
-primitives and validate), **lower** recursion to loops (recording the
-zero-fill and splice-safety verdicts in ``module.meta``), run **codegen**
-(the Python kernels + the C rendering), and derive the host launch
-**plan**.  The result is a :class:`~repro.api.CortexModel` — the same
-class :func:`~repro.tools.artifact.load_model` returns, after the same
-stages from ``lower()``'s tail on.  Each stage is timed into a
+time: **build** the RA program from a model definition, **lower**
+recursion to loops as the :class:`~repro.options.CompileOptions` say
+(recording the zero-fill and splice-safety verdicts in ``module.meta``),
+run **codegen** (the Python kernels + the C rendering), and derive the
+host launch **plan**.  The result is a :class:`~repro.api.CortexModel` —
+the same class :func:`~repro.tools.artifact.load_model` returns, after
+the same stages from ``lower()``'s tail on.  Each stage is timed into a
 :class:`StageRecord`; ``on_stage`` hooks observe stages as they finish —
 the introspection autotuners, servers and CI want from a compiler front
 door (cf. Relay/TVM's pass-pipeline design).
@@ -44,7 +43,7 @@ from .runtime.plan import get_host_plan
 #: stage names of the default (Python-target) pipeline, in execution
 #: order; compiling with ``CompileOptions(target="c")`` inserts a
 #: ``native`` stage between ``codegen`` and ``plan``
-STAGES = ("build", "schedule", "lower", "codegen", "plan")
+STAGES = ("build", "lower", "codegen", "plan")
 
 #: hook signature: called after a stage completes
 StageHook = Callable[["StageRecord"], None]
@@ -155,7 +154,6 @@ class CompilerPipeline:
 
         try:
             t0 = time.perf_counter()
-            # a fresh program: the schedule stage below mutates it
             prog = spec.build(hidden, vocab, **build_kw)
             model_params = (dict(params) if params is not None
                             else spec.random_params(hidden, vocab, rng=rng,
@@ -163,12 +161,7 @@ class CompilerPipeline:
             finish("build", t0)
 
             t0 = time.perf_counter()
-            opts.apply(prog)
-            finish("schedule", t0)
-
-            t0 = time.perf_counter()
-            lowered = lower(prog, rational_approx=opts.rational_approx,
-                            strict_bounds=opts.strict_bounds, codegen=False)
+            lowered = lower(prog, opts, codegen=False)
             finish("lower", t0)
 
             t0 = time.perf_counter()

@@ -1,4 +1,9 @@
-"""The Recursive API (RA): express recursive models as tensor programs (§3)."""
+"""The Recursive API (RA): express recursive models as tensor programs (§3).
+
+A :class:`Program` is the computation only.  The §3.1 recursion-scheduling
+primitives (dynamic batching, leaf specialization, kernel fusion) are
+:class:`~repro.options.CompileOptions` fields handed to :func:`lower`.
+"""
 
 from .analysis import (DerivedMetadata, barriers_per_level,
                        combine_reads_placeholder, derive_metadata,
@@ -11,8 +16,6 @@ from .node_ref import NodeVar, StructureAccess, isleaf
 from .ops import (ComputeOp, IfThenElseOp, InputOp, Operation, PlaceholderOp,
                   Program, RecursionOp, compute, if_then_else, input_tensor,
                   placeholder, recursion_op)
-from .schedule import (CortexSchedule, dynamic_batch, set_fusion,
-                       specialize_if_else)
 from .tensor import NUM_NODES, VOCAB_SIZE, RATensor
 
 __all__ = [
@@ -25,6 +28,5 @@ __all__ = [
     "lower", "NodeVar", "StructureAccess", "isleaf", "ComputeOp",
     "IfThenElseOp", "InputOp", "Operation", "PlaceholderOp", "Program",
     "RecursionOp", "compute", "if_then_else", "input_tensor", "placeholder",
-    "recursion_op", "CortexSchedule", "dynamic_batch", "set_fusion",
-    "specialize_if_else", "NUM_NODES", "VOCAB_SIZE", "RATensor",
+    "recursion_op", "NUM_NODES", "VOCAB_SIZE", "RATensor",
 ]

@@ -30,18 +30,17 @@ The lowering turns a recursive RA program into an :class:`~repro.ilir.module
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..errors import CodegenError, LoweringError, ScheduleError
+from ..errors import CodegenError, LoweringError
 from ..ilir.bounds import (BoundsReport, Facts, default_linearizer_facts,
                            verify_nest)
 from ..ilir.buffer import ILBuffer
 from ..ilir.layout import densify_intermediates
 from ..ilir.module import HostStep, ILModule, Kernel
 from ..ilir.nests import AxisSpec, OpNest
-from ..ilir.passes.nonlinear_approx import apply_rational_approximations
 from ..ilir.splice_safety import splice_hazard
 from ..ilir.zero_fill import zero_required
 from ..ir import (Const, DimRegistry, Expr, Interval, Reduce, TensorRead,
@@ -49,12 +48,12 @@ from ..ir import (Const, DimRegistry, Expr, Interval, Reduce, TensorRead,
                   simplify, structural_equal, substitute, substitute_buffers,
                   walk)
 from ..linearizer import Linearizer, StructureKind
+from ..options import CompileOptions
 from ..utils import NameSupply
 from .analysis import (RecursionPartition, barriers_per_level, partition,
                        refactor_barrier_saving)
 from .ops import (ComputeOp, IfThenElseOp, InputOp, Operation, PlaceholderOp,
                   Program, RecursionOp)
-from .schedule import CortexSchedule
 from .tensor import NUM_NODES, RATensor
 
 MAX_BATCH_LEN = Var("max_batch_len")
@@ -103,33 +102,31 @@ def run_codegen(module: ILModule) -> ILModule:
     return module
 
 
-def lower(prog: Program, schedule: Optional[CortexSchedule] = None,
-          *, rational_approx: bool = False, strict_bounds: bool = False,
+def lower(prog: Program, options: CompileOptions, *,
           codegen: bool = True) -> Lowered:
-    """Lower a finalized RA program according to its schedule.
+    """Lower a finalized RA program as ``options`` say: its ``fusion``,
+    ``specialize``, ``dense_intermediates`` and ``dynamic_batch`` knobs
+    shape the kernels and the linearizer (``memo`` and ``target`` act
+    after lowering).
 
     With ``codegen=False`` the module is lowered and verified but carries
     no generated sources yet; call :func:`run_codegen` on the module to
     produce them (the staged pipeline does this to record per-stage time).
     """
     prog.finalize()
-    sched = schedule or prog.schedule
-    sched.validate()
     if prog.recursion is None:
         raise LoweringError("program has no recursion_op; nothing to lower")
 
-    ctx = _LoweringContext(prog, sched)
+    ctx = _LoweringContext(prog, options)
     ctx.build_buffers()
     ctx.build_nests()
     ctx.hoist_and_fold_constants()
-    if sched.fusion == "max":
-        if sched.dense_intermediates:
+    if options.fusion == "max":
+        if options.dense_intermediates:
             ctx.densify()
         ctx.persist_params()
-    if rational_approx:
-        apply_rational_approximations(ctx.all_nests())
     module = seal(ctx.form_kernels())
-    bounds = ctx.verify_bounds(strict=strict_bounds)
+    bounds = ctx.verify_bounds()
     if codegen:
         run_codegen(module)
     return Lowered(module=module, linearizer=linearizer_for(module),
@@ -138,7 +135,7 @@ def lower(prog: Program, schedule: Optional[CortexSchedule] = None,
 
 def linearizer_for(module: ILModule) -> Linearizer:
     """The linearizer a module's kernels expect: the structure kind and
-    arity, batching and leaf specialization its schedule recorded in
+    arity, batching and leaf specialization lowering recorded in
     ``meta``, and the declared rows of the smallest table gathered through
     ``words`` (see :attr:`Linearizer.word_limit`)."""
     meta = module.meta
@@ -156,9 +153,9 @@ def linearizer_for(module: ILModule) -> Linearizer:
 
 
 class _LoweringContext:
-    def __init__(self, prog: Program, sched: CortexSchedule):
+    def __init__(self, prog: Program, options: CompileOptions):
         self.prog = prog
-        self.sched = sched
+        self.options = options
         self.part: RecursionPartition = partition(prog)
         self.names = NameSupply()
         self.dims = DimRegistry()
@@ -194,7 +191,7 @@ class _LoweringContext:
             # With specialization the branch producers write the state buffer
             # directly (Listing 2).  Without it, the branches stay separate
             # and the conditional operator selects between them (§5.2).
-            if isinstance(body_op, IfThenElseOp) and self.sched.specialize:
+            if isinstance(body_op, IfThenElseOp) and self.options.specialize:
                 self.binding[body_op.then_t.name] = state
                 self.binding[body_op.else_t.name] = state
 
@@ -228,7 +225,7 @@ class _LoweringContext:
         for op in self.part.post:
             self.post_nests.append(self._nest_of(op, phase="post"))
 
-        if self.sched.specialize and ite_ops:
+        if self.options.specialize and ite_ops:
             for op in self.part.body:
                 if isinstance(op, IfThenElseOp):
                     # branches write straight into the state buffer: emit a
@@ -461,7 +458,7 @@ class _LoweringContext:
 
     # ------------------------------------------------------------------ kernels
     def form_kernels(self) -> ILModule:
-        sched = self.sched
+        options = self.options
         steps: List[HostStep] = []
         for nest in self.hoisted_nests:
             steps.append(HostStep(Kernel(nest.name, "hoisted", [nest])))
@@ -469,7 +466,7 @@ class _LoweringContext:
             steps.append(HostStep(Kernel(nest.name, "pre", [nest])))
 
         barriers = barriers_per_level(self.part)
-        if sched.fusion == "max":
+        if options.fusion == "max":
             fused = Kernel("fused", "fused",
                            self.leaf_nests + self.level_nests,
                            barriers_per_level=barriers)
@@ -483,9 +480,9 @@ class _LoweringContext:
             steps.append(HostStep(Kernel(nest.name, "post", [nest])))
 
         meta = {
-            "fusion": sched.fusion,
-            "dynamic_batch": sched.dynamic_batch,
-            "specialize": sched.specialize,
+            "fusion": options.fusion,
+            "dynamic_batch": options.dynamic_batch,
+            "specialize": options.specialize,
             "barriers_per_level": barriers,
             "refactor_saving": refactor_barrier_saving(self.prog),
             "zero_folded": list(self.zero_folded),
@@ -501,14 +498,14 @@ class _LoweringContext:
                 + self.level_nests + self.post_nests)
 
     # ------------------------------------------------------------------ bounds
-    def verify_bounds(self, strict: bool) -> Dict[str, BoundsReport]:
+    def verify_bounds(self) -> Dict[str, BoundsReport]:
         facts = default_linearizer_facts(NUM_NODES)
         facts.env["num_nodes"] = Interval(1, float("inf"))
         facts.env["max_batch_len"] = Interval(1, float("inf"))
         self._bind_symbolic_extent_facts(facts)
         out: Dict[str, BoundsReport] = {}
         for nest in self.all_nests():
-            out[nest.name] = verify_nest(nest, facts, strict=strict)
+            out[nest.name] = verify_nest(nest, facts)
         return out
 
     def _bind_symbolic_extent_facts(self, facts: Facts) -> None:

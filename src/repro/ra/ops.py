@@ -158,9 +158,6 @@ class Program:
         self.access = StructureAccess(max_children)
         self.names = NameSupply()
         self.recursion: Optional[RecursionOp] = None
-        from .schedule import CortexSchedule
-
-        self.schedule = CortexSchedule()
         self._finalized = False
 
     # -- context management --------------------------------------------------

@@ -36,13 +36,9 @@ def op_to_str(op: Operation) -> str:
 
 
 def program_to_str(prog: Program) -> str:
-    """Render the whole program, schedule flags included."""
+    """Render the whole program."""
     lines = [f"# Program {prog.name!r}: {prog.kind.value}, "
              f"max_children={prog.max_children}"]
     for op in prog.ops:
         lines.append(op_to_str(op))
-    s = prog.schedule
-    sched = [k for k in ("dynamic_batch", "specialize") if getattr(s, k)]
-    lines.append(f"# schedule: fusion={s.fusion}"
-                 + (f" + {', '.join(sched)}" if sched else ""))
     return "\n".join(lines)

@@ -14,11 +14,10 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..ilir.passes.nonlinear_approx import sigmoid_rational, tanh_rational
 from .memory import aligned_bytes
 
 __all__ = ["tanh", "sigmoid", "sigmoid_fast", "exp", "log", "sqrt", "relu",
-           "erf", "tanh_rational", "sigmoid_rational", "einsum2",
+           "erf", "einsum2",
            "einsum2_into", "clear_contig_cache", "panel_packed",
            "data_address"]
 

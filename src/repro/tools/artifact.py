@@ -49,7 +49,7 @@ from ..ra.lowering import Lowered, linearizer_for, run_codegen, seal
 from ..ra.node_ref import StructureAccess
 from ..runtime.native import attach_native, source_hash
 
-FORMAT = "repro-ilir/2"
+FORMAT = "repro-ilir/3"
 DOCUMENT = "artifact.json"
 PARAMS = "params.npz"
 

@@ -73,27 +73,6 @@ static inline double repro_sigmoid(double x) {
   return x >= 0.0 ? 1.0 / t : z / t;
 }
 
-/* Rational tanh/sigmoid approximations (Appendix A.5) — pure mul/add/div/
- * clip, so bit-identical to the NumPy runtime implementations. */
-static inline float repro_tanh_rationalf(float x) {
-  float num = x * (27.0f + x * x);
-  float den = 27.0f + 9.0f * (x * x);
-  float r = num / den;
-  return r < -1.0f ? -1.0f : (r > 1.0f ? 1.0f : r);
-}
-static inline double repro_tanh_rational(double x) {
-  double num = x * (27.0 + x * x);
-  double den = 27.0 + 9.0 * (x * x);
-  double r = num / den;
-  return r < -1.0 ? -1.0 : (r > 1.0 ? 1.0 : r);
-}
-static inline float repro_sigmoid_rationalf(float x) {
-  return 0.5f * (1.0f + repro_tanh_rationalf(0.5f * x));
-}
-static inline double repro_sigmoid_rational(double x) {
-  return 0.5 * (1.0 + repro_tanh_rational(0.5 * x));
-}
-
 static inline int64_t repro_isleaf(int64_t leaf_start,
                                    const int32_t* num_children, int64_t n) {
   return leaf_start >= 0 ? (n >= leaf_start) : (num_children[n] == 0);

@@ -107,7 +107,7 @@ SCHEDULES = {
     "headline": (CompileOptions(), SimSchedule()),
     "unfused": (UNFUSED_ABLATION, SimSchedule()),
     "debug": (DEBUG, SimSchedule()),
-    "rational_approx": (CompileOptions(rational_approx=True), SimSchedule()),
+    "no_dense": (CompileOptions(dense_intermediates=False), SimSchedule()),
     "unroll": (CompileOptions(), SimSchedule(unroll=True)),
     "refactor": (CompileOptions(), SimSchedule(refactor=True)),
 }
@@ -165,24 +165,36 @@ def test_old_format_directory_is_refused_asking_for_a_resave(tmp_path):
     (tmp_path / "module.c").write_text("int broken(\n")
     for path in (tmp_path, tmp_path / "nowhere"):
         with pytest.raises(ArtifactError,
-                           match=r"not a repro-ilir/2 artifact.*re-save"):
+                           match=r"not a repro-ilir/3 artifact.*re-save"):
             load_model(path)
+
+
+def _refused_as_older_format(tmp_path, fmt, **removed_options):
+    out = save_model(repro.compile("treernn", hidden=4, vocab=VOCAB),
+                     tmp_path / "old")
+    doc = json.loads((out / DOCUMENT).read_text())
+    doc["format"] = fmt
+    doc["options"].update(removed_options)
+    (out / DOCUMENT).write_text(json.dumps(doc))
+    with pytest.raises(ArtifactError,
+                       match=f"'{fmt}'.*re-save the model"):
+        load_model(out)
 
 
 def test_repro_ilir_1_document_is_refused_asking_for_a_resave(tmp_path):
     """The first ILIR format carried the simulated schedule (persistence,
     unroll, refactor, per-block) in its options, meta and kernels; such a
     document gets the one typed error, not a partial decode."""
-    out = save_model(repro.compile("treernn", hidden=4, vocab=VOCAB),
-                     tmp_path / "old")
-    doc = json.loads((out / DOCUMENT).read_text())
-    doc["format"] = "repro-ilir/1"
-    doc["options"].update(persistence=True, unroll=False, refactor=False,
-                          per_block=False)
-    (out / DOCUMENT).write_text(json.dumps(doc))
-    with pytest.raises(ArtifactError,
-                       match=r"'repro-ilir/1'.*re-save the model"):
-        load_model(out)
+    _refused_as_older_format(tmp_path, "repro-ilir/1", persistence=True,
+                             unroll=False, refactor=False, per_block=False)
+
+
+def test_repro_ilir_2_document_is_refused_asking_for_a_resave(tmp_path):
+    """The second format's options carried ``rational_approx`` and
+    ``strict_bounds``, and its modules could call the rational
+    intrinsics; it gets the same typed error."""
+    _refused_as_older_format(tmp_path, "repro-ilir/2", rational_approx=False,
+                             strict_bounds=False)
 
 
 _TAGS =("const", "var", "bin", "un", "cast", "call", "select", "read", "uf",

@@ -99,15 +99,6 @@ def test_generated_source_is_deterministic():
     assert a == b
 
 
-def test_rational_approx_appears_when_requested():
-    m = repro.compile("treernn", CompileOptions(rational_approx=True),
-                      hidden=8, vocab=VOCAB)
-    assert "_tanh_rational" in m.python_source
-    m2 = repro.compile("treernn", hidden=8, vocab=VOCAB)
-    assert "_tanh_rational(" not in m2.python_source.replace(
-        "tanh_rational as _tanh_rational", "")
-
-
 # -- read forms: views and row takes -------------------------------------------
 
 #: the presets whose generated reads are pinned below

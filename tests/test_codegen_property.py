@@ -1,9 +1,9 @@
 """Property-based compiler fuzzing.
 
 Random recursive models (random elementwise bodies over children reads and
-embedding lookups, random schedules) are compiled and executed through the
-vectorized generated code AND the scalar interpreter; the two must agree on
-every state buffer.  This fuzzes the full RA -> ILIR -> codegen path.
+embedding lookups, random CompileOptions) are compiled and executed through
+the vectorized generated code AND the scalar interpreter; the two must agree
+on every state buffer.  This fuzzes the full RA -> ILIR -> codegen path.
 """
 
 import numpy as np
@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import CompileOptions
 from repro.ilir.codegen.compiled import CompiledModule
 from repro.ilir.interp import run_module
 from repro.ir import Expr, maximum, minimum, relu, sigmoid, tanh
 from repro.linearizer import StructureKind
+from repro.options import FUSION_LEVELS
 from repro.ra import NUM_NODES, Program, isleaf, lower
 from repro.ra.lowering import Lowered
 from repro.runtime.plan import build_host_plan, execute_plan
@@ -71,20 +73,22 @@ def _build_random_program(body_fn) -> Program:
     return p
 
 
+#: every code-shaping knob lowering reads
+compile_options = st.builds(
+    CompileOptions, fusion=st.sampled_from(FUSION_LEVELS),
+    specialize=st.booleans(), dynamic_batch=st.booleans(),
+    dense_intermediates=st.booleans())
+
+
 @given(body_fn=body_exprs(),
-       specialize=st.booleans(),
-       fusion_max=st.booleans(),
+       options=compile_options,
        num_leaves=st.integers(2, 9),
        seed=st.integers(0, 1000))
 @settings(max_examples=40, deadline=None)
-def test_random_models_codegen_matches_interpreter(body_fn, specialize,
-                                                   fusion_max, num_leaves,
-                                                   seed):
+def test_random_models_codegen_matches_interpreter(body_fn, options,
+                                                   num_leaves, seed):
     prog = _build_random_program(body_fn)
-    prog.schedule.dynamic_batch = True
-    prog.schedule.specialize = specialize
-    prog.schedule.fusion = "max" if fusion_max else "none"
-    lowered = lower(prog)
+    lowered = lower(prog, options)
 
     rng = np.random.default_rng(seed)
     tree = random_binary_tree(num_leaves, vocab_size=VOCAB, rng=rng)

@@ -1,16 +1,12 @@
-"""Tests for ILIR statements, the barrier pass, the interpreter and the
-rational approximations."""
+"""Tests for ILIR statements, the barrier pass and the interpreter."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import IRError
 from repro.ilir import (Barrier, Block, For, ILBuffer, IfThenElse, Let,
                         Store, count_barriers, run_stmt)
-from repro.ilir.passes import (dependence_carrying_loops, insert_barriers,
-                               sigmoid_rational, tanh_rational)
+from repro.ilir.passes import dependence_carrying_loops, insert_barriers
 from repro.ir import TensorRead, Var, float32, int32, tanh, uf
 
 
@@ -122,25 +118,3 @@ def test_no_barrier_without_dependence():
 def test_unknown_barrier_mode():
     with pytest.raises(IRError):
         insert_barriers(_level_loop_stmt(), mode="aggressive")
-
-
-# -- rational approximations (App. A.5) ---------------------------------------
-
-def test_tanh_rational_accuracy():
-    x = np.linspace(-6, 6, 1001)
-    err = np.max(np.abs(tanh_rational(x) - np.tanh(x)))
-    assert err < 0.03
-    assert np.all(np.abs(tanh_rational(x)) <= 1.0)
-
-
-def test_sigmoid_rational_accuracy():
-    x = np.linspace(-8, 8, 1001)
-    ref = 1.0 / (1.0 + np.exp(-x))
-    err = np.max(np.abs(sigmoid_rational(x) - ref))
-    assert err < 0.03
-
-
-@given(st.floats(-50, 50))
-@settings(max_examples=100, deadline=None)
-def test_rational_tanh_bounded_everywhere(x):
-    assert -1.0 <= float(tanh_rational(x)) <= 1.0

@@ -18,7 +18,7 @@ def test_lowering_requires_recursion():
     with Program("m", StructureKind.TREE, 2) as p:
         p.input_tensor((4, 4), "w")
     with pytest.raises(LoweringError):
-        lower(p)
+        lower(p, CompileOptions(specialize=False, dynamic_batch=False))
 
 
 def test_fused_kernel_structure():

@@ -142,18 +142,6 @@ def test_all_states_of_multi_state_models():
     np.testing.assert_allclose(res2.root_output("rnn_M_ph"), exp_m, atol=ATOL)
 
 
-def test_rational_approximation_is_close_but_inexact():
-    rng = np.random.default_rng(8)
-    trees = synthetic_treebank(2, vocab_size=VOCAB, rng=rng)
-    exact = repro.compile("treernn", hidden=HIDDEN, vocab=VOCAB)
-    approx = repro.compile("treernn", CompileOptions(rational_approx=True),
-                           hidden=HIDDEN, vocab=VOCAB)
-    r1 = exact.run(trees).root_output("rnn")
-    r2 = approx.run(trees).root_output("rnn")
-    assert np.max(np.abs(r1 - r2)) < 0.1
-    assert "tanh_rational" in approx.python_source
-
-
 def test_batch_of_identical_trees():
     rng = np.random.default_rng(9)
     t = random_binary_tree(6, vocab_size=VOCAB, rng=rng)

@@ -166,7 +166,7 @@ def test_options_target_in_cache_key_and_summary():
 def test_pipeline_records_native_stage():
     c_model = _compile("treernn", "c")
     assert [r.stage for r in c_model.report.stages] == \
-        ["build", "schedule", "lower", "codegen", "native", "plan"]
+        ["build", "lower", "codegen", "native", "plan"]
     py_model = _compile("treernn", "python")
     assert [r.stage for r in py_model.report.stages] == list(STAGES)
 

@@ -292,8 +292,8 @@ def test_pipeline_traces_compile_stages():
     children = [s for s in tracer.finished_spans(roots[0].trace_id)
                 if s.parent_id == roots[0].span_id]
     assert [s.name for s in children] == [
-        "compile.build", "compile.schedule", "compile.lower",
-        "compile.codegen", "compile.plan"]
+        "compile.build", "compile.lower", "compile.codegen",
+        "compile.plan"]
     assert tracer.open_spans() == []
     assert validate_chrome_trace(tracer.export_chrome()) > 0
 

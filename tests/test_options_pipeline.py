@@ -4,8 +4,8 @@ Covers the PR's acceptance criteria: eager option validation (illegal
 combinations raise instead of being coerced), preset/`with_` derivation,
 cross-process-stable cache keys, staged compilation with per-stage
 records and hooks, Session compile-count elimination (equal options ->
-the same model object), the Validate enum as the one spelling of
-`validate=`, and the `_prog_of` owning-program fix.
+the same model object), every code knob changing the code, and the
+Validate enum as the one spelling of `validate=`.
 """
 
 import dataclasses
@@ -20,12 +20,11 @@ import pytest
 import repro
 from repro import CompileOptions, Session, Validate
 from repro.data import synthetic_treebank
-from repro.errors import IRError, ScheduleError
-from repro.models import get_model
+from repro.errors import ScheduleError
+from repro.models import MODELS, get_model
 from repro.options import DEBUG, PAPER_HEADLINE, PRESETS, UNFUSED_ABLATION
 from repro.pipeline import STAGES, CompilerPipeline
-from repro.ra import schedule as sched
-from repro.ra.ops import Program
+from repro.ra.lowering import linearizer_for
 
 VOCAB = 50
 RNG = np.random.default_rng(11)
@@ -51,15 +50,48 @@ def test_persistence_without_fusion_raises_eagerly():
 
 def test_options_hold_only_code_changing_knobs():
     assert [f.name for f in dataclasses.fields(CompileOptions)] == [
-        "fusion", "specialize", "dynamic_batch", "rational_approx",
-        "dense_intermediates", "strict_bounds", "memo", "target"]
+        "fusion", "specialize", "dynamic_batch", "dense_intermediates",
+        "memo", "target"]
+
+
+def _zoo(name, options):
+    extra = {"num_cells": 16} if name == "dagrnn" else {"vocab": VOCAB}
+    return repro.compile(name, options, hidden=4,
+                         rng=np.random.default_rng(0), **extra)
+
+
+def _batches(model):
+    lin = linearizer_for(model.lowered.module)(TREES)
+    return lin.batch_begin.tolist(), lin.batch_length.tolist()
+
+
+@pytest.mark.parametrize("knob", [
+    f.name for f in dataclasses.fields(CompileOptions)
+    if f.name not in ("memo", "target")])
+def test_every_code_knob_changes_the_code(knob):
+    """Each knob lowering reads earns its field: flipped from the headline,
+    ``dynamic_batch`` changes the batches the module's linearizer forms on
+    a treebank forest, and any other changes some zoo model's Python or C
+    source."""
+    flipped = PAPER_HEADLINE.with_(**{knob: "none" if knob == "fusion"
+                                      else not getattr(PAPER_HEADLINE, knob)})
+    if knob == "dynamic_batch":
+        model = _zoo("treelstm", PAPER_HEADLINE)
+        assert _batches(_zoo("treelstm", flipped)) != _batches(model)
+        return
+    assert any(
+        (a.python_source, a.c_source) != (b.python_source, b.c_source)
+        for a, b in ((_zoo(name, PAPER_HEADLINE), _zoo(name, flipped))
+                     for name in sorted(MODELS))), knob
 
 
 @pytest.mark.parametrize("removed", ["persistence", "unroll", "refactor",
-                                     "per_block"])
+                                     "per_block", "rational_approx",
+                                     "strict_bounds"])
 def test_from_dict_refuses_removed_simulation_knobs(removed):
-    """A document written while the simulated schedule was a compile
-    option cannot be reconstructed: the knob is named, not dropped."""
+    """A document written while a removed knob was a compile option (the
+    simulated schedule, the rational approximations, strict bounds)
+    cannot be reconstructed: the knob is named, not dropped."""
     doc = dict(CompileOptions().to_dict(), **{removed: False})
     with pytest.raises(ScheduleError, match=f"unknown CompileOptions "
                                             f"fields \\['{removed}'\\]"):
@@ -106,7 +138,7 @@ def test_cache_key_distinguishes_configs_and_matches_equal_ones():
     a, b = CompileOptions(), CompileOptions()
     assert a.cache_key() == b.cache_key()
     assert a.cache_key() != UNFUSED_ABLATION.cache_key()
-    assert a.cache_key() != a.with_(rational_approx=True).cache_key()
+    assert a.cache_key() != a.with_(dense_intermediates=False).cache_key()
 
 
 def test_cache_key_stable_across_processes():
@@ -288,34 +320,3 @@ def test_run_and_run_many_accept_validate_enum():
         res = m.run_many([TREES], validate=mode)
         assert np.array_equal(res[0].root_output("rnn"),
                               ref[m.lowered.linearizer(TREES).input_roots])
-
-
-# -- _prog_of: owning-program resolution --------------------------------------
-
-def test_schedule_primitives_work_outside_program_block():
-    prog = get_model("treernn").build(hidden=8, vocab=VOCAB)
-    out = prog.recursion.outputs[0]
-    # no `with Program(...)` active: Program.current() would raise IRError
-    with pytest.raises(IRError):
-        Program.current()
-    prog.schedule.dynamic_batch = False
-    sched.dynamic_batch(out)
-    assert prog.schedule.dynamic_batch is True
-
-
-def test_schedule_primitives_target_owning_program_not_current():
-    prog = get_model("treernn").build(hidden=8, vocab=VOCAB)
-    out = prog.recursion.outputs[0]
-    with Program("decoy"):
-        decoy = Program.current()
-        sched.set_fusion(out, "none")
-    assert prog.schedule.fusion == "none"          # owner mutated
-    assert decoy.schedule.fusion == "max"          # decoy untouched
-
-
-def test_unowned_tensor_still_rejected():
-    from repro.ra.tensor import RATensor
-
-    t = RATensor("stray", (4, 4))
-    with pytest.raises(ScheduleError, match="not part of a program"):
-        sched.dynamic_batch(t)

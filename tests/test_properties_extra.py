@@ -145,7 +145,6 @@ def test_program_printer_roundtrips_structure():
     assert "placeholder" in text
     assert "recursion_op" in text
     assert "if_then_else" in text
-    assert "schedule: fusion=max" in text
     # each op prints on one line
     ops = [l for l in text.splitlines() if not l.startswith("#")]
     assert len(ops) == len(prog.ops)

@@ -1,13 +1,13 @@
-"""Tests for the Recursive API: graph construction, validation, scheduling."""
+"""Tests for the Recursive API: graph construction, validation, analysis."""
 
 import numpy as np
 import pytest
 
+from repro import CompileOptions
 from repro.errors import IRError, ScheduleError
 from repro.ir import tanh
 from repro.linearizer import StructureKind
-from repro.ra import (NUM_NODES, Program, dynamic_batch, isleaf, lower,
-                      set_fusion, specialize_if_else)
+from repro.ra import NUM_NODES, Program, isleaf, lower
 from repro.ra.analysis import partition, reduction_depth, toposort
 from repro.models import get_model
 
@@ -110,17 +110,6 @@ def test_partition_classifies_phases():
     assert "leaf_h" in body_names
 
 
-def test_schedule_primitives_set_flags():
-    p = simple_program()
-    with p:
-        dynamic_batch(p)
-        specialize_if_else(p)
-        set_fusion(p, "none")
-    assert p.schedule.dynamic_batch
-    assert p.schedule.specialize
-    assert p.schedule.fusion == "none"
-
-
 def _dag_estimate(schedule):
     import repro
     from repro.data import grid_dag_batch
@@ -149,14 +138,10 @@ def test_persistence_requires_fusion():
     lowering pins the broadcast-read ones under maximal fusion only."""
     for fusion, scope in (("max", "register"), ("none", "param")):
         p = get_model("treefc").build(hidden=8, vocab=30)
-        set_fusion(p, fusion)
-        assert lower(p, codegen=False).module.buffers["Wl"].scope == scope
-
-
-def test_unknown_fusion_level():
-    p = simple_program()
-    with pytest.raises(ScheduleError):
-        set_fusion(p, "sideways")
+        options = CompileOptions(fusion=fusion, specialize=False,
+                                 dynamic_batch=False)
+        lowered = lower(p, options, codegen=False)
+        assert lowered.module.buffers["Wl"].scope == scope
 
 
 def test_reduction_depth_per_model():
