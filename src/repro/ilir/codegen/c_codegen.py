@@ -119,7 +119,6 @@ from ...ir import (BinOp, Call, Cast, Const, Expr, Reduce, Select, TensorRead,
 from ..buffer import ILBuffer
 from ..module import ILModule, Kernel
 from ..nests import AxisSpec, OpNest
-from ..passes.barrier_insertion import is_child_access
 
 _INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/", "mod": "%",
           "lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==",
@@ -1115,6 +1114,14 @@ def _clip(end: str, whole: int, extent: int) -> str:
 #: last row, and a missing child's ``-1`` reads that row, the first
 #: batch's, whose nodes are leaves and gather no children
 _Access = Tuple[str, Optional[int], bool, bool]
+
+#: Names of uninterpreted functions that follow structure edges.
+CHILD_FN_PREFIXES = ("left", "right", "child")
+
+
+def is_child_access(e: Expr) -> bool:
+    """Does ``e`` select a row through a child accessor (``left(node)``)?"""
+    return isinstance(e, UFCall) and e.fn.name.startswith(CHILD_FN_PREFIXES)
 
 
 class _Team:

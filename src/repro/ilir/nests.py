@@ -4,9 +4,7 @@ One :class:`OpNest` is one operator's loop nest inside a kernel (cf. the
 separate nests for ``lh``, ``rh`` and ``rnn`` in Listing 2).  The nest list
 is the loop IR: lowering produces it, the dense-indexing layout transform
 rewrites it, and bounds inference, the cost model, the host plan, both code
-generators and artifacts read it.  :meth:`OpNest.to_stmt` derives the plain
-statement tree for the ``Stmt``-level evaluator and the barrier pass, so
-the two views can never diverge.
+generators and artifacts read it.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from typing import List, Optional, Tuple
 from ..errors import IRError
 from ..ir import Dim, Expr, Reduce, Var, as_expr, expr_to_str
 from .buffer import ILBuffer
-from .stmt import Block, For, IfThenElse, Let, Store, Stmt
 
 AXIS_KINDS = ("node", "spatial", "hoisted")
 
@@ -98,30 +95,6 @@ class OpNest:
             out.append(self.predicate)
         out.extend(e for _, e in self.lets)
         return out
-
-    # -- derivation of the plain statement view --------------------------------
-    def to_stmt(self) -> Stmt:
-        """Build the For/Let/Store statement tree for this nest."""
-        if isinstance(self.body, Reduce):
-            init_store = Store(self.out, self.out_indices, self.body.init)
-            acc_store = Store(self.out, self.out_indices, self.body.body,
-                              reduce_op=self.body.op)
-            inner: Stmt = acc_store
-            for rax in reversed(self.body.axes):
-                inner = For(rax.var, 0, rax.extent, inner)
-            core: Stmt = Block([init_store, inner])
-        else:
-            core = Store(self.out, self.out_indices, self.body)
-
-        if self.predicate is not None:
-            core = IfThenElse(self.predicate, core)
-
-        for var, value in reversed(self.lets):
-            core = Let(var, value, core)
-
-        for ax in reversed(self.axes):
-            core = For(ax.var, ax.begin, ax.extent, core)
-        return core
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         axes = ", ".join(f"{a.var.name}<{expr_to_str(a.extent)}" for a in self.axes)

@@ -270,9 +270,12 @@ class MemoSplicer:
 
         lin = self.model.fast_linearizer()(new_roots, stubs=stubs)
         node_id = lin.node_id
+        # root ids come from the walk itself: a natively walked plan has
+        # no id map, and node_id would build one over the whole forest
+        at = dict(zip(map(id, new_roots), lin.input_roots.tolist()))
 
         root_ids = split_root_ids(
-            (node_id(repl.get(id(r), r)) for rs in sets for r in rs), sets)
+            (at[id(repl.get(id(r), r))] for rs in sets for r in rs), sets)
         stub_ids = {id(s) for s in stubs}
         full_hits = sum(
             1 for rs in sets

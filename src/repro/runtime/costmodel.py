@@ -97,13 +97,15 @@ class SimSchedule:
                     f"got {getattr(self, f.name)!r}")
 
 
-def estimate(model: "CortexModel", roots: Union[Node, Sequence[Node]],
+def estimate(model: "CortexModel",
+             roots: Union[Node, Sequence[Node], Linearized],
              device: Device, schedule: SimSchedule = SimSchedule()
              ) -> "CostReport":
     """Simulated latency of one inference call of ``model`` on ``device``.
 
     The input is linearized (and structure-checked) exactly as ``run``
-    does; the compiled kernels never launch and the model is not touched.
+    does, or given already linearized by ``model.lowered.linearizer``; the
+    compiled kernels never launch and the model is not touched.
     Unrolling or refactoring a DAG model raises
     :class:`~repro.errors.ScheduleError`: nodes with several parents would
     be recomputed.
@@ -117,9 +119,8 @@ def estimate(model: "CortexModel", roots: Union[Node, Sequence[Node]],
                     f"{what} is only supported for trees and sequences: on "
                     f"DAGs, nodes with multiple parents would be recomputed "
                     f"(§3.1)")
-    if isinstance(roots, Node):
-        roots = [roots]
-    lin = model.lowered.linearizer(roots)
+    lin = (roots if isinstance(roots, Linearized)
+           else model.lowered.linearizer(roots))
     return _module_cost(module, lin, device, schedule)
 
 

@@ -95,10 +95,11 @@ def grid_search(model_name, hidden: int, roots: Sequence[Node],
     The space's :class:`~repro.options.CompileOptions` keys form the
     compiled points, each through a :class:`~repro.pipeline.Session`; its
     :class:`~repro.runtime.SimSchedule` keys are estimated on each
-    compiled model without recompiling.  The default session lives for
-    this call only (each model — params, sources, host plan — is
-    reclaimable afterwards); pass a shared ``session`` to also pool
-    compiles across searches, e.g. between a coarse and a refined sweep.
+    compiled model without recompiling, all over the one ``Linearized``
+    of ``roots`` built for that model.  The default session lives for this
+    call only (each model — params, sources, host plan — is reclaimable
+    afterwards); pass a shared ``session`` to also pool compiles across
+    searches, e.g. between a coarse and a refined sweep.
     """
     spec = resolve_model(model_name)
     session = session if session is not None else Session()
@@ -114,6 +115,8 @@ def grid_search(model_name, hidden: int, roots: Sequence[Node],
                                     hidden=hidden, vocab=vocab, **build_kw)
         except ScheduleError as e:
             model, error = None, str(e)
+        else:
+            lin = model.lowered.linearizer(roots)
         for sim_values in itertools.product(*(space[k] for k in sim_keys)):
             sim = dict(zip(sim_keys, sim_values))
             merged = {**options, **sim}
@@ -122,7 +125,7 @@ def grid_search(model_name, hidden: int, roots: Sequence[Node],
                 result.trials.append(Trial(config, None, error=error))
                 continue
             try:
-                cost = estimate(model, roots, device, SimSchedule(**sim))
+                cost = estimate(model, lin, device, SimSchedule(**sim))
                 result.trials.append(Trial(config, cost.total_time_s * 1e3))
             except ScheduleError as e:
                 result.trials.append(Trial(config, None, error=str(e)))

@@ -1,10 +1,10 @@
-"""Tests for the less-traveled codegen paths: loop-reduce fallback, casts,
-alloc handling, and einsum applicability boundaries."""
+"""Tests for the less-traveled codegen paths: loop-reduce fallback, casts
+and einsum applicability boundaries."""
 
 import numpy as np
 import pytest
 
-from repro.ilir import Alloc, AxisSpec, For, ILBuffer, OpNest, Store, run_stmt
+from repro.ilir import AxisSpec, ILBuffer, OpNest
 from repro.ilir.codegen.compiled import CompiledModule
 from repro.ilir.module import HostStep, ILModule, Kernel
 from repro.ilir.codegen.python_codegen import generate_python
@@ -97,15 +97,6 @@ def test_cast_in_generated_code():
     ws = _run_kernel(mod, {"s": np.arange(N, dtype=np.int32),
                            "o": np.zeros(N, np.float32)})
     np.testing.assert_allclose(ws["o"], [0.0, 0.5, 1.0, 1.5])
-
-
-def test_interpreter_alloc_statement():
-    buf = ILBuffer("tmp", (4,), float32)
-    i = Var("i")
-    inner = For(i, 0, 4, Store(buf, [i], 1.0))
-    ws = {}
-    run_stmt(Alloc(buf, inner), ws)
-    assert "tmp" in ws and ws["tmp"].sum() == 4.0
 
 
 def test_max_reduce_via_fallback():

@@ -1,9 +1,10 @@
-"""Cross-check: scalar interpreter == vectorized generated code.
+"""Cross-check: the RA interpreter == the generated code, bit for bit.
 
-The ILIR statement trees (interpreted element-by-element) and the generated
-NumPy kernels are two independent consumers of the same lowered program;
-running whole models through both and comparing every buffer is the
-strongest end-to-end semantic check in the suite.
+The reference interpreter (``interpret_reference``, node by node over the
+user's program) and the generated NumPy kernels share no lowering, nests,
+linearizer or host plan; running whole models through both and comparing
+every node's row of every state buffer at zero tolerance is the strongest
+end-to-end semantic check in the suite.
 """
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 import repro
 from repro import CompileOptions
 from repro.data import grid_dag_batch, synthetic_treebank
-from repro.ilir.interp import run_module
+from repro.linearizer import iter_nodes
+from repro.ra.interp import interpret_reference
 
 VOCAB = 60
 HIDDEN = 6
@@ -26,17 +28,18 @@ def _interp_vs_codegen(name, roots, **schedule):
     else:
         model = repro.compile(name, CompileOptions(**schedule), hidden=HIDDEN,
                               vocab=VOCAB)
-    module = model.lowered.module
-    lin = model.lowered.linearizer(roots)
     res = model.run(roots)
+    oracle = interpret_reference(model.program, roots, model.params)
 
-    c = model.plan.bind_scalars(lin)
-    ws_int, _ = model.plan.make_workspace(lin, model.params)
-    run_module(module, ws_int, c)
-
-    for state in module.state_buffers:
-        np.testing.assert_allclose(ws_int[state], res.output(state),
-                                   atol=1e-5, err_msg=f"{name}:{state}")
+    states = model.lowered.module.state_buffers
+    for node in iter_nodes(roots):
+        nid = res.lin.node_id(node)
+        want = oracle[id(node)]
+        if len(states) == 1:
+            want = (want,)
+        for state, rows in zip(states, want):
+            assert np.array_equal(res.output(state)[nid], rows), \
+                (name, state, nid)
 
 
 @pytest.mark.parametrize("name", ["treernn", "treefc", "treegru", "treelstm"])
@@ -58,14 +61,3 @@ def test_interpreter_matches_codegen_no_fusion():
 
 def test_interpreter_matches_codegen_no_specialization():
     _interp_vs_codegen("treernn", TREES, specialize=False)
-
-
-def test_interpreter_counts_fused_barriers():
-    model = repro.compile("treegru", hidden=HIDDEN, vocab=VOCAB)
-    module = model.lowered.module
-    lin = model.lowered.linearizer(TREES)
-    c = model.plan.bind_scalars(lin)
-    ws, _ = model.plan.make_workspace(lin, model.params)
-    it = run_module(module, ws, c)
-    levels = c["num_batches"] - c["level_start"]
-    assert it.barriers_executed == levels * module.meta["barriers_per_level"]

@@ -503,6 +503,26 @@ def test_memo_on_the_native_target_matches_plain_and_the_oracle(name):
                                            err_msg=f"{name}/{out}")
 
 
+@pytest.mark.skipif(not native_available(),
+                    reason="no C compiler on the host")
+def test_zero_hit_native_flush_reads_root_ids_off_the_walk():
+    """A flush with no hit on ``target="c"`` is walked by the module's
+    ``.so``, whose plan carries no id map: the splicer reads its root ids
+    from ``lin.input_roots`` and leaves the map unbuilt, and the rows are
+    the plain run's bit for bit (a root shared by two sets included)."""
+    m = _small_model("treelstm", target="c")
+    assert m.compiled.native.walker is not None
+    rng = np.random.default_rng(CHAOS_SEED)
+    a, b, c = synthetic_treebank(3, vocab_size=VOCAB, rng=rng)
+    sets = [[a, b], b, [c, a]]
+    sess = MemoSession(m, policy=MemoPolicy(insert=False))
+    got = sess.run_many(sets)
+    assert sess.last.hits == 0 and sess.last.lin._rev is None
+    for roots, rows in zip(sets, got):
+        for out in m.lowered.module.output_buffers:
+            assert np.array_equal(rows[out], _solo_rows(m, roots, out)), out
+
+
 def test_zipf_treelstm_stream_meets_the_hit_rate_gate():
     """The acceptance workload: 200 Zipf(1.1) requests, hit rate >= 30%."""
     m = _small_model("treelstm")

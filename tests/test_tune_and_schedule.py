@@ -1,10 +1,18 @@
 """Tests for the grid-search autotuner and the ILIR module verifier."""
 
+from collections import Counter
+
 import numpy as np
+import pytest
 
 import repro
 from repro.data import grid_dag_batch, synthetic_treebank
-from repro.runtime import V100
+from repro.errors import ScheduleError
+from repro.linearizer import Linearizer
+from repro.models.registry import resolve_model
+from repro.options import CompileOptions
+from repro.pipeline import Session
+from repro.runtime import V100, SimSchedule, estimate
 from repro.tune import grid_search
 
 VOCAB = 100
@@ -49,6 +57,43 @@ def test_grid_search_unroll_needs_per_block_for_treernn():
     best = result.best
     if best.config["unroll"]:
         assert best.config["per_block"] is True  # Fig. 10b
+
+
+@pytest.mark.parametrize("name, roots", [
+    ("treegru", TREES), ("dagrnn", grid_dag_batch(1, 3, 3))])
+def test_grid_search_linearizes_once_per_compiled_point(monkeypatch, name,
+                                                        roots):
+    """Every SimSchedule point of a compiled model is priced on one
+    ``Linearized``; the trials are what per-point estimates give."""
+    calls = Counter()
+    real = Linearizer.__call__
+
+    def counting(self, *args, **kw):
+        calls[id(self)] += 1
+        return real(self, *args, **kw)
+
+    session = Session()
+    monkeypatch.setattr(Linearizer, "__call__", counting)
+    result = grid_search(name, 8, roots, V100, vocab=VOCAB, session=session)
+    monkeypatch.undo()
+    compiled = {(t.config["fusion"], t.config["specialize"])
+                for t in result.trials}
+    assert len(compiled) == 4 and len(result.trials) == 64
+    assert sorted(calls.values()) == [1] * len(compiled)
+
+    for t in result.trials:
+        options = {k: t.config[k] for k in ("fusion", "specialize")}
+        model = session.compile(resolve_model(name),
+                                CompileOptions(**options), hidden=8,
+                                vocab=VOCAB)
+        sim = SimSchedule(**{k: v for k, v in t.config.items()
+                             if k not in options})
+        try:
+            want = (estimate(model, roots, V100, sim).total_time_s * 1e3,
+                    None)
+        except ScheduleError as e:
+            want = (None, str(e))
+        assert (t.latency_ms, t.error) == want, t.config
 
 
 # -- module verifier -----------------------------------------------------------
