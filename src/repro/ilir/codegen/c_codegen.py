@@ -627,7 +627,8 @@ static inline float repro_tanhf(float x) {
 LINEARIZER_PY_API = ("PyObject_GetAttr", "PyTuple_Size", "PyTuple_GetItem",
                      "PyLong_AsLong", "Py_IncRef", "Py_DecRef",
                      "PyErr_Occurred", "PyList_Size", "PyList_GetItem",
-                     "PyList_SetItem")
+                     "PyList_SetItem", "PyObject_GetBuffer",
+                     "PyBuffer_Release")
 
 #: The data structure linearizer (§4.2), generated with the kernels: one
 #: fixed, model-independent section, emitted once per module.  It is the
@@ -664,7 +665,14 @@ static struct {
   intptr_t (*list_size)(void*);
   void* (*list_item)(void*, intptr_t);
   int (*list_set)(void*, intptr_t, void*);
+  int (*get_buffer)(void*, void*, int);
+  void (*release_buffer)(void*);
 } repro_py;
+/* CPython's Py_buffer (stable ABI since 3.11) */
+typedef struct {
+  void* buf; void* obj; intptr_t len, itemsize; int readonly, ndim;
+  char* format; intptr_t *shape, *strides, *suboffsets; void* internal;
+} repro_py_buffer;
 static void* repro_py_children;  /* the str objects "children", "word" */
 static void* repro_py_word;
 
@@ -850,15 +858,22 @@ static int repro_lin_cmp(const void* a, const void* b) {
   return (x > y) - (x < y);
 }
 
-/* Fill `block` (laid out as above for this walk's dims) and `order`
- * (a list of `nodes` entries: id -> Node), then free the context; a
- * NULL `block` only frees it.  Returns 0 when done, -1 on refusal. */
-int repro_lin_fill(void* ctx, int32_t* block, void* order) {
+/* Fill `block` (a writable buffer of exactly the int32s laid out as
+ * above for this walk's dims) and `order` (a list of `nodes` entries:
+ * id -> Node), then free the context; an `order` of any other length
+ * only frees it.  Returns the block's data address when done, 0 on
+ * refusal. */
+intptr_t repro_lin_fill(void* ctx, void* block, void* order) {
   repro_lin* c = (repro_lin*)ctx;
   int64_t n = c->n, mc = c->max_children, levels = c->levels;
-  int ok = block != NULL && repro_py.list_size(order) == n;
+  repro_py_buffer view;
+  int held = repro_py.list_size(order) == n
+             && repro_py.get_buffer(block, &view, 1 /* PyBUF_WRITABLE */) == 0;
+  int ok = held && view.len == (intptr_t)sizeof(int32_t)
+                               * ((mc + 2) * n + 2 * levels + c->nr);
+  intptr_t at = ok ? (intptr_t)view.buf : 0;
   if (ok) {
-    int32_t* child = block;
+    int32_t* child = (int32_t*)view.buf;
     int32_t* num_children = child + mc * n;
     int32_t* words = num_children + n;
     int32_t* begin = words + n;
@@ -887,8 +902,9 @@ int repro_lin_fill(void* ctx, int32_t* block, void* order) {
     for (int64_t r = 0; r < c->nr; ++r) roots[r] = c->nodes[c->rootp[r]].level;
     qsort(roots, (size_t)c->nr, sizeof *roots, repro_lin_cmp);
   }
+  if (held) repro_py.release_buffer(&view);
   repro_lin_free(c);
-  return ok ? 0 : -1;
+  return ok ? at : 0;
 }
 
 #if defined(__clang__)

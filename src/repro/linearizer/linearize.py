@@ -14,11 +14,13 @@ indexes through uninterpreted functions:
 Linearization wall time is recorded on every call — §7.5 of the paper
 reports it as a fraction of total inference latency.
 
-The arrays are views of one int32 block (:func:`_carve`).  Two walkers
-fill it: :meth:`Linearizer._build_arrays` here, and — on ``target="c"``,
-for the unchecked clone's stub-free height-batched calls — the one the
-module's ``.so`` carries (:func:`repro.runtime.native.load_walker`), held
-byte-identical to this one by test and deferring to it on any refusal.
+The arrays are views of one int32 block (:func:`block_size`), cut on
+first access.  Two walkers fill it: :meth:`Linearizer._build_arrays` here, and —
+on ``target="c"``, for the unchecked clone's stub-free height-batched
+calls — the one the module's ``.so`` carries
+(:func:`repro.runtime.native.load_walker`), held byte-identical to this one
+by test and deferring to it on any refusal.  A native launch reads the
+block by address (:attr:`Linearized.block_address`) and cuts no view.
 """
 
 from __future__ import annotations
@@ -35,78 +37,99 @@ from .batches import BatchPlan, plan_batches
 from .numbering import assign_ids, check_numbering, execution_order
 from .structures import Node, StructureKind, validate
 
-
-class Workspace(dict):
-    """Buffer name -> array, as the kernels take it.  ``addr`` maps the
-    names whose data address the host already knows — views of the
-    linearizer's block, of the call's slab — to ``(array, address)``; a
-    native launch uses an entry only for the very array it names."""
-
-    __slots__ = ("addr",)
-
-
 #: the arrays of a :class:`Linearized`, in the order its block holds them
 _BLOCK_FIELDS = ("child", "num_children", "words", "batch_begin",
                  "batch_length", "roots")
+#: the names ``child`` row ``k`` also goes by, for ``k`` < 4
+_ROW_ALIASES = ("left", "right", "child2", "child3")
 
 
-def _carve(mc: int, n: int, levels: int, num_roots: int) -> List[np.ndarray]:
-    """One uninitialised int32 block ``child[mc][n] | num_children[n] |
-    words[n] | batch_begin[L] | batch_length[L] | roots[r]``: the block,
-    then its six views — the one layout both walkers fill."""
-    cuts = [mc * n, n, n, levels, levels, num_roots]
-    block = np.empty(sum(cuts), dtype=np.int32)
-    out, at = [block], 0
-    for size in cuts:
+def block_size(mc: int, n: int, levels: int, num_roots: int) -> int:
+    """Int32s in the block ``child[mc][n] | num_children[n] | words[n] |
+    batch_begin[L] | batch_length[L] | roots[r]``: the one layout both
+    walkers fill."""
+    return (mc + 2) * n + 2 * levels + num_roots
+
+
+def _cut(block: np.ndarray, mc: int, n: int,
+         levels: int) -> Tuple[np.ndarray, ...]:
+    """The six views of ``block``, in :data:`_BLOCK_FIELDS` order."""
+    num_roots = len(block) - block_size(mc, n, levels, 0)
+    out, at = [], 0
+    for size in (mc * n, n, n, levels, levels, num_roots):
         out.append(block[at:at + size])
         at += size
-    out[1] = out[1].reshape(mc, n)
-    return out
+    out[0] = out[0].reshape(mc, n)
+    return tuple(out)
+
+
+def _block_view(k: int, doc: str) -> property:
+    def get(self: "Linearized") -> np.ndarray:
+        views = self._views
+        if views is None:
+            views = self._views = _cut(self.block, self.max_children,
+                                       self.num_nodes, self.num_batches)
+        return views[k]
+    return property(get, doc=doc)
 
 
 @dataclass
 class Linearized:
-    """The array form of one input batch of recursive structures."""
+    """The array form of one input batch of recursive structures.
+
+    The six arrays are views of :attr:`block`, cut the first time one is
+    read; the scalars are plain fields.
+    """
 
     kind: StructureKind
     max_children: int
     num_nodes: int
     num_leaves: int
-    child: np.ndarray          # (max_children, N) int32, -1 padded
-    num_children: np.ndarray   # (N,) int32
-    words: np.ndarray          # (N,) int32, -1 where absent
-    batch_begin: np.ndarray    # (num_batches,) int32
-    batch_length: np.ndarray   # (num_batches,) int32
+    num_batches: int
     leaf_batch_count: int
-    roots: np.ndarray          # (num_roots,) int32, sorted
     order: List[Node]          # node_id -> Node
     leaf_start: Optional[int]  # ids >= leaf_start are leaves; None if mixed
+    #: the int32 block (:func:`block_size`'s layout) both walkers fill
+    block: np.ndarray
     wall_time_s: float = 0.0
-    # Derived caches.  ``order``/``batch_length``/``child`` are fixed at
-    # construction; anyone who mutates them must call invalidate_caches().
+    # Derived caches.  ``order`` and the block are fixed at construction;
+    # anyone who mutates them must call invalidate_caches().
     # ``_rev`` (``id(node) -> node id``) starts as the map the builder
     # numbered the nodes with, so per-flush root lookups rebuild nothing.
     _rev: Optional[Dict[int, int]] = field(default=None, repr=False,
                                            compare=False)
     _max_batch_len: Optional[int] = field(default=None, repr=False,
                                           compare=False)
-    #: what :func:`_carve` returned: the int32 block, then the six views
-    #: of it the array fields above started as
-    _carved: Optional[List[np.ndarray]] = field(default=None, repr=False,
-                                                compare=False)
     #: ``input_roots`` when it is not ``roots`` (more than one root)
     _in_order: Optional[np.ndarray] = field(default=None, repr=False,
                                             compare=False)
+    #: the block's data address, once known
+    _block_at: Optional[int] = field(default=None, repr=False,
+                                     compare=False)
+    #: the six views of the block, once cut
+    _views: Optional[Tuple[np.ndarray, ...]] = field(default=None,
+                                                     repr=False,
+                                                     compare=False)
+
+    child = _block_view(0, "(max_children, N) int32, -1 padded")
+    num_children = _block_view(1, "(N,) int32")
+    words = _block_view(2, "(N,) int32, -1 where absent")
+    batch_begin = _block_view(3, "(num_batches,) int32")
+    batch_length = _block_view(4, "(num_batches,) int32")
+    roots = _block_view(5, "(num_roots,) int32, sorted")
+
+    @property
+    def block_address(self) -> int:
+        """The block's data address (what a native launch is handed)."""
+        if self._block_at is None:
+            self._block_at = self.block.ctypes.data
+        return self._block_at
 
     @property
     def input_roots(self) -> np.ndarray:
         """Root ids in the caller's order, duplicates kept: the rows
         results read (``roots`` holds them sorted, for the kernels)."""
         return self.roots if self._in_order is None else self._in_order
-
-    @property
-    def num_batches(self) -> int:
-        return len(self.batch_begin)
 
     @property
     def max_batch_len(self) -> int:
@@ -130,36 +153,17 @@ class Linearized:
             rev = self._rev = {id(n): i for i, n in enumerate(self.order)}
         return rev[id(node)]
 
-    def uf_arrays(self, addresses: bool = False) -> Workspace:
+    def uf_arrays(self) -> Dict[str, np.ndarray]:
         """Arrays backing the uninterpreted functions of the generated code
-        (a fresh mapping per call; the arrays themselves are shared).
-
-        With ``addresses``, ``.addr`` pairs each carved view with its data
-        address: the block's one address plus the bytes before the view.
-        """
-        out = Workspace(num_children=self.num_children, words=self.words,
-                        batch_begin=self.batch_begin,
-                        batch_length=self.batch_length, roots=self.roots,
-                        child=self.child)  # child(k, n), the 2-D form
-        addr = out.addr = {}
-        row_at = None  # where child's rows start, when that is known
-        if addresses and self._carved is not None:
-            block, *views = self._carved
-            at = block.ctypes.data
-            if self.child is views[0]:
-                row_at = at
-            for name, view in zip(_BLOCK_FIELDS, views):
-                addr[name] = (view, at)
-                at += view.nbytes
-        names = ("left", "right", "child2", "child3")
+        (a fresh mapping per call; the arrays themselves are shared)."""
+        out = dict(num_children=self.num_children, words=self.words,
+                   batch_begin=self.batch_begin,
+                   batch_length=self.batch_length, roots=self.roots,
+                   child=self.child)  # child(k, n), the 2-D form
         for k, row in enumerate(self.child):
-            if k < len(names):
-                out[names[k]] = row
+            if k < len(_ROW_ALIASES):
+                out[_ROW_ALIASES[k]] = row
             out[f"child{k}"] = row
-            if row_at is not None:
-                addr[f"child{k}"] = (row, row_at + k * row.nbytes)
-                if k < len(names):
-                    addr[names[k]] = addr[f"child{k}"]
         return out
 
     def scalar_params(self) -> Dict[str, int]:
@@ -172,6 +176,19 @@ class Linearized:
             "max_batch_len": self.max_batch_len,
             "leaf_batch_count": self.leaf_batch_count,
         }
+
+
+def uf_offsets(mc: int, n: int, levels: int) -> Dict[str, int]:
+    """Byte offset, in the block of a :class:`Linearized` with these dims,
+    of every array :meth:`Linearized.uf_arrays` names."""
+    ints = dict(zip(_BLOCK_FIELDS, (
+        0, mc * n, (mc + 1) * n, (mc + 2) * n, (mc + 2) * n + levels,
+        (mc + 2) * n + 2 * levels)))
+    for k in range(mc):
+        if k < len(_ROW_ALIASES):
+            ints[_ROW_ALIASES[k]] = k * n
+        ints[f"child{k}"] = k * n
+    return {name: 4 * at for name, at in ints.items()}
 
 
 def merge_root_sets(root_sets: Sequence[Sequence[Node] | Node]
@@ -350,8 +367,10 @@ class Linearizer:
         n = plan.num_nodes
         num_stubs = len(plan.stubs)
         order = execution_order(plan)
-        carved = _carve(self.max_children, n, len(plan.batches), len(roots))
-        _, child, num_children, words, begins, lengths, root_ids = carved
+        mc, levels = self.max_children, len(plan.batches)
+        block = np.empty(block_size(mc, n, levels, len(roots)), np.int32)
+        views = _cut(block, mc, n, levels)
+        child, num_children, words, begins, lengths, root_ids = views
 
         try:
             words[:] = np.fromiter((nd.word for nd in order), np.int32, n)
@@ -399,18 +418,14 @@ class Linearizer:
             max_children=self.max_children,
             num_nodes=n,
             num_leaves=num_leaves,
-            child=child,
-            num_children=num_children,
-            words=words,
-            batch_begin=begins,
-            batch_length=lengths,
+            num_batches=levels,
             leaf_batch_count=plan.leaf_batch_count,
-            roots=root_ids,
             order=order,
             leaf_start=leaf_start,
+            block=block,
             _rev=ids,
-            _carved=carved,
             _in_order=in_order,
+            _views=views,
         )
 
 

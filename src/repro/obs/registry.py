@@ -140,24 +140,26 @@ class Histogram:
             deque(maxlen=window) if window else None)
 
     def observe(self, v: float) -> None:
-        v = float(v)
-        with self._lock:
-            # linear scan: bucket lists are short and the constant beats
-            # bisect's call overhead at this size
-            for i, bound in enumerate(self.bounds):
-                if v <= bound:
-                    self._bucket_counts[i] += 1
-                    break
-            else:
-                self._bucket_counts[-1] += 1
-            self._sum += v
-            self._count += 1
-            if self._window is not None:
-                self._window.append(v)
+        self.observe_many((v,))
 
     def observe_many(self, values: Sequence[float]) -> None:
-        for v in values:
-            self.observe(v)
+        """Record every value of ``values`` under one lock acquisition."""
+        values = [float(v) for v in values]
+        bounds, counts = self.bounds, self._bucket_counts
+        with self._lock:
+            for v in values:
+                # linear scan: bucket lists are short and the constant
+                # beats bisect's call overhead at this size
+                for i, bound in enumerate(bounds):
+                    if v <= bound:
+                        counts[i] += 1
+                        break
+                else:
+                    counts[-1] += 1
+                self._sum += v
+            self._count += len(values)
+            if self._window is not None:
+                self._window.extend(values)
 
     @property
     def count(self) -> int:

@@ -12,14 +12,19 @@ with the Python kernels' exact calling convention — so
 through the unchanged arena/profiler path.
 
 Marshalling is zero-copy: NumPy buffers pass as raw data addresses into
-``c_void_p`` parameters — the address the host plan worked out for the
-array (``ws.addr``: its offset in the slab or the linearizer's block; a
-parameter's, cached per array object), else ``ndarray.ctypes.data``.
-That makes launch-time validation non-negotiable — a wrong-dtype or
-non-contiguous array would be silently reinterpreted as dense memory of
-another shape — so every launch checks both on every array, planned or
-supplied, and raises :class:`~repro.errors.NativeError` instead of
-corrupting memory.
+``c_void_p`` parameters.  A host plan whose launches are all native hands
+each launch the addresses its launch frame worked out
+(:class:`repro.runtime.plan.LaunchFrame`, :class:`BoundLaunch`): an
+offset in the call's slab or the linearizer's block, or a model
+parameter's address, cached per array object.  That makes validation
+non-negotiable — a wrong-dtype or non-contiguous array would be silently
+reinterpreted as dense memory of another shape.  Planned arrays are
+correct by construction: the frame places them with the dtype, shape and
+contiguity the ABI declares.  Supplied ones are checked on every call: the
+plan checks the model parameters (and any buffer a caller passes in place
+of a planned one) before it leases the slab, and a launcher called on a
+workspace by hand checks every array it is handed; either raises
+:class:`~repro.errors.NativeError` instead of corrupting memory.
 
 The library also carries the model's linearizer (:func:`load_walker`):
 the §4.2 structure walk, generated with the kernels, which
@@ -78,7 +83,7 @@ from ..ilir.codegen.c_codegen import (LINEARIZER_PY_API, PARTS, VARIANTS,
                                       KernelSignature, generate_c_module,
                                       held_parts, panel_width, source_parts,
                                       wide_define)
-from ..linearizer.linearize import Linearized, _carve
+from ..linearizer.linearize import Linearized, block_size
 from .kernels import data_address, panel_packed
 
 #: flags the JIT always compiles with.  ``-ffp-contract=off`` matters for
@@ -276,7 +281,7 @@ def build_shared_library(source: str, *, cc: str,
     return so_path
 
 
-def _launch_refusal(kernel: str, name: str, arr, dt: np.dtype) -> NativeError:
+def launch_refusal(kernel: str, name: str, arr, dt: np.dtype) -> NativeError:
     """Why ``arr`` cannot back pointer parameter ``name`` of ``kernel``."""
     if arr is None:
         return NativeError(
@@ -299,16 +304,20 @@ class NativeKernelLauncher:
     Calling convention matches the Python kernels exactly —
     ``fn(ws, c)`` for pre/hoisted/post/fused, ``fn(ws, c, begin,
     length)`` for leaf/level — so :class:`~repro.runtime.plan.HostPlan`
-    launch records need no special casing.  ``is_native`` marks the
-    callable for :class:`~repro.runtime.profiler.KernelProfiler`
-    labeling; ``variant`` is the ISA variant it runs and ``team`` the team
-    size every launch passes (1 but for fused kernels).
+    launch records need no special casing; a call checks and marshals
+    every array of ``ws``.  ``is_native`` marks the callable for
+    :class:`~repro.runtime.profiler.KernelProfiler` labeling; ``variant``
+    is the ISA variant it runs and ``team`` the team size every launch
+    passes (1 but for fused kernels).  ``abi_arrays`` / ``abi_packed``
+    are the pointer parameters as ``(name, dtype)``, plain then packed at
+    ``panel`` columns.
     """
 
     is_native = True
 
     __slots__ = ("name", "kind", "signature", "variant", "team", "_cfunc",
-                 "_arrays", "_packed", "_panel", "_scalars", "_svec_type")
+                 "abi_arrays", "abi_packed", "panel", "_scalars",
+                 "_svec_type")
 
     def __init__(self, cfunc, signature: KernelSignature, variant: str,
                  team: int = 1):
@@ -320,43 +329,71 @@ class NativeKernelLauncher:
         self.signature = signature
         self.variant = variant
         self.team = int(team) if signature.kind == "fused" else 1
-        self._arrays = tuple((name, np.dtype(dt))
-                             for name, dt, _writable in signature.arrays)
-        self._packed = tuple((name, np.dtype(dt))
-                             for name, dt in signature.packed)
-        for _name, dt in self._arrays + self._packed:
+        self.abi_arrays = tuple((name, np.dtype(dt))
+                                for name, dt, _writable in signature.arrays)
+        self.abi_packed = tuple((name, np.dtype(dt))
+                                for name, dt in signature.packed)
+        for _name, dt in self.abi_arrays + self.abi_packed:
             ctype_for(dt)  # typed refusal of dtypes the C ABI cannot carry
-        self._panel = panel_width(VARIANTS[variant])
+        self.panel = panel_width(VARIANTS[variant])
         self._scalars = signature.scalars
         self._svec_type = ctypes.c_int64 * len(signature.scalars)
         # pointers travel as plain addresses: no per-launch POINTER cast
         cfunc.argtypes = (
-            [ctypes.c_void_p] * (len(self._arrays) + len(self._packed))
+            [ctypes.c_void_p] * (len(self.abi_arrays) + len(self.abi_packed))
             + [ctypes.POINTER(ctypes.c_int64), ctypes.c_int64,
                ctypes.c_int64, ctypes.c_int64])
         cfunc.restype = None
         self._cfunc = cfunc
 
+    def scalar_vector(self, c):
+        """The ``S`` vector of this kernel's scalars, from the dict ``c``."""
+        return self._svec_type(*map(c.__getitem__, self._scalars))
+
     def __call__(self, ws, c, begin: int = 0, length: int = 0) -> None:
         args = []
-        # the addresses the plan worked out, each good for one array only
-        known = getattr(ws, "addr", None) or {}
-        for name, dt in self._arrays:
+        for name, dt in self.abi_arrays:
             arr = ws.get(name)
             if arr is None or arr.dtype != dt or not arr.flags.c_contiguous:
-                raise _launch_refusal(self.name, name, arr, dt)
-            at = known.get(name)
-            args.append(at[1] if at is not None and at[0] is arr
-                        else arr.ctypes.data)
+                raise launch_refusal(self.name, name, arr, dt)
+            args.append(arr.ctypes.data)
         packed = []  # keeps the panels alive across the call
-        for name, dt in self._packed:
+        for name, dt in self.abi_packed:
             arr = ws.get(name)
             if arr is None or arr.dtype != dt:
-                raise _launch_refusal(self.name, name, arr, dt)
-            packed.append(panel_packed(arr, self._panel))
+                raise launch_refusal(self.name, name, arr, dt)
+            packed.append(panel_packed(arr, self.panel))
             args.append(data_address(packed[-1]))
-        svec = self._svec_type(*[int(c[s]) for s in self._scalars])
-        self._cfunc(*args, svec, int(begin), int(length), self.team)
+        self._cfunc(*args, self.scalar_vector(c), int(begin), int(length),
+                    self.team)
+
+
+class BoundLaunch:
+    """A launcher with one call's arguments: the pointer addresses its
+    launch frame worked out, then the scalar vector.  Called like the
+    launcher (``fn(ws, c[, begin, length])``), it reads neither ``ws``
+    nor ``c``; ``keep`` holds what the addresses point into (the packed
+    panels) across the call."""
+
+    __slots__ = ("launcher", "args", "keep")
+
+    is_native = True
+
+    def __init__(self, launcher: NativeKernelLauncher, args: list,
+                 keep=()):
+        self.launcher, self.args, self.keep = launcher, args, keep
+
+    @property
+    def team(self) -> int:
+        return self.launcher.team
+
+    @property
+    def variant(self) -> str:
+        return self.launcher.variant
+
+    def __call__(self, ws, c, begin: int = 0, length: int = 0) -> None:
+        launcher = self.launcher
+        launcher._cfunc(*self.args, int(begin), int(length), launcher.team)
 
 
 def load_walker(so_path: os.PathLike):
@@ -389,42 +426,43 @@ def load_walker(so_path: os.PathLike):
     walk.argtypes = [ctypes.py_object, ctypes.c_int64, ctypes.c_int64,
                      dims_type]
     walk.restype = ctypes.c_void_p
-    fill.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.py_object]
-    fill.restype = ctypes.c_int
+    # the block goes in as a buffer object; out comes its data address
+    fill.argtypes = [ctypes.c_void_p, ctypes.py_object, ctypes.py_object]
+    fill.restype = ctypes.c_void_p
 
     def native_walk(lz, roots) -> Optional[Linearized]:
         if roots.__class__ is not list:
             roots = list(roots)
         dims = dims_type()
+        mc, nr = lz.max_children, len(roots)
         limit = -1 if lz.word_limit is None else lz.word_limit
         try:
-            ctx = walk(roots, lz.max_children, limit, dims)
+            ctx = walk(roots, mc, limit, dims)
             if not ctx:
                 return None
             n, levels, widest = dims
             try:
-                carved = _carve(lz.max_children, n, levels, len(roots))
+                block = np.empty(block_size(mc, n, levels, nr), np.int32)
                 order = [None] * n
             except BaseException:
-                fill(ctx, None, None)  # frees the context
+                fill(ctx, None, [])  # a wrong-length order: only frees it
                 raise
-            if fill(ctx, carved[0].ctypes.data, order):
+            at = fill(ctx, block, order)
+            if not at:
                 return None
         except Exception:  # the error a refusal left pending
             return None
-        _, child, num_children, words, begins, lengths, root_ids = carved
         in_order = None
-        if len(roots) > 1:  # the walker sorted them: map back by identity
-            at = {id(order[i]): i for i in root_ids.tolist()}
-            in_order = np.fromiter((at[id(r)] for r in roots), np.int32,
-                                   len(roots))
+        if nr > 1:  # the walker sorted them: map back by identity
+            at_id = {id(order[i]): i for i in block[-nr:].tolist()}
+            in_order = np.fromiter((at_id[id(r)] for r in roots), np.int32,
+                                   nr)
+        num_leaves = block.item((mc + 2) * n + levels)  # batch_length[0]
         return Linearized(
-            kind=lz.kind, max_children=lz.max_children, num_nodes=n,
-            num_leaves=int(lengths[0]), child=child,
-            num_children=num_children, words=words, batch_begin=begins,
-            batch_length=lengths, leaf_batch_count=1, roots=root_ids,
-            order=order, leaf_start=n - int(lengths[0]),
-            _max_batch_len=widest, _carved=carved, _in_order=in_order)
+            kind=lz.kind, max_children=mc, num_nodes=n,
+            num_leaves=num_leaves, num_batches=levels, leaf_batch_count=1,
+            order=order, leaf_start=n - num_leaves, block=block,
+            _max_batch_len=widest, _in_order=in_order, _block_at=at)
 
     return native_walk
 

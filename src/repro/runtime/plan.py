@@ -28,14 +28,30 @@ evaluation; it times the host, never a simulated device (the paper-figure
 estimates are :func:`repro.runtime.estimate`'s).  Its outputs are
 held bitwise equal to the semantic oracle (:mod:`repro.ra.interp`) by the
 zero-tolerance tests across the model zoo and schedule variants.
+
+A plan whose launches are all native (:attr:`HostPlan.addressed`) runs
+through a :class:`LaunchFrame` instead: per call shape ``(num_nodes,
+max_batch_len, num_batches)`` it holds where each pointer argument of each
+launch lives — an offset in the call's slab, in the linearizer's block, or
+a model parameter — so a call is one lookup, one lease and one list of
+``base + offset`` ints, and no array object is made before the launch.
+Planned arrays are correct by construction: the frame places them with
+the dtype, shape and contiguity the launch ABI declares.  Supplied ones —
+the model parameters and any buffer the caller passes in their place — are
+checked on every call (shape, dtype, C-contiguity) before the lease.  The
+result's :class:`Workspace` makes a buffer's array the first time it is
+read.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
+                    Tuple)
 
 import numpy as np
 
@@ -44,9 +60,15 @@ from ..ilir.codegen.compiled import CompiledModule
 from ..ilir.module import ILModule
 from ..ir import Const, Var, evaluate
 from ..linearizer import Linearized
+from ..linearizer.linearize import uf_offsets
 from ..ra.lowering import Lowered
-from .kernels import data_address
+from . import kernels
+from .kernels import data_address, panel_packed
 from .memory import ALIGN, WorkspaceArena
+from .native import BoundLaunch, launch_refusal
+
+#: launch frames a plan keeps; the oldest goes when a new one would pass it
+MAX_FRAMES = 256
 
 #: sentinel dim tags for the two runtime-bound shape symbols
 _NUM_NODES = "num_nodes"
@@ -90,17 +112,22 @@ class HostPlan:
     #: order: the first ``num_zeroed`` are the ``needs_zero`` ones
     scratch: List[BufferStep] = field(init=False)
     num_zeroed: int = field(init=False)
-    #: does any launch take data addresses (a native launcher)?  Only
-    #: then does :meth:`make_workspace` work them out.
+    #: are all launches native launchers (taking data addresses)?  Then
+    #: calls run through :class:`LaunchFrame` s.
     addressed: bool = field(init=False)
 
     def __post_init__(self) -> None:
         scratch = [b for b in self.buffers if not b.required_param]
         self.scratch = sorted(scratch, key=lambda b: not b.needs_zero)
         self.num_zeroed = sum(b.needs_zero for b in scratch)
-        self.addressed = any(
-            getattr(fn, "is_native", False) for _, fn in
-            self.pre + self.leaf + self.level + self.fused + self.post)
+        phases = (self.pre, self.leaf, self.level, self.fused, self.post)
+        records = [r for phase in phases for r in phase]
+        self.addressed = bool(records) and all(
+            getattr(fn, "is_native", False) for _, fn in records)
+        if self.addressed:
+            self._sources = _ArgumentSources(self, phases)
+            self._frames: Dict[tuple, LaunchFrame] = {}
+            self._frames_lock = threading.Lock()
         # per scratch buffer ``(lead, rest of the shape, bytes per lead
         # index)``, lead an int or one of the two runtime tags; None for
         # the rare shape that is not "rows of a static cell"
@@ -171,7 +198,7 @@ class HostPlan:
 
     def make_workspace(self, lin: Linearized,
                        params: Mapping[str, np.ndarray],
-                       arena=None) -> Tuple[Dict[str, np.ndarray],
+                       arena=None) -> Tuple[Mapping[str, np.ndarray],
                                             List[np.ndarray]]:
         """Build the workspace; returns it plus the arena lease, if any.
 
@@ -179,7 +206,12 @@ class HostPlan:
         cut into the scratch buffers per :meth:`layout`, then the model
         parameters and any buffer the caller supplies, checked and used in
         place.  Everything that can be refused is checked before the lease.
+        On an :attr:`addressed` plan it is the call's frame
+        :class:`Workspace` (:meth:`bind`).
         """
+        if self.addressed:
+            ws, leased, _ = self.bind(lin, params, arena)
+            return ws, leased
         sizes = {_NUM_NODES: lin.num_nodes, _MAX_BATCH: lin.max_batch_len}
         given: Dict[str, np.ndarray] = {}
         for step in self.buffers:
@@ -187,39 +219,340 @@ class HostPlan:
             supplied = params.get(name)
             if supplied is None:
                 if step.required_param:
-                    # model parameters must be supplied; zero-filling them
-                    # would silently produce wrong results
-                    raise ExecutionError(f"missing model parameter {name!r}")
+                    raise _missing(name)
                 continue
-            arr = (supplied if supplied.__class__ is np.ndarray
-                   else np.asarray(supplied))
-            expect = step.static_shape or self._resolve_shape(step, sizes)
-            if expect is not None and arr.shape != expect:
-                raise ExecutionError(
-                    f"parameter {name}: shape {arr.shape} != "
-                    f"declared {expect}")
-            given[name] = arr
+            given[name] = self._checked_shape(step, supplied, sizes)
         entries, zero_bytes, total = self.layout(lin.num_nodes,
                                                  lin.max_batch_len)
         # without an arena, a throwaway one: fresh zeros, nothing parked
         slab = (WorkspaceArena() if arena is None
                 else arena).lease(total, zero_bytes)
-        if not self.addressed:
-            ws = lin.uf_arrays()
-            for name, dtype, shape, offset in entries:
-                ws[name] = np.ndarray(shape, dtype, slab, offset)
-        else:
-            # the launch's addresses: a scratch buffer sits at its planned
-            # offset in the slab, a parameter where it sat last call
-            ws = lin.uf_arrays(True)
-            base, addr = data_address(slab), ws.addr
-            for name, dtype, shape, offset in entries:
-                view = ws[name] = np.ndarray(shape, dtype, slab, offset)
-                addr[name] = (view, base + offset)
-            for name, arr in given.items():
-                addr[name] = (arr, data_address(arr))
+        ws = lin.uf_arrays()
+        for name, dtype, shape, offset in entries:
+            ws[name] = np.ndarray(shape, dtype, slab, offset)
         ws.update(given)
         return ws, ([] if arena is None else [slab])
+
+    def _checked_shape(self, step: BufferStep, supplied,
+                       sizes: Dict[str, int]) -> np.ndarray:
+        """``supplied`` as an array, refused unless it has ``step``'s
+        shape (model parameters must be supplied as declared: zero-filling
+        or reshaping them would silently produce wrong results)."""
+        arr = (supplied if supplied.__class__ is np.ndarray
+               else np.asarray(supplied))
+        expect = step.static_shape or self._resolve_shape(step, sizes)
+        if expect is not None and arr.shape != expect:
+            raise ExecutionError(
+                f"parameter {step.name}: shape {arr.shape} != "
+                f"declared {expect}")
+        return arr
+
+    # -- launch frames (addressed plans) -------------------------------------
+    def frame(self, lin: Linearized) -> "LaunchFrame":
+        """The launch frame for ``lin``'s shape, from the plan's bounded
+        cache (built on a miss; at most :data:`MAX_FRAMES` are kept)."""
+        key = (lin.num_nodes, lin.max_batch_len, lin.num_batches,
+               lin.max_children)
+        frame = self._frames.get(key)
+        if frame is None:
+            frame = LaunchFrame(self, key)
+            with self._frames_lock:
+                frames = self._frames
+                while len(frames) >= MAX_FRAMES:
+                    del frames[next(iter(frames))]
+                frames[key] = frame
+        return frame
+
+    def bind(self, lin: Linearized, params: Mapping[str, np.ndarray],
+             arena=None, c: Optional[Dict[str, int]] = None):
+        """One call of an :attr:`addressed` plan: its :class:`Workspace`,
+        the arena lease (empty without an arena) and the five phases'
+        launch records, each a :class:`~repro.runtime.native.BoundLaunch`
+        holding this call's addresses.
+
+        Every supplied array is checked before the lease: a missing
+        parameter, a wrong shape (:class:`~repro.errors.ExecutionError`),
+        a dtype other than the launch ABI's or a strided array a launch
+        reads as dense memory (:class:`~repro.errors.NativeError`).
+        """
+        frame = self.frame(lin)
+        src = self._sources
+        own, addressed = src.supplied(lin, params, frame)
+        slab = (WorkspaceArena() if arena is None
+                else arena).lease(frame.total, frame.zero_bytes)
+        argv = frame.arguments(data_address(slab), addressed)
+        block_at = lin.block_address
+        for li, pos in frame.block_args:
+            argv[li][pos] += block_at
+        if own:  # the caller's own scratch buffers
+            for li, pos, name in src.scratch_args:
+                if name in own:
+                    argv[li][pos] = data_address(own[name])
+        if c is None:
+            c = self.bind_scalars(lin)
+        phases: Tuple[List, ...] = ([], [], [], [], [])
+        keep = addressed[4]
+        for li, ((k, name, fn), args) in enumerate(zip(src.launches, argv)):
+            args.append(frame.scalar_vector(li, fn, c))
+            phases[k].append((name, BoundLaunch(fn, args, keep)))
+        ws = Workspace(addressed[2], own, frame, slab, lin)
+        return ws, ([] if arena is None else [slab]), phases
+
+
+def _missing(name: str) -> ExecutionError:
+    return ExecutionError(f"missing model parameter {name!r}")
+
+
+#: what the per-call check of a parameter compares with the expected
+_PROBE = operator.attrgetter("__class__", "shape", "dtype", "strides")
+
+
+class _ArgumentSources:
+    """Where each pointer argument of an addressed plan's launches comes
+    from — the part of a :class:`LaunchFrame` no call shape changes — and
+    the per-call checks of what the caller supplies."""
+
+    def __init__(self, plan: HostPlan, phases) -> None:
+        self.plan = plan
+        #: ``(phase index, kernel name, launcher)`` in launch order
+        self.launches = [(k, name, fn) for k, phase in enumerate(phases)
+                         for name, fn in phase]
+        # every array a launch reads: its ABI dtype, the first kernel that
+        # reads it, and the first that reads it as dense memory
+        reads: Dict[str, list] = {}
+        for _, kernel, fn in self.launches:
+            for name, dt in fn.abi_arrays:
+                entry = reads.setdefault(name, [dt, kernel, None])
+                entry[2] = entry[2] or kernel
+            for name, dt in fn.abi_packed:
+                reads.setdefault(name, [dt, kernel, None])
+        self.reads = reads
+        #: the model parameters, checked on every call: ``(step, ABI
+        #: dtype or None, kernel for a dtype refusal, kernel for a
+        #: contiguity refusal)``; a parameter is base ``2 + i``
+        self.params = [(b, *reads.get(b.name, (None, None, None)))
+                       for b in plan.buffers if b.required_param]
+        self.names = [b.name for b, *_ in self.params]
+        #: each parameter's ``_PROBE`` when it is a dense array of exactly
+        #: the declared shape and dtype (None: checked in full every call)
+        self.expected = [
+            None if b.static_shape is None or dt not in (None, b.np_dtype)
+            else (np.ndarray, b.static_shape, b.np_dtype,
+                  tuple(b.np_dtype.itemsize * math.prod(b.static_shape[i + 1:])
+                        for i in range(len(b.static_shape))))
+            for b, dt, *_ in self.params]
+        base = {name: 2 + i for i, name in enumerate(self.names)}
+        self.panels: List[Tuple[str, int]] = []  # (weight, panel width)
+        #: per launch, per pointer argument: ``("slab", scratch index)``,
+        #: ``("block", uf name)`` or ``(base index, 0)``
+        self.args: List[List[tuple]] = []
+        self.scratch_args: List[Tuple[int, int, str]] = []
+        scratch = {b.name: i for i, b in enumerate(plan.scratch)}
+        for li, (_, kernel, fn) in enumerate(self.launches):
+            args = []
+            for pos, (name, dt) in enumerate(fn.abi_arrays):
+                if name in scratch:
+                    args.append(("slab", scratch[name]))
+                    self.scratch_args.append((li, pos, name))
+                elif name in base:
+                    args.append((base[name], 0))
+                else:  # a linearizer array, or refused at every call
+                    args.append(("block", name))
+            for name, dt in fn.abi_packed:
+                if name not in base:
+                    args.append(("block", name))  # missing: refused
+                    continue
+                key = (name, fn.panel)
+                if key not in self.panels:
+                    self.panels.append(key)
+                args.append((2 + len(self.names) + self.panels.index(key),
+                             0))
+            self.args.append(args)
+        self.scratch_names = frozenset(scratch)
+        #: the last call's parameters, addressed: ``(cache generation,
+        #: their ids, name -> array, bases, packed panels)``
+        self._memo: Optional[tuple] = None
+
+    def supplied(self, lin: Linearized, params: Mapping[str, np.ndarray],
+                 frame: "LaunchFrame"):
+        """The caller's arrays for one call, checked: ``(own,
+        addressed)`` — the buffers the caller passes in place of scratch
+        ones, by name, and the parameters with their addresses as
+        :meth:`_addressed` made them (kept while the same arrays come)."""
+        arrays = list(map(params.get, self.names))
+        try:
+            known = list(map(_PROBE, arrays)) == self.expected
+        except AttributeError:  # a missing parameter, or not an array
+            known = False
+        if not known:
+            arrays = self._checked(lin, arrays)
+        memo = self._memo
+        if (memo is None or memo[0] != kernels.CACHE_GENERATION
+                or memo[1] != list(map(id, arrays))):
+            memo = self._memo = self._addressed(arrays)
+        own: Dict[str, np.ndarray] = {}
+        if not self.scratch_names.isdisjoint(params):
+            for name, (_, shape, _) in frame.views.items():
+                if name in params:
+                    arr = np.asarray(params[name])
+                    if arr.shape != shape:
+                        raise ExecutionError(
+                            f"parameter {name}: shape {arr.shape} != "
+                            f"declared {shape}")
+                    read = self.reads.get(name)
+                    if read is not None:
+                        self._check_dense(name, arr, *read)
+                    own[name] = arr
+        return own, memo
+
+    def _checked(self, lin: Linearized, arrays: list) -> list:
+        """Every parameter refused, typed, unless it has its declared
+        shape and, where a launch reads it, the ABI's dtype and (read as
+        dense memory) C-contiguity."""
+        sizes = {_NUM_NODES: lin.num_nodes, _MAX_BATCH: lin.max_batch_len}
+        out = []
+        for (step, dt, kernel, dense), arr in zip(self.params, arrays):
+            if arr is None:
+                raise _missing(step.name)
+            arr = self.plan._checked_shape(step, arr, sizes)
+            if dt is not None:
+                self._check_dense(step.name, arr, dt, kernel, dense)
+            out.append(arr)
+        return out
+
+    def _addressed(self, arrays: list) -> tuple:
+        """``(cache generation, ids of arrays, name -> array, bases,
+        packed panels)``: the bases are 0 for the slab and the block, then
+        each parameter's address, then each panel's."""
+        bases = [0, 0] + [data_address(arr) if dense else 0
+                          for (_, _, _, dense), arr in zip(self.params,
+                                                           arrays)]
+        given = dict(zip(self.names, arrays))
+        keep = [panel_packed(given[name], panel)
+                for name, panel in self.panels]
+        bases += map(data_address, keep)
+        return (kernels.CACHE_GENERATION, list(map(id, arrays)), given,
+                bases, keep)
+
+    @staticmethod
+    def _check_dense(name, arr, dt, kernel, dense) -> None:
+        if arr.dtype != dt:
+            raise launch_refusal(kernel, name, arr, dt)
+        if dense is not None and not arr.flags.c_contiguous:
+            raise launch_refusal(dense, name, arr, dt)
+
+
+class LaunchFrame:
+    """An addressed plan's launch arguments for one call shape ``(num_nodes,
+    max_batch_len, num_batches, max_children)``: the slab layout, and per
+    launch per pointer argument a ``(base, byte offset)`` pair — base 0 is
+    the call's slab, 1 the linearizer's block, 2 on the model parameters
+    and their packed panels in :class:`_ArgumentSources` order.
+
+    It also keeps the last call's arguments less the block's address, and
+    each launch's last scalar vector (the kernels only read it): the arena
+    mostly hands a shape the slab it had last time, so a call mostly
+    copies them and adds the block's address where a launch reads it."""
+
+    __slots__ = ("zero_bytes", "total", "specs", "block_args", "views",
+                 "uf_names", "_last", "_svecs")
+
+    def __init__(self, plan: HostPlan, key: tuple) -> None:
+        n, max_batch_len, levels, mc = key
+        entries, self.zero_bytes, self.total = plan.layout(n, max_batch_len)
+        uf = uf_offsets(mc, n, levels)
+        #: name -> (dtype, shape, offset) of each scratch buffer
+        self.views = {name: (dtype, shape, offset)
+                      for name, dtype, shape, offset in entries}
+        self.uf_names = tuple(uf)
+        slab = [offset for *_, offset in entries]
+        specs = []
+        for args in plan._sources.args:
+            spec = []
+            for kind, at in args:
+                if kind == "slab":
+                    spec.append((0, slab[at]))
+                elif kind == "block":
+                    if at not in uf:  # no source: what a launch refuses
+                        dt, kernel, _ = plan._sources.reads[at]
+                        raise launch_refusal(kernel, at, None, dt)
+                    spec.append((1, uf[at]))
+                else:
+                    spec.append((kind, at))
+            specs.append(tuple(spec))
+        self.specs = tuple(specs)
+        #: ``(launch, argument)`` of every linearizer array
+        self.block_args = tuple((li, pos) for li, spec in enumerate(specs)
+                                for pos, (base, _) in enumerate(spec)
+                                if base == 1)
+        self._last: Optional[tuple] = None
+        self._svecs: List[Optional[tuple]] = [None] * len(specs)
+
+    def arguments(self, slab_at: int, addressed: tuple) -> List[List[int]]:
+        """Each launch's pointer arguments for a call on the slab at
+        ``slab_at`` with the parameters :meth:`_ArgumentSources._addressed`
+        addressed, the block's offsets not yet moved to its address."""
+        last = self._last
+        if last is None or last[0] != slab_at or last[1] is not addressed:
+            bases = addressed[3].copy()
+            bases[0] = slab_at
+            last = self._last = (slab_at, addressed, [
+                [bases[i] + at for i, at in spec] for spec in self.specs])
+        return [args.copy() for args in last[2]]
+
+    def scalar_vector(self, li: int, fn, c: Dict[str, int]):
+        """Launch ``li``'s scalar vector under the bindings ``c``."""
+        values = tuple(map(c.__getitem__, fn.signature.scalars))
+        hit = self._svecs[li]
+        if hit is None or hit[0] != values:
+            hit = self._svecs[li] = (values, fn.scalar_vector(c))
+        return hit[1]
+
+
+class Workspace(Mapping):
+    """The buffers of one frame-run call by name, each array made the first
+    time it is read: a scratch buffer as a view of the call's slab, a
+    linearizer array from the ``Linearized``, a model parameter (or a
+    buffer the caller passed in) as the caller's own array.  A name can
+    be set to another array, as in a dict."""
+
+    __slots__ = ("_params", "_arrays", "_frame", "_slab", "_lin")
+
+    def __init__(self, params: Dict[str, np.ndarray],
+                 own: Dict[str, np.ndarray], frame: LaunchFrame,
+                 slab: np.ndarray, lin: Linearized) -> None:
+        #: the checked parameters (shared, never written); then what this
+        #: call made, was handed in place of a scratch buffer, or was set
+        self._params, self._arrays = params, own
+        self._frame, self._slab, self._lin = frame, slab, lin
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        arr = self._arrays.get(name)
+        if arr is not None:
+            return arr
+        arr = self._params.get(name)
+        if arr is not None:
+            return arr
+        at = self._frame.views.get(name)
+        if at is not None:
+            arr = self._arrays[name] = np.ndarray(at[1], at[0], self._slab,
+                                                  at[2])
+            return arr
+        if name not in self._frame.uf_names:
+            raise KeyError(name)
+        for key, arr in self._lin.uf_arrays().items():
+            self._arrays.setdefault(key, arr)
+        return self._arrays[name]
+
+    def __setitem__(self, name: str, arr: np.ndarray) -> None:
+        self._arrays[name] = arr
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(dict.fromkeys((*self._frame.uf_names, *self._frame.views,
+                                   *self._params, *self._arrays)))
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 def build_host_plan(lowered: Lowered, compiled: CompiledModule) -> HostPlan:
@@ -292,7 +625,7 @@ def get_host_plan(lowered: Lowered, compiled: CompiledModule) -> HostPlan:
 class ExecutionResult:
     """Outputs plus measured wall time for one inference call."""
 
-    workspace: Dict[str, np.ndarray]
+    workspace: Mapping[str, np.ndarray]
     lin: Linearized
     state_buffers: list[str]
     wall_time_s: float = 0.0
@@ -323,8 +656,9 @@ def execute_plan(plan: HostPlan, lin: Linearized,
 
     When an exception escapes after the arena lease — a bad seed row, a
     failing kernel — the slab is released back to the arena before it
-    propagates (a missing or mis-shaped parameter is refused before the
-    lease), so a failed call never shrinks the arena.
+    propagates (a missing or mis-shaped parameter, and on an
+    :attr:`~HostPlan.addressed` plan one of another dtype or strided, is
+    refused before the lease), so a failed call never shrinks the arena.
 
     ``profiler`` is an optional :class:`~repro.runtime.profiler
     .KernelProfiler`: every launch record is wrapped in a per-call timing
@@ -340,20 +674,19 @@ def execute_plan(plan: HostPlan, lin: Linearized,
     """
     t_ws = time.perf_counter() if profiler is not None else 0.0
     c = plan.bind_scalars(lin)
-    ws, leased = plan.make_workspace(lin, params, arena)
+    if plan.addressed:
+        ws, leased, phases = plan.bind(lin, params, arena, c)
+    else:
+        ws, leased = plan.make_workspace(lin, params, arena)
+        phases = (plan.pre, plan.leaf, plan.level, plan.fused, plan.post)
     try:
         if seeds:
             for name, (rows_idx, rows) in seeds.items():
                 ws[name][rows_idx] = rows
         if profiler is not None:
-            pre = profiler.wrap(plan.pre)
-            leaf = profiler.wrap(plan.leaf)
-            level = profiler.wrap(plan.level)
-            fused = profiler.wrap(plan.fused)
-            post = profiler.wrap(plan.post)
-        else:
-            pre, leaf, level = plan.pre, plan.leaf, plan.level
-            fused, post = plan.fused, plan.post
+            phases = [profiler.wrap(records) if records else records
+                      for records in phases]
+        pre, leaf, level, fused, post = phases
 
         t0 = time.perf_counter()
         for _, fn in pre:

@@ -98,8 +98,10 @@ class KernelProfiler:
         out: List[Tuple[str, Callable]] = []
         for name, fn in records:
             if getattr(fn, "is_native", False):
-                with self._lock:
-                    self._native[name] = (fn.team, fn.variant)
+                native = (fn.team, fn.variant)
+                if self._native.get(name) != native:
+                    with self._lock:
+                        self._native[name] = native
             def timed(*args, _fn=fn, _name=name):
                 t0 = self._clock()
                 r = _fn(*args)

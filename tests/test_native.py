@@ -34,7 +34,7 @@ import pytest
 
 from repro.data import (grid_dag, grid_dag_batch, random_dag,
                         synthetic_treebank, zipf_dag_stream)
-from repro.errors import (LinearizationError, NativeError,
+from repro.errors import (ExecutionError, LinearizationError, NativeError,
                           NativeFallbackWarning, ScheduleError, ServingError)
 from repro.ilir.codegen import c_codegen
 from repro.ilir.codegen.c_codegen import (NativeCodegen, c_float_literal,
@@ -1107,6 +1107,59 @@ def test_concurrent_launches_on_one_library_are_bitwise(monkeypatch):
         _assert_same_outputs(outs, want)
 
 
+@needs_cc
+def test_threads_sharing_launch_frames_are_bitwise(monkeypatch):
+    """Four threads share one plan's launch frames — a bound of two, so
+    every few calls evict and rebuild one — each on its own arena
+    (``run(reuse=True)``, so a frame's kept arguments and scalar vectors
+    are taken and replaced under each other's feet), under a short
+    switch interval; every output is the sequential run's."""
+    import threading
+
+    import repro.runtime.plan as plan_mod
+    from repro.serve.router import _private_arena_view
+
+    model = _compile("treelstm", "c")
+    trees = synthetic_treebank(60, vocab_size=VOCAB,
+                               rng=np.random.default_rng(12))
+    want = _outputs(model, trees)
+    model.plan._frames.clear()
+    monkeypatch.setattr(plan_mod, "MAX_FRAMES", 2)
+    views = [_private_arena_view(model) for _ in range(4)]
+    got, errors = [None] * len(views), []
+    start = threading.Barrier(len(views))
+
+    def work(i):
+        try:
+            start.wait()
+            view = views[i]
+            outs = []
+            for t in trees[i:] + trees[:i]:
+                res = view.run([t], reuse=True, validate=Validate.NEVER)
+                outs.append({n: res.root_output(n).copy()
+                             for n in model.outputs})
+            got[i] = outs[len(trees) - i:] + outs[:len(trees) - i]
+        except Exception as e:  # surfaced below
+            errors.append(e)
+
+    threads = [threading.Thread(target=work, args=(i,), daemon=True)
+               for i in range(len(views))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads), "a call never returned"
+    assert not errors, errors
+    for outs in got:
+        _assert_same_outputs(outs, want)
+    assert len(model.plan._frames) <= 2
+
+
 def _run_in_fork_child(model, trees, conn):
     threads = len(os.listdir("/proc/self/task"))
     outs = _outputs(model, trees)
@@ -1988,28 +2041,35 @@ def test_artifacts_linearize_from_their_own_library(tmp_path, monkeypatch):
 @needs_cc
 @pytest.mark.parametrize("name", ZOO)
 def test_planned_addresses_are_the_arrays_own(name):
-    """Every address the plan hands a native launch is that array's
-    ``ctypes.data``; an entry is used only for the very array it names,
-    and the parameter / panel addresses retire with the panels."""
+    """Every address a launch frame hands a native launch is that array's
+    own: ``ctypes.data`` of the workspace's buffer, or of its packed
+    panel; an array a caller swaps into the workspace is launched as
+    itself, checked; and the parameter / panel addresses retire with the
+    panels."""
     from repro.runtime.kernels import (_CONTIG_CACHE, clear_contig_cache,
-                                       data_address)
+                                       data_address, panel_packed)
 
     model = _compile(name, "c")
-    assert model.plan.addressed and not _compile(name, "python").plan.addressed
+    plan = model.plan
+    assert plan.addressed and not _compile(name, "python").plan.addressed
     roots = _inputs(name)
     for lin in (model._linearize(roots, True), model._linearize(roots, False)):
-        ws, _ = model.plan.make_workspace(lin, model.params)
-        for sig in model.compiled.native.signatures.values():
-            assert {n for n, _, _ in sig.arrays} <= set(ws.addr)
-        for key, (arr, address) in ws.addr.items():
-            assert ws[key] is arr and address == arr.ctypes.data, key
-        want = execute_plan(model.plan, lin, model.params)
-        # a caller swaps an array in after the plan addressed the old one
+        c = plan.bind_scalars(lin)
+        ws, _, phases = plan.bind(lin, model.params, None, c)
+        for _, bound in (r for records in phases for r in records):
+            fn = bound.launcher
+            assert bound.args[:-1] == (
+                [ws[n].ctypes.data for n, _ in fn.abi_arrays]
+                + [data_address(panel_packed(ws[n], fn.panel))
+                   for n, _ in fn.abi_packed])
+            assert list(bound.args[-1]) == [c[s] for s in
+                                            fn.signature.scalars]
+        want = execute_plan(plan, lin, model.params)
+        # a caller swaps an array in after the frame addressed the old one
         ws["words"] = ws["words"].copy()
-        plan = model.plan
         assert not (plan.leaf or plan.level)   # the fused headline schedule
         for _, fn in plan.pre + plan.fused + plan.post:
-            fn(ws, plan.bind_scalars(lin))
+            fn(ws, c)
         for out in model.outputs:
             assert np.array_equal(ws[out], want.workspace[out])
     weight = next(iter(model.params.values()))
@@ -2018,6 +2078,69 @@ def test_planned_addresses_are_the_arrays_own(name):
     clear_contig_cache()
     assert not _CONTIG_CACHE
     model.run(roots)                       # and they come back
+    assert (id(weight), "address") in _CONTIG_CACHE
+
+
+def _refused_parameter(kind, weight):
+    """A bad stand-in for ``weight``: another dtype, a strided view, a
+    row short, or none at all."""
+    if kind == "dtype":
+        return weight.astype(np.float64)
+    if kind == "strided":
+        return np.zeros(weight.shape[:-1] + (2 * weight.shape[-1],),
+                        weight.dtype)[..., ::2]
+    if kind == "shape":
+        return weight[1:]
+    return None
+
+
+@needs_cc
+@pytest.mark.parametrize("caller", ["run", "execute_plan"])
+@pytest.mark.parametrize("kind", ["dtype", "strided", "shape", "missing"])
+def test_bad_parameters_are_refused_before_the_lease(kind, caller):
+    """A parameter a launch cannot take is refused, typed, with the
+    launcher's own words, before the frame leases a slab: the arena's
+    leases, hits and misses do not move."""
+    import dataclasses
+
+    model = _compile("treelstm", "c")
+    fn = model.plan.fused[0][1]
+    name = next(n for n, dt in fn.abi_arrays
+                if n in model.params and dt == np.float32)
+    weight = model.params[name]
+    params = dict(model.params)
+    bad = params[name] = _refused_parameter(kind, weight)
+    if bad is None:
+        del params[name]
+    want = {
+        "dtype": (NativeError,
+                  f"kernel {fn.name}: buffer {name!r} has dtype float64, "
+                  f"compiled ABI expects float32; zero-copy launch refuses "
+                  f"to reinterpret memory"),
+        "strided": (NativeError,
+                    f"kernel {fn.name}: buffer {name!r} is not "
+                    f"C-contiguous; a zero-copy launch would read the "
+                    f"strided view as dense memory"),
+        "shape": (ExecutionError,
+                  f"parameter {name}: shape {weight[1:].shape} != "
+                  f"declared {weight.shape}"),
+        "missing": (ExecutionError, f"missing model parameter {name!r}"),
+    }[kind]
+    trees = _inputs("treelstm")
+    model.run(trees, reuse=True)
+    model.release()
+    before = model.arena.snapshot()
+    with pytest.raises(want[0]) as err:
+        if caller == "run":
+            dataclasses.replace(model, params=params).run(
+                trees, reuse=True, validate=Validate.NEVER)
+        else:
+            execute_plan(model.plan, model._linearize(trees, False), params,
+                         arena=model.arena)
+    assert str(err.value) == want[1]
+    after = model.arena.snapshot()
+    for key in ("leased", "hits", "misses"):
+        assert after[key] == before[key], key
 
 
 _WALKER_UNDER_ASAN = """

@@ -137,6 +137,45 @@ def test_histogram_buckets_and_percentiles():
         Histogram(buckets=(1.0, 1.0))
 
 
+
+def test_histogram_observe_many_takes_the_lock_once():
+    """A batch lands in the same buckets (+inf included), sum, count and
+    window as the values observed one by one, and as a bisect over the
+    bounds says; the batch takes the histogram's lock once."""
+    import bisect
+    import threading
+
+    class CountingLock:
+        def __init__(self):
+            self.lock, self.taken = threading.Lock(), 0
+
+        def __enter__(self):
+            self.taken += 1
+            return self.lock.__enter__()
+
+        def __exit__(self, *exc):
+            return self.lock.__exit__(*exc)
+
+    bounds = (0.1, 1.0, 10.0)
+    values = [0.0, 0.05, 0.1, 0.1000001, 0.5, 1.0, 9.99, 10.0, 10.5, 1e9,
+              -3.0, 2] * 3
+    one, many = (Histogram(buckets=bounds, window=16) for _ in range(2))
+    for v in values:
+        one.observe(v)
+    many._lock = CountingLock()
+    many.observe_many(values)
+    assert many._lock.taken == 1
+    counts = [0] * (len(bounds) + 1)
+    for v in values:
+        counts[bisect.bisect_left(bounds, v)] += 1
+    running = list(np.cumsum(counts))
+    assert many.cumulative_buckets() == one.cumulative_buckets() == list(
+        zip(bounds + (math.inf,), running))
+    assert many.count == one.count == len(values)
+    assert many.sum == one.sum == sum(float(v) for v in values)
+    assert many.window_values() == one.window_values() == [
+        float(v) for v in values[-16:]]
+
 # ---------------------------------------------------------------------------
 # exporters
 

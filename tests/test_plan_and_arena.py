@@ -541,6 +541,151 @@ def test_caller_supplied_scratch_buffer_is_used_in_place():
 
 
 # ---------------------------------------------------------------------------
+# launch frames: the native target's host path makes no array it need not
+
+
+def _eager_workspace(m, lin, seeds=None):
+    """A call as an eager host makes it: every linearizer array, every
+    scratch buffer (a view of fresh zeros) and every parameter in one dict,
+    then each launcher called on it — checking and marshalling every array
+    it is handed — in ``execute_plan``'s order."""
+    from repro.runtime.memory import aligned_bytes
+
+    plan = m.plan
+    c = plan.bind_scalars(lin)
+    entries, _, total = plan.layout(lin.num_nodes, lin.max_batch_len)
+    slab = aligned_bytes(total, np.zeros)
+    ws = lin.uf_arrays()
+    for name, dtype, shape, offset in entries:
+        ws[name] = np.ndarray(shape, dtype, slab, offset)
+    ws.update(m.params)
+    for name, (rows_idx, rows) in (seeds or {}).items():
+        ws[name][rows_idx] = rows
+    begins, lengths = lin.batch_begin.tolist(), lin.batch_length.tolist()
+    for _, fn in plan.pre:
+        fn(ws, c)
+    for _, fn in plan.leaf:
+        for lb in range(c["leaf_batch_count"]):
+            fn(ws, c, begins[lb], lengths[lb])
+    for b in range(c["level_start"], c["num_batches"]):
+        for _, fn in plan.level:
+            fn(ws, c, begins[b], lengths[b])
+    for _, fn in plan.fused + plan.post:
+        fn(ws, c)
+    return ws
+
+
+def _assert_same_linearized(lazy, eager):
+    """Every array field, row alias and scalar of two ``Linearized``."""
+    ufs_a, ufs_b = lazy.uf_arrays(), eager.uf_arrays()
+    assert list(ufs_a) == list(ufs_b)
+    for name in ufs_b:
+        a, b = ufs_a[name], ufs_b[name]
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+    assert lazy.input_roots.tobytes() == eager.input_roots.tobytes()
+    for name in ("num_nodes", "num_leaves", "num_batches", "leaf_start",
+                 "leaf_batch_count", "max_batch_len", "max_children"):
+        assert getattr(lazy, name) == getattr(eager, name), name
+    assert all(a is b for a, b in zip(lazy.order, eager.order))
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+@pytest.mark.parametrize("preset", ["paper_headline", "unfused_ablation",
+                                    "debug"])
+@pytest.mark.parametrize("name", list(MODELS))
+def test_lazy_views_are_the_eager_arrays(name, preset):
+    """On the C target a call's ``Linearized`` cuts its views and its
+    workspace makes its buffers on first read; both are bitwise the arrays
+    an eager host builds — through ``run``, ``run_many`` and a memoized
+    flush with seeds."""
+    from repro.errors import MemoError
+    from repro.memo import MemoSession
+    from repro.options import PRESETS
+
+    m = _small_model(name, **dict(PRESETS[preset].to_dict(), target="c"))
+    assert m.plan.addressed
+    rng = np.random.default_rng(5)
+    roots, more = _inputs(name, rng), _inputs(name, rng, batch=2)
+
+    res = m.run(roots)
+    eager_lin = m.lowered.linearizer(roots)
+    _assert_same_linearized(res.lin, eager_lin)
+    want = _eager_workspace(m, eager_lin)
+    assert set(res.workspace) == set(want)
+    for key, arr in want.items():
+        got = res.workspace[key]
+        assert (got.dtype, got.shape) == (arr.dtype, arr.shape), key
+        assert got.tobytes() == arr.tobytes(), key
+
+    outs = m.default_outputs()
+    for batch, got in zip((roots, more), m.run_many(
+            [roots, more], validate=Validate.NEVER)):
+        lin = m.fast_linearizer()(batch)
+        _assert_same_linearized(lin, m.lowered.linearizer(batch))
+        eager = _eager_workspace(m, lin)
+        for out in outs:
+            assert got.outputs[out].tobytes() == (
+                eager[out][lin.input_roots].tobytes()), out
+
+    try:
+        session = MemoSession(m)
+    except MemoError:
+        return  # a model the splicer refuses has no memoized flush
+    session.run(roots[0])
+    tree = roots[0] if name == "dagrnn" else more[0]
+    got = session.run_many([[roots[0], tree]])[0]
+    lin = m.lowered.linearizer([roots[0], tree])
+    eager = _eager_workspace(m, lin)
+    for out in session._outputs:
+        assert got[out].tobytes() == eager[out][lin.input_roots].tobytes()
+    assert session.last.seeds or name == "dagrnn"
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+def test_frame_cache_stays_at_its_bound(monkeypatch):
+    """More call shapes than the bound keep the plan's frame cache at the
+    bound, oldest out first, and every call's outputs unchanged."""
+    import repro.runtime.plan as plan_mod
+
+    m = _small_model("treelstm", target="c")
+    trees = _inputs("treelstm", np.random.default_rng(2), batch=40)
+    want = [m.run(t).root_output("rnn_h_ph") for t in trees]
+    m.plan._frames.clear()
+    monkeypatch.setattr(plan_mod, "MAX_FRAMES", 3)
+    shapes = []
+    for t, rows in zip(trees, want):
+        res = m.run(t, reuse=True, validate=Validate.NEVER)
+        assert res.root_output("rnn_h_ph").tobytes() == rows.tobytes()
+        lin = res.lin
+        shapes.append((lin.num_nodes, lin.max_batch_len, lin.num_batches,
+                       lin.max_children))
+        assert len(m.plan._frames) <= 3
+    assert len(set(shapes)) > 3
+    assert len(m.plan._frames) == 3 and shapes[-1] in m.plan._frames
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+def test_caller_supplied_scratch_buffer_is_launched_in_place():
+    """On the C target too, a caller's own scratch buffer is checked and
+    written in place, and the call's outputs do not move."""
+    from repro.errors import NativeError
+
+    m = _small_model("treelstm", target="c")
+    lin = m.fast_linearizer()(_inputs("treelstm", np.random.default_rng(1)))
+    want = execute_plan(m.plan, lin, m.params).workspace["rnn_h_ph"].copy()
+    mine = np.zeros_like(want)
+    res = execute_plan(m.plan, lin, {**m.params, "rnn_h_ph": mine})
+    assert res.workspace["rnn_h_ph"] is mine
+    assert mine.tobytes() == want.tobytes()
+    with pytest.raises(ExecutionError, match="parameter rnn_h_ph: shape"):
+        execute_plan(m.plan, lin, {**m.params, "rnn_h_ph": mine[1:]})
+    with pytest.raises(NativeError, match="is not C-contiguous"):
+        wide = np.zeros((mine.shape[0], 2 * mine.shape[1]), mine.dtype)
+        execute_plan(m.plan, lin, {**m.params, "rnn_h_ph": wide[:, ::2]})
+
+
+# ---------------------------------------------------------------------------
 # fast kernels: einsum2 and the generated fast source
 
 
