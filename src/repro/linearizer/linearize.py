@@ -178,17 +178,27 @@ class Linearized:
         }
 
 
-def uf_offsets(mc: int, n: int, levels: int) -> Dict[str, int]:
-    """Byte offset, in the block of a :class:`Linearized` with these dims,
-    of every array :meth:`Linearized.uf_arrays` names."""
-    ints = dict(zip(_BLOCK_FIELDS, (
-        0, mc * n, (mc + 1) * n, (mc + 2) * n, (mc + 2) * n + levels,
-        (mc + 2) * n + 2 * levels)))
-    for k in range(mc):
-        if k < len(_ROW_ALIASES):
-            ints[_ROW_ALIASES[k]] = k * n
-        ints[f"child{k}"] = k * n
-    return {name: 4 * at for name, at in ints.items()}
+#: where each array of a block starts, as :func:`uf_term` gives it
+_FIELD_TERMS = dict(zip(_BLOCK_FIELDS, (
+    (0, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0), (2, 1, 1, 0),
+    (2, 1, 2, 0))))
+
+
+def uf_term(name: str) -> Optional[Tuple[int, int, int, int]]:
+    """Where array ``name`` of :meth:`Linearized.uf_arrays` starts in the
+    block: ``(a, b, r, rows)``, for ``4 * ((a + b * max_children) *
+    num_nodes + r * num_batches)`` bytes in, on a ``Linearized`` with at
+    least ``rows`` child rows; None for a name it never has."""
+    term = _FIELD_TERMS.get(name)
+    if term is not None:
+        return term
+    if name in _ROW_ALIASES:
+        k = _ROW_ALIASES.index(name)
+    elif name.startswith("child") and name[5:].isdigit():
+        k = int(name[5:])
+    else:
+        return None
+    return (k, 0, 0, k + 1)
 
 
 def merge_root_sets(root_sets: Sequence[Sequence[Node] | Node]

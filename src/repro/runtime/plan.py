@@ -30,24 +30,23 @@ held bitwise equal to the semantic oracle (:mod:`repro.ra.interp`) by the
 zero-tolerance tests across the model zoo and schedule variants.
 
 A plan whose launches are all native (:attr:`HostPlan.addressed`) runs
-through a :class:`LaunchFrame` instead: per call shape ``(num_nodes,
-max_batch_len, num_batches)`` it holds where each pointer argument of each
-launch lives — an offset in the call's slab, in the linearizer's block, or
-a model parameter — so a call is one lookup, one lease and one list of
-``base + offset`` ints, and no array object is made before the launch.
-Planned arrays are correct by construction: the frame places them with
-the dtype, shape and contiguity the launch ABI declares.  Supplied ones —
-the model parameters and any buffer the caller passes in their place — are
-checked on every call (shape, dtype, C-contiguity) before the lease.  The
-result's :class:`Workspace` makes a buffer's array the first time it is
-read.
+through its :class:`LaunchFrame` instead, built once with the plan: where
+each pointer argument of each launch lives — in the call's slab, in the
+linearizer's block, or a model parameter — as an offset the call's shape
+``(num_nodes, max_batch_len, num_batches, max_children)`` fixes, so a call
+is one lease and one list of ``base + offset`` ints, and no array object is
+made before the launch.  Planned arrays are correct by construction: the
+frame places them with the dtype, shape and contiguity the launch ABI
+declares.  Supplied ones — the model parameters and any buffer the caller
+passes in their place — are checked on every call (shape, dtype,
+C-contiguity) before the lease.  The result's :class:`Workspace` makes a
+buffer's array the first time it is read.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
@@ -60,15 +59,11 @@ from ..ilir.codegen.compiled import CompiledModule
 from ..ilir.module import ILModule
 from ..ir import Const, Var, evaluate
 from ..linearizer import Linearized
-from ..linearizer.linearize import uf_offsets
+from ..linearizer.linearize import uf_term
 from ..ra.lowering import Lowered
-from . import kernels
 from .kernels import data_address, panel_packed
 from .memory import ALIGN, WorkspaceArena
 from .native import BoundLaunch, launch_refusal
-
-#: launch frames a plan keeps; the oldest goes when a new one would pass it
-MAX_FRAMES = 256
 
 #: sentinel dim tags for the two runtime-bound shape symbols
 _NUM_NODES = "num_nodes"
@@ -113,7 +108,7 @@ class HostPlan:
     scratch: List[BufferStep] = field(init=False)
     num_zeroed: int = field(init=False)
     #: are all launches native launchers (taking data addresses)?  Then
-    #: calls run through :class:`LaunchFrame` s.
+    #: calls run through the plan's :class:`LaunchFrame`.
     addressed: bool = field(init=False)
 
     def __post_init__(self) -> None:
@@ -124,10 +119,6 @@ class HostPlan:
         records = [r for phase in phases for r in phase]
         self.addressed = bool(records) and all(
             getattr(fn, "is_native", False) for _, fn in records)
-        if self.addressed:
-            self._sources = _ArgumentSources(self, phases)
-            self._frames: Dict[tuple, LaunchFrame] = {}
-            self._frames_lock = threading.Lock()
         # per scratch buffer ``(lead, rest of the shape, bytes per lead
         # index)``, lead an int or one of the two runtime tags; None for
         # the rare shape that is not "rows of a static cell"
@@ -138,6 +129,9 @@ class HostPlan:
                                                      d.__class__ is str)
                               for i, d in enumerate(b.dims)) else None
             for b in self.scratch]
+        self._terms = self._start_terms()
+        if self.addressed:
+            self._frame = LaunchFrame(self, phases)
 
     # -- scalar bindings ---------------------------------------------------
     def bind_scalars(self, lin: Linearized) -> Dict[str, int]:
@@ -167,34 +161,63 @@ class HostPlan:
         except Exception:
             return None
 
-    def layout(self, num_nodes: int, max_batch_len: int):
-        """Where each scratch buffer of one call lives in its slab.
+    def scratch_shape(self, i: int, sizes: Dict[str, int]) -> Tuple[int, ...]:
+        """The shape of scratch buffer ``i`` under ``sizes`` (the two
+        runtime shape scalars)."""
+        recipe = self._recipes[i]
+        if recipe is not None:
+            lead, rest, _ = recipe
+            return ((sizes[lead] if lead.__class__ is str else lead),) + rest
+        shape = self._resolve_shape(self.scratch[i], sizes)
+        if shape is None:
+            raise ExecutionError(f"cannot size buffer {self.scratch[i].name}")
+        return shape
 
-        Returns ``(entries, zero_bytes, total_bytes)``: one ``(name, dtype,
-        shape, offset)`` per :attr:`scratch` buffer in that order — the
-        ``needs_zero`` ones first, so they are exactly the slab's first
-        ``zero_bytes`` — each offset the 64-byte-aligned running sum of
-        the sizes before it.
-        """
-        sizes = {_NUM_NODES: num_nodes, _MAX_BATCH: max_batch_len}
-        entries = []
-        offset = 0
-        for step, recipe in zip(self.scratch, self._recipes):
-            if recipe is not None:
-                lead, rest, row_bytes = recipe
-                if lead.__class__ is str:
-                    lead = sizes[lead]
-                shape = (lead,) + rest
-                nbytes = lead * row_bytes
+    def _start_terms(self, sizes: Optional[Dict[str, int]] = None):
+        """Per scratch buffer, and one past the last, ``(a, b, c)``: it
+        starts at ``a + b * num_nodes + c * max_batch_len`` rounded down
+        to :data:`ALIGN`.  Each buffer takes its size plus ``ALIGN - 1``
+        bytes, so rounding its start down never runs it into the next.
+        A shape other than "rows of a static cell" is sized under
+        ``sizes``; without them, such a plan has no terms (None)."""
+        terms, a, b, c = [], ALIGN - 1, 0, 0
+        for i, recipe in enumerate(self._recipes):
+            terms.append((a, b, c))
+            if recipe is None:
+                if sizes is None:
+                    return None
+                a += (self.scratch[i].np_dtype.itemsize
+                      * math.prod(self.scratch_shape(i, sizes)))
+            elif recipe[0] == _NUM_NODES:
+                b += recipe[2]
+            elif recipe[0] == _MAX_BATCH:
+                c += recipe[2]
             else:
-                shape = self._resolve_shape(step, sizes)
-                if shape is None:
-                    raise ExecutionError(f"cannot size buffer {step.name}")
-                nbytes = step.np_dtype.itemsize * math.prod(shape)
-            entries.append((step.name, step.np_dtype, shape, offset))
-            offset = (offset + nbytes + ALIGN - 1) & -ALIGN
-        k = self.num_zeroed
-        return entries, (entries[k][3] if k < len(entries) else offset), offset
+                a += recipe[0] * recipe[2]
+            a += ALIGN - 1
+        terms.append((a, b, c))
+        return terms
+
+    def slab_offsets(self, num_nodes: int, max_batch_len: int) -> List[int]:
+        """Where each scratch buffer of one call starts in its slab, in
+        :attr:`scratch` order, then the slab's size: each offset on a
+        64-byte boundary past the end of the buffer before it.  The
+        ``needs_zero`` buffers come first, so they lie in the slab's first
+        ``offsets[num_zeroed]`` bytes."""
+        terms = self._terms or self._start_terms(
+            {_NUM_NODES: num_nodes, _MAX_BATCH: max_batch_len})
+        return [(a + b * num_nodes + c * max_batch_len) & -ALIGN
+                for a, b, c in terms]
+
+    def layout(self, num_nodes: int, max_batch_len: int):
+        """:meth:`slab_offsets` with each buffer named: ``(entries,
+        zero_bytes, total_bytes)``, one ``(name, dtype, shape, offset)``
+        entry per :attr:`scratch` buffer."""
+        offsets = self.slab_offsets(num_nodes, max_batch_len)
+        sizes = {_NUM_NODES: num_nodes, _MAX_BATCH: max_batch_len}
+        return [(step.name, step.np_dtype, self.scratch_shape(i, sizes), at)
+                for i, (step, at) in enumerate(zip(self.scratch, offsets))
+                ], offsets[self.num_zeroed], offsets[-1]
 
     def make_workspace(self, lin: Linearized,
                        params: Mapping[str, np.ndarray],
@@ -247,56 +270,21 @@ class HostPlan:
                 f"declared {expect}")
         return arr
 
-    # -- launch frames (addressed plans) -------------------------------------
-    def frame(self, lin: Linearized) -> "LaunchFrame":
-        """The launch frame for ``lin``'s shape, from the plan's bounded
-        cache (built on a miss; at most :data:`MAX_FRAMES` are kept)."""
-        key = (lin.num_nodes, lin.max_batch_len, lin.num_batches,
-               lin.max_children)
-        frame = self._frames.get(key)
-        if frame is None:
-            frame = LaunchFrame(self, key)
-            with self._frames_lock:
-                frames = self._frames
-                while len(frames) >= MAX_FRAMES:
-                    del frames[next(iter(frames))]
-                frames[key] = frame
-        return frame
-
+    # -- the launch frame (addressed plans) ---------------------------------
     def bind(self, lin: Linearized, params: Mapping[str, np.ndarray],
              arena=None, c: Optional[Dict[str, int]] = None):
         """One call of an :attr:`addressed` plan: its :class:`Workspace`,
         the arena lease (empty without an arena) and the five phases'
         launch records, each a :class:`~repro.runtime.native.BoundLaunch`
-        holding this call's addresses.
+        holding this call's addresses (:meth:`LaunchFrame.bind`).
 
         Every supplied array is checked before the lease: a missing
         parameter, a wrong shape (:class:`~repro.errors.ExecutionError`),
         a dtype other than the launch ABI's or a strided array a launch
         reads as dense memory (:class:`~repro.errors.NativeError`).
         """
-        frame = self.frame(lin)
-        src = self._sources
-        own, addressed = src.supplied(lin, params, frame)
-        slab = (WorkspaceArena() if arena is None
-                else arena).lease(frame.total, frame.zero_bytes)
-        argv = frame.arguments(data_address(slab), addressed)
-        block_at = lin.block_address
-        for li, pos in frame.block_args:
-            argv[li][pos] += block_at
-        if own:  # the caller's own scratch buffers
-            for li, pos, name in src.scratch_args:
-                if name in own:
-                    argv[li][pos] = data_address(own[name])
-        if c is None:
-            c = self.bind_scalars(lin)
-        phases: Tuple[List, ...] = ([], [], [], [], [])
-        keep = addressed[4]
-        for li, ((k, name, fn), args) in enumerate(zip(src.launches, argv)):
-            args.append(frame.scalar_vector(li, fn, c))
-            phases[k].append((name, BoundLaunch(fn, args, keep)))
-        ws = Workspace(addressed[2], own, frame, slab, lin)
-        return ws, ([] if arena is None else [slab]), phases
+        return self._frame.bind(lin, params, arena,
+                                self.bind_scalars(lin) if c is None else c)
 
 
 def _missing(name: str) -> ExecutionError:
@@ -307,10 +295,22 @@ def _missing(name: str) -> ExecutionError:
 _PROBE = operator.attrgetter("__class__", "shape", "dtype", "strides")
 
 
-class _ArgumentSources:
-    """Where each pointer argument of an addressed plan's launches comes
-    from — the part of a :class:`LaunchFrame` no call shape changes — and
-    the per-call checks of what the caller supplies."""
+class LaunchFrame:
+    """Where every pointer argument of an addressed plan's launches lives,
+    as a function of the call's shape; one per plan, never written after
+    it is built.
+
+    Each argument is a slot of a call's address vector: the scratch
+    buffers in slab order, then the linearizer arrays the launches read,
+    then the parameters read as dense memory, then the packed panels.  A
+    call (:meth:`bind`) checks what the caller supplies, leases the slab
+    and fills the vector — a scratch buffer at the slab's address plus its
+    offset from :meth:`HostPlan.slab_offsets`, a linearizer array at the
+    block's address plus the term :func:`~repro.linearizer.linearize
+    .uf_term` gives, a parameter or panel at its own (cached) address —
+    then hands each launch its slots: ``base + offset`` ints, no array
+    object made before the launch.
+    """
 
     def __init__(self, plan: HostPlan, phases) -> None:
         self.plan = plan
@@ -329,7 +329,7 @@ class _ArgumentSources:
         self.reads = reads
         #: the model parameters, checked on every call: ``(step, ABI
         #: dtype or None, kernel for a dtype refusal, kernel for a
-        #: contiguity refusal)``; a parameter is base ``2 + i``
+        #: contiguity refusal)``
         self.params = [(b, *reads.get(b.name, (None, None, None)))
                        for b in plan.buffers if b.required_param]
         self.names = [b.name for b, *_ in self.params]
@@ -341,44 +341,53 @@ class _ArgumentSources:
                   tuple(b.np_dtype.itemsize * math.prod(b.static_shape[i + 1:])
                         for i in range(len(b.static_shape))))
             for b, dt, *_ in self.params]
-        base = {name: 2 + i for i, name in enumerate(self.names)}
-        self.panels: List[Tuple[str, int]] = []  # (weight, panel width)
-        #: per launch, per pointer argument: ``("slab", scratch index)``,
-        #: ``("block", uf name)`` or ``(base index, 0)``
-        self.args: List[List[tuple]] = []
-        self.scratch_args: List[Tuple[int, int, str]] = []
-        scratch = {b.name: i for i, b in enumerate(plan.scratch)}
-        for li, (_, kernel, fn) in enumerate(self.launches):
-            args = []
-            for pos, (name, dt) in enumerate(fn.abi_arrays):
-                if name in scratch:
-                    args.append(("slab", scratch[name]))
-                    self.scratch_args.append((li, pos, name))
-                elif name in base:
-                    args.append((base[name], 0))
-                else:  # a linearizer array, or refused at every call
-                    args.append(("block", name))
+        self.scratch_index = {b.name: i for i, b in enumerate(plan.scratch)}
+        param_index = {name: i for i, name in enumerate(self.names)}
+        block: Dict[str, int] = {}    # linearizer array -> term index
+        dense: Dict[str, int] = {}    # parameter -> dense index
+        panels: Dict[tuple, int] = {}  # (parameter, width) -> panel index
+        #: the launch arguments no call can source, refused on every call
+        #: (``launch_refusal``'s arguments), and the linearizer arrays'
+        #: child rows: ``(rows a call needs, kernel, name, dt)``
+        self.unsourced: List[tuple] = []
+        self.rows: List[tuple] = []
+        self.block_terms: List[Tuple[int, int, int]] = []
+        refs = []
+        for _, kernel, fn in self.launches:
+            ref = []
+            for name, dt in fn.abi_arrays:
+                if name in self.scratch_index:
+                    ref.append(("slab", self.scratch_index[name]))
+                elif name in param_index:
+                    ref.append(("dense", dense.setdefault(name, len(dense))))
+                elif (term := uf_term(name)) is not None:
+                    if name not in block:
+                        block[name] = len(block)
+                        self.block_terms.append(term[:3])
+                        self.rows.append((term[3], kernel, name, dt))
+                    ref.append(("block", block[name]))
+                else:
+                    self.unsourced.append((kernel, name, None, dt))
             for name, dt in fn.abi_packed:
-                if name not in base:
-                    args.append(("block", name))  # missing: refused
+                if name not in param_index:
+                    self.unsourced.append((kernel, name, None, dt))
                     continue
-                key = (name, fn.panel)
-                if key not in self.panels:
-                    self.panels.append(key)
-                args.append((2 + len(self.names) + self.panels.index(key),
-                             0))
-            self.args.append(args)
-        self.scratch_names = frozenset(scratch)
-        #: the last call's parameters, addressed: ``(cache generation,
-        #: their ids, name -> array, bases, packed panels)``
-        self._memo: Optional[tuple] = None
+                key = (param_index[name], fn.panel)
+                ref.append(("panel", panels.setdefault(key, len(panels))))
+            refs.append(ref)
+        self.min_rows = max((r[0] for r in self.rows), default=0)
+        self.dense = [param_index[name] for name in dense]
+        self.panels = list(panels)
+        # the slab's slots are its buffers' offsets, then its size
+        first = {"slab": 0, "block": len(plan.scratch) + 1}
+        first["dense"] = first["block"] + len(self.block_terms)
+        first["panel"] = first["dense"] + len(self.dense)
+        #: per launch, its pointer arguments' slots in the address vector
+        self.slots = [[first[kind] + i for kind, i in ref] for ref in refs]
 
-    def supplied(self, lin: Linearized, params: Mapping[str, np.ndarray],
-                 frame: "LaunchFrame"):
-        """The caller's arrays for one call, checked: ``(own,
-        addressed)`` — the buffers the caller passes in place of scratch
-        ones, by name, and the parameters with their addresses as
-        :meth:`_addressed` made them (kept while the same arrays come)."""
+    def bind(self, lin: Linearized, params: Mapping[str, np.ndarray],
+             arena, c: Dict[str, int]):
+        """:meth:`HostPlan.bind` under the scalar bindings ``c``."""
         arrays = list(map(params.get, self.names))
         try:
             known = list(map(_PROBE, arrays)) == self.expected
@@ -386,24 +395,36 @@ class _ArgumentSources:
             known = False
         if not known:
             arrays = self._checked(lin, arrays)
-        memo = self._memo
-        if (memo is None or memo[0] != kernels.CACHE_GENERATION
-                or memo[1] != list(map(id, arrays))):
-            memo = self._memo = self._addressed(arrays)
-        own: Dict[str, np.ndarray] = {}
-        if not self.scratch_names.isdisjoint(params):
-            for name, (_, shape, _) in frame.views.items():
-                if name in params:
-                    arr = np.asarray(params[name])
-                    if arr.shape != shape:
-                        raise ExecutionError(
-                            f"parameter {name}: shape {arr.shape} != "
-                            f"declared {shape}")
-                    read = self.reads.get(name)
-                    if read is not None:
-                        self._check_dense(name, arr, *read)
-                    own[name] = arr
-        return own, memo
+        if self.unsourced:
+            raise launch_refusal(*self.unsourced[0])
+        mc = lin.max_children
+        if mc < self.min_rows:
+            rows, kernel, name, dt = next(r for r in self.rows if r[0] > mc)
+            raise launch_refusal(kernel, name, None, dt)
+        own = (self._own(lin, params)
+               if not self.scratch_index.keys().isdisjoint(params) else {})
+        n, levels = lin.num_nodes, lin.num_batches
+        offsets = self.plan.slab_offsets(n, lin.max_batch_len)
+        keep = [panel_packed(arrays[i], width) for i, width in self.panels]
+        slab = (WorkspaceArena() if arena is None else arena).lease(
+            offsets[-1], offsets[self.plan.num_zeroed])
+        at = data_address(slab)
+        vec = [at + offset for offset in offsets]
+        for name, arr in own.items():
+            vec[self.scratch_index[name]] = data_address(arr)
+        at = lin.block_address
+        vec += [at + 4 * ((a + b * mc) * n + r * levels)
+                for a, b, r in self.block_terms]
+        vec += [data_address(arrays[i]) for i in self.dense]
+        vec += map(data_address, keep)
+        phases: Tuple[List, ...] = ([], [], [], [], [])
+        for (k, name, fn), slots in zip(self.launches, self.slots):
+            args = [vec[i] for i in slots]
+            args.append(fn.scalar_vector(c))
+            phases[k].append((name, BoundLaunch(fn, args, keep)))
+        ws = Workspace(dict(zip(self.names, arrays)), own, self, slab, lin,
+                       offsets)
+        return ws, ([] if arena is None else [slab]), phases
 
     def _checked(self, lin: Linearized, arrays: list) -> list:
         """Every parameter refused, typed, unless it has its declared
@@ -420,19 +441,25 @@ class _ArgumentSources:
             out.append(arr)
         return out
 
-    def _addressed(self, arrays: list) -> tuple:
-        """``(cache generation, ids of arrays, name -> array, bases,
-        packed panels)``: the bases are 0 for the slab and the block, then
-        each parameter's address, then each panel's."""
-        bases = [0, 0] + [data_address(arr) if dense else 0
-                          for (_, _, _, dense), arr in zip(self.params,
-                                                           arrays)]
-        given = dict(zip(self.names, arrays))
-        keep = [panel_packed(given[name], panel)
-                for name, panel in self.panels]
-        bases += map(data_address, keep)
-        return (kernels.CACHE_GENERATION, list(map(id, arrays)), given,
-                bases, keep)
+    def _own(self, lin: Linearized,
+             params: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        """The buffers the caller passes in place of scratch ones, by name,
+        each checked as a parameter is."""
+        sizes = {_NUM_NODES: lin.num_nodes, _MAX_BATCH: lin.max_batch_len}
+        own = {}
+        for name, i in self.scratch_index.items():
+            if name in params:
+                arr = np.asarray(params[name])
+                shape = self.plan.scratch_shape(i, sizes)
+                if arr.shape != shape:
+                    raise ExecutionError(
+                        f"parameter {name}: shape {arr.shape} != "
+                        f"declared {shape}")
+                read = self.reads.get(name)
+                if read is not None:
+                    self._check_dense(name, arr, *read)
+                own[name] = arr
+        return own
 
     @staticmethod
     def _check_dense(name, arr, dt, kernel, dense) -> None:
@@ -442,73 +469,6 @@ class _ArgumentSources:
             raise launch_refusal(dense, name, arr, dt)
 
 
-class LaunchFrame:
-    """An addressed plan's launch arguments for one call shape ``(num_nodes,
-    max_batch_len, num_batches, max_children)``: the slab layout, and per
-    launch per pointer argument a ``(base, byte offset)`` pair — base 0 is
-    the call's slab, 1 the linearizer's block, 2 on the model parameters
-    and their packed panels in :class:`_ArgumentSources` order.
-
-    It also keeps the last call's arguments less the block's address, and
-    each launch's last scalar vector (the kernels only read it): the arena
-    mostly hands a shape the slab it had last time, so a call mostly
-    copies them and adds the block's address where a launch reads it."""
-
-    __slots__ = ("zero_bytes", "total", "specs", "block_args", "views",
-                 "uf_names", "_last", "_svecs")
-
-    def __init__(self, plan: HostPlan, key: tuple) -> None:
-        n, max_batch_len, levels, mc = key
-        entries, self.zero_bytes, self.total = plan.layout(n, max_batch_len)
-        uf = uf_offsets(mc, n, levels)
-        #: name -> (dtype, shape, offset) of each scratch buffer
-        self.views = {name: (dtype, shape, offset)
-                      for name, dtype, shape, offset in entries}
-        self.uf_names = tuple(uf)
-        slab = [offset for *_, offset in entries]
-        specs = []
-        for args in plan._sources.args:
-            spec = []
-            for kind, at in args:
-                if kind == "slab":
-                    spec.append((0, slab[at]))
-                elif kind == "block":
-                    if at not in uf:  # no source: what a launch refuses
-                        dt, kernel, _ = plan._sources.reads[at]
-                        raise launch_refusal(kernel, at, None, dt)
-                    spec.append((1, uf[at]))
-                else:
-                    spec.append((kind, at))
-            specs.append(tuple(spec))
-        self.specs = tuple(specs)
-        #: ``(launch, argument)`` of every linearizer array
-        self.block_args = tuple((li, pos) for li, spec in enumerate(specs)
-                                for pos, (base, _) in enumerate(spec)
-                                if base == 1)
-        self._last: Optional[tuple] = None
-        self._svecs: List[Optional[tuple]] = [None] * len(specs)
-
-    def arguments(self, slab_at: int, addressed: tuple) -> List[List[int]]:
-        """Each launch's pointer arguments for a call on the slab at
-        ``slab_at`` with the parameters :meth:`_ArgumentSources._addressed`
-        addressed, the block's offsets not yet moved to its address."""
-        last = self._last
-        if last is None or last[0] != slab_at or last[1] is not addressed:
-            bases = addressed[3].copy()
-            bases[0] = slab_at
-            last = self._last = (slab_at, addressed, [
-                [bases[i] + at for i, at in spec] for spec in self.specs])
-        return [args.copy() for args in last[2]]
-
-    def scalar_vector(self, li: int, fn, c: Dict[str, int]):
-        """Launch ``li``'s scalar vector under the bindings ``c``."""
-        values = tuple(map(c.__getitem__, fn.signature.scalars))
-        hit = self._svecs[li]
-        if hit is None or hit[0] != values:
-            hit = self._svecs[li] = (values, fn.scalar_vector(c))
-        return hit[1]
-
-
 class Workspace(Mapping):
     """The buffers of one frame-run call by name, each array made the first
     time it is read: a scratch buffer as a view of the call's slab, a
@@ -516,15 +476,18 @@ class Workspace(Mapping):
     buffer the caller passed in) as the caller's own array.  A name can
     be set to another array, as in a dict."""
 
-    __slots__ = ("_params", "_arrays", "_frame", "_slab", "_lin")
+    __slots__ = ("_params", "_arrays", "_frame", "_slab", "_lin",
+                 "_offsets")
 
     def __init__(self, params: Dict[str, np.ndarray],
                  own: Dict[str, np.ndarray], frame: LaunchFrame,
-                 slab: np.ndarray, lin: Linearized) -> None:
-        #: the checked parameters (shared, never written); then what this
-        #: call made, was handed in place of a scratch buffer, or was set
+                 slab: np.ndarray, lin: Linearized,
+                 offsets: List[int]) -> None:
+        #: the checked parameters; then what this call made, was handed in
+        #: place of a scratch buffer, or was set
         self._params, self._arrays = params, own
         self._frame, self._slab, self._lin = frame, slab, lin
+        self._offsets = offsets
 
     def __getitem__(self, name: str) -> np.ndarray:
         arr = self._arrays.get(name)
@@ -533,12 +496,15 @@ class Workspace(Mapping):
         arr = self._params.get(name)
         if arr is not None:
             return arr
-        at = self._frame.views.get(name)
-        if at is not None:
-            arr = self._arrays[name] = np.ndarray(at[1], at[0], self._slab,
-                                                  at[2])
+        i = self._frame.scratch_index.get(name)
+        if i is not None:
+            plan, lin = self._frame.plan, self._lin
+            shape = plan.scratch_shape(i, {_NUM_NODES: lin.num_nodes,
+                                           _MAX_BATCH: lin.max_batch_len})
+            arr = self._arrays[name] = np.ndarray(
+                shape, plan.scratch[i].np_dtype, self._slab, self._offsets[i])
             return arr
-        if name not in self._frame.uf_names:
+        if uf_term(name) is None:
             raise KeyError(name)
         for key, arr in self._lin.uf_arrays().items():
             self._arrays.setdefault(key, arr)
@@ -548,7 +514,8 @@ class Workspace(Mapping):
         self._arrays[name] = arr
 
     def __iter__(self) -> Iterator[str]:
-        return iter(dict.fromkeys((*self._frame.uf_names, *self._frame.views,
+        return iter(dict.fromkeys((*self._lin.uf_arrays(),
+                                   *self._frame.scratch_index,
                                    *self._params, *self._arrays)))
 
     def __len__(self) -> int:

@@ -643,26 +643,59 @@ def test_lazy_views_are_the_eager_arrays(name, preset):
 
 
 @pytest.mark.skipif(not native_available(), reason="no C compiler")
-def test_frame_cache_stays_at_its_bound(monkeypatch):
-    """More call shapes than the bound keep the plan's frame cache at the
-    bound, oldest out first, and every call's outputs unchanged."""
-    import repro.runtime.plan as plan_mod
+def test_every_call_shape_gets_its_own_addresses():
+    """The one launch frame serves every call shape: over forty trees of
+    many shapes, each launch's addresses are its workspace arrays' own and
+    each call's outputs are bitwise the eager host's."""
+    from repro.runtime.kernels import data_address, panel_packed
 
     m = _small_model("treelstm", target="c")
+    plan = m.plan
     trees = _inputs("treelstm", np.random.default_rng(2), batch=40)
-    want = [m.run(t).root_output("rnn_h_ph") for t in trees]
-    m.plan._frames.clear()
-    monkeypatch.setattr(plan_mod, "MAX_FRAMES", 3)
-    shapes = []
-    for t, rows in zip(trees, want):
-        res = m.run(t, reuse=True, validate=Validate.NEVER)
-        assert res.root_output("rnn_h_ph").tobytes() == rows.tobytes()
-        lin = res.lin
-        shapes.append((lin.num_nodes, lin.max_batch_len, lin.num_batches,
-                       lin.max_children))
-        assert len(m.plan._frames) <= 3
-    assert len(set(shapes)) > 3
-    assert len(m.plan._frames) == 3 and shapes[-1] in m.plan._frames
+    shapes = set()
+    for t in trees:
+        lin = m.fast_linearizer()([t])
+        shapes.add((lin.num_nodes, lin.max_batch_len, lin.num_batches))
+        c = plan.bind_scalars(lin)
+        ws, (slab,), phases = plan.bind(lin, m.params, m.arena, c)
+        try:
+            for _, bound in (r for records in phases for r in records):
+                fn = bound.launcher
+                assert bound.args[:-1] == (
+                    [ws[n].ctypes.data for n, _ in fn.abi_arrays]
+                    + [data_address(panel_packed(ws[n], fn.panel))
+                       for n, _ in fn.abi_packed])
+        finally:
+            m.arena.release_many([slab])
+        res = m.run([t], reuse=True, validate=Validate.NEVER)
+        want = _eager_workspace(m, lin)["rnn_h_ph"][lin.input_roots]
+        assert res.root_output("rnn_h_ph").tobytes() == want.tobytes()
+    assert len(shapes) > 10
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+def test_replaced_parameters_are_not_kept():
+    """A parameter the caller replaces with a new array is let go: once
+    the call that read it is released, nothing the plan keeps holds the
+    old array (or, through it, its packed panel), whatever shape the
+    calls after the swap have."""
+    import gc
+    import weakref
+
+    m = _small_model("treelstm", target="c")
+    fn = m.plan.fused[0][1]
+    name = next(n for n, _ in fn.abi_packed)
+    before, after = (_inputs("treelstm", np.random.default_rng(s))
+                     for s in (3, 4))
+    lin = m.run(before, reuse=True, validate=Validate.NEVER).lin
+    old = weakref.ref(m.params[name])
+    m.params[name] = m.params[name].copy()
+    res = m.run(after, reuse=True, validate=Validate.NEVER)
+    assert res.lin.num_nodes != lin.num_nodes
+    m.release()
+    del res, lin
+    gc.collect()
+    assert old() is None
 
 
 @pytest.mark.skipif(not native_available(), reason="no C compiler")
