@@ -152,15 +152,8 @@ GEMM_N_ALIGN = 16
 _CONTIG_CACHE: Dict[Tuple[int, Optional[Tuple]], Tuple] = {}
 
 
-#: how many times :func:`clear_contig_cache` ran: an address or panel kept
-#: outside the cache is good only while this is what it was when read
-CACHE_GENERATION = 0
-
-
 def clear_contig_cache() -> None:
     """Drop cached operand copies (after in-place weight edits)."""
-    global CACHE_GENERATION
-    CACHE_GENERATION += 1
     _CONTIG_CACHE.clear()
 
 
