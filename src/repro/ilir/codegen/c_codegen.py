@@ -102,6 +102,14 @@ trivial::
 carry the batch window for ``leaf``/``level`` kernels and are ignored by
 the other kinds; ``team`` is the members a ``fused`` kernel splits its
 columns across, ignored by the other kinds.
+
+The runtime part also holds the module's host program,
+``void repro_execute(const char* argv)``: the host tables of
+:mod:`repro.ilir.host` baked into C, so that one call from the host plan
+places every scratch buffer in the call's slab and every linearizer array
+in its block, binds ``S`` and runs the whole host schedule through a table
+of the entry points above (``repro_host_key()`` names the tables it was
+generated from).
 """
 
 from __future__ import annotations
@@ -116,7 +124,9 @@ import numpy as np
 from ...errors import CodegenError
 from ...ir import (BinOp, Call, Cast, Const, Expr, Reduce, Select, TensorRead,
                    UFCall, UnaryOp, Var, expr_to_str, free_vars, is_zero, walk)
+from ...linearizer.linearize import uf_term
 from ..buffer import ILBuffer
+from ..host import ALIGN, ENTRY_HEAD, host_tables
 from ..module import ILModule, Kernel
 from ..nests import AxisSpec, OpNest
 
@@ -986,8 +996,8 @@ def _variant_target(variant: str) -> str:
 
 
 #: the parts of a generated module's source, by ``REPRO_PART`` number:
-#: the model-independent runtime (the column team, the variant pick and
-#: the exported dispatchers, the linearizer), then each ISA variant's
+#: the runtime (the column team, the variant pick and the exported
+#: dispatchers, the host entry, the linearizer), then each ISA variant's
 #: kernels and microkernels.  ``runtime/native.py`` compiles the parts a
 #: build holds (:func:`held_parts`) as concurrent units and links the
 #: objects; without ``REPRO_PART`` the source is one unit.
@@ -1428,6 +1438,7 @@ class NativeCodegen:
             f"{self._team_columns}; }}\n",
             *[self._dispatcher(signatures[k.name])
               for k in self.module.kernels],
+            *_host_entry(self.module, signatures),
             _C_LINEARIZER]
         out = [self._header(), native_prelude()]
         for k, part in enumerate(PARTS):
@@ -2222,6 +2233,180 @@ class NativeCodegen:
         if red.op == "sum" and not is_zero(red.init):
             return f"({acc} + {tx.tx(red.init)})"
         return acc
+
+
+_C_HOST_ENTRY = '''\
+/* ---- the host program: one call runs one execute of the module.  The
+ * host plan's tables (repro.ilir.host) are baked in: where each scratch
+ * buffer lies in the slab and each linearizer array in the block, each
+ * launch's pointer slots, the scalar template and the host schedule.
+ * `argv` is the call's int64 vector: the launch table (a function per
+ * launch, in order), the team a fused launch splits across, a profile to
+ * add each launch's (ns, launches) to or 0, a dry-run output or 0, the
+ * block, the slab and the Linearized's scalars; then per scratch buffer
+ * an address in place of its slab slice (0: none), the dense parameters
+ * and the packed panels.  A dry run writes each launch's pointers and S
+ * vector instead of launching.  No Python object is touched: the caller
+ * drops the GIL.  Compiled unoptimised, like the team. */
+#include <string.h>
+#include <time.h>
+#if defined(__clang__)
+#pragma clang optimize off
+#elif defined(__GNUC__)
+#pragma GCC push_options
+#pragma GCC optimize ("O0")
+#endif
+
+typedef void (*repro_host_fn)(void);
+
+static int64_t repro_host_ns(void) {
+  struct timespec ts;
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+/* run `call` as launch i, timed when profiling */
+#define REPRO_LAUNCH(i, call) do { \\
+    if (times) { \\
+      const int64_t t0_ = repro_host_ns(); \\
+      call; \\
+      times[2 * (i)] += repro_host_ns() - t0_; \\
+      times[2 * (i) + 1]++; \\
+    } else { \\
+      call; \\
+    } \\
+  } while (0)
+
+'''
+
+
+def _linear(const: int, terms: Sequence[Tuple[int, str]]) -> str:
+    """``const + sum(k * name)`` as C, zero terms left out."""
+    parts = [str(const)] if const else []
+    parts += [name if k == 1 else f"{k} * {name}" for k, name in terms if k]
+    return " + ".join(parts) or "0"
+
+
+def _block_offset(a: int, b: int, r: int) -> str:
+    """`` + 4 * ((a + b * mc) * n + r * levels)`` as C (the bytes into the
+    linearizer's block of an array at that term), or nothing for 0."""
+    rows = _linear(a, [(b, "mc")])
+    rows = rows if rows in ("0", "mc") else f"({rows})"
+    words = _linear(0, [(rows != "0", f"{rows} * n"), (r, "levels")])
+    return "" if words == "0" else f" + 4 * ({words})"
+
+
+def _host_entry(module: ILModule,
+                signatures: Dict[str, KernelSignature]) -> List[str]:
+    """The runtime part's host entry ``repro_execute`` and the digest of
+    the tables it bakes (``repro_host_key``); nothing for a module whose
+    host program a native entry cannot run (:func:`host_tables`)."""
+    tables = host_tables(module, {
+        name: (tuple(a[0] for a in sig.arrays),
+               tuple(w for w, _ in sig.packed))
+        for name, sig in signatures.items()})
+    if tables is None:
+        return []
+    at = {name: i for i, name in enumerate(ENTRY_HEAD)}
+    head, scratch = len(ENTRY_HEAD), len(tables.scratch)
+    given = len(tables.dense) + len(tables.panels)
+    # the locals the code below may name, as read from `a`
+    named = {"n": "num_nodes", "levels": "num_batches",
+             "mbl": "max_batch_len", "mc": "max_children"}
+    lines = ["  /* scratch buffers: the caller's own, or their slab slice */"]
+    for i, (name, (a, b, c)) in enumerate(zip(tables.scratch, tables.terms)):
+        lines.append(f"  p[{i}] = a[{head + i}] ? (char*)(intptr_t)"
+                     f"a[{head + i}]\n         : slab + "
+                     f"(({_linear(a, [(b, 'n'), (c, 'mbl')])}) & "
+                     f"-{ALIGN});  /* {name} */")
+    if tables.block:
+        lines.append("  /* linearizer arrays in the block */")
+    for i, (name, term, _) in enumerate(tables.block):
+        lines.append(f"  p[{scratch + i}] = block{_block_offset(*term)};"
+                     f"  /* {name} */")
+    if given:
+        lines += ["  /* the dense parameters, then the packed panels */",
+                  f"  for (int i = 0; i < {given}; ++i)",
+                  f"    p[{scratch + len(tables.block)} + i] = "
+                  f"(char*)(intptr_t)a[{head + scratch} + i];"]
+    template = {"max_children": ("mc" if tables.max_children is None
+                                 else str(tables.max_children)),
+                "num_nodes": "n", "num_batches": "levels",
+                "max_batch_len": "mbl"}
+    if tables.specialize:
+        template["level_start"] = f"a[{at['leaf_batch_count']}]"
+    else:
+        template["level_start"] = template["leaf_batch_count"] = "0"
+    lines += ["  /* the S scalars, in NATIVE_SCALARS order */",
+              f"  const int64_t s[] = {{" + ", ".join(
+                  template.get(x) or f"a[{at[x]}]" for x in NATIVE_SCALARS)
+              + "};"]
+    types, dry, calls = {}, [], []
+    for i, (phase, kernel, slots) in enumerate(tables.launches):
+        sig = signatures[kernel]
+        params = NativeCodegen._params(sig)
+        types[kernel] = (f"typedef void (*repro_fn_{kernel})("
+                         + ", ".join(ct for ct, _ in params) + ");")
+        S = "s"
+        if sig.scalars:
+            S = f"S{i}"
+            lines.append(f"  const int64_t {S}[] = {{" + ", ".join(
+                f"s[{NATIVE_SCALARS.index(x)}]" for x in sig.scalars)
+                + "};")
+        dry.append(f"    /* launch {i}: {kernel} ({phase}) */")
+        dry += [f"    *dry++ = (int64_t)(intptr_t)p[{k}];" for k in slots]
+        dry += [f"    *dry++ = {S}[{k}];" for k in range(len(sig.scalars))]
+        args = [f"({ct})p[{k}]" for (ct, _), k in zip(params, slots)]
+        window = "begin[b], length[b]" if phase in ("leaf", "level") \
+            else "0, 0"
+        team = f"a[{at['team']}]" if phase == "fused" else "1"
+        calls.append((phase, f"REPRO_LAUNCH({i}, ((repro_fn_{kernel})"
+                             f"fn[{i}])(\n          "
+                             f"{', '.join(args + [S])},\n          "
+                             f"{window}, {team}));"))
+    body = []
+    if any(phase in ("leaf", "level") for phase, _ in calls):
+        body += [f"  const int32_t* const {name} = (const int32_t*)("
+                 f"block{_block_offset(*uf_term(f'batch_{name}')[:3])});"
+                 for name in ("begin", "length")]
+    s_at = {x: f"s[{NATIVE_SCALARS.index(x)}]" for x in NATIVE_SCALARS}
+    level = [f"    {call}" for phase, call in calls if phase == "level"]
+    for phase, call in calls:
+        if phase == "leaf":
+            body.append(f"  for (int64_t b = 0; b < "
+                        f"{s_at['leaf_batch_count']}; ++b)\n    {call}")
+        elif phase == "level":
+            if level:  # one loop over the batches runs every level launch
+                body += [f"  for (int64_t b = {s_at['level_start']}; "
+                         f"b < {s_at['num_batches']}; ++b) {{",
+                         *level, "  }"]
+                level = []
+        else:
+            body.append(f"  {call}")
+    text = "\n".join(lines + body)
+    decls = [f"  int64_t a[{head + scratch + given}];",
+             "  memcpy(a, argv, sizeof a);",
+             "  const repro_host_fn* const fn = (const repro_host_fn*)"
+             f"(intptr_t)a[{at['launches']}];",
+             f"  int64_t* const times = (int64_t*)(intptr_t)"
+             f"a[{at['times']}];",
+             f"  int64_t* dry = (int64_t*)(intptr_t)a[{at['dry']}];"]
+    decls += [f"  char* const {name} = (char*)(intptr_t)a[{at[name]}];"
+              for name in ("slab", "block")
+              if re.search(rf"\b{name}\b", text)]
+    decls += [f"  const int64_t {local} = a[{at[name]}];"
+              for local, name in named.items()
+              if re.search(rf"\b{local}\b", text)]
+    decls.append(f"  char* p[{scratch + len(tables.block) + given or 1}];")
+    return [_C_HOST_ENTRY + "\n".join(
+        [*types.values(), "",
+         "/* the digest of the tables this entry was generated from */",
+         f'const char* repro_host_key(void) {{ return "{tables.key}"; }}',
+         "", "void repro_execute(const char* argv) {", *decls, *lines,
+         "  if (dry) {", *dry, "    return;", "  }", *body, "}", "",
+         "#if defined(__clang__)", "#pragma clang optimize on",
+         "#elif defined(__GNUC__)", "#pragma GCC pop_options", "#endif",
+         ""])]
 
 
 def generate_c_module(

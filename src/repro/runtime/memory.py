@@ -21,6 +21,7 @@ from typing import Dict, List
 import numpy as np
 
 from ..errors import ExecutionError
+from ..ilir.host import ALIGN
 from ..ilir.module import ILModule
 from ..linearizer import Linearized
 from .costmodel import _buffer_elems
@@ -29,8 +30,6 @@ from .costmodel import _buffer_elems
 # ---------------------------------------------------------------------------
 # workspace arena
 
-#: slab addresses and planned buffer offsets are multiples of one cache line
-ALIGN = 64
 #: free slabs kept per power-of-two size class
 SLABS_PER_CLASS = 2
 #: the largest workspace one call may lease: a forest that needs more is

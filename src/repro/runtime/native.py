@@ -7,24 +7,23 @@ compiler (``cc -O2 -shared -fPIC``; its parts as concurrent units when
 the process may use more than one CPU, :func:`build_shared_library`)
 into a cached shared library,
 loads it via :mod:`ctypes`, and wraps each exported kernel in a callable
-with the Python kernels' exact calling convention — so
-:func:`repro.runtime.plan.execute_plan` dispatches native launches
-through the unchanged arena/profiler path.
+with the Python kernels' exact calling convention.
 
 Marshalling is zero-copy: NumPy buffers pass as raw data addresses into
-``c_void_p`` parameters.  A host plan whose launches are all native hands
-each launch the addresses its launch frame worked out
-(:class:`repro.runtime.plan.LaunchFrame`, :class:`BoundLaunch`): an
-offset in the call's slab or the linearizer's block, or a model
-parameter's address, cached per array object.  That makes validation
-non-negotiable — a wrong-dtype or non-contiguous array would be silently
-reinterpreted as dense memory of another shape.  Planned arrays are
-correct by construction: the frame places them with the dtype, shape and
-contiguity the ABI declares.  Supplied ones are checked on every call: the
-plan checks the model parameters (and any buffer a caller passes in place
-of a planned one) before it leases the slab, and a launcher called on a
-workspace by hand checks every array it is handed; either raises
-:class:`~repro.errors.NativeError` instead of corrupting memory.
+``c_void_p`` parameters.  A host plan whose launches are all native makes
+one call per execute, into the library's host entry (:class:`HostEntry`,
+``repro_execute``, generated with the kernels from the module's host
+tables): it works out every planned address and scalar itself and runs
+every launch, with the GIL released
+(:class:`repro.runtime.plan.NativeCall` packs its argument vector).  That
+makes validation non-negotiable — a wrong-dtype or non-contiguous array
+would be silently reinterpreted as dense memory of another shape.  Planned
+arrays are correct by construction: the entry places them with the dtype,
+shape and contiguity the ABI declares.  Supplied ones are checked on every
+call: the plan checks the model parameters (and any buffer a caller passes
+in place of a planned one) before it leases the slab, and a launcher
+called on a workspace by hand checks every array it is handed; either
+raises :class:`~repro.errors.NativeError` instead of corrupting memory.
 
 The library also carries the model's linearizer (:func:`load_walker`):
 the §4.2 structure walk, generated with the kernels, which
@@ -310,17 +309,19 @@ class NativeKernelLauncher:
     is the ISA variant it runs and ``team`` the team size every launch
     passes (1 but for fused kernels).  ``abi_arrays`` / ``abi_packed``
     are the pointer parameters as ``(name, dtype)``, plain then packed at
-    ``panel`` columns.
+    ``panel`` columns.  ``address`` is the entry point's own, and
+    ``entry`` its library's host entry (:class:`HostEntry`, or None), which
+    a host plan calls with that address in its launch table.
     """
 
     is_native = True
 
     __slots__ = ("name", "kind", "signature", "variant", "team", "_cfunc",
                  "abi_arrays", "abi_packed", "panel", "_scalars",
-                 "_svec_type")
+                 "_svec_type", "address", "entry")
 
     def __init__(self, cfunc, signature: KernelSignature, variant: str,
-                 team: int = 1):
+                 team: int = 1, entry: Optional["HostEntry"] = None):
         """``variant``: the ISA variant ``cfunc`` is (or dispatches to) —
         its lanes fix the packed weights' panels.  ``team``: the members a
         fused kernel splits its columns across."""
@@ -345,10 +346,8 @@ class NativeKernelLauncher:
                ctypes.c_int64, ctypes.c_int64])
         cfunc.restype = None
         self._cfunc = cfunc
-
-    def scalar_vector(self, c):
-        """The ``S`` vector of this kernel's scalars, from the dict ``c``."""
-        return self._svec_type(*map(c.__getitem__, self._scalars))
+        self.address = ctypes.cast(cfunc, ctypes.c_void_p).value
+        self.entry = entry
 
     def __call__(self, ws, c, begin: int = 0, length: int = 0) -> None:
         args = []
@@ -364,36 +363,29 @@ class NativeKernelLauncher:
                 raise launch_refusal(self.name, name, arr, dt)
             packed.append(panel_packed(arr, self.panel))
             args.append(data_address(packed[-1]))
-        self._cfunc(*args, self.scalar_vector(c), int(begin), int(length),
-                    self.team)
+        self._cfunc(*args, self._svec_type(*map(c.__getitem__,
+                                                self._scalars)),
+                    int(begin), int(length), self.team)
 
 
-class BoundLaunch:
-    """A launcher with one call's arguments: the pointer addresses its
-    launch frame worked out, then the scalar vector.  Called like the
-    launcher (``fn(ws, c[, begin, length])``), it reads neither ``ws``
-    nor ``c``; ``keep`` holds what the addresses point into (the packed
-    panels) across the call."""
+class HostEntry:
+    """A library's host entry (``repro_execute``, generated with the
+    kernels from the module's :class:`~repro.ilir.host.HostTables`): one
+    call runs a whole execute — addresses, scalars and every launch —
+    from one packed int64 argument vector.  Called through the ``CDLL``
+    handle, so the GIL is released for its whole run.  ``key`` is the
+    digest of the tables it bakes."""
 
-    __slots__ = ("launcher", "args", "keep")
+    __slots__ = ("key", "execute")
 
-    is_native = True
-
-    def __init__(self, launcher: NativeKernelLauncher, args: list,
-                 keep=()):
-        self.launcher, self.args, self.keep = launcher, args, keep
-
-    @property
-    def team(self) -> int:
-        return self.launcher.team
-
-    @property
-    def variant(self) -> str:
-        return self.launcher.variant
-
-    def __call__(self, ws, c, begin: int = 0, length: int = 0) -> None:
-        launcher = self.launcher
-        launcher._cfunc(*self.args, int(begin), int(length), launcher.team)
+    def __init__(self, lib) -> None:
+        key = lib.repro_host_key
+        key.argtypes, key.restype = [], ctypes.c_char_p
+        self.key = key().decode()
+        self.execute = lib.repro_execute
+        # the vector goes in as a bytes object: no ctypes array per call
+        self.execute.argtypes = [ctypes.c_char_p]
+        self.execute.restype = None
 
 
 def load_walker(so_path: os.PathLike):
@@ -519,9 +511,13 @@ class NativeModule:
         columns_fn.argtypes, columns_fn.restype = [], ctypes.c_int64
         #: members of the team each fused-kernel launch asks for
         self.team = team_size(columns_fn())
+        #: the library's host entry (a module whose host program it cannot
+        #: run has none: its plans launch kernel by kernel)
+        self.entry = (HostEntry(self._lib)
+                      if hasattr(self._lib, "repro_execute") else None)
         self.fns: Dict[str, NativeKernelLauncher] = {
             name: NativeKernelLauncher(self._symbol(sig.symbol), sig,
-                                       self.variant, self.team)
+                                       self.variant, self.team, self.entry)
             for name, sig in self.signatures.items()}
         #: the library's own linearizer (see :func:`load_walker`), if any
         self.walker = load_walker(self.so_path)
@@ -546,7 +542,7 @@ class NativeModule:
         team = self.team if team is None else team
         return {name: NativeKernelLauncher(
                     self._symbol(f"{sig.symbol}_{variant}"), sig, variant,
-                    team)
+                    team, self.entry)
                 for name, sig in self.signatures.items()}
 
     @classmethod

@@ -29,24 +29,29 @@ estimates are :func:`repro.runtime.estimate`'s).  Its outputs are
 held bitwise equal to the semantic oracle (:mod:`repro.ra.interp`) by the
 zero-tolerance tests across the model zoo and schedule variants.
 
-A plan whose launches are all native (:attr:`HostPlan.addressed`) runs
-through its :class:`LaunchFrame` instead, built once with the plan: where
-each pointer argument of each launch lives — in the call's slab, in the
-linearizer's block, or a model parameter — as an offset the call's shape
-``(num_nodes, max_batch_len, num_batches, max_children)`` fixes, so a call
-is one lease and one list of ``base + offset`` ints, and no array object is
-made before the launch.  Planned arrays are correct by construction: the
-frame places them with the dtype, shape and contiguity the launch ABI
-declares.  Supplied ones — the model parameters and any buffer the caller
-passes in their place — are checked on every call (shape, dtype,
-C-contiguity) before the lease.  The result's :class:`Workspace` makes a
-buffer's array the first time it is read.
+A plan whose launches are all native, from a library that carries its host
+program (:attr:`HostPlan.addressed`), makes one native call per execute:
+the C generator bakes the module's host tables (:mod:`repro.ilir.host`)
+into the library's ``repro_execute``, which works out every scratch
+buffer's place in the call's slab and every linearizer array's in the
+block, binds the ``S`` scalars and runs the whole host schedule, with the
+GIL released.  Python keeps what can be refused and what it owns
+(:class:`NativeCall`): the parameters — and any buffer the caller passes
+in place of a scratch one — are checked on every call (shape, dtype,
+C-contiguity) before the lease, their addresses and packed panels come
+from the weakref-backed cache, then the slab is leased, the seeds are
+written and one packed argument vector goes in.  Planned arrays are correct
+by construction: the entry places them with the dtype, shape and
+contiguity the launch ABI declares.  The result's :class:`Workspace` makes
+a buffer's array the first time it is read.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import operator
+import struct
 import time
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
@@ -56,36 +61,17 @@ import numpy as np
 
 from ..errors import ExecutionError
 from ..ilir.codegen.compiled import CompiledModule
+from ..ilir.host import (ALIGN, ENTRY_HEAD, MAX_BATCH, NUM_NODES,
+                         BufferStep, buffer_steps, host_tables, slab_order,
+                         slab_terms)
 from ..ilir.module import ILModule
-from ..ir import Const, Var, evaluate
+from ..ir import evaluate
 from ..linearizer import Linearized
 from ..linearizer.linearize import uf_term
 from ..ra.lowering import Lowered
 from .kernels import data_address, panel_packed
-from .memory import ALIGN, WorkspaceArena
-from .native import BoundLaunch, launch_refusal
-
-#: sentinel dim tags for the two runtime-bound shape symbols
-_NUM_NODES = "num_nodes"
-_MAX_BATCH = "max_batch_len"
-
-
-@dataclass(frozen=True)
-class BufferStep:
-    """One entry of the buffer-allocation plan (in module buffer order)."""
-
-    name: str
-    np_dtype: np.dtype
-    #: shape recipe: int (static) | scalar tag (str) | residual Expr
-    dims: Tuple[object, ...]
-    #: fully static shape, precomputed when no dim is runtime-bound
-    static_shape: Optional[Tuple[int, ...]]
-    #: model parameters must be supplied by the caller
-    required_param: bool
-    #: must the buffer read zero at the start of a call?  False only when
-    #: the analysis proves every read is preceded by a write.
-    needs_zero: bool
-
+from .memory import WorkspaceArena
+from .native import launch_refusal
 
 @dataclass
 class HostPlan:
@@ -107,31 +93,17 @@ class HostPlan:
     #: order: the first ``num_zeroed`` are the ``needs_zero`` ones
     scratch: List[BufferStep] = field(init=False)
     num_zeroed: int = field(init=False)
-    #: are all launches native launchers (taking data addresses)?  Then
-    #: calls run through the plan's :class:`LaunchFrame`.
+    #: does a call run as one call into the native library's host entry
+    #: (every launch native, from a library whose entry bakes this plan's
+    #: tables)?
     addressed: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        scratch = [b for b in self.buffers if not b.required_param]
-        self.scratch = sorted(scratch, key=lambda b: not b.needs_zero)
-        self.num_zeroed = sum(b.needs_zero for b in scratch)
-        phases = (self.pre, self.leaf, self.level, self.fused, self.post)
-        records = [r for phase in phases for r in phase]
-        self.addressed = bool(records) and all(
-            getattr(fn, "is_native", False) for _, fn in records)
-        # per scratch buffer ``(lead, rest of the shape, bytes per lead
-        # index)``, lead an int or one of the two runtime tags; None for
-        # the rare shape that is not "rows of a static cell"
-        self._recipes = [
-            (b.dims[0], b.dims[1:],
-             b.np_dtype.itemsize * math.prod(b.dims[1:]))
-            if b.dims and all(d.__class__ is int or (i == 0 and
-                                                     d.__class__ is str)
-                              for i, d in enumerate(b.dims)) else None
-            for b in self.scratch]
-        self._terms = self._start_terms()
-        if self.addressed:
-            self._frame = LaunchFrame(self, phases)
+        self.scratch = slab_order(self.buffers)
+        self.num_zeroed = sum(b.needs_zero for b in self.scratch)
+        self._terms = slab_terms(self.scratch)
+        self._call = NativeCall.of(self)
+        self.addressed = self._call is not None
 
     # -- scalar bindings ---------------------------------------------------
     def bind_scalars(self, lin: Linearized) -> Dict[str, int]:
@@ -164,7 +136,7 @@ class HostPlan:
     def scratch_shape(self, i: int, sizes: Dict[str, int]) -> Tuple[int, ...]:
         """The shape of scratch buffer ``i`` under ``sizes`` (the two
         runtime shape scalars)."""
-        recipe = self._recipes[i]
+        recipe = self.scratch[i].recipe
         if recipe is not None:
             lead, rest, _ = recipe
             return ((sizes[lead] if lead.__class__ is str else lead),) + rest
@@ -173,39 +145,19 @@ class HostPlan:
             raise ExecutionError(f"cannot size buffer {self.scratch[i].name}")
         return shape
 
-    def _start_terms(self, sizes: Optional[Dict[str, int]] = None):
-        """Per scratch buffer, and one past the last, ``(a, b, c)``: it
-        starts at ``a + b * num_nodes + c * max_batch_len`` rounded down
-        to :data:`ALIGN`.  Each buffer takes its size plus ``ALIGN - 1``
-        bytes, so rounding its start down never runs it into the next.
-        A shape other than "rows of a static cell" is sized under
-        ``sizes``; without them, such a plan has no terms (None)."""
-        terms, a, b, c = [], ALIGN - 1, 0, 0
-        for i, recipe in enumerate(self._recipes):
-            terms.append((a, b, c))
-            if recipe is None:
-                if sizes is None:
-                    return None
-                a += (self.scratch[i].np_dtype.itemsize
-                      * math.prod(self.scratch_shape(i, sizes)))
-            elif recipe[0] == _NUM_NODES:
-                b += recipe[2]
-            elif recipe[0] == _MAX_BATCH:
-                c += recipe[2]
-            else:
-                a += recipe[0] * recipe[2]
-            a += ALIGN - 1
-        terms.append((a, b, c))
-        return terms
-
     def slab_offsets(self, num_nodes: int, max_batch_len: int) -> List[int]:
         """Where each scratch buffer of one call starts in its slab, in
         :attr:`scratch` order, then the slab's size: each offset on a
-        64-byte boundary past the end of the buffer before it.  The
-        ``needs_zero`` buffers come first, so they lie in the slab's first
-        ``offsets[num_zeroed]`` bytes."""
-        terms = self._terms or self._start_terms(
-            {_NUM_NODES: num_nodes, _MAX_BATCH: max_batch_len})
+        64-byte boundary past the end of the buffer before it
+        (:func:`~repro.ilir.host.slab_terms`).  The ``needs_zero`` buffers
+        come first, so they lie in the slab's first ``offsets[num_zeroed]``
+        bytes."""
+        terms = self._terms
+        if terms is None:
+            sizes = {NUM_NODES: num_nodes, MAX_BATCH: max_batch_len}
+            terms = slab_terms(self.scratch, lambda i: (
+                self.scratch[i].np_dtype.itemsize
+                * math.prod(self.scratch_shape(i, sizes))))
         return [(a + b * num_nodes + c * max_batch_len) & -ALIGN
                 for a, b, c in terms]
 
@@ -214,14 +166,14 @@ class HostPlan:
         zero_bytes, total_bytes)``, one ``(name, dtype, shape, offset)``
         entry per :attr:`scratch` buffer."""
         offsets = self.slab_offsets(num_nodes, max_batch_len)
-        sizes = {_NUM_NODES: num_nodes, _MAX_BATCH: max_batch_len}
+        sizes = {NUM_NODES: num_nodes, MAX_BATCH: max_batch_len}
         return [(step.name, step.np_dtype, self.scratch_shape(i, sizes), at)
                 for i, (step, at) in enumerate(zip(self.scratch, offsets))
                 ], offsets[self.num_zeroed], offsets[-1]
 
     def make_workspace(self, lin: Linearized,
                        params: Mapping[str, np.ndarray],
-                       arena=None) -> Tuple[Mapping[str, np.ndarray],
+                       arena=None) -> Tuple[Dict[str, np.ndarray],
                                             List[np.ndarray]]:
         """Build the workspace; returns it plus the arena lease, if any.
 
@@ -229,13 +181,8 @@ class HostPlan:
         cut into the scratch buffers per :meth:`layout`, then the model
         parameters and any buffer the caller supplies, checked and used in
         place.  Everything that can be refused is checked before the lease.
-        On an :attr:`addressed` plan it is the call's frame
-        :class:`Workspace` (:meth:`bind`).
         """
-        if self.addressed:
-            ws, leased, _ = self.bind(lin, params, arena)
-            return ws, leased
-        sizes = {_NUM_NODES: lin.num_nodes, _MAX_BATCH: lin.max_batch_len}
+        sizes = {NUM_NODES: lin.num_nodes, MAX_BATCH: lin.max_batch_len}
         given: Dict[str, np.ndarray] = {}
         for step in self.buffers:
             name = step.name
@@ -270,21 +217,32 @@ class HostPlan:
                 f"declared {expect}")
         return arr
 
-    # -- the launch frame (addressed plans) ---------------------------------
-    def bind(self, lin: Linearized, params: Mapping[str, np.ndarray],
-             arena=None, c: Optional[Dict[str, int]] = None):
-        """One call of an :attr:`addressed` plan: its :class:`Workspace`,
-        the arena lease (empty without an arena) and the five phases'
-        launch records, each a :class:`~repro.runtime.native.BoundLaunch`
-        holding this call's addresses (:meth:`LaunchFrame.bind`).
+    # -- the native entry (addressed plans) ---------------------------------
+    def arguments(self, lin: Linearized, params: Mapping[str, np.ndarray],
+                  arena=None):
+        """What one call of an :attr:`addressed` plan hands each launch,
+        as the library's host entry works it out — the entry run dry: it
+        writes each launch's argument vectors instead of launching.
 
-        Every supplied array is checked before the lease: a missing
-        parameter, a wrong shape (:class:`~repro.errors.ExecutionError`),
-        a dtype other than the launch ABI's or a strided array a launch
-        reads as dense memory (:class:`~repro.errors.NativeError`).
+        Returns the call's :class:`Workspace`, the arena lease (empty
+        without an arena) and per launch, in launch order, ``(kernel name,
+        launcher, pointer addresses, S vector)``.
         """
-        return self._frame.bind(lin, params, arena,
-                                self.bind_scalars(lin) if c is None else c)
+        call = self._call
+        if call is None:
+            raise ExecutionError("this plan has no native host entry")
+        out = np.zeros(call.dry_size, np.int64)
+        ws, leased, argv, keep = call.bind(lin, params, arena,
+                                           dry=out.ctypes.data)
+        call.entry.execute(argv)
+        records, at = [], 0
+        for name, fn in call.launches:
+            k = len(fn.abi_arrays) + len(fn.abi_packed)
+            m = k + len(fn.signature.scalars)
+            records.append((name, fn, out[at:at + k].tolist(),
+                            out[at + k:at + m].tolist()))
+            at += m
+        return ws, leased, records
 
 
 def _missing(name: str) -> ExecutionError:
@@ -295,35 +253,34 @@ def _missing(name: str) -> ExecutionError:
 _PROBE = operator.attrgetter("__class__", "shape", "dtype", "strides")
 
 
-class LaunchFrame:
-    """Where every pointer argument of an addressed plan's launches lives,
-    as a function of the call's shape; one per plan, never written after
-    it is built.
+class NativeCall:
+    """The Python half of one call of an :attr:`~HostPlan.addressed`
+    plan; the library's host entry (:class:`~repro.runtime.native
+    .HostEntry`) is the other.  Built once with the plan, never written
+    after.
 
-    Each argument is a slot of a call's address vector: the scratch
-    buffers in slab order, then the linearizer arrays the launches read,
-    then the parameters read as dense memory, then the packed panels.  A
-    call (:meth:`bind`) checks what the caller supplies, leases the slab
-    and fills the vector — a scratch buffer at the slab's address plus its
-    offset from :meth:`HostPlan.slab_offsets`, a linearizer array at the
-    block's address plus the term :func:`~repro.linearizer.linearize
-    .uf_term` gives, a parameter or panel at its own (cached) address —
-    then hands each launch its slots: ``base + offset`` ints, no array
-    object made before the launch.
+    A call (:meth:`bind`) checks what the caller supplies — every
+    parameter, and any buffer passed in place of a scratch one — before it
+    leases the slab, looks each parameter and packed panel up in the
+    weakref-backed cache (:func:`~repro.runtime.kernels.data_address`,
+    :func:`~repro.runtime.kernels.panel_packed`), and packs the entry's
+    argument vector (:data:`~repro.ilir.host.ENTRY_HEAD`, then the scratch
+    buffers' stand-ins, the dense parameters and the panels) into one
+    ``bytes``.  Slab offsets, linearizer-array offsets, the ``S`` vectors
+    and the launches are the entry's.
     """
 
-    def __init__(self, plan: HostPlan, phases) -> None:
-        self.plan = plan
-        #: ``(phase index, kernel name, launcher)`` in launch order
-        self.launches = [(k, name, fn) for k, phase in enumerate(phases)
-                         for name, fn in phase]
+    def __init__(self, plan: HostPlan, tables, launches, entry) -> None:
+        self.plan, self.entry = plan, entry
+        #: ``(kernel name, launcher)`` in launch order
+        self.launches = launches
         # every array a launch reads: its ABI dtype, the first kernel that
         # reads it, and the first that reads it as dense memory
         reads: Dict[str, list] = {}
-        for _, kernel, fn in self.launches:
+        for kernel, fn in launches:
             for name, dt in fn.abi_arrays:
-                entry = reads.setdefault(name, [dt, kernel, None])
-                entry[2] = entry[2] or kernel
+                read = reads.setdefault(name, [dt, kernel, None])
+                read[2] = read[2] or kernel
             for name, dt in fn.abi_packed:
                 reads.setdefault(name, [dt, kernel, None])
         self.reads = reads
@@ -341,53 +298,68 @@ class LaunchFrame:
                   tuple(b.np_dtype.itemsize * math.prod(b.static_shape[i + 1:])
                         for i in range(len(b.static_shape))))
             for b, dt, *_ in self.params]
-        self.scratch_index = {b.name: i for i, b in enumerate(plan.scratch)}
-        param_index = {name: i for i, name in enumerate(self.names)}
-        block: Dict[str, int] = {}    # linearizer array -> term index
-        dense: Dict[str, int] = {}    # parameter -> dense index
-        panels: Dict[tuple, int] = {}  # (parameter, width) -> panel index
-        #: the launch arguments no call can source, refused on every call
-        #: (``launch_refusal``'s arguments), and the linearizer arrays'
-        #: child rows: ``(rows a call needs, kernel, name, dt)``
-        self.unsourced: List[tuple] = []
-        self.rows: List[tuple] = []
-        self.block_terms: List[Tuple[int, int, int]] = []
-        refs = []
-        for _, kernel, fn in self.launches:
-            ref = []
-            for name, dt in fn.abi_arrays:
-                if name in self.scratch_index:
-                    ref.append(("slab", self.scratch_index[name]))
-                elif name in param_index:
-                    ref.append(("dense", dense.setdefault(name, len(dense))))
-                elif (term := uf_term(name)) is not None:
-                    if name not in block:
-                        block[name] = len(block)
-                        self.block_terms.append(term[:3])
-                        self.rows.append((term[3], kernel, name, dt))
-                    ref.append(("block", block[name]))
-                else:
-                    self.unsourced.append((kernel, name, None, dt))
-            for name, dt in fn.abi_packed:
-                if name not in param_index:
-                    self.unsourced.append((kernel, name, None, dt))
-                    continue
-                key = (param_index[name], fn.panel)
-                ref.append(("panel", panels.setdefault(key, len(panels))))
-            refs.append(ref)
+        self.scratch_index = {name: i for i, name in enumerate(tables.scratch)}
+        #: each scratch buffer's (then the slab end's) slab term
+        self.terms = tables.terms
+        self.param_index = {name: i for i, name in enumerate(self.names)}
+        self.dense = [self.param_index[name] for name in tables.dense]
+        self.panels = [self.param_index[name] for name in tables.panels]
+        #: the linearizer arrays that are child rows: ``(rows a call
+        #: needs, kernel, name, dt)``
+        self.rows = [(rows, reads[name][1], name, reads[name][0])
+                     for name, _, rows in tables.block if rows]
         self.min_rows = max((r[0] for r in self.rows), default=0)
-        self.dense = [param_index[name] for name in dense]
-        self.panels = list(panels)
-        # the slab's slots are its buffers' offsets, then its size
-        first = {"slab": 0, "block": len(plan.scratch) + 1}
-        first["dense"] = first["block"] + len(self.block_terms)
-        first["panel"] = first["dense"] + len(self.dense)
-        #: per launch, its pointer arguments' slots in the address vector
-        self.slots = [[first[kind] + i for kind, i in ref] for ref in refs]
+        self.panel = launches[0][1].panel
+        #: the entry's launch table: each launch's own entry point
+        self.table = (ctypes.c_void_p * len(launches))(
+            *[fn.address for _, fn in launches])
+        team = max(fn.team for _, fn in launches)
+        self.head = (ctypes.addressof(self.table), team)
+        slots = (len(ENTRY_HEAD) + len(tables.scratch) + len(self.dense)
+                 + len(self.panels))
+        self.pack = struct.Struct(f"{slots}q").pack
+        self.no_own = (0,) * len(tables.scratch)
+        #: int64s a dry run writes: per launch its pointers, then its S
+        self.dry_size = sum(len(fn.abi_arrays) + len(fn.abi_packed)
+                            + len(fn.signature.scalars)
+                            for _, fn in launches)
+
+    @classmethod
+    def of(cls, plan: HostPlan) -> Optional["NativeCall"]:
+        """``plan``'s native call, or None: not every launch is native, or
+        their library has no entry for this plan's tables."""
+        launches = [r for phase in (plan.pre, plan.leaf, plan.level,
+                                    plan.fused, plan.post) for r in phase]
+        if not launches or not all(getattr(fn, "is_native", False)
+                                   for _, fn in launches):
+            return None
+        entry, panel = launches[0][1].entry, launches[0][1].panel
+        if entry is None or any(fn.entry is not entry or fn.panel != panel
+                                for _, fn in launches):
+            return None
+        tables = host_tables(plan.module, {
+            name: (tuple(n for n, _ in fn.abi_arrays),
+                   tuple(n for n, _ in fn.abi_packed))
+            for name, fn in launches})
+        if (tables is None or tables.key != entry.key
+                or [k for _, k, _ in tables.launches]
+                != [name for name, _ in launches]
+                or list(tables.scratch) != [b.name for b in plan.scratch]):
+            return None
+        return cls(plan, tables, launches, entry)
 
     def bind(self, lin: Linearized, params: Mapping[str, np.ndarray],
-             arena, c: Dict[str, int]):
-        """:meth:`HostPlan.bind` under the scalar bindings ``c``."""
+             arena, times: int = 0, dry: int = 0):
+        """One call: its :class:`Workspace`, the arena lease (empty without
+        an arena), the entry's argument vector and the panels it points
+        into (to keep alive across the entry call).  ``times`` / ``dry``
+        are the addresses of the profile and dry-run outputs, or 0.
+
+        Every supplied array is checked before the lease: a missing
+        parameter, a wrong shape (:class:`~repro.errors.ExecutionError`),
+        a dtype other than the launch ABI's or a strided array a launch
+        reads as dense memory (:class:`~repro.errors.NativeError`).
+        """
         arrays = list(map(params.get, self.names))
         try:
             known = list(map(_PROBE, arrays)) == self.expected
@@ -395,42 +367,39 @@ class LaunchFrame:
             known = False
         if not known:
             arrays = self._checked(lin, arrays)
-        if self.unsourced:
-            raise launch_refusal(*self.unsourced[0])
         mc = lin.max_children
         if mc < self.min_rows:
             rows, kernel, name, dt = next(r for r in self.rows if r[0] > mc)
             raise launch_refusal(kernel, name, None, dt)
-        own = (self._own(lin, params)
-               if not self.scratch_index.keys().isdisjoint(params) else {})
-        n, levels = lin.num_nodes, lin.num_batches
-        offsets = self.plan.slab_offsets(n, lin.max_batch_len)
-        keep = [panel_packed(arrays[i], width) for i, width in self.panels]
+        # all present and nothing else: no buffer in place of a scratch one
+        own = {} if len(params) == len(arrays) else self._own(lin, params)
+        n, widest = lin.num_nodes, lin.max_batch_len
+        keep = [panel_packed(arrays[i], self.panel) for i in self.panels]
+        a, b, c = self.terms[-1]
+        total = (a + b * n + c * widest) & -ALIGN
+        a, b, c = self.terms[self.plan.num_zeroed]
         slab = (WorkspaceArena() if arena is None else arena).lease(
-            offsets[-1], offsets[self.plan.num_zeroed])
-        at = data_address(slab)
-        vec = [at + offset for offset in offsets]
-        for name, arr in own.items():
-            vec[self.scratch_index[name]] = data_address(arr)
-        at = lin.block_address
-        vec += [at + 4 * ((a + b * mc) * n + r * levels)
-                for a, b, r in self.block_terms]
-        vec += [data_address(arrays[i]) for i in self.dense]
-        vec += map(data_address, keep)
-        phases: Tuple[List, ...] = ([], [], [], [], [])
-        for (k, name, fn), slots in zip(self.launches, self.slots):
-            args = [vec[i] for i in slots]
-            args.append(fn.scalar_vector(c))
-            phases[k].append((name, BoundLaunch(fn, args, keep)))
-        ws = Workspace(dict(zip(self.names, arrays)), own, self, slab, lin,
-                       offsets)
-        return ws, ([] if arena is None else [slab]), phases
+            total, (a + b * n + c * widest) & -ALIGN)
+        stand_ins = self.no_own
+        if own:
+            stand_ins = [0] * len(stand_ins)
+            for name, arr in own.items():
+                stand_ins[self.scratch_index[name]] = data_address(arr)
+        argv = self.pack(
+            *self.head, times, dry, lin.block_address, data_address(slab), n,
+            lin.num_leaves, lin.num_batches,
+            -1 if lin.leaf_start is None else lin.leaf_start, widest,
+            lin.leaf_batch_count, mc, *stand_ins,
+            *[data_address(arrays[i]) for i in self.dense],
+            *map(data_address, keep))
+        ws = Workspace(self, arrays, own, slab, lin)
+        return ws, ([] if arena is None else [slab]), argv, keep
 
     def _checked(self, lin: Linearized, arrays: list) -> list:
         """Every parameter refused, typed, unless it has its declared
         shape and, where a launch reads it, the ABI's dtype and (read as
         dense memory) C-contiguity."""
-        sizes = {_NUM_NODES: lin.num_nodes, _MAX_BATCH: lin.max_batch_len}
+        sizes = {NUM_NODES: lin.num_nodes, MAX_BATCH: lin.max_batch_len}
         out = []
         for (step, dt, kernel, dense), arr in zip(self.params, arrays):
             if arr is None:
@@ -445,7 +414,7 @@ class LaunchFrame:
              params: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
         """The buffers the caller passes in place of scratch ones, by name,
         each checked as a parameter is."""
-        sizes = {_NUM_NODES: lin.num_nodes, _MAX_BATCH: lin.max_batch_len}
+        sizes = {NUM_NODES: lin.num_nodes, MAX_BATCH: lin.max_batch_len}
         own = {}
         for name, i in self.scratch_index.items():
             if name in params:
@@ -470,40 +439,42 @@ class LaunchFrame:
 
 
 class Workspace(Mapping):
-    """The buffers of one frame-run call by name, each array made the first
+    """The buffers of one native call by name, each array made the first
     time it is read: a scratch buffer as a view of the call's slab, a
     linearizer array from the ``Linearized``, a model parameter (or a
     buffer the caller passed in) as the caller's own array.  A name can
     be set to another array, as in a dict."""
 
-    __slots__ = ("_params", "_arrays", "_frame", "_slab", "_lin",
-                 "_offsets")
+    __slots__ = ("_call", "_params", "_arrays", "_slab", "_lin")
 
-    def __init__(self, params: Dict[str, np.ndarray],
-                 own: Dict[str, np.ndarray], frame: LaunchFrame,
-                 slab: np.ndarray, lin: Linearized,
-                 offsets: List[int]) -> None:
-        #: the checked parameters; then what this call made, was handed in
-        #: place of a scratch buffer, or was set
+    def __init__(self, call: NativeCall, params: List[np.ndarray],
+                 own: Dict[str, np.ndarray], slab: np.ndarray,
+                 lin: Linearized) -> None:
+        #: the checked parameters, in ``call.names`` order; then what this
+        #: call made, was handed in place of a scratch buffer, or was set
         self._params, self._arrays = params, own
-        self._frame, self._slab, self._lin = frame, slab, lin
-        self._offsets = offsets
+        self._call, self._slab, self._lin = call, slab, lin
 
     def __getitem__(self, name: str) -> np.ndarray:
         arr = self._arrays.get(name)
         if arr is not None:
             return arr
-        arr = self._params.get(name)
-        if arr is not None:
-            return arr
-        i = self._frame.scratch_index.get(name)
+        call = self._call
+        i = call.scratch_index.get(name)
         if i is not None:
-            plan, lin = self._frame.plan, self._lin
-            shape = plan.scratch_shape(i, {_NUM_NODES: lin.num_nodes,
-                                           _MAX_BATCH: lin.max_batch_len})
+            lin, step = self._lin, call.plan.scratch[i]
+            n, widest = lin.num_nodes, lin.max_batch_len
+            a, b, c = call.terms[i]
+            lead, rest, _ = step.recipe
+            lead = n if lead == NUM_NODES else widest if lead == MAX_BATCH \
+                else lead
             arr = self._arrays[name] = np.ndarray(
-                shape, plan.scratch[i].np_dtype, self._slab, self._offsets[i])
+                (lead, *rest), step.np_dtype, self._slab,
+                (a + b * n + c * widest) & -ALIGN)
             return arr
+        i = call.param_index.get(name)
+        if i is not None:
+            return self._params[i]
         if uf_term(name) is None:
             raise KeyError(name)
         for key, arr in self._lin.uf_arrays().items():
@@ -515,8 +486,8 @@ class Workspace(Mapping):
 
     def __iter__(self) -> Iterator[str]:
         return iter(dict.fromkeys((*self._lin.uf_arrays(),
-                                   *self._frame.scratch_index,
-                                   *self._params, *self._arrays)))
+                                   *self._call.scratch_index,
+                                   *self._call.names, *self._arrays)))
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
@@ -525,7 +496,6 @@ class Workspace(Mapping):
 def build_host_plan(lowered: Lowered, compiled: CompiledModule) -> HostPlan:
     """Derive the host plan from a sealed module (lowered or reloaded)."""
     module = lowered.module
-    zero_set = set(module.meta["needs_zero"])
     fns = dict(compiled.fns)
     native = getattr(compiled, "native", None)
     if native is not None:
@@ -538,39 +508,11 @@ def build_host_plan(lowered: Lowered, compiled: CompiledModule) -> HostPlan:
         k = step.kernel
         kind = "pre" if k.kind == "hoisted" else k.kind
         groups[kind].append((k.name, fns[k.name]))
-
-    buffers: List[BufferStep] = []
-    for name, buf in module.buffers.items():
-        dims: List[object] = []
-        static = True
-        for s in buf.shape:
-            if isinstance(s, Const):
-                dims.append(int(s.value))
-            elif isinstance(s, Var) and s.name in (_NUM_NODES, _MAX_BATCH):
-                dims.append(s.name)
-                static = False
-            else:
-                try:
-                    dims.append(int(evaluate(s, {})))
-                except Exception:
-                    dims.append(s)
-                    static = False
-        required = (buf.scope in ("param", "register")
-                    and not name.endswith("_hoisted"))
-        buffers.append(BufferStep(
-            name=name,
-            np_dtype=np.dtype(buf.dtype.to_numpy()),
-            dims=tuple(dims),
-            static_shape=tuple(dims) if static else None,
-            required_param=required,
-            needs_zero=name in zero_set,
-        ))
-
     return HostPlan(
         module=module,
         pre=groups["pre"], leaf=groups["leaf"], level=groups["level"],
         fused=groups["fused"], post=groups["post"],
-        buffers=buffers,
+        buffers=buffer_steps(module),
         max_children_override=(
             int(module.meta["max_children"])
             if "max_children" in module.meta else None),
@@ -619,7 +561,10 @@ def execute_plan(plan: HostPlan, lin: Linearized,
 
     The launch sequence is the host schedule of Fig. 2 — pre and hoisted
     kernels in step order, leaf kernels over the leaf batches, level
-    kernels over the internal batches, then fused and post kernels.
+    kernels over the internal batches, then fused and post kernels.  On an
+    :attr:`~HostPlan.addressed` plan the library's host entry runs all of
+    it in one native call, without the GIL; otherwise this loop calls each
+    launch record.
 
     When an exception escapes after the arena lease — a bad seed row, a
     failing kernel — the slab is released back to the arena before it
@@ -628,9 +573,10 @@ def execute_plan(plan: HostPlan, lin: Linearized,
     refused before the lease), so a failed call never shrinks the arena.
 
     ``profiler`` is an optional :class:`~repro.runtime.profiler
-    .KernelProfiler`: every launch record is wrapped in a per-call timing
-    closure and the workspace/launch phase totals are recorded.  Without
-    one (the default) the launch loop runs the plan's raw callables.
+    .KernelProfiler`: it gets each kernel's launch count and time — on an
+    addressed plan the entry's own per-launch clock readings, elsewhere a
+    timing closure around each launch record — and the workspace/launch
+    phase totals.  Without one (the default) nothing is timed per launch.
 
     ``seeds`` is an optional ``{buffer name: (row ids, rows)}`` mapping
     of pre-computed workspace rows (the memoization layer's cached
@@ -640,46 +586,23 @@ def execute_plan(plan: HostPlan, lin: Linearized,
     only ever *read* these rows through child indirection.
     """
     t_ws = time.perf_counter() if profiler is not None else 0.0
-    c = plan.bind_scalars(lin)
-    if plan.addressed:
-        ws, leased, phases = plan.bind(lin, params, arena, c)
+    call = plan._call
+    if call is not None:
+        times = (None if profiler is None
+                 else np.zeros(2 * len(call.launches), np.int64))
+        ws, leased, argv, keep = call.bind(
+            lin, params, arena, 0 if times is None else times.ctypes.data)
     else:
         ws, leased = plan.make_workspace(lin, params, arena)
-        phases = (plan.pre, plan.leaf, plan.level, plan.fused, plan.post)
     try:
         if seeds:
             for name, (rows_idx, rows) in seeds.items():
                 ws[name][rows_idx] = rows
-        if profiler is not None:
-            phases = [profiler.wrap(records) if records else records
-                      for records in phases]
-        pre, leaf, level, fused, post = phases
-
         t0 = time.perf_counter()
-        for _, fn in pre:
-            fn(ws, c)
-
-        if leaf or level:
-            begins = lin.batch_begin.tolist()
-            lengths = lin.batch_length.tolist()
-
-        if leaf:
-            nlb = c["leaf_batch_count"]
-            for _, fn in leaf:
-                for lb in range(nlb):
-                    fn(ws, c, begins[lb], lengths[lb])
-
-        if level:
-            for b in range(c["level_start"], c["num_batches"]):
-                begin = begins[b]
-                length = lengths[b]
-                for _, fn in level:
-                    fn(ws, c, begin, length)
-
-        for _, fn in fused:
-            fn(ws, c)
-        for _, fn in post:
-            fn(ws, c)
+        if call is not None:
+            call.entry.execute(argv)
+        else:
+            _launch_records(plan, lin, ws, profiler)
     except BaseException:
         # a failed execution must not leak its workspace: the slab goes
         # back to the arena (its partial contents are safe — the next lease
@@ -691,8 +614,45 @@ def execute_plan(plan: HostPlan, lin: Linearized,
 
     wall = time.perf_counter() - t0
     if profiler is not None:
+        if call is not None:
+            profiler.note_launches(call.launches, times)
         profiler.note_execution(t0 - t_ws, wall)
 
     return ExecutionResult(
         workspace=ws, lin=lin, state_buffers=list(plan.module.state_buffers),
         wall_time_s=wall, arena_buffers=leased)
+
+
+def _launch_records(plan: HostPlan, lin: Linearized, ws,
+                    profiler=None) -> None:
+    """The host schedule as a loop over ``plan``'s launch records."""
+    c = plan.bind_scalars(lin)
+    phases = [plan.pre, plan.leaf, plan.level, plan.fused, plan.post]
+    if profiler is not None:
+        phases = [profiler.wrap(records) if records else records
+                  for records in phases]
+    pre, leaf, level, fused, post = phases
+    for _, fn in pre:
+        fn(ws, c)
+
+    if leaf or level:
+        begins = lin.batch_begin.tolist()
+        lengths = lin.batch_length.tolist()
+
+    if leaf:
+        nlb = c["leaf_batch_count"]
+        for _, fn in leaf:
+            for lb in range(nlb):
+                fn(ws, c, begins[lb], lengths[lb])
+
+    if level:
+        for b in range(c["level_start"], c["num_batches"]):
+            begin = begins[b]
+            length = lengths[b]
+            for _, fn in level:
+                fn(ws, c, begin, length)
+
+    for _, fn in fused:
+        fn(ws, c)
+    for _, fn in post:
+        fn(ws, c)

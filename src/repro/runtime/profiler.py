@@ -12,10 +12,10 @@ Two sources can fill the Cortex row:
 * :func:`breakdown_from_cost` — the *modeled* row, from the analytical
   cost model (what the simulated-device benchmarks report);
 * :class:`KernelProfiler` — the *measured* row: wall-clock per-kernel
-  launch times captured by wrapping the host plan's launch records
-  (``execute_plan(..., profiler=...)``), off by default because even a
-  cheap pair of ``perf_counter`` calls per launch is measurable on
-  microsecond kernels.
+  launch times (``execute_plan(..., profiler=...)``) — read by the native
+  host entry around each kernel call, or by wrapping the host plan's
+  launch records — off by default because even a cheap pair of clock
+  reads per launch is measurable on microsecond kernels.
 """
 
 from __future__ import annotations
@@ -62,11 +62,14 @@ class KernelProfiler:
     """Per-kernel wall time and call counts for plan-based execution.
 
     Pass one to ``execute_plan`` (or ``ModelServer(profiler=...)``) and
-    every launch record is wrapped in a timing closure; :meth:`snapshot`
-    reports per-kernel call counts and totals, and :meth:`breakdown`
-    renders the accumulated time as a first-party, *measured*
-    :class:`ActivityBreakdown` row (the modeled row comes from
-    :func:`breakdown_from_cost`).
+    every launch is timed: on a plan that runs through a native library's
+    host entry, by the entry's own clock around each kernel call
+    (:meth:`note_launches`), so a native kernel's time is the kernel's
+    alone, no host-side marshalling; otherwise each launch record is
+    wrapped in a timing closure (:meth:`wrap`).  :meth:`snapshot` reports
+    per-kernel call counts and totals, and :meth:`breakdown` renders the
+    accumulated time as a first-party, *measured* :class:`ActivityBreakdown`
+    row (the modeled row comes from :func:`breakdown_from_cost`).
 
     Off by default everywhere: when no profiler is supplied the launch
     loop runs the raw callables — zero added work.  Thread-safe; the
@@ -118,6 +121,22 @@ class KernelProfiler:
             else:
                 entry[0] += 1
                 entry[1] += seconds
+
+    def note_launches(self, launches: Sequence[Tuple[str, Callable]],
+                      times) -> None:
+        """One native entry call's own clock readings: per launch record
+        ``(name, launcher)`` of ``launches``, the nanoseconds its launches
+        took and how many ran (``times``, flat pairs).  Each reading spans
+        the kernel call alone, no host-side marshalling."""
+        pairs = times.tolist()
+        with self._lock:
+            for k, (name, fn) in enumerate(launches):
+                self._native[name] = (fn.team, fn.variant)
+                ns, calls = pairs[2 * k], pairs[2 * k + 1]
+                if calls:
+                    entry = self._kernels.setdefault(name, [0, 0.0])
+                    entry[0] += calls
+                    entry[1] += ns * 1e-9
 
     def note_execution(self, workspace_s: float, exec_s: float) -> None:
         """One completed ``execute_plan`` call's phase totals."""

@@ -25,7 +25,6 @@ configuration inject the identical fault sequence, so a chaos failure
 replays exactly.
 """
 
-import copy
 import dataclasses
 import threading
 import time
@@ -96,10 +95,12 @@ class FaultInjector:
         wrapped, and its own workspace arena, ``lease`` wrapped; program,
         kernels and parameters are shared, and ``model`` is untouched.
         """
-        plan = copy.copy(model.plan)
-        for phase in _PHASES:
-            setattr(plan, phase, [(name, self._launch(fn))
-                                  for name, fn in getattr(plan, phase)])
+        # a new plan over the wrapped records: one whose launches run
+        # through a native host entry would never call them
+        plan = dataclasses.replace(model.plan, **{
+            phase: [(name, self._launch(fn))
+                    for name, fn in getattr(model.plan, phase)]
+            for phase in _PHASES})
         arena = WorkspaceArena()
         arena.lease = self._lease(arena.lease)
         return dataclasses.replace(model, plan=plan, arena=arena)

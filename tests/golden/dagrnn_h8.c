@@ -722,6 +722,115 @@ void k_fused(
   k_fused_base(rnn, Feat, b, h_sum, mu, batch_begin, batch_length, child, num_children, words, U_P, S, begin, length, team);
 }
 
+/* ---- the host program: one call runs one execute of the module.  The
+ * host plan's tables (repro.ilir.host) are baked in: where each scratch
+ * buffer lies in the slab and each linearizer array in the block, each
+ * launch's pointer slots, the scalar template and the host schedule.
+ * `argv` is the call's int64 vector: the launch table (a function per
+ * launch, in order), the team a fused launch splits across, a profile to
+ * add each launch's (ns, launches) to or 0, a dry-run output or 0, the
+ * block, the slab and the Linearized's scalars; then per scratch buffer
+ * an address in place of its slab slice (0: none), the dense parameters
+ * and the packed panels.  A dry run writes each launch's pointers and S
+ * vector instead of launching.  No Python object is touched: the caller
+ * drops the GIL.  Compiled unoptimised, like the team. */
+#include <string.h>
+#include <time.h>
+#if defined(__clang__)
+#pragma clang optimize off
+#elif defined(__GNUC__)
+#pragma GCC push_options
+#pragma GCC optimize ("O0")
+#endif
+
+typedef void (*repro_host_fn)(void);
+
+static int64_t repro_host_ns(void) {
+  struct timespec ts;
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+/* run `call` as launch i, timed when profiling */
+#define REPRO_LAUNCH(i, call) do { \
+    if (times) { \
+      const int64_t t0_ = repro_host_ns(); \
+      call; \
+      times[2 * (i)] += repro_host_ns() - t0_; \
+      times[2 * (i) + 1]++; \
+    } else { \
+      call; \
+    } \
+  } while (0)
+
+typedef void (*repro_fn_fused)(float*, const float*, const float*, float*, float*, const int32_t*, const int32_t*, const int32_t*, const int32_t*, const int32_t*, const float*, const int64_t*, int64_t, int64_t, int64_t);
+
+/* the digest of the tables this entry was generated from */
+const char* repro_host_key(void) { return "2acabc5c8229bd9f"; }
+
+void repro_execute(const char* argv) {
+  int64_t a[19];
+  memcpy(a, argv, sizeof a);
+  const repro_host_fn* const fn = (const repro_host_fn*)(intptr_t)a[0];
+  int64_t* const times = (int64_t*)(intptr_t)a[2];
+  int64_t* dry = (int64_t*)(intptr_t)a[3];
+  char* const slab = (char*)(intptr_t)a[5];
+  char* const block = (char*)(intptr_t)a[4];
+  const int64_t n = a[6];
+  const int64_t levels = a[8];
+  const int64_t mbl = a[10];
+  const int64_t mc = a[12];
+  char* p[11];
+  /* scratch buffers: the caller's own, or their slab slice */
+  p[0] = a[13] ? (char*)(intptr_t)a[13]
+         : slab + ((63) & -64);  /* rnn */
+  p[1] = a[14] ? (char*)(intptr_t)a[14]
+         : slab + ((126 + 32 * n) & -64);  /* h_sum */
+  p[2] = a[15] ? (char*)(intptr_t)a[15]
+         : slab + ((189 + 32 * n + 32 * mbl) & -64);  /* mu */
+  /* linearizer arrays in the block */
+  p[3] = block + 4 * ((2 + mc) * n);  /* batch_begin */
+  p[4] = block + 4 * ((2 + mc) * n + levels);  /* batch_length */
+  p[5] = block;  /* child */
+  p[6] = block + 4 * (mc * n);  /* num_children */
+  p[7] = block + 4 * ((1 + mc) * n);  /* words */
+  /* the dense parameters, then the packed panels */
+  for (int i = 0; i < 3; ++i)
+    p[8 + i] = (char*)(intptr_t)a[16 + i];
+  /* the S scalars, in NATIVE_SCALARS order */
+  const int64_t s[] = {n, a[7], levels, a[9], mbl, a[11], 2, a[11]};
+  const int64_t S0[] = {s[0], s[2], s[5], s[6], s[7]};
+  if (dry) {
+    /* launch 0: fused (fused) */
+    *dry++ = (int64_t)(intptr_t)p[0];
+    *dry++ = (int64_t)(intptr_t)p[8];
+    *dry++ = (int64_t)(intptr_t)p[9];
+    *dry++ = (int64_t)(intptr_t)p[1];
+    *dry++ = (int64_t)(intptr_t)p[2];
+    *dry++ = (int64_t)(intptr_t)p[3];
+    *dry++ = (int64_t)(intptr_t)p[4];
+    *dry++ = (int64_t)(intptr_t)p[5];
+    *dry++ = (int64_t)(intptr_t)p[6];
+    *dry++ = (int64_t)(intptr_t)p[7];
+    *dry++ = (int64_t)(intptr_t)p[10];
+    *dry++ = S0[0];
+    *dry++ = S0[1];
+    *dry++ = S0[2];
+    *dry++ = S0[3];
+    *dry++ = S0[4];
+    return;
+  }
+  REPRO_LAUNCH(0, ((repro_fn_fused)fn[0])(
+          (float*)p[0], (const float*)p[8], (const float*)p[9], (float*)p[1], (float*)p[2], (const int32_t*)p[3], (const int32_t*)p[4], (const int32_t*)p[5], (const int32_t*)p[6], (const int32_t*)p[7], (const float*)p[10], S0,
+          0, 0, a[1]));
+}
+
+#if defined(__clang__)
+#pragma clang optimize on
+#elif defined(__GNUC__)
+#pragma GCC pop_options
+#endif
+
 /* ---- linearizer: pointer structure -> the int32 block
  *   child[mc][n] | num_children[n] | words[n] | batch_begin[L] |
  *   batch_length[L] | roots[r]

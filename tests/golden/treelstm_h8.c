@@ -797,6 +797,148 @@ void k_fused(
   k_fused_base(rnn_h_ph, rnn_c_ph, Emb, bi, bo, bu, bf, h_tilde, mi, mo, mu, gi, go, gu, mf, gf, fc_sum, batch_begin, batch_length, child, num_children, words, Ui_P, Uo_P, Uu_P, Uf_P, S, begin, length, team);
 }
 
+/* ---- the host program: one call runs one execute of the module.  The
+ * host plan's tables (repro.ilir.host) are baked in: where each scratch
+ * buffer lies in the slab and each linearizer array in the block, each
+ * launch's pointer slots, the scalar template and the host schedule.
+ * `argv` is the call's int64 vector: the launch table (a function per
+ * launch, in order), the team a fused launch splits across, a profile to
+ * add each launch's (ns, launches) to or 0, a dry-run output or 0, the
+ * block, the slab and the Linearized's scalars; then per scratch buffer
+ * an address in place of its slab slice (0: none), the dense parameters
+ * and the packed panels.  A dry run writes each launch's pointers and S
+ * vector instead of launching.  No Python object is touched: the caller
+ * drops the GIL.  Compiled unoptimised, like the team. */
+#include <string.h>
+#include <time.h>
+#if defined(__clang__)
+#pragma clang optimize off
+#elif defined(__GNUC__)
+#pragma GCC push_options
+#pragma GCC optimize ("O0")
+#endif
+
+typedef void (*repro_host_fn)(void);
+
+static int64_t repro_host_ns(void) {
+  struct timespec ts;
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+/* run `call` as launch i, timed when profiling */
+#define REPRO_LAUNCH(i, call) do { \
+    if (times) { \
+      const int64_t t0_ = repro_host_ns(); \
+      call; \
+      times[2 * (i)] += repro_host_ns() - t0_; \
+      times[2 * (i) + 1]++; \
+    } else { \
+      call; \
+    } \
+  } while (0)
+
+typedef void (*repro_fn_fused)(float*, float*, const float*, const float*, const float*, const float*, const float*, float*, float*, float*, float*, float*, float*, float*, float*, float*, float*, const int32_t*, const int32_t*, const int32_t*, const int32_t*, const int32_t*, const float*, const float*, const float*, const float*, const int64_t*, int64_t, int64_t, int64_t);
+
+/* the digest of the tables this entry was generated from */
+const char* repro_host_key(void) { return "54355dae326bf06f"; }
+
+void repro_execute(const char* argv) {
+  int64_t a[34];
+  memcpy(a, argv, sizeof a);
+  const repro_host_fn* const fn = (const repro_host_fn*)(intptr_t)a[0];
+  int64_t* const times = (int64_t*)(intptr_t)a[2];
+  int64_t* dry = (int64_t*)(intptr_t)a[3];
+  char* const slab = (char*)(intptr_t)a[5];
+  char* const block = (char*)(intptr_t)a[4];
+  const int64_t n = a[6];
+  const int64_t levels = a[8];
+  const int64_t mbl = a[10];
+  const int64_t mc = a[12];
+  char* p[26];
+  /* scratch buffers: the caller's own, or their slab slice */
+  p[0] = a[13] ? (char*)(intptr_t)a[13]
+         : slab + ((63) & -64);  /* rnn_h_ph */
+  p[1] = a[14] ? (char*)(intptr_t)a[14]
+         : slab + ((126 + 32 * n) & -64);  /* rnn_c_ph */
+  p[2] = a[15] ? (char*)(intptr_t)a[15]
+         : slab + ((189 + 64 * n) & -64);  /* h_tilde */
+  p[3] = a[16] ? (char*)(intptr_t)a[16]
+         : slab + ((252 + 64 * n + 32 * mbl) & -64);  /* mi */
+  p[4] = a[17] ? (char*)(intptr_t)a[17]
+         : slab + ((315 + 64 * n + 64 * mbl) & -64);  /* mo */
+  p[5] = a[18] ? (char*)(intptr_t)a[18]
+         : slab + ((378 + 64 * n + 96 * mbl) & -64);  /* mu */
+  p[6] = a[19] ? (char*)(intptr_t)a[19]
+         : slab + ((441 + 64 * n + 128 * mbl) & -64);  /* gi */
+  p[7] = a[20] ? (char*)(intptr_t)a[20]
+         : slab + ((504 + 64 * n + 160 * mbl) & -64);  /* go */
+  p[8] = a[21] ? (char*)(intptr_t)a[21]
+         : slab + ((567 + 64 * n + 192 * mbl) & -64);  /* gu */
+  p[9] = a[22] ? (char*)(intptr_t)a[22]
+         : slab + ((630 + 64 * n + 224 * mbl) & -64);  /* mf */
+  p[10] = a[23] ? (char*)(intptr_t)a[23]
+         : slab + ((693 + 64 * n + 288 * mbl) & -64);  /* gf */
+  p[11] = a[24] ? (char*)(intptr_t)a[24]
+         : slab + ((756 + 64 * n + 352 * mbl) & -64);  /* fc_sum */
+  /* linearizer arrays in the block */
+  p[12] = block + 4 * ((2 + mc) * n);  /* batch_begin */
+  p[13] = block + 4 * ((2 + mc) * n + levels);  /* batch_length */
+  p[14] = block;  /* child */
+  p[15] = block + 4 * (mc * n);  /* num_children */
+  p[16] = block + 4 * ((1 + mc) * n);  /* words */
+  /* the dense parameters, then the packed panels */
+  for (int i = 0; i < 9; ++i)
+    p[17 + i] = (char*)(intptr_t)a[25 + i];
+  /* the S scalars, in NATIVE_SCALARS order */
+  const int64_t s[] = {n, a[7], levels, a[9], mbl, a[11], 2, a[11]};
+  const int64_t S0[] = {s[0], s[2], s[5], s[6], s[7]};
+  if (dry) {
+    /* launch 0: fused (fused) */
+    *dry++ = (int64_t)(intptr_t)p[0];
+    *dry++ = (int64_t)(intptr_t)p[1];
+    *dry++ = (int64_t)(intptr_t)p[17];
+    *dry++ = (int64_t)(intptr_t)p[18];
+    *dry++ = (int64_t)(intptr_t)p[19];
+    *dry++ = (int64_t)(intptr_t)p[20];
+    *dry++ = (int64_t)(intptr_t)p[21];
+    *dry++ = (int64_t)(intptr_t)p[2];
+    *dry++ = (int64_t)(intptr_t)p[3];
+    *dry++ = (int64_t)(intptr_t)p[4];
+    *dry++ = (int64_t)(intptr_t)p[5];
+    *dry++ = (int64_t)(intptr_t)p[6];
+    *dry++ = (int64_t)(intptr_t)p[7];
+    *dry++ = (int64_t)(intptr_t)p[8];
+    *dry++ = (int64_t)(intptr_t)p[9];
+    *dry++ = (int64_t)(intptr_t)p[10];
+    *dry++ = (int64_t)(intptr_t)p[11];
+    *dry++ = (int64_t)(intptr_t)p[12];
+    *dry++ = (int64_t)(intptr_t)p[13];
+    *dry++ = (int64_t)(intptr_t)p[14];
+    *dry++ = (int64_t)(intptr_t)p[15];
+    *dry++ = (int64_t)(intptr_t)p[16];
+    *dry++ = (int64_t)(intptr_t)p[22];
+    *dry++ = (int64_t)(intptr_t)p[23];
+    *dry++ = (int64_t)(intptr_t)p[24];
+    *dry++ = (int64_t)(intptr_t)p[25];
+    *dry++ = S0[0];
+    *dry++ = S0[1];
+    *dry++ = S0[2];
+    *dry++ = S0[3];
+    *dry++ = S0[4];
+    return;
+  }
+  REPRO_LAUNCH(0, ((repro_fn_fused)fn[0])(
+          (float*)p[0], (float*)p[1], (const float*)p[17], (const float*)p[18], (const float*)p[19], (const float*)p[20], (const float*)p[21], (float*)p[2], (float*)p[3], (float*)p[4], (float*)p[5], (float*)p[6], (float*)p[7], (float*)p[8], (float*)p[9], (float*)p[10], (float*)p[11], (const int32_t*)p[12], (const int32_t*)p[13], (const int32_t*)p[14], (const int32_t*)p[15], (const int32_t*)p[16], (const float*)p[22], (const float*)p[23], (const float*)p[24], (const float*)p[25], S0,
+          0, 0, a[1]));
+}
+
+#if defined(__clang__)
+#pragma clang optimize on
+#elif defined(__GNUC__)
+#pragma GCC pop_options
+#endif
+
 /* ---- linearizer: pointer structure -> the int32 block
  *   child[mc][n] | num_children[n] | words[n] | batch_begin[L] |
  *   batch_length[L] | roots[r]

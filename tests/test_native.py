@@ -528,6 +528,31 @@ def test_profiler_labels_native_kernels():
     assert prof2.breakdown().framework == "Cortex (measured)"
 
 
+@needs_cc
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_profiled_native_time_is_the_kernels_own(preset):
+    """On the native entry a profile reads each launch's own clock in C:
+    the kernel time of every call is below that call's execute wall, and
+    kernel names and launch counts are the Python target's, the one
+    fused launch per call of the headline schedule included."""
+    nat = _compile("treelstm", "c", **PRESETS[preset])
+    py = _compile("treelstm", "python", **PRESETS[preset])
+    assert nat.plan.addressed
+    for roots in _inputs("treelstm"):
+        profs = []
+        for model in (nat, py):
+            prof = KernelProfiler()
+            execute_plan(model.plan, model._linearize(roots, True),
+                         model.params, profiler=prof)
+            profs.append(prof.snapshot())
+        got, want = profs
+        assert 0 < got["kernel_time_s"] < got["exec_s"]
+        assert {k: row["calls"] for k, row in got["kernels"].items()} == {
+            k: row["calls"] for k, row in want["kernels"].items()}
+        if not preset.startswith("unfused"):
+            assert got["kernel_calls"] == 1
+
+
 # -- artifacts -----------------------------------------------------------------
 
 @needs_cc
@@ -1162,6 +1187,61 @@ def _run_in_fork_child(model, trees, conn):
 
 
 @needs_cc
+def test_host_entry_releases_the_gil():
+    """While one long native execute runs (a 400-tree h256 forest, a team
+    of one), another Python thread keeps running: the entry is one
+    ``CDLL`` call, and the GIL is released across all of its launches."""
+    import threading
+    import time
+
+    model = _compile("treelstm", "c", hidden=256)
+    plan = _variant_plan(model, model.compiled.native.variant, team=1)
+    call = plan._call
+    trees = synthetic_treebank(400, vocab_size=VOCAB,
+                               rng=np.random.default_rng(13))
+    lin = model._linearize(trees, True)
+    execute_plan(plan, lin, model.params)  # packs the panels
+
+    window, seen, stop = [], [], threading.Event()
+
+    class Timed:
+        """The entry, with the wall-clock window of its native call."""
+
+        key = call.entry.key
+
+        def execute(self, argv):
+            window.append(time.perf_counter())
+            real.execute(argv)
+            window.append(time.perf_counter())
+
+    def count():
+        while not stop.is_set():
+            seen.append(time.perf_counter())
+
+    real, call.entry = call.entry, Timed()
+    counter = threading.Thread(target=count, daemon=True)
+    try:
+        counter.start()
+        while not seen:
+            time.sleep(1e-3)
+        got = execute_plan(plan, lin, model.params)
+    finally:
+        stop.set()
+        call.entry = real
+        counter.join(10.0)
+    start, end = window
+    assert end - start > 0.04, "too short a call to tell"
+    # held, the GIL would let the counter run one switch interval (5 ms)
+    # at either end of the window at most; released, it runs throughout
+    middle = [t for t in seen
+              if start + (end - start) / 4 < t < end - (end - start) / 4]
+    assert len(middle) > 100, (len(middle), end - start)
+    want = execute_plan(model.plan, lin, model.params)
+    for name in model.outputs:
+        assert np.array_equal(got.workspace[name], want.workspace[name])
+
+
+@needs_cc
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="counts threads through /proc")
 def test_fork_child_starts_its_own_team(monkeypatch):
@@ -1623,6 +1703,7 @@ for specialize in (True, False):
         return build_host_plan(model.lowered, compiled)
 
     one, two = plan(1), plan(2)
+    assert one.addressed and two.addressed  # through the host entry
     for tree in trees:
         lin = model._linearize([tree], True)
         a = execute_plan(one, lin, model.params).workspace
@@ -1635,11 +1716,12 @@ print("team ran clean")
 
 @needs_cc
 def test_team_runs_clean_under_tsan(tmp_path):
-    """103 h256 calls split across a team of two, on the specialized and
-    the unspecialized schedule and the variant this host dispatches to,
-    under ThreadSanitizer (halting on its first report): the barriers
-    codegen placed order every cross-column read after its writes, and a
-    missing child's gather never reads the row its level is writing."""
+    """103 h256 calls through the host entry split across a team of two,
+    on the specialized and the unspecialized schedule and the variant this
+    host dispatches to, under ThreadSanitizer (halting on its first
+    report): the barriers codegen placed order every cross-column read
+    after its writes, and a missing child's gather never reads the row
+    its level is writing."""
     _run_preloaded(_TEAM_UNDER_TSAN, tmp_path, runtime="tsan")
 
 
@@ -2035,10 +2117,11 @@ def test_artifacts_linearize_from_their_own_library(tmp_path, monkeypatch):
 @needs_cc
 @pytest.mark.parametrize("name", ZOO)
 def test_planned_addresses_are_the_arrays_own(name):
-    """Every address a launch frame hands a native launch is that array's
-    own: ``ctypes.data`` of the workspace's buffer, or of its packed
-    panel; an array a caller swaps into the workspace is launched as
-    itself, checked; and the parameter / panel addresses retire with the
+    """Every address the host entry hands a native launch (the entry run
+    dry) is that array's own: ``ctypes.data`` of the workspace's buffer,
+    or of its packed panel, and its ``S`` vector is ``bind_scalars``'; an
+    array a caller swaps into the workspace is launched as itself,
+    checked; and the parameter / panel addresses retire with the
     panels."""
     from repro.runtime.kernels import (_CONTIG_CACHE, clear_contig_cache,
                                        data_address, panel_packed)
@@ -2049,15 +2132,13 @@ def test_planned_addresses_are_the_arrays_own(name):
     roots = _inputs(name)
     for lin in (model._linearize(roots, True), model._linearize(roots, False)):
         c = plan.bind_scalars(lin)
-        ws, _, phases = plan.bind(lin, model.params, None, c)
-        for _, bound in (r for records in phases for r in records):
-            fn = bound.launcher
-            assert bound.args[:-1] == (
+        ws, _, launches = plan.arguments(lin, model.params)
+        for _, fn, addresses, scalars in launches:
+            assert addresses == (
                 [ws[n].ctypes.data for n, _ in fn.abi_arrays]
                 + [data_address(panel_packed(ws[n], fn.panel))
                    for n, _ in fn.abi_packed])
-            assert list(bound.args[-1]) == [c[s] for s in
-                                            fn.signature.scalars]
+            assert scalars == [c[s] for s in fn.signature.scalars]
         want = execute_plan(plan, lin, model.params)
         # a caller swaps an array in after the frame addressed the old one
         ws["words"] = ws["words"].copy()
@@ -2212,6 +2293,57 @@ print("walker ran clean")
 @needs_cc
 def test_native_walker_under_asan_and_ubsan(tmp_path):
     _run_preloaded(_WALKER_UNDER_ASAN, tmp_path)
+
+
+_ENTRY_UNDER_SANITIZERS = """
+import numpy as np
+from repro.data import grid_dag_batch, synthetic_treebank
+from repro.options import PRESETS
+from repro.pipeline import CompilerPipeline
+from repro.runtime import native
+from repro.runtime.native import DEFAULT_CFLAGS, NativeModule
+from repro.runtime.plan import (_launch_records, build_host_plan,
+                                execute_plan)
+from repro.runtime.profiler import KernelProfiler
+
+native.host_variant = lambda: "base"  # the entry is in the runtime part
+flags = DEFAULT_CFLAGS + ("-fsanitize=address,undefined",
+                          "-fno-sanitize-recover=all")
+for name in ("treelstm", "treegru", "treernn", "dagrnn"):
+    for preset in ("paper_headline", "unfused_ablation"):
+        opts = PRESETS[preset].with_(target="python")
+        build = {"num_cells": 64} if name == "dagrnn" else {"vocab": 50}
+        model = CompilerPipeline().compile(
+            name, opts, hidden=40, rng=np.random.default_rng(0), **build)
+        model.compiled.native = NativeModule.from_ilmodule(
+            model.lowered.module, flags=flags)
+        plan = build_host_plan(model.lowered, model.compiled)
+        assert plan.addressed, (name, preset)
+        rng = np.random.default_rng(2)
+        batches = ([grid_dag_batch(1, 3, 3), grid_dag_batch(2, 4, 5)]
+                   if name == "dagrnn" else
+                   [synthetic_treebank(k, vocab_size=50, rng=rng)
+                    for k in (1, 4)])
+        for roots in batches:
+            lin = model._linearize(roots, True)
+            got = execute_plan(plan, lin, model.params,
+                               profiler=KernelProfiler())
+            ws, _ = plan.make_workspace(lin, model.params)
+            _launch_records(plan, lin, ws)
+            for out in model.outputs:
+                assert got.workspace[out].tobytes() == ws[out].tobytes()
+            plan.arguments(lin, model.params)
+print("entry ran clean")
+"""
+
+
+@needs_cc
+def test_host_entry_under_asan_and_ubsan(tmp_path):
+    """The host entry, built with ASan and UBSan (halting on the first
+    report; the base variant alone, as the entry is the runtime part's),
+    runs the zoo at h40 on both presets — launched, profiled and dry — and
+    matches the launchers called by hand bit for bit."""
+    _run_preloaded(_ENTRY_UNDER_SANITIZERS, tmp_path)
 
 
 # -- golden snapshots of the generated C ---------------------------------------

@@ -642,10 +642,98 @@ def test_lazy_views_are_the_eager_arrays(name, preset):
     assert session.last.seeds or name == "dagrnn"
 
 
+def _entry_model(m, variant, team):
+    """``m`` with a host plan over one ISA variant's own entry points,
+    fused kernels split across ``team`` members, and an arena of its own:
+    every call runs through the library's host entry."""
+    import copy
+    import dataclasses
+
+    compiled = copy.copy(m.compiled)
+    compiled.native = types.SimpleNamespace(
+        fns=m.compiled.native.variant_fns(variant, team=team))
+    plan = get_host_plan(m.lowered, compiled)
+    assert plan.addressed
+    return dataclasses.replace(m, plan=plan, arena=WorkspaceArena())
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+@pytest.mark.parametrize("preset", ["paper_headline", "unfused_ablation",
+                                    "debug"])
+@pytest.mark.parametrize("name", list(MODELS))
+def test_host_entry_is_bitwise_the_launchers_by_hand(name, preset):
+    """One call into the library's host entry gives the bits of the same
+    launchers called one by one, each marshalling its arrays by hand —
+    on every ISA variant the library holds (that this CPU runs), fused
+    kernels teamed one and two: through ``run``, ``run_many``, a
+    memoized flush with seeds, a coalesced server flush and a buffer the
+    caller passes in place of a scratch one."""
+    from repro.errors import MemoError
+    from repro.memo import MemoSession
+    from repro.options import PRESETS
+    from repro.runtime.native import cpu_variants
+    from repro.serve import MaxPendingRequests
+
+    m = _small_model(name, **dict(PRESETS[preset].to_dict(), target="c"))
+    rng = np.random.default_rng(7)
+    roots, more = _inputs(name, rng), _inputs(name, rng, batch=2)
+    outs = m.default_outputs()
+    runs = cpu_variants() or ("base",)
+    for variant in [v for v in m.compiled.native.holds if v in runs]:
+        for team in (1, 2):
+            vm = _entry_model(m, variant, team)
+            where = (variant, team)
+            res = vm.run(roots)
+            want = _eager_workspace(vm, vm.lowered.linearizer(roots))
+            for out in outs:
+                assert res.workspace[out].tobytes() == want[out].tobytes(), \
+                    (where, out)
+
+            for batch, got in zip((roots, more), vm.run_many(
+                    [roots, more], validate=Validate.NEVER)):
+                lin = vm.fast_linearizer()(batch)
+                eager = _eager_workspace(vm, lin)
+                for out in outs:
+                    assert got.outputs[out].tobytes() == (
+                        eager[out][lin.input_roots].tobytes()), (where, out)
+
+            srv = vm.server(policy=MaxPendingRequests(2))
+            handles = [srv.submit(r) for r in (roots, more)]
+            srv.flush()
+            for batch, h in zip((roots, more), handles):
+                lin = vm.lowered.linearizer(batch)
+                eager = _eager_workspace(vm, lin)
+                for out in outs:
+                    assert h.result().root_output(out).tobytes() == (
+                        eager[out][lin.input_roots].tobytes()), (where, out)
+
+            lin = vm.lowered.linearizer(roots)
+            mine = {out: np.zeros_like(want[out]) for out in outs[:1]}
+            res = execute_plan(vm.plan, lin, {**vm.params, **mine})
+            for out in outs:
+                assert res.workspace[out].tobytes() == want[out].tobytes()
+            assert all(res.workspace[k] is v for k, v in mine.items())
+
+            try:
+                session = MemoSession(vm)
+            except MemoError:
+                continue  # a model the splicer refuses has no memoized flush
+            session.run(roots[0])
+            tree = roots[0] if name == "dagrnn" else more[0]
+            got = session.run_many([[roots[0], tree]])[0]
+            lin = vm.lowered.linearizer([roots[0], tree])
+            eager = _eager_workspace(vm, lin)
+            for out in session._outputs:
+                assert got[out].tobytes() == (
+                    eager[out][lin.input_roots].tobytes()), (where, out)
+            assert session.last.seeds or name == "dagrnn"
+
+
 @pytest.mark.skipif(not native_available(), reason="no C compiler")
 def test_every_call_shape_gets_its_own_addresses():
-    """The one launch frame serves every call shape: over forty trees of
-    many shapes, each launch's addresses are its workspace arrays' own and
+    """The one host entry serves every call shape: over forty trees of
+    many shapes, each launch's addresses (the entry run dry) are its
+    workspace arrays' own, its ``S`` vector is ``bind_scalars``', and
     each call's outputs are bitwise the eager host's."""
     from repro.runtime.kernels import data_address, panel_packed
 
@@ -657,14 +745,14 @@ def test_every_call_shape_gets_its_own_addresses():
         lin = m.fast_linearizer()([t])
         shapes.add((lin.num_nodes, lin.max_batch_len, lin.num_batches))
         c = plan.bind_scalars(lin)
-        ws, (slab,), phases = plan.bind(lin, m.params, m.arena, c)
+        ws, (slab,), launches = plan.arguments(lin, m.params, m.arena)
         try:
-            for _, bound in (r for records in phases for r in records):
-                fn = bound.launcher
-                assert bound.args[:-1] == (
+            for _, fn, addresses, scalars in launches:
+                assert addresses == (
                     [ws[n].ctypes.data for n, _ in fn.abi_arrays]
                     + [data_address(panel_packed(ws[n], fn.panel))
                        for n, _ in fn.abi_packed])
+                assert scalars == [c[s] for s in fn.signature.scalars]
         finally:
             m.arena.release_many([slab])
         res = m.run([t], reuse=True, validate=Validate.NEVER)

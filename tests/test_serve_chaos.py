@@ -38,6 +38,7 @@ from repro.linearizer import branch, leaf
 from repro.models.registry import MODELS
 from repro.models.sequential import make_sequence
 from repro.obs import FakeClock
+from repro.runtime.native import native_available
 from repro.serve import (BreakerState, CircuitBreaker, MaxPendingRequests,
                          ModelServer, Router, WorkerPool)
 from repro.serve.request import RequestHandle
@@ -120,6 +121,30 @@ def test_chaos_transient_kernel_faults_bitwise_or_typed():
         total_injected += faults.kernel_failures
     # the run must actually have been chaotic (holds for the CI seeds)
     assert total_injected > 0
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+def test_injected_kernel_faults_reach_a_native_host_entry():
+    """On ``target="c"`` a call runs through the library's host entry,
+    not the plan's launch records; the injector's view still launches its
+    wrapped records, so a fault fires there as on the Python target, and
+    a spared request is served bitwise."""
+    m = _small_model("treelstm", target="c")
+    assert m.plan.addressed
+    rng = np.random.default_rng(CHAOS_SEED)
+    for rate in (1.0, 0.0):
+        faults = FaultInjector(seed=CHAOS_SEED, kernel_failure_rate=rate)
+        view = faults.wrap(m)
+        assert not view.plan.addressed
+        roots = _request("treelstm", rng)
+        srv = view.server(policy=MaxPendingRequests(1))
+        handle = srv.submit(roots)
+        srv.drain()
+        if rate:
+            assert getattr(handle.exception(), "injected", False)
+        else:
+            _assert_request_matches_solo(m, roots, handle.result())
+        assert faults.kernel_failures == int(rate)
 
 
 def test_chaos_arena_faults_healed_without_leaking_the_pool():
