@@ -27,6 +27,10 @@ simulated-device estimate (:func:`repro.runtime.estimate`, kept outside
 the run paths) are derived from; a reloaded model lacks only its model
 definition and the RA program.
 
+A model has one :class:`~repro.linearizer.Linearizer`,
+``model.lowered.linearizer`` (on ``target="c"`` it walks in the ``.so``);
+``validate=`` decides per call whether it checks.
+
 For repeated inference over a stream of input batches, use the amortized
 entry points: ``model.run(roots, reuse=True)`` recycles workspace buffers
 through the model's arena (the previous call's result buffers are reclaimed
@@ -36,9 +40,10 @@ copying for you, returning per-batch root outputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping,
+                    Optional, Sequence, Union)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .authoring import ModelDef
@@ -48,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 import numpy as np
 
 from .ilir.codegen.compiled import CompiledModule
-from .linearizer import Linearized, Linearizer, Node
+from .linearizer import Linearized, Node
 from .options import CompileOptions, Validate
 from .ra.lowering import Lowered
 from .ra.ops import Program
@@ -116,7 +121,9 @@ class CortexModel:
     def __post_init__(self) -> None:
         if self.plan is None:
             self.plan = get_host_plan(self.lowered, self.compiled)
-        self._fast_linearizer: Optional[Linearizer] = None
+        native = getattr(self.compiled, "native", None)
+        if native is not None:  # target="c": walk in the module's .so
+            self.lowered.linearizer.use_native(native.walker)
         self._leased: List[np.ndarray] = []  # the last reuse call's slab
         self._params_version = 0
         self._memo_key: Optional[str] = None
@@ -163,35 +170,16 @@ class CortexModel:
         return self._memo_key
 
     # -- linearization -------------------------------------------------------
-    def fast_linearizer(self) -> Linearizer:
-        """The model's check-free linearizer (built lazily, then shared).
-
-        Bit-identical layouts to ``lowered.linearizer``; input validation
-        and numbering re-verification are skipped.  Used by
-        ``run(validate=Validate.NEVER)``, ``run_many`` and the serving
-        flush loop.
-        """
-        if self._fast_linearizer is None:
-            self._fast_linearizer = self.lowered.linearizer.fast_clone()
-            native = getattr(self.compiled, "native", None)
-            if native is not None:
-                # target="c": the walk is the one the module's .so carries
-                self._fast_linearizer.use_native(native.walker)
-        return self._fast_linearizer
+    def fast_linearizer(self) -> Callable[..., Linearized]:
+        # read-only alias (check=False), kept only because the frozen
+        # benchmarks/e2e/child.py calls it; remove in the next benchmark PR
+        return functools.partial(self.lowered.linearizer, check=False)
 
     def default_outputs(self) -> List[str]:
         """Buffer names result copies cover by default: outputs + state."""
         return list(dict.fromkeys(
             list(self.lowered.module.output_buffers)
             + list(self.lowered.module.state_buffers)))
-
-    def _linearize(self, roots: Union[Node, Sequence[Node]],
-                   check: bool) -> Linearized:
-        if isinstance(roots, Node):
-            roots = [roots]
-        if check:
-            return self.lowered.linearizer(roots)
-        return self.fast_linearizer()(roots)
 
     def release(self) -> None:
         """Return the last ``run(reuse=True)`` call's workspace to the arena.
@@ -217,12 +205,12 @@ class CortexModel:
         prior result's workspace must not be read after this returns (copy
         what you need, or use :meth:`run_many`, which copies for you).
         ``validate`` is a :class:`~repro.options.Validate` member: anything
-        but ``Validate.NEVER`` structure-checks this call's input; skipping
-        only amortizes away the §3 checks — layout and outputs are
-        unchanged.
+        but ``Validate.NEVER`` structure-checks this call's input and its
+        linearized layout; skipping only amortizes away those checks —
+        layout and outputs are unchanged.
         """
         check = _validate_mode(validate) is not Validate.NEVER
-        lin = self._linearize(roots, check)
+        lin = self.lowered.linearizer(roots, check=check)
         if not reuse:
             return execute_plan(self.plan, lin, self.params)
         self.release()
@@ -246,7 +234,7 @@ class CortexModel:
                  else self.default_outputs())
         results: List[BatchResult] = []
         for i, roots in enumerate(batches):
-            lin = self._linearize(roots, mode.checks_step(i))
+            lin = self.lowered.linearizer(roots, check=mode.checks_step(i))
             res = execute_plan(self.plan, lin, self.params,
                                arena=self.arena)
             # advanced indexing already yields fresh arrays (never views),

@@ -49,10 +49,6 @@ class BatchPlan:
     def num_nodes(self) -> int:
         return sum(len(b) for b in self.batches) + len(self.stubs)
 
-    @property
-    def max_batch_len(self) -> int:
-        return max(len(b) for b in self.batches)
-
 
 def plan_batches(roots: Sequence[Node], *, dynamic_batch: bool,
                  specialize_leaves: bool,

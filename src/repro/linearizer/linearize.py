@@ -16,11 +16,11 @@ reports it as a fraction of total inference latency.
 
 The arrays are views of one int32 block (:func:`block_size`), cut on
 first access.  Two walkers fill it: :meth:`Linearizer._build_arrays` here, and —
-on ``target="c"``, for the unchecked clone's stub-free height-batched
-calls — the one the module's ``.so`` carries
-(:func:`repro.runtime.native.load_walker`), held byte-identical to this one
-by test and deferring to it on any refusal.  A native launch reads the
-block by address (:attr:`Linearized.block_address`) and cuts no view.
+on ``target="c"``, for stub-free height-batched calls, checked or not —
+the ``.so``'s (:func:`repro.runtime.native.load_walker`), held
+byte-identical to this one by test and deferring to it on any refusal; a
+checked call verifies its block (:func:`check_block`).  A native
+launch reads the block by address (:attr:`Linearized.block_address`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from ..errors import LinearizationError
 from .batches import BatchPlan, plan_batches
-from .numbering import assign_ids, check_numbering, execution_order
+from .numbering import assign_ids, execution_order
 from .structures import Node, StructureKind, validate
 
 #: the arrays of a :class:`Linearized`, in the order its block holds them
@@ -225,6 +225,36 @@ def split_root_ids(ids: Iterable[int], sets: Sequence[Sequence[Node]]
     return [flat[a:b] for a, b in pairwise(bounds)]
 
 
+def check_block(lin: Linearized) -> None:
+    """Refuse a stub-free block that breaks an Appendix-B invariant the
+    kernels index by (:func:`~repro.linearizer.numbering.check_numbering`'s,
+    read off the arrays and scalars, so it holds for either walker)."""
+    n, child, arity = lin.num_nodes, lin.child, lin.num_children
+    # arities lie in 0..max_children (a negative one is huge as uint32); a
+    # node's first ``arity`` slots hold ids between its own and n, the
+    # rest -1 (int32 operands spare casts; count_nonzero is the cheapest)
+    live = np.arange(lin.max_children, dtype=np.int32)[:, None] < arity
+    if int(arity.view(np.uint32).max()) > lin.max_children or (
+            np.count_nonzero(np.where(live, (child >= n) | (
+                child <= np.arange(n, dtype=np.int32)), child != -1))):
+        raise LinearizationError("child ids or arities break the numbering")
+    lengths, first = lin.batch_length, lin.leaf_batch_count
+    start = lin.leaf_start
+    tops = n - lengths.cumsum(dtype=np.int32)
+    if (not lengths.size or int(lengths.min()) < 1 or tops[-1] != 0
+            or np.count_nonzero(lin.batch_begin != tops)):
+        raise LinearizationError("batches do not tile the ids")
+    # the leaf batches and the ids from leaf_start up are the leaves
+    if (n - np.count_nonzero(arity) != lin.num_leaves
+            or (first and start != n - int(lengths[:first].sum()))
+            or (start is not None and (start != n - lin.num_leaves
+                                       or np.count_nonzero(arity[start:])))):
+        raise LinearizationError("leaf_start, num_leaves or the leaf "
+                                 "batches misplace the leaves")
+    if int(lin.roots.view(np.uint32).max()) >= n:
+        raise LinearizationError("a root id lies outside the block")
+
+
 class Linearizer:
     """Generated-per-model data structure linearizer.
 
@@ -236,7 +266,6 @@ class Linearizer:
 
     def __init__(self, kind: StructureKind, max_children: int, *,
                  dynamic_batch: bool = True, specialize_leaves: bool = True,
-                 validate_inputs: bool = True, check: bool = True,
                  word_limit: Optional[int] = None):
         if max_children < 1:
             raise LinearizationError("max_children must be >= 1")
@@ -244,17 +273,11 @@ class Linearizer:
         self.max_children = max_children
         self.dynamic_batch = dynamic_batch
         self.specialize_leaves = specialize_leaves
-        self.validate_inputs = validate_inputs
         #: declared rows of the smallest table the model gathers through
         #: ``words`` (None: it gathers none).  Every call rejects payloads
-        #: at or past it, ``validate_inputs`` or not — the Python kernels
-        #: would raise a bare IndexError and the native ones read out of
-        #: bounds.
+        #: at or past it, checked or not — the Python kernels would raise
+        #: a bare IndexError and the native ones read out of bounds.
         self.word_limit = word_limit
-        #: re-verify the Appendix-B numbering invariants on every call.  The
-        #: plan-based fast path turns this off after the first call: the
-        #: invariants are properties of assign_ids, not of the input.
-        self.check = check
         #: the walker a loaded native module carries (``(linearizer,
         #: roots) -> Linearized``, or ``None`` for "ask the Python
         #: builder"); see :meth:`use_native`
@@ -263,30 +286,12 @@ class Linearizer:
     def use_native(self, walker) -> None:
         """Let ``walker`` (:attr:`repro.runtime.native.NativeModule.walker`)
         linearize stub-free calls — only for what it reproduces byte for
-        byte: height batching with the per-call checks off."""
-        if (self.dynamic_batch and not self.check
-                and not self.validate_inputs):
+        byte: height batching."""
+        if self.dynamic_batch:
             self.native = walker
 
-    def fast_clone(self) -> "Linearizer":
-        """A linearizer with identical layout but runtime checks disabled.
-
-        Produces bit-identical ``Linearized`` outputs; only structure
-        validation and numbering re-verification are skipped (§3: structure
-        claims "can be easily verified at runtime" — the fast path amortizes
-        that check over a stream of calls instead of paying it per call).
-        The ``word_limit`` range check is not a structure claim but a bounds
-        check on outside input guarding the kernels' gathers, so the clone
-        keeps it.
-        """
-        return Linearizer(self.kind, self.max_children,
-                          dynamic_batch=self.dynamic_batch,
-                          specialize_leaves=self.specialize_leaves,
-                          validate_inputs=False, check=False,
-                          word_limit=self.word_limit)
-
-    def coalesce(self, root_sets: Sequence[Sequence[Node] | Node]
-                 ) -> Tuple[Linearized, List[np.ndarray]]:
+    def coalesce(self, root_sets: Sequence[Sequence[Node] | Node], *,
+                 check: bool = True) -> Tuple[Linearized, List[np.ndarray]]:
         """Linearize several independent root sets as one merged forest.
 
         The serving subsystem's forest-merge entry point: the root sets of
@@ -300,19 +305,26 @@ class Linearizer:
         order), the node ids of its roots — the scatter map a caller uses to
         hand root-row outputs back to the request that contributed them.
         Nodes shared between root sets are visited once, as within a single
-        DAG batch.
+        DAG batch.  ``check`` is :meth:`__call__`'s.
         """
         sets, merged = merge_root_sets(root_sets)
-        lin = self(merged)
+        lin = self(merged, check=check)
         at = dict(zip(map(id, merged), lin.input_roots.tolist()))
         return lin, split_root_ids(
             (at[id(r)] for rs in sets for r in rs), sets)
 
     def __call__(self, roots: Sequence[Node] | Node, *,
-                 stubs: Sequence[Node] = ()) -> Linearized:
+                 stubs: Sequence[Node] = (), check: bool = True) -> Linearized:
         """Linearize ``roots``; ``stubs`` names leaves of the forest that
         get an id and buffer rows but sit in no batch (their rows are
-        seeded by the caller; see :mod:`repro.linearizer.numbering`)."""
+        seeded by the caller; see :mod:`repro.linearizer.numbering`).
+
+        A checked call runs :func:`validate` (§3), and :func:`check_block`
+        on a block the native walker filled.  ``check=False`` skips both,
+        for input checked already; it keeps the word-range check, and
+        validates only what a walker refused, so that its error has a
+        name.
+        """
         if isinstance(roots, Node):
             roots = [roots]
         t0 = time.perf_counter()
@@ -320,19 +332,16 @@ class Linearizer:
             raise LinearizationError("empty input batch")
         walked = self.native is not None and not stubs
         out = self.native(self, roots) if walked else None
+        if check or (walked and out is None):
+            validate(roots, self.kind, self.max_children)
         if out is None:
-            # a walker's refusal is re-run checked: what it balked at (a
-            # cycle, over-arity) gets its name here, not an endless walk
-            if self.validate_inputs or walked:
-                validate(roots, self.kind, self.max_children)
             plan = plan_batches(roots, dynamic_batch=self.dynamic_batch,
                                 specialize_leaves=self.specialize_leaves,
                                 stubs=stubs)
-            ids = assign_ids(plan)
-            if self.check:
-                check_numbering(plan, ids)
-            out = self._build_arrays(roots, plan, ids)
+            out = self._build_arrays(roots, plan, assign_ids(plan))
             self._check_words(out)
+        elif check:
+            check_block(out)
         out.wall_time_s = time.perf_counter() - t0
         return out
 
@@ -343,8 +352,8 @@ class Linearizer:
         "absent" marker of interior nodes and stubs, so a live leaf —
         whose row *is* gathered — must also be ``>= 0``: ``Emb[-1]`` is
         the last row on the Python target and an out-of-bounds read on
-        the native one.  Runs on every linearization, whatever the
-        validation setting: three reductions over int32 arrays.
+        the native one.  Runs on every linearization, checked or not:
+        three reductions over int32 arrays.
         """
         limit = self.word_limit
         if limit is None:

@@ -101,26 +101,29 @@ def iter_nodes(roots: Sequence[Node],
     """Every distinct node reachable from ``roots`` (post-order, dedup'd).
 
     A node whose ``id()`` is in ``stop`` is a boundary: yielded, but not
-    descended into (the memo splicer stops at cached subtrees).
+    descended into (the memo splicer stops at cached subtrees).  A node
+    reached again while still open closes a cycle: a LinearizationError.
     """
-    seen: set[int] = set()
+    opened: set[int] = set()
+    seen: set[int] = set()  # finished
     # Iterative post-order so deep sequences don't hit the recursion limit.
     for root in roots:
         stack: list[tuple[Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             nid = id(node)
-            if nid in seen:
-                continue
             if expanded:
                 seen.add(nid)
                 yield node
-            else:
+            elif nid not in opened:
+                opened.add(nid)
                 stack.append((node, True))
                 if nid not in stop:
                     for c in reversed(node.children):
                         if id(c) not in seen:
                             stack.append((c, False))
+            elif nid not in seen:
+                raise LinearizationError("input structure contains a cycle")
 
 
 def count_nodes(roots: Sequence[Node]) -> int:

@@ -251,8 +251,8 @@ class MemoSplicer:
         check before they get here (``ModelServer.submit``,
         ``MemoSession.run_many``): hashing recurses on the caller's forest,
         and the pruned forest is not the caller's — stubs are shared by
-        digest, so a pruned tree may be a DAG.  It therefore takes the
-        check-free linearizer, whose word-range check still runs.
+        digest, so a pruned tree may be a DAG.  It therefore linearizes
+        with ``check=False``, whose word-range check still runs.
         """
         sets, merged = merge_root_sets(root_sets)
         total_nodes = hashing.annotate(merged)
@@ -268,7 +268,8 @@ class MemoSplicer:
             new_roots = merged
         stubs = list(stub_for.values())
 
-        lin = self.model.fast_linearizer()(new_roots, stubs=stubs)
+        lin = self.model.lowered.linearizer(new_roots, stubs=stubs,
+                                            check=False)
         node_id = lin.node_id
         # root ids come from the walk itself: a natively walked plan has
         # no id map, and node_id would build one over the whole forest
@@ -349,7 +350,8 @@ class MemoSplicer:
         keeps the offending flush's rows out of the cache.
         """
         model = self.model
-        lin, id_sets = model.fast_linearizer().coalesce(root_sets)
+        lin, id_sets = model.lowered.linearizer.coalesce(root_sets,
+                                                         check=False)
         res = execute_plan(model.plan, lin, model.params)
         for i, (ids_ref, outs) in enumerate(zip(id_sets, per_request)):
             for name in outputs:

@@ -26,8 +26,8 @@ called on a workspace by hand checks every array it is handed; either
 raises :class:`~repro.errors.NativeError` instead of corrupting memory.
 
 The library also carries the model's linearizer (:func:`load_walker`):
-the §4.2 structure walk, generated with the kernels, which
-``CortexModel.fast_linearizer()`` takes in place of the Python walk.
+the §4.2 structure walk, generated with the kernels, which the model's
+one ``Linearizer`` takes on height-batched, stub-free calls.
 
 The one array a launch does not pass as is: a weight that a contraction
 tile reads (``KernelSignature.packed``) goes in as column panels, packed

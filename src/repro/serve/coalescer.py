@@ -75,7 +75,7 @@ def coalesce(requests: Sequence[Request], linearizer: Linearizer,
             f"expired); they must not be coalesced into a flush")
     root_sets = [r.roots for r in requests]
     if memo is None:
-        lin, root_ids = linearizer.coalesce(root_sets)
+        lin, root_ids = linearizer.coalesce(root_sets, check=False)
         return CoalescedBatch(list(requests), lin, root_ids)
     splice = memo.coalesce(root_sets)
     return CoalescedBatch(list(requests), splice.lin, splice.root_ids,

@@ -522,7 +522,7 @@ class ModelServer:
             for req in reqs:
                 req.attempts += 1
             t_coalesce = self._clock()
-            batch = coalesce(reqs, model.fast_linearizer(), self.memo)
+            batch = coalesce(reqs, model.lowered.linearizer, self.memo)
             t_exec = self._clock()
             res = execute_plan(model.plan, batch.lin, model.params,
                                arena=arena, profiler=self.profiler,

@@ -58,6 +58,59 @@ def test_run_accepts_single_root():
     assert res.root_output("rnn").shape == (1, 8)
 
 
+_UNCHECKED_CYCLE = """
+import os, resource
+import numpy as np
+import repro
+from repro import Validate
+from repro.errors import LinearizationError
+from repro.linearizer import branch, leaf, tree_from_nested
+
+model = repro.compile("treelstm", hidden=8, vocab=50)
+# a walk that never ends runs out of room here, not on the machine
+if os.path.exists("/proc/self/statm"):
+    with open("/proc/self/statm") as f:
+        vm = int(f.read().split()[0]) * resource.getpagesize()
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (vm + (1 << 29), hard))
+
+def cyclic():
+    a = branch(leaf(1), leaf(2))
+    b = branch(a, leaf(3))
+    a.children = (b, leaf(4))
+    return b
+
+good = tree_from_nested(((1, 2), 3))
+for call in (lambda: model.run([cyclic()], validate=Validate.NEVER),
+             lambda: model.run_many([[good], [cyclic()]])):
+    try:
+        call()
+    except LinearizationError as e:
+        print(e)
+"""
+
+
+def test_unchecked_cyclic_input_is_refused_not_walked_forever():
+    """``run(validate=NEVER)`` and ``run_many``'s unchecked second step
+    on the Python target name a cycle instead of looping (in a child
+    process, so a regression fails here instead of hanging the suite)."""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(repro.__file__)),
+         os.environ.get("PYTHONPATH", "")]))
+    try:
+        done = subprocess.run([sys.executable, "-c", _UNCHECKED_CYCLE],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+    except subprocess.TimeoutExpired:
+        pytest.fail("an unchecked cyclic input is still walked forever")
+    want = ["input structure contains a cycle"] * 2
+    assert done.stdout.splitlines() == want, done.stderr[-2000:]
+
+
 # -- data generators ------------------------------------------------------------
 
 def test_perfect_binary_tree_shape():

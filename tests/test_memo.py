@@ -635,9 +635,9 @@ def test_memo_coalesce_is_the_plain_coalesce_plus_a_splice():
                                rng=np.random.default_rng(CHAOS_SEED))
     reqs = [Request(request_id=i, roots=[t], num_nodes=0, submit_t=0.0)
             for i, t in enumerate(trees)]
-    plain = coalesce(reqs, m.fast_linearizer())
+    plain = coalesce(reqs, m.lowered.linearizer)
     assert plain.splice is None and plain.seeds is None
-    batch = coalesce(reqs, m.fast_linearizer(), memo)
+    batch = coalesce(reqs, m.lowered.linearizer, memo)
     assert batch.splice.lin is batch.lin and batch.seeds == {}   # cold
     assert batch.num_requests == 3 and batch.num_nodes == plain.num_nodes
     assert all(np.array_equal(x, y)
@@ -645,15 +645,15 @@ def test_memo_coalesce_is_the_plain_coalesce_plus_a_splice():
     flushes = memo.flushes
     reqs[1].handle.cancel()
     with pytest.raises(ServingError, match="already resolved"):
-        coalesce(reqs, m.fast_linearizer(), memo)
+        coalesce(reqs, m.lowered.linearizer, memo)
     assert memo.flushes == flushes      # refused before the splicer ran
-    # coalesce checks no structure, whichever linearizer it is handed:
-    # the doors do, before anything is queued or hashed
+    # coalesce checks no structure, memoized or not: the doors do,
+    # before anything is queued or hashed
     shared = leaf(1)
     dag = [branch(shared, shared)]
-    for lz in (m.fast_linearizer(), m.lowered.linearizer):
+    for splicer in (None, memo):
         coalesce([Request(request_id=9, roots=dag, num_nodes=2,
-                          submit_t=0.0)], lz, memo)
+                          submit_t=0.0)], m.lowered.linearizer, splicer)
     with pytest.raises(LinearizationError, match="compiled for a tree"):
         m.server(memo="on").submit(dag)
     with pytest.raises(LinearizationError, match="compiled for a tree"):

@@ -23,6 +23,7 @@ regenerate with ``REPRO_REGEN_GOLDEN=1``.
 
 import copy
 import ctypes
+import functools
 import os
 import subprocess
 import sys
@@ -368,7 +369,7 @@ def test_wrong_dtype_and_noncontiguous_launches_refused():
     model = _compile("treelstm", "c")
     native = model.compiled.native
     assert native is not None
-    lin = model._linearize(_inputs("treelstm"), True)
+    lin = model.lowered.linearizer(_inputs("treelstm"))
     c = model.plan.bind_scalars(lin)
     ws, _ = model.plan.make_workspace(lin, model.params)
     fn = next(iter(native.fns.values()))
@@ -440,7 +441,7 @@ def test_kernel_level_parity(name, preset):
     model = _compile(name, "c", **PRESETS[preset])
     native = model.compiled.native
     assert native is not None
-    lin = model._linearize(_inputs(name), True)
+    lin = model.lowered.linearizer(_inputs(name))
     c = model.plan.bind_scalars(lin)
     ws, _ = model.plan.make_workspace(lin, model.params)
     begins = lin.batch_begin.tolist()
@@ -500,7 +501,7 @@ def test_no_cc_falls_back_to_python_target(monkeypatch):
 def test_profiler_labels_native_kernels():
     model = _compile("treelstm", "c")
     prof = KernelProfiler()
-    lin = model._linearize(_inputs("treelstm"), True)
+    lin = model.lowered.linearizer(_inputs("treelstm"))
     execute_plan(model.plan, lin, model.params, profiler=prof)
     snap = prof.snapshot()
     assert snap["kernels"]
@@ -514,14 +515,14 @@ def test_profiler_labels_native_kernels():
         model.compiled.native.variant}
     wide = _compile("treelstm", "c", hidden=256)
     prof_wide = KernelProfiler()
-    execute_plan(wide.plan, wide._linearize(_inputs("treelstm"), True),
+    execute_plan(wide.plan, wide.lowered.linearizer(_inputs("treelstm")),
                  wide.params, profiler=prof_wide)
     assert prof_wide.snapshot()["kernels"]["fused"]["team"] == \
         wide.compiled.native.team
 
     py = _compile("treelstm", "python")
     prof2 = KernelProfiler()
-    execute_plan(py.plan, py._linearize(_inputs("treelstm"), True),
+    execute_plan(py.plan, py.lowered.linearizer(_inputs("treelstm")),
                  py.params, profiler=prof2)
     snap2 = prof2.snapshot()
     assert not any(row["native"] for row in snap2["kernels"].values())
@@ -542,7 +543,7 @@ def test_profiled_native_time_is_the_kernels_own(preset):
         profs = []
         for model in (nat, py):
             prof = KernelProfiler()
-            execute_plan(model.plan, model._linearize(roots, True),
+            execute_plan(model.plan, model.lowered.linearizer(roots),
                          model.params, profiler=prof)
             profs.append(prof.snapshot())
         got, want = profs
@@ -615,7 +616,7 @@ def test_artifact_runs_on_the_base_variant(tmp_path, monkeypatch):
     assert dm.compiled.native.cc == "(prebuilt)"
     plan = _variant_plan(dm, "base")
     for roots in _batches("treelstm", np.random.default_rng(5)):
-        got = execute_plan(plan, dm._linearize(roots, True), dm.params)
+        got = execute_plan(plan, dm.lowered.linearizer(roots), dm.params)
         want = model.run(roots)
         for buf in model.outputs:
             assert np.array_equal(got.workspace[buf], want.workspace[buf])
@@ -691,7 +692,7 @@ def test_tiled_contraction_bitwise_equals_scalar_fold(
         two = _variant_plan(tiled, variant, team=2)
         one = _variant_plan(scalar, variant, team=1)
         for roots in batches:
-            lin = tiled._linearize(roots, True)
+            lin = tiled.lowered.linearizer(roots)
             a = execute_plan(two, lin, tiled.params).workspace
             b = execute_plan(one, lin, scalar.params).workspace
             for buf in a:
@@ -805,7 +806,7 @@ def test_zoo_runs_clean_under_ubsan(name, tmp_path, monkeypatch):
         plan = build_host_plan(model.lowered, model.compiled)
         ref = _compile(name, "c", hidden=hidden)
         for roots in _batches(name, np.random.default_rng(5)):
-            lin = model._linearize(roots, True)
+            lin = model.lowered.linearizer(roots)
             got = execute_plan(plan, lin, model.params)
             want = ref.run(roots)
             for buf in ref.outputs:
@@ -916,7 +917,7 @@ def test_isa_variants_agree_bitwise(name, hidden, every_variant):
     plans = [model.plan] + [_variant_plan(model, variant, team, native)
                             for variant in ran for team in TEAMS]
     for roots in _batches(name, np.random.default_rng(5)):
-        lin = model._linearize(roots, True)
+        lin = model.lowered.linearizer(roots)
         a = execute_plan(ref, lin, model.params).workspace
         for plan in plans:
             b = execute_plan(plan, lin, model.params).workspace
@@ -981,7 +982,7 @@ def test_parted_library_equals_one_unit_build(name, tmp_path, monkeypatch):
             one, parted = (_variant_plan(model, variant, team, built[cpus])
                            for cpus in (1, 2))
             for roots in _batches(name, np.random.default_rng(5)):
-                lin = model._linearize(roots, True)
+                lin = model.lowered.linearizer(roots)
                 a = execute_plan(one, lin, model.params).workspace
                 b = execute_plan(parted, lin, model.params).workspace
                 assert set(a) == set(b)
@@ -1019,7 +1020,7 @@ def test_unsplit_nests_are_tickets_of_their_own(hidden, unsplit,
     ref = _variant_plan(split, variant, team=1)
     plans = [_variant_plan(mixed, variant, team) for team in TEAMS]
     for roots in _batches("treelstm", np.random.default_rng(5)):
-        lin = split._linearize(roots, True)
+        lin = split.lowered.linearizer(roots)
         a = execute_plan(ref, lin, split.params).workspace
         for plan in plans:
             b = execute_plan(plan, lin, mixed.params).workspace
@@ -1199,7 +1200,7 @@ def test_host_entry_releases_the_gil():
     call = plan._call
     trees = synthetic_treebank(400, vocab_size=VOCAB,
                                rng=np.random.default_rng(13))
-    lin = model._linearize(trees, True)
+    lin = model.lowered.linearizer(trees)
     execute_plan(plan, lin, model.params)  # packs the panels
 
     window, seen, stop = [], [], threading.Event()
@@ -1474,7 +1475,7 @@ model.compiled.native = NativeModule.from_ilmodule(
 assert host_variant() in (None, model.compiled.native.variant)
 plan = build_host_plan(model.lowered, model.compiled)
 tree = branch(branch(leaf(3)), branch(leaf(4), leaf(5)))
-got = execute_plan(plan, model._linearize([tree], True), model.params)
+got = execute_plan(plan, model.lowered.linearizer([tree]), model.params)
 want = model.run([tree])
 for name in model.outputs:
     assert np.allclose(got.workspace[name], want.workspace[name],
@@ -1615,7 +1616,7 @@ def test_absent_interior_words_gather_the_last_row(name, every_variant):
         assert absent and all(n.children for n in absent)
 
         def run():
-            lin = py._linearize(roots, True)
+            lin = py.lowered.linearizer(roots)
             return {k: execute_plan(plan, lin, c.params).workspace
                     for k, plan in plans.items()}
 
@@ -1650,7 +1651,7 @@ model.compiled.native = NativeModule.from_ilmodule(
 assert host_variant() in (None, model.compiled.native.variant)
 plan = build_host_plan(model.lowered, model.compiled)
 for dag in zipf_dag_stream(6, seed=3):
-    got = execute_plan(plan, model._linearize([dag], True), model.params)
+    got = execute_plan(plan, model.lowered.linearizer([dag]), model.params)
     want = model.run([dag])
     for name in model.outputs:
         assert np.allclose(got.workspace[name], want.workspace[name],
@@ -1705,7 +1706,7 @@ for specialize in (True, False):
     one, two = plan(1), plan(2)
     assert one.addressed and two.addressed  # through the host entry
     for tree in trees:
-        lin = model._linearize([tree], True)
+        lin = model.lowered.linearizer([tree])
         a = execute_plan(one, lin, model.params).workspace
         b = execute_plan(two, lin, model.params).workspace
         for name in model.outputs:
@@ -1796,15 +1797,16 @@ def test_empty_input_is_refused_typed_at_every_door(target):
             model.run([], validate=validate)
         with pytest.raises(LinearizationError, match="empty input batch"):
             model.run_many([[]], validate=validate)
-    for lz in (model.lowered.linearizer, model.fast_linearizer()):
+    lz = model.lowered.linearizer
+    for check in (True, False):
         with pytest.raises(LinearizationError, match="empty input batch"):
-            lz([])
+            lz([], check=check)
         with pytest.raises(LinearizationError, match="empty input batch"):
-            lz(())
+            lz((), check=check)
         with pytest.raises(LinearizationError, match="empty input batch"):
-            lz.coalesce([[]])
+            lz.coalesce([[]], check=check)
         with pytest.raises(LinearizationError, match="empty input batch"):
-            lz.coalesce([[], []])
+            lz.coalesce([[], []], check=check)
     with pytest.raises(ServingError, match="at least one root"):
         model.server().submit([])      # the server's own door, already typed
 
@@ -1875,23 +1877,28 @@ from hypothesis import strategies as st
 from repro.data import random_binary_tree
 from repro.linearizer import (DagLinearizer, Linearizer, Node, StructureKind,
                               branch, leaf, tree_from_nested)
-from repro.linearizer.linearize import _BLOCK_FIELDS
+from repro.linearizer.linearize import _BLOCK_FIELDS, check_block
 
 
 @pytest.fixture(scope="module")
-def walker():
+def walked():
+    """A ``target="c"`` model whose linearizer walks natively."""
     if not native_available():
         pytest.skip("no C compiler on the host")
-    found = _compile("treelstm", "c", hidden=8).compiled.native.walker
+    return _compile("treelstm", "c", hidden=8)
+
+
+@pytest.fixture(scope="module")
+def walker(walked):
+    found = walked.compiled.native.walker
     assert found is not None
     return found
 
 
 def _pair(walker, max_children, word_limit=VOCAB):
-    """(native-walking, Python-only) fast linearizers of one configuration."""
-    py = Linearizer(StructureKind.DAG, max_children, validate_inputs=False,
-                    check=False, word_limit=word_limit)
-    nat = py.fast_clone()
+    """(native-walking, Python-only) linearizers of one configuration."""
+    nat, py = (Linearizer(StructureKind.DAG, max_children,
+                          word_limit=word_limit) for _ in range(2))
     nat.use_native(walker)
     assert nat.native is walker and py.native is None
     return nat, py
@@ -1915,8 +1922,11 @@ def _both(walker, roots, max_children, word_limit=VOCAB):
     # through the walker itself, so a silent fallback cannot pass
     got = walker(nat, list(roots))
     assert got is not None, "the native walker refused a valid input"
-    _assert_same_layout(got, py(roots))
-    _assert_same_layout(nat(roots), py(roots))
+    want = py(roots)
+    _assert_same_layout(got, want)
+    _assert_same_layout(nat(roots), want)
+    _assert_same_layout(nat(roots, check=False), want)
+    check_block(want)                      # the builder's blocks pass too
     return got
 
 
@@ -2008,20 +2018,25 @@ _REFUSED = {
 
 
 @pytest.mark.parametrize("case", list(_REFUSED))
-def test_native_refusals_are_the_checked_python_errors(walker, case):
+def test_native_refusals_are_the_checked_python_errors(walked, walker,
+                                                      case):
+    """Checked or not, through the linearizer or a default ``run()`` on
+    ``target="c"``: the error is the Python builder's, word for word."""
     make, text = _REFUSED[case]
-    nat, _ = _pair(walker, 2)
-    checked = Linearizer(StructureKind.DAG, 2, word_limit=VOCAB)
+    nat, py = _pair(walker, 2)
     roots = make()
     nodes = [roots[0], *roots[0].children]
     before = [sys.getrefcount(n) for n in nodes]
     assert walker(nat, roots) is None          # refused, nothing pending
     assert [sys.getrefcount(n) for n in nodes] == before
-    with pytest.raises(LinearizationError, match=text) as got:
-        nat(roots)
     with pytest.raises(LinearizationError, match=text) as want:
-        checked(roots)
-    assert str(got.value) == str(want.value)
+        py(roots)
+    assert walked.lowered.linearizer.native is walker
+    for call in (nat, functools.partial(nat, check=False), walked.run):
+        with pytest.raises(LinearizationError, match=text) as got:
+            call(roots)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 def test_native_walker_defers_where_python_accepts(walker):
@@ -2037,6 +2052,91 @@ def test_native_walker_defers_where_python_accepts(walker):
     assert walker(nat, good) is not None       # and it is not wedged
 
 
+def _child_at_or_below_parent(lin):
+    lin.child[0, 1] = 1
+
+
+def _child_past_the_block(lin):
+    lin.child[1, 0] = lin.num_nodes
+
+
+def _gap_between_batches(lin):
+    lin.batch_begin[1] -= 1
+
+
+def _arity_from_leaf_start(lin):
+    lin.num_children[lin.leaf_start] = 1
+    lin.child[0, lin.leaf_start] = lin.num_nodes - 1
+
+
+def _arity_without_child(lin):
+    lin.child[1, 0] = -1
+
+
+def _arity_past_max_children(lin):
+    lin.num_children[0] = 3
+
+
+def _root_past_the_block(lin):
+    lin.roots[0] = lin.num_nodes
+
+
+def _leaf_batch_count_past_the_leaves(lin):
+    lin.leaf_batch_count += 1
+
+
+def _leaf_start_above_the_leaves(lin):
+    lin.leaf_start += 1
+
+
+def _leaf_start_unset(lin):
+    lin.leaf_start = None
+
+
+def _num_leaves_short(lin):
+    lin.num_leaves -= 1
+
+
+_CORRUPT = {
+    "child_at_or_below_parent": (_child_at_or_below_parent, "child ids"),
+    "child_past_the_block": (_child_past_the_block, "child ids"),
+    "gap_between_batches": (_gap_between_batches, "do not tile"),
+    "arity_from_leaf_start": (_arity_from_leaf_start,
+                              "misplace the leaves"),
+    "arity_without_child": (_arity_without_child, "child ids or arities"),
+    "arity_past_max_children": (_arity_past_max_children,
+                                "child ids or arities"),
+    "root_past_the_block": (_root_past_the_block, "root id lies outside"),
+    "leaf_batch_count_past_the_leaves": (_leaf_batch_count_past_the_leaves,
+                                         "misplace the leaves"),
+    "leaf_start_above_the_leaves": (_leaf_start_above_the_leaves,
+                                    "misplace the leaves"),
+    "leaf_start_unset": (_leaf_start_unset, "misplace the leaves"),
+    "num_leaves_short": (_num_leaves_short, "misplace the leaves"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CORRUPT))
+def test_checked_calls_refuse_a_walked_block_that_breaks_an_invariant(
+        walker, case):
+    """Each Appendix-B invariant, broken in turn on the native walker's
+    output, is refused by a checked call (which the unchecked one skips)."""
+    corrupt, text = _CORRUPT[case]
+    roots = [tree_from_nested(((1, 2), (3, (4, 5))))]
+    nat, _ = _pair(walker, 2)
+    bad = walker(nat, roots)
+    assert bad is not None
+    nat(roots)                                 # the walk itself passes
+    corrupt(bad)
+    lz = Linearizer(StructureKind.TREE, 2, word_limit=VOCAB)
+    lz.use_native(lambda _lz, _roots: bad)
+    with pytest.raises(LinearizationError, match=text):
+        lz(roots)
+    with pytest.raises(LinearizationError, match=text):
+        lz.coalesce([roots])
+    assert lz(roots, check=False) is bad
+
+
 def test_native_walker_holds_no_references(walker):
     nat, _ = _pair(walker, 2)
     roots = [random_binary_tree(20, VOCAB, rng=np.random.default_rng(5))]
@@ -2050,28 +2150,45 @@ def test_native_walker_holds_no_references(walker):
 
 
 @needs_cc
-def test_fast_linearizer_walks_natively_only_where_it_is_exact():
+def test_checked_run_walks_natively_only_where_it_is_exact():
+    """The model's one linearizer walks natively on a default, checked
+    ``run()`` as on a ``NEVER`` one, with the Python builder's layout."""
+    from repro.ra.lowering import linearizer_for
+
     nat = _compile("treelstm", "c")
     walker = nat.compiled.native.walker
-    assert nat.fast_linearizer().native is walker
-    assert nat.lowered.linearizer.native is None        # checked: Python
-    assert _compile("treelstm", "python").fast_linearizer().native is None
+    assert nat.lowered.linearizer.native is walker
+    trees = _inputs("treelstm", n=4)
+    checked = nat.run(trees)                    # Validate.ALWAYS
+    fast = nat.run(trees, validate=Validate.NEVER)
+    # the walker builds no id map; the Python builder hands over its own
+    assert checked.lin._rev is None and fast.lin._rev is None
+    oracle = linearizer_for(nat.lowered.module)
+    assert oracle.native is None
+    want = oracle(trees)
+    assert want._rev is not None
+    _assert_same_layout(checked.lin, want)
+    _assert_same_layout(fast.lin, want)
+    for out in nat.outputs:
+        assert (checked.workspace[out].tobytes()
+                == fast.workspace[out].tobytes())
+    first, = nat.run_many([trees])              # Validate.FIRST: checked
+    assert np.array_equal(first.roots, want.input_roots)
     # recursion-order plans are the Python builder's
     unbatched = _compile("treelstm", "c", dynamic_batch=False)
     assert unbatched.compiled.native.walker is not None
-    assert unbatched.fast_linearizer().native is None
-    trees = _inputs("treelstm", n=4)
-    fast = nat.run(trees, validate=Validate.NEVER)
-    checked = nat.run(trees, validate=Validate.ALWAYS)
-    # the Python builder hands over its id map, the walker has none
-    assert fast.lin._rev is None and checked.lin._rev is not None
-    _assert_same_layout(fast.lin, checked.lin)
-    for out in nat.outputs:
-        assert np.array_equal(fast.workspace[out], checked.workspace[out])
-    # a memo flush with stubs stays on the Python builder
+    assert unbatched.lowered.linearizer.native is None
+    assert unbatched.run(trees).lin._rev is not None
+    # so is a memo flush with stubs, checked or not
     pruned = branch(leaf(-1), leaf(1))
-    stubbed = nat.fast_linearizer()([pruned], stubs=[pruned.children[0]])
-    assert stubbed._rev is not None and stubbed.num_leaves == 1
+    for check in (True, False):
+        stubbed = nat.lowered.linearizer([pruned], check=check,
+                                         stubs=[pruned.children[0]])
+        assert stubbed._rev is not None and stubbed.num_leaves == 1
+    # and the Python target
+    py = _compile("treelstm", "python")
+    assert py.lowered.linearizer.native is None
+    assert py.run(trees).lin._rev is not None
 
 
 @needs_cc
@@ -2082,7 +2199,7 @@ def test_pythonapi_masked_serves_through_the_python_builder(monkeypatch):
     model = _compile("treelstm", "c")
     assert model.compiled.native is not None
     assert model.compiled.native.walker is None
-    assert model.fast_linearizer().native is None
+    assert model.lowered.linearizer.native is None
     trees = _inputs("treelstm", n=3)
     got = model.run(trees, validate=Validate.NEVER)
     monkeypatch.undo()
@@ -2105,7 +2222,7 @@ def test_artifacts_linearize_from_their_own_library(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_NO_CC", "1")          # prebuilt or nothing
     fresh = load_model(out)
     assert fresh.compiled.native.cc == "(prebuilt)"
-    assert fresh.fast_linearizer().native is fresh.compiled.native.walker
+    assert fresh.lowered.linearizer.native is fresh.compiled.native.walker
     assert fresh.compiled.native.walker is not None
     got = fresh.run(trees, validate=Validate.NEVER)
     assert got.lin._rev is None                     # the walker's layout
@@ -2123,6 +2240,7 @@ def test_planned_addresses_are_the_arrays_own(name):
     array a caller swaps into the workspace is launched as itself,
     checked; and the parameter / panel addresses retire with the
     panels."""
+    from repro.ra.lowering import linearizer_for
     from repro.runtime.kernels import (_CONTIG_CACHE, clear_contig_cache,
                                        data_address, panel_packed)
 
@@ -2130,7 +2248,9 @@ def test_planned_addresses_are_the_arrays_own(name):
     plan = model.plan
     assert plan.addressed and not _compile(name, "python").plan.addressed
     roots = _inputs(name)
-    for lin in (model._linearize(roots, True), model._linearize(roots, False)):
+    # a block from each walker: the model's (native) and the Python one
+    for lin in (model.lowered.linearizer(roots),
+                linearizer_for(model.lowered.module)(roots)):
         c = plan.bind_scalars(lin)
         ws, _, launches = plan.arguments(lin, model.params)
         for _, fn, addresses, scalars in launches:
@@ -2210,8 +2330,9 @@ def test_bad_parameters_are_refused_before_the_lease(kind, caller):
             dataclasses.replace(model, params=params).run(
                 trees, reuse=True, validate=Validate.NEVER)
         else:
-            execute_plan(model.plan, model._linearize(trees, False), params,
-                         arena=model.arena)
+            execute_plan(model.plan,
+                         model.lowered.linearizer(trees, check=False),
+                         params, arena=model.arena)
     assert str(err.value) == want[1]
     after = model.arena.snapshot()
     for key in ("leased", "hits", "misses"):
@@ -2239,9 +2360,8 @@ walker = NativeModule.from_ilmodule(
 assert walker is not None
 
 def pair(max_children, limit=50):
-    py = Linearizer(StructureKind.DAG, max_children, validate_inputs=False,
-                    check=False, word_limit=limit)
-    nat = py.fast_clone()
+    nat, py = (Linearizer(StructureKind.DAG, max_children, word_limit=limit)
+               for _ in range(2))
     nat.use_native(walker)
     return nat, py
 
@@ -2325,7 +2445,7 @@ for name in ("treelstm", "treegru", "treernn", "dagrnn"):
                    [synthetic_treebank(k, vocab_size=50, rng=rng)
                     for k in (1, 4)])
         for roots in batches:
-            lin = model._linearize(roots, True)
+            lin = model.lowered.linearizer(roots)
             got = execute_plan(plan, lin, model.params,
                                profiler=KernelProfiler())
             ws, _ = plan.make_workspace(lin, model.params)

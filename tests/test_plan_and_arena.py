@@ -422,7 +422,7 @@ def test_arena_refuses_a_lease_above_the_ceiling(monkeypatch):
     # through a call: a forest whose workspace is over the ceiling
     model = _small_model("treelstm")
     trees = synthetic_treebank(8, vocab_size=VOCAB)
-    lin = model._linearize(trees, False)
+    lin = model.lowered.linearizer(trees, check=False)
     need = model.plan.layout(lin.num_nodes, lin.max_batch_len)[2]
     monkeypatch.setattr(memory, "MAX_LEASE_BYTES", need - 1)
     with pytest.raises(ExecutionError, match="split the input batch"):
@@ -621,7 +621,7 @@ def test_lazy_views_are_the_eager_arrays(name, preset):
     outs = m.default_outputs()
     for batch, got in zip((roots, more), m.run_many(
             [roots, more], validate=Validate.NEVER)):
-        lin = m.fast_linearizer()(batch)
+        lin = m.lowered.linearizer(batch, check=False)
         _assert_same_linearized(lin, m.lowered.linearizer(batch))
         eager = _eager_workspace(m, lin)
         for out in outs:
@@ -691,7 +691,7 @@ def test_host_entry_is_bitwise_the_launchers_by_hand(name, preset):
 
             for batch, got in zip((roots, more), vm.run_many(
                     [roots, more], validate=Validate.NEVER)):
-                lin = vm.fast_linearizer()(batch)
+                lin = vm.lowered.linearizer(batch, check=False)
                 eager = _eager_workspace(vm, lin)
                 for out in outs:
                     assert got.outputs[out].tobytes() == (
@@ -742,7 +742,7 @@ def test_every_call_shape_gets_its_own_addresses():
     trees = _inputs("treelstm", np.random.default_rng(2), batch=40)
     shapes = set()
     for t in trees:
-        lin = m.fast_linearizer()([t])
+        lin = m.lowered.linearizer([t], check=False)
         shapes.add((lin.num_nodes, lin.max_batch_len, lin.num_batches))
         c = plan.bind_scalars(lin)
         ws, (slab,), launches = plan.arguments(lin, m.params, m.arena)
@@ -793,7 +793,8 @@ def test_caller_supplied_scratch_buffer_is_launched_in_place():
     from repro.errors import NativeError
 
     m = _small_model("treelstm", target="c")
-    lin = m.fast_linearizer()(_inputs("treelstm", np.random.default_rng(1)))
+    lin = m.lowered.linearizer(_inputs("treelstm", np.random.default_rng(1)),
+                               check=False)
     want = execute_plan(m.plan, lin, m.params).workspace["rnn_h_ph"].copy()
     mine = np.zeros_like(want)
     res = execute_plan(m.plan, lin, {**m.params, "rnn_h_ph": mine})
@@ -1000,13 +1001,22 @@ def test_execution_order_matches_assign_ids():
         assert ids[id(node)] == i
 
 
-def test_fast_clone_skips_checks_but_matches():
-    lz = TreeLinearizer()
-    fast = lz.fast_clone()
-    assert not fast.validate_inputs and not fast.check
+@pytest.mark.parametrize("knobs", [dict(), dict(dynamic_batch=False),
+                                   dict(dynamic_batch=False,
+                                        specialize_leaves=False)],
+                         ids=["height", "recursion", "unspecialized"])
+def test_checked_and_unchecked_calls_share_one_layout(knobs):
+    """``check`` only decides whether the call is verified: the one
+    linearizer lays a forest out the same either way, coalesced too."""
+    lz = TreeLinearizer(**knobs)
     roots = synthetic_treebank(3, vocab_size=40,
                                rng=np.random.default_rng(4))
-    _lin_equal(lz(roots), fast(roots))
+    _lin_equal(lz(roots), lz(roots, check=False))
+    sets = [roots[:2], roots[1:]]
+    (got, got_ids), (want, want_ids) = (lz.coalesce(sets, check=False),
+                                        lz.coalesce(sets))
+    _lin_equal(got, want)
+    assert all(np.array_equal(a, b) for a, b in zip(got_ids, want_ids))
 
 
 # ---------------------------------------------------------------------------
