@@ -50,12 +50,12 @@ On top of that it makes four schedule choices, none visible in the IR:
   (``k_<name>_avx2``) and at 16 inside ``target("avx512f")`` ones
   (``k_<name>_avx512f``), each wide variant in a part of its own.  A
   constructor asks ``__builtin_cpu_supports`` once, widest first, among
-  the variants the build holds (``repro_held()``); the exported
-  ``k_<name>`` forwards to the one it picked and ``repro_lanes()``
-  reports it, so the launcher packs panels of that width.  No ``-march``
-  flag: the ``.so`` runs wherever it is loaded.  Lanes stay distinct
-  outputs and products are rounded before they are added (no FMA), so
-  every variant produces the fold's bits.  (Wide vectors compiled
+  the variants the build holds (``repro_held()``); ``repro_lanes()``
+  reports the one it picked, whose entry points the launchers bind and
+  whose width they pack panels at.  No ``-march`` flag: the ``.so`` runs
+  wherever it is loaded.  Lanes stay distinct outputs and products are
+  rounded before they are added (no FMA), so every variant produces the
+  fold's bits.  (Wide vectors compiled
   *without* their ISA run several times slower than 16-byte ones, hence
   a body per variant, not one.)
 * **Lane loops** (:class:`_VTx`).  An elementwise nest whose innermost
@@ -92,24 +92,24 @@ whether bitwise parity is expected and why not when it is not.
 Kernel entry points use one uniform ABI so the host-side launcher stays
 trivial::
 
-    void k_<name>[_<variant>](<buf ptrs...>, <const int32_t* uf arrays...>,
-                              <const packed weight ptrs...>,
-                              const int64_t* S, int64_t begin, int64_t length,
-                              int64_t team);
+    void k_<name>_<variant>(<buf ptrs...>, <const int32_t* uf arrays...>,
+                            <const packed weight ptrs...>,
+                            const int64_t* S, int64_t begin, int64_t length,
+                            int64_t team);
 
 ``S`` packs the scalar parameters the kernel mentions (a
 :class:`KernelSignature` records which, in order); ``begin``/``length``
 carry the batch window for ``leaf``/``level`` kernels and are ignored by
 the other kinds; ``team`` is the members a ``fused`` kernel splits its
-columns across, ignored by the other kinds.
-
-The runtime part also holds the module's host program,
-``void repro_execute(const char* argv)``: the host tables of
-:mod:`repro.ilir.host` baked into C, so that one call from the host plan
-places every scratch buffer in the call's slab and every linearizer array
-in its block, binds ``S`` and runs the whole host schedule through a table
-of the entry points above (``repro_host_key()`` names the tables it was
-generated from).
+columns across, ignored by the other kinds.  Each entry point has a
+wrapper of one signature for every kernel, ``k_<name>_<variant>_w(char*
+const* p, const int64_t* slots, S, begin, length, team)``, that reads
+pointer ``j`` from ``p[slots[j]]``.  The runtime part names no kernel: its
+host program, ``void repro_execute(const char* argv)``
+(:data:`_C_HOST_ENTRY`), runs the host tables that the plan packs
+(:func:`pack_tables`) as data: it places every scratch buffer in the
+call's slab and every linearizer array in its block, binds ``S`` and runs
+the host schedule through a table of those wrappers.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ from ...ir import (BinOp, Call, Cast, Const, Expr, Reduce, Select, TensorRead,
                    UFCall, UnaryOp, Var, expr_to_str, free_vars, is_zero, walk)
 from ...linearizer.linearize import uf_term
 from ..buffer import ILBuffer
-from ..host import ALIGN, ENTRY_HEAD, host_tables
+from ..host import ALIGN, ENTRY_HEAD, PHASES, HostTables
 from ..module import ILModule, Kernel
 from ..nests import AxisSpec, OpNest
 
@@ -942,7 +942,7 @@ class KernelSignature:
     (alphabetical).  ``packed`` lists, after them, ``(weight name, numpy
     dtype name)`` for every const pointer that must receive the weight
     packed as column panels (:func:`repro.runtime.kernels.panel_packed`,
-    at the width of the variant the library dispatches to).  ``scalars``
+    at the width of the launcher's variant).  ``scalars``
     lists, in :data:`NATIVE_SCALARS` order, the entries of the ``S``
     int64 vector.
     """
@@ -963,9 +963,9 @@ class KernelSignature:
 #: ``avx2`` and ``avx512f`` are the same generator at 32 and 64 bytes
 #: inside ``target("<variant>")`` functions, compiled in on x86-64.  A
 #: build holds ``base`` and every wide variant, or one of them
-#: (:func:`wide_define`); the library dispatches to the widest it holds
-#: that the CPU runs, chosen when it loads.  ``k_<kernel>_<variant>`` is
-#: exported for each held; ``k_<kernel>`` dispatches.
+#: (:func:`wide_define`); the library picks the widest it holds that the
+#: CPU runs when it loads.  ``k_<kernel>_<variant>`` and its wrapper are
+#: exported for each held.
 VARIANTS = {"base": 4, "avx2": 8, "avx512f": 16}
 
 #: the variants past ``base``, each in a part of its own
@@ -996,9 +996,10 @@ def _variant_target(variant: str) -> str:
 
 
 #: the parts of a generated module's source, by ``REPRO_PART`` number:
-#: the runtime (the column team, the variant pick and the exported
-#: dispatchers, the host entry, the linearizer), then each ISA variant's
-#: kernels and microkernels.  ``runtime/native.py`` compiles the parts a
+#: the runtime (the column team, the variant pick, the host entry, the
+#: linearizer; the same text for every module), then each ISA variant's
+#: kernels, microkernels and wrappers (``base`` also reports the team's
+#: columns).  ``runtime/native.py`` compiles the parts a
 #: build holds (:func:`held_parts`) as concurrent units and links the
 #: objects; without ``REPRO_PART`` the source is one unit.
 PARTS = ("runtime", *VARIANTS)
@@ -1089,13 +1090,13 @@ def _dispatch_source() -> str:
                  f"  held |= 1 << {PARTS.index(v)};", "#endif"]
     lanes = ", ".join(str(VARIANTS.get(p, 0)) for p in PARTS)
     return "\n".join([
-        "/* the part of the variant the exported kernels dispatch to: the",
+        "/* the part of the variant the launchers run: the",
         " * widest one this build holds that the CPU runs, picked at load */",
         f"static int repro_pick = {base};",
         "__attribute__((constructor)) static void repro_pick_variant(void) {",
         "#ifdef REPRO_X86", "  __builtin_cpu_init();", "#endif", *pick, "}",
         "",
-        "/* float32 lanes of the variant the exported kernels dispatch to: the",
+        "/* float32 lanes of the variant the launchers run: the",
         " * launcher packs weight panels for that width */",
         "int repro_lanes(void) {",
         f"  static const int lanes[] = {{{lanes}}};",
@@ -1429,17 +1430,14 @@ class NativeCodegen:
                 src, signatures[kernel.name] = self._emit_kernel(kernel)
                 kernels.append(src)
             sections[variant] = list(self._microkernels.values()) + kernels
-        sections["runtime"] = [
-            _C_TEAM, _C_DISPATCH,
+        sections["base"].append(
             "/* output columns of the widest nest a fused kernel splits "
             "(0: none); the\n * launcher sizes the team it passes from "
             "it */\n"
             f"int64_t repro_team_columns(void) {{ return "
-            f"{self._team_columns}; }}\n",
-            *[self._dispatcher(signatures[k.name])
-              for k in self.module.kernels],
-            *_host_entry(self.module, signatures),
-            _C_LINEARIZER]
+            f"{self._team_columns}; }}\n")
+        sections["runtime"] = [_C_TEAM, _C_DISPATCH, _C_HOST_ENTRY,
+                               _C_LINEARIZER]
         out = [self._header(), native_prelude()]
         for k, part in enumerate(PARTS):
             out += [f"/* ======== part {k}: {part} ======== */",
@@ -1478,34 +1476,10 @@ class NativeCodegen:
                                      ("int64_t", "team")]
 
     @staticmethod
-    def _declarator(head: str, params: Sequence[Tuple[str, str]]) -> str:
-        """A function's head and parameter list."""
-        decl = ",\n    ".join(f"{ct} {name}" for ct, name in params)
-        return f"{head}(\n    {decl})"
-
-    @classmethod
-    def _opening(cls, head: str, params: Sequence[Tuple[str, str]]) -> str:
+    def _opening(head: str, params: Sequence[Tuple[str, str]]) -> str:
         """A function definition's first lines, up to its ``{``."""
-        return cls._declarator(head, params) + " {"
-
-    def _dispatcher(self, sig: KernelSignature) -> str:
-        """The exported ``k_<name>``: the variant picked at load time,
-        whose entry points the variants' parts define."""
-        params = self._params(sig)
-        args = ", ".join(name for _, name in params)
-        protos = [self._declarator(f"void {sig.symbol}_base", params) + ";"]
-        calls = []
-        for v in _WIDE:
-            protos += [f"#ifdef {_variant_macro(v)}",
-                       self._declarator(f"{_variant_target(v)}void "
-                                        f"{sig.symbol}_{v}", params) + ";",
-                       "#endif"]
-        for v in reversed(_WIDE):
-            calls += [f"#ifdef {_variant_macro(v)}",
-                      f"  if (repro_pick == {PARTS.index(v)}) {{ "
-                      f"{sig.symbol}_{v}({args}); return; }}", "#endif"]
-        return "\n".join([*protos, self._opening(f"void {sig.symbol}", params),
-                          *calls, f"  {sig.symbol}_base({args});", "}", ""])
+        decl = ",\n    ".join(f"{ct} {name}" for ct, name in params)
+        return f"{head}(\n    {decl}) {{"
 
     # -- shared helpers ------------------------------------------------------
     def _fresh(self, hint: str) -> str:
@@ -1595,7 +1569,8 @@ class NativeCodegen:
                                    self._params(sig)), *scalars]
             head.append("  (void)team;" if kernel.kind in ("leaf", "level")
                         else "  (void)begin; (void)length; (void)team;")
-            return "\n".join(head + body + ["}", ""]), sig
+            return "\n".join(head + body + ["}", ""]
+                             + self._wrapper(sig, entry)), sig
         # a fused kernel is the body every member of its team runs, then
         # the entry point that launches the team over it
         pointers = self._pointers(sig)
@@ -1614,7 +1589,20 @@ class NativeCodegen:
             + ", ".join(f"(void*){name}" for _, name in pointers) + "};",
             "  (void)begin; (void)length;",
             f"  repro_team_run({entry}_team, A, team);", "}", ""]
-        return "\n".join(head + body + ["}", ""] + launch), sig
+        return "\n".join(head + body + ["}", ""] + launch
+                         + self._wrapper(sig, entry)), sig
+
+    def _wrapper(self, sig: KernelSignature, entry: str) -> List[str]:
+        """``<entry>_w``, what the host entry launches: ``entry`` called
+        with its pointers read from the address vector ``p`` at the
+        launch's ``slots``, in signature order."""
+        args = [f"({ct})p[slots[{j}]]"
+                for j, (ct, _) in enumerate(self._pointers(sig)[:-1])]
+        return [f"void {entry}_w(char* const* p, const int64_t* slots, "
+                "const int64_t* S,\n    int64_t begin, int64_t length, "
+                "int64_t team) {",
+                f"  {entry}({', '.join(args)},\n      S, begin, length, "
+                "team);", "}", ""]
 
     def _emit_fused_body(self, kernel: Kernel, out: List[str],
                          indent: int) -> None:
@@ -2236,18 +2224,16 @@ class NativeCodegen:
 
 
 _C_HOST_ENTRY = '''\
-/* ---- the host program: one call runs one execute of the module.  The
- * host plan's tables (repro.ilir.host) are baked in: where each scratch
- * buffer lies in the slab and each linearizer array in the block, each
- * launch's pointer slots, the scalar template and the host schedule.
- * `argv` is the call's int64 vector: the launch table (a function per
- * launch, in order), the team a fused launch splits across, a profile to
- * add each launch's (ns, launches) to or 0, a dry-run output or 0, the
- * block, the slab and the Linearized's scalars; then per scratch buffer
- * an address in place of its slab slice (0: none), the dense parameters
- * and the packed panels.  A dry run writes each launch's pointers and S
- * vector instead of launching.  No Python object is touched: the caller
- * drops the GIL.  Compiled unoptimised, like the team. */
+/* ---- the host program, the same for every module: one call runs one
+ * execute from the tables the host plan packs (c_codegen.pack_tables).
+ * `argv` is the call's int64 vector: the head (repro.ilir.host
+ * .ENTRY_HEAD), then per scratch buffer an address in place of its slab
+ * slice (0: none), the dense parameters and the packed panels.  A launch's
+ * slots index the address vector p: the scratch buffers, the linearizer
+ * arrays, then those given arrays; the plan checked that each lies in it.
+ * A dry run writes each launch's pointers and S vector instead of
+ * launching.  No Python object is touched: the caller drops the GIL.
+ * Compiled unoptimised, like the team. */
 #include <string.h>
 #include <time.h>
 #if defined(__clang__)
@@ -2257,7 +2243,21 @@ _C_HOST_ENTRY = '''\
 #pragma GCC optimize ("O0")
 #endif
 
-typedef void (*repro_host_fn)(void);
+/* what a launch calls: the wrapper of a kernel's variant */
+typedef void (*repro_wrapper)(char* const* p, const int64_t* slots,
+                              const int64_t* S, int64_t begin,
+                              int64_t length, int64_t team);
+
+/* the head of argv; the phases; the tables' opening int64s (the counts,
+ * the scalar template and the block terms of batch_begin and
+ * batch_length), after which come the slab and block terms, then the
+ * launches */
+enum { @HEAD@, REPRO_HEAD };
+enum { @PHASES@ };
+enum { REPRO_T_SCRATCH, REPRO_T_BLOCK, REPRO_T_GIVEN, REPRO_T_LAUNCHES,
+       REPRO_T_MAX_CHILDREN, REPRO_T_SPECIALIZE, REPRO_T_BEGIN,
+       REPRO_T_LENGTH = REPRO_T_BEGIN + 3,
+       REPRO_T_TERMS = REPRO_T_LENGTH + 3 };
 
 static int64_t repro_host_ns(void) {
   struct timespec ts;
@@ -2265,148 +2265,143 @@ static int64_t repro_host_ns(void) {
   return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
 }
 
-/* run `call` as launch i, timed when profiling */
-#define REPRO_LAUNCH(i, call) do { \\
+/* bytes into the block of the linearizer array at term (a, b, r) */
+static int64_t repro_block_at(const int64_t* term, int64_t mc, int64_t n,
+                              int64_t levels) {
+  return 4 * ((term[0] + term[1] * mc) * n + term[2] * levels);
+}
+
+/* run launch i over a batch window, timed when profiling */
+#define REPRO_LAUNCH(i, begin_, length_, team_) do { \\
+    const int64_t t0_ = times ? repro_host_ns() : 0; \\
+    fn[i](p, L[i].slots, L[i].S, begin_, length_, team_); \\
     if (times) { \\
-      const int64_t t0_ = repro_host_ns(); \\
-      call; \\
       times[2 * (i)] += repro_host_ns() - t0_; \\
       times[2 * (i) + 1]++; \\
-    } else { \\
-      call; \\
     } \\
   } while (0)
 
+void repro_execute(const char* argv) {
+  int64_t head[REPRO_HEAD];
+  memcpy(head, argv, sizeof head);
+  const int64_t* const tab = (const int64_t*)(intptr_t)head[REPRO_A_TABLES];
+  const int64_t ns = tab[REPRO_T_SCRATCH], nb = tab[REPRO_T_BLOCK];
+  const int64_t ng = tab[REPRO_T_GIVEN], nl = tab[REPRO_T_LAUNCHES];
+  int64_t a[REPRO_HEAD + ns + ng];
+  memcpy(a, argv, sizeof a);
+  const repro_wrapper* const fn =
+      (const repro_wrapper*)(intptr_t)a[REPRO_A_LAUNCHES];
+  int64_t* const times = (int64_t*)(intptr_t)a[REPRO_A_TIMES];
+  int64_t* dry = (int64_t*)(intptr_t)a[REPRO_A_DRY];
+  char* const block = (char*)(intptr_t)a[REPRO_A_BLOCK];
+  char* const slab = (char*)(intptr_t)a[REPRO_A_SLAB];
+  const int64_t n = a[REPRO_A_NUM_NODES], levels = a[REPRO_A_NUM_BATCHES];
+  const int64_t mbl = a[REPRO_A_MAX_BATCH_LEN], mc = a[REPRO_A_MAX_CHILDREN];
+  /* the scalar template: max_children's override, if any; unspecialized,
+   * no batch runs as leaves */
+  const int64_t mct = tab[REPRO_T_MAX_CHILDREN] >= 0
+      ? tab[REPRO_T_MAX_CHILDREN] : mc;
+  const int64_t lbc = tab[REPRO_T_SPECIALIZE]
+      ? a[REPRO_A_LEAF_BATCH_COUNT] : 0;
+  /* the S scalars, in NATIVE_SCALARS order */
+  const int64_t s[] = {
+      @SCALARS@};
+  const int32_t* const begin = (const int32_t*)(
+      block + repro_block_at(tab + REPRO_T_BEGIN, mc, n, levels));
+  const int32_t* const length = (const int32_t*)(
+      block + repro_block_at(tab + REPRO_T_LENGTH, mc, n, levels));
+  /* the address vector */
+  const int64_t* t = tab + REPRO_T_TERMS;
+  char* p[ns + nb + ng];
+  for (int64_t i = 0; i < ns; ++i, t += 3)
+    p[i] = a[REPRO_HEAD + i] ? (char*)(intptr_t)a[REPRO_HEAD + i]
+           : slab + ((t[0] + t[1] * n + t[2] * mbl) & -@ALIGN@);
+  for (int64_t i = ns; i < ns + nb; ++i, t += 3)
+    p[i] = block + repro_block_at(t, mc, n, levels);
+  for (int64_t i = 0; i < ng; ++i)
+    p[ns + nb + i] = (char*)(intptr_t)a[REPRO_HEAD + ns + i];
+  /* per launch: its phase, its slots (after their count) and its S */
+  struct { int64_t phase; const int64_t* slots; int64_t S[@NS@]; } L[nl];
+  for (int64_t i = 0; i < nl; ++i) {
+    L[i].phase = t[0];
+    L[i].slots = t + 2;
+    t += 2 + t[1];
+    for (int64_t j = 0; j < t[0]; ++j) L[i].S[j] = s[t[1 + j]];
+    if (dry) {
+      for (int64_t j = 0; j < L[i].slots[-1]; ++j)
+        *dry++ = (int64_t)(intptr_t)p[L[i].slots[j]];
+      for (int64_t j = 0; j < t[0]; ++j) *dry++ = L[i].S[j];
+    }
+    t += 1 + t[0];
+  }
+  if (dry) return;
+  /* the host schedule, launches in phase order: a leaf launch per leaf
+   * batch, each batch from level_start through every level launch, the
+   * others once */
+  for (int64_t i = 0; i < nl; ++i) {
+    if (L[i].phase == REPRO_LEAF) {
+      for (int64_t b = 0; b < lbc; ++b)
+        REPRO_LAUNCH(i, begin[b], length[b], 1);
+    } else if (L[i].phase == REPRO_LEVEL) {
+      int64_t last = i;
+      while (last + 1 < nl && L[last + 1].phase == REPRO_LEVEL) ++last;
+      for (int64_t b = lbc; b < levels; ++b)
+        for (int64_t k = i; k <= last; ++k)
+          REPRO_LAUNCH(k, begin[b], length[b], 1);
+      i = last;
+    } else {
+      REPRO_LAUNCH(i, 0, 0, L[i].phase == REPRO_FUSED ? a[REPRO_A_TEAM] : 1);
+    }
+  }
+}
+
+#if defined(__clang__)
+#pragma clang optimize on
+#elif defined(__GNUC__)
+#pragma GCC pop_options
+#endif
 '''
 
-
-def _linear(const: int, terms: Sequence[Tuple[int, str]]) -> str:
-    """``const + sum(k * name)`` as C, zero terms left out."""
-    parts = [str(const)] if const else []
-    parts += [name if k == 1 else f"{k} * {name}" for k, name in terms if k]
-    return " + ".join(parts) or "0"
-
-
-def _block_offset(a: int, b: int, r: int) -> str:
-    """`` + 4 * ((a + b * mc) * n + r * levels)`` as C (the bytes into the
-    linearizer's block of an array at that term), or nothing for 0."""
-    rows = _linear(a, [(b, "mc")])
-    rows = rows if rows in ("0", "mc") else f"({rows})"
-    words = _linear(0, [(rows != "0", f"{rows} * n"), (r, "levels")])
-    return "" if words == "0" else f" + 4 * ({words})"
+# the S scalars the entry does not read from argv as is are its locals
+_C_HOST_ENTRY = (
+    _C_HOST_ENTRY
+    .replace("@HEAD@", ", ".join(f"REPRO_A_{x.upper()}" for x in ENTRY_HEAD))
+    .replace("@PHASES@", ", ".join(f"REPRO_{x.upper()}" for x in PHASES))
+    .replace("@SCALARS@", ", ".join(
+        {"num_nodes": "n", "num_batches": "levels", "max_batch_len": "mbl",
+         "leaf_batch_count": "lbc", "level_start": "lbc",
+         "max_children": "mct"}.get(x) or f"a[REPRO_A_{x.upper()}]"
+        for x in NATIVE_SCALARS))
+    .replace("@NS@", str(len(NATIVE_SCALARS)))
+    .replace("@ALIGN@", str(ALIGN)))
 
 
-def _host_entry(module: ILModule,
-                signatures: Dict[str, KernelSignature]) -> List[str]:
-    """The runtime part's host entry ``repro_execute`` and the digest of
-    the tables it bakes (``repro_host_key``); nothing for a module whose
-    host program a native entry cannot run (:func:`host_tables`)."""
-    tables = host_tables(module, {
-        name: (tuple(a[0] for a in sig.arrays),
-               tuple(w for w, _ in sig.packed))
-        for name, sig in signatures.items()})
-    if tables is None:
-        return []
-    at = {name: i for i, name in enumerate(ENTRY_HEAD)}
-    head, scratch = len(ENTRY_HEAD), len(tables.scratch)
-    given = len(tables.dense) + len(tables.panels)
-    # the locals the code below may name, as read from `a`
-    named = {"n": "num_nodes", "levels": "num_batches",
-             "mbl": "max_batch_len", "mc": "max_children"}
-    lines = ["  /* scratch buffers: the caller's own, or their slab slice */"]
-    for i, (name, (a, b, c)) in enumerate(zip(tables.scratch, tables.terms)):
-        lines.append(f"  p[{i}] = a[{head + i}] ? (char*)(intptr_t)"
-                     f"a[{head + i}]\n         : slab + "
-                     f"(({_linear(a, [(b, 'n'), (c, 'mbl')])}) & "
-                     f"-{ALIGN});  /* {name} */")
-    if tables.block:
-        lines.append("  /* linearizer arrays in the block */")
-    for i, (name, term, _) in enumerate(tables.block):
-        lines.append(f"  p[{scratch + i}] = block{_block_offset(*term)};"
-                     f"  /* {name} */")
-    if given:
-        lines += ["  /* the dense parameters, then the packed panels */",
-                  f"  for (int i = 0; i < {given}; ++i)",
-                  f"    p[{scratch + len(tables.block)} + i] = "
-                  f"(char*)(intptr_t)a[{head + scratch} + i];"]
-    template = {"max_children": ("mc" if tables.max_children is None
-                                 else str(tables.max_children)),
-                "num_nodes": "n", "num_batches": "levels",
-                "max_batch_len": "mbl"}
-    if tables.specialize:
-        template["level_start"] = f"a[{at['leaf_batch_count']}]"
-    else:
-        template["level_start"] = template["leaf_batch_count"] = "0"
-    lines += ["  /* the S scalars, in NATIVE_SCALARS order */",
-              f"  const int64_t s[] = {{" + ", ".join(
-                  template.get(x) or f"a[{at[x]}]" for x in NATIVE_SCALARS)
-              + "};"]
-    types, dry, calls = {}, [], []
-    for i, (phase, kernel, slots) in enumerate(tables.launches):
-        sig = signatures[kernel]
-        params = NativeCodegen._params(sig)
-        types[kernel] = (f"typedef void (*repro_fn_{kernel})("
-                         + ", ".join(ct for ct, _ in params) + ");")
-        S = "s"
-        if sig.scalars:
-            S = f"S{i}"
-            lines.append(f"  const int64_t {S}[] = {{" + ", ".join(
-                f"s[{NATIVE_SCALARS.index(x)}]" for x in sig.scalars)
-                + "};")
-        dry.append(f"    /* launch {i}: {kernel} ({phase}) */")
-        dry += [f"    *dry++ = (int64_t)(intptr_t)p[{k}];" for k in slots]
-        dry += [f"    *dry++ = {S}[{k}];" for k in range(len(sig.scalars))]
-        args = [f"({ct})p[{k}]" for (ct, _), k in zip(params, slots)]
-        window = "begin[b], length[b]" if phase in ("leaf", "level") \
-            else "0, 0"
-        team = f"a[{at['team']}]" if phase == "fused" else "1"
-        calls.append((phase, f"REPRO_LAUNCH({i}, ((repro_fn_{kernel})"
-                             f"fn[{i}])(\n          "
-                             f"{', '.join(args + [S])},\n          "
-                             f"{window}, {team}));"))
-    body = []
-    if any(phase in ("leaf", "level") for phase, _ in calls):
-        body += [f"  const int32_t* const {name} = (const int32_t*)("
-                 f"block{_block_offset(*uf_term(f'batch_{name}')[:3])});"
-                 for name in ("begin", "length")]
-    s_at = {x: f"s[{NATIVE_SCALARS.index(x)}]" for x in NATIVE_SCALARS}
-    level = [f"    {call}" for phase, call in calls if phase == "level"]
-    for phase, call in calls:
-        if phase == "leaf":
-            body.append(f"  for (int64_t b = 0; b < "
-                        f"{s_at['leaf_batch_count']}; ++b)\n    {call}")
-        elif phase == "level":
-            if level:  # one loop over the batches runs every level launch
-                body += [f"  for (int64_t b = {s_at['level_start']}; "
-                         f"b < {s_at['num_batches']}; ++b) {{",
-                         *level, "  }"]
-                level = []
-        else:
-            body.append(f"  {call}")
-    text = "\n".join(lines + body)
-    decls = [f"  int64_t a[{head + scratch + given}];",
-             "  memcpy(a, argv, sizeof a);",
-             "  const repro_host_fn* const fn = (const repro_host_fn*)"
-             f"(intptr_t)a[{at['launches']}];",
-             f"  int64_t* const times = (int64_t*)(intptr_t)"
-             f"a[{at['times']}];",
-             f"  int64_t* dry = (int64_t*)(intptr_t)a[{at['dry']}];"]
-    decls += [f"  char* const {name} = (char*)(intptr_t)a[{at[name]}];"
-              for name in ("slab", "block")
-              if re.search(rf"\b{name}\b", text)]
-    decls += [f"  const int64_t {local} = a[{at[name]}];"
-              for local, name in named.items()
-              if re.search(rf"\b{local}\b", text)]
-    decls.append(f"  char* p[{scratch + len(tables.block) + given or 1}];")
-    return [_C_HOST_ENTRY + "\n".join(
-        [*types.values(), "",
-         "/* the digest of the tables this entry was generated from */",
-         f'const char* repro_host_key(void) {{ return "{tables.key}"; }}',
-         "", "void repro_execute(const char* argv) {", *decls, *lines,
-         "  if (dry) {", *dry, "    return;", "  }", *body, "}", "",
-         "#if defined(__clang__)", "#pragma clang optimize on",
-         "#elif defined(__GNUC__)", "#pragma GCC pop_options", "#endif",
-         ""])]
+def pack_tables(tables: HostTables, launches) -> Optional[np.ndarray]:
+    """``tables`` as the int64 array ``repro_execute`` runs with the
+    launchers ``launches`` (``(kernel name, launcher)`` in launch order):
+    the numbers of scratch buffers, linearizer arrays, given arrays and
+    launches; the ``max_children`` override or -1, and ``specialize``; the
+    block terms of ``batch_begin`` and ``batch_length``, each scratch
+    buffer's slab term and each linearizer array's block term; then per
+    launch its phase, slots and ``S`` indices (in ``NATIVE_SCALARS``), each
+    list after its length.  None unless each launch has one slot per
+    pointer of its launcher, every one inside the address vector."""
+    out = [len(tables.scratch), len(tables.block),
+           len(tables.dense) + len(tables.panels), len(tables.launches),
+           -1 if tables.max_children is None else tables.max_children,
+           int(tables.specialize),
+           *uf_term("batch_begin")[:3], *uf_term("batch_length")[:3]]
+    size = sum(out[:3])
+    for term in tables.terms[:-1] + tuple(t for _, t, _ in tables.block):
+        out += term
+    for (phase, _, slots), (_, fn) in zip(tables.launches, launches):
+        if (len(slots) != len(fn.abi_arrays) + len(fn.abi_packed)
+                or not all(0 <= k < size for k in slots)):
+            return None
+        scalars = [NATIVE_SCALARS.index(x) for x in fn.signature.scalars]
+        out += [PHASES.index(phase), len(slots), *slots, len(scalars),
+                *scalars]
+    return np.array(out, np.int64)
 
 
 def generate_c_module(

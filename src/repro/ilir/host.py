@@ -5,17 +5,16 @@ module alone: which kernels launch in which order (:data:`PHASES`), which
 buffers a call allocates and where each lies in its one slab
 (:func:`buffer_steps`, :func:`slab_terms`), which scalars the kernels are
 bound to, and where each pointer argument of each native launch comes from
-(:func:`host_tables`).  Two readers share these tables: the host plan
-(:mod:`repro.runtime.plan`), which checks what a caller supplies and leases
-the slab, and the C generator, which bakes them into the module's own host
-entry (``repro_execute``), so that a native call is one call into the
-``.so``.
+(:func:`host_tables`).  The host plan (:mod:`repro.runtime.plan`) reads
+them twice: to check what a caller supplies and lease the slab, and to pack
+them, once per plan, into the int64 array that the one host entry of every
+native library (``repro_execute``, the same C for every module) runs a call
+from, so that a native call is one call into the ``.so``.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -37,11 +36,11 @@ PHASES = ("pre", "leaf", "level", "fused", "post")
 NUM_NODES = "num_nodes"
 MAX_BATCH = "max_batch_len"
 
-#: the int64 slots that open the host entry's argument vector; after them
-#: come one slot per scratch buffer (an address to use in place of its
-#: slab slice, 0 for none), the dense parameters' addresses, then the
-#: packed panels'
-ENTRY_HEAD = ("launches", "team", "times", "dry", "block", "slab",
+#: the int64 slots that open the host entry's argument vector (``tables``
+#: is the address of the plan's packed tables); after them come one slot
+#: per scratch buffer (an address to use in place of its slab slice, 0 for
+#: none), the dense parameters' addresses, then the packed panels'
+ENTRY_HEAD = ("launches", "team", "tables", "times", "dry", "block", "slab",
               "num_nodes", "num_leaves", "num_batches", "leaf_start",
               "max_batch_len", "leaf_batch_count", "max_children")
 
@@ -169,12 +168,6 @@ class HostTables:
     #: and whether leaves are specialized
     max_children: Optional[int]
     specialize: bool
-
-    @property
-    def key(self) -> str:
-        """A digest of the tables: a plan runs an entry only when the
-        entry was generated from tables with its own key."""
-        return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
 
 
 def host_tables(module: ILModule,

@@ -6,16 +6,18 @@ compiler + flags into a cache key, compiles it once with the system
 compiler (``cc -O2 -shared -fPIC``; its parts as concurrent units when
 the process may use more than one CPU, :func:`build_shared_library`)
 into a cached shared library,
-loads it via :mod:`ctypes`, and wraps each exported kernel in a callable
-with the Python kernels' exact calling convention.
+loads it via :mod:`ctypes`, and wraps each kernel's entry point on the
+variant the library picked at load in a callable with the Python kernels'
+exact calling convention.
 
 Marshalling is zero-copy: NumPy buffers pass as raw data addresses into
 ``c_void_p`` parameters.  A host plan whose launches are all native makes
 one call per execute, into the library's host entry (:class:`HostEntry`,
-``repro_execute``, generated with the kernels from the module's host
-tables): it works out every planned address and scalar itself and runs
-every launch, with the GIL released
-(:class:`repro.runtime.plan.NativeCall` packs its argument vector).  That
+``repro_execute``, the same C in every library): from the module's host
+tables, which the plan packs once as data, it works out every planned
+address and scalar itself and runs every launch through its kernel's
+wrapper, with the GIL released (:class:`repro.runtime.plan.NativeCall`
+packs the tables and the argument vector).  That
 makes validation non-negotiable — a wrong-dtype or non-contiguous array
 would be silently reinterpreted as dense memory of another shape.  Planned
 arrays are correct by construction: the entry places them with the dtype,
@@ -37,7 +39,8 @@ the cache the Python target's GEMM operands already live in, so the same
 after an in-place weight edit, and replicas sharing ``params`` share the
 panels read-only.  Every panel starts on a cache line, like the slab.
 The panel width follows the ISA variant the library picked for this host
-when it was loaded (``repro_lanes()``; :attr:`NativeModule.variant`).
+when it was loaded (``repro_lanes()``; :attr:`NativeModule.variant`),
+whose entry points :attr:`NativeModule.fns` binds.
 The build carries no ``-march`` flag.  It holds ``base`` and the widest
 variant this CPU runs (:func:`host_variant`, one ``-DREPRO_WIDE`` define
 among the flags, so in the cache key): three ``cc`` parts, the runtime
@@ -309,9 +312,11 @@ class NativeKernelLauncher:
     is the ISA variant it runs and ``team`` the team size every launch
     passes (1 but for fused kernels).  ``abi_arrays`` / ``abi_packed``
     are the pointer parameters as ``(name, dtype)``, plain then packed at
-    ``panel`` columns.  ``address`` is the entry point's own, and
-    ``entry`` its library's host entry (:class:`HostEntry`, or None), which
-    a host plan calls with that address in its launch table.
+    ``panel`` columns.  ``address`` is the variant's wrapper
+    (``k_<name>_<variant>_w``), which takes its pointers from a host entry's
+    address vector, and ``entry`` its library's host entry
+    (:class:`HostEntry`), which a host plan calls with that address in its
+    launch table.
     """
 
     is_native = True
@@ -320,11 +325,13 @@ class NativeKernelLauncher:
                  "abi_arrays", "abi_packed", "panel", "_scalars",
                  "_svec_type", "address", "entry")
 
-    def __init__(self, cfunc, signature: KernelSignature, variant: str,
-                 team: int = 1, entry: Optional["HostEntry"] = None):
-        """``variant``: the ISA variant ``cfunc`` is (or dispatches to) —
-        its lanes fix the packed weights' panels.  ``team``: the members a
-        fused kernel splits its columns across."""
+    def __init__(self, cfunc, wrapper, signature: KernelSignature,
+                 variant: str, team: int = 1,
+                 entry: Optional["HostEntry"] = None):
+        """``cfunc`` / ``wrapper``: the entry point of ISA variant
+        ``variant`` and its wrapper; the variant's lanes fix the packed
+        weights' panels.  ``team``: the members a fused kernel splits its
+        columns across."""
         self.name = signature.name
         self.kind = signature.kind
         self.signature = signature
@@ -346,7 +353,7 @@ class NativeKernelLauncher:
                ctypes.c_int64, ctypes.c_int64])
         cfunc.restype = None
         self._cfunc = cfunc
-        self.address = ctypes.cast(cfunc, ctypes.c_void_p).value
+        self.address = ctypes.cast(wrapper, ctypes.c_void_p).value
         self.entry = entry
 
     def __call__(self, ws, c, begin: int = 0, length: int = 0) -> None:
@@ -369,19 +376,16 @@ class NativeKernelLauncher:
 
 
 class HostEntry:
-    """A library's host entry (``repro_execute``, generated with the
-    kernels from the module's :class:`~repro.ilir.host.HostTables`): one
-    call runs a whole execute — addresses, scalars and every launch —
-    from one packed int64 argument vector.  Called through the ``CDLL``
-    handle, so the GIL is released for its whole run.  ``key`` is the
-    digest of the tables it bakes."""
+    """A library's host entry (``repro_execute``, the same C in every
+    library): one call runs a whole execute — addresses, scalars and every
+    launch — from one packed int64 argument vector, which points at the
+    plan's packed :class:`~repro.ilir.host.HostTables`
+    (:class:`repro.runtime.plan.NativeCall`).  Called through the ``CDLL``
+    handle, so the GIL is released for its whole run."""
 
-    __slots__ = ("key", "execute")
+    __slots__ = ("execute",)
 
     def __init__(self, lib) -> None:
-        key = lib.repro_host_key
-        key.argtypes, key.restype = [], ctypes.c_char_p
-        self.key = key().decode()
         self.execute = lib.repro_execute
         # the vector goes in as a bytes object: no ctypes array per call
         self.execute.argtypes = [ctypes.c_char_p]
@@ -505,20 +509,17 @@ class NativeModule:
         held, lanes = held_fn(), lanes_fn()
         #: the ISA variants the library holds, narrowest first
         self.holds = tuple(v for v in VARIANTS if held >> PARTS.index(v) & 1)
-        #: the one the exported kernels dispatch to on this host
+        #: the one the library picked for this host when it was loaded:
+        #: the one :attr:`fns` runs
         self.variant = next(v for v in self.holds if VARIANTS[v] == lanes)
         columns_fn = self._symbol("repro_team_columns")
         columns_fn.argtypes, columns_fn.restype = [], ctypes.c_int64
         #: members of the team each fused-kernel launch asks for
         self.team = team_size(columns_fn())
-        #: the library's host entry (a module whose host program it cannot
-        #: run has none: its plans launch kernel by kernel)
-        self.entry = (HostEntry(self._lib)
-                      if hasattr(self._lib, "repro_execute") else None)
-        self.fns: Dict[str, NativeKernelLauncher] = {
-            name: NativeKernelLauncher(self._symbol(sig.symbol), sig,
-                                       self.variant, self.team, self.entry)
-            for name, sig in self.signatures.items()}
+        #: the library's host entry
+        self.entry = HostEntry(self._lib)
+        self.fns: Dict[str, NativeKernelLauncher] = self.variant_fns(
+            self.variant)
         #: the library's own linearizer (see :func:`load_walker`), if any
         self.walker = load_walker(self.so_path)
 
@@ -533,15 +534,16 @@ class NativeModule:
     def variant_fns(self, variant: str, *, team: Optional[int] = None
                     ) -> Dict[str, NativeKernelLauncher]:
         """Launchers on one ISA variant's own entry points
-        (``k_<kernel>_<variant>``), bypassing the load-time dispatch, with
-        fused kernels split across ``team`` members (default
-        :attr:`team`): how a test runs a variant the library holds
-        (:attr:`holds`), or the team size, its host would not pick.  The
-        caller checks that the CPU can execute the variant
+        (``k_<kernel>_<variant>``, and their wrappers), with fused kernels
+        split across ``team`` members (default :attr:`team`): :attr:`fns`
+        on :attr:`variant`, and how a test runs a variant the library
+        holds (:attr:`holds`), or the team size, its host would not pick.
+        The caller checks that the CPU can execute the variant
         (:func:`cpu_variants`)."""
         team = self.team if team is None else team
         return {name: NativeKernelLauncher(
-                    self._symbol(f"{sig.symbol}_{variant}"), sig, variant,
+                    self._symbol(f"{sig.symbol}_{variant}"),
+                    self._symbol(f"{sig.symbol}_{variant}_w"), sig, variant,
                     team, self.entry)
                 for name, sig in self.signatures.items()}
 

@@ -29,21 +29,24 @@ estimates are :func:`repro.runtime.estimate`'s).  Its outputs are
 held bitwise equal to the semantic oracle (:mod:`repro.ra.interp`) by the
 zero-tolerance tests across the model zoo and schedule variants.
 
-A plan whose launches are all native, from a library that carries its host
-program (:attr:`HostPlan.addressed`), makes one native call per execute:
-the C generator bakes the module's host tables (:mod:`repro.ilir.host`)
-into the library's ``repro_execute``, which works out every scratch
-buffer's place in the call's slab and every linearizer array's in the
-block, binds the ``S`` scalars and runs the whole host schedule, with the
-GIL released.  Python keeps what can be refused and what it owns
-(:class:`NativeCall`): the parameters — and any buffer the caller passes
-in place of a scratch one — are checked on every call (shape, dtype,
-C-contiguity) before the lease, their addresses and packed panels come
-from the weakref-backed cache, then the slab is leased, the seeds are
-written and one packed argument vector goes in.  Planned arrays are correct
-by construction: the entry places them with the dtype, shape and
-contiguity the launch ABI declares.  The result's :class:`Workspace` makes
-a buffer's array the first time it is read.
+A plan whose launches are all native (:attr:`HostPlan.addressed`) makes
+one native call per execute, into the library's ``repro_execute``: the same
+C in every library, which runs the module's host tables
+(:mod:`repro.ilir.host`) as data, packed once per plan into an int64 array
+checked against the launchers
+(:func:`~repro.ilir.codegen.c_codegen.pack_tables`).  Per call it works
+out every scratch buffer's place in the call's slab and every linearizer
+array's in the block, binds the ``S`` scalars and runs the whole host
+schedule, each launch through its kernel's wrapper, with the GIL released.
+Python keeps what can be refused and what it owns (:class:`NativeCall`):
+the parameters — and any buffer the caller passes in place of a scratch
+one — are checked on every call (shape, dtype, C-contiguity) before the
+lease, their addresses and packed panels come from the weakref-backed
+cache, then the slab is leased, the seeds are written and one packed
+argument vector goes in.  Planned arrays are correct by construction: the
+entry places them with the dtype, shape and contiguity the launch ABI
+declares.  The result's :class:`Workspace` makes a buffer's array the
+first time it is read.
 """
 
 from __future__ import annotations
@@ -60,10 +63,11 @@ from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
 import numpy as np
 
 from ..errors import ExecutionError
+from ..ilir.codegen.c_codegen import pack_tables
 from ..ilir.codegen.compiled import CompiledModule
 from ..ilir.host import (ALIGN, ENTRY_HEAD, MAX_BATCH, NUM_NODES,
-                         BufferStep, buffer_steps, host_tables, slab_order,
-                         slab_terms)
+                         BufferStep, HostTables, buffer_steps, host_tables,
+                         slab_order, slab_terms)
 from ..ilir.module import ILModule
 from ..ir import evaluate
 from ..linearizer import Linearized
@@ -94,8 +98,7 @@ class HostPlan:
     scratch: List[BufferStep] = field(init=False)
     num_zeroed: int = field(init=False)
     #: does a call run as one call into the native library's host entry
-    #: (every launch native, from a library whose entry bakes this plan's
-    #: tables)?
+    #: (every launch native, on tables the entry can run)?
     addressed: bool = field(init=False)
 
     def __post_init__(self) -> None:
@@ -267,11 +270,13 @@ class NativeCall:
     argument vector (:data:`~repro.ilir.host.ENTRY_HEAD`, then the scratch
     buffers' stand-ins, the dense parameters and the panels) into one
     ``bytes``.  Slab offsets, linearizer-array offsets, the ``S`` vectors
-    and the launches are the entry's.
+    and the launches are the entry's, read from the plan's packed tables,
+    which the call owns.
     """
 
-    def __init__(self, plan: HostPlan, tables, launches, entry) -> None:
-        self.plan, self.entry = plan, entry
+    def __init__(self, plan: HostPlan, tables: HostTables,
+                 packed: np.ndarray, launches, entry) -> None:
+        self.plan, self.entry, self.tables = plan, entry, packed
         #: ``(kernel name, launcher)`` in launch order
         self.launches = launches
         # every array a launch reads: its ABI dtype, the first kernel that
@@ -310,11 +315,11 @@ class NativeCall:
                      for name, _, rows in tables.block if rows]
         self.min_rows = max((r[0] for r in self.rows), default=0)
         self.panel = launches[0][1].panel
-        #: the entry's launch table: each launch's own entry point
+        #: the entry's launch table: each launch's wrapper
         self.table = (ctypes.c_void_p * len(launches))(
             *[fn.address for _, fn in launches])
         team = max(fn.team for _, fn in launches)
-        self.head = (ctypes.addressof(self.table), team)
+        self.head = (ctypes.addressof(self.table), team, packed.ctypes.data)
         slots = (len(ENTRY_HEAD) + len(tables.scratch) + len(self.dense)
                  + len(self.panels))
         self.pack = struct.Struct(f"{slots}q").pack
@@ -327,7 +332,9 @@ class NativeCall:
     @classmethod
     def of(cls, plan: HostPlan) -> Optional["NativeCall"]:
         """``plan``'s native call, or None: not every launch is native, or
-        their library has no entry for this plan's tables."""
+        the entry cannot run the module's tables with them
+        (:func:`host_tables`, :func:`~repro.ilir.codegen.c_codegen
+        .pack_tables`)."""
         launches = [r for phase in (plan.pre, plan.leaf, plan.level,
                                     plan.fused, plan.post) for r in phase]
         if not launches or not all(getattr(fn, "is_native", False)
@@ -341,12 +348,14 @@ class NativeCall:
             name: (tuple(n for n, _ in fn.abi_arrays),
                    tuple(n for n, _ in fn.abi_packed))
             for name, fn in launches})
-        if (tables is None or tables.key != entry.key
+        if (tables is None
                 or [k for _, k, _ in tables.launches]
                 != [name for name, _ in launches]
                 or list(tables.scratch) != [b.name for b in plan.scratch]):
             return None
-        return cls(plan, tables, launches, entry)
+        packed = pack_tables(tables, launches)
+        return (None if packed is None
+                else cls(plan, tables, packed, launches, entry))
 
     def bind(self, lin: Linearized, params: Mapping[str, np.ndarray],
              arena, times: int = 0, dry: int = 0):

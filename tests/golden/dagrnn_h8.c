@@ -607,7 +607,7 @@ REPRO_TEAM void repro_team_run(repro_team_body body, void* const* args,
 #pragma GCC pop_options
 #endif
 
-/* the part of the variant the exported kernels dispatch to: the
+/* the part of the variant the launchers run: the
  * widest one this build holds that the CPU runs, picked at load */
 static int repro_pick = 1;
 __attribute__((constructor)) static void repro_pick_variant(void) {
@@ -622,7 +622,7 @@ __attribute__((constructor)) static void repro_pick_variant(void) {
 #endif
 }
 
-/* float32 lanes of the variant the exported kernels dispatch to: the
+/* float32 lanes of the variant the launchers run: the
  * launcher packs weight panels for that width */
 int repro_lanes(void) {
   static const int lanes[] = {0, 4, 8, 16};
@@ -641,99 +641,16 @@ int repro_held(void) {
   return held;
 }
 
-/* output columns of the widest nest a fused kernel splits (0: none); the
- * launcher sizes the team it passes from it */
-int64_t repro_team_columns(void) { return 8; }
-
-void k_fused_base(
-    float* rnn,
-    const float* Feat,
-    const float* b,
-    float* h_sum,
-    float* mu,
-    const int32_t* batch_begin,
-    const int32_t* batch_length,
-    const int32_t* child,
-    const int32_t* num_children,
-    const int32_t* words,
-    const float* U_P,
-    const int64_t* S,
-    int64_t begin,
-    int64_t length,
-    int64_t team);
-#ifdef REPRO_AVX2
-__attribute__((target("avx2"))) void k_fused_avx2(
-    float* rnn,
-    const float* Feat,
-    const float* b,
-    float* h_sum,
-    float* mu,
-    const int32_t* batch_begin,
-    const int32_t* batch_length,
-    const int32_t* child,
-    const int32_t* num_children,
-    const int32_t* words,
-    const float* U_P,
-    const int64_t* S,
-    int64_t begin,
-    int64_t length,
-    int64_t team);
-#endif
-#ifdef REPRO_AVX512F
-__attribute__((target("avx512f"))) void k_fused_avx512f(
-    float* rnn,
-    const float* Feat,
-    const float* b,
-    float* h_sum,
-    float* mu,
-    const int32_t* batch_begin,
-    const int32_t* batch_length,
-    const int32_t* child,
-    const int32_t* num_children,
-    const int32_t* words,
-    const float* U_P,
-    const int64_t* S,
-    int64_t begin,
-    int64_t length,
-    int64_t team);
-#endif
-void k_fused(
-    float* rnn,
-    const float* Feat,
-    const float* b,
-    float* h_sum,
-    float* mu,
-    const int32_t* batch_begin,
-    const int32_t* batch_length,
-    const int32_t* child,
-    const int32_t* num_children,
-    const int32_t* words,
-    const float* U_P,
-    const int64_t* S,
-    int64_t begin,
-    int64_t length,
-    int64_t team) {
-#ifdef REPRO_AVX512F
-  if (repro_pick == 3) { k_fused_avx512f(rnn, Feat, b, h_sum, mu, batch_begin, batch_length, child, num_children, words, U_P, S, begin, length, team); return; }
-#endif
-#ifdef REPRO_AVX2
-  if (repro_pick == 2) { k_fused_avx2(rnn, Feat, b, h_sum, mu, batch_begin, batch_length, child, num_children, words, U_P, S, begin, length, team); return; }
-#endif
-  k_fused_base(rnn, Feat, b, h_sum, mu, batch_begin, batch_length, child, num_children, words, U_P, S, begin, length, team);
-}
-
-/* ---- the host program: one call runs one execute of the module.  The
- * host plan's tables (repro.ilir.host) are baked in: where each scratch
- * buffer lies in the slab and each linearizer array in the block, each
- * launch's pointer slots, the scalar template and the host schedule.
- * `argv` is the call's int64 vector: the launch table (a function per
- * launch, in order), the team a fused launch splits across, a profile to
- * add each launch's (ns, launches) to or 0, a dry-run output or 0, the
- * block, the slab and the Linearized's scalars; then per scratch buffer
- * an address in place of its slab slice (0: none), the dense parameters
- * and the packed panels.  A dry run writes each launch's pointers and S
- * vector instead of launching.  No Python object is touched: the caller
- * drops the GIL.  Compiled unoptimised, like the team. */
+/* ---- the host program, the same for every module: one call runs one
+ * execute from the tables the host plan packs (c_codegen.pack_tables).
+ * `argv` is the call's int64 vector: the head (repro.ilir.host
+ * .ENTRY_HEAD), then per scratch buffer an address in place of its slab
+ * slice (0: none), the dense parameters and the packed panels.  A launch's
+ * slots index the address vector p: the scratch buffers, the linearizer
+ * arrays, then those given arrays; the plan checked that each lies in it.
+ * A dry run writes each launch's pointers and S vector instead of
+ * launching.  No Python object is touched: the caller drops the GIL.
+ * Compiled unoptimised, like the team. */
 #include <string.h>
 #include <time.h>
 #if defined(__clang__)
@@ -743,7 +660,21 @@ void k_fused(
 #pragma GCC optimize ("O0")
 #endif
 
-typedef void (*repro_host_fn)(void);
+/* what a launch calls: the wrapper of a kernel's variant */
+typedef void (*repro_wrapper)(char* const* p, const int64_t* slots,
+                              const int64_t* S, int64_t begin,
+                              int64_t length, int64_t team);
+
+/* the head of argv; the phases; the tables' opening int64s (the counts,
+ * the scalar template and the block terms of batch_begin and
+ * batch_length), after which come the slab and block terms, then the
+ * launches */
+enum { REPRO_A_LAUNCHES, REPRO_A_TEAM, REPRO_A_TABLES, REPRO_A_TIMES, REPRO_A_DRY, REPRO_A_BLOCK, REPRO_A_SLAB, REPRO_A_NUM_NODES, REPRO_A_NUM_LEAVES, REPRO_A_NUM_BATCHES, REPRO_A_LEAF_START, REPRO_A_MAX_BATCH_LEN, REPRO_A_LEAF_BATCH_COUNT, REPRO_A_MAX_CHILDREN, REPRO_HEAD };
+enum { REPRO_PRE, REPRO_LEAF, REPRO_LEVEL, REPRO_FUSED, REPRO_POST };
+enum { REPRO_T_SCRATCH, REPRO_T_BLOCK, REPRO_T_GIVEN, REPRO_T_LAUNCHES,
+       REPRO_T_MAX_CHILDREN, REPRO_T_SPECIALIZE, REPRO_T_BEGIN,
+       REPRO_T_LENGTH = REPRO_T_BEGIN + 3,
+       REPRO_T_TERMS = REPRO_T_LENGTH + 3 };
 
 static int64_t repro_host_ns(void) {
   struct timespec ts;
@@ -751,78 +682,94 @@ static int64_t repro_host_ns(void) {
   return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
 }
 
-/* run `call` as launch i, timed when profiling */
-#define REPRO_LAUNCH(i, call) do { \
+/* bytes into the block of the linearizer array at term (a, b, r) */
+static int64_t repro_block_at(const int64_t* term, int64_t mc, int64_t n,
+                              int64_t levels) {
+  return 4 * ((term[0] + term[1] * mc) * n + term[2] * levels);
+}
+
+/* run launch i over a batch window, timed when profiling */
+#define REPRO_LAUNCH(i, begin_, length_, team_) do { \
+    const int64_t t0_ = times ? repro_host_ns() : 0; \
+    fn[i](p, L[i].slots, L[i].S, begin_, length_, team_); \
     if (times) { \
-      const int64_t t0_ = repro_host_ns(); \
-      call; \
       times[2 * (i)] += repro_host_ns() - t0_; \
       times[2 * (i) + 1]++; \
-    } else { \
-      call; \
     } \
   } while (0)
 
-typedef void (*repro_fn_fused)(float*, const float*, const float*, float*, float*, const int32_t*, const int32_t*, const int32_t*, const int32_t*, const int32_t*, const float*, const int64_t*, int64_t, int64_t, int64_t);
-
-/* the digest of the tables this entry was generated from */
-const char* repro_host_key(void) { return "2acabc5c8229bd9f"; }
-
 void repro_execute(const char* argv) {
-  int64_t a[19];
+  int64_t head[REPRO_HEAD];
+  memcpy(head, argv, sizeof head);
+  const int64_t* const tab = (const int64_t*)(intptr_t)head[REPRO_A_TABLES];
+  const int64_t ns = tab[REPRO_T_SCRATCH], nb = tab[REPRO_T_BLOCK];
+  const int64_t ng = tab[REPRO_T_GIVEN], nl = tab[REPRO_T_LAUNCHES];
+  int64_t a[REPRO_HEAD + ns + ng];
   memcpy(a, argv, sizeof a);
-  const repro_host_fn* const fn = (const repro_host_fn*)(intptr_t)a[0];
-  int64_t* const times = (int64_t*)(intptr_t)a[2];
-  int64_t* dry = (int64_t*)(intptr_t)a[3];
-  char* const slab = (char*)(intptr_t)a[5];
-  char* const block = (char*)(intptr_t)a[4];
-  const int64_t n = a[6];
-  const int64_t levels = a[8];
-  const int64_t mbl = a[10];
-  const int64_t mc = a[12];
-  char* p[11];
-  /* scratch buffers: the caller's own, or their slab slice */
-  p[0] = a[13] ? (char*)(intptr_t)a[13]
-         : slab + ((63) & -64);  /* rnn */
-  p[1] = a[14] ? (char*)(intptr_t)a[14]
-         : slab + ((126 + 32 * n) & -64);  /* h_sum */
-  p[2] = a[15] ? (char*)(intptr_t)a[15]
-         : slab + ((189 + 32 * n + 32 * mbl) & -64);  /* mu */
-  /* linearizer arrays in the block */
-  p[3] = block + 4 * ((2 + mc) * n);  /* batch_begin */
-  p[4] = block + 4 * ((2 + mc) * n + levels);  /* batch_length */
-  p[5] = block;  /* child */
-  p[6] = block + 4 * (mc * n);  /* num_children */
-  p[7] = block + 4 * ((1 + mc) * n);  /* words */
-  /* the dense parameters, then the packed panels */
-  for (int i = 0; i < 3; ++i)
-    p[8 + i] = (char*)(intptr_t)a[16 + i];
+  const repro_wrapper* const fn =
+      (const repro_wrapper*)(intptr_t)a[REPRO_A_LAUNCHES];
+  int64_t* const times = (int64_t*)(intptr_t)a[REPRO_A_TIMES];
+  int64_t* dry = (int64_t*)(intptr_t)a[REPRO_A_DRY];
+  char* const block = (char*)(intptr_t)a[REPRO_A_BLOCK];
+  char* const slab = (char*)(intptr_t)a[REPRO_A_SLAB];
+  const int64_t n = a[REPRO_A_NUM_NODES], levels = a[REPRO_A_NUM_BATCHES];
+  const int64_t mbl = a[REPRO_A_MAX_BATCH_LEN], mc = a[REPRO_A_MAX_CHILDREN];
+  /* the scalar template: max_children's override, if any; unspecialized,
+   * no batch runs as leaves */
+  const int64_t mct = tab[REPRO_T_MAX_CHILDREN] >= 0
+      ? tab[REPRO_T_MAX_CHILDREN] : mc;
+  const int64_t lbc = tab[REPRO_T_SPECIALIZE]
+      ? a[REPRO_A_LEAF_BATCH_COUNT] : 0;
   /* the S scalars, in NATIVE_SCALARS order */
-  const int64_t s[] = {n, a[7], levels, a[9], mbl, a[11], 2, a[11]};
-  const int64_t S0[] = {s[0], s[2], s[5], s[6], s[7]};
-  if (dry) {
-    /* launch 0: fused (fused) */
-    *dry++ = (int64_t)(intptr_t)p[0];
-    *dry++ = (int64_t)(intptr_t)p[8];
-    *dry++ = (int64_t)(intptr_t)p[9];
-    *dry++ = (int64_t)(intptr_t)p[1];
-    *dry++ = (int64_t)(intptr_t)p[2];
-    *dry++ = (int64_t)(intptr_t)p[3];
-    *dry++ = (int64_t)(intptr_t)p[4];
-    *dry++ = (int64_t)(intptr_t)p[5];
-    *dry++ = (int64_t)(intptr_t)p[6];
-    *dry++ = (int64_t)(intptr_t)p[7];
-    *dry++ = (int64_t)(intptr_t)p[10];
-    *dry++ = S0[0];
-    *dry++ = S0[1];
-    *dry++ = S0[2];
-    *dry++ = S0[3];
-    *dry++ = S0[4];
-    return;
+  const int64_t s[] = {
+      n, a[REPRO_A_NUM_LEAVES], levels, a[REPRO_A_LEAF_START], mbl, lbc, mct, lbc};
+  const int32_t* const begin = (const int32_t*)(
+      block + repro_block_at(tab + REPRO_T_BEGIN, mc, n, levels));
+  const int32_t* const length = (const int32_t*)(
+      block + repro_block_at(tab + REPRO_T_LENGTH, mc, n, levels));
+  /* the address vector */
+  const int64_t* t = tab + REPRO_T_TERMS;
+  char* p[ns + nb + ng];
+  for (int64_t i = 0; i < ns; ++i, t += 3)
+    p[i] = a[REPRO_HEAD + i] ? (char*)(intptr_t)a[REPRO_HEAD + i]
+           : slab + ((t[0] + t[1] * n + t[2] * mbl) & -64);
+  for (int64_t i = ns; i < ns + nb; ++i, t += 3)
+    p[i] = block + repro_block_at(t, mc, n, levels);
+  for (int64_t i = 0; i < ng; ++i)
+    p[ns + nb + i] = (char*)(intptr_t)a[REPRO_HEAD + ns + i];
+  /* per launch: its phase, its slots (after their count) and its S */
+  struct { int64_t phase; const int64_t* slots; int64_t S[8]; } L[nl];
+  for (int64_t i = 0; i < nl; ++i) {
+    L[i].phase = t[0];
+    L[i].slots = t + 2;
+    t += 2 + t[1];
+    for (int64_t j = 0; j < t[0]; ++j) L[i].S[j] = s[t[1 + j]];
+    if (dry) {
+      for (int64_t j = 0; j < L[i].slots[-1]; ++j)
+        *dry++ = (int64_t)(intptr_t)p[L[i].slots[j]];
+      for (int64_t j = 0; j < t[0]; ++j) *dry++ = L[i].S[j];
+    }
+    t += 1 + t[0];
   }
-  REPRO_LAUNCH(0, ((repro_fn_fused)fn[0])(
-          (float*)p[0], (const float*)p[8], (const float*)p[9], (float*)p[1], (float*)p[2], (const int32_t*)p[3], (const int32_t*)p[4], (const int32_t*)p[5], (const int32_t*)p[6], (const int32_t*)p[7], (const float*)p[10], S0,
-          0, 0, a[1]));
+  if (dry) return;
+  /* the host schedule, launches in phase order: a leaf launch per leaf
+   * batch, each batch from level_start through every level launch, the
+   * others once */
+  for (int64_t i = 0; i < nl; ++i) {
+    if (L[i].phase == REPRO_LEAF) {
+      for (int64_t b = 0; b < lbc; ++b)
+        REPRO_LAUNCH(i, begin[b], length[b], 1);
+    } else if (L[i].phase == REPRO_LEVEL) {
+      int64_t last = i;
+      while (last + 1 < nl && L[last + 1].phase == REPRO_LEVEL) ++last;
+      for (int64_t b = lbc; b < levels; ++b)
+        for (int64_t k = i; k <= last; ++k)
+          REPRO_LAUNCH(k, begin[b], length[b], 1);
+      i = last;
+    } else {
+      REPRO_LAUNCH(i, 0, 0, L[i].phase == REPRO_FUSED ? a[REPRO_A_TEAM] : 1);
+    }
+  }
 }
 
 #if defined(__clang__)
@@ -1269,6 +1216,16 @@ void k_fused_base(
   repro_team_run(k_fused_base_team, A, team);
 }
 
+void k_fused_base_w(char* const* p, const int64_t* slots, const int64_t* S,
+    int64_t begin, int64_t length, int64_t team) {
+  k_fused_base((float*)p[slots[0]], (const float*)p[slots[1]], (const float*)p[slots[2]], (float*)p[slots[3]], (float*)p[slots[4]], (const int32_t*)p[slots[5]], (const int32_t*)p[slots[6]], (const int32_t*)p[slots[7]], (const int32_t*)p[slots[8]], (const int32_t*)p[slots[9]], (const float*)p[slots[10]],
+      S, begin, length, team);
+}
+
+/* output columns of the widest nest a fused kernel splits (0: none); the
+ * launcher sizes the team it passes from it */
+int64_t repro_team_columns(void) { return 8; }
+
 #endif
 
 /* ======== part 2: avx2 ======== */
@@ -1421,6 +1378,12 @@ __attribute__((target("avx2"))) void k_fused_avx2(
   repro_team_run(k_fused_avx2_team, A, team);
 }
 
+void k_fused_avx2_w(char* const* p, const int64_t* slots, const int64_t* S,
+    int64_t begin, int64_t length, int64_t team) {
+  k_fused_avx2((float*)p[slots[0]], (const float*)p[slots[1]], (const float*)p[slots[2]], (float*)p[slots[3]], (float*)p[slots[4]], (const int32_t*)p[slots[5]], (const int32_t*)p[slots[6]], (const int32_t*)p[slots[7]], (const int32_t*)p[slots[8]], (const int32_t*)p[slots[9]], (const float*)p[slots[10]],
+      S, begin, length, team);
+}
+
 #endif
 
 /* ======== part 3: avx512f ======== */
@@ -1558,6 +1521,12 @@ __attribute__((target("avx512f"))) void k_fused_avx512f(
   void* const A[] = {(void*)rnn, (void*)Feat, (void*)b, (void*)h_sum, (void*)mu, (void*)batch_begin, (void*)batch_length, (void*)child, (void*)num_children, (void*)words, (void*)U_P, (void*)S};
   (void)begin; (void)length;
   repro_team_run(k_fused_avx512f_team, A, team);
+}
+
+void k_fused_avx512f_w(char* const* p, const int64_t* slots, const int64_t* S,
+    int64_t begin, int64_t length, int64_t team) {
+  k_fused_avx512f((float*)p[slots[0]], (const float*)p[slots[1]], (const float*)p[slots[2]], (float*)p[slots[3]], (float*)p[slots[4]], (const int32_t*)p[slots[5]], (const int32_t*)p[slots[6]], (const int32_t*)p[slots[7]], (const int32_t*)p[slots[8]], (const int32_t*)p[slots[9]], (const float*)p[slots[10]],
+      S, begin, length, team);
 }
 
 #endif

@@ -622,7 +622,7 @@ REPRO_TEAM void repro_team_run(repro_team_body body, void* const* args,
 #pragma GCC pop_options
 #endif
 
-/* the part of the variant the exported kernels dispatch to: the
+/* the part of the variant the launchers run: the
  * widest one this build holds that the CPU runs, picked at load */
 static int repro_pick = 1;
 __attribute__((constructor)) static void repro_pick_variant(void) {
@@ -637,7 +637,7 @@ __attribute__((constructor)) static void repro_pick_variant(void) {
 #endif
 }
 
-/* float32 lanes of the variant the exported kernels dispatch to: the
+/* float32 lanes of the variant the launchers run: the
  * launcher packs weight panels for that width */
 int repro_lanes(void) {
   static const int lanes[] = {0, 4, 8, 16};
@@ -656,159 +656,16 @@ int repro_held(void) {
   return held;
 }
 
-/* output columns of the widest nest a fused kernel splits (0: none); the
- * launcher sizes the team it passes from it */
-int64_t repro_team_columns(void) { return 8; }
-
-void k_fused_base(
-    float* rnn_h_ph,
-    float* rnn_c_ph,
-    const float* Emb,
-    const float* bi,
-    const float* bo,
-    const float* bu,
-    const float* bf,
-    float* h_tilde,
-    float* mi,
-    float* mo,
-    float* mu,
-    float* gi,
-    float* go,
-    float* gu,
-    float* mf,
-    float* gf,
-    float* fc_sum,
-    const int32_t* batch_begin,
-    const int32_t* batch_length,
-    const int32_t* child,
-    const int32_t* num_children,
-    const int32_t* words,
-    const float* Ui_P,
-    const float* Uo_P,
-    const float* Uu_P,
-    const float* Uf_P,
-    const int64_t* S,
-    int64_t begin,
-    int64_t length,
-    int64_t team);
-#ifdef REPRO_AVX2
-__attribute__((target("avx2"))) void k_fused_avx2(
-    float* rnn_h_ph,
-    float* rnn_c_ph,
-    const float* Emb,
-    const float* bi,
-    const float* bo,
-    const float* bu,
-    const float* bf,
-    float* h_tilde,
-    float* mi,
-    float* mo,
-    float* mu,
-    float* gi,
-    float* go,
-    float* gu,
-    float* mf,
-    float* gf,
-    float* fc_sum,
-    const int32_t* batch_begin,
-    const int32_t* batch_length,
-    const int32_t* child,
-    const int32_t* num_children,
-    const int32_t* words,
-    const float* Ui_P,
-    const float* Uo_P,
-    const float* Uu_P,
-    const float* Uf_P,
-    const int64_t* S,
-    int64_t begin,
-    int64_t length,
-    int64_t team);
-#endif
-#ifdef REPRO_AVX512F
-__attribute__((target("avx512f"))) void k_fused_avx512f(
-    float* rnn_h_ph,
-    float* rnn_c_ph,
-    const float* Emb,
-    const float* bi,
-    const float* bo,
-    const float* bu,
-    const float* bf,
-    float* h_tilde,
-    float* mi,
-    float* mo,
-    float* mu,
-    float* gi,
-    float* go,
-    float* gu,
-    float* mf,
-    float* gf,
-    float* fc_sum,
-    const int32_t* batch_begin,
-    const int32_t* batch_length,
-    const int32_t* child,
-    const int32_t* num_children,
-    const int32_t* words,
-    const float* Ui_P,
-    const float* Uo_P,
-    const float* Uu_P,
-    const float* Uf_P,
-    const int64_t* S,
-    int64_t begin,
-    int64_t length,
-    int64_t team);
-#endif
-void k_fused(
-    float* rnn_h_ph,
-    float* rnn_c_ph,
-    const float* Emb,
-    const float* bi,
-    const float* bo,
-    const float* bu,
-    const float* bf,
-    float* h_tilde,
-    float* mi,
-    float* mo,
-    float* mu,
-    float* gi,
-    float* go,
-    float* gu,
-    float* mf,
-    float* gf,
-    float* fc_sum,
-    const int32_t* batch_begin,
-    const int32_t* batch_length,
-    const int32_t* child,
-    const int32_t* num_children,
-    const int32_t* words,
-    const float* Ui_P,
-    const float* Uo_P,
-    const float* Uu_P,
-    const float* Uf_P,
-    const int64_t* S,
-    int64_t begin,
-    int64_t length,
-    int64_t team) {
-#ifdef REPRO_AVX512F
-  if (repro_pick == 3) { k_fused_avx512f(rnn_h_ph, rnn_c_ph, Emb, bi, bo, bu, bf, h_tilde, mi, mo, mu, gi, go, gu, mf, gf, fc_sum, batch_begin, batch_length, child, num_children, words, Ui_P, Uo_P, Uu_P, Uf_P, S, begin, length, team); return; }
-#endif
-#ifdef REPRO_AVX2
-  if (repro_pick == 2) { k_fused_avx2(rnn_h_ph, rnn_c_ph, Emb, bi, bo, bu, bf, h_tilde, mi, mo, mu, gi, go, gu, mf, gf, fc_sum, batch_begin, batch_length, child, num_children, words, Ui_P, Uo_P, Uu_P, Uf_P, S, begin, length, team); return; }
-#endif
-  k_fused_base(rnn_h_ph, rnn_c_ph, Emb, bi, bo, bu, bf, h_tilde, mi, mo, mu, gi, go, gu, mf, gf, fc_sum, batch_begin, batch_length, child, num_children, words, Ui_P, Uo_P, Uu_P, Uf_P, S, begin, length, team);
-}
-
-/* ---- the host program: one call runs one execute of the module.  The
- * host plan's tables (repro.ilir.host) are baked in: where each scratch
- * buffer lies in the slab and each linearizer array in the block, each
- * launch's pointer slots, the scalar template and the host schedule.
- * `argv` is the call's int64 vector: the launch table (a function per
- * launch, in order), the team a fused launch splits across, a profile to
- * add each launch's (ns, launches) to or 0, a dry-run output or 0, the
- * block, the slab and the Linearized's scalars; then per scratch buffer
- * an address in place of its slab slice (0: none), the dense parameters
- * and the packed panels.  A dry run writes each launch's pointers and S
- * vector instead of launching.  No Python object is touched: the caller
- * drops the GIL.  Compiled unoptimised, like the team. */
+/* ---- the host program, the same for every module: one call runs one
+ * execute from the tables the host plan packs (c_codegen.pack_tables).
+ * `argv` is the call's int64 vector: the head (repro.ilir.host
+ * .ENTRY_HEAD), then per scratch buffer an address in place of its slab
+ * slice (0: none), the dense parameters and the packed panels.  A launch's
+ * slots index the address vector p: the scratch buffers, the linearizer
+ * arrays, then those given arrays; the plan checked that each lies in it.
+ * A dry run writes each launch's pointers and S vector instead of
+ * launching.  No Python object is touched: the caller drops the GIL.
+ * Compiled unoptimised, like the team. */
 #include <string.h>
 #include <time.h>
 #if defined(__clang__)
@@ -818,7 +675,21 @@ void k_fused(
 #pragma GCC optimize ("O0")
 #endif
 
-typedef void (*repro_host_fn)(void);
+/* what a launch calls: the wrapper of a kernel's variant */
+typedef void (*repro_wrapper)(char* const* p, const int64_t* slots,
+                              const int64_t* S, int64_t begin,
+                              int64_t length, int64_t team);
+
+/* the head of argv; the phases; the tables' opening int64s (the counts,
+ * the scalar template and the block terms of batch_begin and
+ * batch_length), after which come the slab and block terms, then the
+ * launches */
+enum { REPRO_A_LAUNCHES, REPRO_A_TEAM, REPRO_A_TABLES, REPRO_A_TIMES, REPRO_A_DRY, REPRO_A_BLOCK, REPRO_A_SLAB, REPRO_A_NUM_NODES, REPRO_A_NUM_LEAVES, REPRO_A_NUM_BATCHES, REPRO_A_LEAF_START, REPRO_A_MAX_BATCH_LEN, REPRO_A_LEAF_BATCH_COUNT, REPRO_A_MAX_CHILDREN, REPRO_HEAD };
+enum { REPRO_PRE, REPRO_LEAF, REPRO_LEVEL, REPRO_FUSED, REPRO_POST };
+enum { REPRO_T_SCRATCH, REPRO_T_BLOCK, REPRO_T_GIVEN, REPRO_T_LAUNCHES,
+       REPRO_T_MAX_CHILDREN, REPRO_T_SPECIALIZE, REPRO_T_BEGIN,
+       REPRO_T_LENGTH = REPRO_T_BEGIN + 3,
+       REPRO_T_TERMS = REPRO_T_LENGTH + 3 };
 
 static int64_t repro_host_ns(void) {
   struct timespec ts;
@@ -826,111 +697,94 @@ static int64_t repro_host_ns(void) {
   return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
 }
 
-/* run `call` as launch i, timed when profiling */
-#define REPRO_LAUNCH(i, call) do { \
+/* bytes into the block of the linearizer array at term (a, b, r) */
+static int64_t repro_block_at(const int64_t* term, int64_t mc, int64_t n,
+                              int64_t levels) {
+  return 4 * ((term[0] + term[1] * mc) * n + term[2] * levels);
+}
+
+/* run launch i over a batch window, timed when profiling */
+#define REPRO_LAUNCH(i, begin_, length_, team_) do { \
+    const int64_t t0_ = times ? repro_host_ns() : 0; \
+    fn[i](p, L[i].slots, L[i].S, begin_, length_, team_); \
     if (times) { \
-      const int64_t t0_ = repro_host_ns(); \
-      call; \
       times[2 * (i)] += repro_host_ns() - t0_; \
       times[2 * (i) + 1]++; \
-    } else { \
-      call; \
     } \
   } while (0)
 
-typedef void (*repro_fn_fused)(float*, float*, const float*, const float*, const float*, const float*, const float*, float*, float*, float*, float*, float*, float*, float*, float*, float*, float*, const int32_t*, const int32_t*, const int32_t*, const int32_t*, const int32_t*, const float*, const float*, const float*, const float*, const int64_t*, int64_t, int64_t, int64_t);
-
-/* the digest of the tables this entry was generated from */
-const char* repro_host_key(void) { return "54355dae326bf06f"; }
-
 void repro_execute(const char* argv) {
-  int64_t a[34];
+  int64_t head[REPRO_HEAD];
+  memcpy(head, argv, sizeof head);
+  const int64_t* const tab = (const int64_t*)(intptr_t)head[REPRO_A_TABLES];
+  const int64_t ns = tab[REPRO_T_SCRATCH], nb = tab[REPRO_T_BLOCK];
+  const int64_t ng = tab[REPRO_T_GIVEN], nl = tab[REPRO_T_LAUNCHES];
+  int64_t a[REPRO_HEAD + ns + ng];
   memcpy(a, argv, sizeof a);
-  const repro_host_fn* const fn = (const repro_host_fn*)(intptr_t)a[0];
-  int64_t* const times = (int64_t*)(intptr_t)a[2];
-  int64_t* dry = (int64_t*)(intptr_t)a[3];
-  char* const slab = (char*)(intptr_t)a[5];
-  char* const block = (char*)(intptr_t)a[4];
-  const int64_t n = a[6];
-  const int64_t levels = a[8];
-  const int64_t mbl = a[10];
-  const int64_t mc = a[12];
-  char* p[26];
-  /* scratch buffers: the caller's own, or their slab slice */
-  p[0] = a[13] ? (char*)(intptr_t)a[13]
-         : slab + ((63) & -64);  /* rnn_h_ph */
-  p[1] = a[14] ? (char*)(intptr_t)a[14]
-         : slab + ((126 + 32 * n) & -64);  /* rnn_c_ph */
-  p[2] = a[15] ? (char*)(intptr_t)a[15]
-         : slab + ((189 + 64 * n) & -64);  /* h_tilde */
-  p[3] = a[16] ? (char*)(intptr_t)a[16]
-         : slab + ((252 + 64 * n + 32 * mbl) & -64);  /* mi */
-  p[4] = a[17] ? (char*)(intptr_t)a[17]
-         : slab + ((315 + 64 * n + 64 * mbl) & -64);  /* mo */
-  p[5] = a[18] ? (char*)(intptr_t)a[18]
-         : slab + ((378 + 64 * n + 96 * mbl) & -64);  /* mu */
-  p[6] = a[19] ? (char*)(intptr_t)a[19]
-         : slab + ((441 + 64 * n + 128 * mbl) & -64);  /* gi */
-  p[7] = a[20] ? (char*)(intptr_t)a[20]
-         : slab + ((504 + 64 * n + 160 * mbl) & -64);  /* go */
-  p[8] = a[21] ? (char*)(intptr_t)a[21]
-         : slab + ((567 + 64 * n + 192 * mbl) & -64);  /* gu */
-  p[9] = a[22] ? (char*)(intptr_t)a[22]
-         : slab + ((630 + 64 * n + 224 * mbl) & -64);  /* mf */
-  p[10] = a[23] ? (char*)(intptr_t)a[23]
-         : slab + ((693 + 64 * n + 288 * mbl) & -64);  /* gf */
-  p[11] = a[24] ? (char*)(intptr_t)a[24]
-         : slab + ((756 + 64 * n + 352 * mbl) & -64);  /* fc_sum */
-  /* linearizer arrays in the block */
-  p[12] = block + 4 * ((2 + mc) * n);  /* batch_begin */
-  p[13] = block + 4 * ((2 + mc) * n + levels);  /* batch_length */
-  p[14] = block;  /* child */
-  p[15] = block + 4 * (mc * n);  /* num_children */
-  p[16] = block + 4 * ((1 + mc) * n);  /* words */
-  /* the dense parameters, then the packed panels */
-  for (int i = 0; i < 9; ++i)
-    p[17 + i] = (char*)(intptr_t)a[25 + i];
+  const repro_wrapper* const fn =
+      (const repro_wrapper*)(intptr_t)a[REPRO_A_LAUNCHES];
+  int64_t* const times = (int64_t*)(intptr_t)a[REPRO_A_TIMES];
+  int64_t* dry = (int64_t*)(intptr_t)a[REPRO_A_DRY];
+  char* const block = (char*)(intptr_t)a[REPRO_A_BLOCK];
+  char* const slab = (char*)(intptr_t)a[REPRO_A_SLAB];
+  const int64_t n = a[REPRO_A_NUM_NODES], levels = a[REPRO_A_NUM_BATCHES];
+  const int64_t mbl = a[REPRO_A_MAX_BATCH_LEN], mc = a[REPRO_A_MAX_CHILDREN];
+  /* the scalar template: max_children's override, if any; unspecialized,
+   * no batch runs as leaves */
+  const int64_t mct = tab[REPRO_T_MAX_CHILDREN] >= 0
+      ? tab[REPRO_T_MAX_CHILDREN] : mc;
+  const int64_t lbc = tab[REPRO_T_SPECIALIZE]
+      ? a[REPRO_A_LEAF_BATCH_COUNT] : 0;
   /* the S scalars, in NATIVE_SCALARS order */
-  const int64_t s[] = {n, a[7], levels, a[9], mbl, a[11], 2, a[11]};
-  const int64_t S0[] = {s[0], s[2], s[5], s[6], s[7]};
-  if (dry) {
-    /* launch 0: fused (fused) */
-    *dry++ = (int64_t)(intptr_t)p[0];
-    *dry++ = (int64_t)(intptr_t)p[1];
-    *dry++ = (int64_t)(intptr_t)p[17];
-    *dry++ = (int64_t)(intptr_t)p[18];
-    *dry++ = (int64_t)(intptr_t)p[19];
-    *dry++ = (int64_t)(intptr_t)p[20];
-    *dry++ = (int64_t)(intptr_t)p[21];
-    *dry++ = (int64_t)(intptr_t)p[2];
-    *dry++ = (int64_t)(intptr_t)p[3];
-    *dry++ = (int64_t)(intptr_t)p[4];
-    *dry++ = (int64_t)(intptr_t)p[5];
-    *dry++ = (int64_t)(intptr_t)p[6];
-    *dry++ = (int64_t)(intptr_t)p[7];
-    *dry++ = (int64_t)(intptr_t)p[8];
-    *dry++ = (int64_t)(intptr_t)p[9];
-    *dry++ = (int64_t)(intptr_t)p[10];
-    *dry++ = (int64_t)(intptr_t)p[11];
-    *dry++ = (int64_t)(intptr_t)p[12];
-    *dry++ = (int64_t)(intptr_t)p[13];
-    *dry++ = (int64_t)(intptr_t)p[14];
-    *dry++ = (int64_t)(intptr_t)p[15];
-    *dry++ = (int64_t)(intptr_t)p[16];
-    *dry++ = (int64_t)(intptr_t)p[22];
-    *dry++ = (int64_t)(intptr_t)p[23];
-    *dry++ = (int64_t)(intptr_t)p[24];
-    *dry++ = (int64_t)(intptr_t)p[25];
-    *dry++ = S0[0];
-    *dry++ = S0[1];
-    *dry++ = S0[2];
-    *dry++ = S0[3];
-    *dry++ = S0[4];
-    return;
+  const int64_t s[] = {
+      n, a[REPRO_A_NUM_LEAVES], levels, a[REPRO_A_LEAF_START], mbl, lbc, mct, lbc};
+  const int32_t* const begin = (const int32_t*)(
+      block + repro_block_at(tab + REPRO_T_BEGIN, mc, n, levels));
+  const int32_t* const length = (const int32_t*)(
+      block + repro_block_at(tab + REPRO_T_LENGTH, mc, n, levels));
+  /* the address vector */
+  const int64_t* t = tab + REPRO_T_TERMS;
+  char* p[ns + nb + ng];
+  for (int64_t i = 0; i < ns; ++i, t += 3)
+    p[i] = a[REPRO_HEAD + i] ? (char*)(intptr_t)a[REPRO_HEAD + i]
+           : slab + ((t[0] + t[1] * n + t[2] * mbl) & -64);
+  for (int64_t i = ns; i < ns + nb; ++i, t += 3)
+    p[i] = block + repro_block_at(t, mc, n, levels);
+  for (int64_t i = 0; i < ng; ++i)
+    p[ns + nb + i] = (char*)(intptr_t)a[REPRO_HEAD + ns + i];
+  /* per launch: its phase, its slots (after their count) and its S */
+  struct { int64_t phase; const int64_t* slots; int64_t S[8]; } L[nl];
+  for (int64_t i = 0; i < nl; ++i) {
+    L[i].phase = t[0];
+    L[i].slots = t + 2;
+    t += 2 + t[1];
+    for (int64_t j = 0; j < t[0]; ++j) L[i].S[j] = s[t[1 + j]];
+    if (dry) {
+      for (int64_t j = 0; j < L[i].slots[-1]; ++j)
+        *dry++ = (int64_t)(intptr_t)p[L[i].slots[j]];
+      for (int64_t j = 0; j < t[0]; ++j) *dry++ = L[i].S[j];
+    }
+    t += 1 + t[0];
   }
-  REPRO_LAUNCH(0, ((repro_fn_fused)fn[0])(
-          (float*)p[0], (float*)p[1], (const float*)p[17], (const float*)p[18], (const float*)p[19], (const float*)p[20], (const float*)p[21], (float*)p[2], (float*)p[3], (float*)p[4], (float*)p[5], (float*)p[6], (float*)p[7], (float*)p[8], (float*)p[9], (float*)p[10], (float*)p[11], (const int32_t*)p[12], (const int32_t*)p[13], (const int32_t*)p[14], (const int32_t*)p[15], (const int32_t*)p[16], (const float*)p[22], (const float*)p[23], (const float*)p[24], (const float*)p[25], S0,
-          0, 0, a[1]));
+  if (dry) return;
+  /* the host schedule, launches in phase order: a leaf launch per leaf
+   * batch, each batch from level_start through every level launch, the
+   * others once */
+  for (int64_t i = 0; i < nl; ++i) {
+    if (L[i].phase == REPRO_LEAF) {
+      for (int64_t b = 0; b < lbc; ++b)
+        REPRO_LAUNCH(i, begin[b], length[b], 1);
+    } else if (L[i].phase == REPRO_LEVEL) {
+      int64_t last = i;
+      while (last + 1 < nl && L[last + 1].phase == REPRO_LEVEL) ++last;
+      for (int64_t b = lbc; b < levels; ++b)
+        for (int64_t k = i; k <= last; ++k)
+          REPRO_LAUNCH(k, begin[b], length[b], 1);
+      i = last;
+    } else {
+      REPRO_LAUNCH(i, 0, 0, L[i].phase == REPRO_FUSED ? a[REPRO_A_TEAM] : 1);
+    }
+  }
 }
 
 #if defined(__clang__)
@@ -1493,6 +1347,16 @@ void k_fused_base(
   repro_team_run(k_fused_base_team, A, team);
 }
 
+void k_fused_base_w(char* const* p, const int64_t* slots, const int64_t* S,
+    int64_t begin, int64_t length, int64_t team) {
+  k_fused_base((float*)p[slots[0]], (float*)p[slots[1]], (const float*)p[slots[2]], (const float*)p[slots[3]], (const float*)p[slots[4]], (const float*)p[slots[5]], (const float*)p[slots[6]], (float*)p[slots[7]], (float*)p[slots[8]], (float*)p[slots[9]], (float*)p[slots[10]], (float*)p[slots[11]], (float*)p[slots[12]], (float*)p[slots[13]], (float*)p[slots[14]], (float*)p[slots[15]], (float*)p[slots[16]], (const int32_t*)p[slots[17]], (const int32_t*)p[slots[18]], (const int32_t*)p[slots[19]], (const int32_t*)p[slots[20]], (const int32_t*)p[slots[21]], (const float*)p[slots[22]], (const float*)p[slots[23]], (const float*)p[slots[24]], (const float*)p[slots[25]],
+      S, begin, length, team);
+}
+
+/* output columns of the widest nest a fused kernel splits (0: none); the
+ * launcher sizes the team it passes from it */
+int64_t repro_team_columns(void) { return 8; }
+
 #endif
 
 /* ======== part 2: avx2 ======== */
@@ -1761,6 +1625,12 @@ __attribute__((target("avx2"))) void k_fused_avx2(
   repro_team_run(k_fused_avx2_team, A, team);
 }
 
+void k_fused_avx2_w(char* const* p, const int64_t* slots, const int64_t* S,
+    int64_t begin, int64_t length, int64_t team) {
+  k_fused_avx2((float*)p[slots[0]], (float*)p[slots[1]], (const float*)p[slots[2]], (const float*)p[slots[3]], (const float*)p[slots[4]], (const float*)p[slots[5]], (const float*)p[slots[6]], (float*)p[slots[7]], (float*)p[slots[8]], (float*)p[slots[9]], (float*)p[slots[10]], (float*)p[slots[11]], (float*)p[slots[12]], (float*)p[slots[13]], (float*)p[slots[14]], (float*)p[slots[15]], (float*)p[slots[16]], (const int32_t*)p[slots[17]], (const int32_t*)p[slots[18]], (const int32_t*)p[slots[19]], (const int32_t*)p[slots[20]], (const int32_t*)p[slots[21]], (const float*)p[slots[22]], (const float*)p[slots[23]], (const float*)p[slots[24]], (const float*)p[slots[25]],
+      S, begin, length, team);
+}
+
 #endif
 
 /* ======== part 3: avx512f ======== */
@@ -2020,6 +1890,12 @@ __attribute__((target("avx512f"))) void k_fused_avx512f(
   void* const A[] = {(void*)rnn_h_ph, (void*)rnn_c_ph, (void*)Emb, (void*)bi, (void*)bo, (void*)bu, (void*)bf, (void*)h_tilde, (void*)mi, (void*)mo, (void*)mu, (void*)gi, (void*)go, (void*)gu, (void*)mf, (void*)gf, (void*)fc_sum, (void*)batch_begin, (void*)batch_length, (void*)child, (void*)num_children, (void*)words, (void*)Ui_P, (void*)Uo_P, (void*)Uu_P, (void*)Uf_P, (void*)S};
   (void)begin; (void)length;
   repro_team_run(k_fused_avx512f_team, A, team);
+}
+
+void k_fused_avx512f_w(char* const* p, const int64_t* slots, const int64_t* S,
+    int64_t begin, int64_t length, int64_t team) {
+  k_fused_avx512f((float*)p[slots[0]], (float*)p[slots[1]], (const float*)p[slots[2]], (const float*)p[slots[3]], (const float*)p[slots[4]], (const float*)p[slots[5]], (const float*)p[slots[6]], (float*)p[slots[7]], (float*)p[slots[8]], (float*)p[slots[9]], (float*)p[slots[10]], (float*)p[slots[11]], (float*)p[slots[12]], (float*)p[slots[13]], (float*)p[slots[14]], (float*)p[slots[15]], (float*)p[slots[16]], (const int32_t*)p[slots[17]], (const int32_t*)p[slots[18]], (const int32_t*)p[slots[19]], (const int32_t*)p[slots[20]], (const int32_t*)p[slots[21]], (const float*)p[slots[22]], (const float*)p[slots[23]], (const float*)p[slots[24]], (const float*)p[slots[25]],
+      S, begin, length, team);
 }
 
 #endif

@@ -25,8 +25,10 @@ def test_compile_returns_cortex_model():
     assert m.outputs == ["rnn"]
     assert "def k_fused" in m.python_source
     # the C source is the native (executable) rendering: a self-contained
-    # translation unit with the uniform kernel-launch ABI
-    assert "void k_fused(" in m.c_source
+    # translation unit with the uniform kernel-launch ABI per ISA variant,
+    # and the wrapper the host entry launches
+    assert "void k_fused_base(" in m.c_source
+    assert "void k_fused_base_w(" in m.c_source
     assert "#include <math.h>" in m.c_source
 
 

@@ -25,6 +25,7 @@ import copy
 import ctypes
 import functools
 import os
+import re
 import subprocess
 import sys
 import types
@@ -1208,8 +1209,6 @@ def test_host_entry_releases_the_gil():
     class Timed:
         """The entry, with the wall-clock window of its native call."""
 
-        key = call.entry.key
-
         def execute(self, argv):
             window.append(time.perf_counter())
             real.execute(argv)
@@ -1240,6 +1239,45 @@ def test_host_entry_releases_the_gil():
     want = execute_plan(model.plan, lin, model.params)
     for name in model.outputs:
         assert np.array_equal(got.workspace[name], want.workspace[name])
+
+
+@needs_cc
+@pytest.mark.parametrize("corrupt", ["one_slot_too_few", "slot_past_the_end"])
+def test_tables_that_do_not_fit_refuse_the_host_entry(corrupt, monkeypatch):
+    """The host entry trusts the tables it runs, so a plan checks them
+    once: packed from tables whose one launch has a slot too few, or a
+    slot past the end of the address vector, a plan has no native call,
+    and the model runs through its launch records with the entry's bits."""
+    import dataclasses
+
+    from repro.runtime import plan as plan_mod
+    from repro.runtime.plan import NativeCall
+
+    model = _compile("treelstm", "c")
+    assert NativeCall.of(model.plan) is not None
+    real = plan_mod.host_tables
+
+    def corrupted(module, pointers):
+        tables = real(module, pointers)
+        (phase, kernel, slots), *rest = tables.launches
+        size = (len(tables.scratch) + len(tables.block) + len(tables.dense)
+                + len(tables.panels))
+        slots = (slots[:-1] if corrupt == "one_slot_too_few"
+                 else slots[:-1] + (size,))
+        return dataclasses.replace(
+            tables, launches=((phase, kernel, slots), *rest))
+
+    monkeypatch.setattr(plan_mod, "host_tables", corrupted)
+    assert NativeCall.of(model.plan) is None
+    plan = build_host_plan(model.lowered, model.compiled)
+    assert not plan.addressed
+    for roots in _batches("treelstm", np.random.default_rng(3)):
+        lin = model.lowered.linearizer(roots)
+        got = execute_plan(plan, lin, model.params)
+        want = execute_plan(model.plan, lin, model.params)
+        for name in model.outputs:
+            assert got.workspace[name].tobytes() == \
+                want.workspace[name].tobytes()
 
 
 @needs_cc
@@ -2429,30 +2467,34 @@ from repro.runtime.profiler import KernelProfiler
 native.host_variant = lambda: "base"  # the entry is in the runtime part
 flags = DEFAULT_CFLAGS + ("-fsanitize=address,undefined",
                           "-fno-sanitize-recover=all")
-for name in ("treelstm", "treegru", "treernn", "dagrnn"):
-    for preset in ("paper_headline", "unfused_ablation"):
-        opts = PRESETS[preset].with_(target="python")
-        build = {"num_cells": 64} if name == "dagrnn" else {"vocab": 50}
-        model = CompilerPipeline().compile(
-            name, opts, hidden=40, rng=np.random.default_rng(0), **build)
-        model.compiled.native = NativeModule.from_ilmodule(
-            model.lowered.module, flags=flags)
-        plan = build_host_plan(model.lowered, model.compiled)
-        assert plan.addressed, (name, preset)
-        rng = np.random.default_rng(2)
-        batches = ([grid_dag_batch(1, 3, 3), grid_dag_batch(2, 4, 5)]
-                   if name == "dagrnn" else
-                   [synthetic_treebank(k, vocab_size=50, rng=rng)
-                    for k in (1, 4)])
-        for roots in batches:
-            lin = model.lowered.linearizer(roots)
-            got = execute_plan(plan, lin, model.params,
-                               profiler=KernelProfiler())
-            ws, _ = plan.make_workspace(lin, model.params)
-            _launch_records(plan, lin, ws)
-            for out in model.outputs:
-                assert got.workspace[out].tobytes() == ws[out].tobytes()
-            plan.arguments(lin, model.params)
+# debug does not specialize leaves: the pre and post phases, and every
+# batch from level_start = leaf_batch_count = 0
+builds = [(name, preset)
+          for name in ("treelstm", "treegru", "treernn", "dagrnn")
+          for preset in ("paper_headline", "unfused_ablation")]
+for name, preset in builds + [("treelstm", "debug")]:
+    opts = PRESETS[preset].with_(target="python")
+    build = {"num_cells": 64} if name == "dagrnn" else {"vocab": 50}
+    model = CompilerPipeline().compile(
+        name, opts, hidden=40, rng=np.random.default_rng(0), **build)
+    model.compiled.native = NativeModule.from_ilmodule(
+        model.lowered.module, flags=flags)
+    plan = build_host_plan(model.lowered, model.compiled)
+    assert plan.addressed, (name, preset)
+    rng = np.random.default_rng(2)
+    batches = ([grid_dag_batch(1, 3, 3), grid_dag_batch(2, 4, 5)]
+               if name == "dagrnn" else
+               [synthetic_treebank(k, vocab_size=50, rng=rng)
+                for k in (1, 4)])
+    for roots in batches:
+        lin = model.lowered.linearizer(roots)
+        got = execute_plan(plan, lin, model.params,
+                           profiler=KernelProfiler())
+        ws, _ = plan.make_workspace(lin, model.params)
+        _launch_records(plan, lin, ws)
+        for out in model.outputs:
+            assert got.workspace[out].tobytes() == ws[out].tobytes()
+        plan.arguments(lin, model.params)
 print("entry ran clean")
 """
 
@@ -2461,8 +2503,9 @@ print("entry ran clean")
 def test_host_entry_under_asan_and_ubsan(tmp_path):
     """The host entry, built with ASan and UBSan (halting on the first
     report; the base variant alone, as the entry is the runtime part's),
-    runs the zoo at h40 on both presets — launched, profiled and dry — and
-    matches the launchers called by hand bit for bit."""
+    runs the zoo at h40 on both presets, and treelstm unspecialized
+    (``debug``) — launched, profiled and dry — and matches the launchers
+    called by hand bit for bit."""
     _run_preloaded(_ENTRY_UNDER_SANITIZERS, tmp_path)
 
 
@@ -2486,6 +2529,44 @@ def test_c_source_golden_snapshot(name):
     assert path.exists(), \
         f"missing golden {path}; regenerate with REPRO_REGEN_GOLDEN=1"
     assert src == path.read_text()
+
+
+def _runtime_part(source):
+    """The lines of ``source`` from ``#if REPRO_IN(0)`` through its own
+    ``#endif``."""
+    lines = source.split("\n")
+    at = lines.index("#if REPRO_IN(0)")
+    depth = 0
+    for end in range(at, len(lines)):
+        depth += (bool(re.match(r"\s*#\s*if", lines[end]))
+                  - bool(re.match(r"\s*#\s*endif", lines[end])))
+        if depth == 0:
+            return "\n".join(lines[at:end + 1])
+    raise AssertionError("part 0 is never closed")
+
+
+def test_runtime_part_is_one_text_for_every_model():
+    """Part 0 of a generated source, the runtime, is one text for every
+    zoo model and preset, and it names no kernel: the host entry reads
+    the plan's tables, and every kernel's variants, their wrappers and the
+    team's column count lie in the variant parts."""
+    from repro.models import MODELS
+    from repro.options import PRESETS as SCHEDULES
+
+    texts = set()
+    for name in MODELS:
+        for preset, options in SCHEDULES.items():
+            model = CompilerPipeline().compile(
+                name, options.with_(target="python"), hidden=8,
+                rng=np.random.default_rng(0),
+                **({"num_cells": 64} if name == "dagrnn"
+                   else {"vocab": VOCAB}))
+            part = _runtime_part(model.lowered.module.c_source)
+            for kernel in model.lowered.module.kernels:
+                assert not re.search(rf"\bk_{kernel.name}\b", part), \
+                    (name, preset, kernel.name)
+            texts.add(part)
+    assert len(texts) == 1
 
 
 @needs_cc
